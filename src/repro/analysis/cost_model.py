@@ -156,55 +156,48 @@ def sm_counts() -> OperationCounts:
 
 
 def ssed_counts(dimensions: int) -> OperationCounts:
-    """Secure Squared Euclidean Distance over ``m``-dimensional vectors.
+    """The paper's textbook SSED (Algorithm 2) over ``m``-dimensional vectors.
 
     One homomorphic subtraction (an exponentiation by ``N - 1``) plus one SM
-    per attribute.
+    per attribute.  This is the formula the paper-scale projections use; the
+    repository's implementation runs the cheaper fused round modeled by
+    :func:`ssed_scan_counts`.
     """
     _require_positive(dimensions, "dimensions")
     per_attribute = sm_counts() + OperationCounts(exponentiations=1)
     return per_attribute * dimensions
 
 
-def ssed_scan_counts(n_records: int, dimensions: int,
-                     precomputed: bool = False) -> OperationCounts:
-    """The batched SSED distance scan: one query against ``n`` records.
+def ssed_scan_counts(n_records: int, dimensions: int) -> OperationCounts:
+    """The implemented SSED distance scan: one query against ``n`` records.
 
-    The vectorized kernel (:meth:`~repro.protocols.ssed.
-    SecureSquaredEuclideanDistance.run_many`) negates the shared query once
-    per attribute instead of once per (record, attribute) pair, so the scan
-    costs ``m`` exponentiations plus ``n`` SSED bodies of 2 exponentiations
-    each — ``2*n*m + m`` total instead of the textbook ``3*n*m``.
-    Encryption and decryption counts are unchanged.
-
-    With ``precomputed=True`` the scan runs the squaring specialization
-    (:meth:`~repro.protocols.sm.SecureMultiplication.run_square_batch`)
-    that a precomputation engine enables: one engine mask tuple and one
-    pooled re-encryption per attribute (2 encryptions, both payable
-    offline), one decryption of the masked difference and one unmasking
-    exponentiation — ``2*n*m`` encryptions, ``n*m`` decryptions and
-    ``n*m + m`` exponentiations.
+    The fused round of :meth:`~repro.protocols.ssed.
+    SecureSquaredEuclideanDistance.run_many`: per (record, attribute) one
+    mask encryption by P1, one decryption by P2 and one unmasking
+    exponentiation; per record one re-encryption of the square sum by P2; and
+    the shared query negated once per attribute — ``n*m + n`` encryptions,
+    ``n*m`` decryptions and ``n*m + m`` exponentiations.  The counts are the
+    same with and without a precomputation engine; pools only move the
+    encryptions offline (:func:`ssed_scan_split_counts`).
     """
     _require_positive(n_records, "n_records")
     _require_positive(dimensions, "dimensions")
-    if precomputed:
-        per_attribute = OperationCounts(encryptions=2, decryptions=1,
-                                        exponentiations=1)
-        return (per_attribute * (n_records * dimensions)
-                + OperationCounts(exponentiations=dimensions))
-    squarings = sm_counts() * (n_records * dimensions)
-    return squarings + OperationCounts(exponentiations=dimensions)
+    pairs = n_records * dimensions
+    return OperationCounts(encryptions=pairs + n_records,
+                           decryptions=pairs,
+                           exponentiations=pairs + dimensions)
 
 
 def ssed_scan_split_counts(n_records: int,
                            dimensions: int) -> OfflineOnlineCounts:
-    """Offline/online split of the precomputed SSED distance scan.
+    """Offline/online split of the SSED distance scan under warm pools.
 
-    All ``2*n*m`` encryptions of the squaring pipeline are obfuscator
-    exponentiations payable during pool refills; the decryptions and the
-    unmasking/negation exponentiations remain query-time work.
+    All ``n*m + n`` encryptions (P1's mask tuples, P2's square-sum
+    re-encryptions) are obfuscator exponentiations payable during pool
+    refills; the decryptions and the unmasking/negation exponentiations
+    remain query-time work.
     """
-    counts = ssed_scan_counts(n_records, dimensions, precomputed=True)
+    counts = ssed_scan_counts(n_records, dimensions)
     return OfflineOnlineCounts(
         offline=OperationCounts(encryptions=counts.encryptions),
         online=OperationCounts(decryptions=counts.decryptions,
@@ -260,8 +253,7 @@ def sbor_counts() -> OperationCounts:
 # ---------------------------------------------------------------------------
 
 def sknn_basic_counts(n_records: int, dimensions: int, k: int,
-                      batched: bool = False,
-                      precomputed: bool = False) -> OperationCounts:
+                      batched: bool = False) -> OperationCounts:
     """SkNN_b (Algorithm 5): ``O(n * m + k)`` operations.
 
     The distance phase dominates: one SSED per record.  C2 additionally
@@ -274,18 +266,15 @@ def sknn_basic_counts(n_records: int, dimensions: int, k: int,
         k: neighbors returned.
         batched: ``False`` (default) models the paper's textbook protocol
             (used by the paper-scale projections); ``True`` models this
-            repository's vectorized implementation, whose distance scan
-            hoists the shared query negation (:func:`ssed_scan_counts`).
-        precomputed: model the warm-pool pipeline (squaring-specialized
-            scan, engine mask tuples); implies the batched scan shape.
+            repository's implementation, whose distance scan is the fused
+            SSED round (:func:`ssed_scan_counts`) — with or without warm
+            pools; which operations pools move offline is
+            :func:`sknn_basic_split_counts`.
     """
     _require_positive(n_records, "n_records")
     _require_positive(dimensions, "dimensions")
     _require_positive(k, "k")
-    if precomputed:
-        distance_phase = ssed_scan_counts(n_records, dimensions,
-                                          precomputed=True)
-    elif batched:
+    if batched:
         distance_phase = ssed_scan_counts(n_records, dimensions)
     else:
         distance_phase = ssed_counts(dimensions) * n_records
@@ -299,14 +288,14 @@ def sknn_basic_split_counts(n_records: int, dimensions: int,
                             k: int) -> OfflineOnlineCounts:
     """Offline/online split of a warm-pool SkNN_b query.
 
-    Offline (pool refills): every encryption of the precomputed pipeline —
-    ``n*m`` scan mask tuples, ``n*m`` square re-encryptions and ``k*m``
-    delivery mask tuples, one obfuscator exponentiation each.  Online: the
+    Offline (pool refills): every encryption of the query — ``n*m`` scan
+    mask tuples, ``n`` square-sum re-encryptions and ``k*m`` delivery mask
+    tuples, one obfuscator exponentiation each.  Online: the
     ``n*m`` masked-difference and ``n + k*m`` distance/delivery decryptions,
     plus the ``n*m`` unmasking and ``m`` query-negation exponentiations.
-    The sum equals ``sknn_basic_counts(..., precomputed=True)``.
+    The sum equals ``sknn_basic_counts(..., batched=True)``.
     """
-    counts = sknn_basic_counts(n_records, dimensions, k, precomputed=True)
+    counts = sknn_basic_counts(n_records, dimensions, k, batched=True)
     return OfflineOnlineCounts(
         offline=OperationCounts(encryptions=counts.encryptions),
         online=OperationCounts(decryptions=counts.decryptions,
@@ -327,7 +316,7 @@ def sknn_secure_breakdown(n_records: int, dimensions: int, k: int,
     _require_positive(k, "k")
     _require_positive(bit_length, "bit_length")
 
-    distance_phase = ssed_counts(dimensions) * n_records
+    distance_phase = ssed_scan_counts(n_records, dimensions)
     sbd_phase = sbd_counts(bit_length) * n_records
     sminn_phase = sminn_counts(n_records, bit_length) * k
 

@@ -4,14 +4,16 @@ The paper observes that "the computations involved on each data record are
 independent of others", parallelizes the per-record work of SkNN_b with OpenMP
 over the 6 cores of its test machine, and measures a ~6x speedup (Figure 3).
 
-This module reproduces that experiment.  The unit of parallel work is exactly
-the paper's: *one record's SSED computation*, i.e. the homomorphic
-differences, the SM-style masked multiplications and the final decryption of
-the distance (which SkNN_b reveals to C2 by design).  Each worker plays both
-cloud roles for its record — the values it sees are the same masked values the
-two clouds see in the serial protocol, so the leakage profile is unchanged —
-and returns the plaintext distance, after which the driver performs the cheap
-top-k selection and the standard two-share result delivery.
+This module reproduces that experiment.  The unit of parallel work is the
+paper's — *a record's SSED computation* — shipped a contiguous chunk of
+records at a time: the homomorphic differences, the fused masked-squaring
+round of :mod:`repro.protocols.ssed` (one mask per attribute, squares summed
+in the clear, one re-encryption per record) and the final decryption of the
+distance (which SkNN_b reveals to C2 by design).  Each worker plays both
+cloud roles for its records — the values it sees are the same masked values
+the two clouds see in the serial protocol, so the leakage profile is
+unchanged — and returns the plaintext distances, after which the driver
+performs the cheap top-k selection and the standard two-share result delivery.
 
 Backends:
 
@@ -56,17 +58,11 @@ __all__ = [
     "ParallelSkNNBasic",
     "ParallelRunReport",
     "PersistentWorkerPool",
-    "ssed_record_worker",
     "ssed_chunk_worker",
     "chunk_records",
 ]
 
 Backend = Literal["thread", "process", "serial"]
-
-#: Scalar reference task: (record_index, record ciphertext ints, query
-#: ciphertext ints, modulus N, prime p, prime q, RNG seed).  Kept as the
-#: per-record oracle the chunked kernel is tested against.
-WorkerTask = tuple[int, list[int], list[int], int, int, int, int]
 
 #: Chunked worker task: (chunk start index, several records' ciphertext ints,
 #: several queries' ciphertext ints, modulus N, prime p, prime q, RNG seed,
@@ -78,8 +74,8 @@ WorkerTask = tuple[int, list[int], list[int], int, int, int, int]
 #: programmatically selected backend (e.g. the CLI's ``--crypto-backend``).
 #: The optional ninth element is a *pool slice*: single-use precomputed
 #: ``r^N`` obfuscation factors drained from the driver's per-shard
-#: precomputation pools, so the worker's mask/square encryptions are hot-path
-#: multiplications while its per-process key cache stays warm.  Eight-element
+#: precomputation pools, so the worker's mask and square-sum encryptions are
+#: hot-path multiplications while its per-process key cache stays warm.  Eight-element
 #: tasks (no slice) remain valid.
 ChunkWorkerTask = tuple[
     int, list[list[int]], list[list[int]], int, int, int, int, str,
@@ -96,60 +92,6 @@ class ParallelRunReport:
     distance_phase_seconds: float
     selection_phase_seconds: float
     total_seconds: float
-
-
-def _record_squared_distance(public_key: PaillierPublicKey,
-                             private_key: PaillierPrivateKey, rng: Random,
-                             record_values: list[int],
-                             query_values: list[int]) -> int:
-    """One record's squared Euclidean distance over ciphertexts.
-
-    Performs, for every attribute, the same operation sequence as the serial
-    SSED protocol: homomorphic difference, additive masking, decryption of the
-    masked difference, squaring, re-encryption and unmasking — so the
-    per-record Paillier operation count matches the serial protocol and
-    measured speedups reflect genuine parallelization of the paper's workload.
-    """
-    n = public_key.n
-    total: Ciphertext | None = None
-    for record_value, query_value in zip(record_values, query_values):
-        enc_record = Ciphertext(public_key, record_value)
-        enc_query = Ciphertext(public_key, query_value)
-        enc_diff = enc_record + (enc_query * (n - 1))
-
-        # SM(enc_diff, enc_diff): mask, decrypt, square, encrypt, unmask.
-        mask = rng.randrange(n)
-        masked = enc_diff + public_key.encrypt(mask, rng=rng)
-        masked_plain = private_key.decrypt_raw_residue(masked)
-        enc_square_masked = public_key.encrypt((masked_plain * masked_plain) % n,
-                                               rng=rng)
-        enc_square = enc_square_masked + (enc_diff * ((n - 2 * mask) % n))
-        enc_square = enc_square + (-(mask * mask) % n)
-
-        total = enc_square if total is None else total + enc_square
-
-    assert total is not None
-    return private_key.decrypt_raw_residue(total)
-
-
-def ssed_record_worker(task: WorkerTask) -> tuple[int, int]:
-    """Compute one record's squared Euclidean distance over ciphertexts.
-
-    Re-creates the key objects from the raw parameters (worker processes
-    cannot share Python objects with the driver), then delegates to the same
-    SSED sequence the serial protocol performs.
-
-    Returns:
-        ``(record_index, squared_distance)`` where the distance is the
-        plaintext value C2 learns in SkNN_b.
-    """
-    record_index, record_values, query_values, n, p, q, seed = task
-    public_key = PaillierPublicKey(n)
-    private_key = PaillierPrivateKey(public_key, p, q)
-    rng = Random(seed)
-    distance = _record_squared_distance(public_key, private_key, rng,
-                                        record_values, query_values)
-    return record_index, distance
 
 
 #: Per-process cache of reconstructed key objects, keyed by the modulus.
@@ -186,17 +128,21 @@ def _chunk_squared_distances(public_key: PaillierPublicKey,
                              pool=None) -> list[list[int]]:
     """Squared distances of every (record, query) pair, vectorized.
 
-    Performs the same per-attribute protocol sequence as
-    :func:`_record_squared_distance` — homomorphic difference, additive
-    masking, decryption of the masked difference, squaring, re-encryption and
-    unmasking — with three chunk-level batching effects:
+    Follows the fused SSED round of :meth:`~repro.protocols.ssed.
+    SecureSquaredEuclideanDistance.run_many` operation for operation —
+    homomorphic difference, one additive mask per (record, attribute),
+    decryption of the masked differences, squares **summed per record in the
+    clear**, one re-encryption per record, and stripping of the cross terms —
+    so measured speedups reflect genuine parallelization of the protocol's
+    workload.  Chunk-level batching effects:
 
     * the query-side negation ``E(-q_j)`` is computed once per (chunk, query)
       instead of once per (record, query) — a modular inversion replacing
       ``len(records)`` full exponentiations, valid since the squared
       difference is sign-invariant;
-    * mask and square encryptions draw obfuscators from the key's fixed-base
-      window table (built once per worker process);
+    * mask and square-sum encryptions draw obfuscators from the shipped pool
+      slice, then the key's fixed-base window table (built once per worker
+      process);
     * all decryptions run through the vectorized CRT kernel.
 
     Returns:
@@ -215,8 +161,7 @@ def _chunk_squared_distances(public_key: PaillierPublicKey,
         neg_query = [invert(value, nsquare) for value in query_values]
 
         # E(t_ij - q_j) for every record and attribute (flattened) — the
-        # modular inverse E(q_j)**-1 is an encryption of -q_j, so the
-        # product matches the serial worker's E(t_ij) * E(q_j)**(N-1).
+        # modular inverse E(q_j)**-1 is an encryption of -q_j.
         diffs = [
             mulmod(record_values[j], neg_query[j], nsquare)
             for record_values in records
@@ -230,27 +175,29 @@ def _chunk_squared_distances(public_key: PaillierPublicKey,
         masked = [mulmod(diff, enc_mask.value, nsquare)
                   for diff, enc_mask in zip(diffs, enc_masks)]
 
-        # Decrypt the masked differences, square in the clear, re-encrypt.
+        # Decrypt the masked differences, square and sum per record in the
+        # clear, re-encrypt one sum per record.
         masked_plain = private_key._raw_decrypt_batch(masked)
-        enc_squares = public_key.encrypt_batch(
-            [(h * h) % n for h in masked_plain], rng=rng, pool=pool)
+        enc_sums = public_key.encrypt_batch(
+            [sum(h * h for h in masked_plain[base:base + dimensions]) % n
+             for base in range(0, len(masked_plain), dimensions)],
+            rng=rng, pool=pool)
 
-        # Unmask: E((d+r)^2) * E(d)^(N-2r) * E(-r^2) and accumulate per record.
+        # Strip: E(sum (d+r)^2) * prod E(d)^(N-2r) * E(-sum r^2) per record.
         totals: list[Ciphertext] = []
-        for record_index in range(len(records)):
+        for record_index, enc_sum in enumerate(enc_sums):
             base = record_index * dimensions
-            total = None
-            for j in range(dimensions):
-                index = base + j
+            total = enc_sum.value
+            mask_squares = 0
+            for index in range(base, base + dimensions):
                 mask = masks[index]
-                unmask = powmod(diffs[index], (n - 2 * mask) % n, nsquare)
-                constant = (1 + (-(mask * mask) % n) * n) % nsquare
-                square = mulmod(
-                    mulmod(enc_squares[index].value, unmask, nsquare),
-                    constant, nsquare)
-                total = square if total is None else mulmod(total, square,
-                                                            nsquare)
-            totals.append(Ciphertext(public_key, total))
+                total = mulmod(
+                    total, powmod(diffs[index], (n - 2 * mask) % n, nsquare),
+                    nsquare)
+                mask_squares += mask * mask
+            constant = (1 + (-mask_squares % n) * n) % nsquare
+            totals.append(
+                Ciphertext(public_key, mulmod(total, constant, nsquare)))
 
         for record_index, distance in enumerate(
                 private_key.decrypt_residue_batch(totals)):
@@ -596,8 +543,9 @@ class ParallelSkNNBasic(SkNNProtocol):
             seed = c1.rng.getrandbits(63)
             pool_slice = None
             if self.precompute is not None:
-                # One mask and one square encryption per (record, attribute).
-                wanted = 2 * (stop - start) * dimensions
+                # One mask encryption per (record, attribute) and one
+                # square-sum encryption per record.
+                wanted = (stop - start) * (dimensions + 1)
                 pool_slice = (self.precompute.obfuscators
                               .take_available(wanted) or None)
             tasks.append((

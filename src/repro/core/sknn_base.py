@@ -259,9 +259,10 @@ class SkNNProtocol(P2StepDispatcher):
 
         Delegates to :meth:`~repro.protocols.ssed.
         SecureSquaredEuclideanDistance.run_many`, which negates the shared
-        query once per attribute and pushes all ``n * m`` squarings through a
-        single batched SM round (see its docstring for the operation-count
-        effect, modeled by ``ssed_scan_counts`` in the analysis layer).
+        query once per attribute and runs all ``n * m`` squarings as one fused
+        round that returns one ciphertext per record (see its docstring for
+        the operation counts, modeled by ``ssed_scan_counts`` in the analysis
+        layer).
 
         Only the leading ``len(encrypted_query)`` attributes of each record
         participate in the distance; trailing label/metadata columns (when

@@ -114,16 +114,16 @@ class PrecomputeConfig:
         workers sample their own scan masks and draw obfuscator *slices*
         instead of mask tuples) the mask pool covers only the delivery phase
         and the obfuscator pool is sized for the worker slices —
-        ``2*n*m`` factors per query, one mask and one square encryption per
-        (record, attribute) pair.
+        ``n*(m+1)`` factors per query, one mask encryption per (record,
+        attribute) pair and one square-sum encryption per record.
 
-        The decryptor's material (re-encryptions of squares, parity/alpha/
+        The decryptor's material (re-encryptions of square sums, parity/alpha/
         indicator constants) is sized by :meth:`for_decryptor_load` — in the
         paper's model each cloud precomputes with its *own* randomness.
         """
         scan_masks = 0 if worker_scan else n_records * dimensions
         per_query_masks = scan_masks + k * dimensions
-        slice_factors = (2 * n_records * dimensions if worker_scan else 0)
+        slice_factors = (n_records * (dimensions + 1) if worker_scan else 0)
         bits = sbd_bit_length or 0
         return cls(
             obfuscators=(slice_factors + 2 * dimensions) * queries + 16,
@@ -143,12 +143,12 @@ class PrecomputeConfig:
         """Decryptor-side (P2/C2) pool sizes covering ``queries`` queries.
 
         P2's precomputable work is the obfuscators of its re-encryptions
-        (``n*m`` squared-difference re-encryptions per SkNN_b scan, plus the
-        SM products of SkNN_m rounds) and the 0/1 constant pools backing the
+        (``n`` square-sum re-encryptions per SSED scan, plus the SM products
+        of SkNN_m rounds) and the 0/1 constant pools backing the
         SBD parity bits, SMIN's ``alpha`` and SkNN_m's indicator vectors.
         """
         bits = sbd_bit_length or 0
-        per_query_obf = n_records * dimensions
+        per_query_obf = n_records
         if bits:
             per_query_obf += 2 * bits * n_records
         constants = ((bits // 2 + 1) * n_records * queries if bits else 16)

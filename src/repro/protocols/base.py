@@ -222,6 +222,19 @@ class TwoPartyProtocol(P2StepDispatcher):
             r = self.p1.random_in_zn()
         return r, self.p1.encrypt(r)
 
+    def take_masks(self, count: int) -> "list[tuple[int, Ciphertext]]":
+        """``count`` uniform ``Z_N`` masks ``(r, E(r))``, as one batch.
+
+        Engine mask tuples when P1 owns an engine; otherwise sampled with
+        P1's rng and encrypted through the batch kernel.  One encryption
+        per mask either way.
+        """
+        engine = self.engine
+        if engine is not None:
+            return engine.take_masks(count)
+        masks = [self.p1.random_in_zn() for _ in range(count)]
+        return list(zip(masks, self.p1.encrypt_batch(masks)))
+
     def encrypt_pooled_constant(self, party, value: int) -> Ciphertext:
         """A fresh encryption of a constant by ``party``.
 

@@ -133,19 +133,8 @@ class SecureMultiplication(TwoPartyProtocol):
 
         # Step 1: P1 masks every operand with fresh randomness (precomputed
         # mask tuples when an engine is attached).
-        engine = self.engine
-        if engine is not None:
-            tuples_a = engine.take_masks(len(pairs))
-            tuples_b = engine.take_masks(len(pairs))
-            masks_a = [r for r, _ in tuples_a]
-            masks_b = [r for r, _ in tuples_b]
-            enc_masks_a = [c for _, c in tuples_a]
-            enc_masks_b = [c for _, c in tuples_b]
-        else:
-            masks_a = [self.p1.random_in_zn() for _ in pairs]
-            masks_b = [self.p1.random_in_zn() for _ in pairs]
-            enc_masks_a = self.p1.encrypt_batch(masks_a)
-            enc_masks_b = self.p1.encrypt_batch(masks_b)
+        masks_a, enc_masks_a = zip(*self.take_masks(len(pairs)))
+        masks_b, enc_masks_b = zip(*self.take_masks(len(pairs)))
         masked_a = self.pk.add_batch(enc_a_vec, enc_masks_a)
         masked_b = self.pk.add_batch(enc_b_vec, enc_masks_b)
         self.p1.send([masked_a, masked_b], tag="SM.batch_masked_operands")
@@ -169,31 +158,29 @@ class SecureMultiplication(TwoPartyProtocol):
     @traced_round("run_square_batch", sized=True)
     def run_square_batch(self, ciphertexts: Sequence[Ciphertext]
                          ) -> list[Ciphertext]:
-        """Compute ``Epk(a_i^2)`` for a vector, built for warm mask pools.
+        """Compute ``Epk(a_i^2)`` for a vector — SM's squaring primitive.
 
-        The specialization of :meth:`run_batch` to squaring pairs ``(a, a)``
-        that the precomputed pipeline uses: because both operands are equal,
-        *one* additive mask per element suffices — P1 sends ``E(a + r)``
-        (mask tuple from the engine, a hot-path multiplication), P2 decrypts
-        ``h = a + r``, squares in the clear and returns ``E(h^2)`` (pooled
-        obfuscator), and P1 strips ``a^2 = h^2 - 2*r*a - r^2`` with a single
-        exponentiation ``E(a)^{N - 2r}`` plus a plaintext-constant addition.
+        The specialization of :meth:`run_batch` to squaring pairs ``(a, a)``:
+        because both operands are equal, *one* additive mask per element
+        suffices — P1 sends ``E(a + r)``, P2 decrypts ``h = a + r``, squares
+        in the clear and returns ``E(h^2)``, and P1 strips
+        ``a^2 = h^2 - 2*r*a - r^2`` with a single exponentiation
+        ``E(a)^{N - 2r}`` plus a plaintext-constant addition.
 
         Per element: 2 encryptions (both precomputable), 1 decryption and 1
-        exponentiation — versus 3/2/2 for the generic pair path — which is
-        what makes the warm-pool online scan nearly powmod-free on the
-        encryption side.  Leakage is unchanged: P2 still sees only the
-        uniformly masked value ``a + r mod N``.
+        exponentiation — versus 3/2/2 for the generic pair path.  P2 sees
+        only the uniformly masked value ``a + r mod N``.
 
-        Modeled by ``ssed_scan_counts(..., precomputed=True)`` in the
-        analysis layer.
+        Not used by the distance scan: SSED needs only the *sum* of a
+        record's squares, so :mod:`repro.protocols.ssed` runs the same
+        masking with the squares summed at P2 and one ciphertext returned
+        per record.  This entry point remains for callers that need the
+        individual squares.
         """
         if not ciphertexts:
             return []
         n = self.pk.n
-        mask_tuples = (self.engine.take_masks(len(ciphertexts))
-                       if self.engine is not None
-                       else [self.take_mask() for _ in ciphertexts])
+        mask_tuples = self.take_masks(len(ciphertexts))
         masked = self.pk.add_batch(list(ciphertexts),
                                    [c for _, c in mask_tuples])
         self.p1.send(masked, tag="SM.batch_masked_squares")

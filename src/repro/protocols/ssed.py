@@ -4,13 +4,40 @@ P1 holds two attribute-wise encrypted vectors ``Epk(X)`` and ``Epk(Y)``; with
 the help of P2 (who holds the secret key) it computes ``Epk(|X - Y|^2)``
 without either party learning ``X`` or ``Y``.
 
-The construction is a direct homomorphic evaluation of
+The paper evaluates
 
-    |X - Y|^2 = sum_i (x_i - y_i)^2
+    |X - Y|^2 = sum_j (x_j - y_j)^2
 
-where each encrypted difference ``Epk(x_i - y_i)`` is obtained locally by P1
-(homomorphic subtraction) and each square is obtained through one invocation
-of the Secure Multiplication protocol.
+with one Secure Multiplication per attribute.  P1 never uses the individual
+squares, only their sum, so this implementation runs the ``m`` squarings of a
+record as **one fused round** with the same masking identity SM is built on
+(Equation 1 of the paper, specialized to ``a == b``)::
+
+    d^2 = (d + r)^2 - 2*r*d - r^2                              (mod N)
+
+1. P1 computes ``E(d_j) = E(y_j) * E(-x_j)`` locally, draws one fresh uniform
+   mask ``r_j`` in ``Z_N`` per attribute and sends ``E(d_j + r_j)``.
+2. P2 decrypts the residues ``h_j = d_j + r_j mod N``, computes
+   ``H = sum_j h_j^2 mod N`` in the clear and returns the single ciphertext
+   ``E(H)``.
+3. P1 strips the cross terms:
+   ``E(|X - Y|^2) = E(H) * prod_j E(d_j)^(N - 2*r_j) * E(-sum_j r_j^2)``.
+
+Per record that is ``m`` P1 encryptions, ``m`` P2 decryptions, one P2
+encryption and ``m`` exponentiations (plus the query negation, hoisted across
+records), against ``3m`` / ``2m`` / ``3m`` for ``m`` generic SM runs — and one
+ciphertext comes back instead of ``m``.  The sequence is the same with and
+without a precomputation engine: pools only change *where* a mask or
+obfuscator exponentiation was paid, never which messages are exchanged.
+
+What each party sees
+--------------------
+* P2 sees ``d_j + r_j mod N`` for independent uniform ``r_j`` in ``Z_N`` —
+  uniformly random values, exactly its view of a squared operand in SM.
+  Summing in the clear adds nothing: ``H`` is a function of values P2 already
+  holds.  All arithmetic is mod ``N``, so negative differences (``N - |d|``)
+  and masks that wrap past ``N`` cancel exactly in step 3.
+* P1 sees only ciphertexts (one fresh encryption per record).
 """
 
 from __future__ import annotations
@@ -19,7 +46,6 @@ from typing import Sequence
 
 from repro.crypto.paillier import Ciphertext
 from repro.protocols.base import TwoPartyProtocol, traced_round
-from repro.protocols.sm import SecureMultiplication
 
 __all__ = ["SecureSquaredEuclideanDistance"]
 
@@ -29,36 +55,27 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
 
     name = "SSED"
 
-    def __init__(self, setting) -> None:
-        super().__init__(setting)
-        self._sm = SecureMultiplication(setting)
+    P2_STEPS = {
+        "SSED.masked_differences": "_p2_sum_masked_squares",
+    }
 
     @traced_round("run")
     def run(self, enc_x: Sequence[Ciphertext],
             enc_y: Sequence[Ciphertext]) -> Ciphertext:
         """Compute ``Epk(|X - Y|^2)`` from ``Epk(X)`` and ``Epk(Y)``.
 
+        The single-record case of :meth:`run_many`.
+
         Args:
             enc_x: attribute-wise encryption of the m-dimensional vector X.
             enc_y: attribute-wise encryption of the m-dimensional vector Y.
 
         Returns:
-            ``Epk(sum_i (x_i - y_i)^2)``, known only to P1.
+            ``Epk(sum_j (x_j - y_j)^2)``, known only to P1.
         """
         self.require(len(enc_x) == len(enc_y),
                      f"dimension mismatch: {len(enc_x)} vs {len(enc_y)}")
-        self.require(len(enc_x) > 0, "vectors must have at least one attribute")
-
-        total: Ciphertext | None = None
-        for enc_xi, enc_yi in zip(enc_x, enc_y):
-            # Step 1: E(x_i - y_i) computed locally by P1.
-            enc_diff = self.sub(enc_xi, enc_yi)
-            # Step 2: E((x_i - y_i)^2) via the SM protocol with P2.
-            enc_square = self._sm.run(enc_diff, enc_diff)
-            # Step 3: homomorphic accumulation by P1.
-            total = enc_square if total is None else total + enc_square
-        assert total is not None
-        return total
+        return self.run_many(enc_x, [enc_y])[0]
 
     @traced_round("run_many")
     def run_many(self, enc_x: Sequence[Ciphertext],
@@ -66,17 +83,13 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
                  ) -> list[Ciphertext]:
         """Compute ``Epk(|X - Y_i|^2)`` against many vectors in one round.
 
-        The vectorized form of the protocols' distance scan (step 2 of
-        Algorithms 5 and 6, where ``X`` is the query and the ``Y_i`` are the
-        table records).  Two batching effects apply:
-
-        * the shared operand is negated **once per attribute** instead of once
-          per (record, attribute) pair — valid because
-          ``(x - y)^2 == (y - x)^2``, so every record can reuse ``E(-x_j)``
-          in ``E(y_{i,j} - x_j)``; the scan's exponentiation count drops from
-          ``3*n*m`` to ``2*n*m + m``; and
-        * all ``n*m`` squarings run through one batched SM round instead of
-          ``n*m`` sequential two-message exchanges.
+        The distance scan of Algorithms 5 and 6 (step 2), where ``X`` is the
+        query and the ``Y_i`` are the ``n`` table records: two messages and
+        ``n*m + n`` ciphertexts in total.  The shared operand is negated once
+        per attribute instead of once per (record, attribute) pair — valid
+        because ``(x - y)^2 == (y - x)^2`` — so the scan costs ``n*m + m``
+        exponentiations, ``n*m + n`` encryptions and ``n*m`` decryptions
+        (``ssed_scan_counts`` in the analysis layer).
 
         Args:
             enc_x: the shared m-dimensional encrypted vector (the query).
@@ -94,6 +107,8 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
                          f"dimension mismatch: {len(enc_y)} vs {width}")
         if not enc_y_list:
             return []
+        n = self.pk.n
+        records = len(enc_y_list)
 
         # E(-x_j), hoisted across all records.
         neg_x = self.neg_batch(list(enc_x))
@@ -101,21 +116,53 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
         diffs: list[Ciphertext] = []
         for enc_y in enc_y_list:
             diffs.extend(self.pk.add_batch(list(enc_y[:width]), neg_x))
-        # E((y_ij - x_j)^2) in one batched round.  With a precomputation
-        # engine attached the squaring specialization applies (one engine
-        # mask tuple, one decryption and one exponentiation per attribute
-        # instead of the generic SM pair costs) — the offline/online split
-        # the serving layer's warm pools rely on.
-        if self.engine is not None:
-            squares = self._sm.run_square_batch(diffs)
-        else:
-            squares = self._sm.run_batch([(diff, diff) for diff in diffs])
-        # Per-record homomorphic accumulation.
-        totals: list[Ciphertext] = []
-        for index in range(len(enc_y_list)):
-            row = squares[index * width:(index + 1) * width]
-            total = row[0]
-            for enc_square in row[1:]:
-                total = total + enc_square
-            totals.append(total)
-        return totals
+
+        # Step 1: one fresh mask per difference; the payload is rows of
+        # ciphertexts only — no width or count travels in the clear.
+        masks, enc_masks = zip(*self.take_masks(len(diffs)))
+        masked = self.pk.add_batch(diffs, enc_masks)
+        self.p1.send([masked[start:start + width]
+                      for start in range(0, len(masked), width)],
+                     tag="SSED.masked_differences")
+
+        # Step 2: P2 decrypts, squares and sums in the clear.
+        self.p2_step("SSED.masked_differences")
+
+        # Step 3: strip 2*r*d and r^2 from every record's E(sum (d + r)^2).
+        totals = self.p1.receive(expected_tag="SSED.masked_square_sums")
+        self.require(
+            isinstance(totals, list) and len(totals) == records
+            and all(isinstance(total, Ciphertext) for total in totals),
+            "malformed masked-square-sum reply")
+        cross = self.pk.scalar_mul_batch(
+            diffs, [(n - 2 * r) % n for r in masks])
+        for column in range(width):
+            totals = self.pk.add_batch(totals, cross[column::width])
+        return [
+            self.add_plain(total, -sum(
+                r * r for r in masks[index * width:(index + 1) * width]))
+            for index, total in enumerate(totals)
+        ]
+
+    def _p2_sum_masked_squares(self) -> None:
+        """Step 2: decrypt each record's masked differences, return E(sum h^2).
+
+        The batch arrives from outside this process on a C2 daemon, so its
+        shape is checked before anything is decrypted.
+        """
+        n = self.pk.n
+        rows = self.p2.receive(expected_tag="SSED.masked_differences")
+        width = (len(rows[0]) if isinstance(rows, list) and rows
+                 and isinstance(rows[0], list) else 0)
+        self.require(
+            width > 0
+            and all(isinstance(row, list) and len(row) == width
+                    and all(isinstance(cipher, Ciphertext) for cipher in row)
+                    for row in rows),
+            "malformed masked-difference batch")
+        residues = self.p2.decrypt_residue_batch(
+            [cipher for row in rows for cipher in row])
+        sums = [sum(h * h for h in residues[start:start + width]) % n
+                for start in range(0, len(residues), width)]
+        self.p2.send(self.p2.encrypt_batch(sums),
+                     tag="SSED.masked_square_sums")

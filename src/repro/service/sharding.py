@@ -148,12 +148,13 @@ class ShardedCloud:
         # One obfuscator pool per shard, drained into the chunk tasks of
         # that shard (the workers' pool slices) and refilled from idle time.
         # Sized so one full refill covers one query batch: the chunk worker
-        # encrypts one mask and one square per (record, attribute) pair.
+        # encrypts one mask per (record, attribute) pair and one square sum
+        # per record.
         # (The chunk worker plays both cloud roles by construction — see
         # repro.core.parallel — so a single slice feeds both encryptions.)
         self.shard_pools: tuple[RandomnessPool, ...] = tuple(
             RandomnessPool(cloud.c1.public_key,
-                           size=max(2 * len(shard) * table.dimensions, 1),
+                           size=max(len(shard) * (table.dimensions + 1), 1),
                            rng=precompute.rng, precompute=False)
             for shard in self.shards
         ) if precompute is not None else ()
@@ -287,13 +288,13 @@ class ShardedCloud:
             for start, stop in chunk_records(len(shard.records),
                                              workers_per_shard):
                 seed = c1.rng.getrandbits(63)
-                # The chunk worker encrypts one mask and one square per
-                # (record, attribute, query) pair — drain that many factors
-                # from the shard's pool (whatever is available) so the
-                # worker's encryptions are multiplications while warm.
+                # The chunk worker encrypts one mask per (record, attribute,
+                # query) and one square sum per (record, query) — drain that
+                # many factors from the shard's pool (whatever is available)
+                # so the worker's encryptions are multiplications while warm.
                 pool_slice = None
                 if shard_pool is not None:
-                    wanted = 2 * (stop - start) * dimensions * len(
+                    wanted = (stop - start) * (dimensions + 1) * len(
                         encrypted_queries)
                     pool_slice = shard_pool.take_available(wanted) or None
                 tasks.append((

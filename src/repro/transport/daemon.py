@@ -740,6 +740,12 @@ class PartyDaemon:
             self._metrics_server.close()
             self._metrics_server = None
         if self._listener is not None:
+            # close() from another thread does not wake a blocked accept()
+            # on Linux; shutdown() does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -15,9 +15,9 @@ import pytest
 
 from repro.core.cloud import FederatedCloud
 from repro.core.parallel import (
+    _chunk_squared_distances,
     chunk_records,
     ssed_chunk_worker,
-    ssed_record_worker,
 )
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_basic import SkNNBasic
@@ -102,33 +102,42 @@ class TestBatchedSubProtocols:
 
 
 class TestChunkedWorkers:
-    def test_chunk_worker_matches_record_worker(self, small_keypair):
-        """The vectorized chunk kernel returns the same plaintext distances
-        as the per-record scalar worker on identical inputs."""
+    def test_chunk_kernel_matches_plaintext_oracle(self, small_keypair):
+        """The vectorized chunk kernel — called directly and through the
+        worker entry point — returns exactly the squared distances the
+        plaintext linear scan computes, boundary values included."""
         public = small_keypair.public_key
         private = small_keypair.private_key
         rng = Random(31)
-        records = [[rng.randrange(0, 40) for _ in range(3)] for _ in range(5)]
-        queries = [[rng.randrange(0, 40) for _ in range(3)] for _ in range(2)]
-        enc_records = [[c.value for c in public.encrypt_vector(r, rng=rng)]
-                       for r in records]
+        table = synthetic_uniform(n_records=5, dimensions=3, distance_bits=9,
+                                  seed=30)
+        top = table.schema.attributes[0].maximum
+        queries = [[rng.randrange(0, top + 1) for _ in range(3)],
+                   [0, top, 0]]
+        enc_records = [[c.value for c in public.encrypt_vector(r.values,
+                                                               rng=rng)]
+                       for r in table]
         enc_queries = [[c.value for c in public.encrypt_vector(q, rng=rng)]
                        for q in queries]
-        n, p, q = public.n, private.p, private.q
+        oracle = LinearScanKNN(table)
+        expected = [[0] * len(queries) for _ in table]
+        position = {record.record_id: index
+                    for index, record in enumerate(table)}
+        for query_index, query in enumerate(queries):
+            for neighbor in oracle.query(query, len(table)):
+                expected[position[neighbor.record_id]][query_index] = \
+                    neighbor.squared_distance
+
+        kernel = _chunk_squared_distances(public, private, Random(78),
+                                          enc_records, enc_queries)
+        assert kernel == expected
 
         from repro.crypto.backend import get_backend
         start, chunk = ssed_chunk_worker(
-            (0, enc_records, enc_queries, n, p, q, 77, get_backend().name))
+            (0, enc_records, enc_queries, public.n, private.p, private.q, 77,
+             get_backend().name))
         assert start == 0
-        for record_index, record in enumerate(records):
-            for query_index, query in enumerate(queries):
-                expected = sum((a - b) ** 2 for a, b in zip(record, query))
-                assert chunk[record_index][query_index] == expected
-                # scalar reference worker agrees
-                _, scalar_distance = ssed_record_worker(
-                    (record_index, enc_records[record_index],
-                     enc_queries[query_index], n, p, q, 78))
-                assert scalar_distance == expected
+        assert chunk == expected
 
     def test_chunk_records_partitioning(self):
         assert chunk_records(0, 4) == []

@@ -21,7 +21,6 @@ from repro.analysis.cost_model import (
     sknn_secure_counts,
     smin_counts,
     sm_counts,
-    ssed_counts,
     ssed_scan_counts,
     ssed_scan_split_counts,
 )
@@ -61,7 +60,8 @@ class TestSubProtocolCounts:
         y = list(range(1, dimensions + 1))
         result = protocol.run_instrumented(setting.public_key.encrypt_vector(x),
                                            setting.public_key.encrypt_vector(y))
-        expected = ssed_counts(dimensions)
+        # run() is the single-record scan, not the textbook m-SM formula.
+        expected = ssed_scan_counts(1, dimensions)
         assert totals(result.stats) == (expected.encryptions,
                                         expected.decryptions,
                                         expected.exponentiations)
@@ -74,14 +74,17 @@ class TestSubProtocolCounts:
         query = pk.encrypt_vector(list(range(dimensions)))
         table = [pk.encrypt_vector([i + j for j in range(dimensions)])
                  for i in range(records)]
-        pk.counter.reset()
-        setting.decryptor.private_key.counter.reset()
+        setting.reset_counters()
         protocol.run_many(query, table)
         expected = ssed_scan_counts(records, dimensions)
         assert pk.counter.encryptions == expected.encryptions
         assert setting.decryptor.private_key.counter.decryptions == \
             expected.decryptions
         assert pk.counter.exponentiations == expected.exponentiations
+        # One round: n rows of m masked differences out, n square sums back.
+        traffic = setting.channel.total_traffic()
+        assert traffic.messages == 2
+        assert traffic.ciphertexts == records * dimensions + records
 
     @pytest.mark.parametrize("bit_length", [4, 8])
     def test_sbd_within_tolerance(self, setting, bit_length):
@@ -140,7 +143,7 @@ class TestQueryProtocolCounts:
         cloud, client = self.deploy(table, small_keypair, seed=402)
         # One engine per cloud, each with its own randomness (the model's
         # non-colluding split): C1's serves mask tuples, C2's the obfuscators
-        # of its square re-encryptions.
+        # of its square-sum re-encryptions.
         c1_engine = PrecomputeEngine(
             small_keypair.public_key, rng=Random(403),
             config=PrecomputeConfig.for_query_load(n, m, k, queries=1))
@@ -173,11 +176,11 @@ class TestQueryProtocolCounts:
         assert c2_engine.obfuscators.misses == 0
         # The split model is self-consistent with the precomputed pipeline.
         combined = split.offline + split.online
-        expected = sknn_basic_counts(n, m, k, precomputed=True)
+        expected = sknn_basic_counts(n, m, k, batched=True)
         assert combined == expected
 
     def test_ssed_scan_precomputed_split_exact(self, small_keypair):
-        """The squaring-specialized scan matches its own split model."""
+        """The scan under warm pools matches its own split model."""
         records, dimensions = 5, 3
         cloud, _ = self.deploy(
             synthetic_uniform(n_records=records, dimensions=dimensions,
@@ -194,8 +197,7 @@ class TestQueryProtocolCounts:
             query = pk.encrypt_vector(list(range(dimensions)))
             table = [pk.encrypt_vector([i + j for j in range(dimensions)])
                      for i in range(records)]
-            pk.counter.reset()
-            cloud.c2.private_key.counter.reset()
+            cloud.setting.reset_counters()
             protocol.run_many(query, table)
         finally:
             cloud.attach_engine(None)
@@ -204,6 +206,10 @@ class TestQueryProtocolCounts:
         assert cloud.c2.private_key.counter.decryptions == \
             split.online.decryptions
         assert pk.counter.exponentiations == split.online.exponentiations
+        # Same messages as the cold scan: pools never change the protocol.
+        traffic = cloud.channel.total_traffic()
+        assert traffic.messages == 2
+        assert traffic.ciphertexts == records * dimensions + records
 
     def test_smin_engine_parity(self, small_keypair):
         """SMIN with pooled material keeps the exact Section 4.4 counts."""

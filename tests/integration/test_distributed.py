@@ -10,6 +10,8 @@ dataset.  The CI distributed-smoke job runs this module at 256-bit keys
 from __future__ import annotations
 
 import os
+import socket
+import time
 from random import Random
 
 import pytest
@@ -19,8 +21,13 @@ from repro.core.system import SkNNSystem
 from repro.db.datasets import synthetic_uniform
 from repro.db.knn import LinearScanKNN
 from repro.exceptions import ChannelError, ConfigurationError
+from repro.network.channel import Message
 from repro.transport.client import RemoteCloud
+from repro.transport.daemon import PartyDaemon
+from repro.transport.framing import recv_frame, send_frame
+from repro.transport.mux import MuxConnection
 from repro.transport.supervisor import LocalSupervisor
+from repro.transport.wire import WireCodec
 
 KEY_BITS = int(os.environ.get("REPRO_DISTRIBUTED_BITS", "256"))
 
@@ -367,7 +374,69 @@ class TestRestartWithPoolCache:
                 r.record.values for r in oracle.query(QUERIES[0], K)]
 
 
+class TestHostileScanFrames:
+    def test_malformed_scan_frame_is_a_typed_error_and_c2_keeps_serving(
+            self, owner, dataset, supervisor, remote):
+        """A cloud peer sending a ragged ``SSED.masked_differences`` batch
+        gets C2's typed refusal on that context; the daemon's next real
+        query is answered as if nothing happened."""
+        codec = WireCodec(owner.public_key)
+        sock = socket.create_connection(supervisor.addresses["c2"],
+                                        timeout=10)
+        connection = None
+        try:
+            # No epoch in the hello (as a shard daemon dials): the mailbox
+            # of the module's real C1 is left alone.
+            send_frame(sock, codec.encode_message(Message(
+                sender="C1", recipient="C2", tag="transport.hello",
+                payload={"peer": "cloud"})))
+            assert codec.decode_message(
+                recv_frame(sock)).tag == "transport.hello_ok"
+            connection = MuxConnection(sock, codec, "C1", "C2",
+                                       io_deadline=10.0)
+            connection.start_reader()
+            channel = connection.channel("hostile-1")
+            cipher = owner.public_key.encrypt(1)
+            channel.send("C1", [[cipher, cipher], [cipher]],
+                         tag="SSED.masked_differences")
+            with pytest.raises(
+                    ChannelError,
+                    match="SSED: malformed masked-difference batch"):
+                channel.receive("C1",
+                                expected_tag="SSED.masked_square_sums")
+        finally:
+            if connection is not None:
+                connection.close()
+            else:
+                sock.close()
+
+        client = QueryClient(owner.public_key, dataset.dimensions,
+                             rng=Random(77))
+        shares, _ = remote.query(client.encrypt_query(QUERIES[0]), K,
+                                 mode="basic")
+        assert client.reconstruct(shares) == [
+            r.record.values
+            for r in LinearScanKNN(dataset).query(QUERIES[0], K)]
+
+
 class TestDaemonHygiene:
+    def test_close_of_an_idle_provisioned_daemon_is_prompt(self, owner):
+        """close() must wake the thread blocked in accept(), not wait out
+        its join timeout."""
+        daemons = [PartyDaemon(role, port=0) for role in ("c1", "c2")]
+        for daemon in daemons:
+            daemon.start()
+        c1, c2 = daemons
+        remote = RemoteCloud((c1.host, c1.port), (c2.host, c2.port))
+        try:
+            remote.provision(owner.keypair, owner.encrypt_database(), seed=3)
+        finally:
+            remote.close()
+        for daemon in daemons:
+            started = time.perf_counter()
+            daemon.close()
+            assert time.perf_counter() - started < 1.0, daemon.role
+
     def test_unprovisioned_query_is_rejected(self):
         with LocalSupervisor() as sup:
             remote = sup.connect()

@@ -10,6 +10,9 @@ protocol transcripts:
   permuted position) or a uniformly random-looking value, the indicator
   vector exchanged between the clouds stays encrypted, and re-running the same
   query produces a different transcript (semantic security / re-randomization).
+* The distance scan both protocols share (the fused SSED round) shows C2 only
+  ``difference + mask mod N`` under a fresh uniform mask per value, and C1 only
+  one fresh ciphertext per record.
 * Bob's shares individually reveal nothing: the masks from C1 are uniform and
   the masked values from C2 are uniform; only their combination yields data.
 """
@@ -175,6 +178,77 @@ class TestSecureProtocolHiding:
             for item in message.payload
         ]
         assert first_transcript != second_transcript
+
+
+class TestFusedScanMasking:
+    """What crosses the wire in the SSED scan of SkNN_b and SkNN_m."""
+
+    QUERY = [2, 5]
+
+    def scan(self, cloud, client, monkeypatch):
+        """Run one scan; return (masks C1 drew, request, reply) messages."""
+        protocol = SkNNSecure(cloud, distance_bits=7)
+        drawn: list[int] = []
+        take_masks = protocol._ssed.take_masks
+
+        def recording_take_masks(count):
+            tuples = take_masks(count)
+            drawn.extend(r for r, _ in tuples)
+            return tuples
+
+        monkeypatch.setattr(protocol._ssed, "take_masks",
+                            recording_take_masks)
+        cloud.channel.transcript.clear()
+        protocol._compute_encrypted_distances(
+            client.encrypt_query(self.QUERY))
+        request, reply = cloud.channel.transcript
+        assert request.tag == "SSED.masked_differences"
+        assert reply.tag == "SSED.masked_square_sums"
+        return drawn, request, reply
+
+    def test_c2_decrypts_only_difference_plus_mask(self, security_table,
+                                                   small_keypair,
+                                                   monkeypatch):
+        cloud, client = deploy(security_table, small_keypair, seed=320)
+        drawn, request, _ = self.scan(cloud, client, monkeypatch)
+        n = small_keypair.public_key.n
+        differences = [(value - q) % n
+                       for record in security_table
+                       for value, q in zip(record.values, self.QUERY)]
+        seen_by_c2 = small_keypair.private_key.decrypt_residue_batch(
+            [cipher for row in request.payload for cipher in row])
+        assert len(drawn) == len(differences) == len(seen_by_c2)
+        assert len(set(drawn)) == len(drawn)  # one fresh mask per value
+        assert seen_by_c2 == [(d + r) % n for d, r in zip(differences, drawn)]
+        # Never the bare difference — nor any other record's.
+        assert not set(seen_by_c2) & set(differences)
+
+    def test_c2_view_differs_across_identical_scans(self, security_table,
+                                                    small_keypair,
+                                                    monkeypatch):
+        cloud, client = deploy(security_table, small_keypair, seed=321)
+        views = []
+        for _ in range(2):
+            _, request, _ = self.scan(cloud, client, monkeypatch)
+            views.append(small_keypair.private_key.decrypt_residue_batch(
+                [cipher for row in request.payload for cipher in row]))
+        assert not set(views[0]) & set(views[1])
+
+    def test_wire_carries_ciphertexts_only_one_per_record_back(
+            self, security_table, small_keypair, monkeypatch):
+        cloud, client = deploy(security_table, small_keypair, seed=322)
+        _, request, reply = self.scan(cloud, client, monkeypatch)
+        assert len(request.payload) == len(security_table)
+        assert all(isinstance(cipher, Ciphertext)
+                   for row in request.payload for cipher in row)
+        assert len(reply.payload) == len(security_table)
+        assert all(isinstance(cipher, Ciphertext) for cipher in reply.payload)
+        # The reply is a fresh encryption of a masked sum, not a distance.
+        true_distances = {
+            security_table.squared_distance(record.record_id, self.QUERY)
+            for record in security_table}
+        sums = small_keypair.private_key.decrypt_residue_batch(reply.payload)
+        assert not set(sums) & true_distances
 
 
 class TestResultShareSecrecy:

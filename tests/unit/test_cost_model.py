@@ -135,21 +135,25 @@ class TestQueryProtocolFormulas:
 
 class TestOfflineOnlineSplit:
     def test_precomputed_scan_counts(self):
-        """2 enc + 1 dec + 1 exp per attribute, plus the hoisted negations."""
-        counts = ssed_scan_counts(10, 3, precomputed=True)
-        assert counts == OperationCounts(encryptions=60, decryptions=30,
+        """m masks + 1 square-sum re-encryption, m dec and m exp per record,
+        plus the hoisted negations — the same scan cold and warm."""
+        counts = ssed_scan_counts(10, 3)
+        assert counts == OperationCounts(encryptions=40, decryptions=30,
                                          exponentiations=33)
 
     def test_precomputed_scan_cheaper_online_than_generic(self):
+        """Pools change where encryptions are paid, not which ones run: the
+        warm scan's online side is the cold scan minus its encryptions."""
         generic = ssed_scan_counts(50, 6)
-        precomputed = ssed_scan_counts(50, 6, precomputed=True)
-        assert precomputed.decryptions < generic.decryptions
-        assert precomputed.exponentiations < generic.exponentiations
+        online = ssed_scan_split_counts(50, 6).online
+        assert online.decryptions == generic.decryptions
+        assert online.exponentiations == generic.exponentiations
+        assert online.total == generic.total - generic.encryptions
 
     def test_scan_split_sums_to_precomputed_counts(self):
         split = ssed_scan_split_counts(20, 4)
         combined = split.offline + split.online
-        assert combined == ssed_scan_counts(20, 4, precomputed=True)
+        assert combined == ssed_scan_counts(20, 4)
 
     def test_scan_split_offline_is_encryptions_only(self):
         split = ssed_scan_split_counts(20, 4)
@@ -160,12 +164,12 @@ class TestOfflineOnlineSplit:
     def test_sknnb_split_sums_to_precomputed_counts(self):
         split = sknn_basic_split_counts(30, 5, 3)
         combined = split.offline + split.online
-        assert combined == sknn_basic_counts(30, 5, 3, precomputed=True)
+        assert combined == sknn_basic_counts(30, 5, 3, batched=True)
 
     def test_sknnb_split_shape(self):
         n, m, k = 30, 5, 3
         split = sknn_basic_split_counts(n, m, k)
-        assert split.offline.encryptions == 2 * n * m + k * m
+        assert split.offline.encryptions == n * m + n + k * m
         assert split.online.decryptions == n * m + n + k * m
         assert split.online.exponentiations == n * m + m
 
@@ -178,10 +182,11 @@ class TestOfflineOnlineSplit:
         assert split.as_dict()["online"]["exponentiations"] == 3
 
     def test_warm_online_work_is_less_than_inline(self):
-        """The point of the engine: the online residue shrinks a lot."""
+        """The point of the engine: every encryption leaves the online path."""
         inline = sknn_basic_counts(100, 6, 5, batched=True)
         split = sknn_basic_split_counts(100, 6, 5)
-        assert split.online.total < 0.5 * inline.total
+        assert split.online.total == inline.total - inline.encryptions
+        assert split.online.total < 0.65 * inline.total
 
 
 class TestCalibrator:

@@ -22,6 +22,7 @@ from repro.transport.daemon import ShareMailbox
 #: every tag the SM/SSED/SBD/SMIN/SMIN_n/SkNN drivers send toward C2 —
 #: each MUST resolve to a handler on the C2 daemon or the driver deadlocks.
 EXPECTED_SECURE_TAGS = {
+    "SSED.masked_differences",
     "SM.masked_operands",
     "SM.batch_masked_operands",
     "SM.batch_masked_squares",
@@ -34,9 +35,7 @@ EXPECTED_SECURE_TAGS = {
 }
 
 EXPECTED_BASIC_TAGS = {
-    "SM.masked_operands",
-    "SM.batch_masked_operands",
-    "SM.batch_masked_squares",
+    "SSED.masked_differences",
     "SkNNb.encrypted_distances",
     "SkNN.masked_results",
 }

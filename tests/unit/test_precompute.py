@@ -235,8 +235,8 @@ class TestKeyAttachment:
     def test_config_for_decryptor_load_covers_reencryptions(self, public_key):
         config = PrecomputeConfig.for_decryptor_load(
             n_records=10, dimensions=3, k=2, queries=1)
-        # P2 re-encrypts one square per scan attribute.
-        assert config.obfuscators >= 10 * 3
+        # P2 re-encrypts one square sum per scanned record.
+        assert config.obfuscators == 10
         assert config.zn_masks == 0  # masks are P1-side material
 
 

@@ -5,8 +5,12 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.exceptions import ProtocolError
+from repro.network.party import TwoPartySetting
 from repro.protocols.sm import SecureMultiplication
 from repro.protocols.ssed import SecureSquaredEuclideanDistance
 
@@ -82,6 +86,23 @@ class TestSecureMultiplication:
         values = [private_key.decrypt_raw_residue(c) for c in masked_pair]
         assert all(value != 0 for value in values)
 
+    def test_square_batch_squares_with_one_mask_per_element(self, setting,
+                                                            private_key):
+        """SM's squaring primitive (no longer exercised by the scan): exact
+        squares mod N, negative operands included, at 2/1/1 ops per element."""
+        protocol = SecureMultiplication(setting)
+        pk = setting.public_key
+        values = [0, 7, -12, 2**20]
+        ciphers = [pk.encrypt(value) for value in values]
+        setting.reset_counters()
+        squares = protocol.run_square_batch(ciphers)
+        assert pk.counter.encryptions == 2 * len(values)
+        assert private_key.counter.decryptions == len(values)
+        assert pk.counter.exponentiations == len(values)
+        assert private_key.decrypt_residue_batch(squares) == [
+            value * value for value in values]
+        assert protocol.run_square_batch([]) == []
+
 
 class TestSecureSquaredEuclideanDistance:
     def test_paper_example_3(self, setting, private_key):
@@ -120,13 +141,15 @@ class TestSecureSquaredEuclideanDistance:
 
     def test_rejects_dimension_mismatch(self, setting):
         protocol = SecureSquaredEuclideanDistance(setting)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError,
+                           match="SSED: dimension mismatch: 2 vs 1"):
             protocol.run(setting.public_key.encrypt_vector([1, 2]),
                          setting.public_key.encrypt_vector([1]))
 
     def test_rejects_empty_vectors(self, setting):
         protocol = SecureSquaredEuclideanDistance(setting)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError,
+                           match="SSED: vectors must have at least one"):
             protocol.run([], [])
 
     def test_operation_counts_scale_with_dimensions(self, setting):
@@ -137,8 +160,113 @@ class TestSecureSquaredEuclideanDistance:
         result = protocol.run_instrumented(setting.public_key.encrypt_vector(x),
                                            setting.public_key.encrypt_vector(y))
         stats = result.stats
-        # m SM invocations: 3m encryptions, 2m decryptions, 3m exponentiations
-        # (2m from SM plus m for the homomorphic subtraction).
-        assert stats.total_encryptions == 3 * dims
-        assert stats.total_decryptions == 2 * dims
-        assert stats.total_exponentiations == 3 * dims
+        # One fused round: m mask encryptions + 1 square-sum re-encryption,
+        # m decryptions, 2m exponentiations (m query negations + m unmaskings),
+        # two messages carrying m + 1 ciphertexts.
+        assert stats.total_encryptions == dims + 1
+        assert stats.total_decryptions == dims
+        assert stats.total_exponentiations == 2 * dims
+        assert stats.messages == 2
+        assert stats.ciphertexts_exchanged == dims + 1
+
+
+class TestFusedScanRound:
+    """The one-round scan: hostile-input edges and conformance."""
+
+    TAG = "SSED.masked_differences"
+
+    @pytest.mark.parametrize("shape", ["empty", "empty_rows", "ragged",
+                                       "bare_ciphertexts", "plain_int_row",
+                                       "not_a_list"])
+    def test_c2_rejects_malformed_batch_before_decrypting(self, setting,
+                                                          private_key, shape):
+        protocol = SecureSquaredEuclideanDistance(setting)
+        cipher = setting.public_key.encrypt(3)
+        payload = {
+            "empty": [],
+            "empty_rows": [[], []],
+            "ragged": [[cipher, cipher], [cipher]],
+            "bare_ciphertexts": [cipher, cipher],
+            "plain_int_row": [[cipher], [7]],
+            "not_a_list": cipher,
+        }[shape]
+        private_key.counter.reset()
+        setting.evaluator.send(payload, tag=self.TAG)
+        with pytest.raises(
+                ProtocolError,
+                match="^SSED: malformed masked-difference batch$"):
+            protocol.dispatch_p2(self.TAG)
+        assert private_key.counter.decryptions == 0
+        assert setting.channel.pending("C1") == 0  # nothing was answered
+
+    def test_c1_rejects_a_reply_of_the_wrong_length(self, setting):
+        class ShortReply(SecureSquaredEuclideanDistance):
+            def _p2_sum_masked_squares(self):
+                rows = self.p2.receive(expected_tag=TestFusedScanRound.TAG)
+                self.p2.send(self.p2.encrypt_batch([0] * (len(rows) - 1)),
+                             tag="SSED.masked_square_sums")
+
+        pk = setting.public_key
+        with pytest.raises(ProtocolError,
+                           match="SSED: malformed masked-square-sum reply"):
+            ShortReply(setting).run_many(
+                pk.encrypt_vector([1, 2]),
+                [pk.encrypt_vector([3, 4]), pk.encrypt_vector([5, 6])])
+
+    def test_run_many_of_nothing_sends_nothing(self, setting):
+        protocol = SecureSquaredEuclideanDistance(setting)
+        assert protocol.run_many(setting.public_key.encrypt_vector([1]),
+                                 []) == []
+        assert setting.channel.total_traffic().messages == 0
+
+    #: the attribute domain of the property below; 0 and TOP are forced in
+    TOP = (1 << 10) - 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_plaintext_and_per_attribute_sm(self, small_keypair,
+                                                    data):
+        """``decrypt(run_many(x, Y))`` equals the plaintext SSED and the
+        paper's per-attribute SM composition — boundary attributes, m=1,
+        n=1 and duplicate records included, with and without an engine."""
+        attribute = st.one_of(st.sampled_from([0, self.TOP]),
+                              st.integers(min_value=0, max_value=self.TOP))
+        m = data.draw(st.integers(min_value=1, max_value=4), label="m")
+        vector = st.lists(attribute, min_size=m, max_size=m)
+        x = data.draw(vector, label="x")
+        records = data.draw(st.lists(vector, min_size=1, max_size=4),
+                            label="Y")
+        if data.draw(st.booleans(), label="duplicate"):
+            records = records + [records[0]]
+        with_engine = data.draw(st.booleans(), label="engine")
+
+        setting = TwoPartySetting.create(small_keypair, rng=Random(5))
+        pk, sk = small_keypair.public_key, small_keypair.private_key
+        if with_engine:
+            # Pools smaller than the scan, so takes cross the warm/dry edge.
+            engines = [PrecomputeEngine(
+                pk, rng=Random(seed),
+                config=PrecomputeConfig(obfuscators=4, zn_masks=3))
+                for seed in (6, 7)]
+            for engine in engines:
+                engine.warm()
+            setting.attach_engine(*engines)
+        try:
+            enc_x = pk.encrypt_vector(x)
+            enc_records = [pk.encrypt_vector(y) for y in records]
+            ssed = SecureSquaredEuclideanDistance(setting)
+            fused = sk.decrypt_residue_batch(ssed.run_many(enc_x, enc_records))
+            sm = SecureMultiplication(setting)
+            composed = []
+            for enc_y in enc_records:
+                total = None
+                for enc_xj, enc_yj in zip(enc_x, enc_y):
+                    diff = sm.sub(enc_xj, enc_yj)
+                    square = sm.run(diff, diff)
+                    total = square if total is None else total + square
+                composed.append(sk.decrypt_raw_residue(total))
+        finally:
+            setting.attach_engine(None)
+        expected = [sum((a - b) ** 2 for a, b in zip(x, y)) for y in records]
+        assert fused == expected
+        assert composed == expected
