@@ -7,13 +7,15 @@ seed's one-query-at-a-time serial path:
    over N shards on a *persistent* worker pool (no per-query pool creation).
 2. **Batched scheduling** — queries sharing a scan pass amortize per-record
    task serialization and key-object reconstruction across the batch.
-3. **Ciphertext precomputation** — a :class:`~repro.crypto.RandomnessPool`
-   moves the ``r^N mod N^2`` exponentiations of query encryption and
-   delivery-phase masking off the hot path.
+3. **Ciphertext precomputation** — the server's
+   :class:`~repro.crypto.precompute.PrecomputeEngine` (delivery masks, worker
+   pool slices) and Bob's per-session :class:`~repro.crypto.RandomnessPool`
+   (query encryption) move the ``r^N mod N^2`` exponentiations off the hot
+   path.
 
 This bench measures queries/sec for the seed's per-query serial SkNN_b path
 and a grid of service configurations (shards x workers x batch size, with and
-without the randomness pool) over the *same* table and the same query set,
+without precomputation) over the *same* table and the same query set,
 writes the comparison table to ``benchmarks/results/``, and asserts the full
 service configuration beats the serial baseline.
 
@@ -39,7 +41,7 @@ from benchmarks.conftest import (deploy_measured_system, write_bench_json,
 from repro.analysis.reporting import format_table
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_basic import SkNNBasic
-from repro.crypto.randomness_pool import RandomnessPool
+from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.db.knn import LinearScanKNN
 from repro.service.scheduler import QueryServer
 from repro.service.sharding import ShardedCloud
@@ -53,12 +55,13 @@ BENCH_QUERIES = 4 if QUICK else 8
 BENCH_K = 2
 BENCH_WORKERS = min(os.cpu_count() or 2, 4)
 
-#: (label, shards, workers, backend, batch_size, pool_size) service configs.
+#: (label, shards, workers, backend, batch_size, pool) service configs;
+#: ``pool`` is the number of queries the precomputed pools cover (0 = cold).
 SERVICE_CONFIGS = [
     ("sharded s2 batch1", 2, BENCH_WORKERS, "process", 1, 0),
     ("sharded s2 batched", 2, BENCH_WORKERS, "process", BENCH_QUERIES, 0),
     ("sharded s2 batched + pool", 2, BENCH_WORKERS, "process",
-     BENCH_QUERIES, 4 * BENCH_QUERIES * BENCH_M),
+     BENCH_QUERIES, BENCH_QUERIES),
 ]
 
 
@@ -85,15 +88,20 @@ def _serial_queries_per_second(cloud, client, queries) -> float:
 
 
 def _service_queries_per_second(cloud, queries, shards, workers, backend,
-                                batch_size, pool_size) -> float:
+                                batch_size, pool_queries) -> float:
     """One service configuration: sessions submit, the server drains batches."""
-    randomness_pool = (RandomnessPool(cloud.c1.public_key, size=pool_size,
-                                      rng=Random(702))
-                       if pool_size else None)
+    engine = None
+    if pool_queries:
+        engine = PrecomputeEngine(
+            cloud.c1.public_key, rng=Random(702),
+            config=PrecomputeConfig.for_query_load(
+                BENCH_N, BENCH_M, BENCH_K, queries=pool_queries,
+                worker_scan=True))
+        engine.warm()
     sharded = ShardedCloud(cloud, shards=shards, workers=workers,
-                           backend=backend, randomness_pool=randomness_pool)
+                           backend=backend, precompute=engine)
     server = QueryServer(sharded, batch_size=batch_size, rng=Random(703),
-                         session_pool_size=4 * BENCH_M if pool_size else 0)
+                         session_pool_size=4 * BENCH_M if pool_queries else 0)
     session = server.open_session("bench-bob")
     try:
         started = time.perf_counter()
@@ -103,6 +111,7 @@ def _service_queries_per_second(cloud, queries, shards, workers, backend,
         elapsed = time.perf_counter() - started
     finally:
         server.close()
+        cloud.attach_engine(None)  # the deployment is shared by every row
     assert all(len(answer.neighbors) == BENCH_K for answer in answers)
     return len(queries) / elapsed
 

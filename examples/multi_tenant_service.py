@@ -48,7 +48,8 @@ def main() -> None:
                               workers=2, parallel_backend="thread",
                               rng=Random(42), k_default=K)
     server = system.serve(batch_size=PHYSICIANS,
-                          randomness_pool_size=64, session_pool_size=16)
+                          precompute=PHYSICIANS * QUERIES_EACH,
+                          session_pool_size=16)
 
     workload_rng = Random(43)
     max_value = max(a.maximum for a in table.schema)

@@ -158,7 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queries", type=int, default=8,
                        help="total queries across all sessions")
     serve.add_argument("--pool-size", type=int, default=64,
-                       help="precomputed randomness pool size (0 disables)")
+                       help="per-session precomputed randomness pool size "
+                            "for Bob's query encryptions, capped at 4*m "
+                            "(0 disables)")
     serve.add_argument("--precompute", type=int, default=0,
                        help="size the sharded store's precomputation engine "
                             "for this many queries (0 disables); the server "
@@ -635,7 +637,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                               parallel_backend=args.backend,
                               rng=Random(args.seed + 2))
     server = system.serve(batch_size=args.batch_size,
-                          randomness_pool_size=args.pool_size,
                           session_pool_size=min(args.pool_size, 4 * args.m),
                           precompute=args.precompute,
                           precompute_producer=args.precompute_producer)

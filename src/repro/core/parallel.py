@@ -1,19 +1,30 @@
-"""Parallel execution of SkNN_b — Section 5.3 / Figure 3 of the paper.
+"""The in-process scan plan — Section 5.3 / Figure 3 of the paper, generalised.
 
 The paper observes that "the computations involved on each data record are
 independent of others", parallelizes the per-record work of SkNN_b with OpenMP
 over the 6 cores of its test machine, and measures a ~6x speedup (Figure 3).
 
-This module reproduces that experiment.  The unit of parallel work is the
-paper's — *a record's SSED computation* — shipped a contiguous chunk of
-records at a time: the homomorphic differences, the fused masked-squaring
-round of :mod:`repro.protocols.ssed` (one mask per attribute, squares summed
-in the clear, one re-encryption per record) and the final decryption of the
-distance (which SkNN_b reveals to C2 by design).  Each worker plays both
-cloud roles for its records — the values it sees are the same masked values
-the two clouds see in the serial protocol, so the leakage profile is
-unchanged — and returns the plaintext distances, after which the driver
-performs the cheap top-k selection and the standard two-share result delivery.
+This module holds the one implementation of that idea that runs inside a
+single process tree.  :class:`ShardedCloud` partitions ``Epk(T)`` into
+contiguous slices (:func:`~repro.core.sknn_shard.shard_bounds`), cuts every
+slice into chunk tasks (:func:`chunk_records`), scatters the tasks over a
+:class:`PersistentWorkerPool`, gathers the plaintext distances, selects with
+:func:`~repro.core.sknn_base.top_k` and runs the standard two-share delivery
+— for a whole *batch* of queries in one scan pass.
+:class:`ParallelSkNNBasic`, the paper's Figure 3 experiment, is its one-slice
+configuration answering a batch of one.
+
+The unit of parallel work is the paper's — *a record's SSED computation* —
+shipped a contiguous chunk of records at a time: the homomorphic differences,
+the fused masked-squaring round of :mod:`repro.protocols.ssed` (one mask per
+attribute, squares summed in the clear, one re-encryption per record) and the
+final decryption of the distance (which SkNN_b reveals to C2 by design).
+Each worker plays both cloud roles for its records — the values it sees are
+the same masked values the two clouds see in the serial protocol, so the
+leakage profile is unchanged.  Every slice is a C1-role party: it sees only
+ciphertexts plus the plaintext distances SkNN_b already reveals, so slicing
+C1 does not change what leaks either.  (Across machines the workers must not
+hold the secret key; that placement is :mod:`repro.core.sknn_shard`.)
 
 Backends:
 
@@ -28,8 +39,8 @@ Workers are hosted by a :class:`PersistentWorkerPool`, created lazily on the
 first query and **reused across queries** — pool start-up (process spawning)
 is paid once per deployment instead of once per query, which matters for the
 multi-query serving layer in :mod:`repro.service`.  Call
-:meth:`ParallelSkNNBasic.close` (or use the instance as a context manager)
-to release the workers.
+:meth:`ShardedCloud.close` (or use the instance as a context manager) to
+release the workers.
 """
 
 from __future__ import annotations
@@ -46,17 +57,29 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Literal, Sequence
+from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import ResultShares
-from repro.core.sknn_base import SkNNProtocol
+from repro.core.sknn_base import RunStatsRecorder, SkNNProtocol, top_k
+from repro.core.sknn_shard import shard_bounds
+from repro.crypto.backend import get_backend, set_backend
 from repro.crypto.paillier import Ciphertext, PaillierPrivateKey, PaillierPublicKey
+from repro.crypto.randomness_pool import RandomnessPool
+from repro.db.encrypted_table import EncryptedRecord
 from repro.exceptions import ConfigurationError, DeadlineExceeded, ServiceUnavailable
+from repro.telemetry import profiling as _profiling
+from repro.telemetry import tracing as _tracing
+
+if TYPE_CHECKING:  # pragma: no cover - imports used for annotations only
+    from repro.crypto.precompute import PrecomputeEngine
+    from repro.resilience.policy import Deadline
 
 __all__ = [
+    "ShardedCloud",
     "ParallelSkNNBasic",
-    "ParallelRunReport",
+    "TableShard",
+    "BatchPhaseTimings",
     "PersistentWorkerPool",
     "ssed_chunk_worker",
     "chunk_records",
@@ -66,32 +89,23 @@ Backend = Literal["thread", "process", "serial"]
 
 #: Chunked worker task: (chunk start index, several records' ciphertext ints,
 #: several queries' ciphertext ints, modulus N, prime p, prime q, RNG seed,
-#: bigint backend name[, pool slice]).  One task ships a whole contiguous
+#: bigint backend name, pool slice).  One task ships a whole contiguous
 #: slice of the table through the vectorized crypto kernel — key
 #: reconstruction, obfuscator-table reuse and batched CRT decryption are
 #: amortized over every (record, query) pair of the chunk.  The backend name
 #: travels with the task because spawned worker processes do not inherit a
 #: programmatically selected backend (e.g. the CLI's ``--crypto-backend``).
-#: The optional ninth element is a *pool slice*: single-use precomputed
-#: ``r^N`` obfuscation factors drained from the driver's per-shard
-#: precomputation pools, so the worker's mask and square-sum encryptions are
-#: hot-path multiplications while its per-process key cache stays warm.  Eight-element
-#: tasks (no slice) remain valid.
+#: The *pool slice* is a list of single-use precomputed ``r^N`` obfuscation
+#: factors drained from the driver's per-shard precomputation pools (``None``
+#: without an engine), so the worker's mask and square-sum encryptions are
+#: hot-path multiplications while its per-process key cache stays warm.
 ChunkWorkerTask = tuple[
     int, list[list[int]], list[list[int]], int, int, int, int, str,
     "list[int] | None"]
 
-
-@dataclass
-class ParallelRunReport:
-    """Timing breakdown of one parallel SkNN_b execution."""
-
-    backend: str
-    workers: int
-    n_records: int
-    distance_phase_seconds: float
-    selection_phase_seconds: float
-    total_seconds: float
+#: chunks each worker gets per slice: enough that the pool keeps every worker
+#: busy, few enough that per-task fixed costs amortize over many records
+_CHUNKS_PER_WORKER = 4
 
 
 #: Per-process cache of reconstructed key objects, keyed by the modulus.
@@ -148,8 +162,6 @@ def _chunk_squared_distances(public_key: PaillierPublicKey,
     Returns:
         ``distances[record][query]`` for the chunk, in input order.
     """
-    from repro.crypto.backend import get_backend
-
     backend = get_backend()
     mulmod, invert, powmod = backend.mulmod, backend.invert, backend.powmod
     n = public_key.n
@@ -217,9 +229,6 @@ def ssed_chunk_worker(task: ChunkWorkerTask) -> tuple[int, list[list[int]]]:
     Returns:
         ``(chunk_start_index, distances[record][query])``.
     """
-    from repro.crypto.backend import get_backend, set_backend
-    from repro.crypto.randomness_pool import RandomnessPool
-
     # Chaos hook: kill exactly one worker mid-scatter.  The sentinel path in
     # REPRO_CHAOS_WORKER_KILL is unlinked atomically, so of all the workers
     # racing for it precisely one wins — and dies without any cleanup
@@ -234,8 +243,8 @@ def ssed_chunk_worker(task: ChunkWorkerTask) -> tuple[int, list[list[int]]]:
         else:
             os._exit(1)
 
-    start_index, record_rows, queries, n, p, q, seed, backend_name = task[:8]
-    pool_slice = task[8] if len(task) > 8 else None
+    (start_index, record_rows, queries, n, p, q, seed, backend_name,
+     pool_slice) = task
     if get_backend().name != backend_name:
         set_backend(backend_name)
     public_key, private_key = _worker_keys(n, p, q)
@@ -247,17 +256,15 @@ def ssed_chunk_worker(task: ChunkWorkerTask) -> tuple[int, list[list[int]]]:
                                                  pool=pool)
 
 
-def chunk_records(count: int, workers: int,
-                  tasks_per_worker: int = 4) -> list[tuple[int, int]]:
-    """Split ``count`` records into contiguous ``(start, stop)`` chunks.
+def chunk_records(count: int, workers: int) -> list[tuple[int, int]]:
+    """Split ``count`` records into contiguous fixed-size ``(start, stop)`` chunks.
 
-    Aims for ``workers * tasks_per_worker`` chunks so the pool keeps every
-    worker busy while still amortizing per-task fixed costs over many
-    records.
+    Aims for ``workers * 4`` chunks (see ``_CHUNKS_PER_WORKER``); the last
+    chunk takes the remainder.
     """
     if count <= 0:
         return []
-    target = max(workers, 1) * max(tasks_per_worker, 1)
+    target = max(workers, 1) * _CHUNKS_PER_WORKER
     size = max(1, -(-count // target))
     return [(start, min(start + size, count))
             for start in range(0, count, size)]
@@ -415,160 +422,356 @@ class PersistentWorkerPool:
             "the process pool.").inc(amount)
 
 
-class ParallelSkNNBasic(SkNNProtocol):
-    """SkNN_b with a parallelized distance phase (Figure 3 reproduction)."""
+@dataclass(frozen=True)
+class TableShard:
+    """One C1-style shard: a contiguous slice of the encrypted table.
 
-    name = "SkNNb-parallel"
+    Record indices are *global* (positions in the unsharded table) so that
+    distance ties across shards break by insertion order, exactly like the
+    plaintext oracle and the single-server protocols.
+    """
 
-    def __init__(self, cloud: FederatedCloud, workers: int = 6,
-                 backend: Backend = "process",
+    shard_id: int
+    start: int
+    records: tuple[EncryptedRecord, ...]
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def global_indices(self) -> range:
+        """The global record indices this shard covers."""
+        return range(self.start, self.start + len(self.records))
+
+
+@dataclass
+class BatchPhaseTimings:
+    """Wall-clock breakdown of one batched scatter-gather execution."""
+
+    queries: int
+    shards: int
+    records: int
+    distance_seconds: float = 0.0
+    merge_seconds: float = 0.0
+    deliver_seconds: float = 0.0
+
+    @property
+    def total_seconds(self) -> float:
+        """Total batch time across the three phases."""
+        return self.distance_seconds + self.merge_seconds + self.deliver_seconds
+
+    def phase_seconds(self) -> dict[str, float]:
+        """The three phases keyed as ``report.phase_seconds`` names them."""
+        return {"distance": self.distance_seconds,
+                "merge": self.merge_seconds,
+                "deliver": self.deliver_seconds}
+
+
+class ShardedCloud(SkNNProtocol):
+    """The encrypted table partitioned across N C1 shards, queried in batches.
+
+    A scatter-gather SkNN_b plan: every shard's record scan runs on a shared
+    :class:`PersistentWorkerPool`, and a batch of queries shares a single
+    scan pass — each worker task carries one contiguous *chunk* of a shard's
+    records and *all* queries of the batch (see :func:`ssed_chunk_worker`).
+    Validation, the delivery phase and the reported ledger/trace are the
+    ones every :class:`~repro.core.sknn_base.SkNNProtocol` has.
+
+    Args:
+        cloud: the federated cloud already hosting ``Epk(T)`` (its C1 plays
+            the role of the shard coordinator; its C2 is the key holder).
+        shards: number of partitions (each at least one record).
+        workers: worker count for the shared persistent pool.
+        backend: pool backend (``"process"``, ``"thread"`` or ``"serial"``).
+        pool: optionally share an existing pool instead of owning one; then
+            ``workers``/``backend`` are the pool's and :meth:`close` leaves
+            it running.
+        precompute: optional :class:`~repro.crypto.precompute.
+            PrecomputeEngine`; when given it is attached to the cloud (the
+            delivery phase consumes its mask tuples), one per-shard
+            obfuscator pool is derived from it, and every chunk task ships a
+            slice of its shard's pool so worker-side encryptions run
+            powmod-free while warm.  Refill the pools off the hot path with
+            :meth:`refill_precompute` (the serving layer does this in idle
+            scheduler slots).
+    """
+
+    name = "SkNNb-sharded"
+
+    def __init__(self, cloud: FederatedCloud, shards: int = 2,
+                 workers: int = 4, backend: Backend = "process",
                  pool: PersistentWorkerPool | None = None,
-                 precompute=None) -> None:
-        """Create a parallel SkNN_b runner.
-
-        Args:
-            cloud: the federated cloud hosting the encrypted database.
-            workers: number of parallel workers (the paper uses 6 threads to
-                match its 6-core machine).
-            backend: ``"process"`` (true parallelism), ``"thread"`` (GIL
-                bound, for comparison) or ``"serial"`` (no pool; baseline).
-            pool: optionally share an existing :class:`PersistentWorkerPool`
-                (e.g. across the shards of a :class:`~repro.service.sharding.
-                ShardedCloud`); when given, ``workers``/``backend`` are taken
-                from the pool and :meth:`close` leaves it running.
-            precompute: optional :class:`~repro.crypto.precompute.
-                PrecomputeEngine`; its obfuscator pool is drained into the
-                chunk tasks (pool slices) so worker-side encryptions are
-                multiplications, and the delivery phase uses its mask tuples.
-        """
+                 precompute: "PrecomputeEngine | None" = None) -> None:
         super().__init__(cloud)
+        table = self.encrypted_table
+        if shards < 1:
+            raise ConfigurationError("shard count must be >= 1")
+        if shards > len(table):
+            raise ConfigurationError(
+                f"cannot split {len(table)} records into {shards} shards")
         if pool is not None:
             self.pool = pool
             self._owns_pool = False
         else:
             self.pool = PersistentWorkerPool(workers=workers, backend=backend)
             self._owns_pool = True
+        self.shards = tuple(
+            TableShard(shard_id, start, tuple(table.records[start:stop]))
+            for shard_id, (start, stop)
+            in enumerate(shard_bounds(len(table), shards)))
         self.precompute = precompute
-        if precompute is not None and cloud.engine is not precompute:
-            cloud.attach_engine(precompute, cloud.c2.engine)
-        self.workers = self.pool.workers
-        self.backend = self.pool.backend
-        self.last_parallel_report: ParallelRunReport | None = None
+        self.shard_pools: tuple[RandomnessPool, ...] = ()
+        self.last_batch_timings: BatchPhaseTimings | None = None
+        if precompute is not None:
+            if cloud.engine is not precompute:
+                # Attach as C1's engine, preserving any C2 engine already
+                # there.
+                cloud.attach_engine(precompute, cloud.c2.engine)
+            # One obfuscator pool per shard, drained into the chunk tasks of
+            # that shard (the workers' pool slices) and refilled from idle
+            # time.  Sized so one full refill covers one query: the chunk
+            # worker encrypts one mask per (record, attribute) pair and one
+            # square sum per record.  (It plays both cloud roles by
+            # construction, so a single slice feeds both encryptions.)
+            self.shard_pools = tuple(
+                RandomnessPool(self.public_key,
+                               size=max(len(shard) * (table.dimensions + 1), 1),
+                               rng=precompute.rng, precompute=False)
+                for shard in self.shards)
+            # Deployment-time prefill (off the query path by definition).
+            self.refill_precompute()
 
-    # -- lifecycle -------------------------------------------------------------
+    # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
         """Release the worker pool (no-op for a shared pool)."""
+        if self.precompute is not None:
+            self.precompute.stop_producer()
         if self._owns_pool:
             self.pool.close()
 
-    def __enter__(self) -> "ParallelSkNNBasic":
+    def __enter__(self) -> "ShardedCloud":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- execution -------------------------------------------------------------
-    def run(self, encrypted_query: Sequence[Ciphertext], k: int) -> ResultShares:
-        """Answer a kNN query with the distance phase parallelized."""
+    # -- precomputation (off the query critical path) ------------------------
+    def refill_precompute(self, budget: int | None = None) -> int:
+        """Top up the engine and per-shard pools; returns items precomputed.
+
+        Meant to run between queries (the serving layer calls it from idle
+        scheduler slots).  The budget is split between the engine's typed
+        pools and the per-shard obfuscator pools that feed worker slices.
+        """
+        if self.precompute is None:
+            return 0
+        produced = self.precompute.refill(budget)
+        for shard_pool in self.shard_pools:
+            deficit = shard_pool.size - shard_pool.remaining
+            if budget is not None:
+                deficit = min(deficit, max(budget - produced, 0))
+            if deficit > 0:
+                produced += shard_pool.refill(deficit)
+        return produced
+
+    # -- the query-store contract (shared with transport.client.RemoteStore) --
+    @property
+    def table_size(self) -> int:
+        """Number of records in the hosted encrypted table."""
+        return len(self.encrypted_table)
+
+    @property
+    def dimensions(self) -> int:
+        """Attribute count of the hosted encrypted table."""
+        return self.encrypted_table.dimensions
+
+    def start_recorder(self) -> RunStatsRecorder:
+        """Snapshot counters/traffic ahead of one batch execution."""
+        return RunStatsRecorder(self.cloud)
+
+    def validate_query(self, encrypted_query: Sequence[Ciphertext],
+                       k: int) -> None:
+        """Validate query arity and ``k`` against the hosted table.
+
+        Raises :class:`~repro.exceptions.QueryError` on malformed input; used
+        by the serving layer to reject bad queries at submission time, before
+        they can poison a batch.
+        """
         self._validate_query(encrypted_query, k)
 
+    # -- introspection ------------------------------------------------------
+    @property
+    def shard_sizes(self) -> list[int]:
+        """Record count of every shard, in shard order."""
+        return [len(shard) for shard in self.shards]
+
+    # -- scatter-gather query plan ------------------------------------------
+    def _build_tasks(
+        self, encrypted_queries: Sequence[Sequence[Ciphertext]]
+    ) -> list[ChunkWorkerTask]:
+        """One task per record chunk, each carrying every query of the batch.
+
+        Chunks never cross shard boundaries (each shard is an independent
+        C1-role server), and every task ships its whole record slice through
+        one vectorized kernel call — see :func:`ssed_chunk_worker`.
+        """
+        c1 = self.cloud.c1
+        private_key = self.cloud.c2.private_key
+        n = self.public_key.n
+        backend_name = get_backend().name
+        query_values = [[cipher.value for cipher in query]
+                        for query in encrypted_queries]
+        workers_per_shard = max(1, self.pool.workers // len(self.shards))
+        dimensions = len(query_values[0]) if query_values else 0
+        tasks: list[ChunkWorkerTask] = []
+        for shard in self.shards:
+            for start, stop in chunk_records(len(shard), workers_per_shard):
+                seed = c1.rng.getrandbits(63)
+                # The chunk worker encrypts one mask per (record, attribute,
+                # query) and one square sum per (record, query) — drain that
+                # many factors from the shard's pool (whatever is available)
+                # so the worker's encryptions are multiplications while warm.
+                pool_slice = None
+                if self.shard_pools:
+                    wanted = ((stop - start) * (dimensions + 1)
+                              * len(query_values))
+                    pool_slice = (self.shard_pools[shard.shard_id]
+                                  .take_available(wanted) or None)
+                tasks.append((
+                    shard.start + start,
+                    [[cipher.value for cipher in record.ciphertexts]
+                     for record in shard.records[start:stop]],
+                    query_values,
+                    n,
+                    private_key.p,
+                    private_key.q,
+                    seed,
+                    backend_name,
+                    pool_slice,
+                ))
+        return tasks
+
+    def scatter_distances(
+        self, encrypted_queries: Sequence[Sequence[Ciphertext]],
+        deadline: "Deadline | None" = None,
+    ) -> list[list[int]]:
+        """Distance phase for a whole batch in one scan pass over all shards.
+
+        The chunk tasks are built exactly once — each carries its own RNG
+        seed drawn from C1's stream — and the *same* task list is what the
+        pool resubmits if a worker dies mid-scatter, so a retried chunk
+        reproduces bit-identical distances (see
+        :meth:`PersistentWorkerPool.map`).  ``deadline`` bounds the scatter
+        including any respawn rounds.
+
+        Returns ``distances[query][global_record_index]`` — the plaintext
+        squared distances SkNN_b reveals to the C2 role.
+        """
+        n_records = len(self.encrypted_table)
+        with _profiling.cost_scope("scan"), \
+                _tracing.span(f"{self.name}.distance_scan",
+                              records=n_records):
+            tasks = self._build_tasks(encrypted_queries)
+            results = self.pool.map(ssed_chunk_worker, tasks,
+                                    deadline=deadline)
+        distances = [[0] * n_records for _ in encrypted_queries]
+        for start_index, chunk_distances in results:
+            for offset, per_query in enumerate(chunk_distances):
+                for query_index, distance in enumerate(per_query):
+                    distances[query_index][start_index + offset] = distance
+        return distances
+
+    # -- answering ----------------------------------------------------------
+    def answer_batch(self, encrypted_queries: Sequence[Sequence[Ciphertext]],
+                     ks: Sequence[int],
+                     deadline: "Deadline | None" = None) -> list[ResultShares]:
+        """Answer a batch of queries sharing one scan pass over the shards.
+
+        Args:
+            encrypted_queries: one attribute-wise encrypted query per entry.
+            ks: the requested ``k`` for each query (same length as the batch).
+            deadline: optional request deadline bounding the scatter phase,
+                including any worker-crash respawn rounds.
+
+        Returns:
+            One :class:`~repro.core.roles.ResultShares` per query, in order.
+        """
+        if len(encrypted_queries) != len(ks):
+            raise ConfigurationError("batch queries and ks differ in length")
+        if not encrypted_queries:
+            return []
+        for query, k in zip(encrypted_queries, ks):
+            self._validate_query(query, k)
+
         started = time.perf_counter()
-        distances = self._parallel_distances(encrypted_query)
+        distances = self.scatter_distances(encrypted_queries,
+                                           deadline=deadline)
         distance_elapsed = time.perf_counter() - started
 
-        selection_started = time.perf_counter()
-        shares = self._finish_query(distances, k)
-        selection_elapsed = time.perf_counter() - selection_started
+        # Gather: the distances of every slice already sit in this process,
+        # so the global selection is one top_k per query.
+        merge_started = time.perf_counter()
+        with _profiling.cost_scope("select"):
+            winners = [
+                top_k(((distance, index)
+                       for index, distance in enumerate(query_distances)), k)
+                for query_distances, k in zip(distances, ks)
+            ]
+        merge_elapsed = time.perf_counter() - merge_started
 
-        self.last_parallel_report = ParallelRunReport(
-            backend=self.backend,
-            workers=self.workers,
-            n_records=len(self.cloud.c1.encrypted_table),
-            distance_phase_seconds=distance_elapsed,
-            selection_phase_seconds=selection_elapsed,
-            total_seconds=distance_elapsed + selection_elapsed,
+        deliver_started = time.perf_counter()
+        table = self.encrypted_table
+        all_shares = [
+            self._deliver_records(
+                [list(table.record_at(index).ciphertexts)
+                 for _, index in per_query])
+            for per_query in winners
+        ]
+        deliver_elapsed = time.perf_counter() - deliver_started
+
+        self.last_batch_timings = BatchPhaseTimings(
+            queries=len(encrypted_queries),
+            shards=len(self.shards),
+            records=len(table),
+            distance_seconds=distance_elapsed,
+            merge_seconds=merge_elapsed,
+            deliver_seconds=deliver_elapsed,
         )
-        return shares
+        return all_shares
+
+    # -- single-query protocol interface -------------------------------------
+    def run(self, encrypted_query: Sequence[Ciphertext], k: int) -> ResultShares:
+        """Answer one query (a batch of size one)."""
+        return self.answer_batch([encrypted_query], [k])[0]
 
     def run_with_report(self, encrypted_query: Sequence[Ciphertext], k: int,
                         distance_bits: int | None = None) -> ResultShares:
-        """Run and record a populated :class:`~repro.core.sknn_base.SkNNRunReport`.
+        """Run one query; the report's ``phase_seconds`` is the plan's
+        distance/merge/deliver split (:class:`BatchPhaseTimings`).
 
-        In addition to the base-class statistics the report's
-        ``phase_seconds`` carries the parallel distance/selection split.
-        Note that crypto-operation counters only reflect driver-side work:
-        the per-record Paillier operations happen inside worker processes
-        whose counters are not shared with the driver.
+        Crypto-operation counters only reflect driver-side work: the
+        per-record Paillier operations happen inside the chunk workers, whose
+        key objects (and counters) are their own.
         """
         shares = super().run_with_report(encrypted_query, k,
                                          distance_bits=distance_bits)
-        parallel = self.last_parallel_report
-        if self.last_report is not None and parallel is not None:
-            self.last_report.phase_seconds = {
-                "distance": parallel.distance_phase_seconds,
-                "selection": parallel.selection_phase_seconds,
-            }
+        self.last_report.phase_seconds = (
+            self.last_batch_timings.phase_seconds())
         return shares
 
-    # -- distance phase ------------------------------------------------------------
-    def _parallel_distances(self, encrypted_query: Sequence[Ciphertext]) -> list[int]:
-        """Compute every record's squared distance with the persistent pool."""
-        tasks = self._build_tasks(encrypted_query)
-        results = self.pool.map(ssed_chunk_worker, tasks)
-        distances = [0] * len(self.cloud.c1.encrypted_table)
-        for start_index, chunk_distances in results:
-            for offset, per_query in enumerate(chunk_distances):
-                distances[start_index + offset] = per_query[0]
-        return distances
 
-    def _build_tasks(self, encrypted_query: Sequence[Ciphertext]
-                     ) -> list[ChunkWorkerTask]:
-        """Chunk the table into vectorized work items for the worker pool.
+class ParallelSkNNBasic(ShardedCloud):
+    """SkNN_b with a parallelized distance phase (Figure 3 reproduction).
 
-        One task per contiguous chunk of records (a few chunks per worker),
-        each carrying the whole chunk through one vectorized kernel call —
-        see :func:`ssed_chunk_worker`.
-        """
-        from repro.crypto.backend import get_backend
+    The one-shard configuration of the scan plan: the whole table is a single
+    slice cut into ``workers * 4`` chunks, and a query is a batch of one.
+    The defaults are the paper's (6 threads to match its 6-core machine).
+    """
 
-        c1 = self.cloud.c1
-        private_key = self.cloud.c2.private_key
-        n = c1.public_key.n
-        backend_name = get_backend().name
-        query_values = [cipher.value for cipher in encrypted_query]
-        records = c1.encrypted_table.records
-        dimensions = len(query_values)
-        tasks: list[ChunkWorkerTask] = []
-        for start, stop in chunk_records(len(records), self.workers):
-            seed = c1.rng.getrandbits(63)
-            pool_slice = None
-            if self.precompute is not None:
-                # One mask encryption per (record, attribute) and one
-                # square-sum encryption per record.
-                wanted = (stop - start) * (dimensions + 1)
-                pool_slice = (self.precompute.obfuscators
-                              .take_available(wanted) or None)
-            tasks.append((
-                start,
-                [[cipher.value for cipher in record.ciphertexts]
-                 for record in records[start:stop]],
-                [query_values],
-                n,
-                private_key.p,
-                private_key.q,
-                seed,
-                backend_name,
-                pool_slice,
-            ))
-        return tasks
+    name = "SkNNb-parallel"
 
-    # -- selection + delivery ---------------------------------------------------------
-    def _finish_query(self, plaintext_distances: list[int], k: int) -> ResultShares:
-        """Top-k selection and two-share delivery (identical to SkNN_b)."""
-        order = sorted(range(len(plaintext_distances)),
-                       key=lambda idx: (plaintext_distances[idx], idx))
-        top_k_indices = order[:k]
-        table = self.cloud.c1.encrypted_table
-        selected = [list(table.record_at(index).ciphertexts)
-                    for index in top_k_indices]
-        return self._deliver_records(selected)
+    def __init__(self, cloud: FederatedCloud, workers: int = 6,
+                 backend: Backend = "process",
+                 pool: PersistentWorkerPool | None = None,
+                 precompute: "PrecomputeEngine | None" = None) -> None:
+        super().__init__(cloud, shards=1, workers=workers, backend=backend,
+                         pool=pool, precompute=precompute)

@@ -15,10 +15,11 @@ what the subclasses implement.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import ResultShares
@@ -33,12 +34,23 @@ from repro.telemetry import metrics as _metrics
 from repro.telemetry import profiling as _profiling
 from repro.telemetry import tracing as _tracing
 
-__all__ = ["SkNNProtocol", "SkNNRunReport", "RunStatsRecorder"]
+__all__ = ["SkNNProtocol", "SkNNRunReport", "RunStatsRecorder", "top_k"]
 
 #: process-wide delivery ids — unique across every protocol instance, so the
 #: C2-side share store (or a daemon's share mailbox) can never collide even
 #: when several protocol objects share one cloud.
 _DELIVERY_IDS = itertools.count(1)
+
+
+def top_k(pairs: Iterable[tuple[int, int]], k: int) -> list[tuple[int, int]]:
+    """Algorithm 5 step 3: the ``k`` smallest ``(distance, global_index)`` pairs.
+
+    The one selection rule of every SkNN_b execution mode.  Equal distances
+    order by global record index (insertion order), exactly like the
+    plaintext :class:`~repro.db.knn.LinearScanKNN` oracle, so the answer does
+    not depend on how the table was sliced.
+    """
+    return heapq.nsmallest(k, pairs)
 
 
 class RunStatsRecorder:
@@ -210,11 +222,6 @@ class SkNNProtocol(P2StepDispatcher):
         self.feature_dimensions = feature_dimensions
         self._ssed = SecureSquaredEuclideanDistance(cloud.setting)
         self.last_report: SkNNRunReport | None = None
-        #: Optional hook for encrypting the delivery-phase masks; when set
-        #: (e.g. to :meth:`repro.crypto.RandomnessPool.encrypt`) C1's
-        #: per-attribute mask encryptions use precomputed obfuscation factors
-        #: instead of fresh modular exponentiations.
-        self.mask_encryptor = None
 
     # -- P2 step dispatch ---------------------------------------------------------
     @property
@@ -300,10 +307,9 @@ class SkNNProtocol(P2StepDispatcher):
         the returned ``delivery_id`` — C1's process never sees it, exactly
         as the paper's trust model requires.
 
-        Mask sourcing precedence: precomputed engine mask tuples (both the
-        value and its encryption paid offline) > the legacy
-        ``mask_encryptor`` hook (pooled obfuscators) > fresh batch
-        encryption.
+        Masks come from the precomputation engine's mask tuples when one is
+        attached (both the value and its encryption paid offline), otherwise
+        from fresh batch encryption.
         """
         with _profiling.cost_scope("deliver"), \
                 _tracing.span(f"{self.name}.deliver",
@@ -325,11 +331,7 @@ class SkNNProtocol(P2StepDispatcher):
                 enc_masks = [c for _, c in tuples]
             else:
                 record_masks = [c1.random_in_zn() for _ in encrypted_record]
-                if self.mask_encryptor is not None:
-                    enc_masks = [self.mask_encryptor(mask)
-                                 for mask in record_masks]
-                else:
-                    enc_masks = c1.encrypt_batch(record_masks)
+                enc_masks = c1.encrypt_batch(record_masks)
             masks_for_bob.append(record_masks)
             masked_for_c2.append(
                 pk.add_batch(list(encrypted_record), enc_masks))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.roles import ResultShares
-from repro.core.sknn_base import SkNNProtocol
+from repro.core.sknn_base import SkNNProtocol, top_k
 from repro.crypto.paillier import Ciphertext
 from repro.telemetry import profiling as _profiling
 
@@ -81,12 +81,7 @@ class SkNNBasic(SkNNProtocol):
         k, received = c2.receive(expected_tag="SkNNb.encrypted_distances")
         residues = c2.decrypt_residue_batch(
             [ciphertext for _, ciphertext in received])
-        plaintext_distances = [
-            (index, residue)
-            for (index, _), residue in zip(received, residues)
-        ]
-        # Stable selection: ties are broken by record position, matching the
-        # plaintext LinearScanKNN oracle.
-        plaintext_distances.sort(key=lambda pair: (pair[1], pair[0]))
-        top_k_indices = [index for index, _ in plaintext_distances[:k]]
-        c2.send(top_k_indices, tag="SkNNb.topk_indices")
+        winners = top_k(
+            ((residue, index)
+             for (index, _), residue in zip(received, residues)), k)
+        c2.send([index for _, index in winners], tag="SkNNb.topk_indices")

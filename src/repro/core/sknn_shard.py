@@ -1,10 +1,13 @@
 """Cross-machine sharded SkNN_b: shard daemons scan, one coordinator merges.
 
-The in-process :class:`~repro.service.sharding.ShardedCloud` parallelises the
-distance scan by handing each worker thread *both* cloud roles for its slice
+The in-process :class:`~repro.core.parallel.ShardedCloud` parallelises the
+distance scan by handing each pool worker *both* cloud roles for its slice
 — fine inside one trust domain, impossible across machines (the workers
-would need the private key).  This module is the distributed replacement
-that respects the paper's two-cloud trust boundary:
+would need the private key).  This module is the remote placement of the
+same plan, kept as its own protocol because it respects the paper's
+two-cloud trust boundary; the two placements share the slicer
+(:func:`shard_bounds`) and the selection rule
+(:func:`~repro.core.sknn_base.top_k`) and nothing else:
 
 * **Shard C1 daemons** each hold one horizontal slice of ``Epk(T)`` and run
   the SSED distance phase for their records against the shared C2, then
@@ -16,9 +19,9 @@ that respects the paper's two-cloud trust boundary:
 * **The coordinator C1** (which holds the full table for the delivery
   phase) asks C2 to ``SkNNb.gather_top_k``: C2 blocks until every shard has
   filed, merges the candidate pools, and returns the global top-k index
-  list — bit-identical to ``ShardedCloud.merge_top_k`` *and* to the serial
-  ``SkNNb`` selection, because all three order by ``(distance,
-  global_index)``.  The coordinator then runs the ordinary masked delivery.
+  list — bit-identical to the in-process plan *and* to the serial ``SkNNb``
+  selection, because all of them call ``top_k``.  The coordinator then runs
+  the ordinary masked delivery.
 
 Only SkNN_b shards this way: SkNN_m's SMIN_n tournament needs the
 candidates as *ciphertext* pairs threaded through log-depth rounds, which
@@ -27,7 +30,6 @@ the registry's plaintext-residue merge cannot express.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from collections import OrderedDict
@@ -35,7 +37,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import ResultShares
-from repro.core.sknn_base import SkNNProtocol
+from repro.core.sknn_base import SkNNProtocol, top_k
 from repro.crypto.paillier import Ciphertext
 from repro.db.encrypted_table import EncryptedTable
 from repro.exceptions import DeadlineExceeded, ProtocolError, QueryError
@@ -46,11 +48,11 @@ __all__ = ["ScanRegistry", "ShardScanProtocol", "ShardCoordinatorProtocol",
 
 
 def shard_bounds(n_records: int, shard_count: int) -> list[tuple[int, int]]:
-    """Contiguous ``[start, stop)`` slice bounds for each shard.
+    """Near-equal contiguous ``[start, stop)`` slice bounds for each shard.
 
-    The same arithmetic as ``ShardedCloud._partition`` (``divmod``: the
-    first ``n % shards`` shards get one extra record), so a daemon
-    deployment and the in-process sharded store slice identically.
+    The first ``n_records % shard_count`` shards get one extra record.  This
+    is the only table slicer: the in-process plan partitions with it and
+    daemon provisioning slices with it (through :func:`shard_table`).
     """
     if shard_count < 1:
         raise QueryError(f"shard_count must be positive, got {shard_count}")
@@ -215,10 +217,8 @@ class ShardScanProtocol(SkNNProtocol):
         pairs = [(residue, start_index + offset)
                  for offset, residue in enumerate(residues)]
         # Shard-local pre-selection: only k candidates per shard can reach
-        # the global top-k, and the (distance, global_index) key matches
-        # both ShardedCloud.shard_top_k and the serial selection's sort.
-        registry.file(str(scan_id), int(shard_index),
-                      heapq.nsmallest(int(k), pairs))
+        # the global top-k, so only those are held for the gather.
+        registry.file(str(scan_id), int(shard_index), top_k(pairs, int(k)))
         c2.send(scan_id, tag="SkNNb.shard_filed")
 
     def _p2_gather_top_k(self) -> None:
@@ -228,7 +228,7 @@ class ShardScanProtocol(SkNNProtocol):
         scan_id, k, shard_count = c2.receive(
             expected_tag="SkNNb.gather_top_k")
         merged = registry.gather(str(scan_id), int(shard_count))
-        winners = heapq.nsmallest(int(k), merged)
+        winners = top_k(merged, int(k))
         c2.send([index for _, index in winners], tag="SkNNb.topk_indices")
 
 

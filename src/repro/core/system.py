@@ -13,9 +13,9 @@ few lines::
 
 Internally ``setup`` performs Alice's key generation and database encryption,
 deploys the two clouds, and registers Bob; ``query`` performs Bob's query
-encryption, the chosen cloud protocol (SkNN_b, SkNN_m, parallel SkNN_b or the
-sharded scatter-gather plan) and Bob's share recombination, returning
-plaintext records.
+encryption, the chosen cloud protocol (SkNN_b, SkNN_m, or the in-process
+scatter-gather plan as parallel SkNN_b or over N shards) and Bob's share
+recombination, returning plaintext records.
 
 For multi-user serving, :meth:`SkNNSystem.serve` stands up a
 :class:`~repro.service.scheduler.QueryServer` over a sharded deployment —
@@ -34,11 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover - imports used for annotations only
     from repro.transport.supervisor import LocalSupervisor
 
 from repro.core.cloud import FederatedCloud
-from repro.core.parallel import ParallelSkNNBasic
+from repro.core.parallel import ParallelSkNNBasic, ShardedCloud
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_base import SkNNRunReport
 from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_secure import SkNNSecure
+from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.db.table import Table
 from repro.exceptions import ConfigurationError, QueryError
 from repro.network.latency import LatencyModel
@@ -46,6 +47,24 @@ from repro.network.latency import LatencyModel
 __all__ = ["QueryAnswer", "SkNNSystem"]
 
 Mode = Literal["basic", "secure", "parallel", "sharded", "distributed"]
+
+
+def _checked_distance_bits(owner: DataOwner, distance_bits: int | None) -> int:
+    """Resolve the domain parameter ``l``, refusing one too small for the schema.
+
+    SBD decomposes every squared distance into ``l`` bits; an ``l`` below
+    what the schema's value ranges need truncates distances and the secure
+    protocol returns a silently wrong neighbour.  A larger ``l`` only costs
+    time (the classifier extension relies on that).
+    """
+    required = owner.distance_bit_length()
+    if distance_bits is None:
+        return required
+    if distance_bits < required:
+        raise ConfigurationError(
+            f"distance_bits={distance_bits} cannot hold the squared "
+            f"distances of this schema, which need {required} bits")
+    return distance_bits
 
 
 @dataclass
@@ -94,10 +113,7 @@ class SkNNSystem:
         #: system spawned it) the supervisor owning the two subprocesses
         self.remote = remote
         self.supervisor = supervisor
-        self.distance_bits = (
-            distance_bits if distance_bits is not None
-            else owner.distance_bit_length()
-        )
+        self.distance_bits = _checked_distance_bits(owner, distance_bits)
         if precompute > 0 and cloud is not None:
             self._attach_precompute(precompute)
         self._protocol = self._build_protocol()
@@ -123,7 +139,8 @@ class SkNNSystem:
                 called without an explicit ``k``.
             rng: optional deterministic randomness source (tests only).
             distance_bits: override for the domain parameter ``l`` (defaults
-                to the value derived from the schema).
+                to the value derived from the schema; a smaller value raises
+                :class:`~repro.exceptions.ConfigurationError`).
             workers: worker count for the parallel and sharded modes.
             parallel_backend: ``"process"``, ``"thread"`` or ``"serial"``.
             shards: partition count for the sharded mode.
@@ -144,6 +161,8 @@ class SkNNSystem:
         """
         owner = DataOwner(table, key_size=key_size, rng=rng)
         client = QueryClient(owner.public_key, table.dimensions, rng=rng)
+        # Checked before anything is spawned or encrypted.
+        _checked_distance_bits(owner, distance_bits)
         if mode == "distributed":
             # Local import: the transport stack is only needed here.
             from repro.transport.supervisor import LocalSupervisor
@@ -169,6 +188,33 @@ class SkNNSystem:
                    workers=workers, parallel_backend=parallel_backend,
                    shards=shards, k_default=k_default, precompute=precompute)
 
+    def _warm_c1_engine(self, queries: int, rng: Random | None,
+                        worker_scan: bool) -> PrecomputeEngine:
+        """A warmed evaluator-side engine covering ``queries`` queries.
+
+        ``worker_scan`` says the scan runs on the in-process plan's chunk
+        workers (``parallel``/``sharded`` modes and :meth:`serve`), which
+        draw their own pool slices, so only delivery masks are pooled here.
+        """
+        table = self.owner.table
+        # SBD/SMIN material is consumed by SkNN_m only, never by a worker scan.
+        secure = self.mode == "secure" and not worker_scan
+        engine = PrecomputeEngine(
+            self.owner.public_key, rng=rng,
+            config=PrecomputeConfig.for_query_load(
+                n_records=len(table), dimensions=table.dimensions,
+                k=self.k_default or 1, queries=queries,
+                sbd_bit_length=self.distance_bits if secure else None,
+                worker_scan=worker_scan))
+        engine.warm()
+        return engine
+
+    def _derived_rng(self) -> Random | None:
+        """A fresh deterministic stream off the owner's, when it has one."""
+        if self.owner.rng is None:
+            return None
+        return Random(self.owner.rng.getrandbits(63))
+
     def _attach_precompute(self, queries: int) -> None:
         """Build, warm and attach per-cloud precomputation engines.
 
@@ -177,34 +223,17 @@ class SkNNSystem:
         tuples and P1 constants, C2's the obfuscators of its re-encryptions
         and the 0/1 constant pools.
         """
-        # Local import: keeps module import cost low for engine-less users.
-        from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
-
         table = self.owner.table
-        load = dict(n_records=len(table), dimensions=table.dimensions,
-                    k=self.k_default or 1, queries=queries,
-                    sbd_bit_length=(self.distance_bits
-                                    if self.mode == "secure" else None))
-
-        def engine_rng() -> Random | None:
-            if self.owner.rng is None:
-                return None
-            return Random(self.owner.rng.getrandbits(63))
-
-        config = PrecomputeConfig.for_query_load(
-            worker_scan=self.mode in ("parallel", "sharded"), **load)
-        if self.mode == "sharded":
-            # The sharded store's per-shard pools provide the worker slices
-            # themselves; the engine only needs fallback obfuscators.
-            from dataclasses import replace
-            config = replace(config,
-                             obfuscators=2 * table.dimensions * queries + 16)
-        c1_engine = PrecomputeEngine(
-            self.owner.public_key, rng=engine_rng(), config=config)
+        c1_engine = self._warm_c1_engine(
+            queries, self._derived_rng(),
+            worker_scan=self.mode in ("parallel", "sharded"))
         c2_engine = PrecomputeEngine(
-            self.owner.public_key, rng=engine_rng(),
-            config=PrecomputeConfig.for_decryptor_load(**load))
-        c1_engine.warm()
+            self.owner.public_key, rng=self._derived_rng(),
+            config=PrecomputeConfig.for_decryptor_load(
+                n_records=len(table), dimensions=table.dimensions,
+                k=self.k_default or 1, queries=queries,
+                sbd_bit_length=(self.distance_bits
+                                if self.mode == "secure" else None)))
         c2_engine.warm()
         self.cloud.attach_engine(c1_engine, c2_engine)
 
@@ -234,8 +263,6 @@ class SkNNSystem:
                                      backend=self.parallel_backend,
                                      precompute=self.cloud.engine)
         if self.mode == "sharded":
-            # Local import: repro.service sits on top of repro.core.
-            from repro.service.sharding import ShardedCloud
             return ShardedCloud(self.cloud, shards=self.shards,
                                 workers=self.workers,
                                 backend=self.parallel_backend,
@@ -287,7 +314,6 @@ class SkNNSystem:
     # -- serving -------------------------------------------------------------------
     def serve(self, shards: int | None = None, workers: int | None = None,
               backend: str | None = None, batch_size: int = 4,
-              randomness_pool_size: int = 0,
               session_pool_size: int = 0,
               precompute: int = 0,
               precompute_producer: bool = False) -> "QueryServer":
@@ -307,8 +333,6 @@ class SkNNSystem:
             workers: worker pool size (defaults to the system's ``workers``).
             backend: pool backend (defaults to ``parallel_backend``).
             batch_size: maximum queries grouped into one scan pass.
-            randomness_pool_size: when positive, precompute this many Paillier
-                obfuscation factors for the delivery phase.
             session_pool_size: when positive, every session precomputes this
                 many factors for its query encryptions.
             precompute: when positive, the sharded store owns a warmed
@@ -319,13 +343,9 @@ class SkNNSystem:
                 producer thread, so pools refill even while batches execute.
         """
         # Local import: repro.service sits on top of repro.core.
-        from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
-        from repro.crypto.randomness_pool import RandomnessPool
         from repro.service.scheduler import QueryServer
-        from repro.service.sharding import ShardedCloud
 
-        server_rng = (Random(self.owner.rng.getrandbits(63))
-                      if self.owner.rng is not None else None)
+        server_rng = self._derived_rng()
         if self.mode == "distributed":
             # The scheduler's sessions/batching run locally; every batch is
             # dispatched over the remote channel to the C1 daemon.
@@ -343,34 +363,13 @@ class SkNNSystem:
             # pools are paid for) instead of replacing it with a cold one.
             engine = self.cloud.engine
             if engine is None:
-                from dataclasses import replace
-
-                table = self.owner.table
-                config = PrecomputeConfig.for_query_load(
-                    n_records=len(table), dimensions=table.dimensions,
-                    k=self.k_default or 1, queries=precompute,
-                    worker_scan=True)
-                # The sharded store's per-shard pools provide the worker
-                # slices; the engine itself only needs fallback obfuscators.
-                config = replace(
-                    config,
-                    obfuscators=2 * table.dimensions * precompute + 16)
-                engine = PrecomputeEngine(self.owner.public_key,
-                                          rng=server_rng, config=config)
-                engine.warm()
-        randomness_pool = None
-        if randomness_pool_size > 0 and engine is None:
-            # The legacy delivery-mask pool; superseded (and its only
-            # consumer skipped) when a precompute engine is present.
-            randomness_pool = RandomnessPool(self.owner.public_key,
-                                             size=randomness_pool_size,
-                                             rng=server_rng)
+                engine = self._warm_c1_engine(precompute, server_rng,
+                                              worker_scan=True)
         sharded = ShardedCloud(
             self.cloud,
             shards=shards if shards is not None else self.shards,
             workers=workers if workers is not None else self.workers,
             backend=backend if backend is not None else self.parallel_backend,
-            randomness_pool=randomness_pool,
             precompute=engine,
         )
         if engine is not None and precompute_producer:
@@ -392,13 +391,6 @@ class SkNNSystem:
         self.close()
 
     # -- accessors ------------------------------------------------------------------
-    @property
-    def parallel_report(self):
-        """Timing breakdown of the last parallel run (parallel mode only)."""
-        if isinstance(self._protocol, ParallelSkNNBasic):
-            return self._protocol.last_parallel_report
-        return None
-
     @property
     def key_size(self) -> int:
         """The Paillier key size ``K`` of this deployment."""

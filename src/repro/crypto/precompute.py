@@ -112,10 +112,8 @@ class PrecomputeConfig:
 
         With ``worker_scan=True`` (the parallel/sharded modes, whose chunk
         workers sample their own scan masks and draw obfuscator *slices*
-        instead of mask tuples) the mask pool covers only the delivery phase
-        and the obfuscator pool is sized for the worker slices —
-        ``n*(m+1)`` factors per query, one mask encryption per (record,
-        attribute) pair and one square-sum encryption per record.
+        from the plan's per-shard pools instead of mask tuples) the mask pool
+        covers only the delivery phase.
 
         The decryptor's material (re-encryptions of square sums, parity/alpha/
         indicator constants) is sized by :meth:`for_decryptor_load` — in the
@@ -123,10 +121,9 @@ class PrecomputeConfig:
         """
         scan_masks = 0 if worker_scan else n_records * dimensions
         per_query_masks = scan_masks + k * dimensions
-        slice_factors = (n_records * (dimensions + 1) if worker_scan else 0)
         bits = sbd_bit_length or 0
         return cls(
-            obfuscators=(slice_factors + 2 * dimensions) * queries + 16,
+            obfuscators=2 * dimensions * queries + 16,
             zeros=8,
             ones=(bits * n_records * queries // 2 + 8 if bits else 8),
             zn_masks=per_query_masks * queries,

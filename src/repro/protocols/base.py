@@ -75,7 +75,7 @@ class P2StepDispatcher:
     Drivers invoke ``self.p2_step(tag)`` right after sending the triggering
     message.  Over the in-memory channel (which hosts both parties) the
     handler runs inline — byte-for-byte the behavior of the old interleaved
-    drivers.  Over a :class:`~repro.transport.channel.TcpChannel` the call
+    drivers.  Over a :class:`~repro.transport.mux.MuxChannel` the call
     is a no-op: the remote party's daemon dispatches the same handler when
     the frame arrives (see :mod:`repro.transport.daemon`), which is what
     lets the protocol implementations run unchanged across both runtimes.

@@ -9,10 +9,12 @@ This package is the multi-user serving layer on top of the protocol stack:
   front door that queues, batches and answers concurrent queries, and
   :class:`QueryScheduler`, its batching policy.
 
-Ciphertext precomputation lives in :class:`repro.crypto.RandomnessPool`:
-both the server (delivery-phase masking) and the sessions (query encryption)
-can draw single-use Paillier obfuscation factors from pools filled off the
-hot path.
+Ciphertext precomputation is per party: the server side draws delivery
+masks and worker pool slices from a
+:class:`repro.crypto.precompute.PrecomputeEngine` (``serve(precompute=)``),
+and every session can draw the obfuscation factors of its query encryptions
+from its own :class:`repro.crypto.RandomnessPool`
+(``serve(session_pool_size=)``), both filled off the hot path.
 
 Quickstart::
 
@@ -33,7 +35,6 @@ from repro.service.scheduler import (
 )
 from repro.service.sharding import (
     BatchPhaseTimings,
-    ShardCandidate,
     ShardedCloud,
     TableShard,
 )
@@ -45,7 +46,6 @@ __all__ = [
     "QueryServer",
     "ServerStats",
     "ServiceSession",
-    "ShardCandidate",
     "ShardedCloud",
     "TableShard",
 ]

@@ -221,7 +221,7 @@ class QueryServer:
             store contract (``validate_query``, ``answer_batch``,
             ``start_recorder``, ``refill_precompute``, ``close``,
             ``public_key``/``table_size``/``dimensions``/
-            ``protocol_label``/``last_batch_timings``) works.
+            ``name``/``last_batch_timings``) works.
         batch_size: maximum queries grouped into one scan pass.
         batch_window_seconds: how long the background serving thread waits
             for a batch to fill before executing a partial one.
@@ -388,20 +388,20 @@ class QueryServer:
             self._degraded_reason = None
             # Counters/traffic are per batch; see RunStatsRecorder for the
             # attribution caveat under concurrent client-side encryption.
-            batch_stats = recorder.finish(self.store.protocol_label, elapsed)
+            batch_stats = recorder.finish(self.store.name, elapsed)
             timings = self.store.last_batch_timings
             self.stats.record_batch(len(batch), elapsed)
             registry = _metrics.get_registry()
             registry.counter(
                 "repro_scheduler_batches_total",
                 "Batches executed by the query scheduler.",
-                ("protocol",)).inc(protocol=self.store.protocol_label)
+                ("protocol",)).inc(protocol=self.store.name)
             registry.histogram(
                 "repro_batch_seconds", "Wall time of one scheduler batch.",
                 ("protocol",)).observe(
-                    elapsed, protocol=self.store.protocol_label)
+                    elapsed, protocol=self.store.name)
             self.slow_log.observe(elapsed,
-                                  protocol=self.store.protocol_label,
+                                  protocol=self.store.name,
                                   queries=len(batch))
 
         for request, shares in zip(batch, all_shares):
@@ -412,7 +412,7 @@ class QueryServer:
             # the per-query phase timings divide the shared phases evenly.
             share = 1.0 / len(batch)
             report = SkNNRunReport(
-                protocol=self.store.protocol_label,
+                protocol=self.store.name,
                 n_records=self.store.table_size,
                 dimensions=self.store.dimensions,
                 k=request.k,
@@ -423,9 +423,8 @@ class QueryServer:
                 phase_seconds={
                     "encrypt": request.encrypt_seconds,
                     "queue_wait": started - request.submitted_at,
-                    "distance": timings.distance_seconds * share,
-                    "merge": timings.merge_seconds * share,
-                    "deliver": timings.deliver_seconds * share,
+                    **{phase: seconds * share for phase, seconds
+                       in timings.phase_seconds().items()},
                     "reconstruct": reconstruct_elapsed,
                 } if timings is not None else {},
             )

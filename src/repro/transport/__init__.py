@@ -7,8 +7,9 @@ package provides the real thing:
 * :mod:`repro.transport.framing` — length-prefixed frames over TCP;
 * :mod:`repro.transport.wire` — the message codec (layered on
   :mod:`repro.crypto.serialization`);
-* :mod:`repro.transport.channel` — :class:`TcpChannel`, a drop-in
-  implementation of the ``DuplexChannel`` send/recv interface over a socket;
+* :mod:`repro.transport.mux` — :class:`MuxChannel`, a drop-in
+  implementation of the ``DuplexChannel`` send/recv interface over a
+  (multiplexed) socket;
 * :mod:`repro.transport.daemon` — the C1/C2 party daemons
   (``repro party --role c1|c2 --listen HOST:PORT``);
 * :mod:`repro.transport.supervisor` — spawns both daemons locally as
@@ -18,7 +19,6 @@ package provides the real thing:
   :class:`~repro.service.scheduler.QueryServer`.
 """
 
-from repro.transport.channel import TcpChannel
 from repro.transport.client import RemoteCloud, RemoteProtocol, RemoteStore
 from repro.transport.daemon import PartyDaemon, ShareMailbox, parse_address
 from repro.transport.framing import recv_frame, send_frame
@@ -26,7 +26,6 @@ from repro.transport.supervisor import LocalSupervisor
 from repro.transport.wire import WireCodec
 
 __all__ = [
-    "TcpChannel",
     "WireCodec",
     "PartyDaemon",
     "ShareMailbox",

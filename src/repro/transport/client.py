@@ -287,9 +287,9 @@ class RemoteCloud:
         work happens in the daemons, where the pools live.
 
         With ``shard_addresses`` configured, each shard daemon receives its
-        horizontal slice of the table (sliced with the same ``divmod``
-        arithmetic as the in-process sharded store) plus its global start
-        index, and the coordinator C1 additionally learns the shard
+        horizontal slice of the table (:func:`~repro.core.sknn_shard.
+        shard_table`, the slicer the in-process plan uses too) plus its
+        global start index, and the coordinator C1 additionally learns the shard
         addresses so queries scatter the distance scan across machines.
         """
         if encrypted_table.public_key != keypair.public_key:
@@ -617,7 +617,8 @@ class RemoteStore:
     the serving layer is reused verbatim on top of networked parties.
     """
 
-    protocol_label = "SkNNb-distributed"
+    #: protocol label stamped on reports produced through this store
+    name = "SkNNb-distributed"
 
     def __init__(self, remote: RemoteCloud, mode: str = "basic",
                  public_key=None, supervisor: Any = None) -> None:

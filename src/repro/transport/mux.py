@@ -1,7 +1,7 @@
 """Multiplexed peer connections: pipelined queries over shared C1<->C2 links.
 
-The PR-4 transport gave each C1 daemon exactly one :class:`TcpChannel` to C2
-and serialized every query behind a lock: protocol frames carry no query
+The PR-4 transport gave each C1 daemon exactly one socket channel to C2 and
+serialized every query behind a lock: protocol frames carry no query
 identity, so two in-flight queries would interleave their frames and desync
 both.  This module removes that bottleneck.  Every frame of a pipelined
 query carries a *context id* (the sixth envelope element, see
@@ -24,10 +24,10 @@ Topology of one C1<->C2 peer connection:
 Frames without a context id (a pre-pipelining C1, or control traffic) route
 to the reserved ``None`` context, which keeps old peers interoperable.
 
-Byte accounting follows :class:`~repro.transport.channel.TcpChannel` exactly
-— outbound traffic records the actual framed bytes under the sending role,
-inbound records ``FRAME_HEADER_BYTES + len(body)`` under the remote role —
-at *both* levels: each context's channel counts only its own frames (the
+Byte accounting counts the *actual framed bytes* on the wire — outbound
+traffic records what ``send_frame`` wrote under the sending role, inbound
+records ``FRAME_HEADER_BYTES + len(body)`` under the remote role — at *both*
+levels: each context's channel counts only its own frames (the
 per-query numbers the run reports use) and the connection counts everything
 (the per-connection rows ``/stats`` shows), so the context totals of a
 connection always sum to its wire totals.
@@ -92,11 +92,13 @@ def _set_send_timeout(sock: socket.socket, seconds: float) -> None:
 class MuxChannel:
     """One query context on a multiplexed peer connection.
 
-    Implements the same ``send``/``receive``/``pending``/``next_tag``/
-    accounting surface as :class:`~repro.transport.channel.TcpChannel`, but
-    bound to a single context id: ``send`` stamps every outgoing frame with
-    the context, and only frames carrying the same context are delivered to
-    :meth:`receive`.  The connection's reader thread fills the inbox, so a
+    Implements the ``send``/``receive``/``pending``/accounting surface of
+    the in-memory :class:`~repro.network.channel.DuplexChannel` (plus
+    ``next_tag`` for daemon dispatch) over a socket, bound to a single
+    context id: ``send`` stamps every outgoing frame with the context, and
+    only frames carrying the same context are delivered to :meth:`receive`.
+    Only the local role may ``send``/``receive`` — the opposite endpoint is
+    another OS process.  The connection's reader thread fills the inbox, so a
     receive is a condition wait, not a socket read.
     """
 
@@ -183,8 +185,8 @@ class MuxChannel:
         """Block for this context's next message and return its tag.
 
         Waiting here is idleness (the context's worker awaiting the next
-        protocol frame), so it is unbounded by default, exactly like
-        :meth:`TcpChannel.next_tag`; the connection failing unblocks it.
+        protocol frame), so it is unbounded by default; pass ``timeout``
+        (seconds) to bound it.  The connection failing unblocks it.
         """
         deadline = deadline_at(timeout)
         with self._condition:

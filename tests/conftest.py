@@ -11,6 +11,7 @@ All fixtures that involve randomness are seeded so the suite is deterministic.
 
 from __future__ import annotations
 
+import socket
 from random import Random
 
 import pytest
@@ -24,10 +25,31 @@ from repro.db.datasets import (
 )
 from repro.db.encrypted_table import EncryptedTable
 from repro.network.party import TwoPartySetting
+from repro.transport.mux import MuxChannel, MuxConnection
+from repro.transport.wire import WireCodec
 
 #: Key sizes used throughout the test-suite (bits).
 SMALL_KEY_BITS = 128
 MEDIUM_KEY_BITS = 256
+
+
+def socket_channel_pair(codec: WireCodec, io_deadline: float | None = None
+                        ) -> tuple[MuxChannel, MuxChannel]:
+    """A connected (C1 side, C2 side) channel pair over a real socket pair.
+
+    Each side is the default (``None``) context of its own
+    :class:`MuxConnection` with the reader thread running — the socket
+    channel a party speaks when it opens no per-query contexts.  Tear a side
+    down with ``channel.connection.close()``, which shuts its socket.
+    """
+    channels = []
+    for sock, local, remote in zip(socket.socketpair(), ("C1", "C2"),
+                                   ("C2", "C1")):
+        connection = MuxConnection(sock, codec, local, remote,
+                                   io_deadline=io_deadline)
+        channels.append(connection.channel(None))
+        connection.start_reader()
+    return channels[0], channels[1]
 
 
 # ---------------------------------------------------------------------------

@@ -135,13 +135,13 @@ class TestChunkedWorkers:
         from repro.crypto.backend import get_backend
         start, chunk = ssed_chunk_worker(
             (0, enc_records, enc_queries, public.n, private.p, private.q, 77,
-             get_backend().name))
+             get_backend().name, None))
         assert start == 0
         assert chunk == expected
 
     def test_chunk_records_partitioning(self):
         assert chunk_records(0, 4) == []
-        chunks = chunk_records(10, 2, tasks_per_worker=2)
+        chunks = chunk_records(10, 2)
         assert chunks[0][0] == 0 and chunks[-1][1] == 10
         rebuilt = [i for start, stop in chunks for i in range(start, stop)]
         assert rebuilt == list(range(10))

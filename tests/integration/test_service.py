@@ -8,9 +8,11 @@ from random import Random
 import pytest
 
 from repro.core.cloud import FederatedCloud
+from repro.core.parallel import ParallelSkNNBasic
 from repro.core.roles import QueryClient
+from repro.core.sknn_basic import SkNNBasic
+from repro.core.sknn_shard import shard_bounds
 from repro.core.system import SkNNSystem
-from repro.crypto.randomness_pool import RandomnessPool
 from repro.db.datasets import synthetic_uniform
 from repro.db.encrypted_table import EncryptedTable
 from repro.db.knn import LinearScanKNN
@@ -40,45 +42,61 @@ def _deploy(keypair, table, seed):
     return cloud
 
 
-class TestShardedCloud:
-    @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_matches_oracle_across_shard_counts(self, small_keypair,
-                                                service_table, service_oracle,
-                                                shards):
-        cloud = _deploy(small_keypair, service_table, 200 + shards)
-        client = QueryClient(small_keypair.public_key,
-                             service_table.dimensions, rng=Random(9))
-        with ShardedCloud(cloud, shards=shards, workers=2,
-                          backend="serial") as sharded:
-            for query, k in ([4, 4, 4], 3), ([7, 0, 2], 1), ([1, 8, 5], 5):
-                shares = sharded.run(client.encrypt_query(query), k)
-                neighbors = client.reconstruct(shares)
-                expected = [r.record.values
-                            for r in service_oracle.query(query, k)]
-                assert neighbors == expected
+#: The scan-plan conformance table.  n = 7, so neither 2 nor 3 shards divide
+#: it; three identical records (2, 3, 5) and three distinct records at equal
+#: distance from them (1, 4, 6, in an order no value sort produces) sit on
+#: both sides of every slice boundary of the 2-shard ([0,4) [4,7)) and
+#: 3-shard ([0,3) [3,5) [5,7)) plans.
+_TWIN = [5, 5, 5]
+CONFORMANCE_ROWS = [[0, 0, 9], [6, 5, 5], _TWIN, _TWIN, [4, 5, 5], _TWIN,
+                    [5, 6, 5]]
+CONFORMANCE_QUERIES = [_TWIN, [5, 5, 4], [0, 0, 0]]
 
-    def test_distance_ties_across_shards_break_by_insertion_order(
-            self, small_keypair):
-        # Records 1, 7 and 10 are identical, and with 3 shards of 4 records
-        # they land on three different shards; the merged top-k must order
-        # them by global record index, exactly like the plaintext oracle.
-        duplicate = [5, 5, 5]
-        rows = [[0, 0, 9], duplicate, [9, 9, 0], [1, 2, 3],
-                [8, 0, 1], [0, 9, 9], [2, 2, 2], duplicate,
-                [9, 0, 9], [3, 3, 3], duplicate, [9, 9, 9]]
-        table = Table.from_rows(Schema.uniform(3, maximum=9), rows)
+
+class TestShardedCloud:
+    @pytest.mark.parametrize("mode, shards", [
+        pytest.param("basic", None, id="basic"),
+        pytest.param("parallel", None, id="parallel"),
+        pytest.param("sharded", 1, id="1"),
+        pytest.param("sharded", 2, id="2"),
+        pytest.param("sharded", 3, id="3"),
+    ])
+    def test_matches_oracle_across_shard_counts(self, small_keypair, mode,
+                                                shards):
+        """One conformance check for every in-process SkNN_b mode: serial
+        SkNN_b, its parallel form and the plan over 1, 2 and 3 shards give
+        the plaintext oracle's answer — index tie-break included — for
+        k = 1 and k = n, one query at a time and three to a scan pass."""
+        table = Table.from_rows(Schema.uniform(3, maximum=9),
+                                CONFORMANCE_ROWS)
         oracle = LinearScanKNN(table)
-        cloud = _deploy(small_keypair, table, 300)
-        client = QueryClient(small_keypair.public_key, 3, rng=Random(10))
-        with ShardedCloud(cloud, shards=3, workers=1,
-                          backend="serial") as sharded:
-            assert sharded.shard_sizes == [4, 4, 4]
-            for k in (2, 3, 4):
-                shares = sharded.run(client.encrypt_query(duplicate), k)
-                neighbors = client.reconstruct(shares)
-                expected = [r.record.values
-                            for r in oracle.query(duplicate, k)]
-                assert neighbors == expected
+        cloud = _deploy(small_keypair, table, 200)
+        client = QueryClient(small_keypair.public_key, 3, rng=Random(9))
+        if mode == "basic":
+            plan = SkNNBasic(cloud)
+        elif mode == "parallel":
+            plan = ParallelSkNNBasic(cloud, workers=2, backend="serial")
+        else:
+            plan = ShardedCloud(cloud, shards=shards, workers=2,
+                                backend="serial")
+            assert [(shard.start, shard.start + len(shard))
+                    for shard in plan.shards] == shard_bounds(len(table),
+                                                              shards)
+
+        def answer(queries, k):
+            encrypted = [client.encrypt_query(query) for query in queries]
+            if mode == "basic":  # no batch entry point: one run per query
+                return [plan.run(query, k) for query in encrypted]
+            return plan.answer_batch(encrypted, [k] * len(queries))
+
+        batches = [[query] for query in CONFORMANCE_QUERIES]
+        batches.append(CONFORMANCE_QUERIES)
+        for k in (1, len(table)):
+            for queries in batches:
+                for query, shares in zip(queries, answer(queries, k)):
+                    expected = [r.record.values
+                                for r in oracle.query(query, k)]
+                    assert client.reconstruct(shares) == expected
 
     def test_batch_answers_equal_individual_answers(self, small_keypair,
                                                     service_table,
@@ -107,6 +125,10 @@ class TestShardedCloud:
             covered = [index for shard in sharded.shards
                        for index in shard.global_indices()]
             assert covered == list(range(len(service_table)))
+            # 18 records over 4 shards: exactly the one slicer's bounds
+            assert [(shard.start, shard.start + len(shard))
+                    for shard in sharded.shards] == shard_bounds(18, 4) \
+                == [(0, 5), (5, 10), (10, 14), (14, 18)]
 
     def test_invalid_shard_counts_rejected(self, small_keypair, service_table):
         cloud = _deploy(small_keypair, service_table, 600)
@@ -129,6 +151,14 @@ class TestShardedCloud:
         assert report.n_records == len(service_table)
         assert set(report.phase_seconds) == {"distance", "merge", "deliver"}
         assert report.stats.c2_decryptions > 0
+        # The ledger and trace every SkNNProtocol report carries: the rows
+        # (both parties run inline here, "other" bucket included) partition
+        # the wall clock like the serial modes' do in test_profiling.py.
+        assert {"scan", "select", "deliver"} <= {
+            row["phase"] for row in report.cost_breakdown}
+        assert sum(row["seconds"] for row in report.cost_breakdown) \
+            == pytest.approx(report.wall_time_seconds, rel=0.01)
+        assert report.trace is not None
 
 
 class TestQueryServer:
@@ -196,19 +226,33 @@ class TestQueryServer:
     def test_randomness_pools_keep_answers_exact(self, small_keypair,
                                                  service_table,
                                                  service_oracle):
+        """Server-side engine masks plus Bob-side session pools together."""
+        from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
+
         cloud = _deploy(small_keypair, service_table, 1100)
-        pool = RandomnessPool(small_keypair.public_key, size=64,
-                              rng=Random(16))
+        engine = PrecomputeEngine(
+            small_keypair.public_key, rng=Random(16),
+            config=PrecomputeConfig.for_query_load(
+                len(service_table), service_table.dimensions, k=3,
+                worker_scan=True))
+        engine.warm()
         sharded = ShardedCloud(cloud, shards=2, workers=1, backend="serial",
-                               randomness_pool=pool)
-        server = QueryServer(sharded, batch_size=4, rng=Random(17),
-                             session_pool_size=12)
-        session = server.open_session("bob")
-        answer = session.query([3, 6, 1], 3, timeout=60)
-        expected = [r.record.values for r in service_oracle.query([3, 6, 1], 3)]
-        assert answer.neighbors == expected
-        assert pool.hits > 0  # delivery masking drew from the pool
-        server.close()
+                               precompute=engine)
+        try:
+            server = QueryServer(sharded, batch_size=4, rng=Random(17),
+                                 session_pool_size=12)
+            session = server.open_session("bob")
+            answer = session.query([3, 6, 1], 3, timeout=60)
+            expected = [r.record.values
+                        for r in service_oracle.query([3, 6, 1], 3)]
+            assert answer.neighbors == expected
+            # delivery masking drew from the engine's mask tuples...
+            assert engine.stats()["hits"]["mask:zn"] > 0
+            # ...and Bob's query encryption from his session pool
+            assert session.client.randomness_pool.hits > 0
+            server.close()
+        finally:
+            cloud.attach_engine(None)
 
     def test_precompute_engine_keeps_answers_exact_and_refills(
             self, small_keypair, service_table, service_oracle):
@@ -319,7 +363,7 @@ class TestSystemIntegration:
         system = SkNNSystem.setup(service_table, key_size=128, mode="basic",
                                   rng=Random(23))
         server = system.serve(shards=2, workers=1, backend="serial",
-                              batch_size=2, randomness_pool_size=16)
+                              batch_size=2, precompute=1)
         with server:
             session = server.open_session("bob")
             answer = session.query([2, 7, 3], 2, timeout=120)

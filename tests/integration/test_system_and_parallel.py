@@ -78,12 +78,6 @@ class TestSkNNSystem:
                                   rng=Random(8))
         assert system.key_size in (127, 128)
 
-    def test_parallel_report_none_for_serial_modes(self, system_table):
-        system = SkNNSystem.setup(system_table, key_size=128, mode="basic",
-                                  rng=Random(9))
-        system.query([1, 1, 1], 1)
-        assert system.parallel_report is None
-
     def test_parallel_mode_report_is_populated(self, system_table):
         """Unified reporting: parallel answers carry a real report too."""
         with SkNNSystem.setup(system_table, key_size=128, mode="parallel",
@@ -93,8 +87,14 @@ class TestSkNNSystem:
         assert answer.report is not None
         assert answer.report.protocol == "SkNNb-parallel"
         assert answer.report.n_records == len(system_table)
-        assert set(answer.report.phase_seconds) == {"distance", "selection"}
-        assert answer.report.wall_time_seconds > 0
+        assert set(answer.report.phase_seconds) == {"distance", "merge",
+                                                    "deliver"}
+        assert all(seconds > 0
+                   for seconds in answer.report.phase_seconds.values())
+        assert answer.report.wall_time_seconds >= sum(
+            answer.report.phase_seconds.values())
+        assert answer.report.cost_breakdown
+        assert answer.report.trace is not None
 
 
 class TestParallelSkNN:
@@ -114,17 +114,6 @@ class TestParallelSkNN:
         query = [8, 2, 3]
         expected = [r.record.values for r in system_oracle.query(query, 2)]
         assert system.query(query, 2) == expected
-
-    def test_parallel_report_populated(self, system_table):
-        system = SkNNSystem.setup(system_table, key_size=128, mode="parallel",
-                                  workers=2, parallel_backend="serial",
-                                  rng=Random(22))
-        system.query([1, 2, 3], 1)
-        report = system.parallel_report
-        assert report is not None
-        assert report.backend == "serial"
-        assert report.n_records == len(system_table)
-        assert report.total_seconds > 0
 
     def test_invalid_configuration_rejected(self, deployed_cloud):
         with pytest.raises(ConfigurationError):

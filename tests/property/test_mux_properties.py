@@ -8,8 +8,8 @@ over one socket.  Two invariants make that safe for the protocol stack:
    interleave (including full-duplex echo traffic).
 2. **Accounting** — byte/ciphertext/message accounting is transport
    identical: each context's channel counts precisely its own framed bytes
-   (header + encoded body, the same rule as ``TcpChannel``), and the
-   connection-level totals equal the sum over contexts.
+   (header + encoded body), and the connection-level totals equal the sum
+   over contexts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections import defaultdict
 from hypothesis import given, strategies as st
 
 from repro.network.channel import Message, _count_payload
-from repro.transport.channel import TcpChannel
+from repro.network.stats import TrafficStats
 from repro.transport.framing import FRAME_HEADER_BYTES
 from repro.transport.mux import MuxConnection
 from repro.transport.wire import WireCodec
@@ -153,36 +153,18 @@ def test_interleaved_frames_dispatch_to_their_context(schedule):
 @given(schedule=st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),
                                    payloads),
                          min_size=1, max_size=16))
-def test_default_context_accounting_matches_tcp_channel(schedule):
-    """The ``None`` context is byte-identical to the plain ``TcpChannel``.
+def test_default_context_accounting_matches_framing_rule(schedule):
+    """The ``None`` context costs exactly header + encoded body per frame.
 
-    Old (pre-pipelining) peers speak exactly this: frames with no context
-    id.  Sending the same tagged payloads over a ``TcpChannel`` pair and
-    over a mux connection's default context must produce identical traffic
-    snapshots on both sides — same bytes, same message/ciphertext/item
-    counts, same per-tag split.
+    Peers that open no query contexts speak exactly this: frames with no
+    context id.  Sending tagged payloads on a mux connection's default
+    context must account, on both sides, one message and
+    ``FRAME_HEADER_BYTES + len(WireCodec.encode_message(...))`` bytes per
+    frame — in total and in the per-tag split — with the payload's
+    ciphertext/item counts.
     """
-    codec = WireCodec()
-
-    # Reference: the PR-4 single-channel transport.
-    sock_a, sock_b = socket.socketpair()
-    tcp_a = TcpChannel(sock_a, codec, "C1", "C2")
-    tcp_b = TcpChannel(sock_b, codec, "C2", "C1")
-    try:
-        for tag, payload in schedule:
-            tcp_a.send("C1", payload, tag=f"prop.{tag}")
-        for tag, payload in schedule:
-            assert tcp_b.receive("C2", expected_tag=f"prop.{tag}") == payload
-        tcp_out = tcp_a.traffic["C1"].snapshot()
-        tcp_in = tcp_b.traffic["C1"].snapshot()
-        tcp_out_tags = tcp_a.traffic["C1"].per_tag_snapshot()
-    finally:
-        tcp_a.close()
-        tcp_b.close()
-
-    # Candidate: the same frames on a mux connection's default context.
     delivered = []
-    mux_codec, side_a, side_b = _mux_pair(
+    codec, side_a, side_b = _mux_pair(
         on_new_context=lambda channel: delivered.append(channel))
     try:
         side_b.start_reader()
@@ -193,13 +175,20 @@ def test_default_context_accounting_matches_tcp_channel(schedule):
         peer = side_b.channel(None)
         for tag, payload in schedule:
             assert peer.receive("C2", expected_tag=f"prop.{tag}") == payload
-        mux_out = channel.traffic["C1"].snapshot()
-        mux_in = peer.traffic["C1"].snapshot()
-        mux_out_tags = channel.traffic["C1"].per_tag_snapshot()
+        mux_out = channel.traffic["C1"]
+        mux_in = peer.traffic["C1"]
     finally:
         side_a.close()
         side_b.close()
 
-    assert mux_out == tcp_out
-    assert mux_in == tcp_in
-    assert mux_out_tags == tcp_out_tags
+    expected = TrafficStats()
+    for tag, payload in schedule:
+        ciphertexts, plaintexts = _count_payload(payload)
+        expected.record(
+            ciphertexts, plaintexts,
+            _expected_frame_bytes(codec, "C1", "C2", f"prop.{tag}", payload,
+                                  None),
+            tag=f"prop.{tag}")
+    for measured in (mux_out, mux_in):
+        assert measured.snapshot() == expected.snapshot()
+        assert measured.per_tag_snapshot() == expected.per_tag_snapshot()

@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.cloud import CloudC1, CloudC2, FederatedCloud
 from repro.core.roles import ClientCostReport, DataOwner, QueryClient, ResultShares
-from repro.core.sknn_base import SkNNRunReport
+from repro.core.sknn_base import SkNNRunReport, top_k
+from repro.core.system import SkNNSystem
 from repro.db.datasets import heart_disease_table, synthetic_uniform
 from repro.db.encrypted_table import EncryptedTable
 from repro.exceptions import ConfigurationError, QueryError
@@ -147,3 +148,40 @@ class TestRunReports:
                                   seed=1)
         assert len(table) == 17
         assert table.dimensions == 5
+
+
+class TestSelectionRule:
+    def test_top_k_orders_ties_by_global_index(self):
+        pairs = [(4, 6), (1, 5), (4, 0), (1, 2), (0, 9), (4, 3)]
+        assert top_k(pairs, 1) == [(0, 9)]
+        assert top_k(pairs, 4) == [(0, 9), (1, 2), (1, 5), (4, 0)]
+        assert top_k(pairs, len(pairs)) == sorted(pairs)
+        # a lazily produced stream selects the same pairs
+        assert top_k(iter(pairs), 3) == [(0, 9), (1, 2), (1, 5)]
+
+
+class TestDistanceBitsOverride:
+    """``l`` is checked against the schema when the system is built."""
+
+    def test_too_small_override_names_both_values(self, tiny_table):
+        required = tiny_table.schema.distance_bit_length()
+        with pytest.raises(ConfigurationError) as excinfo:
+            SkNNSystem.setup(tiny_table, key_size=128, mode="secure",
+                             distance_bits=required - 1, rng=Random(1))
+        assert f"distance_bits={required - 1}" in str(excinfo.value)
+        assert f"{required} bits" in str(excinfo.value)
+        # the constructor refuses it as well, not only the setup helper
+        owner = DataOwner(tiny_table, key_size=128, rng=Random(2))
+        cloud = FederatedCloud.deploy(owner.keypair, rng=Random(3))
+        client = QueryClient(owner.public_key, tiny_table.dimensions)
+        with pytest.raises(ConfigurationError):
+            SkNNSystem(owner, cloud, client, mode="basic",
+                       distance_bits=required - 1)
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_equal_or_larger_override_is_kept(self, tiny_table, extra):
+        required = tiny_table.schema.distance_bit_length()
+        system = SkNNSystem.setup(tiny_table, key_size=128, mode="basic",
+                                  distance_bits=required + extra,
+                                  rng=Random(4))
+        assert system.distance_bits == required + extra

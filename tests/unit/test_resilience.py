@@ -31,10 +31,10 @@ from repro.resilience import (
     wait_until_healthy,
 )
 from repro.telemetry import metrics as telemetry_metrics
-from repro.transport.channel import TcpChannel
 from repro.transport.daemon import PartyDaemon, ShareMailbox
 from repro.transport.framing import deadline_at, recv_frame, send_frame
 from repro.transport.wire import WireCodec
+from tests.conftest import socket_channel_pair
 
 
 def counter_total(name: str) -> float:
@@ -384,7 +384,7 @@ class TestShareMailbox:
 
 
 # ---------------------------------------------------------------------------
-# Framing + TcpChannel deadlines
+# Framing + socket-channel deadlines
 # ---------------------------------------------------------------------------
 
 class TestFramingDeadlines:
@@ -429,12 +429,10 @@ class TestFramingDeadlines:
 
 
 class TestTcpChannelDeadlines:
+    """Deadlines on the socket channel (a MuxChannel default context)."""
+
     def _channel_pair(self, io_deadline=None):
-        left, right = socket.socketpair()
-        codec = WireCodec()
-        c1 = TcpChannel(left, codec, "C1", "C2", io_deadline=io_deadline)
-        c2 = TcpChannel(right, codec, "C2", "C1", io_deadline=io_deadline)
-        return c1, c2
+        return socket_channel_pair(WireCodec(), io_deadline=io_deadline)
 
     def test_receive_hits_io_deadline(self):
         c1, c2 = self._channel_pair(io_deadline=0.1)
@@ -444,17 +442,17 @@ class TestTcpChannelDeadlines:
                 c1.receive("C1")
             assert counter_total("repro_deadline_hits_total") == before + 1
         finally:
-            c1.close()
-            c2.close()
+            c1.connection.close()
+            c2.connection.close()
 
     def test_peer_close_is_typed(self):
         c1, c2 = self._channel_pair()
-        c2.close()
+        c2.connection.close()
         try:
             with pytest.raises(PeerUnavailable, match="connection to C2"):
                 c1.receive("C1")
         finally:
-            c1.close()
+            c1.connection.close()
 
     def test_next_tag_timeout_is_opt_in(self):
         c1, c2 = self._channel_pair(io_deadline=0.1)
@@ -467,8 +465,8 @@ class TestTcpChannelDeadlines:
             with pytest.raises(DeadlineExceeded):
                 c1.next_tag(timeout=0.05)
         finally:
-            c1.close()
-            c2.close()
+            c1.connection.close()
+            c2.connection.close()
 
 
 # ---------------------------------------------------------------------------

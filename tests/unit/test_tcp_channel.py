@@ -1,32 +1,33 @@
-"""TcpChannel: the DuplexChannel interface over a real socket pair.
+"""The socket channel: the DuplexChannel interface over a real socket pair.
+
+The one socket channel is :class:`~repro.transport.mux.MuxChannel`; these
+tests drive its default (``None``) context, which is what a peer that opens
+no per-query contexts speaks.
 
 Includes the byte-accounting comparability check of the distributed-runtime
-PR: the in-memory channel and the TCP channel must report the *same*
+PR: the in-memory channel and the socket channel must report the *same*
 ``bytes_transferred`` for the same payload, because both size their traffic
 with the same wire codec.
 """
 
 from __future__ import annotations
 
-import socket
 import threading
 
 import pytest
 
 from repro.exceptions import ChannelError
 from repro.network.channel import DuplexChannel
-from repro.transport.channel import TcpChannel
 from repro.transport.wire import WireCodec
+from tests.conftest import socket_channel_pair
 
 
 @pytest.fixture()
 def channel_pair(public_key):
-    left, right = socket.socketpair()
-    c1_side = TcpChannel(left, WireCodec(public_key), "C1", "C2")
-    c2_side = TcpChannel(right, WireCodec(public_key), "C2", "C1")
+    c1_side, c2_side = socket_channel_pair(WireCodec(public_key))
     yield c1_side, c2_side
-    c1_side.close()
-    c2_side.close()
+    c1_side.connection.close()
+    c2_side.connection.close()
 
 
 class TestTcpChannel:
@@ -76,7 +77,7 @@ class TestTcpChannel:
 
     def test_closed_peer_raises(self, channel_pair):
         c1_side, c2_side = channel_pair
-        c2_side.close()
+        c2_side.connection.close()
         with pytest.raises(ChannelError):
             c1_side.receive("C1")
 

@@ -2,14 +2,13 @@
 
 Satellite of the telemetry PR.  The in-memory ``DuplexChannel`` sizes its
 traffic with the exact TCP wire encoding, so for *every* payload shape the
-per-tag byte and message counts must match what a real ``TcpChannel`` pair
-measures on both ends of a socket — and merging shard-level
-``TrafficStats`` must equal the sum of the parts, per tag and in aggregate.
+per-tag byte and message counts must match what a real socket channel pair
+(``MuxChannel`` default contexts) measures on both ends of a socket — and
+merging shard-level ``TrafficStats`` must equal the sum of the parts, per tag
+and in aggregate.
 """
 
 from __future__ import annotations
-
-import socket
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,8 +16,8 @@ from hypothesis import strategies as st
 from repro.network.channel import DuplexChannel
 from repro.network.stats import TrafficStats
 from repro.telemetry import tracing
-from repro.transport.channel import TcpChannel
 from repro.transport.wire import WireCodec
+from tests.conftest import socket_channel_pair
 
 TAGS = ("SM.masked_operands", "SSED.batch", "SkNN.masked_results",
         "transport.query", "")
@@ -43,13 +42,6 @@ def payload_strategy(ciphertext_values):
     )
 
 
-def tcp_pair(public_key):
-    left_sock, right_sock = socket.socketpair()
-    left = TcpChannel(left_sock, WireCodec(public_key), "C1", "C2")
-    right = TcpChannel(right_sock, WireCodec(public_key), "C2", "C1")
-    return left, right
-
-
 class TestCrossTransportParity:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -63,7 +55,7 @@ class TestCrossTransportParity:
             min_size=1, max_size=6))
 
         duplex = DuplexChannel("C1", "C2")
-        left, right = tcp_pair(public_key)
+        left, right = socket_channel_pair(WireCodec(public_key))
         try:
             for tag, payload in batch:
                 duplex.send("C1", payload, tag=tag)
@@ -79,8 +71,8 @@ class TestCrossTransportParity:
                     simulated.per_tag_snapshot()
                 assert measured.snapshot() == simulated.snapshot()
         finally:
-            left.close()
-            right.close()
+            left.connection.close()
+            right.connection.close()
 
     def test_trace_context_costs_the_same_bytes_on_both_transports(
             self, public_key):
@@ -90,7 +82,7 @@ class TestCrossTransportParity:
 
         def run_both():
             duplex = DuplexChannel("C1", "C2")
-            left, right = tcp_pair(public_key)
+            left, right = socket_channel_pair(WireCodec(public_key))
             try:
                 duplex.send("C1", payload, tag="SM.t")
                 duplex.receive("C2")
@@ -100,8 +92,8 @@ class TestCrossTransportParity:
                         left.traffic["C1"].bytes_transferred,
                         right.traffic["C1"].bytes_transferred)
             finally:
-                left.close()
-                right.close()
+                left.connection.close()
+                right.connection.close()
 
         plain = run_both()
         with tracing.trace("query.test", party="C1") as root:
