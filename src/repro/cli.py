@@ -390,15 +390,42 @@ def _run_query_connected(args: argparse.Namespace, table, query) -> int:
     return 0 if matches else 1
 
 
+def _build_party(args: argparse.Namespace):
+    """The role daemon ``repro party`` asks for (not yet listening)."""
+    from repro.exceptions import ConfigurationError
+    from repro.transport.daemon import (
+        DEFAULT_IO_DEADLINE,
+        C1Daemon,
+        C2Daemon,
+        parse_address,
+    )
+
+    host, port = parse_address(args.listen)
+    slow = args.slow_query_seconds if args.slow_query_seconds > 0 else None
+    if args.io_deadline is None:
+        io_deadline: float | None = DEFAULT_IO_DEADLINE
+    else:
+        io_deadline = args.io_deadline if args.io_deadline > 0 else None
+    options = dict(host=host, port=port, port_file=args.port_file,
+                   pool_cache=args.pool_cache,
+                   metrics_listen=args.metrics_listen,
+                   slow_query_seconds=slow, io_deadline=io_deadline,
+                   state_dir=args.state_dir,
+                   state_fsync=not args.no_state_fsync,
+                   journal_compact_every=args.journal_compact_every,
+                   profile=args.profile)
+    if args.role == "c1":
+        options.update(peer_connections=args.peer_connections,
+                       shard_index=args.shard_index,
+                       shard_count=args.shard_count)
+    elif args.shard_index is not None or args.shard_count is not None:
+        raise ConfigurationError("only C1 daemons can be shards")
+    return {"c1": C1Daemon, "c2": C2Daemon}[args.role](**options)
+
+
 def _run_party(args: argparse.Namespace) -> int:
     """Run one cloud party daemon until SIGTERM/SIGINT."""
     import logging
-
-    from repro.transport.daemon import (
-        DEFAULT_IO_DEADLINE,
-        PartyDaemon,
-        parse_address,
-    )
 
     level = getattr(logging, args.log_level.upper())
     if args.json_logs:
@@ -410,26 +437,7 @@ def _run_party(args: argparse.Namespace) -> int:
         logging.basicConfig(
             level=level,
             format="%(asctime)s %(name)s %(levelname)s %(message)s")
-    host, port = parse_address(args.listen)
-    slow = args.slow_query_seconds if args.slow_query_seconds > 0 else None
-    if args.io_deadline is None:
-        io_deadline: float | None = DEFAULT_IO_DEADLINE
-    else:
-        io_deadline = args.io_deadline if args.io_deadline > 0 else None
-    daemon = PartyDaemon(args.role, host=host, port=port,
-                         port_file=args.port_file,
-                         pool_cache=args.pool_cache,
-                         metrics_listen=args.metrics_listen,
-                         slow_query_seconds=slow,
-                         io_deadline=io_deadline,
-                         state_dir=args.state_dir,
-                         state_fsync=not args.no_state_fsync,
-                         journal_compact_every=args.journal_compact_every,
-                         profile=args.profile,
-                         peer_connections=args.peer_connections,
-                         shard_index=args.shard_index,
-                         shard_count=args.shard_count)
-    daemon.serve_forever()
+    _build_party(args).serve_forever()
     return 0
 
 

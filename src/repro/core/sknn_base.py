@@ -15,11 +15,13 @@ what the subclasses implement.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import ResultShares
@@ -76,26 +78,21 @@ class RunStatsRecorder:
     def __init__(self, cloud: FederatedCloud) -> None:
         self.cloud = cloud
         self._scope = _paillier.active_counting_scope()
+        self._before = self._snapshot()
+
+    def _snapshot(self) -> tuple[dict, dict, dict]:
+        """``(C1 counters, C2 counters, channel traffic)`` as of now."""
         if self._scope is not None:
-            self._scope_before = self._scope.snapshot()
+            pk = sk = self._scope.snapshot()
         else:
-            self._pk_before = cloud.c1.public_key.counter.snapshot()
-            self._sk_before = cloud.c2.private_key.counter.snapshot()
-        self._traffic_before = cloud.channel.total_traffic().snapshot()
+            pk = self.cloud.c1.public_key.counter.snapshot()
+            sk = self.cloud.c2.private_key.counter.snapshot()
+        return pk, sk, self.cloud.channel.total_traffic().snapshot()
 
     def finish(self, protocol: str, elapsed: float) -> ProtocolRunStats:
         """Diff the counters against the construction-time snapshot."""
-        if self._scope is not None:
-            scope_after = self._scope.snapshot()
-            pk_after = scope_after
-            sk_after = scope_after
-            pk_before = sk_before = self._scope_before
-        else:
-            pk_after = self.cloud.c1.public_key.counter.snapshot()
-            sk_after = self.cloud.c2.private_key.counter.snapshot()
-            pk_before = self._pk_before
-            sk_before = self._sk_before
-        traffic_after = self.cloud.channel.total_traffic().snapshot()
+        pk_before, sk_before, traffic_before = self._before
+        pk_after, sk_after, traffic_after = self._snapshot()
         return ProtocolRunStats(
             protocol=protocol,
             wall_time_seconds=elapsed,
@@ -110,13 +107,13 @@ class RunStatsRecorder:
             c2_decryptions=(
                 sk_after["decryptions"] - sk_before["decryptions"]
             ),
-            messages=traffic_after["messages"] - self._traffic_before["messages"],
+            messages=traffic_after["messages"] - traffic_before["messages"],
             ciphertexts_exchanged=(
-                traffic_after["ciphertexts"] - self._traffic_before["ciphertexts"]
+                traffic_after["ciphertexts"] - traffic_before["ciphertexts"]
             ),
             bytes_transferred=(
                 traffic_after["bytes_transferred"]
-                - self._traffic_before["bytes_transferred"]
+                - traffic_before["bytes_transferred"]
             ),
         )
 
@@ -135,12 +132,10 @@ class SkNNRunReport:
     stats: ProtocolRunStats
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: cost-ledger rollup rows ``{"phase", "party", "seconds", "ops"}``
-    #: attributing Paillier op counts and wall time to each protocol phase;
-    #: C2 daemon rows are stitched in when the query ran distributed (their
-    #: seconds overlap C1's wait time rather than adding to the wall clock).
+    #: attributing Paillier op counts and wall time to each protocol phase
+    #: (other processes' rows join through :meth:`merge_remote`).
     cost_breakdown: list[dict[str, Any]] = field(default_factory=list)
-    #: stitched distributed trace: ``{"trace_id": ..., "spans": [...]}``
-    #: with spans from both clouds when the query ran distributed.
+    #: ``{"trace_id": ..., "spans": [...]}``, spans of every process merged
     trace: dict[str, Any] | None = None
 
     def as_row(self) -> dict[str, float]:
@@ -160,28 +155,44 @@ class SkNNRunReport:
 
     def as_payload(self) -> dict[str, Any]:
         """Lossless wire form — a C1 daemon ships its report to the client."""
-        return {
-            "protocol": self.protocol,
-            "n_records": self.n_records,
-            "dimensions": self.dimensions,
-            "k": self.k,
-            "key_size": self.key_size,
-            "distance_bits": self.distance_bits,
-            "wall_time_seconds": self.wall_time_seconds,
-            "stats": self.stats.as_payload(),
-            "phase_seconds": dict(self.phase_seconds),
-            "cost_breakdown": [dict(row) for row in self.cost_breakdown],
-            "trace": self.trace,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_payload(cls, data: dict[str, Any]) -> "SkNNRunReport":
         """Rebuild from :meth:`as_payload` output."""
         fields = dict(data)
         fields["stats"] = ProtocolRunStats.from_payload(fields["stats"])
-        fields.setdefault("trace", None)
-        fields.setdefault("cost_breakdown", [])
         return cls(**fields)
+
+    def merge_remote(self, trace_id: str, spans: Iterable[Any],
+                     c2_window: Mapping[str, Any] | None = None,
+                     shard_reports: Sequence["SkNNRunReport"] = ()) -> None:
+        """Stitch in what other processes measured for this run.
+
+        ``spans`` are this process's own spans of trace ``trace_id``,
+        ``c2_window`` the C2 daemon's ``telemetry.collect`` reply
+        (``{"counters", "spans", "cost"}``) and ``shard_reports`` the shard
+        daemons' scan reports, each already merged with its own C2 window.
+        Their counters and traffic join ``stats`` — so a distributed report
+        matches a serial run's totals — and their cost rows ride along
+        under their own party labels: C2's seconds overlap this party's
+        wait and a shard scans beside it, so only this party's own rows sum
+        to ``wall_time_seconds``.  All spans land in one start-sorted
+        ``trace``.
+        """
+        spans = list(spans)
+        if c2_window is not None:
+            self.stats.add_c2_counters(c2_window.get("counters") or {})
+            self.cost_breakdown.extend(c2_window.get("cost") or [])
+            spans.extend(c2_window.get("spans") or [])
+        for shard in shard_reports:
+            self.stats.absorb(shard.stats)
+            self.stats.extra["shard_records_scanned"] = (
+                self.stats.extra.get("shard_records_scanned", 0)
+                + shard.n_records)
+            self.cost_breakdown.extend(shard.cost_breakdown)
+            spans.extend((shard.trace or {}).get("spans") or [])
+        self.trace = _tracing.trace_payload(trace_id, spans)
 
 
 class SkNNProtocol(P2StepDispatcher):
@@ -197,6 +208,10 @@ class SkNNProtocol(P2StepDispatcher):
 
     #: protocol name used in reports ("SkNNb" / "SkNNm")
     name = "SkNN"
+
+    #: party label of ``run_with_report``'s cost rows and root span (a
+    #: shard daemon's scan runs as ``"C1-shard{i}"``)
+    party = "C1"
 
     #: incoming-message tag -> name of the C2 handler method consuming it
     P2_STEPS: dict[str, str] = {
@@ -368,28 +383,20 @@ class SkNNProtocol(P2StepDispatcher):
                         distance_bits: int | None = None) -> ResultShares:
         """Run the protocol and record a :class:`SkNNRunReport` in ``last_report``.
 
-        When no trace is active yet (serial runs, or the C1 daemon before
-        PR 6) a fresh trace is rooted here, so every ``run_with_report``
-        produces a ``report.trace`` timeline.  When the caller already
-        opened one (the C1 daemon roots the trace itself so it can stitch
-        in the C2 daemon's spans) this joins it instead.
+        When no trace is active yet (serial runs) a fresh trace is rooted
+        here, so every ``run_with_report`` produces a ``report.trace``
+        timeline.  When the caller already opened one (a C1 daemon roots
+        the trace itself so it can merge in the C2 daemon's spans) this
+        joins it instead.
         """
         recorder = RunStatsRecorder(self.cloud)
-        ledger = _profiling.CostLedger.for_cloud(self.cloud, party="C1")
-        owns_trace = _tracing.current_wire_context() is None
+        ledger = _profiling.CostLedger.for_cloud(self.cloud, party=self.party)
+        root = (_tracing.trace(f"query.{self.name}", party=self.party,
+                               k=k, n=len(self.encrypted_table))
+                if _tracing.current_wire_context() is None else None)
         started = time.perf_counter()
-
-        if owns_trace:
-            with _tracing.trace(f"query.{self.name}", party="C1",
-                                k=k, n=len(self.encrypted_table)) as root:
-                with ledger.activate():
-                    shares = self.run(encrypted_query, k)
-            trace_id = root.trace_id
-        else:
-            with ledger.activate():
-                shares = self.run(encrypted_query, k)
-            trace_id = None
-
+        with root or nullcontext(), ledger.activate():
+            shares = self.run(encrypted_query, k)
         elapsed = time.perf_counter() - started
         stats = recorder.finish(self.name, elapsed)
         cost_rows = ledger.finish()
@@ -412,8 +419,8 @@ class SkNNProtocol(P2StepDispatcher):
             stats=stats,
             phase_seconds=_profiling.phase_seconds_of(cost_rows),
             cost_breakdown=cost_rows,
-            trace=(_tracing.trace_payload(
-                trace_id, _tracing.get_tracer().take(trace_id))
-                if trace_id is not None else None),
         )
+        if root is not None:
+            self.last_report.merge_remote(
+                root.trace_id, _tracing.get_tracer().take(root.trace_id))
         return shares

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
+import uuid
 from collections import OrderedDict
 from typing import Any, Callable, Sequence
 
@@ -147,10 +148,12 @@ class ScanRegistry:
 class ShardScanProtocol(SkNNProtocol):
     """The distance phase of one shard, plus C2's filing/merging steps.
 
-    On a shard C1 daemon this drives :meth:`run_scan`; on the C2 daemon
-    only the two P2 handlers are dispatched (``registry`` must be set
-    there).  The protocol deliberately has no delivery phase — shards never
-    see which records win, the coordinator delivers.
+    On a shard C1 daemon :meth:`run` scans the slice under the ``scan_id``
+    the coordinator minted (an ordinary reported run, ledgered and traced as
+    party ``C1-shard{i}``); on the C2 daemon only the two P2 handlers are
+    dispatched (``registry`` must be set there).  The protocol deliberately
+    has no delivery phase — shards never see which records win, the
+    coordinator delivers.
     """
 
     name = "SkNNb-shard"
@@ -163,20 +166,22 @@ class ShardScanProtocol(SkNNProtocol):
     def __init__(self, cloud: FederatedCloud, shard_index: int = 0,
                  shard_count: int = 1, start_index: int = 0,
                  registry: ScanRegistry | None = None,
-                 feature_dimensions: int | None = None) -> None:
+                 feature_dimensions: int | None = None,
+                 scan_id: str | None = None) -> None:
         super().__init__(cloud, feature_dimensions=feature_dimensions)
+        self.party = f"C1-shard{shard_index}"
         self.shard_index = shard_index
         self.shard_count = shard_count
         self.start_index = start_index
         self.registry = registry
+        self.scan_id = scan_id
 
-    def run_scan(self, encrypted_query: Sequence[Ciphertext], k: int,
-                 scan_id: str) -> int:
+    def run(self, encrypted_query: Sequence[Ciphertext], k: int) -> None:
         """SSED over this shard's slice; ship the distances to C2.
 
-        Returns the number of records scanned.  ``k`` may exceed the slice
-        size (it is global): the shard simply contributes its whole slice
-        as candidates then.
+        Returns no shares — the report's ``n_records`` is the number of
+        records scanned.  ``k`` may exceed the slice size (it is global):
+        the shard simply contributes its whole slice as candidates then.
         """
         table = self.encrypted_table
         expected = self.feature_dimensions or table.dimensions
@@ -190,15 +195,14 @@ class ShardScanProtocol(SkNNProtocol):
             encrypted_query)
         with _profiling.cost_scope("select"):
             self.cloud.c1.send(
-                [scan_id, self.shard_index, self.shard_count, k,
+                [self.scan_id, self.shard_index, self.shard_count, k,
                  self.start_index, encrypted_distances],
                 tag="SkNNb.shard_distances")
             self.p2_step("SkNNb.shard_distances")
             ack = self.cloud.c1.receive(expected_tag="SkNNb.shard_filed")
-        if ack != scan_id:
+        if ack != self.scan_id:
             raise ProtocolError(
-                f"C2 acknowledged scan {ack!r}, expected {scan_id!r}")
-        return len(table)
+                f"C2 acknowledged scan {ack!r}, expected {self.scan_id!r}")
 
     # -- C2 steps -------------------------------------------------------------
     def _require_registry(self) -> ScanRegistry:
@@ -238,6 +242,7 @@ class ShardCoordinatorProtocol(SkNNProtocol):
     Holds the *full* table (for validation and the delivery phase) plus a
     ``scatter`` callable that fans the scan out to the shard daemons and
     returns only when every shard has acknowledged filing its candidates.
+    Every run mints its own scan id, so one instance serves a whole batch.
     The C2-side gather handler lives on :class:`ShardScanProtocol`; it is
     registered here too so an in-process C2 stub can dispatch it inline.
     """
@@ -250,12 +255,11 @@ class ShardCoordinatorProtocol(SkNNProtocol):
 
     def __init__(self, cloud: FederatedCloud, shard_count: int,
                  scatter: Callable[[str, list[Ciphertext], int], Any],
-                 scan_id: str, registry: ScanRegistry | None = None,
+                 registry: ScanRegistry | None = None,
                  feature_dimensions: int | None = None) -> None:
         super().__init__(cloud, feature_dimensions=feature_dimensions)
         self.shard_count = shard_count
         self._scatter = scatter
-        self.scan_id = scan_id
         self.registry = registry
 
     _p2_gather_top_k = ShardScanProtocol._p2_gather_top_k
@@ -266,10 +270,11 @@ class ShardCoordinatorProtocol(SkNNProtocol):
         """Scatter the scan, gather the global top-k, deliver the records."""
         self._validate_query(encrypted_query, k)
         c1 = self.cloud.c1
+        scan_id = uuid.uuid4().hex
         with _profiling.cost_scope("scan"):
-            self._scatter(self.scan_id, list(encrypted_query), k)
+            self._scatter(scan_id, list(encrypted_query), k)
         with _profiling.cost_scope("select"):
-            c1.send([self.scan_id, k, self.shard_count],
+            c1.send([scan_id, k, self.shard_count],
                     tag="SkNNb.gather_top_k")
             self.p2_step("SkNNb.gather_top_k")
             delta = c1.receive(expected_tag="SkNNb.topk_indices")

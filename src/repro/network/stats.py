@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Mapping
 
 
 @dataclass
@@ -122,6 +123,33 @@ class ProtocolRunStats:
     def total_decryptions(self) -> int:
         """Total decryptions (only C2 can decrypt)."""
         return self.c2_decryptions
+
+    def add_c2_counters(self, counters: Mapping[str, int]) -> None:
+        """Add the Paillier counter deltas a remote C2 measured for this run.
+
+        A C1 process sees only its own counters, so the C2 columns are
+        filled from the window C2 measured over the same run; C2's
+        homomorphic additions have no column and ride in ``extra``.
+        """
+        self.c2_encryptions += int(counters.get("encryptions", 0))
+        self.c2_exponentiations += int(counters.get("exponentiations", 0))
+        self.c2_decryptions += int(counters.get("decryptions", 0))
+        additions = int(counters.get("homomorphic_additions", 0))
+        if additions:
+            self.extra["c2_homomorphic_additions"] = (
+                self.extra.get("c2_homomorphic_additions", 0) + additions)
+
+    def absorb(self, other: "ProtocolRunStats") -> None:
+        """Add another run's counters, traffic and extras to this run's —
+        work done on its behalf elsewhere (a shard daemon's scan); the label
+        and wall time stay this run's own."""
+        for name in ("c1_encryptions", "c1_exponentiations",
+                     "c1_homomorphic_additions", "c2_encryptions",
+                     "c2_decryptions", "c2_exponentiations", "messages",
+                     "ciphertexts_exchanged", "bytes_transferred"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for key, value in other.extra.items():
+            self.extra[key] = self.extra.get(key, 0) + value
 
     def as_row(self) -> dict[str, float]:
         """Flatten into a single dictionary suitable for tabular reporting."""

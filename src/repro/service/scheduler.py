@@ -20,8 +20,7 @@ layer.  Three pieces cooperate:
 
 The server answers queries through a :class:`~repro.service.sharding.
 ShardedCloud`, so the distance phase is scatter-gathered across shards on a
-persistent worker pool, and (when a :class:`~repro.crypto.RandomnessPool` is
-configured) the delivery-phase mask encryptions are cheap multiplications.
+persistent worker pool.
 """
 
 from __future__ import annotations
@@ -286,11 +285,6 @@ class QueryServer:
                 "repro_scheduler_serving",
                 "Aggregate serving statistics of the query scheduler.",
                 ("stat",)).set(value, stat=name)
-
-    @property
-    def sharded(self) -> ShardedCloud:
-        """Back-compat alias for :attr:`store` (historically always sharded)."""
-        return self.store
 
     # -- sessions -----------------------------------------------------------
     def open_session(self, name: str | None = None) -> ServiceSession:

@@ -10,7 +10,8 @@ package provides the real thing:
 * :mod:`repro.transport.mux` — :class:`MuxChannel`, a drop-in
   implementation of the ``DuplexChannel`` send/recv interface over a
   (multiplexed) socket;
-* :mod:`repro.transport.daemon` — the C1/C2 party daemons
+* :mod:`repro.transport.daemon` — the party daemons ``C1Daemon`` and
+  ``C2Daemon`` over their shared :class:`PartyDaemon` core
   (``repro party --role c1|c2 --listen HOST:PORT``);
 * :mod:`repro.transport.supervisor` — spawns both daemons locally as
   subprocesses (tests, examples, ``SkNNSystem`` ``mode="distributed"``);

@@ -410,7 +410,7 @@ class RemoteCloud:
 
     def query(self, encrypted_query: Sequence[Ciphertext], k: int,
               mode: str = "basic"
-              ) -> tuple[ResultShares, SkNNRunReport | None]:
+              ) -> tuple[ResultShares, SkNNRunReport]:
         """Run one kNN query across the two daemons.
 
         C1 answers with its mask share plus the delivery id; the decrypted
@@ -427,7 +427,7 @@ class RemoteCloud:
         """
         state = {"query_id": self._next_query_id()}
 
-        def run_once() -> tuple[ResultShares, SkNNRunReport | None]:
+        def run_once() -> tuple[ResultShares, SkNNRunReport]:
             reply = self.c1.request("transport.query", {
                 "mode": mode, "k": k, "query": list(encrypted_query),
                 "query_id": state["query_id"],
@@ -440,9 +440,7 @@ class RemoteCloud:
             except ReproError:
                 state["query_id"] = self._next_query_id()
                 raise
-            report = (SkNNRunReport.from_payload(reply["report"])
-                      if reply.get("report") else None)
-            return shares, report
+            return shares, SkNNRunReport.from_payload(reply["report"])
 
         return retry_call(run_once, self.retry, op="query", rng=self._rng,
                           on_retry=self._recover)

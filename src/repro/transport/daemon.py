@@ -1,22 +1,28 @@
 """Party daemons: C1 and C2 as standalone networked processes.
 
-Each daemon owns one listening TCP socket and serves two kinds of
-connections, distinguished by the first frame (a ``transport.hello``
-message):
+Three classes, split along the paper's separation of state:
 
-* **clients** (Alice provisioning, Bob querying, the supervisor) speak a
-  request/reply control protocol — tags prefixed ``transport.``;
-* **the peer cloud** (only on C2: the connection C1 dials after it is
-  provisioned) speaks the *protocol* wire format: every incoming frame's tag
-  selects the registered P2 step handler (see
-  :meth:`~repro.protocols.base.TwoPartyProtocol.collect_p2_handlers`), which
-  receives the message, computes C2's step and sends the tagged reply — the
-  same handler code the in-memory runtime executes inline.
+* :class:`PartyDaemon` — what both parties share and nothing else: the
+  listening socket and ``transport.hello`` handshake, the client
+  request/reply control loop (``transport.*`` tags dispatched through the
+  class's ``CONTROL_STEPS`` table, typed ``transport.error`` replies), the
+  provision manifest, the precompute engine + ``--pool-cache``, the
+  ``transport.stats``/metrics scaffolding and the lifecycle.
+* :class:`C2Daemon` — holds ``sk`` and never the table.  On the *cloud-peer*
+  connections C1 dials, every incoming frame's tag selects the registered P2
+  step handler (:meth:`~repro.protocols.base.TwoPartyProtocol.
+  collect_p2_handlers`) — the same handler code the in-memory runtime
+  executes inline.  Owns the share mailbox, the shard scan registry and the
+  per-run telemetry windows.
+* :class:`C1Daemon` — holds ``Epk(T)`` and only ``pk``.  Owns the peer
+  connection pool, the reply cache and the one *leased-peer runner* every
+  C1-side run goes through (a query, a scheduler batch, a shard's scan),
+  which merges what C2 and the shard daemons measured into the run's report
+  (:meth:`~repro.core.sknn_base.SkNNRunReport.merge_remote`).  Shard
+  daemons and the shard coordinator are configurations of this class.
 
-Trust boundary: the C1 daemon holds the encrypted table and only the public
-key; the C2 daemon holds the private key and never sees the table.  Result
-shares decrypted by C2 stay on the C2 daemon (a mailbox keyed by delivery
-id) until the query client fetches them over its *own* connection — C1 never
+Result shares decrypted by C2 stay in its mailbox (keyed by delivery id)
+until the query client fetches them over its *own* connection — C1 never
 relays them, mirroring the paper's delivery step.
 
 Shutdown is hardened for CI: ``serve_forever`` installs SIGTERM/SIGINT
@@ -35,12 +41,18 @@ import threading
 import time
 import uuid
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from random import Random
 from typing import Any, Callable
 
 from repro.core.cloud import CloudC1, CloudC2, FederatedCloud
 from repro.core.sknn_basic import SkNNBasic
+from repro.core.sknn_base import (
+    RunStatsRecorder,
+    SkNNProtocol,
+    SkNNRunReport,
+)
 from repro.core.sknn_secure import SkNNSecure
 from repro.core.sknn_shard import (
     ScanRegistry,
@@ -81,8 +93,8 @@ from repro.transport.framing import deadline_at, recv_frame, send_frame
 from repro.transport.mux import MuxChannel, MuxConnection, PeerPool
 from repro.transport.wire import WireCodec
 
-__all__ = ["PartyDaemon", "ShareMailbox", "DurableShareMailbox",
-           "parse_address", "RemotePrivateKey"]
+__all__ = ["PartyDaemon", "C1Daemon", "C2Daemon", "ShareMailbox",
+           "DurableShareMailbox", "parse_address", "RemotePrivateKey"]
 
 logger = logging.getLogger("repro.transport")
 
@@ -339,29 +351,50 @@ class RemotePrivateKey:
             f"(attempted to use {name!r} locally)")
 
 
-class _Connection:
-    """One accepted socket plus the bookkeeping to shut it down."""
+def _close_socket(sock: socket.socket) -> None:
+    """Shut down and close, ignoring a socket that is already gone.
 
-    def __init__(self, sock: socket.socket, address) -> None:
-        self.sock = sock
-        self.address = address
+    ``shutdown`` first: ``close()`` from another thread does not wake a
+    thread blocked in ``accept()``/``recv()`` on Linux, ``shutdown()`` does.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
-    def close(self) -> None:
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+
+def _replayed(id_key: str):
+    """Serve a C1 control step through the daemon's replay memo.
+
+    ``payload[id_key]`` is the request's idempotency id: a retried request
+    whose reply was lost re-reads the completed answer, and a duplicate of
+    an in-flight one waits for the original run instead of double-consuming
+    pool entries and mailbox shares (or, for a shard scan, double-filing
+    with C2).
+    """
+    def decorate(step):
+        def replayed(self: "C1Daemon", payload: dict[str, Any]) -> Any:
+            return self._reply_cache.run(payload.get(id_key),
+                                         lambda: step(self, payload),
+                                         timeout=self.io_deadline)
+        return replayed
+    return decorate
 
 
 class PartyDaemon:
-    """One cloud party (C1 or C2) serving its side of the SkNN protocols.
+    """What both cloud parties share: listener, control plane, lifecycle.
+
+    Never instantiated itself — ``repro party --role`` picks
+    :class:`C1Daemon` or :class:`C2Daemon`, which add their party's state
+    and nothing of the other's, and supply ``_provisioned()``,
+    ``_provision(payload, from_recovery)``, ``_peer_links()`` (the live
+    multiplexed peer connections) and ``_close_role()``.
 
     Args:
-        role: ``"c1"`` or ``"c2"``.
         host: interface to listen on.
         port: TCP port (0 = ephemeral; see ``port_file``).
         port_file: when given, the bound ``host port`` is written there once
@@ -384,18 +417,32 @@ class PartyDaemon:
             disk (replayed on the next start), and a provision manifest
             lets a restarted daemon serve fetch/replay traffic without
             being re-provisioned.  ``None`` (the default) keeps all state
-            in memory, exactly as before.
+            in memory.
         state_fsync: fsync journal appends and snapshot writes (the
             durability guarantee; disable only for benchmarks).
         journal_compact_every: rewrite a journal once it exceeds this many
             records, bounding disk usage by live state rather than query
             count.
+        profile: arm the always-on sampling profiler.
     """
+
+    #: ``"c1"`` / ``"c2"`` — the wire and metrics label of the role class
+    role = ""
 
     #: snapshot kind tag of the provision manifest
     MANIFEST_KIND = "party-provision-manifest"
 
-    def __init__(self, role: str, host: str = "127.0.0.1", port: int = 0,
+    #: control tag -> name of the method answering it (role classes extend)
+    CONTROL_STEPS: dict[str, str] = {
+        "transport.ping": "_handle_ping",
+        "transport.shutdown": "_handle_shutdown",
+        "transport.provision": "_handle_provision",
+        "transport.stats": "_handle_stats",
+        "transport.metrics": "_handle_metrics",
+        "transport.profile": "_handle_profile",
+    }
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  port_file: str | Path | None = None,
                  pool_cache: str | Path | None = None,
                  metrics_listen: str | None = None,
@@ -404,32 +451,8 @@ class PartyDaemon:
                  state_dir: str | Path | None = None,
                  state_fsync: bool = True,
                  journal_compact_every: int = 512,
-                 profile: bool = False,
-                 peer_connections: int = 1,
-                 shard_index: int | None = None,
-                 shard_count: int | None = None) -> None:
-        if role not in ("c1", "c2"):
-            raise ConfigurationError(f"unknown party role {role!r}")
-        if shard_index is not None and role != "c1":
-            raise ConfigurationError("only C1 daemons can be shards")
-        if (shard_index is None) != (shard_count is None):
-            raise ConfigurationError(
-                "--shard-index and --shard-count go together")
-        if shard_index is not None and not (
-                0 <= shard_index < (shard_count or 0)):
-            raise ConfigurationError(
-                f"shard_index {shard_index} out of range for "
-                f"{shard_count} shards")
-        self.role = role
-        self.party_name = role.upper()
-        #: how many persistent multiplexed connections the C1 side keeps to
-        #: C2 — pipelining comes from per-query contexts either way, extra
-        #: connections spread the socket-level send serialization.
-        self.peer_connections = max(int(peer_connections), 1)
-        #: shard identity of a C1 shard daemon (``None`` on a plain C1 or
-        #: coordinator); the provision payload must agree.
-        self.shard_index = shard_index
-        self.shard_count = shard_count
+                 profile: bool = False) -> None:
+        self.party_name = self.role.upper()
         self.host = host
         self.port = port
         self.port_file = Path(port_file) if port_file is not None else None
@@ -440,103 +463,50 @@ class PartyDaemon:
         self.state_fsync = state_fsync
         self.journal_compact_every = journal_compact_every
         self._started_at = time.monotonic()
-        #: this process's delivery-id epoch (C1 only): sent in the cloud
-        #: hello so C2 wipes its mailbox exactly when the id counter
-        #: restarted, not on every reconnect of the same process.  Shard
-        #: daemons never mint delivery ids, so they carry no epoch and
-        #: their hellos leave the coordinator's mailbox alone.
-        self.epoch = (uuid.uuid4().hex
-                      if role == "c1" and shard_index is None else None)
+        self._manifest: Path | None = None
         if self.state_dir is not None:
             self.state_dir.mkdir(parents=True, exist_ok=True)
-        # Idempotent replay of completed transport.query/query_batch
-        # replies, keyed by the client's query id (see _handle_control).
-        # With a state dir, completed replies are journaled and survive a
-        # crash: a retried query id after a restart replays from disk.
-        if self.state_dir is not None and role == "c1":
-            self._reply_cache: ReplyCache = DurableReplyCache(
-                self.state_dir / "replies.journal", name=f"{role}-query",
-                fsync=state_fsync, compact_every=journal_compact_every)
-        else:
-            self._reply_cache = ReplyCache(name=f"{role}-query")
+            self._manifest = self.state_dir / "manifest.json"
         self._metrics_server: MetricsHTTPServer | None = None
         self.slow_log = SlowQueryLog(threshold_seconds=slow_query_seconds)
         #: always-on sampling profiler (``--profile``); ``/profile`` and
         #: ``transport.profile`` fall back to an ephemeral sampler when off.
         self.profiler = (telemetry_profiling.SamplingProfiler()
                          if profile else None)
-        # C2: per-trace cost ledgers for the telemetry.collect window.  The
-        # ledger's construction-time snapshot *is* the counter-delta window
-        # opened by telemetry.trace_begin, so the shipped counters and the
-        # per-phase rows can never disagree.
-        self._trace_ledgers: dict[str, telemetry_profiling.CostLedger] = {}
-        self._trace_ledgers_lock = threading.Lock()
-
         self.codec = WireCodec()
         self.engine: PrecomputeEngine | None = None
-        if self.state_dir is not None and role == "c2":
-            self.mailbox: ShareMailbox = DurableShareMailbox(
-                self.state_dir / "mailbox.journal", fsync=state_fsync,
-                compact_every=journal_compact_every)
-        else:
-            self.mailbox = ShareMailbox()
-        self._count_recovered()
         self.rng: Random | None = None
         self.distance_bits: int | None = None
-
-        # C2 state
-        self._private_key = None
-        #: rendezvous of shard candidate filings across peer connections
-        self._scan_registry = ScanRegistry(
-            timeout=io_deadline if io_deadline is not None else 120.0)
-        #: accepted cloud-peer connections (C2), for stats and shutdown
-        self._peer_links: list[MuxConnection] = []
-        # C1 state
-        self._peer_pool: PeerPool | None = None
-        # Provisioned inputs kept so a failed peer link can be re-dialled
-        # and the protocol stack rebuilt without a client re-provision.
-        self._table: EncryptedTable | None = None
-        self._c2_address: tuple[str, int] | None = None
-        #: coordinator mode: addresses of the C1 shard daemons to scatter to
-        self._shard_addresses: list[tuple[str, int]] | None = None
-        #: shard mode: this slice's global start index (from provisioning)
-        self._start_index = 0
         self._rng_lock = threading.Lock()
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
 
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
-        self._connections: set[_Connection] = set()
+        self._connections: set[socket.socket] = set()
         self._state_lock = threading.Lock()
         self._stop = threading.Event()
         self._closed = False
 
-    def _count_recovered(self) -> None:
+    def _serve_peer(self, peer_kind: Any, sock: socket.socket, address: Any,
+                    hello: Any) -> None:
+        """Serve a non-client connection; only C2 accepts one (the cloud)."""
+        raise ChannelError(f"unsupported peer kind {peer_kind!r}")
+
+    def _count_recovered(self, kind: str, count: int) -> None:
         """Publish how much journaled state the restart brought back."""
-        recovered = telemetry_metrics.get_registry().counter(
+        if not count:
+            return
+        telemetry_metrics.get_registry().counter(
             "repro_recovered_deliveries_total",
             "Mailbox shares and completed replies replayed from the "
-            "durability journals after a restart.", ("role", "kind"))
-        shares = getattr(self.mailbox, "recovered", 0)
-        if shares:
-            recovered.inc(shares, role=self.role, kind="share")
-        replies = getattr(self._reply_cache, "recovered", 0)
-        if replies:
-            recovered.inc(replies, role=self.role, kind="reply")
-        if shares or replies:
-            logger.info("%s recovered %d shares and %d replies from %s",
-                        self.party_name, shares, replies, self.state_dir)
+            "durability journals after a restart.",
+            ("role", "kind")).inc(count, role=self.role, kind=kind)
+        logger.info("%s recovered %d %s journal entries from %s",
+                    self.party_name, count, kind, self.state_dir)
 
     # -- durable provision manifest -------------------------------------------
-    def _manifest_path(self) -> Path | None:
-        if self.state_dir is None:
-            return None
-        return self.state_dir / "manifest.json"
-
     def _persist_manifest(self, payload: dict[str, Any]) -> None:
         """Snapshot the provision payload so a restart self-provisions."""
-        path = self._manifest_path()
+        path = self._manifest
         if path is None:
             return
         document = {"role": self.role,
@@ -554,10 +524,10 @@ class PartyDaemon:
         recovered mailbox + key; C1: reply cache + table) without anyone
         re-shipping the provision payloads.  A corrupt manifest is
         rejected — logged and ignored, never a startup crash.  C1 does not
-        dial its peer here: the link comes up lazily on the first query
-        (:meth:`_ensure_peer`), because C2 may itself still be restarting.
+        dial its peer here: the link comes up lazily on the first query,
+        because C2 may itself still be restarting.
         """
-        path = self._manifest_path()
+        path = self._manifest
         if path is None:
             return
         try:
@@ -626,23 +596,14 @@ class PartyDaemon:
 
     def _collect_metrics(self,
                          registry: telemetry_metrics.MetricsRegistry) -> None:
-        """Scrape-time collector mirroring daemon state into the registry."""
+        """Scrape-time collector mirroring daemon state into the registry
+        (role classes add the gauges over their own state)."""
         role = self.role
-        registry.gauge(
-            "repro_pending_shares",
-            "Decrypted result shares waiting in the C2 mailbox.",
-            ("role",)).set(len(self.mailbox), role=role)
-        operations = registry.gauge(
-            "repro_crypto_operations",
-            "Cumulative Paillier operations performed by this party.",
-            ("party", "op"))
         public_key = self.codec.public_key
         if public_key is not None:
+            operations = self._operations_gauge(registry)
             for op, value in public_key.counter.snapshot().items():
                 operations.set(value, party=role, op=op)
-        if self._private_key is not None:
-            operations.set(self._private_key.counter.snapshot()["decryptions"],
-                           party=role, op="decryptions")
         if self.engine is not None:
             stats = self.engine.stats()
             pools = registry.gauge(
@@ -659,7 +620,7 @@ class PartyDaemon:
             hits.set(sum(stats.get("misses", {}).values())
                      + stats.get("obfuscator_misses", 0),
                      role=role, outcome="miss")
-        links = self._peer_connections_snapshot()
+        links = self._peer_links()
         if links:
             traffic = self._peer_traffic_total(links)
             wire = registry.gauge(
@@ -668,19 +629,13 @@ class PartyDaemon:
             wire.set(traffic.bytes_transferred, role=role, unit="bytes")
             wire.set(traffic.messages, role=role, unit="messages")
             wire.set(traffic.ciphertexts, role=role, unit="ciphertexts")
-        registry.gauge(
-            "repro_inflight_queries",
-            "Queries currently executing on this daemon.",
-            ("role",)).set(self._inflight_count(), role=role)
 
-    # -- peer-link introspection ----------------------------------------------
-    def _peer_connections_snapshot(self) -> list[MuxConnection]:
-        """Every live multiplexed peer connection this daemon holds."""
-        if self.role == "c1":
-            pool = self._peer_pool
-            return pool.connections() if pool is not None else []
-        with self._state_lock:
-            return list(self._peer_links)
+    @staticmethod
+    def _operations_gauge(registry: telemetry_metrics.MetricsRegistry):
+        return registry.gauge(
+            "repro_crypto_operations",
+            "Cumulative Paillier operations performed by this party.",
+            ("party", "op"))
 
     @staticmethod
     def _peer_traffic_total(links: list[MuxConnection]):
@@ -690,15 +645,7 @@ class PartyDaemon:
             total = total.merged_with(link.total_traffic())
         return total
 
-    def _inflight_count(self) -> int:
-        with self._inflight_lock:
-            return self._inflight
-
-    def _track_inflight(self, delta: int) -> None:
-        with self._inflight_lock:
-            self._inflight += delta
-
-    def serve_forever(self, install_signal_handlers: bool = True) -> None:
+    def serve_forever(self) -> None:
         """Run until SIGTERM/SIGINT or a ``transport.shutdown`` request.
 
         Installs the hardening hooks: signal handlers and an ``atexit``
@@ -706,14 +653,13 @@ class PartyDaemon:
         released, the precompute producer joined and the pool cache saved no
         matter how the process exits.
         """
-        if install_signal_handlers:
-            def _terminate(signum, frame):  # pragma: no cover - signal path
-                logger.info("%s daemon received signal %d, shutting down",
-                            self.party_name, signum)
-                self._stop.set()
+        def _terminate(signum, frame):  # pragma: no cover - signal path
+            logger.info("%s daemon received signal %d, shutting down",
+                        self.party_name, signum)
+            self._stop.set()
 
-            signal.signal(signal.SIGTERM, _terminate)
-            signal.signal(signal.SIGINT, _terminate)
+        signal.signal(signal.SIGTERM, _terminate)
+        signal.signal(signal.SIGINT, _terminate)
         atexit.register(self.close)
         self.start()
         try:
@@ -721,10 +667,6 @@ class PartyDaemon:
                 self._stop.wait(0.2)
         finally:
             self.close()
-
-    def stop(self) -> None:
-        """Ask the daemon to shut down (non-blocking)."""
-        self._stop.set()
 
     def close(self) -> None:
         """Release every resource (idempotent; safe from signals/atexit)."""
@@ -740,16 +682,7 @@ class PartyDaemon:
             self._metrics_server.close()
             self._metrics_server = None
         if self._listener is not None:
-            # close() from another thread does not wake a blocked accept()
-            # on Linux; shutdown() does.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            _close_socket(self._listener)
         if self.engine is not None:
             self.engine.stop_producer()
             if self.pool_cache is not None:
@@ -759,17 +692,11 @@ class PartyDaemon:
                                 self.party_name, saved, self.pool_cache)
                 except OSError as exc:  # pragma: no cover - disk trouble
                     logger.warning("could not save pool cache: %s", exc)
-        if self._peer_pool is not None:
-            self._peer_pool.close()
-        for link in self._peer_connections_snapshot():
-            link.close()
-        self.mailbox.close()
-        if isinstance(self._reply_cache, DurableReplyCache):
-            self._reply_cache.close()
+        self._close_role()
         with self._state_lock:
             connections = list(self._connections)
-        for connection in connections:
-            connection.close()
+        for sock in connections:
+            _close_socket(sock)
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join(timeout=5.0)
@@ -783,11 +710,10 @@ class PartyDaemon:
                 sock, address = self._listener.accept()
             except OSError:
                 break  # listener closed by shutdown
-            connection = _Connection(sock, address)
             with self._state_lock:
-                self._connections.add(connection)
+                self._connections.add(sock)
             thread = threading.Thread(
-                target=self._serve_connection, args=(connection,),
+                target=self._serve_connection, args=(sock, address),
                 name=f"sknn-{self.role}-conn", daemon=True)
             thread.start()
             # Prune finished handlers so a long-lived daemon's thread list
@@ -795,45 +721,28 @@ class PartyDaemon:
             self._threads = [t for t in self._threads if t.is_alive()]
             self._threads.append(thread)
 
-    def _serve_connection(self, connection: _Connection) -> None:
+    def _serve_connection(self, sock: socket.socket, address: Any) -> None:
         try:
-            hello = self._read_message(connection.sock)
+            hello = self._read_message(sock)
             if hello is None or hello.tag != "transport.hello":
                 raise ChannelError("connection did not start with a hello")
             peer_kind = hello.payload.get("peer") if isinstance(
                 hello.payload, dict) else None
-            if peer_kind == "cloud" and self.role == "c2":
-                if self._private_key is None:
-                    self._send_message(connection.sock, "transport.error",
-                                       "C2 is not provisioned yet")
-                    raise ChannelError("peer connected before provisioning")
-                self._send_message(connection.sock, "transport.hello_ok",
-                                   {"role": self.role})
-                self._serve_cloud_peer(connection,
-                                       epoch=hello.payload.get("epoch"))
-            elif peer_kind == "client":
-                self._send_message(connection.sock, "transport.hello_ok",
+            if peer_kind == "client":
+                self._send_message(sock, "transport.hello_ok",
                                    {"role": self.role,
                                     "provisioned": self._provisioned()})
-                self._serve_client(connection)
+                self._serve_client(sock)
             else:
-                raise ChannelError(f"unsupported peer kind {peer_kind!r}")
+                self._serve_peer(peer_kind, sock, address, hello.payload)
         except ChannelError as exc:
-            logger.debug("connection from %s ended: %s",
-                         connection.address, exc)
+            logger.debug("connection from %s ended: %s", address, exc)
         except Exception:  # pragma: no cover - unexpected
             logger.exception("connection handler crashed")
         finally:
-            connection.close()
+            _close_socket(sock)
             with self._state_lock:
-                self._connections.discard(connection)
-
-    def _provisioned(self) -> bool:
-        if self.role == "c2":
-            return self._private_key is not None
-        # The table is the provisioned state; the peer link may be down
-        # between queries (it is re-dialled on demand by _ensure_peer).
-        return self._table is not None
+                self._connections.discard(sock)
 
     # -- low-level framing helpers -------------------------------------------
     def _read_message(self, sock: socket.socket) -> Message | None:
@@ -853,223 +762,13 @@ class PartyDaemon:
 
         The payload carries the error class name and retriability so the
         client can reconstruct the right exception type and its retry layer
-        can decide without string matching.  (Old clients that expect a
-        plain string render the dict — degraded, not broken.)
+        can decide without string matching.
         """
         self._send_message(sock, "transport.error", {
             "type": type(error).__name__,
             "message": str(error),
             "retriable": is_retriable(error),
         })
-
-    # -- the C1<->C2 protocol link (C2 side) ----------------------------------
-    def _serve_cloud_peer(self, connection: _Connection,
-                          epoch: str | None = None) -> None:
-        """Demultiplex one peer socket into per-query dispatch workers.
-
-        The connection thread becomes the socket's reader: every frame is
-        routed by its context id to a :class:`MuxChannel`, and each new
-        context spawns a worker thread running the P2 dispatch loop over
-        that channel alone — N pipelined queries from C1 execute their C2
-        steps concurrently.  Frames without a context (a pre-pipelining
-        C1) land on the ``None`` context and are served identically.
-        """
-        if self.role != "c2" or self._private_key is None:
-            raise ChannelError("C2 is not provisioned yet")
-        workers: list[threading.Thread] = []
-        workers_lock = threading.Lock()
-
-        def on_new_context(channel: MuxChannel) -> None:
-            worker = threading.Thread(
-                target=self._serve_peer_context, args=(channel,),
-                name=f"sknn-c2-ctx-{channel.context}", daemon=True)
-            with workers_lock:
-                workers.append(worker)
-            worker.start()
-
-        mux = MuxConnection(connection.sock, self.codec, "C2", "C1",
-                            io_deadline=self.io_deadline,
-                            on_new_context=on_new_context)
-        with self._state_lock:
-            self._peer_links.append(mux)
-        # Delivery ids are minted per C1 *process*: a peer hello carrying a
-        # new epoch means the id counter started over, so stale shares must
-        # never be fetchable under a recycled id.  The same epoch
-        # re-dialling — a dropped link, another connection of the same
-        # C1's pool, or this daemon restarting under a durable mailbox —
-        # keeps pending shares fetchable.  Shard daemons carry no epoch
-        # (they never deliver) and leave the mailbox alone.
-        if epoch is not None and not self.mailbox.adopt_epoch(epoch):
-            logger.info("C2 reset its mailbox for C1 epoch %s", epoch)
-        logger.info("cloud peer connected from %s", connection.address)
-        try:
-            mux.serve()  # runs until the socket dies or shutdown closes it
-        finally:
-            with self._state_lock:
-                if mux in self._peer_links:
-                    self._peer_links.remove(mux)
-            with workers_lock:
-                pending = list(workers)
-            for worker in pending:
-                worker.join(timeout=5.0)
-        logger.info("cloud peer from %s disconnected", connection.address)
-
-    def _serve_peer_context(self, channel: MuxChannel) -> None:
-        """Dispatch one query context's frames to the P2 step handlers.
-
-        Runs on its own worker thread inside a *counting scope*: every
-        Paillier operation this thread performs tees into a private
-        counter, so the per-query telemetry exchange reports exact C2
-        deltas even with other contexts decrypting concurrently.
-        """
-        scope = OperationCounter()
-        registry, _cloud = self._build_p2_registry(channel)
-        tracer = telemetry_tracing.get_tracer()
-        steps = telemetry_metrics.get_registry().counter(
-            "repro_p2_steps_total",
-            "Protocol frames dispatched to P2 step handlers.", ("tag",))
-        with counting_scope(scope):
-            while not self._stop.is_set():
-                try:
-                    tag = channel.next_tag()
-                except ChannelError:
-                    break  # context closed or connection died
-                if tag.startswith("telemetry."):
-                    # Control frames from C1's telemetry layer: counter-
-                    # delta windows and span collection — never routed to
-                    # protocol handlers.
-                    try:
-                        self._handle_peer_telemetry(tag, channel, scope)
-                    except ReproError as exc:
-                        logger.warning("telemetry frame %s failed: %s",
-                                       tag, exc)
-                    continue
-                handler = registry.get(tag)
-                if handler is None:
-                    channel.receive("C2")  # consume the unroutable frame
-                    try:
-                        channel.send(
-                            "C2", f"no P2 step registered for tag {tag!r}",
-                            tag="transport.error")
-                    except ChannelError:
-                        break
-                    continue
-                # The envelope's trace context parents this handler's span
-                # under the C1-side span that sent the frame.
-                trace_context = channel.next_trace()
-                ledger = self._ledger_for(trace_context)
-                try:
-                    with tracer.remote_span(f"p2.{tag}", trace_context,
-                                            party="C2"):
-                        if ledger is not None:
-                            # Activate per dispatch: C2's idle wait time
-                            # between frames never counts.
-                            with ledger.activate(), \
-                                    telemetry_profiling.cost_scope(
-                                        tag.split(".", 1)[0], party="C2"):
-                                handler()
-                        else:
-                            handler()
-                    steps.inc(tag=tag)
-                except ReproError as exc:
-                    logger.warning("P2 step %s failed: %s", tag, exc)
-                    # Unblock the C1 driver instead of leaving it waiting
-                    # on a reply frame that will never come.
-                    try:
-                        channel.send("C2",
-                                     f"P2 step {tag!r} failed: {exc}",
-                                     tag="transport.error")
-                    except ChannelError:
-                        break  # the peer that caused the failure is gone
-
-    def _ledger_for(self, trace_context: Any
-                    ) -> "telemetry_profiling.CostLedger | None":
-        """The per-trace cost ledger for a frame's trace context, if open."""
-        if not trace_context:
-            return None
-        with self._trace_ledgers_lock:
-            return self._trace_ledgers.get(str(trace_context[0]))
-
-    def _handle_peer_telemetry(self, tag: str, channel: MuxChannel,
-                               scope: OperationCounter | None = None) -> None:
-        """C2's side of the per-query telemetry exchange.
-
-        ``telemetry.trace_begin`` (payload: trace id) opens the delta
-        window for one query by constructing a per-trace
-        :class:`~repro.telemetry.profiling.CostLedger`.  With pipelined
-        queries the ledger sources the dispatching context's *counting
-        scope* — the thread-private counter every P2 handler on this
-        worker tees into — so concurrent queries never bleed into each
-        other's windows.  ``telemetry.collect`` (payload: trace id)
-        closes the window and replies with the counter deltas, every
-        finished span of that trace, and the ledger's per-phase cost rows,
-        which C1 stitches into its ``SkNNRunReport``.  The counters are
-        derived *from* the ledger, so the shipped totals always equal the
-        sum of the per-phase rows.
-        """
-        payload = channel.receive("C2")
-        trace_id = str(payload)
-        if tag == "telemetry.trace_begin":
-            assert self._private_key is not None
-            extras = ({"pool_hits": self.engine.pool_hit_total}
-                      if self.engine is not None else None)
-            sources = ((scope,) if scope is not None else
-                       (self._private_key.public_key.counter,
-                        self._private_key.counter))
-            ledger = telemetry_profiling.CostLedger(
-                sources=sources, extras=extras, party="C2")
-            with self._trace_ledgers_lock:
-                # Bound on windows opened but never collected (a leaky or
-                # crashed C1); sized for a deep pipeline of live queries.
-                while len(self._trace_ledgers) >= 64:
-                    self._trace_ledgers.pop(next(iter(self._trace_ledgers)))
-                self._trace_ledgers[trace_id] = ledger
-            return
-        if tag != "telemetry.collect":
-            raise ChannelError(f"unknown telemetry frame {tag!r}")
-        with self._trace_ledgers_lock:
-            ledger = self._trace_ledgers.pop(trace_id, None)
-        counters: dict[str, int] = {}
-        cost_rows: list[dict[str, Any]] = []
-        if ledger is not None:
-            cost_rows = ledger.finish()
-            telemetry_profiling.record_phase_metrics(cost_rows)
-            totals = ledger.total_ops()
-            counters = {op: int(totals.get(op, 0))
-                        for op in ("encryptions", "exponentiations",
-                                   "homomorphic_additions", "decryptions")}
-        spans = [span.as_payload()
-                 for span in telemetry_tracing.get_tracer().take(trace_id)]
-        channel.send("C2", {"counters": counters, "spans": spans,
-                            "cost": cost_rows},
-                     tag="telemetry.collect")
-
-    def _build_p2_registry(
-        self, channel: MuxChannel
-    ) -> tuple[dict[str, Callable[[], Any]], FederatedCloud]:
-        """Construct C2's protocol stack over ``channel`` and index its steps."""
-        assert self._private_key is not None
-        public_key = self._private_key.public_key
-        c1_stub = CloudC1(public_key, channel, rng=self._derive_rng())
-        c2 = CloudC2(self._private_key, channel, rng=self._derive_rng())
-        c2.share_sink = self.mailbox.put
-        cloud = FederatedCloud(c1=c1_stub, c2=c2, channel=channel)
-        if self.engine is not None:
-            cloud.attach_engine(None, self.engine)
-        protocols: list[Any] = [
-            SkNNBasic(cloud),
-            # Shard filing/gather steps rendezvous through the daemon-wide
-            # registry, so shards filing on other connections meet the
-            # coordinator's gather here.
-            ShardScanProtocol(cloud, registry=self._scan_registry),
-        ]
-        if self.distance_bits is not None:
-            protocols.append(SkNNSecure(cloud,
-                                        distance_bits=self.distance_bits))
-        registry: dict[str, Callable[[], Any]] = {}
-        for protocol in protocols:
-            registry.update(protocol.collect_p2_handlers())
-        return registry, cloud
 
     def _derive_rng(self) -> Random | None:
         if self.rng is None:
@@ -1079,126 +778,111 @@ class PartyDaemon:
         with self._rng_lock:
             return Random(self.rng.getrandbits(63))
 
+    def _build_engine(self, config: PrecomputeConfig | None) -> int:
+        """Build/warm this party's engine; reload the pool cache first."""
+        if config is None:
+            return 0
+        assert self.codec.public_key is not None
+        self.engine = PrecomputeEngine(self.codec.public_key,
+                                       rng=self._derive_rng(), config=config)
+        loaded = 0
+        if self.pool_cache is not None and self.pool_cache.exists():
+            try:
+                loaded = self.engine.load_pools(self.pool_cache)
+                logger.info("%s reloaded %d pool items from %s",
+                            self.party_name, loaded, self.pool_cache)
+            except ConfigurationError as exc:
+                logger.warning("ignoring pool cache: %s", exc)
+        self.engine.warm()
+        return loaded
+
     # -- client control protocol ----------------------------------------------
-    def _serve_client(self, connection: _Connection) -> None:
+    def _serve_client(self, sock: socket.socket) -> None:
         while not self._stop.is_set():
-            message = self._read_message(connection.sock)
+            message = self._read_message(sock)
             if message is None:
                 break
             try:
                 reply = self._handle_control(message)
             except ReproError as exc:
-                self._send_error(connection.sock, exc)
+                self._send_error(sock, exc)
                 continue
-            except (KeyError, TypeError, AttributeError) as exc:
-                # A malformed payload (missing field, wrong shape — e.g. a
-                # version-skewed client) earns a diagnostic error frame, not
-                # a dropped connection.
-                self._send_error(connection.sock, ChannelError(
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
+                # A malformed payload (missing field, wrong shape or value —
+                # e.g. a version-skewed client) earns a non-retriable error
+                # frame, not a dropped connection the client would retry on.
+                self._send_error(sock, ChannelError(
                     f"malformed {message.tag!r} payload: {exc!r}"))
                 continue
-            self._send_message(connection.sock, message.tag + ".ok", reply)
+            self._send_message(sock, message.tag + ".ok", reply)
             if message.tag == "transport.shutdown":
                 self._stop.set()
                 break
 
     def _handle_control(self, message: Message) -> Any:
-        tag = message.tag
-        payload = message.payload
-        if tag == "transport.ping":
-            return {"role": self.role, "provisioned": self._provisioned(),
-                    "uptime_seconds": time.monotonic() - self._started_at,
-                    "io_deadline": self.io_deadline}
-        if tag == "transport.shutdown":
-            logger.info("%s daemon shutting down on client request",
-                        self.party_name)
-            return {"role": self.role}
-        if tag == "transport.provision":
-            return self._handle_provision(payload)
-        if tag == "transport.stats":
-            return self._handle_stats()
-        if tag == "transport.metrics":
-            registry = telemetry_metrics.get_registry()
-            return {"role": self.role,
-                    "prometheus": registry.render_prometheus(),
-                    "snapshot": registry.snapshot()}
-        if tag == "transport.profile":
-            seconds = 1.0
-            if isinstance(payload, dict) and "seconds" in payload:
-                seconds = float(payload["seconds"])
-            result = telemetry_profiling.profile_window(
-                self.profiler, seconds, max_seconds=30.0)
-            result["role"] = self.role
-            return result
-        if self.role == "c2" and tag == "transport.fetch_share":
-            return self.mailbox.fetch(
-                payload["delivery_id"],
-                timeout=payload.get("timeout", DEFAULT_FETCH_TIMEOUT),
-                attempt=payload.get("attempt"))
-        if self.role == "c1" and tag == "transport.query":
-            # The client's query id keys the replay memo: a retried query
-            # whose reply was lost re-reads the completed answer, and a
-            # duplicate of an in-flight query waits for the original run
-            # instead of double-consuming pool entries and mailbox shares.
-            return self._reply_cache.run(
-                payload.get("query_id"),
-                lambda: self._handle_query(payload),
-                timeout=self.io_deadline)
-        if self.role == "c1" and tag == "transport.query_batch":
-            return self._reply_cache.run(
-                payload.get("batch_id"),
-                lambda: self._handle_query_batch(payload),
-                timeout=self.io_deadline)
-        if self.role == "c1" and tag == "transport.scan":
-            # Shard daemons: the scan id keys the replay memo, so a
-            # coordinator retrying a scatter whose reply was lost gets the
-            # memoized result instead of double-filing with C2.
-            return self._reply_cache.run(
-                payload.get("scan_id"),
-                lambda: self._handle_scan(payload),
-                timeout=self.io_deadline)
-        raise ChannelError(
-            f"unsupported control tag {tag!r} for role {self.role!r}")
+        """Answer one control request through the class's step table."""
+        step = self.CONTROL_STEPS.get(message.tag)
+        if step is None:
+            raise ChannelError(
+                f"unsupported control tag {message.tag!r} "
+                f"for role {self.role!r}")
+        return getattr(self, step)(message.payload)
 
-    def _handle_stats(self) -> dict[str, Any]:
-        links = self._peer_connections_snapshot()
+    def _handle_ping(self, payload: Any) -> dict[str, Any]:
+        return {"role": self.role, "provisioned": self._provisioned(),
+                "uptime_seconds": time.monotonic() - self._started_at,
+                "io_deadline": self.io_deadline}
+
+    def _handle_shutdown(self, payload: Any) -> dict[str, Any]:
+        logger.info("%s daemon shutting down on client request",
+                    self.party_name)
+        return {"role": self.role}
+
+    def _handle_metrics(self, payload: Any) -> dict[str, Any]:
+        registry = telemetry_metrics.get_registry()
+        return {"role": self.role,
+                "prometheus": registry.render_prometheus(),
+                "snapshot": registry.snapshot()}
+
+    def _handle_profile(self, payload: Any) -> dict[str, Any]:
+        seconds = 1.0
+        if isinstance(payload, dict) and "seconds" in payload:
+            seconds = float(payload["seconds"])
+        result = telemetry_profiling.profile_window(
+            self.profiler, seconds, max_seconds=30.0)
+        result["role"] = self.role
+        return result
+
+    def _handle_stats(self, payload: Any = None) -> dict[str, Any]:
+        """The ``transport.stats`` / ``/stats`` document.
+
+        Both roles publish the same keys: the entries describing the other
+        party's state (C1 has no mailbox, C2 no reply cache or in-flight
+        queries) stay at their zero, each role class fills in its own.
+        """
+        links = self._peer_links()
         stats: dict[str, Any] = {
             "role": self.role,
             "provisioned": self._provisioned(),
-            "pending_shares": len(self.mailbox),
-            "inflight_queries": self._inflight_count(),
+            "pending_shares": 0,
+            "inflight_queries": 0,
             "resilience": {
                 "uptime_seconds": time.monotonic() - self._started_at,
                 "io_deadline": self.io_deadline,
-                "reply_cache_entries": len(self._reply_cache),
+                "reply_cache_entries": 0,
                 "peer_connected": any(link.alive for link in links),
                 "events": self._resilience_events(),
             },
         }
-        if self.role == "c1":
-            stats["peer_connections_target"] = self.peer_connections
-        if self.shard_index is not None:
-            stats["shard"] = {"index": self.shard_index,
-                              "count": self.shard_count,
-                              "start_index": self._start_index}
-        if self._shard_addresses is not None:
-            stats["shards"] = [f"{host}:{port}"
-                               for host, port in self._shard_addresses]
-        if self.role == "c2":
-            stats["pending_scans"] = self._scan_registry.pending()
         if self.state_dir is not None:
             stats["durability"] = {
                 "state_dir": str(self.state_dir),
                 "fsync": self.state_fsync,
-                "mailbox_journal_records": getattr(
-                    self.mailbox, "journal_records", 0),
-                "reply_journal_records": getattr(
-                    self._reply_cache, "journal_records", 0),
-                "recovered_shares": getattr(self.mailbox, "recovered", 0),
-                "recovered_replies": getattr(
-                    self._reply_cache, "recovered", 0),
-                "manifest": (self._manifest_path() is not None
-                             and self._manifest_path().exists()),
+                "mailbox_journal_records": 0,
+                "reply_journal_records": 0,
+                "recovered_shares": 0,
+                "recovered_replies": 0,
+                "manifest": self._manifest.exists(),
             }
         if self._metrics_server is not None:
             stats["metrics_address"] = self._metrics_server.url
@@ -1245,7 +929,6 @@ class PartyDaemon:
                     events[family] = total
         return events
 
-    # -- provisioning ---------------------------------------------------------
     def _handle_provision(self, payload: dict[str, Any],
                           from_recovery: bool = False) -> dict[str, Any]:
         """Install a provision payload.
@@ -1262,20 +945,48 @@ class PartyDaemon:
         seed = payload.get("seed")
         self.rng = Random(seed) if seed is not None else None
         self.distance_bits = payload.get("distance_bits")
-        if not from_recovery:
-            # New provisioning epoch: replies memoized against the previous
-            # table/key must never be replayed to post-provision retries.
-            self._reply_cache.clear()
-        if self.role == "c2":
-            reply = self._provision_c2(payload, from_recovery=from_recovery)
-        else:
-            reply = self._provision_c1(payload, dial_peer=not from_recovery)
+        reply = self._provision(payload, from_recovery)
         if not from_recovery:
             self._persist_manifest(payload)
         return reply
 
-    def _provision_c2(self, payload: dict[str, Any],
-                      from_recovery: bool = False) -> dict[str, Any]:
+
+class C2Daemon(PartyDaemon):
+    """The key-holding cloud: ``sk``, the share mailbox, P2 step dispatch.
+
+    Serves the cloud-peer connections C1 (and its shards) dial — every
+    leased context gets a worker thread running the registered P2 step
+    handlers — and hands decrypted result shares to Bob's clients.  Holds
+    no table and runs no query of its own.
+    """
+
+    role = "c2"
+
+    CONTROL_STEPS = dict(PartyDaemon.CONTROL_STEPS, **{
+        "transport.fetch_share": "_handle_fetch_share",
+    })
+
+    def __init__(self, **options: Any) -> None:
+        super().__init__(**options)
+        self._private_key = None
+        if self.state_dir is not None:
+            self.mailbox: ShareMailbox = DurableShareMailbox(
+                self.state_dir / "mailbox.journal", fsync=self.state_fsync,
+                compact_every=self.journal_compact_every)
+            self._count_recovered("share", self.mailbox.recovered)
+        else:
+            self.mailbox = ShareMailbox()
+        #: rendezvous of shard candidate filings across peer connections
+        self._scan_registry = ScanRegistry(
+            timeout=self.io_deadline or DEFAULT_IO_DEADLINE)
+        #: accepted cloud-peer connections, for stats and shutdown
+        self._links: list[MuxConnection] = []
+
+    def _provisioned(self) -> bool:
+        return self._private_key is not None
+
+    def _provision(self, payload: dict[str, Any],
+                   from_recovery: bool) -> dict[str, Any]:
         self._private_key = private_key_from_dict(payload["private_key"])
         self.codec.public_key = self._private_key.public_key
         if not from_recovery:
@@ -1288,8 +999,320 @@ class PartyDaemon:
                     self.codec.public_key.key_size, self.distance_bits)
         return {"role": "c2", "pool_items_loaded": loaded}
 
-    def _provision_c1(self, payload: dict[str, Any],
-                      dial_peer: bool = True) -> dict[str, Any]:
+    def _handle_fetch_share(self, payload: dict[str, Any]) -> Any:
+        return self.mailbox.fetch(
+            payload["delivery_id"],
+            timeout=payload.get("timeout", DEFAULT_FETCH_TIMEOUT),
+            attempt=payload.get("attempt"))
+
+    def _peer_links(self) -> list[MuxConnection]:
+        with self._state_lock:
+            return list(self._links)
+
+    def _handle_stats(self, payload: Any = None) -> dict[str, Any]:
+        stats = super()._handle_stats()
+        stats["pending_shares"] = len(self.mailbox)
+        stats["pending_scans"] = self._scan_registry.pending()
+        if "durability" in stats:
+            stats["durability"].update(
+                mailbox_journal_records=self.mailbox.journal_records,
+                recovered_shares=self.mailbox.recovered)
+        return stats
+
+    def _collect_metrics(self,
+                         registry: telemetry_metrics.MetricsRegistry) -> None:
+        super()._collect_metrics(registry)
+        registry.gauge(
+            "repro_pending_shares",
+            "Decrypted result shares waiting in the C2 mailbox.",
+            ("role",)).set(len(self.mailbox), role=self.role)
+        if self._private_key is not None:
+            self._operations_gauge(registry).set(
+                self._private_key.counter.snapshot()["decryptions"],
+                party=self.role, op="decryptions")
+
+    def _close_role(self) -> None:
+        for link in self._peer_links():
+            link.close()
+        self.mailbox.close()
+
+    # -- the C1<->C2 protocol link ---------------------------------------------
+    def _serve_peer(self, peer_kind: Any, sock: socket.socket, address: Any,
+                    hello: Any) -> None:
+        """Demultiplex one cloud-peer socket into per-query dispatch workers.
+
+        The connection thread becomes the socket's reader: every frame is
+        routed by its context id to a :class:`MuxChannel`, and each new
+        context spawns a worker thread running the P2 dispatch loop over
+        that channel alone — N pipelined queries from C1 execute their C2
+        steps concurrently.  Frames without a context land on the ``None``
+        context and are served identically.
+        """
+        if peer_kind != "cloud":
+            return super()._serve_peer(peer_kind, sock, address, hello)
+        if self._private_key is None:
+            self._send_message(sock, "transport.error",
+                               "C2 is not provisioned yet")
+            raise ChannelError("peer connected before provisioning")
+        self._send_message(sock, "transport.hello_ok", {"role": self.role})
+        workers: list[threading.Thread] = []
+        workers_lock = threading.Lock()
+
+        def on_new_context(channel: MuxChannel) -> None:
+            worker = threading.Thread(
+                target=self._serve_peer_context, args=(channel,),
+                name=f"sknn-c2-ctx-{channel.context}", daemon=True)
+            with workers_lock:
+                workers.append(worker)
+            worker.start()
+
+        mux = MuxConnection(sock, self.codec, "C2", "C1",
+                            io_deadline=self.io_deadline,
+                            on_new_context=on_new_context)
+        with self._state_lock:
+            self._links.append(mux)
+        # Delivery ids are minted per C1 *process*: a peer hello carrying a
+        # new epoch means the id counter started over, so stale shares must
+        # never be fetchable under a recycled id.  The same epoch
+        # re-dialling — a dropped link, another connection of the same
+        # C1's pool, or this daemon restarting under a durable mailbox —
+        # keeps pending shares fetchable.  Shard daemons carry no epoch
+        # (they never deliver) and leave the mailbox alone.
+        epoch = hello.get("epoch")
+        if epoch is not None and not self.mailbox.adopt_epoch(epoch):
+            logger.info("C2 reset its mailbox for C1 epoch %s", epoch)
+        logger.info("cloud peer connected from %s", address)
+        try:
+            mux.serve()  # runs until the socket dies or shutdown closes it
+        finally:
+            with self._state_lock:
+                if mux in self._links:
+                    self._links.remove(mux)
+            with workers_lock:
+                pending = list(workers)
+            for worker in pending:
+                worker.join(timeout=5.0)
+        logger.info("cloud peer from %s disconnected", address)
+
+    def _serve_peer_context(self, channel: MuxChannel) -> None:
+        """Dispatch one query context's frames to the P2 step handlers.
+
+        Runs on its own worker thread inside a *counting scope*: every
+        Paillier operation this thread performs tees into a private
+        counter, so the per-query telemetry exchange reports exact C2
+        deltas even with other contexts decrypting concurrently.
+
+        The telemetry window is this context's own: C1 leases a context per
+        run and brackets the run's frames with ``telemetry.trace_begin``
+        (payload: trace id), which opens the window by constructing a
+        :class:`~repro.telemetry.profiling.CostLedger` over the scope — its
+        construction-time snapshot *is* the counter-delta window — and
+        ``telemetry.collect``, which closes it (:meth:`_collect_window`).
+        """
+        scope = OperationCounter()
+        ledger: telemetry_profiling.CostLedger | None = None
+        registry = self._build_p2_registry(channel)
+        tracer = telemetry_tracing.get_tracer()
+        steps = telemetry_metrics.get_registry().counter(
+            "repro_p2_steps_total",
+            "Protocol frames dispatched to P2 step handlers.", ("tag",))
+        with counting_scope(scope):
+            while not self._stop.is_set():
+                try:
+                    tag = channel.next_tag()
+                except ChannelError:
+                    break  # context closed or connection died
+                if tag.startswith("telemetry."):
+                    # Control frames from C1's telemetry layer — never
+                    # routed to protocol handlers.
+                    try:
+                        trace_id = str(channel.receive("C2"))
+                        if tag == "telemetry.trace_begin":
+                            extras = ({"pool_hits": self.engine.pool_hit_total}
+                                      if self.engine is not None else None)
+                            ledger = telemetry_profiling.CostLedger(
+                                sources=(scope,), extras=extras, party="C2")
+                        elif tag == "telemetry.collect":
+                            self._collect_window(channel, trace_id, ledger)
+                            ledger = None
+                        else:
+                            raise ChannelError(
+                                f"unknown telemetry frame {tag!r}")
+                    except ReproError as exc:
+                        logger.warning("telemetry frame %s failed: %s",
+                                       tag, exc)
+                    continue
+                handler = registry.get(tag)
+                if handler is None:
+                    channel.receive("C2")  # consume the unroutable frame
+                    try:
+                        channel.send(
+                            "C2", f"no P2 step registered for tag {tag!r}",
+                            tag="transport.error")
+                    except ChannelError:
+                        break
+                    continue
+                try:
+                    # The envelope's trace context parents this handler's
+                    # span under the C1-side span that sent the frame.
+                    with tracer.remote_span(f"p2.{tag}", channel.next_trace(),
+                                            party="C2"):
+                        if ledger is not None:
+                            # Activate per dispatch: C2's idle wait time
+                            # between frames never counts.
+                            with ledger.activate(), \
+                                    telemetry_profiling.cost_scope(
+                                        tag.split(".", 1)[0], party="C2"):
+                                handler()
+                        else:
+                            handler()
+                    steps.inc(tag=tag)
+                except ReproError as exc:
+                    logger.warning("P2 step %s failed: %s", tag, exc)
+                    # Unblock the C1 driver instead of leaving it waiting
+                    # on a reply frame that will never come.
+                    try:
+                        channel.send("C2",
+                                     f"P2 step {tag!r} failed: {exc}",
+                                     tag="transport.error")
+                    except ChannelError:
+                        break  # the peer that caused the failure is gone
+
+    @staticmethod
+    def _collect_window(channel: MuxChannel, trace_id: str,
+                        ledger: "telemetry_profiling.CostLedger | None"
+                        ) -> None:
+        """Close a run's telemetry window and ship it to the C1 side.
+
+        The reply carries the counter deltas, every finished span of the
+        trace and the ledger's per-phase cost rows, which the C1 side
+        merges into its ``SkNNRunReport``.  The counters are derived *from*
+        the ledger, so the shipped totals always equal the sum of the rows.
+        """
+        counters: dict[str, int] = {}
+        cost_rows: list[dict[str, Any]] = []
+        if ledger is not None:
+            cost_rows = ledger.finish()
+            telemetry_profiling.record_phase_metrics(cost_rows)
+            totals = ledger.total_ops()
+            counters = {op: int(totals.get(op, 0))
+                        for op in ("encryptions", "exponentiations",
+                                   "homomorphic_additions", "decryptions")}
+        spans = [span.as_payload()
+                 for span in telemetry_tracing.get_tracer().take(trace_id)]
+        channel.send("C2", {"counters": counters, "spans": spans,
+                            "cost": cost_rows},
+                     tag="telemetry.collect")
+
+    def _build_p2_registry(
+            self, channel: MuxChannel) -> dict[str, Callable[[], Any]]:
+        """Construct C2's protocol stack over ``channel`` and index its steps."""
+        assert self._private_key is not None
+        public_key = self._private_key.public_key
+        c1_stub = CloudC1(public_key, channel, rng=self._derive_rng())
+        c2 = CloudC2(self._private_key, channel, rng=self._derive_rng())
+        c2.share_sink = self.mailbox.put
+        cloud = FederatedCloud(c1=c1_stub, c2=c2, channel=channel)
+        if self.engine is not None:
+            cloud.attach_engine(None, self.engine)
+        protocols: list[Any] = [
+            SkNNBasic(cloud),
+            # Shard filing/gather steps rendezvous through the daemon-wide
+            # registry, so shards filing on other connections meet the
+            # coordinator's gather here.
+            ShardScanProtocol(cloud, registry=self._scan_registry),
+        ]
+        if self.distance_bits is not None:
+            protocols.append(SkNNSecure(cloud,
+                                        distance_bits=self.distance_bits))
+        registry: dict[str, Callable[[], Any]] = {}
+        for protocol in protocols:
+            registry.update(protocol.collect_p2_handlers())
+        return registry
+
+
+class C1Daemon(PartyDaemon):
+    """The table-holding cloud: ``Epk(T)``, the peer pool, the query runner.
+
+    One class serves the three C1 placements: a plain C1, a *shard*
+    (``shard_index``/``shard_count``: holds one slice and answers only
+    ``transport.scan``) and a *coordinator* (provisioned with shard
+    addresses: scatters the scan, delivers itself).  Holds only the public
+    key — no mailbox, no scan registry, no P2 dispatch.
+
+    Args:
+        peer_connections: how many persistent multiplexed connections to
+            keep to C2 — pipelining comes from per-query contexts either
+            way, extra connections spread the socket-level send
+            serialization.
+        shard_index, shard_count: shard identity of a shard daemon (both or
+            neither); the provision payload must agree.
+    """
+
+    role = "c1"
+
+    CONTROL_STEPS = dict(PartyDaemon.CONTROL_STEPS, **{
+        "transport.query": "_handle_query",
+        "transport.query_batch": "_handle_query_batch",
+        "transport.scan": "_handle_scan",
+    })
+
+    def __init__(self, peer_connections: int = 1,
+                 shard_index: int | None = None,
+                 shard_count: int | None = None, **options: Any) -> None:
+        if (shard_index is None) != (shard_count is None):
+            raise ConfigurationError(
+                "--shard-index and --shard-count go together")
+        if shard_index is not None and not (
+                0 <= shard_index < (shard_count or 0)):
+            raise ConfigurationError(
+                f"shard_index {shard_index} out of range for "
+                f"{shard_count} shards")
+        super().__init__(**options)
+        self.peer_connections = max(int(peer_connections), 1)
+        self.shard_index = shard_index
+        self.shard_count = shard_count
+        #: this process's delivery-id epoch: sent in the cloud hello so C2
+        #: wipes its mailbox exactly when the id counter restarted, not on
+        #: every reconnect of the same process.  Shard daemons never mint
+        #: delivery ids, so they carry no epoch and their hellos leave the
+        #: coordinator's mailbox alone.
+        self.epoch = uuid.uuid4().hex if shard_index is None else None
+        # Idempotent replay of completed query/query_batch/scan replies,
+        # keyed by the request's id (see _replayed).  With a state
+        # dir, completed replies are journaled and survive a crash: a
+        # retried id after a restart replays from disk.
+        if self.state_dir is not None:
+            self._reply_cache: ReplyCache = DurableReplyCache(
+                self.state_dir / "replies.journal", name="c1-query",
+                fsync=self.state_fsync,
+                compact_every=self.journal_compact_every)
+            self._count_recovered("reply", self._reply_cache.recovered)
+        else:
+            self._reply_cache = ReplyCache(name="c1-query")
+        self._peer_pool: PeerPool | None = None
+        # Provisioned inputs kept so a failed peer link can be re-dialled
+        # and the protocol stack rebuilt without a client re-provision.
+        self._table: EncryptedTable | None = None
+        self._c2_address: tuple[str, int] | None = None
+        #: coordinator mode: addresses of the C1 shard daemons to scatter to
+        self._shard_addresses: list[tuple[str, int]] | None = None
+        #: shard mode: this slice's global start index (from provisioning)
+        self._start_index = 0
+        self._inflight = 0
+        self._inflight_lock = threading.Lock()
+
+    def _provisioned(self) -> bool:
+        # The table is the provisioned state; the peer link may be down
+        # between queries (it is re-dialled on demand by _ensure_pool).
+        return self._table is not None
+
+    def _provision(self, payload: dict[str, Any],
+                   from_recovery: bool) -> dict[str, Any]:
+        if not from_recovery:
+            # New provisioning epoch: replies memoized against the previous
+            # table/key must never be replayed to post-provision retries.
+            self._reply_cache.clear()
         table = EncryptedTable.from_dict(payload["encrypted_table"])
         host, port = payload["c2_address"]
         shard_index = payload.get("shard_index")
@@ -1321,13 +1344,13 @@ class PartyDaemon:
         loaded = self._build_engine(
             PrecomputeConfig.for_query_load(**precompute)
             if precompute else None)
-        if dial_peer:
+        if not from_recovery:
             self._ensure_pool().ensure()
         logger.info("C1%s provisioned (%d records, %d dims, peer %s:%d%s%s)",
                     "" if self.shard_index is None
                     else f" shard {self.shard_index}/{self.shard_count}",
                     len(table), table.dimensions, host, port,
-                    "" if dial_peer else "; peer dial deferred",
+                    "; peer dial deferred" if from_recovery else "",
                     "" if not self._shard_addresses
                     else f"; coordinating {len(self._shard_addresses)} shards")
         reply = {"role": "c1", "pool_items_loaded": loaded}
@@ -1337,7 +1360,46 @@ class PartyDaemon:
             reply["shards"] = len(self._shard_addresses)
         return reply
 
-    # -- C1 peer link management ------------------------------------------------
+    def _peer_links(self) -> list[MuxConnection]:
+        pool = self._peer_pool
+        return pool.connections() if pool is not None else []
+
+    def _handle_stats(self, payload: Any = None) -> dict[str, Any]:
+        stats = super()._handle_stats()
+        with self._inflight_lock:
+            stats["inflight_queries"] = self._inflight
+        stats["resilience"]["reply_cache_entries"] = len(self._reply_cache)
+        stats["peer_connections_target"] = self.peer_connections
+        if self.shard_index is not None:
+            stats["shard"] = {"index": self.shard_index,
+                              "count": self.shard_count,
+                              "start_index": self._start_index}
+        if self._shard_addresses is not None:
+            stats["shards"] = [f"{host}:{port}"
+                               for host, port in self._shard_addresses]
+        if "durability" in stats:
+            stats["durability"].update(
+                reply_journal_records=self._reply_cache.journal_records,
+                recovered_replies=self._reply_cache.recovered)
+        return stats
+
+    def _collect_metrics(self,
+                         registry: telemetry_metrics.MetricsRegistry) -> None:
+        super()._collect_metrics(registry)
+        with self._inflight_lock:
+            inflight = self._inflight
+        registry.gauge(
+            "repro_inflight_queries",
+            "Queries currently executing on this daemon.",
+            ("role",)).set(inflight, role=self.role)
+
+    def _close_role(self) -> None:
+        if self._peer_pool is not None:
+            self._peer_pool.close()
+        if isinstance(self._reply_cache, DurableReplyCache):
+            self._reply_cache.close()
+
+    # -- peer link management ---------------------------------------------------
     def _dial_peer_connection(self) -> MuxConnection:
         """Dial C2, complete the cloud-peer hello, start the reader.
 
@@ -1366,10 +1428,7 @@ class PartyDaemon:
                 raise PeerUnavailable(
                     f"C2 at {host}:{port} rejected the peer hello")
         except BaseException:
-            try:
-                peer_sock.close()
-            except OSError:
-                pass
+            _close_socket(peer_sock)
             raise
         connection = MuxConnection(peer_sock, self.codec, "C1", "C2",
                                    io_deadline=self.io_deadline)
@@ -1386,156 +1445,6 @@ class PartyDaemon:
                                            size=self.peer_connections,
                                            role=self.role)
             return self._peer_pool
-
-    def _build_query_protocol(self, channel: MuxChannel, mode: str,
-                              scatter: Callable[..., Any] | None = None,
-                              scan_id: str | None = None) -> Any:
-        """A fresh protocol stack for one query over a leased context.
-
-        The heavyweight state (encrypted table, precompute engine, warm
-        pools) is shared and thread-safe; only the channel-bound wrappers
-        (cloud pair, protocol driver) are built per query, so concurrent
-        queries never share mutable protocol state.
-        """
-        assert self._table is not None
-        table = self._table
-        c1 = CloudC1(table.public_key, channel, rng=self._derive_rng())
-        c1.host_database(table)
-        c2_stub = DecryptorParty(
-            "C2", RemotePrivateKey(table.public_key), channel,
-            rng=self._derive_rng())
-        cloud = FederatedCloud(c1=c1, c2=c2_stub, channel=channel)
-        if self.engine is not None:
-            cloud.attach_engine(self.engine, None)
-        if self.shard_index is not None:
-            return ShardScanProtocol(cloud, shard_index=self.shard_index,
-                                     shard_count=self.shard_count or 1,
-                                     start_index=self._start_index)
-        if self._shard_addresses is not None:
-            if mode != "basic":
-                raise ConfigurationError(
-                    "sharded deployments serve mode 'basic' only (SkNN_m's "
-                    "SMIN_n tournament does not shard across daemons)")
-            assert scatter is not None and scan_id is not None
-            return ShardCoordinatorProtocol(
-                cloud, shard_count=len(self._shard_addresses),
-                scatter=scatter, scan_id=scan_id)
-        if mode == "basic":
-            return SkNNBasic(cloud)
-        if mode == "secure":
-            if self.distance_bits is None:
-                raise ConfigurationError(
-                    "mode 'secure' needs distance_bits (provision l)")
-            return SkNNSecure(cloud, distance_bits=self.distance_bits)
-        raise ConfigurationError(
-            f"mode {mode!r} is unavailable on this daemon")
-
-    def _build_engine(self, config: PrecomputeConfig | None) -> int:
-        """Build/warm this party's engine; reload the pool cache first."""
-        if config is None:
-            return 0
-        assert self.codec.public_key is not None
-        self.engine = PrecomputeEngine(self.codec.public_key,
-                                       rng=self._derive_rng(), config=config)
-        loaded = 0
-        if self.pool_cache is not None and self.pool_cache.exists():
-            try:
-                loaded = self.engine.load_pools(self.pool_cache)
-                logger.info("%s reloaded %d pool items from %s",
-                            self.party_name, loaded, self.pool_cache)
-            except ConfigurationError as exc:
-                logger.warning("ignoring pool cache: %s", exc)
-        self.engine.warm()
-        return loaded
-
-    # -- query execution (C1) --------------------------------------------------
-    def _peer_trace_begin(self, channel: MuxChannel, trace_id: str) -> None:
-        """Open C2's counter-delta window for one query.
-
-        Sent *before* ``run_with_report`` constructs its
-        :class:`RunStatsRecorder`, so the telemetry frames never count
-        toward the query's traffic deltas."""
-        channel.send("C1", trace_id, tag="telemetry.trace_begin")
-
-    def _peer_collect(self, channel: MuxChannel,
-                      trace_id: str) -> dict[str, Any] | None:
-        """Close the window: fetch C2's counter deltas and finished spans."""
-        channel.send("C1", trace_id, tag="telemetry.collect")
-        reply = channel.receive("C1", expected_tag="telemetry.collect")
-        return reply if isinstance(reply, dict) else None
-
-    def _stitch_report(self, report, trace_id: str,
-                       remote: dict[str, Any] | None,
-                       extra_spans: list[Any] | tuple = ()) -> None:
-        """Merge C2's per-query telemetry into C1's run report.
-
-        The recorder on this daemon only sees local counters (the remote
-        key's counter is always zero), so the C2 columns of the report are
-        filled from the deltas C2 measured over the same query window —
-        distributed reports then match a serial run's totals.  The local
-        and remote spans (plus any shard daemons' spans) merge into one
-        ``report.trace`` timeline.
-        """
-        spans: list[Any] = list(telemetry_tracing.get_tracer().take(trace_id))
-        spans.extend(extra_spans)
-        if remote is not None:
-            counters = remote.get("counters") or {}
-            stats = report.stats
-            stats.c2_encryptions += int(counters.get("encryptions", 0))
-            stats.c2_exponentiations += int(
-                counters.get("exponentiations", 0))
-            stats.c2_decryptions += int(counters.get("decryptions", 0))
-            additions = int(counters.get("homomorphic_additions", 0))
-            if additions:
-                stats.extra["c2_homomorphic_additions"] = (
-                    stats.extra.get("c2_homomorphic_additions", 0) + additions)
-            spans.extend(remote.get("spans") or [])
-            # C2's per-phase cost rows join C1's.  Their seconds measure
-            # C2's busy time, which overlaps C1's wait time — only the C1
-            # rows sum to the report's wall clock.
-            report.cost_breakdown.extend(remote.get("cost") or [])
-        report.trace = telemetry_tracing.trace_payload(trace_id, spans)
-
-    def _stitch_shards(self, report, shard_replies: list[Any]) -> None:
-        """Merge the shard daemons' per-scan telemetry into the report.
-
-        Each shard's C1 counters and peer traffic join the report's C1
-        columns (the coordinator's own recorder never saw them); the
-        shards' cost rows ride along under ``party="C1-shard{i}"`` — and
-        the per-shard C2 windows under ``party="C2"`` — so only the
-        coordinator's own C1 rows are expected to sum to wall time.
-        """
-        stats = report.stats
-        for reply in shard_replies:
-            if not isinstance(reply, dict):
-                continue
-            self._stitch_shard_stats(stats, reply)
-            report.cost_breakdown.extend(reply.get("cost") or [])
-            remote = reply.get("c2") or {}
-            report.cost_breakdown.extend(remote.get("cost") or [])
-            records = reply.get("records_scanned")
-            if records is not None:
-                stats.extra["shard_records_scanned"] = (
-                    stats.extra.get("shard_records_scanned", 0)
-                    + int(records))
-
-    @staticmethod
-    def _stitch_shard_stats(stats, reply: dict[str, Any]) -> None:
-        """Add one shard scan's counters and traffic to a stats object."""
-        c1 = reply.get("c1_counters") or {}
-        stats.c1_encryptions += int(c1.get("encryptions", 0))
-        stats.c1_exponentiations += int(c1.get("exponentiations", 0))
-        stats.c1_homomorphic_additions += int(
-            c1.get("homomorphic_additions", 0))
-        traffic = reply.get("traffic") or {}
-        stats.messages += int(traffic.get("messages", 0))
-        stats.ciphertexts_exchanged += int(traffic.get("ciphertexts", 0))
-        stats.bytes_transferred += int(traffic.get("bytes_transferred", 0))
-        remote = reply.get("c2") or {}
-        counters = remote.get("counters") or {}
-        stats.c2_encryptions += int(counters.get("encryptions", 0))
-        stats.c2_exponentiations += int(counters.get("exponentiations", 0))
-        stats.c2_decryptions += int(counters.get("decryptions", 0))
 
     def _peer_failure(self, channel: MuxChannel,
                       exc: ChannelError) -> ChannelError:
@@ -1554,191 +1463,201 @@ class PartyDaemon:
             return exc
         return PeerUnavailable(f"peer link to C2 failed mid-query: {exc}")
 
+    # -- query execution ---------------------------------------------------------
+    def _build_query_protocol(self, channel: MuxChannel, mode: str,
+                              scatter: Callable[..., Any],
+                              scan_id: str | None) -> SkNNProtocol:
+        """A fresh protocol stack for one run over a leased context.
+
+        The heavyweight state (encrypted table, precompute engine, warm
+        pools) is shared and thread-safe; only the channel-bound wrappers
+        (cloud pair, protocol driver) are built per run, so concurrent
+        queries never share mutable protocol state.
+        """
+        assert self._table is not None
+        table = self._table
+        c1 = CloudC1(table.public_key, channel, rng=self._derive_rng())
+        c1.host_database(table)
+        c2_stub = DecryptorParty(
+            "C2", RemotePrivateKey(table.public_key), channel,
+            rng=self._derive_rng())
+        cloud = FederatedCloud(c1=c1, c2=c2_stub, channel=channel)
+        if self.engine is not None:
+            cloud.attach_engine(self.engine, None)
+        if self.shard_index is not None:
+            return ShardScanProtocol(cloud, shard_index=self.shard_index,
+                                     shard_count=self.shard_count or 1,
+                                     start_index=self._start_index,
+                                     scan_id=scan_id)
+        if self._shard_addresses is not None:
+            if mode != "basic":
+                raise ConfigurationError(
+                    "sharded deployments serve mode 'basic' only (SkNN_m's "
+                    "SMIN_n tournament does not shard across daemons)")
+            return ShardCoordinatorProtocol(
+                cloud, shard_count=len(self._shard_addresses),
+                scatter=scatter)
+        if mode == "basic":
+            return SkNNBasic(cloud)
+        if mode == "secure":
+            if self.distance_bits is None:
+                raise ConfigurationError(
+                    "mode 'secure' needs distance_bits (provision l)")
+            return SkNNSecure(cloud, distance_bits=self.distance_bits)
+        raise ConfigurationError(
+            f"mode {mode!r} is unavailable on this daemon")
+
+    def _run_leased(self, mode: str, execute: Callable[[SkNNProtocol], Any],
+                    root: str = "query",
+                    **fields: Any) -> tuple[Any, SkNNRunReport]:
+        """The one way a run happens on C1: lease, trace, window, merge.
+
+        No query lock: every run leases its own context channel and builds
+        its own protocol stack, so N in-flight runs pipeline over the shared
+        connections, and the counting scope makes this thread's Paillier
+        operations (and, through its own scoped window, C2's) attributable
+        to exactly this run.  The trace is rooted here so what C2 — and, on
+        a coordinator, the shard daemons — measured can be merged into the
+        report ``execute(protocol)`` leaves in ``protocol.last_report``.
+        ``fields`` label the root span and the slow-query log (a shard's
+        ``scan_id`` is also bound into its protocol).
+        """
+        shard_reports: list[SkNNRunReport] = []
+
+        def scatter(sid: str, query: list[Ciphertext], k: int) -> None:
+            shard_reports.extend(self._scatter_to_shards(sid, query, k))
+
+        with self._inflight_lock:
+            self._inflight += 1
+        try:
+            with counting_scope(OperationCounter()):
+                channel = self._ensure_pool().lease()
+                try:
+                    protocol = self._build_query_protocol(
+                        channel, mode, scatter, fields.get("scan_id"))
+                    with telemetry_tracing.trace(
+                            f"{root}.{protocol.name}", party=protocol.party,
+                            **fields) as span:
+                        trace_id = span.trace_id
+                        # Opens C2's counter window *before* the run builds
+                        # its RunStatsRecorder, so the telemetry frames
+                        # never count toward the run's traffic deltas.
+                        channel.send("C1", trace_id,
+                                     tag="telemetry.trace_begin")
+                        result = execute(protocol)
+                    channel.send("C1", trace_id, tag="telemetry.collect")
+                    window = channel.receive(
+                        "C1", expected_tag="telemetry.collect")
+                except ChannelError as exc:
+                    raise self._peer_failure(channel, exc) from exc
+                finally:
+                    channel.release()
+        finally:
+            with self._inflight_lock:
+                self._inflight -= 1
+        report = protocol.last_report
+        report.merge_remote(
+            trace_id, telemetry_tracing.get_tracer().take(trace_id),
+            window if isinstance(window, dict) else None, shard_reports)
+        self.slow_log.observe(report.wall_time_seconds,
+                              protocol=report.protocol, trace_id=trace_id,
+                              **fields)
+        return result, report
+
+    @staticmethod
+    def _shard_report(index: int, reply: Any) -> SkNNRunReport:
+        """Parse one shard's ``transport.scan`` reply, or fail the query."""
+        try:
+            return SkNNRunReport.from_payload(reply["report"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ChannelError(
+                f"shard {index} answered transport.scan with a malformed "
+                f"report: {exc!r}") from exc
+
     def _scatter_to_shards(self, scan_id: str, query: list[Ciphertext],
-                           k: int) -> list[dict[str, Any]]:
+                           k: int) -> list[SkNNRunReport]:
         """Fan the distance scan out to every shard daemon, in parallel.
 
         Each shard is asked over its own short-lived control connection (a
         per-query client: the control protocol is request/reply, so a
-        shared client would serialize concurrent queries).  The first
-        failure wins: a dead shard daemon surfaces as the typed retriable
-        error its client raised, failing only this query.
+        shared client would serialize concurrent queries).  A dead shard
+        daemon — or one whose reply is not a report — surfaces as a typed
+        error failing only this query, never as a quietly partial total.
         """
         from repro.transport.client import DaemonClient
 
-        addresses = self._shard_addresses or []
-        replies: list[dict[str, Any] | None] = [None] * len(addresses)
-        failures: list[BaseException] = []
-
-        def run(index: int, address: tuple[str, int]) -> None:
+        def ask(index: int, address: tuple[str, int]) -> SkNNRunReport:
+            client = DaemonClient(address, self.codec, connect_timeout=10.0,
+                                  request_deadline=self.io_deadline)
             try:
-                client = DaemonClient(address, self.codec,
-                                      connect_timeout=10.0,
-                                      request_deadline=self.io_deadline)
-                try:
-                    replies[index] = client.request(
-                        "transport.scan",
-                        {"scan_id": scan_id, "query": query, "k": k},
-                        timeout=self.io_deadline)
-                finally:
-                    client.close()
-            except BaseException as exc:  # re-raised on the query thread
-                failures.append(exc)
+                return self._shard_report(index, client.request(
+                    "transport.scan",
+                    {"scan_id": scan_id, "query": query, "k": k},
+                    timeout=self.io_deadline))
+            finally:
+                client.close()
 
-        threads = [threading.Thread(target=run, args=(index, address),
-                                    name=f"sknn-scatter-{index}", daemon=True)
-                   for index, address in enumerate(addresses)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            failure = failures[0]
-            if isinstance(failure, ReproError):
-                raise failure
-            raise PeerUnavailable(
-                f"shard scatter failed: {failure}") from failure
-        return [reply for reply in replies if isinstance(reply, dict)]
+        addresses = self._shard_addresses or []
+        with ThreadPoolExecutor(max_workers=max(len(addresses), 1),
+                                thread_name_prefix="sknn-scatter") as pool:
+            futures = [pool.submit(ask, index, address)
+                       for index, address in enumerate(addresses)]
+        try:
+            return [future.result() for future in futures]
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise PeerUnavailable(f"shard scatter failed: {exc}") from exc
 
+    @_replayed("scan_id")
     def _handle_scan(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Shard daemon: run this slice's distance phase for one scan.
 
-        The reply bundles everything the coordinator needs to stitch a
-        complete report: this shard's exact C1 counter deltas (thread
-        scope), its peer-link traffic, its cost rows
-        (``party="C1-shard{i}"``), the C2 window its scan consumed, and
-        its spans.
+        The reply is the scan's report (cost rows under
+        ``party="C1-shard{i}"``, already merged with the C2 window the scan
+        consumed), which the coordinator absorbs into the query's.
         """
         if self.shard_index is None:
             raise ConfigurationError(
                 "transport.scan is only served by shard daemons "
                 "(start with --shard-index/--shard-count)")
-        query: list[Ciphertext] = payload["query"]
-        k: int = payload["k"]
-        scan_id = str(payload["scan_id"])
-        scope = OperationCounter()
-        ledger = telemetry_profiling.CostLedger(
-            sources=(scope,), party=f"C1-shard{self.shard_index}")
-        self._track_inflight(1)
-        try:
-            with counting_scope(scope):
-                channel = self._ensure_pool().lease()
-                try:
-                    with telemetry_tracing.trace(
-                            f"shard{self.shard_index}.scan",
-                            party=self.party_name, scan=scan_id) as root:
-                        trace_id = root.trace_id
-                        self._peer_trace_begin(channel, trace_id)
-                        # The leased context is exclusively this scan's:
-                        # resetting after the telemetry frame makes its
-                        # totals exactly the scan's protocol traffic.
-                        channel.reset_accounting()
-                        protocol = self._build_query_protocol(channel,
-                                                              "basic")
-                        started = time.perf_counter()
-                        with ledger.activate():
-                            records = protocol.run_scan(query, k, scan_id)
-                        elapsed = time.perf_counter() - started
-                        traffic = channel.total_traffic().snapshot()
-                    remote = self._peer_collect(channel, trace_id)
-                except ChannelError as exc:
-                    raise self._peer_failure(channel, exc) from exc
-                finally:
-                    channel.release()
-        finally:
-            self._track_inflight(-1)
-        spans = [span.as_payload()
-                 for span in telemetry_tracing.get_tracer().take(trace_id)]
-        self.slow_log.observe(elapsed, protocol="SkNNb-shard",
-                              trace_id=trace_id, scan_id=scan_id)
-        return {
-            "scan_id": scan_id,
-            "shard_index": self.shard_index,
-            "records_scanned": records,
-            "wall_time_seconds": elapsed,
-            "c1_counters": scope.snapshot(),
-            "traffic": traffic,
-            "c2": remote,
-            "cost": ledger.finish(),
-            "spans": spans,
-        }
+        query, k = payload["query"], payload["k"]
+        _, report = self._run_leased(
+            "basic", lambda protocol: protocol.run_with_report(
+                query, k, distance_bits=self.distance_bits),
+            scan_id=str(payload["scan_id"]))
+        return {"report": report.as_payload()}
 
+    @_replayed("query_id")
     def _handle_query(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Run one query on a freshly leased peer context.
-
-        No query lock: every query leases its own context channel from
-        the pool and builds its own protocol stack, so N in-flight
-        queries pipeline over the shared connections.  The counting scope
-        makes this thread's Paillier operations (and, through its own
-        scoped window, C2's) attributable to exactly this query no matter
-        how many others are concurrently in flight.
-        """
+        """Run one query and ship C1's share half plus the merged report."""
         if self.shard_index is not None:
             raise ConfigurationError(
                 "shard daemons serve transport.scan only; send queries to "
                 "the coordinator C1")
-        query: list[Ciphertext] = payload["query"]
-        k: int = payload["k"]
-        mode = payload.get("mode", "basic")
-        scan_id = uuid.uuid4().hex
-        shard_replies: list[dict[str, Any]] = []
-
-        def scatter(sid: str, shard_query: list[Ciphertext],
-                    shard_k: int) -> None:
-            shard_replies.extend(
-                self._scatter_to_shards(sid, shard_query, shard_k))
-
-        scope = OperationCounter()
-        self._track_inflight(1)
-        try:
-            with counting_scope(scope):
-                channel = self._ensure_pool().lease()
-                try:
-                    protocol = self._build_query_protocol(
-                        channel, mode, scatter=scatter, scan_id=scan_id)
-                    # Root the trace here (run_with_report joins it) so
-                    # the daemon can stitch C2's spans and counter deltas
-                    # into the report.
-                    with telemetry_tracing.trace(f"query.{protocol.name}",
-                                                 party="C1", k=k) as root:
-                        trace_id = root.trace_id
-                        self._peer_trace_begin(channel, trace_id)
-                        shares = protocol.run_with_report(
-                            query, k, distance_bits=self.distance_bits)
-                    report = protocol.last_report
-                    remote = self._peer_collect(channel, trace_id)
-                except ChannelError as exc:
-                    raise self._peer_failure(channel, exc) from exc
-                finally:
-                    channel.release()
-        finally:
-            self._track_inflight(-1)
-        if report is not None:
-            shard_spans = [span for reply in shard_replies
-                           for span in (reply.get("spans") or [])]
-            self._stitch_report(report, trace_id, remote,
-                                extra_spans=shard_spans)
-            self._stitch_shards(report, shard_replies)
-            self.slow_log.observe(report.wall_time_seconds,
-                                  protocol=protocol.name,
-                                  trace_id=trace_id, k=k)
+        query, k = payload["query"], payload["k"]
+        shares, report = self._run_leased(
+            payload.get("mode", "basic"),
+            lambda protocol: protocol.run_with_report(
+                query, k, distance_bits=self.distance_bits), k=k)
         return {
             "masks": shares.masks_from_c1,
             "modulus": shares.modulus,
             "delivery_id": shares.delivery_id,
-            "report": report.as_payload() if report is not None else None,
+            "report": report.as_payload(),
         }
 
+    @_replayed("batch_id")
     def _handle_query_batch(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Serve a scheduler batch over one leased context.
 
         The batch's queries run back-to-back on a single context — the
         batch semantics a distributed
         :class:`~repro.service.scheduler.QueryServer` expects — while
-        other pipelined queries keep flowing on sibling contexts.
+        other pipelined queries keep flowing on sibling contexts.  One
+        recorder spans the batch; its stats are left in a report (``k`` is
+        the batch's largest) so they are merged like any other run's.
         """
-        from repro.core.sknn_base import RunStatsRecorder
-
         if self.shard_index is not None:
             raise ConfigurationError(
                 "shard daemons serve transport.scan only; send batches to "
@@ -1747,73 +1666,33 @@ class PartyDaemon:
         ks = payload["ks"]
         if len(queries) != len(ks):
             raise ConfigurationError("batch queries and ks differ in length")
-        mode = payload.get("mode", "basic")
-        shard_replies: list[dict[str, Any]] = []
 
-        def scatter(sid: str, shard_query: list[Ciphertext],
-                    shard_k: int) -> None:
-            shard_replies.extend(
-                self._scatter_to_shards(sid, shard_query, shard_k))
+        def execute(protocol: SkNNProtocol):
+            recorder = RunStatsRecorder(protocol.cloud)
+            started = time.perf_counter()
+            results = []
+            for query, k in zip(queries, ks):
+                shares = protocol.run(query, k)
+                results.append({"masks": shares.masks_from_c1,
+                                "delivery_id": shares.delivery_id})
+            elapsed = time.perf_counter() - started
+            table = protocol.encrypted_table
+            protocol.last_report = SkNNRunReport(
+                protocol=f"{protocol.name}-batch", n_records=len(table),
+                dimensions=table.dimensions, k=max(ks, default=0),
+                key_size=protocol.public_key.key_size,
+                distance_bits=self.distance_bits, wall_time_seconds=elapsed,
+                stats=recorder.finish(
+                    f"{protocol.name}-distributed", elapsed))
+            return results
 
-        results = []
-        scope = OperationCounter()
-        self._track_inflight(1)
-        try:
-            with counting_scope(scope):
-                channel = self._ensure_pool().lease()
-                try:
-                    protocol = self._build_query_protocol(
-                        channel, mode, scatter=scatter,
-                        scan_id=uuid.uuid4().hex)
-                    with telemetry_tracing.trace(
-                            f"batch.{protocol.name}", party="C1",
-                            queries=len(queries)) as root:
-                        trace_id = root.trace_id
-                        self._peer_trace_begin(channel, trace_id)
-                        recorder = RunStatsRecorder(protocol.cloud)
-                        started = time.perf_counter()
-                        for index, (query, k) in enumerate(
-                                zip(queries, ks)):
-                            if index and self._shard_addresses is not None:
-                                # A coordinator protocol is bound to one
-                                # scan id; mint a fresh one per query.
-                                protocol = self._build_query_protocol(
-                                    channel, mode, scatter=scatter,
-                                    scan_id=uuid.uuid4().hex)
-                            shares = protocol.run(query, k)
-                            results.append({
-                                "masks": shares.masks_from_c1,
-                                "delivery_id": shares.delivery_id,
-                            })
-                        elapsed = time.perf_counter() - started
-                        stats = recorder.finish(
-                            f"{protocol.name}-distributed", elapsed)
-                    remote = self._peer_collect(channel, trace_id)
-                except ChannelError as exc:
-                    raise self._peer_failure(channel, exc) from exc
-                finally:
-                    channel.release()
-        finally:
-            self._track_inflight(-1)
-        spans: list[Any] = list(
-            telemetry_tracing.get_tracer().take(trace_id))
-        if remote is not None:
-            counters = remote.get("counters") or {}
-            stats.c2_encryptions += int(counters.get("encryptions", 0))
-            stats.c2_exponentiations += int(
-                counters.get("exponentiations", 0))
-            stats.c2_decryptions += int(counters.get("decryptions", 0))
-            spans.extend(remote.get("spans") or [])
-        for reply in shard_replies:
-            if isinstance(reply, dict):
-                self._stitch_shard_stats(stats, reply)
-                spans.extend(reply.get("spans") or [])
-        self.slow_log.observe(elapsed, protocol=f"{protocol.name}-batch",
-                              trace_id=trace_id, queries=len(queries))
+        results, report = self._run_leased(
+            payload.get("mode", "basic"), execute, root="batch",
+            queries=len(queries))
         return {
             "results": results,
             "modulus": self.codec.public_key.n,
-            "stats": stats.as_payload(),
-            "wall_time_seconds": elapsed,
-            "trace": telemetry_tracing.trace_payload(trace_id, spans),
+            "stats": report.stats.as_payload(),
+            "wall_time_seconds": report.wall_time_seconds,
+            "trace": report.trace,
         }

@@ -23,7 +23,7 @@ from repro.db.knn import LinearScanKNN
 from repro.exceptions import ChannelError, ConfigurationError
 from repro.network.channel import Message
 from repro.transport.client import RemoteCloud
-from repro.transport.daemon import PartyDaemon
+from repro.transport.daemon import C1Daemon, C2Daemon
 from repro.transport.framing import recv_frame, send_frame
 from repro.transport.mux import MuxConnection
 from repro.transport.supervisor import LocalSupervisor
@@ -423,7 +423,7 @@ class TestDaemonHygiene:
     def test_close_of_an_idle_provisioned_daemon_is_prompt(self, owner):
         """close() must wake the thread blocked in accept(), not wait out
         its join timeout."""
-        daemons = [PartyDaemon(role, port=0) for role in ("c1", "c2")]
+        daemons = [role(port=0) for role in (C1Daemon, C2Daemon)]
         for daemon in daemons:
             daemon.start()
         c1, c2 = daemons

@@ -18,7 +18,9 @@ from random import Random
 
 import pytest
 
+from repro.analysis.cost_model import ssed_scan_counts, sknn_basic_counts
 from repro.core.roles import DataOwner, QueryClient
+from repro.core.sknn_shard import shard_bounds
 from repro.db.datasets import synthetic_uniform
 from repro.db.knn import LinearScanKNN
 from repro.exceptions import (
@@ -28,6 +30,7 @@ from repro.exceptions import (
     PeerUnavailable,
 )
 from repro.resilience.policy import RetryPolicy
+from repro.transport.client import RemoteStore
 from repro.transport.supervisor import LocalSupervisor
 
 KEY_BITS = int(os.environ.get("REPRO_DISTRIBUTED_BITS", "256"))
@@ -127,6 +130,25 @@ class TestShardedBitIdentity:
                          mode="secure")
 
 
+def assert_exact_sharded_totals(stats, queries):
+    """``stats`` == ``queries`` x (each shard's scan + selection + delivery).
+
+    Every shard negates the query itself, so the scan is the sum of the
+    per-slice ``ssed_scan_counts``; what is left of ``sknn_basic_counts``
+    (C2 decrypting the n distances, the k*m delivery) happens once.
+    """
+    scans = [ssed_scan_counts(stop - start, DIMENSIONS)
+             for start, stop in shard_bounds(N_RECORDS, SHARDS)]
+    whole = sknn_basic_counts(N_RECORDS, DIMENSIONS, K, batched=True)
+    unsharded = ssed_scan_counts(N_RECORDS, DIMENSIONS)
+    for measured, op in ((stats.total_encryptions, "encryptions"),
+                         (stats.total_decryptions, "decryptions"),
+                         (stats.total_exponentiations, "exponentiations")):
+        expected = (sum(getattr(scan, op) for scan in scans)
+                    + getattr(whole, op) - getattr(unsharded, op))
+        assert measured == queries * expected, op
+
+
 class TestShardedObservability:
     def test_stats_expose_shard_topology(self, remote):
         stats = remote.stats()
@@ -151,6 +173,22 @@ class TestShardedObservability:
         # The stitched scan covered every record exactly once.
         scanned = report.stats.extra.get("shard_records_scanned")
         assert scanned == N_RECORDS
+        assert_exact_sharded_totals(report.stats, queries=1)
+
+    def test_batch_stats_are_the_exact_sharded_totals(self, remote, client,
+                                                      dataset):
+        """The ``transport.query_batch`` path merges shard and C2 counters
+        with the same call as the single-query path."""
+        store = RemoteStore(remote)
+        shares = store.answer_batch(
+            [client.encrypt_query(list(query)) for query in QUERIES],
+            [K] * len(QUERIES))
+        oracle = LinearScanKNN(dataset)
+        for query, share in zip(QUERIES, shares):
+            assert client.reconstruct(share) == [
+                r.record.values for r in oracle.query(list(query), K)]
+        assert_exact_sharded_totals(store.last_batch_stats,
+                                    queries=len(QUERIES))
 
 
 class TestShardFailureDomain:

@@ -150,6 +150,82 @@ class TestRunReports:
         assert table.dimensions == 5
 
 
+class TestReportMerge:
+    """``SkNNRunReport.merge_remote`` as a pure function of its inputs."""
+
+    COUNTED = ("c1_encryptions", "c1_exponentiations",
+               "c1_homomorphic_additions", "c2_encryptions", "c2_decryptions",
+               "c2_exponentiations", "messages", "ciphertexts_exchanged",
+               "bytes_transferred")
+
+    def report(self, party: str, n_records: int, base: int, wall: float,
+               span_starts, extra=None) -> SkNNRunReport:
+        """A report whose ``i``-th counted field is ``base + i``."""
+        stats = ProtocolRunStats(
+            protocol=party, wall_time_seconds=wall, extra=dict(extra or {}),
+            **{name: base + i for i, name in enumerate(self.COUNTED)})
+        return SkNNRunReport(
+            protocol=party, n_records=n_records, dimensions=2, k=1,
+            key_size=128, distance_bits=None, wall_time_seconds=wall,
+            stats=stats,
+            cost_breakdown=[{"phase": "scan", "party": party,
+                             "seconds": wall, "ops": {"encryptions": base}}],
+            trace={"trace_id": party,
+                   "spans": [{"name": f"{party}.{start}", "start": start}
+                             for start in span_starts]})
+
+    def test_merges_a_c2_window_and_two_shard_reports_exactly(self):
+        own = self.report("C1", 11, base=100, wall=1.5, span_starts=())
+        own.trace = None
+        own_rows = [dict(row) for row in own.cost_breakdown]
+        shards = [
+            self.report("C1-shard0", 6, base=10, wall=0.7,
+                        span_starts=(5.0, 2.0),
+                        extra={"c2_homomorphic_additions": 1}),
+            self.report("C1-shard1", 5, base=20, wall=0.6,
+                        span_starts=(3.0,),
+                        extra={"c2_homomorphic_additions": 1}),
+        ]
+        window = {
+            "counters": {"encryptions": 3, "exponentiations": 4,
+                         "decryptions": 5, "homomorphic_additions": 2},
+            "spans": [{"name": "p2.SkNN", "start": 4.0}],
+            "cost": [{"phase": "SkNN", "party": "C2", "seconds": 0.2,
+                      "ops": {"decryptions": 5}}],
+        }
+        own.merge_remote("trace-1", [{"name": "query.SkNNb", "start": 1.0}],
+                         c2_window=window, shard_reports=shards)
+
+        from_window = {"c2_encryptions": 3, "c2_exponentiations": 4,
+                       "c2_decryptions": 5}
+        for i, name in enumerate(self.COUNTED):
+            assert getattr(own.stats, name) == (
+                (100 + i) + (10 + i) + (20 + i) + from_window.get(name, 0)
+            ), name
+        assert own.stats.extra == {"c2_homomorphic_additions": 2 + 1 + 1,
+                                   "shard_records_scanned": 6 + 5}
+        # The run keeps its own clock and label; only this party's rows
+        # partition it, the others ride along after them.
+        assert own.wall_time_seconds == own.stats.wall_time_seconds == 1.5
+        assert own.stats.protocol == "C1"
+        assert own.cost_breakdown[:1] == own_rows
+        assert [row["party"] for row in own.cost_breakdown] == [
+            "C1", "C2", "C1-shard0", "C1-shard1"]
+        assert own.trace["trace_id"] == "trace-1"
+        assert [span["start"] for span in own.trace["spans"]] == [
+            1.0, 2.0, 3.0, 4.0, 5.0]
+        assert SkNNRunReport.from_payload(own.as_payload()) == own
+
+    def test_without_remote_parties_only_the_trace_is_set(self):
+        own = self.report("C1", 4, base=7, wall=0.3, span_starts=())
+        before = own.stats.as_payload()
+        own.merge_remote("t", [{"name": "b", "start": 2.0},
+                               {"name": "a", "start": 1.0}])
+        assert own.stats.as_payload() == before
+        assert len(own.cost_breakdown) == 1
+        assert [span["name"] for span in own.trace["spans"]] == ["a", "b"]
+
+
 class TestSelectionRule:
     def test_top_k_orders_ties_by_global_index(self):
         pairs = [(4, 6), (1, 5), (4, 0), (1, 2), (0, 9), (4, 3)]

@@ -1,0 +1,194 @@
+"""Role and kind boundaries of the party daemons, on in-process daemons.
+
+No subprocess is spawned, so this module runs in CI's tier-1 step: each
+test starts a :class:`C1Daemon`/:class:`C2Daemon` on an ephemeral port in
+this process and talks to it over a real control connection.
+"""
+
+from __future__ import annotations
+
+import socket
+from random import Random
+
+import pytest
+
+from repro import cli
+from repro.core.roles import DataOwner
+from repro.core.sknn_base import SkNNRunReport
+from repro.core.sknn_shard import shard_table
+from repro.db.datasets import synthetic_uniform
+from repro.exceptions import ChannelError, ConfigurationError
+from repro.network.channel import Message
+from repro.network.stats import ProtocolRunStats
+from repro.transport.client import DaemonClient
+from repro.transport.daemon import C1Daemon, C2Daemon
+from repro.transport.framing import recv_frame, send_frame
+from repro.transport.wire import WireCodec
+from tests.conftest import SMALL_KEY_BITS
+
+
+@pytest.fixture
+def serve():
+    """Start daemons in this process; hand back a connected client each."""
+    started: list = []
+
+    def start(daemon, codec: WireCodec | None = None) -> DaemonClient:
+        daemon.start()
+        client = DaemonClient((daemon.host, daemon.port),
+                              codec or WireCodec(), request_deadline=10.0)
+        started.extend([client, daemon])
+        return client
+
+    yield start
+    for resource in started:
+        resource.close()
+
+
+def assert_refused_but_connected(client: DaemonClient, tag: str, payload,
+                                 error: type, match: str) -> None:
+    """A typed, non-retriable refusal that leaves the connection usable."""
+    with pytest.raises(error, match=match) as raised:
+        client.request(tag, payload)
+    assert type(raised.value) is error
+    assert not getattr(raised.value, "retriable", False)
+    assert client.request("transport.ping", None)["role"] in ("c1", "c2")
+    assert client.reconnects == 0
+
+
+class TestRoleState:
+    def test_each_role_holds_only_its_own_state(self):
+        c1, c2 = C1Daemon(), C2Daemon()
+        for name in ("mailbox", "_scan_registry", "_private_key",
+                     "_serve_peer_context", "_build_p2_registry"):
+            assert not hasattr(c1, name), name
+        for name in ("_table", "_peer_pool", "_reply_cache", "epoch",
+                     "shard_index", "shard_count", "_shard_addresses",
+                     "_run_leased"):
+            assert not hasattr(c2, name), name
+        assert (c1.role, c2.role) == ("c1", "c2")
+
+
+class TestRoleRefusals:
+    @pytest.mark.parametrize(
+        "tag", ["transport.query", "transport.query_batch", "transport.scan"])
+    def test_c2_refuses_c1_tags(self, serve, tag):
+        assert_refused_but_connected(
+            serve(C2Daemon()), tag, {"k": 1, "query": []},
+            ChannelError, "unsupported control tag")
+
+    def test_c1_refuses_fetch_share(self, serve):
+        assert_refused_but_connected(
+            serve(C1Daemon()), "transport.fetch_share", {"delivery_id": 1},
+            ChannelError, "unsupported control tag")
+
+    def test_cloud_hello_to_c1_is_dropped(self, serve):
+        client = serve(C1Daemon())
+        codec = WireCodec()
+        with socket.create_connection(client.address, timeout=5) as sock:
+            send_frame(sock, codec.encode_message(Message(
+                sender="C1", recipient="C1", tag="transport.hello",
+                payload={"peer": "cloud", "epoch": "e"})))
+            assert recv_frame(sock) is None  # closed without a hello_ok
+
+    @pytest.mark.parametrize("tag, payload", [
+        ("transport.query", {"query_id": "q", "k": 1, "query": []}),
+        ("transport.query_batch", {"batch_id": "b", "ks": [], "queries": []}),
+    ])
+    def test_shard_daemon_refuses_queries(self, serve, tag, payload):
+        assert_refused_but_connected(
+            serve(C1Daemon(shard_index=0, shard_count=2)), tag, payload,
+            ConfigurationError, "shard daemons serve transport.scan only")
+
+    def test_plain_c1_refuses_scans(self, serve):
+        assert_refused_but_connected(
+            serve(C1Daemon()), "transport.scan",
+            {"scan_id": "s", "k": 1, "query": []},
+            ConfigurationError,
+            "transport.scan is only served by shard daemons")
+
+
+class TestShardIdentity:
+    def party(self, *flags: str):
+        return cli._build_party(cli.build_parser().parse_args(
+            ["party", "--listen", "127.0.0.1:0", *flags]))
+
+    def test_only_c1_daemons_can_be_shards(self):
+        with pytest.raises(ConfigurationError, match="only C1 daemons"):
+            self.party("--role", "c2", "--shard-index", "0",
+                       "--shard-count", "2")
+
+    def test_shard_flags_go_together(self):
+        with pytest.raises(ConfigurationError, match="go together"):
+            self.party("--role", "c1", "--shard-index", "0")
+
+    def test_role_flag_picks_the_class(self):
+        assert type(self.party("--role", "c2")) is C2Daemon
+        shard = self.party("--role", "c1", "--shard-index", "1",
+                           "--shard-count", "2", "--peer-connections", "3")
+        assert type(shard) is C1Daemon
+        assert (shard.shard_index, shard.peer_connections) == (1, 3)
+
+    def test_provision_must_match_the_daemons_shard_identity(self, serve):
+        owner = DataOwner(
+            synthetic_uniform(n_records=4, dimensions=2, distance_bits=5,
+                              seed=1),
+            key_size=SMALL_KEY_BITS, rng=Random(5))
+        codec = WireCodec()
+        codec.public_key = owner.public_key
+        slice_table, start = shard_table(owner.encrypt_database(), 1, 2)
+        payload = {"encrypted_table": slice_table.to_dict(),
+                   "c2_address": ["127.0.0.1", 9], "shard_index": 1,
+                   "shard_count": 2, "start_index": start}
+        assert_refused_but_connected(
+            serve(C1Daemon(), codec), "transport.provision", payload,
+            ConfigurationError, "shard provision sent to a C1 daemon")
+        assert_refused_but_connected(
+            serve(C1Daemon(shard_index=0, shard_count=2), codec),
+            "transport.provision", payload, ConfigurationError,
+            "provision payload is for shard 1/2")
+
+
+class TestMalformedControlPayloads:
+    def test_value_error_is_typed_and_keeps_the_connection(self, serve):
+        """``float("abc")`` in a handler used to crash the connection thread,
+        which the client saw as a *retriable* dropped peer."""
+        assert_refused_but_connected(
+            serve(C2Daemon()), "transport.profile", {"seconds": "abc"},
+            ChannelError, "malformed 'transport.profile' payload")
+
+
+class TestShardReplies:
+    def report_payload(self) -> dict:
+        return SkNNRunReport(
+            protocol="SkNNb-shard", n_records=3, dimensions=2, k=1,
+            key_size=128, distance_bits=None, wall_time_seconds=0.1,
+            stats=ProtocolRunStats(protocol="SkNNb-shard")).as_payload()
+
+    def test_a_report_reply_parses(self):
+        report = C1Daemon._shard_report(0, {"report": self.report_payload()})
+        assert report.n_records == 3
+
+    def test_anything_else_fails_typed_naming_the_shard(self):
+        good = self.report_payload()
+        without_stats = {key: value for key, value in good.items()
+                         if key != "stats"}
+        for reply in (None, "scanned", ["report"], {}, {"report": None},
+                      {"report": without_stats},
+                      {"report": dict(good, unknown_field=1)}):
+            with pytest.raises(ChannelError,
+                               match="shard 1 answered") as raised:
+                C1Daemon._shard_report(1, reply)
+            assert type(raised.value) is ChannelError, reply
+
+    def test_scatter_fails_the_query_on_a_malformed_shard_reply(self, serve):
+        """A shard that answers with something else must not quietly vanish
+        from the merged totals."""
+        class BabblingShard(C1Daemon):
+            def _handle_scan(self, payload):
+                return ["not", "a", "report"]
+
+        shard = serve(BabblingShard(shard_index=0, shard_count=1))
+        coordinator = C1Daemon(io_deadline=10.0)
+        coordinator._shard_addresses = [shard.address]
+        with pytest.raises(ChannelError, match="shard 0 answered"):
+            coordinator._scatter_to_shards("scan-1", [], 1)

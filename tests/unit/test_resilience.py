@@ -31,7 +31,7 @@ from repro.resilience import (
     wait_until_healthy,
 )
 from repro.telemetry import metrics as telemetry_metrics
-from repro.transport.daemon import PartyDaemon, ShareMailbox
+from repro.transport.daemon import C2Daemon, ShareMailbox
 from repro.transport.framing import deadline_at, recv_frame, send_frame
 from repro.transport.wire import WireCodec
 from tests.conftest import socket_channel_pair
@@ -492,7 +492,7 @@ class TestHealth:
             wait_until_healthy(address, timeout=0.3, interval=0.05)
 
     def test_probe_live_daemon(self):
-        daemon = PartyDaemon("c2", port=0)
+        daemon = C2Daemon(port=0)
         daemon.start()
         try:
             payload = probe_daemon((daemon.host, daemon.port), timeout=5.0)
