@@ -14,7 +14,12 @@ on identical workloads (same plaintexts, same scalar mix).  The scalar-mul
 workload mirrors the protocols' real mix — one homomorphic negation plus two
 uniform-scalar exponentiations per SSED attribute (the SM unmask pair).
 
-A second test compares an end-to-end SkNN_b query through the batched scan
+A second test gates the strip-step kernel: rows of 4 ciphertexts raised to
+uniform ``Z_N`` scalars and multiplied together, as one shared-squaring
+multi-exponentiation per row (``weighted_sum_batch``) against
+``scalar_mul_batch`` + row-wise ``add_batch`` (python backend only).
+
+A third test compares an end-to-end SkNN_b query through the batched scan
 against the seed's per-record serial scan on the same table and key.
 
 Key size defaults to the paper's K=512; CI smoke runs set
@@ -50,6 +55,11 @@ MIN_SPEEDUP = 1.5 if KERNEL_KEY_BITS >= 512 else 1.05
 #: below paper scale the per-path totals are tens of milliseconds, so take
 #: the best of several repeats to keep the CI gate stable on noisy runners.
 MEASURE_REPEATS = 1 if KERNEL_KEY_BITS >= 512 else 3
+
+#: speedup one multi-exponentiation per row of 4 full-width scalars must
+#: reach over scalar_mul_batch + adds (python backend; ~1.9x at K=256, more
+#: at paper scale where the shared squarings dominate).
+MIN_ROWS_SPEEDUP = 1.3
 
 E2E_N = 24
 E2E_M = 3
@@ -197,6 +207,53 @@ def test_kernel_gmpy2_backend(kernel_keypair, results_dir):
         "gmpy2_batch_total_s": gmpy2_timings["batch_total_s"],
     })
     assert gmpy2_timings["batch_total_s"] < python_timings["batch_total_s"]
+
+
+def test_kernel_weighted_sum_rows(kernel_keypair, results_dir):
+    """Rows of 4 full-width scalars: one multi-exponentiation per row must
+    beat ``scalar_mul_batch`` + row-wise adds (one ``pow`` per term)."""
+    if get_backend().name == "gmpy2":
+        pytest.skip("the gmpy2 backend keeps the per-base powmod product")
+    public_key = kernel_keypair.public_key
+    rng = Random(79)
+    width = 4
+    count = KERNEL_OPS - KERNEL_OPS % width
+    ciphertexts = public_key.encrypt_batch(
+        [rng.randrange(1 << 16) for _ in range(count)], rng=rng)
+    scalars = [rng.randrange(public_key.n) for _ in range(count)]
+    starts = range(0, count, width)
+
+    def powers_then_adds():
+        sums = public_key.scalar_mul_batch(ciphertexts, scalars)
+        totals = sums[0::width]
+        for column in range(1, width):
+            totals = public_key.add_batch(totals, sums[column::width])
+        return totals
+
+    def weighted_sums():
+        return public_key.weighted_sum_batch(
+            [ciphertexts[start:start + width] for start in starts],
+            [scalars[start:start + width] for start in starts])
+
+    assert ([c.value for c in weighted_sums()]
+            == [c.value for c in powers_then_adds()])
+    repeats = max(MEASURE_REPEATS, 3)
+    timings = {
+        "scalar_mul_then_add_s": _measure(powers_then_adds, repeats),
+        "weighted_sum_batch_s": _measure(weighted_sums, repeats),
+    }
+    timings["speedup"] = (timings["scalar_mul_then_add_s"]
+                          / timings["weighted_sum_batch_s"])
+    write_bench_json(results_dir, f"crypto_kernel_rows_K{KERNEL_KEY_BITS}", {
+        "kind": "measured",
+        "params": {"key_size": KERNEL_KEY_BITS, "terms": count,
+                   "row_width": width, "backend": get_backend().name},
+        "timings": timings,
+    })
+    assert timings["speedup"] >= MIN_ROWS_SPEEDUP, (
+        f"weighted_sum_batch must be >= {MIN_ROWS_SPEEDUP}x faster than "
+        f"scalar_mul_batch + adds on rows of {width}; got "
+        f"{timings['speedup']:.2f}x")
 
 
 def test_kernel_end_to_end_sknnb(benchmark, kernel_keypair, results_dir):

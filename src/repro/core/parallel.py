@@ -146,9 +146,11 @@ def _chunk_squared_distances(public_key: PaillierPublicKey,
     SecureSquaredEuclideanDistance.run_many` operation for operation —
     homomorphic difference, one additive mask per (record, attribute),
     decryption of the masked differences, squares **summed per record in the
-    clear**, one re-encryption per record, and stripping of the cross terms —
-    so measured speedups reflect genuine parallelization of the protocol's
-    workload.  Chunk-level batching effects:
+    clear**, one re-encryption per record, and stripping of the cross terms
+    as one multi-exponentiation ``prod_j E(d_j)^(N - 2 r_j)`` per record
+    (the backend's ``multi_powmod``: one squaring chain for the record's
+    ``m`` powers) — so measured speedups reflect genuine parallelization of
+    the protocol's workload.  Chunk-level batching effects:
 
     * the query-side negation ``E(-q_j)`` is computed once per (chunk, query)
       instead of once per (record, query) — a modular inversion replacing
@@ -163,7 +165,8 @@ def _chunk_squared_distances(public_key: PaillierPublicKey,
         ``distances[record][query]`` for the chunk, in input order.
     """
     backend = get_backend()
-    mulmod, invert, powmod = backend.mulmod, backend.invert, backend.powmod
+    mulmod, invert = backend.mulmod, backend.invert
+    multi_powmod = backend.multi_powmod
     n = public_key.n
     nsquare = public_key.nsquare
     dimensions = len(queries[0]) if queries else 0
@@ -195,21 +198,20 @@ def _chunk_squared_distances(public_key: PaillierPublicKey,
              for base in range(0, len(masked_plain), dimensions)],
             rng=rng, pool=pool)
 
-        # Strip: E(sum (d+r)^2) * prod E(d)^(N-2r) * E(-sum r^2) per record.
+        # Strip: E(sum (d+r)^2) * prod E(d)^(N-2r) * E(-sum r^2) per record,
+        # the product as one multi-exponentiation.
         totals: list[Ciphertext] = []
         for record_index, enc_sum in enumerate(enc_sums):
             base = record_index * dimensions
-            total = enc_sum.value
-            mask_squares = 0
-            for index in range(base, base + dimensions):
-                mask = masks[index]
-                total = mulmod(
-                    total, powmod(diffs[index], (n - 2 * mask) % n, nsquare),
-                    nsquare)
-                mask_squares += mask * mask
-            constant = (1 + (-mask_squares % n) * n) % nsquare
-            totals.append(
-                Ciphertext(public_key, mulmod(total, constant, nsquare)))
+            row_masks = masks[base:base + dimensions]
+            cross = multi_powmod(diffs[base:base + dimensions],
+                                 [(n - 2 * mask) % n for mask in row_masks],
+                                 nsquare)
+            constant = (
+                1 + (-sum(mask * mask for mask in row_masks) % n) * n
+            ) % nsquare
+            totals.append(Ciphertext(public_key, mulmod(
+                mulmod(enc_sum.value, cross, nsquare), constant, nsquare)))
 
         for record_index, distance in enumerate(
                 private_key.decrypt_residue_batch(totals)):

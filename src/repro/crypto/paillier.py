@@ -467,6 +467,47 @@ class PaillierPublicKey:
         self.counter.homomorphic_additions += len(out)
         return out
 
+    def weighted_sum_batch(self, rows: Sequence[Sequence["Ciphertext"]],
+                           scalar_rows: Sequence[Sequence[int]]
+                           ) -> list["Ciphertext"]:
+        """``E(sum_j s_ij * a_ij)`` for every row, one multi-exponentiation each.
+
+        Raw-identical to ``scalar_mul_batch`` on the flattened terms followed
+        by a row-wise ``add_batch`` reduction (``prod_j c_ij ** (s_ij mod N)
+        mod N**2``), but computed through the backend's ``multi_powmod`` so
+        the squarings of a row are shared.  Counters advance as for that
+        formula — one exponentiation per term and ``terms - rows``
+        homomorphic additions — so operation counts do not depend on how the
+        product was evaluated.  Scalars congruent to ``-1 mod N`` are plain
+        exponents here; the inverse shortcut belongs to negation, not to a
+        strip step whose scalars are uniform in ``Z_N``.
+
+        Args:
+            rows: non-empty rows of ciphertexts (rows may differ in length).
+            scalar_rows: one scalar per ciphertext, row for row.
+        """
+        if len(rows) != len(scalar_rows):
+            raise EncryptionError(
+                "weighted_sum_batch needs exactly one scalar row per row")
+        n = self.n
+        nsquare = self.nsquare
+        multi_powmod = get_backend().multi_powmod
+        out = []
+        terms = 0
+        for row, scalars in zip(rows, scalar_rows):
+            if not row or len(row) != len(scalars):
+                raise EncryptionError(
+                    "weighted_sum_batch needs non-empty rows with exactly "
+                    "one scalar per ciphertext")
+            self._check_batch_key(row)
+            out.append(Ciphertext(self, multi_powmod(
+                [ciphertext.value for ciphertext in row],
+                [scalar % n for scalar in scalars], nsquare)))
+            terms += len(row)
+        self.counter.exponentiations += terms
+        self.counter.homomorphic_additions += terms - len(out)
+        return out
+
 
 class PaillierPrivateKey:
     """Paillier private key holding the factorization ``N = p * q``.

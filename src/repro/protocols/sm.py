@@ -8,7 +8,11 @@ either party.  It relies on the identity (Equation 1 of the paper)::
 
 P1 additively masks both operands with fresh random values, P2 decrypts the
 masked operands, multiplies them in the clear and returns the encryption of
-the product, and P1 strips the three cross terms homomorphically.
+the product, and P1 strips the three cross terms homomorphically (step 3):
+``E(a)^(N - r_b) * E(b)^(N - r_a)`` is one two-base multi-exponentiation per
+pair (:meth:`~repro.crypto.paillier.PaillierPublicKey.weighted_sum_batch` —
+one shared squaring chain, still counted as two exponentiations), and
+``r_a * r_b`` is a plaintext-constant addition.
 
 What each party sees
 --------------------
@@ -76,12 +80,12 @@ class SecureMultiplication(TwoPartyProtocol):
                    enc_b: Ciphertext, r_a: int, r_b: int) -> Ciphertext:
         """Step 3: P1 removes the cross terms from ``E((a+r_a)(b+r_b))``."""
         n = self.pk.n
-        # s  = h' * E(a)^{N - r_b}        == E((a+r_a)(b+r_b) - a*r_b)
-        s = product_cipher + (enc_a * (n - r_b))
-        # s' = s * E(b)^{N - r_a}          == ... - b*r_a
-        s_prime = s + (enc_b * (n - r_a))
-        # result = s' * E(r_a * r_b)^{N-1} == ... - r_a*r_b
-        return self.add_plain(s_prime, -(r_a * r_b) % n)
+        # E(a)^{N - r_b} * E(b)^{N - r_a} == E(-a*r_b - b*r_a), as one
+        # two-base multi-exponentiation
+        [cross] = self.pk.weighted_sum_batch(
+            [[enc_a, enc_b]], [[n - r_b, n - r_a]])
+        # result = h' * cross * E(r_a * r_b)^{N-1} == ... - r_a*r_b
+        return self.add_plain(product_cipher + cross, -(r_a * r_b) % n)
 
     # -- P2 steps ---------------------------------------------------------------
     def _p2_multiply_masked(self) -> None:
@@ -142,14 +146,13 @@ class SecureMultiplication(TwoPartyProtocol):
         # Step 2: P2 decrypts all masked operands and multiplies them.
         self.p2_step("SM.batch_masked_operands")
 
-        # Step 3: P1 strips the cross terms from every product.
+        # Step 3: P1 strips the cross terms from every product — one
+        # two-base multi-exponentiation E(a)^{N-r_b} * E(b)^{N-r_a} per pair.
         received = self.p1.receive(expected_tag="SM.batch_masked_products")
-        cross_a = self.pk.scalar_mul_batch(
-            enc_a_vec, [n - r_b for r_b in masks_b])
-        cross_b = self.pk.scalar_mul_batch(
-            enc_b_vec, [n - r_a for r_a in masks_a])
-        stripped = self.pk.add_batch(
-            self.pk.add_batch(received, cross_a), cross_b)
+        cross = self.pk.weighted_sum_batch(
+            pairs, [(n - r_b, n - r_a)
+                    for r_a, r_b in zip(masks_a, masks_b)])
+        stripped = self.pk.add_batch(received, cross)
         return [
             self.add_plain(cipher, -(r_a * r_b) % n)
             for cipher, r_a, r_b in zip(stripped, masks_a, masks_b)

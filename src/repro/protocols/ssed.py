@@ -22,6 +22,10 @@ record as **one fused round** with the same masking identity SM is built on
    ``E(H)``.
 3. P1 strips the cross terms:
    ``E(|X - Y|^2) = E(H) * prod_j E(d_j)^(N - 2*r_j) * E(-sum_j r_j^2)``.
+   The product is **one multi-exponentiation per record**
+   (:meth:`~repro.crypto.paillier.PaillierPublicKey.weighted_sum_batch`):
+   the ``m`` powers share a single squaring chain instead of repeating it
+   ``m`` times, and are still counted as ``m`` exponentiations.
 
 Per record that is ``m`` P1 encryptions, ``m`` P2 decryptions, one P2
 encryption and ``m`` exponentiations (plus the query negation, hoisted across
@@ -128,20 +132,21 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
         # Step 2: P2 decrypts, squares and sums in the clear.
         self.p2_step("SSED.masked_differences")
 
-        # Step 3: strip 2*r*d and r^2 from every record's E(sum (d + r)^2).
+        # Step 3: strip 2*r*d and r^2 from every record's E(sum (d + r)^2)
+        # — one multi-exponentiation per record for the cross terms.
         totals = self.p1.receive(expected_tag="SSED.masked_square_sums")
         self.require(
             isinstance(totals, list) and len(totals) == records
             and all(isinstance(total, Ciphertext) for total in totals),
             "malformed masked-square-sum reply")
-        cross = self.pk.scalar_mul_batch(
-            diffs, [(n - 2 * r) % n for r in masks])
-        for column in range(width):
-            totals = self.pk.add_batch(totals, cross[column::width])
+        starts = range(0, len(diffs), width)
+        mask_rows = [masks[start:start + width] for start in starts]
+        cross = self.pk.weighted_sum_batch(
+            [diffs[start:start + width] for start in starts],
+            [[n - 2 * r for r in row] for row in mask_rows])
         return [
-            self.add_plain(total, -sum(
-                r * r for r in masks[index * width:(index + 1) * width]))
-            for index, total in enumerate(totals)
+            self.add_plain(total, -sum(r * r for r in row))
+            for total, row in zip(self.pk.add_batch(totals, cross), mask_rows)
         ]
 
     def _p2_sum_masked_squares(self) -> None:
