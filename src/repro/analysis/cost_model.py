@@ -225,6 +225,13 @@ def smin_counts(bit_length: int) -> OperationCounts:
     on P2's side for the permuted L and M' vectors, and one final
     exponentiation by P1 to strip the Gamma mask.  Constant terms: the H_0
     encryption and P2's encryption of alpha.
+
+    Three of the six step-1 exponentiations per bit — the subtractions
+    behind ``W_i``, ``Gamma_i`` and ``G_i`` — are negations, which the
+    implementation computes as modular inverses: counted here like the
+    ``E(x)^(N-1)`` they replace, but a small fraction of its cost, so a
+    time projection that prices every counted exponentiation alike
+    overstates SMIN's step 1.
     """
     _require_positive(bit_length, "bit_length")
     per_bit = (

@@ -160,10 +160,6 @@ class SkNNSecure(SkNNProtocol):
         return self._deliver_records(encrypted_results)
 
     # -- helpers ---------------------------------------------------------------------
-    def sub_cipher(self, left: Ciphertext, right: Ciphertext) -> Ciphertext:
-        """Homomorphic subtraction ``E(a - b)``."""
-        return left + (right * (self.public_key.n - 1))
-
     def _p2_locate_minimum(self) -> None:
         """Step 3(c): C2 decrypts the permuted differences and replies with
         the encrypted indicator vector marking (one) minimum position."""

@@ -298,27 +298,38 @@ class PaillierPublicKey:
         self.counter.homomorphic_additions += 1
         return get_backend().mulmod(c1, c2, self.nsquare)
 
+    def _raw_power(self, c: int, exponent: int) -> int:
+        """``c ** exponent mod N**2`` for an exponent already reduced mod N.
+
+        The one place that prices homomorphic negation: ``exponent == N - 1``
+        returns the modular inverse.  ``E(a)**-1 = g**-a * (r**-1)**N`` is a
+        valid encryption of ``-a`` — like ``E(a)**(N-1)`` a deterministic
+        public function of ``E(a)`` — at a small fraction of the cost (about
+        18x less at K=512 on CPython).  Callers *count* it as the one
+        exponentiation it replaces in the paper's accounting (Section 4.4).
+        A non-unit (``0``, a multiple of a prime factor — never a valid
+        ciphertext) has no inverse and raises :class:`CryptoError`.
+        """
+        backend = get_backend()
+        if exponent == self.n - 1:
+            return backend.invert(c, self.nsquare)
+        return backend.powmod(c, exponent, self.nsquare)
+
     def raw_scalar_mul(self, c: int, scalar: int) -> int:
         """Homomorphic multiplication of a raw ciphertext by a plaintext scalar.
 
         The scalar is reduced into ``Z_N`` first, so negative scalars follow
-        the paper's ``-x == N - x (mod N)`` convention automatically.
+        the paper's ``-x == N - x (mod N)`` convention automatically, and a
+        scalar congruent to ``-1`` is priced as a negation
+        (:meth:`_raw_power`) — for every :class:`Ciphertext` operator.
         """
+        raw = self._raw_power(c, scalar % self.n)
         self.counter.exponentiations += 1
-        return get_backend().powmod(c, scalar % self.n, self.nsquare)
+        return raw
 
     def raw_negate(self, c: int) -> int:
-        """Homomorphic negation ``E(-a)`` via modular inversion of ``E(a)``.
-
-        ``E(a)**-1 mod N**2 = g**-a * (r**-1)**N`` is a valid encryption of
-        ``-a``, and a modular inverse costs a small fraction of the
-        ``E(a)**(N-1)`` exponentiation the textbook negation performs (about
-        18x less at K=512 on CPython).  It is *counted* as one exponentiation
-        because it replaces exactly one in the paper's accounting, keeping the
-        Section 4.4 operation counts comparable across code paths.
-        """
-        self.counter.exponentiations += 1
-        return get_backend().invert(c, self.nsquare)
+        """Homomorphic negation ``E(-a)``: :meth:`raw_scalar_mul` by ``-1``."""
+        return self.raw_scalar_mul(c, -1)
 
     # -- batched kernel ------------------------------------------------------
     def _check_batch_key(self, ciphertexts: Sequence["Ciphertext"]) -> None:
@@ -420,11 +431,10 @@ class PaillierPublicKey:
                          scalars: Sequence[int] | int) -> list["Ciphertext"]:
         """Homomorphic scalar multiplication over whole vectors.
 
-        Element-wise equivalent to ``[c * s for c, s in zip(...)]`` — and raw
-        identical to it, except that scalars congruent to ``-1 mod N``
-        (homomorphic negation, the protocols' most common scalar) take the
-        modular-inverse shortcut of :meth:`raw_negate`.  Counters advance by
-        one exponentiation per element, exactly like the scalar path.
+        Element-wise (and raw) identical to ``[c * s for c, s in zip(...)]``,
+        negations by the inverse included (:meth:`_raw_power`).  Counters
+        advance by one exponentiation per element, exactly like the scalar
+        path.
 
         Args:
             ciphertexts: the operand vector.
@@ -437,19 +447,9 @@ class PaillierPublicKey:
                 "scalar_mul_batch needs exactly one scalar per ciphertext")
         self._check_batch_key(ciphertexts)
         n = self.n
-        nsquare = self.nsquare
-        backend = get_backend()
-        powmod = backend.powmod
-        invert = backend.invert
-        negation = n - 1
-        out = []
-        for ciphertext, scalar in zip(ciphertexts, scalars):
-            exponent = scalar % n
-            if exponent == negation:
-                raw = invert(ciphertext.value, nsquare)
-            else:
-                raw = powmod(ciphertext.value, exponent, nsquare)
-            out.append(Ciphertext(self, raw))
+        raw_power = self._raw_power
+        out = [Ciphertext(self, raw_power(ciphertext.value, scalar % n))
+               for ciphertext, scalar in zip(ciphertexts, scalars)]
         self.counter.exponentiations += len(out)
         return out
 
@@ -472,15 +472,16 @@ class PaillierPublicKey:
                            ) -> list["Ciphertext"]:
         """``E(sum_j s_ij * a_ij)`` for every row, one multi-exponentiation each.
 
-        Raw-identical to ``scalar_mul_batch`` on the flattened terms followed
-        by a row-wise ``add_batch`` reduction (``prod_j c_ij ** (s_ij mod N)
-        mod N**2``), but computed through the backend's ``multi_powmod`` so
-        the squarings of a row are shared.  Counters advance as for that
-        formula — one exponentiation per term and ``terms - rows``
+        ``prod_j c_ij ** (s_ij mod N) mod N**2``: what ``scalar_mul_batch`` on
+        the flattened terms followed by a row-wise ``add_batch`` reduction
+        returns, computed through the backend's ``multi_powmod`` so the
+        squarings of a row are shared.  Counters advance as for that
+        reduction — one exponentiation per term and ``terms - rows``
         homomorphic additions — so operation counts do not depend on how the
         product was evaluated.  Scalars congruent to ``-1 mod N`` are plain
-        exponents here; the inverse shortcut belongs to negation, not to a
-        strip step whose scalars are uniform in ``Z_N``.
+        exponents here (for them alone the raw value differs from
+        ``scalar_mul_batch``'s): the inverse belongs to negation, not to
+        a strip step whose scalars are uniform in ``Z_N``.
 
         Args:
             rows: non-empty rows of ciphertexts (rows may differ in length).

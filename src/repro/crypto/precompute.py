@@ -234,7 +234,7 @@ class PrecomputeEngine:
         nude = (1 + encoded * pk.n) % pk.nsquare
         return get_backend().mulmod(nude, self._fresh_factor(), pk.nsquare)
 
-    def _sample_mask(self, kind: str) -> int:
+    def _sample_mask(self, kind: str, sbd_upper: int | None = None) -> int:
         n = self.public_key.n
         rng = self.rng if self.rng is not None else _module_rng()
         if kind == MASK_ZN:
@@ -242,7 +242,7 @@ class PrecomputeEngine:
         if kind == MASK_NONZERO:
             return rng.randrange(1, n)
         if kind == MASK_SBD:
-            upper = self._sbd_upper()
+            upper = sbd_upper if sbd_upper is not None else self._sbd_upper()
             if upper is None:
                 raise ConfigurationError(
                     "SBD mask pool requires sbd_bit_length in the config")
@@ -408,46 +408,28 @@ class PrecomputeEngine:
 
     def take_mask(self, kind: str = MASK_ZN,
                   sbd_upper: int | None = None) -> tuple[int, Ciphertext]:
-        """One precomputed additive mask ``(r, E(r))`` of the given kind.
+        """One additive mask ``(r, E(r))``: :meth:`take_masks` of one."""
+        return self.take_masks(1, kind, sbd_upper=sbd_upper)[0]
 
-        On a dry (or unconfigured) pool the mask is sampled online and
-        encrypted through the obfuscator pool — fresh randomness, never a
-        reused tuple.  ``sbd_upper`` guards the SBD kind: when the caller's
-        mask range does not match the engine's configured ``l`` the pooled
-        tuples are skipped (their range would be wrong for the caller).
-        """
-        pk = self.public_key
-        usable = True
-        if kind == MASK_SBD and sbd_upper is not None:
-            usable = self._sbd_upper() == sbd_upper
-        if usable:
-            with self._lock:
-                store = self._masks.get(kind)
-                if store:
-                    r, raw = store.popleft()
-                    self._record(self.hits, f"mask:{kind}")
-                    pk.counter.encryptions += 1
-                    return r, Ciphertext(pk, raw)
-        self._record(self.misses, f"mask:{kind}")
-        if kind == MASK_SBD and sbd_upper is not None:
-            rng = self.rng if self.rng is not None else _module_rng()
-            r = rng.randrange(sbd_upper)
-        else:
-            r = self._sample_mask(kind)
-        return r, self.encrypt(r)
-
-    def take_masks(self, count: int,
-                   kind: str = MASK_ZN) -> list[tuple[int, Ciphertext]]:
-        """Vectorized :meth:`take_mask`.
+    def take_masks(self, count: int, kind: str = MASK_ZN,
+                   sbd_upper: int | None = None
+                   ) -> list[tuple[int, Ciphertext]]:
+        """``count`` precomputed additive masks ``(r, E(r))`` of one kind.
 
         Pooled tuples are drained first; the shortfall is sampled online and
         encrypted in one batch-kernel call (pooled obfuscators, then the
-        fixed-base comb), so even a fully drained engine pays comb rates —
-        never per-element textbook exponentiations.
+        fixed-base comb) — fresh randomness, never a reused tuple, and even
+        a fully drained engine pays comb rates, never per-element textbook
+        exponentiations.  ``sbd_upper`` guards the SBD kind: when the
+        caller's mask range does not match the engine's configured ``l`` the
+        pooled tuples are skipped (their range would be wrong for the
+        caller) and every mask is sampled below ``sbd_upper``.
         """
         pk = self.public_key
+        usable = (kind != MASK_SBD or sbd_upper is None
+                  or self._sbd_upper() == sbd_upper)
         with self._lock:
-            store = self._masks.get(kind)
+            store = self._masks.get(kind) if usable else None
             served = min(count, len(store)) if store is not None else 0
             pooled = [store.popleft() for _ in range(served)]
         out: list[tuple[int, Ciphertext]] = []
@@ -462,7 +444,8 @@ class PrecomputeEngine:
             with self._stats_lock:
                 name = f"mask:{kind}"
                 self.misses[name] = self.misses.get(name, 0) + shortfall
-            fresh = [self._sample_mask(kind) for _ in range(shortfall)]
+            fresh = [self._sample_mask(kind, sbd_upper)
+                     for _ in range(shortfall)]
             out.extend(zip(fresh, self.encrypt_batch(fresh)))
         return out
 

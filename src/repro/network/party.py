@@ -85,21 +85,17 @@ class Party:
         return self.rng.randrange(self.public_key.n)
 
     def encrypt(self, value: int) -> Ciphertext:
-        """Encrypt a signed integer under the shared public key.
-
-        When this party owns a precomputation engine, the obfuscation factor
-        comes from the engine's pool (one hot-path multiplication).
-        """
-        if self.engine is not None:
-            return self.engine.encrypt(value)
-        return self.public_key.encrypt(value, rng=self.rng)
+        """Encrypt a signed integer under the shared public key."""
+        return self.encrypt_batch([value])[0]
 
     def encrypt_batch(self, values: "list[int]") -> "list[Ciphertext]":
         """Vectorized encryption with this party's randomness source.
 
-        Obfuscators come from this party's engine pool when one is attached,
-        then from the key's fixed-base window table (see
-        :meth:`~repro.crypto.paillier.PaillierPublicKey.encrypt_batch`).
+        The one place that decides where a cloud party's obfuscators come
+        from: this party's engine pool when one is attached, then the key's
+        fixed-base window table (see
+        :meth:`~repro.crypto.paillier.PaillierPublicKey.encrypt_batch`) —
+        never a textbook ``r**N``, for one value or for many.
         """
         pool = self.engine.obfuscators if self.engine is not None else None
         return self.public_key.encrypt_batch(values, rng=self.rng, pool=pool)

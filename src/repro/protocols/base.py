@@ -10,7 +10,8 @@ Protocol classes derive from :class:`TwoPartyProtocol`, which stores the
 :class:`~repro.network.party.TwoPartySetting` and exposes the small set of
 ciphertext manipulations that appear over and over in the paper's algorithms
 (homomorphic subtraction, multiplication by ``N - r`` to realize ``-r``, and
-fresh randomization).
+fresh randomization), and :meth:`TwoPartyProtocol.take_masks`, the one source
+of P1's additive masks, drawn a whole round at a time.
 """
 
 from __future__ import annotations
@@ -202,41 +203,33 @@ class TwoPartyProtocol(P2StepDispatcher):
         return getattr(party, "engine", None)
 
     # -- precomputed material with graceful fallback ---------------------------
-    def take_mask(self, kind: str = "zn",
-                  sbd_upper: int | None = None) -> "tuple[int, Ciphertext]":
-        """One P1 additive mask ``(r, E(r))`` — pooled offline when possible.
+    def take_masks(self, count: int, kind: str = "zn",
+                   sbd_upper: int | None = None
+                   ) -> "list[tuple[int, Ciphertext]]":
+        """``count`` P1 additive masks ``(r, E(r))``, drawn as one batch.
 
-        Falls back to sampling with P1's rng and a fresh encryption when no
-        engine is attached; operation counts are identical either way (one
-        encryption), only *where* the obfuscator exponentiation happened
-        differs.
+        The sub-protocols' only mask source.  ``kind`` is ``"zn"`` (uniform
+        in ``[0, N)``), ``"nonzero"`` (``[1, N)``) or ``"sbd"`` (``[0,
+        sbd_upper)``).  Engine mask tuples when P1 owns an engine (``E(r)``
+        paid offline); otherwise sampled with P1's rng and encrypted in one
+        batch-kernel call.  One encryption per mask either way.
         """
         engine = self.engine
         if engine is not None:
-            return engine.take_mask(kind, sbd_upper=sbd_upper)
-        if sbd_upper is not None:
-            r = self.p1.rng.randrange(sbd_upper)
-        elif kind == "nonzero":
-            r = self.p1.random_nonzero()
-        else:
-            r = self.p1.random_in_zn()
-        return r, self.p1.encrypt(r)
-
-    def take_masks(self, count: int) -> "list[tuple[int, Ciphertext]]":
-        """``count`` uniform ``Z_N`` masks ``(r, E(r))``, as one batch.
-
-        Engine mask tuples when P1 owns an engine; otherwise sampled with
-        P1's rng and encrypted through the batch kernel.  One encryption
-        per mask either way.
-        """
-        engine = self.engine
-        if engine is not None:
-            return engine.take_masks(count)
-        masks = [self.p1.random_in_zn() for _ in range(count)]
+            return engine.take_masks(count, kind, sbd_upper=sbd_upper)
+        lower = 1 if kind == "nonzero" else 0
+        upper = sbd_upper if kind == "sbd" else self.pk.n
+        masks = [self.p1.rng.randrange(lower, upper) for _ in range(count)]
         return list(zip(masks, self.p1.encrypt_batch(masks)))
 
-    def encrypt_pooled_constant(self, party, value: int) -> Ciphertext:
-        """A fresh encryption of a constant by ``party``.
+    def take_mask(self, kind: str = "zn",
+                  sbd_upper: int | None = None) -> "tuple[int, Ciphertext]":
+        """One P1 additive mask: :meth:`take_masks` of one."""
+        return self.take_masks(1, kind, sbd_upper)[0]
+
+    def encrypt_pooled_constants(self, party,
+                                 values: "list[int]") -> "list[Ciphertext]":
+        """Fresh encryptions of constants by ``party``, as one batch.
 
         Served from the party's own engine pools when it owns one (the
         randomness must be the encrypting party's — a pool filled by the
@@ -244,21 +237,17 @@ class TwoPartyProtocol(P2StepDispatcher):
         """
         engine = self.engine_for(party)
         if engine is not None:
-            return engine.encrypt_constant(value)
-        return party.encrypt(value)
-
-    def encrypt_pooled_constants(self, party,
-                                 values: "list[int]") -> "list[Ciphertext]":
-        """Vectorized :meth:`encrypt_pooled_constant`."""
-        engine = self.engine_for(party)
-        if engine is not None:
             return engine.encrypt_constants(values)
         return party.encrypt_batch(values)
 
+    def encrypt_pooled_constant(self, party, value: int) -> Ciphertext:
+        """One fresh constant: :meth:`encrypt_pooled_constants` of one."""
+        return self.encrypt_pooled_constants(party, [value])[0]
+
     # -- ciphertext helpers -----------------------------------------------------
     def sub(self, left: Ciphertext, right: Ciphertext) -> Ciphertext:
-        """Homomorphic subtraction ``E(a - b) = E(a) * E(b)^{N-1}``."""
-        return left + (right * (self.pk.n - 1))
+        """Homomorphic subtraction ``E(a - b) = E(a) * E(b)^{-1}``."""
+        return left - right
 
     def scale(self, ciphertext: Ciphertext, scalar: int) -> Ciphertext:
         """Homomorphic scalar multiplication ``E(a * s) = E(a)^s``."""
@@ -268,24 +257,14 @@ class TwoPartyProtocol(P2StepDispatcher):
         """Homomorphic addition of a plaintext constant (mod N)."""
         return ciphertext + (value % self.pk.n)
 
-    def encrypt_constant(self, value: int) -> Ciphertext:
-        """Fresh probabilistic encryption of a constant by P1."""
-        return self.p1.encrypt(value)
-
     # -- vectorized ciphertext helpers ----------------------------------------
     def neg_batch(self, ciphertexts: "list[Ciphertext]") -> "list[Ciphertext]":
-        """Vectorized homomorphic negation ``E(-a)`` (inverse shortcut).
+        """Vectorized homomorphic negation ``E(-a)``, raw-equal to ``-c``.
 
-        Counted as one exponentiation per element, like the textbook
-        ``E(a)**(N-1)`` it replaces (see
-        :meth:`~repro.crypto.paillier.PaillierPublicKey.scalar_mul_batch`).
+        A modular inverse counted as one exponentiation per element (see
+        :meth:`~repro.crypto.paillier.PaillierPublicKey.raw_scalar_mul`).
         """
         return self.pk.scalar_mul_batch(ciphertexts, -1)
-
-    def sub_batch(self, left: "list[Ciphertext]",
-                  right: "list[Ciphertext]") -> "list[Ciphertext]":
-        """Vectorized homomorphic subtraction ``E(a_i - b_i)``."""
-        return self.pk.add_batch(left, self.neg_batch(right))
 
     def require(self, condition: bool, message: str) -> None:
         """Raise :class:`ProtocolError` when a protocol precondition fails."""

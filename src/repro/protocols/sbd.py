@@ -19,7 +19,9 @@ per round starting from the least significant bit:
    ``z - z_lsb`` is even) to continue with the next bit.
 
 The cost is ``l`` rounds with O(1) encryptions/decryptions each, i.e. O(l)
-operations total, matching the complexity the paper quotes for [21].
+operations total, matching the complexity the paper quotes for [21].  The
+batched entry point runs each round over every value and draws the round's
+masks as one ``take_masks`` batch.
 
 What each party sees: P2 only ever sees masked values ``z + r``; P1 only sees
 ciphertexts.  (The original protocol is "probabilistic" in that its failure
@@ -113,11 +115,11 @@ class SecureBitDecomposition(TwoPartyProtocol):
     ) -> tuple[list[Ciphertext], list[Ciphertext]]:
         """One bit round over every value: LSBs and halved remainders.
 
-        Mask tuples and the parity/un-flip constants come from the
-        precomputation engine when one is attached (SBD-range mask pool,
-        E(0)/E(1) constant pools), with inline fallbacks otherwise.
+        The round's masks (one batch) and the parity/un-flip constants come
+        from the precomputation engine when one is attached (SBD-range mask
+        pool, E(0)/E(1) constant pools), from batch encryption otherwise.
         """
-        mask_tuples = [self._p1_take_mask() for _ in enc_values]
+        mask_tuples = self._p1_take_masks(len(enc_values))
         masks = [r for r, _ in mask_tuples]
         masked = self.pk.add_batch(enc_values, [c for _, c in mask_tuples])
         self.p1.send(masked, tag="SBD.batch_masked_values")
@@ -148,7 +150,7 @@ class SecureBitDecomposition(TwoPartyProtocol):
     # -- one round: extract the least significant bit -----------------------------
     def _extract_lsb(self, enc_value: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
         """Extract ``Epk(value mod 2)`` and return it with ``Epk(value // 2)``."""
-        mask, enc_mask = self._p1_take_mask()
+        [(mask, enc_mask)] = self._p1_take_masks(1)
         masked = enc_value + enc_mask
         self.p1.send(masked, tag="SBD.masked_value")
         self.p2_step("SBD.masked_value")
@@ -161,15 +163,15 @@ class SecureBitDecomposition(TwoPartyProtocol):
         enc_halved = self.sub(enc_value, enc_bit) * self._inv_two
         return enc_bit, enc_halved
 
-    def _p1_take_mask(self) -> tuple[int, Ciphertext]:
-        """A mask tuple ``(r, E(r))`` with ``r`` uniform in ``[0, N - 2**l)``.
+    def _p1_take_masks(self, count: int) -> list[tuple[int, Ciphertext]]:
+        """``count`` mask tuples ``(r, E(r))``, ``r`` uniform in ``[0, N - 2**l)``.
 
         Served from the engine's SBD-range pool when attached (the pool's
         range is validated against this instance's ``l``); otherwise sampled
-        and encrypted inline, so ``z + r < N`` always either way.
+        and encrypted as one batch, so ``z + r < N`` always either way.
         """
         upper = self.pk.n - (1 << self.bit_length)
-        return self.take_mask("sbd", sbd_upper=upper)
+        return self.take_masks(count, "sbd", sbd_upper=upper)
 
     def _p1_unmask_parity(self, enc_masked_parity: Ciphertext,
                           mask: int) -> Ciphertext:

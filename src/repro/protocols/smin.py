@@ -30,6 +30,10 @@ Vector roles (for one index ``i``, following the paper's notation):
 P2 decrypts the permuted ``L`` vector: the single index that decrypts to 1 or
 0 (rather than a random value) reveals the outcome of the oblivious
 functionality F, from which P2 forms ``alpha``.
+
+P1 draws the difference masks ``(rhat_i, E(rhat_i))`` per round, not per
+bit: ``l`` for a pair, ``pairs * l`` (and ``pairs`` ``H_0 = E(0)`` constants)
+for a :meth:`SecureMinimum.run_batch` level, as one ``take_masks`` batch.
 """
 
 from __future__ import annotations
@@ -86,11 +90,13 @@ class SecureMinimum(TwoPartyProtocol):
         gamma_masks: list[int] = []
 
         enc_h_previous = self.encrypt_pooled_constant(self.p1, 0)
-        for enc_u_bit, enc_v_bit in zip(enc_u_bits, enc_v_bits):
+        rhat_tuples = self.take_masks(bit_length, "nonzero")
+        for enc_u_bit, enc_v_bit, (rhat, enc_rhat) in zip(
+                enc_u_bits, enc_v_bits, rhat_tuples):
             enc_uv = self._sm.run(enc_u_bit, enc_v_bit)
-            _, enc_gamma, enc_l, rhat, enc_h_previous = \
+            enc_gamma, enc_l, enc_h_previous = \
                 self._p1_bit_vectors(enc_u_bit, enc_v_bit, enc_uv,
-                                     f_is_u_greater, enc_h_previous)
+                                     f_is_u_greater, enc_h_previous, enc_rhat)
             gamma_masks.append(rhat)
             gamma_vector.append(enc_gamma)
             l_vector.append(enc_l)
@@ -131,14 +137,18 @@ class SecureMinimum(TwoPartyProtocol):
     def _p1_bit_vectors(
         self, enc_u_bit: Ciphertext, enc_v_bit: Ciphertext,
         enc_uv: Ciphertext, f_is_u_greater: bool, enc_h_previous: Ciphertext,
-    ) -> tuple[Ciphertext, Ciphertext, Ciphertext, int, Ciphertext]:
+        enc_rhat: Ciphertext,
+    ) -> tuple[Ciphertext, Ciphertext, Ciphertext]:
         """One bit's W/Gamma/G/H/Phi/L bookkeeping (step 1 of Algorithm 3).
 
-        Shared between the scalar and the batched execution paths; the SM
-        product ``Epk(u_i * v_i)`` is supplied by the caller.
+        Shared between the scalar and the batched execution paths; the
+        caller supplies the SM product ``Epk(u_i * v_i)`` and the encrypted
+        difference mask ``Epk(rhat_i)``.  Of the six exponentiations counted
+        per bit, the three subtractions (``W_i``, ``Gamma_i``, ``G_i``) are
+        modular inverses.
 
         Returns:
-            ``(W_i, Gamma_i, L_i, rhat_i, H_i)``.
+            ``(Gamma_i, L_i, H_i)``.
         """
         n = self.pk.n
         if f_is_u_greater:
@@ -149,9 +159,6 @@ class SecureMinimum(TwoPartyProtocol):
             # W_i = E(v_i * (1 - u_i));  Gamma_i = E(u_i - v_i + rhat_i)
             enc_w = self.sub(enc_v_bit, enc_uv)
             enc_diff = self.sub(enc_u_bit, enc_v_bit)
-        # Randomized difference mask: a precomputed nonzero tuple when an
-        # engine is attached (``E(rhat)`` paid offline), inline otherwise.
-        rhat, enc_rhat = self.take_mask("nonzero")
         enc_gamma = enc_diff + enc_rhat
 
         # G_i = E(u_i XOR v_i), reusing the product computed above.
@@ -165,7 +172,7 @@ class SecureMinimum(TwoPartyProtocol):
         enc_phi = self.add_plain(enc_h, n - 1)
         r_prime = self.p1.random_nonzero()
         enc_l = enc_w + (enc_phi * r_prime)
-        return enc_w, enc_gamma, enc_l, rhat, enc_h
+        return enc_gamma, enc_l, enc_h
 
     # -- batched execution -----------------------------------------------------
     @traced_round("run_batch", sized=True)
@@ -204,20 +211,24 @@ class SecureMinimum(TwoPartyProtocol):
         for enc_u_bits, enc_v_bits in pairs:
             sm_inputs.extend(zip(enc_u_bits, enc_v_bits))
         products = self._sm.run_batch(sm_inputs)
+        rhat_tuples = self.take_masks(len(pairs) * bit_length, "nonzero")
+        enc_h_zeros = self.encrypt_pooled_constants(self.p1, [0] * len(pairs))
 
         payload = []
         pair_states: list[tuple[list[int], list[int]]] = []
         for index, (enc_u_bits, enc_v_bits) in enumerate(pairs):
             f_is_u_greater = f_flags[index]
-            enc_h_previous = self.encrypt_pooled_constant(self.p1, 0)
+            enc_h_previous = enc_h_zeros[index]
             gamma_vector: list[Ciphertext] = []
             l_vector: list[Ciphertext] = []
             gamma_masks: list[int] = []
             for i in range(bit_length):
-                enc_uv = products[index * bit_length + i]
-                _, enc_gamma, enc_l, rhat, enc_h_previous = \
-                    self._p1_bit_vectors(enc_u_bits[i], enc_v_bits[i], enc_uv,
-                                         f_is_u_greater, enc_h_previous)
+                flat = index * bit_length + i
+                rhat, enc_rhat = rhat_tuples[flat]
+                enc_gamma, enc_l, enc_h_previous = \
+                    self._p1_bit_vectors(enc_u_bits[i], enc_v_bits[i],
+                                         products[flat], f_is_u_greater,
+                                         enc_h_previous, enc_rhat)
                 gamma_masks.append(rhat)
                 gamma_vector.append(enc_gamma)
                 l_vector.append(enc_l)

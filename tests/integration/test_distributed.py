@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.system import SkNNSystem
+from repro.crypto.paillier import Ciphertext
 from repro.db.datasets import synthetic_uniform
 from repro.db.knn import LinearScanKNN
 from repro.exceptions import ChannelError, ConfigurationError
@@ -414,6 +415,29 @@ class TestHostileScanFrames:
                              rng=Random(77))
         shares, _ = remote.query(client.encrypt_query(QUERIES[0]), K,
                                  mode="basic")
+        assert client.reconstruct(shares) == [
+            r.record.values
+            for r in LinearScanKNN(dataset).query(QUERIES[0], K)]
+
+
+class TestHostileQueryCiphertexts:
+    @pytest.mark.parametrize("mode", ["basic", "secure"])
+    def test_a_non_unit_reaching_a_negation_fails_typed_and_c1_keeps_serving(
+            self, owner, dataset, remote, mode):
+        """A query attribute that is a multiple of a prime factor of N is no
+        ciphertext: it has no inverse mod N^2, so the scan's hoisted
+        negation ``E(-x_j)`` refuses it with the backend's typed error (a
+        ``c**(N-1)`` would have carried the non-unit on to C2).  The daemon
+        answers the next query as if nothing happened."""
+        client = QueryClient(owner.public_key, dataset.dimensions,
+                             rng=Random(78))
+        encrypted = client.encrypt_query(QUERIES[0])
+        hostile = [Ciphertext(owner.public_key, owner.keypair.private_key.p),
+                   *encrypted[1:]]
+        with pytest.raises(ChannelError, match="has no inverse modulo"):
+            remote.query(hostile, K, mode=mode)
+
+        shares, _ = remote.query(encrypted, K, mode=mode)
         assert client.reconstruct(shares) == [
             r.record.values
             for r in LinearScanKNN(dataset).query(QUERIES[0], K)]

@@ -1,0 +1,349 @@
+"""The cheap operations are priced cheaply — by one rule each.
+
+Two operations dominate the cloud parties' non-strip work in SkNN_m and both
+have a cheap form: a homomorphic negation is a modular inverse (not
+``c**(N-1)``), and a cloud party's obfuscator comes from its engine pool or
+the key's fixed-base comb (not a textbook ``r**N``).  Each price is decided
+in one place — ``PaillierPublicKey._raw_power`` and ``Party.encrypt_batch`` —
+so these tests watch the bigint backend itself: whatever path a protocol
+takes, no full-width ``powmod`` with exponent ``N-1`` or ``N`` may reach it.
+
+Counts are unchanged by the pricing (an inverse is still *counted* as the
+exponentiation it replaces), which the cost-model section checks exactly.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from random import Random
+
+import pytest
+
+from repro.analysis.cost_model import sbd_counts, sknn_secure_counts, smin_counts
+from repro.core.cloud import FederatedCloud
+from repro.core.roles import DataOwner, QueryClient
+from repro.core.sknn_secure import SkNNSecure
+from repro.crypto.backend import available_backends, get_backend, set_backend
+from repro.crypto.paillier import Ciphertext
+from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
+from repro.db.datasets import synthetic_uniform
+from repro.exceptions import CryptoError
+from repro.network.party import TwoPartySetting
+from repro.protocols.base import TwoPartyProtocol
+from repro.protocols.encoding import encrypt_bits
+from repro.protocols.sbd import SecureBitDecomposition
+from repro.protocols.sbor import SecureBitOr
+from repro.protocols.smin import SecureMinimum
+
+from tests.integration.helpers import assert_valid_knn_answer
+
+on_every_backend = pytest.mark.parametrize("backend_name",
+                                           available_backends())
+
+
+@contextmanager
+def spying(public_key):
+    """Make a recording subclass of the active backend active for the block.
+
+    The key's comb table is built *before* the spy is installed: its one
+    ``y**N`` is the only textbook exponentiation a cloud party may perform.
+    """
+    class Spy(type(get_backend())):
+        def __init__(self) -> None:
+            super().__init__()
+            self.powmods: list[tuple[int, int]] = []
+            self.inverts: list[int] = []
+
+        def powmod(self, base, exponent, modulus):
+            self.powmods.append((exponent, modulus))
+            return super().powmod(base, exponent, modulus)
+
+        def invert(self, a, modulus):
+            self.inverts.append(modulus)
+            return super().invert(a, modulus)
+
+        def textbook(self, public) -> list[int]:
+            """Exponents ``N-1`` / ``N`` seen on modulus ``N**2``."""
+            return [e for e, modulus in self.powmods
+                    if modulus == public.nsquare
+                    and e in (public.n - 1, public.n)]
+
+    public_key.encrypt_batch([0])
+    spy = Spy()
+    set_backend(spy)
+    try:
+        yield spy
+    finally:
+        set_backend(None)
+
+
+def counted(setting) -> dict[str, int]:
+    """Encryptions/exponentiations (both parties share the public key's
+    counter in-process) and C2's decryptions."""
+    public = setting.public_key.counter.snapshot()
+    return {"encryptions": public["encryptions"],
+            "exponentiations": public["exponentiations"],
+            "decryptions":
+                setting.decryptor.private_key.counter.decryptions}
+
+
+def as_counts(model, scale: int = 1) -> dict[str, float]:
+    return {"encryptions": model.encryptions * scale,
+            "exponentiations": model.exponentiations * scale,
+            "decryptions": model.decryptions * scale}
+
+
+def record_sbd_masks(monkeypatch) -> list[int]:
+    """Every SBD mask drawn from now on (their parities decide SBD's cost)."""
+    drawn: list[int] = []
+    original = TwoPartyProtocol.take_masks
+
+    def recording(self, count, kind="zn", sbd_upper=None):
+        tuples = original(self, count, kind, sbd_upper)
+        if kind == "sbd":
+            drawn.extend(r for r, _ in tuples)
+        return tuples
+
+    monkeypatch.setattr(TwoPartyProtocol, "take_masks", recording)
+    return drawn
+
+
+def deploy_secure(keypair, n_records: int, bit_length: int, seed: int):
+    table = synthetic_uniform(n_records=n_records, dimensions=2,
+                              distance_bits=bit_length, seed=seed)
+    owner = DataOwner(table, keypair=keypair, rng=Random(seed + 1))
+    cloud = FederatedCloud.deploy(keypair, rng=Random(seed + 2))
+    cloud.c1.host_database(owner.encrypt_database())
+    client = QueryClient(keypair.public_key, table.dimensions,
+                         rng=Random(seed + 3))
+    return table, cloud, client
+
+
+# -- price: what reaches the backend -----------------------------------------
+
+class TestNoTextbookPowersFromTheClouds:
+    BITS = 4
+
+    def test_smin_negates_by_three_inverses_per_bit(self, setting):
+        public = setting.public_key
+        u_bits = encrypt_bits(public, 9, self.BITS)
+        v_bits = encrypt_bits(public, 6, self.BITS)
+        protocol = SecureMinimum(setting)
+        with spying(public) as spy:
+            minimum = protocol.run(u_bits, v_bits)
+        assert spy.textbook(public) == []
+        # W_i, the difference inside Gamma_i and G_i: nothing else inverts.
+        assert spy.inverts == [public.nsquare] * (3 * self.BITS)
+        assert [setting.decryptor.decrypt_signed(bit) for bit in minimum] \
+            == [0, 1, 1, 0]
+
+    def test_smin_batch_inverts_as_often_per_pair(self, setting):
+        public = setting.public_key
+        pairs = [(encrypt_bits(public, u, self.BITS),
+                  encrypt_bits(public, v, self.BITS))
+                 for u, v in ((9, 6), (3, 3), (0, 15))]
+        with spying(public) as spy:
+            SecureMinimum(setting).run_batch(pairs)
+        assert spy.textbook(public) == []
+        assert len(spy.inverts) == 3 * self.BITS * len(pairs)
+
+    def test_sbd_and_sbor(self, setting, monkeypatch):
+        public = setting.public_key
+        masks = record_sbd_masks(monkeypatch)
+        enc_z = public.encrypt(11)
+        decomposition = SecureBitDecomposition(setting, self.BITS)
+        with spying(public) as spy:
+            bits = decomposition.run(enc_z)
+            sbd_inverts = len(spy.inverts)
+            enc_or = SecureBitOr(setting).run(bits[0], bits[1])
+        assert spy.textbook(public) == []
+        # one subtraction of the extracted bit per round, one more to
+        # un-flip the parity under every odd mask; SBOR subtracts once
+        assert sbd_inverts == self.BITS + sum(r % 2 for r in masks)
+        assert len(spy.inverts) == sbd_inverts + 1
+        decrypt = setting.decryptor.decrypt_signed
+        assert [decrypt(bit) for bit in bits] == [1, 0, 1, 1]
+        assert decrypt(enc_or) == 1
+
+    def test_a_whole_sknn_m_query(self, small_keypair):
+        n_records, k = 4, 2
+        table, cloud, client = deploy_secure(small_keypair, n_records,
+                                             self.BITS, seed=510)
+        query = [1, 2]
+        encrypted_query = client.encrypt_query(query)
+        protocol = SkNNSecure(cloud, distance_bits=self.BITS)
+        with spying(small_keypair.public_key) as spy:
+            shares = protocol.run(encrypted_query, k)
+        assert spy.textbook(small_keypair.public_key) == []
+        # at least SMIN_n's share: k tournaments of n - 1 pairs
+        assert len(spy.inverts) >= k * (n_records - 1) * 3 * self.BITS
+        assert_valid_knn_answer(table, query, k, client.reconstruct(shares))
+
+
+class TestCloudPartyEncryption:
+    """``Party.encrypt`` is ``Party.encrypt_batch`` of one."""
+
+    def test_single_encryptions_are_fresh_correct_and_off_the_comb(
+            self, setting):
+        public = setting.public_key
+        for party in (setting.evaluator, setting.decryptor):
+            with spying(public) as spy:
+                before = public.counter.encryptions
+                first, second = party.encrypt(-5), party.encrypt(-5)
+            assert spy.powmods == []
+            assert first.value != second.value
+            assert setting.decryptor.decrypt_signed(first) == -5
+            assert setting.decryptor.decrypt_signed(second) == -5
+            assert public.counter.encryptions == before + 2
+
+    def test_an_attached_engine_serves_the_obfuscator(self, small_keypair):
+        setting = TwoPartySetting.create(small_keypair, rng=Random(5))
+        engine = PrecomputeEngine(small_keypair.public_key, rng=Random(6),
+                                  config=PrecomputeConfig(obfuscators=2))
+        engine.warm()
+        setting.attach_engine(engine)
+        try:
+            cipher = setting.evaluator.encrypt(9)
+        finally:
+            setting.attach_engine(None)
+        assert setting.decryptor.decrypt_signed(cipher) == 9
+        assert engine.obfuscators.remaining == 1
+
+
+# -- counts: an inverse is still one exponentiation ---------------------------
+
+class TestCountsUnchanged:
+    @pytest.mark.parametrize("pairs", [1, 3])
+    def test_smin_run_and_run_batch_match_the_model(self, setting, pairs):
+        public = setting.public_key
+        bit_length = 5
+        inputs = [(encrypt_bits(public, 7 + i, bit_length),
+                   encrypt_bits(public, 20 - i, bit_length))
+                  for i in range(pairs)]
+        protocol = SecureMinimum(setting)
+        setting.reset_counters()
+        protocol.run_batch(inputs)
+        assert counted(setting) == as_counts(smin_counts(bit_length), pairs)
+        setting.reset_counters()
+        protocol.run(*inputs[0])
+        assert counted(setting) == as_counts(smin_counts(bit_length))
+
+    def test_sbd_run_batch_matches_the_model_given_its_parities(
+            self, setting, monkeypatch):
+        public = setting.public_key
+        bit_length, values = 6, [0, 5, 63]
+        masks = record_sbd_masks(monkeypatch)
+        protocol = SecureBitDecomposition(setting, bit_length)
+        encrypted = public.encrypt_batch(values)
+        setting.reset_counters()
+        protocol.run_batch(encrypted)
+        assert len(masks) == bit_length * len(values)
+        # the model charges half an un-flip (one encryption, one counted
+        # exponentiation) per bit; the run pays one per odd mask
+        surplus = sum(r % 2 for r in masks) - len(masks) / 2
+        expected = as_counts(sbd_counts(bit_length), len(values))
+        expected["encryptions"] += surplus
+        expected["exponentiations"] += surplus
+        assert counted(setting) == expected
+
+    def test_sknn_m_query_total_matches_the_model_given_its_parities(
+            self, small_keypair, monkeypatch):
+        n_records, k, bit_length = 4, 2, 4
+        _, cloud, client = deploy_secure(small_keypair, n_records,
+                                         bit_length, seed=520)
+        masks = record_sbd_masks(monkeypatch)
+        protocol = SkNNSecure(cloud, distance_bits=bit_length)
+        protocol.run_with_report(client.encrypt_query([3, 1]), k,
+                                 distance_bits=bit_length)
+        stats = protocol.last_report.stats
+        surplus = sum(r % 2 for r in masks) - len(masks) / 2
+        model = sknn_secure_counts(n_records, 2, k, bit_length)
+        assert (stats.total_encryptions, stats.total_decryptions,
+                stats.total_exponentiations) == (
+            model.encryptions + surplus, model.decryptions,
+            model.exponentiations + surplus)
+
+
+# -- correctness of the inverse as a negation -----------------------------------
+
+class TestNegationByInverse:
+    def values(self, public) -> list[int]:
+        half = public.n // 2
+        return [0, 1, -1, half - 1, -(half - 1)]
+
+    def test_operator_sub_and_batch_negate_alike(self, setting):
+        public = setting.public_key
+        private = setting.decryptor.private_key
+        protocol = TwoPartyProtocol(setting)
+        for m in self.values(public):
+            cipher = public.encrypt(m)
+            assert private.decrypt(-cipher) == -m
+            assert private.decrypt(cipher * -1) == -m
+            [batched] = protocol.neg_batch([cipher])
+            # scalar and batch negation are one rule: the same integer
+            assert batched.value == (-cipher).value \
+                == public.raw_negate(cipher.value) \
+                == get_backend().invert(cipher.value, public.nsquare)
+
+    def test_subtraction_over_the_whole_signed_range(self, setting):
+        public = setting.public_key
+        private = setting.decryptor.private_key
+        protocol = TwoPartyProtocol(setting)
+        for a in self.values(public):
+            for b in self.values(public):
+                enc_a, enc_b = public.encrypt(a), public.encrypt(b)
+                expected = (a - b) % public.n
+                by_operator = enc_a - enc_b
+                by_helper = protocol.sub(enc_a, enc_b)
+                [by_batch] = public.add_batch([enc_a],
+                                              protocol.neg_batch([enc_b]))
+                assert by_operator.value == by_helper.value == by_batch.value
+                assert private.decrypt_raw_residue(by_operator) == expected
+
+    def test_every_negation_counts_one_exponentiation(self, setting):
+        public = setting.public_key
+        cipher = public.encrypt(5)
+        protocol = TwoPartyProtocol(setting)
+        for negate in (lambda: -cipher, lambda: cipher * (public.n - 1),
+                       lambda: protocol.neg_batch([cipher]),
+                       lambda: public.raw_negate(cipher.value)):
+            before = public.counter.exponentiations
+            negate()
+            assert public.counter.exponentiations == before + 1
+
+
+# -- hostile input stays typed -----------------------------------------------------
+
+class TestNonUnitsFailTyped:
+    """``0`` and multiples of a prime factor have no inverse: negating them
+    raises (``0**(N-1)`` used to return ``0`` silently), on every path."""
+
+    @on_every_backend
+    def test_negating_a_non_unit_raises_and_is_not_counted(
+            self, backend_name, small_keypair):
+        public = small_keypair.public_key
+        private = small_keypair.private_key
+        good = public.encrypt(3)
+        set_backend(backend_name)
+        try:
+            for raw in (0, private.p, 5 * private.q, private.p * public.n):
+                hostile = Ciphertext(public, raw)
+                before = public.counter.snapshot()
+                for negate in (lambda: hostile * -1, lambda: -hostile,
+                               lambda: good - hostile,
+                               lambda: hostile * (public.n - 1),
+                               lambda: public.raw_negate(hostile.value),
+                               lambda: public.scalar_mul_batch(
+                                   [good, hostile], -1)):
+                    with pytest.raises(CryptoError, match="no inverse"):
+                        negate()
+                assert public.counter.snapshot() == before
+        finally:
+            set_backend(None)
+
+    def test_a_protocol_negating_a_non_unit_aborts(self, small_keypair):
+        setting = TwoPartySetting.create(small_keypair, rng=Random(3))
+        public = setting.public_key
+        hostile = Ciphertext(public, small_keypair.private_key.p)
+        with pytest.raises(CryptoError, match="no inverse"):
+            SecureBitOr(setting).run(public.encrypt(1), hostile)

@@ -48,10 +48,6 @@ class TestCiphertextHelpers:
         result = protocol.add_plain(setting.public_key.encrypt(100), -1)
         assert private_key.decrypt_raw_residue(result) == 99
 
-    def test_encrypt_constant_is_fresh(self, setting):
-        protocol = TwoPartyProtocol(setting)
-        assert protocol.encrypt_constant(5).value != protocol.encrypt_constant(5).value
-
     def test_require_raises_protocol_error_with_name(self, setting):
         protocol = TwoPartyProtocol(setting)
         with pytest.raises(ProtocolError, match="two-party-protocol"):
