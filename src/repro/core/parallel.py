@@ -15,16 +15,20 @@ slice into chunk tasks (:func:`chunk_records`), scatters the tasks over a
 configuration answering a batch of one.
 
 The unit of parallel work is the paper's — *a record's SSED computation* —
-shipped a contiguous chunk of records at a time: the homomorphic differences,
-the fused masked-squaring round of :mod:`repro.protocols.ssed` (one mask per
-attribute, squares summed in the clear, one re-encryption per record) and the
-final decryption of the distance (which SkNN_b reveals to C2 by design).
-Each worker plays both cloud roles for its records — the values it sees are
-the same masked values the two clouds see in the serial protocol, so the
-leakage profile is unchanged.  Every slice is a C1-role party: it sees only
-ciphertexts plus the plaintext distances SkNN_b already reveals, so slicing
-C1 does not change what leaks either.  (Across machines the workers must not
-hold the secret key; that placement is :mod:`repro.core.sknn_shard`.)
+shipped a contiguous chunk of records at a time.  A worker does not
+re-implement that computation: it builds a two-party setting of its own and
+runs :meth:`SSED.run_many <repro.protocols.ssed.
+SecureSquaredEuclideanDistance.run_many>` on it, then decrypts the distances
+(which SkNN_b reveals to C2 by design) — see :func:`ssed_chunk_worker`.
+Each worker so plays both cloud roles for its records, and the values its
+decryptor sees are the masked values C2 sees in the serial protocol *by
+construction*: it is the same class, covered by the same transcript tests,
+so the leakage profile is unchanged.  Every slice is a C1-role party: it sees
+only ciphertexts plus the plaintext distances SkNN_b already reveals, so
+slicing C1 does not change what leaks either.  (Across machines the workers
+must not hold the secret key; that placement is :mod:`repro.core.sknn_shard`,
+which shares the slicer, the SSED protocol and the selection rule with this
+one.)
 
 Backends:
 
@@ -64,10 +68,17 @@ from repro.core.roles import ResultShares
 from repro.core.sknn_base import RunStatsRecorder, SkNNProtocol, top_k
 from repro.core.sknn_shard import shard_bounds
 from repro.crypto.backend import get_backend, set_backend
-from repro.crypto.paillier import Ciphertext, PaillierPrivateKey, PaillierPublicKey
+from repro.crypto.paillier import (
+    Ciphertext,
+    PaillierKeyPair,
+    PaillierPrivateKey,
+    PaillierPublicKey,
+)
 from repro.crypto.randomness_pool import RandomnessPool
 from repro.db.encrypted_table import EncryptedRecord
 from repro.exceptions import ConfigurationError, DeadlineExceeded, ServiceUnavailable
+from repro.network.party import TwoPartySetting
+from repro.protocols.ssed import SecureSquaredEuclideanDistance
 from repro.telemetry import profiling as _profiling
 from repro.telemetry import tracing as _tracing
 
@@ -90,15 +101,15 @@ Backend = Literal["thread", "process", "serial"]
 #: Chunked worker task: (chunk start index, several records' ciphertext ints,
 #: several queries' ciphertext ints, modulus N, prime p, prime q, RNG seed,
 #: bigint backend name, pool slice).  One task ships a whole contiguous
-#: slice of the table through the vectorized crypto kernel — key
+#: slice of the table through one SSED round per query — key
 #: reconstruction, obfuscator-table reuse and batched CRT decryption are
 #: amortized over every (record, query) pair of the chunk.  The backend name
 #: travels with the task because spawned worker processes do not inherit a
 #: programmatically selected backend (e.g. the CLI's ``--crypto-backend``).
 #: The *pool slice* is a list of single-use precomputed ``r^N`` obfuscation
 #: factors drained from the driver's per-shard precomputation pools (``None``
-#: without an engine), so the worker's mask and square-sum encryptions are
-#: hot-path multiplications while its per-process key cache stays warm.
+#: without an engine): both worker parties' obfuscator pool, so the mask and
+#: square-sum encryptions are hot-path multiplications while it lasts.
 ChunkWorkerTask = tuple[
     int, list[list[int]], list[list[int]], int, int, int, int, str,
     "list[int] | None"]
@@ -115,118 +126,40 @@ _CHUNKS_PER_WORKER = 4
 #: the serial/thread backends run workers in the driver process, where an
 #: unbounded cache would pin one ~2 MB comb table per key rotation forever.
 #: Locked: the thread backend runs workers concurrently in one process.
-_WORKER_KEYS: dict[int, tuple[PaillierPublicKey, PaillierPrivateKey]] = {}
+_WORKER_KEYS: dict[int, PaillierKeyPair] = {}
 _WORKER_KEYS_MAX = 4
 _WORKER_KEYS_LOCK = threading.Lock()
 
 
-def _worker_keys(n: int, p: int, q: int
-                 ) -> tuple[PaillierPublicKey, PaillierPrivateKey]:
+def _worker_keys(n: int, p: int, q: int) -> PaillierKeyPair:
     """Reconstruct (or fetch the cached) key objects for a worker process."""
     with _WORKER_KEYS_LOCK:
         cached = _WORKER_KEYS.get(n)
         if cached is None:
             public_key = PaillierPublicKey(n)
-            private_key = PaillierPrivateKey(public_key, p, q)
-            cached = (public_key, private_key)
+            cached = PaillierKeyPair(public_key,
+                                     PaillierPrivateKey(public_key, p, q))
             while len(_WORKER_KEYS) >= _WORKER_KEYS_MAX:
                 _WORKER_KEYS.pop(next(iter(_WORKER_KEYS)))
             _WORKER_KEYS[n] = cached
     return cached
 
 
-def _chunk_squared_distances(public_key: PaillierPublicKey,
-                             private_key: PaillierPrivateKey, rng: Random,
-                             records: list[list[int]],
-                             queries: list[list[int]],
-                             pool=None) -> list[list[int]]:
-    """Squared distances of every (record, query) pair, vectorized.
-
-    Follows the fused SSED round of :meth:`~repro.protocols.ssed.
-    SecureSquaredEuclideanDistance.run_many` operation for operation —
-    homomorphic difference, one additive mask per (record, attribute),
-    decryption of the masked differences, squares **summed per record in the
-    clear**, one re-encryption per record, and stripping of the cross terms
-    as one multi-exponentiation ``prod_j E(d_j)^(N - 2 r_j)`` per record
-    (the backend's ``multi_powmod``: one squaring chain for the record's
-    ``m`` powers) — so measured speedups reflect genuine parallelization of
-    the protocol's workload.  Chunk-level batching effects:
-
-    * the query-side negation ``E(-q_j)`` is computed once per (chunk, query)
-      instead of once per (record, query) — a modular inversion replacing
-      ``len(records)`` full exponentiations, valid since the squared
-      difference is sign-invariant;
-    * mask and square-sum encryptions draw obfuscators from the shipped pool
-      slice, then the key's fixed-base window table (built once per worker
-      process);
-    * all decryptions run through the vectorized CRT kernel.
-
-    Returns:
-        ``distances[record][query]`` for the chunk, in input order.
-    """
-    backend = get_backend()
-    mulmod, invert = backend.mulmod, backend.invert
-    multi_powmod = backend.multi_powmod
-    n = public_key.n
-    nsquare = public_key.nsquare
-    dimensions = len(queries[0]) if queries else 0
-    out: list[list[int]] = [[0] * len(queries) for _ in records]
-
-    for query_index, query_values in enumerate(queries):
-        neg_query = [invert(value, nsquare) for value in query_values]
-
-        # E(t_ij - q_j) for every record and attribute (flattened) — the
-        # modular inverse E(q_j)**-1 is an encryption of -q_j.
-        diffs = [
-            mulmod(record_values[j], neg_query[j], nsquare)
-            for record_values in records
-            for j in range(dimensions)
-        ]
-
-        # Additive masking with fresh randomness; obfuscators come from the
-        # shipped pool slice while it lasts, then the windowed comb.
-        masks = [rng.randrange(n) for _ in diffs]
-        enc_masks = public_key.encrypt_batch(masks, rng=rng, pool=pool)
-        masked = [mulmod(diff, enc_mask.value, nsquare)
-                  for diff, enc_mask in zip(diffs, enc_masks)]
-
-        # Decrypt the masked differences, square and sum per record in the
-        # clear, re-encrypt one sum per record.
-        masked_plain = private_key._raw_decrypt_batch(masked)
-        enc_sums = public_key.encrypt_batch(
-            [sum(h * h for h in masked_plain[base:base + dimensions]) % n
-             for base in range(0, len(masked_plain), dimensions)],
-            rng=rng, pool=pool)
-
-        # Strip: E(sum (d+r)^2) * prod E(d)^(N-2r) * E(-sum r^2) per record,
-        # the product as one multi-exponentiation.
-        totals: list[Ciphertext] = []
-        for record_index, enc_sum in enumerate(enc_sums):
-            base = record_index * dimensions
-            row_masks = masks[base:base + dimensions]
-            cross = multi_powmod(diffs[base:base + dimensions],
-                                 [(n - 2 * mask) % n for mask in row_masks],
-                                 nsquare)
-            constant = (
-                1 + (-sum(mask * mask for mask in row_masks) % n) * n
-            ) % nsquare
-            totals.append(Ciphertext(public_key, mulmod(
-                mulmod(enc_sum.value, cross, nsquare), constant, nsquare)))
-
-        for record_index, distance in enumerate(
-                private_key.decrypt_residue_batch(totals)):
-            out[record_index][query_index] = distance
-    return out
-
-
 def ssed_chunk_worker(task: ChunkWorkerTask) -> tuple[int, list[list[int]]]:
-    """Vectorized distance computation for one chunk of contiguous records.
+    """Squared distances of one chunk of contiguous records to every query.
 
-    The unit of parallel work of the sharded/parallel scan paths: one task
-    carries a slice of the table plus every query of the batch, and the whole
-    slice runs through :func:`_chunk_squared_distances` as a single
-    vectorized kernel call.  The worker aligns its process-wide bigint
-    backend with the driver's (carried in the task) before computing.
+    The unit of parallel work of the in-process scan: the worker plays both
+    cloud roles for its records by *running the protocol* — a
+    :class:`~repro.network.party.TwoPartySetting` of its own over the
+    process-cached key objects (never the driver's, so the driver's counters
+    and traffic stay driver-side), seeded from the task, on which it runs
+    :meth:`~repro.protocols.ssed.SecureSquaredEuclideanDistance.run_many`
+    per query and decrypts the distances, as C2 does in SkNN_b.  Both
+    parties' encryptions draw the shipped pool slice before the key's comb
+    (:meth:`~repro.network.party.Party.encrypt_batch`).  The setting, and
+    with it the channel's transcript, lives for this task only.  The worker
+    aligns its process-wide bigint backend with the driver's (carried in
+    the task) before computing.
 
     Returns:
         ``(chunk_start_index, distances[record][query])``.
@@ -249,13 +182,21 @@ def ssed_chunk_worker(task: ChunkWorkerTask) -> tuple[int, list[list[int]]]:
      pool_slice) = task
     if get_backend().name != backend_name:
         set_backend(backend_name)
-    public_key, private_key = _worker_keys(n, p, q)
-    pool = (RandomnessPool.from_factors(public_key, list(pool_slice))
-            if pool_slice else None)
-    rng = Random(seed)
-    return start_index, _chunk_squared_distances(public_key, private_key, rng,
-                                                 record_rows, queries,
-                                                 pool=pool)
+    setting = TwoPartySetting.create(_worker_keys(n, p, q), rng=Random(seed))
+    public_key = setting.public_key
+    if pool_slice:
+        pool = RandomnessPool.from_factors(public_key, list(pool_slice))
+        for party in (setting.evaluator, setting.decryptor):
+            party.obfuscator_pool = pool
+    ssed = SecureSquaredEuclideanDistance(setting)
+    records = [[Ciphertext(public_key, value) for value in row]
+               for row in record_rows]
+    per_query = [
+        setting.decryptor.decrypt_residue_batch(ssed.run_many(
+            [Ciphertext(public_key, value) for value in query], records))
+        for query in queries
+    ]
+    return start_index, [list(row) for row in zip(*per_query)]
 
 
 def chunk_records(count: int, workers: int) -> list[tuple[int, int]]:
@@ -614,7 +555,7 @@ class ShardedCloud(SkNNProtocol):
 
         Chunks never cross shard boundaries (each shard is an independent
         C1-role server), and every task ships its whole record slice through
-        one vectorized kernel call — see :func:`ssed_chunk_worker`.
+        one SSED round per query — see :func:`ssed_chunk_worker`.
         """
         c1 = self.cloud.c1
         private_key = self.cloud.c2.private_key

@@ -301,11 +301,6 @@ class SkNNProtocol(P2StepDispatcher):
                  for record in self.encrypted_table],
             )
 
-    @property
-    def engine(self):
-        """The deployment's precomputation engine (dynamic, may be None)."""
-        return self.cloud.engine
-
     def _deliver_records(
         self, encrypted_records: Sequence[Sequence[Ciphertext]]
     ) -> ResultShares:
@@ -322,9 +317,8 @@ class SkNNProtocol(P2StepDispatcher):
         the returned ``delivery_id`` — C1's process never sees it, exactly
         as the paper's trust model requires.
 
-        Masks come from the precomputation engine's mask tuples when one is
-        attached (both the value and its encryption paid offline), otherwise
-        from fresh batch encryption.
+        The masks are one :meth:`~repro.protocols.base.TwoPartyProtocol.
+        take_masks` batch, the sub-protocols' mask source.
         """
         with _profiling.cost_scope("deliver"), \
                 _tracing.span(f"{self.name}.deliver",
@@ -336,20 +330,18 @@ class SkNNProtocol(P2StepDispatcher):
     ) -> ResultShares:
         c1 = self.cloud.c1
         pk = self.public_key
-        engine = self.engine
+        # One mask batch for all k records, split per record.
+        tuples = self._ssed.take_masks(
+            sum(len(record) for record in encrypted_records))
         masks_for_bob: list[list[int]] = []
         masked_for_c2: list[list[Ciphertext]] = []
+        taken = 0
         for encrypted_record in encrypted_records:
-            if engine is not None:
-                tuples = engine.take_masks(len(encrypted_record))
-                record_masks = [r for r, _ in tuples]
-                enc_masks = [c for _, c in tuples]
-            else:
-                record_masks = [c1.random_in_zn() for _ in encrypted_record]
-                enc_masks = c1.encrypt_batch(record_masks)
-            masks_for_bob.append(record_masks)
-            masked_for_c2.append(
-                pk.add_batch(list(encrypted_record), enc_masks))
+            record_tuples = tuples[taken:taken + len(encrypted_record)]
+            taken += len(encrypted_record)
+            masks_for_bob.append([r for r, _ in record_tuples])
+            masked_for_c2.append(pk.add_batch(
+                list(encrypted_record), [c for _, c in record_tuples]))
 
         delivery_id = next(_DELIVERY_IDS)
         c1.send([delivery_id, masked_for_c2], tag="SkNN.masked_results")

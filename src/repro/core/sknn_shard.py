@@ -6,8 +6,10 @@ distance scan by handing each pool worker *both* cloud roles for its slice
 would need the private key).  This module is the remote placement of the
 same plan, kept as its own protocol because it respects the paper's
 two-cloud trust boundary; the two placements share the slicer
-(:func:`shard_bounds`) and the selection rule
-(:func:`~repro.core.sknn_base.top_k`) and nothing else:
+(:func:`shard_bounds`), the distance protocol
+(:meth:`SSED.run_many <repro.protocols.ssed.SecureSquaredEuclideanDistance.
+run_many>` — run here against the shared C2, there against the worker's own
+decryptor) and the selection rule (:func:`~repro.core.sknn_base.top_k`):
 
 * **Shard C1 daemons** each hold one horizontal slice of ``Epk(T)`` and run
   the SSED distance phase for their records against the shared C2, then

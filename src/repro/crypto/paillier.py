@@ -175,9 +175,6 @@ class PaillierPublicKey:
         # encryption path (see _windowed_obfuscators).
         self._obfuscator_comb: FixedBaseExp | None = None
         self._obfuscator_lock = threading.Lock()
-        # Optional precomputed obfuscator source (a RandomnessPool) consumed
-        # by raw_encrypt/encrypt_batch when no explicit nonce is given.
-        self._attached_pool: "RandomnessPool | None" = None
 
     # -- representation ----------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -222,35 +219,12 @@ class PaillierPublicKey:
             return value - self.n
         return value
 
-    # -- precomputed obfuscators --------------------------------------------
-    def attach_randomness_pool(self, pool: "RandomnessPool | None") -> None:
-        """Attach (or detach, with ``None``) a precomputed obfuscator source.
-
-        While attached, :meth:`raw_encrypt` and :meth:`encrypt_batch` consume
-        the pool's single-use ``r^N`` factors whenever no explicit nonce is
-        supplied, falling back to their usual obfuscator generation when the
-        pool runs dry.  Pool hits/misses are recorded on the pool; the key's
-        :class:`OperationCounter` advances exactly as on the non-pooled path.
-        """
-        if pool is not None and pool.public_key != self:
-            raise EncryptionError(
-                "randomness pool belongs to a different public key")
-        self._attached_pool = pool
-
-    @property
-    def attached_pool(self) -> "RandomnessPool | None":
-        """The currently attached precomputed obfuscator source (or None)."""
-        return self._attached_pool
-
     # -- encryption ---------------------------------------------------------
     def raw_encrypt(self, plaintext: int, r_value: int | None = None,
                     rng: Random | None = None) -> int:
         """Encrypt ``plaintext`` (already reduced mod N) to a raw ciphertext.
 
         ``c = (1 + m*N) * r^N  mod N^2`` using the ``g = N+1`` fast path.
-        When a randomness pool is attached and no explicit nonce is given,
-        the obfuscation factor is popped from the pool (one multiplication
-        on the hot path instead of a full exponentiation).
 
         Args:
             plaintext: message in ``[0, N)``.
@@ -261,11 +235,6 @@ class PaillierPublicKey:
         backend = get_backend()
         m = plaintext % self.n
         nude = (1 + m * self.n) % self.nsquare
-        if r_value is None and self._attached_pool is not None:
-            factor = self._attached_pool.take_available_one()
-            if factor is not None:
-                self.counter.encryptions += 1
-                return backend.mulmod(nude, factor, self.nsquare)
         if r_value is None:
             r_value = nt.random_in_zn_star(self.n, rng)
         obfuscator = backend.powmod(r_value, self.n, self.nsquare)
@@ -283,8 +252,8 @@ class PaillierPublicKey:
         """Attribute-wise encryption of a vector (the paper's ``Epk(t_i)``).
 
         Routes through :meth:`encrypt_batch`, so vector callers get the
-        fixed-base comb (and any attached randomness pool) for free instead
-        of a per-element Python loop over the scalar path.
+        fixed-base comb for free instead of a per-element Python loop over
+        the scalar path.
         """
         return self.encrypt_batch(list(values), rng=rng)
 
@@ -373,9 +342,8 @@ class PaillierPublicKey:
         amortizing counter bookkeeping and attribute dispatch over the whole
         vector and sourcing obfuscators from the fixed-base window table.
 
-        Obfuscator precedence: explicit ``r_values`` > precomputed pool
-        (the ``pool`` argument, else an attached randomness pool) > the
-        fixed-base comb (``windowed=True``) > textbook ``r**N``.  A pool
+        Obfuscator precedence: explicit ``r_values`` > the precomputed
+        ``pool`` argument > the fixed-base comb (``windowed=True``) > textbook ``r**N``.  A pool
         covers as many elements as it has factors available; the remainder
         falls through to the next source, so a dry pool never stalls a batch.
 
@@ -389,8 +357,7 @@ class PaillierPublicKey:
                 per-key comb table; ``False`` computes textbook ``r**N``
                 factors (same cost profile as the scalar path).
             pool: optional :class:`~repro.crypto.randomness_pool.
-                RandomnessPool` of precomputed factors, overriding any
-                key-attached pool for this call.
+                RandomnessPool` of precomputed factors.
 
         Returns:
             One :class:`Ciphertext` per value, in order.
@@ -406,8 +373,6 @@ class PaillierPublicKey:
                     "encrypt_batch needs exactly one nonce per value")
             factors = [backend.powmod(r, n, nsquare) for r in r_values]
         else:
-            if pool is None:
-                pool = self._attached_pool
             factors = (pool.take_available(len(encoded))
                        if pool is not None and encoded else [])
             missing = len(encoded) - len(factors)

@@ -12,9 +12,8 @@ modular multiplications.
 pools:
 
 * **obfuscators** — single-use ``r^N`` factors (a
-  :class:`~repro.crypto.randomness_pool.RandomnessPool`); attached to the
-  public key so *every* ``raw_encrypt``/``encrypt_batch`` call in the
-  deployment consumes them transparently;
+  :class:`~repro.crypto.randomness_pool.RandomnessPool`), consumed by the
+  owning party's ``encrypt_batch`` before the key's fixed-base comb;
 * **constants** — ready ciphertexts of 0, 1 and (optionally) powers of two
   ``E(2^i)``, for SBD parity bits, SMIN's ``H_0``/``alpha``, SkNN_m's
   indicator vectors and bit-recomposition helpers;
@@ -170,18 +169,11 @@ class PrecomputeEngine:
         public_key: the deployment's Paillier public key.
         rng: optional deterministic randomness source (tests only).
         config: pool targets; defaults to :class:`PrecomputeConfig`.
-        attach: when ``True`` the obfuscator pool is additionally attached
-            to the public key, so *every* batch/scalar encryption under the
-            key consumes it transparently.  Off by default — key-level
-            attachment is only appropriate when a single party performs all
-            encryptions under the key (e.g. a client session), because the
-            key object is shared across parties.
     """
 
     def __init__(self, public_key: PaillierPublicKey,
                  rng: Random | None = None,
-                 config: PrecomputeConfig | None = None,
-                 attach: bool = False) -> None:
+                 config: PrecomputeConfig | None = None) -> None:
         self.public_key = public_key
         self.rng = rng
         self.config = config if config is not None else PrecomputeConfig()
@@ -209,18 +201,6 @@ class PrecomputeEngine:
         self.offline = OperationCounter()
         self._producer: threading.Thread | None = None
         self._producer_stop = threading.Event()
-        if attach:
-            self.attach()
-
-    # -- attachment ----------------------------------------------------------
-    def attach(self) -> None:
-        """Attach the obfuscator pool to the public key (idempotent)."""
-        self.public_key.attach_randomness_pool(self.obfuscators)
-
-    def detach(self) -> None:
-        """Detach the obfuscator pool from the public key."""
-        if self.public_key.attached_pool is self.obfuscators:
-            self.public_key.attach_randomness_pool(None)
 
     # -- offline production ---------------------------------------------------
     def _fresh_factor(self) -> int:

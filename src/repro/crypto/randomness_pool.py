@@ -156,11 +156,6 @@ class RandomnessPool:
             self.misses += count - served
         return taken
 
-    def take_available_one(self) -> "int | None":
-        """Pop one factor, or ``None`` when dry (no on-demand computation)."""
-        taken = self.take_available(1)
-        return taken[0] if taken else None
-
     def encrypt(self, value: int) -> Ciphertext:
         """Encrypt a signed integer using one pooled factor (cheap multiply).
 

@@ -51,7 +51,7 @@ class Message:
         sender: logical name of the sending party (e.g. ``"C1"``).
         recipient: logical name of the receiving party.
         tag: protocol-defined label describing the payload (useful when
-            inspecting transcripts in tests, e.g. ``"SM.masked_operands"``).
+            inspecting transcripts in tests, e.g. ``"SM.batch_masked_operands"``).
         payload: the transported value; may be a ciphertext, an integer, or a
             (possibly nested) list/tuple of those.
         trace: optional ``(trace_id, span_id)`` distributed-tracing context

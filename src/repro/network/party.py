@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import used for annotations only
     from repro.crypto.precompute import PrecomputeEngine
+    from repro.crypto.randomness_pool import RandomnessPool
 
 from repro.crypto.paillier import (
     Ciphertext,
@@ -52,6 +53,11 @@ class Party:
         #: trust boundary: protocols source P1 material from the evaluator's
         #: engine and P2 material from the decryptor's.
         self.engine: "PrecomputeEngine | None" = None
+        #: where :meth:`encrypt_batch` draws precomputed ``r^N`` factors
+        #: before falling back to the key's comb: the engine's obfuscator
+        #: pool (pointed there by ``attach_engine``) or, in a chunk worker,
+        #: the pool slice shipped with the task.
+        self.obfuscator_pool: "RandomnessPool | None" = None
         if name not in (channel.endpoint_a, channel.endpoint_b):
             raise ConfigurationError(
                 f"party {name!r} is not an endpoint of the supplied channel"
@@ -92,13 +98,13 @@ class Party:
         """Vectorized encryption with this party's randomness source.
 
         The one place that decides where a cloud party's obfuscators come
-        from: this party's engine pool when one is attached, then the key's
-        fixed-base window table (see
+        from: this party's :attr:`obfuscator_pool` while it has factors,
+        then the key's fixed-base window table (see
         :meth:`~repro.crypto.paillier.PaillierPublicKey.encrypt_batch`) —
         never a textbook ``r**N``, for one value or for many.
         """
-        pool = self.engine.obfuscators if self.engine is not None else None
-        return self.public_key.encrypt_batch(values, rng=self.rng, pool=pool)
+        return self.public_key.encrypt_batch(values, rng=self.rng,
+                                             pool=self.obfuscator_pool)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.name!r})"
@@ -226,10 +232,9 @@ class TwoPartySetting:
         """
         for party, new_engine in ((self.evaluator, engine),
                                   (self.decryptor, decryptor_engine)):
-            previous = party.engine
-            if previous is not None and previous is not new_engine:
-                previous.detach()
             party.engine = new_engine
+            party.obfuscator_pool = (new_engine.obfuscators
+                                     if new_engine is not None else None)
 
     def reset_counters(self) -> None:
         """Reset crypto-operation counters and channel accounting."""

@@ -19,7 +19,7 @@ class TrafficStats:
     """Accumulated statistics for one direction of a channel.
 
     Besides the four aggregate counters, traffic is attributed per message
-    *tag* (``SM.masked_operands``, ``transport.query``, ...) so operators
+    *tag* (``SM.batch_masked_operands``, ``transport.query``, ...) so operators
     can see which protocol round dominates the wire.  The aggregate
     :meth:`snapshot` keeps its original four-key shape — run recorders
     subtract those dictionaries — and the per-tag view is a separate

@@ -19,10 +19,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - import used for annotations only
-    from repro.crypto.precompute import PrecomputeEngine
+from typing import Any
 
 from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.exceptions import ProtocolError
@@ -185,23 +182,6 @@ class TwoPartyProtocol(P2StepDispatcher):
         """The shared Paillier public key."""
         return self.setting.public_key
 
-    @property
-    def engine(self) -> "PrecomputeEngine | None":
-        """P1's precomputation engine, when one is attached.
-
-        Resolution is dynamic (engines live on the party objects), so
-        attaching an engine after protocol construction still takes effect.
-        P2-side material goes through :meth:`encrypt_pooled_constant` with
-        the decryptor party, which resolves that party's *own* engine —
-        pools are never shared across the trust boundary.
-        """
-        return getattr(self.setting, "engine", None)
-
-    @staticmethod
-    def engine_for(party) -> "PrecomputeEngine | None":
-        """The engine owned by ``party`` (or ``None``)."""
-        return getattr(party, "engine", None)
-
     # -- precomputed material with graceful fallback ---------------------------
     def take_masks(self, count: int, kind: str = "zn",
                    sbd_upper: int | None = None
@@ -212,20 +192,17 @@ class TwoPartyProtocol(P2StepDispatcher):
         in ``[0, N)``), ``"nonzero"`` (``[1, N)``) or ``"sbd"`` (``[0,
         sbd_upper)``).  Engine mask tuples when P1 owns an engine (``E(r)``
         paid offline); otherwise sampled with P1's rng and encrypted in one
-        batch-kernel call.  One encryption per mask either way.
+        batch-kernel call.  One encryption per mask either way.  The engine
+        is resolved per call (engines live on the party objects), so one
+        attached after protocol construction still takes effect.
         """
-        engine = self.engine
+        engine = self.p1.engine
         if engine is not None:
             return engine.take_masks(count, kind, sbd_upper=sbd_upper)
         lower = 1 if kind == "nonzero" else 0
         upper = sbd_upper if kind == "sbd" else self.pk.n
         masks = [self.p1.rng.randrange(lower, upper) for _ in range(count)]
         return list(zip(masks, self.p1.encrypt_batch(masks)))
-
-    def take_mask(self, kind: str = "zn",
-                  sbd_upper: int | None = None) -> "tuple[int, Ciphertext]":
-        """One P1 additive mask: :meth:`take_masks` of one."""
-        return self.take_masks(1, kind, sbd_upper)[0]
 
     def encrypt_pooled_constants(self, party,
                                  values: "list[int]") -> "list[Ciphertext]":
@@ -235,14 +212,9 @@ class TwoPartyProtocol(P2StepDispatcher):
         randomness must be the encrypting party's — a pool filled by the
         other party would let it link or unmask the ciphertext).
         """
-        engine = self.engine_for(party)
-        if engine is not None:
-            return engine.encrypt_constants(values)
+        if party.engine is not None:
+            return party.engine.encrypt_constants(values)
         return party.encrypt_batch(values)
-
-    def encrypt_pooled_constant(self, party, value: int) -> Ciphertext:
-        """One fresh constant: :meth:`encrypt_pooled_constants` of one."""
-        return self.encrypt_pooled_constants(party, [value])[0]
 
     # -- ciphertext helpers -----------------------------------------------------
     def sub(self, left: Ciphertext, right: Ciphertext) -> Ciphertext:
@@ -270,6 +242,26 @@ class TwoPartyProtocol(P2StepDispatcher):
         """Raise :class:`ProtocolError` when a protocol precondition fails."""
         if not condition:
             raise ProtocolError(f"{self.name}: {message}")
+
+    def require_cipher_rows(self, rows: Any, what: str,
+                            rows_expected: int | None = None) -> int:
+        """Shape check of a batch that arrived from outside this process.
+
+        ``rows`` must be a non-empty list (of ``rows_expected`` entries when
+        given) of equally long, non-empty lists of ciphertexts; a P2 step
+        calls this before it decrypts anything, so a hostile or
+        version-skewed frame fails typed (``"<name>: malformed <what>"``)
+        instead of with a stray ``ValueError``.  Returns the row length.
+        """
+        width = (len(rows[0]) if isinstance(rows, list) and rows
+                 and isinstance(rows[0], list) else 0)
+        self.require(
+            width > 0 and rows_expected in (None, len(rows))
+            and all(isinstance(row, list) and len(row) == width
+                    and all(isinstance(cipher, Ciphertext) for cipher in row)
+                    for row in rows),
+            f"malformed {what}")
+        return width
 
     # -- instrumentation --------------------------------------------------------
     def round_span(self, operation: str, **attributes: Any):

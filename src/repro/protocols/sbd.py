@@ -19,9 +19,9 @@ per round starting from the least significant bit:
    ``z - z_lsb`` is even) to continue with the next bit.
 
 The cost is ``l`` rounds with O(1) encryptions/decryptions each, i.e. O(l)
-operations total, matching the complexity the paper quotes for [21].  The
-batched entry point runs each round over every value and draws the round's
-masks as one ``take_masks`` batch.
+operations total, matching the complexity the paper quotes for [21].  Each
+round runs over every value of a batch (``run(z)`` is the batch of one) and
+draws the round's masks as one ``take_masks`` batch.
 
 What each party sees: P2 only ever sees masked values ``z + r``; P1 only sees
 ciphertexts.  (The original protocol is "probabilistic" in that its failure
@@ -46,7 +46,6 @@ class SecureBitDecomposition(TwoPartyProtocol):
     name = "SBD"
 
     P2_STEPS = {
-        "SBD.masked_value": "_p2_parity_of_masked",
         "SBD.batch_masked_values": "_p2_parity_of_masked_batch",
     }
 
@@ -70,6 +69,8 @@ class SecureBitDecomposition(TwoPartyProtocol):
     def run(self, enc_z: Ciphertext) -> list[Ciphertext]:
         """Compute ``[z]`` (MSB first) from ``Epk(z)``.
 
+        The one-value case of :meth:`run_batch`.
+
         Args:
             enc_z: encryption of a value in ``[0, 2**l)``.
 
@@ -77,23 +78,17 @@ class SecureBitDecomposition(TwoPartyProtocol):
             List of ``l`` ciphertexts, each an encryption of one bit of ``z``,
             most significant bit first.  Known only to P1.
         """
-        bits_lsb_first: list[Ciphertext] = []
-        current = enc_z
-        for _ in range(self.bit_length):
-            enc_bit, current = self._extract_lsb(current)
-            bits_lsb_first.append(enc_bit)
-        return list(reversed(bits_lsb_first))
+        return self.run_batch([enc_z])[0]
 
     @traced_round("run_batch", sized=True)
     def run_batch(self, enc_values: Sequence[Ciphertext]
                   ) -> list[list[Ciphertext]]:
         """Bit-decompose a whole vector of encrypted values at once.
 
-        Functionally identical to ``[self.run(c) for c in enc_values]`` with
-        the same per-value operation counts, but each of the ``l`` bit rounds
-        processes *every* value in one message exchange (2 messages per round
-        instead of ``2 * len(enc_values)``), with all encryptions and
-        decryptions going through the vectorized kernel.  SkNN_m uses this to
+        The protocol's one implementation (:meth:`run` is the one-value
+        batch): each of the ``l`` bit rounds processes *every* value in one
+        message exchange — ``2 * l`` messages and the same per-value
+        operation counts whatever the batch size.  SkNN_m uses this to
         decompose all ``n`` record distances up front.
 
         Returns:
@@ -115,87 +110,46 @@ class SecureBitDecomposition(TwoPartyProtocol):
     ) -> tuple[list[Ciphertext], list[Ciphertext]]:
         """One bit round over every value: LSBs and halved remainders.
 
-        The round's masks (one batch) and the parity/un-flip constants come
-        from the precomputation engine when one is attached (SBD-range mask
-        pool, E(0)/E(1) constant pools), from batch encryption otherwise.
+        The round's masks — ``r`` uniform in ``[0, N - 2**l)``, so ``z + r``
+        never wraps — are one batch, and they and the parity/un-flip
+        constants come from the precomputation engine when one is attached
+        (SBD-range mask pool, validated against this instance's ``l``;
+        E(0)/E(1) constant pools), from batch encryption otherwise.
         """
-        mask_tuples = self._p1_take_masks(len(enc_values))
+        mask_tuples = self.take_masks(
+            len(enc_values), "sbd",
+            sbd_upper=self.pk.n - (1 << self.bit_length))
         masks = [r for r, _ in mask_tuples]
         masked = self.pk.add_batch(enc_values, [c for _, c in mask_tuples])
         self.p1.send(masked, tag="SBD.batch_masked_values")
         self.p2_step("SBD.batch_masked_values")
 
         received = self.p1.receive(expected_tag="SBD.batch_masked_parities")
-        # Un-flip the parity wherever P1's mask was odd (same expected cost
-        # as the scalar path: one E(1) and one subtraction per odd mask).
+        # Un-flip the parity wherever P1's mask was odd: z_lsb = 1 - b, so
+        # E(1) * E(b)^{N-1} — one E(1) and one subtraction per odd mask.
         odd_indices = [i for i, mask in enumerate(masks) if mask % 2 == 1]
+        enc_bits = list(received)
         if odd_indices:
             ones = self.encrypt_pooled_constants(
                 self.p1, [1] * len(odd_indices))
             flipped = self.pk.add_batch(
                 ones, self.neg_batch([received[i] for i in odd_indices]))
-            enc_bits = list(received)
             for position, index in enumerate(odd_indices):
                 enc_bits[index] = flipped[position]
-        else:
-            enc_bits = list(received)
 
-        # E((value - bit) / 2) for every value.
+        # E((value - bit) / 2) for every value: subtract the bit, multiply
+        # by 2^{-1} mod N — exact because value - bit is even.
         halved = self.pk.scalar_mul_batch(
             self.pk.add_batch(enc_values, self.neg_batch(enc_bits)),
             self._inv_two,
         )
         return enc_bits, halved
 
-    # -- one round: extract the least significant bit -----------------------------
-    def _extract_lsb(self, enc_value: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
-        """Extract ``Epk(value mod 2)`` and return it with ``Epk(value // 2)``."""
-        [(mask, enc_mask)] = self._p1_take_masks(1)
-        masked = enc_value + enc_mask
-        self.p1.send(masked, tag="SBD.masked_value")
-        self.p2_step("SBD.masked_value")
-
-        received = self.p1.receive(expected_tag="SBD.masked_parity")
-        enc_bit = self._p1_unmask_parity(received, mask)
-
-        # E((value - bit) / 2): subtract the bit and multiply by 2^{-1} mod N.
-        # Exact because value - bit is even.
-        enc_halved = self.sub(enc_value, enc_bit) * self._inv_two
-        return enc_bit, enc_halved
-
-    def _p1_take_masks(self, count: int) -> list[tuple[int, Ciphertext]]:
-        """``count`` mask tuples ``(r, E(r))``, ``r`` uniform in ``[0, N - 2**l)``.
-
-        Served from the engine's SBD-range pool when attached (the pool's
-        range is validated against this instance's ``l``); otherwise sampled
-        and encrypted as one batch, so ``z + r < N`` always either way.
-        """
-        upper = self.pk.n - (1 << self.bit_length)
-        return self.take_masks(count, "sbd", sbd_upper=upper)
-
-    def _p1_unmask_parity(self, enc_masked_parity: Ciphertext,
-                          mask: int) -> Ciphertext:
-        """Recover ``Epk(z_lsb)`` from ``Epk((z + r) mod 2)`` given ``r``.
-
-        When the mask is even the parities agree; when it is odd the bit is
-        flipped, so P1 computes ``Epk(1 - b) = Epk(1) * Epk(b)^{N-1}``.
-        """
-        if mask % 2 == 0:
-            return enc_masked_parity
-        return self.sub(self.encrypt_pooled_constant(self.p1, 1),
-                        enc_masked_parity)
-
-    # -- P2 steps ------------------------------------------------------------------
-    def _p2_parity_of_masked(self) -> None:
-        """P2 decrypts the masked value and replies with its encrypted parity."""
-        masked = self.p2.receive(expected_tag="SBD.masked_value")
-        y = self.p2.decrypt_residue(masked)
-        self.p2.send(self.encrypt_pooled_constant(self.p2, y % 2),
-                     tag="SBD.masked_parity")
-
+    # -- P2 step -------------------------------------------------------------------
     def _p2_parity_of_masked_batch(self) -> None:
-        """Batched parity step: one vectorized decryption, pooled constants."""
+        """P2 shape-checks the batch, decrypts it and replies with parities."""
         received_masked = self.p2.receive(expected_tag="SBD.batch_masked_values")
+        self.require_cipher_rows([received_masked], "masked-value batch")
         parities = [y % 2
                     for y in self.p2.decrypt_residue_batch(received_masked)]
         self.p2.send(self.encrypt_pooled_constants(self.p2, parities),

@@ -35,25 +35,25 @@ class SecureBitOr(TwoPartyProtocol):
     def run(self, enc_bit_a: Ciphertext, enc_bit_b: Ciphertext) -> Ciphertext:
         """Compute ``Epk(o_1 OR o_2)`` from ``Epk(o_1)`` and ``Epk(o_2)``.
 
-        The inputs must encrypt bits (0 or 1); the protocol does not — and by
-        design cannot — check this, exactly as in the paper.
+        The one-pair case of :meth:`run_batch`.  The inputs must encrypt
+        bits (0 or 1); the protocol does not — and by design cannot — check
+        this, exactly as in the paper.
         """
-        enc_and = self._sm.run(enc_bit_a, enc_bit_b)
-        # E(o1 + o2) * E(o1*o2)^{N-1}  ==  E(o1 + o2 - o1*o2)
-        return self.sub(enc_bit_a + enc_bit_b, enc_and)
+        return self.run_batch([(enc_bit_a, enc_bit_b)])[0]
 
     @traced_round("run_batch", sized=True)
     def run_batch(self, pairs: Sequence[tuple[Ciphertext, Ciphertext]]
                   ) -> list[Ciphertext]:
-        """Vectorized OR over many bit pairs (one batched SM round).
+        """OR over many bit pairs (one batched SM round).
 
-        Per-pair operation counts match ``[self.run(a, b) for a, b in pairs]``
-        exactly; SkNN_m's elimination phase calls this with all ``n * l``
+        The protocol's one implementation — :meth:`run` is the one-pair
+        batch.  SkNN_m's elimination phase calls this with all ``n * l``
         (indicator, distance-bit) pairs of an iteration.
         """
         if not pairs:
             return []
         enc_ands = self._sm.run_batch(pairs)
+        # E(o1 + o2) * E(o1*o2)^{N-1}  ==  E(o1 + o2 - o1*o2)
         sums = self.pk.add_batch([a for a, _ in pairs], [b for _, b in pairs])
         return self.pk.add_batch(sums, self.neg_batch(enc_ands))
 

@@ -37,7 +37,6 @@ class SecureMultiplication(TwoPartyProtocol):
     name = "SM"
 
     P2_STEPS = {
-        "SM.masked_operands": "_p2_multiply_masked",
         "SM.batch_masked_operands": "_p2_multiply_masked_batch",
         "SM.batch_masked_squares": "_p2_square_masked_batch",
     }
@@ -46,6 +45,8 @@ class SecureMultiplication(TwoPartyProtocol):
     def run(self, enc_a: Ciphertext, enc_b: Ciphertext) -> Ciphertext:
         """Compute ``Epk(a * b)`` from ``Epk(a)`` and ``Epk(b)``.
 
+        The one-pair case of :meth:`run_batch`.
+
         Args:
             enc_a: ``Epk(a)`` held by P1.
             enc_b: ``Epk(b)`` held by P1.
@@ -53,54 +54,16 @@ class SecureMultiplication(TwoPartyProtocol):
         Returns:
             ``Epk(a * b mod N)``, known only to P1.
         """
-        masked_a, masked_b, r_a, r_b = self._p1_mask_operands(enc_a, enc_b)
-        self.p1.send([masked_a, masked_b], tag="SM.masked_operands")
-        self.p2_step("SM.masked_operands")
-
-        received = self.p1.receive(expected_tag="SM.masked_product")
-        return self._p1_unmask(received, enc_a, enc_b, r_a, r_b)
-
-    # -- P1 steps ---------------------------------------------------------------
-    def _p1_mask_operands(
-        self, enc_a: Ciphertext, enc_b: Ciphertext
-    ) -> tuple[Ciphertext, Ciphertext, int, int]:
-        """Step 1: P1 additively masks both operands with fresh randomness.
-
-        The mask tuples ``(r, E(r))`` come from the precomputation engine
-        when one is attached, turning the two mask encryptions into hot-path
-        multiplications; the fallback samples and encrypts inline.
-        """
-        r_a, enc_r_a = self.take_mask()
-        r_b, enc_r_b = self.take_mask()
-        masked_a = enc_a + enc_r_a
-        masked_b = enc_b + enc_r_b
-        return masked_a, masked_b, r_a, r_b
-
-    def _p1_unmask(self, product_cipher: Ciphertext, enc_a: Ciphertext,
-                   enc_b: Ciphertext, r_a: int, r_b: int) -> Ciphertext:
-        """Step 3: P1 removes the cross terms from ``E((a+r_a)(b+r_b))``."""
-        n = self.pk.n
-        # E(a)^{N - r_b} * E(b)^{N - r_a} == E(-a*r_b - b*r_a), as one
-        # two-base multi-exponentiation
-        [cross] = self.pk.weighted_sum_batch(
-            [[enc_a, enc_b]], [[n - r_b, n - r_a]])
-        # result = h' * cross * E(r_a * r_b)^{N-1} == ... - r_a*r_b
-        return self.add_plain(product_cipher + cross, -(r_a * r_b) % n)
+        return self.run_batch([(enc_a, enc_b)])[0]
 
     # -- P2 steps ---------------------------------------------------------------
-    def _p2_multiply_masked(self) -> None:
-        """Step 2: P2 decrypts the masked operands and multiplies them."""
-        masked_a, masked_b = self.p2.receive(expected_tag="SM.masked_operands")
-        h_a = self.p2.decrypt_residue(masked_a)
-        h_b = self.p2.decrypt_residue(masked_b)
-        h = (h_a * h_b) % self.pk.n
-        self.p2.send(self.p2.encrypt(h), tag="SM.masked_product")
-
     def _p2_multiply_masked_batch(self) -> None:
-        """Batched step 2: decrypt every masked pair, multiply in the clear."""
+        """Step 2: shape-check the batch (it arrives from outside the process
+        on a C2 daemon), decrypt every masked pair, multiply in the clear."""
         n = self.pk.n
-        received_a, received_b = self.p2.receive(
-            expected_tag="SM.batch_masked_operands")
+        received = self.p2.receive(expected_tag="SM.batch_masked_operands")
+        self.require_cipher_rows(received, "masked-operand batch", 2)
+        received_a, received_b = received
         h_a = self.p2.decrypt_residue_batch(received_a)
         h_b = self.p2.decrypt_residue_batch(received_b)
         products = [(x * y) % n for x, y in zip(h_a, h_b)]
@@ -111,6 +74,7 @@ class SecureMultiplication(TwoPartyProtocol):
         """Squaring step 2: decrypt each masked value and square it."""
         n = self.pk.n
         received_masked = self.p2.receive(expected_tag="SM.batch_masked_squares")
+        self.require_cipher_rows([received_masked], "masked-square batch")
         h_values = self.p2.decrypt_residue_batch(received_masked)
         self.p2.send(self.p2.encrypt_batch([(h * h) % n for h in h_values]),
                      tag="SM.batch_square_products")
@@ -121,13 +85,12 @@ class SecureMultiplication(TwoPartyProtocol):
                   ) -> list[Ciphertext]:
         """Compute ``Epk(a_i * b_i)`` for a whole vector of operand pairs.
 
-        Functionally (and in per-pair operation counts: 3 encryptions, 2
-        decryptions, 2 exponentiations, 5 homomorphic additions) identical to
-        ``[self.run(a, b) for a, b in pairs]``, but executed as one protocol
-        round: both parties exchange two messages total instead of two per
-        pair, every encryption draws its obfuscator from the key's fixed-base
-        window table, and decryptions run through the vectorized CRT kernel.
-        The protocols' scan loops call this with all ``n`` records of a round.
+        The protocol's one implementation (:meth:`run` is the one-pair
+        batch): one round of two messages whatever the batch size, at 3
+        encryptions, 2 decryptions, 2 exponentiations and 5 homomorphic
+        additions per pair; encryptions draw their obfuscators from the
+        key's fixed-base window table and decryptions run through the
+        vectorized CRT kernel.
         """
         if not pairs:
             return []

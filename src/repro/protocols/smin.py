@@ -32,8 +32,8 @@ P2 decrypts the permuted ``L`` vector: the single index that decrypts to 1 or
 functionality F, from which P2 forms ``alpha``.
 
 P1 draws the difference masks ``(rhat_i, E(rhat_i))`` per round, not per
-bit: ``l`` for a pair, ``pairs * l`` (and ``pairs`` ``H_0 = E(0)`` constants)
-for a :meth:`SecureMinimum.run_batch` level, as one ``take_masks`` batch.
+bit: ``pairs * l`` (and ``pairs`` ``H_0 = E(0)`` constants) for a
+:meth:`SecureMinimum.run_batch` level, as one ``take_masks`` batch.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class SecureMinimum(TwoPartyProtocol):
     name = "SMIN"
 
     P2_STEPS = {
-        "SMIN.gamma_and_l": "_p2_decide_alpha",
         "SMIN.batch_gamma_and_l": "_p2_decide_alpha_batch",
     }
 
@@ -68,6 +67,8 @@ class SecureMinimum(TwoPartyProtocol):
             enc_v_bits: Sequence[Ciphertext]) -> list[Ciphertext]:
         """Compute ``[min(u, v)]`` from ``[u]`` and ``[v]``.
 
+        The one-pair case of :meth:`run_batch`.
+
         Args:
             enc_u_bits: encrypted bits of ``u`` (MSB first).
             enc_v_bits: encrypted bits of ``v`` (MSB first).
@@ -78,60 +79,7 @@ class SecureMinimum(TwoPartyProtocol):
         self.require(len(enc_u_bits) == len(enc_v_bits),
                      "bit vectors must have equal length")
         self.require(len(enc_u_bits) > 0, "bit vectors must be non-empty")
-        bit_length = len(enc_u_bits)
-        n = self.pk.n
-
-        # ---- P1: step 1 -----------------------------------------------------
-        # Randomly choose the oblivious functionality F.
-        f_is_u_greater = bool(self.p1.rng.getrandbits(1))
-
-        gamma_vector: list[Ciphertext] = []
-        l_vector: list[Ciphertext] = []
-        gamma_masks: list[int] = []
-
-        enc_h_previous = self.encrypt_pooled_constant(self.p1, 0)
-        rhat_tuples = self.take_masks(bit_length, "nonzero")
-        for enc_u_bit, enc_v_bit, (rhat, enc_rhat) in zip(
-                enc_u_bits, enc_v_bits, rhat_tuples):
-            enc_uv = self._sm.run(enc_u_bit, enc_v_bit)
-            enc_gamma, enc_l, enc_h_previous = \
-                self._p1_bit_vectors(enc_u_bit, enc_v_bit, enc_uv,
-                                     f_is_u_greater, enc_h_previous, enc_rhat)
-            gamma_masks.append(rhat)
-            gamma_vector.append(enc_gamma)
-            l_vector.append(enc_l)
-
-        # Permute Gamma and L with two independent random permutations.
-        permutation_gamma = list(range(bit_length))
-        permutation_l = list(range(bit_length))
-        self.p1.rng.shuffle(permutation_gamma)
-        self.p1.rng.shuffle(permutation_l)
-        permuted_gamma = [gamma_vector[j] for j in permutation_gamma]
-        permuted_l = [l_vector[j] for j in permutation_l]
-        self.p1.send([permuted_gamma, permuted_l], tag="SMIN.gamma_and_l")
-
-        # ---- P2: step 2 -----------------------------------------------------
-        self.p2_step("SMIN.gamma_and_l")
-
-        # ---- P1: step 3 -----------------------------------------------------
-        received_m_prime, received_alpha = self.p1.receive(
-            expected_tag="SMIN.masked_minimum"
-        )
-        # Invert the Gamma permutation.
-        unpermuted = [None] * bit_length
-        for position, original_index in enumerate(permutation_gamma):
-            unpermuted[original_index] = received_m_prime[position]
-
-        minimum_bits: list[Ciphertext] = []
-        for i in range(bit_length):
-            # lambda_i = M~_i * E(alpha)^{N - rhat_i}  ==  E(alpha * diff_i)
-            enc_lambda = unpermuted[i] + (received_alpha * (n - gamma_masks[i]))
-            if f_is_u_greater:
-                enc_min_bit = enc_u_bits[i] + enc_lambda
-            else:
-                enc_min_bit = enc_v_bits[i] + enc_lambda
-            minimum_bits.append(enc_min_bit)
-        return minimum_bits
+        return self.run_batch([(enc_u_bits, enc_v_bits)])[0]
 
     # -- shared P1 bookkeeping -------------------------------------------------
     def _p1_bit_vectors(
@@ -141,8 +89,7 @@ class SecureMinimum(TwoPartyProtocol):
     ) -> tuple[Ciphertext, Ciphertext, Ciphertext]:
         """One bit's W/Gamma/G/H/Phi/L bookkeeping (step 1 of Algorithm 3).
 
-        Shared between the scalar and the batched execution paths; the
-        caller supplies the SM product ``Epk(u_i * v_i)`` and the encrypted
+        The caller supplies the SM product ``Epk(u_i * v_i)`` and the encrypted
         difference mask ``Epk(rhat_i)``.  Of the six exponentiations counted
         per bit, the three subtractions (``W_i``, ``Gamma_i``, ``G_i``) are
         modular inverses.
@@ -181,13 +128,14 @@ class SecureMinimum(TwoPartyProtocol):
     ) -> list[list[Ciphertext]]:
         """Compute ``[min(u_i, v_i)]`` for a whole vector of bit-vector pairs.
 
-        Functionally (and in per-pair operation counts) identical to
-        ``[self.run(u, v) for u, v in pairs]``, executed as one three-message
-        round: every pair's per-bit SM products run through one batched SM
-        invocation, P2 decrypts all permuted L vectors with the vectorized
-        CRT kernel, and each pair keeps its own oblivious-functionality coin
-        and permutations so the security argument is unchanged.  SMIN_n's
-        tournament rounds call this with all pairs of a level.
+        The protocol's one implementation (:meth:`run` is the one-pair
+        batch; per-pair operation counts do not depend on the batch size),
+        executed as one four-message round: every pair's per-bit SM products
+        run through one batched SM invocation, P2 decrypts all permuted L
+        vectors with the vectorized CRT kernel, and each pair keeps its own
+        oblivious-functionality coin and permutations so the security
+        argument is unchanged.  SMIN_n's tournament rounds call this with
+        all pairs of a level.
 
         Args:
             pairs: ``(u_bits, v_bits)`` tuples; every bit vector across all
@@ -269,28 +217,28 @@ class SecureMinimum(TwoPartyProtocol):
         return results
 
     # -- P2 side -------------------------------------------------------------
-    def _p2_decide_alpha(self) -> None:
-        """P2 decrypts the permuted L vector and forms ``alpha`` and ``M'``.
-
-        ``alpha = 1`` when some entry of the decrypted L vector equals 1 (the
-        outcome of P1's secretly chosen functionality F is true), otherwise 0.
-        ``M'_i = Gamma'_i ^ alpha`` so that P1 later recovers
-        ``alpha * (diff_i + rhat_i)`` without learning alpha.
-        """
-        permuted_gamma, permuted_l = self.p2.receive(expected_tag="SMIN.gamma_and_l")
-        decrypted_l = [self.p2.decrypt_residue(c) for c in permuted_l]
-        alpha = 1 if any(value == 1 for value in decrypted_l) else 0
-        m_prime = [enc_gamma * alpha for enc_gamma in permuted_gamma]
-        enc_alpha = self.encrypt_pooled_constant(self.p2, alpha)
-        self.p2.send([m_prime, enc_alpha], tag="SMIN.masked_minimum")
-
     def _p2_decide_alpha_batch(self) -> None:
-        """Batched step 2: one alpha decision per pair, vectorized decryption."""
+        """Step 2: P2 decrypts each pair's permuted L vector and forms
+        ``alpha`` and ``M'``.
+
+        ``alpha = 1`` when some entry of a pair's decrypted L vector equals 1
+        (the outcome of P1's secretly chosen functionality F is true),
+        otherwise 0.  ``M'_i = Gamma'_i ^ alpha`` so that P1 later recovers
+        ``alpha * (diff_i + rhat_i)`` without learning alpha.  The payload's
+        shape — ``[Gamma', L']`` per pair, one bit length throughout — is
+        checked first, so the per-pair windows of the flat decryption align.
+        """
         received_payload = self.p2.receive(expected_tag="SMIN.batch_gamma_and_l")
+        self.require(
+            isinstance(received_payload, list)
+            and all(isinstance(pair, list) and len(pair) == 2
+                    for pair in received_payload),
+            "malformed gamma-and-L batch")
+        bit_length = self.require_cipher_rows(
+            [row for pair in received_payload for row in pair],
+            "gamma-and-L batch")
         flat_l = [cipher for _, permuted_l in received_payload
                   for cipher in permuted_l]
-        bit_length = (len(flat_l) // len(received_payload)
-                      if received_payload else 0)
         decrypted_l = self.p2.decrypt_residue_batch(flat_l)
         alphas: list[int] = []
         m_primes: list[list[Ciphertext]] = []

@@ -157,14 +157,7 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
         """
         n = self.pk.n
         rows = self.p2.receive(expected_tag="SSED.masked_differences")
-        width = (len(rows[0]) if isinstance(rows, list) and rows
-                 and isinstance(rows[0], list) else 0)
-        self.require(
-            width > 0
-            and all(isinstance(row, list) and len(row) == width
-                    and all(isinstance(cipher, Ciphertext) for cipher in row)
-                    for row in rows),
-            "malformed masked-difference batch")
+        width = self.require_cipher_rows(rows, "masked-difference batch")
         residues = self.p2.decrypt_residue_batch(
             [cipher for row in rows for cipher in row])
         sums = [sum(h * h for h in residues[start:start + width]) % n

@@ -1167,13 +1167,19 @@ class C2Daemon(PartyDaemon):
                         else:
                             handler()
                     steps.inc(tag=tag)
-                except ReproError as exc:
-                    logger.warning("P2 step %s failed: %s", tag, exc)
-                    # Unblock the C1 driver instead of leaving it waiting
-                    # on a reply frame that will never come.
+                except (ReproError, TypeError, ValueError, KeyError,
+                        IndexError, AttributeError) as exc:
+                    # A typed protocol failure, or a malformed frame on a
+                    # handler that does not shape-check its payload.  Either
+                    # way: unblock the C1 driver instead of leaving it
+                    # waiting on a reply frame that will never come, and
+                    # keep this context's worker alive.
+                    reason = (str(exc) if isinstance(exc, ReproError)
+                              else repr(exc))
+                    logger.warning("P2 step %s failed: %s", tag, reason)
                     try:
                         channel.send("C2",
-                                     f"P2 step {tag!r} failed: {exc}",
+                                     f"P2 step {tag!r} failed: {reason}",
                                      tag="transport.error")
                     except ChannelError:
                         break  # the peer that caused the failure is gone

@@ -14,11 +14,7 @@ from random import Random
 import pytest
 
 from repro.core.cloud import FederatedCloud
-from repro.core.parallel import (
-    _chunk_squared_distances,
-    chunk_records,
-    ssed_chunk_worker,
-)
+from repro.core.parallel import chunk_records, ssed_chunk_worker
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_secure import SkNNSecure
@@ -102,10 +98,15 @@ class TestBatchedSubProtocols:
 
 
 class TestChunkedWorkers:
-    def test_chunk_kernel_matches_plaintext_oracle(self, small_keypair):
-        """The vectorized chunk kernel — called directly and through the
-        worker entry point — returns exactly the squared distances the
-        plaintext linear scan computes, boundary values included."""
+    def test_chunk_kernel_matches_plaintext_oracle(self, small_keypair,
+                                                   monkeypatch):
+        """The chunk worker — SSED run by a worker-local setting — returns
+        exactly the squared distances the plaintext linear scan computes,
+        boundary values included, with and without a shipped pool slice;
+        a slice's factors are consumed before the key's comb."""
+        from repro.crypto.backend import get_backend
+        from repro.crypto.randomness_pool import RandomnessPool
+
         public = small_keypair.public_key
         private = small_keypair.private_key
         rng = Random(31)
@@ -128,16 +129,30 @@ class TestChunkedWorkers:
                 expected[position[neighbor.record_id]][query_index] = \
                     neighbor.squared_distance
 
-        kernel = _chunk_squared_distances(public, private, Random(78),
-                                          enc_records, enc_queries)
-        assert kernel == expected
+        shipped_pools = []
+        from_factors = RandomnessPool.from_factors
 
-        from repro.crypto.backend import get_backend
-        start, chunk = ssed_chunk_worker(
-            (0, enc_records, enc_queries, public.n, private.p, private.q, 77,
-             get_backend().name, None))
-        assert start == 0
-        assert chunk == expected
+        def recording_from_factors(public_key, factors):
+            shipped_pools.append(from_factors(public_key, factors))
+            return shipped_pools[-1]
+
+        monkeypatch.setattr(RandomnessPool, "from_factors",
+                            recording_from_factors)
+        # one mask per (record, attribute) and one square sum per record,
+        # per query
+        encryptions = len(table) * (3 + 1) * len(queries)
+        for slice_size in (0, 7, encryptions + 5):
+            source = RandomnessPool(public, size=max(slice_size, 1),
+                                    rng=Random(79))
+            pool_slice = source.take_available(slice_size) or None
+            start, chunk = ssed_chunk_worker(
+                (4, enc_records, enc_queries, public.n, private.p, private.q,
+                 77, get_backend().name, pool_slice))
+            assert start == 4
+            assert chunk == expected
+            if pool_slice:
+                assert shipped_pools.pop().hits == min(slice_size, encryptions)
+            assert not shipped_pools
 
     def test_chunk_records_partitioning(self):
         assert chunk_records(0, 4) == []

@@ -1,9 +1,9 @@
 """The strip steps' multi-exponentiation changes no ciphertext and no count.
 
-SSED, SM and the chunk kernel compute ``prod_j E(d_j)^(s_j)`` through
-``PaillierPublicKey.weighted_sum_batch`` / ``BigintBackend.multi_powmod``
-(one shared squaring chain) where they used to run ``scalar_mul_batch`` +
-``add_batch`` (one ``pow`` per term).  Each test runs the protocol twice on
+SSED (which the in-process chunk worker runs as well) and SM compute
+``prod_j E(d_j)^(s_j)`` through ``PaillierPublicKey.weighted_sum_batch`` /
+``BigintBackend.multi_powmod`` (one shared squaring chain) where they used
+to run ``scalar_mul_batch`` + ``add_batch`` (one ``pow`` per term).  Each test runs the protocol twice on
 twin deployments — equal keys, equal rng streams — once as shipped and once
 with the product swapped back to that pre-change formula, and requires
 raw-identical outputs and identical per-party ``OperationCounter`` deltas,
@@ -18,8 +18,6 @@ from random import Random
 import pytest
 
 from repro.analysis.cost_model import sm_counts, ssed_scan_counts
-from repro.core.parallel import _chunk_squared_distances
-from repro.crypto.backend import BigintBackend, PythonBackend, set_backend
 from repro.crypto.paillier import (
     PaillierKeyPair,
     PaillierPrivateKey,
@@ -160,8 +158,6 @@ def pin_randomness(monkeypatch, protocol: SecureMultiplication) -> None:
     values = [Random(43).randrange(public.n) for _ in range(2)]
     masks = iter(zip(values, public.encrypt_batch(
         values, r_values=[1234567, 7654321])))
-    monkeypatch.setattr(protocol, "take_mask",
-                        lambda kind="zn", sbd_upper=None: next(masks))
     monkeypatch.setattr(protocol, "take_masks",
                         lambda count: [next(masks) for _ in range(count)])
     monkeypatch.setattr(protocol.p2, "encrypt",
@@ -188,58 +184,3 @@ def test_sm_run_equals_one_pair_batch_under_the_same_draw(monkeypatch,
 
     assert results[0].value == results[1].value
     assert setting.decryptor.decrypt_signed(results[1]) == -19 * 23
-
-
-class PowLoopBackend(PythonBackend):
-    """The python backend with the pre-change strip: one ``pow`` per base."""
-
-    multi_powmod = BigintBackend.multi_powmod
-
-
-def test_chunk_kernel_raw_identical_and_counts_unchanged(monkeypatch,
-                                                         small_keypair):
-    records, dimensions, queries = 5, 3, 2
-    captured = []
-    for backend in (PythonBackend(), PowLoopBackend()):
-        keypair = twin_keypair(small_keypair)
-        public, private = keypair.public_key, keypair.private_key
-        enc_records = [raw(public.encrypt_vector(
-            [3 * i + j for j in range(dimensions)], rng=Random(51 + i)))
-            for i in range(records)]
-        enc_queries = [raw(public.encrypt_vector(
-            [q + j for j in range(dimensions)], rng=Random(61 + q)))
-            for q in range(queries)]
-
-        totals: list[int] = []
-        decrypt = private.decrypt_residue_batch
-
-        def recording_decrypt(ciphertexts, decrypt=decrypt, totals=totals):
-            totals.extend(raw(ciphertexts))
-            return decrypt(ciphertexts)
-
-        monkeypatch.setattr(private, "decrypt_residue_batch",
-                            recording_decrypt)
-        public.counter.reset()
-        private.counter.reset()
-        set_backend(backend)
-        try:
-            distances = _chunk_squared_distances(
-                public, private, Random(71), enc_records, enc_queries)
-        finally:
-            set_backend(None)
-        captured.append((totals, distances, public.counter.snapshot(),
-                         private.counter.snapshot()))
-
-    (totals, distances, public_counts, private_counts), reference = captured
-    assert len(totals) == records * queries
-    assert (totals, distances, public_counts, private_counts) == reference
-    assert distances == [
-        [sum((3 * i + j - (q + j)) ** 2 for j in range(dimensions))
-         for q in range(queries)] for i in range(records)]
-    # the kernel's homomorphic arithmetic runs on raw integers, uncounted —
-    # before this change and after it
-    per_query = records * dimensions + records
-    assert public_counts == {"encryptions": per_query * queries,
-                             "decryptions": 0, "exponentiations": 0,
-                             "homomorphic_additions": 0}
-    assert private_counts["decryptions"] == per_query * queries

@@ -37,8 +37,7 @@ def fresh_engine(obfuscators: int, zn_masks: int = 0,
         keypair.public_key, rng=Random(seed),
         config=PrecomputeConfig(obfuscators=max(obfuscators, 1),
                                 zeros=0, ones=0,
-                                zn_masks=zn_masks),
-        attach=False)
+                                zn_masks=zn_masks))
     engine.warm()
     return engine
 

@@ -16,19 +16,18 @@ from repro.core.cloud import FederatedCloud
 from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_secure import SkNNSecure
 from repro.exceptions import ChannelError, ProtocolError
+from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.sm import SecureMultiplication
+from repro.protocols.smin import SecureMinimum
 from repro.transport.daemon import ShareMailbox
 
 #: every tag the SM/SSED/SBD/SMIN/SMIN_n/SkNN drivers send toward C2 —
 #: each MUST resolve to a handler on the C2 daemon or the driver deadlocks.
 EXPECTED_SECURE_TAGS = {
     "SSED.masked_differences",
-    "SM.masked_operands",
     "SM.batch_masked_operands",
     "SM.batch_masked_squares",
-    "SBD.masked_value",
     "SBD.batch_masked_values",
-    "SMIN.gamma_and_l",
     "SMIN.batch_gamma_and_l",
     "SkNNm.randomized_differences",
     "SkNN.masked_results",
@@ -75,9 +74,10 @@ class TestDispatchSemantics:
         protocol = SecureMultiplication(setting)
         pk = setting.public_key
         enc = pk.encrypt(6)
-        setting.evaluator.send([enc, enc], tag="SM.masked_operands")
-        protocol.p2_step("SM.masked_operands")
-        reply = setting.evaluator.receive(expected_tag="SM.masked_product")
+        setting.evaluator.send([[enc], [enc]], tag="SM.batch_masked_operands")
+        protocol.p2_step("SM.batch_masked_operands")
+        [reply] = setting.evaluator.receive(
+            expected_tag="SM.batch_masked_products")
         assert setting.decryptor.decrypt_signed(reply) == 36
 
     def test_remote_channel_skips_inline_execution(self, setting):
@@ -91,6 +91,41 @@ class TestDispatchSemantics:
             assert setting.channel.pending("C2") == 1
         finally:
             del setting.channel.runs_both_parties
+
+
+class TestHardenedHandlers:
+    """Each sub-protocol P2 step shape-checks its batch before decrypting."""
+
+    @pytest.mark.parametrize("build, tag, payloads", [
+        (SecureMultiplication, "SM.batch_masked_operands", [
+            lambda c: [[c], [c], [c]],          # three rows
+            lambda c: [[c, c], [c]],            # unequal operand vectors
+            lambda c: [[c], [7]],               # an int among ciphertexts
+            lambda c: [[], []]]),
+        (SecureMultiplication, "SM.batch_masked_squares", [
+            lambda c: c, lambda c: [c, "x"], lambda c: []]),
+        (lambda setting: SecureBitDecomposition(setting, 6),
+         "SBD.batch_masked_values", [
+            lambda c: {"values": [c]}, lambda c: [[c]], lambda c: []]),
+        (SecureMinimum, "SMIN.batch_gamma_and_l", [
+            lambda c: [[1, 2]],                 # ints, not vectors
+            lambda c: [[[c, c]]],               # a pair of one
+            lambda c: [[[c, c], [c]]],          # Gamma and L differ
+            lambda c: [[[c, c], [c, c]], [[c], [c]]],  # ragged across pairs
+            lambda c: []]),
+    ])
+    def test_malformed_batch_fails_typed_before_any_decryption(
+            self, setting, build, tag, payloads):
+        protocol = build(setting)
+        cipher = setting.public_key.encrypt(1)
+        setting.reset_counters()
+        for payload in payloads:
+            setting.evaluator.send(payload(cipher), tag=tag)
+            with pytest.raises(ProtocolError,
+                               match=f"{protocol.name}: malformed"):
+                protocol.dispatch_p2(tag)
+        assert setting.decryptor.private_key.counter.decryptions == 0
+        assert setting.channel.pending("C1") == 0  # and nothing was replied
 
 
 class TestShareMailbox:

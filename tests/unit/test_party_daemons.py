@@ -16,6 +16,7 @@ from repro import cli
 from repro.core.roles import DataOwner
 from repro.core.sknn_base import SkNNRunReport
 from repro.core.sknn_shard import shard_table
+from repro.crypto.serialization import private_key_to_dict
 from repro.db.datasets import synthetic_uniform
 from repro.exceptions import ChannelError, ConfigurationError
 from repro.network.channel import Message
@@ -23,6 +24,7 @@ from repro.network.stats import ProtocolRunStats
 from repro.transport.client import DaemonClient
 from repro.transport.daemon import C1Daemon, C2Daemon
 from repro.transport.framing import recv_frame, send_frame
+from repro.transport.mux import MuxConnection
 from repro.transport.wire import WireCodec
 from tests.conftest import SMALL_KEY_BITS
 
@@ -155,6 +157,66 @@ class TestMalformedControlPayloads:
         assert_refused_but_connected(
             serve(C2Daemon()), "transport.profile", {"seconds": "abc"},
             ChannelError, "malformed 'transport.profile' payload")
+
+
+class TestMalformedPeerFrames:
+    """Hostile frames on C2's protocol tags, against an in-process daemon —
+    so a context worker dying on an uncaught exception also surfaces as
+    pytest's unhandled-thread-exception warning (an error in CI)."""
+
+    @pytest.fixture
+    def peer(self, serve, small_keypair):
+        """A cloud-peer mux link to a provisioned C2 daemon."""
+        codec = WireCodec(small_keypair.public_key)
+        client = serve(C2Daemon(io_deadline=5.0), codec)
+        client.request("transport.provision", {
+            "private_key": private_key_to_dict(small_keypair.private_key),
+            "distance_bits": 6, "seed": 3})
+        sock = socket.create_connection(client.address, timeout=5)
+        send_frame(sock, codec.encode_message(Message(
+            sender="C1", recipient="C2", tag="transport.hello",
+            payload={"peer": "cloud"})))
+        assert codec.decode_message(
+            recv_frame(sock)).tag == "transport.hello_ok"
+        connection = MuxConnection(sock, codec, "C1", "C2", io_deadline=5.0)
+        connection.start_reader()
+        yield connection
+        connection.close()
+
+    @pytest.mark.parametrize("tag, build, refusal", [
+        # the four hardened sub-protocol handlers: refused before decryption
+        ("SM.batch_masked_operands", lambda c: [[c], [c], [c]],
+         "SM: malformed masked-operand batch"),
+        ("SM.batch_masked_operands", lambda c: [[c, c], [c]],
+         "SM: malformed masked-operand batch"),
+        ("SM.batch_masked_squares", lambda c: c,
+         "SM: malformed masked-square batch"),
+        ("SBD.batch_masked_values", lambda c: "parities, please",
+         "SBD: malformed masked-value batch"),
+        ("SMIN.batch_gamma_and_l", lambda c: [[1, 2]],
+         "SMIN: malformed gamma-and-L batch"),
+        ("SMIN.batch_gamma_and_l",
+         lambda c: [[[c, c], [c, c]], [[c], [c]]],
+         "SMIN: malformed gamma-and-L batch"),
+        # unhardened handlers: the dispatch loop's catch answers for them
+        ("SkNN.masked_results", lambda c: 7, "TypeError"),
+        ("SkNNm.randomized_differences", lambda c: {"beta": c},
+         "AttributeError|TypeError|KeyError"),
+    ])
+    def test_a_malformed_frame_is_refused_typed_and_the_context_lives_on(
+            self, peer, small_keypair, tag, build, refusal):
+        public, private = small_keypair.public_key, small_keypair.private_key
+        channel = peer.channel("hostile")
+        channel.send("C1", build(public.encrypt(1)), tag=tag)
+        with pytest.raises(ChannelError, match=refusal):
+            channel.receive("C1")
+        # The same context's worker thread answers the next, well-formed
+        # round: a one-pair SM batch, as SM.run sends it.
+        channel.send("C1", [[public.encrypt(6)], [public.encrypt(-7)]],
+                     tag="SM.batch_masked_operands")
+        [product] = channel.receive(
+            "C1", expected_tag="SM.batch_masked_products")
+        assert private.decrypt(product) == -42
 
 
 class TestShardReplies:

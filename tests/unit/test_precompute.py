@@ -17,15 +17,13 @@ from repro.crypto.precompute import (
 from repro.exceptions import ConfigurationError
 
 
-def make_engine(public_key, *, attach=False, seed=1,
-                **overrides) -> PrecomputeEngine:
+def make_engine(public_key, *, seed=1, **overrides) -> PrecomputeEngine:
     defaults = dict(obfuscators=8, zeros=4, ones=4, power_bits=3,
                     powers_each=2, zn_masks=6, nonzero_masks=4,
                     sbd_bit_length=5, sbd_masks=4)
     defaults.update(overrides)
     return PrecomputeEngine(public_key, rng=Random(seed),
-                            config=PrecomputeConfig(**defaults),
-                            attach=attach)
+                            config=PrecomputeConfig(**defaults))
 
 
 class TestRefill:
@@ -61,8 +59,7 @@ class TestRefill:
         with pytest.raises(ConfigurationError):
             PrecomputeEngine(public_key,
                              config=PrecomputeConfig(sbd_masks=4,
-                                                     sbd_bit_length=None),
-                             attach=False)
+                                                     sbd_bit_length=None))
 
 
 class TestTypedPools:
@@ -190,40 +187,6 @@ class TestProducerThread:
 
 
 class TestKeyAttachment:
-    def test_attach_routes_encrypt_batch_through_pool(self, small_keypair):
-        public_key = small_keypair.public_key
-        engine = make_engine(public_key, obfuscators=6, seed=9)
-        engine.warm()
-        engine.attach()
-        try:
-            before = public_key.counter.encryptions
-            ciphertexts = public_key.encrypt_batch([1, 2, 3, 4])
-            # Exact counter parity with the non-pooled path...
-            assert public_key.counter.encryptions == before + 4
-            # ...with the obfuscators served from the pool.
-            assert engine.obfuscators.hits == 4
-            assert engine.obfuscators.remaining == 2
-            assert small_keypair.private_key.decrypt_batch(ciphertexts) == \
-                [1, 2, 3, 4]
-        finally:
-            engine.detach()
-        assert public_key.attached_pool is None
-
-    def test_scalar_encrypt_consumes_attached_pool(self, small_keypair):
-        public_key = small_keypair.public_key
-        engine = make_engine(public_key, obfuscators=2, seed=10)
-        engine.warm()
-        engine.attach()
-        try:
-            values = [public_key.encrypt(7) for _ in range(4)]
-            assert engine.obfuscators.hits == 2   # pool drained after 2
-            assert engine.obfuscators.misses >= 2  # then fresh randomness
-            assert len({c.value for c in values}) == 4
-            assert all(small_keypair.private_key.decrypt(c) == 7
-                       for c in values)
-        finally:
-            engine.detach()
-
     def test_config_for_query_load_covers_one_query(self, public_key):
         config = PrecomputeConfig.for_query_load(n_records=10, dimensions=3,
                                                  k=2, queries=1)

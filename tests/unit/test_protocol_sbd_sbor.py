@@ -65,8 +65,10 @@ class TestSecureBitDecomposition:
         protocol = SecureBitDecomposition(setting, bit_length=6)
         setting.channel.transcript.clear()
         protocol.run(setting.public_key.encrypt(value))
-        for payload in setting.channel.transcript_payloads("C1"):
-            decrypted = private_key.decrypt_raw_residue(payload)
+        payloads = list(setting.channel.transcript_payloads("C1"))
+        assert len(payloads) == 6  # one one-value batch per bit round
+        for [masked] in payloads:
+            decrypted = private_key.decrypt_raw_residue(masked)
             # The masked value could coincide with the true value only with
             # negligible probability; a direct equality would indicate the
             # mask was not applied.

@@ -82,8 +82,10 @@ class TestSecureMultiplication:
         protocol.run(setting.public_key.encrypt(0), setting.public_key.encrypt(0))
         sent_by_c1 = list(setting.channel.transcript_payloads("C1"))
         assert sent_by_c1, "C1 must have sent the masked operands"
-        masked_pair = sent_by_c1[0]
-        values = [private_key.decrypt_raw_residue(c) for c in masked_pair]
+        # One pair travels as the one-pair batch: [[E(a+r_a)], [E(b+r_b)]].
+        [masked_a], [masked_b] = sent_by_c1[0]
+        values = [private_key.decrypt_raw_residue(c)
+                  for c in (masked_a, masked_b)]
         assert all(value != 0 for value in values)
 
     def test_square_batch_squares_with_one_mask_per_element(self, setting,

@@ -91,10 +91,11 @@ class TestSecureMinimum:
                 encrypt_bits(setting.public_key, 5, 4),
                 encrypt_bits(setting.public_key, 9, 4),
             )
-            # The second element of P2's reply is E(alpha).
+            # The second element of P2's reply is the batch's E(alpha)s —
+            # one, for the one pair.
             replies = list(setting.channel.transcript_payloads("C2"))
-            smin_reply = replies[-1]
-            alphas.add(private_key.decrypt(smin_reply[1]))
+            _, [enc_alpha] = replies[-1]
+            alphas.add(private_key.decrypt(enc_alpha))
             if len(alphas) == 2:
                 break
         assert alphas == {0, 1}

@@ -98,7 +98,6 @@ class TestSingleUse:
         assert pool.hits == 3
         assert pool.misses == 2
         assert pool.take_available(2) == []
-        assert pool.take_available_one() is None
 
     def test_concurrent_takers_get_distinct_factors(self, public_key):
         pool = RandomnessPool(public_key, size=40, rng=Random(14))
