@@ -15,16 +15,32 @@ workload mirrors the protocols' real mix — one homomorphic negation plus two
 uniform-scalar exponentiations per SSED attribute (the SM unmask pair); both
 paths negate by the modular inverse, so that class is expected to tie.
 
-A second test gates the strip-step kernel: rows of 4 ciphertexts raised to
+Those margins are the pure-Python backend's own algorithms (the comb, the
+shared-squaring multi-exponentiation, the inverse-priced negation), so the
+tests that gate them pin the python backend; on the libcrypto backend a
+native power costs less than the comb's multiplications and the paths tie.
+
+A second test is the native-vs-python direction gate: the unit operations
+(``powmod``, ``multi_powmod`` for m = 2/3/4, ``invert``, one batched
+encryption, one CRT decryption) timed under every available backend, one
+``paillier_kernel`` history row per backend with the python/openssl ratio
+per operation, and the libcrypto backend must win the powers and the
+combined batch workload.
+
+A third test gates the strip-step kernel: rows of 4 ciphertexts raised to
 uniform ``Z_N`` scalars and multiplied together, as one shared-squaring
 multi-exponentiation per row (``weighted_sum_batch``) against
-``scalar_mul_batch`` + row-wise ``add_batch`` (python backend only).
+``scalar_mul_batch`` + row-wise ``add_batch`` on the python backend; on the
+libcrypto backend ``weighted_sum_batch`` is the product of native powers,
+recorded against the python backend's shared-squaring loop, which it must
+beat.
 
-A third test gates the price of a negation: the operator ``-c`` must be the
+A fourth test gates the price of a negation: the operator ``-c`` must be the
 modular inverse ``neg_batch`` takes, several times cheaper than the
-``c**(N-1)`` it replaces.
+``c**(N-1)`` it replaces (python backend; against a native power the inverse
+wins only 1.4x at K=512 and loses at K=256, recorded by the second test).
 
-A fourth test compares an end-to-end SkNN_b query through the batched scan
+A fifth test compares an end-to-end SkNN_b query through the batched scan
 against the seed's per-record serial scan on the same table and key.
 
 Key size defaults to the paper's K=512; CI smoke runs set
@@ -41,13 +57,19 @@ from random import Random
 
 import pytest
 
-from benchmarks.conftest import write_bench_json, write_result
+from benchmarks.conftest import HISTORY_DIR, write_bench_json, write_result
 from repro.analysis.reporting import format_table
+from repro.bench import BenchHistory, provenance_block
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_basic import SkNNBasic
 from repro.crypto.backend import available_backends, get_backend, set_backend
-from repro.crypto.paillier import generate_keypair
+from repro.crypto.paillier import (
+    PaillierKeyPair,
+    PaillierPrivateKey,
+    PaillierPublicKey,
+    generate_keypair,
+)
 from repro.db.datasets import synthetic_uniform
 from repro.network.party import TwoPartySetting
 from repro.protocols.base import TwoPartyProtocol
@@ -71,17 +93,34 @@ MEASURE_REPEATS = 1 if KERNEL_KEY_BITS >= 512 else 3
 MIN_ROWS_SPEEDUP = 1.3
 
 #: speedup of a negation by the modular inverse over ``powmod(c, N-1,
-#: N**2)`` (~7x at K=256 through the operator, more at paper scale).
+#: N**2)`` (python backend; ~7x at K=256 through the operator, more at
+#: paper scale).
 MIN_NEGATION_SPEEDUP = 5.0
+
+#: bases per ``multi_powmod`` call in the per-backend unit-cost table
+MULTI_POW_WIDTHS = (2, 3, 4)
 
 E2E_N = 24
 E2E_M = 3
 
 
 @pytest.fixture(scope="module")
-def kernel_keypair():
-    """One key pair shared by every kernel measurement."""
-    return generate_keypair(KERNEL_KEY_BITS, Random(4242))
+def kernel_primes():
+    """The one modulus every kernel measurement runs on."""
+    private_key = generate_keypair(KERNEL_KEY_BITS, Random(4242)).private_key
+    return private_key.p, private_key.q
+
+
+@pytest.fixture
+def kernel_keypair(kernel_primes):
+    """Fresh key objects per test: a key keeps the fixed-base exponentiator
+    of the backend that was active when it first encrypted a batch."""
+    return _keypair(*kernel_primes)
+
+
+def _keypair(p: int, q: int) -> PaillierKeyPair:
+    public_key = PaillierPublicKey(p * q)
+    return PaillierKeyPair(public_key, PaillierPrivateKey(public_key, p, q))
 
 
 def _measure(fn, repeats: int = 1) -> float:
@@ -147,7 +186,8 @@ def _run_kernel(public_key, private_key, rng: Random) -> dict[str, float]:
     }
 
 
-def test_kernel_scalar_vs_batch(benchmark, kernel_keypair, results_dir):
+def test_kernel_scalar_vs_batch(benchmark, python_backend, kernel_keypair,
+                                results_dir):
     """The batched path must beat the per-call path on the combined workload."""
     public_key, private_key = (kernel_keypair.public_key,
                                kernel_keypair.private_key)
@@ -200,33 +240,107 @@ def test_kernel_scalar_vs_batch(benchmark, kernel_keypair, results_dir):
         f"({timings['scalar_total_s']:.3f}s); got {timings['speedup']:.2f}x")
 
 
-@pytest.mark.skipif("gmpy2" not in available_backends(),
-                    reason="gmpy2 not importable on this machine")
-def test_kernel_gmpy2_backend(kernel_keypair, results_dir):
-    """When gmpy2 is present, its backend must win on the same workload."""
-    public_key, private_key = (kernel_keypair.public_key,
-                               kernel_keypair.private_key)
+def _unit_costs(keypair: PaillierKeyPair, rng: Random) -> dict[str, float]:
+    """Microseconds per unit operation on the active backend."""
+    public_key, private_key = keypair.public_key, keypair.private_key
+    backend = get_backend()
+    nsquare = public_key.nsquare
+    values = [rng.randrange(1 << 16) for _ in range(KERNEL_OPS)]
+    # also asks the backend for the key's fixed-base exponentiator, a
+    # one-time cost the per-encryption figure leaves out
+    ciphertexts = public_key.encrypt_batch(values, rng=rng)
+    raw = [cipher.value for cipher in ciphertexts]
+    scalars = [rng.randrange(1, public_key.n) for _ in range(KERNEL_OPS)]
+    repeats = max(MEASURE_REPEATS, 3)
+
+    def per_op(fn, ops: int = KERNEL_OPS) -> float:
+        return _measure(fn, repeats) / ops * 1e6
+
+    costs = {
+        "powmod_us": per_op(lambda: [backend.powmod(c, s, nsquare)
+                                     for c, s in zip(raw, scalars)]),
+        "invert_us": per_op(lambda: [backend.invert(c, nsquare)
+                                     for c in raw]),
+        "encrypt_us": per_op(
+            lambda: public_key.encrypt_batch(values, rng=rng)),
+        "decrypt_us": per_op(lambda: private_key.decrypt_batch(ciphertexts)),
+    }
+    for width in MULTI_POW_WIDTHS:
+        starts = range(0, KERNEL_OPS - KERNEL_OPS % width, width)
+        costs[f"multi_powmod_m{width}_us"] = per_op(
+            lambda: [backend.multi_powmod(raw[start:start + width],
+                                          scalars[start:start + width],
+                                          nsquare) for start in starts],
+            len(starts))
+    return costs
+
+
+@pytest.mark.skipif("openssl" not in available_backends(),
+                    reason="libcrypto not loadable on this machine")
+def test_kernel_native_backend(kernel_primes, results_dir):
+    """libcrypto must beat pure Python on the powers and the batch workload.
+
+    One ``paillier_kernel`` history row per backend carries the unit costs;
+    the openssl row adds the python/openssl ratio per operation.
+    """
+    costs, batch_total_s, provenance = {}, {}, {}
     try:
-        set_backend("python")
-        python_timings = _run_kernel(public_key, private_key, Random(78))
-        set_backend("gmpy2")
-        gmpy2_timings = _run_kernel(public_key, private_key, Random(78))
+        for name in ("python", "openssl"):
+            set_backend(name)
+            costs[name] = _unit_costs(_keypair(*kernel_primes), Random(78))
+            keypair = _keypair(*kernel_primes)
+            batch_total_s[name] = _run_kernel(
+                keypair.public_key, keypair.private_key,
+                Random(78))["batch_total_s"]
+            provenance[name] = provenance_block(key_size=KERNEL_KEY_BITS)
     finally:
         set_backend(None)
-    write_bench_json(results_dir, f"crypto_kernel_gmpy2_K{KERNEL_KEY_BITS}", {
-        "kind": "measured",
-        "params": {"key_size": KERNEL_KEY_BITS, "ops_per_class": KERNEL_OPS},
-        "python_batch_total_s": python_timings["batch_total_s"],
-        "gmpy2_batch_total_s": gmpy2_timings["batch_total_s"],
-    })
-    assert gmpy2_timings["batch_total_s"] < python_timings["batch_total_s"]
+    ratios = {f"{op.removesuffix('_us')}_speedup_vs_python":
+              costs["python"][op] / costs["openssl"][op]
+              for op in costs["openssl"]}
+    ratios["batch_total_speedup_vs_python"] = (batch_total_s["python"]
+                                               / batch_total_s["openssl"])
+    params = {"key_size": KERNEL_KEY_BITS, "ops_per_class": KERNEL_OPS}
+    history = BenchHistory(HISTORY_DIR)
+    for name in costs:
+        metrics = dict(costs[name], batch_total_s=batch_total_s[name])
+        if name == "openssl":
+            metrics.update(ratios)
+        history.append("paillier_kernel", {
+            "bench": "paillier_kernel", "provenance": provenance[name],
+            "params": dict(params, source="bench_crypto_kernel"),
+            "metrics": metrics,
+        })
+    rows = [{"op": op.removesuffix("_us"),
+             "python (us)": costs["python"][op],
+             "openssl (us)": costs["openssl"][op],
+             "python / openssl":
+                 ratios[f"{op.removesuffix('_us')}_speedup_vs_python"]}
+            for op in costs["openssl"]]
+    write_result(
+        results_dir, f"crypto_kernel_backends_K{KERNEL_KEY_BITS}.txt",
+        f"unit operations per backend (K={KERNEL_KEY_BITS}, "
+        f"{provenance['openssl']['crypto_library']})\n" + format_table(rows))
+    write_bench_json(
+        results_dir, f"crypto_kernel_backends_K{KERNEL_KEY_BITS}", {
+            "kind": "measured", "params": params,
+            "unit_costs_us": costs, "batch_total_s": batch_total_s,
+            "python_over_openssl": ratios,
+        })
+    for op in ("powmod_us",
+               *(f"multi_powmod_m{width}_us" for width in MULTI_POW_WIDTHS)):
+        assert costs["openssl"][op] < costs["python"][op], (op, costs)
+    assert batch_total_s["openssl"] < batch_total_s["python"]
 
 
 def test_kernel_weighted_sum_rows(kernel_keypair, results_dir):
-    """Rows of 4 full-width scalars: one multi-exponentiation per row must
-    beat ``scalar_mul_batch`` + row-wise adds (one ``pow`` per term)."""
-    if get_backend().name == "gmpy2":
-        pytest.skip("the gmpy2 backend keeps the per-base powmod product")
+    """Rows of 4 full-width scalars, under every available backend.
+
+    python: one shared-squaring multi-exponentiation per row must beat
+    ``scalar_mul_batch`` + row-wise adds (one ``pow`` per term).  openssl:
+    the row is the product of native powers, which must beat the python
+    backend's shared-squaring loop.
+    """
     public_key = kernel_keypair.public_key
     rng = Random(79)
     width = 4
@@ -248,28 +362,41 @@ def test_kernel_weighted_sum_rows(kernel_keypair, results_dir):
             [ciphertexts[start:start + width] for start in starts],
             [scalars[start:start + width] for start in starts])
 
-    assert ([c.value for c in weighted_sums()]
-            == [c.value for c in powers_then_adds()])
     repeats = max(MEASURE_REPEATS, 3)
-    timings = {
-        "scalar_mul_then_add_s": _measure(powers_then_adds, repeats),
-        "weighted_sum_batch_s": _measure(weighted_sums, repeats),
-    }
-    timings["speedup"] = (timings["scalar_mul_then_add_s"]
-                          / timings["weighted_sum_batch_s"])
+    timings: dict[str, dict[str, float]] = {}
+    try:
+        for name in available_backends():
+            set_backend(name)
+            assert ([c.value for c in weighted_sums()]
+                    == [c.value for c in powers_then_adds()])
+            timings[name] = {
+                "scalar_mul_then_add_s": _measure(powers_then_adds, repeats),
+                "weighted_sum_batch_s": _measure(weighted_sums, repeats),
+            }
+    finally:
+        set_backend(None)
+    python = timings["python"]
+    python["speedup"] = (python["scalar_mul_then_add_s"]
+                         / python["weighted_sum_batch_s"])
+    if "openssl" in timings:
+        timings["openssl"]["speedup_vs_python_straus"] = (
+            python["weighted_sum_batch_s"]
+            / timings["openssl"]["weighted_sum_batch_s"])
     write_bench_json(results_dir, f"crypto_kernel_rows_K{KERNEL_KEY_BITS}", {
         "kind": "measured",
         "params": {"key_size": KERNEL_KEY_BITS, "terms": count,
-                   "row_width": width, "backend": get_backend().name},
+                   "row_width": width},
         "timings": timings,
     })
-    assert timings["speedup"] >= MIN_ROWS_SPEEDUP, (
+    assert python["speedup"] >= MIN_ROWS_SPEEDUP, (
         f"weighted_sum_batch must be >= {MIN_ROWS_SPEEDUP}x faster than "
         f"scalar_mul_batch + adds on rows of {width}; got "
-        f"{timings['speedup']:.2f}x")
+        f"{python['speedup']:.2f}x")
+    if "openssl" in timings:
+        assert timings["openssl"]["speedup_vs_python_straus"] > 1.0, timings
 
 
-def test_kernel_operator_negation(kernel_keypair, results_dir):
+def test_kernel_operator_negation(python_backend, kernel_keypair, results_dir):
     """``-c`` is the inverse ``neg_batch`` takes, far below ``c**(N-1)``."""
     public_key = kernel_keypair.public_key
     rng = Random(80)

@@ -27,6 +27,16 @@ informational (no hard assert — subprocess startup dominates at smoke
 scale); their answers are still checked bit-identical to the oracle.
 
 Set ``REPRO_BENCH_QUICK=1`` for a reduced smoke workload (used by CI).
+
+The bench pins the python bigint backend (``python_backend`` fixture, daemon
+subprocesses included): the workload was sized on its unit costs and its
+result files stay comparable.  The quick workload is too small for the gate
+below on a 2-core box — since the strip-step and pricing speed-ups the seed
+serial path reads 27-28 q/s against 21-22 q/s for the full service there, and
+on the libcrypto backend (a 13 ms query; the 4-query window mostly measures
+pool start-up) 74 against 53 — a finding recorded in ROADMAP, to be answered
+by a benchmark-only change that resizes the workload with re-measured
+baselines.
 """
 
 from __future__ import annotations
@@ -171,8 +181,8 @@ def _distributed_rows(measured_keypair, table, queries, oracle) -> list[dict]:
     return rows
 
 
-def test_service_throughput_vs_seed_serial(benchmark, measured_keypair,
-                                           results_dir):
+def test_service_throughput_vs_seed_serial(benchmark, python_backend,
+                                           measured_keypair, results_dir):
     """The full service config must out-serve the seed's serial path."""
     cloud, client, table, queries = _workload(measured_keypair)
     oracle = LinearScanKNN(table)

@@ -30,6 +30,7 @@ from repro.analysis.calibration import Calibrator
 from repro.bench import BenchHistory, numeric_leaves, provenance_block
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import DataOwner, QueryClient
+from repro.crypto.backend import BACKEND_ENV_VAR, set_backend
 from repro.crypto.paillier import PaillierKeyPair, generate_keypair
 from repro.db.datasets import synthetic_uniform
 from repro.telemetry import get_registry
@@ -68,6 +69,25 @@ def results_dir() -> Path:
 def measured_keypair() -> PaillierKeyPair:
     """Key pair used by all measured (reduced-scale) runs."""
     return generate_keypair(MEASURED_KEY_BITS, Random(5150))
+
+
+@pytest.fixture
+def python_backend():
+    """Pin the pure-Python bigint backend for one test.
+
+    For benches whose gates are about the python backend's own algorithms
+    (comb vs ``pow``, inverse vs ``c**(N-1)``) or were sized on its unit
+    costs (the 5% overhead gates of a 20 ms warm query, pool start-up
+    against a 13 ms query).  Pinned through the environment variable so
+    daemon subprocesses resolve it too, and history rows carry
+    ``crypto_backend: python``.  A key that already encrypted a batch keeps
+    the exponentiator of the backend active then: build keys inside the test.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(BACKEND_ENV_VAR, "python")
+        set_backend(None)
+        yield
+    set_backend(None)
 
 
 def write_result(results_dir: Path, name: str, text: str) -> Path:

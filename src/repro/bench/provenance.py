@@ -1,14 +1,16 @@
 """The common provenance block stamped into every benchmark record.
 
 A benchmark number without its context — which commit, which bigint
-backend, which interpreter, which key size — cannot be compared across
-runs.  Every ``BENCH_*.json`` and every ``benchmarks/history/*.jsonl``
-record carries the same block so the history checker can group comparable
-runs and a human can explain an outlier at a glance.
+backend (and the native library behind it), how many cores, which
+interpreter, which key size — cannot be compared across runs.  Every
+``BENCH_*.json`` and every ``benchmarks/history/*.jsonl`` record carries the
+same block so the history checker can group comparable runs and a human can
+explain an outlier at a glance.
 """
 
 from __future__ import annotations
 
+import os
 import platform
 import subprocess
 import time
@@ -41,9 +43,12 @@ def provenance_block(key_size: int | None = None,
     """
     from repro.crypto.backend import get_backend
 
+    backend = get_backend()
     return {
         "git_sha": git_revision(cwd),
-        "crypto_backend": get_backend().name,
+        "crypto_backend": backend.name,
+        "crypto_library": backend.library_version(),
+        "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "key_size": key_size,
         "timestamp": time.time(),

@@ -69,10 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "(Elmehdwi, Samanthula & Jiang, ICDE 2014).",
     )
     parser.add_argument(
-        "--crypto-backend", choices=["auto", "python", "gmpy2"], default=None,
-        help="bigint backend for all Paillier arithmetic (default: the "
-             "REPRO_CRYPTO_BACKEND environment variable, else auto — gmpy2 "
-             "when importable, pure Python otherwise)")
+        "--crypto-backend", choices=["auto", "python", "openssl"],
+        default=None,
+        help="bigint backend for all Paillier arithmetic.  Selection order: "
+             "this flag, else the REPRO_CRYPTO_BACKEND environment variable, "
+             "else auto.  auto = openssl (BN_mod_exp of the libcrypto the "
+             "interpreter already maps, through ctypes; ~11x faster powers "
+             "at K=512/1024) when the library loads, pure Python otherwise; "
+             "an explicit openssl that cannot load is an error")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     demo = subparsers.add_parser(

@@ -49,6 +49,7 @@ release the workers.
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
@@ -180,8 +181,7 @@ def ssed_chunk_worker(task: ChunkWorkerTask) -> tuple[int, list[list[int]]]:
 
     (start_index, record_rows, queries, n, p, q, seed, backend_name,
      pool_slice) = task
-    if get_backend().name != backend_name:
-        set_backend(backend_name)
+    set_backend(backend_name)
     setting = TwoPartySetting.create(_worker_keys(n, p, q), rng=Random(seed))
     public_key = setting.public_key
     if pool_slice:
@@ -266,6 +266,10 @@ class PersistentWorkerPool:
             if self.backend == "thread":
                 self._executor = ThreadPoolExecutor(max_workers=self.workers)
             else:
+                # Workers are forks: whatever cyclic garbage the driver still
+                # holds counts in each worker's resident set too, so it is
+                # collected once here rather than inherited per worker.
+                gc.collect()
                 self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 

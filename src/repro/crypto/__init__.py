@@ -10,7 +10,7 @@ from repro.crypto.backend import (
     BACKEND_ENV_VAR,
     BigintBackend,
     FixedBaseExp,
-    Gmpy2Backend,
+    OpenSSLBackend,
     PythonBackend,
     available_backends,
     get_backend,
@@ -41,10 +41,10 @@ __all__ = [
     "DEFAULT_KEY_SIZE",
     "Ciphertext",
     "FixedBaseExp",
-    "Gmpy2Backend",
     "MASK_NONZERO",
     "MASK_SBD",
     "MASK_ZN",
+    "OpenSSLBackend",
     "OperationCounter",
     "PaillierKeyPair",
     "PaillierPrivateKey",

@@ -2,8 +2,10 @@
 
 The paper's protocols rely on a semantically secure additively homomorphic
 cryptosystem (Paillier).  Because this reproduction must run offline without
-``phe`` or ``gmpy2``, the required number theory is implemented here from
-scratch on top of Python's arbitrary-precision integers:
+``phe`` or a bigint extension module, the required number theory is
+implemented here from scratch on top of Python's arbitrary-precision integers
+(modular powers and inverses go through the active bigint backend of
+:mod:`repro.crypto.backend`):
 
 * probabilistic primality testing (Miller--Rabin with deterministic witness
   sets for small inputs),
@@ -58,7 +60,7 @@ _DETERMINISTIC_WITNESSES: tuple[int, ...] = (
 
 def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
     """Return ``True`` if ``n`` passes one Miller--Rabin round with base ``a``."""
-    x = pow(a, d, n)
+    x = get_backend().powmod(a, d, n)
     if x in (1, n - 1):
         return True
     for _ in range(r - 1):
@@ -203,8 +205,8 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
 def modinv(a: int, modulus: int) -> int:
     """Return the multiplicative inverse of ``a`` modulo ``modulus``.
 
-    Routed through the active bigint backend (C-level inversion on CPython,
-    GMP when :mod:`gmpy2` is importable) — the extended-Euclid
+    Routed through the active bigint backend (CPython's C-level
+    ``pow(a, -1, m)`` under every backend) — the extended-Euclid
     implementation above remains as the reference algorithm and for the
     Bezout coefficients.
 

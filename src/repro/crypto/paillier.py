@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import used for annotations only
     from repro.crypto.randomness_pool import RandomnessPool
 
 from repro.crypto import numtheory as nt
-from repro.crypto.backend import FixedBaseExp, get_backend
+from repro.crypto.backend import get_backend
 from repro.exceptions import (
     DecryptionError,
     EncryptionError,
@@ -171,9 +171,9 @@ class PaillierPublicKey:
         #: maximum plaintext strictly below this bound
         self.max_plaintext = n
         self.counter = OperationCounter()
-        # Fixed-base windowed obfuscator generator, built lazily by the batch
-        # encryption path (see _windowed_obfuscators).
-        self._obfuscator_comb: FixedBaseExp | None = None
+        # Fixed-base obfuscator generator, asked of the backend lazily by the
+        # batch encryption path (see _windowed_obfuscators).
+        self._obfuscator_comb = None
         self._obfuscator_lock = threading.Lock()
 
     # -- representation ----------------------------------------------------
@@ -252,8 +252,8 @@ class PaillierPublicKey:
         """Attribute-wise encryption of a vector (the paper's ``Epk(t_i)``).
 
         Routes through :meth:`encrypt_batch`, so vector callers get the
-        fixed-base comb for free instead of a per-element Python loop over
-        the scalar path.
+        fixed-base obfuscators for free instead of a per-element Python loop
+        over the scalar path.
         """
         return self.encrypt_batch(list(values), rng=rng)
 
@@ -308,26 +308,29 @@ class PaillierPublicKey:
                 raise KeyMismatchError(
                     "cannot combine ciphertexts under different keys")
 
-    def _windowed_obfuscators(self, rng: Random | None = None) -> FixedBaseExp:
-        """The per-key fixed-base comb table for obfuscator generation.
+    def _windowed_obfuscators(self, rng: Random | None = None):
+        """The per-key fixed-base exponentiator for obfuscator generation.
 
         Built once per key (lazily, thread-safely): draw ``y`` uniformly from
-        ``Z_N^*`` and tabulate ``h = y**N mod N**2``.  A fresh obfuscator is
-        then ``h**s = (y**s)**N`` for a random ``s``, i.e. an ordinary
-        obfuscation factor with nonce ``r = y**s`` — one comb lookup chain
-        (``~N_bits/8`` multiplications, no squarings) instead of a full
-        ``r**N`` exponentiation.  Nonces are drawn from the cyclic group
-        generated by ``y`` rather than all of ``Z_N^*``; distinguishing the
-        two is believed hard for RSA-type moduli (the standard assumption
-        behind fixed-base Paillier precomputation), and each ``s`` is used
-        exactly once.
+        ``Z_N^*`` and ask the active backend for its fixed-base exponentiator
+        of ``h = y**N mod N**2`` (``BigintBackend.fixed_base``: a comb table
+        where multiplications are the cheap operation, a plain ``powmod``
+        where the power is native).  A fresh obfuscator is then ``h**s =
+        (y**s)**N`` for a random ``s``, i.e. an ordinary obfuscation factor
+        with nonce ``r = y**s``, at a fraction of a textbook ``r**N`` with a
+        fresh ``r``.  Nonces are drawn from the cyclic group generated by
+        ``y`` rather than all of ``Z_N^*``; distinguishing the two is
+        believed hard for RSA-type moduli (the standard assumption behind
+        fixed-base Paillier precomputation), and each ``s`` is used exactly
+        once.
         """
         if self._obfuscator_comb is None:
             with self._obfuscator_lock:
                 if self._obfuscator_comb is None:
+                    backend = get_backend()
                     y = nt.random_in_zn_star(self.n, rng)
-                    h = get_backend().powmod(y, self.n, self.nsquare)
-                    self._obfuscator_comb = FixedBaseExp(
+                    h = backend.powmod(y, self.n, self.nsquare)
+                    self._obfuscator_comb = backend.fixed_base(
                         h, self.nsquare, self.n.bit_length())
         return self._obfuscator_comb
 
@@ -343,7 +346,8 @@ class PaillierPublicKey:
         vector and sourcing obfuscators from the fixed-base window table.
 
         Obfuscator precedence: explicit ``r_values`` > the precomputed
-        ``pool`` argument > the fixed-base comb (``windowed=True``) > textbook ``r**N``.  A pool
+        ``pool`` argument > the backend's fixed-base ``h**s``
+        (``windowed=True``) > textbook ``r**N``.  A pool
         covers as many elements as it has factors available; the remainder
         falls through to the next source, so a dry pool never stalls a batch.
 
@@ -354,8 +358,8 @@ class PaillierPublicKey:
                 per-element ``r**N`` path so ciphertexts match the scalar API
                 exactly (tests and worked examples).
             windowed: when ``True`` (default) draw obfuscators from the
-                per-key comb table; ``False`` computes textbook ``r**N``
-                factors (same cost profile as the scalar path).
+                per-key fixed-base exponentiator; ``False`` computes textbook
+                ``r**N`` factors (same cost profile as the scalar path).
             pool: optional :class:`~repro.crypto.randomness_pool.
                 RandomnessPool` of precomputed factors.
 
@@ -508,7 +512,8 @@ class PaillierPrivateKey:
     def _h_function(self, x: int, xsquare: int) -> int:
         """CRT helper ``h = L_x(g^{x-1} mod x^2)^{-1} mod x``."""
         g = self.public_key.g
-        lx = self._l_function(pow(g, x - 1, xsquare), x)
+        lx = self._l_function(
+            get_backend().powmod(g, x - 1, xsquare), x)
         return nt.modinv(lx, x)
 
     @staticmethod

@@ -1063,6 +1063,12 @@ class C2Daemon(PartyDaemon):
                 target=self._serve_peer_context, args=(channel,),
                 name=f"sknn-c2-ctx-{channel.context}", daemon=True)
             with workers_lock:
+                # C1 leases a fresh context per run, so this list would
+                # otherwise keep one finished Thread (~2 kB) per answered
+                # query for the life of the connection; pruned, it is
+                # bounded by the live contexts ``/stats`` publishes as
+                # ``active_contexts``.
+                workers[:] = [w for w in workers if w.is_alive()]
                 workers.append(worker)
             worker.start()
 

@@ -3,7 +3,8 @@
 Two operations dominate the cloud parties' non-strip work in SkNN_m and both
 have a cheap form: a homomorphic negation is a modular inverse (not
 ``c**(N-1)``), and a cloud party's obfuscator comes from its engine pool or
-the key's fixed-base comb (not a textbook ``r**N``).  Each price is decided
+the backend's fixed-base exponentiator of the key's ``h`` (not a textbook
+``r**N``).  Each price is decided
 in one place — ``PaillierPublicKey._raw_power`` and ``Party.encrypt_batch`` —
 so these tests watch the bigint backend itself: whatever path a protocol
 takes, no full-width ``powmod`` with exponent ``N-1`` or ``N`` may reach it.
@@ -14,6 +15,7 @@ exponentiation it replaces), which the cost-model section checks exactly.
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 from random import Random
 
@@ -22,9 +24,16 @@ import pytest
 from repro.analysis.cost_model import sbd_counts, sknn_secure_counts, smin_counts
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import DataOwner, QueryClient
+from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_secure import SkNNSecure
 from repro.crypto.backend import available_backends, get_backend, set_backend
-from repro.crypto.paillier import Ciphertext
+from repro.crypto.paillier import (
+    Ciphertext,
+    PaillierKeyPair,
+    PaillierPrivateKey,
+    PaillierPublicKey,
+    generate_keypair,
+)
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.db.datasets import synthetic_uniform
 from repro.exceptions import CryptoError
@@ -45,17 +54,20 @@ on_every_backend = pytest.mark.parametrize("backend_name",
 def spying(public_key):
     """Make a recording subclass of the active backend active for the block.
 
-    The key's comb table is built *before* the spy is installed: its one
-    ``y**N`` is the only textbook exponentiation a cloud party may perform.
+    The key's fixed-base exponentiator is built *before* the spy is
+    installed: its one ``y**N`` is the only textbook exponentiation a cloud
+    party may perform.
     """
     class Spy(type(get_backend())):
         def __init__(self) -> None:
             super().__init__()
             self.powmods: list[tuple[int, int]] = []
+            self.bases: list[int] = []
             self.inverts: list[int] = []
 
         def powmod(self, base, exponent, modulus):
             self.powmods.append((exponent, modulus))
+            self.bases.append(base)
             return super().powmod(base, exponent, modulus)
 
         def invert(self, a, modulus):
@@ -183,18 +195,45 @@ class TestNoTextbookPowersFromTheClouds:
 class TestCloudPartyEncryption:
     """``Party.encrypt`` is ``Party.encrypt_batch`` of one."""
 
+    @on_every_backend
     def test_single_encryptions_are_fresh_correct_and_off_the_comb(
-            self, setting):
-        public = setting.public_key
-        for party in (setting.evaluator, setting.decryptor):
-            with spying(public) as spy:
-                before = public.counter.encryptions
-                first, second = party.encrypt(-5), party.encrypt(-5)
-            assert spy.powmods == []
-            assert first.value != second.value
-            assert setting.decryptor.decrypt_signed(first) == -5
-            assert setting.decryptor.decrypt_signed(second) == -5
-            assert public.counter.encryptions == before + 2
+            self, backend_name, small_keypair):
+        """No engine attached: each obfuscator is one ``pow`` of the
+        backend's fixed-base exponentiator of the key's ``h`` — a table of
+        multiplications or one native power of ``h``, never ``r**N`` on a
+        fresh ``r``."""
+        set_backend(backend_name)
+        try:
+            # a key of its own: what it asks of the backend is not cached yet
+            public = PaillierPublicKey(small_keypair.public_key.n)
+            private = PaillierPrivateKey(public, small_keypair.private_key.p,
+                                         small_keypair.private_key.q)
+            setting = TwoPartySetting.create(
+                PaillierKeyPair(public, private), rng=Random(4))
+            fixed_base = public._windowed_obfuscators()
+            exponents = []
+            fixed_base_pow = fixed_base.pow
+
+            def recording_pow(exponent):
+                exponents.append(exponent)
+                return fixed_base_pow(exponent)
+
+            fixed_base.pow = recording_pow
+            for party in (setting.evaluator, setting.decryptor):
+                with spying(public) as spy:
+                    del exponents[:]
+                    before = public.counter.encryptions
+                    first, second = party.encrypt(-5), party.encrypt(-5)
+                assert len(exponents) == len(set(exponents)) == 2
+                assert spy.textbook(public) == []
+                assert set(spy.bases) <= {fixed_base.base}
+                assert first.value != second.value
+                assert setting.decryptor.decrypt_signed(first) == -5
+                assert setting.decryptor.decrypt_signed(second) == -5
+                assert public.counter.encryptions == before + 2
+                set_backend(backend_name)  # spying() left the default active
+        finally:
+            set_backend(None)
 
     def test_an_attached_engine_serves_the_obfuscator(self, small_keypair):
         setting = TwoPartySetting.create(small_keypair, rng=Random(5))
@@ -262,6 +301,45 @@ class TestCountsUnchanged:
                 stats.total_exponentiations) == (
             model.encryptions + surplus, model.decryptions,
             model.exponentiations + surplus)
+
+
+# -- the backend changes the price of an operation, never the operations -------
+
+class TestBackendsAgree:
+    """SkNN_b and SkNN_m, identically seeded on a 128-bit key, under every
+    backend: the oracle's answer, and every counter of the run report —
+    both parties' encryptions / decryptions / exponentiations, messages,
+    ciphertexts and bytes — equal across backends."""
+
+    def run_both(self, backend_name: str) -> dict[str, tuple]:
+        n_records, k, bit_length, query = 5, 2, 5, [2, 3]
+        set_backend(backend_name)
+        try:
+            keypair = generate_keypair(128, Random(77))
+            table, cloud, client = deploy_secure(keypair, n_records,
+                                                 bit_length, seed=530)
+            outcomes = {}
+            for name, protocol in (
+                    ("SkNN_b", SkNNBasic(cloud)),
+                    ("SkNN_m", SkNNSecure(cloud, distance_bits=bit_length))):
+                shares = protocol.run_with_report(client.encrypt_query(query),
+                                                  k)
+                answer = client.reconstruct(shares)
+                assert_valid_knn_answer(table, query, k, answer)
+                stats = dataclasses.asdict(protocol.last_report.stats)
+                del stats["wall_time_seconds"]
+                outcomes[name] = (answer, stats)
+            return outcomes
+        finally:
+            set_backend(None)
+
+    def test_equal_answers_counters_and_messages(self):
+        runs = {name: self.run_both(name) for name in available_backends()}
+        reference = runs["python"]
+        assert reference["SkNN_m"][1]["messages"] \
+            > reference["SkNN_b"][1]["messages"] > 0
+        for name, outcomes in runs.items():
+            assert outcomes == reference, name
 
 
 # -- correctness of the inverse as a negation -----------------------------------

@@ -166,3 +166,26 @@ class TestParallelSkNN:
         assert not pool.closed
         pool.close()
         assert pool.closed
+
+    def test_process_pool_collects_garbage_before_forking(self):
+        """Workers are forks, so the driver's cyclic garbage would sit in
+        every worker's resident set: it is collected before they start."""
+        import gc
+        import weakref
+        from repro.core.parallel import PersistentWorkerPool
+
+        class Node:
+            pass
+
+        node = Node()
+        node.itself = node
+        probe = weakref.ref(node)
+        gc.disable()
+        try:
+            del node
+            assert probe() is not None
+            with PersistentWorkerPool(workers=2, backend="process") as pool:
+                assert pool.map(abs, [-1, -2]) == [1, 2]
+            assert probe() is None
+        finally:
+            gc.enable()

@@ -12,8 +12,9 @@ per-call scalar API — never different.  These properties pin that down:
 * every batch call advances the operation counters by exactly the totals the
   equivalent scalar loop would produce.
 
-When gmpy2 is importable the same properties are re-checked under that
-backend; otherwise the pure-Python backend covers the suite.
+The backend-parametrized properties run under every backend of
+``available_backends()`` — both ``python`` and ``openssl`` wherever libcrypto
+loads (this image and CI's runners), pure Python alone otherwise.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ plaintexts = st.lists(
     min_size=1, max_size=8,
 )
 
-#: Backends to run every property under (gmpy2 only when importable).
+#: Backends to run every property under (openssl only where libcrypto loads).
 BACKENDS = available_backends()
 
 

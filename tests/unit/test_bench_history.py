@@ -123,11 +123,11 @@ class TestRegressionGate:
 
     def test_incomparable_runs_are_excluded_from_the_baseline(self):
         slow_backend = [record(10.0, backend="python") for _ in range(5)]
-        fast = [record(1.0, backend="gmpy2") for _ in range(4)]
-        # The gmpy2 candidate is judged only against gmpy2 priors — the
+        fast = [record(1.0, backend="openssl") for _ in range(4)]
+        # The openssl candidate is judged only against openssl priors — the
         # python runs' 10x slower baseline neither masks nor trips it.
         assert check_history("demo", slow_backend + fast) == []
-        regressed = record(5.0, backend="gmpy2")
+        regressed = record(5.0, backend="openssl")
         findings = check_history("demo", slow_backend + fast + [regressed])
         assert len(findings) == 1
 
@@ -151,10 +151,14 @@ class TestTrendReport:
 class TestProvenance:
     def test_block_has_required_keys(self):
         block = provenance_block(key_size=256)
-        assert set(block) == {"git_sha", "crypto_backend", "python",
-                              "key_size", "timestamp"}
+        assert set(block) == {"git_sha", "crypto_backend", "crypto_library",
+                              "cpu_count", "python", "key_size", "timestamp"}
         assert block["key_size"] == 256
         assert block["crypto_backend"]
+        assert block["cpu_count"] >= 1
+        # the native library's version rides beside the backend's name
+        assert (block["crypto_library"] is None) == (
+            block["crypto_backend"] == "python")
         # In this checkout the sha must resolve to a real revision.
         assert block["git_sha"] != "unknown"
 

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from random import Random
 
 import pytest
 
+from repro.core.parallel import PersistentWorkerPool
+from repro.crypto import backend as backend_module
 from repro.crypto.backend import (
     BACKEND_ENV_VAR,
     FixedBaseExp,
-    Gmpy2Backend,
+    OpenSSLBackend,
     PythonBackend,
     available_backends,
     backend_from_env,
@@ -36,18 +40,25 @@ class TestBackendSelection:
 
     def test_resolve_auto_returns_working_backend(self):
         backend = resolve_backend("auto")
-        assert backend.name in ("python", "gmpy2")
+        assert backend.name == available_backends()[-1]
 
     def test_resolve_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_backend("mpmath")
 
-    def test_resolve_gmpy2_errors_when_missing(self):
-        if "gmpy2" in available_backends():
-            assert resolve_backend("gmpy2").name == "gmpy2"
-        else:
-            with pytest.raises(ConfigurationError):
-                resolve_backend("gmpy2")
+    def test_resolve_openssl_errors_when_missing(self, monkeypatch):
+        if "openssl" in available_backends():
+            assert resolve_backend("openssl").name == "openssl"
+        monkeypatch.setattr(backend_module, "_load_libcrypto", lambda: None)
+        with pytest.raises(ConfigurationError, match="libcrypto"):
+            resolve_backend("openssl")
+        # no silent fallback for the explicit name; ``auto`` degrades
+        assert available_backends() == ["python"]
+        assert resolve_backend("auto").name == "python"
+
+    def test_the_gmpy2_choice_is_gone(self):
+        with pytest.raises(ConfigurationError, match="unknown crypto backend"):
+            resolve_backend("gmpy2")
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
@@ -57,7 +68,11 @@ class TestBackendSelection:
         assert set_backend("python").name == "python"
         assert get_backend().name == "python"
         set_backend(None)  # re-resolve lazily from the environment
-        assert get_backend().name in ("python", "gmpy2")
+        assert get_backend().name in available_backends()
+
+    def test_set_backend_by_name_keeps_the_active_instance(self):
+        active = set_backend("python")
+        assert set_backend("python") is active
 
     def test_set_backend_instance(self):
         backend = PythonBackend()
@@ -84,22 +99,107 @@ class TestPythonBackendPrimitives:
             backend.invert(6, 9)
 
 
-@pytest.mark.skipif("gmpy2" not in available_backends(),
-                    reason="gmpy2 not importable")
-class TestGmpy2BackendPrimitives:
+@pytest.mark.skipif("openssl" not in available_backends(),
+                    reason="libcrypto not loadable")
+class TestOpenSSLBackendPrimitives:
+    #: a modulus wide enough to take the native path
+    MODULUS = (1 << 521) - 1
+
     def test_agrees_with_python_backend(self):
-        gmp = Gmpy2Backend()
+        native = OpenSSLBackend()
         py = PythonBackend()
-        assert gmp.powmod(7, 130, 1009) == py.powmod(7, 130, 1009)
-        assert gmp.mulmod(12345, 67890, 991) == py.mulmod(12345, 67890, 991)
-        assert gmp.invert(1234, 10007) == py.invert(1234, 10007)
+        for modulus in (1009, self.MODULUS):
+            assert native.powmod(7, 130, modulus) == py.powmod(7, 130, modulus)
+            assert native.mulmod(12345, 67890, modulus) \
+                == py.mulmod(12345, 67890, modulus)
+            assert native.invert(1234, modulus) == py.invert(1234, modulus)
 
     def test_invert_non_invertible_raises(self):
         with pytest.raises(CryptoError):
-            Gmpy2Backend().invert(6, 9)
+            OpenSSLBackend().invert(6, 9)
+        with pytest.raises(CryptoError, match="has no inverse modulo"):
+            OpenSSLBackend().invert(6 * self.MODULUS, self.MODULUS ** 2)
+
+    def test_fixed_base_is_table_free(self):
+        native = OpenSSLBackend()
+        power = native.fixed_base(3 + self.MODULUS, self.MODULUS, 521)
+        assert not isinstance(power, FixedBaseExp)
+        assert power.base == 3
+        assert power.backend is native
+        assert power.pow(12345) == pow(3, 12345, self.MODULUS)
+        with pytest.raises(CryptoError, match="non-negative"):
+            power.pow(-1)
+
+    def test_reports_the_loaded_library(self):
+        assert "SSL" in OpenSSLBackend().library_version()
+        assert PythonBackend().library_version() is None
+
+
+def _powers(seed: int, count: int) -> list[tuple[int, int, int]]:
+    """``count`` K=256-shaped ``(base, exponent, modulus)`` triples."""
+    rng = Random(seed)
+    modulus = rng.getrandbits(512) | (1 << 511) | 1
+    return [(rng.getrandbits(511), rng.getrandbits(256), modulus)
+            for _ in range(count)]
+
+
+def _native_powers_in_worker(task: tuple[int, int]) -> list[int]:
+    """Pool task: the triples of ``_powers(*task)`` on the native backend."""
+    backend = set_backend("openssl")
+    return [backend.powmod(*triple) for triple in _powers(*task)]
+
+
+@pytest.mark.skipif("openssl" not in available_backends(),
+                    reason="libcrypto not loadable")
+class TestNativeBackendIsSharedSafely:
+    THREADS, PER_THREAD = 8, 200
+
+    def test_threads_on_one_backend_object_get_the_serial_results(self):
+        """ctypes drops the GIL inside every call: BIGNUM scratch shared
+        between threads would interleave operands (each thread has its own)."""
+        backend = OpenSSLBackend()
+        work = [_powers(seed, self.PER_THREAD) for seed in range(self.THREADS)]
+        expected = [[pow(*triple) for triple in triples] for triples in work]
+        results: list[list[int] | None] = [None] * self.THREADS
+        start = threading.Barrier(self.THREADS)
+
+        def run(index: int) -> None:
+            start.wait(timeout=30)
+            results[index] = [backend.powmod(*triple)
+                              for triple in work[index]]
+
+        threads = [threading.Thread(target=run, args=(index,))
+                   for index in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
+
+    def test_a_pool_worker_process_returns_the_drivers_power(self):
+        """The driver's scratch exists before the pool forks; the worker
+        must come up with working scratch of its own."""
+        task = (99, 5)
+        driver = [OpenSSLBackend().powmod(*triple)
+                  for triple in _powers(*task)]
+        with PersistentWorkerPool(workers=2, backend="process") as pool:
+            from_workers = pool.map(_native_powers_in_worker, [task, task])
+        assert from_workers == [driver, driver]
+        assert driver == [pow(*triple) for triple in _powers(*task)]
 
 
 class TestFixedBaseExp:
+    def test_is_the_python_backends_fixed_base(self):
+        comb = PythonBackend().fixed_base(3, 1_000_003, 20)
+        assert isinstance(comb, FixedBaseExp)
+        assert comb.pow(77) == pow(3, 77, 1_000_003)
+
     def test_matches_pow_for_random_exponents(self):
         rng = Random(5)
         modulus = 0xFFFF_FFFB * 0xFFFF_FFEF

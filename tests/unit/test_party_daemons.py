@@ -7,7 +7,9 @@ this process and talks to it over a real control connection.
 
 from __future__ import annotations
 
+import gc
 import socket
+import threading
 from random import Random
 
 import pytest
@@ -44,6 +46,26 @@ def serve():
     yield start
     for resource in started:
         resource.close()
+
+
+@pytest.fixture
+def peer(serve, small_keypair):
+    """A cloud-peer mux link to a provisioned C2 daemon."""
+    codec = WireCodec(small_keypair.public_key)
+    client = serve(C2Daemon(io_deadline=5.0), codec)
+    client.request("transport.provision", {
+        "private_key": private_key_to_dict(small_keypair.private_key),
+        "distance_bits": 6, "seed": 3})
+    sock = socket.create_connection(client.address, timeout=5)
+    send_frame(sock, codec.encode_message(Message(
+        sender="C1", recipient="C2", tag="transport.hello",
+        payload={"peer": "cloud"})))
+    assert codec.decode_message(
+        recv_frame(sock)).tag == "transport.hello_ok"
+    connection = MuxConnection(sock, codec, "C1", "C2", io_deadline=5.0)
+    connection.start_reader()
+    yield connection
+    connection.close()
 
 
 def assert_refused_but_connected(client: DaemonClient, tag: str, payload,
@@ -164,25 +186,6 @@ class TestMalformedPeerFrames:
     so a context worker dying on an uncaught exception also surfaces as
     pytest's unhandled-thread-exception warning (an error in CI)."""
 
-    @pytest.fixture
-    def peer(self, serve, small_keypair):
-        """A cloud-peer mux link to a provisioned C2 daemon."""
-        codec = WireCodec(small_keypair.public_key)
-        client = serve(C2Daemon(io_deadline=5.0), codec)
-        client.request("transport.provision", {
-            "private_key": private_key_to_dict(small_keypair.private_key),
-            "distance_bits": 6, "seed": 3})
-        sock = socket.create_connection(client.address, timeout=5)
-        send_frame(sock, codec.encode_message(Message(
-            sender="C1", recipient="C2", tag="transport.hello",
-            payload={"peer": "cloud"})))
-        assert codec.decode_message(
-            recv_frame(sock)).tag == "transport.hello_ok"
-        connection = MuxConnection(sock, codec, "C1", "C2", io_deadline=5.0)
-        connection.start_reader()
-        yield connection
-        connection.close()
-
     @pytest.mark.parametrize("tag, build, refusal", [
         # the four hardened sub-protocol handlers: refused before decryption
         ("SM.batch_masked_operands", lambda c: [[c], [c], [c]],
@@ -217,6 +220,26 @@ class TestMalformedPeerFrames:
         [product] = channel.receive(
             "C1", expected_tag="SM.batch_masked_products")
         assert private.decrypt(product) == -42
+
+
+class TestPeerContextWorkers:
+    def test_finished_context_workers_are_not_kept(self, peer, small_keypair):
+        """C1 leases a fresh context per run: C2 must not keep one finished
+        worker thread per answered query for the life of the connection."""
+        public = small_keypair.public_key
+        for index in range(40):
+            channel = peer.channel(f"run-{index}")
+            channel.send("C1", [[public.encrypt(2)], [public.encrypt(3)]],
+                         tag="SM.batch_masked_operands")
+            channel.receive("C1", expected_tag="SM.batch_masked_products")
+            channel.release()
+        gc.collect()
+        kept = [thread for thread in gc.get_objects()
+                if isinstance(thread, threading.Thread)
+                and thread.name.startswith("sknn-c2-ctx-run-")]
+        # the reader prunes as each new context arrives; a released
+        # context's worker may still be winding down
+        assert len(kept) <= 3
 
 
 class TestShardReplies:
