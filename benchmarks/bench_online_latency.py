@@ -2,8 +2,8 @@
 
 PR 2 made the crypto kernel fast per call; the precomputation engine makes
 the *online* path nearly powmod-free by moving the query-independent
-exponentiations (obfuscators, mask encryptions, constant ciphertexts) into
-idle time.  This bench quantifies that offline/online split on a full
+exponentiations (the ``r^N`` obfuscator of every mask, constant and
+re-encryption) into idle time.  This bench quantifies that offline/online split on a full
 SkNN_b query:
 
 * **inline** — :class:`~repro.core.sknn_basic.SkNNBasic` without an engine:
@@ -11,8 +11,8 @@ SkNN_b query:
 * **warm** — the same protocol instance with warmed per-cloud
   :class:`~repro.crypto.precompute.PrecomputeEngine`s attached (one per
   cloud, each filled with its own randomness, as the non-colluding model
-  requires): scan and delivery masks come from C1's precomputed tuples,
-  C2's square-sum re-encryptions from C2's pooled obfuscators.
+  requires): scan and delivery masks are encrypted off C1's pooled
+  obfuscators, C2's square-sum re-encryptions off C2's.
 
 Both paths run the *same* protocol — the fused SSED round, 1 decryption and
 1 exponentiation per attribute online — so the only work pools can hide is
@@ -127,8 +127,6 @@ def _engine_window(before: dict, after: dict) -> dict:
         "offline_encryptions": (after["offline_encryptions"]
                                 - before["offline_encryptions"]),
         "obfuscator_hits": after["obfuscator_hits"] - before["obfuscator_hits"],
-        "hits": {name: count - before["hits"].get(name, 0)
-                 for name, count in after["hits"].items()},
     }
 
 

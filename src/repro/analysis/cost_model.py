@@ -132,9 +132,7 @@ class OfflineOnlineCounts:
             float(stats.get("offline_encryptions", 0))
             for stats in engine_stats)
         pooled_hits = sum(
-            sum(stats.get("hits", {}).values())
-            + float(stats.get("obfuscator_hits", 0))
-            for stats in engine_stats)
+            float(stats.get("obfuscator_hits", 0)) for stats in engine_stats)
         return cls(
             offline=OperationCounts(encryptions=offline_encryptions),
             online=OperationCounts(
@@ -192,7 +190,7 @@ def ssed_scan_split_counts(n_records: int,
                            dimensions: int) -> OfflineOnlineCounts:
     """Offline/online split of the SSED distance scan under warm pools.
 
-    All ``n*m + n`` encryptions (P1's mask tuples, P2's square-sum
+    All ``n*m + n`` encryptions (P1's masks, P2's square-sum
     re-encryptions) are obfuscator exponentiations payable during pool
     refills; the decryptions and the unmasking/negation exponentiations
     remain query-time work.
@@ -296,8 +294,8 @@ def sknn_basic_split_counts(n_records: int, dimensions: int,
     """Offline/online split of a warm-pool SkNN_b query.
 
     Offline (pool refills): every encryption of the query — ``n*m`` scan
-    mask tuples, ``n`` square-sum re-encryptions and ``k*m`` delivery mask
-    tuples, one obfuscator exponentiation each.  Online: the
+    masks, ``n`` square-sum re-encryptions and ``k*m`` delivery masks, one
+    obfuscator exponentiation each.  Online: the
     ``n*m`` masked-difference and ``n + k*m`` distance/delivery decryptions,
     plus the ``n*m`` unmasking and ``m`` query-negation exponentiations.
     The sum equals ``sknn_basic_counts(..., batched=True)``.

@@ -501,8 +501,9 @@ def _render_daemon_stats(stats: dict) -> str:
         remaining = engine.get("remaining", {})
         pools = ", ".join(f"{pool}={count}"
                           for pool, count in sorted(remaining.items()))
-        lines.append(f"precompute pools: hits={engine.get('hits', 0)} "
-                     f"misses={engine.get('misses', 0)}"
+        lines.append("precompute pool: "
+                     f"hits={engine.get('obfuscator_hits', 0)} "
+                     f"misses={engine.get('obfuscator_misses', 0)}"
                      + (f"  [{pools}]" if pools else ""))
     slow = stats.get("slow_queries")
     if slow:

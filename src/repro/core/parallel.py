@@ -34,9 +34,11 @@ Backends:
 
 * ``"process"`` — :class:`concurrent.futures.ProcessPoolExecutor`; true
   parallelism across cores, the analogue of the paper's OpenMP loop.
-* ``"thread"``  — :class:`concurrent.futures.ThreadPoolExecutor`; CPython's
-  GIL serializes big-integer arithmetic, so this shows little speedup and is
-  included to make that limitation measurable.
+* ``"thread"``  — :class:`concurrent.futures.ThreadPoolExecutor`; on the
+  default ``openssl`` bigint backend every modular power releases the GIL
+  (``BN_mod_exp`` through ctypes), so threads overlap the exponentiations.
+  On the ``python`` backend the GIL serializes big-integer arithmetic and
+  this shows little speedup.
 * ``"serial"``  — same code path without a pool (baseline for speedup plots).
 
 Workers are hosted by a :class:`PersistentWorkerPool`, created lazily on the
@@ -434,7 +436,7 @@ class ShardedCloud(SkNNProtocol):
             it running.
         precompute: optional :class:`~repro.crypto.precompute.
             PrecomputeEngine`; when given it is attached to the cloud (the
-            delivery phase consumes its mask tuples), one per-shard
+            delivery phase's mask encryptions draw on its pool), one per-shard
             obfuscator pool is derived from it, and every chunk task ships a
             slice of its shard's pool so worker-side encryptions run
             powmod-free while warm.  Refill the pools off the hot path with
@@ -506,8 +508,8 @@ class ShardedCloud(SkNNProtocol):
         """Top up the engine and per-shard pools; returns items precomputed.
 
         Meant to run between queries (the serving layer calls it from idle
-        scheduler slots).  The budget is split between the engine's typed
-        pools and the per-shard obfuscator pools that feed worker slices.
+        scheduler slots).  The budget is split between the engine's pool
+        and the per-shard obfuscator pools that feed worker slices.
         """
         if self.precompute is None:
             return 0

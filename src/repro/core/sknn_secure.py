@@ -187,9 +187,8 @@ class SkNNSecure(SkNNProtocol):
         chosen = c2.rng.choice(zero_positions)
         bits = [1 if idx == chosen else 0
                 for idx in range(len(decrypted_differences))]
-        # The indicator is C2's secret, so its 0/1 encryptions come from
-        # C2's own constant pools (or C2's batch encryption).
-        return self._sm.encrypt_pooled_constants(c2, bits)
+        # The indicator is C2's secret, so C2 encrypts it (its own pool).
+        return c2.encrypt_batch(bits)
 
     def _extract_record(self, indicator: Sequence[Ciphertext]) -> list[Ciphertext]:
         """Step 3(d): ``E(t'_{s,j}) = prod_i SM(V_i, E(t_{i,j}))``.

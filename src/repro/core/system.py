@@ -148,7 +148,7 @@ class SkNNSystem:
             precompute: when positive, attach a warmed
                 :class:`~repro.crypto.precompute.PrecomputeEngine` sized to
                 cover roughly this many queries, so the online path consumes
-                pooled obfuscators, constants and mask tuples.  In
+                pooled obfuscators instead of computing them.  In
                 distributed mode each daemon warms its own party-local
                 engine instead.
 
@@ -219,9 +219,8 @@ class SkNNSystem:
         """Build, warm and attach per-cloud precomputation engines.
 
         C1 and C2 each get their own engine (filled with their own
-        randomness, as the non-colluding model requires): C1's covers mask
-        tuples and P1 constants, C2's the obfuscators of its re-encryptions
-        and the 0/1 constant pools.
+        randomness, as the non-colluding model requires): C1's covers its
+        mask and constant encryptions, C2's its re-encryptions and 0/1 bits.
         """
         table = self.owner.table
         c1_engine = self._warm_c1_engine(

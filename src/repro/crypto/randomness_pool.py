@@ -10,22 +10,18 @@ factor does not depend on the message, so a serving system can compute a stock
 of factors *off the hot path* (at deployment time, or between batches) and
 turn every hot-path encryption into one modular multiplication.
 
-Two quantities are precomputed, and with ``g = N + 1`` they coincide:
+Every factor is handed out **exactly once** (popped from the store): reusing
+an obfuscation factor across two encryptions would make the pair linkable,
+which breaks the semantic-security property the SkNN protocols rely on.  The
+pool is thread-safe so concurrent query sessions can share one.  There is one
+draw: :meth:`RandomnessPool.take_available`, reached through the batch
+encryption kernel (``encrypt_batch(pool=)``), which covers a dry pool with the
+key's fixed-base comb — never a textbook ``r^N``.
 
-* **obfuscation factors** ``r^N mod N^2`` for fresh encryptions, and
-* **encryptions of zero** — because ``E(0) = (1 + 0*N) * r^N = r^N mod N^2``,
-  a pooled factor *is* a fresh probabilistic encryption of zero, ready for
-  ciphertext re-randomization.
-
-:class:`RandomnessPool` therefore keeps a single store of factors and exposes
-both views.  Every factor is handed out **exactly once** (popped from the
-store): reusing an obfuscation factor across two encryptions would make the
-pair linkable, which breaks the semantic-security property the SkNN protocols
-rely on.  The pool is thread-safe so concurrent query sessions can share one.
-
-Used by :mod:`repro.service` for the delivery-phase masking of
-:class:`~repro.service.sharding.ShardedCloud` and (optionally) for Bob-side
-query encryption in :class:`~repro.core.roles.QueryClient`.
+The stock of a :class:`~repro.crypto.precompute.PrecomputeEngine`, the
+per-shard slices of :mod:`repro.core.parallel`'s chunk workers and
+(optionally) Bob-side query encryption in
+:class:`~repro.core.roles.QueryClient`.
 """
 
 from __future__ import annotations
@@ -50,16 +46,17 @@ class RandomnessPool:
 
     Args:
         public_key: the Paillier public key the factors belong to.
-        size: number of factors to precompute immediately (and the refill
-            batch size used when the pool runs dry).
+        size: the pool's target: the number of factors the constructor
+            precomputes and the default :meth:`refill` count.
         rng: optional deterministic randomness source (tests only).
         precompute: when ``False`` the constructor does not precompute; call
             :meth:`refill` explicitly (useful when construction must be cheap).
 
     Attributes:
         hits: hot-path requests served from the precomputed store.
-        misses: hot-path requests that had to compute a factor on demand
-            (the pool was empty — a sign ``size`` is too small for the load).
+        misses: hot-path requests the pool could not serve (it was empty —
+            a sign ``size`` is too small for the load); the batch kernel
+            covered them with the key's fixed-base comb.
     """
 
     def __init__(self, public_key: PaillierPublicKey, size: int = DEFAULT_POOL_SIZE,
@@ -132,15 +129,6 @@ class RandomnessPool:
         return len(factors)
 
     # -- hot path -----------------------------------------------------------
-    def take_factor(self) -> int:
-        """Pop one single-use factor; computes on demand when the pool is dry."""
-        with self._lock:
-            if self._factors:
-                self.hits += 1
-                return self._factors.popleft()
-            self.misses += 1
-        return self._fresh_factor()
-
     def take_available(self, count: int) -> "list[int]":
         """Pop up to ``count`` factors *without* computing missing ones.
 
@@ -156,20 +144,6 @@ class RandomnessPool:
             self.misses += count - served
         return taken
 
-    def encrypt(self, value: int) -> Ciphertext:
-        """Encrypt a signed integer using one pooled factor (cheap multiply).
-
-        Produces the same distribution of ciphertexts as
-        :meth:`~repro.crypto.paillier.PaillierPublicKey.encrypt`; the key's
-        encryption counter is incremented so operation accounting stays
-        comparable with the non-pooled path.
-        """
-        pk = self.public_key
-        encoded = pk.encode_signed(value)
-        nude = (1 + encoded * pk.n) % pk.nsquare
-        pk.counter.encryptions += 1
-        return Ciphertext(pk, (nude * self.take_factor()) % pk.nsquare)
-
     def encrypt_batch(self, values: "list[int]") -> "list[Ciphertext]":
         """Vectorized pooled encryption (delegates to the key's batch kernel).
 
@@ -178,20 +152,6 @@ class RandomnessPool:
         Counter parity with the non-pooled batch path is exact.
         """
         return self.public_key.encrypt_batch(values, rng=self.rng, pool=self)
-
-    def encrypt_zero(self) -> Ciphertext:
-        """A fresh probabilistic encryption of zero (one pooled factor)."""
-        pk = self.public_key
-        pk.counter.encryptions += 1
-        return Ciphertext(pk, self.take_factor())
-
-    def rerandomize(self, ciphertext: Ciphertext) -> Ciphertext:
-        """Re-randomize a ciphertext by multiplying in a pooled ``E(0)``."""
-        pk = ciphertext.public_key
-        if pk != self.public_key:
-            raise ConfigurationError(
-                "ciphertext belongs to a different public key than the pool")
-        return Ciphertext(pk, pk.raw_add(ciphertext.value, self.take_factor()))
 
     # -- introspection ------------------------------------------------------
     @property

@@ -222,11 +222,11 @@ class TwoPartySetting:
                       ) -> None:
         """Attach per-party precomputation engines to this deployment.
 
-        ``engine`` becomes the evaluator's (P1's) source of mask tuples and
-        constants; ``decryptor_engine`` (optional) the decryptor's (P2's)
-        source for its re-encryptions and parity/alpha/indicator constants.
-        The two are kept separate on purpose: each party's pools hold that
-        party's own randomness, matching the paper's non-colluding model —
+        ``engine`` becomes the source of the evaluator's (P1's) obfuscators
+        (masks, SMIN/SBD constants); ``decryptor_engine`` (optional) that of
+        the decryptor's (P2's) re-encryptions and parity/alpha/indicator
+        bits.  The two are kept separate on purpose: each party's pool holds
+        that party's own randomness, matching the paper's non-colluding model —
         a missing decryptor engine simply means P2 encrypts inline.  Pass
         ``None`` (twice) to detach.
         """

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto.paillier import Ciphertext, PaillierPublicKey
+from repro.crypto.precompute import mask_range
 from repro.exceptions import ProtocolError
 from repro.network.party import DecryptorParty, EvaluatorParty, TwoPartySetting
 from repro.network.stats import ProtocolRunStats
@@ -182,7 +183,7 @@ class TwoPartyProtocol(P2StepDispatcher):
         """The shared Paillier public key."""
         return self.setting.public_key
 
-    # -- precomputed material with graceful fallback ---------------------------
+    # -- P1's additive masks ---------------------------------------------------
     def take_masks(self, count: int, kind: str = "zn",
                    sbd_upper: int | None = None
                    ) -> "list[tuple[int, Ciphertext]]":
@@ -190,31 +191,19 @@ class TwoPartyProtocol(P2StepDispatcher):
 
         The sub-protocols' only mask source.  ``kind`` is ``"zn"`` (uniform
         in ``[0, N)``), ``"nonzero"`` (``[1, N)``) or ``"sbd"`` (``[0,
-        sbd_upper)``).  Engine mask tuples when P1 owns an engine (``E(r)``
-        paid offline); otherwise sampled with P1's rng and encrypted in one
-        batch-kernel call.  One encryption per mask either way.  The engine
-        is resolved per call (engines live on the party objects), so one
-        attached after protocol construction still takes effect.
+        sbd_upper)``) — see :func:`~repro.crypto.precompute.mask_range`.
+        P1's engine samples and encrypts them when it owns one; otherwise
+        they are sampled with P1's rng and encrypted in one batch-kernel
+        call.  One encryption per mask either way.  The engine is resolved
+        per call (engines live on the party objects), so one attached after
+        protocol construction still takes effect.
         """
         engine = self.p1.engine
         if engine is not None:
             return engine.take_masks(count, kind, sbd_upper=sbd_upper)
-        lower = 1 if kind == "nonzero" else 0
-        upper = sbd_upper if kind == "sbd" else self.pk.n
+        lower, upper = mask_range(kind, self.pk.n, sbd_upper)
         masks = [self.p1.rng.randrange(lower, upper) for _ in range(count)]
         return list(zip(masks, self.p1.encrypt_batch(masks)))
-
-    def encrypt_pooled_constants(self, party,
-                                 values: "list[int]") -> "list[Ciphertext]":
-        """Fresh encryptions of constants by ``party``, as one batch.
-
-        Served from the party's own engine pools when it owns one (the
-        randomness must be the encrypting party's — a pool filled by the
-        other party would let it link or unmask the ciphertext).
-        """
-        if party.engine is not None:
-            return party.engine.encrypt_constants(values)
-        return party.encrypt_batch(values)
 
     # -- ciphertext helpers -----------------------------------------------------
     def sub(self, left: Ciphertext, right: Ciphertext) -> Ciphertext:

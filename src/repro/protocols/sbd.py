@@ -111,10 +111,8 @@ class SecureBitDecomposition(TwoPartyProtocol):
         """One bit round over every value: LSBs and halved remainders.
 
         The round's masks — ``r`` uniform in ``[0, N - 2**l)``, so ``z + r``
-        never wraps — are one batch, and they and the parity/un-flip
-        constants come from the precomputation engine when one is attached
-        (SBD-range mask pool, validated against this instance's ``l``;
-        E(0)/E(1) constant pools), from batch encryption otherwise.
+        never wraps — are one ``take_masks`` batch; the parity and un-flip
+        constants are one ``encrypt_batch`` of the party that needs them.
         """
         mask_tuples = self.take_masks(
             len(enc_values), "sbd",
@@ -130,8 +128,7 @@ class SecureBitDecomposition(TwoPartyProtocol):
         odd_indices = [i for i, mask in enumerate(masks) if mask % 2 == 1]
         enc_bits = list(received)
         if odd_indices:
-            ones = self.encrypt_pooled_constants(
-                self.p1, [1] * len(odd_indices))
+            ones = self.p1.encrypt_batch([1] * len(odd_indices))
             flipped = self.pk.add_batch(
                 ones, self.neg_batch([received[i] for i in odd_indices]))
             for position, index in enumerate(odd_indices):
@@ -152,5 +149,5 @@ class SecureBitDecomposition(TwoPartyProtocol):
         self.require_cipher_rows([received_masked], "masked-value batch")
         parities = [y % 2
                     for y in self.p2.decrypt_residue_batch(received_masked)]
-        self.p2.send(self.encrypt_pooled_constants(self.p2, parities),
+        self.p2.send(self.p2.encrypt_batch(parities),
                      tag="SBD.batch_masked_parities")

@@ -98,8 +98,7 @@ class SecureMultiplication(TwoPartyProtocol):
         enc_a_vec = [a for a, _ in pairs]
         enc_b_vec = [b for _, b in pairs]
 
-        # Step 1: P1 masks every operand with fresh randomness (precomputed
-        # mask tuples when an engine is attached).
+        # Step 1: P1 masks every operand with fresh randomness.
         masks_a, enc_masks_a = zip(*self.take_masks(len(pairs)))
         masks_b, enc_masks_b = zip(*self.take_masks(len(pairs)))
         masked_a = self.pk.add_batch(enc_a_vec, enc_masks_a)

@@ -160,7 +160,7 @@ class SecureMinimum(TwoPartyProtocol):
             sm_inputs.extend(zip(enc_u_bits, enc_v_bits))
         products = self._sm.run_batch(sm_inputs)
         rhat_tuples = self.take_masks(len(pairs) * bit_length, "nonzero")
-        enc_h_zeros = self.encrypt_pooled_constants(self.p1, [0] * len(pairs))
+        enc_h_zeros = self.p1.encrypt_batch([0] * len(pairs))
 
         payload = []
         pair_states: list[tuple[list[int], list[int]]] = []
@@ -247,5 +247,5 @@ class SecureMinimum(TwoPartyProtocol):
             alpha = 1 if any(value == 1 for value in window) else 0
             alphas.append(alpha)
             m_primes.append(self.pk.scalar_mul_batch(permuted_gamma, alpha))
-        enc_alphas = self.encrypt_pooled_constants(self.p2, alphas)
+        enc_alphas = self.p2.encrypt_batch(alphas)
         self.p2.send([m_primes, enc_alphas], tag="SMIN.batch_masked_minimums")

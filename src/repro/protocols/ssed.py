@@ -31,8 +31,8 @@ Per record that is ``m`` P1 encryptions, ``m`` P2 decryptions, one P2
 encryption and ``m`` exponentiations (plus the query negation, hoisted across
 records), against ``3m`` / ``2m`` / ``3m`` for ``m`` generic SM runs — and one
 ciphertext comes back instead of ``m``.  The sequence is the same with and
-without a precomputation engine: pools only change *where* a mask or
-obfuscator exponentiation was paid, never which messages are exchanged.
+without a precomputation engine: a pool only changes *when* an obfuscator
+exponentiation was paid, never which messages are exchanged.
 
 What each party sees
 --------------------

@@ -609,17 +609,13 @@ class PartyDaemon:
             pools = registry.gauge(
                 "repro_pool_items", "Precompute pool fill level.",
                 ("role", "pool"))
-            for pool, remaining in stats.get("remaining", {}).items():
+            for pool, remaining in stats["remaining"].items():
                 pools.set(remaining, role=role, pool=pool)
             hits = registry.gauge(
                 "repro_pool_requests", "Precompute pool takes served.",
                 ("role", "outcome"))
-            hits.set(sum(stats.get("hits", {}).values())
-                     + stats.get("obfuscator_hits", 0),
-                     role=role, outcome="hit")
-            hits.set(sum(stats.get("misses", {}).values())
-                     + stats.get("obfuscator_misses", 0),
-                     role=role, outcome="miss")
+            hits.set(stats["obfuscator_hits"], role=role, outcome="hit")
+            hits.set(stats["obfuscator_misses"], role=role, outcome="miss")
         links = self._peer_links()
         if links:
             traffic = self._peer_traffic_total(links)

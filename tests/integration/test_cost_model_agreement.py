@@ -15,6 +15,7 @@ from random import Random
 import pytest
 
 from repro.analysis.cost_model import (
+    OfflineOnlineCounts,
     sbd_counts,
     sknn_basic_counts,
     sknn_basic_split_counts,
@@ -142,8 +143,8 @@ class TestQueryProtocolCounts:
                                   seed=5)
         cloud, client = self.deploy(table, small_keypair, seed=402)
         # One engine per cloud, each with its own randomness (the model's
-        # non-colluding split): C1's serves mask tuples, C2's the obfuscators
-        # of its square-sum re-encryptions.
+        # non-colluding split): C1's pays for the mask encryptions, C2's for
+        # the square-sum re-encryptions.
         c1_engine = PrecomputeEngine(
             small_keypair.public_key, rng=Random(403),
             config=PrecomputeConfig.for_query_load(n, m, k, queries=1))
@@ -171,9 +172,14 @@ class TestQueryProtocolCounts:
         # The pools served every precomputable operation (no misses): the
         # two engines' offline ledgers cover all pooled takes of the query.
         pooled = c1_engine.pool_hit_total() + c2_engine.pool_hit_total()
-        assert pooled >= split.offline.encryptions
-        assert sum(c1_engine.misses.values()) == 0
+        assert pooled == split.offline.encryptions
+        assert c1_engine.obfuscators.misses == 0
         assert c2_engine.obfuscators.misses == 0
+        # ...which is what the measured split reports from the same stats.
+        measured = OfflineOnlineCounts.from_measurements(
+            stats, c1_engine.stats(), c2_engine.stats())
+        assert measured.online.encryptions == 0
+        assert measured.online.decryptions == split.online.decryptions
         # The split model is self-consistent with the precomputed pipeline.
         combined = split.offline + split.online
         expected = sknn_basic_counts(n, m, k, batched=True)
@@ -189,7 +195,7 @@ class TestQueryProtocolCounts:
         pk = small_keypair.public_key
         engine = PrecomputeEngine(
             pk, rng=Random(405),
-            config=PrecomputeConfig(obfuscators=64, zn_masks=64))
+            config=PrecomputeConfig(obfuscators=128))
         engine.warm()
         cloud.attach_engine(engine)
         try:
@@ -219,8 +225,7 @@ class TestQueryProtocolCounts:
         bit_length = 4
         engine = PrecomputeEngine(
             small_keypair.public_key, rng=Random(407),
-            config=PrecomputeConfig(obfuscators=64, zeros=8, ones=8,
-                                    zn_masks=32, nonzero_masks=16))
+            config=PrecomputeConfig(obfuscators=128))
         engine.warm()
         setting.attach_engine(engine)
         try:

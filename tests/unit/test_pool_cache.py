@@ -1,9 +1,10 @@
-"""Pool persistence: warmed precompute pools survive a daemon restart.
+"""Pool persistence: a warmed precompute pool survives a daemon restart.
 
-The cache file is versioned, bound to the key's modulus, and strictly
-single-use: saving *drains* the in-memory pools and loading *deletes* the
-file, so a (r, E(r)) tuple or obfuscation factor can never be consumed twice
-across process lifetimes.
+The cache file is versioned, CRC-stamped, bound to the key's modulus, and
+strictly single-use: saving *drains* the in-memory pool and loading *deletes*
+the file, so an obfuscation factor can never be consumed twice across process
+lifetimes.  Loading fails closed: anything but a complete format-2 cache for
+this key is rejected, left on disk and never half-adopted.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from repro.exceptions import ConfigurationError
 
 
 def small_config(**overrides):
-    defaults = dict(obfuscators=6, zeros=3, ones=3, zn_masks=4,
-                    nonzero_masks=2, sbd_bit_length=8, sbd_masks=2,
-                    refill_batch=8)
+    defaults = dict(obfuscators=20, refill_batch=8)
     defaults.update(overrides)
     return PrecomputeConfig(**defaults)
 
@@ -33,7 +32,7 @@ def warm_engine(public_key):
 
 
 class TestSaveLoadRoundTrip:
-    def test_round_trip_restores_every_pool(self, warm_engine, public_key,
+    def test_round_trip_restores_the_pool(self, warm_engine, public_key,
                                             tmp_path):
         cache = tmp_path / "c1.pools"
         before = warm_engine.remaining()
@@ -57,9 +56,10 @@ class TestSaveLoadRoundTrip:
         fresh = PrecomputeEngine(public_key, rng=Random(5),
                                  config=small_config())
         fresh.load_pools(cache)
-        r, enc_r = fresh.take_mask("zn")
+        [(r, enc_r)] = fresh.take_masks(1, "zn")
         assert private_key.decrypt_raw_residue(enc_r) == r
-        assert private_key.decrypt(fresh.encrypt_constant(1)) == 1
+        assert private_key.decrypt_batch(fresh.encrypt_batch([1])) == [1]
+        assert fresh.stats()["obfuscator_hits"] == 2
 
     def test_warm_after_load_only_tops_up(self, warm_engine, public_key,
                                           tmp_path):
@@ -89,10 +89,28 @@ class TestCacheValidation:
 
     def test_wrong_format_rejected(self, public_key, tmp_path):
         cache = tmp_path / "pools.json"
-        cache.write_text(json.dumps({"kind": "something-else", "format": 1}))
+        cache.write_text(json.dumps({"kind": "something-else", "format": 2}))
         engine = PrecomputeEngine(public_key, config=small_config())
         with pytest.raises(ConfigurationError, match="pool cache"):
             engine.load_pools(cache)
+
+    def test_format_1_cache_rejected(self, warm_engine, public_key, tmp_path):
+        """The typed-pool format is not read, whatever its CRC says."""
+        import zlib
+
+        cache = tmp_path / "pools.json"
+        warm_engine.save_pools(cache)
+        data = json.loads(cache.read_text())
+        del data["crc"]
+        data.update(format=1, sbd_bit_length=None, constants={}, masks={})
+        data["crc"] = format(zlib.crc32(json.dumps(
+            data, sort_keys=True, separators=(",", ":")).encode()), "08x")
+        cache.write_text(json.dumps(data))
+        engine = PrecomputeEngine(public_key, config=small_config())
+        with pytest.raises(ConfigurationError, match="version-2 pool cache"):
+            engine.load_pools(cache)
+        assert cache.exists()
+        assert engine.remaining() == {"obfuscators": 0}
 
     def test_unreadable_cache_rejected(self, public_key, tmp_path):
         cache = tmp_path / "pools.json"
@@ -117,32 +135,30 @@ class TestCacheValidation:
             engine.load_pools(cache)
         assert sum(engine.remaining().values()) == 0
 
-    def test_legacy_cache_without_crc_still_loads(self, warm_engine,
-                                                  public_key, tmp_path):
+    def test_cache_without_crc_rejected(self, warm_engine, public_key,
+                                        tmp_path):
         cache = tmp_path / "pools.json"
-        saved = warm_engine.save_pools(cache)
+        warm_engine.save_pools(cache)
         data = json.loads(cache.read_text())
         del data["crc"]  # a cache written before the CRC field existed
         cache.write_text(json.dumps(data))
         engine = PrecomputeEngine(public_key, rng=Random(10),
                                   config=small_config())
-        assert engine.load_pools(cache) == saved
+        with pytest.raises(ConfigurationError, match="CRC"):
+            engine.load_pools(cache)
+        # fail closed: nothing adopted, and the failed load deletes nothing
+        assert engine.remaining() == {"obfuscators": 0}
+        assert cache.exists()
 
     def test_save_leaves_no_temp_file(self, warm_engine, tmp_path):
         cache = tmp_path / "pools.json"
         warm_engine.save_pools(cache)
         assert [p.name for p in tmp_path.iterdir()] == ["pools.json"]
 
-    def test_sbd_masks_dropped_on_l_mismatch(self, warm_engine, public_key,
-                                             tmp_path):
+    def test_cache_document_is_exactly_format_2(self, warm_engine, tmp_path):
         cache = tmp_path / "pools.json"
         warm_engine.save_pools(cache)
-        other_l = PrecomputeEngine(public_key, rng=Random(8),
-                                   config=small_config(sbd_bit_length=12))
-        other_l.load_pools(cache)
-        remaining = other_l.remaining()
-        # The l=8 SBD masks were produced for a different range -> dropped;
-        # every other pool loads.
-        assert remaining["mask:sbd"] == 0
-        assert remaining["mask:zn"] == 4
-        assert remaining["obfuscators"] == 6
+        data = json.loads(cache.read_text())
+        assert sorted(data) == ["crc", "format", "kind", "n", "obfuscators"]
+        assert data["format"] == 2
+        assert len(data["obfuscators"]) == 20

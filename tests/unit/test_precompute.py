@@ -1,7 +1,8 @@
-"""Unit tests for the precomputation engine and its typed pools."""
+"""Unit tests for the precomputation engine and its single obfuscator pool."""
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from random import Random
 
@@ -13,103 +14,107 @@ from repro.crypto.precompute import (
     MASK_ZN,
     PrecomputeConfig,
     PrecomputeEngine,
+    mask_range,
 )
 from repro.exceptions import ConfigurationError
 
+SBD_BITS = 5
 
-def make_engine(public_key, *, seed=1, **overrides) -> PrecomputeEngine:
-    defaults = dict(obfuscators=8, zeros=4, ones=4, power_bits=3,
-                    powers_each=2, zn_masks=6, nonzero_masks=4,
-                    sbd_bit_length=5, sbd_masks=4)
-    defaults.update(overrides)
+
+def make_engine(public_key, *, seed=1, obfuscators=32) -> PrecomputeEngine:
     return PrecomputeEngine(public_key, rng=Random(seed),
-                            config=PrecomputeConfig(**defaults))
+                            config=PrecomputeConfig(obfuscators=obfuscators))
+
+
+def sbd_upper(public_key) -> int:
+    return public_key.n - (1 << SBD_BITS)
 
 
 class TestRefill:
-    def test_warm_fills_every_pool_to_target(self, public_key):
+    def test_warm_fills_the_pool_to_target(self, public_key):
         engine = make_engine(public_key)
         engine.warm()
-        remaining = engine.remaining()
-        assert remaining["obfuscators"] == 8
-        assert remaining["constant:0"] == 4
-        assert remaining["constant:1"] == 4
-        assert remaining["constant:4"] == 2  # power-of-two table
-        assert remaining[f"mask:{MASK_ZN}"] == 6
-        assert remaining[f"mask:{MASK_NONZERO}"] == 4
-        assert remaining[f"mask:{MASK_SBD}"] == 4
-        assert not engine.deficits()
+        assert engine.remaining() == {"obfuscators": 32}
+        assert engine.deficit() == 0
 
     def test_refill_budget_caps_offline_work(self, public_key):
         engine = make_engine(public_key)
         produced = engine.refill(budget=5)
         assert produced == 5
         assert engine.offline.encryptions == 5
-        # A second unbounded refill completes the targets.
+        # A second unbounded refill completes the target.
         engine.warm()
-        assert not engine.deficits()
+        assert engine.deficit() == 0
 
     def test_offline_counter_tracks_one_powmod_per_item(self, public_key):
         engine = make_engine(public_key)
         total = engine.warm()
+        assert total == 32
         assert engine.offline.encryptions == total
-        assert engine.stats()["offline_powmods"] == total
+        assert engine.stats()["offline_encryptions"] == total
 
-    def test_sbd_masks_require_bit_length(self, public_key):
-        with pytest.raises(ConfigurationError):
-            PrecomputeEngine(public_key,
-                             config=PrecomputeConfig(sbd_masks=4,
-                                                     sbd_bit_length=None))
+    def test_refill_works_in_batches_up_to_the_target(self, public_key):
+        engine = PrecomputeEngine(
+            public_key, rng=Random(2),
+            config=PrecomputeConfig(obfuscators=10, refill_batch=3))
+        assert engine.refill(budget=7) == 7
+        assert engine.warm() == 3
+        assert engine.warm() == 0  # never past the target
+
+    def test_config_is_one_target_and_one_granularity(self):
+        assert [field.name for field in dataclasses.fields(PrecomputeConfig)] \
+            == ["obfuscators", "refill_batch"]
 
 
-class TestTypedPools:
+class TestPooledDraws:
     def test_constants_decrypt_correctly(self, public_key, private_key):
         engine = make_engine(public_key)
         engine.warm()
-        assert private_key.decrypt(engine.encrypt_constant(0)) == 0
-        assert private_key.decrypt(engine.encrypt_constant(1)) == 1
-        assert private_key.decrypt(engine.take_power_of_two(2)) == 4
-        assert engine.hits["constant:0"] == 1
-        assert engine.hits["constant:4"] == 1
+        assert private_key.decrypt_batch(
+            engine.encrypt_batch([0, 1, 4])) == [0, 1, 4]
+        assert engine.stats()["obfuscator_hits"] == 3
 
     def test_mask_tuples_decrypt_to_their_value(self, public_key, private_key):
         engine = make_engine(public_key)
         engine.warm()
         for kind in (MASK_ZN, MASK_NONZERO, MASK_SBD):
-            r, enc_r = engine.take_mask(kind)
+            [(r, enc_r)] = engine.take_masks(1, kind,
+                                             sbd_upper=sbd_upper(public_key))
             assert private_key.raw_decrypt(enc_r.value) == r
 
-    def test_sbd_masks_respect_their_range(self, public_key):
-        engine = make_engine(public_key)
-        engine.warm()
-        upper = public_key.n - (1 << 5)
-        for _ in range(4):
-            r, _ = engine.take_mask(MASK_SBD, sbd_upper=upper)
-            assert 0 <= r < upper
+    @pytest.mark.parametrize("warmed", [0, 3, 16],
+                             ids=["cold", "half-drained", "warm"])
+    def test_masks_respect_their_range(self, public_key, warmed):
+        """Range per kind, whatever share of the draw the pool covers."""
+        engine = make_engine(public_key, obfuscators=max(warmed, 1))
+        engine.refill(budget=warmed)
+        upper = sbd_upper(public_key)
+        for kind, (low, high) in {MASK_ZN: (0, public_key.n),
+                                  MASK_NONZERO: (1, public_key.n),
+                                  MASK_SBD: (0, upper)}.items():
+            assert mask_range(kind, public_key.n, upper) == (low, high)
+            for r, _ in engine.take_masks(4, kind, sbd_upper=upper):
+                assert low <= r < high
 
-    def test_sbd_range_mismatch_skips_pool(self, public_key):
-        """A caller with a different ``l`` must not get wrong-range tuples."""
-        engine = make_engine(public_key)
-        engine.warm()
-        other_upper = public_key.n - (1 << 3)
-        r, _ = engine.take_mask(MASK_SBD, sbd_upper=other_upper)
-        assert 0 <= r < other_upper
-        assert engine.remaining()[f"mask:{MASK_SBD}"] == 4  # untouched
-        assert engine.misses[f"mask:{MASK_SBD}"] == 1
+    def test_sbd_masks_need_their_upper_bound(self, public_key):
+        with pytest.raises(ConfigurationError, match="sbd_upper"):
+            make_engine(public_key).take_masks(1, MASK_SBD)
+        with pytest.raises(ConfigurationError, match="unknown mask kind"):
+            make_engine(public_key).take_masks(1, "gaussian")
 
     def test_take_counts_as_logical_encryption(self, public_key):
         engine = make_engine(public_key)
         engine.warm()
         before = public_key.counter.encryptions
-        engine.encrypt_constant(1)
-        engine.take_mask(MASK_ZN)
+        engine.encrypt_batch([1])
+        engine.take_masks(1, MASK_ZN)
         assert public_key.counter.encryptions == before + 2
 
 
 class TestExhaustionAndSingleUse:
-    def test_drained_pools_fall_back_to_fresh_randomness(self, public_key,
+    def test_drained_pool_falls_back_to_fresh_randomness(self, public_key,
                                                          private_key):
-        engine = make_engine(public_key, zn_masks=2)
+        engine = make_engine(public_key, obfuscators=2)
         engine.warm()
         tuples = engine.take_masks(5, MASK_ZN)
         # All five are valid encryptions of their mask...
@@ -117,25 +122,28 @@ class TestExhaustionAndSingleUse:
             assert private_key.raw_decrypt(enc_r.value) == r
         # ...and no ciphertext (hence no obfuscation factor) repeats.
         assert len({enc_r.value for _, enc_r in tuples}) == 5
-        assert engine.hits[f"mask:{MASK_ZN}"] == 2
-        assert engine.misses[f"mask:{MASK_ZN}"] == 3
+        stats = engine.stats()
+        assert stats["obfuscator_hits"] == 2
+        assert stats["obfuscator_misses"] == 3
+        assert stats["hits"] == {} and stats["misses"] == {}
 
     def test_constants_are_single_use(self, public_key):
-        engine = make_engine(public_key, zeros=3)
+        engine = make_engine(public_key, obfuscators=3)
         engine.warm()
-        zeros = [engine.encrypt_constant(0) for _ in range(6)]
+        zeros = engine.encrypt_batch([0] * 6)
         assert len({c.value for c in zeros}) == 6
 
-    def test_refill_never_reissues_a_taken_tuple(self, public_key):
-        engine = make_engine(public_key, zn_masks=3)
+    def test_refill_never_reissues_a_taken_factor(self, public_key):
+        engine = make_engine(public_key, obfuscators=3)
         engine.warm()
-        first = {enc.value for _, enc in engine.take_masks(3, MASK_ZN)}
+        # E(0) = r^N: encrypting zeros exposes the raw pooled factors.
+        first = {c.value for c in engine.encrypt_batch([0] * 3)}
         engine.warm()  # refill back to target
-        second = {enc.value for _, enc in engine.take_masks(3, MASK_ZN)}
+        second = {c.value for c in engine.encrypt_batch([0] * 3)}
         assert first.isdisjoint(second)
 
     def test_concurrent_take_and_refill(self, public_key):
-        engine = make_engine(public_key, zn_masks=16, obfuscators=16)
+        engine = make_engine(public_key, obfuscators=32)
         engine.warm()
         taken: list[int] = []
         lock = threading.Lock()
@@ -166,17 +174,17 @@ class TestExhaustionAndSingleUse:
 
 
 class TestProducerThread:
-    def test_background_producer_fills_pools(self, public_key):
-        engine = make_engine(public_key, zn_masks=8, obfuscators=8)
+    def test_background_producer_fills_the_pool(self, public_key):
+        engine = make_engine(public_key, obfuscators=16)
         engine.start_producer(interval_seconds=0.001)
         try:
             for _ in range(200):
-                if not engine.deficits():
+                if not engine.deficit():
                     break
                 threading.Event().wait(0.01)
         finally:
             engine.stop_producer()
-        assert not engine.deficits()
+        assert engine.deficit() == 0
 
     def test_stop_producer_is_idempotent(self, public_key):
         engine = make_engine(public_key)
@@ -186,72 +194,91 @@ class TestProducerThread:
         engine.stop_producer()
 
 
-class TestKeyAttachment:
-    def test_config_for_query_load_covers_one_query(self, public_key):
+class TestSizing:
+    """The sizing entry points pay the factors the typed pools used to."""
+
+    def test_config_for_query_load_covers_one_query(self):
         config = PrecomputeConfig.for_query_load(n_records=10, dimensions=3,
                                                  k=2, queries=1)
-        # P1 consumes one mask tuple per scan attribute + delivery attribute.
-        assert config.zn_masks == 10 * 3 + 2 * 3
-        # The unconsumed powers-of-two table is not warmed by default.
-        assert config.power_bits == 0
+        # One factor per scan attribute and delivery attribute mask, 2m
+        # spare and the flat 32 (16 obfuscators + 8 zeros + 8 ones before).
+        assert config.obfuscators == (10 * 3 + 2 * 3) + 2 * 3 + 32
 
-    def test_config_for_decryptor_load_covers_reencryptions(self, public_key):
+    def test_worker_scan_leaves_the_scan_masks_out(self):
+        config = PrecomputeConfig.for_query_load(
+            n_records=10, dimensions=3, k=2, queries=4, worker_scan=True)
+        assert config.obfuscators == (2 * 3 + 2 * 3) * 4 + 32
+
+    def test_secure_query_load_adds_sbd_and_smin_material(self):
+        n, m, k, bits, queries = 6, 2, 1, 7, 3
+        config = PrecomputeConfig.for_query_load(
+            n, m, k, queries=queries, sbd_bit_length=bits)
+        zn, spare = (n * m + k * m) * queries, 2 * m * queries + 16
+        ones = bits * n * queries // 2 + 8
+        sbd = rhat = bits * n * queries
+        assert config.obfuscators == spare + 8 + ones + zn + rhat + sbd
+
+    def test_config_for_decryptor_load_covers_reencryptions(self):
         config = PrecomputeConfig.for_decryptor_load(
             n_records=10, dimensions=3, k=2, queries=1)
-        # P2 re-encrypts one square sum per scanned record.
-        assert config.obfuscators == 10
-        assert config.zn_masks == 0  # masks are P1-side material
+        # P2 re-encrypts one square sum per scanned record, plus 16 + 16.
+        assert config.obfuscators == 10 + 32
+
+    def test_secure_decryptor_load(self):
+        n, bits, queries = 6, 7, 3
+        config = PrecomputeConfig.for_decryptor_load(
+            n, 2, 1, queries=queries, sbd_bit_length=bits)
+        constants = (bits // 2 + 1) * n * queries
+        assert config.obfuscators == \
+            (n + 2 * bits * n) * queries + 2 * constants
 
 
 class TestPerPartySeparation:
-    """Engines are per-party: P2 never draws from P1's pools (trust model)."""
+    """Engines are per-party: P2 never draws from P1's pool (trust model)."""
 
     def test_decryptor_material_comes_from_decryptor_engine(
             self, small_keypair):
-        from random import Random as _Random
-
         from repro.network.party import TwoPartySetting
+        from repro.protocols.encoding import decrypt_bits
         from repro.protocols.sbd import SecureBitDecomposition
 
-        setting = TwoPartySetting.create(small_keypair, rng=_Random(40))
-        c1_engine = make_engine(small_keypair.public_key, seed=41,
-                                zeros=8, ones=8)
-        c2_engine = make_engine(small_keypair.public_key, seed=42,
-                                zeros=8, ones=8)
+        setting = TwoPartySetting.create(small_keypair, rng=Random(40))
+        c1_engine = make_engine(small_keypair.public_key, seed=41)
+        c2_engine = make_engine(small_keypair.public_key, seed=42)
         c1_engine.warm()
         c2_engine.warm()
         setting.attach_engine(c1_engine, c2_engine)
         try:
             protocol = SecureBitDecomposition(setting, bit_length=5)
             bits = protocol.run(small_keypair.public_key.encrypt(13))
-            from repro.protocols.encoding import decrypt_bits
             assert decrypt_bits(small_keypair.private_key, bits) == 13
-            # P2's parity encryptions (E(0)/E(1)) were served by C2's own
-            # engine, never by C1's constant pools.
-            c2_constant_hits = sum(
-                count for name, count in c2_engine.hits.items()
-                if name.startswith("constant:"))
-            c1_constant_hits = sum(
-                count for name, count in c1_engine.hits.items()
-                if name.startswith("constant:0"))
-            assert c2_constant_hits == 5  # one parity bit per round
-            assert c1_constant_hits == 0  # C1's E(0) pool untouched by P2
+            # P2's parity encryptions were served by C2's own pool: one
+            # per round, and nothing else left it.
+            assert c2_engine.stats()["obfuscator_hits"] == 5
+            assert c2_engine.remaining() == {"obfuscators": 32 - 5}
+            # C1's pool paid for C1's masks and un-flip ones only: one mask
+            # per round plus at most one E(1) per round.
+            assert 5 <= c1_engine.stats()["obfuscator_hits"] <= 10
+            assert c1_engine.stats()["obfuscator_misses"] == 0
+            assert c2_engine.stats()["obfuscator_misses"] == 0
         finally:
             setting.attach_engine(None)
 
     def test_attach_engine_is_per_party_and_detaches_both(self,
                                                           small_keypair):
-        from random import Random as _Random
-
         from repro.network.party import TwoPartySetting
 
-        setting = TwoPartySetting.create(small_keypair, rng=_Random(43))
+        setting = TwoPartySetting.create(small_keypair, rng=Random(43))
         c1_engine = make_engine(small_keypair.public_key, seed=44)
         c2_engine = make_engine(small_keypair.public_key, seed=45)
         setting.attach_engine(c1_engine, c2_engine)
         assert setting.evaluator.engine is c1_engine
         assert setting.decryptor.engine is c2_engine
         assert setting.engine is c1_engine
+        assert setting.evaluator.obfuscator_pool is c1_engine.obfuscators
+        assert setting.decryptor.obfuscator_pool is c2_engine.obfuscators
         setting.attach_engine(None)
         assert setting.evaluator.engine is None
         assert setting.decryptor.engine is None
+        assert setting.evaluator.obfuscator_pool is None
+        assert setting.decryptor.obfuscator_pool is None

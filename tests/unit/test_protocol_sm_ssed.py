@@ -248,7 +248,7 @@ class TestFusedScanRound:
             # Pools smaller than the scan, so takes cross the warm/dry edge.
             engines = [PrecomputeEngine(
                 pk, rng=Random(seed),
-                config=PrecomputeConfig(obfuscators=4, zn_masks=3))
+                config=PrecomputeConfig(obfuscators=7))
                 for seed in (6, 7)]
             for engine in engines:
                 engine.warm()

@@ -32,60 +32,35 @@ class TestPrecomputation:
 class TestEncryption:
     def test_pooled_encryptions_decrypt_correctly(self, public_key, private_key):
         pool = RandomnessPool(public_key, size=16, rng=Random(3))
-        for value in (0, 1, 42, -7, public_key.n // 3):
-            assert private_key.decrypt(pool.encrypt(value)) == value
-
-    def test_pooled_encrypt_zero_decrypts_to_zero(self, public_key, private_key):
-        pool = RandomnessPool(public_key, size=4, rng=Random(4))
-        assert private_key.decrypt(pool.encrypt_zero()) == 0
-
-    def test_rerandomize_preserves_plaintext_changes_ciphertext(
-            self, public_key, private_key):
-        pool = RandomnessPool(public_key, size=4, rng=Random(5))
-        original = public_key.encrypt(123, rng=Random(6))
-        fresh = pool.rerandomize(original)
-        assert fresh.value != original.value
-        assert private_key.decrypt(fresh) == 123
-
-    def test_rerandomize_rejects_foreign_key(self, public_key, medium_keypair):
-        pool = RandomnessPool(public_key, size=2, rng=Random(7))
-        foreign = medium_keypair.public_key.encrypt(1, rng=Random(8))
-        with pytest.raises(ConfigurationError):
-            pool.rerandomize(foreign)
+        values = [0, 1, 42, -7, public_key.n // 3]
+        assert private_key.decrypt_batch(pool.encrypt_batch(values)) == values
+        assert pool.hits == len(values)
 
     def test_encryptions_are_probabilistic(self, public_key):
         pool = RandomnessPool(public_key, size=8, rng=Random(9))
-        first = pool.encrypt(5)
-        second = pool.encrypt(5)
+        [first] = pool.encrypt_batch([5])
+        [second] = pool.encrypt_batch([5])
         assert first.value != second.value
 
     def test_counter_incremented_like_normal_path(self, public_key):
         pool = RandomnessPool(public_key, size=4, rng=Random(10))
         before = public_key.counter.encryptions
-        pool.encrypt(1)
-        pool.encrypt_zero()
+        pool.encrypt_batch([1])
+        pool.encrypt_batch([0])
         assert public_key.counter.encryptions == before + 2
 
 
 class TestSingleUse:
     def test_factors_are_never_reused(self, public_key):
         pool = RandomnessPool(public_key, size=20, rng=Random(11))
-        factors = [pool.take_factor() for _ in range(20)]
+        factors = [factor for _ in range(20)
+                   for factor in pool.take_available(1)]
         assert len(set(factors)) == 20
         assert pool.remaining == 0
 
-    def test_exhausted_pool_computes_on_demand_and_counts_misses(
-            self, public_key, private_key):
-        pool = RandomnessPool(public_key, size=2, rng=Random(12))
-        values = [pool.encrypt(9) for _ in range(5)]
-        assert pool.hits == 2
-        assert pool.misses == 3
-        assert len({c.value for c in values}) == 5
-        assert all(private_key.decrypt(c) == 9 for c in values)
-
     def test_stats_snapshot(self, public_key):
         pool = RandomnessPool(public_key, size=3, rng=Random(13))
-        pool.take_factor()
+        pool.take_available(1)
         stats = pool.stats()
         assert stats == {"remaining": 2, "hits": 1, "misses": 0,
                          "precomputed_total": 3}
@@ -105,7 +80,8 @@ class TestSingleUse:
         lock = threading.Lock()
 
         def take_some():
-            local = [pool.take_factor() for _ in range(10)]
+            local = [factor for _ in range(10)
+                     for factor in pool.take_available(1)]
             with lock:
                 taken.extend(local)
 
@@ -151,7 +127,9 @@ class TestBatchWiring:
         slice_pool = RandomnessPool.from_factors(public_key,
                                                  source.take_available(3))
         assert slice_pool.remaining == 3
-        assert private_key.decrypt(slice_pool.encrypt(11)) == 11
+        assert private_key.decrypt_batch(
+            slice_pool.encrypt_batch([11])) == [11]
+        assert slice_pool.remaining == 2
 
     def test_encrypt_vector_routes_through_batch_kernel(self, public_key,
                                                         private_key):

@@ -5,7 +5,7 @@ Regression tests for the telemetry PR: ``ServerStats``,
 live introspection (``transport.stats``, the metrics collectors, benchmark
 emitters) while worker/producer threads mutate them.  Each snapshot must be
 taken under the owning lock so no reader ever observes a torn view — a
-batch's query count without its busy time, or a hit/miss dict mid-resize.
+batch's query count without its busy time, or hits that outrun the refills.
 """
 
 from __future__ import annotations
@@ -112,39 +112,34 @@ class TestRandomnessPool:
 
 
 class TestPrecomputeEngine:
-    def test_snapshot_while_hit_miss_dicts_grow(self, public_key):
-        """Readers copy the hit/miss dicts under the stats lock, so a
-        snapshot taken mid-run never observes a dict resize in flight."""
+    def test_snapshot_under_concurrent_takers_and_refills(self, public_key):
+        """The pool counters of a snapshot come from one lock hold, so they
+        never contradict each other while takers and a producer run."""
         engine = PrecomputeEngine(
             public_key, rng=Random(5),
-            config=PrecomputeConfig(obfuscators=8, zeros=4, ones=4,
-                                    zn_masks=8))
+            config=PrecomputeConfig(obfuscators=24, refill_batch=4))
         engine.warm()
-        counter = threading.Lock()
-        values = iter(range(100000))
 
         def worker():
-            with counter:
-                value = next(values)
-            # distinct constants → new dict keys → dict resizes while the
-            # reader iterates; masks exercise the shared-name counters.
-            engine.encrypt_constant(value % 200)
-            engine.take_mask("zn")
+            engine.encrypt_batch([1])
+            engine.take_masks(1, "zn")
+            engine.refill(budget=1)
 
         for snap in hammer(worker, engine.stats, threads=3):
             assert set(snap) >= {"remaining", "hits", "misses",
-                                 "obfuscator_hits", "offline_encryptions"}
-            assert all(count >= 0 for count in snap["hits"].values())
-            assert all(count >= 0 for count in snap["misses"].values())
+                                 "obfuscator_hits", "obfuscator_misses",
+                                 "offline_encryptions"}
+            assert snap["hits"] == {} and snap["misses"] == {}
+            assert 0 <= snap["remaining"]["obfuscators"]
+            # nothing is handed out that was not produced first
+            assert snap["obfuscator_hits"] <= snap["offline_encryptions"]
 
     def test_pool_hit_total_matches_stats(self, public_key):
         engine = PrecomputeEngine(
             public_key, rng=Random(6),
-            config=PrecomputeConfig(obfuscators=4, zeros=2, ones=2,
-                                    zn_masks=4))
+            config=PrecomputeConfig(obfuscators=4))
         engine.warm()
-        for _ in range(6):
-            engine.take_mask("zn")
+        engine.take_masks(6, "zn")
         snap = engine.stats()
-        assert engine.pool_hit_total() == \
-            sum(snap["hits"].values()) + snap["obfuscator_hits"]
+        assert snap["obfuscator_hits"] == 4
+        assert engine.pool_hit_total() == snap["obfuscator_hits"]
