@@ -240,7 +240,7 @@ def test_online_latency_warm_pools_vs_inline(benchmark, python_backend,
             profiler = tprofiling.SamplingProfiler()
 
             def profiled_run():
-                ledger = tprofiling.CostLedger.for_cloud(cloud, party="C1")
+                ledger = tprofiling.CostLedger.for_setting(cloud.setting)
                 with ledger.activate():
                     protocol.run(encrypted_query, ONLINE_K)
                 ledger.finish()

@@ -77,8 +77,7 @@ def python_backend():
 
     For benches whose gates are about the python backend's own algorithms
     (comb vs ``pow``, inverse vs ``c**(N-1)``) or were sized on its unit
-    costs (the 5% overhead gates of a 20 ms warm query, pool start-up
-    against a 13 ms query).  Pinned through the environment variable so
+    costs (the 5% overhead gates of a 20 ms warm query).  Pinned through the environment variable so
     daemon subprocesses resolve it too, and history rows carry
     ``crypto_backend: python``.  A key that already encrypted a batch keeps
     the exponentiator of the backend active then: build keys inside the test.

@@ -52,9 +52,6 @@ EXPERIMENT_INVENTORY: tuple[dict[str, str], ...] = (
      "bench": "benchmarks/bench_fig3_parallel.py"},
     {"figure": "5.2", "description": "SMINn share and Bob's cost",
      "bench": "benchmarks/bench_section52_breakdown.py"},
-    {"figure": "beyond-paper", "description": "sharded serving throughput "
-     "(shards x workers x batch x randomness pool)",
-     "bench": "benchmarks/bench_service_throughput.py"},
     {"figure": "beyond-paper", "description": "offline/online split: warm "
      "precompute pools vs inline SkNN_b latency",
      "bench": "benchmarks/bench_online_latency.py"},

@@ -54,7 +54,6 @@ from __future__ import annotations
 import gc
 import os
 import threading
-import time
 from concurrent.futures import (
     Executor,
     ProcessPoolExecutor,
@@ -68,7 +67,7 @@ from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import ResultShares
-from repro.core.sknn_base import RunStatsRecorder, SkNNProtocol, top_k
+from repro.core.sknn_base import SkNNProtocol, top_k
 from repro.core.sknn_shard import shard_bounds
 from repro.crypto.backend import get_backend, set_backend
 from repro.crypto.paillier import (
@@ -93,7 +92,6 @@ __all__ = [
     "ShardedCloud",
     "ParallelSkNNBasic",
     "TableShard",
-    "BatchPhaseTimings",
     "PersistentWorkerPool",
     "ssed_chunk_worker",
     "chunk_records",
@@ -392,29 +390,6 @@ class TableShard:
         return range(self.start, self.start + len(self.records))
 
 
-@dataclass
-class BatchPhaseTimings:
-    """Wall-clock breakdown of one batched scatter-gather execution."""
-
-    queries: int
-    shards: int
-    records: int
-    distance_seconds: float = 0.0
-    merge_seconds: float = 0.0
-    deliver_seconds: float = 0.0
-
-    @property
-    def total_seconds(self) -> float:
-        """Total batch time across the three phases."""
-        return self.distance_seconds + self.merge_seconds + self.deliver_seconds
-
-    def phase_seconds(self) -> dict[str, float]:
-        """The three phases keyed as ``report.phase_seconds`` names them."""
-        return {"distance": self.distance_seconds,
-                "merge": self.merge_seconds,
-                "deliver": self.deliver_seconds}
-
-
 class ShardedCloud(SkNNProtocol):
     """The encrypted table partitioned across N C1 shards, queried in batches.
 
@@ -422,8 +397,12 @@ class ShardedCloud(SkNNProtocol):
     :class:`PersistentWorkerPool`, and a batch of queries shares a single
     scan pass — each worker task carries one contiguous *chunk* of a shard's
     records and *all* queries of the batch (see :func:`ssed_chunk_worker`).
-    Validation, the delivery phase and the reported ledger/trace are the
-    ones every :class:`~repro.core.sknn_base.SkNNProtocol` has.
+    Validation, the delivery phase and the instrumented runner are the ones
+    every :class:`~repro.core.sknn_base.SkNNProtocol` has; a report's
+    ``phase_seconds`` names the ledger's phases as the plan does
+    (:attr:`PHASE_NAMES`).  Its crypto-operation counts are the driver's:
+    the per-record Paillier operations happen inside the chunk workers,
+    whose key objects (and counters) are their own.
 
     Args:
         cloud: the federated cloud already hosting ``Epk(T)`` (its C1 plays
@@ -445,6 +424,10 @@ class ShardedCloud(SkNNProtocol):
     """
 
     name = "SkNNb-sharded"
+
+    #: the plan's names for the scan, selection and delivery phases
+    PHASE_NAMES = {"scan": "distance", "select": "merge",
+                   "deliver": "deliver"}
 
     def __init__(self, cloud: FederatedCloud, shards: int = 2,
                  workers: int = 4, backend: Backend = "process",
@@ -469,7 +452,6 @@ class ShardedCloud(SkNNProtocol):
             in enumerate(shard_bounds(len(table), shards)))
         self.precompute = precompute
         self.shard_pools: tuple[RandomnessPool, ...] = ()
-        self.last_batch_timings: BatchPhaseTimings | None = None
         if precompute is not None:
             if cloud.engine is not precompute:
                 # Attach as C1's engine, preserving any C2 engine already
@@ -532,10 +514,6 @@ class ShardedCloud(SkNNProtocol):
     def dimensions(self) -> int:
         """Attribute count of the hosted encrypted table."""
         return self.encrypted_table.dimensions
-
-    def start_recorder(self) -> RunStatsRecorder:
-        """Snapshot counters/traffic ahead of one batch execution."""
-        return RunStatsRecorder(self.cloud)
 
     def validate_query(self, encrypted_query: Sequence[Ciphertext],
                        k: int) -> None:
@@ -622,11 +600,11 @@ class ShardedCloud(SkNNProtocol):
             tasks = self._build_tasks(encrypted_queries)
             results = self.pool.map(ssed_chunk_worker, tasks,
                                     deadline=deadline)
-        distances = [[0] * n_records for _ in encrypted_queries]
-        for start_index, chunk_distances in results:
-            for offset, per_query in enumerate(chunk_distances):
-                for query_index, distance in enumerate(per_query):
-                    distances[query_index][start_index + offset] = distance
+            distances = [[0] * n_records for _ in encrypted_queries]
+            for start_index, chunk_distances in results:
+                for offset, per_query in enumerate(chunk_distances):
+                    for query_index, distance in enumerate(per_query):
+                        distances[query_index][start_index + offset] = distance
         return distances
 
     # -- answering ----------------------------------------------------------
@@ -651,61 +629,28 @@ class ShardedCloud(SkNNProtocol):
         for query, k in zip(encrypted_queries, ks):
             self._validate_query(query, k)
 
-        started = time.perf_counter()
         distances = self.scatter_distances(encrypted_queries,
                                            deadline=deadline)
-        distance_elapsed = time.perf_counter() - started
-
         # Gather: the distances of every slice already sit in this process,
         # so the global selection is one top_k per query.
-        merge_started = time.perf_counter()
         with _profiling.cost_scope("select"):
             winners = [
                 top_k(((distance, index)
                        for index, distance in enumerate(query_distances)), k)
                 for query_distances, k in zip(distances, ks)
             ]
-        merge_elapsed = time.perf_counter() - merge_started
-
-        deliver_started = time.perf_counter()
         table = self.encrypted_table
-        all_shares = [
+        return [
             self._deliver_records(
                 [list(table.record_at(index).ciphertexts)
                  for _, index in per_query])
             for per_query in winners
         ]
-        deliver_elapsed = time.perf_counter() - deliver_started
-
-        self.last_batch_timings = BatchPhaseTimings(
-            queries=len(encrypted_queries),
-            shards=len(self.shards),
-            records=len(table),
-            distance_seconds=distance_elapsed,
-            merge_seconds=merge_elapsed,
-            deliver_seconds=deliver_elapsed,
-        )
-        return all_shares
 
     # -- single-query protocol interface -------------------------------------
     def run(self, encrypted_query: Sequence[Ciphertext], k: int) -> ResultShares:
         """Answer one query (a batch of size one)."""
         return self.answer_batch([encrypted_query], [k])[0]
-
-    def run_with_report(self, encrypted_query: Sequence[Ciphertext], k: int,
-                        distance_bits: int | None = None) -> ResultShares:
-        """Run one query; the report's ``phase_seconds`` is the plan's
-        distance/merge/deliver split (:class:`BatchPhaseTimings`).
-
-        Crypto-operation counters only reflect driver-side work: the
-        per-record Paillier operations happen inside the chunk workers, whose
-        key objects (and counters) are their own.
-        """
-        shares = super().run_with_report(encrypted_query, k,
-                                         distance_bits=distance_bits)
-        self.last_report.phase_seconds = (
-            self.last_batch_timings.phase_seconds())
-        return shares
 
 
 class ParallelSkNNBasic(ShardedCloud):

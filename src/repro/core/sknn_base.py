@@ -25,10 +25,9 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import ResultShares
-from repro.crypto import paillier as _paillier
 from repro.crypto.paillier import Ciphertext
 from repro.db.encrypted_table import EncryptedTable
-from repro.exceptions import QueryError
+from repro.exceptions import ConfigurationError, QueryError
 from repro.network.stats import ProtocolRunStats
 from repro.protocols.base import P2StepDispatcher
 from repro.protocols.ssed import SecureSquaredEuclideanDistance
@@ -36,7 +35,7 @@ from repro.telemetry import metrics as _metrics
 from repro.telemetry import profiling as _profiling
 from repro.telemetry import tracing as _tracing
 
-__all__ = ["SkNNProtocol", "SkNNRunReport", "RunStatsRecorder", "top_k"]
+__all__ = ["SkNNProtocol", "SkNNRunReport", "top_k"]
 
 #: process-wide delivery ids — unique across every protocol instance, so the
 #: C2-side share store (or a daemon's share mailbox) can never collide even
@@ -55,72 +54,17 @@ def top_k(pairs: Iterable[tuple[int, int]], k: int) -> list[tuple[int, int]]:
     return heapq.nsmallest(k, pairs)
 
 
-class RunStatsRecorder:
-    """Captures crypto-counter and traffic deltas around one execution.
-
-    Snapshot the cloud's counters at construction, run the protocol, then
-    call :meth:`finish` to obtain the :class:`ProtocolRunStats` delta.  Used
-    by every run-with-report path (serial, parallel, sharded, batched) so the
-    stats fields stay consistent across them.
-
-    Note: the counters live on the shared key objects, so under concurrent
-    use (e.g. sessions encrypting queries while a batch executes) the deltas
-    attribute any overlapping client-side operations to the cloud side —
-    they are exact in single-threaded runs and approximate under concurrency.
-
-    Exception: when the executing thread has an active *counting scope*
-    (see :func:`repro.crypto.paillier.counting_scope` — a C1 daemon wraps
-    every pipelined query handler in one), the scope counter is the sole
-    source: it tees exactly this thread's operations off the shared key
-    counters, so per-query deltas stay exact even with N queries in flight.
-    """
-
-    def __init__(self, cloud: FederatedCloud) -> None:
-        self.cloud = cloud
-        self._scope = _paillier.active_counting_scope()
-        self._before = self._snapshot()
-
-    def _snapshot(self) -> tuple[dict, dict, dict]:
-        """``(C1 counters, C2 counters, channel traffic)`` as of now."""
-        if self._scope is not None:
-            pk = sk = self._scope.snapshot()
-        else:
-            pk = self.cloud.c1.public_key.counter.snapshot()
-            sk = self.cloud.c2.private_key.counter.snapshot()
-        return pk, sk, self.cloud.channel.total_traffic().snapshot()
-
-    def finish(self, protocol: str, elapsed: float) -> ProtocolRunStats:
-        """Diff the counters against the construction-time snapshot."""
-        pk_before, sk_before, traffic_before = self._before
-        pk_after, sk_after, traffic_after = self._snapshot()
-        return ProtocolRunStats(
-            protocol=protocol,
-            wall_time_seconds=elapsed,
-            c1_encryptions=pk_after["encryptions"] - pk_before["encryptions"],
-            c1_exponentiations=(
-                pk_after["exponentiations"] - pk_before["exponentiations"]
-            ),
-            c1_homomorphic_additions=(
-                pk_after["homomorphic_additions"]
-                - pk_before["homomorphic_additions"]
-            ),
-            c2_decryptions=(
-                sk_after["decryptions"] - sk_before["decryptions"]
-            ),
-            messages=traffic_after["messages"] - traffic_before["messages"],
-            ciphertexts_exchanged=(
-                traffic_after["ciphertexts"] - traffic_before["ciphertexts"]
-            ),
-            bytes_transferred=(
-                traffic_after["bytes_transferred"]
-                - traffic_before["bytes_transferred"]
-            ),
-        )
-
-
 @dataclass
 class SkNNRunReport:
-    """Statistics of one SkNN query execution (one row of the evaluation)."""
+    """The record of one instrumented run (one row of the evaluation).
+
+    Built in one place, :meth:`SkNNProtocol.answer_batch_with_report`, from
+    one measurement: the run's cost-ledger rows.  ``cost_breakdown`` is
+    those rows, ``stats``' operation counts are their per-party sums and
+    ``phase_seconds`` their per-phase seconds, so the three cannot
+    disagree.  A run is a batch of queries (usually of one); ``k`` is the
+    batch's largest.
+    """
 
     protocol: str
     n_records: int
@@ -209,9 +153,13 @@ class SkNNProtocol(P2StepDispatcher):
     #: protocol name used in reports ("SkNNb" / "SkNNm")
     name = "SkNN"
 
-    #: party label of ``run_with_report``'s cost rows and root span (a
-    #: shard daemon's scan runs as ``"C1-shard{i}"``)
+    #: party label of a reported run's cost rows and root span (a shard
+    #: daemon's scan runs as ``"C1-shard{i}"``)
     party = "C1"
+
+    #: ledger phase -> the name ``report.phase_seconds`` gives it; ``None``
+    #: reports every ledger phase under its own name
+    PHASE_NAMES: "dict[str, str] | None" = None
 
     #: incoming-message tag -> name of the C2 handler method consuming it
     P2_STEPS: dict[str, str] = {
@@ -371,48 +319,76 @@ class SkNNProtocol(P2StepDispatcher):
         """Execute the query protocol; implemented by subclasses."""
         raise NotImplementedError
 
+    def answer_batch(self, encrypted_queries: Sequence[Sequence[Ciphertext]],
+                     ks: Sequence[int]) -> list[ResultShares]:
+        """Answer a batch of queries: here, one :meth:`run` after the other."""
+        return [self.run(query, k) for query, k in zip(encrypted_queries, ks)]
+
     def run_with_report(self, encrypted_query: Sequence[Ciphertext], k: int,
                         distance_bits: int | None = None) -> ResultShares:
-        """Run the protocol and record a :class:`SkNNRunReport` in ``last_report``.
+        """Run one query — a reported batch of one — leaving its
+        :class:`SkNNRunReport` in ``last_report``."""
+        return self.answer_batch_with_report([encrypted_query], [k],
+                                             distance_bits)[0]
 
-        When no trace is active yet (serial runs) a fresh trace is rooted
-        here, so every ``run_with_report`` produces a ``report.trace``
-        timeline.  When the caller already opened one (a C1 daemon roots
-        the trace itself so it can merge in the C2 daemon's spans) this
-        joins it instead.
+    def answer_batch_with_report(
+            self, encrypted_queries: Sequence[Sequence[Ciphertext]],
+            ks: Sequence[int],
+            distance_bits: int | None = None) -> list[ResultShares]:
+        """The one instrumented runner: :meth:`answer_batch` under a cost
+        ledger and a trace, recorded as ``last_report``.
+
+        Every report — a serial query, a sharded scan pass, a scheduler
+        batch, a daemon's query, batch or shard scan — is built here, from
+        the ledger's rows and the channel's traffic delta alone.  When no
+        trace is active yet (in-process runs) a fresh one is rooted here, so
+        every report carries a ``trace`` timeline; when the caller already
+        opened one (a C1 daemon roots the trace itself so it can merge in
+        the C2 daemon's spans) the run joins it instead.
         """
-        recorder = RunStatsRecorder(self.cloud)
-        ledger = _profiling.CostLedger.for_cloud(self.cloud, party=self.party)
+        if len(encrypted_queries) != len(ks):
+            raise ConfigurationError("batch queries and ks differ in length")
+        table = self.encrypted_table
+        channel = self.cloud.channel
+        largest_k = max(ks, default=0)
+        ledger = _profiling.CostLedger.for_setting(self.cloud.setting,
+                                                   party=self.party)
+        traffic_before = channel.total_traffic().snapshot()
         root = (_tracing.trace(f"query.{self.name}", party=self.party,
-                               k=k, n=len(self.encrypted_table))
+                               k=largest_k, n=len(table), queries=len(ks))
                 if _tracing.current_wire_context() is None else None)
         started = time.perf_counter()
         with root or nullcontext(), ledger.activate():
-            shares = self.run(encrypted_query, k)
+            all_shares = self.answer_batch(encrypted_queries, ks)
         elapsed = time.perf_counter() - started
-        stats = recorder.finish(self.name, elapsed)
         cost_rows = ledger.finish()
         _profiling.record_phase_metrics(cost_rows)
         registry = _metrics.get_registry()
         registry.counter(
             "repro_queries_total", "SkNN queries executed, by protocol.",
-            ("protocol",)).inc(protocol=self.name)
+            ("protocol",)).inc(len(ks), protocol=self.name)
         registry.histogram(
             "repro_query_seconds", "End-to-end SkNN query latency.",
             ("protocol",)).observe(elapsed, protocol=self.name)
+        phase_seconds = _profiling.phase_seconds_of(cost_rows)
+        if self.PHASE_NAMES is not None:
+            phase_seconds = {name: phase_seconds.get(phase, 0.0)
+                             for phase, name in self.PHASE_NAMES.items()}
         self.last_report = SkNNRunReport(
             protocol=self.name,
-            n_records=len(self.encrypted_table),
-            dimensions=self.encrypted_table.dimensions,
-            k=k,
+            n_records=len(table),
+            dimensions=table.dimensions,
+            k=largest_k,
             key_size=self.public_key.key_size,
             distance_bits=distance_bits,
             wall_time_seconds=elapsed,
-            stats=stats,
-            phase_seconds=_profiling.phase_seconds_of(cost_rows),
+            stats=ProtocolRunStats.from_cost_rows(
+                self.name, elapsed, cost_rows, traffic_before,
+                channel.total_traffic().snapshot()),
+            phase_seconds=phase_seconds,
             cost_breakdown=cost_rows,
         )
         if root is not None:
             self.last_report.merge_remote(
                 root.trace_id, _tracing.get_tracer().take(root.trace_id))
-        return shares
+        return all_shares

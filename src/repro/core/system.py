@@ -74,9 +74,9 @@ class QueryAnswer:
     Attributes:
         neighbors: the k nearest records as plaintext attribute tuples, in
             increasing order of distance to the query.
-        report: protocol-side statistics for the run — populated for every
-            mode (parallel and sharded runs additionally fill the report's
-            ``phase_seconds`` with their phase breakdown).
+        report: the run's record — populated for every mode (parallel
+            and sharded runs name the ``phase_seconds`` entries
+            ``distance`` / ``merge`` / ``deliver``).
         client_encrypt_seconds: Bob's cost to encrypt the query.
         client_reconstruct_seconds: Bob's cost to recombine the two shares.
     """
@@ -250,9 +250,10 @@ class SkNNSystem:
         """Instantiate the protocol object matching the configured mode."""
         if self.mode == "distributed":
             # Local import: repro.transport sits on top of repro.core.
-            from repro.transport.client import RemoteProtocol
-            return RemoteProtocol(self.remote, mode="secure",
-                                  supervisor=self.supervisor)
+            from repro.transport.client import RemoteStore
+            return RemoteStore(self.remote, mode="secure",
+                               public_key=self.owner.public_key,
+                               supervisor=self.supervisor)
         if self.mode == "basic":
             return SkNNBasic(self.cloud)
         if self.mode == "secure":
@@ -291,8 +292,7 @@ class SkNNSystem:
         """Answer a kNN query and return the neighbors plus run statistics.
 
         The returned :class:`QueryAnswer` carries a populated report in every
-        mode; parallel and sharded runs additionally expose their phase
-        breakdown through ``report.phase_seconds``.
+        mode, built by the protocol's one instrumented runner.
         """
         k = self._resolve_k(k)
         encrypted_query = self.client.encrypt_query(query_record)

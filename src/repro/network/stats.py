@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Iterable, Mapping
 
 
 @dataclass
@@ -21,9 +21,9 @@ class TrafficStats:
     Besides the four aggregate counters, traffic is attributed per message
     *tag* (``SM.batch_masked_operands``, ``transport.query``, ...) so operators
     can see which protocol round dominates the wire.  The aggregate
-    :meth:`snapshot` keeps its original four-key shape — run recorders
-    subtract those dictionaries — and the per-tag view is a separate
-    :meth:`per_tag_snapshot`.
+    :meth:`snapshot` keeps its original four-key shape —
+    :meth:`ProtocolRunStats.from_cost_rows` subtracts those dictionaries —
+    and the per-tag view is a separate :meth:`per_tag_snapshot`.
     """
 
     messages: int = 0
@@ -91,9 +91,11 @@ class TrafficStats:
 class ProtocolRunStats:
     """Statistics of one end-to-end protocol execution.
 
-    Combines the crypto-operation counters of both parties with the channel
-    traffic, plus the wall-clock time measured by the runner.  This is the
-    record the benchmark harness serializes for every experiment row.
+    Combines the crypto-operation counts of both parties with the channel
+    traffic, plus the wall-clock time measured by the runner.  The counts
+    are a projection of the run's cost-ledger rows
+    (:meth:`from_cost_rows`), so they cannot disagree with the report's
+    ``cost_breakdown``.
     """
 
     protocol: str = ""
@@ -124,12 +126,50 @@ class ProtocolRunStats:
         """Total decryptions (only C2 can decrypt)."""
         return self.c2_decryptions
 
-    def add_c2_counters(self, counters: Mapping[str, int]) -> None:
-        """Add the Paillier counter deltas a remote C2 measured for this run.
+    @classmethod
+    def from_cost_rows(cls, protocol: str, wall_time_seconds: float,
+                       rows: Iterable[Mapping[str, Any]],
+                       traffic_before: Mapping[str, int],
+                       traffic_after: Mapping[str, int]
+                       ) -> "ProtocolRunStats":
+        """One run's stats, projected from its cost-ledger rows.
 
-        A C1 process sees only its own counters, so the C2 columns are
-        filled from the window C2 measured over the same run; C2's
-        homomorphic additions have no column and ride in ``extra``.
+        ``rows`` are the ledger's ``{"phase", "party", "seconds", "ops"}``
+        rollup: the ops of party ``"C2"`` fill the ``c2_*`` fields
+        (:meth:`add_c2_counters`), those of every other party — ``"C1"``, a
+        shard's ``"C1-shard{i}"`` — the ``c1_*`` fields; only the holder of
+        ``sk`` decrypts, so a decryption is C2's whatever scope saw it.
+        Traffic is the difference of two :meth:`TrafficStats.snapshot`
+        dictionaries of the run's channel.
+        """
+        stats = cls(
+            protocol=protocol,
+            wall_time_seconds=wall_time_seconds,
+            messages=traffic_after["messages"] - traffic_before["messages"],
+            ciphertexts_exchanged=(traffic_after["ciphertexts"]
+                                   - traffic_before["ciphertexts"]),
+            bytes_transferred=(traffic_after["bytes_transferred"]
+                               - traffic_before["bytes_transferred"]),
+        )
+        for row in rows:
+            ops = row["ops"]
+            if row["party"] == "C2":
+                stats.add_c2_counters(ops)
+            else:
+                stats.c1_encryptions += int(ops.get("encryptions", 0))
+                stats.c1_exponentiations += int(
+                    ops.get("exponentiations", 0))
+                stats.c1_homomorphic_additions += int(
+                    ops.get("homomorphic_additions", 0))
+                stats.c2_decryptions += int(ops.get("decryptions", 0))
+        return stats
+
+    def add_c2_counters(self, counters: Mapping[str, int]) -> None:
+        """Add the Paillier operations C2 performed for this run.
+
+        Fed with C2's ledger rows, or — a C1 process sees only its own
+        counters — with the window a remote C2 measured over the same run;
+        C2's homomorphic additions have no column and ride in ``extra``.
         """
         self.c2_encryptions += int(counters.get("encryptions", 0))
         self.c2_exponentiations += int(counters.get("exponentiations", 0))

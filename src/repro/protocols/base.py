@@ -270,48 +270,23 @@ class TwoPartyProtocol(P2StepDispatcher):
     def run_instrumented(self, *args: Any, **kwargs: Any) -> ProtocolResult:
         """Run the protocol and collect operation/traffic statistics.
 
-        The counters of both parties and the channel are snapshotted before
-        and after the run, so nested usage (e.g. SSED calling SM) attributes
-        all work to the outermost instrumented call.
+        The run is measured like a query is: a cost ledger over the
+        setting's counters, projected per party by
+        :meth:`~repro.network.stats.ProtocolRunStats.from_cost_rows` (P2's
+        steps run under ``party="C2"`` scopes, see :meth:`dispatch_p2`).
+        Nested usage (e.g. SSED calling SM) attributes all work to the
+        outermost instrumented call.
         """
-        pk_counter_before = self.pk.counter.snapshot()
-        sk_counter_before = self.p2.private_key.counter.snapshot()
-        traffic_before = self.setting.channel.total_traffic().snapshot()
-
+        channel = self.setting.channel
+        ledger = _profiling.CostLedger.for_setting(self.setting)
+        traffic_before = channel.total_traffic().snapshot()
         started = time.perf_counter()
-        output = self.run(*args, **kwargs)
+        with ledger.activate():
+            output = self.run(*args, **kwargs)
         elapsed = time.perf_counter() - started
-
-        pk_counter_after = self.pk.counter.snapshot()
-        sk_counter_after = self.p2.private_key.counter.snapshot()
-        traffic_after = self.setting.channel.total_traffic().snapshot()
-
-        stats = ProtocolRunStats(
-            protocol=self.name,
-            wall_time_seconds=elapsed,
-            c1_encryptions=(
-                pk_counter_after["encryptions"] - pk_counter_before["encryptions"]
-            ),
-            c1_exponentiations=(
-                pk_counter_after["exponentiations"]
-                - pk_counter_before["exponentiations"]
-            ),
-            c1_homomorphic_additions=(
-                pk_counter_after["homomorphic_additions"]
-                - pk_counter_before["homomorphic_additions"]
-            ),
-            c2_decryptions=(
-                sk_counter_after["decryptions"] - sk_counter_before["decryptions"]
-            ),
-            messages=traffic_after["messages"] - traffic_before["messages"],
-            ciphertexts_exchanged=(
-                traffic_after["ciphertexts"] - traffic_before["ciphertexts"]
-            ),
-            bytes_transferred=(
-                traffic_after["bytes_transferred"]
-                - traffic_before["bytes_transferred"]
-            ),
-        )
+        stats = ProtocolRunStats.from_cost_rows(
+            self.name, elapsed, ledger.finish(), traffic_before,
+            channel.total_traffic().snapshot())
         return ProtocolResult(output=output, stats=stats)
 
     def run(self, *args: Any, **kwargs: Any) -> Any:

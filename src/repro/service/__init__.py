@@ -33,14 +33,9 @@ from repro.service.scheduler import (
     ServerStats,
     ServiceSession,
 )
-from repro.service.sharding import (
-    BatchPhaseTimings,
-    ShardedCloud,
-    TableShard,
-)
+from repro.service.sharding import ShardedCloud, TableShard
 
 __all__ = [
-    "BatchPhaseTimings",
     "PendingQuery",
     "QueryScheduler",
     "QueryServer",

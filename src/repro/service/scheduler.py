@@ -25,6 +25,7 @@ persistent worker pool.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import threading
 import time
@@ -34,7 +35,6 @@ from random import Random
 from typing import Sequence
 
 from repro.core.roles import QueryClient
-from repro.core.sknn_base import SkNNRunReport
 from repro.core.system import QueryAnswer
 from repro.crypto.paillier import Ciphertext
 from repro.crypto.randomness_pool import RandomnessPool
@@ -217,10 +217,10 @@ class QueryServer:
             :class:`~repro.transport.client.RemoteStore` plugs the same
             scheduler into the distributed runtime, dispatching every batch
             over the remote channel to the C1 daemon.  Any object with the
-            store contract (``validate_query``, ``answer_batch``,
-            ``start_recorder``, ``refill_precompute``, ``close``,
-            ``public_key``/``table_size``/``dimensions``/
-            ``name``/``last_batch_timings``) works.
+            nine-member store contract works: ``validate_query``, the
+            instrumented runner ``answer_batch_with_report`` and the
+            ``last_report`` it leaves, ``refill_precompute``, ``close``,
+            and ``public_key``/``table_size``/``dimensions``/``name``.
         batch_size: maximum queries grouped into one scan pass.
         batch_window_seconds: how long the background serving thread waits
             for a batch to fill before executing a partial one.
@@ -351,16 +351,22 @@ class QueryServer:
             served += len(batch)
 
     def _serve_batch(self, batch: list[_QueryRequest]) -> None:
-        """Execute one batch over the sharded store and resolve its requests."""
+        """Execute one batch over the store and resolve its requests.
+
+        The store's runner measures the batch once; every request gets a
+        copy of that report stamped with its own ``k`` and its own phase
+        split — Bob's encrypt/queue/reconstruct times around an even share
+        of the batch's phases — while ``stats``, ``cost_breakdown`` and
+        ``trace`` stay the batch's own objects, shared by all its answers
+        (the scan pass they measure was shared too).
+        """
         # One consumer at a time: the two-cloud channel and the shard pool
         # are shared state, so batch execution is serialized even when both
         # a background thread and a flushing caller are active.
         with self._serve_lock:
-            pk = self.store.public_key
-            recorder = self.store.start_recorder()
             started = time.perf_counter()
             try:
-                all_shares = self.store.answer_batch(
+                all_shares = self.store.answer_batch_with_report(
                     [request.encrypted_query for request in batch],
                     [request.k for request in batch],
                 )
@@ -377,13 +383,10 @@ class QueryServer:
                     request.done.set()
                 raise
             elapsed = time.perf_counter() - started
+            batch_report = self.store.last_report
             # A served batch proves the backend is back: lift backpressure.
             self._degraded_until = 0.0
             self._degraded_reason = None
-            # Counters/traffic are per batch; see RunStatsRecorder for the
-            # attribution caveat under concurrent client-side encryption.
-            batch_stats = recorder.finish(self.store.name, elapsed)
-            timings = self.store.last_batch_timings
             self.stats.record_batch(len(batch), elapsed)
             registry = _metrics.get_registry()
             registry.counter(
@@ -398,30 +401,20 @@ class QueryServer:
                                   protocol=self.store.name,
                                   queries=len(batch))
 
+        share = 1.0 / len(batch)
         for request, shares in zip(batch, all_shares):
             reconstruct_started = time.perf_counter()
             neighbors = request.session.client.reconstruct(shares)
             reconstruct_elapsed = time.perf_counter() - reconstruct_started
-            # Counters and traffic are per batch (the scan pass is shared);
-            # the per-query phase timings divide the shared phases evenly.
-            share = 1.0 / len(batch)
-            report = SkNNRunReport(
-                protocol=self.store.name,
-                n_records=self.store.table_size,
-                dimensions=self.store.dimensions,
-                k=request.k,
-                key_size=pk.key_size,
-                distance_bits=None,
-                wall_time_seconds=elapsed,
-                stats=batch_stats,
+            report = dataclasses.replace(
+                batch_report, protocol=self.store.name, k=request.k,
                 phase_seconds={
                     "encrypt": request.encrypt_seconds,
                     "queue_wait": started - request.submitted_at,
                     **{phase: seconds * share for phase, seconds
-                       in timings.phase_seconds().items()},
+                       in batch_report.phase_seconds.items()},
                     "reconstruct": reconstruct_elapsed,
-                } if timings is not None else {},
-            )
+                })
             request.answer = QueryAnswer(
                 neighbors=neighbors,
                 report=report,

@@ -11,6 +11,6 @@ parallel SkNN_b of the paper's Figure 3 is its one-shard case), so the
 classes live there; this module is where the serving layer names them.
 """
 
-from repro.core.parallel import BatchPhaseTimings, ShardedCloud, TableShard
+from repro.core.parallel import ShardedCloud, TableShard
 
-__all__ = ["TableShard", "BatchPhaseTimings", "ShardedCloud"]
+__all__ = ["TableShard", "ShardedCloud"]

@@ -192,10 +192,14 @@ class CostLedger:
         self._active = False
 
     @classmethod
-    def for_cloud(cls, cloud: Any, party: str = "C1",
-                  clock: Callable[[], float] = time.perf_counter
-                  ) -> "CostLedger":
-        """A ledger over a federated cloud's key counters and engine pools.
+    def for_setting(cls, setting: Any, party: str = "C1",
+                    clock: Callable[[], float] = time.perf_counter
+                    ) -> "CostLedger":
+        """A ledger over a two-party setting's key counters and engine pools.
+
+        The one reader of Paillier counters that measures a run: every
+        report's ``stats`` is a projection of the rows this ledger returns
+        (:meth:`~repro.network.stats.ProtocolRunStats.from_cost_rows`).
 
         In the serial runtime both parties' keys (and thus all four op
         counters) are local; on a C1 daemon the remote private key carries
@@ -207,31 +211,21 @@ class CostLedger:
         :func:`repro.crypto.paillier.counting_scope`), the scope counter is
         the sole source: the shared key counters mix every in-flight
         query's operations, while the scope tees off exactly this thread's.
+        Without one the counters live on the shared key objects, so
+        operations other threads perform meanwhile (sessions encrypting
+        queries while a batch executes) land in this window too.
         """
         from repro.crypto import paillier as _paillier
 
         scope = _paillier.active_counting_scope()
-        if scope is not None:
-            sources: list[Any] = [scope]
-        else:
-            sources = []
-            for key in (getattr(getattr(cloud, "c1", None), "public_key",
-                                None),
-                        getattr(getattr(cloud, "c2", None), "private_key",
-                                None)):
-                counter = (getattr(key, "counter", None)
-                           if key is not None else None)
-                if counter is not None and counter not in sources:
-                    sources.append(counter)
+        sources = ([scope] if scope is not None else
+                   [setting.public_key.counter,
+                    setting.decryptor.private_key.counter])
+        parties = (setting.evaluator, setting.decryptor)
 
         def pool_hits() -> int:
-            total = 0
-            for cloud_party in (getattr(cloud, "c1", None),
-                                getattr(cloud, "c2", None)):
-                engine = getattr(cloud_party, "engine", None)
-                if engine is not None:
-                    total += engine.pool_hit_total()
-            return total
+            return sum(each.engine.pool_hit_total() for each in parties
+                       if each.engine is not None)
 
         return cls(sources, extras={"pool_hits": pool_hits}, party=party,
                    clock=clock)

@@ -16,11 +16,12 @@ package provides the real thing:
 * :mod:`repro.transport.supervisor` — spawns both daemons locally as
   subprocesses (tests, examples, ``SkNNSystem`` ``mode="distributed"``);
 * :mod:`repro.transport.client` — Bob's client: provisioning, remote
-  queries, share fetching, and the ``RemoteStore`` backing a distributed
+  queries, share fetching, and the ``RemoteStore`` adapter behind
+  ``SkNNSystem`` ``mode="distributed"`` and a distributed
   :class:`~repro.service.scheduler.QueryServer`.
 """
 
-from repro.transport.client import RemoteCloud, RemoteProtocol, RemoteStore
+from repro.transport.client import RemoteCloud, RemoteStore
 from repro.transport.daemon import PartyDaemon, ShareMailbox, parse_address
 from repro.transport.framing import recv_frame, send_frame
 from repro.transport.supervisor import LocalSupervisor
@@ -32,7 +33,6 @@ __all__ = [
     "ShareMailbox",
     "LocalSupervisor",
     "RemoteCloud",
-    "RemoteProtocol",
     "RemoteStore",
     "parse_address",
     "send_frame",

@@ -9,10 +9,9 @@ Three layers, bottom-up:
   C2's share half over the *separate* C2 connection, assemble
   :class:`~repro.core.roles.ResultShares`.  C1 never sees C2's share — the
   delivery trust boundary of the paper survives the network split.
-* :class:`RemoteProtocol` / :class:`RemoteStore` — adapters that plug a
-  :class:`RemoteCloud` into the existing serving surfaces:
-  ``SkNNSystem`` ``mode="distributed"`` and the batched
-  :class:`~repro.service.scheduler.QueryServer` scheduler.
+* :class:`RemoteStore` — the adapter that plugs a :class:`RemoteCloud`
+  into the existing serving surfaces: ``SkNNSystem`` ``mode="distributed"``
+  and the batched :class:`~repro.service.scheduler.QueryServer` scheduler.
 """
 
 from __future__ import annotations
@@ -41,14 +40,13 @@ from repro.exceptions import (
     ServiceUnavailable,
 )
 from repro.network.channel import Message
-from repro.network.stats import ProtocolRunStats
 from repro.resilience.policy import Deadline, RetryPolicy, retry_call
 from repro.telemetry import metrics as telemetry_metrics
 from repro.transport.daemon import DEFAULT_FETCH_TIMEOUT
 from repro.transport.framing import recv_frame, send_frame
 from repro.transport.wire import WireCodec
 
-__all__ = ["DaemonClient", "RemoteCloud", "RemoteProtocol", "RemoteStore"]
+__all__ = ["DaemonClient", "RemoteCloud", "RemoteStore"]
 
 #: reconstruction table for typed ``transport.error`` payloads — the daemon
 #: sends ``{"type", "message", "retriable"}`` and the client re-raises the
@@ -447,15 +445,16 @@ class RemoteCloud:
 
     def query_batch(self, encrypted_queries: Sequence[Sequence[Ciphertext]],
                     ks: Sequence[int], mode: str = "basic"
-                    ) -> tuple[list[ResultShares], ProtocolRunStats, float]:
-        """Run a scheduler batch; returns shares, stats and wall time.
+                    ) -> tuple[list[ResultShares], SkNNRunReport]:
+        """Run a scheduler batch; returns its shares and the one report
+        C1 built for the whole batch.
 
         Retried under the same idempotency scheme as :meth:`query` (one
         batch id covers the batch reply and every share fetch in it).
         """
         state = {"batch_id": self._next_query_id()}
 
-        def run_once() -> tuple[list[ResultShares], ProtocolRunStats, float]:
+        def run_once() -> tuple[list[ResultShares], SkNNRunReport]:
             reply = self.c1.request("transport.query_batch", {
                 "mode": mode,
                 "ks": list(ks),
@@ -473,8 +472,7 @@ class RemoteCloud:
             except ReproError:
                 state["batch_id"] = self._next_query_id()
                 raise
-            stats = ProtocolRunStats.from_payload(reply["stats"])
-            return shares, stats, reply["wall_time_seconds"]
+            return shares, SkNNRunReport.from_payload(reply["report"])
 
         return retry_call(run_once, self.retry, op="query_batch",
                           rng=self._rng, on_retry=self._recover)
@@ -556,66 +554,24 @@ class RemoteCloud:
             client.close()
 
 
-class RemoteProtocol:
-    """Protocol-object adapter: lets ``SkNNSystem`` drive a daemon pair.
-
-    Implements the ``run_with_report``/``last_report``/``close`` surface of
-    the in-process protocol classes, so ``SkNNSystem.query_with_report``
-    works unchanged in ``mode="distributed"``.
-    """
-
-    name = "SkNN-distributed"
-
-    def __init__(self, remote: RemoteCloud, mode: str = "basic",
-                 supervisor: Any = None) -> None:
-        """``supervisor``, when given, is shut down by :meth:`close` (the
-        system owns the daemon processes it spawned)."""
-        self.remote = remote
-        self.mode = mode
-        self.supervisor = supervisor
-        self.last_report: SkNNRunReport | None = None
-
-    def run_with_report(self, encrypted_query: Sequence[Ciphertext], k: int,
-                        distance_bits: int | None = None) -> ResultShares:
-        shares, report = self.remote.query(encrypted_query, k, mode=self.mode)
-        self.last_report = report
-        return shares
-
-    def run(self, encrypted_query: Sequence[Ciphertext],
-            k: int) -> ResultShares:
-        return self.run_with_report(encrypted_query, k)
-
-    def close(self) -> None:
-        if self.supervisor is not None:
-            self.supervisor.shutdown()
-        else:
-            self.remote.close()
-
-
-class _RemoteBatchRecorder:
-    """Recorder façade over the stats the C1 daemon measured for a batch."""
-
-    def __init__(self, store: "RemoteStore") -> None:
-        self._store = store
-
-    def finish(self, protocol: str, elapsed: float) -> ProtocolRunStats:
-        stats = self._store.last_batch_stats or ProtocolRunStats()
-        stats.protocol = protocol
-        stats.wall_time_seconds = elapsed
-        return stats
-
-
 class RemoteStore:
-    """Query-store adapter backing a distributed ``QueryServer``.
+    """The one client adapter over a :class:`RemoteCloud`.
 
-    Satisfies the store contract of
-    :class:`~repro.service.scheduler.QueryServer` (validate, batched answer,
-    stats recording, precompute refill) by dispatching every scheduler batch
-    over the remote channel to the C1 daemon — the batching/session logic of
-    the serving layer is reused verbatim on top of networked parties.
+    Gives a daemon pair the instrumented-runner surface of the in-process
+    protocol classes (``run_with_report`` / ``answer_batch_with_report``,
+    each leaving the report the C1 daemon built in ``last_report``), so
+    ``SkNNSystem`` ``mode="distributed"`` drives it like any protocol
+    object, and the rest of the store contract of
+    :class:`~repro.service.scheduler.QueryServer` (validate, precompute
+    refill, table metadata), so the batching/session logic of the serving
+    layer is reused verbatim on top of networked parties.  C2's share half
+    is fetched over the cloud's own C2 connection either way.
+
+    ``supervisor``, when given, is shut down by :meth:`close` (the system
+    owns the daemon processes it spawned).
     """
 
-    #: protocol label stamped on reports produced through this store
+    #: protocol label stamped on served reports produced through this store
     name = "SkNNb-distributed"
 
     def __init__(self, remote: RemoteCloud, mode: str = "basic",
@@ -632,8 +588,7 @@ class RemoteStore:
         if self.public_key is None:
             raise ConfigurationError(
                 "RemoteStore needs the deployment's public key")
-        self.last_batch_stats: ProtocolRunStats | None = None
-        self.last_batch_timings = None  # phase breakdown stays daemon-side
+        self.last_report: SkNNRunReport | None = None
 
     # -- store contract -------------------------------------------------------
     @property
@@ -656,15 +611,20 @@ class RemoteStore:
             raise QueryError(
                 f"k={k} exceeds the database size {self.table_size}")
 
-    def answer_batch(self, encrypted_queries: Sequence[Sequence[Ciphertext]],
-                     ks: Sequence[int]) -> list[ResultShares]:
-        shares, stats, _ = self.remote.query_batch(encrypted_queries, ks,
-                                                   mode=self.mode)
-        self.last_batch_stats = stats
+    def run_with_report(self, encrypted_query: Sequence[Ciphertext], k: int,
+                        distance_bits: int | None = None) -> ResultShares:
+        """One query; ``distance_bits`` is the daemons' own (provisioned)."""
+        shares, self.last_report = self.remote.query(encrypted_query, k,
+                                                     mode=self.mode)
         return shares
 
-    def start_recorder(self) -> _RemoteBatchRecorder:
-        return _RemoteBatchRecorder(self)
+    def answer_batch_with_report(
+            self, encrypted_queries: Sequence[Sequence[Ciphertext]],
+            ks: Sequence[int]) -> list[ResultShares]:
+        """One scheduler batch, run back to back on one C1 context."""
+        shares, self.last_report = self.remote.query_batch(
+            encrypted_queries, ks, mode=self.mode)
+        return shares
 
     def refill_precompute(self, budget: int | None = None) -> int:
         """No-op: each daemon refills its own party-local pools."""

@@ -48,11 +48,7 @@ from typing import Any, Callable
 
 from repro.core.cloud import CloudC1, CloudC2, FederatedCloud
 from repro.core.sknn_basic import SkNNBasic
-from repro.core.sknn_base import (
-    RunStatsRecorder,
-    SkNNProtocol,
-    SkNNRunReport,
-)
+from repro.core.sknn_base import SkNNProtocol, SkNNRunReport
 from repro.core.sknn_secure import SkNNSecure
 from repro.core.sknn_shard import (
     ScanRegistry,
@@ -1547,9 +1543,9 @@ class C1Daemon(PartyDaemon):
                             f"{root}.{protocol.name}", party=protocol.party,
                             **fields) as span:
                         trace_id = span.trace_id
-                        # Opens C2's counter window *before* the run builds
-                        # its RunStatsRecorder, so the telemetry frames
-                        # never count toward the run's traffic deltas.
+                        # Opens C2's counter window *before* the runner
+                        # snapshots the channel's traffic, so the telemetry
+                        # frames never count toward the run's traffic deltas.
                         channel.send("C1", trace_id,
                                      tag="telemetry.trace_begin")
                         result = execute(protocol)
@@ -1663,44 +1659,23 @@ class C1Daemon(PartyDaemon):
         batch semantics a distributed
         :class:`~repro.service.scheduler.QueryServer` expects — while
         other pipelined queries keep flowing on sibling contexts.  One
-        recorder spans the batch; its stats are left in a report (``k`` is
-        the batch's largest) so they are merged like any other run's.
+        report covers the batch (``k`` is its largest), merged like any
+        other run's.
         """
         if self.shard_index is not None:
             raise ConfigurationError(
                 "shard daemons serve transport.scan only; send batches to "
                 "the coordinator C1")
-        queries = payload["queries"]
-        ks = payload["ks"]
-        if len(queries) != len(ks):
-            raise ConfigurationError("batch queries and ks differ in length")
-
-        def execute(protocol: SkNNProtocol):
-            recorder = RunStatsRecorder(protocol.cloud)
-            started = time.perf_counter()
-            results = []
-            for query, k in zip(queries, ks):
-                shares = protocol.run(query, k)
-                results.append({"masks": shares.masks_from_c1,
-                                "delivery_id": shares.delivery_id})
-            elapsed = time.perf_counter() - started
-            table = protocol.encrypted_table
-            protocol.last_report = SkNNRunReport(
-                protocol=f"{protocol.name}-batch", n_records=len(table),
-                dimensions=table.dimensions, k=max(ks, default=0),
-                key_size=protocol.public_key.key_size,
-                distance_bits=self.distance_bits, wall_time_seconds=elapsed,
-                stats=recorder.finish(
-                    f"{protocol.name}-distributed", elapsed))
-            return results
-
-        results, report = self._run_leased(
-            payload.get("mode", "basic"), execute, root="batch",
-            queries=len(queries))
+        queries, ks = payload["queries"], payload["ks"]
+        all_shares, report = self._run_leased(
+            payload.get("mode", "basic"),
+            lambda protocol: protocol.answer_batch_with_report(
+                queries, ks, distance_bits=self.distance_bits),
+            root="batch", queries=len(queries))
         return {
-            "results": results,
+            "results": [{"masks": shares.masks_from_c1,
+                         "delivery_id": shares.delivery_id}
+                        for shares in all_shares],
             "modulus": self.codec.public_key.n,
-            "stats": report.stats.as_payload(),
-            "wall_time_seconds": report.wall_time_seconds,
-            "trace": report.trace,
+            "report": report.as_payload(),
         }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 from repro.db.knn import LinearScanKNN, squared_euclidean
@@ -33,3 +34,25 @@ def assert_valid_knn_answer(table: Table, query: Sequence[int], k: int,
     expected_distances = sorted(squared_euclidean(record, query)
                                 for record in oracle_answer(table, query, k))
     assert sorted(returned_distances) == expected_distances
+
+
+def assert_stats_are_row_sums(report) -> None:
+    """``report.stats`` is a projection of ``report.cost_breakdown``.
+
+    The ``c2_*`` operation fields equal the sums over the rows of party
+    ``"C2"``, the ``c1_*`` fields the sums over every other party's rows
+    (C1, shard daemons) — for every execution mode, so a serial report and
+    a distributed one attribute the same query the same way.
+    """
+    c1, c2 = Counter(), Counter()
+    for row in report.cost_breakdown:
+        (c2 if row["party"] == "C2" else c1).update(row["ops"])
+    stats = report.stats
+    assert (c2["encryptions"], c2["decryptions"], c2["exponentiations"],
+            c2["homomorphic_additions"]) == (
+        stats.c2_encryptions, stats.c2_decryptions, stats.c2_exponentiations,
+        stats.extra.get("c2_homomorphic_additions", 0))
+    assert (c1["encryptions"], c1["decryptions"], c1["exponentiations"],
+            c1["homomorphic_additions"]) == (
+        stats.c1_encryptions, 0, stats.c1_exponentiations,
+        stats.c1_homomorphic_additions)

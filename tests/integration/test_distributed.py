@@ -205,6 +205,14 @@ class TestTelemetryStitching:
             serial.total_encryptions, rel=0.02)
         assert distributed.total_exponentiations == pytest.approx(
             serial.total_exponentiations, rel=0.02)
+        # Party by party too — both runtimes project ``stats`` from ledger
+        # rows attributed the same way, and the wiggle is all C1's (SBD).
+        assert (distributed.c2_encryptions, distributed.c2_exponentiations) \
+            == (serial.c2_encryptions, serial.c2_exponentiations)
+        assert distributed.c1_encryptions == pytest.approx(
+            serial.c1_encryptions, rel=0.02)
+        assert distributed.c1_exponentiations == pytest.approx(
+            serial.c1_exponentiations, rel=0.02)
 
     def test_metrics_control_tag_exposes_both_daemons(self, owner, dataset,
                                                       remote):

@@ -20,7 +20,9 @@ import pytest
 
 from repro.core.roles import DataOwner, QueryClient
 from repro.db.datasets import synthetic_uniform
+from repro.transport.client import RemoteStore
 from repro.transport.supervisor import LocalSupervisor
+from tests.integration.helpers import assert_stats_are_row_sums
 
 KEY_BITS = int(os.environ.get("REPRO_DISTRIBUTED_BITS", "256"))
 
@@ -58,16 +60,26 @@ def client(owner, dataset):
     return QueryClient(owner.public_key, dataset.dimensions, rng=Random(18))
 
 
-def run_query(remote, client, mode="secure"):
-    shares, report = remote.query(client.encrypt_query([3, 4]), K, mode=mode)
-    assert len(client.reconstruct(shares)) == K
-    assert report is not None
-    return report
+def run_query(remote, client, mode="secure", batch=1):
+    """The report of one ``transport.query`` — or, with ``batch`` > 1, of
+    one ``transport.query_batch`` of that many queries."""
+    store = RemoteStore(remote, mode=mode)
+    query = client.encrypt_query([3, 4])
+    if batch == 1:
+        all_shares = [store.run_with_report(query, K)]
+    else:
+        all_shares = store.answer_batch_with_report([query] * batch,
+                                                    [K] * batch)
+    for shares in all_shares:
+        assert len(client.reconstruct(shares)) == K
+    assert store.last_report is not None
+    return store.last_report
 
 
+@pytest.mark.parametrize("batch", [1, 2], ids=["query", "query_batch"])
 class TestDistributedCostAttribution:
-    def test_c1_rows_sum_to_wall_time(self, remote, client):
-        report = run_query(remote, client)
+    def test_c1_rows_sum_to_wall_time(self, remote, client, batch):
+        report = run_query(remote, client, batch=batch)
         rows = report.cost_breakdown
         assert rows, "distributed report carries no cost rows"
         # In distributed mode only C1's rows partition the wall clock —
@@ -79,8 +91,8 @@ class TestDistributedCostAttribution:
             f"C1 phase seconds {c1_seconds} vs wall "
             f"{report.wall_time_seconds}")
 
-    def test_c2_rows_match_stitched_stats_exactly(self, remote, client):
-        report = run_query(remote, client)
+    def test_c2_rows_match_stitched_stats_exactly(self, remote, client, batch):
+        report = run_query(remote, client, batch=batch)
         c2_rows = [row for row in report.cost_breakdown
                    if row["party"] == "C2"]
         assert c2_rows, "no C2-attributed phases in distributed mode"
@@ -94,15 +106,17 @@ class TestDistributedCostAttribution:
         assert totals.get("decryptions", 0) == stats.c2_decryptions
         assert totals.get("encryptions", 0) == stats.c2_encryptions
         assert totals.get("exponentiations", 0) == stats.c2_exponentiations
+        assert_stats_are_row_sums(report)  # ... and C1's side likewise
 
-    def test_phases_cover_the_secure_protocol(self, remote, client):
-        report = run_query(remote, client)
+    def test_phases_cover_the_secure_protocol(self, remote, client, batch):
+        report = run_query(remote, client, batch=batch)
         c1_phases = {row["phase"] for row in report.cost_breakdown
                      if row["party"] == "C1"}
         assert {"scan", "decompose", "select"} <= c1_phases
+        assert set(report.phase_seconds) >= c1_phases
 
-    def test_basic_mode_also_attributes(self, remote, client):
-        report = run_query(remote, client, mode="basic")
+    def test_basic_mode_also_attributes(self, remote, client, batch):
+        report = run_query(remote, client, mode="basic", batch=batch)
         parties = {row["party"] for row in report.cost_breakdown}
         assert parties == {"C1", "C2"}
 

@@ -28,6 +28,7 @@ from repro.protocols.encoding import bits_to_int, encrypt_bits
 from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.sm import SecureMultiplication
 from repro.protocols.smin import SecureMinimum
+from tests.integration.helpers import assert_stats_are_row_sums
 
 BITS = 6
 
@@ -157,5 +158,6 @@ def test_driver_side_stats_are_the_delivery_phase_only(deployed_cloud,
     assert (stats.c1_exponentiations, stats.c2_encryptions,
             stats.c2_exponentiations) == (0, 0, 0)
     assert stats.messages == 1  # the delivery; the scan's traffic is not here
+    assert_stats_are_row_sums(store.last_report)
     assert client.reconstruct(shares) == [
         r.record.values for r in LinearScanKNN(tiny_table).query(query, k)]

@@ -19,8 +19,10 @@ from repro.db.knn import LinearScanKNN
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.exceptions import ConfigurationError, QueryError
+from repro.core.sknn_base import SkNNRunReport
 from repro.service.scheduler import QueryServer
 from repro.service.sharding import ShardedCloud
+from tests.integration.helpers import assert_stats_are_row_sums
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +87,6 @@ class TestShardedCloud:
 
         def answer(queries, k):
             encrypted = [client.encrypt_query(query) for query in queries]
-            if mode == "basic":  # no batch entry point: one run per query
-                return [plan.run(query, k) for query in encrypted]
             return plan.answer_batch(encrypted, [k] * len(queries))
 
         batches = [[query] for query in CONFORMANCE_QUERIES]
@@ -114,8 +114,6 @@ class TestShardedCloud:
                 expected = [r.record.values
                             for r in service_oracle.query(query, k)]
                 assert client.reconstruct(shares) == expected
-            assert sharded.last_batch_timings is not None
-            assert sharded.last_batch_timings.queries == len(queries)
 
     def test_partition_covers_table_without_overlap(self, small_keypair,
                                                     service_table):
@@ -219,9 +217,54 @@ class TestQueryServer:
             assert answer.report is not None
             assert answer.report.protocol == "SkNNb-sharded"
             assert {"encrypt", "queue_wait", "distance", "merge", "deliver",
-                    "reconstruct"} <= set(answer.report.phase_seconds)
+                    "reconstruct"} == set(answer.report.phase_seconds)
             assert answer.client_encrypt_seconds > 0
         server.close()
+        # One record per batch: the runner's report, copied per request
+        # with the request's own k and phase split around shared objects.
+        batch = sharded.last_report
+        reports = [handle.result().report for handle in pending]
+        assert [report.k for report in reports] == [2, 1] and batch.k == 2
+        for report in reports:
+            assert report.stats is batch.stats
+            assert report.cost_breakdown is batch.cost_breakdown
+            assert report.trace is batch.trace and batch.trace["spans"]
+            assert SkNNRunReport.from_payload(report.as_payload()) == report
+        assert set(batch.phase_seconds) == {"distance", "merge", "deliver"}
+        assert sum(report.phase_seconds["distance"] for report in reports) \
+            == pytest.approx(batch.phase_seconds["distance"])
+        assert_stats_are_row_sums(batch)
+
+    def test_served_queries_reach_the_query_metrics(self, small_keypair,
+                                                    service_table):
+        """A served batch counts like any other run: its queries in
+        ``repro_queries_total``, its wall time and ledger rows in the
+        ``repro_query_seconds`` / ``repro_phase_*`` families."""
+        from repro.telemetry.metrics import get_registry, reset_registry
+
+        cloud = _deploy(small_keypair, service_table, 1050)
+        server = QueryServer(
+            ShardedCloud(cloud, shards=2, workers=1, backend="serial"),
+            batch_size=4, rng=Random(27))
+        reset_registry()
+        try:
+            session = server.open_session("bob")
+            pending = [session.submit([1, 2, 3], 2),
+                       session.submit([4, 5, 6], 1)]
+            server.flush()
+            for handle in pending:
+                assert handle.result(timeout=60).report.cost_breakdown
+            snapshot = get_registry().snapshot()
+            assert snapshot["repro_queries_total"]["values"] == {
+                "SkNNb-sharded": 2}
+            assert "SkNNb-sharded" in \
+                snapshot["repro_query_seconds"]["values"]
+            for family in ("repro_phase_seconds", "repro_phase_ops_total"):
+                assert any(key.startswith("deliver,C2") for key
+                           in snapshot[family]["values"]), family
+        finally:
+            server.close()
+            reset_registry()
 
     def test_randomness_pools_keep_answers_exact(self, small_keypair,
                                                  service_table,

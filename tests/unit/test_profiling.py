@@ -28,6 +28,7 @@ from repro.telemetry.profiling import (
     record_phase_metrics,
     wrap_span,
 )
+from tests.integration.helpers import assert_stats_are_row_sums
 
 
 class FakeClock:
@@ -375,6 +376,9 @@ def assert_cost_invariants(report, expected_phases):
     assert totals.get("homomorphic_additions", 0) \
         == stats.c1_homomorphic_additions \
         + stats.extra.get("c2_homomorphic_additions", 0)
+
+    # ... party by party: stats is a projection of these rows.
+    assert_stats_are_row_sums(report)
 
     # Invariant 3: the serial runtime attributes C2's handler work to C2.
     c2_rows = [row for row in rows if row["party"] == "C2"]
