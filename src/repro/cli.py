@@ -454,8 +454,6 @@ def _render_daemon_stats(stats: dict) -> str:
                      f"(records from global index {shard['start_index']})")
     if stats.get("shards"):
         lines.append(f"coordinating shards: {', '.join(stats['shards'])}")
-    if stats.get("pending_scans"):
-        lines.append(f"pending shard scans: {stats['pending_scans']}")
     if stats.get("metrics_address"):
         lines.append(f"metrics: {stats['metrics_address']}/metrics")
     resilience = stats.get("resilience")

@@ -25,10 +25,17 @@ decryptor sees are the masked values C2 sees in the serial protocol *by
 construction*: it is the same class, covered by the same transcript tests,
 so the leakage profile is unchanged.  Every slice is a C1-role party: it sees
 only ciphertexts plus the plaintext distances SkNN_b already reveals, so
-slicing C1 does not change what leaks either.  (Across machines the workers
-must not hold the secret key; that placement is :mod:`repro.core.sknn_shard`,
-which shares the slicer, the SSED protocol and the selection rule with this
-one.)
+slicing C1 does not change what leaks either.
+
+That the workers decrypt their own slices is what this plan is for: the
+driver receives plaintext distances, never decrypts one, and performs only
+the ``2·k·m`` operations of the delivery (e2e's ``serve_local_k512`` holds
+its ``crypto_ops_per_query`` at 32 under a 1% bound).  Across machines the
+workers must not hold the secret key, so shard daemons hand the coordinator
+*ciphertexts* and the serial protocol selects — that placement is
+:mod:`repro.core.sknn_shard`, which shares the slicer, the SSED protocol and
+the selection rule with this one and, because of the key, nothing after the
+scan.
 
 Backends:
 

@@ -21,13 +21,13 @@ import itertools
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import ResultShares
 from repro.crypto.paillier import Ciphertext
 from repro.db.encrypted_table import EncryptedTable
-from repro.exceptions import ConfigurationError, QueryError
+from repro.exceptions import ConfigurationError, ProtocolError, QueryError
 from repro.network.stats import ProtocolRunStats
 from repro.protocols.base import P2StepDispatcher
 from repro.protocols.ssed import SecureSquaredEuclideanDistance
@@ -161,6 +161,13 @@ class SkNNProtocol(P2StepDispatcher):
     #: reports every ledger phase under its own name
     PHASE_NAMES: "dict[str, str] | None" = None
 
+    #: placement of the distance scan.  ``None``: this party scans the table
+    #: it hosts.  A shard coordinator sets a callable ``Epk(Q) -> [E(d_i)]``
+    #: that scatters the scan to the daemons holding the slices and gathers
+    #: their encrypted distances in record order; selection and delivery are
+    #: the same either way.
+    scan: "Callable[[list[Ciphertext]], list[Ciphertext]] | None" = None
+
     #: incoming-message tag -> name of the C2 handler method consuming it
     P2_STEPS: dict[str, str] = {
         "SkNN.masked_results": "_p2_decrypt_delivery",
@@ -238,11 +245,21 @@ class SkNNProtocol(P2StepDispatcher):
         participate in the distance; trailing label/metadata columns (when
         ``feature_dimensions`` is set) are carried along untouched and only
         reappear in the delivered result records.
+
+        With :attr:`scan` set the same step is a scattered one: the callable
+        returns the distances other daemons computed for their slices.
         """
         width = len(encrypted_query)
         with _profiling.cost_scope("scan"), \
                 _tracing.span(f"{self.name}.distance_scan",
                               records=len(self.encrypted_table)):
+            if self.scan is not None:
+                distances = self.scan(list(encrypted_query))
+                if len(distances) != len(self.encrypted_table):
+                    raise ProtocolError(
+                        f"scattered scan returned {len(distances)} distances "
+                        f"for {len(self.encrypted_table)} records")
+                return distances
             return self._ssed.run_many(
                 list(encrypted_query),
                 [list(record.ciphertexts[:width])

@@ -25,6 +25,7 @@ from typing import Sequence
 from repro.core.roles import ResultShares
 from repro.core.sknn_base import SkNNProtocol, top_k
 from repro.crypto.paillier import Ciphertext
+from repro.exceptions import ProtocolError
 from repro.telemetry import profiling as _profiling
 
 __all__ = ["SkNNBasic"]
@@ -76,9 +77,27 @@ class SkNNBasic(SkNNProtocol):
     # -- C2 step ---------------------------------------------------------------
     def _p2_select_top_k(self) -> None:
         """Step 3: C2 decrypts all distances (one vectorized CRT kernel call)
-        and returns the top-k index list."""
+        and returns the top-k index list.
+
+        C2's one selection entry for every SkNN_b placement, so the frame is
+        shape-checked before anything is decrypted: ``[k, rows]`` with rows
+        of ``(index, ciphertext under this key)`` pairs, distinct indices
+        and ``1 <= k <= len(rows)``.
+        """
         c2 = self.cloud.c2
-        k, received = c2.receive(expected_tag="SkNNb.encrypted_distances")
+        frame = c2.receive(expected_tag="SkNNb.encrypted_distances")
+        k, received = (frame if isinstance(frame, list) and len(frame) == 2
+                       else (None, None))
+        if not (isinstance(k, int) and isinstance(received, list)
+                and 1 <= k <= len(received)
+                and all(isinstance(row, (tuple, list)) and len(row) == 2
+                        and isinstance(row[0], int)
+                        and isinstance(row[1], Ciphertext)
+                        and row[1].public_key == c2.public_key
+                        for row in received)
+                and len({index for index, _ in received}) == len(received)):
+            raise ProtocolError(
+                f"{self.name}: malformed encrypted-distance list")
         residues = c2.decrypt_residue_batch(
             [ciphertext for _, ciphertext in received])
         winners = top_k(

@@ -12,14 +12,16 @@ Three classes, split along the paper's separation of state:
   connections C1 dials, every incoming frame's tag selects the registered P2
   step handler (:meth:`~repro.protocols.base.TwoPartyProtocol.
   collect_p2_handlers`) — the same handler code the in-memory runtime
-  executes inline.  Owns the share mailbox, the shard scan registry and the
-  per-run telemetry windows.
+  executes inline.  Owns the share mailbox and the per-run telemetry
+  windows.
 * :class:`C1Daemon` — holds ``Epk(T)`` and only ``pk``.  Owns the peer
   connection pool, the reply cache and the one *leased-peer runner* every
   C1-side run goes through (a query, a scheduler batch, a shard's scan),
   which merges what C2 and the shard daemons measured into the run's report
   (:meth:`~repro.core.sknn_base.SkNNRunReport.merge_remote`).  Shard
-  daemons and the shard coordinator are configurations of this class.
+  daemons and the shard coordinator are configurations of this class: a
+  shard answers ``transport.scan`` with its slice's encrypted distances, a
+  coordinator runs the serial protocol with its scan scattered to them.
 
 Result shares decrypted by C2 stay in its mailbox (keyed by delivery id)
 until the query client fetches them over its *own* connection — C1 never
@@ -50,11 +52,7 @@ from repro.core.cloud import CloudC1, CloudC2, FederatedCloud
 from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_base import SkNNProtocol, SkNNRunReport
 from repro.core.sknn_secure import SkNNSecure
-from repro.core.sknn_shard import (
-    ScanRegistry,
-    ShardCoordinatorProtocol,
-    ShardScanProtocol,
-)
+from repro.core.sknn_shard import ShardScanProtocol, shard_bounds
 from repro.crypto.paillier import (
     Ciphertext,
     OperationCounter,
@@ -369,8 +367,10 @@ def _replayed(id_key: str):
     ``payload[id_key]`` is the request's idempotency id: a retried request
     whose reply was lost re-reads the completed answer, and a duplicate of
     an in-flight one waits for the original run instead of double-consuming
-    pool entries and mailbox shares (or, for a shard scan, double-filing
-    with C2).
+    pool entries and mailbox shares.  ``transport.scan`` is not memoised:
+    a scan leaves no share or delivery id behind, the coordinator asks each
+    shard exactly once per query, and a memo would hold ``n / shards``
+    ciphertexts per entry.
     """
     def decorate(step):
         def replayed(self: "C1Daemon", payload: dict[str, Any]) -> Any:
@@ -968,9 +968,6 @@ class C2Daemon(PartyDaemon):
             self._count_recovered("share", self.mailbox.recovered)
         else:
             self.mailbox = ShareMailbox()
-        #: rendezvous of shard candidate filings across peer connections
-        self._scan_registry = ScanRegistry(
-            timeout=self.io_deadline or DEFAULT_IO_DEADLINE)
         #: accepted cloud-peer connections, for stats and shutdown
         self._links: list[MuxConnection] = []
 
@@ -1004,7 +1001,6 @@ class C2Daemon(PartyDaemon):
     def _handle_stats(self, payload: Any = None) -> dict[str, Any]:
         stats = super()._handle_stats()
         stats["pending_shares"] = len(self.mailbox)
-        stats["pending_scans"] = self._scan_registry.pending()
         if "durability" in stats:
             stats["durability"].update(
                 mailbox_journal_records=self.mailbox.journal_records,
@@ -1219,13 +1215,7 @@ class C2Daemon(PartyDaemon):
         cloud = FederatedCloud(c1=c1_stub, c2=c2, channel=channel)
         if self.engine is not None:
             cloud.attach_engine(None, self.engine)
-        protocols: list[Any] = [
-            SkNNBasic(cloud),
-            # Shard filing/gather steps rendezvous through the daemon-wide
-            # registry, so shards filing on other connections meet the
-            # coordinator's gather here.
-            ShardScanProtocol(cloud, registry=self._scan_registry),
-        ]
+        protocols: list[Any] = [SkNNBasic(cloud)]
         if self.distance_bits is not None:
             protocols.append(SkNNSecure(cloud,
                                         distance_bits=self.distance_bits))
@@ -1241,8 +1231,8 @@ class C1Daemon(PartyDaemon):
     One class serves the three C1 placements: a plain C1, a *shard*
     (``shard_index``/``shard_count``: holds one slice and answers only
     ``transport.scan``) and a *coordinator* (provisioned with shard
-    addresses: scatters the scan, delivers itself).  Holds only the public
-    key — no mailbox, no scan registry, no P2 dispatch.
+    addresses: scatters the scan, selects and delivers as a plain C1 does).
+    Holds only the public key — no mailbox, no P2 dispatch.
 
     Args:
         peer_connections: how many persistent multiplexed connections to
@@ -1282,7 +1272,7 @@ class C1Daemon(PartyDaemon):
         #: delivery ids, so they carry no epoch and their hellos leave the
         #: coordinator's mailbox alone.
         self.epoch = uuid.uuid4().hex if shard_index is None else None
-        # Idempotent replay of completed query/query_batch/scan replies,
+        # Idempotent replay of completed query/query_batch replies,
         # keyed by the request's id (see _replayed).  With a state
         # dir, completed replies are journaled and survive a crash: a
         # retried id after a restart replays from disk.
@@ -1468,15 +1458,15 @@ class C1Daemon(PartyDaemon):
         return PeerUnavailable(f"peer link to C2 failed mid-query: {exc}")
 
     # -- query execution ---------------------------------------------------------
-    def _build_query_protocol(self, channel: MuxChannel, mode: str,
-                              scatter: Callable[..., Any],
-                              scan_id: str | None) -> SkNNProtocol:
+    def _build_query_protocol(self, channel: MuxChannel,
+                              mode: str) -> SkNNProtocol:
         """A fresh protocol stack for one run over a leased context.
 
         The heavyweight state (encrypted table, precompute engine, warm
         pools) is shared and thread-safe; only the channel-bound wrappers
         (cloud pair, protocol driver) are built per run, so concurrent
-        queries never share mutable protocol state.
+        queries never share mutable protocol state.  A coordinator builds
+        what a plain C1 builds; the caller points its scan at the shards.
         """
         assert self._table is not None
         table = self._table
@@ -1489,18 +1479,8 @@ class C1Daemon(PartyDaemon):
         if self.engine is not None:
             cloud.attach_engine(self.engine, None)
         if self.shard_index is not None:
-            return ShardScanProtocol(cloud, shard_index=self.shard_index,
-                                     shard_count=self.shard_count or 1,
-                                     start_index=self._start_index,
-                                     scan_id=scan_id)
-        if self._shard_addresses is not None:
-            if mode != "basic":
-                raise ConfigurationError(
-                    "sharded deployments serve mode 'basic' only (SkNN_m's "
-                    "SMIN_n tournament does not shard across daemons)")
-            return ShardCoordinatorProtocol(
-                cloud, shard_count=len(self._shard_addresses),
-                scatter=scatter)
+            return ShardScanProtocol(cloud,
+                                     party=f"C1-shard{self.shard_index}")
         if mode == "basic":
             return SkNNBasic(cloud)
         if mode == "secure":
@@ -1523,13 +1503,14 @@ class C1Daemon(PartyDaemon):
         to exactly this run.  The trace is rooted here so what C2 — and, on
         a coordinator, the shard daemons — measured can be merged into the
         report ``execute(protocol)`` leaves in ``protocol.last_report``.
-        ``fields`` label the root span and the slow-query log (a shard's
-        ``scan_id`` is also bound into its protocol).
+        ``fields`` label the root span and the slow-query log.
         """
         shard_reports: list[SkNNRunReport] = []
 
-        def scatter(sid: str, query: list[Ciphertext], k: int) -> None:
-            shard_reports.extend(self._scatter_to_shards(sid, query, k))
+        def scatter(query: list[Ciphertext]) -> list[Ciphertext]:
+            distances, reports = self._scatter_to_shards(query)
+            shard_reports.extend(reports)
+            return distances
 
         with self._inflight_lock:
             self._inflight += 1
@@ -1537,8 +1518,9 @@ class C1Daemon(PartyDaemon):
             with counting_scope(OperationCounter()):
                 channel = self._ensure_pool().lease()
                 try:
-                    protocol = self._build_query_protocol(
-                        channel, mode, scatter, fields.get("scan_id"))
+                    protocol = self._build_query_protocol(channel, mode)
+                    if self._shard_addresses is not None:
+                        protocol.scan = scatter
                     with telemetry_tracing.trace(
                             f"{root}.{protocol.name}", party=protocol.party,
                             **fields) as span:
@@ -1569,68 +1551,91 @@ class C1Daemon(PartyDaemon):
         return result, report
 
     @staticmethod
-    def _shard_report(index: int, reply: Any) -> SkNNRunReport:
-        """Parse one shard's ``transport.scan`` reply, or fail the query."""
+    def _shard_reply(index: int, records: int, reply: Any
+                     ) -> tuple[list[Ciphertext], SkNNRunReport]:
+        """Parse one shard's ``transport.scan`` reply, or fail the query.
+
+        ``records`` is the size of that shard's slice: anything but exactly
+        that many ciphertexts plus a parseable report is a
+        :class:`ChannelError` naming the shard.
+        """
         try:
-            return SkNNRunReport.from_payload(reply["report"])
+            distances = reply["distances"]
+            report = SkNNRunReport.from_payload(reply["report"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ChannelError(
                 f"shard {index} answered transport.scan with a malformed "
-                f"report: {exc!r}") from exc
+                f"reply: {exc!r}") from exc
+        if not (isinstance(distances, list) and len(distances) == records
+                and all(isinstance(distance, Ciphertext)
+                        for distance in distances)):
+            raise ChannelError(
+                f"shard {index} answered transport.scan with something "
+                f"other than its slice's {records} encrypted distances")
+        return distances, report
 
-    def _scatter_to_shards(self, scan_id: str, query: list[Ciphertext],
-                           k: int) -> list[SkNNRunReport]:
-        """Fan the distance scan out to every shard daemon, in parallel.
+    def _scatter_to_shards(self, query: list[Ciphertext]
+                           ) -> tuple[list[Ciphertext], list[SkNNRunReport]]:
+        """Fan the distance scan out to every shard daemon, in parallel,
+        and gather ``E(d_i)`` for the whole table in record order.
 
-        Each shard is asked over its own short-lived control connection (a
-        per-query client: the control protocol is request/reply, so a
-        shared client would serialize concurrent queries).  A dead shard
-        daemon — or one whose reply is not a report — surfaces as a typed
-        error failing only this query, never as a quietly partial total.
+        Each shard is asked once, over its own short-lived control
+        connection (a per-query client: the control protocol is
+        request/reply, so a shared client would serialize concurrent
+        queries).  Replies are placed by shard index — the slices are
+        :func:`~repro.core.sknn_shard.shard_bounds`' contiguous ones, so
+        shard order is record order — never by completion order.  A dead
+        shard daemon, or one whose reply is not its slice's distances plus a
+        report, surfaces as a typed error failing only this query, never as
+        a quietly partial top-k.
         """
         from repro.transport.client import DaemonClient
 
-        def ask(index: int, address: tuple[str, int]) -> SkNNRunReport:
+        def ask(index: int, address: tuple[str, int], records: int):
             client = DaemonClient(address, self.codec, connect_timeout=10.0,
                                   request_deadline=self.io_deadline)
             try:
-                return self._shard_report(index, client.request(
-                    "transport.scan",
-                    {"scan_id": scan_id, "query": query, "k": k},
+                return self._shard_reply(index, records, client.request(
+                    "transport.scan", {"query": query},
                     timeout=self.io_deadline))
             finally:
                 client.close()
 
-        addresses = self._shard_addresses or []
-        with ThreadPoolExecutor(max_workers=max(len(addresses), 1),
+        assert self._table is not None and self._shard_addresses
+        addresses = self._shard_addresses
+        bounds = shard_bounds(len(self._table), len(addresses))
+        with ThreadPoolExecutor(max_workers=len(addresses),
                                 thread_name_prefix="sknn-scatter") as pool:
-            futures = [pool.submit(ask, index, address)
-                       for index, address in enumerate(addresses)]
+            futures = [pool.submit(ask, index, address, stop - start)
+                       for index, (address, (start, stop))
+                       in enumerate(zip(addresses, bounds))]
         try:
-            return [future.result() for future in futures]
+            replies = [future.result() for future in futures]
         except ReproError:
             raise
         except Exception as exc:
             raise PeerUnavailable(f"shard scatter failed: {exc}") from exc
+        return ([distance for distances, _ in replies
+                 for distance in distances],
+                [report for _, report in replies])
 
-    @_replayed("scan_id")
     def _handle_scan(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Shard daemon: run this slice's distance phase for one scan.
+        """Shard daemon: run this slice's distance phase for one query.
 
-        The reply is the scan's report (cost rows under
-        ``party="C1-shard{i}"``, already merged with the C2 window the scan
-        consumed), which the coordinator absorbs into the query's.
+        The reply is the slice's encrypted distances, in slice order, plus
+        the scan's report (cost rows under ``party="C1-shard{i}"``, already
+        merged with the C2 window the scan consumed), which the coordinator
+        absorbs into the query's.
         """
         if self.shard_index is None:
             raise ConfigurationError(
                 "transport.scan is only served by shard daemons "
                 "(start with --shard-index/--shard-count)")
-        query, k = payload["query"], payload["k"]
-        _, report = self._run_leased(
+        query = payload["query"]
+        distances, report = self._run_leased(
             "basic", lambda protocol: protocol.run_with_report(
-                query, k, distance_bits=self.distance_bits),
-            scan_id=str(payload["scan_id"]))
-        return {"report": report.as_payload()}
+                query, 0, distance_bits=self.distance_bits))
+        return {"distances": distances, "report": report.as_payload()}
 
     @_replayed("query_id")
     def _handle_query(self, payload: dict[str, Any]) -> dict[str, Any]:

@@ -2,10 +2,11 @@
 
 The acceptance bar for "shards = machines": a sharded SkNN_b query executed
 across real shard-daemon subprocesses must return **bit-identical** results
-to both the serial in-memory stack and the in-process ``ShardedCloud``,
-under sequential and concurrent load, and a killed shard daemon must fail
-only the affected queries with typed retriable errors, then recover after a
-supervised restart.
+to both the serial in-memory stack and the plaintext oracle, under
+sequential and concurrent load — C2 seeing exactly the serial protocol's
+tags — a sharded SkNN_m query must be oracle-correct, and a killed shard
+daemon must fail only the affected queries with typed retriable errors,
+then recover after a supervised restart.
 
 CI runs this at 256-bit keys (``REPRO_DISTRIBUTED_BITS`` overrides).
 """
@@ -25,14 +26,16 @@ from repro.db.datasets import synthetic_uniform
 from repro.db.knn import LinearScanKNN
 from repro.exceptions import (
     ChannelError,
-    ConfigurationError,
     DeadlineExceeded,
     PeerUnavailable,
 )
 from repro.resilience.policy import RetryPolicy
 from repro.transport.client import RemoteStore
 from repro.transport.supervisor import LocalSupervisor
-from tests.integration.helpers import assert_stats_are_row_sums
+from tests.integration.helpers import (
+    assert_stats_are_row_sums,
+    assert_valid_knn_answer,
+)
 
 KEY_BITS = int(os.environ.get("REPRO_DISTRIBUTED_BITS", "256"))
 
@@ -73,8 +76,8 @@ def client(owner, dataset):
     return QueryClient(owner.public_key, dataset.dimensions, rng=Random(21))
 
 
-def serial_answers(owner, dataset):
-    """Reference answers from the in-memory serial SkNN_b stack."""
+def serial_stack(owner, dataset):
+    """The in-memory serial SkNN_b stack and a client of its own."""
     from repro.core.cloud import FederatedCloud
     from repro.core.sknn_basic import SkNNBasic
 
@@ -82,7 +85,12 @@ def serial_answers(owner, dataset):
     cloud.c1.host_database(owner.encrypt_database())
     reference_client = QueryClient(owner.public_key, dataset.dimensions,
                                    rng=Random(32))
-    protocol = SkNNBasic(cloud)
+    return SkNNBasic(cloud), reference_client
+
+
+def serial_answers(owner, dataset):
+    """Reference answers from the in-memory serial SkNN_b stack."""
+    protocol, reference_client = serial_stack(owner, dataset)
     return [reference_client.reconstruct(
         protocol.run(reference_client.encrypt_query(query), K))
         for query in QUERIES]
@@ -123,12 +131,40 @@ class TestShardedBitIdentity:
         for index, neighbors in results:
             assert neighbors == expected[index]
 
-    def test_sharded_mode_rejects_secure_queries(self, remote, client):
-        """SkNN_m's SMIN_n tournament cannot shard; the coordinator says so
-        with a typed non-retriable error instead of wrong answers."""
-        with pytest.raises(ConfigurationError):
-            remote.query(client.encrypt_query(list(QUERIES[0])), K,
-                         mode="secure")
+    def test_sharded_secure_queries_match_the_oracle(self, dataset, remote,
+                                                     client):
+        """Shards hand the coordinator ciphertexts, so SkNN_m runs over the
+        scattered scan too; it breaks distance ties at random, hence the
+        distance-profile rule instead of equality."""
+        for query in QUERIES:
+            shares, report = remote.query(client.encrypt_query(list(query)),
+                                          K, mode="secure")
+            assert_valid_knn_answer(dataset, list(query), K,
+                                    client.reconstruct(shares))
+            assert report.protocol == "SkNNm"
+            assert report.stats.extra["shard_records_scanned"] == N_RECORDS
+
+    def test_c2_sees_the_serial_tags(self, owner, dataset, remote, client):
+        """C2's view of a sharded SkNN_b query is the serial view: the same
+        protocol tags, every record's distance arriving once in one frame —
+        only the scan's SSED rounds come once per shard."""
+        protocol, reference_client = serial_stack(owner, dataset)
+        protocol.run(reference_client.encrypt_query(list(QUERIES[0])), K)
+        serial = protocol.cloud.channel.total_traffic().tag_messages
+
+        def c2_protocol_messages():
+            return {tag: entry["messages"] for tag, entry
+                    in remote.stats()["c2"]["traffic_by_tag"].items()
+                    if not tag.startswith(("telemetry.", "transport."))}
+
+        before = c2_protocol_messages()
+        remote.query(client.encrypt_query(list(QUERIES[0])), K, mode="basic")
+        delta = {tag: count - before.get(tag, 0)
+                 for tag, count in c2_protocol_messages().items()
+                 if count != before.get(tag, 0)}
+        assert delta == {tag: count * (SHARDS if tag.startswith("SSED.")
+                                       else 1)
+                         for tag, count in serial.items()}
 
 
 def assert_exact_sharded_totals(stats, queries):
@@ -198,8 +234,8 @@ class TestShardFailureDomain:
     def test_killed_shard_fails_typed_then_recovers(self, supervisor, owner,
                                                     dataset, client):
         """A dead shard daemon fails the query with a typed retriable
-        error; a supervised restart + re-provision restores bit-identical
-        answers (reply-cached scans make the retry safe)."""
+        error — never a partial top-k; a supervised restart + re-provision
+        restores bit-identical answers."""
         remote = supervisor.connect(retry=RetryPolicy.none(),
                                     request_deadline=60.0)
         try:

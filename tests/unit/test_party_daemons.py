@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import socket
 import threading
+import time
 from random import Random
 
 import pytest
@@ -20,7 +21,11 @@ from repro.core.sknn_base import SkNNRunReport
 from repro.core.sknn_shard import shard_table
 from repro.crypto.serialization import private_key_to_dict
 from repro.db.datasets import synthetic_uniform
-from repro.exceptions import ChannelError, ConfigurationError
+from repro.exceptions import (
+    ChannelError,
+    ConfigurationError,
+    PeerUnavailable,
+)
 from repro.network.channel import Message
 from repro.network.stats import ProtocolRunStats
 from repro.transport.client import DaemonClient
@@ -82,8 +87,8 @@ def assert_refused_but_connected(client: DaemonClient, tag: str, payload,
 class TestRoleState:
     def test_each_role_holds_only_its_own_state(self):
         c1, c2 = C1Daemon(), C2Daemon()
-        for name in ("mailbox", "_scan_registry", "_private_key",
-                     "_serve_peer_context", "_build_p2_registry"):
+        for name in ("mailbox", "_private_key", "_serve_peer_context",
+                     "_build_p2_registry"):
             assert not hasattr(c1, name), name
         for name in ("_table", "_peer_pool", "_reply_cache", "epoch",
                      "shard_index", "shard_count", "_shard_addresses",
@@ -125,8 +130,7 @@ class TestRoleRefusals:
 
     def test_plain_c1_refuses_scans(self, serve):
         assert_refused_but_connected(
-            serve(C1Daemon()), "transport.scan",
-            {"scan_id": "s", "k": 1, "query": []},
+            serve(C1Daemon()), "transport.scan", {"query": []},
             ConfigurationError,
             "transport.scan is only served by shard daemons")
 
@@ -201,6 +205,20 @@ class TestMalformedPeerFrames:
         ("SMIN.batch_gamma_and_l",
          lambda c: [[[c, c], [c, c]], [[c], [c]]],
          "SMIN: malformed gamma-and-L batch"),
+        # C2's one SkNN_b selection entry, every placement's: [k, rows] of
+        # distinct-index (index, ciphertext) pairs with 1 <= k <= len(rows)
+        ("SkNNb.encrypted_distances", lambda c: 7,
+         "SkNNb: malformed encrypted-distance list"),
+        ("SkNNb.encrypted_distances", lambda c: [0, [(0, c)]],
+         "SkNNb: malformed encrypted-distance list"),
+        ("SkNNb.encrypted_distances", lambda c: [2, [(0, c)]],
+         "SkNNb: malformed encrypted-distance list"),
+        ("SkNNb.encrypted_distances", lambda c: [1, [c]],
+         "SkNNb: malformed encrypted-distance list"),
+        ("SkNNb.encrypted_distances", lambda c: [1, [("0", c)]],
+         "SkNNb: malformed encrypted-distance list"),
+        ("SkNNb.encrypted_distances", lambda c: [1, [(0, c), (0, c)]],
+         "SkNNb: malformed encrypted-distance list"),
         # unhardened handlers: the dispatch loop's catch answers for them
         ("SkNN.masked_results", lambda c: 7, "TypeError"),
         ("SkNNm.randomized_differences", lambda c: {"beta": c},
@@ -242,38 +260,108 @@ class TestPeerContextWorkers:
         assert len(kept) <= 3
 
 
+class CannedShard(C1Daemon):
+    """A shard daemon that answers ``transport.scan`` with a fixed reply."""
+
+    def __init__(self, reply, delay: float = 0.0) -> None:
+        super().__init__(shard_index=0, shard_count=1)
+        self.reply, self.delay = reply, delay
+
+    def _handle_scan(self, payload):
+        time.sleep(self.delay)
+        return self.reply
+
+
 class TestShardReplies:
-    def report_payload(self) -> dict:
+    def report_payload(self, records: int = 3) -> dict:
         return SkNNRunReport(
-            protocol="SkNNb-shard", n_records=3, dimensions=2, k=1,
+            protocol="SkNNb-shard", n_records=records, dimensions=2, k=0,
             key_size=128, distance_bits=None, wall_time_seconds=0.1,
             stats=ProtocolRunStats(protocol="SkNNb-shard")).as_payload()
 
-    def test_a_report_reply_parses(self):
-        report = C1Daemon._shard_report(0, {"report": self.report_payload()})
-        assert report.n_records == 3
+    def reply(self, public_key, values) -> dict:
+        return {"distances": [public_key.encrypt(value) for value in values],
+                "report": self.report_payload(len(values))}
 
-    def test_anything_else_fails_typed_naming_the_shard(self):
-        good = self.report_payload()
-        without_stats = {key: value for key, value in good.items()
+    def coordinator(self, serve, small_keypair, replies,
+                    delays=(0.0, 0.0)):
+        """A coordinator over one canned shard per reply, hosting a table
+        as long as the shards' slices together should be (3 + 2 records)."""
+        owner = DataOwner(
+            synthetic_uniform(n_records=5, dimensions=2, distance_bits=5,
+                              seed=1),
+            keypair=small_keypair, rng=Random(5))
+        coordinator = C1Daemon(io_deadline=10.0)
+        coordinator.codec.public_key = owner.public_key
+        coordinator._table = owner.encrypt_database()
+        coordinator._shard_addresses = [
+            serve(CannedShard(reply, delay)).address
+            for reply, delay in zip(replies, delays)]
+        return coordinator
+
+    def test_a_slice_of_distances_and_a_report_parse(self, public_key):
+        distances, report = C1Daemon._shard_reply(
+            0, 3, self.reply(public_key, [4, 5, 6]))
+        assert len(distances) == 3 and report.n_records == 3
+
+    def test_anything_else_fails_typed_naming_the_shard(self, public_key):
+        good = self.reply(public_key, [4, 5, 6])
+        without_stats = {key: value for key, value in good["report"].items()
                          if key != "stats"}
         for reply in (None, "scanned", ["report"], {}, {"report": None},
-                      {"report": without_stats},
-                      {"report": dict(good, unknown_field=1)}):
+                      {"report": good["report"]},
+                      {"distances": good["distances"]},
+                      dict(good, report=without_stats),
+                      dict(good, report=dict(good["report"], unknown=1)),
+                      dict(good, distances=good["distances"][:2]),
+                      dict(good, distances=good["distances"] * 2),
+                      dict(good, distances=[4, 5, 6]),
+                      dict(good, distances="abc")):
             with pytest.raises(ChannelError,
                                match="shard 1 answered") as raised:
-                C1Daemon._shard_report(1, reply)
+                C1Daemon._shard_reply(1, 3, reply)
             assert type(raised.value) is ChannelError, reply
 
-    def test_scatter_fails_the_query_on_a_malformed_shard_reply(self, serve):
-        """A shard that answers with something else must not quietly vanish
-        from the merged totals."""
-        class BabblingShard(C1Daemon):
-            def _handle_scan(self, payload):
-                return ["not", "a", "report"]
+    def test_replies_are_placed_by_shard_index_not_completion_order(
+            self, serve, small_keypair):
+        public = small_keypair.public_key
+        coordinator = self.coordinator(
+            serve, small_keypair,
+            [self.reply(public, [10, 11, 12]), self.reply(public, [13, 14])],
+            delays=(0.3, 0.0))  # shard 0 answers last
+        distances, reports = coordinator._scatter_to_shards([])
+        assert [small_keypair.private_key.decrypt(distance)
+                for distance in distances] == [10, 11, 12, 13, 14]
+        assert [report.n_records for report in reports] == [3, 2]
 
-        shard = serve(BabblingShard(shard_index=0, shard_count=1))
-        coordinator = C1Daemon(io_deadline=10.0)
-        coordinator._shard_addresses = [shard.address]
-        with pytest.raises(ChannelError, match="shard 0 answered"):
-            coordinator._scatter_to_shards("scan-1", [], 1)
+    def test_scatter_fails_the_query_on_a_malformed_shard_reply(
+            self, serve, small_keypair):
+        """A shard that answers with something else must not quietly vanish
+        from the gathered distances."""
+        coordinator = self.coordinator(
+            serve, small_keypair,
+            [self.reply(small_keypair.public_key, [1, 2, 3]),
+             ["not", "a", "reply"]])
+        with pytest.raises(ChannelError, match="shard 1 answered"):
+            coordinator._scatter_to_shards([])
+
+    def test_scatter_fails_the_query_on_a_short_answering_shard(
+            self, serve, small_keypair):
+        public = small_keypair.public_key
+        coordinator = self.coordinator(
+            serve, small_keypair,
+            [self.reply(public, [1, 2]), self.reply(public, [3, 4])])
+        with pytest.raises(ChannelError,
+                           match="shard 0 answered .* slice's 3 encrypted"):
+            coordinator._scatter_to_shards([])
+
+    def test_scatter_fails_the_query_on_a_dead_shard(self, serve,
+                                                     small_keypair):
+        coordinator = self.coordinator(
+            serve, small_keypair,
+            [self.reply(small_keypair.public_key, [1, 2, 3])])
+        with socket.socket() as placeholder:
+            placeholder.bind(("127.0.0.1", 0))  # bound, never listening
+            coordinator._shard_addresses.append(placeholder.getsockname())
+            with pytest.raises(PeerUnavailable):
+                coordinator._scatter_to_shards([])
