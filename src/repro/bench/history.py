@@ -7,8 +7,8 @@ of the file is the performance history of the repo.
 
 Regression semantics (:func:`check_history`): the latest record's metrics
 are compared against a rolling baseline — the median of the same metric
-over the last ``window`` *comparable* prior runs (same crypto backend and
-key size).  A metric regresses when it lands beyond
+over the last ``window`` *comparable* prior runs (same crypto backend, key
+size and round split).  A metric regresses when it lands beyond
 
     ``median + max(k · 1.4826 · MAD, rel_slack · |median|, abs_floor)``
 
@@ -129,11 +129,13 @@ class BenchHistory:
 
 def _comparable(candidate: Mapping[str, Any],
                 record: Mapping[str, Any]) -> bool:
-    """Same crypto backend and key size — otherwise baselines mix regimes."""
+    """Same crypto backend, key size and round split (the query benches
+    stamp the rule their batched rounds were framed under) — otherwise
+    baselines mix regimes."""
     mine = candidate.get("provenance") or {}
     theirs = record.get("provenance") or {}
-    return (mine.get("crypto_backend") == theirs.get("crypto_backend")
-            and mine.get("key_size") == theirs.get("key_size"))
+    return all(mine.get(key) == theirs.get(key)
+               for key in ("crypto_backend", "key_size", "round_split"))
 
 
 def check_history(bench: str, records: Sequence[Mapping[str, Any]],

@@ -42,10 +42,11 @@ def register(name: str, description: str):
 
 
 def _record(name: str, params: dict[str, Any],
-            metrics: dict[str, Any]) -> dict[str, Any]:
+            metrics: dict[str, Any],
+            **provenance: Any) -> dict[str, Any]:
     return {
         "bench": name,
-        "provenance": provenance_block(key_size=KEY_BITS),
+        "provenance": dict(provenance_block(key_size=KEY_BITS), **provenance),
         "params": params,
         "metrics": metrics,
     }
@@ -121,6 +122,8 @@ def bench_paillier_kernel(quick: bool) -> dict[str, Any]:
 
 def _query_bench(name: str, protocol_factory, n_records: int,
                  distance_bits: int, k: int) -> dict[str, Any]:
+    from repro.protocols.base import PIPELINE_MIN_ITEMS
+
     dimensions = 2
     keypair, cloud, client = _deploy(n_records, dimensions, distance_bits)
     protocol = protocol_factory(cloud, distance_bits)
@@ -142,11 +145,15 @@ def _query_bench(name: str, protocol_factory, n_records: int,
     for row in report.cost_breakdown:
         if row["party"] == "C1":
             metrics[f"phase.{row['phase']}_s"] = row["seconds"]
+    # A query's message count depends on how its batched rounds are split
+    # into frames, so rows taken under another split rule (or before there
+    # was one) are a different regime, like another backend or key size.
     return _record(
         name,
         {"key_size": KEY_BITS, "n_records": n_records,
          "dimensions": dimensions, "distance_bits": distance_bits, "k": k},
         metrics,
+        round_split=PIPELINE_MIN_ITEMS,
     )
 
 

@@ -10,8 +10,11 @@ Protocol classes derive from :class:`TwoPartyProtocol`, which stores the
 :class:`~repro.network.party.TwoPartySetting` and exposes the small set of
 ciphertext manipulations that appear over and over in the paper's algorithms
 (homomorphic subtraction, multiplication by ``N - r`` to realize ``-r``, and
-fresh randomization), and :meth:`TwoPartyProtocol.take_masks`, the one source
-of P1's additive masks, drawn a whole round at a time.
+fresh randomization), :meth:`TwoPartyProtocol.take_masks`, the one source
+of P1's additive masks, drawn a chunk of a round at a time, and
+:meth:`TwoPartyProtocol.run_pipelined`, the one shape of a batched round:
+two half-batches in flight, so the two clouds compute at the same time
+instead of taking turns.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.crypto.precompute import mask_range
@@ -31,7 +34,18 @@ from repro.telemetry import profiling as _profiling
 from repro.telemetry import tracing as _tracing
 
 __all__ = ["P2StepDispatcher", "TwoPartyProtocol", "ProtocolResult",
-           "record_round", "traced_round"]
+           "PIPELINE_MIN_ITEMS", "record_round", "traced_round"]
+
+#: A batched round of this many items or more travels as two half-batches
+#: in flight (:meth:`TwoPartyProtocol.run_pipelined`); a smaller one as one
+#: chunk.  Chosen on ``secure_dist_k512`` (K=512, n=8, m=3, l=6; six seeds
+#: per value, median ``query_p50_ms`` / ``c1c2_bytes_per_query`` against the
+#: unsplit round's 425 ms): 2 -> 369 ms, +1.5% bytes; 4 -> 375 ms, +1.3%;
+#: 8 -> 390 ms, +1.1% (worse than 4 on 5 of 6 seeds).  2 and 4 are inside
+#: each other's quartiles, and a half of one item leaves nothing to overlap
+#: while still paying a frame's ~110 B of envelope, so the smaller constant
+#: buys bytes only.
+PIPELINE_MIN_ITEMS = 4
 
 
 def record_round(protocol: str, operation: str) -> None:
@@ -232,6 +246,19 @@ class TwoPartyProtocol(P2StepDispatcher):
         if not condition:
             raise ProtocolError(f"{self.name}: {message}")
 
+    def require_cipher_list(self, ciphers: Any, count: int, what: str) -> None:
+        """P1's check of a reply from C2: a list of ``count`` ciphertexts.
+
+        Each chunk of a pipelined round checks *its own* reply before
+        stripping it, so a short or mistyped reply fails typed
+        (``"<name>: malformed <what>"``) instead of mis-aligning silently
+        into the chunk behind it.
+        """
+        self.require(
+            isinstance(ciphers, list) and len(ciphers) == count
+            and all(isinstance(cipher, Ciphertext) for cipher in ciphers),
+            f"malformed {what}")
+
     def require_cipher_rows(self, rows: Any, what: str,
                             rows_expected: int | None = None) -> int:
         """Shape check of a batch that arrived from outside this process.
@@ -251,6 +278,49 @@ class TwoPartyProtocol(P2StepDispatcher):
                     for row in rows),
             f"malformed {what}")
         return width
+
+    # -- batched rounds ----------------------------------------------------------
+    def run_pipelined(self, items: Sequence[Any], tag: str, reply_tag: str,
+                      prepare: Callable[[Sequence[Any]], "tuple[Any, Any]"],
+                      finish: Callable[[Sequence[Any], Any, Any], "list[Any]"]
+                      ) -> "list[Any]":
+        """Run one batched round with two half-batches in flight.
+
+        ``prepare(chunk)`` is P1's step before the wire — it returns the
+        payload to send under ``tag`` and whatever state (masks,
+        permutations) the chunk's ``finish(chunk, state, reply)`` needs to
+        turn C2's ``reply_tag`` answer into the chunk's results; the
+        chunks' results are concatenated in item order (an empty batch
+        sends nothing).  Both chunks are
+        prepared and sent before the first reply is read, so over sockets
+        C2 decrypts the first half while P1 still masks the second, and P1
+        strips the first while C2 decrypts the second.  The split is by
+        index and depends on nothing but the batch length
+        (:data:`PIPELINE_MIN_ITEMS`): C2 runs the same handler on the same
+        masked values, in two frames of the same tag instead of one.
+
+        Over the in-memory channel ``p2_step`` answers each chunk inline
+        right after its send and the replies queue in order; over a mux
+        context C2's worker answers frames in arrival order while P1's
+        reader thread keeps draining the socket, so a reply never waits on
+        P1's second send.
+        """
+        if not items:
+            return []
+        half = (len(items) + 1) // 2
+        chunks = ([items[:half], items[half:]]
+                  if len(items) >= PIPELINE_MIN_ITEMS else [items])
+        in_flight = []
+        for chunk in chunks:
+            payload, state = prepare(chunk)
+            self.p1.send(payload, tag=tag)
+            self.p2_step(tag)
+            in_flight.append((chunk, state))
+        results: list[Any] = []
+        for chunk, state in in_flight:
+            results.extend(
+                finish(chunk, state, self.p1.receive(expected_tag=reply_tag)))
+        return results
 
     # -- instrumentation --------------------------------------------------------
     def round_span(self, operation: str, **attributes: Any):

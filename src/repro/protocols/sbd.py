@@ -87,9 +87,11 @@ class SecureBitDecomposition(TwoPartyProtocol):
 
         The protocol's one implementation (:meth:`run` is the one-value
         batch): each of the ``l`` bit rounds processes *every* value in one
-        message exchange — ``2 * l`` messages and the same per-value
-        operation counts whatever the batch size.  SkNN_m uses this to
-        decompose all ``n`` record distances up front.
+        round — sent as two half-batches in flight from
+        :data:`~repro.protocols.base.PIPELINE_MIN_ITEMS` values up, so
+        ``2 * l`` messages below that and ``4 * l`` from there on — at the
+        same per-value operation counts whatever the batch size.  SkNN_m
+        uses this to decompose all ``n`` record distances up front.
 
         Returns:
             One bit vector (MSB first) per input value, in input order.
@@ -110,37 +112,45 @@ class SecureBitDecomposition(TwoPartyProtocol):
     ) -> tuple[list[Ciphertext], list[Ciphertext]]:
         """One bit round over every value: LSBs and halved remainders.
 
-        The round's masks — ``r`` uniform in ``[0, N - 2**l)``, so ``z + r``
-        never wraps — are one ``take_masks`` batch; the parity and un-flip
-        constants are one ``encrypt_batch`` of the party that needs them.
+        Each chunk's masks — ``r`` uniform in ``[0, N - 2**l)``, so
+        ``z + r`` never wraps — are one ``take_masks`` batch; the parity and
+        un-flip constants are one ``encrypt_batch`` of the party that needs
+        them.
         """
-        mask_tuples = self.take_masks(
-            len(enc_values), "sbd",
-            sbd_upper=self.pk.n - (1 << self.bit_length))
-        masks = [r for r, _ in mask_tuples]
-        masked = self.pk.add_batch(enc_values, [c for _, c in mask_tuples])
-        self.p1.send(masked, tag="SBD.batch_masked_values")
-        self.p2_step("SBD.batch_masked_values")
+        def mask(chunk):
+            mask_tuples = self.take_masks(
+                len(chunk), "sbd",
+                sbd_upper=self.pk.n - (1 << self.bit_length))
+            return (self.pk.add_batch(chunk, [c for _, c in mask_tuples]),
+                    [r for r, _ in mask_tuples])
 
-        received = self.p1.receive(expected_tag="SBD.batch_masked_parities")
-        # Un-flip the parity wherever P1's mask was odd: z_lsb = 1 - b, so
-        # E(1) * E(b)^{N-1} — one E(1) and one subtraction per odd mask.
-        odd_indices = [i for i, mask in enumerate(masks) if mask % 2 == 1]
-        enc_bits = list(received)
-        if odd_indices:
-            ones = self.p1.encrypt_batch([1] * len(odd_indices))
-            flipped = self.pk.add_batch(
-                ones, self.neg_batch([received[i] for i in odd_indices]))
-            for position, index in enumerate(odd_indices):
-                enc_bits[index] = flipped[position]
+        def unflip_and_halve(chunk, masks, parities):
+            self.require_cipher_list(parities, len(chunk),
+                                     "masked-parity reply")
+            # Un-flip the parity wherever P1's mask was odd: z_lsb = 1 - b,
+            # so E(1) * E(b)^{N-1} — one E(1) and one subtraction per odd
+            # mask.
+            odd_indices = [i for i, r in enumerate(masks) if r % 2 == 1]
+            enc_bits = list(parities)
+            if odd_indices:
+                ones = self.p1.encrypt_batch([1] * len(odd_indices))
+                flipped = self.pk.add_batch(
+                    ones, self.neg_batch([parities[i] for i in odd_indices]))
+                for position, index in enumerate(odd_indices):
+                    enc_bits[index] = flipped[position]
 
-        # E((value - bit) / 2) for every value: subtract the bit, multiply
-        # by 2^{-1} mod N — exact because value - bit is even.
-        halved = self.pk.scalar_mul_batch(
-            self.pk.add_batch(enc_values, self.neg_batch(enc_bits)),
-            self._inv_two,
-        )
-        return enc_bits, halved
+            # E((value - bit) / 2) for every value: subtract the bit,
+            # multiply by 2^{-1} mod N — exact because value - bit is even.
+            halved = self.pk.scalar_mul_batch(
+                self.pk.add_batch(chunk, self.neg_batch(enc_bits)),
+                self._inv_two,
+            )
+            return list(zip(enc_bits, halved))
+
+        enc_bits, halved = zip(*self.run_pipelined(
+            enc_values, "SBD.batch_masked_values",
+            "SBD.batch_masked_parities", mask, unflip_and_halve))
+        return list(enc_bits), list(halved)
 
     # -- P2 step -------------------------------------------------------------------
     def _p2_parity_of_masked_batch(self) -> None:

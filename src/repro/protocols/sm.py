@@ -86,39 +86,47 @@ class SecureMultiplication(TwoPartyProtocol):
         """Compute ``Epk(a_i * b_i)`` for a whole vector of operand pairs.
 
         The protocol's one implementation (:meth:`run` is the one-pair
-        batch): one round of two messages whatever the batch size, at 3
-        encryptions, 2 decryptions, 2 exponentiations and 5 homomorphic
-        additions per pair; encryptions draw their obfuscators from the
-        key's fixed-base window table and decryptions run through the
-        vectorized CRT kernel.
+        batch): one round, sent as two half-batches in flight from
+        :data:`~repro.protocols.base.PIPELINE_MIN_ITEMS` pairs up — two
+        messages below that, four from there on, whatever the batch size —
+        at 3 encryptions, 2 decryptions, 2 exponentiations and 5
+        homomorphic additions per pair; encryptions draw their obfuscators
+        from the key's fixed-base window table and decryptions run through
+        the vectorized CRT kernel.
         """
-        if not pairs:
-            return []
         n = self.pk.n
-        enc_a_vec = [a for a, _ in pairs]
-        enc_b_vec = [b for _, b in pairs]
 
-        # Step 1: P1 masks every operand with fresh randomness.
-        masks_a, enc_masks_a = zip(*self.take_masks(len(pairs)))
-        masks_b, enc_masks_b = zip(*self.take_masks(len(pairs)))
-        masked_a = self.pk.add_batch(enc_a_vec, enc_masks_a)
-        masked_b = self.pk.add_batch(enc_b_vec, enc_masks_b)
-        self.p1.send([masked_a, masked_b], tag="SM.batch_masked_operands")
+        def mask(chunk):
+            # Step 1: P1 masks every operand with fresh randomness — one
+            # draw per chunk, a pair's two masks adjacent in it.
+            mask_tuples = self.take_masks(2 * len(chunk))
+            masks_a, enc_masks_a = zip(*mask_tuples[0::2])
+            masks_b, enc_masks_b = zip(*mask_tuples[1::2])
+            masked_a = self.pk.add_batch([a for a, _ in chunk], enc_masks_a)
+            masked_b = self.pk.add_batch([b for _, b in chunk], enc_masks_b)
+            return [masked_a, masked_b], (masks_a, masks_b)
 
-        # Step 2: P2 decrypts all masked operands and multiplies them.
-        self.p2_step("SM.batch_masked_operands")
+        def strip(chunk, masks, products):
+            # Step 3: P1 strips the cross terms from every product — one
+            # two-base multi-exponentiation E(a)^{N-r_b} * E(b)^{N-r_a} per
+            # pair.
+            self.require_cipher_list(products, len(chunk),
+                                     "masked-product reply")
+            masks_a, masks_b = masks
+            cross = self.pk.weighted_sum_batch(
+                chunk, [(n - r_b, n - r_a)
+                        for r_a, r_b in zip(masks_a, masks_b)])
+            stripped = self.pk.add_batch(products, cross)
+            return [
+                self.add_plain(cipher, -(r_a * r_b) % n)
+                for cipher, r_a, r_b in zip(stripped, masks_a, masks_b)
+            ]
 
-        # Step 3: P1 strips the cross terms from every product — one
-        # two-base multi-exponentiation E(a)^{N-r_b} * E(b)^{N-r_a} per pair.
-        received = self.p1.receive(expected_tag="SM.batch_masked_products")
-        cross = self.pk.weighted_sum_batch(
-            pairs, [(n - r_b, n - r_a)
-                    for r_a, r_b in zip(masks_a, masks_b)])
-        stripped = self.pk.add_batch(received, cross)
-        return [
-            self.add_plain(cipher, -(r_a * r_b) % n)
-            for cipher, r_a, r_b in zip(stripped, masks_a, masks_b)
-        ]
+        # Step 2 (P2 decrypts all masked operands and multiplies them) runs
+        # between the two, once per chunk.
+        return self.run_pipelined(
+            pairs, "SM.batch_masked_operands", "SM.batch_masked_products",
+            mask, strip)
 
     @traced_round("run_square_batch", sized=True)
     def run_square_batch(self, ciphertexts: Sequence[Ciphertext]
@@ -142,20 +150,23 @@ class SecureMultiplication(TwoPartyProtocol):
         per record.  This entry point remains for callers that need the
         individual squares.
         """
-        if not ciphertexts:
-            return []
         n = self.pk.n
-        mask_tuples = self.take_masks(len(ciphertexts))
-        masked = self.pk.add_batch(list(ciphertexts),
-                                   [c for _, c in mask_tuples])
-        self.p1.send(masked, tag="SM.batch_masked_squares")
-        self.p2_step("SM.batch_masked_squares")
 
-        received = self.p1.receive(expected_tag="SM.batch_square_products")
-        unmask = self.pk.scalar_mul_batch(
-            list(ciphertexts), [(n - 2 * r) % n for r, _ in mask_tuples])
-        stripped = self.pk.add_batch(received, unmask)
-        return [
-            self.add_plain(cipher, -(r * r) % n)
-            for cipher, (r, _) in zip(stripped, mask_tuples)
-        ]
+        def mask(chunk):
+            mask_tuples = self.take_masks(len(chunk))
+            return (self.pk.add_batch(chunk, [c for _, c in mask_tuples]),
+                    [r for r, _ in mask_tuples])
+
+        def strip(chunk, masks, squares):
+            self.require_cipher_list(squares, len(chunk),
+                                     "masked-square reply")
+            unmask = self.pk.scalar_mul_batch(
+                chunk, [(n - 2 * r) % n for r in masks])
+            return [
+                self.add_plain(cipher, -(r * r) % n)
+                for cipher, r in zip(self.pk.add_batch(squares, unmask), masks)
+            ]
+
+        return self.run_pipelined(
+            list(ciphertexts), "SM.batch_masked_squares",
+            "SM.batch_square_products", mask, strip)

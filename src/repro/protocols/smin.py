@@ -130,12 +130,15 @@ class SecureMinimum(TwoPartyProtocol):
 
         The protocol's one implementation (:meth:`run` is the one-pair
         batch; per-pair operation counts do not depend on the batch size),
-        executed as one four-message round: every pair's per-bit SM products
-        run through one batched SM invocation, P2 decrypts all permuted L
-        vectors with the vectorized CRT kernel, and each pair keeps its own
-        oblivious-functionality coin and permutations so the security
-        argument is unchanged.  SMIN_n's tournament rounds call this with
-        all pairs of a level.
+        executed as two rounds: every pair's per-bit SM products run through
+        one batched SM invocation, then the Gamma/L round, in which P2
+        decrypts all permuted L vectors with the vectorized CRT kernel.
+        Each round is four messages — two half-batches in flight, SM's split
+        by bit products and the Gamma/L round's by pairs — once it has
+        :data:`~repro.protocols.base.PIPELINE_MIN_ITEMS` items, two below
+        that.  Each pair keeps its own oblivious-functionality coin and
+        permutations so the security argument is unchanged.  SMIN_n's
+        tournament rounds call this with all pairs of a level.
 
         Args:
             pairs: ``(u_bits, v_bits)`` tuples; every bit vector across all
@@ -153,68 +156,84 @@ class SecureMinimum(TwoPartyProtocol):
         self.require(bit_length > 0, "bit vectors must be non-empty")
         n = self.pk.n
 
-        # ---- P1: step 1 for every pair --------------------------------------
+        # ---- P1: every pair's coin and per-bit SM products ------------------
         f_flags = [bool(self.p1.rng.getrandbits(1)) for _ in pairs]
         sm_inputs: list[tuple[Ciphertext, Ciphertext]] = []
         for enc_u_bits, enc_v_bits in pairs:
             sm_inputs.extend(zip(enc_u_bits, enc_v_bits))
         products = self._sm.run_batch(sm_inputs)
-        rhat_tuples = self.take_masks(len(pairs) * bit_length, "nonzero")
-        enc_h_zeros = self.p1.encrypt_batch([0] * len(pairs))
+        tasks = [
+            (enc_u_bits, enc_v_bits, f_flags[index],
+             products[index * bit_length:(index + 1) * bit_length])
+            for index, (enc_u_bits, enc_v_bits) in enumerate(pairs)
+        ]
 
-        payload = []
-        pair_states: list[tuple[list[int], list[int]]] = []
-        for index, (enc_u_bits, enc_v_bits) in enumerate(pairs):
-            f_is_u_greater = f_flags[index]
-            enc_h_previous = enc_h_zeros[index]
-            gamma_vector: list[Ciphertext] = []
-            l_vector: list[Ciphertext] = []
-            gamma_masks: list[int] = []
-            for i in range(bit_length):
-                flat = index * bit_length + i
-                rhat, enc_rhat = rhat_tuples[flat]
-                enc_gamma, enc_l, enc_h_previous = \
-                    self._p1_bit_vectors(enc_u_bits[i], enc_v_bits[i],
-                                         products[flat], f_is_u_greater,
-                                         enc_h_previous, enc_rhat)
-                gamma_masks.append(rhat)
-                gamma_vector.append(enc_gamma)
-                l_vector.append(enc_l)
+        def build_gamma_and_l(chunk):
+            # ---- P1: step 1 for every pair of the chunk ---------------------
+            rhat_tuples = self.take_masks(len(chunk) * bit_length, "nonzero")
+            enc_h_zeros = self.p1.encrypt_batch([0] * len(chunk))
+            payload = []
+            states: list[tuple[list[int], list[int]]] = []
+            for index, (enc_u_bits, enc_v_bits, f_is_u_greater,
+                        enc_uv_bits) in enumerate(chunk):
+                enc_h_previous = enc_h_zeros[index]
+                gamma_vector: list[Ciphertext] = []
+                l_vector: list[Ciphertext] = []
+                gamma_masks: list[int] = []
+                for i in range(bit_length):
+                    rhat, enc_rhat = rhat_tuples[index * bit_length + i]
+                    enc_gamma, enc_l, enc_h_previous = \
+                        self._p1_bit_vectors(enc_u_bits[i], enc_v_bits[i],
+                                             enc_uv_bits[i], f_is_u_greater,
+                                             enc_h_previous, enc_rhat)
+                    gamma_masks.append(rhat)
+                    gamma_vector.append(enc_gamma)
+                    l_vector.append(enc_l)
 
-            permutation_gamma = list(range(bit_length))
-            permutation_l = list(range(bit_length))
-            self.p1.rng.shuffle(permutation_gamma)
-            self.p1.rng.shuffle(permutation_l)
-            payload.append([
-                [gamma_vector[j] for j in permutation_gamma],
-                [l_vector[j] for j in permutation_l],
-            ])
-            pair_states.append((gamma_masks, permutation_gamma))
-        self.p1.send(payload, tag="SMIN.batch_gamma_and_l")
+                permutation_gamma = list(range(bit_length))
+                permutation_l = list(range(bit_length))
+                self.p1.rng.shuffle(permutation_gamma)
+                self.p1.rng.shuffle(permutation_l)
+                payload.append([
+                    [gamma_vector[j] for j in permutation_gamma],
+                    [l_vector[j] for j in permutation_l],
+                ])
+                states.append((gamma_masks, permutation_gamma))
+            return payload, states
 
-        # ---- P2: step 2 for every pair --------------------------------------
-        self.p2_step("SMIN.batch_gamma_and_l")
+        def select_minimums(chunk, states, reply):
+            # ---- P1: step 3 for every pair of the chunk ---------------------
+            self.require(isinstance(reply, list) and len(reply) == 2,
+                         "malformed masked-minimum reply")
+            received_m, received_alphas = reply
+            self.require(
+                self.require_cipher_rows(received_m, "masked-minimum reply",
+                                         len(chunk)) == bit_length,
+                "malformed masked-minimum reply")
+            self.require_cipher_list(received_alphas, len(chunk),
+                                     "masked-minimum reply")
+            results: list[list[Ciphertext]] = []
+            for index, (enc_u_bits, enc_v_bits, f_is_u_greater,
+                        _) in enumerate(chunk):
+                gamma_masks, permutation_gamma = states[index]
+                unpermuted: list[Ciphertext | None] = [None] * bit_length
+                for position, original_index in enumerate(permutation_gamma):
+                    unpermuted[original_index] = received_m[index][position]
+                # lambda_i = M~_i * E(alpha)^{N - rhat_i}
+                lambdas = self.pk.add_batch(
+                    unpermuted,
+                    self.pk.scalar_mul_batch(
+                        [received_alphas[index]] * bit_length,
+                        [n - mask for mask in gamma_masks]),
+                )
+                base_bits = enc_u_bits if f_is_u_greater else enc_v_bits
+                results.append(self.pk.add_batch(list(base_bits), lambdas))
+            return results
 
-        # ---- P1: step 3 for every pair --------------------------------------
-        received_m, received_alphas = self.p1.receive(
-            expected_tag="SMIN.batch_masked_minimums")
-        results: list[list[Ciphertext]] = []
-        for index, (enc_u_bits, enc_v_bits) in enumerate(pairs):
-            gamma_masks, permutation_gamma = pair_states[index]
-            enc_alpha = received_alphas[index]
-            unpermuted: list[Ciphertext | None] = [None] * bit_length
-            for position, original_index in enumerate(permutation_gamma):
-                unpermuted[original_index] = received_m[index][position]
-            # lambda_i = M~_i * E(alpha)^{N - rhat_i}
-            lambdas = self.pk.add_batch(
-                unpermuted,
-                self.pk.scalar_mul_batch(
-                    [enc_alpha] * bit_length,
-                    [n - mask for mask in gamma_masks]),
-            )
-            base_bits = enc_u_bits if f_flags[index] else enc_v_bits
-            results.append(self.pk.add_batch(list(base_bits), lambdas))
-        return results
+        # ---- P2: step 2 runs between the two, once per chunk of pairs -------
+        return self.run_pipelined(
+            tasks, "SMIN.batch_gamma_and_l", "SMIN.batch_masked_minimums",
+            build_gamma_and_l, select_minimums)
 
     # -- P2 side -------------------------------------------------------------
     def _p2_decide_alpha_batch(self) -> None:

@@ -88,8 +88,10 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
         """Compute ``Epk(|X - Y_i|^2)`` against many vectors in one round.
 
         The distance scan of Algorithms 5 and 6 (step 2), where ``X`` is the
-        query and the ``Y_i`` are the ``n`` table records: two messages and
-        ``n*m + n`` ciphertexts in total.  The shared operand is negated once
+        query and the ``Y_i`` are the ``n`` table records: ``n*m + n``
+        ciphertexts in total, in two messages below
+        :data:`~repro.protocols.base.PIPELINE_MIN_ITEMS` records and four —
+        two half-scans in flight — from there on.  The shared operand is negated once
         per attribute instead of once per (record, attribute) pair — valid
         because ``(x - y)^2 == (y - x)^2`` — so the scan costs ``n*m + m``
         exponentiations, ``n*m + n`` encryptions and ``n*m`` decryptions
@@ -112,42 +114,43 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
         if not enc_y_list:
             return []
         n = self.pk.n
-        records = len(enc_y_list)
-
         # E(-x_j), hoisted across all records.
         neg_x = self.neg_batch(list(enc_x))
-        # E(y_ij - x_j) for every record and attribute (flattened).
-        diffs: list[Ciphertext] = []
-        for enc_y in enc_y_list:
-            diffs.extend(self.pk.add_batch(list(enc_y[:width]), neg_x))
 
-        # Step 1: one fresh mask per difference; the payload is rows of
-        # ciphertexts only — no width or count travels in the clear.
-        masks, enc_masks = zip(*self.take_masks(len(diffs)))
-        masked = self.pk.add_batch(diffs, enc_masks)
-        self.p1.send([masked[start:start + width]
-                      for start in range(0, len(masked), width)],
-                     tag="SSED.masked_differences")
+        def mask(records):
+            # E(y_ij - x_j) for every record and attribute of the chunk.
+            diff_rows = [self.pk.add_batch(list(enc_y[:width]), neg_x)
+                         for enc_y in records]
+            # Step 1: one fresh mask per difference; the payload is rows of
+            # ciphertexts only — no width or count travels in the clear.
+            masks, enc_masks = zip(*self.take_masks(len(records) * width))
+            masked = self.pk.add_batch(
+                [diff for row in diff_rows for diff in row], enc_masks)
+            starts = range(0, len(masked), width)
+            return ([masked[start:start + width] for start in starts],
+                    (diff_rows, [masks[start:start + width]
+                                 for start in starts]))
 
-        # Step 2: P2 decrypts, squares and sums in the clear.
-        self.p2_step("SSED.masked_differences")
+        def strip(records, state, totals):
+            # Step 3: strip 2*r*d and r^2 from every record's
+            # E(sum (d + r)^2) — one multi-exponentiation per record for
+            # the cross terms.
+            self.require_cipher_list(totals, len(records),
+                                     "masked-square-sum reply")
+            diff_rows, mask_rows = state
+            cross = self.pk.weighted_sum_batch(
+                diff_rows, [[n - 2 * r for r in row] for row in mask_rows])
+            return [
+                self.add_plain(total, -sum(r * r for r in row))
+                for total, row in zip(self.pk.add_batch(totals, cross),
+                                      mask_rows)
+            ]
 
-        # Step 3: strip 2*r*d and r^2 from every record's E(sum (d + r)^2)
-        # — one multi-exponentiation per record for the cross terms.
-        totals = self.p1.receive(expected_tag="SSED.masked_square_sums")
-        self.require(
-            isinstance(totals, list) and len(totals) == records
-            and all(isinstance(total, Ciphertext) for total in totals),
-            "malformed masked-square-sum reply")
-        starts = range(0, len(diffs), width)
-        mask_rows = [masks[start:start + width] for start in starts]
-        cross = self.pk.weighted_sum_batch(
-            [diffs[start:start + width] for start in starts],
-            [[n - 2 * r for r in row] for row in mask_rows])
-        return [
-            self.add_plain(total, -sum(r * r for r in row))
-            for total, row in zip(self.pk.add_batch(totals, cross), mask_rows)
-        ]
+        # Step 2 (P2 decrypts, squares and sums in the clear) runs between
+        # the two, once per chunk of records.
+        return self.run_pipelined(
+            enc_y_list, "SSED.masked_differences", "SSED.masked_square_sums",
+            mask, strip)
 
     def _p2_sum_masked_squares(self) -> None:
         """Step 2: decrypt each record's masked differences, return E(sum h^2).

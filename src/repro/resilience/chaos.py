@@ -34,7 +34,11 @@ from typing import Any
 
 from repro.exceptions import ChannelError
 from repro.telemetry import metrics as _metrics
-from repro.transport.framing import recv_frame, send_frame
+from repro.transport.framing import (
+    recv_frame,
+    send_frame,
+    setup_stream_socket,
+)
 
 __all__ = ["ChaosSchedule", "ChaosChannel", "ChaosProxy"]
 
@@ -259,8 +263,11 @@ class ChaosProxy:
             except OSError:
                 break
             try:
-                upstream = socket.create_connection(self.target, timeout=10)
-                upstream.settimeout(None)
+                # Both legs get the product's socket setup, so a faulted
+                # run's latencies are the schedule's, not Nagle's.
+                setup_stream_socket(downstream)
+                upstream = setup_stream_socket(
+                    socket.create_connection(self.target, timeout=10))
             except OSError:
                 downstream.close()
                 continue

@@ -21,7 +21,11 @@ from typing import Any
 from repro.exceptions import DeadlineExceeded, PeerUnavailable
 from repro.network.channel import Message
 from repro.resilience.policy import Deadline
-from repro.transport.framing import recv_frame, send_frame
+from repro.transport.framing import (
+    recv_frame,
+    send_frame,
+    setup_stream_socket,
+)
 from repro.transport.wire import WireCodec
 
 __all__ = ["probe_daemon", "wait_until_healthy"]
@@ -37,13 +41,13 @@ def probe_daemon(address: tuple[str, int],
     codec = WireCodec()
     deadline = Deadline(timeout)
     try:
-        sock = socket.create_connection(address, timeout=timeout)
+        sock = setup_stream_socket(
+            socket.create_connection(address, timeout=timeout))
     except OSError as exc:
         raise PeerUnavailable(
             f"daemon at {address[0]}:{address[1]} is not accepting "
             f"connections: {exc}") from exc
     try:
-        sock.settimeout(None)
         for tag, payload in (("transport.hello", {"peer": "client"}),
                              ("transport.ping", None)):
             message = Message(sender="probe", recipient="daemon", tag=tag,

@@ -43,7 +43,11 @@ from repro.network.channel import Message
 from repro.resilience.policy import Deadline, RetryPolicy, retry_call
 from repro.telemetry import metrics as telemetry_metrics
 from repro.transport.daemon import DEFAULT_FETCH_TIMEOUT
-from repro.transport.framing import recv_frame, send_frame
+from repro.transport.framing import (
+    recv_frame,
+    send_frame,
+    setup_stream_socket,
+)
 from repro.transport.wire import WireCodec
 
 __all__ = ["DaemonClient", "RemoteCloud", "RemoteStore"]
@@ -103,14 +107,12 @@ class DaemonClient:
     # -- connection management ------------------------------------------------
     def _connect(self) -> None:
         try:
-            sock = socket.create_connection(self.address,
-                                            timeout=self.connect_timeout)
+            self._sock = setup_stream_socket(socket.create_connection(
+                self.address, timeout=self.connect_timeout))
         except OSError as exc:
             raise PeerUnavailable(
                 f"cannot connect to daemon at {self.address[0]}:"
                 f"{self.address[1]}: {exc}") from exc
-        sock.settimeout(None)
-        self._sock = sock
         try:
             hello = self._exchange("transport.hello", {"peer": "client"},
                                    Deadline(self.connect_timeout))

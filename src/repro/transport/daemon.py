@@ -83,7 +83,12 @@ from repro.telemetry import MetricsHTTPServer, SlowQueryLog
 from repro.telemetry import metrics as telemetry_metrics
 from repro.telemetry import profiling as telemetry_profiling
 from repro.telemetry import tracing as telemetry_tracing
-from repro.transport.framing import deadline_at, recv_frame, send_frame
+from repro.transport.framing import (
+    deadline_at,
+    recv_frame,
+    send_frame,
+    setup_stream_socket,
+)
 from repro.transport.mux import MuxChannel, MuxConnection, PeerPool
 from repro.transport.wire import WireCodec
 
@@ -702,6 +707,11 @@ class PartyDaemon:
                 sock, address = self._listener.accept()
             except OSError:
                 break  # listener closed by shutdown
+            try:
+                setup_stream_socket(sock)
+            except OSError:
+                _close_socket(sock)  # reset before it was ever served
+                continue
             with self._state_lock:
                 self._connections.add(sock)
             thread = threading.Thread(
@@ -1405,12 +1415,12 @@ class C1Daemon(PartyDaemon):
         assert self._c2_address is not None
         host, port = self._c2_address
         try:
-            peer_sock = socket.create_connection((host, port), timeout=10)
+            peer_sock = setup_stream_socket(
+                socket.create_connection((host, port), timeout=10))
         except OSError as exc:
             raise PeerUnavailable(
                 f"cannot reach C2 at {host}:{port}: {exc}") from exc
         try:
-            peer_sock.settimeout(None)
             hello = Message(sender="C1", recipient="C2",
                             tag="transport.hello",
                             payload={"peer": "cloud", "epoch": self.epoch})

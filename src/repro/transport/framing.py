@@ -33,7 +33,7 @@ from repro.crypto.serialization import FRAME_HEADER_BYTES
 from repro.exceptions import ChannelError, DeadlineExceeded, PeerUnavailable
 
 __all__ = ["FRAME_HEADER_BYTES", "MAX_FRAME_BYTES", "send_frame", "recv_frame",
-           "deadline_at"]
+           "deadline_at", "setup_stream_socket"]
 
 #: refuse frames larger than this (a corrupt length prefix would otherwise
 #: make the receiver try to allocate gigabytes); large enough for a whole
@@ -41,6 +41,22 @@ __all__ = ["FRAME_HEADER_BYTES", "MAX_FRAME_BYTES", "send_frame", "recv_frame",
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
+
+
+def setup_stream_socket(sock: socket.socket) -> socket.socket:
+    """Prepare a freshly dialled or accepted TCP socket for framed traffic.
+
+    Every stream socket this package opens or accepts passes through here.
+    It leaves the socket blocking (deadlines are armed per operation, see
+    :func:`send_frame`) and sets ``TCP_NODELAY``: a frame is already one
+    ``sendall``, so Nagle's algorithm has nothing to coalesce — it would
+    only hold the second of two back-to-back small frames (a telemetry
+    bracket and the protocol frame next to it, or two half-batches of one
+    round) until the peer's delayed ACK, ~40 ms later.
+    """
+    sock.settimeout(None)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 def deadline_at(timeout: float | None) -> float | None:

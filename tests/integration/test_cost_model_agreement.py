@@ -31,6 +31,7 @@ from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_secure import SkNNSecure
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.db.datasets import synthetic_uniform
+from repro.protocols.base import PIPELINE_MIN_ITEMS
 from repro.protocols.encoding import encrypt_bits
 from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.smin import SecureMinimum
@@ -82,9 +83,11 @@ class TestSubProtocolCounts:
         assert setting.decryptor.private_key.counter.decryptions == \
             expected.decryptions
         assert pk.counter.exponentiations == expected.exponentiations
-        # One round: n rows of m masked differences out, n square sums back.
+        # One round, two half-scans in flight (both cases have at least
+        # PIPELINE_MIN_ITEMS records): n rows of m masked differences out
+        # and n square sums back, each direction in two frames.
         traffic = setting.channel.total_traffic()
-        assert traffic.messages == 2
+        assert records >= PIPELINE_MIN_ITEMS and traffic.messages == 4
         assert traffic.ciphertexts == records * dimensions + records
 
     @pytest.mark.parametrize("bit_length", [4, 8])
@@ -212,9 +215,10 @@ class TestQueryProtocolCounts:
         assert cloud.c2.private_key.counter.decryptions == \
             split.online.decryptions
         assert pk.counter.exponentiations == split.online.exponentiations
-        # Same messages as the cold scan: pools never change the protocol.
+        # Same messages as the cold scan (two half-scans in flight): pools
+        # never change the protocol.
         traffic = cloud.channel.total_traffic()
-        assert traffic.messages == 2
+        assert records >= PIPELINE_MIN_ITEMS and traffic.messages == 4
         assert traffic.ciphertexts == records * dimensions + records
 
     def test_smin_engine_parity(self, small_keypair):

@@ -1,7 +1,8 @@
 """One implementation per protocol step.
 
 The scalar entry points of SM / SBD / SMIN are the one-item batch, so one
-scalar call is one batched round on the wire with exactly the modelled
+scalar call is one batched round on the wire (two half-batches in flight
+once a round has ``PIPELINE_MIN_ITEMS`` items) with exactly the modelled
 operation counts; and the in-process scan's chunk worker runs
 ``SSED.run_many`` on a worker-local two-party setting, so what its decryptor
 sees is masked, a resubmitted task reproduces its distances, and the
@@ -24,6 +25,7 @@ from repro.core.roles import QueryClient
 from repro.crypto.backend import get_backend
 from repro.crypto.paillier import PaillierPrivateKey
 from repro.db.knn import LinearScanKNN
+from repro.protocols.base import PIPELINE_MIN_ITEMS
 from repro.protocols.encoding import bits_to_int, encrypt_bits
 from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.sm import SecureMultiplication
@@ -73,15 +75,25 @@ class TestOneScalarCallIsOneRound:
         decrypt = setting.decryptor.decrypt_signed
         assert bits_to_int([decrypt(bit) for bit in bits]) == 45
 
-    def test_smin_run_is_four_messages_at_smin_counts(self, setting):
+    def test_smin_run_is_two_rounds_at_smin_counts(self, setting):
+        """One SM round over the pair's BITS bit products — at least
+        PIPELINE_MIN_ITEMS of them, so two half-batches, each answered
+        inline on the in-memory channel — then one Gamma/L round over the
+        single pair, which is below the split."""
         public = setting.public_key
         enc_u = encrypt_bits(public, 37, BITS)
         enc_v = encrypt_bits(public, 22, BITS)
         setting.reset_counters()
         minimum = SecureMinimum(setting).run(enc_u, enc_v)
+        assert BITS >= PIPELINE_MIN_ITEMS > 1
         assert [m.tag for m in setting.channel.transcript] == [
             "SM.batch_masked_operands", "SM.batch_masked_products",
+            "SM.batch_masked_operands", "SM.batch_masked_products",
             "SMIN.batch_gamma_and_l", "SMIN.batch_masked_minimums"]
+        operands = [m.payload for m in setting.channel.transcript
+                    if m.tag == "SM.batch_masked_operands"]
+        assert [len(masked_a) for masked_a, _ in operands] == [
+            (BITS + 1) // 2, BITS // 2]
         assert op_deltas(setting) == smin_counts(BITS).as_dict()
         decrypt = setting.decryptor.decrypt_signed
         assert bits_to_int([decrypt(bit) for bit in minimum]) == 22
@@ -124,14 +136,17 @@ class TestChunkWorkerRunsTheProtocol:
         distances = [[sum((a - b) ** 2 for a, b in zip(record, query))
                       for query in self.QUERIES] for record in self.RECORDS]
         assert first == second == (0, distances)
-        # per query: C2's SSED step, then SkNN_b's distance decryption
-        assert len(views_one) == len(views_two) == 2 * len(self.QUERIES)
+        # per query: C2's SSED step on each half of the scan (the task has
+        # PIPELINE_MIN_ITEMS records), then SkNN_b's distance decryption
+        half = len(self.RECORDS) // 2
+        assert len(self.RECORDS) == 2 * half >= PIPELINE_MIN_ITEMS
+        assert len(views_one) == len(views_two) == 3 * len(self.QUERIES)
         for index, (one, two) in enumerate(zip(views_one, views_two)):
-            if index % 2 == 0:
-                assert len(one) == len(self.RECORDS) * 3
+            if index % 3 < 2:
+                assert len(one) == half * 3
                 assert all(a != b for a, b in zip(one, two))
             else:
-                assert one == two == [row[index // 2] for row in distances]
+                assert one == two == [row[index // 3] for row in distances]
 
         assert ssed_chunk_worker(self.task(small_keypair, seed=1)) == first
 

@@ -186,7 +186,13 @@ class TestFusedScanMasking:
     QUERY = [2, 5]
 
     def scan(self, cloud, client, monkeypatch):
-        """Run one scan; return (masks C1 drew, request, reply) messages."""
+        """Run one scan; return (masks C1 drew, request rows, reply sums).
+
+        The table has 2 * PIPELINE_MIN_ITEMS records, so the scan crosses
+        as two half-scans in flight: both request frames' rows and both
+        reply frames' sums are returned, concatenated in record order, after
+        checking that each reply answers its own request.
+        """
         protocol = SkNNSecure(cloud, distance_bits=7)
         drawn: list[int] = []
         take_masks = protocol._ssed.take_masks
@@ -201,22 +207,27 @@ class TestFusedScanMasking:
         cloud.channel.transcript.clear()
         protocol._compute_encrypted_distances(
             client.encrypt_query(self.QUERY))
-        request, reply = cloud.channel.transcript
-        assert request.tag == "SSED.masked_differences"
-        assert reply.tag == "SSED.masked_square_sums"
-        return drawn, request, reply
+        transcript = cloud.channel.transcript
+        assert [message.tag for message in transcript] == [
+            "SSED.masked_differences", "SSED.masked_square_sums"] * 2
+        requests, replies = transcript[0::2], transcript[1::2]
+        for request, reply in zip(requests, replies):
+            assert len(reply.payload) == len(request.payload) > 0
+        return (drawn,
+                [row for request in requests for row in request.payload],
+                [total for reply in replies for total in reply.payload])
 
     def test_c2_decrypts_only_difference_plus_mask(self, security_table,
                                                    small_keypair,
                                                    monkeypatch):
         cloud, client = deploy(security_table, small_keypair, seed=320)
-        drawn, request, _ = self.scan(cloud, client, monkeypatch)
+        drawn, rows, _ = self.scan(cloud, client, monkeypatch)
         n = small_keypair.public_key.n
         differences = [(value - q) % n
                        for record in security_table
                        for value, q in zip(record.values, self.QUERY)]
         seen_by_c2 = small_keypair.private_key.decrypt_residue_batch(
-            [cipher for row in request.payload for cipher in row])
+            [cipher for row in rows for cipher in row])
         assert len(drawn) == len(differences) == len(seen_by_c2)
         assert len(set(drawn)) == len(drawn)  # one fresh mask per value
         assert seen_by_c2 == [(d + r) % n for d, r in zip(differences, drawn)]
@@ -229,25 +240,25 @@ class TestFusedScanMasking:
         cloud, client = deploy(security_table, small_keypair, seed=321)
         views = []
         for _ in range(2):
-            _, request, _ = self.scan(cloud, client, monkeypatch)
+            _, rows, _ = self.scan(cloud, client, monkeypatch)
             views.append(small_keypair.private_key.decrypt_residue_batch(
-                [cipher for row in request.payload for cipher in row]))
+                [cipher for row in rows for cipher in row]))
         assert not set(views[0]) & set(views[1])
 
     def test_wire_carries_ciphertexts_only_one_per_record_back(
             self, security_table, small_keypair, monkeypatch):
         cloud, client = deploy(security_table, small_keypair, seed=322)
-        _, request, reply = self.scan(cloud, client, monkeypatch)
-        assert len(request.payload) == len(security_table)
+        _, rows, totals = self.scan(cloud, client, monkeypatch)
+        assert len(rows) == len(security_table)
         assert all(isinstance(cipher, Ciphertext)
-                   for row in request.payload for cipher in row)
-        assert len(reply.payload) == len(security_table)
-        assert all(isinstance(cipher, Ciphertext) for cipher in reply.payload)
+                   for row in rows for cipher in row)
+        assert len(totals) == len(security_table)
+        assert all(isinstance(cipher, Ciphertext) for cipher in totals)
         # The reply is a fresh encryption of a masked sum, not a distance.
         true_distances = {
             security_table.squared_distance(record.record_id, self.QUERY)
             for record in security_table}
-        sums = small_keypair.private_key.decrypt_residue_batch(reply.payload)
+        sums = small_keypair.private_key.decrypt_residue_batch(totals)
         assert not set(sums) & true_distances
 
 

@@ -131,6 +131,20 @@ class TestRegressionGate:
         findings = check_history("demo", slow_backend + fast + [regressed])
         assert len(findings) == 1
 
+    def test_rows_framed_under_another_round_split_are_incomparable(self):
+        """A query's ``messages`` follow the split rule of its batched
+        rounds; rows stamped with another rule — or none, as every row
+        recorded before there was one — are another regime."""
+        unstamped = [record(1.0, messages=51) for _ in range(5)]
+        stamped = record(1.0, messages=85)
+        stamped["provenance"]["round_split"] = 4
+        assert check_history("demo", unstamped + [stamped]) == []
+        peers = [dict(stamped) for _ in range(4)]
+        doubled = record(1.0, messages=170)
+        doubled["provenance"]["round_split"] = 4
+        findings = check_history("demo", unstamped + peers + [doubled])
+        assert [f.metric for f in findings] == ["messages"]
+
     def test_fewer_than_two_records_no_verdict(self):
         assert check_history("demo", []) == []
         assert check_history("demo", [record(1.0)]) == []

@@ -139,6 +139,27 @@ class TestRandomSampling:
             unit = nt.random_in_zn_star(modulus, rng)
             assert nt.egcd(unit, modulus)[0] == 1
 
+    def test_random_in_zn_star_rejects_a_multiple_of_p(self):
+        """A scripted rng offers ``p`` first: the sampler must pass it over."""
+        p, q = 1009, 1013
+
+        class Scripted(Random):
+            offers = iter([p - 1, 2 * p - 1, 4])  # candidates p, 2p, 5
+
+            def randrange(self, *args):
+                return next(self.offers)
+
+        assert nt.random_in_zn_star(p * q, Scripted()) == 5
+
+    def test_random_in_zn_star_does_not_run_python_egcd(self, monkeypatch):
+        """The per-factor coprimality test is ``math.gcd``; the pure-Python
+        ``egcd`` cost 1.7x the ``r^N`` power it guarded in a pool refill."""
+        def forbidden(a, b):
+            raise AssertionError("random_in_zn_star called egcd")
+
+        monkeypatch.setattr(nt, "egcd", forbidden)
+        assert nt.random_in_zn_star(1009 * 1013, Random(3)) > 0
+
     def test_secure_random_without_rng(self):
         value = nt.random_below(1 << 64)
         assert 0 <= value < 1 << 64
