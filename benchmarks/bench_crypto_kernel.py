@@ -25,20 +25,22 @@ A second test is the native-vs-python direction gate: the unit operations
 encryption, one CRT decryption) timed under every available backend, one
 ``paillier_kernel`` history row per backend with the python/openssl ratio
 per operation, and the libcrypto backend must win the powers and the
-combined batch workload.
+combined batch workload — and its two-base ``multi_powmod`` (one
+``BN_mod_exp2_mont``) must beat two ``powmod`` calls.
 
 A third test gates the strip-step kernel: rows of 4 ciphertexts raised to
 uniform ``Z_N`` scalars and multiplied together, as one shared-squaring
 multi-exponentiation per row (``weighted_sum_batch``) against
 ``scalar_mul_batch`` + row-wise ``add_batch`` on the python backend; on the
-libcrypto backend ``weighted_sum_batch`` is the product of native powers,
-recorded against the python backend's shared-squaring loop, which it must
-beat.
+libcrypto backend ``weighted_sum_batch`` takes its bases two at a time
+through ``BN_mod_exp2_mont``, recorded against the python backend's
+shared-squaring loop, which it must beat.
 
 A fourth test gates the price of a negation: the operator ``-c`` must be the
-modular inverse ``neg_batch`` takes, several times cheaper than the
-``c**(N-1)`` it replaces (python backend; against a native power the inverse
-wins only 1.4x at K=512 and loses at K=256, recorded by the second test).
+modular inverse, several times cheaper than the ``c**(N-1)`` it replaces
+(python backend; against a native power the inverse wins only 1.4x at K=512
+and loses at K=256, recorded by the second test), and ``neg_batch`` of 32 —
+one inversion for all of them — must beat 32 operator negations.
 
 A fifth test compares an end-to-end SkNN_b query through the batched scan
 against the seed's per-record serial scan on the same table and key.
@@ -96,6 +98,18 @@ MIN_ROWS_SPEEDUP = 1.3
 #: N**2)`` (python backend; ~7x at K=256 through the operator, more at
 #: paper scale).
 MIN_NEGATION_SPEEDUP = 5.0
+
+#: speedup of ``neg_batch`` over as many operator negations at 32 per batch
+#: (one inversion and ~3 multiplications per element against one inversion
+#: each; ~6x at K=512 on the development box, halved).
+NEGATION_BATCH = 32
+MIN_BATCH_NEGATION_SPEEDUP = 3.0
+
+#: speedup of one native two-base ``multi_powmod`` over two native ``powmod``
+#: calls: 1.4-1.8x at K=256, K=512 and K=1024 alike on the development box
+#: (the unit-cost loop's slicing included); the smallest gain over parity
+#: halved.
+MIN_TWO_BASE_SPEEDUP = 1.2
 
 #: bases per ``multi_powmod`` call in the per-backend unit-cost table
 MULTI_POW_WIDTHS = (2, 3, 4)
@@ -331,6 +345,11 @@ def test_kernel_native_backend(kernel_primes, results_dir):
                *(f"multi_powmod_m{width}_us" for width in MULTI_POW_WIDTHS)):
         assert costs["openssl"][op] < costs["python"][op], (op, costs)
     assert batch_total_s["openssl"] < batch_total_s["python"]
+    two_base_speedup = (2 * costs["openssl"]["powmod_us"]
+                        / costs["openssl"]["multi_powmod_m2_us"])
+    assert two_base_speedup >= MIN_TWO_BASE_SPEEDUP, (
+        f"a native two-base multi_powmod must be >= {MIN_TWO_BASE_SPEEDUP}x "
+        f"faster than two powmod calls; got {two_base_speedup:.2f}x")
 
 
 def test_kernel_weighted_sum_rows(kernel_keypair, results_dir):
@@ -397,7 +416,8 @@ def test_kernel_weighted_sum_rows(kernel_keypair, results_dir):
 
 
 def test_kernel_operator_negation(python_backend, kernel_keypair, results_dir):
-    """``-c`` is the inverse ``neg_batch`` takes, far below ``c**(N-1)``."""
+    """``-c`` is the inverse, far below ``c**(N-1)``; ``neg_batch`` shares
+    one inversion between its elements, far below ``-c`` each."""
     public_key = kernel_keypair.public_key
     rng = Random(80)
     ciphertexts = public_key.encrypt_batch(
@@ -413,24 +433,38 @@ def test_kernel_operator_negation(python_backend, kernel_keypair, results_dir):
         return [powmod(cipher.value, exponent, nsquare)
                 for cipher in ciphertexts]
 
-    assert by_operator() == protocol.neg_batch(ciphertexts)
+    def by_batch():
+        return [negated
+                for start in range(0, len(ciphertexts), NEGATION_BATCH)
+                for negated in protocol.neg_batch(
+                    ciphertexts[start:start + NEGATION_BATCH])]
+
+    assert by_operator() == by_batch()
     repeats = max(MEASURE_REPEATS, 3)
     timings = {
         "power_n_minus_1_s": _measure(by_exponentiation, repeats),
         "operator_negation_s": _measure(by_operator, repeats),
+        "batch_negation_s": _measure(by_batch, repeats),
     }
     timings["speedup"] = (timings["power_n_minus_1_s"]
                           / timings["operator_negation_s"])
+    timings["batch_speedup"] = (timings["operator_negation_s"]
+                                / timings["batch_negation_s"])
     write_bench_json(
         results_dir, f"crypto_kernel_negation_K{KERNEL_KEY_BITS}", {
             "kind": "measured",
             "params": {"key_size": KERNEL_KEY_BITS, "ops": KERNEL_OPS,
+                       "batch": NEGATION_BATCH,
                        "backend": get_backend().name},
             "timings": timings,
         })
     assert timings["speedup"] >= MIN_NEGATION_SPEEDUP, (
         f"operator negation must be >= {MIN_NEGATION_SPEEDUP}x faster than "
         f"powmod(c, N-1, N^2); got {timings['speedup']:.2f}x")
+    assert timings["batch_speedup"] >= MIN_BATCH_NEGATION_SPEEDUP, (
+        f"neg_batch of {NEGATION_BATCH} must be >= "
+        f"{MIN_BATCH_NEGATION_SPEEDUP}x faster than as many operator "
+        f"negations; got {timings['batch_speedup']:.2f}x")
 
 
 def test_kernel_end_to_end_sknnb(benchmark, kernel_keypair, results_dir):

@@ -1,10 +1,11 @@
 """Pluggable bigint-arithmetic backend for the crypto kernel.
 
-Every Paillier operation in this reproduction bottoms out in four modular
-primitives — ``powmod``, ``mulmod``, ``invert`` and ``multi_powmod`` (a
-product of powers, the protocols' strip step) — executed on integers of 1-2
-kilobits.  The paper's complexity analysis (Section 4.4) counts protocol
-cost in exactly these operations, so making them fast multiplies through every
+Every Paillier operation in this reproduction bottoms out in five modular
+primitives — ``powmod``, ``mulmod``, ``invert``, ``invert_batch`` (a whole
+vector of negations for one inversion) and ``multi_powmod`` (a product of
+powers, the protocols' strip step) — executed on integers of 1-2 kilobits.
+The paper's complexity analysis (Section 4.4) counts protocol cost in
+exactly these operations, so making them fast multiplies through every
 protocol, shard and benchmark figure.
 
 This module routes all of that traffic through a small backend interface:
@@ -16,10 +17,18 @@ This module routes all of that traffic through a small backend interface:
 * :class:`OpenSSLBackend` — ``BN_mod_exp`` of the ``libcrypto`` the
   interpreter already maps (``ssl`` and ``hashlib`` link it), called through
   :mod:`ctypes`: about 11x faster than ``pow`` at the paper's key sizes, and
-  the GIL is released for the length of each call.  Only ``powmod`` is
-  native: ``BN_mod_inverse`` measured level with ``pow(a, -1, m)``.
+  the GIL is released for the length of each call.  ``powmod`` and
+  ``multi_powmod`` are native — the latter takes its bases two at a time
+  through ``BN_mod_exp2_mont``, one squaring chain per pair; inversion is
+  not: ``BN_mod_inverse`` measured level with ``pow(a, -1, m)``.
   No dependency is installed and no native code is built; when the library
   or one of the BN symbols used is missing the backend is simply unavailable.
+
+Inversion is the one primitive neither backend makes cheap (104-132 us at
+K=512, two thirds of a native power), so a *vector* of them is never ``n``
+inversions: :meth:`BigintBackend.invert_batch` is Montgomery's simultaneous
+inversion [Math. Comp. 48 (1987)] — one ``pow(product, -1, m)`` and
+``3(n - 1)`` multiplications, 17 against 104 us per element at 36 elements.
 
 Backend selection (first match wins):
 
@@ -42,7 +51,8 @@ K=512, 1.1 against 1.7 ms at K=1024) and needs no 65-450 ms table per key.
 Security note: ``BN_mod_exp`` is called without ``BN_FLG_CONSTTIME``, so it
 is no more constant-time than the CPython ``pow`` it replaces — C2's
 ``p - 1`` decryption exponent is as exposed to a co-resident timing attacker
-as before.
+as before, and the half-size powers of its CRT obfuscators (modulo ``p**2``
+and ``q**2``, see :mod:`repro.crypto.paillier`) are exposed the same way.
 """
 
 from __future__ import annotations
@@ -90,7 +100,7 @@ _MULTI_POW_WINDOW = 5
 
 
 class BigintBackend:
-    """Interface of a bigint-arithmetic backend (four modular primitives).
+    """Interface of a bigint-arithmetic backend (five modular primitives).
 
     A backend supplies ``powmod``; the rest default to it and to CPython's
     integer arithmetic.
@@ -127,6 +137,38 @@ class BigintBackend:
             raise CryptoError(
                 f"{a} has no inverse modulo {modulus}") from exc
 
+    def invert_batch(self, values: Sequence[int], modulus: int) -> list[int]:
+        """The inverse of every value modulo ``modulus``, for one inversion.
+
+        Montgomery's trick: invert the running product once, then peel the
+        factors off back to front — ``3(n - 1)`` multiplications beside the
+        one :meth:`invert`.  Element for element the integer ``invert``
+        returns; an empty batch is ``[]``.
+
+        Raises:
+            CryptoError: when some value is not invertible — naming the
+                first such *value* (the failed inversion only knows their
+                product).
+        """
+        if not values:
+            return []
+        prefixes = []
+        product = 1
+        for value in values:
+            prefixes.append(product)
+            product = product * value % modulus
+        try:
+            inverse = self.invert(product, modulus)
+        except CryptoError:
+            for value in values:
+                self.invert(value, modulus)
+            raise
+        inverses = [0] * len(values)
+        for index in range(len(values) - 1, -1, -1):
+            inverses[index] = prefixes[index] * inverse % modulus
+            inverse = inverse * values[index] % modulus
+        return inverses
+
     def multi_powmod(self, bases: Sequence[int], exponents: Sequence[int],
                      modulus: int) -> int:
         """``prod(bases[i] ** exponents[i]) mod modulus`` (exponents >= 0).
@@ -134,11 +176,10 @@ class BigintBackend:
         The shape of every strip step of the protocols: SSED's
         ``prod_j E(d_j)^(N - 2 r_j)`` and SM's
         ``E(a)^(N - r_b) * E(b)^(N - r_a)``.  This default is the product of
-        the backend's own :meth:`powmod`, which :class:`OpenSSLBackend`
-        keeps: ``m`` native powers beat the Python-level shared-squaring loop
-        9.8x / 9.4x / 8.8x for m = 2 / 3 / 4 at K=512 and 10.9x / 10.3x /
-        9.6x at K=1024 (``bench_crypto_kernel.py`` records it).  An empty
-        product is ``1 mod modulus``.
+        the backend's own :meth:`powmod`; both backends override it with a
+        shared squaring chain, and :class:`OpenSSLBackend` falls back here
+        for the moduli its native route never handled.  An empty product is
+        ``1 mod modulus``.
 
         Raises:
             CryptoError: on mismatched lengths or a negative exponent.
@@ -263,6 +304,7 @@ _LIBCRYPTO_PROTOTYPES = {
     "BN_bin2bn": (_BN, [ctypes.c_char_p, ctypes.c_int, _BN]),
     "BN_bn2bin": (ctypes.c_int, [_BN, ctypes.c_char_p]),
     "BN_mod_exp": (ctypes.c_int, [_BN, _BN, _BN, _BN, _BN]),
+    "BN_mod_exp2_mont": (ctypes.c_int, [_BN] * 8),
     "ERR_clear_error": (None, []),
     "OpenSSL_version": (ctypes.c_char_p, [ctypes.c_int]),
 }
@@ -307,10 +349,10 @@ class _Scratch:
     def __init__(self, library: ctypes.CDLL) -> None:
         self._library = library
         self.ctx = _BN(library.BN_CTX_new())
-        self.result, self.a, self.b, self.modulus = (
-            _BN(library.BN_new()) for _ in range(4))
-        if not (self.ctx and self.result and self.a and self.b
-                and self.modulus):
+        self.bignums = [_BN(library.BN_new()) for _ in range(6)]
+        (self.result, self.a, self.b, self.a2, self.b2,
+         self.modulus) = self.bignums
+        if not (self.ctx and all(self.bignums)):
             raise MemoryError("libcrypto could not allocate BIGNUM scratch")
         self.buffer = ctypes.create_string_buffer(256)
 
@@ -321,7 +363,7 @@ class _Scratch:
         return self.buffer
 
     def __del__(self) -> None:
-        for bignum in (self.result, self.a, self.b, self.modulus):
+        for bignum in self.bignums:
             self._library.BN_free(bignum)
         self._library.BN_CTX_free(self.ctx)
 
@@ -336,14 +378,13 @@ def _drop_scratch() -> None:
 
 
 class OpenSSLBackend(BigintBackend):
-    """``libcrypto``'s ``BN_mod_exp`` through ctypes.
+    """``libcrypto``'s ``BN_mod_exp`` and ``BN_mod_exp2_mont`` through ctypes.
 
     Operands cross as big-endian bytes into per-thread reused ``BIGNUM``s
     (:class:`_Scratch`); the conversions cost ~3 us of a 170 us K=512 power.
-    ``mulmod``, ``invert``, ``multi_powmod`` and ``fixed_base`` are the base
-    class's: Python-integer products and inverses, the product of native
-    powers and one native power.  Moduli under ``_NATIVE_MIN_BITS`` bits go
-    to ``pow``.
+    ``mulmod``, ``invert``, ``invert_batch`` and ``fixed_base`` are the base
+    class's: Python-integer products and inverses and one native power.
+    Moduli under ``_NATIVE_MIN_BITS`` bits go to ``pow``.
 
     Raises:
         ConfigurationError: when libcrypto cannot be loaded.
@@ -362,6 +403,7 @@ class OpenSSLBackend(BigintBackend):
         self._bin2bn = library.BN_bin2bn
         self._bn2bin = library.BN_bn2bin
         self._mod_exp = library.BN_mod_exp
+        self._mod_exp2 = library.BN_mod_exp2_mont
 
     def library_version(self) -> str:
         """The loaded library's ``OpenSSL_version(0)`` string."""
@@ -401,6 +443,50 @@ class OpenSSLBackend(BigintBackend):
             self._library.ERR_clear_error()
             raise CryptoError("BN_mod_exp failed")
         return self._result(scratch, (bits + 7) >> 3)
+
+    def multi_powmod(self, bases: Sequence[int], exponents: Sequence[int],
+                     modulus: int) -> int:
+        """Bases two at a time through ``BN_mod_exp2_mont``.
+
+        One squaring chain and one Montgomery context per *pair* of powers
+        instead of per power: 188 against 321 us for the two-base strip
+        step at K=512 (1.7x), 1,367 against 2,306 us at K=1024.  An odd
+        base out goes through :meth:`powmod` and the partial products meet
+        as Python integers; the result is the same integer as the product
+        of powers.  Montgomery needs an odd modulus: an even one, like one
+        under ``_NATIVE_MIN_BITS`` bits, takes the base class's product of
+        :meth:`powmod` calls.  No ``BN_MONT_CTX`` is kept between calls
+        (the last argument is ``NULL``): one cached per thread for the last
+        modulus measured 0-4% of a power, inside the run-to-run noise.
+        """
+        bits = modulus.bit_length()
+        if bits < _NATIVE_MIN_BITS or modulus < 0 or not modulus & 1:
+            return super().multi_powmod(bases, exponents, modulus)
+        _check_multi_powmod(bases, exponents)
+        # a zero exponent contributes 1 (BN_mod_exp2_mont answers 0 for a
+        # zero base whatever its exponent)
+        terms = [(base % modulus, exponent)
+                 for base, exponent in zip(bases, exponents) if exponent]
+        acc = self.powmod(*terms.pop(), modulus) if len(terms) & 1 else 1
+        if not terms:
+            return acc
+        scratch = self._thread_scratch()
+        load = self._load
+        size = (bits + 7) >> 3
+        load(scratch.modulus, modulus)
+        for (base, exponent), (base2, exponent2) in zip(terms[::2],
+                                                        terms[1::2]):
+            load(scratch.a, base)
+            load(scratch.b, exponent)
+            load(scratch.a2, base2)
+            load(scratch.b2, exponent2)
+            if self._mod_exp2(scratch.result, scratch.a, scratch.b,
+                              scratch.a2, scratch.b2, scratch.modulus,
+                              scratch.ctx, None) != 1:
+                self._library.ERR_clear_error()
+                raise CryptoError("BN_mod_exp2_mont failed")
+            acc = acc * self._result(scratch, size) % modulus
+        return acc
 
 
 def _try_openssl() -> OpenSSLBackend | None:
@@ -488,9 +574,11 @@ class FixedBasePower:
     """Table-free fixed-base exponentiation: each power is one ``powmod``.
 
     What :meth:`BigintBackend.fixed_base` returns where a native ``powmod``
-    is cheaper than the comb's Python-level multiplications.  ``pow`` and
-    ``base`` as on :class:`FixedBaseExp`; the power is taken by the backend
-    that chose this object over a table, whichever is active later.
+    is cheaper than the comb's Python-level multiplications — for the
+    public obfuscator base modulo ``N**2`` and for the key holder's two CRT
+    legs modulo ``p**2`` and ``q**2`` alike.  ``pow`` and ``base`` as on
+    :class:`FixedBaseExp`; the power is taken by the backend that chose
+    this object over a table, whichever is active later.
     """
 
     def __init__(self, base: int, modulus: int,

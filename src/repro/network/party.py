@@ -127,6 +127,18 @@ class DecryptorParty(Party):
         self.share_sink = None
         self._deliveries: dict[int, list[list[int]]] = {}
 
+    def encrypt_batch(self, values: "list[int]") -> "list[Ciphertext]":
+        """Vectorized encryption by the party that holds ``p`` and ``q``.
+
+        Pool first, like every party; what the pool does not cover is the
+        CRT form of the same ``h**s`` (:meth:`~repro.crypto.paillier.
+        PaillierPrivateKey.encrypt_batch`) — the ciphertexts
+        :meth:`Party.encrypt_batch` would return, for two half-size powers
+        each.
+        """
+        return self.private_key.encrypt_batch(values, rng=self.rng,
+                                              pool=self.obfuscator_pool)
+
     # -- result-share delivery (steps 4-6 of Algorithm 5) ---------------------
     def deliver_share(self, delivery_id: int,
                       masked_values: "list[list[int]]") -> None:

@@ -34,6 +34,13 @@ functionality F, from which P2 forms ``alpha``.
 P1 draws the difference masks ``(rhat_i, E(rhat_i))`` per round, not per
 bit: ``pairs * l`` (and ``pairs`` ``H_0 = E(0)`` constants) for a
 :meth:`SecureMinimum.run_batch` level, as one ``take_masks`` batch.
+
+Of the six exponentiations counted per bit, four are the subtractions of
+``W_i``, ``Gamma_i`` and ``G_i`` and cost one modular inversion per chunk
+of pairs between them: ``E(u_i v_i)`` and ``Gamma_i``'s subtrahend are
+negated as one ``neg_batch`` (``2 l`` per pair), and ``G_i``'s
+``E(2 u_i v_i)^-1`` is the square of ``W_i``'s ``E(u_i v_i)^-1``.  Only
+``H_{i-1}^{r_i}`` and ``Phi_i^{r'_i}`` are powers.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ from typing import Sequence
 
 from repro.crypto.paillier import Ciphertext
 from repro.protocols.base import TwoPartyProtocol, traced_round
-from repro.protocols.sbor import SecureBitXor
 from repro.protocols.sm import SecureMultiplication
 
 __all__ = ["SecureMinimum"]
@@ -60,7 +66,6 @@ class SecureMinimum(TwoPartyProtocol):
     def __init__(self, setting) -> None:
         super().__init__(setting)
         self._sm = SecureMultiplication(setting)
-        self._xor = SecureBitXor(setting)
 
     @traced_round("run")
     def run(self, enc_u_bits: Sequence[Ciphertext],
@@ -80,46 +85,6 @@ class SecureMinimum(TwoPartyProtocol):
                      "bit vectors must have equal length")
         self.require(len(enc_u_bits) > 0, "bit vectors must be non-empty")
         return self.run_batch([(enc_u_bits, enc_v_bits)])[0]
-
-    # -- shared P1 bookkeeping -------------------------------------------------
-    def _p1_bit_vectors(
-        self, enc_u_bit: Ciphertext, enc_v_bit: Ciphertext,
-        enc_uv: Ciphertext, f_is_u_greater: bool, enc_h_previous: Ciphertext,
-        enc_rhat: Ciphertext,
-    ) -> tuple[Ciphertext, Ciphertext, Ciphertext]:
-        """One bit's W/Gamma/G/H/Phi/L bookkeeping (step 1 of Algorithm 3).
-
-        The caller supplies the SM product ``Epk(u_i * v_i)`` and the encrypted
-        difference mask ``Epk(rhat_i)``.  Of the six exponentiations counted
-        per bit, the three subtractions (``W_i``, ``Gamma_i``, ``G_i``) are
-        modular inverses.
-
-        Returns:
-            ``(Gamma_i, L_i, H_i)``.
-        """
-        n = self.pk.n
-        if f_is_u_greater:
-            # W_i = E(u_i * (1 - v_i));  Gamma_i = E(v_i - u_i + rhat_i)
-            enc_w = self.sub(enc_u_bit, enc_uv)
-            enc_diff = self.sub(enc_v_bit, enc_u_bit)
-        else:
-            # W_i = E(v_i * (1 - u_i));  Gamma_i = E(u_i - v_i + rhat_i)
-            enc_w = self.sub(enc_v_bit, enc_uv)
-            enc_diff = self.sub(enc_u_bit, enc_v_bit)
-        enc_gamma = enc_diff + enc_rhat
-
-        # G_i = E(u_i XOR v_i), reusing the product computed above.
-        enc_g = self._xor.xor_from_product(enc_u_bit, enc_v_bit, enc_uv)
-
-        # H_i = H_{i-1}^{r_i} * G_i  — marks the first differing bit.
-        r_i = self.p1.random_nonzero()
-        enc_h = (enc_h_previous * r_i) + enc_g
-
-        # Phi_i = E(-1) * H_i;  L_i = W_i * Phi_i^{r'_i}
-        enc_phi = self.add_plain(enc_h, n - 1)
-        r_prime = self.p1.random_nonzero()
-        enc_l = enc_w + (enc_phi * r_prime)
-        return enc_gamma, enc_l, enc_h
 
     # -- batched execution -----------------------------------------------------
     @traced_round("run_batch", sized=True)
@@ -172,23 +137,47 @@ class SecureMinimum(TwoPartyProtocol):
             # ---- P1: step 1 for every pair of the chunk ---------------------
             rhat_tuples = self.take_masks(len(chunk) * bit_length, "nonzero")
             enc_h_zeros = self.p1.encrypt_batch([0] * len(chunk))
+            # Every subtrahend of the chunk, negated for one inversion: each
+            # pair's E(u_i v_i) (inside W_i and, doubled, G_i), then the bits
+            # each pair's Gamma_i subtracts.
+            count = len(chunk) * bit_length
+            negated = self.neg_batch(
+                [enc_uv for *_, enc_uv_bits in chunk for enc_uv in enc_uv_bits]
+                + [enc_bit for enc_u_bits, enc_v_bits, f_is_u_greater, _
+                   in chunk
+                   for enc_bit in (enc_u_bits if f_is_u_greater
+                                   else enc_v_bits)])
+            neg_uvs, neg_subtracted = negated[:count], negated[count:]
             payload = []
             states: list[tuple[list[int], list[int]]] = []
             for index, (enc_u_bits, enc_v_bits, f_is_u_greater,
-                        enc_uv_bits) in enumerate(chunk):
-                enc_h_previous = enc_h_zeros[index]
-                gamma_vector: list[Ciphertext] = []
+                        _) in enumerate(chunk):
+                bits = slice(index * bit_length, (index + 1) * bit_length)
+                gamma_masks = [rhat for rhat, _ in rhat_tuples[bits]]
+                neg_uv = neg_uvs[bits]
+                # F: u > v  ->  W_i = E(u_i (1 - v_i)),
+                #               Gamma_i = E(v_i - u_i + rhat_i);
+                # F: v > u  ->  the same with u and v exchanged.
+                maximum_bits, other_bits = (
+                    (enc_u_bits, enc_v_bits) if f_is_u_greater
+                    else (enc_v_bits, enc_u_bits))
+                w_vector = self.pk.add_batch(list(maximum_bits), neg_uv)
+                gamma_vector = self.pk.add_batch(
+                    self.pk.add_batch(list(other_bits), neg_subtracted[bits]),
+                    [enc_rhat for _, enc_rhat in rhat_tuples[bits]])
+                # G_i = E(u_i XOR v_i) = E(u_i + v_i - 2 u_i v_i)
+                g_vector = self.pk.add_batch(
+                    self.pk.add_batch(list(enc_u_bits), list(enc_v_bits)),
+                    self.pk.double_negated_batch(neg_uv))
+                enc_h = enc_h_zeros[index]
                 l_vector: list[Ciphertext] = []
-                gamma_masks: list[int] = []
-                for i in range(bit_length):
-                    rhat, enc_rhat = rhat_tuples[index * bit_length + i]
-                    enc_gamma, enc_l, enc_h_previous = \
-                        self._p1_bit_vectors(enc_u_bits[i], enc_v_bits[i],
-                                             enc_uv_bits[i], f_is_u_greater,
-                                             enc_h_previous, enc_rhat)
-                    gamma_masks.append(rhat)
-                    gamma_vector.append(enc_gamma)
-                    l_vector.append(enc_l)
+                for enc_w, enc_g in zip(w_vector, g_vector):
+                    # H_i = H_{i-1}^{r_i} * G_i marks the first differing bit
+                    enc_h = (enc_h * self.p1.random_nonzero()) + enc_g
+                    # Phi_i = E(-1) * H_i;  L_i = W_i * Phi_i^{r'_i}
+                    enc_phi = self.add_plain(enc_h, n - 1)
+                    l_vector.append(
+                        enc_w + (enc_phi * self.p1.random_nonzero()))
 
                 permutation_gamma = list(range(bit_length))
                 permutation_l = list(range(bit_length))

@@ -2,10 +2,12 @@
 
 Two operations dominate the cloud parties' non-strip work in SkNN_m and both
 have a cheap form: a homomorphic negation is a modular inverse (not
-``c**(N-1)``), and a cloud party's obfuscator comes from its engine pool or
-the backend's fixed-base exponentiator of the key's ``h`` (not a textbook
-``r**N``).  Each price is decided
-in one place — ``PaillierPublicKey._raw_power`` and ``Party.encrypt_batch`` —
+``c**(N-1)``) and a batch of them shares one inversion, and a cloud party's
+obfuscator comes from its engine pool or a fixed-base exponentiator of the
+key's ``h`` — the backend's for C1, the CRT pair over ``p**2`` / ``q**2``
+for C2 (not a textbook ``r**N``).  Each price is decided
+in one place — ``PaillierPublicKey._raw_power`` / ``scalar_mul_batch`` and
+``Party.encrypt_batch`` / ``DecryptorParty.encrypt_batch`` —
 so these tests watch the bigint backend itself: whatever path a protocol
 takes, no full-width ``powmod`` with exponent ``N-1`` or ``N`` may reach it.
 
@@ -51,12 +53,14 @@ on_every_backend = pytest.mark.parametrize("backend_name",
 
 
 @contextmanager
-def spying(public_key):
+def spying(public_key, private_key=None):
     """Make a recording subclass of the active backend active for the block.
 
     The key's fixed-base exponentiator is built *before* the spy is
     installed: its one ``y**N`` is the only textbook exponentiation a cloud
-    party may perform.
+    party may perform.  So is the key holder's CRT form of it when the
+    block runs C2 (pass ``private_key``): its one ``(p**2)**-1 mod q**2``
+    is no negation.
     """
     class Spy(type(get_backend())):
         def __init__(self) -> None:
@@ -64,6 +68,7 @@ def spying(public_key):
             self.powmods: list[tuple[int, int]] = []
             self.bases: list[int] = []
             self.inverts: list[int] = []
+            self.batch_sizes: list[int] = []
 
         def powmod(self, base, exponent, modulus):
             self.powmods.append((exponent, modulus))
@@ -74,6 +79,11 @@ def spying(public_key):
             self.inverts.append(modulus)
             return super().invert(a, modulus)
 
+        def invert_batch(self, values, modulus):
+            if values:
+                self.batch_sizes.append(len(values))
+            return super().invert_batch(values, modulus)
+
         def textbook(self, public) -> list[int]:
             """Exponents ``N-1`` / ``N`` seen on modulus ``N**2``."""
             return [e for e, modulus in self.powmods
@@ -81,6 +91,8 @@ def spying(public_key):
                     and e in (public.n - 1, public.n)]
 
     public_key.encrypt_batch([0])
+    if private_key is not None:
+        private_key.crt_obfuscators()
     spy = Spy()
     set_backend(spy)
     try:
@@ -136,28 +148,41 @@ def deploy_secure(keypair, n_records: int, bit_length: int, seed: int):
 class TestNoTextbookPowersFromTheClouds:
     BITS = 4
 
-    def test_smin_negates_by_three_inverses_per_bit(self, setting):
+    def test_smin_negates_by_one_inversion_per_chunk(self, setting):
         public = setting.public_key
         u_bits = encrypt_bits(public, 9, self.BITS)
         v_bits = encrypt_bits(public, 6, self.BITS)
         protocol = SecureMinimum(setting)
-        with spying(public) as spy:
+        with spying(public, setting.decryptor.private_key) as spy:
+            setting.reset_counters()
             minimum = protocol.run(u_bits, v_bits)
         assert spy.textbook(public) == []
-        # W_i, the difference inside Gamma_i and G_i: nothing else inverts.
-        assert spy.inverts == [public.nsquare] * (3 * self.BITS)
+        # W_i's and Gamma_i's subtrahends share the one inversion; G_i's is
+        # the square of W_i's.  Nothing else inverts.
+        assert spy.inverts == [public.nsquare]
+        assert spy.batch_sizes == [2 * self.BITS]
+        # ... and all three negations per bit are still counted
+        assert counted(setting) == as_counts(smin_counts(self.BITS))
         assert [setting.decryptor.decrypt_signed(bit) for bit in minimum] \
             == [0, 1, 1, 0]
 
-    def test_smin_batch_inverts_as_often_per_pair(self, setting):
+    @pytest.mark.parametrize("values, chunks", [
+        (((9, 6), (3, 3), (0, 15)), [3]),
+        (((9, 6), (3, 3), (0, 15), (8, 7), (5, 5)), [3, 2]),
+    ])
+    def test_smin_batch_inverts_once_per_chunk_of_pairs(self, setting,
+                                                        values, chunks):
         public = setting.public_key
         pairs = [(encrypt_bits(public, u, self.BITS),
-                  encrypt_bits(public, v, self.BITS))
-                 for u, v in ((9, 6), (3, 3), (0, 15))]
-        with spying(public) as spy:
+                  encrypt_bits(public, v, self.BITS)) for u, v in values]
+        with spying(public, setting.decryptor.private_key) as spy:
+            setting.reset_counters()
             SecureMinimum(setting).run_batch(pairs)
         assert spy.textbook(public) == []
-        assert len(spy.inverts) == 3 * self.BITS * len(pairs)
+        assert spy.inverts == [public.nsquare] * len(chunks)
+        assert spy.batch_sizes == [2 * self.BITS * size for size in chunks]
+        assert counted(setting) == as_counts(smin_counts(self.BITS),
+                                             len(pairs))
 
     def test_sbd_and_sbor(self, setting, monkeypatch):
         public = setting.public_key
@@ -184,11 +209,15 @@ class TestNoTextbookPowersFromTheClouds:
         query = [1, 2]
         encrypted_query = client.encrypt_query(query)
         protocol = SkNNSecure(cloud, distance_bits=self.BITS)
-        with spying(small_keypair.public_key) as spy:
+        with spying(small_keypair.public_key,
+                    small_keypair.private_key) as spy:
             shares = protocol.run(encrypted_query, k)
         assert spy.textbook(small_keypair.public_key) == []
-        # at least SMIN_n's share: k tournaments of n - 1 pairs
-        assert len(spy.inverts) >= k * (n_records - 1) * 3 * self.BITS
+        # no negation of a query is on its own: one inversion per batch
+        assert len(spy.inverts) == len(spy.batch_sizes)
+        # at least SMIN_n's share: k tournaments of n - 1 pairs, each bit
+        # negating two subtrahends (the third is a squaring)
+        assert sum(spy.batch_sizes) >= k * (n_records - 1) * 2 * self.BITS
         assert_valid_knn_answer(table, query, k, client.reconstruct(shares))
 
 
@@ -198,10 +227,10 @@ class TestCloudPartyEncryption:
     @on_every_backend
     def test_single_encryptions_are_fresh_correct_and_off_the_comb(
             self, backend_name, small_keypair):
-        """No engine attached: each obfuscator is one ``pow`` of the
-        backend's fixed-base exponentiator of the key's ``h`` — a table of
-        multiplications or one native power of ``h``, never ``r**N`` on a
-        fresh ``r``."""
+        """No engine attached: each obfuscator is one ``pow`` of a
+        fixed-base exponentiator of the key's ``h`` — for C1 the backend's
+        (a table of multiplications or one native power of ``h``), for C2
+        the CRT pair of half-size ones — never ``r**N`` on a fresh ``r``."""
         set_backend(backend_name)
         try:
             # a key of its own: what it asks of the backend is not cached yet
@@ -210,24 +239,36 @@ class TestCloudPartyEncryption:
                                          small_keypair.private_key.q)
             setting = TwoPartySetting.create(
                 PaillierKeyPair(public, private), rng=Random(4))
-            fixed_base = public._windowed_obfuscators()
-            exponents = []
-            fixed_base_pow = fixed_base.pow
+            public_power = public._windowed_obfuscators()
+            crt_power = private.crt_obfuscators()
+            assert crt_power.base == public_power.base
+            for party, power, moduli in (
+                    (setting.evaluator, public_power, {public.nsquare}),
+                    (setting.decryptor, crt_power,
+                     {private.psquare, private.qsquare})):
+                exponents = []
 
-            def recording_pow(exponent):
-                exponents.append(exponent)
-                return fixed_base_pow(exponent)
+                def recording_pow(exponent, power_pow=power.pow):
+                    exponents.append(exponent)
+                    return power_pow(exponent)
 
-            fixed_base.pow = recording_pow
-            for party in (setting.evaluator, setting.decryptor):
+                power.pow = recording_pow
                 with spying(public) as spy:
                     del exponents[:]
                     before = public.counter.encryptions
                     first, second = party.encrypt(-5), party.encrypt(-5)
+                del power.pow
                 assert len(exponents) == len(set(exponents)) == 2
                 assert spy.textbook(public) == []
-                assert set(spy.bases) <= {fixed_base.base}
+                # powers of h only, each party on its own moduli
+                assert {base % modulus for base, (_, modulus)
+                        in zip(spy.bases, spy.powmods)} \
+                    <= {public_power.base % modulus for modulus in moduli}
+                assert {modulus for _, modulus in spy.powmods} <= moduli
                 assert first.value != second.value
+                # the CRT pair and the public exponentiator agree
+                assert crt_power.pow(exponents[0]) \
+                    == public_power.pow(exponents[0])
                 assert setting.decryptor.decrypt_signed(first) == -5
                 assert setting.decryptor.decrypt_signed(second) == -5
                 assert public.counter.encryptions == before + 2
@@ -378,6 +419,39 @@ class TestNegationByInverse:
                 assert by_operator.value == by_helper.value == by_batch.value
                 assert private.decrypt_raw_residue(by_operator) == expected
 
+    def test_the_doubled_negation_is_the_square_of_the_negation(self, setting):
+        """SMIN's ``E(-2 u_i v_i)`` from ``E(-u_i v_i)``: the integer
+        ``-(c * 2)`` is, counted as that doubling and that negation."""
+        public = setting.public_key
+        private = setting.decryptor.private_key
+        ciphers = public.encrypt_batch(self.values(public)[:3] + [7, -9])
+        negated = TwoPartyProtocol(setting).neg_batch(ciphers)
+        expected = [-(cipher * 2) for cipher in ciphers]
+        before = public.counter.snapshot()
+        doubled = public.double_negated_batch(negated)
+        assert [c.value for c in doubled] == [c.value for c in expected]
+        assert private.decrypt_batch(doubled) == [0, -2, 2, -14, 18]
+        assert public.counter.snapshot() == {
+            **before,
+            "exponentiations": before["exponentiations"] + 2 * len(ciphers)}
+        assert public.double_negated_batch([]) == []
+
+    def test_exponents_zero_and_one_never_reach_the_backend(self, setting):
+        """SMIN's ``Gamma'**alpha``: ``1`` and ``c`` without a backend call,
+        counted like any other exponentiation."""
+        public = setting.public_key
+        ciphers = public.encrypt_batch([4, 5, 6])
+        with spying(public) as spy:
+            before = public.counter.exponentiations
+            zeros = public.scalar_mul_batch(ciphers, 0)
+            ones = public.scalar_mul_batch(ciphers, [1, public.n + 1, 1])
+            single = [ciphers[0] * 0, ciphers[0] * 1]
+        assert spy.powmods == [] and spy.inverts == []
+        assert [c.value for c in zeros] == [1, 1, 1]
+        assert [c.value for c in ones] == [c.value for c in ciphers]
+        assert [c.value for c in single] == [1, ciphers[0].value]
+        assert public.counter.exponentiations == before + 8
+
     def test_every_negation_counts_one_exponentiation(self, setting):
         public = setting.public_key
         cipher = public.encrypt(5)
@@ -416,6 +490,27 @@ class TestNonUnitsFailTyped:
                     with pytest.raises(CryptoError, match="no inverse"):
                         negate()
                 assert public.counter.snapshot() == before
+        finally:
+            set_backend(None)
+
+    @on_every_backend
+    def test_a_non_unit_in_the_middle_of_a_batch_is_the_one_named(
+            self, backend_name, small_keypair):
+        """One inversion per batch fails on the *product*; the error still
+        names the culprit, and nothing is counted."""
+        setting = TwoPartySetting.create(small_keypair, rng=Random(8))
+        public = setting.public_key
+        hostile = 7 * small_keypair.private_key.q
+        batch = public.encrypt_batch([1, 2, 3, 4, 5])
+        batch[2] = Ciphertext(public, hostile)
+        set_backend(backend_name)
+        try:
+            before = public.counter.snapshot()
+            with pytest.raises(CryptoError) as caught:
+                TwoPartyProtocol(setting).neg_batch(batch)
+            assert str(caught.value) \
+                == f"{hostile} has no inverse modulo {public.nsquare}"
+            assert public.counter.snapshot() == before
         finally:
             set_backend(None)
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
+import weakref
+from math import prod
 from random import Random
 
 import pytest
@@ -143,10 +146,49 @@ def _powers(seed: int, count: int) -> list[tuple[int, int, int]]:
             for _ in range(count)]
 
 
+def _native_results(backend: OpenSSLBackend,
+                    triples: list[tuple[int, int, int]]) -> list[int]:
+    """Each triple's power, then the two-base products of neighbours (the
+    strip step's shape: ``a``/``b`` and ``a2``/``b2`` of the scratch) and one
+    three-base product (a pair plus the odd one out through ``powmod``)."""
+    modulus = triples[0][2]
+    pairs = list(zip(triples[::2], triples[1::2]))
+    return ([backend.powmod(*triple) for triple in triples]
+            + [backend.multi_powmod([a[0], b[0]], [a[1], b[1]], modulus)
+               for a, b in pairs]
+            + [backend.multi_powmod([t[0] for t in triples[:3]],
+                                    [t[1] for t in triples[:3]], modulus)])
+
+
+def _expected_results(triples: list[tuple[int, int, int]]) -> list[int]:
+    modulus = triples[0][2]
+    powers = [pow(*triple) for triple in triples]
+    return (powers
+            + [a * b % modulus for a, b in zip(powers[::2], powers[1::2])]
+            + [prod(powers[:3]) % modulus])
+
+
 def _native_powers_in_worker(task: tuple[int, int]) -> list[int]:
-    """Pool task: the triples of ``_powers(*task)`` on the native backend."""
-    backend = set_backend("openssl")
-    return [backend.powmod(*triple) for triple in _powers(*task)]
+    """Pool task: ``_native_results`` of ``_powers(*task)``."""
+    return _native_results(set_backend("openssl"), _powers(*task))
+
+
+class _CountingLibrary:
+    """``libcrypto`` with its ``BN_free`` / ``BN_CTX_free`` calls counted."""
+
+    def __init__(self, library) -> None:
+        self._library = library
+        self.freed = {"BN_free": 0, "BN_CTX_free": 0}
+
+    def __getattr__(self, name):
+        function = getattr(self._library, name)
+        if name not in self.freed:
+            return function
+
+        def counted(pointer):
+            self.freed[name] += 1
+            return function(pointer)
+        return counted
 
 
 @pytest.mark.skipif("openssl" not in available_backends(),
@@ -159,14 +201,15 @@ class TestNativeBackendIsSharedSafely:
         between threads would interleave operands (each thread has its own)."""
         backend = OpenSSLBackend()
         work = [_powers(seed, self.PER_THREAD) for seed in range(self.THREADS)]
-        expected = [[pow(*triple) for triple in triples] for triples in work]
+        expected = [_expected_results(triples) for triples in work]
         results: list[list[int] | None] = [None] * self.THREADS
+        scratches: list[weakref.ref | None] = [None] * self.THREADS
         start = threading.Barrier(self.THREADS)
 
         def run(index: int) -> None:
             start.wait(timeout=30)
-            results[index] = [backend.powmod(*triple)
-                              for triple in work[index]]
+            results[index] = _native_results(backend, work[index])
+            scratches[index] = weakref.ref(backend_module._scratch.value)
 
         threads = [threading.Thread(target=run, args=(index,))
                    for index in range(self.THREADS)]
@@ -181,17 +224,45 @@ class TestNativeBackendIsSharedSafely:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == expected
+        # every thread had scratch of its own, gone with the thread
+        del threads
+        gc.collect()
+        assert len(scratches) == self.THREADS
+        assert all(scratch is not None and scratch() is None
+                   for scratch in scratches)
+
+    def test_scratch_frees_everything_it_allocated(self):
+        """The six ``BIGNUM``s (two-base operands included) and the
+        ``BN_CTX`` go back to libcrypto when a thread's scratch is dropped."""
+        library = _CountingLibrary(backend_module._load_libcrypto())
+        scratch = backend_module._Scratch(library)
+        assert len(scratch.bignums) == 6
+        del scratch
+        gc.collect()
+        assert library.freed == {"BN_free": 6, "BN_CTX_free": 1}
+
+    def test_a_forked_child_drops_the_scratch_it_inherited(self):
+        """What ``os.register_at_fork`` runs in the child: the parent's
+        scratch (another thread may have been mid-call) is forgotten and the
+        next call makes its own."""
+        backend = OpenSSLBackend()
+        triples = _powers(7, 4)
+        assert _native_results(backend, triples) == _expected_results(triples)
+        inherited = backend_module._scratch.value
+        backend_module._drop_scratch()
+        assert not hasattr(backend_module._scratch, "value")
+        assert _native_results(backend, triples) == _expected_results(triples)
+        assert backend_module._scratch.value is not inherited
 
     def test_a_pool_worker_process_returns_the_drivers_power(self):
         """The driver's scratch exists before the pool forks; the worker
         must come up with working scratch of its own."""
         task = (99, 5)
-        driver = [OpenSSLBackend().powmod(*triple)
-                  for triple in _powers(*task)]
+        driver = _native_results(OpenSSLBackend(), _powers(*task))
         with PersistentWorkerPool(workers=2, backend="process") as pool:
             from_workers = pool.map(_native_powers_in_worker, [task, task])
         assert from_workers == [driver, driver]
-        assert driver == [pow(*triple) for triple in _powers(*task)]
+        assert driver == _expected_results(_powers(*task))
 
 
 class TestFixedBaseExp:
