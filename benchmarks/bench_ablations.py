@@ -7,10 +7,6 @@
   sequential chain of SMINs: the same number of SMIN calls, but the tournament
   halves the number of *sequential rounds*, which matters once the two clouds
   are separated by real network latency.
-* **SkNN_m re-expansion** — Algorithm 6 step 3(b) re-derives ``E(d_i)`` from
-  the updated bit vectors every iteration; the ablation measures what that
-  step costs (the correctness consequence of skipping it is covered by the
-  test-suite).
 """
 
 from __future__ import annotations
@@ -19,10 +15,9 @@ from random import Random
 
 import pytest
 
-from benchmarks.conftest import MEASURED_KEY_BITS, deploy_measured_system
+from benchmarks.conftest import MEASURED_KEY_BITS
 from repro.crypto.paillier import generate_keypair
 from repro.network.party import TwoPartySetting
-from repro.core.sknn_secure import SkNNSecure
 from repro.protocols.encoding import encrypt_bits
 from repro.protocols.sminn import SecureMinimumOfN
 
@@ -53,17 +48,3 @@ def test_ablation_sminn_topology(benchmark, measured_keypair, topology):
     })
     benchmark.pedantic(lambda: protocol.run(encrypted), rounds=1, iterations=1)
 
-
-@pytest.mark.parametrize("reexpand", [True, False])
-def test_ablation_sknnm_reexpansion(benchmark, measured_keypair, reexpand):
-    """Cost of Algorithm 6's per-iteration re-expansion of E(d_i)."""
-    cloud, client, _ = deploy_measured_system(
-        measured_keypair, n_records=8, dimensions=2, distance_bits=7, seed=700)
-    protocol = SkNNSecure(cloud, distance_bits=7,
-                          reexpand_each_iteration=reexpand)
-    encrypted_query = client.encrypt_query([1, 1])
-    benchmark.extra_info.update({"ablation": "sknnm_reexpansion",
-                                 "reexpand": reexpand, "n": 8, "k": 2,
-                                 "key_size": MEASURED_KEY_BITS})
-    benchmark.pedantic(lambda: protocol.run(encrypted_query, 2),
-                       rounds=1, iterations=1)

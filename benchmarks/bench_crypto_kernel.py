@@ -26,7 +26,9 @@ encryption, one CRT decryption) timed under every available backend, one
 ``paillier_kernel`` history row per backend with the python/openssl ratio
 per operation, and the libcrypto backend must win the powers and the
 combined batch workload — and its two-base ``multi_powmod`` (one
-``BN_mod_exp2_mont``) must beat two ``powmod`` calls.
+``BN_mod_exp2_mont``) must beat two ``powmod`` calls, and from K=512 its
+fixed-base power (the same two-base call on the exponent's halves) must beat
+one ``powmod`` of the same exponent.
 
 A third test gates the strip-step kernel: rows of 4 ciphertexts raised to
 uniform ``Z_N`` scalars and multiplied together, as one shared-squaring
@@ -110,6 +112,12 @@ MIN_BATCH_NEGATION_SPEEDUP = 3.0
 #: (the unit-cost loop's slicing included); the smallest gain over parity
 #: halved.
 MIN_TWO_BASE_SPEEDUP = 1.2
+
+#: speedup of the native fixed-base power (``BN_mod_exp2_mont`` on the two
+#: halves of the exponent) over one ``powmod`` of the same exponent: 1.4x
+#: at K=512 on the development box, the gain over parity halved; at K=256
+#: it is 1.0-1.15x, so the gate holds from K=512 only.
+MIN_FIXED_BASE_SPEEDUP = 1.2 if KERNEL_KEY_BITS >= 512 else None
 
 #: bases per ``multi_powmod`` call in the per-backend unit-cost table
 MULTI_POW_WIDTHS = (2, 3, 4)
@@ -270,9 +278,11 @@ def _unit_costs(keypair: PaillierKeyPair, rng: Random) -> dict[str, float]:
     def per_op(fn, ops: int = KERNEL_OPS) -> float:
         return _measure(fn, repeats) / ops * 1e6
 
+    fixed = backend.fixed_base(raw[0], nsquare, public_key.n.bit_length())
     costs = {
         "powmod_us": per_op(lambda: [backend.powmod(c, s, nsquare)
                                      for c, s in zip(raw, scalars)]),
+        "fixed_base_pow_us": per_op(lambda: [fixed.pow(s) for s in scalars]),
         "invert_us": per_op(lambda: [backend.invert(c, nsquare)
                                      for c in raw]),
         "encrypt_us": per_op(
@@ -350,6 +360,12 @@ def test_kernel_native_backend(kernel_primes, results_dir):
     assert two_base_speedup >= MIN_TWO_BASE_SPEEDUP, (
         f"a native two-base multi_powmod must be >= {MIN_TWO_BASE_SPEEDUP}x "
         f"faster than two powmod calls; got {two_base_speedup:.2f}x")
+    if MIN_FIXED_BASE_SPEEDUP is not None:
+        fixed_base_speedup = (costs["openssl"]["powmod_us"]
+                              / costs["openssl"]["fixed_base_pow_us"])
+        assert fixed_base_speedup >= MIN_FIXED_BASE_SPEEDUP, (
+            f"a native fixed-base power must be >= {MIN_FIXED_BASE_SPEEDUP}x "
+            f"faster than one powmod; got {fixed_base_speedup:.2f}x")
 
 
 def test_kernel_weighted_sum_rows(kernel_keypair, results_dir):

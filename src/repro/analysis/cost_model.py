@@ -218,27 +218,29 @@ def sbd_counts(bit_length: int) -> OperationCounts:
 def smin_counts(bit_length: int) -> OperationCounts:
     """Secure Minimum of two ``l``-bit values (Algorithm 3).
 
-    Per bit: one SM plus the W/Gamma/G/H/Phi/L bookkeeping on P1's side
+    Per bit: one SM plus the W/Gamma/G/Phi/L bookkeeping on P1's side
     (6 exponentiations, 1 encryption), one decryption and one exponentiation
     on P2's side for the permuted L and M' vectors, and one final
-    exponentiation by P1 to strip the Gamma mask.  Constant terms: the H_0
-    encryption and P2's encryption of alpha.
+    exponentiation by P1 to strip the Gamma mask.  Constant terms: the
+    marker's ``Z = E(0)`` and P2's encryption of alpha.
 
-    Three of the six step-1 exponentiations per bit — the subtractions
-    behind ``W_i``, ``Gamma_i`` and ``G_i`` — are negations, which the
-    implementation computes as modular inverses: counted here like the
-    ``E(x)^(N-1)`` they replace, but a small fraction of its cost, so a
-    time projection that prices every counted exponentiation alike
-    overstates SMIN's step 1.
+    Five of the six step-1 exponentiations per bit are cheap in the
+    implementation and counted like the operations they stand for: the
+    subtractions behind ``W_i``, ``Gamma_i`` and ``G_i`` (four, with
+    ``G_i``'s doubling) are modular inverses and one squaring, and the
+    marker ``Phi_i``'s doubled prefix sum is one more squaring (where the
+    printed algorithm's ``H_{i-1}^{r_i}`` was a full power).  Only ``L_i``'s
+    ``Phi_i^{r'_i}`` is a full power, so a time projection that prices every
+    counted exponentiation alike overstates SMIN's step 1.
     """
     _require_positive(bit_length, "bit_length")
     per_bit = (
         sm_counts()
-        + OperationCounts(encryptions=1, exponentiations=6)   # W, Gamma, G, H, L
+        + OperationCounts(encryptions=1, exponentiations=6)   # W, Gamma, G, Phi, L
         + OperationCounts(decryptions=1, exponentiations=1)   # P2: decrypt L', M'
         + OperationCounts(exponentiations=1)                  # P1: strip Gamma mask
     )
-    constant = OperationCounts(encryptions=2)                 # H_0 and E(alpha)
+    constant = OperationCounts(encryptions=2)                 # Z and E(alpha)
     return per_bit * bit_length + constant
 
 
@@ -321,26 +323,30 @@ def sknn_secure_breakdown(n_records: int, dimensions: int, k: int,
     _require_positive(k, "k")
     _require_positive(bit_length, "bit_length")
 
+    later = max(k - 1, 0)
     distance_phase = ssed_scan_counts(n_records, dimensions)
     sbd_phase = sbd_counts(bit_length) * n_records
-    sminn_phase = sminn_counts(n_records, bit_length) * k
+    # Iteration 1 selects over the l distance bits; every later one over
+    # l + 1, the elimination flag prepended.
+    sminn_phase = (sminn_counts(n_records, bit_length)
+                   + sminn_counts(n_records, bit_length + 1) * later)
 
-    # Per iteration: recompose E(d_min) (l exponentiations), re-expand E(d_i)
-    # in iterations 2..k (n*l exponentiations each), randomize the n
-    # differences (2 exponentiations each), C2 decrypts n values and encrypts
-    # the n indicator bits.
+    # Per iteration: recompose E(d_min) (l exponentiations, then l + 1),
+    # negate and randomize the n differences (2 exponentiations each), C2
+    # decrypts n values and encrypts the n indicator bits; in iterations
+    # 2..k each E(d_i) gains its flag scaled by 2**l (n exponentiations).
     localisation_per_iteration = OperationCounts(
         encryptions=n_records,
         decryptions=n_records,
-        exponentiations=bit_length + 2 * n_records,
+        exponentiations=2 * n_records,
     )
-    reexpansion = OperationCounts(
-        exponentiations=n_records * bit_length
-    ) * max(k - 1, 0)
-    localisation_phase = localisation_per_iteration * k + reexpansion
+    localisation_phase = localisation_per_iteration * k + OperationCounts(
+        exponentiations=bit_length + (bit_length + 1 + n_records) * later)
 
     extraction_phase = sm_counts() * (n_records * dimensions * k)
-    elimination_phase = sbor_counts() * (n_records * bit_length * max(k - 1, 0))
+    # Elimination adds each indicator into its record's flag: n homomorphic
+    # additions per iteration, no counted operation and no round.
+    elimination_phase = OperationCounts()
     delivery_phase = OperationCounts(encryptions=k * dimensions,
                                      decryptions=k * dimensions)
 

@@ -10,9 +10,9 @@ record with the ``s``-th smallest distance:
 2. **SMIN_n** — C1 and C2 compute ``[d_min]``, the encrypted bit vector of the
    current global minimum distance.  Neither cloud learns which record attains
    it.
-3. **Oblivious localisation** — C1 recomposes ``E(d_min)`` and ``E(d_i)`` from
-   the bit vectors, forms ``E(r_i * (d_min - d_i))`` with fresh random
-   ``r_i``, permutes the vector and sends it to C2.  C2 decrypts: exactly the
+3. **Oblivious localisation** — C1 recomposes ``E(d_min)`` from the minimum's
+   bit vector, forms ``E(r_i * (d_min - d_i))`` with fresh random ``r_i``,
+   permutes the vector and sends it to C2.  C2 decrypts: exactly the
    position(s) holding the minimum decrypt to zero, every other entry is
    uniformly random.  C2 returns an encrypted indicator vector ``U`` (a one at
    the zero position, zeros elsewhere); C1 undoes the permutation to get
@@ -20,10 +20,18 @@ record with the ``s``-th smallest distance:
    selected.
 4. **Oblivious extraction** — ``E(t'_{s,j}) = prod_i SM(V_i, E(t_{i,j}))``:
    the selected record is copied out under encryption.
-5. **Oblivious elimination** — every bit of the selected record's distance is
-   OR-ed (via SBOR) with the indicator ``V_i``, which sets the chosen
-   record's distance to the all-ones maximum ``2**l - 1`` so it can never be
-   selected again; all other distances are unchanged.
+5. **Oblivious elimination** — C1 keeps one encrypted flag bit per record,
+   ``E(f_i) <- E(f_i) * E(V_i)`` (a homomorphic addition, no interaction),
+   and every later iteration compares ``f_i`` prepended to ``[d_i]`` as the
+   most significant bit: ``l + 1`` bits, i.e. the value ``d_i + 2**l * f_i``,
+   which puts every selected record above every live one.
+
+The printed step 3(e) instead OR-s (SBOR) ``V_i`` into all ``l`` distance
+bits, setting the selected record to the all-ones ``2**l - 1`` — ``n * l``
+secure multiplications and a round per iteration, and a silent wrong answer
+besides: ``2**l - 1`` is a distance a live record can have, so a selected
+record ties it and can be selected again.  The flag bit costs additions, and
+nothing live can reach ``2**l``.
 
 After ``k`` iterations C1 holds the ``k`` encrypted nearest records and the
 usual two-share delivery sends them to Bob.
@@ -40,7 +48,6 @@ from repro.crypto.paillier import Ciphertext
 from repro.exceptions import ProtocolError
 from repro.protocols.encoding import recompose_from_encrypted_bits
 from repro.protocols.sbd import SecureBitDecomposition
-from repro.protocols.sbor import SecureBitOr
 from repro.protocols.sm import SecureMultiplication
 from repro.protocols.sminn import SecureMinimumOfN
 from repro.telemetry import profiling as _profiling
@@ -58,7 +65,6 @@ class SkNNSecure(SkNNProtocol):
 
     def __init__(self, cloud: FederatedCloud, distance_bits: int,
                  sminn_topology: str = "tournament",
-                 reexpand_each_iteration: bool = True,
                  feature_dimensions: int | None = None) -> None:
         """Create an SkNN_m instance.
 
@@ -69,25 +75,15 @@ class SkNNSecure(SkNNProtocol):
                 :meth:`repro.db.schema.Schema.distance_bit_length`.
             sminn_topology: ``"tournament"`` (the paper's binary tree) or
                 ``"chain"`` (ablation).
-            reexpand_each_iteration: when ``True`` (the paper's Algorithm 6,
-                step 3(b)) C1 re-derives ``E(d_i)`` from the encrypted bit
-                vectors ``[d_i]`` in every iteration after the first, because
-                the SBOR update only modifies the bit vectors.  ``False``
-                skips the re-expansion and is kept for the ablation benchmark
-                that demonstrates why the paper includes it: with stale
-                ``E(d_i)`` an already-selected record whose distance ties the
-                next minimum can be extracted twice.
         """
         super().__init__(cloud, feature_dimensions=feature_dimensions)
         if distance_bits <= 0:
             raise ProtocolError("distance_bits must be positive")
         self.distance_bits = distance_bits
-        self.reexpand_each_iteration = reexpand_each_iteration
         setting = cloud.setting
         self._sbd = SecureBitDecomposition(setting, distance_bits)
         self._sminn = SecureMinimumOfN(setting, topology=sminn_topology)
         self._sm = SecureMultiplication(setting)
-        self._sbor = SecureBitOr(setting)
 
     # -- protocol ------------------------------------------------------------------
     def run(self, encrypted_query: Sequence[Ciphertext], k: int) -> ResultShares:
@@ -110,27 +106,32 @@ class SkNNSecure(SkNNProtocol):
         with _profiling.cost_scope("decompose"):
             distance_bits = self._sbd.run_batch(encrypted_distances)
 
+        pk = self.public_key
+        flag_weight = 1 << self.distance_bits
+        flags: list[Ciphertext] = []
         encrypted_results: list[list[Ciphertext]] = []
         for iteration in range(k):
             with _profiling.cost_scope("select"):
-                # Step 3(a): [d_min] of the current (possibly updated)
-                # distances.
-                min_bits = self._sminn.run(distance_bits)
+                # Step 3(a): [d_min] of the live records — after the first
+                # iteration over [f_i] + [d_i], so selected ones lose.
+                min_bits = self._sminn.run(
+                    [[flag] + bits for flag, bits in zip(flags, distance_bits)]
+                    if flags else distance_bits)
 
-                # Step 3(b): C1 recomposes E(d_min) and, after the first
-                # iteration, re-derives every E(d_i) from its bit vector.
+                # Step 3(b): C1 recomposes E(d_min) and forms each
+                # E(d_i + 2^l f_i) from SSED's E(d_i) and the flag — one
+                # short power per record, where the printed algorithm
+                # re-expands all n * l bits.
                 enc_dmin = recompose_from_encrypted_bits(min_bits)
-                if iteration > 0 and self.reexpand_each_iteration:
-                    encrypted_distances = [
-                        recompose_from_encrypted_bits(bits)
-                        for bits in distance_bits
-                    ]
+                current_distances = (
+                    pk.add_batch(encrypted_distances,
+                                 pk.scalar_mul_batch(flags, flag_weight))
+                    if flags else encrypted_distances)
 
                 # tau_i = E(r_i * (d_min - d_i)), permuted before leaving C1.
-                pk = self.public_key
                 differences = pk.add_batch(
                     [enc_dmin] * n,
-                    pk.scalar_mul_batch(encrypted_distances, -1))
+                    pk.scalar_mul_batch(current_distances, -1))
                 randomized = pk.scalar_mul_batch(
                     differences, [c1.random_nonzero() for _ in range(n)])
                 permutation = list(range(n))
@@ -150,11 +151,11 @@ class SkNNSecure(SkNNProtocol):
                 extracted = self._extract_record(indicator_v)
             encrypted_results.append(extracted)
 
-            # Step 3(e): obliviously set the chosen record's distance to max.
+            # Step 3(e): the selected record's flag bit becomes 1.
             if iteration < k - 1:
                 with _profiling.cost_scope("eliminate"):
-                    distance_bits = self._eliminate_selected(
-                        indicator_v, distance_bits)
+                    flags = (pk.add_batch(flags, indicator_v) if flags
+                             else list(indicator_v))
 
         # Steps 4-6 of Algorithm 5: deliver the k encrypted records to Bob.
         return self._deliver_records(encrypted_results)
@@ -210,26 +211,3 @@ class SkNNSecure(SkNNProtocol):
             accumulators[j] = product if accumulators[j] is None \
                 else accumulators[j] + product
         return [cipher for cipher in accumulators if cipher is not None]
-
-    def _eliminate_selected(
-        self, indicator: Sequence[Ciphertext],
-        distance_bits: list[list[Ciphertext]],
-    ) -> list[list[Ciphertext]]:
-        """Step 3(e): OR every distance bit with the record's indicator bit.
-
-        For the selected record (indicator 1) this sets all bits to 1, i.e.
-        the maximum distance ``2**l - 1``; other records are unchanged.  All
-        ``n * l`` ORs of an iteration form one batched SBOR round.
-        """
-        pairs = [
-            (enc_indicator, bit)
-            for enc_indicator, bits in zip(indicator, distance_bits)
-            for bit in bits
-        ]
-        ored = self._sbor.run_batch(pairs)
-        updated: list[list[Ciphertext]] = []
-        position = 0
-        for bits in distance_bits:
-            updated.append(ored[position:position + len(bits)])
-            position += len(bits)
-        return updated

@@ -280,11 +280,14 @@ class PaillierPublicKey:
         as the one exponentiation it replaces in the paper's accounting
         (Section 4.4).  A non-unit (``0``, a multiple of a prime factor —
         never a valid ciphertext) has no inverse and raises
-        :class:`CryptoError`.  Exponents 0 and 1 — SMIN's ``Gamma'**alpha``
-        — are answered here, not by a backend call.
+        :class:`CryptoError`.  Exponents 0, 1 and 2 — SMIN's
+        ``Gamma'**alpha`` and the doubling of its marker's prefix sums — are
+        answered here (``1``, ``c``, ``c * c``), not by a backend call.
         """
         if exponent <= 1:
             return c % self.nsquare if exponent else 1
+        if exponent == 2:
+            return c * c % self.nsquare
         backend = get_backend()
         if exponent == self.n - 1:
             return backend.invert(c, self.nsquare)

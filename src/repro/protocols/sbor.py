@@ -47,8 +47,9 @@ class SecureBitOr(TwoPartyProtocol):
         """OR over many bit pairs (one batched SM round).
 
         The protocol's one implementation — :meth:`run` is the one-pair
-        batch.  SkNN_m's elimination phase calls this with all ``n * l``
-        (indicator, distance-bit) pairs of an iteration.
+        batch.  (The printed SkNN_m eliminates by OR-ing the indicator into
+        all ``n * l`` distance bits; :mod:`repro.core.sknn_secure` uses a
+        flag bit instead and does not call SBOR.)
         """
         if not pairs:
             return []

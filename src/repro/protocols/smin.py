@@ -22,25 +22,39 @@ Vector roles (for one index ``i``, following the paper's notation):
   (according to F) is 1 and the other bit is 0;
 * ``Gamma_i`` encrypts the randomized bit difference (+ mask ``rhat_i``);
 * ``G_i``     encrypts ``u_i XOR v_i``;
-* ``H_i``     marks (with an encryption of 1) the first index where the bits
-  differ; earlier indices encrypt 0 and later indices encrypt random values;
-* ``Phi_i``   is ``H_i - 1`` so the marked index encrypts 0;
-* ``L_i``     equals ``W_i`` at the marked index and a random value elsewhere.
+* ``Phi_i``   encrypts ``g_i - 1 + 2 * sum_{j<i} g_j`` (plus the pair's fresh
+  ``Z = E(0)``, doubled): 0 exactly at the first index where the bits
+  differ — there ``g_i = 1`` and no earlier bit differs — and a non-zero
+  integer of at most ``2 l + 1`` everywhere else (odd where ``g_i = 0``,
+  a positive even number after the first difference);
+* ``L_i``     equals ``W_i * Phi_i^{r'_i}``: ``W_i`` at the marked index and
+  a uniform value other than ``W_i`` elsewhere.
 
 P2 decrypts the permuted ``L`` vector: the single index that decrypts to 1 or
 0 (rather than a random value) reveals the outcome of the oblivious
-functionality F, from which P2 forms ``alpha``.
+functionality F, from which P2 forms ``alpha``.  For ``u = v`` no index is
+marked.
+
+The printed algorithm marks the first difference with a chain ``H_i =
+H_{i-1}^{r_i} * G_i``, ``Phi_i = H_i - 1``: ``l`` sequential full powers
+per pair.  ``Phi_i`` here is the weighted prefix sum of the comparison of
+Damgard, Geisler and Kroigaard ["Efficient and secure comparison for
+on-line auctions", ACISP 2007]: homomorphic additions and one doubling
+(``c * c``) per bit.  What P2 decrypts is distributed as before — ``W_t``
+at the first difference ``t``, elsewhere ``W_i`` plus a uniform non-zero
+multiple of a unit — so Section 4.3's view is unchanged.
 
 P1 draws the difference masks ``(rhat_i, E(rhat_i))`` per round, not per
-bit: ``pairs * l`` (and ``pairs`` ``H_0 = E(0)`` constants) for a
+bit: ``pairs * l`` (and ``pairs`` ``Z = E(0)`` constants) for a
 :meth:`SecureMinimum.run_batch` level, as one ``take_masks`` batch.
 
 Of the six exponentiations counted per bit, four are the subtractions of
 ``W_i``, ``Gamma_i`` and ``G_i`` and cost one modular inversion per chunk
 of pairs between them: ``E(u_i v_i)`` and ``Gamma_i``'s subtrahend are
 negated as one ``neg_batch`` (``2 l`` per pair), and ``G_i``'s
-``E(2 u_i v_i)^-1`` is the square of ``W_i``'s ``E(u_i v_i)^-1``.  Only
-``H_{i-1}^{r_i}`` and ``Phi_i^{r'_i}`` are powers.
+``E(2 u_i v_i)^-1`` is the square of ``W_i``'s ``E(u_i v_i)^-1``.  The
+fifth is ``Phi_i``'s doubling, a squaring; only ``Phi_i^{r'_i}`` is a
+power, one ``scalar_mul_batch`` per chunk.
 """
 
 from __future__ import annotations
@@ -136,7 +150,7 @@ class SecureMinimum(TwoPartyProtocol):
         def build_gamma_and_l(chunk):
             # ---- P1: step 1 for every pair of the chunk ---------------------
             rhat_tuples = self.take_masks(len(chunk) * bit_length, "nonzero")
-            enc_h_zeros = self.p1.encrypt_batch([0] * len(chunk))
+            enc_zeros = self.p1.encrypt_batch([0] * len(chunk))
             # Every subtrahend of the chunk, negated for one inversion: each
             # pair's E(u_i v_i) (inside W_i and, doubled, G_i), then the bits
             # each pair's Gamma_i subtracts.
@@ -148,12 +162,12 @@ class SecureMinimum(TwoPartyProtocol):
                    for enc_bit in (enc_u_bits if f_is_u_greater
                                    else enc_v_bits)])
             neg_uvs, neg_subtracted = negated[:count], negated[count:]
-            payload = []
+            w_vector, phi_vector, r_primes = [], [], []
+            permuted_gammas, permutations_l = [], []
             states: list[tuple[list[int], list[int]]] = []
             for index, (enc_u_bits, enc_v_bits, f_is_u_greater,
                         _) in enumerate(chunk):
                 bits = slice(index * bit_length, (index + 1) * bit_length)
-                gamma_masks = [rhat for rhat, _ in rhat_tuples[bits]]
                 neg_uv = neg_uvs[bits]
                 # F: u > v  ->  W_i = E(u_i (1 - v_i)),
                 #               Gamma_i = E(v_i - u_i + rhat_i);
@@ -161,7 +175,7 @@ class SecureMinimum(TwoPartyProtocol):
                 maximum_bits, other_bits = (
                     (enc_u_bits, enc_v_bits) if f_is_u_greater
                     else (enc_v_bits, enc_u_bits))
-                w_vector = self.pk.add_batch(list(maximum_bits), neg_uv)
+                w_vector.extend(self.pk.add_batch(list(maximum_bits), neg_uv))
                 gamma_vector = self.pk.add_batch(
                     self.pk.add_batch(list(other_bits), neg_subtracted[bits]),
                     [enc_rhat for _, enc_rhat in rhat_tuples[bits]])
@@ -169,25 +183,35 @@ class SecureMinimum(TwoPartyProtocol):
                 g_vector = self.pk.add_batch(
                     self.pk.add_batch(list(enc_u_bits), list(enc_v_bits)),
                     self.pk.double_negated_batch(neg_uv))
-                enc_h = enc_h_zeros[index]
-                l_vector: list[Ciphertext] = []
-                for enc_w, enc_g in zip(w_vector, g_vector):
-                    # H_i = H_{i-1}^{r_i} * G_i marks the first differing bit
-                    enc_h = (enc_h * self.p1.random_nonzero()) + enc_g
-                    # Phi_i = E(-1) * H_i;  L_i = W_i * Phi_i^{r'_i}
-                    enc_phi = self.add_plain(enc_h, n - 1)
-                    l_vector.append(
-                        enc_w + (enc_phi * self.p1.random_nonzero()))
-
+                # Phi_i = E(g_i - 1 + 2 (z + sum_{j<i} g_j)) with Z = E(z = 0)
+                # fresh: zero exactly at the first differing bit.
+                prefixes = [enc_zeros[index]]
+                for enc_g in g_vector[:-1]:
+                    prefixes.append(prefixes[-1] + enc_g)
+                phi_vector.extend(
+                    self.add_plain(enc_phi, n - 1) for enc_phi in
+                    self.pk.add_batch(g_vector,
+                                      self.pk.scalar_mul_batch(prefixes, 2)))
+                # the pair's draws in one order, however the round is split
+                r_primes.extend(self.p1.random_nonzero()
+                                for _ in range(bit_length))
                 permutation_gamma = list(range(bit_length))
                 permutation_l = list(range(bit_length))
                 self.p1.rng.shuffle(permutation_gamma)
                 self.p1.rng.shuffle(permutation_l)
-                payload.append([
-                    [gamma_vector[j] for j in permutation_gamma],
-                    [l_vector[j] for j in permutation_l],
-                ])
-                states.append((gamma_masks, permutation_gamma))
+                permuted_gammas.append(
+                    [gamma_vector[j] for j in permutation_gamma])
+                permutations_l.append(permutation_l)
+                states.append(([rhat for rhat, _ in rhat_tuples[bits]],
+                               permutation_gamma))
+            # L_i = W_i * Phi_i^{r'_i}, the whole chunk as one batch
+            l_vector = self.pk.add_batch(
+                w_vector, self.pk.scalar_mul_batch(phi_vector, r_primes))
+            payload = [
+                [permuted_gamma,
+                 [l_vector[index * bit_length + j] for j in permutation_l]]
+                for index, (permuted_gamma, permutation_l)
+                in enumerate(zip(permuted_gammas, permutations_l))]
             return payload, states
 
         def select_minimums(chunk, states, reply):

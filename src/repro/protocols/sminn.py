@@ -76,7 +76,7 @@ class SecureMinimumOfN(TwoPartyProtocol):
         ``n - 1`` SMIN invocations overall, grouped into ``ceil(log2 n)``
         vectorized message exchanges instead of ``n - 1`` sequential ones.
         When a precomputation engine is attached to the setting, every level
-        encrypts its ``rhat``/``H_0``/``alpha`` material off the owning
+        encrypts its ``rhat``/``Z``/``alpha`` material off the owning
         party's pool through the shared SMIN instance.
         """
         survivors: list[list[Ciphertext]] = [list(bits) for bits in encrypted_values]

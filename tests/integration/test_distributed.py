@@ -21,6 +21,8 @@ from repro.core.system import SkNNSystem
 from repro.crypto.paillier import Ciphertext
 from repro.db.datasets import synthetic_uniform
 from repro.db.knn import LinearScanKNN
+from repro.db.schema import Schema
+from repro.db.table import Table
 from repro.exceptions import ChannelError, ConfigurationError
 from repro.network.channel import Message
 from repro.transport.client import RemoteCloud
@@ -140,6 +142,32 @@ class TestBitIdenticalAnswers:
             remote.c2.request("transport.fetch_share", {
                 "delivery_id": shares.delivery_id, "timeout": 0.2,
             })
+
+
+class TestEliminationAtTheDomainMaximum:
+    def test_no_duplicate_neighbour_at_distance_two_to_the_l_minus_one(self):
+        """(1, 1, 1) lies at 3 = 2**l - 1 from the query: a selected record
+        must not come back as the second neighbour in its place."""
+        table = Table.from_rows(Schema.uniform(3, 1), [[0, 0, 0], [1, 1, 1]])
+        owner = DataOwner(table, key_size=KEY_BITS, rng=Random(41))
+        daemons = [role(port=0) for role in (C1Daemon, C2Daemon)]
+        for daemon in daemons:
+            daemon.start()
+        c1, c2 = daemons
+        remote = RemoteCloud((c1.host, c1.port), (c2.host, c2.port))
+        try:
+            remote.provision(owner.keypair, owner.encrypt_database(),
+                             distance_bits=owner.distance_bit_length(),
+                             seed=42)
+            client = QueryClient(owner.public_key, 3, rng=Random(43))
+            for _ in range(8):
+                shares, _ = remote.query(client.encrypt_query([0, 0, 0]), 2,
+                                         mode="secure")
+                assert client.reconstruct(shares) == [(0, 0, 0), (1, 1, 1)]
+        finally:
+            remote.close()
+            for daemon in daemons:
+                daemon.close()
 
 
 class TestTelemetryStitching:

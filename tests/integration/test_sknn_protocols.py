@@ -10,8 +10,11 @@ from repro.core.cloud import FederatedCloud
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_secure import SkNNSecure
+from repro.crypto.backend import available_backends, set_backend
 from repro.db.datasets import synthetic_uniform
 from repro.db.knn import LinearScanKNN
+from repro.db.schema import Schema
+from repro.db.table import Table
 from repro.exceptions import QueryError
 from tests.integration.helpers import assert_valid_knn_answer
 
@@ -134,6 +137,40 @@ class TestSkNNSecureCorrectness:
         from repro.exceptions import ProtocolError
         with pytest.raises(ProtocolError):
             SkNNSecure(cloud, distance_bits=0)
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_a_selected_record_never_ties_one_at_the_domain_maximum(
+            self, backend_name, small_keypair):
+        """l = 2 and (1, 1, 1) lies at distance 3 = 2**l - 1 from the query:
+        the all-ones value the printed elimination gives a selected record,
+        which then ties it and can be selected a second time."""
+        table = Table.from_rows(Schema.uniform(3, 1), [[0, 0, 0], [1, 1, 1]])
+        query = [0, 0, 0]
+        set_backend(backend_name)
+        try:
+            for seed in range(20):
+                cloud, client = build_deployment(table, small_keypair, seed)
+                protocol = SkNNSecure(
+                    cloud, distance_bits=table.schema.distance_bit_length())
+                neighbors = client.reconstruct(
+                    protocol.run(client.encrypt_query(query), 2))
+                assert neighbors == [(0, 0, 0), (1, 1, 1)], seed
+                assert_valid_knn_answer(table, query, 2, neighbors)
+        finally:
+            set_backend(None)
+
+    def test_k_equal_to_n_with_a_record_at_the_domain_maximum(
+            self, small_keypair):
+        rows = [[1, 1, 1], [1, 0, 0], [0, 0, 0], [1, 1, 0]]
+        table = Table.from_rows(Schema.uniform(3, 1), rows)
+        query = [0, 0, 0]
+        for seed in range(5):
+            cloud, client = build_deployment(table, small_keypair, 90 + seed)
+            protocol = SkNNSecure(cloud, distance_bits=2)
+            neighbors = client.reconstruct(
+                protocol.run(client.encrypt_query(query), len(rows)))
+            assert neighbors == [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)]
+            assert_valid_knn_answer(table, query, len(rows), neighbors)
 
     def test_report_and_counters(self, small_table, small_keypair):
         cloud, client = build_deployment(small_table, small_keypair, seed=85)

@@ -117,6 +117,18 @@ class TestQueryProtocolFormulas:
             summed = summed + counts
         assert summed.total == pytest.approx(total.total)
 
+    def test_elimination_is_free_and_later_selections_carry_the_flag(self):
+        """Elimination adds each indicator into a flag (no counted operation,
+        no round); iterations 2..k select over l + 1 bits."""
+        breakdown = sknn_secure_breakdown(8, 3, 2, 6)
+        assert breakdown["elimination"] == OperationCounts()
+        assert breakdown["sminn"] == sminn_counts(8, 6) + sminn_counts(8, 7)
+        # recompose l, then l + 1 bits; 2n per iteration; n flag scalings
+        assert breakdown["localisation"] == OperationCounts(
+            encryptions=16, decryptions=16, exponentiations=32 + 6 + 7 + 8)
+        # secure_dist_k512's shape
+        assert breakdown["total"].total == 2379
+
     def test_sminn_share_increases_with_k(self):
         """Section 5.2: the SMIN_n share of SkNN_m grows as k grows."""
         def share(k: int) -> float:

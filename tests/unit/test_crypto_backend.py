@@ -16,6 +16,7 @@ from repro.crypto import backend as backend_module
 from repro.crypto.backend import (
     BACKEND_ENV_VAR,
     FixedBaseExp,
+    FixedBasePower,
     OpenSSLBackend,
     PythonBackend,
     available_backends,
@@ -149,15 +150,18 @@ def _powers(seed: int, count: int) -> list[tuple[int, int, int]]:
 def _native_results(backend: OpenSSLBackend,
                     triples: list[tuple[int, int, int]]) -> list[int]:
     """Each triple's power, then the two-base products of neighbours (the
-    strip step's shape: ``a``/``b`` and ``a2``/``b2`` of the scratch) and one
-    three-base product (a pair plus the odd one out through ``powmod``)."""
+    strip step's shape: ``a``/``b`` and ``a2``/``b2`` of the scratch), one
+    three-base product (a pair plus the odd one out through ``powmod``) and
+    every exponent as a split fixed-base power of the first base."""
     modulus = triples[0][2]
     pairs = list(zip(triples[::2], triples[1::2]))
+    fixed = backend.fixed_base(triples[0][0], modulus, 256)
     return ([backend.powmod(*triple) for triple in triples]
             + [backend.multi_powmod([a[0], b[0]], [a[1], b[1]], modulus)
                for a, b in pairs]
             + [backend.multi_powmod([t[0] for t in triples[:3]],
-                                    [t[1] for t in triples[:3]], modulus)])
+                                    [t[1] for t in triples[:3]], modulus)]
+            + [fixed.pow(t[1]) for t in triples])
 
 
 def _expected_results(triples: list[tuple[int, int, int]]) -> list[int]:
@@ -165,7 +169,8 @@ def _expected_results(triples: list[tuple[int, int, int]]) -> list[int]:
     powers = [pow(*triple) for triple in triples]
     return (powers
             + [a * b % modulus for a, b in zip(powers[::2], powers[1::2])]
-            + [prod(powers[:3]) % modulus])
+            + [prod(powers[:3]) % modulus]
+            + [pow(triples[0][0], t[1], modulus) for t in triples])
 
 
 def _native_powers_in_worker(task: tuple[int, int]) -> list[int]:
@@ -263,6 +268,39 @@ class TestNativeBackendIsSharedSafely:
             from_workers = pool.map(_native_powers_in_worker, [task, task])
         assert from_workers == [driver, driver]
         assert driver == _expected_results(_powers(*task))
+
+
+class TestFixedBasePower:
+    """One two-base power on the exponent's halves: the integer of ``pow``."""
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("modulus_bits", [127, 128, 129])
+    def test_edge_exponents_match_pow(self, backend_name, modulus_bits):
+        backend = resolve_backend(backend_name)
+        rng = Random(modulus_bits)
+        modulus = rng.getrandbits(modulus_bits) | (1 << (modulus_bits - 1)) | 1
+        base = modulus + rng.randrange(2, modulus)  # reduced on the way in
+        bits = modulus_bits // 2
+        power = FixedBasePower(base, modulus, bits, backend=backend)
+        half = (bits + 1) // 2
+        exponents = [0, 1, (1 << half) - 1, 1 << half, (1 << bits) - 1,
+                     (1 << bits) + rng.getrandbits(bits),
+                     rng.getrandbits(3 * bits)]
+        exponents += [rng.getrandbits(bits) for _ in range(20)]
+        assert power.base == base % modulus
+        assert [power.pow(e) for e in exponents] \
+            == [pow(base, e, modulus) for e in exponents]
+        with pytest.raises(CryptoError, match="non-negative"):
+            power.pow(-1)
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_an_even_modulus_and_a_one_bit_range(self, backend_name):
+        backend = resolve_backend(backend_name)
+        modulus = (1 << 200) + 6
+        for bits in (1, 2, 200):
+            power = FixedBasePower(3, modulus, bits, backend=backend)
+            assert [power.pow(e) for e in (0, 1, 2, 3, 12345)] \
+                == [pow(3, e, modulus) for e in (0, 1, 2, 3, 12345)]
 
 
 class TestFixedBaseExp:
