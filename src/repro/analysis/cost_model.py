@@ -218,26 +218,26 @@ def sbd_counts(bit_length: int) -> OperationCounts:
 def smin_counts(bit_length: int) -> OperationCounts:
     """Secure Minimum of two ``l``-bit values (Algorithm 3).
 
-    Per bit: one SM plus the W/Gamma/G/Phi/L bookkeeping on P1's side
-    (6 exponentiations, 1 encryption), one decryption and one exponentiation
-    on P2's side for the permuted L and M' vectors, and one final
-    exponentiation by P1 to strip the Gamma mask.  Constant terms: the
-    marker's ``Z = E(0)`` and P2's encryption of alpha.
+    Per bit: P1 encrypts the ``Gamma`` mask and counts four
+    exponentiations for the ``d``/``Gamma``/marker/``L`` bookkeeping (the
+    negation of ``max_i``, the marker's cube and the powers of the two
+    ``L`` entries); P2 decrypts both ``L`` entries, raises ``Gamma'_i`` to
+    ``alpha`` and encrypts the fresh ``E(0)`` that re-randomizes ``M'_i``;
+    P1 strips the ``Gamma`` mask with one more exponentiation.  Constant
+    terms: the marker's ``Z = E(0)`` and P2's encryption of alpha.
 
-    Five of the six step-1 exponentiations per bit are cheap in the
+    Two of the six counted exponentiations per bit are cheap in the
     implementation and counted like the operations they stand for: the
-    subtractions behind ``W_i``, ``Gamma_i`` and ``G_i`` (four, with
-    ``G_i``'s doubling) are modular inverses and one squaring, and the
-    marker ``Phi_i``'s doubled prefix sum is one more squaring (where the
-    printed algorithm's ``H_{i-1}^{r_i}`` was a full power).  Only ``L_i``'s
-    ``Phi_i^{r'_i}`` is a full power, so a time projection that prices every
-    counted exponentiation alike overstates SMIN's step 1.
+    negation is a modular inverse shared by the chunk, and the cube is two
+    multiplications.  The printed algorithm's secure multiplication per bit
+    (``W_i``, ``G_i``) is gone, and with it SM's 3 encryptions, 2
+    decryptions and 2 exponentiations.
     """
     _require_positive(bit_length, "bit_length")
     per_bit = (
-        sm_counts()
-        + OperationCounts(encryptions=1, exponentiations=6)   # W, Gamma, G, Phi, L
-        + OperationCounts(decryptions=1, exponentiations=1)   # P2: decrypt L', M'
+        OperationCounts(encryptions=1, exponentiations=4)     # rhat; d, P, L
+        + OperationCounts(encryptions=1, decryptions=2,
+                          exponentiations=1)                  # P2: L', M'
         + OperationCounts(exponentiations=1)                  # P1: strip Gamma mask
     )
     constant = OperationCounts(encryptions=2)                 # Z and E(alpha)
@@ -310,18 +310,67 @@ def sknn_basic_split_counts(n_records: int, dimensions: int,
     )
 
 
+def _printed_smin_counts(bit_length: int) -> OperationCounts:
+    """The printed Algorithm 3, ``17l + 2`` operations: per bit one SM for
+    ``E(u_i v_i)``, the W/Gamma/G/H/L bookkeeping, P2's decryption of its
+    one ``L`` entry and an ``M'`` that is not re-randomized."""
+    per_bit = (
+        sm_counts()
+        + OperationCounts(encryptions=1, exponentiations=6)   # W, Gamma, G, H, L
+        + OperationCounts(decryptions=1, exponentiations=1)   # P2: decrypt L', M'
+        + OperationCounts(exponentiations=1)                  # P1: strip Gamma mask
+    )
+    return per_bit * bit_length + OperationCounts(encryptions=2)
+
+
+def _textbook_secure_phases(n_records: int, dimensions: int, k: int,
+                            bit_length: int) -> dict[str, OperationCounts]:
+    """The printed Algorithm 6's phases (see :func:`sknn_secure_breakdown`)."""
+    later = max(k - 1, 0)
+    # Per iteration: recompose E(d_min) (l exponentiations), randomize the n
+    # differences (2 exponentiations each), C2 decrypts n values and encrypts
+    # n indicator bits; iterations 2..k re-expand every E(d_i) from its bits.
+    localisation_per_iteration = OperationCounts(
+        encryptions=n_records, decryptions=n_records,
+        exponentiations=bit_length + 2 * n_records)
+    return {
+        "ssed": ssed_counts(dimensions) * n_records,
+        "sbd": sbd_counts(bit_length) * n_records,
+        "sminn": _printed_smin_counts(bit_length) * ((n_records - 1) * k),
+        "localisation": localisation_per_iteration * k + OperationCounts(
+            exponentiations=n_records * bit_length * later),
+        "extraction": sm_counts() * (n_records * dimensions * k),
+        "elimination": sbor_counts() * (n_records * bit_length * later),
+        "delivery": OperationCounts(encryptions=k * dimensions,
+                                    decryptions=k * dimensions),
+    }
+
+
 def sknn_secure_breakdown(n_records: int, dimensions: int, k: int,
-                          bit_length: int) -> dict[str, OperationCounts]:
+                          bit_length: int,
+                          textbook: bool = False) -> dict[str, OperationCounts]:
     """Per-phase operation counts of SkNN_m (Algorithm 6).
 
     Returns a dictionary with one entry per phase so that the SMIN_n share of
     the total (the paper reports 69.7%-75%) can be reproduced, plus the total
     under the key ``"total"``.
+
+    Args:
+        n_records, dimensions, k, bit_length: the query's shape.
+        textbook: ``False`` (default) models this repository's
+            implementation; ``True`` models the printed protocol — SSED per
+            record, the printed SMIN (one SM per bit), extraction by ``n*m``
+            SMs and elimination by ``n*l`` SBORs per iteration after the
+            first — the counterpart of ``sknn_basic_counts(batched=False)``,
+            against which Figure 2(f) compares it.
     """
     _require_positive(n_records, "n_records")
     _require_positive(dimensions, "dimensions")
     _require_positive(k, "k")
     _require_positive(bit_length, "bit_length")
+    if textbook:
+        return _with_total(_textbook_secure_phases(
+            n_records, dimensions, k, bit_length))
 
     later = max(k - 1, 0)
     distance_phase = ssed_scan_counts(n_records, dimensions)
@@ -343,14 +392,18 @@ def sknn_secure_breakdown(n_records: int, dimensions: int, k: int,
     localisation_phase = localisation_per_iteration * k + OperationCounts(
         exponentiations=bit_length + (bit_length + 1 + n_records) * later)
 
-    extraction_phase = sm_counts() * (n_records * dimensions * k)
+    # Per iteration: C1 masks all n * m attributes and strips the forwarded
+    # row with n * m exponentiations; C2 re-randomizes its m ciphertexts.
+    extraction_phase = OperationCounts(
+        encryptions=n_records * dimensions + dimensions,
+        exponentiations=n_records * dimensions) * k
     # Elimination adds each indicator into its record's flag: n homomorphic
     # additions per iteration, no counted operation and no round.
     elimination_phase = OperationCounts()
     delivery_phase = OperationCounts(encryptions=k * dimensions,
                                      decryptions=k * dimensions)
 
-    phases = {
+    return _with_total({
         "ssed": distance_phase,
         "sbd": sbd_phase,
         "sminn": sminn_phase,
@@ -358,7 +411,12 @@ def sknn_secure_breakdown(n_records: int, dimensions: int, k: int,
         "extraction": extraction_phase,
         "elimination": elimination_phase,
         "delivery": delivery_phase,
-    }
+    })
+
+
+def _with_total(phases: dict[str, OperationCounts]
+                ) -> dict[str, OperationCounts]:
+    """``phases`` plus their sum under ``"total"``."""
     total = OperationCounts()
     for counts in phases.values():
         total = total + counts
@@ -367,9 +425,12 @@ def sknn_secure_breakdown(n_records: int, dimensions: int, k: int,
 
 
 def sknn_secure_counts(n_records: int, dimensions: int, k: int,
-                       bit_length: int) -> OperationCounts:
-    """Total operation counts of SkNN_m (Algorithm 6)."""
-    return sknn_secure_breakdown(n_records, dimensions, k, bit_length)["total"]
+                       bit_length: int,
+                       textbook: bool = False) -> OperationCounts:
+    """Total operation counts of SkNN_m (Algorithm 6); ``textbook`` as in
+    :func:`sknn_secure_breakdown`."""
+    return sknn_secure_breakdown(n_records, dimensions, k, bit_length,
+                                 textbook)["total"]
 
 
 def _require_positive(value: int, name: str) -> None:

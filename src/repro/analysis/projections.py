@@ -86,7 +86,13 @@ def figure_2d_series(calibrator: Calibrator, key_size: int, k_values: list[int],
 def figure_2f_series(calibrator: Calibrator, key_size: int, k_values: list[int],
                      n: int = 2000, dimensions: int = 6,
                      bit_length: int = 6) -> ExperimentSeries:
-    """Figure 2(f): SkNN_b vs SkNN_m time vs. k (n=2000, m=6, l=6, K=512)."""
+    """Figure 2(f): SkNN_b vs SkNN_m time vs. k (n=2000, m=6, l=6, K=512).
+
+    The figure compares the paper's two printed protocols, so both series
+    are their textbook models (``sknn_basic_counts`` and
+    ``sknn_secure_counts(textbook=True)``).  The implemented SkNN_m is
+    about 10x the textbook SkNN_b at k = 5 (the paper measured 16x).
+    """
     series = ExperimentSeries(
         title=f"SkNNb vs SkNNm: time vs k (n={n}, m={dimensions}, "
               f"l={bit_length}, K={key_size})",
@@ -101,7 +107,8 @@ def figure_2f_series(calibrator: Calibrator, key_size: int, k_values: list[int],
     ])
     series.add_series("SkNNm", [
         calibrator.predict_seconds(
-            sknn_secure_counts(n, dimensions, k, bit_length), key_size) / 60.0
+            sknn_secure_counts(n, dimensions, k, bit_length, textbook=True),
+            key_size) / 60.0
         for k in k_values
     ])
     return series

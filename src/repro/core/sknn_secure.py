@@ -18,20 +18,30 @@ record with the ``s``-th smallest distance:
    the zero position, zeros elsewhere); C1 undoes the permutation to get
    ``V``.  Because ``V`` is encrypted, C1 still does not know which record was
    selected.
-4. **Oblivious extraction** — ``E(t'_{s,j}) = prod_i SM(V_i, E(t_{i,j}))``:
-   the selected record is copied out under encryption.
+4. **Oblivious extraction** — in the same round: next to the differences C1
+   sends every record ``E(t_{i,a} + r_{i,a})`` under fresh masks, in the
+   same permuted order, and C2 forwards the row at the position it chose,
+   each ciphertext times a fresh ``E(0)``, with ``U``.  C1 strips the mask
+   obliviously, ``E(t'_{s,a}) = row'_a * prod_i V_i^{N - r_{i,a}}``.
 5. **Oblivious elimination** — C1 keeps one encrypted flag bit per record,
    ``E(f_i) <- E(f_i) * E(V_i)`` (a homomorphic addition, no interaction),
    and every later iteration compares ``f_i`` prepended to ``[d_i]`` as the
    most significant bit: ``l + 1`` bits, i.e. the value ``d_i + 2**l * f_i``,
    which puts every selected record above every live one.
 
-The printed step 3(e) instead OR-s (SBOR) ``V_i`` into all ``l`` distance
-bits, setting the selected record to the all-ones ``2**l - 1`` — ``n * l``
-secure multiplications and a round per iteration, and a silent wrong answer
-besides: ``2**l - 1`` is a distance a live record can have, so a selected
-record ties it and can be selected again.  The flag bit costs additions, and
-nothing live can reach ``2**l``.
+Where this departs from the printed algorithm:
+
+* The printed step 3(d) extracts by ``prod_i SM(V_i, E(t_{i,a}))``: ``n * m``
+  secure multiplications and a round per iteration.  C2 already knows
+  which position it marked, so it can forward that record itself; the masks
+  keep the record from C2 (it decrypts none of the rows) and the fresh
+  ``E(0)`` keeps C1 from matching the forwarded row to one it sent.
+* The printed step 3(e) OR-s (SBOR) ``V_i`` into all ``l`` distance bits,
+  setting the selected record to the all-ones ``2**l - 1`` — ``n * l``
+  secure multiplications and a round per iteration, and a silent wrong
+  answer besides: ``2**l - 1`` is a distance a live record can have, so a
+  selected record ties it and can be selected again.  The flag bit costs
+  additions, and nothing live can reach ``2**l``.
 
 After ``k`` iterations C1 holds the ``k`` encrypted nearest records and the
 usual two-share delivery sends them to Bob.
@@ -48,7 +58,6 @@ from repro.crypto.paillier import Ciphertext
 from repro.exceptions import ProtocolError
 from repro.protocols.encoding import recompose_from_encrypted_bits
 from repro.protocols.sbd import SecureBitDecomposition
-from repro.protocols.sm import SecureMultiplication
 from repro.protocols.sminn import SecureMinimumOfN
 from repro.telemetry import profiling as _profiling
 
@@ -83,7 +92,6 @@ class SkNNSecure(SkNNProtocol):
         setting = cloud.setting
         self._sbd = SecureBitDecomposition(setting, distance_bits)
         self._sminn = SecureMinimumOfN(setting, topology=sminn_topology)
-        self._sm = SecureMultiplication(setting)
 
     # -- protocol ------------------------------------------------------------------
     def run(self, encrypted_query: Sequence[Ciphertext], k: int) -> ResultShares:
@@ -137,19 +145,37 @@ class SkNNSecure(SkNNProtocol):
                 permutation = list(range(n))
                 c1.rng.shuffle(permutation)
                 beta = [randomized[j] for j in permutation]
-                c1.send(beta, tag="SkNNm.randomized_differences")
+            with _profiling.cost_scope("extract"):
+                # Step 3(d), C1's half: every record under fresh masks, in
+                # beta's order.
+                masks, rows = self._masked_records(permutation)
+            with _profiling.cost_scope("select"):
+                c1.send([beta, rows], tag="SkNNm.randomized_differences")
 
-                # Step 3(c): C2 marks the zero entry with an encrypted 1.
+                # Step 3(c): C2 marks the zero entry with an encrypted 1 and
+                # forwards the masked record at that position.
                 self.p2_step("SkNNm.randomized_differences")
 
-                # Step 3(d): C1 un-permutes U into V.
-                received_u = c1.receive(expected_tag="SkNNm.indicator")
+                # C1 un-permutes U into V.
+                reply = c1.receive(expected_tag="SkNNm.indicator")
+                self.require(isinstance(reply, list) and len(reply) == 2,
+                             "malformed indicator reply")
+                received_u, received_row = reply
+                self.require_cipher_list(received_u, n, "indicator reply")
+                self.require_cipher_list(received_row, len(rows[0]),
+                                         "indicator reply")
                 indicator_v: list[Ciphertext | None] = [None] * n
                 for position, original_index in enumerate(permutation):
                     indicator_v[original_index] = received_u[position]
             with _profiling.cost_scope("extract"):
-                extracted = self._extract_record(indicator_v)
-            encrypted_results.append(extracted)
+                # Step 3(d), C1's strip: E(t'_a) = row'_a * prod_i
+                # V_i^(N - r_{i,a}), one multi-exponentiation per attribute.
+                encrypted_results.append(pk.add_batch(
+                    received_row,
+                    pk.weighted_sum_batch(
+                        [indicator_v] * len(received_row),
+                        [[pk.n - record_masks[a] for record_masks in masks]
+                         for a in range(len(received_row))])))
 
             # Step 3(e): the selected record's flag bit becomes 1.
             if iteration < k - 1:
@@ -161,17 +187,57 @@ class SkNNSecure(SkNNProtocol):
         return self._deliver_records(encrypted_results)
 
     # -- helpers ---------------------------------------------------------------------
-    def _p2_locate_minimum(self) -> None:
-        """Step 3(c): C2 decrypts the permuted differences and replies with
-        the encrypted indicator vector marking (one) minimum position."""
-        c2 = self.cloud.c2
-        received_beta = c2.receive(expected_tag="SkNNm.randomized_differences")
-        decrypted = c2.decrypt_residue_batch(received_beta)
-        indicator = self._build_indicator(decrypted)
-        c2.send(indicator, tag="SkNNm.indicator")
+    def _masked_records(self, permutation: Sequence[int]
+                        ) -> tuple[list[list[int]], list[list[Ciphertext]]]:
+        """C1's records under fresh masks for step 3(d).
 
-    def _build_indicator(self, decrypted_differences: list[int]) -> list[Ciphertext]:
-        """C2's step 3(c): encrypt a 1 at (one) zero position, 0 elsewhere.
+        Returns the masks ``r_{i,a}`` by record and the rows ``E(t_{i,a} +
+        r_{i,a})`` in ``permutation``'s order; the masks are one
+        :meth:`~repro.protocols.base.TwoPartyProtocol.take_masks` batch.
+        """
+        table = self.encrypted_table
+        dimensions = table.dimensions
+        tuples = self._ssed.take_masks(len(table) * dimensions)
+        per_record = [tuples[index * dimensions:(index + 1) * dimensions]
+                      for index in range(len(table))]
+        rows = [self.public_key.add_batch(
+                    list(table.record_at(index).ciphertexts),
+                    [c for _, c in per_record[index]])
+                for index in permutation]
+        return [[r for r, _ in record] for record in per_record], rows
+
+    def _p2_locate_minimum(self) -> None:
+        """Step 3(c): C2 decrypts the permuted differences, replies with the
+        encrypted indicator vector marking (one) minimum position, and
+        forwards the masked record at that position.
+
+        The frame is ``[beta, rows]`` — ``n`` ciphertexts and ``n`` rows of
+        ``m`` — and is checked before anything is decrypted.  C2 knows
+        neither ``n`` nor ``m`` in advance, so the check is of types and
+        consistency: rows of one width, and one ``beta`` entry per row.  C2
+        decrypts no row: it multiplies each ciphertext of the chosen one by a
+        fresh ``E(0)``.  The indicator is C2's secret, so C2 encrypts it (its
+        own pool), in one batch with those zeros.
+        """
+        c2 = self.cloud.c2
+        frame = c2.receive(expected_tag="SkNNm.randomized_differences")
+        self.require(isinstance(frame, list) and len(frame) == 2
+                     and isinstance(frame[0], list),
+                     "malformed randomized-difference batch")
+        beta, rows = frame
+        width = self.require_cipher_rows(rows, "randomized-difference batch")
+        self.require_cipher_list(beta, len(rows),
+                                 "randomized-difference batch")
+        chosen = self._build_indicator(c2.decrypt_residue_batch(beta))
+        fresh = c2.encrypt_batch(
+            [int(index == chosen) for index in range(len(beta))]
+            + [0] * width)
+        c2.send([fresh[:len(beta)],
+                 self.public_key.add_batch(rows[chosen], fresh[len(beta):])],
+                tag="SkNNm.indicator")
+
+    def _build_indicator(self, decrypted_differences: list[int]) -> int:
+        """C2's step 3(c): the position of (one) zero difference.
 
         If several entries are zero (equal minimal distances) C2 picks one at
         random, exactly as the paper prescribes, so that exactly one record is
@@ -185,29 +251,4 @@ class SkNNSecure(SkNNProtocol):
                 "SkNNm: no zero entry found while locating the minimum — "
                 "the distance domain l is likely too small for the data"
             )
-        chosen = c2.rng.choice(zero_positions)
-        bits = [1 if idx == chosen else 0
-                for idx in range(len(decrypted_differences))]
-        # The indicator is C2's secret, so C2 encrypts it (its own pool).
-        return c2.encrypt_batch(bits)
-
-    def _extract_record(self, indicator: Sequence[Ciphertext]) -> list[Ciphertext]:
-        """Step 3(d): ``E(t'_{s,j}) = prod_i SM(V_i, E(t_{i,j}))``.
-
-        All ``n * m`` products of one iteration run through a single batched
-        SM round; the per-attribute accumulation is unchanged.
-        """
-        table = self.encrypted_table
-        dimensions = table.dimensions
-        pairs = [
-            (enc_indicator, record.ciphertexts[j])
-            for enc_indicator, record in zip(indicator, table)
-            for j in range(dimensions)
-        ]
-        products = self._sm.run_batch(pairs)
-        accumulators: list[Ciphertext | None] = [None] * dimensions
-        for index, product in enumerate(products):
-            j = index % dimensions
-            accumulators[j] = product if accumulators[j] is None \
-                else accumulators[j] + product
-        return [cipher for cipher in accumulators if cipher is not None]
+        return c2.rng.choice(zero_positions)

@@ -280,14 +280,14 @@ class PaillierPublicKey:
         as the one exponentiation it replaces in the paper's accounting
         (Section 4.4).  A non-unit (``0``, a multiple of a prime factor —
         never a valid ciphertext) has no inverse and raises
-        :class:`CryptoError`.  Exponents 0, 1 and 2 — SMIN's
-        ``Gamma'**alpha`` and the doubling of its marker's prefix sums — are
-        answered here (``1``, ``c``, ``c * c``), not by a backend call.
+        :class:`CryptoError`.  Exponents 0 to 3 — SMIN's ``Gamma'**alpha``
+        and the cube of its marker — are answered here (``1``, ``c``, one or
+        two multiplications), not by a backend call.
         """
         if exponent <= 1:
             return c % self.nsquare if exponent else 1
-        if exponent == 2:
-            return c * c % self.nsquare
+        if exponent <= 3:
+            return pow(c, exponent, self.nsquare)
         backend = get_backend()
         if exponent == self.n - 1:
             return backend.invert(c, self.nsquare)
@@ -453,24 +453,6 @@ class PaillierPublicKey:
                           else raw_power(ciphertext.value, exponent))
                for ciphertext, exponent in zip(ciphertexts, exponents)]
         self.counter.exponentiations += len(out)
-        return out
-
-    def double_negated_batch(self, negated: Sequence["Ciphertext"]
-                             ) -> list["Ciphertext"]:
-        """``E(-2a)`` from each already negated ``E(-a)``: one squaring.
-
-        ``(E(a)**2)**-1 == (E(a)**-1)**2``, so where ``E(-a)`` is at hand
-        (SMIN needs both ``-u_i v_i`` and ``-2 u_i v_i``) the second
-        inverse is a multiplication — raw-identical to ``-(E(a) * 2)`` and
-        *counted* as the two exponentiations it replaces, the doubling and
-        the negation (the rule of :meth:`_raw_power`).
-        """
-        self._check_batch_key(negated)
-        nsquare = self.nsquare
-        mulmod = get_backend().mulmod
-        out = [Ciphertext(self, mulmod(c.value, c.value, nsquare))
-               for c in negated]
-        self.counter.exponentiations += 2 * len(out)
         return out
 
     def add_batch(self, left: Sequence["Ciphertext"],

@@ -114,10 +114,11 @@ class PrecomputeConfig:
         """Evaluator-side (P1/C1) pool size covering ``queries`` warm queries.
 
         Per SkNN_b query P1 encrypts ``n*m + k*m`` additive masks (scan +
-        delivery) plus ``2m`` spare; with ``l`` given (SkNN_m workloads) it
-        also encrypts ``l*n`` SBD masks, ``l*n`` SMIN ``rhat`` masks and
-        about ``l*n/2`` SBD ones.  A flat 32 covers the first query's odds
-        and ends.
+        delivery) plus ``2m`` spare.  With ``l`` given (SkNN_m workloads) it
+        also encrypts ``l*n`` SBD masks and about ``l*n/2`` SBD ones, and per
+        iteration at most ``n`` SMIN pairs' ``l + 1`` ``rhat`` masks and
+        ``Z`` (``n * (l + 2)``) and ``n*m`` extraction masks.  A flat 32
+        covers the first query's odds and ends.
 
         With ``worker_scan=True`` (the parallel/sharded modes, whose chunk
         workers draw obfuscator *slices* from the plan's per-shard pools)
@@ -128,9 +129,13 @@ class PrecomputeConfig:
         """
         scan_masks = 0 if worker_scan else n_records * dimensions
         bits = sbd_bit_length or 0
+        sbd = bits * n_records * queries
+        ones = sbd // 2
+        smin_and_extraction = (k * n_records * (bits + 2 + dimensions) * queries
+                               if bits else 0)
         return cls(obfuscators=(
             (scan_masks + (k + 2) * dimensions) * queries + 32
-            + 5 * bits * n_records * queries // 2))
+            + sbd + ones + smin_and_extraction))
 
     @classmethod
     def for_decryptor_load(cls, n_records: int, dimensions: int, k: int,
@@ -140,14 +145,17 @@ class PrecomputeConfig:
         """Decryptor-side (P2/C2) pool size covering ``queries`` queries.
 
         P2 re-encrypts ``n`` square sums per SSED scan; with ``l`` given it
-        also encrypts ``2*l*n`` SM products and about ``(l/2 + 1) * n`` each
-        of zeros and ones (SBD parity bits, SMIN's ``alpha``, SkNN_m's
-        indicator vectors).
+        also encrypts ``l*n`` SBD parity bits, and per iteration ``n``
+        indicator bits, ``m`` zeros for the forwarded record, and for at
+        most ``n`` SMIN pairs one ``alpha`` and the ``l + 1`` zeros that
+        re-randomize ``M'`` (``n * (l + 3) + m``).  A flat 32 otherwise.
         """
         bits = sbd_bit_length or 0
-        constants = (bits // 2 + 1) * n_records * queries if bits else 16
-        return cls(obfuscators=((1 + 2 * bits) * n_records * queries
-                                + 2 * constants))
+        if not bits:
+            return cls(obfuscators=n_records * queries + 32)
+        return cls(obfuscators=(
+            (n_records * (1 + bits) + k * (n_records * (bits + 3) + dimensions))
+            * queries + 32))
 
 
 class PrecomputeEngine:

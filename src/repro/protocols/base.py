@@ -94,8 +94,9 @@ class P2StepDispatcher:
     lets the protocol implementations run unchanged across both runtimes.
 
     Shared by the sub-protocol base (:class:`TwoPartyProtocol`) and the
-    query-protocol base (:class:`~repro.core.sknn_base.SkNNProtocol`);
-    subclasses provide :attr:`_p2_channel`.
+    query-protocol base (:class:`~repro.core.sknn_base.SkNNProtocol`),
+    together with the typed shape checks both parties apply to what the
+    other sends; subclasses provide :attr:`_p2_channel`.
     """
 
     #: short protocol name used in statistics and error messages
@@ -149,6 +150,45 @@ class P2StepDispatcher:
             if isinstance(attribute, P2StepDispatcher):
                 handlers.update(attribute.collect_p2_handlers())
         return handlers
+
+    # -- typed checks of what arrives from the other party --------------------
+    def require(self, condition: bool, message: str) -> None:
+        """Raise :class:`ProtocolError` when a protocol precondition fails."""
+        if not condition:
+            raise ProtocolError(f"{self.name}: {message}")
+
+    def require_cipher_list(self, ciphers: Any, count: int, what: str) -> None:
+        """A check of a reply from the peer: a list of ``count`` ciphertexts.
+
+        Each chunk of a pipelined round checks *its own* reply before
+        stripping it, so a short or mistyped reply fails typed
+        (``"<name>: malformed <what>"``) instead of mis-aligning silently
+        into the chunk behind it.
+        """
+        self.require(
+            isinstance(ciphers, list) and len(ciphers) == count
+            and all(isinstance(cipher, Ciphertext) for cipher in ciphers),
+            f"malformed {what}")
+
+    def require_cipher_rows(self, rows: Any, what: str,
+                            rows_expected: int | None = None) -> int:
+        """Shape check of a batch that arrived from outside this process.
+
+        ``rows`` must be a non-empty list (of ``rows_expected`` entries when
+        given) of equally long, non-empty lists of ciphertexts; a P2 step
+        calls this before it decrypts anything, so a hostile or
+        version-skewed frame fails typed (``"<name>: malformed <what>"``)
+        instead of with a stray ``ValueError``.  Returns the row length.
+        """
+        width = (len(rows[0]) if isinstance(rows, list) and rows
+                 and isinstance(rows[0], list) else 0)
+        self.require(
+            width > 0 and rows_expected in (None, len(rows))
+            and all(isinstance(row, list) and len(row) == width
+                    and all(isinstance(cipher, Ciphertext) for cipher in row)
+                    for row in rows),
+            f"malformed {what}")
+        return width
 
 
 @dataclass
@@ -240,44 +280,6 @@ class TwoPartyProtocol(P2StepDispatcher):
         :meth:`~repro.crypto.paillier.PaillierPublicKey.raw_scalar_mul`).
         """
         return self.pk.scalar_mul_batch(ciphertexts, -1)
-
-    def require(self, condition: bool, message: str) -> None:
-        """Raise :class:`ProtocolError` when a protocol precondition fails."""
-        if not condition:
-            raise ProtocolError(f"{self.name}: {message}")
-
-    def require_cipher_list(self, ciphers: Any, count: int, what: str) -> None:
-        """P1's check of a reply from C2: a list of ``count`` ciphertexts.
-
-        Each chunk of a pipelined round checks *its own* reply before
-        stripping it, so a short or mistyped reply fails typed
-        (``"<name>: malformed <what>"``) instead of mis-aligning silently
-        into the chunk behind it.
-        """
-        self.require(
-            isinstance(ciphers, list) and len(ciphers) == count
-            and all(isinstance(cipher, Ciphertext) for cipher in ciphers),
-            f"malformed {what}")
-
-    def require_cipher_rows(self, rows: Any, what: str,
-                            rows_expected: int | None = None) -> int:
-        """Shape check of a batch that arrived from outside this process.
-
-        ``rows`` must be a non-empty list (of ``rows_expected`` entries when
-        given) of equally long, non-empty lists of ciphertexts; a P2 step
-        calls this before it decrypts anything, so a hostile or
-        version-skewed frame fails typed (``"<name>: malformed <what>"``)
-        instead of with a stray ``ValueError``.  Returns the row length.
-        """
-        width = (len(rows[0]) if isinstance(rows, list) and rows
-                 and isinstance(rows[0], list) else 0)
-        self.require(
-            width > 0 and rows_expected in (None, len(rows))
-            and all(isinstance(row, list) and len(row) == width
-                    and all(isinstance(cipher, Ciphertext) for cipher in row)
-                    for row in rows),
-            f"malformed {what}")
-        return width
 
     # -- batched rounds ----------------------------------------------------------
     def run_pipelined(self, items: Sequence[Any], tag: str, reply_tag: str,

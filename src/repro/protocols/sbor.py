@@ -6,9 +6,10 @@ identity ``o_1 OR o_2 = o_1 + o_2 - o_1 AND o_2``, where the AND of two bits
 is their product and is computed with one Secure Multiplication.
 
 SBXOR is not named as a separate primitive in Section 3, but the identity
-``o_1 XOR o_2 = o_1 + o_2 - 2 * (o_1 AND o_2)`` is used inside SMIN
-(the ``G_i`` vector of Algorithm 3); it is exposed here as a reusable
-protocol for symmetry and for testing.
+``o_1 XOR o_2 = o_1 + o_2 - 2 * (o_1 AND o_2)`` is used inside the printed
+SMIN (the ``G_i`` vector of Algorithm 3; this repository's SMIN marks the
+first differing bit without it); it is exposed here as a reusable protocol
+for symmetry and for testing.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class SecureBitOr(TwoPartyProtocol):
 
 
 class SecureBitXor(TwoPartyProtocol):
-    """Two-party secure XOR of two encrypted bits (used inside SMIN)."""
+    """Two-party secure XOR of two encrypted bits (the printed SMIN's G_i)."""
 
     name = "SBXOR"
 
@@ -78,8 +79,8 @@ class SecureBitXor(TwoPartyProtocol):
                          enc_product: Ciphertext) -> Ciphertext:
         """XOR given an already-computed encrypted product of the two bits.
 
-        SMIN computes ``Epk(u_i * v_i)`` once and reuses it for both its
-        ``W_i`` and ``G_i`` vectors; this helper performs only the local
-        (non-interactive) part: ``E(a + b - 2ab)``.
+        The printed SMIN computes ``Epk(u_i * v_i)`` once and reuses it for
+        both its ``W_i`` and ``G_i`` vectors; this helper performs only the
+        local (non-interactive) part: ``E(a + b - 2ab)``.
         """
         return self.sub(enc_bit_a + enc_bit_b, enc_product * 2)

@@ -16,45 +16,49 @@ differences ``Gamma_i`` so that the final encrypted bits satisfy::
     F: u > v   ->   min_i = u_i + alpha * (v_i - u_i)
     F: v > u   ->   min_i = v_i + alpha * (u_i - v_i)
 
-Vector roles (for one index ``i``, following the paper's notation):
+Per pair, with ``max`` the potential maximum under F and ``other`` the
+other value:
 
-* ``W_i``     encrypts 1 exactly when the bit of the *potential maximum*
-  (according to F) is 1 and the other bit is 0;
-* ``Gamma_i`` encrypts the randomized bit difference (+ mask ``rhat_i``);
-* ``G_i``     encrypts ``u_i XOR v_i``;
-* ``Phi_i``   encrypts ``g_i - 1 + 2 * sum_{j<i} g_j`` (plus the pair's fresh
-  ``Z = E(0)``, doubled): 0 exactly at the first index where the bits
-  differ — there ``g_i = 1`` and no earlier bit differs — and a non-zero
-  integer of at most ``2 l + 1`` everywhere else (odd where ``g_i = 0``,
-  a positive even number after the first difference);
-* ``L_i``     equals ``W_i * Phi_i^{r'_i}``: ``W_i`` at the marked index and
-  a uniform value other than ``W_i`` elsewhere.
+* ``d_i = other_i - max_i`` in ``{-1, 0, 1}``, ``E(d_i) = E(other_i) *
+  E(max_i)^-1``;
+* ``Gamma_i`` encrypts ``d_i + rhat_i`` (the randomized bit difference);
+* the marker ``P_0 = Z`` (the pair's fresh ``E(0)``), ``P_{i+1} = P_i^3 *
+  E(d_i)`` encrypts ``sum_{j<=i} d_j 3^(i-j)``, a balanced-ternary number:
+  0 while no bit has differed, ``d_t = -1`` or ``+1`` at the first
+  difference ``t``, and of absolute value at least 2 after it;
+* ``L`` holds ``2 l`` entries, ``1 + r'_i (P_{i+1} + 1)`` and ``r''_i
+  (P_{i+1} - 1)``: the first is 1 only at ``t`` with ``max_t = 1`` (F
+  true), the second 0 only at ``t`` with ``max_t = 0`` (F false); every
+  other entry is uniform apart from one excluded point.
 
-P2 decrypts the permuted ``L`` vector: the single index that decrypts to 1 or
-0 (rather than a random value) reveals the outcome of the oblivious
-functionality F, from which P2 forms ``alpha``.  For ``u = v`` no index is
-marked.
+P2 decrypts the permuted ``L`` vector: ``alpha = 1`` when an entry decrypts
+to 1 — the outcome of F — and 0 otherwise; for ``u = v`` no entry is marked.
+It returns ``M'_i = Gamma'_i^alpha``, each times a fresh ``E(0)``.
 
-The printed algorithm marks the first difference with a chain ``H_i =
-H_{i-1}^{r_i} * G_i``, ``Phi_i = H_i - 1``: ``l`` sequential full powers
-per pair.  ``Phi_i`` here is the weighted prefix sum of the comparison of
-Damgard, Geisler and Kroigaard ["Efficient and secure comparison for
-on-line auctions", ACISP 2007]: homomorphic additions and one doubling
-(``c * c``) per bit.  What P2 decrypts is distributed as before — ``W_t``
-at the first difference ``t``, elsewhere ``W_i`` plus a uniform non-zero
-multiple of a unit — so Section 4.3's view is unchanged.
+Where this departs from the printed algorithm:
+
+* The printed ``W_i = E(max_i (1 - other_i))`` and ``G_i = E(u_i XOR v_i)``
+  need the product ``u_i v_i`` — one secure multiplication per bit and a
+  round of its own per call.  The marker here needs only ``d_i``: it is the
+  weighted zero test of Damgard, Geisler and Kroigaard ["Efficient and
+  secure comparison for on-line auctions", ACISP 2007] with weight 3, so
+  the sign of ``d_t`` itself says which way F went.  One round per call.
+* The printed ``M'_i = Gamma'_i^alpha`` is ``1`` for ``alpha = 0`` and the
+  very ``Gamma'_i`` P1 sent for ``alpha = 1`` — P1 read alpha off the wire.
+  The fresh ``E(0)`` makes every ``M'_i`` a new ciphertext.
+* A non-zero ``P_{i+1} +- 1`` must be a unit for its entry to be uniform:
+  the protocol requires ``3^(l+1) < 2^(K/2 - 1)``, below either prime of
+  ``N`` (``l <= 38`` at K=128, ``l <= 159`` at K=512).
 
 P1 draws the difference masks ``(rhat_i, E(rhat_i))`` per round, not per
 bit: ``pairs * l`` (and ``pairs`` ``Z = E(0)`` constants) for a
 :meth:`SecureMinimum.run_batch` level, as one ``take_masks`` batch.
 
-Of the six exponentiations counted per bit, four are the subtractions of
-``W_i``, ``Gamma_i`` and ``G_i`` and cost one modular inversion per chunk
-of pairs between them: ``E(u_i v_i)`` and ``Gamma_i``'s subtrahend are
-negated as one ``neg_batch`` (``2 l`` per pair), and ``G_i``'s
-``E(2 u_i v_i)^-1`` is the square of ``W_i``'s ``E(u_i v_i)^-1``.  The
-fifth is ``Phi_i``'s doubling, a squaring; only ``Phi_i^{r'_i}`` is a
-power, one ``scalar_mul_batch`` per chunk.
+Of the four exponentiations P1 counts per bit in step 1, one is the
+negation of ``max_i`` (the chunk's negations share one modular inversion)
+and one is the marker's cube, a product of two multiplications; only the
+two powers of ``P_{i+1}`` are full powers, one ``scalar_mul_batch`` per
+chunk.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ from typing import Sequence
 
 from repro.crypto.paillier import Ciphertext
 from repro.protocols.base import TwoPartyProtocol, traced_round
-from repro.protocols.sm import SecureMultiplication
 
 __all__ = ["SecureMinimum"]
 
@@ -76,10 +79,6 @@ class SecureMinimum(TwoPartyProtocol):
     P2_STEPS = {
         "SMIN.batch_gamma_and_l": "_p2_decide_alpha_batch",
     }
-
-    def __init__(self, setting) -> None:
-        super().__init__(setting)
-        self._sm = SecureMultiplication(setting)
 
     @traced_round("run")
     def run(self, enc_u_bits: Sequence[Ciphertext],
@@ -109,12 +108,10 @@ class SecureMinimum(TwoPartyProtocol):
 
         The protocol's one implementation (:meth:`run` is the one-pair
         batch; per-pair operation counts do not depend on the batch size),
-        executed as two rounds: every pair's per-bit SM products run through
-        one batched SM invocation, then the Gamma/L round, in which P2
-        decrypts all permuted L vectors with the vectorized CRT kernel.
-        Each round is four messages — two half-batches in flight, SM's split
-        by bit products and the Gamma/L round's by pairs — once it has
-        :data:`~repro.protocols.base.PIPELINE_MIN_ITEMS` items, two below
+        executed as one Gamma/L round in which P2 decrypts all permuted L
+        vectors with the vectorized CRT kernel.  The round is four messages
+        — two half-batches of pairs in flight — once it has
+        :data:`~repro.protocols.base.PIPELINE_MIN_ITEMS` pairs, two below
         that.  Each pair keeps its own oblivious-functionality coin and
         permutations so the security argument is unchanged.  SMIN_n's
         tournament rounds call this with all pairs of a level.
@@ -133,85 +130,69 @@ class SecureMinimum(TwoPartyProtocol):
                      "all bit vectors in a batch must share one length")
         bit_length = lengths.pop()
         self.require(bit_length > 0, "bit vectors must be non-empty")
+        self.require(3 ** (bit_length + 1) < 1 << (self.pk.key_size // 2 - 1),
+                     f"{bit_length}-bit values need 3^(l+1) < 2^(K/2-1) "
+                     f"for the marker, K={self.pk.key_size}")
         n = self.pk.n
 
-        # ---- P1: every pair's coin and per-bit SM products ------------------
-        f_flags = [bool(self.p1.rng.getrandbits(1)) for _ in pairs]
-        sm_inputs: list[tuple[Ciphertext, Ciphertext]] = []
-        for enc_u_bits, enc_v_bits in pairs:
-            sm_inputs.extend(zip(enc_u_bits, enc_v_bits))
-        products = self._sm.run_batch(sm_inputs)
-        tasks = [
-            (enc_u_bits, enc_v_bits, f_flags[index],
-             products[index * bit_length:(index + 1) * bit_length])
-            for index, (enc_u_bits, enc_v_bits) in enumerate(pairs)
-        ]
+        # ---- P1: every pair's coin F orders it as (max, other) ---------------
+        tasks = [(enc_u_bits, enc_v_bits) if self.p1.rng.getrandbits(1)
+                 else (enc_v_bits, enc_u_bits)
+                 for enc_u_bits, enc_v_bits in pairs]
 
         def build_gamma_and_l(chunk):
             # ---- P1: step 1 for every pair of the chunk ---------------------
             rhat_tuples = self.take_masks(len(chunk) * bit_length, "nonzero")
             enc_zeros = self.p1.encrypt_batch([0] * len(chunk))
-            # Every subtrahend of the chunk, negated for one inversion: each
-            # pair's E(u_i v_i) (inside W_i and, doubled, G_i), then the bits
-            # each pair's Gamma_i subtracts.
-            count = len(chunk) * bit_length
-            negated = self.neg_batch(
-                [enc_uv for *_, enc_uv_bits in chunk for enc_uv in enc_uv_bits]
-                + [enc_bit for enc_u_bits, enc_v_bits, f_is_u_greater, _
-                   in chunk
-                   for enc_bit in (enc_u_bits if f_is_u_greater
-                                   else enc_v_bits)])
-            neg_uvs, neg_subtracted = negated[:count], negated[count:]
-            w_vector, phi_vector, r_primes = [], [], []
-            permuted_gammas, permutations_l = [], []
-            states: list[tuple[list[int], list[int]]] = []
-            for index, (enc_u_bits, enc_v_bits, f_is_u_greater,
-                        _) in enumerate(chunk):
+            # E(d_i) = E(other_i - max_i), the chunk's negations sharing one
+            # inversion; Gamma_i = E(d_i + rhat_i)
+            differences = self.pk.add_batch(
+                [bit for _, other_bits in chunk for bit in other_bits],
+                self.neg_batch([bit for maximum_bits, _ in chunk
+                                for bit in maximum_bits]))
+            gammas = self.pk.add_batch(
+                differences, [enc_rhat for _, enc_rhat in rhat_tuples])
+            bases, exponents, offsets = [], [], []
+            permutations = []
+            for index in range(len(chunk)):
                 bits = slice(index * bit_length, (index + 1) * bit_length)
-                neg_uv = neg_uvs[bits]
-                # F: u > v  ->  W_i = E(u_i (1 - v_i)),
-                #               Gamma_i = E(v_i - u_i + rhat_i);
-                # F: v > u  ->  the same with u and v exchanged.
-                maximum_bits, other_bits = (
-                    (enc_u_bits, enc_v_bits) if f_is_u_greater
-                    else (enc_v_bits, enc_u_bits))
-                w_vector.extend(self.pk.add_batch(list(maximum_bits), neg_uv))
-                gamma_vector = self.pk.add_batch(
-                    self.pk.add_batch(list(other_bits), neg_subtracted[bits]),
-                    [enc_rhat for _, enc_rhat in rhat_tuples[bits]])
-                # G_i = E(u_i XOR v_i) = E(u_i + v_i - 2 u_i v_i)
-                g_vector = self.pk.add_batch(
-                    self.pk.add_batch(list(enc_u_bits), list(enc_v_bits)),
-                    self.pk.double_negated_batch(neg_uv))
-                # Phi_i = E(g_i - 1 + 2 (z + sum_{j<i} g_j)) with Z = E(z = 0)
-                # fresh: zero exactly at the first differing bit.
-                prefixes = [enc_zeros[index]]
-                for enc_g in g_vector[:-1]:
-                    prefixes.append(prefixes[-1] + enc_g)
-                phi_vector.extend(
-                    self.add_plain(enc_phi, n - 1) for enc_phi in
-                    self.pk.add_batch(g_vector,
-                                      self.pk.scalar_mul_batch(prefixes, 2)))
+                # P_{i+1} = P_i^3 * E(d_i) from P_0 = Z: 0 before the first
+                # differing bit t, d_t at it, outside {-1, 0, 1} after it
+                markers = []
+                marker = enc_zeros[index]
+                for enc_difference in differences[bits]:
+                    marker = marker * 3 + enc_difference
+                    markers.append(marker)
                 # the pair's draws in one order, however the round is split
-                r_primes.extend(self.p1.random_nonzero()
-                                for _ in range(bit_length))
+                r_plus = [self.p1.random_nonzero() for _ in range(bit_length)]
+                r_minus = [self.p1.random_nonzero()
+                           for _ in range(bit_length)]
+                # 1 + r'(P + 1) = r'P + (r' + 1) and r''(P - 1) = r''P - r''
+                bases.extend(markers + markers)
+                exponents.extend(r_plus + r_minus)
+                offsets.extend([r + 1 for r in r_plus]
+                               + [n - r for r in r_minus])
                 permutation_gamma = list(range(bit_length))
-                permutation_l = list(range(bit_length))
+                permutation_l = list(range(2 * bit_length))
                 self.p1.rng.shuffle(permutation_gamma)
                 self.p1.rng.shuffle(permutation_l)
-                permuted_gammas.append(
-                    [gamma_vector[j] for j in permutation_gamma])
-                permutations_l.append(permutation_l)
-                states.append(([rhat for rhat, _ in rhat_tuples[bits]],
-                               permutation_gamma))
-            # L_i = W_i * Phi_i^{r'_i}, the whole chunk as one batch
-            l_vector = self.pk.add_batch(
-                w_vector, self.pk.scalar_mul_batch(phi_vector, r_primes))
-            payload = [
-                [permuted_gamma,
-                 [l_vector[index * bit_length + j] for j in permutation_l]]
-                for index, (permuted_gamma, permutation_l)
-                in enumerate(zip(permuted_gammas, permutations_l))]
+                permutations.append((permutation_gamma, permutation_l))
+            l_vector = [
+                self.add_plain(cipher, offset) for cipher, offset in zip(
+                    self.pk.scalar_mul_batch(bases, exponents), offsets)]
+            payload, states = [], []
+            for index, (permutation_gamma, permutation_l) in enumerate(
+                    permutations):
+                gamma_vector = gammas[index * bit_length:
+                                      (index + 1) * bit_length]
+                entries = l_vector[2 * index * bit_length:
+                                   2 * (index + 1) * bit_length]
+                payload.append([[gamma_vector[j] for j in permutation_gamma],
+                                [entries[j] for j in permutation_l]])
+                states.append((
+                    [rhat for rhat, _ in rhat_tuples[index * bit_length:
+                                                     (index + 1) * bit_length]],
+                    permutation_gamma))
             return payload, states
 
         def select_minimums(chunk, states, reply):
@@ -226,21 +207,19 @@ class SecureMinimum(TwoPartyProtocol):
             self.require_cipher_list(received_alphas, len(chunk),
                                      "masked-minimum reply")
             results: list[list[Ciphertext]] = []
-            for index, (enc_u_bits, enc_v_bits, f_is_u_greater,
-                        _) in enumerate(chunk):
+            for index, (maximum_bits, _) in enumerate(chunk):
                 gamma_masks, permutation_gamma = states[index]
                 unpermuted: list[Ciphertext | None] = [None] * bit_length
                 for position, original_index in enumerate(permutation_gamma):
                     unpermuted[original_index] = received_m[index][position]
-                # lambda_i = M~_i * E(alpha)^{N - rhat_i}
+                # lambda_i = M~_i * E(alpha)^{N - rhat_i} = E(alpha * d_i)
                 lambdas = self.pk.add_batch(
                     unpermuted,
                     self.pk.scalar_mul_batch(
                         [received_alphas[index]] * bit_length,
                         [n - mask for mask in gamma_masks]),
                 )
-                base_bits = enc_u_bits if f_is_u_greater else enc_v_bits
-                results.append(self.pk.add_batch(list(base_bits), lambdas))
+                results.append(self.pk.add_batch(list(maximum_bits), lambdas))
             return results
 
         # ---- P2: step 2 runs between the two, once per chunk of pairs -------
@@ -255,10 +234,13 @@ class SecureMinimum(TwoPartyProtocol):
 
         ``alpha = 1`` when some entry of a pair's decrypted L vector equals 1
         (the outcome of P1's secretly chosen functionality F is true),
-        otherwise 0.  ``M'_i = Gamma'_i ^ alpha`` so that P1 later recovers
-        ``alpha * (diff_i + rhat_i)`` without learning alpha.  The payload's
-        shape — ``[Gamma', L']`` per pair, one bit length throughout — is
-        checked first, so the per-pair windows of the flat decryption align.
+        otherwise 0.  ``M'_i = Gamma'_i ^ alpha * E(0)`` so that P1 later
+        recovers ``alpha * (d_i + rhat_i)`` without learning alpha — the
+        fresh ``E(0)`` (one batch with the ``E(alpha)``) keeps ``M'_i`` from
+        being ``1`` or the ``Gamma'_i`` P1 sent.  The payload's shape —
+        ``[Gamma', L']`` per pair, every ``Gamma'`` of one bit length ``l``
+        and every ``L'`` of ``2 l`` — is checked first, so the per-pair
+        windows of the flat decryption align.
         """
         received_payload = self.p2.receive(expected_tag="SMIN.batch_gamma_and_l")
         self.require(
@@ -267,17 +249,27 @@ class SecureMinimum(TwoPartyProtocol):
                     for pair in received_payload),
             "malformed gamma-and-L batch")
         bit_length = self.require_cipher_rows(
-            [row for pair in received_payload for row in pair],
+            [permuted_gamma for permuted_gamma, _ in received_payload],
             "gamma-and-L batch")
-        flat_l = [cipher for _, permuted_l in received_payload
-                  for cipher in permuted_l]
-        decrypted_l = self.p2.decrypt_residue_batch(flat_l)
-        alphas: list[int] = []
-        m_primes: list[list[Ciphertext]] = []
-        for index, (permuted_gamma, _) in enumerate(received_payload):
-            window = decrypted_l[index * bit_length:(index + 1) * bit_length]
-            alpha = 1 if any(value == 1 for value in window) else 0
-            alphas.append(alpha)
-            m_primes.append(self.pk.scalar_mul_batch(permuted_gamma, alpha))
-        enc_alphas = self.p2.encrypt_batch(alphas)
+        width = self.require_cipher_rows(
+            [permuted_l for _, permuted_l in received_payload],
+            "gamma-and-L batch")
+        self.require(width == 2 * bit_length, "malformed gamma-and-L batch")
+        decrypted_l = self.p2.decrypt_residue_batch(
+            [cipher for _, permuted_l in received_payload
+             for cipher in permuted_l])
+        alphas = [
+            1 if any(value == 1
+                     for value in decrypted_l[index * width:
+                                              (index + 1) * width]) else 0
+            for index in range(len(received_payload))]
+        fresh = self.p2.encrypt_batch(
+            alphas + [0] * (len(received_payload) * bit_length))
+        enc_alphas, enc_zeros = fresh[:len(alphas)], fresh[len(alphas):]
+        m_primes = [
+            self.pk.add_batch(
+                self.pk.scalar_mul_batch(permuted_gamma, alpha),
+                enc_zeros[index * bit_length:(index + 1) * bit_length])
+            for index, ((permuted_gamma, _), alpha)
+            in enumerate(zip(received_payload, alphas))]
         self.p2.send([m_primes, enc_alphas], tag="SMIN.batch_masked_minimums")

@@ -245,6 +245,31 @@ class TestQueryProtocolCounts:
                                         expected.decryptions,
                                         expected.exponentiations)
 
+    def test_sized_pools_cover_a_secure_query(self, small_keypair):
+        """The pool formulas cover every encryption of a SkNN_m query on
+        both parties: no obfuscator misses."""
+        n, m, k, bits = 6, 2, 2, 7
+        table = synthetic_uniform(n_records=n, dimensions=m,
+                                  distance_bits=bits, seed=6)
+        cloud, client = self.deploy(table, small_keypair, seed=409)
+        engines = [
+            PrecomputeEngine(small_keypair.public_key, rng=Random(410),
+                             config=PrecomputeConfig.for_query_load(
+                                 n, m, k, sbd_bit_length=bits)),
+            PrecomputeEngine(small_keypair.public_key, rng=Random(411),
+                             config=PrecomputeConfig.for_decryptor_load(
+                                 n, m, k, sbd_bit_length=bits))]
+        for engine in engines:
+            engine.warm()
+        cloud.attach_engine(*engines)
+        try:
+            SkNNSecure(cloud, distance_bits=bits).run(
+                client.encrypt_query([1, 2]), k)
+        finally:
+            cloud.attach_engine(None)
+        assert [engine.obfuscators.misses for engine in engines] == [0, 0]
+        assert all(engine.pool_hit_total() > 0 for engine in engines)
+
     def test_sknn_secure_counts_close_to_model(self, small_keypair):
         """SkNN_m has randomized branches; the model must agree within 15%."""
         table = synthetic_uniform(n_records=6, dimensions=2, distance_bits=7,

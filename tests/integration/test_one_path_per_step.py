@@ -75,25 +75,19 @@ class TestOneScalarCallIsOneRound:
         decrypt = setting.decryptor.decrypt_signed
         assert bits_to_int([decrypt(bit) for bit in bits]) == 45
 
-    def test_smin_run_is_two_rounds_at_smin_counts(self, setting):
-        """One SM round over the pair's BITS bit products — at least
-        PIPELINE_MIN_ITEMS of them, so two half-batches, each answered
-        inline on the in-memory channel — then one Gamma/L round over the
-        single pair, which is below the split."""
+    def test_smin_run_is_one_round_at_smin_counts(self, setting):
+        """One Gamma/L round over the single pair, which is below the
+        split: no secure multiplication runs before it."""
         public = setting.public_key
         enc_u = encrypt_bits(public, 37, BITS)
         enc_v = encrypt_bits(public, 22, BITS)
         setting.reset_counters()
         minimum = SecureMinimum(setting).run(enc_u, enc_v)
-        assert BITS >= PIPELINE_MIN_ITEMS > 1
+        assert PIPELINE_MIN_ITEMS > 1
         assert [m.tag for m in setting.channel.transcript] == [
-            "SM.batch_masked_operands", "SM.batch_masked_products",
-            "SM.batch_masked_operands", "SM.batch_masked_products",
             "SMIN.batch_gamma_and_l", "SMIN.batch_masked_minimums"]
-        operands = [m.payload for m in setting.channel.transcript
-                    if m.tag == "SM.batch_masked_operands"]
-        assert [len(masked_a) for masked_a, _ in operands] == [
-            (BITS + 1) // 2, BITS // 2]
+        [[gamma, entries]] = setting.channel.transcript[0].payload
+        assert (len(gamma), len(entries)) == (BITS, 2 * BITS)
         assert op_deltas(setting) == smin_counts(BITS).as_dict()
         decrypt = setting.decryptor.decrypt_signed
         assert bits_to_int([decrypt(bit) for bit in minimum]) == 22

@@ -157,11 +157,12 @@ class TestNoTextbookPowersFromTheClouds:
             setting.reset_counters()
             minimum = protocol.run(u_bits, v_bits)
         assert spy.textbook(public) == []
-        # W_i's and Gamma_i's subtrahends share the one inversion; G_i's is
-        # the square of W_i's.  Nothing else inverts.
+        # every bit negates max_i once (d_i and Gamma_i share it), all in
+        # the one inversion; the marker's cubes never reach the backend.
         assert spy.inverts == [public.nsquare]
-        assert spy.batch_sizes == [2 * self.BITS]
-        # ... and all three negations per bit are still counted
+        assert spy.batch_sizes == [self.BITS]
+        assert 3 not in [exponent for exponent, _ in spy.powmods]
+        # ... and the negation is still counted
         assert counted(setting) == as_counts(smin_counts(self.BITS))
         assert [setting.decryptor.decrypt_signed(bit) for bit in minimum] \
             == [0, 1, 1, 0]
@@ -180,7 +181,7 @@ class TestNoTextbookPowersFromTheClouds:
             SecureMinimum(setting).run_batch(pairs)
         assert spy.textbook(public) == []
         assert spy.inverts == [public.nsquare] * len(chunks)
-        assert spy.batch_sizes == [2 * self.BITS * size for size in chunks]
+        assert spy.batch_sizes == [self.BITS * size for size in chunks]
         assert counted(setting) == as_counts(smin_counts(self.BITS),
                                              len(pairs))
 
@@ -216,8 +217,8 @@ class TestNoTextbookPowersFromTheClouds:
         # no negation of a query is on its own: one inversion per batch
         assert len(spy.inverts) == len(spy.batch_sizes)
         # at least SMIN_n's share: k tournaments of n - 1 pairs, each bit
-        # negating two subtrahends (the third is a squaring)
-        assert sum(spy.batch_sizes) >= k * (n_records - 1) * 2 * self.BITS
+        # negating its max_i once
+        assert sum(spy.batch_sizes) >= k * (n_records - 1) * self.BITS
         assert_valid_knn_answer(table, query, k, client.reconstruct(shares))
 
 
@@ -419,38 +420,25 @@ class TestNegationByInverse:
                 assert by_operator.value == by_helper.value == by_batch.value
                 assert private.decrypt_raw_residue(by_operator) == expected
 
-    def test_the_doubled_negation_is_the_square_of_the_negation(self, setting):
-        """SMIN's ``E(-2 u_i v_i)`` from ``E(-u_i v_i)``: the integer
-        ``-(c * 2)`` is, counted as that doubling and that negation."""
+    def test_exponents_zero_to_three_never_reach_the_backend(self, setting):
+        """SMIN's ``Gamma'**alpha`` and its marker's cube: ``1``, ``c`` and
+        one or two products without a backend call, counted like any other
+        exponentiation."""
         public = setting.public_key
         private = setting.decryptor.private_key
-        ciphers = public.encrypt_batch(self.values(public)[:3] + [7, -9])
-        negated = TwoPartyProtocol(setting).neg_batch(ciphers)
-        expected = [-(cipher * 2) for cipher in ciphers]
-        before = public.counter.snapshot()
-        doubled = public.double_negated_batch(negated)
-        assert [c.value for c in doubled] == [c.value for c in expected]
-        assert private.decrypt_batch(doubled) == [0, -2, 2, -14, 18]
-        assert public.counter.snapshot() == {
-            **before,
-            "exponentiations": before["exponentiations"] + 2 * len(ciphers)}
-        assert public.double_negated_batch([]) == []
-
-    def test_exponents_zero_and_one_never_reach_the_backend(self, setting):
-        """SMIN's ``Gamma'**alpha``: ``1`` and ``c`` without a backend call,
-        counted like any other exponentiation."""
-        public = setting.public_key
         ciphers = public.encrypt_batch([4, 5, 6])
         with spying(public) as spy:
             before = public.counter.exponentiations
             zeros = public.scalar_mul_batch(ciphers, 0)
             ones = public.scalar_mul_batch(ciphers, [1, public.n + 1, 1])
             single = [ciphers[0] * 0, ciphers[0] * 1]
+            cubes = public.scalar_mul_batch(ciphers, [2, 3, public.n + 3])
         assert spy.powmods == [] and spy.inverts == []
         assert [c.value for c in zeros] == [1, 1, 1]
         assert [c.value for c in ones] == [c.value for c in ciphers]
         assert [c.value for c in single] == [1, ciphers[0].value]
-        assert public.counter.exponentiations == before + 8
+        assert private.decrypt_batch(cubes) == [8, 15, 18]
+        assert public.counter.exponentiations == before + 11
 
     def test_every_negation_counts_one_exponentiation(self, setting):
         public = setting.public_key

@@ -31,6 +31,8 @@ from repro.crypto.paillier import Ciphertext
 from repro.db.datasets import synthetic_uniform
 from repro.db.knn import LinearScanKNN
 
+from tests.integration.helpers import assert_valid_knn_answer
+
 
 @pytest.fixture(scope="module")
 def security_table():
@@ -130,8 +132,12 @@ class TestSecureProtocolHiding:
         ]
         assert beta_messages
         for message in beta_messages:
+            # [beta, rows]: C2 decrypts beta only; the rows are masked
+            # records it forwards without decrypting
+            beta, rows = message.payload
+            assert len(rows) == len(beta) == len(security_table)
             values = [small_keypair.private_key.decrypt_raw_residue(c)
-                      for c in message.payload]
+                      for c in beta]
             nonzero = [value for value in values if value != 0]
             # Every non-zero value is a random multiple of a difference and
             # (with overwhelming probability) not a true distance.
@@ -150,8 +156,10 @@ class TestSecureProtocolHiding:
             if message.tag == "SkNNm.indicator"
         ]
         assert indicator_messages
-        payload = indicator_messages[0].payload
-        assert all(isinstance(item, Ciphertext) for item in payload)
+        # [U, the forwarded row]: all ciphertexts
+        payload, row = indicator_messages[0].payload
+        assert all(isinstance(item, Ciphertext) for item in payload + row)
+        assert len(row) == security_table.dimensions
         decrypted = [small_keypair.private_key.decrypt(item) for item in payload]
         assert sorted(decrypted, reverse=True)[0] == 1
         assert sum(decrypted) == 1
@@ -162,22 +170,81 @@ class TestSecureProtocolHiding:
         cloud, client = deploy(security_table, small_keypair, seed=313)
         protocol = SkNNSecure(cloud, distance_bits=7)
         query = client.encrypt_query([3, 3])
-        protocol.run(query, 1)
-        first_transcript = [
-            item.value
-            for message in cloud.channel.transcript
-            if message.tag == "SkNNm.randomized_differences"
-            for item in message.payload
-        ]
-        cloud.channel.transcript.clear()
-        protocol.run(query, 1)
-        second_transcript = [
-            item.value
-            for message in cloud.channel.transcript
-            if message.tag == "SkNNm.randomized_differences"
-            for item in message.payload
-        ]
+        transcripts = []
+        for _ in range(2):
+            cloud.channel.transcript.clear()
+            protocol.run(query, 1)
+            transcripts.append([
+                cipher.value
+                for message in cloud.channel.transcript
+                if message.tag == "SkNNm.randomized_differences"
+                for cipher in ciphertexts_in(message.payload)])
+        first_transcript, second_transcript = transcripts
+        assert len(first_transcript) == len(second_transcript) \
+            == len(security_table) * (1 + security_table.dimensions)
         assert first_transcript != second_transcript
+
+
+def ciphertexts_in(payload) -> list[Ciphertext]:
+    """Every ciphertext of a (nested) payload, in order."""
+    if isinstance(payload, Ciphertext):
+        return [payload]
+    if isinstance(payload, (list, tuple)):
+        return [cipher for item in payload for cipher in ciphertexts_in(item)]
+    return []
+
+
+class TestExtractionView:
+    """Step 3(d) rides on the zero search: C1 sends every record masked,
+    C2 forwards the chosen one re-randomized."""
+
+    QUERY = [4, 1]
+
+    def run(self, cloud, encrypted_query, k: int = 2):
+        protocol = SkNNSecure(cloud, distance_bits=7)
+        cloud.channel.transcript.clear()
+        shares = protocol.run(encrypted_query, k)
+        return shares, list(cloud.channel.transcript)
+
+    def test_c2_sees_masked_rows_and_c1_a_fresh_one(self, security_table,
+                                                    small_keypair):
+        cloud, client = deploy(security_table, small_keypair, seed=330)
+        shares, transcript = self.run(cloud, client.encrypt_query(self.QUERY))
+        requests = [m.payload for m in transcript
+                    if m.tag == "SkNNm.randomized_differences"]
+        replies = [m.payload for m in transcript
+                   if m.tag == "SkNNm.indicator"]
+        assert len(requests) == len(replies) == 2
+        plain = {value for record in security_table for value in record.values}
+        private = small_keypair.private_key
+        for (_, rows), (_, forwarded) in zip(requests, replies):
+            sent = {cipher.value for row in rows for cipher in row}
+            # the forwarded row is no ciphertext C1 sent ...
+            assert not {cipher.value for cipher in forwarded} & sent
+            # ... and under it, as under every row, a masked record
+            masked = private.decrypt_residue_batch(forwarded)
+            assert masked in [private.decrypt_residue_batch(row)
+                              for row in rows]
+            assert not set(masked) & plain
+            assert not {value for row in rows
+                        for value in private.decrypt_residue_batch(row)} \
+                & plain
+        assert_valid_knn_answer(security_table, self.QUERY, 2,
+                                client.reconstruct(shares))
+
+    def test_two_runs_of_one_query_share_no_ciphertext(self, security_table,
+                                                       small_keypair):
+        cloud, client = deploy(security_table, small_keypair, seed=331)
+        encrypted_query = client.encrypt_query(self.QUERY)
+        views = []
+        for _ in range(2):
+            _, transcript = self.run(cloud, encrypted_query)
+            views.append([cipher.value for message in transcript
+                          for cipher in ciphertexts_in(message.payload)])
+        for view in views:
+            assert 1 not in view
+            assert len(set(view)) == len(view)
+        assert not set(views[0]) & set(views[1])
 
 
 class TestFusedScanMasking:

@@ -86,11 +86,11 @@ def smin_case(setting, values):
     minimums = SecureMinimum(setting).run_batch(
         [(encrypt_bits(public, u, BITS), encrypt_bits(public, v, BITS))
          for u, v in pairs])
-    # the SM round over every pair's bit products, then the Gamma/L round
+    # one Gamma/L round over the pairs
     return ([bit for bits in minimums for bit in bits],
             [int(bit) for u, v in pairs
              for bit in format(min(u, v), f"0{BITS}b")],
-            round_messages(len(values) * BITS) + round_messages(len(values)))
+            round_messages(len(values)))
 
 
 CASES = {"SM": sm_case, "SM-square": sm_square_case, "SSED": ssed_case,

@@ -1,31 +1,45 @@
-"""What C2 decrypts in SMIN: the L vector of Algorithm 3, Section 4.3's view.
+"""What each cloud sees in SMIN: Algorithm 3's views, Section 4.3.
 
-Per pair, C2 decrypts the ``l`` entries of the L vector.  Section 4.3's
-simulation argument needs exactly one pattern there: the entry at the first
-bit where ``u`` and ``v`` differ decrypts to ``W_t`` (0 or 1), and every
-other entry is a uniform value outside {0, 1}; for ``u = v`` no entry is
-marked.  C2's bit ``alpha`` is then the outcome of P1's secret choice F.
-The test reads C1's frames off the in-memory channel with the L
-permutation held at the identity, so each decrypted entry sits at its bit.
+Per pair, C2 decrypts the ``2 l`` entries of the L vector: ``1 + r'_i
+(P_{i+1} + 1)`` for each bit, then ``r''_i (P_{i+1} - 1)``.  Section 4.3's
+simulation argument needs exactly one pattern there: one entry decrypts to
+``[F true]`` — the plus entry of the first bit ``t`` where ``u`` and ``v``
+differ when F's maximum has the 1 there (value 1), its minus entry otherwise
+(value 0) — and every other entry is a uniform value outside {0, 1}; for
+``u = v`` no entry is marked.  C2's bit ``alpha`` is then the outcome of
+P1's secret choice F.
+
+C1 sees what C2 sends back: every ``M'_i`` must be a fresh ciphertext —
+the printed ``Gamma'_i^alpha`` is ``1`` for ``alpha = 0`` and the very
+``Gamma'_i`` C1 sent for ``alpha = 1``, which shows alpha on the wire.
+
+The tests read C1's frames off the in-memory channel with the permutations
+held at the identity, so each decrypted entry sits at its bit.
 """
 
 from __future__ import annotations
 
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.backend import available_backends, set_backend
 from repro.network.party import TwoPartySetting
 from repro.protocols.encoding import decrypt_bits, encrypt_bits, int_to_bits
 from repro.protocols.smin import SecureMinimum
 from tests.property.conftest import cached_keypair
 
+on_every_backend = pytest.mark.parametrize("backend_name",
+                                           available_backends())
+
 
 def smin_with_coins(pairs, bit_length: int, coins: list[bool], seed: int):
     """Run one SMIN batch with P1's coins forced and its shuffles held.
 
-    Returns ``(minimums, l_vectors, alphas)``: the decrypted outputs, each
-    pair's decrypted L vector in bit order and C2's decrypted alphas.
+    Returns ``(minimums, l_vectors, alphas, gammas, m_primes)``: the
+    decrypted outputs, each pair's decrypted L vector in entry order, C2's
+    decrypted alphas, and the Gamma' / M' ciphertext values of each pair.
     """
     keypair = cached_keypair()
     private = keypair.private_key
@@ -50,22 +64,27 @@ def smin_with_coins(pairs, bit_length: int, coins: list[bool], seed: int):
     assert forced == []
 
     transcript = setting.channel.transcript
-    l_vectors = [
-        [private.decrypt_raw_residue(cipher) for cipher in permuted_l]
-        for message in transcript if message.tag == "SMIN.batch_gamma_and_l"
-        for _, permuted_l in message.payload]
-    alphas = [
-        private.decrypt_raw_residue(cipher)
-        for message in transcript
-        if message.tag == "SMIN.batch_masked_minimums"
-        for cipher in message.payload[1]]
+    requests = [pair for message in transcript
+                if message.tag == "SMIN.batch_gamma_and_l"
+                for pair in message.payload]
+    replies = [message.payload for message in transcript
+               if message.tag == "SMIN.batch_masked_minimums"]
+    l_vectors = [[private.decrypt_raw_residue(cipher) for cipher in entries]
+                 for _, entries in requests]
+    alphas = [private.decrypt_raw_residue(cipher)
+              for _, enc_alphas in replies for cipher in enc_alphas]
+    gammas = [[cipher.value for cipher in gamma] for gamma, _ in requests]
+    m_primes = [[cipher.value for cipher in row]
+                for m_rows, _ in replies for row in m_rows]
     return ([decrypt_bits(private, bits) for bits in minimums], l_vectors,
-            alphas)
+            alphas, gammas, m_primes)
 
 
-@settings(max_examples=30)
+@on_every_backend
+@settings(max_examples=20)
 @given(data=st.data())
-def test_c2_sees_w_at_the_first_difference_and_noise_elsewhere(data):
+def test_c2_sees_f_at_the_first_difference_and_noise_elsewhere(backend_name,
+                                                                data):
     bit_length = data.draw(st.integers(min_value=1, max_value=8))
     value = st.integers(min_value=0, max_value=(1 << bit_length) - 1)
     pairs = data.draw(st.lists(st.tuples(value, value), min_size=1,
@@ -74,25 +93,51 @@ def test_c2_sees_w_at_the_first_difference_and_noise_elsewhere(data):
         pairs[0] = (pairs[0][0], pairs[0][0])
     coins = data.draw(st.lists(st.booleans(), min_size=len(pairs),
                                max_size=len(pairs)))
-    minimums, l_vectors, alphas = smin_with_coins(
-        pairs, bit_length, coins, seed=data.draw(st.integers(0, 2**16)))
+    set_backend(backend_name)
+    try:
+        minimums, l_vectors, alphas, _, _ = smin_with_coins(
+            pairs, bit_length, coins, seed=data.draw(st.integers(0, 2**16)))
+    finally:
+        set_backend(None)
 
     assert minimums == [min(u, v) for u, v in pairs]
     assert len(l_vectors) == len(alphas) == len(pairs)
     for (u, v), f_is_u_greater, l_vector, alpha in zip(pairs, coins,
                                                        l_vectors, alphas):
+        assert len(l_vector) == 2 * bit_length
         u_bits, v_bits = int_to_bits(u, bit_length), int_to_bits(v, bit_length)
-        maximum, other = (u_bits, v_bits) if f_is_u_greater \
-            else (v_bits, u_bits)
-        w_vector = [a * (1 - b) for a, b in zip(maximum, other)]
+        maximum = u_bits if f_is_u_greater else v_bits
+        f_true = int(u > v if f_is_u_greater else v > u)
         marked = [index for index, entry in enumerate(l_vector)
                   if entry in (0, 1)]
         differing = [index for index in range(bit_length)
                      if u_bits[index] != v_bits[index]]
         if differing:
             first = differing[0]
-            assert marked == [first]
-            assert l_vector[first] == w_vector[first]
+            # plus entry (value 1) when max has the 1, else minus (value 0)
+            assert marked == [first if maximum[first] else bit_length + first]
+            assert l_vector[marked[0]] == f_true
         else:
             assert marked == []
-        assert alpha == int(u > v if f_is_u_greater else v > u)
+        assert alpha == f_true
+
+
+@on_every_backend
+@pytest.mark.parametrize("f_is_u_greater", [True, False])
+def test_no_m_prime_is_one_or_a_gamma_c1_sent(backend_name, f_is_u_greater):
+    """Either coin, both values of alpha (one per pair): every M' is a
+    fresh ciphertext."""
+    set_backend(backend_name)
+    try:
+        minimums, _, alphas, gammas, m_primes = smin_with_coins(
+            [(5, 3), (3, 5)], 4, [f_is_u_greater] * 2, seed=9)
+    finally:
+        set_backend(None)
+    assert minimums == [3, 3]
+    assert sorted(alphas) == [0, 1]
+    sent = {value for gamma in gammas for value in gamma}
+    for row in m_primes:
+        assert len(row) == 4
+        assert 1 not in row
+        assert not set(row) & sent
+

@@ -54,6 +54,14 @@ class TestSubProtocolFormulas:
         assert smin_counts(12).total - smin_counts(6).total == pytest.approx(
             6 * per_bit)
 
+    def test_smin_counts_per_bit(self):
+        """2 encryptions, 2 decryptions, 6 exponentiations per bit, plus Z
+        and E(alpha): no secure multiplication left."""
+        for bit_length in (1, 6, 7):
+            assert smin_counts(bit_length) == OperationCounts(
+                2 * bit_length + 2, 2 * bit_length, 6 * bit_length)
+        assert smin_counts(6).total == 10 * 6 + 2
+
     def test_sminn_is_n_minus_one_smins(self):
         assert sminn_counts(10, 6).total == pytest.approx(9 * smin_counts(6).total)
 
@@ -104,10 +112,28 @@ class TestQueryProtocolFormulas:
         assert 1.4 < cost_l12 / cost_l6 < 2.2
 
     def test_sknnm_much_more_expensive_than_sknnb(self):
-        """Figure 2(f): SkNN_m is orders of magnitude costlier than SkNN_b."""
+        """Figure 2(f): the printed SkNN_m is orders of magnitude costlier
+        than the printed SkNN_b."""
+        basic = sknn_basic_counts(2000, 6, 5).total
+        secure = sknn_secure_counts(2000, 6, 5, 6, textbook=True).total
+        assert secure / basic > 10
+
+    def test_implemented_sknnm_is_about_ten_times_textbook_sknnb(self):
+        """Without its secure multiplications the implemented SkNN_m is
+        about 10x the textbook SkNN_b at Figure 2(f)'s k = 5."""
         basic = sknn_basic_counts(2000, 6, 5).total
         secure = sknn_secure_counts(2000, 6, 5, 6).total
-        assert secure / basic > 10
+        assert secure / basic == pytest.approx(9.97, abs=0.01)
+
+    def test_textbook_sknnm_prices_the_printed_protocol(self):
+        """SSED per record, the printed SMIN (17l + 2), extraction by n*m
+        SMs and elimination by n*l SBORs after the first iteration."""
+        breakdown = sknn_secure_breakdown(8, 3, 2, 6, textbook=True)
+        assert breakdown["ssed"] == ssed_counts(3) * 8
+        assert breakdown["sminn"].total == 7 * 2 * (17 * 6 + 2)
+        assert breakdown["extraction"] == sm_counts() * (8 * 3 * 2)
+        assert breakdown["elimination"] == sbor_counts() * (8 * 6)
+        assert breakdown["total"].total > sknn_secure_counts(8, 3, 2, 6).total
 
     def test_breakdown_sums_to_total(self):
         breakdown = sknn_secure_breakdown(100, 6, 5, 6)
@@ -126,8 +152,12 @@ class TestQueryProtocolFormulas:
         # recompose l, then l + 1 bits; 2n per iteration; n flag scalings
         assert breakdown["localisation"] == OperationCounts(
             encryptions=16, decryptions=16, exponentiations=32 + 6 + 7 + 8)
+        # extraction: n*m C1 masks and strips, m C2 zeros per iteration
+        assert breakdown["extraction"] == OperationCounts(
+            encryptions=2 * (24 + 3), exponentiations=2 * 24)
         # secure_dist_k512's shape
-        assert breakdown["total"].total == 2379
+        assert breakdown["total"] == OperationCounts(438, 276, 794)
+        assert breakdown["total"].total == 1508
 
     def test_sminn_share_increases_with_k(self):
         """Section 5.2: the SMIN_n share of SkNN_m grows as k grows."""

@@ -25,8 +25,6 @@ from repro.transport.daemon import ShareMailbox
 #: each MUST resolve to a handler on the C2 daemon or the driver deadlocks.
 EXPECTED_SECURE_TAGS = {
     "SSED.masked_differences",
-    "SM.batch_masked_operands",
-    "SM.batch_masked_squares",
     "SBD.batch_masked_values",
     "SMIN.batch_gamma_and_l",
     "SkNNm.randomized_differences",
@@ -110,7 +108,8 @@ class TestHardenedHandlers:
         (SecureMinimum, "SMIN.batch_gamma_and_l", [
             lambda c: [[1, 2]],                 # ints, not vectors
             lambda c: [[[c, c]]],               # a pair of one
-            lambda c: [[[c, c], [c]]],          # Gamma and L differ
+            lambda c: [[[c, c], [c]]],          # L narrower than Gamma
+            lambda c: [[[c, c], [c, c]]],       # L not twice Gamma's width
             lambda c: [[[c, c], [c, c]], [[c], [c]]],  # ragged across pairs
             lambda c: []]),
     ])

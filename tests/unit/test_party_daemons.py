@@ -191,20 +191,28 @@ class TestMalformedPeerFrames:
     pytest's unhandled-thread-exception warning (an error in CI)."""
 
     @pytest.mark.parametrize("tag, build, refusal", [
-        # the four hardened sub-protocol handlers: refused before decryption
-        ("SM.batch_masked_operands", lambda c: [[c], [c], [c]],
-         "SM: malformed masked-operand batch"),
-        ("SM.batch_masked_operands", lambda c: [[c, c], [c]],
-         "SM: malformed masked-operand batch"),
-        ("SM.batch_masked_squares", lambda c: c,
-         "SM: malformed masked-square batch"),
+        # the hardened sub-protocol handlers: refused before decryption
         ("SBD.batch_masked_values", lambda c: "parities, please",
          "SBD: malformed masked-value batch"),
         ("SMIN.batch_gamma_and_l", lambda c: [[1, 2]],
          "SMIN: malformed gamma-and-L batch"),
         ("SMIN.batch_gamma_and_l",
-         lambda c: [[[c, c], [c, c]], [[c], [c]]],
+         lambda c: [[[c], [c, c]], [[c, c], [c, c, c, c]]],
          "SMIN: malformed gamma-and-L batch"),
+        # L must be exactly twice Gamma's width
+        ("SMIN.batch_gamma_and_l", lambda c: [[[c, c], [c, c]]],
+         "SMIN: malformed gamma-and-L batch"),
+        # SkNN_m's zero search: [beta of n, n rows of m ciphertexts]
+        ("SkNNm.randomized_differences", lambda c: {"beta": c},
+         "SkNNm: malformed randomized-difference batch"),
+        ("SkNNm.randomized_differences", lambda c: [[c, c], [[c, c], [c]]],
+         "SkNNm: malformed randomized-difference batch"),
+        ("SkNNm.randomized_differences", lambda c: [[c, c], [[c, c]]],
+         "SkNNm: malformed randomized-difference batch"),
+        ("SkNNm.randomized_differences", lambda c: [[c, 7], [[c], [c]]],
+         "SkNNm: malformed randomized-difference batch"),
+        ("SkNNm.randomized_differences", lambda c: [[c]],
+         "SkNNm: malformed randomized-difference batch"),
         # C2's one SkNN_b selection entry, every placement's: [k, rows] of
         # distinct-index (index, ciphertext) pairs with 1 <= k <= len(rows)
         ("SkNNb.encrypted_distances", lambda c: 7,
@@ -221,23 +229,21 @@ class TestMalformedPeerFrames:
          "SkNNb: malformed encrypted-distance list"),
         # unhardened handlers: the dispatch loop's catch answers for them
         ("SkNN.masked_results", lambda c: 7, "TypeError"),
-        ("SkNNm.randomized_differences", lambda c: {"beta": c},
-         "AttributeError|TypeError|KeyError"),
     ])
     def test_a_malformed_frame_is_refused_typed_and_the_context_lives_on(
             self, peer, small_keypair, tag, build, refusal):
-        public, private = small_keypair.public_key, small_keypair.private_key
+        public = small_keypair.public_key
         channel = peer.channel("hostile")
         channel.send("C1", build(public.encrypt(1)), tag=tag)
         with pytest.raises(ChannelError, match=refusal):
             channel.receive("C1")
         # The same context's worker thread answers the next, well-formed
-        # round: a one-pair SM batch, as SM.run sends it.
-        channel.send("C1", [[public.encrypt(6)], [public.encrypt(-7)]],
-                     tag="SM.batch_masked_operands")
-        [product] = channel.receive(
-            "C1", expected_tag="SM.batch_masked_products")
-        assert private.decrypt(product) == -42
+        # round: a two-record SkNN_b selection.
+        channel.send("C1",
+                     [1, [(0, public.encrypt(6)), (1, public.encrypt(2))]],
+                     tag="SkNNb.encrypted_distances")
+        assert channel.receive(
+            "C1", expected_tag="SkNNb.topk_indices") == [1]
 
 
 class TestPeerContextWorkers:
@@ -247,9 +253,9 @@ class TestPeerContextWorkers:
         public = small_keypair.public_key
         for index in range(40):
             channel = peer.channel(f"run-{index}")
-            channel.send("C1", [[public.encrypt(2)], [public.encrypt(3)]],
-                         tag="SM.batch_masked_operands")
-            channel.receive("C1", expected_tag="SM.batch_masked_products")
+            channel.send("C1", [1, [(0, public.encrypt(2))]],
+                         tag="SkNNb.encrypted_distances")
+            channel.receive("C1", expected_tag="SkNNb.topk_indices")
             channel.release()
         gc.collect()
         kept = [thread for thread in gc.get_objects()

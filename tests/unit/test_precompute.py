@@ -209,14 +209,18 @@ class TestSizing:
             n_records=10, dimensions=3, k=2, queries=4, worker_scan=True)
         assert config.obfuscators == (2 * 3 + 2 * 3) * 4 + 32
 
-    def test_secure_query_load_adds_sbd_and_smin_material(self):
-        n, m, k, bits, queries = 6, 2, 1, 7, 3
+    def test_secure_query_load_adds_sbd_smin_and_extraction_material(self):
+        n, m, k, bits, queries = 6, 2, 2, 7, 3
         config = PrecomputeConfig.for_query_load(
             n, m, k, queries=queries, sbd_bit_length=bits)
         zn, spare = (n * m + k * m) * queries, 2 * m * queries + 16
         ones = bits * n * queries // 2 + 8
-        sbd = rhat = bits * n * queries
-        assert config.obfuscators == spare + 8 + ones + zn + rhat + sbd
+        sbd = bits * n * queries
+        # per iteration: n pairs' l + 1 rhat masks and Z, n * m extraction
+        smin = k * n * (bits + 2) * queries
+        extraction = k * n * m * queries
+        assert config.obfuscators == \
+            spare + 8 + ones + zn + sbd + smin + extraction
 
     def test_config_for_decryptor_load_covers_reencryptions(self):
         config = PrecomputeConfig.for_decryptor_load(
@@ -225,12 +229,13 @@ class TestSizing:
         assert config.obfuscators == 10 + 32
 
     def test_secure_decryptor_load(self):
-        n, bits, queries = 6, 7, 3
+        n, m, k, bits, queries = 6, 2, 2, 7, 3
         config = PrecomputeConfig.for_decryptor_load(
-            n, 2, 1, queries=queries, sbd_bit_length=bits)
-        constants = (bits // 2 + 1) * n * queries
-        assert config.obfuscators == \
-            (n + 2 * bits * n) * queries + 2 * constants
+            n, m, k, queries=queries, sbd_bit_length=bits)
+        # square sums and SBD parities; per iteration n indicator bits, m
+        # forwarded-record zeros, n pairs' alpha and l + 1 M' zeros
+        per_query = n + bits * n + k * (n + m + n * (1 + bits + 1))
+        assert config.obfuscators == per_query * queries + 32
 
 
 class TestPerPartySeparation:

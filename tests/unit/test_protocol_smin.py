@@ -69,6 +69,29 @@ class TestSecureMinimum:
         with pytest.raises(ProtocolError):
             protocol.run([], [])
 
+    def test_marker_bound_admits_its_largest_length_and_no_more(
+            self, setting, private_key):
+        """``3^(l+1) < 2^(K/2-1)``: every non-zero ``P +- 1`` of the
+        balanced-ternary marker is a unit.  The largest admitted ``l`` runs
+        at the marker's extremes; one bit more is refused."""
+        key_size = setting.public_key.key_size
+        bit_length = 1
+        while 3 ** (bit_length + 2) < 1 << (key_size // 2 - 1):
+            bit_length += 1
+        assert 3 ** (bit_length + 1) < 1 << (key_size // 2 - 1) \
+            <= 3 ** (bit_length + 2)
+        protocol = SecureMinimum(setting)
+        public = setting.public_key
+        top = (1 << bit_length) - 1
+        # every bit differs, or only the last one does
+        for u, v in ((top, 0), (0, top), (top, top - 1), (top - 1, top)):
+            minimum = protocol.run(encrypt_bits(public, u, bit_length),
+                                   encrypt_bits(public, v, bit_length))
+            assert decrypt_bits(private_key, minimum) == min(u, v)
+        with pytest.raises(ProtocolError, match=r"3\^\(l\+1\)"):
+            protocol.run(encrypt_bits(public, 1, bit_length + 1),
+                         encrypt_bits(public, 2, bit_length + 1))
+
     def test_repeated_runs_are_consistent(self, setting, private_key):
         """The random functionality F must never change the functional output."""
         protocol = SecureMinimum(setting)
