@@ -159,7 +159,7 @@ def test_online_latency_warm_pools_vs_inline(benchmark, python_backend,
             config=PrecomputeConfig.for_query_load(
                 ONLINE_N, ONLINE_M, ONLINE_K, queries=1))
         c2_engine = PrecomputeEngine(
-            public_key, rng=Random(782),
+            online_keypair.private_key, rng=Random(782),
             config=PrecomputeConfig.for_decryptor_load(
                 ONLINE_N, ONLINE_M, ONLINE_K, queries=1))
 

@@ -43,7 +43,6 @@ from repro.core import (
 from repro.crypto import (
     PrecomputeConfig,
     PrecomputeEngine,
-    RandomnessPool,
     generate_keypair,
 )
 from repro.db import Schema, Table
@@ -65,7 +64,6 @@ __all__ = [
     "ShardedCloud",
     "PrecomputeConfig",
     "PrecomputeEngine",
-    "RandomnessPool",
     "generate_keypair",
     "Schema",
     "Table",

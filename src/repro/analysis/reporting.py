@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 from repro.exceptions import ConfigurationError
 
 __all__ = ["ExperimentSeries", "format_table", "format_markdown_table",
-           "ascii_plot", "metrics_table", "trace_timeline"]
+           "ascii_plot", "trace_timeline"]
 
 
 @dataclass
@@ -115,25 +115,6 @@ def format_markdown_table(rows: Iterable[dict[str, object]]) -> str:
             + " |"
         )
     return "\n".join(lines) + "\n"
-
-
-def metrics_table(snapshot: dict[str, dict]) -> str:
-    """Render a :meth:`~repro.telemetry.MetricsRegistry.snapshot` as a table.
-
-    One row per (family, label-set) sample; histogram samples show their
-    count and mean.  Families with no samples yet are skipped.
-    """
-    rows: list[dict[str, object]] = []
-    for name, family in sorted(snapshot.items()):
-        for labels, value in family.get("values", {}).items():
-            if isinstance(value, dict):  # histogram child
-                rendered = (f"count={value.get('count', 0)} "
-                            f"mean={value.get('mean', 0.0):.6f}s")
-            else:
-                rendered = _format_value(value)
-            rows.append({"metric": name, "type": family.get("type", "?"),
-                         "labels": labels or "-", "value": rendered})
-    return format_table(rows)
 
 
 def trace_timeline(trace: dict, width: int = 48) -> str:

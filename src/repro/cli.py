@@ -330,7 +330,7 @@ def _run_query(args: argparse.Namespace) -> int:
                                          system.decryptor_precompute_engine)
                    if engine is not None]
         if engines:
-            offline = sum(e.offline.encryptions for e in engines)
+            offline = sum(e.offline_encryptions for e in engines)
             pooled = sum(e.pool_hit_total() for e in engines)
             print(f"precompute: {offline} offline exponentiations across "
                   f"{len(engines)} per-cloud engines, "

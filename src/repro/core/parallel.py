@@ -83,7 +83,7 @@ from repro.crypto.paillier import (
     PaillierPrivateKey,
     PaillierPublicKey,
 )
-from repro.crypto.randomness_pool import RandomnessPool
+from repro.crypto.precompute import PrecomputeEngine
 from repro.db.encrypted_table import EncryptedRecord
 from repro.exceptions import ConfigurationError, DeadlineExceeded, ServiceUnavailable
 from repro.network.party import TwoPartySetting
@@ -92,7 +92,6 @@ from repro.telemetry import profiling as _profiling
 from repro.telemetry import tracing as _tracing
 
 if TYPE_CHECKING:  # pragma: no cover - imports used for annotations only
-    from repro.crypto.precompute import PrecomputeEngine
     from repro.resilience.policy import Deadline
 
 __all__ = [
@@ -114,10 +113,10 @@ Backend = Literal["thread", "process", "serial"]
 #: amortized over every (record, query) pair of the chunk.  The backend name
 #: travels with the task because spawned worker processes do not inherit a
 #: programmatically selected backend (e.g. the CLI's ``--crypto-backend``).
-#: The *pool slice* is a list of single-use precomputed ``r^N`` obfuscation
-#: factors drained from the driver's per-shard precomputation pools (``None``
-#: without an engine): both worker parties' obfuscator pool, so the mask and
-#: square-sum encryptions are hot-path multiplications while it lasts.
+#: The *pool slice* is a list of single-use precomputed obfuscation factors
+#: drained from the driver's precomputation engine (``None`` without one):
+#: the worker's engine, so the mask and square-sum encryptions are hot-path
+#: multiplications while it lasts.
 ChunkWorkerTask = tuple[
     int, list[list[int]], list[list[int]], int, int, int, int, str,
     "list[int] | None"]
@@ -162,8 +161,9 @@ def ssed_chunk_worker(task: ChunkWorkerTask) -> tuple[int, list[list[int]]]:
     process-cached key objects (never the driver's, so the driver's counters
     and traffic stay driver-side), seeded from the task, on which it runs
     :meth:`~repro.protocols.ssed.SecureSquaredEuclideanDistance.run_many`
-    per query and decrypts the distances, as C2 does in SkNN_b.  Both
-    parties' encryptions draw the shipped pool slice before the key's comb
+    per query and decrypts the distances, as C2 does in SkNN_b.  The
+    shipped pool slice becomes an engine on the worker's rng, attached to
+    both parties, so their encryptions draw it before the key's own kernel
     (:meth:`~repro.network.party.Party.encrypt_batch`).  The setting, and
     with it the channel's transcript, lives for this task only.  The worker
     aligns its process-wide bigint backend with the driver's (carried in
@@ -191,10 +191,9 @@ def ssed_chunk_worker(task: ChunkWorkerTask) -> tuple[int, list[list[int]]]:
     set_backend(backend_name)
     setting = TwoPartySetting.create(_worker_keys(n, p, q), rng=Random(seed))
     public_key = setting.public_key
-    if pool_slice:
-        pool = RandomnessPool.from_factors(public_key, list(pool_slice))
-        for party in (setting.evaluator, setting.decryptor):
-            party.obfuscator_pool = pool
+    engine = PrecomputeEngine(public_key, rng=setting.evaluator.rng)
+    engine.adopt(list(pool_slice or ()))
+    setting.attach_engine(engine, engine)
     ssed = SecureSquaredEuclideanDistance(setting)
     records = [[Ciphertext(public_key, value) for value in row]
                for row in record_rows]
@@ -421,13 +420,12 @@ class ShardedCloud(SkNNProtocol):
             ``workers``/``backend`` are the pool's and :meth:`close` leaves
             it running.
         precompute: optional :class:`~repro.crypto.precompute.
-            PrecomputeEngine`; when given it is attached to the cloud (the
-            delivery phase's mask encryptions draw on its pool), one per-shard
-            obfuscator pool is derived from it, and every chunk task ships a
-            slice of its shard's pool so worker-side encryptions run
-            powmod-free while warm.  Refill the pools off the hot path with
-            :meth:`refill_precompute` (the serving layer does this in idle
-            scheduler slots).
+            PrecomputeEngine`, C1's one engine: it is attached to the cloud
+            (the delivery phase's mask encryptions draw on it) and every
+            chunk task ships a slice drained from it, so worker-side
+            encryptions run powmod-free while warm.  Refill it off the hot
+            path with :meth:`refill_precompute` (the serving layer does this
+            in idle scheduler slots).
     """
 
     name = "SkNNb-sharded"
@@ -458,23 +456,11 @@ class ShardedCloud(SkNNProtocol):
             for shard_id, (start, stop)
             in enumerate(shard_bounds(len(table), shards)))
         self.precompute = precompute
-        self.shard_pools: tuple[RandomnessPool, ...] = ()
         if precompute is not None:
             if cloud.engine is not precompute:
                 # Attach as C1's engine, preserving any C2 engine already
                 # there.
                 cloud.attach_engine(precompute, cloud.c2.engine)
-            # One obfuscator pool per shard, drained into the chunk tasks of
-            # that shard (the workers' pool slices) and refilled from idle
-            # time.  Sized so one full refill covers one query: the chunk
-            # worker encrypts one mask per (record, attribute) pair and one
-            # square sum per record.  (It plays both cloud roles by
-            # construction, so a single slice feeds both encryptions.)
-            self.shard_pools = tuple(
-                RandomnessPool(self.public_key,
-                               size=max(len(shard) * (table.dimensions + 1), 1),
-                               rng=precompute.rng, precompute=False)
-                for shard in self.shards)
             # Deployment-time prefill (off the query path by definition).
             self.refill_precompute()
 
@@ -494,22 +480,14 @@ class ShardedCloud(SkNNProtocol):
 
     # -- precomputation (off the query critical path) ------------------------
     def refill_precompute(self, budget: int | None = None) -> int:
-        """Top up the engine and per-shard pools; returns items precomputed.
+        """Top up the engine; returns the factors precomputed.
 
         Meant to run between queries (the serving layer calls it from idle
-        scheduler slots).  The budget is split between the engine's pool
-        and the per-shard obfuscator pools that feed worker slices.
+        scheduler slots).
         """
         if self.precompute is None:
             return 0
-        produced = self.precompute.refill(budget)
-        for shard_pool in self.shard_pools:
-            deficit = shard_pool.size - shard_pool.remaining
-            if budget is not None:
-                deficit = min(deficit, max(budget - produced, 0))
-            if deficit > 0:
-                produced += shard_pool.refill(deficit)
-        return produced
+        return self.precompute.refill(budget)
 
     # -- the query-store contract (shared with transport.client.RemoteStore) --
     @property
@@ -562,14 +540,13 @@ class ShardedCloud(SkNNProtocol):
                 seed = c1.rng.getrandbits(63)
                 # The chunk worker encrypts one mask per (record, attribute,
                 # query) and one square sum per (record, query) — drain that
-                # many factors from the shard's pool (whatever is available)
-                # so the worker's encryptions are multiplications while warm.
+                # many factors from the engine (whatever is available) so
+                # the worker's encryptions are multiplications while warm.
                 pool_slice = None
-                if self.shard_pools:
+                if self.precompute is not None:
                     wanted = ((stop - start) * (dimensions + 1)
                               * len(query_values))
-                    pool_slice = (self.shard_pools[shard.shard_id]
-                                  .take_available(wanted) or None)
+                    pool_slice = self.precompute.take_available(wanted) or None
                 tasks.append((
                     shard.start + start,
                     [[cipher.value for cipher in record.ciphertexts]

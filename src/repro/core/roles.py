@@ -27,7 +27,7 @@ from random import Random
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import used for annotations only
-    from repro.crypto.randomness_pool import RandomnessPool
+    from repro.crypto.precompute import PrecomputeEngine
 
 from repro.crypto.paillier import (
     Ciphertext,
@@ -137,27 +137,28 @@ class QueryClient:
 
     def __init__(self, public_key: PaillierPublicKey, dimensions: int,
                  rng: Random | None = None,
-                 randomness_pool: "RandomnessPool | None" = None) -> None:
+                 engine: "PrecomputeEngine | None" = None) -> None:
         """Create a query client.
 
         Args:
             public_key: Alice's public key (obtained through authorization).
             dimensions: expected number of query attributes ``m``.
             rng: optional deterministic randomness source (tests only).
-            randomness_pool: optional precomputed Paillier randomness
-                (:class:`~repro.crypto.RandomnessPool`); when given, query
-                encryption uses pooled obfuscation factors, turning Bob's
-                hot-path cost into one multiplication per attribute.
+            engine: optional precomputation engine of Bob's own
+                (:class:`~repro.crypto.precompute.PrecomputeEngine`); when
+                given, query encryption uses its pooled obfuscation factors,
+                turning Bob's hot-path cost into one multiplication per
+                attribute.
         """
         if dimensions <= 0:
             raise ConfigurationError("dimensions must be positive")
-        if randomness_pool is not None and randomness_pool.public_key != public_key:
+        if engine is not None and engine.public_key != public_key:
             raise ConfigurationError(
-                "randomness pool belongs to a different public key")
+                "precompute engine belongs to a different public key")
         self.public_key = public_key
         self.dimensions = dimensions
         self.rng = rng
-        self.randomness_pool = randomness_pool
+        self.engine = engine
         self.last_cost = ClientCostReport()
 
     def encrypt_query(self, query: Sequence[int]) -> list[Ciphertext]:
@@ -167,10 +168,10 @@ class QueryClient:
                 f"query has {len(query)} attributes, expected {self.dimensions}"
             )
         started = time.perf_counter()
-        # One vectorized kernel call either way; a session pool supplies
-        # precomputed r^N factors (comb fallback when it runs dry).
+        # One vectorized kernel call either way; a session engine supplies
+        # precomputed factors (the key's h**s when it runs dry).
         encrypted = self.public_key.encrypt_batch(
-            list(query), rng=self.rng, pool=self.randomness_pool)
+            list(query), rng=self.rng, pool=self.engine)
         self.last_cost.encrypt_query_seconds = time.perf_counter() - started
         return encrypted
 

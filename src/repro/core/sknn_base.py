@@ -115,19 +115,22 @@ class SkNNRunReport:
 
         ``spans`` are this process's own spans of trace ``trace_id``,
         ``c2_window`` the C2 daemon's ``telemetry.collect`` reply
-        (``{"counters", "spans", "cost"}``) and ``shard_reports`` the shard
-        daemons' scan reports, each already merged with its own C2 window.
-        Their counters and traffic join ``stats`` — so a distributed report
-        matches a serial run's totals — and their cost rows ride along
-        under their own party labels: C2's seconds overlap this party's
-        wait and a shard scans beside it, so only this party's own rows sum
-        to ``wall_time_seconds``.  All spans land in one start-sorted
+        (``{"spans", "cost"}``) and ``shard_reports`` the shard daemons'
+        scan reports, each already merged with its own C2 window.  C2's
+        cost rows fill the ``c2_*`` columns (:meth:`~repro.network.stats.
+        ProtocolRunStats.add_cost_rows`) and the shards' counters and
+        traffic join ``stats`` — so a distributed report matches a serial
+        run's totals — and every cost row rides along under its own party
+        label: C2's seconds overlap this party's wait and a shard scans
+        beside it, so only this party's own rows sum to
+        ``wall_time_seconds``.  All spans land in one start-sorted
         ``trace``.
         """
         spans = list(spans)
         if c2_window is not None:
-            self.stats.add_c2_counters(c2_window.get("counters") or {})
-            self.cost_breakdown.extend(c2_window.get("cost") or [])
+            c2_rows = c2_window.get("cost") or []
+            self.stats.add_cost_rows(c2_rows)
+            self.cost_breakdown.extend(c2_rows)
             spans.extend(c2_window.get("spans") or [])
         for shard in shard_reports:
             self.stats.absorb(shard.stats)

@@ -194,7 +194,7 @@ class SkNNSystem:
 
         ``worker_scan`` says the scan runs on the in-process plan's chunk
         workers (``parallel``/``sharded`` modes and :meth:`serve`), which
-        draw their own pool slices, so only delivery masks are pooled here.
+        encrypt with slices drained from this engine.
         """
         table = self.owner.table
         # SBD/SMIN material is consumed by SkNN_m only, never by a worker scan.
@@ -221,13 +221,15 @@ class SkNNSystem:
         C1 and C2 each get their own engine (filled with their own
         randomness, as the non-colluding model requires): C1's covers its
         mask and constant encryptions, C2's its re-encryptions and 0/1 bits.
+        C2's is built on the private key, so its refills take the CRT
+        kernel its inline encryptions use.
         """
         table = self.owner.table
         c1_engine = self._warm_c1_engine(
             queries, self._derived_rng(),
             worker_scan=self.mode in ("parallel", "sharded"))
         c2_engine = PrecomputeEngine(
-            self.owner.public_key, rng=self._derived_rng(),
+            self.cloud.c2.private_key, rng=self._derived_rng(),
             config=PrecomputeConfig.for_decryptor_load(
                 n_records=len(table), dimensions=table.dimensions,
                 k=self.k_default or 1, queries=queries,
@@ -336,8 +338,8 @@ class SkNNSystem:
                 many factors for its query encryptions.
             precompute: when positive, the sharded store owns a warmed
                 :class:`~repro.crypto.precompute.PrecomputeEngine` sized to
-                cover roughly this many queries; the server refills it (and
-                the per-shard worker pools) in idle scheduler slots.
+                cover roughly this many queries, chunk workers' slices
+                included; the server refills it in idle scheduler slots.
             precompute_producer: additionally start the engine's background
                 producer thread, so pools refill even while batches execute.
         """

@@ -33,7 +33,6 @@ from repro.crypto.precompute import (
     PrecomputeConfig,
     PrecomputeEngine,
 )
-from repro.crypto.randomness_pool import RandomnessPool
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -52,7 +51,6 @@ __all__ = [
     "PrecomputeConfig",
     "PrecomputeEngine",
     "PythonBackend",
-    "RandomnessPool",
     "available_backends",
     "generate_keypair",
     "get_backend",

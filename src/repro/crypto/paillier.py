@@ -33,7 +33,7 @@ from random import Random
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import used for annotations only
-    from repro.crypto.randomness_pool import RandomnessPool
+    from repro.crypto.precompute import PrecomputeEngine
 
 from repro.crypto import numtheory as nt
 from repro.crypto.backend import get_backend
@@ -354,71 +354,69 @@ class PaillierPublicKey:
                         h, self.nsquare, self.n.bit_length())
         return self._obfuscator_comb
 
-    def encrypt_batch(self, values: Sequence[int], rng: Random | None = None,
-                      r_values: Sequence[int] | None = None,
-                      windowed: bool = True,
-                      pool: "RandomnessPool | None" = None,
-                      fixed_base=None) -> list["Ciphertext"]:
-        """Encrypt a vector of signed integers in one vectorized kernel call.
+    def obfuscators(self, count: int, rng: Random | None = None) -> list[int]:
+        """``count`` fresh obfuscation factors ``h**s``, ``s`` uniform in
+        ``[1, N)``: this key's one obfuscator source.
 
-        Element-wise equivalent to ``[self.encrypt(v) for v in values]`` (and
-        bit-identical to it when explicit ``r_values`` are supplied), while
-        amortizing counter bookkeeping and attribute dispatch over the whole
-        vector and sourcing obfuscators from the fixed-base window table.
-
-        Obfuscator precedence: explicit ``r_values`` > the precomputed
-        ``pool`` argument > the backend's fixed-base ``h**s``
-        (``windowed=True``) > textbook ``r**N``.  A pool
-        covers as many elements as it has factors available; the remainder
-        falls through to the next source, so a dry pool never stalls a batch.
-
-        Args:
-            values: signed plaintexts (each ``|v| < N/2``).
-            rng: optional deterministic randomness source.
-            r_values: optional explicit nonces, one per value; forces the
-                per-element ``r**N`` path so ciphertexts match the scalar API
-                exactly (tests and worked examples).
-            windowed: when ``True`` (default) draw obfuscators from the
-                per-key fixed-base exponentiator; ``False`` computes textbook
-                ``r**N`` factors (same cost profile as the scalar path).
-            pool: optional :class:`~repro.crypto.randomness_pool.
-                RandomnessPool` of precomputed factors.
-            fixed_base: who answers ``h**s`` — a callable taking ``rng`` and
-                returning the exponentiator, by default this key's own
-                (:meth:`_windowed_obfuscators`); only
-                :meth:`PaillierPrivateKey.encrypt_batch` passes another.
-
-        Returns:
-            One :class:`Ciphertext` per value, in order.
+        Both :meth:`encrypt_batch` (for what a pool does not cover) and a
+        :class:`~repro.crypto.precompute.PrecomputeEngine` refill call it,
+        so a pooled factor costs what an inline one does.
         """
+        if count <= 0:
+            return []
+        power = self._windowed_obfuscators(rng).pow
+        return [power(nt.random_below(self.n - 1, rng) + 1)
+                for _ in range(count)]
+
+    def _encrypt_encoded(self, encoded: Sequence[int],
+                         factors: Sequence[int]) -> list["Ciphertext"]:
+        """``(1 + m*N) * factor mod N**2`` per element; counts encryptions."""
         n = self.n
         nsquare = self.nsquare
-        backend = get_backend()
-        mulmod = backend.mulmod
-        encoded = [self.encode_signed(v) for v in values]
-        if r_values is not None:
-            if len(r_values) != len(encoded):
-                raise EncryptionError(
-                    "encrypt_batch needs exactly one nonce per value")
-            factors = [backend.powmod(r, n, nsquare) for r in r_values]
-        else:
-            factors = (pool.take_available(len(encoded))
-                       if pool is not None and encoded else [])
-            missing = len(encoded) - len(factors)
-            if missing > 0 and windowed:
-                comb_pow = (fixed_base or self._windowed_obfuscators)(rng).pow
-                factors.extend(comb_pow(nt.random_below(n - 1, rng) + 1)
-                               for _ in range(missing))
-            elif missing > 0:
-                factors.extend(
-                    backend.powmod(nt.random_in_zn_star(n, rng), n, nsquare)
-                    for _ in range(missing)
-                )
+        mulmod = get_backend().mulmod
         self.counter.encryptions += len(encoded)
         return [
             Ciphertext(self, mulmod((1 + m * n) % nsquare, factor, nsquare))
             for m, factor in zip(encoded, factors)
         ]
+
+    def encrypt_batch(self, values: Sequence[int], rng: Random | None = None,
+                      r_values: Sequence[int] | None = None,
+                      pool: "PrecomputeEngine | None" = None
+                      ) -> list["Ciphertext"]:
+        """Encrypt a vector of signed integers in one vectorized kernel call.
+
+        Element-wise equivalent to ``[self.encrypt(v) for v in values]`` (and
+        bit-identical to it when explicit ``r_values`` are supplied), while
+        amortizing counter bookkeeping and attribute dispatch over the whole
+        vector.
+
+        Obfuscator precedence: explicit ``r_values`` (textbook ``r**N``) >
+        the precomputed ``pool``'s factors > :meth:`obfuscators`.  A pool
+        covers as many elements as it has factors available; the remainder
+        is drawn fresh, so a dry pool never stalls a batch.
+
+        Args:
+            values: signed plaintexts (each ``|v| < N/2``).
+            rng: optional deterministic randomness source.
+            r_values: optional explicit nonces, one per value, so ciphertexts
+                match the scalar API exactly (tests and worked examples).
+            pool: optional :class:`~repro.crypto.precompute.PrecomputeEngine`
+                of precomputed factors.
+
+        Returns:
+            One :class:`Ciphertext` per value, in order.
+        """
+        encoded = [self.encode_signed(v) for v in values]
+        if r_values is None:
+            return self._encrypt_encoded(
+                encoded, _pooled_obfuscators(self, len(encoded), rng, pool))
+        if len(r_values) != len(encoded):
+            raise EncryptionError(
+                "encrypt_batch needs exactly one nonce per value")
+        powmod = get_backend().powmod
+        return self._encrypt_encoded(
+            encoded, [powmod(r, self.n, self.nsquare) for r in r_values])
 
     def scalar_mul_batch(self, ciphertexts: Sequence["Ciphertext"],
                          scalars: Sequence[int] | int) -> list["Ciphertext"]:
@@ -537,7 +535,7 @@ class PaillierPrivateKey:
         self.hp = self._h_function(p, self.psquare)
         self.hq = self._h_function(q, self.qsquare)
         self.counter = OperationCounter()
-        # CRT form of the obfuscator power, made lazily by encrypt_batch
+        # CRT form of the obfuscator power, made lazily by obfuscators()
         self._crt_obfuscators = None
         self._crt_obfuscators_lock = threading.Lock()
 
@@ -561,18 +559,30 @@ class PaillierPrivateKey:
                     self._crt_obfuscators = _CrtObfuscatorPower(self, h)
         return self._crt_obfuscators
 
+    def obfuscators(self, count: int, rng: Random | None = None) -> list[int]:
+        """:meth:`PaillierPublicKey.obfuscators` by CRT: the same ``h**s``
+        for the same ``rng``, from two half-size powers each — the key
+        holder's one obfuscator source."""
+        if count <= 0:
+            return []
+        power = self.crt_obfuscators(rng).pow
+        n = self.public_key.n
+        return [power(nt.random_below(n - 1, rng) + 1) for _ in range(count)]
+
     def encrypt_batch(self, values: Sequence[int], rng: Random | None = None,
-                      pool: "RandomnessPool | None" = None
+                      pool: "PrecomputeEngine | None" = None
                       ) -> list["Ciphertext"]:
         """The key holder's batched encryption under its own public key.
 
         :meth:`PaillierPublicKey.encrypt_batch` with the obfuscators the
-        pool does not cover taken by CRT: the same ciphertexts for the same
-        ``rng`` and pool, the same count, about 2.5-3x cheaper per fresh
-        obfuscator.
+        pool does not cover taken from :meth:`obfuscators`: the same
+        ciphertexts for the same ``rng`` and pool, the same count, about
+        2.5-3x cheaper per fresh obfuscator.
         """
-        return self.public_key.encrypt_batch(
-            values, rng=rng, pool=pool, fixed_base=self.crt_obfuscators)
+        public = self.public_key
+        encoded = [public.encode_signed(v) for v in values]
+        return public._encrypt_encoded(
+            encoded, _pooled_obfuscators(self, len(encoded), rng, pool))
 
     # -- decryption ---------------------------------------------------------
     def _h_function(self, x: int, xsquare: int) -> int:
@@ -722,6 +732,15 @@ class _CrtObfuscatorPower:
         residue_q = self._power_q.pow(exponent % order_q)
         return residue_p + self._psquare * (
             (residue_q - residue_p) * self._psquare_inverse % self._qsquare)
+
+
+def _pooled_obfuscators(key: "PaillierPublicKey | PaillierPrivateKey",
+                        count: int, rng: Random | None,
+                        pool: "PrecomputeEngine | None") -> list[int]:
+    """``count`` factors: the pool's while it has them, then ``key``'s own."""
+    factors = pool.take_available(count) if pool is not None and count else []
+    factors.extend(key.obfuscators(count - len(factors), rng))
+    return factors
 
 
 @dataclass(frozen=True)

@@ -8,21 +8,23 @@ genuinely query-dependent exponentiations, and modular multiplications: a
 pooled encryption is one multiplication whatever it encrypts (a protocol
 constant, an additive mask, a re-encrypted square sum).
 
-:class:`PrecomputeEngine` is that producer/consumer boundary.  It owns **one**
-store — a :class:`~repro.crypto.randomness_pool.RandomnessPool` of single-use
-``r^N`` factors — plus its lifecycle: refill to a target, a background
-producer, save/load across restarts and the offline work counter.  The owning
-party's ``encrypt_batch`` draws from the pool and covers a shortfall with the
-key's fixed-base comb, so there are two draw tiers (pool, then backend) and a
-drained engine is never slower than no engine.
+:class:`PrecomputeEngine` is that producer/consumer boundary: **one** store
+of single-use factors per party plus its lifecycle — refill to a target, a
+background producer, save/load across restarts — and one set of hit, miss
+and offline counts.  The store is filled by its key's one obfuscator source
+(:meth:`~repro.crypto.paillier.PaillierPublicKey.obfuscators`, the
+fixed-base ``h**s``; the private key's CRT form of the same power for the
+key holder), the very call the owning party's ``encrypt_batch`` makes for
+what the pool does not cover.  So there are two draw tiers (pool, then the
+same kernel inline), a pooled factor costs offline what it would have cost
+online, and a drained engine is never slower than no engine.
 
 Every factor is handed out **exactly once**.  Consuming one advances the
 key's :class:`~repro.crypto.paillier.OperationCounter` exactly like the
 non-pooled path would, so operation accounting (and the Section 4.4 cost
-model) stays comparable — the pool's hit counter records how many of those
-logical encryptions were actually paid offline, and the engine's ``offline``
-counter records the precomputation work (one ``r^N`` exponentiation per
-factor).
+model) stays comparable — the engine's hit count records how many of those
+logical encryptions were actually paid offline, and its offline count the
+precomputation work (one obfuscator per factor).
 
 Producers: call :meth:`PrecomputeEngine.refill` from any idle-time hook (the
 serving layer's scheduler does this between batches), or
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 import threading
 import zlib
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -42,10 +45,9 @@ from typing import Sequence
 
 from repro.crypto.paillier import (
     Ciphertext,
-    OperationCounter,
+    PaillierPrivateKey,
     PaillierPublicKey,
 )
-from repro.crypto.randomness_pool import RandomnessPool
 from repro.exceptions import ConfigurationError
 
 __all__ = ["PrecomputeConfig", "PrecomputeEngine", "MASK_ZN", "MASK_NONZERO",
@@ -121,13 +123,14 @@ class PrecomputeConfig:
         covers the first query's odds and ends.
 
         With ``worker_scan=True`` (the parallel/sharded modes, whose chunk
-        workers draw obfuscator *slices* from the plan's per-shard pools)
-        the scan masks are left out.
+        workers draw obfuscator *slices* from this engine) the scan is the
+        workers' ``n*(m + 1)`` per query: a mask per (record, attribute)
+        and a square sum per record, both encrypted worker-side.
 
         The decryptor's material is sized by :meth:`for_decryptor_load` — in
         the paper's model each cloud precomputes with its *own* randomness.
         """
-        scan_masks = 0 if worker_scan else n_records * dimensions
+        scan_masks = n_records * (dimensions + 1 if worker_scan else dimensions)
         bits = sbd_bit_length or 0
         sbd = bits * n_records * queries
         ones = sbd // 2
@@ -159,53 +162,63 @@ class PrecomputeConfig:
 
 
 class PrecomputeEngine:
-    """One pool of precomputed ``r^N`` factors with offline accounting.
+    """One party's store of precomputed obfuscators with its accounting.
 
-    An engine belongs to *one* party: its pool is filled with that party's
+    An engine belongs to *one* party: its store is filled with that party's
     randomness, so in the paper's two-cloud model C1 and C2 each run their
     own engine (see :meth:`~repro.network.party.TwoPartySetting.
     attach_engine`).  Handing one party material precomputed by the other
     would let the producer link or unmask the consumer's ciphertexts.
 
     Args:
-        public_key: the deployment's Paillier public key.
+        key: the owning party's key — the public key for C1 (and Bob), the
+            private key for C2, whose refills then take the CRT kernel.
         rng: optional deterministic randomness source (tests only).
         config: pool target; defaults to :class:`PrecomputeConfig`.
+
+    Attributes:
+        hits: factors handed out to encryptions.
+        misses: encryptions the store could not serve (it was dry — a sign
+            the target is too small for the load); they took the key's
+            kernel inline.
+        offline_encryptions: factors refills computed.
     """
 
-    def __init__(self, public_key: PaillierPublicKey,
+    def __init__(self, key: "PaillierPublicKey | PaillierPrivateKey",
                  rng: Random | None = None,
                  config: PrecomputeConfig | None = None) -> None:
-        self.public_key = public_key
+        self.key = key
+        self.public_key = (key.public_key if isinstance(key, PaillierPrivateKey)
+                           else key)
         self.rng = rng
         self.config = config if config is not None else PrecomputeConfig()
-        self.obfuscators = RandomnessPool(
-            public_key, size=max(self.config.obfuscators, 1), rng=rng,
-            precompute=False)
+        self._factors: deque[int] = deque()
+        self._lock = threading.Lock()
         # One producer at a time: serializes refills so two concurrent
         # producers cannot both observe the same deficit and overfill.
         self._refill_lock = threading.Lock()
-        #: offline work performed by refills — one encryption (i.e. one
-        #: ``r^N`` exponentiation) per pooled factor.
-        self.offline = OperationCounter()
+        self.hits = 0
+        self.misses = 0
+        self.offline_encryptions = 0
         self._producer: threading.Thread | None = None
         self._producer_stop = threading.Event()
 
     # -- offline production ---------------------------------------------------
     def deficit(self) -> int:
-        """How many factors the pool is short of its configured target."""
-        return max(self.config.obfuscators - self.obfuscators.remaining, 0)
+        """How many factors the store is short of its configured target."""
+        with self._lock:
+            return max(self.config.obfuscators - len(self._factors), 0)
 
     def refill(self, budget: int | None = None) -> int:
-        """Fill the pool toward its target; returns the factors precomputed.
+        """Fill the store toward its target; returns the factors computed.
 
-        This is the expensive producer step (one ``r^N`` exponentiation per
-        factor) and is meant to run off the query critical path — from an
-        idle scheduler slot, the background producer thread, or setup code.
-        ``budget`` caps the number of factors computed in this call (``None``
-        = fill to target); they are computed ``refill_batch`` at a time and
-        *outside* the pool lock, so concurrent online takers never wait on a
-        refill.
+        This is the producer step (one :meth:`~repro.crypto.paillier.
+        PaillierPublicKey.obfuscators` factor each) and is meant to run off
+        the query critical path — from an idle scheduler slot, the
+        background producer thread, or setup code.  ``budget`` caps the
+        number of factors computed in this call (``None`` = fill to
+        target); they are computed ``refill_batch`` at a time and *outside*
+        the store lock, so concurrent online takers never wait on a refill.
         """
         produced = 0
         with self._refill_lock:
@@ -217,13 +230,25 @@ class PrecomputeEngine:
                     break
                 # Counted before the factors become takeable, so a stats
                 # snapshot never shows more hits than offline work.
-                self.offline.encryptions += step
-                produced += self.obfuscators.refill(step)
+                with self._lock:
+                    self.offline_encryptions += step
+                fresh = self.key.obfuscators(step, self.rng)
+                with self._lock:
+                    self._factors.extend(fresh)
+                produced += step
         return produced
 
     def warm(self) -> int:
-        """Fill the pool to its target (alias for an unbounded refill)."""
+        """Fill the store to its target (alias for an unbounded refill)."""
         return self.refill(None)
+
+    def adopt(self, factors: "list[int]") -> int:
+        """Add factors computed elsewhere (a pool cache, a chunk task's
+        slice); they are not this engine's offline work.  Returns the
+        number adopted."""
+        with self._lock:
+            self._factors.extend(factors)
+        return len(factors)
 
     # -- background producer ---------------------------------------------------
     def start_producer(self, interval_seconds: float = 0.02) -> None:
@@ -250,9 +275,25 @@ class PrecomputeEngine:
         self._producer = None
 
     # -- online consumers ------------------------------------------------------
+    def take_available(self, count: int) -> "list[int]":
+        """Pop up to ``count`` factors *without* computing missing ones.
+
+        The one draw: the batch encryption kernel covers the shortfall with
+        the key's own source, so a dry store degrades gracefully instead of
+        stalling the hot path, and the in-process scan ships what it pops
+        to its chunk workers.  ``hits`` advances by the number served,
+        ``misses`` by the shortfall.
+        """
+        with self._lock:
+            served = min(count, len(self._factors))
+            taken = [self._factors.popleft() for _ in range(served)]
+            self.hits += served
+            self.misses += count - served
+        return taken
+
     def encrypt_batch(self, values: Sequence[int]) -> list[Ciphertext]:
-        """Vectorized pooled encryption (comb fallback past the pool)."""
-        return self.obfuscators.encrypt_batch(list(values))
+        """Vectorized pooled encryption (the key's kernel past the store)."""
+        return self.key.encrypt_batch(list(values), rng=self.rng, pool=self)
 
     def take_masks(self, count: int, kind: str = MASK_ZN,
                    sbd_upper: int | None = None
@@ -261,8 +302,8 @@ class PrecomputeEngine:
 
         Sampled in the kind's :func:`mask_range` and encrypted in one
         batch-kernel call: one pooled factor and one multiplication per mask
-        while the pool lasts, the fixed-base comb past it — never a reused
-        factor, never a textbook exponentiation.
+        while the store lasts, the key's own kernel past it — never a reused
+        factor.
         """
         lower, upper = mask_range(kind, self.public_key.n, sbd_upper)
         rng = self.rng if self.rng is not None else _MODULE_RNG
@@ -288,7 +329,10 @@ class PrecomputeEngine:
         # imports crypto serialization).
         from repro.resilience.durability import atomic_write_bytes
 
-        factors = self.obfuscators.drain_factors()
+        # Drained, not copied: a factor is in memory or on disk, never both.
+        with self._lock:
+            factors = list(self._factors)
+            self._factors.clear()
         data = {
             "format": _POOL_CACHE_VERSION,
             "kind": _POOL_CACHE_KIND,
@@ -329,7 +373,7 @@ class PrecomputeEngine:
         if data.get("n") != format(self.public_key.n, "x"):
             raise ConfigurationError(
                 f"pool cache {path} was produced under a different key")
-        adopted = self.obfuscators.adopt_factors(
+        adopted = self.adopt(
             [int(factor, 16) for factor in data.get("obfuscators", [])])
         target.unlink()
         return adopted
@@ -337,32 +381,34 @@ class PrecomputeEngine:
     # -- introspection ---------------------------------------------------------
     def remaining(self) -> dict[str, int]:
         """Factors currently available, as a one-entry per-pool mapping."""
-        return {"obfuscators": self.obfuscators.remaining}
+        with self._lock:
+            return {"obfuscators": len(self._factors)}
 
     def stats(self) -> dict[str, object]:
         """Pool effectiveness and offline-work accounting.
 
-        The pool's counters are one snapshot under its lock, so concurrent
-        online takers can never produce a torn view.  ``hits`` and ``misses``
-        are the per-name mappings of the former typed pools and are now
-        **always empty** (every draw is an obfuscator draw); they stay so the
-        daemons' ``/stats`` consumers and ``benchmarks/e2e/metrics.py`` keep
-        reading, and can go once those reads do.
+        One snapshot under the store lock, so concurrent online takers can
+        never produce a torn view.  ``hits`` and ``misses`` are the per-name
+        mappings of the former typed pools and are now **always empty**
+        (every draw is an obfuscator draw); they stay so the daemons'
+        ``/stats`` consumers and ``benchmarks/e2e/metrics.py`` keep reading,
+        and can go once those reads do.
         """
-        pool = self.obfuscators.stats()
-        return {
-            "remaining": {"obfuscators": pool["remaining"]},
-            "hits": {},
-            "misses": {},
-            "obfuscator_hits": pool["hits"],
-            "obfuscator_misses": pool["misses"],
-            "offline_encryptions": self.offline.encryptions,
-        }
+        with self._lock:
+            return {
+                "remaining": {"obfuscators": len(self._factors)},
+                "hits": {},
+                "misses": {},
+                "obfuscator_hits": self.hits,
+                "obfuscator_misses": self.misses,
+                "offline_encryptions": self.offline_encryptions,
+            }
 
     def pool_hit_total(self) -> int:
         """Total pooled factors consumed."""
-        return self.obfuscators.stats()["hits"]
+        with self._lock:
+            return self.hits
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (f"PrecomputeEngine(remaining={self.obfuscators.remaining}, "
-                f"offline={self.offline.encryptions})")
+        return (f"PrecomputeEngine(remaining={len(self._factors)}, "
+                f"offline={self.offline_encryptions})")

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import used for annotations only
     from repro.crypto.precompute import PrecomputeEngine
-    from repro.crypto.randomness_pool import RandomnessPool
 
 from repro.crypto.paillier import (
     Ciphertext,
@@ -48,16 +47,12 @@ class Party:
         self.channel = channel
         self.rng = rng if rng is not None else Random()
         #: optional precomputation engine owned by *this* party (set through
-        #: :meth:`TwoPartySetting.attach_engine`).  Pools are filled with the
-        #: owning party's randomness, so engines are never shared across the
-        #: trust boundary: protocols source P1 material from the evaluator's
-        #: engine and P2 material from the decryptor's.
+        #: :meth:`TwoPartySetting.attach_engine`), where :meth:`encrypt_batch`
+        #: draws precomputed factors before the key's own kernel.  Engines
+        #: are filled with the owning party's randomness, so they are never
+        #: shared across the trust boundary: protocols source P1 material
+        #: from the evaluator's engine and P2 material from the decryptor's.
         self.engine: "PrecomputeEngine | None" = None
-        #: where :meth:`encrypt_batch` draws precomputed ``r^N`` factors
-        #: before falling back to the key's comb: the engine's obfuscator
-        #: pool (pointed there by ``attach_engine``) or, in a chunk worker,
-        #: the pool slice shipped with the task.
-        self.obfuscator_pool: "RandomnessPool | None" = None
         if name not in (channel.endpoint_a, channel.endpoint_b):
             raise ConfigurationError(
                 f"party {name!r} is not an endpoint of the supplied channel"
@@ -98,13 +93,13 @@ class Party:
         """Vectorized encryption with this party's randomness source.
 
         The one place that decides where a cloud party's obfuscators come
-        from: this party's :attr:`obfuscator_pool` while it has factors,
-        then the key's fixed-base window table (see
-        :meth:`~repro.crypto.paillier.PaillierPublicKey.encrypt_batch`) —
-        never a textbook ``r**N``, for one value or for many.
+        from: this party's :attr:`engine` while it has factors, then the
+        key's fixed-base ``h**s`` (see :meth:`~repro.crypto.paillier.
+        PaillierPublicKey.obfuscators`) — the kernel the engine's refills
+        run too, for one value or for many.
         """
         return self.public_key.encrypt_batch(values, rng=self.rng,
-                                             pool=self.obfuscator_pool)
+                                             pool=self.engine)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.name!r})"
@@ -130,14 +125,14 @@ class DecryptorParty(Party):
     def encrypt_batch(self, values: "list[int]") -> "list[Ciphertext]":
         """Vectorized encryption by the party that holds ``p`` and ``q``.
 
-        Pool first, like every party; what the pool does not cover is the
-        CRT form of the same ``h**s`` (:meth:`~repro.crypto.paillier.
-        PaillierPrivateKey.encrypt_batch`) — the ciphertexts
+        Engine first, like every party; what it does not cover is the CRT
+        form of the same ``h**s`` (:meth:`~repro.crypto.paillier.
+        PaillierPrivateKey.obfuscators`) — the ciphertexts
         :meth:`Party.encrypt_batch` would return, for two half-size powers
         each.
         """
         return self.private_key.encrypt_batch(values, rng=self.rng,
-                                              pool=self.obfuscator_pool)
+                                              pool=self.engine)
 
     # -- result-share delivery (steps 4-6 of Algorithm 5) ---------------------
     def deliver_share(self, delivery_id: int,
@@ -242,11 +237,8 @@ class TwoPartySetting:
         a missing decryptor engine simply means P2 encrypts inline.  Pass
         ``None`` (twice) to detach.
         """
-        for party, new_engine in ((self.evaluator, engine),
-                                  (self.decryptor, decryptor_engine)):
-            party.engine = new_engine
-            party.obfuscator_pool = (new_engine.obfuscators
-                                     if new_engine is not None else None)
+        self.evaluator.engine = engine
+        self.decryptor.engine = decryptor_engine
 
     def reset_counters(self) -> None:
         """Reset crypto-operation counters and channel accounting."""

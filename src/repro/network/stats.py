@@ -135,8 +135,8 @@ class ProtocolRunStats:
         """One run's stats, projected from its cost-ledger rows.
 
         ``rows`` are the ledger's ``{"phase", "party", "seconds", "ops"}``
-        rollup: the ops of party ``"C2"`` fill the ``c2_*`` fields
-        (:meth:`add_c2_counters`), those of every other party — ``"C1"``, a
+        rollup (:meth:`add_cost_rows`): the ops of party ``"C2"`` fill the
+        ``c2_*`` fields, those of every other party — ``"C1"``, a
         shard's ``"C1-shard{i}"`` — the ``c1_*`` fields; only the holder of
         ``sk`` decrypts, so a decryption is C2's whatever scope saw it.
         Traffic is the difference of two :meth:`TrafficStats.snapshot`
@@ -151,33 +151,31 @@ class ProtocolRunStats:
             bytes_transferred=(traffic_after["bytes_transferred"]
                                - traffic_before["bytes_transferred"]),
         )
-        for row in rows:
-            ops = row["ops"]
-            if row["party"] == "C2":
-                stats.add_c2_counters(ops)
-            else:
-                stats.c1_encryptions += int(ops.get("encryptions", 0))
-                stats.c1_exponentiations += int(
-                    ops.get("exponentiations", 0))
-                stats.c1_homomorphic_additions += int(
-                    ops.get("homomorphic_additions", 0))
-                stats.c2_decryptions += int(ops.get("decryptions", 0))
+        stats.add_cost_rows(rows)
         return stats
 
-    def add_c2_counters(self, counters: Mapping[str, int]) -> None:
-        """Add the Paillier operations C2 performed for this run.
-
-        Fed with C2's ledger rows, or — a C1 process sees only its own
-        counters — with the window a remote C2 measured over the same run;
-        C2's homomorphic additions have no column and ride in ``extra``.
-        """
-        self.c2_encryptions += int(counters.get("encryptions", 0))
-        self.c2_exponentiations += int(counters.get("exponentiations", 0))
-        self.c2_decryptions += int(counters.get("decryptions", 0))
-        additions = int(counters.get("homomorphic_additions", 0))
-        if additions:
-            self.extra["c2_homomorphic_additions"] = (
-                self.extra.get("c2_homomorphic_additions", 0) + additions)
+    def add_cost_rows(self, rows: Iterable[Mapping[str, Any]]) -> None:
+        """Add the ops of cost-ledger rows by the rule of
+        :meth:`from_cost_rows` — a run's own rows, or the ones a remote C2
+        measured over the same run.  C2's homomorphic additions have no
+        column and ride in ``extra``."""
+        for row in rows:
+            ops = row["ops"]
+            self.c2_decryptions += int(ops.get("decryptions", 0))
+            if row["party"] == "C2":
+                self.c2_encryptions += int(ops.get("encryptions", 0))
+                self.c2_exponentiations += int(ops.get("exponentiations", 0))
+                additions = int(ops.get("homomorphic_additions", 0))
+                if additions:
+                    self.extra["c2_homomorphic_additions"] = (
+                        self.extra.get("c2_homomorphic_additions", 0)
+                        + additions)
+            else:
+                self.c1_encryptions += int(ops.get("encryptions", 0))
+                self.c1_exponentiations += int(
+                    ops.get("exponentiations", 0))
+                self.c1_homomorphic_additions += int(
+                    ops.get("homomorphic_additions", 0))
 
     def absorb(self, other: "ProtocolRunStats") -> None:
         """Add another run's counters, traffic and extras to this run's —

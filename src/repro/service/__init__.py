@@ -13,8 +13,8 @@ Ciphertext precomputation is per party: the server side draws delivery
 masks and worker pool slices from a
 :class:`repro.crypto.precompute.PrecomputeEngine` (``serve(precompute=)``),
 and every session can draw the obfuscation factors of its query encryptions
-from its own :class:`repro.crypto.RandomnessPool`
-(``serve(session_pool_size=)``), both filled off the hot path.
+from an engine of its own (``serve(session_pool_size=)``), each filled off
+the hot path by its owner's key.
 
 Quickstart::
 

@@ -37,7 +37,7 @@ from typing import Sequence
 from repro.core.roles import QueryClient
 from repro.core.system import QueryAnswer
 from repro.crypto.paillier import Ciphertext
-from repro.crypto.randomness_pool import RandomnessPool
+from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.exceptions import (
     ConfigurationError,
     DeadlineExceeded,
@@ -106,12 +106,12 @@ class ServiceSession:
 
     def __init__(self, server: "QueryServer", session_id: str,
                  rng: Random | None = None,
-                 randomness_pool: RandomnessPool | None = None) -> None:
+                 engine: PrecomputeEngine | None = None) -> None:
         self.server = server
         self.session_id = session_id
         self.client = QueryClient(server.store.public_key,
                                   server.store.dimensions, rng=rng,
-                                  randomness_pool=randomness_pool)
+                                  engine=engine)
 
     def submit(self, query_record: Sequence[int], k: int) -> PendingQuery:
         """Encrypt the query locally and enqueue it with the server."""
@@ -227,8 +227,9 @@ class QueryServer:
         rng: optional deterministic randomness source; per-session client
             RNGs are derived from it so test runs are reproducible.
         session_pool_size: when positive, every session gets its own
-            :class:`~repro.crypto.RandomnessPool` of this size so Bob-side
-            query encryption is a cheap multiply too.
+            :class:`~repro.crypto.precompute.PrecomputeEngine` of this size,
+            on the session's rng, so Bob-side query encryption is a cheap
+            multiply too.
         precompute_idle_budget: cap on the number of pool items the serving
             thread precomputes per idle scheduler slot (only relevant when
             the sharded store carries a
@@ -294,12 +295,14 @@ class QueryServer:
             raise ConfigurationError(f"session {session_id!r} already exists")
         session_rng = (Random(self.rng.getrandbits(63))
                        if self.rng is not None else None)
-        pool = None
+        engine = None
         if self.session_pool_size > 0:
-            pool = RandomnessPool(self.store.public_key,
-                                  size=self.session_pool_size, rng=session_rng)
+            engine = PrecomputeEngine(
+                self.store.public_key, rng=session_rng,
+                config=PrecomputeConfig(obfuscators=self.session_pool_size))
+            engine.warm()
         session = ServiceSession(self, session_id, rng=session_rng,
-                                 randomness_pool=pool)
+                                 engine=engine)
         self.sessions[session_id] = session
         return session
 

@@ -358,16 +358,6 @@ class CostLedger:
         rows.sort(key=lambda row: -row["seconds"])
         return rows
 
-    def total_ops(self) -> dict[str, float]:
-        """Summed operation deltas across every bucket (parity checks)."""
-        totals: dict[str, float] = {}
-        with self._lock:
-            buckets = [dict(bucket[1]) for bucket in self._buckets.values()]
-        for ops in buckets:
-            for op, count in ops.items():
-                totals[op] = totals.get(op, 0) + count
-        return totals
-
 
 def cost_scope(phase: str, party: str | None = None):
     """A phase scope on the ambient ledger, or a shared no-op without one."""

@@ -13,9 +13,8 @@ Design constraints, in order:
    hot loops can therefore be instrumented unconditionally.
 2. **Distributed stitching.**  ``current_wire_context()`` returns the
    ``[trace_id, span_id]`` pair the transport layer rides inside the wire
-   envelope; the receiving daemon calls ``remote_span()`` /
-   ``activate_remote()`` so its spans carry the same trace id and parent
-   them under the originating span.  Finished spans accumulate in a
+   envelope; the receiving daemon calls ``remote_span()`` so its spans
+   carry the same trace id and parent them under the originating span.  Finished spans accumulate in a
    bounded per-trace collector; ``take()`` drains a trace's spans so C1
    can merge C2's into one report.
 3. **JSON-able.**  A finished span serialises to a flat dict of
@@ -225,17 +224,6 @@ class Tracer:
                            party or self.party)
         return _ActiveSpan(self, name, context, party, attributes)
 
-    def activate_remote(self, trace_id: str, parent_span_id: str,
-                        party: str | None = None) -> contextvars.Token:
-        """Adopt a remote trace as the ambient context for this thread
-        (daemon-side; pair with ``deactivate``)."""
-        return _CURRENT.set(_Context(trace_id, parent_span_id,
-                                     party or self.party))
-
-    @staticmethod
-    def deactivate(token: contextvars.Token) -> None:
-        _CURRENT.reset(token)
-
     # -- collection ------------------------------------------------------------
     def _record(self, span: Span) -> None:
         with self._lock:
@@ -287,10 +275,6 @@ def current_wire_context() -> list[str] | None:
     if context is None:
         return None
     return [context.trace_id, context.span_id]
-
-
-def spans_to_payload(spans: Sequence[Span]) -> list[dict[str, Any]]:
-    return [item.as_payload() for item in spans]
 
 
 def trace_payload(trace_id: str,

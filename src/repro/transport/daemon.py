@@ -339,8 +339,8 @@ class RemotePrivateKey:
     def __init__(self, public_key) -> None:
         self.public_key = public_key
         #: always-zero counter: remote decryptions are counted by the remote
-        #: process.  The C1 daemon fetches C2's per-query counter deltas
-        #: over the ``telemetry.collect`` exchange and merges them into the
+        #: process.  The C1 daemon fetches C2's per-query cost rows over
+        #: the ``telemetry.collect`` exchange and projects them into the
         #: run report, so distributed reports show real C2 columns.
         self.counter = OperationCounter()
 
@@ -780,13 +780,13 @@ class PartyDaemon:
         with self._rng_lock:
             return Random(self.rng.getrandbits(63))
 
-    def _build_engine(self, config: PrecomputeConfig | None) -> int:
-        """Build/warm this party's engine; reload the pool cache first."""
+    def _build_engine(self, key: Any, config: PrecomputeConfig | None) -> int:
+        """Build/warm this party's engine on its own ``key`` (C2's private
+        key, so its refills take CRT); reload the pool cache first."""
         if config is None:
             return 0
-        assert self.codec.public_key is not None
-        self.engine = PrecomputeEngine(self.codec.public_key,
-                                       rng=self._derive_rng(), config=config)
+        self.engine = PrecomputeEngine(key, rng=self._derive_rng(),
+                                       config=config)
         loaded = 0
         if self.pool_cache is not None and self.pool_cache.exists():
             try:
@@ -992,6 +992,7 @@ class C2Daemon(PartyDaemon):
             self.mailbox.clear()  # new provisioning epoch: drop stale shares
         precompute = payload.get("precompute")
         loaded = self._build_engine(
+            self._private_key,
             PrecomputeConfig.for_decryptor_load(**precompute)
             if precompute else None)
         logger.info("C2 provisioned (key %d bits, l=%s)",
@@ -1194,24 +1195,17 @@ class C2Daemon(PartyDaemon):
                         ) -> None:
         """Close a run's telemetry window and ship it to the C1 side.
 
-        The reply carries the counter deltas, every finished span of the
-        trace and the ledger's per-phase cost rows, which the C1 side
-        merges into its ``SkNNRunReport``.  The counters are derived *from*
-        the ledger, so the shipped totals always equal the sum of the rows.
+        The reply carries every finished span of the trace and the ledger's
+        per-phase cost rows — C2's one record of its operations, from which
+        the C1 side derives the report's ``c2_*`` columns.
         """
-        counters: dict[str, int] = {}
         cost_rows: list[dict[str, Any]] = []
         if ledger is not None:
             cost_rows = ledger.finish()
             telemetry_profiling.record_phase_metrics(cost_rows)
-            totals = ledger.total_ops()
-            counters = {op: int(totals.get(op, 0))
-                        for op in ("encryptions", "exponentiations",
-                                   "homomorphic_additions", "decryptions")}
         spans = [span.as_payload()
                  for span in telemetry_tracing.get_tracer().take(trace_id)]
-        channel.send("C2", {"counters": counters, "spans": spans,
-                            "cost": cost_rows},
+        channel.send("C2", {"spans": spans, "cost": cost_rows},
                      tag="telemetry.collect")
 
     def _build_p2_registry(
@@ -1346,6 +1340,7 @@ class C1Daemon(PartyDaemon):
             pool.close()  # new provisioning epoch: drop the old peer links
         precompute = payload.get("precompute")
         loaded = self._build_engine(
+            self.codec.public_key,
             PrecomputeConfig.for_query_load(**precompute)
             if precompute else None)
         if not from_recovery:

@@ -398,10 +398,6 @@ class LocalSupervisor:
             self._tempdir.cleanup()
             self._tempdir = None
 
-    def daemon_log(self, role: str) -> str:
-        """The captured stdout/stderr of one daemon (debugging aid)."""
-        return self._tail_log(role)
-
     @property
     def running(self) -> bool:
         """Whether both subprocesses are alive."""

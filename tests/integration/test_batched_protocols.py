@@ -103,9 +103,9 @@ class TestChunkedWorkers:
         """The chunk worker — SSED run by a worker-local setting — returns
         exactly the squared distances the plaintext linear scan computes,
         boundary values included, with and without a shipped pool slice;
-        a slice's factors are consumed before the key's comb."""
+        a slice's factors are consumed before the key's own kernel."""
         from repro.crypto.backend import get_backend
-        from repro.crypto.randomness_pool import RandomnessPool
+        from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 
         public = small_keypair.public_key
         private = small_keypair.private_key
@@ -129,30 +129,31 @@ class TestChunkedWorkers:
                 expected[position[neighbor.record_id]][query_index] = \
                     neighbor.squared_distance
 
-        shipped_pools = []
-        from_factors = RandomnessPool.from_factors
+        worker_engines = []
+        adopt = PrecomputeEngine.adopt
 
-        def recording_from_factors(public_key, factors):
-            shipped_pools.append(from_factors(public_key, factors))
-            return shipped_pools[-1]
+        def recording_adopt(engine, factors):
+            worker_engines.append(engine)
+            return adopt(engine, factors)
 
-        monkeypatch.setattr(RandomnessPool, "from_factors",
-                            recording_from_factors)
+        monkeypatch.setattr(PrecomputeEngine, "adopt", recording_adopt)
         # one mask per (record, attribute) and one square sum per record,
         # per query
         encryptions = len(table) * (3 + 1) * len(queries)
         for slice_size in (0, 7, encryptions + 5):
-            source = RandomnessPool(public, size=max(slice_size, 1),
-                                    rng=Random(79))
+            source = PrecomputeEngine(
+                public, rng=Random(79),
+                config=PrecomputeConfig(obfuscators=slice_size))
+            source.warm()
             pool_slice = source.take_available(slice_size) or None
+            worker_engines.clear()
             start, chunk = ssed_chunk_worker(
                 (4, enc_records, enc_queries, public.n, private.p, private.q,
                  77, get_backend().name, pool_slice))
             assert start == 4
             assert chunk == expected
-            if pool_slice:
-                assert shipped_pools.pop().hits == min(slice_size, encryptions)
-            assert not shipped_pools
+            [worker] = worker_engines
+            assert worker.hits == min(slice_size, encryptions)
 
     def test_chunk_records_partitioning(self):
         assert chunk_records(0, 4) == []

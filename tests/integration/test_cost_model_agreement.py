@@ -152,7 +152,7 @@ class TestQueryProtocolCounts:
             small_keypair.public_key, rng=Random(403),
             config=PrecomputeConfig.for_query_load(n, m, k, queries=1))
         c2_engine = PrecomputeEngine(
-            small_keypair.public_key, rng=Random(408),
+            small_keypair.private_key, rng=Random(408),
             config=PrecomputeConfig.for_decryptor_load(n, m, k, queries=1))
         c1_engine.warm()
         c2_engine.warm()
@@ -176,8 +176,8 @@ class TestQueryProtocolCounts:
         # two engines' offline ledgers cover all pooled takes of the query.
         pooled = c1_engine.pool_hit_total() + c2_engine.pool_hit_total()
         assert pooled == split.offline.encryptions
-        assert c1_engine.obfuscators.misses == 0
-        assert c2_engine.obfuscators.misses == 0
+        assert c1_engine.misses == 0
+        assert c2_engine.misses == 0
         # ...which is what the measured split reports from the same stats.
         measured = OfflineOnlineCounts.from_measurements(
             stats, c1_engine.stats(), c2_engine.stats())
@@ -256,7 +256,7 @@ class TestQueryProtocolCounts:
             PrecomputeEngine(small_keypair.public_key, rng=Random(410),
                              config=PrecomputeConfig.for_query_load(
                                  n, m, k, sbd_bit_length=bits)),
-            PrecomputeEngine(small_keypair.public_key, rng=Random(411),
+            PrecomputeEngine(small_keypair.private_key, rng=Random(411),
                              config=PrecomputeConfig.for_decryptor_load(
                                  n, m, k, sbd_bit_length=bits))]
         for engine in engines:
@@ -267,7 +267,7 @@ class TestQueryProtocolCounts:
                 client.encrypt_query([1, 2]), k)
         finally:
             cloud.attach_engine(None)
-        assert [engine.obfuscators.misses for engine in engines] == [0, 0]
+        assert [engine.misses for engine in engines] == [0, 0]
         assert all(engine.pool_hit_total() > 0 for engine in engines)
 
     def test_sknn_secure_counts_close_to_model(self, small_keypair):

@@ -101,6 +101,30 @@ def spying(public_key, private_key=None):
         set_backend(None)
 
 
+@contextmanager
+def counting_pows(*powers):
+    """Count the ``pow`` calls each fixed-base exponentiator answers."""
+    counts = [0] * len(powers)
+    for index, power in enumerate(powers):
+        def recording(exponent, original=power.pow, index=index):
+            counts[index] += 1
+            return original(exponent)
+        power.pow = recording
+    try:
+        yield counts
+    finally:
+        for power in powers:
+            del power.pow
+
+
+def fresh_keys(keypair) -> tuple[PaillierPublicKey, PaillierPrivateKey]:
+    """Key objects of their own: what they ask of the backend is not cached
+    yet (their exponentiators are built on the active backend)."""
+    public = PaillierPublicKey(keypair.public_key.n)
+    return public, PaillierPrivateKey(public, keypair.private_key.p,
+                                      keypair.private_key.q)
+
+
 def counted(setting) -> dict[str, int]:
     """Encryptions/exponentiations (both parties share the public key's
     counter in-process) and C2's decryptions."""
@@ -222,6 +246,44 @@ class TestNoTextbookPowersFromTheClouds:
         assert_valid_knn_answer(table, query, k, client.reconstruct(shares))
 
 
+    @on_every_backend
+    def test_engine_refills_run_the_inline_kernel(self, backend_name,
+                                                  small_keypair):
+        """A refill is the key's one obfuscator source: C1's engine makes
+        one fixed-base ``h**s`` per factor, C2's (built on the private key)
+        the CRT pair of half-size powers — never ``r**N`` — and the pooled
+        factors are the very ones the inline path returns for the same
+        ``s`` stream."""
+        set_backend(backend_name)
+        try:
+            public, private = fresh_keys(small_keypair)
+            public_power = public._windowed_obfuscators()
+            crt_power = private.crt_obfuscators()
+            config = PrecomputeConfig(obfuscators=6, refill_batch=4)
+            c1_engine = PrecomputeEngine(public, rng=Random(61),
+                                         config=config)
+            c2_engine = PrecomputeEngine(private, rng=Random(61),
+                                         config=config)
+            with spying(public) as spy, counting_pows(
+                    public_power, crt_power._power_p,
+                    crt_power._power_q) as counts:
+                assert c1_engine.warm() == 6
+                assert counts == [6, 0, 0]
+                assert spy.textbook(public) == []
+                assert c2_engine.warm() == 6
+                assert counts == [6, 6, 6]
+            assert {modulus for _, modulus in spy.powmods} \
+                <= {private.psquare, private.qsquare}
+            set_backend(backend_name)  # spying() left the default active
+            pooled = c1_engine.take_available(6)
+            assert c2_engine.take_available(6) == pooled
+            for key in (public, private):
+                inline = key.encrypt_batch([0] * 6, rng=Random(61))
+                assert [cipher.value for cipher in inline] == pooled
+        finally:
+            set_backend(None)
+
+
 class TestCloudPartyEncryption:
     """``Party.encrypt`` is ``Party.encrypt_batch`` of one."""
 
@@ -234,10 +296,7 @@ class TestCloudPartyEncryption:
         the CRT pair of half-size ones — never ``r**N`` on a fresh ``r``."""
         set_backend(backend_name)
         try:
-            # a key of its own: what it asks of the backend is not cached yet
-            public = PaillierPublicKey(small_keypair.public_key.n)
-            private = PaillierPrivateKey(public, small_keypair.private_key.p,
-                                         small_keypair.private_key.q)
+            public, private = fresh_keys(small_keypair)
             setting = TwoPartySetting.create(
                 PaillierKeyPair(public, private), rng=Random(4))
             public_power = public._windowed_obfuscators()
@@ -288,7 +347,7 @@ class TestCloudPartyEncryption:
         finally:
             setting.attach_engine(None)
         assert setting.decryptor.decrypt_signed(cipher) == 9
-        assert engine.obfuscators.remaining == 1
+        assert engine.remaining() == {"obfuscators": 1}
 
 
 # -- counts: an inverse is still one exponentiation ---------------------------

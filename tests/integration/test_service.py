@@ -36,6 +36,17 @@ def service_oracle(service_table):
     return LinearScanKNN(service_table)
 
 
+def assert_one_engine_covered(engine, *, queries: int, n: int, m: int,
+                              k: int) -> None:
+    """Every factor the in-process scan and its deliveries encrypted with
+    came from C1's one engine, and every one of them was its own refill."""
+    stats = engine.stats()
+    assert stats["obfuscator_misses"] == 0
+    assert stats["obfuscator_hits"] == queries * (n * (m + 1) + k * m)
+    assert stats["offline_encryptions"] == (
+        stats["obfuscator_hits"] + stats["remaining"]["obfuscators"])
+
+
 def _deploy(keypair, table, seed):
     cloud = FederatedCloud.deploy(keypair, rng=Random(seed))
     cloud.c1.host_database(
@@ -291,16 +302,16 @@ class TestQueryServer:
             assert answer.neighbors == expected
             # delivery masking drew its obfuscators from the engine's pool...
             assert engine.stats()["obfuscator_hits"] >= 3 * len(expected[0])
-            # ...and Bob's query encryption from his session pool
-            assert session.client.randomness_pool.hits > 0
+            # ...and Bob's query encryption from his session engine
+            assert session.client.engine.hits > 0
             server.close()
         finally:
             cloud.attach_engine(None)
 
     def test_precompute_engine_keeps_answers_exact_and_refills(
             self, small_keypair, service_table, service_oracle):
-        """Warm engine: delivery masks and worker slices come from pools,
-        answers stay oracle-exact, and idle refills restore the targets."""
+        """Warm engine: delivery masks and worker slices come from it,
+        answers stay oracle-exact, and idle refills restore the target."""
         from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 
         cloud = _deploy(small_keypair, service_table, 1150)
@@ -313,23 +324,62 @@ class TestQueryServer:
                                precompute=engine)
         try:
             sharded.refill_precompute()
-            assert all(pool.remaining > 0 for pool in sharded.shard_pools)
+            assert engine.deficit() == 0
             server = QueryServer(sharded, batch_size=4, rng=Random(19))
             session = server.open_session("bob")
             answer = session.query([3, 6, 1], 3, timeout=60)
             expected = [r.record.values
                         for r in service_oracle.query([3, 6, 1], 3)]
             assert answer.neighbors == expected
-            # The query drained pooled material...
-            assert engine.pool_hit_total() > 0
-            shard_hits = sum(pool.hits for pool in sharded.shard_pools)
-            assert shard_hits > 0
-            # ...and an off-path refill tops everything back up.
+            # The query drained the workers' slices and the delivery masks...
+            assert engine.pool_hit_total() == (
+                len(service_table) * (service_table.dimensions + 1)
+                + 3 * service_table.dimensions)
+            # ...and an off-path refill tops the engine back up.
             assert sharded.refill_precompute() > 0
             assert engine.deficit() == 0
             server.close()
         finally:
             cloud.attach_engine(None)
+
+    def test_served_batch_draws_every_factor_from_one_engine(
+            self, service_table, service_oracle):
+        """``serve(precompute=Q)``: C1's one engine is sized for what the
+        chunk workers draw (``n*(m+1)`` per query) plus the delivery masks,
+        so a batch of two finds every factor pooled, and every factor the
+        workers took was a refill of that engine."""
+        n, m, k = len(service_table), service_table.dimensions, 3
+        system = SkNNSystem.setup(service_table, key_size=128, mode="basic",
+                                  k_default=k, rng=Random(1310))
+        server = system.serve(shards=2, workers=1, backend="serial",
+                              batch_size=2, precompute=2)
+        try:
+            session = server.open_session("bob")
+            queries = [[3, 6, 1], [7, 0, 2]]
+            pending = [session.submit(query, k) for query in queries]
+            server.flush()
+            for query, waiting in zip(queries, pending):
+                expected = [r.record.values
+                            for r in service_oracle.query(query, k)]
+                assert waiting.result(60).neighbors == expected
+            assert_one_engine_covered(system.precompute_engine,
+                                      queries=2, n=n, m=m, k=k)
+        finally:
+            server.close()
+
+    def test_sharded_mode_draws_every_factor_from_one_engine(
+            self, service_table, service_oracle):
+        n, m, k = len(service_table), service_table.dimensions, 3
+        with SkNNSystem.setup(service_table, key_size=128, mode="sharded",
+                              shards=2, workers=1, parallel_backend="serial",
+                              k_default=k, rng=Random(1320),
+                              precompute=2) as system:
+            for query in ([3, 6, 1], [7, 0, 2]):
+                expected = [r.record.values
+                            for r in service_oracle.query(query, k)]
+                assert system.query(query) == expected
+            assert_one_engine_covered(system.precompute_engine,
+                                      queries=2, n=n, m=m, k=k)
 
     def test_duplicate_session_names_rejected(self, small_keypair,
                                               service_table):

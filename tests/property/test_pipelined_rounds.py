@@ -102,9 +102,9 @@ def observe(case, values, seed):
     keypair = cached_keypair()
     public = keypair.public_key
     setting = TwoPartySetting.create(keypair, rng=Random(seed))
-    engines = [PrecomputeEngine(public, rng=Random(seed + offset),
+    engines = [PrecomputeEngine(key, rng=Random(seed + offset),
                                 config=PrecomputeConfig(obfuscators=768))
-               for offset in (1, 2)]
+               for offset, key in ((1, public), (2, keypair.private_key))]
     for engine in engines:
         engine.warm()
     setting.attach_engine(*engines)
@@ -121,7 +121,7 @@ def observe(case, values, seed):
     outputs, expected, messages = case(setting, values)
     counts = (public.counter.snapshot(),
               keypair.private_key.counter.snapshot())
-    assert all(engine.obfuscators.misses == 0 for engine in engines)
+    assert all(engine.misses == 0 for engine in engines)
     plain = [keypair.private_key.decrypt(cipher) for cipher in outputs]
     assert plain == expected
     return {"outputs": plain, "counts": counts, "c2_view": decrypted_by_c2,

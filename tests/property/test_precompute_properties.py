@@ -150,8 +150,9 @@ def test_every_factor_leaves_the_pool_exactly_once(target, takers, per_take,
     assert not any(t.is_alive() for t in threads + [refill_thread])
 
     assert not cache.exists()  # adopted by the heir, never replayable
-    remaining = engine.obfuscators.drain_factors()
-    saved = heir.obfuscators.drain_factors()
+    stats = engine.stats()
+    remaining = engine.take_available(stats["remaining"]["obfuscators"])
+    saved = heir.take_available(heir.remaining()["obfuscators"])
     # Every E(0) is a distinct factor (pooled or comb), no ciphertext
     # repeats, and nothing handed out is still pooled anywhere.
     assert len(set(consumed)) == len(consumed)
@@ -161,9 +162,7 @@ def test_every_factor_leaves_the_pool_exactly_once(target, takers, per_take,
     assert set(consumed).isdisjoint(leftover)
     # Conservation: what the pool produced is what was drawn from it plus
     # what is left in memory plus what went through the cache file.
-    produced = engine.obfuscators.precomputed_total
-    assert produced == engine.offline.encryptions
-    assert engine.obfuscators.stats()["hits"] + len(leftover) == produced
+    produced = stats["offline_encryptions"]
+    assert stats["obfuscator_hits"] + len(leftover) == produced
     draws = 2 * 3 * takers * per_take
-    stats = engine.stats()
     assert stats["obfuscator_hits"] + stats["obfuscator_misses"] == draws

@@ -187,11 +187,12 @@ class TestReportMerge:
                         extra={"c2_homomorphic_additions": 1}),
         ]
         window = {
-            "counters": {"encryptions": 3, "exponentiations": 4,
-                         "decryptions": 5, "homomorphic_additions": 2},
             "spans": [{"name": "p2.SkNN", "start": 4.0}],
             "cost": [{"phase": "SkNN", "party": "C2", "seconds": 0.2,
-                      "ops": {"decryptions": 5}}],
+                      "ops": {"decryptions": 5, "homomorphic_additions": 2}},
+                     {"phase": "other", "party": "C2", "seconds": 0.0,
+                      "ops": {"encryptions": 3, "exponentiations": 4,
+                              "pool_hits": 3}}],
         }
         own.merge_remote("trace-1", [{"name": "query.SkNNb", "start": 1.0}],
                          c2_window=window, shard_reports=shards)
@@ -210,7 +211,7 @@ class TestReportMerge:
         assert own.stats.protocol == "C1"
         assert own.cost_breakdown[:1] == own_rows
         assert [row["party"] for row in own.cost_breakdown] == [
-            "C1", "C2", "C1-shard0", "C1-shard1"]
+            "C1", "C2", "C2", "C1-shard0", "C1-shard1"]
         assert own.trace["trace_id"] == "trace-1"
         assert [span["start"] for span in own.trace["spans"]] == [
             1.0, 2.0, 3.0, 4.0, 5.0]

@@ -71,7 +71,7 @@ class TestSaveLoadRoundTrip:
         # Everything was reloaded, so warming finds no deficit: the restarted
         # party starts hot without redoing the offline exponentiations.
         assert fresh.warm() == 0
-        assert fresh.offline.encryptions == 0
+        assert fresh.offline_encryptions == 0
 
 
 class TestCacheValidation:

@@ -1,4 +1,4 @@
-"""Unit tests for the precomputation engine and its single obfuscator pool."""
+"""Unit tests for the precomputation engine: its one store of obfuscators."""
 
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ class TestRefill:
         engine = make_engine(public_key)
         produced = engine.refill(budget=5)
         assert produced == 5
-        assert engine.offline.encryptions == 5
+        assert engine.offline_encryptions == 5
         # A second unbounded refill completes the target.
         engine.warm()
         assert engine.deficit() == 0
@@ -50,7 +50,7 @@ class TestRefill:
         engine = make_engine(public_key)
         total = engine.warm()
         assert total == 32
-        assert engine.offline.encryptions == total
+        assert engine.offline_encryptions == total
         assert engine.stats()["offline_encryptions"] == total
 
     def test_refill_works_in_batches_up_to_the_target(self, public_key):
@@ -204,10 +204,12 @@ class TestSizing:
         # spare and the flat 32 (16 obfuscators + 8 zeros + 8 ones before).
         assert config.obfuscators == (10 * 3 + 2 * 3) + 2 * 3 + 32
 
-    def test_worker_scan_leaves_the_scan_masks_out(self):
+    def test_worker_scan_sizes_for_what_the_workers_draw(self):
         config = PrecomputeConfig.for_query_load(
             n_records=10, dimensions=3, k=2, queries=4, worker_scan=True)
-        assert config.obfuscators == (2 * 3 + 2 * 3) * 4 + 32
+        # the workers' mask per (record, attribute) and square sum per
+        # record, then delivery masks and spare as without workers
+        assert config.obfuscators == (10 * (3 + 1) + 2 * 3 + 2 * 3) * 4 + 32
 
     def test_secure_query_load_adds_sbd_smin_and_extraction_material(self):
         n, m, k, bits, queries = 6, 2, 2, 7, 3
@@ -249,7 +251,7 @@ class TestPerPartySeparation:
 
         setting = TwoPartySetting.create(small_keypair, rng=Random(40))
         c1_engine = make_engine(small_keypair.public_key, seed=41)
-        c2_engine = make_engine(small_keypair.public_key, seed=42)
+        c2_engine = make_engine(small_keypair.private_key, seed=42)
         c1_engine.warm()
         c2_engine.warm()
         setting.attach_engine(c1_engine, c2_engine)
@@ -275,15 +277,133 @@ class TestPerPartySeparation:
 
         setting = TwoPartySetting.create(small_keypair, rng=Random(43))
         c1_engine = make_engine(small_keypair.public_key, seed=44)
-        c2_engine = make_engine(small_keypair.public_key, seed=45)
+        c2_engine = make_engine(small_keypair.private_key, seed=45)
         setting.attach_engine(c1_engine, c2_engine)
         assert setting.evaluator.engine is c1_engine
         assert setting.decryptor.engine is c2_engine
         assert setting.engine is c1_engine
-        assert setting.evaluator.obfuscator_pool is c1_engine.obfuscators
-        assert setting.decryptor.obfuscator_pool is c2_engine.obfuscators
         setting.attach_engine(None)
         assert setting.evaluator.engine is None
         assert setting.decryptor.engine is None
-        assert setting.evaluator.obfuscator_pool is None
-        assert setting.decryptor.obfuscator_pool is None
+
+
+class TestStore:
+    """Single use, hit/miss accounting and the batch kernel's first tier."""
+
+    def test_construction_computes_nothing(self, public_key):
+        engine = make_engine(public_key, seed=2, obfuscators=10)
+        assert engine.remaining() == {"obfuscators": 0}
+        assert engine.refill(4) == 4
+        assert engine.remaining() == {"obfuscators": 4}
+
+    def test_pooled_encryptions_decrypt_correctly(self, public_key,
+                                                  private_key):
+        engine = make_engine(public_key, seed=3, obfuscators=16)
+        engine.warm()
+        values = [0, 1, 42, -7, public_key.n // 3]
+        assert private_key.decrypt_batch(engine.encrypt_batch(values)) == values
+        assert engine.hits == len(values)
+
+    def test_encryptions_are_probabilistic(self, public_key):
+        engine = make_engine(public_key, seed=9, obfuscators=8)
+        engine.warm()
+        [first] = engine.encrypt_batch([5])
+        [second] = engine.encrypt_batch([5])
+        assert first.value != second.value
+
+    def test_factors_are_never_reused(self, public_key):
+        engine = make_engine(public_key, seed=11, obfuscators=20)
+        engine.warm()
+        factors = [factor for _ in range(20)
+                   for factor in engine.take_available(1)]
+        assert len(set(factors)) == 20
+        assert engine.remaining() == {"obfuscators": 0}
+
+    def test_take_available_never_computes(self, public_key):
+        engine = make_engine(public_key, seed=20, obfuscators=3)
+        engine.warm()
+        assert len(engine.take_available(5)) == 3
+        stats = engine.stats()
+        assert (stats["obfuscator_hits"], stats["obfuscator_misses"],
+                stats["offline_encryptions"]) == (3, 2, 3)
+        assert engine.take_available(2) == []
+
+    def test_stats_snapshot(self, public_key):
+        engine = make_engine(public_key, seed=13, obfuscators=3)
+        engine.warm()
+        engine.take_available(1)
+        assert engine.stats() == {
+            "remaining": {"obfuscators": 2},
+            "hits": {},
+            "misses": {},
+            "obfuscator_hits": 1,
+            "obfuscator_misses": 0,
+            "offline_encryptions": 3,
+        }
+
+    def test_concurrent_takers_get_distinct_factors(self, public_key):
+        engine = make_engine(public_key, seed=14, obfuscators=40)
+        engine.warm()
+        taken: list[int] = []
+        lock = threading.Lock()
+
+        def take_some():
+            local = [factor for _ in range(10)
+                     for factor in engine.take_available(1)]
+            with lock:
+                taken.extend(local)
+
+        threads = [threading.Thread(target=take_some) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(set(taken)) == 40
+
+    def test_batch_consumes_the_store_with_counter_parity(self, public_key,
+                                                          private_key):
+        engine = make_engine(public_key, seed=30, obfuscators=4)
+        engine.warm()
+        before = public_key.counter.encryptions
+        ciphertexts = engine.encrypt_batch([1, 2, 3, 4, 5, 6])
+        # Six logical encryptions, whatever the factor source: 4 pooled,
+        # 2 from the key's kernel inline.
+        assert public_key.counter.encryptions == before + 6
+        assert (engine.hits, engine.misses) == (4, 2)
+        assert private_key.decrypt_batch(ciphertexts) == [1, 2, 3, 4, 5, 6]
+
+    def test_drained_store_batch_never_reuses_factors(self, public_key):
+        engine = make_engine(public_key, seed=32, obfuscators=2)
+        engine.warm()
+        values = engine.encrypt_batch([9] * 6)
+        assert len({c.value for c in values}) == 6
+        assert (engine.hits, engine.misses) == (2, 4)
+
+    def test_adopted_slice_serves_the_key_kernel(self, public_key,
+                                                 private_key):
+        source = make_engine(public_key, seed=33, obfuscators=3)
+        source.warm()
+        worker = PrecomputeEngine(public_key, rng=Random(34))
+        assert worker.adopt(source.take_available(3)) == 3
+        assert worker.offline_encryptions == 0
+        ciphertexts = public_key.encrypt_batch([11], pool=worker)
+        assert private_key.decrypt_batch(ciphertexts) == [11]
+        assert worker.remaining() == {"obfuscators": 2}
+
+    def test_private_key_engine_serves_the_public_key(self, small_keypair):
+        engine = PrecomputeEngine(small_keypair.private_key, rng=Random(35),
+                                  config=PrecomputeConfig(obfuscators=4))
+        assert engine.public_key is small_keypair.public_key
+        engine.warm()
+        assert small_keypair.private_key.decrypt_batch(
+            engine.encrypt_batch([3, -4])) == [3, -4]
+        assert engine.hits == 2
+
+    def test_encrypt_vector_routes_through_batch_kernel(self, public_key,
+                                                        private_key):
+        before = public_key.counter.snapshot()
+        ciphertexts = public_key.encrypt_vector([1, -2, 300], rng=Random(34))
+        after = public_key.counter.snapshot()
+        assert after["encryptions"] == before["encryptions"] + 3
+        assert after["exponentiations"] == before["exponentiations"]
+        assert [private_key.decrypt(c) for c in ciphertexts] == [1, -2, 300]

@@ -247,9 +247,9 @@ class TestFusedScanRound:
         if with_engine:
             # Pools smaller than the scan, so takes cross the warm/dry edge.
             engines = [PrecomputeEngine(
-                pk, rng=Random(seed),
+                key, rng=Random(seed),
                 config=PrecomputeConfig(obfuscators=7))
-                for seed in (6, 7)]
+                for seed, key in ((6, pk), (7, sk))]
             for engine in engines:
                 engine.warm()
             setting.attach_engine(*engines)

@@ -1,7 +1,7 @@
 """Concurrent readers must always see consistent statistics snapshots.
 
-Regression tests for the telemetry PR: ``ServerStats``,
-``RandomnessPool.stats()`` and ``PrecomputeEngine.stats()`` are polled by
+Regression tests for the telemetry PR: ``ServerStats`` and
+``PrecomputeEngine.stats()`` are polled by
 live introspection (``transport.stats``, the metrics collectors, benchmark
 emitters) while worker/producer threads mutate them.  Each snapshot must be
 taken under the owning lock so no reader ever observes a torn view — a
@@ -14,7 +14,6 @@ import threading
 from random import Random
 
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
-from repro.crypto.randomness_pool import RandomnessPool
 from repro.service.scheduler import ServerStats
 
 QUERIES_PER_BATCH = 3
@@ -79,39 +78,43 @@ class TestServerStats:
         assert abs(snap["busy_seconds"] - 200.0) < 1e-6
 
 
-class TestRandomnessPool:
+class TestPrecomputeEngine:
     def test_snapshot_under_concurrent_takers(self, public_key):
-        pool = RandomnessPool(public_key, size=64, rng=Random(3))
+        engine = PrecomputeEngine(public_key, rng=Random(3),
+                                  config=PrecomputeConfig(obfuscators=64))
+        engine.warm()
 
         def worker():
-            pool.take_available(1)
+            engine.take_available(1)
 
-        for snap in hammer(worker, pool.stats):
-            # hits never exceed what was precomputed, and the four fields
-            # come from one lock hold so they cannot contradict each other.
-            assert snap["hits"] <= snap["precomputed_total"]
-            assert snap["remaining"] \
-                <= snap["precomputed_total"] - snap["hits"] + 64
+        for snap in hammer(worker, engine.stats):
+            # hits never exceed what was precomputed, and the fields come
+            # from one lock hold so they cannot contradict each other.
+            assert snap["obfuscator_hits"] \
+                + snap["remaining"]["obfuscators"] \
+                == snap["offline_encryptions"] == 64
 
     def test_totals_after_join(self, public_key):
-        pool = RandomnessPool(public_key, size=32, rng=Random(4))
+        engine = PrecomputeEngine(public_key, rng=Random(4),
+                                  config=PrecomputeConfig(obfuscators=32))
+        engine.warm()
         takes_per_thread = 40
 
         def worker():
             for _ in range(takes_per_thread):
-                pool.take_available(1)
+                engine.take_available(1)
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        snap = pool.stats()
-        assert snap["hits"] + snap["misses"] == 4 * takes_per_thread
-        assert snap["hits"] == 32  # everything precomputed was handed out
+        snap = engine.stats()
+        assert (snap["obfuscator_hits"] + snap["obfuscator_misses"]
+                == 4 * takes_per_thread)
+        # everything precomputed was handed out
+        assert snap["obfuscator_hits"] == 32
 
-
-class TestPrecomputeEngine:
     def test_snapshot_under_concurrent_takers_and_refills(self, public_key):
         """The pool counters of a snapshot come from one lock hold, so they
         never contradict each other while takers and a producer run."""
