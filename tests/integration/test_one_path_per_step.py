@@ -87,7 +87,7 @@ class TestOneScalarCallIsOneRound:
         assert [m.tag for m in setting.channel.transcript] == [
             "SMIN.batch_gamma_and_l", "SMIN.batch_masked_minimums"]
         [[gamma, entries]] = setting.channel.transcript[0].payload
-        assert (len(gamma), len(entries)) == (BITS, 2 * BITS)
+        assert (len(gamma), len(entries)) == (BITS, BITS)
         assert op_deltas(setting) == smin_counts(BITS).as_dict()
         decrypt = setting.decryptor.decrypt_signed
         assert bits_to_int([decrypt(bit) for bit in minimum]) == 22

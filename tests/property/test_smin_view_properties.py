@@ -1,13 +1,17 @@
 """What each cloud sees in SMIN: Algorithm 3's views, Section 4.3.
 
-Per pair, C2 decrypts the ``2 l`` entries of the L vector: ``1 + r'_i
-(P_{i+1} + 1)`` for each bit, then ``r''_i (P_{i+1} - 1)``.  Section 4.3's
-simulation argument needs exactly one pattern there: one entry decrypts to
-``[F true]`` — the plus entry of the first bit ``t`` where ``u`` and ``v``
-differ when F's maximum has the 1 there (value 1), its minus entry otherwise
-(value 0) — and every other entry is a uniform value outside {0, 1}; for
-``u = v`` no entry is marked.  C2's bit ``alpha`` is then the outcome of
-P1's secret choice F.
+Per pair, C2 decrypts the ``l`` entries of the L vector, ``1 + r'_i
+(P_{i+1} + 1)`` for each bit.  Section 4.3's simulation argument needs
+exactly one pattern there: with F true, one entry decrypts to 1 — the entry
+of the first bit ``t`` where ``u`` and ``v`` differ, where F's maximum has
+the 1 — and every other entry is a uniform value outside {0, 1}; with F
+false, and for ``u = v``, no entry is in {0, 1}, so a tie looks like F
+false.  C2's bit ``alpha`` is then the outcome of P1's secret choice F.
+
+C2 never decrypts ``Gamma_i``, but it must not recognise it either: the
+bare ``E(other_i) * E(max_i)^-1`` is a public function of ciphertexts C2
+may have produced (SBD's parity bits), so each ``Gamma_i`` carries a fresh
+``E(0)``.
 
 C1 sees what C2 sends back: every ``M'_i`` must be a fresh ciphertext —
 the printed ``Gamma'_i^alpha`` is ``1`` for ``alpha = 0`` and the very
@@ -27,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.backend import available_backends, set_backend
 from repro.network.party import TwoPartySetting
 from repro.protocols.encoding import decrypt_bits, encrypt_bits, int_to_bits
+from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.smin import SecureMinimum
 from tests.property.conftest import cached_keypair
 
@@ -34,19 +39,9 @@ on_every_backend = pytest.mark.parametrize("backend_name",
                                            available_backends())
 
 
-def smin_with_coins(pairs, bit_length: int, coins: list[bool], seed: int):
-    """Run one SMIN batch with P1's coins forced and its shuffles held.
-
-    Returns ``(minimums, l_vectors, alphas, gammas, m_primes)``: the
-    decrypted outputs, each pair's decrypted L vector in entry order, C2's
-    decrypted alphas, and the Gamma' / M' ciphertext values of each pair.
-    """
-    keypair = cached_keypair()
-    private = keypair.private_key
-    setting = TwoPartySetting.create(keypair, rng=Random(seed))
-    encrypted = [(encrypt_bits(setting.public_key, u, bit_length),
-                  encrypt_bits(setting.public_key, v, bit_length))
-                 for u, v in pairs]
+def run_with_coins(setting, encrypted, coins: list[bool]):
+    """Run one SMIN batch on ``setting`` with P1's coins forced and its
+    shuffles held; returns the encrypted minimums."""
     rng = setting.evaluator.rng
     forced = list(coins)
     draw = rng.getrandbits
@@ -62,6 +57,23 @@ def smin_with_coins(pairs, bit_length: int, coins: list[bool], seed: int):
     rng.shuffle = lambda sequence: None
     minimums = SecureMinimum(setting).run_batch(encrypted)
     assert forced == []
+    return minimums
+
+
+def smin_with_coins(pairs, bit_length: int, coins: list[bool], seed: int):
+    """Run one SMIN batch with P1's coins forced and its shuffles held.
+
+    Returns ``(minimums, l_vectors, alphas, gammas, m_primes)``: the
+    decrypted outputs, each pair's decrypted L vector in entry order, C2's
+    decrypted alphas, and the Gamma' / M' ciphertext values of each pair.
+    """
+    keypair = cached_keypair()
+    private = keypair.private_key
+    setting = TwoPartySetting.create(keypair, rng=Random(seed))
+    encrypted = [(encrypt_bits(setting.public_key, u, bit_length),
+                  encrypt_bits(setting.public_key, v, bit_length))
+                 for u, v in pairs]
+    minimums = run_with_coins(setting, encrypted, coins)
 
     transcript = setting.channel.transcript
     requests = [pair for message in transcript
@@ -104,22 +116,74 @@ def test_c2_sees_f_at_the_first_difference_and_noise_elsewhere(backend_name,
     assert len(l_vectors) == len(alphas) == len(pairs)
     for (u, v), f_is_u_greater, l_vector, alpha in zip(pairs, coins,
                                                        l_vectors, alphas):
-        assert len(l_vector) == 2 * bit_length
+        assert len(l_vector) == bit_length
         u_bits, v_bits = int_to_bits(u, bit_length), int_to_bits(v, bit_length)
-        maximum = u_bits if f_is_u_greater else v_bits
         f_true = int(u > v if f_is_u_greater else v > u)
         marked = [index for index, entry in enumerate(l_vector)
                   if entry in (0, 1)]
-        differing = [index for index in range(bit_length)
-                     if u_bits[index] != v_bits[index]]
-        if differing:
-            first = differing[0]
-            # plus entry (value 1) when max has the 1, else minus (value 0)
-            assert marked == [first if maximum[first] else bit_length + first]
-            assert l_vector[marked[0]] == f_true
+        if f_true:
+            # F's maximum has the 1 at the first differing bit t
+            first = next(index for index in range(bit_length)
+                         if u_bits[index] != v_bits[index])
+            assert marked == [first]
+            assert l_vector[first] == 1
         else:
+            # F false and u = v alike: nothing in {0, 1}
             assert marked == []
         assert alpha == f_true
+
+
+def ciphertexts_in(payload):
+    """Every ciphertext in a nested message payload."""
+    if isinstance(payload, (list, tuple)):
+        for item in payload:
+            yield from ciphertexts_in(item)
+    elif hasattr(payload, "value"):
+        yield payload
+
+
+@on_every_backend
+@pytest.mark.parametrize("f_is_u_greater", [True, False])
+def test_every_gamma_is_fresh_against_c2s_own_ciphertexts(backend_name,
+                                                          f_is_u_greater):
+    """SMIN over SBD's outputs, whose bits are C2's parity ciphertexts: no
+    Gamma' is the bare ``E(other_i) * E(max_i)^-1`` of the bits, or any
+    ciphertext C2 sent earlier in the run."""
+    bit_length = 4
+    pairs = [(5, 3), (3, 5), (6, 6), (9, 8)]
+    set_backend(backend_name)
+    try:
+        setting = TwoPartySetting.create(cached_keypair(), rng=Random(31))
+        public = setting.public_key
+        decompose = SecureBitDecomposition(setting, bit_length)
+        encrypted = [(decompose.run(public.encrypt(u)),
+                      decompose.run(public.encrypt(v))) for u, v in pairs]
+        minimums = run_with_coins(setting, encrypted,
+                                  [f_is_u_greater] * len(pairs))
+        private = setting.decryptor.private_key
+        assert [decrypt_bits(private, bits) for bits in minimums] == [
+            min(u, v) for u, v in pairs]
+    finally:
+        set_backend(None)
+
+    c2_sent: set[int] = set()
+    gammas: list[int] = []
+    for message in setting.channel.transcript:
+        if message.tag == "SMIN.batch_gamma_and_l":
+            for gamma, _ in message.payload:
+                assert not {cipher.value for cipher in gamma} & c2_sent
+                gammas.extend(cipher.value for cipher in gamma)
+        if message.sender == "C2":
+            c2_sent.update(cipher.value for cipher in ciphertexts_in(
+                message.payload))
+    assert len(gammas) == bit_length * len(pairs)
+    bare = {(left - right).value
+            for u_bits, v_bits in encrypted
+            for u_bit, v_bit in zip(u_bits, v_bits)
+            for left, right in ((u_bit, v_bit), (v_bit, u_bit))}
+    assert not set(gammas) & bare
+    # the inputs really are C2's ciphertexts, so the check has teeth
+    assert {bit.value for u_bits, _ in encrypted for bit in u_bits} & c2_sent
 
 
 @on_every_backend

@@ -109,7 +109,7 @@ class TestHardenedHandlers:
             lambda c: [[1, 2]],                 # ints, not vectors
             lambda c: [[[c, c]]],               # a pair of one
             lambda c: [[[c, c], [c]]],          # L narrower than Gamma
-            lambda c: [[[c, c], [c, c]]],       # L not twice Gamma's width
+            lambda c: [[[c, c], [c, c, c, c]]],  # L wider than Gamma
             lambda c: [[[c, c], [c, c]], [[c], [c]]],  # ragged across pairs
             lambda c: []]),
     ])

@@ -199,8 +199,8 @@ class TestMalformedPeerFrames:
         ("SMIN.batch_gamma_and_l",
          lambda c: [[[c], [c, c]], [[c, c], [c, c, c, c]]],
          "SMIN: malformed gamma-and-L batch"),
-        # L must be exactly twice Gamma's width
-        ("SMIN.batch_gamma_and_l", lambda c: [[[c, c], [c, c]]],
+        # L must be exactly Gamma's width
+        ("SMIN.batch_gamma_and_l", lambda c: [[[c, c], [c, c, c, c]]],
          "SMIN: malformed gamma-and-L batch"),
         # SkNN_m's zero search: [beta of n, n rows of m ciphertexts]
         ("SkNNm.randomized_differences", lambda c: {"beta": c},
