@@ -216,28 +216,29 @@ def sbd_counts(bit_length: int) -> OperationCounts:
 
 
 def smin_counts(bit_length: int) -> OperationCounts:
-    """Secure Minimum of two ``l``-bit values (Algorithm 3), ``7l + 2``.
+    """Secure Minimum of two ``l``-bit values (Algorithm 3), ``8l + 2``.
 
-    Per bit: P1 encrypts the fresh ``E(0)`` of ``Gamma`` and counts three
-    exponentiations for the ``d``/marker/``L`` bookkeeping (the negation
-    of ``max_i``, the marker's cube and the power of the one ``L`` entry);
-    P2 decrypts the ``L`` entry, raises ``Gamma_i`` to ``alpha`` and
-    encrypts the fresh ``E(0)`` that re-randomizes ``M'_i``.  Constant
+    Per bit: P1 encrypts the ``Gamma`` mask and counts three
+    exponentiations for the ``d``/``Gamma``/marker/``L`` bookkeeping (the
+    negation of ``max_i``, the marker's cube and the power of the one
+    ``L`` entry); P2 decrypts the ``L`` entry, raises ``Gamma'_i`` to
+    ``alpha`` and encrypts the fresh ``E(0)`` that re-randomizes ``M'_i``;
+    P1 strips the ``Gamma`` mask with one more exponentiation.  Constant
     terms: the marker's ``Z = E(0)`` and P2's encryption of alpha.
 
-    Two of the four counted exponentiations per bit are cheap in the
+    Two of the five counted exponentiations per bit are cheap in the
     implementation and counted like the operations they stand for: the
     negation is a modular inverse shared by the chunk, and the cube is two
     multiplications.  The printed algorithm's secure multiplication per bit
     (``W_i``, ``G_i``) is gone, and with it SM's 3 encryptions, 2
-    decryptions and 2 exponentiations; so are its strip of the ``Gamma``
-    mask and a second ``L`` entry per bit.
+    decryptions and 2 exponentiations; so is a second ``L`` entry per bit.
     """
     _require_positive(bit_length, "bit_length")
     per_bit = (
-        OperationCounts(encryptions=1, exponentiations=3)     # Gamma; d, P, L
+        OperationCounts(encryptions=1, exponentiations=3)     # rhat; d, P, L
         + OperationCounts(encryptions=1, decryptions=1,
                           exponentiations=1)                  # P2: L', M'
+        + OperationCounts(exponentiations=1)                  # P1: strip Gamma mask
     )
     constant = OperationCounts(encryptions=2)                 # Z and E(alpha)
     return per_bit * bit_length + constant

@@ -50,8 +50,8 @@ from repro.crypto.paillier import (
 )
 from repro.exceptions import ConfigurationError
 
-__all__ = ["PrecomputeConfig", "PrecomputeEngine", "MASK_ZN", "MASK_SBD",
-           "mask_range"]
+__all__ = ["PrecomputeConfig", "PrecomputeEngine", "MASK_ZN", "MASK_NONZERO",
+           "MASK_SBD", "mask_range"]
 
 #: version of the on-disk pool cache format (see
 #: :meth:`PrecomputeEngine.save_pools`); format 1 also stored typed constant
@@ -61,6 +61,7 @@ _POOL_CACHE_KIND = "precompute-pool-cache"
 
 #: Additive-mask kinds (the sampling range each protocol requires).
 MASK_ZN = "zn"            # r uniform in [0, N)         — SM, SSED, delivery
+MASK_NONZERO = "nonzero"  # r uniform in [1, N)         — SMIN's rhat
 MASK_SBD = "sbd"          # r uniform in [0, sbd_upper) — SBD round masks
 
 #: process-wide fallback randomness for engines without an explicit rng
@@ -84,6 +85,8 @@ def mask_range(kind: str, n: int,
     """
     if kind == MASK_ZN:
         return 0, n
+    if kind == MASK_NONZERO:
+        return 1, n
     if kind == MASK_SBD:
         if sbd_upper is None:
             raise ConfigurationError("SBD masks require sbd_upper")
@@ -115,7 +118,7 @@ class PrecomputeConfig:
         Per SkNN_b query P1 encrypts ``n*m + k*m`` additive masks (scan +
         delivery) plus ``2m`` spare.  With ``l`` given (SkNN_m workloads) it
         also encrypts ``l*n`` SBD masks and about ``l*n/2`` SBD ones, and per
-        iteration at most ``n`` SMIN pairs' ``l + 1`` Gamma zeros and
+        iteration at most ``n`` SMIN pairs' ``l + 1`` ``rhat`` masks and
         ``Z`` (``n * (l + 2)``) and ``n*m`` extraction masks.  A flat 32
         covers the first query's odds and ends.
 

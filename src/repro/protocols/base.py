@@ -244,8 +244,8 @@ class TwoPartyProtocol(P2StepDispatcher):
         """``count`` P1 additive masks ``(r, E(r))``, drawn as one batch.
 
         The sub-protocols' only mask source.  ``kind`` is ``"zn"`` (uniform
-        in ``[0, N)``) or ``"sbd"`` (``[0, sbd_upper)``) — see
-        :func:`~repro.crypto.precompute.mask_range`.
+        in ``[0, N)``), ``"nonzero"`` (``[1, N)``) or ``"sbd"`` (``[0,
+        sbd_upper)``) — see :func:`~repro.crypto.precompute.mask_range`.
         P1's engine samples and encrypts them when it owns one; otherwise
         they are sampled with P1's rng and encrypted in one batch-kernel
         call.  One encryption per mask either way.  The engine is resolved

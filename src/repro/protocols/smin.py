@@ -9,9 +9,9 @@ The trick that hides the comparison outcome is that P1 secretly flips a coin
 to choose the functionality ``F`` — either "is u > v?" or "is v > u?" — and
 runs an oblivious comparison whose one-bit outcome ``alpha`` is learned only
 by P2 in terms of the *randomly chosen* F.  Since P2 does not know F, alpha
-tells it nothing; since P1 never sees alpha in the clear (only ``Epk(alpha)``
-and re-randomized products) it also learns nothing.  P2 raises the bit
-differences ``Gamma_i`` to alpha so that the final encrypted bits satisfy::
+tells it nothing; since P1 never sees alpha in the clear (only ``Epk(alpha)``)
+it also learns nothing.  P1 then combines ``Epk(alpha)`` with the masked
+differences ``Gamma_i`` so that the final encrypted bits satisfy::
 
     F: u > v   ->   min_i = u_i + alpha * (v_i - u_i)
     F: v > u   ->   min_i = v_i + alpha * (u_i - v_i)
@@ -21,7 +21,7 @@ other value:
 
 * ``d_i = other_i - max_i`` in ``{-1, 0, 1}``, ``E(d_i) = E(other_i) *
   E(max_i)^-1``;
-* ``Gamma_i = E(d_i) * E(0)``, the bit difference under a fresh zero;
+* ``Gamma_i`` encrypts ``d_i + rhat_i`` (the randomized bit difference);
 * the marker ``P_0 = Z`` (the pair's fresh ``E(0)``), ``P_{i+1} = P_i^3 *
   E(d_i)`` encrypts ``sum_{j<=i} d_j 3^(i-j)``, a balanced-ternary number:
   0 while no bit has differed, ``d_t = -1`` or ``+1`` at the first
@@ -32,9 +32,8 @@ other value:
 
 P2 decrypts the permuted ``L`` vector: ``alpha = 1`` when an entry decrypts
 to 1 — the outcome of F — and 0 otherwise; F false and ``u = v`` look the
-same, no entry is 1.  It returns ``M'_i = Gamma_i^alpha``, each times a
-fresh ``E(0)``, so that ``M'_i = E(alpha * d_i)`` and P1 sets ``min_i =
-max_i + M'_i``.
+same from ``L``, no entry is 1.  It returns ``M'_i = Gamma'_i^alpha``, each
+times a fresh ``E(0)``.
 
 Where this departs from the printed algorithm:
 
@@ -47,30 +46,29 @@ Where this departs from the printed algorithm:
   Their random sign ``s``, which picks the one-sided test to run, is F's
   coin here, so ``L`` carries the one test ``d_t = -1`` (``max_t = 1``):
   one entry per bit.  A second entry ``r''_i (P_{i+1} - 1)`` per bit could
-  never decrypt to 1 but with probability ``1/N``, so it never set alpha.
-* The printed ``Gamma_i`` is ``E(d_i + rhat_i)``, and P1 strips ``rhat_i``
-  from ``M'_i`` with ``E(alpha)^(N - rhat_i)``, one full power per bit.  P2
-  never decrypts ``Gamma_i``, it only raises it to alpha, so the mask hides
-  no plaintext and is gone.  The fresh ``E(0)`` is not: without it
-  ``Gamma_i`` would be ``E(other_i) * E(max_i)^-1``, a public function of
-  ciphertexts P2 may have produced itself (SBD's parity bits), and P2 could
-  match it against them to learn which of ``u``, ``v`` is ``max``.
+  decrypt to 1 only with probability ``1/N``, so it never set alpha.
 * The printed ``M'_i = Gamma'_i^alpha`` is ``1`` for ``alpha = 0`` and the
   very ``Gamma'_i`` P1 sent for ``alpha = 1`` — P1 read alpha off the wire.
   The fresh ``E(0)`` makes every ``M'_i`` a new ciphertext.
+* ``Gamma_i`` stays masked by a uniform ``rhat_i`` in ``[1, N)`` although
+  P2 only raises it to alpha: P2 holds the secret key, and an unmasked
+  ``E(d_i)`` would show it every ``d_i`` — which bits of ``u`` and ``v``
+  differ, ``|u - v|`` and every tie.  P1 strips the mask from ``M'_i`` with
+  ``E(alpha)^(N - rhat_i)``, one full power per bit.
 * A non-zero ``P_{i+1} + 1`` must be a unit for its entry to be uniform:
   the protocol requires ``3^(l+1) < 2^(K/2 - 1)``, below either prime of
   ``N`` (``l <= 38`` at K=128, ``l <= 159`` at K=512).
 
-P1 encrypts its zeros per round, not per bit: ``pairs * (l + 1)`` — each
-pair's ``Z`` and its ``l`` Gamma zeros — for a
-:meth:`SecureMinimum.run_batch` level, as one ``encrypt_batch``.
+P1 draws the difference masks ``(rhat_i, E(rhat_i))`` per round, not per
+bit: ``pairs * l`` (and ``pairs`` ``Z = E(0)`` constants) for a
+:meth:`SecureMinimum.run_batch` level, as one ``take_masks`` batch.
 
-Of the three exponentiations P1 counts per bit, one is the negation of
-``max_i`` (the chunk's negations share one modular inversion) and one is
-the marker's cube, a product of two multiplications; only the power of
-``P_{i+1}`` in the ``L`` entry is a full power, one ``scalar_mul_batch``
-per chunk.
+Of the three exponentiations P1 counts per bit in step 1, one is the
+negation of ``max_i`` (the chunk's negations share one modular inversion)
+and one is the marker's cube, a product of two multiplications; only the
+power of ``P_{i+1}`` in the ``L`` entry is a full power, one
+``scalar_mul_batch`` per chunk.  The strip in step 3 is P1's other full
+power per bit.
 """
 
 from __future__ import annotations
@@ -125,7 +123,7 @@ class SecureMinimum(TwoPartyProtocol):
         — two half-batches of pairs in flight — once it has
         :data:`~repro.protocols.base.PIPELINE_MIN_ITEMS` pairs, two below
         that.  Each pair keeps its own oblivious-functionality coin and
-        L permutation so the security argument is unchanged.  SMIN_n's
+        permutations so the security argument is unchanged.  SMIN_n's
         tournament rounds call this with all pairs of a level.
 
         Args:
@@ -145,6 +143,7 @@ class SecureMinimum(TwoPartyProtocol):
         self.require(3 ** (bit_length + 1) < 1 << (self.pk.key_size // 2 - 1),
                      f"{bit_length}-bit values need 3^(l+1) < 2^(K/2-1) "
                      f"for the marker, K={self.pk.key_size}")
+        n = self.pk.n
 
         # ---- P1: every pair's coin F orders it as (max, other) ---------------
         tasks = [(enc_u_bits, enc_v_bits) if self.p1.rng.getrandbits(1)
@@ -153,44 +152,54 @@ class SecureMinimum(TwoPartyProtocol):
 
         def build_gamma_and_l(chunk):
             # ---- P1: step 1 for every pair of the chunk ---------------------
-            # each pair's marker start Z, then one zero per bit for Gamma
-            enc_zeros = self.p1.encrypt_batch(
-                [0] * (len(chunk) * (bit_length + 1)))
-            marker_starts = enc_zeros[:len(chunk)]
+            rhat_tuples = self.take_masks(len(chunk) * bit_length, "nonzero")
+            enc_zeros = self.p1.encrypt_batch([0] * len(chunk))
             # E(d_i) = E(other_i - max_i), the chunk's negations sharing one
-            # inversion; Gamma_i = E(d_i) * E(0)
+            # inversion; Gamma_i = E(d_i + rhat_i)
             differences = self.pk.add_batch(
                 [bit for _, other_bits in chunk for bit in other_bits],
                 self.neg_batch([bit for maximum_bits, _ in chunk
                                 for bit in maximum_bits]))
-            gammas = self.pk.add_batch(differences, enc_zeros[len(chunk):])
+            gammas = self.pk.add_batch(
+                differences, [enc_rhat for _, enc_rhat in rhat_tuples])
             markers, exponents = [], []
+            permutations = []
             for index in range(len(chunk)):
+                bits = slice(index * bit_length, (index + 1) * bit_length)
                 # P_{i+1} = P_i^3 * E(d_i) from P_0 = Z: 0 before the first
                 # differing bit t, d_t at it, outside {-1, 0, 1} after it
-                pair_markers = []
-                marker = marker_starts[index]
-                for enc_difference in differences[index * bit_length:
-                                                  (index + 1) * bit_length]:
+                marker = enc_zeros[index]
+                for enc_difference in differences[bits]:
                     marker = marker * 3 + enc_difference
-                    pair_markers.append(marker)
+                    markers.append(marker)
                 # the pair's draws in one order, however the round is split
                 exponents.extend(self.p1.random_nonzero()
                                  for _ in range(bit_length))
-                permutation = list(range(bit_length))
-                self.p1.rng.shuffle(permutation)
-                markers.extend(pair_markers[j] for j in permutation)
-            # the permuted L: 1 + r'(P + 1) = r'P + (r' + 1)
+                permutation_gamma = list(range(bit_length))
+                permutation_l = list(range(bit_length))
+                self.p1.rng.shuffle(permutation_gamma)
+                self.p1.rng.shuffle(permutation_l)
+                permutations.append((permutation_gamma, permutation_l))
+            # 1 + r'(P + 1) = r'P + (r' + 1)
             l_vector = [
                 self.add_plain(cipher, r + 1) for cipher, r in zip(
                     self.pk.scalar_mul_batch(markers, exponents), exponents)]
-            payload = []
-            for index in range(len(chunk)):
-                bits = slice(index * bit_length, (index + 1) * bit_length)
-                payload.append([gammas[bits], l_vector[bits]])
-            return payload, None
+            payload, states = [], []
+            for index, (permutation_gamma, permutation_l) in enumerate(
+                    permutations):
+                gamma_vector = gammas[index * bit_length:
+                                      (index + 1) * bit_length]
+                entries = l_vector[index * bit_length:
+                                   (index + 1) * bit_length]
+                payload.append([[gamma_vector[j] for j in permutation_gamma],
+                                [entries[j] for j in permutation_l]])
+                states.append((
+                    [rhat for rhat, _ in rhat_tuples[index * bit_length:
+                                                     (index + 1) * bit_length]],
+                    permutation_gamma))
+            return payload, states
 
-        def select_minimums(chunk, _, reply):
+        def select_minimums(chunk, states, reply):
             # ---- P1: step 3 for every pair of the chunk ---------------------
             self.require(isinstance(reply, list) and len(reply) == 2,
                          "malformed masked-minimum reply")
@@ -201,9 +210,21 @@ class SecureMinimum(TwoPartyProtocol):
                 "malformed masked-minimum reply")
             self.require_cipher_list(received_alphas, len(chunk),
                                      "masked-minimum reply")
-            # M'_i = E(alpha * d_i), so min_i = max_i + M'_i
-            return [self.pk.add_batch(list(maximum_bits), received_m[index])
-                    for index, (maximum_bits, _) in enumerate(chunk)]
+            results: list[list[Ciphertext]] = []
+            for index, (maximum_bits, _) in enumerate(chunk):
+                gamma_masks, permutation_gamma = states[index]
+                unpermuted: list[Ciphertext | None] = [None] * bit_length
+                for position, original_index in enumerate(permutation_gamma):
+                    unpermuted[original_index] = received_m[index][position]
+                # lambda_i = M~_i * E(alpha)^{N - rhat_i} = E(alpha * d_i)
+                lambdas = self.pk.add_batch(
+                    unpermuted,
+                    self.pk.scalar_mul_batch(
+                        [received_alphas[index]] * bit_length,
+                        [n - mask for mask in gamma_masks]),
+                )
+                results.append(self.pk.add_batch(list(maximum_bits), lambdas))
+            return results
 
         # ---- P2: step 2 runs between the two, once per chunk of pairs -------
         return self.run_pipelined(
@@ -217,14 +238,13 @@ class SecureMinimum(TwoPartyProtocol):
 
         ``alpha = 1`` when some entry of a pair's decrypted L vector equals 1
         (the outcome of P1's secretly chosen functionality F is true),
-        otherwise 0.  ``M'_i = Gamma_i ^ alpha * E(0) = E(alpha * d_i)``,
-        which P1 adds to ``max_i`` as it is — the fresh ``E(0)`` (one batch
-        with the ``E(alpha)``) keeps ``M'_i`` from being ``1`` or the
-        ``Gamma_i`` P1 sent.  ``E(alpha)`` travels with the reply, which
-        keeps the reply's shape; P1 only checks it.  The payload's shape —
-        ``[Gamma, L']`` per pair, every ``Gamma`` and every ``L'`` of one bit
-        length ``l`` — is checked first, so the per-pair windows of the
-        flat decryption align.
+        otherwise 0.  ``M'_i = Gamma'_i ^ alpha * E(0)`` so that P1 later
+        recovers ``alpha * (d_i + rhat_i)`` without learning alpha — the
+        fresh ``E(0)`` (one batch with the ``E(alpha)``) keeps ``M'_i`` from
+        being ``1`` or the ``Gamma'_i`` P1 sent.  The payload's shape —
+        ``[Gamma', L']`` per pair, every ``Gamma'`` and every ``L'`` of one
+        bit length ``l`` — is checked first, so the per-pair
+        windows of the flat decryption align.
         """
         received_payload = self.p2.receive(expected_tag="SMIN.batch_gamma_and_l")
         self.require(
@@ -233,7 +253,8 @@ class SecureMinimum(TwoPartyProtocol):
                     for pair in received_payload),
             "malformed gamma-and-L batch")
         bit_length = self.require_cipher_rows(
-            [gamma for gamma, _ in received_payload], "gamma-and-L batch")
+            [permuted_gamma for permuted_gamma, _ in received_payload],
+            "gamma-and-L batch")
         width = self.require_cipher_rows(
             [permuted_l for _, permuted_l in received_payload],
             "gamma-and-L batch")
@@ -251,8 +272,8 @@ class SecureMinimum(TwoPartyProtocol):
         enc_alphas, enc_zeros = fresh[:len(alphas)], fresh[len(alphas):]
         m_primes = [
             self.pk.add_batch(
-                self.pk.scalar_mul_batch(gamma, alpha),
+                self.pk.scalar_mul_batch(permuted_gamma, alpha),
                 enc_zeros[index * bit_length:(index + 1) * bit_length])
-            for index, ((gamma, _), alpha)
+            for index, ((permuted_gamma, _), alpha)
             in enumerate(zip(received_payload, alphas))]
         self.p2.send([m_primes, enc_alphas], tag="SMIN.batch_masked_minimums")

@@ -22,6 +22,7 @@ from random import Random
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.precompute import (
+    MASK_NONZERO,
     MASK_SBD,
     MASK_ZN,
     PrecomputeConfig,
@@ -71,7 +72,7 @@ def test_pooled_batch_counter_parity(values):
 
 @given(takes=st.integers(min_value=1, max_value=12),
        pooled=st.integers(min_value=0, max_value=6),
-       kind=st.sampled_from([MASK_ZN, MASK_SBD]))
+       kind=st.sampled_from([MASK_ZN, MASK_NONZERO, MASK_SBD]))
 def test_masks_decrypt_to_their_value_in_range(takes, pooled, kind):
     """Pool-backed and comb-backed masks are indistinguishable to the caller:
     cold (0 pooled), half-drained and warm draws all sample the kind's range."""

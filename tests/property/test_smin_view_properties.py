@@ -8,10 +8,9 @@ the 1 — and every other entry is a uniform value outside {0, 1}; with F
 false, and for ``u = v``, no entry is in {0, 1}, so a tie looks like F
 false.  C2's bit ``alpha`` is then the outcome of P1's secret choice F.
 
-C2 never decrypts ``Gamma_i``, but it must not recognise it either: the
-bare ``E(other_i) * E(max_i)^-1`` is a public function of ciphertexts C2
-may have produced (SBD's parity bits), so each ``Gamma_i`` carries a fresh
-``E(0)``.
+C2 only raises ``Gamma'_i`` to alpha, but it holds the key: decrypted, a
+bare ``d_i`` in {-1, 0, 1} would show which bits differ, ``|u - v|`` and
+every tie, so each ``Gamma_i`` carries a uniform mask ``rhat_i``.
 
 C1 sees what C2 sends back: every ``M'_i`` must be a fresh ciphertext —
 the printed ``Gamma'_i^alpha`` is ``1`` for ``alpha = 0`` and the very
@@ -31,33 +30,11 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.backend import available_backends, set_backend
 from repro.network.party import TwoPartySetting
 from repro.protocols.encoding import decrypt_bits, encrypt_bits, int_to_bits
-from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.smin import SecureMinimum
 from tests.property.conftest import cached_keypair
 
 on_every_backend = pytest.mark.parametrize("backend_name",
                                            available_backends())
-
-
-def run_with_coins(setting, encrypted, coins: list[bool]):
-    """Run one SMIN batch on ``setting`` with P1's coins forced and its
-    shuffles held; returns the encrypted minimums."""
-    rng = setting.evaluator.rng
-    forced = list(coins)
-    draw = rng.getrandbits
-
-    def coins_first(bits: int) -> int:
-        # SMIN's first P1 draws are its F coins, one bit per pair
-        if forced:
-            assert bits == 1
-            return int(forced.pop(0))
-        return draw(bits)
-
-    rng.getrandbits = coins_first
-    rng.shuffle = lambda sequence: None
-    minimums = SecureMinimum(setting).run_batch(encrypted)
-    assert forced == []
-    return minimums
 
 
 def smin_with_coins(pairs, bit_length: int, coins: list[bool], seed: int):
@@ -73,7 +50,21 @@ def smin_with_coins(pairs, bit_length: int, coins: list[bool], seed: int):
     encrypted = [(encrypt_bits(setting.public_key, u, bit_length),
                   encrypt_bits(setting.public_key, v, bit_length))
                  for u, v in pairs]
-    minimums = run_with_coins(setting, encrypted, coins)
+    rng = setting.evaluator.rng
+    forced = list(coins)
+    draw = rng.getrandbits
+
+    def coins_first(bits: int) -> int:
+        # SMIN's first P1 draws are its F coins, one bit per pair
+        if forced:
+            assert bits == 1
+            return int(forced.pop(0))
+        return draw(bits)
+
+    rng.getrandbits = coins_first
+    rng.shuffle = lambda sequence: None
+    minimums = SecureMinimum(setting).run_batch(encrypted)
+    assert forced == []
 
     transcript = setting.channel.transcript
     requests = [pair for message in transcript
@@ -133,57 +124,25 @@ def test_c2_sees_f_at_the_first_difference_and_noise_elsewhere(backend_name,
         assert alpha == f_true
 
 
-def ciphertexts_in(payload):
-    """Every ciphertext in a nested message payload."""
-    if isinstance(payload, (list, tuple)):
-        for item in payload:
-            yield from ciphertexts_in(item)
-    elif hasattr(payload, "value"):
-        yield payload
-
-
 @on_every_backend
 @pytest.mark.parametrize("f_is_u_greater", [True, False])
-def test_every_gamma_is_fresh_against_c2s_own_ciphertexts(backend_name,
-                                                          f_is_u_greater):
-    """SMIN over SBD's outputs, whose bits are C2's parity ciphertexts: no
-    Gamma' is the bare ``E(other_i) * E(max_i)^-1`` of the bits, or any
-    ciphertext C2 sent earlier in the run."""
-    bit_length = 4
-    pairs = [(5, 3), (3, 5), (6, 6), (9, 8)]
+def test_c2_decrypts_no_bit_difference_from_gamma(backend_name,
+                                                  f_is_u_greater):
+    """Differing, equal-bit and tied pairs alike: no Gamma' decrypts under
+    C2's key to a bare ``d_i``, i.e. to 0, 1 or ``N - 1``."""
+    pairs = [(5, 3), (3, 5), (6, 6), (0, 0), (15, 0)]
     set_backend(backend_name)
     try:
-        setting = TwoPartySetting.create(cached_keypair(), rng=Random(31))
-        public = setting.public_key
-        decompose = SecureBitDecomposition(setting, bit_length)
-        encrypted = [(decompose.run(public.encrypt(u)),
-                      decompose.run(public.encrypt(v))) for u, v in pairs]
-        minimums = run_with_coins(setting, encrypted,
-                                  [f_is_u_greater] * len(pairs))
-        private = setting.decryptor.private_key
-        assert [decrypt_bits(private, bits) for bits in minimums] == [
-            min(u, v) for u, v in pairs]
+        minimums, _, _, gammas, _ = smin_with_coins(
+            pairs, 4, [f_is_u_greater] * len(pairs), seed=17)
     finally:
         set_backend(None)
-
-    c2_sent: set[int] = set()
-    gammas: list[int] = []
-    for message in setting.channel.transcript:
-        if message.tag == "SMIN.batch_gamma_and_l":
-            for gamma, _ in message.payload:
-                assert not {cipher.value for cipher in gamma} & c2_sent
-                gammas.extend(cipher.value for cipher in gamma)
-        if message.sender == "C2":
-            c2_sent.update(cipher.value for cipher in ciphertexts_in(
-                message.payload))
-    assert len(gammas) == bit_length * len(pairs)
-    bare = {(left - right).value
-            for u_bits, v_bits in encrypted
-            for u_bit, v_bit in zip(u_bits, v_bits)
-            for left, right in ((u_bit, v_bit), (v_bit, u_bit))}
-    assert not set(gammas) & bare
-    # the inputs really are C2's ciphertexts, so the check has teeth
-    assert {bit.value for u_bits, _ in encrypted for bit in u_bits} & c2_sent
+    assert minimums == [min(u, v) for u, v in pairs]
+    private = cached_keypair().private_key
+    decrypted = {private.raw_decrypt(value)
+                 for gamma in gammas for value in gamma}
+    assert sum(map(len, gammas)) == 4 * len(pairs)
+    assert not decrypted & {0, 1, private.public_key.n - 1}
 
 
 @on_every_backend
