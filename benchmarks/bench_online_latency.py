@@ -49,8 +49,8 @@ from random import Random
 import pytest
 
 from benchmarks.conftest import HISTORY_DIR, write_bench_json, write_result
-from repro.analysis.cost_model import (OfflineOnlineCounts, sknn_basic_counts,
-                                       sknn_basic_split_counts)
+from repro.analysis.cost_model import (OperationCounts, pool_targets,
+                                       sknn_basic_cost)
 from repro.analysis.reporting import format_table
 from repro.bench import BenchHistory, check_history
 from repro.telemetry import tracing
@@ -121,13 +121,17 @@ def _paired_overhead(wrapped: list, baseline: list) -> float:
     return median - 1.0
 
 
-def _engine_window(before: dict, after: dict) -> dict:
-    """Delta of two :meth:`PrecomputeEngine.stats` snapshots."""
-    return {
-        "offline_encryptions": (after["offline_encryptions"]
-                                - before["offline_encryptions"]),
-        "obfuscator_hits": after["obfuscator_hits"] - before["obfuscator_hits"],
-    }
+def _split(offline_encryptions: float, online: OperationCounts) -> dict:
+    """An offline/online split: offline, the pools' encryptions (one
+    obfuscator each); online, what the query still pays."""
+    return {"offline": OperationCounts(
+                encryptions=offline_encryptions).as_dict(),
+            "online": online.as_dict()}
+
+
+def _window(before: dict, after: dict, key: str) -> int:
+    """Both engines' growth of one :meth:`PrecomputeEngine.stats` count."""
+    return sum(after[party][key] - before[party][key] for party in after)
 
 
 def test_online_latency_warm_pools_vs_inline(benchmark, python_backend,
@@ -154,14 +158,14 @@ def test_online_latency_warm_pools_vs_inline(benchmark, python_backend,
             lambda: protocol.run(encrypted_query, ONLINE_K), REPEATS)
         inline_shares = protocol.run(encrypted_query, ONLINE_K)
 
+        c1_target, c2_target = pool_targets(ONLINE_N, ONLINE_M, ONLINE_K,
+                                            queries=1)
         c1_engine = PrecomputeEngine(
             public_key, rng=Random(781),
-            config=PrecomputeConfig.for_query_load(
-                ONLINE_N, ONLINE_M, ONLINE_K, queries=1))
+            config=PrecomputeConfig(obfuscators=c1_target))
         c2_engine = PrecomputeEngine(
             online_keypair.private_key, rng=Random(782),
-            config=PrecomputeConfig.for_decryptor_load(
-                ONLINE_N, ONLINE_M, ONLINE_K, queries=1))
+            config=PrecomputeConfig(obfuscators=c2_target))
 
         def refill_all():
             c1_engine.warm()
@@ -295,11 +299,14 @@ def test_online_latency_warm_pools_vs_inline(benchmark, python_backend,
             before = {"c1": c1_engine.stats(), "c2": c2_engine.stats()}
             refill_all()
             warm_shares = protocol.run_with_report(encrypted_query, ONLINE_K)
-            measured_split = OfflineOnlineCounts.from_measurements(
-                protocol.last_report.stats,
-                _engine_window(before["c1"], c1_engine.stats()),
-                _engine_window(before["c2"], c2_engine.stats()))
+            run = protocol.last_report.stats
             stats = {"c1": c1_engine.stats(), "c2": c2_engine.stats()}
+            measured_split = _split(
+                _window(before, stats, "offline_encryptions"),
+                OperationCounts(
+                    run.total_encryptions
+                    - _window(before, stats, "obfuscator_hits"),
+                    run.total_decryptions, run.total_exponentiations))
         finally:
             cloud.attach_engine(None)
         return (inline_seconds, warm_seconds, traced_seconds,
@@ -326,9 +333,11 @@ def test_online_latency_warm_pools_vs_inline(benchmark, python_backend,
                                                                  ONLINE_K)]
     assert warm_neighbors == oracle
 
-    split = sknn_basic_split_counts(ONLINE_N, ONLINE_M, ONLINE_K)
-    inline_model = sknn_basic_counts(ONLINE_N, ONLINE_M, ONLINE_K,
-                                     batched=True)
+    # Under warm pools the offline work is the entry's encryptions.
+    inline_model = sknn_basic_cost(ONLINE_N, ONLINE_M, ONLINE_K).total
+    split = _split(inline_model.encryptions, OperationCounts(
+        decryptions=inline_model.decryptions,
+        exponentiations=inline_model.exponentiations))
     rows = [{
         "path": "inline (no pools)",
         "online (ms)": inline_seconds * 1000,
@@ -391,8 +400,8 @@ def test_online_latency_warm_pools_vs_inline(benchmark, python_backend,
         },
         "model": {
             "inline_counts": inline_model.as_dict(),
-            "split": split.as_dict(),
-            "measured_split": measured_split.as_dict(),
+            "split": split,
+            "measured_split": measured_split,
         },
         "engine_stats": stats,
     })

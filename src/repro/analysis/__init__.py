@@ -1,6 +1,8 @@
 """Analysis: analytic cost model, runtime calibration, experiment reporting."""
 
+from repro.analysis import cost_model
 from repro.analysis.calibration import Calibrator, PaillierTimings
+from repro.analysis.cost_model import *  # noqa: F401,F403 - its __all__
 from repro.analysis.projections import (
     figure_2a_series,
     figure_2c_series,
@@ -8,19 +10,6 @@ from repro.analysis.projections import (
     figure_2f_series,
     figure_3_series,
     sminn_share_series,
-)
-from repro.analysis.cost_model import (
-    OperationCounts,
-    sbd_counts,
-    sbor_counts,
-    sknn_basic_counts,
-    sknn_secure_breakdown,
-    sknn_secure_counts,
-    sm_counts,
-    smin_counts,
-    sminn_counts,
-    ssed_counts,
-    ssed_scan_counts,
 )
 from repro.analysis.reporting import (
     ExperimentSeries,
@@ -30,17 +19,7 @@ from repro.analysis.reporting import (
 )
 
 __all__ = [
-    "OperationCounts",
-    "sm_counts",
-    "ssed_counts",
-    "ssed_scan_counts",
-    "sbd_counts",
-    "smin_counts",
-    "sminn_counts",
-    "sbor_counts",
-    "sknn_basic_counts",
-    "sknn_secure_counts",
-    "sknn_secure_breakdown",
+    *cost_model.__all__,
     "Calibrator",
     "PaillierTimings",
     "ExperimentSeries",

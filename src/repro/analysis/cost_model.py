@@ -1,23 +1,25 @@
 """Analytic operation-count model — Section 4.4 of the paper, made executable.
 
-The paper expresses protocol complexity as counts of Paillier *encryptions*,
-*decryptions* and *exponentiations*.  This module turns those asymptotic
-statements into exact per-protocol formulas derived from this repository's
-implementations, so that
+The paper prices every protocol in Paillier *encryptions*, *decryptions* and
+*exponentiations*.  This module is the one place each protocol's cost is
+stated: one entry per protocol and call shape (:class:`ProtocolCost`) giving
+what C1 pays, what C2 pays, how many peer messages the call sends and how
+many ciphertexts cross in each direction.  The entries are exact — SBD's one
+random term, an ``E(1)`` and a negation per odd mask, is an input
+(``odd_masks``, its expectation by default) — and they are what
 
-* tests can check the implementation against the model (the counters recorded
-  by the crypto layer must match the formulas), and
-* the calibrated runtime predictor (:mod:`repro.analysis.calibration`) can
-  project paper-scale running times (n = 2000..10000, K = 512/1024) that a
-  pure-Python single run could not measure in reasonable time.
+* the agreement harness holds the implementation to, counter for counter
+  and frame for frame, on both bigint backends, with and without pools;
+* each party's warm pool is sized from (:func:`pool_targets`): a pooled
+  factor is one encryption, so the offline work is the entry's
+  encryptions; and
+* the calibrated runtime predictor (:mod:`repro.analysis.calibration`)
+  projects paper-scale running times from — the ``*_counts`` totals, both
+  clouds together, the way the paper reports one per-query time.
 
-All formulas count the operations of both clouds together, matching the way
-the paper reports a single per-query time.
-
-Randomized branches (e.g. SBD flips an extra encryption only when its mask is
-odd) are counted at their expected value; the model therefore predicts the
-*expected* cost, and comparisons against measured counters use a small
-tolerance.
+Peer messages follow :data:`repro.protocols.base.PIPELINE_MIN_ITEMS`, read
+when an entry is built: a batched round is two frames, four from that many
+items on.
 """
 
 from __future__ import annotations
@@ -25,20 +27,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
+from repro.protocols import base as _protocol_base
 
 __all__ = [
     "OperationCounts",
-    "OfflineOnlineCounts",
+    "ProtocolCost",
+    "sm_cost",
+    "ssed_scan_cost",
+    "sbd_cost",
+    "sbor_cost",
+    "smin_cost",
+    "sminn_cost",
+    "sknn_basic_cost",
+    "sknn_secure_phases",
+    "pool_targets",
     "sm_counts",
     "ssed_counts",
     "ssed_scan_counts",
-    "ssed_scan_split_counts",
     "sbd_counts",
     "smin_counts",
     "sminn_counts",
     "sbor_counts",
     "sknn_basic_counts",
-    "sknn_basic_split_counts",
     "sknn_secure_counts",
     "sknn_secure_breakdown",
 ]
@@ -46,7 +56,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperationCounts:
-    """Expected numbers of primitive Paillier operations for one protocol run."""
+    """Numbers of primitive Paillier operations for one protocol run."""
 
     encryptions: float = 0.0
     decryptions: float = 0.0
@@ -84,73 +94,252 @@ class OperationCounts:
 
 
 @dataclass(frozen=True)
-class OfflineOnlineCounts:
-    """Operation counts split by when a precomputing deployment pays them.
+class ProtocolCost:
+    """One protocol call at one shape: who pays what, and what crosses.
 
-    ``offline`` holds the work a :class:`~repro.crypto.precompute.
-    PrecomputeEngine` moves off the query critical path — each offline
-    *encryption* is one ``r^N mod N^2`` obfuscator exponentiation performed
-    during a pool refill.  ``online`` holds the residual query-time work:
-    decryptions and the exponentiations whose base is query-dependent (and
-    therefore cannot be precomputed).  Hot-path modular multiplications are
-    not counted, matching the paper's Section 4.4 accounting.
+    ``c1`` and ``c2`` are the evaluator's and the key holder's counted
+    operations (C1 never decrypts), ``messages`` the peer frames in both
+    directions, ``c1_ciphertexts`` / ``c2_ciphertexts`` the ciphertexts each
+    party sends.  ``+`` runs two calls one after the other, ``* t`` runs
+    ``t`` in a row.
     """
 
-    offline: OperationCounts
-    online: OperationCounts
+    c1: OperationCounts = OperationCounts()
+    c2: OperationCounts = OperationCounts()
+    messages: int = 0
+    c1_ciphertexts: int = 0
+    c2_ciphertexts: int = 0
+
+    def __add__(self, other: "ProtocolCost") -> "ProtocolCost":
+        return ProtocolCost(self.c1 + other.c1, self.c2 + other.c2,
+                            self.messages + other.messages,
+                            self.c1_ciphertexts + other.c1_ciphertexts,
+                            self.c2_ciphertexts + other.c2_ciphertexts)
+
+    def __mul__(self, times: int) -> "ProtocolCost":
+        return ProtocolCost(self.c1 * times, self.c2 * times,
+                            self.messages * times,
+                            self.c1_ciphertexts * times,
+                            self.c2_ciphertexts * times)
 
     @property
-    def total(self) -> float:
-        """Total primitive operations across both phases."""
-        return self.offline.total + self.online.total
+    def total(self) -> OperationCounts:
+        """Both clouds' operations together."""
+        return self.c1 + self.c2
 
-    def as_dict(self) -> dict[str, dict[str, float]]:
-        """Plain-dictionary view used by the reporting helpers."""
-        return {"offline": self.offline.as_dict(),
-                "online": self.online.as_dict()}
 
-    @classmethod
-    def from_measurements(cls, run_stats,
-                          *engine_stats: dict) -> "OfflineOnlineCounts":
-        """The split a deployment *actually measured*, from live telemetry.
-
-        Args:
-            run_stats: anything with the ``total_encryptions`` /
-                ``total_decryptions`` / ``total_exponentiations`` surface of
-                :class:`~repro.network.stats.ProtocolRunStats`.
-            engine_stats: one :meth:`~repro.crypto.precompute.
-                PrecomputeEngine.stats` snapshot per attached engine
-                (deltas over the measured window).
-
-        The run's counters attribute a *pooled* encryption to the consumer
-        (one counter increment, but only a modular multiplication online);
-        subtracting the pool hits recovers the true online powmod count,
-        while the engines' refill work is the offline price.  The result is
-        directly comparable with the analytic ``*_split_counts`` formulas.
-        """
-        offline_encryptions = sum(
-            float(stats.get("offline_encryptions", 0))
-            for stats in engine_stats)
-        pooled_hits = sum(
-            float(stats.get("obfuscator_hits", 0)) for stats in engine_stats)
-        return cls(
-            offline=OperationCounts(encryptions=offline_encryptions),
-            online=OperationCounts(
-                encryptions=max(
-                    float(run_stats.total_encryptions) - pooled_hits, 0.0),
-                decryptions=float(run_stats.total_decryptions),
-                exponentiations=float(run_stats.total_exponentiations),
-            ),
-        )
+def _batched_round(items: int, c1: OperationCounts, c2: OperationCounts,
+                   sent: int, returned: int) -> ProtocolCost:
+    """One :meth:`~repro.protocols.base.TwoPartyProtocol.run_pipelined`
+    round over ``items`` items, priced per item: ``sent`` ciphertexts out
+    and ``returned`` back per item, in two frames below ``PIPELINE_MIN_ITEMS``
+    items and four from there on."""
+    return ProtocolCost(
+        c1 * items, c2 * items,
+        4 if items >= _protocol_base.PIPELINE_MIN_ITEMS else 2,
+        sent * items, returned * items)
 
 
 # ---------------------------------------------------------------------------
-# Sub-protocol formulas (Section 3)
+# Sub-protocol entries (Section 3)
+# ---------------------------------------------------------------------------
+
+def sm_cost(pairs: int = 1) -> ProtocolCost:
+    """Secure Multiplication (Algorithm 1) of ``pairs`` operand pairs.
+
+    One round.  Per pair C1 encrypts its two masks and strips the cross
+    terms with one two-base power (two exponentiations); C2 decrypts both
+    masked operands and encrypts their product.
+    """
+    _require_positive(pairs, "pairs")
+    return _batched_round(
+        pairs, OperationCounts(encryptions=2, exponentiations=2),
+        OperationCounts(encryptions=1, decryptions=2), sent=2, returned=1)
+
+
+def ssed_scan_cost(n_records: int, dimensions: int) -> ProtocolCost:
+    """The implemented SSED distance scan: one query against ``n`` records.
+
+    The fused round of :meth:`~repro.protocols.ssed.
+    SecureSquaredEuclideanDistance.run_many`.  Per record C1 encrypts ``m``
+    masks and strips them with ``m`` counted exponentiations, and C2
+    decrypts the ``m`` masked differences and encrypts their square sum;
+    C1 negates the shared query once per attribute.
+    """
+    _require_positive(n_records, "n_records")
+    _require_positive(dimensions, "dimensions")
+    scan = _batched_round(
+        n_records,
+        OperationCounts(encryptions=dimensions, exponentiations=dimensions),
+        OperationCounts(encryptions=1, decryptions=dimensions),
+        sent=dimensions, returned=1)
+    return scan + ProtocolCost(c1=OperationCounts(exponentiations=dimensions))
+
+
+def sbd_cost(bit_length: int, values: int = 1,
+             odd_masks: float | None = None) -> ProtocolCost:
+    """Secure Bit Decomposition of ``values`` ``l``-bit values: ``l`` rounds.
+
+    Per bit and value C1 encrypts its mask and counts two exponentiations
+    (subtracting the extracted bit, halving), and C2 decrypts the masked
+    value and encrypts its parity.  Per odd mask C1 un-flips the parity with
+    one ``E(1)`` and one negation.  ``odd_masks`` of the ``l * values``
+    masks are odd — half of them by default, the expectation — so the entry
+    is exact for a run whose odd masks were counted.
+    """
+    _require_positive(bit_length, "bit_length")
+    _require_positive(values, "values")
+    if odd_masks is None:
+        odd_masks = bit_length * values / 2
+    bit_round = _batched_round(
+        values, OperationCounts(encryptions=1, exponentiations=2),
+        OperationCounts(encryptions=1, decryptions=1), sent=1, returned=1)
+    return bit_round * bit_length + ProtocolCost(
+        c1=OperationCounts(encryptions=odd_masks, exponentiations=odd_masks))
+
+
+def sbor_cost(pairs: int = 1) -> ProtocolCost:
+    """Secure Bit-OR of ``pairs`` bit pairs: one SM round plus one
+    homomorphic subtraction per pair."""
+    return sm_cost(pairs) + ProtocolCost(
+        c1=OperationCounts(exponentiations=pairs))
+
+
+def smin_cost(bit_length: int, pairs: int = 1) -> ProtocolCost:
+    """Secure Minimum (Algorithm 3) of ``pairs`` pairs of ``l``-bit values.
+
+    One round, ``8l + 2`` operations per pair.  C1 encrypts the ``l``
+    ``Gamma`` masks and the marker's ``Z = E(0)``, and counts four
+    exponentiations per bit: the negation of ``max_i``, the marker's cube,
+    the power of the one ``L`` entry and the strip of ``Gamma``'s mask.  C2
+    decrypts the ``l`` ``L`` entries, raises each ``Gamma'_i`` to ``alpha``
+    and encrypts ``E(alpha)`` and the ``l`` fresh ``E(0)`` of ``M'``.  Two
+    of C1's four are cheap in the implementation and counted like the
+    operations they stand for: the negations of a chunk share one modular
+    inverse, and the cube is two multiplications.  ``Gamma`` and ``L`` go
+    out, ``M'`` and ``E(alpha)`` come back.
+    """
+    _require_positive(bit_length, "bit_length")
+    _require_positive(pairs, "pairs")
+    return _batched_round(
+        pairs,
+        OperationCounts(encryptions=bit_length + 1,
+                        exponentiations=4 * bit_length),
+        OperationCounts(encryptions=bit_length + 1, decryptions=bit_length,
+                        exponentiations=bit_length),
+        sent=2 * bit_length, returned=bit_length + 1)
+
+
+def sminn_cost(count: int, bit_length: int) -> ProtocolCost:
+    """Secure Minimum of ``count`` values (Algorithm 4) over the tournament:
+    one batched SMIN round per level, ``count - 1`` pairs in all."""
+    _require_positive(count, "count")
+    cost = ProtocolCost()
+    while count > 1:
+        cost = cost + smin_cost(bit_length, count // 2)
+        count = (count + 1) // 2
+    return cost
+
+
+def _delivery_cost(k: int, dimensions: int) -> ProtocolCost:
+    """Steps 4-6 of Algorithm 5: C1 masks the ``k * m`` result attributes
+    and sends them to C2 in one frame; C2 decrypts them."""
+    return ProtocolCost(c1=OperationCounts(encryptions=k * dimensions),
+                        c2=OperationCounts(decryptions=k * dimensions),
+                        messages=1, c1_ciphertexts=k * dimensions)
+
+
+# ---------------------------------------------------------------------------
+# Query-protocol entries (Section 4)
+# ---------------------------------------------------------------------------
+
+def sknn_basic_cost(n_records: int, dimensions: int, k: int) -> ProtocolCost:
+    """SkNN_b (Algorithm 5) as implemented: the scan, C1 sending the ``n``
+    distances, C2 decrypting them and replying with the top-``k`` indices,
+    and the delivery."""
+    _require_positive(k, "k")
+    selection = ProtocolCost(c2=OperationCounts(decryptions=n_records),
+                             messages=2, c1_ciphertexts=n_records)
+    return (ssed_scan_cost(n_records, dimensions) + selection
+            + _delivery_cost(k, dimensions))
+
+
+def sknn_secure_phases(n_records: int, dimensions: int, k: int,
+                       bit_length: int, odd_masks: float | None = None
+                       ) -> dict[str, ProtocolCost]:
+    """SkNN_m (Algorithm 6) as implemented, phase by phase, plus ``"total"``.
+
+    ``odd_masks`` is SBD's (see :func:`sbd_cost`).  Iteration 1 selects over
+    the ``l`` distance bits, every later one over ``l + 1``, the
+    elimination flag prepended.  Each iteration's zero search is one round:
+    C1 sends the ``n`` randomized differences (localisation) with every
+    record under fresh masks (extraction); C2 decrypts the differences,
+    encrypts ``n`` indicator bits and forwards the chosen row under ``m``
+    fresh zeros.  C1 recomposes ``E(d_min)`` (``l`` powers, then ``l + 1``),
+    negates and randomizes the ``n`` differences, scales each flag by
+    ``2**l`` from iteration 2 on, and strips the forwarded row with ``n * m``
+    powers.  Elimination is ``n`` homomorphic additions: no counted
+    operation and no round.
+    """
+    _require_positive(n_records, "n_records")
+    _require_positive(dimensions, "dimensions")
+    _require_positive(k, "k")
+    _require_positive(bit_length, "bit_length")
+    later = k - 1
+    localisation = ProtocolCost(
+        c1=OperationCounts(exponentiations=2 * n_records * k + bit_length
+                           + (bit_length + 1 + n_records) * later),
+        c2=OperationCounts(encryptions=n_records,
+                           decryptions=n_records) * k,
+        messages=2 * k, c1_ciphertexts=n_records * k,
+        c2_ciphertexts=n_records * k)
+    extraction = ProtocolCost(
+        c1=OperationCounts(encryptions=n_records * dimensions,
+                           exponentiations=n_records * dimensions) * k,
+        c2=OperationCounts(encryptions=dimensions) * k,
+        c1_ciphertexts=n_records * dimensions * k,
+        c2_ciphertexts=dimensions * k)
+    return _with_total({
+        "ssed": ssed_scan_cost(n_records, dimensions),
+        "sbd": sbd_cost(bit_length, n_records, odd_masks),
+        "sminn": (sminn_cost(n_records, bit_length)
+                  + sminn_cost(n_records, bit_length + 1) * later),
+        "localisation": localisation,
+        "extraction": extraction,
+        "elimination": ProtocolCost(),
+        "delivery": _delivery_cost(k, dimensions),
+    }, ProtocolCost())
+
+
+def pool_targets(n_records: int, dimensions: int, k: int, queries: int,
+                 bit_length: int | None = None,
+                 worker_scan: bool = False) -> tuple[int, int]:
+    """C1's and C2's warm-pool targets covering ``queries`` queries.
+
+    Each party's target is its encryptions per query: SkNN_m's when
+    ``bit_length`` is given, with every SBD mask odd (the bound), else
+    SkNN_b's.  With ``worker_scan`` (the in-process plan's chunk workers)
+    the workers encrypt both parties' scan material with C1's slices, so
+    C1 covers every encryption of the query and C2 none.
+    """
+    if bit_length:
+        cost = sknn_secure_phases(n_records, dimensions, k, bit_length,
+                                  odd_masks=n_records * bit_length)["total"]
+    else:
+        cost = sknn_basic_cost(n_records, dimensions, k)
+    c1, c2 = int(cost.c1.encryptions), int(cost.c2.encryptions)
+    if worker_scan:
+        c1, c2 = c1 + c2, 0
+    return c1 * queries, c2 * queries
+
+
+# ---------------------------------------------------------------------------
+# Totals — both clouds together, as the projections read them
 # ---------------------------------------------------------------------------
 
 def sm_counts() -> OperationCounts:
     """Secure Multiplication: 3 encryptions, 2 decryptions, 2 exponentiations."""
-    return OperationCounts(encryptions=3, decryptions=2, exponentiations=2)
+    return sm_cost().total
 
 
 def ssed_counts(dimensions: int) -> OperationCounts:
@@ -158,8 +347,8 @@ def ssed_counts(dimensions: int) -> OperationCounts:
 
     One homomorphic subtraction (an exponentiation by ``N - 1``) plus one SM
     per attribute.  This is the formula the paper-scale projections use; the
-    repository's implementation runs the cheaper fused round modeled by
-    :func:`ssed_scan_counts`.
+    repository's implementation runs the cheaper fused round of
+    :func:`ssed_scan_cost`.
     """
     _require_positive(dimensions, "dimensions")
     per_attribute = sm_counts() + OperationCounts(exponentiations=1)
@@ -167,147 +356,49 @@ def ssed_counts(dimensions: int) -> OperationCounts:
 
 
 def ssed_scan_counts(n_records: int, dimensions: int) -> OperationCounts:
-    """The implemented SSED distance scan: one query against ``n`` records.
-
-    The fused round of :meth:`~repro.protocols.ssed.
-    SecureSquaredEuclideanDistance.run_many`: per (record, attribute) one
-    mask encryption by P1, one decryption by P2 and one unmasking
-    exponentiation; per record one re-encryption of the square sum by P2; and
-    the shared query negated once per attribute — ``n*m + n`` encryptions,
-    ``n*m`` decryptions and ``n*m + m`` exponentiations.  The counts are the
-    same with and without a precomputation engine; pools only move the
-    encryptions offline (:func:`ssed_scan_split_counts`).
-    """
-    _require_positive(n_records, "n_records")
-    _require_positive(dimensions, "dimensions")
-    pairs = n_records * dimensions
-    return OperationCounts(encryptions=pairs + n_records,
-                           decryptions=pairs,
-                           exponentiations=pairs + dimensions)
-
-
-def ssed_scan_split_counts(n_records: int,
-                           dimensions: int) -> OfflineOnlineCounts:
-    """Offline/online split of the SSED distance scan under warm pools.
-
-    All ``n*m + n`` encryptions (P1's masks, P2's square-sum
-    re-encryptions) are obfuscator exponentiations payable during pool
-    refills; the decryptions and the unmasking/negation exponentiations
-    remain query-time work.
-    """
-    counts = ssed_scan_counts(n_records, dimensions)
-    return OfflineOnlineCounts(
-        offline=OperationCounts(encryptions=counts.encryptions),
-        online=OperationCounts(decryptions=counts.decryptions,
-                               exponentiations=counts.exponentiations),
-    )
+    """The implemented SSED scan's total: ``n*m + n`` encryptions, ``n*m``
+    decryptions and ``n*m + m`` exponentiations."""
+    return ssed_scan_cost(n_records, dimensions).total
 
 
 def sbd_counts(bit_length: int) -> OperationCounts:
-    """Secure Bit Decomposition of an ``l``-bit value.
-
-    Per extracted bit: P1 encrypts its mask, P2 decrypts and encrypts the
-    parity, P1 flips the parity for odd masks (expected 0.5 extra encryptions
-    and exponentiations) and halves the value (2 exponentiations).
-    """
-    _require_positive(bit_length, "bit_length")
-    per_bit = OperationCounts(encryptions=2.5, decryptions=1, exponentiations=2.5)
-    return per_bit * bit_length
+    """Secure Bit Decomposition of one ``l``-bit value, half its masks odd."""
+    return sbd_cost(bit_length).total
 
 
 def smin_counts(bit_length: int) -> OperationCounts:
-    """Secure Minimum of two ``l``-bit values (Algorithm 3), ``8l + 2``.
-
-    Per bit: P1 encrypts the ``Gamma`` mask and counts three
-    exponentiations for the ``d``/``Gamma``/marker/``L`` bookkeeping (the
-    negation of ``max_i``, the marker's cube and the power of the one
-    ``L`` entry); P2 decrypts the ``L`` entry, raises ``Gamma'_i`` to
-    ``alpha`` and encrypts the fresh ``E(0)`` that re-randomizes ``M'_i``;
-    P1 strips the ``Gamma`` mask with one more exponentiation.  Constant
-    terms: the marker's ``Z = E(0)`` and P2's encryption of alpha.
-
-    Two of the five counted exponentiations per bit are cheap in the
-    implementation and counted like the operations they stand for: the
-    negation is a modular inverse shared by the chunk, and the cube is two
-    multiplications.  The printed algorithm's secure multiplication per bit
-    (``W_i``, ``G_i``) is gone, and with it SM's 3 encryptions, 2
-    decryptions and 2 exponentiations; so is a second ``L`` entry per bit.
-    """
-    _require_positive(bit_length, "bit_length")
-    per_bit = (
-        OperationCounts(encryptions=1, exponentiations=3)     # rhat; d, P, L
-        + OperationCounts(encryptions=1, decryptions=1,
-                          exponentiations=1)                  # P2: L', M'
-        + OperationCounts(exponentiations=1)                  # P1: strip Gamma mask
-    )
-    constant = OperationCounts(encryptions=2)                 # Z and E(alpha)
-    return per_bit * bit_length + constant
+    """Secure Minimum of two ``l``-bit values, ``8l + 2`` operations."""
+    return smin_cost(bit_length).total
 
 
 def sminn_counts(count: int, bit_length: int) -> OperationCounts:
     """Secure Minimum of ``n`` values: ``n - 1`` SMIN invocations."""
-    _require_positive(count, "count")
-    return smin_counts(bit_length) * max(count - 1, 0)
+    return sminn_cost(count, bit_length).total
 
 
 def sbor_counts() -> OperationCounts:
     """Secure Bit-OR: one SM plus one homomorphic subtraction."""
-    return sm_counts() + OperationCounts(exponentiations=1)
+    return sbor_cost().total
 
-
-# ---------------------------------------------------------------------------
-# Query-protocol formulas (Section 4)
-# ---------------------------------------------------------------------------
 
 def sknn_basic_counts(n_records: int, dimensions: int, k: int,
                       batched: bool = False) -> OperationCounts:
     """SkNN_b (Algorithm 5): ``O(n * m + k)`` operations.
 
-    The distance phase dominates: one SSED per record.  C2 additionally
-    decrypts the ``n`` distances, and the delivery phase costs one encryption
-    and one decryption per returned attribute.
-
-    Args:
-        n_records: table size ``n``.
-        dimensions: attribute count ``m``.
-        k: neighbors returned.
-        batched: ``False`` (default) models the paper's textbook protocol
-            (used by the paper-scale projections); ``True`` models this
-            repository's implementation, whose distance scan is the fused
-            SSED round (:func:`ssed_scan_counts`) — with or without warm
-            pools; which operations pools move offline is
-            :func:`sknn_basic_split_counts`.
+    ``batched=False`` (default) is the paper's textbook protocol, which the
+    paper-scale projections use: one SSED per record, C2 decrypting the
+    ``n`` distances, and one encryption and one decryption per delivered
+    attribute.  ``batched=True`` is this repository's implementation,
+    :func:`sknn_basic_cost`.
     """
     _require_positive(n_records, "n_records")
     _require_positive(dimensions, "dimensions")
     _require_positive(k, "k")
     if batched:
-        distance_phase = ssed_scan_counts(n_records, dimensions)
-    else:
-        distance_phase = ssed_counts(dimensions) * n_records
-    selection_phase = OperationCounts(decryptions=n_records)
-    delivery_phase = OperationCounts(encryptions=k * dimensions,
-                                     decryptions=k * dimensions)
-    return distance_phase + selection_phase + delivery_phase
-
-
-def sknn_basic_split_counts(n_records: int, dimensions: int,
-                            k: int) -> OfflineOnlineCounts:
-    """Offline/online split of a warm-pool SkNN_b query.
-
-    Offline (pool refills): every encryption of the query — ``n*m`` scan
-    masks, ``n`` square-sum re-encryptions and ``k*m`` delivery masks, one
-    obfuscator exponentiation each.  Online: the
-    ``n*m`` masked-difference and ``n + k*m`` distance/delivery decryptions,
-    plus the ``n*m`` unmasking and ``m`` query-negation exponentiations.
-    The sum equals ``sknn_basic_counts(..., batched=True)``.
-    """
-    counts = sknn_basic_counts(n_records, dimensions, k, batched=True)
-    return OfflineOnlineCounts(
-        offline=OperationCounts(encryptions=counts.encryptions),
-        online=OperationCounts(decryptions=counts.decryptions,
-                               exponentiations=counts.exponentiations),
-    )
+        return sknn_basic_cost(n_records, dimensions, k).total
+    return (ssed_counts(dimensions) * n_records
+            + _delivery_cost(k, dimensions).total
+            + OperationCounts(decryptions=n_records))
 
 
 def _printed_smin_counts(bit_length: int) -> OperationCounts:
@@ -341,85 +432,41 @@ def _textbook_secure_phases(n_records: int, dimensions: int, k: int,
             exponentiations=n_records * bit_length * later),
         "extraction": sm_counts() * (n_records * dimensions * k),
         "elimination": sbor_counts() * (n_records * bit_length * later),
-        "delivery": OperationCounts(encryptions=k * dimensions,
-                                    decryptions=k * dimensions),
+        "delivery": _delivery_cost(k, dimensions).total,
     }
 
 
 def sknn_secure_breakdown(n_records: int, dimensions: int, k: int,
                           bit_length: int,
                           textbook: bool = False) -> dict[str, OperationCounts]:
-    """Per-phase operation counts of SkNN_m (Algorithm 6).
+    """Per-phase operation counts of SkNN_m (Algorithm 6), both clouds
+    together, plus the total under ``"total"``.
 
-    Returns a dictionary with one entry per phase so that the SMIN_n share of
-    the total (the paper reports 69.7%-75%) can be reproduced, plus the total
-    under the key ``"total"``.
+    The SMIN_n share of the total is what the paper reports as 69.7%-75%.
 
     Args:
         n_records, dimensions, k, bit_length: the query's shape.
-        textbook: ``False`` (default) models this repository's
-            implementation; ``True`` models the printed protocol — SSED per
+        textbook: ``False`` (default) totals this repository's
+            implementation, :func:`sknn_secure_phases` with half of SBD's
+            masks odd; ``True`` models the printed protocol — SSED per
             record, the printed SMIN (one SM per bit), extraction by ``n*m``
             SMs and elimination by ``n*l`` SBORs per iteration after the
             first — the counterpart of ``sknn_basic_counts(batched=False)``,
             against which Figure 2(f) compares it.
     """
-    _require_positive(n_records, "n_records")
-    _require_positive(dimensions, "dimensions")
-    _require_positive(k, "k")
-    _require_positive(bit_length, "bit_length")
+    # built either way: it checks the shape for the textbook model too
+    phases = sknn_secure_phases(n_records, dimensions, k, bit_length)
     if textbook:
         return _with_total(_textbook_secure_phases(
-            n_records, dimensions, k, bit_length))
-
-    later = max(k - 1, 0)
-    distance_phase = ssed_scan_counts(n_records, dimensions)
-    sbd_phase = sbd_counts(bit_length) * n_records
-    # Iteration 1 selects over the l distance bits; every later one over
-    # l + 1, the elimination flag prepended.
-    sminn_phase = (sminn_counts(n_records, bit_length)
-                   + sminn_counts(n_records, bit_length + 1) * later)
-
-    # Per iteration: recompose E(d_min) (l exponentiations, then l + 1),
-    # negate and randomize the n differences (2 exponentiations each), C2
-    # decrypts n values and encrypts the n indicator bits; in iterations
-    # 2..k each E(d_i) gains its flag scaled by 2**l (n exponentiations).
-    localisation_per_iteration = OperationCounts(
-        encryptions=n_records,
-        decryptions=n_records,
-        exponentiations=2 * n_records,
-    )
-    localisation_phase = localisation_per_iteration * k + OperationCounts(
-        exponentiations=bit_length + (bit_length + 1 + n_records) * later)
-
-    # Per iteration: C1 masks all n * m attributes and strips the forwarded
-    # row with n * m exponentiations; C2 re-randomizes its m ciphertexts.
-    extraction_phase = OperationCounts(
-        encryptions=n_records * dimensions + dimensions,
-        exponentiations=n_records * dimensions) * k
-    # Elimination adds each indicator into its record's flag: n homomorphic
-    # additions per iteration, no counted operation and no round.
-    elimination_phase = OperationCounts()
-    delivery_phase = OperationCounts(encryptions=k * dimensions,
-                                     decryptions=k * dimensions)
-
-    return _with_total({
-        "ssed": distance_phase,
-        "sbd": sbd_phase,
-        "sminn": sminn_phase,
-        "localisation": localisation_phase,
-        "extraction": extraction_phase,
-        "elimination": elimination_phase,
-        "delivery": delivery_phase,
-    })
+            n_records, dimensions, k, bit_length), OperationCounts())
+    return {phase: cost.total for phase, cost in phases.items()}
 
 
-def _with_total(phases: dict[str, OperationCounts]
-                ) -> dict[str, OperationCounts]:
-    """``phases`` plus their sum under ``"total"``."""
-    total = OperationCounts()
-    for counts in phases.values():
-        total = total + counts
+def _with_total(phases: dict, zero):
+    """``phases`` plus their sum (from ``zero``) under ``"total"``."""
+    total = zero
+    for cost in phases.values():
+        total = total + cost
     phases["total"] = total
     return phases
 

@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - imports used for annotations only
     from repro.transport.client import RemoteCloud
     from repro.transport.supervisor import LocalSupervisor
 
+from repro.analysis.cost_model import pool_targets
 from repro.core.cloud import FederatedCloud
 from repro.core.parallel import ParallelSkNNBasic, ShardedCloud
 from repro.core.roles import DataOwner, QueryClient
@@ -145,9 +146,10 @@ class SkNNSystem:
             parallel_backend: ``"process"``, ``"thread"`` or ``"serial"``.
             shards: partition count for the sharded mode.
             latency_model: optional simulated network latency between clouds.
-            precompute: when positive, attach a warmed
-                :class:`~repro.crypto.precompute.PrecomputeEngine` sized to
-                cover roughly this many queries, so the online path consumes
+            precompute: when positive, attach one warmed
+                :class:`~repro.crypto.precompute.PrecomputeEngine` per
+                cloud, holding its encryptions for this many queries of
+                ``k_default`` neighbours, so the online path consumes
                 pooled obfuscators instead of computing them.  In
                 distributed mode each daemon warms its own party-local
                 engine instead.
@@ -188,26 +190,37 @@ class SkNNSystem:
                    workers=workers, parallel_backend=parallel_backend,
                    shards=shards, k_default=k_default, precompute=precompute)
 
-    def _warm_c1_engine(self, queries: int, rng: Random | None,
-                        worker_scan: bool) -> PrecomputeEngine:
-        """A warmed evaluator-side engine covering ``queries`` queries.
+    def _warm_engines(self, queries: int, worker_scan: bool,
+                      rng: Random | None = None
+                      ) -> tuple[PrecomputeEngine, PrecomputeEngine]:
+        """Warmed C1 and C2 engines covering ``queries`` queries.
 
+        Each is sized at its party's encryptions per query in the cost
+        model (:func:`~repro.analysis.cost_model.pool_targets`).
         ``worker_scan`` says the scan runs on the in-process plan's chunk
         workers (``parallel``/``sharded`` modes and :meth:`serve`), which
-        encrypt with slices drained from this engine.
+        encrypt with slices drained from C1's engine.  C1 and C2 each get
+        their own engine, filled with their own randomness, as the
+        non-colluding model requires; C2's is built on the private key, so
+        its refills take the CRT kernel its inline encryptions use.
         """
         table = self.owner.table
-        # SBD/SMIN material is consumed by SkNN_m only, never by a worker scan.
-        secure = self.mode == "secure" and not worker_scan
-        engine = PrecomputeEngine(
-            self.owner.public_key, rng=rng,
-            config=PrecomputeConfig.for_query_load(
-                n_records=len(table), dimensions=table.dimensions,
-                k=self.k_default or 1, queries=queries,
-                sbd_bit_length=self.distance_bits if secure else None,
-                worker_scan=worker_scan))
-        engine.warm()
-        return engine
+        targets = pool_targets(
+            len(table), table.dimensions, self.k_default or 1, queries,
+            # SkNN_m's SBD/SMIN material, never drawn by a worker scan
+            bit_length=(self.distance_bits
+                        if self.mode == "secure" and not worker_scan
+                        else None),
+            worker_scan=worker_scan)
+        engines = tuple(
+            PrecomputeEngine(key, rng=rng or self._derived_rng(),
+                             config=PrecomputeConfig(obfuscators=target))
+            for key, target in zip(
+                (self.owner.public_key, self.cloud.c2.private_key),
+                targets))
+        for engine in engines:
+            engine.warm()
+        return engines
 
     def _derived_rng(self) -> Random | None:
         """A fresh deterministic stream off the owner's, when it has one."""
@@ -216,27 +229,9 @@ class SkNNSystem:
         return Random(self.owner.rng.getrandbits(63))
 
     def _attach_precompute(self, queries: int) -> None:
-        """Build, warm and attach per-cloud precomputation engines.
-
-        C1 and C2 each get their own engine (filled with their own
-        randomness, as the non-colluding model requires): C1's covers its
-        mask and constant encryptions, C2's its re-encryptions and 0/1 bits.
-        C2's is built on the private key, so its refills take the CRT
-        kernel its inline encryptions use.
-        """
-        table = self.owner.table
-        c1_engine = self._warm_c1_engine(
-            queries, self._derived_rng(),
-            worker_scan=self.mode in ("parallel", "sharded"))
-        c2_engine = PrecomputeEngine(
-            self.cloud.c2.private_key, rng=self._derived_rng(),
-            config=PrecomputeConfig.for_decryptor_load(
-                n_records=len(table), dimensions=table.dimensions,
-                k=self.k_default or 1, queries=queries,
-                sbd_bit_length=(self.distance_bits
-                                if self.mode == "secure" else None)))
-        c2_engine.warm()
-        self.cloud.attach_engine(c1_engine, c2_engine)
+        """Build, warm and attach per-cloud precomputation engines."""
+        self.cloud.attach_engine(*self._warm_engines(
+            queries, worker_scan=self.mode in ("parallel", "sharded")))
 
     @property
     def precompute_engine(self):
@@ -337,8 +332,8 @@ class SkNNSystem:
             session_pool_size: when positive, every session precomputes this
                 many factors for its query encryptions.
             precompute: when positive, the sharded store owns a warmed
-                :class:`~repro.crypto.precompute.PrecomputeEngine` sized to
-                cover roughly this many queries, chunk workers' slices
+                :class:`~repro.crypto.precompute.PrecomputeEngine` holding
+                the encryptions of this many queries, chunk workers' slices
                 included; the server refills it in idle scheduler slots.
             precompute_producer: additionally start the engine's background
                 producer thread, so pools refill even while batches execute.
@@ -364,8 +359,8 @@ class SkNNSystem:
             # pools are paid for) instead of replacing it with a cold one.
             engine = self.cloud.engine
             if engine is None:
-                engine = self._warm_c1_engine(precompute, server_rng,
-                                              worker_scan=True)
+                engine, _ = self._warm_engines(precompute, worker_scan=True,
+                                               rng=server_rng)
         sharded = ShardedCloud(
             self.cloud,
             shards=shards if shards is not None else self.shards,

@@ -99,66 +99,15 @@ class PrecomputeConfig:
     """The pool's target size (and the refill batch granularity).
 
     One number to size: every pooled item is an ``r^N`` factor, good for any
-    encryption its party performs.  Derive it from the workload with
-    :meth:`for_query_load` / :meth:`for_decryptor_load`.
+    encryption its party performs.  The deployments derive it from the cost
+    model: a party's encryptions per query times the queries to cover
+    (:func:`repro.analysis.cost_model.pool_targets`).
     """
 
     obfuscators: int = 448
     #: largest number of factors one :meth:`PrecomputeEngine.refill` step
     #: computes before re-checking the deficit (keeps idle-slot refills short).
     refill_batch: int = 64
-
-    @classmethod
-    def for_query_load(cls, n_records: int, dimensions: int, k: int,
-                       queries: int = 1,
-                       sbd_bit_length: int | None = None,
-                       worker_scan: bool = False) -> "PrecomputeConfig":
-        """Evaluator-side (P1/C1) pool size covering ``queries`` warm queries.
-
-        Per SkNN_b query P1 encrypts ``n*m + k*m`` additive masks (scan +
-        delivery) plus ``2m`` spare.  With ``l`` given (SkNN_m workloads) it
-        also encrypts ``l*n`` SBD masks and about ``l*n/2`` SBD ones, and per
-        iteration at most ``n`` SMIN pairs' ``l + 1`` ``rhat`` masks and
-        ``Z`` (``n * (l + 2)``) and ``n*m`` extraction masks.  A flat 32
-        covers the first query's odds and ends.
-
-        With ``worker_scan=True`` (the parallel/sharded modes, whose chunk
-        workers draw obfuscator *slices* from this engine) the scan is the
-        workers' ``n*(m + 1)`` per query: a mask per (record, attribute)
-        and a square sum per record, both encrypted worker-side.
-
-        The decryptor's material is sized by :meth:`for_decryptor_load` — in
-        the paper's model each cloud precomputes with its *own* randomness.
-        """
-        scan_masks = n_records * (dimensions + 1 if worker_scan else dimensions)
-        bits = sbd_bit_length or 0
-        sbd = bits * n_records * queries
-        ones = sbd // 2
-        smin_and_extraction = (k * n_records * (bits + 2 + dimensions) * queries
-                               if bits else 0)
-        return cls(obfuscators=(
-            (scan_masks + (k + 2) * dimensions) * queries + 32
-            + sbd + ones + smin_and_extraction))
-
-    @classmethod
-    def for_decryptor_load(cls, n_records: int, dimensions: int, k: int,
-                           queries: int = 1,
-                           sbd_bit_length: int | None = None
-                           ) -> "PrecomputeConfig":
-        """Decryptor-side (P2/C2) pool size covering ``queries`` queries.
-
-        P2 re-encrypts ``n`` square sums per SSED scan; with ``l`` given it
-        also encrypts ``l*n`` SBD parity bits, and per iteration ``n``
-        indicator bits, ``m`` zeros for the forwarded record, and for at
-        most ``n`` SMIN pairs one ``alpha`` and the ``l + 1`` zeros that
-        re-randomize ``M'`` (``n * (l + 3) + m``).  A flat 32 otherwise.
-        """
-        bits = sbd_bit_length or 0
-        if not bits:
-            return cls(obfuscators=n_records * queries + 32)
-        return cls(obfuscators=(
-            (n_records * (1 + bits) + k * (n_records * (bits + 3) + dimensions))
-            * queries + 32))
 
 
 class PrecomputeEngine:

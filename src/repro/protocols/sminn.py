@@ -100,11 +100,6 @@ class SecureMinimumOfN(TwoPartyProtocol):
 
     # -- analytics ---------------------------------------------------------------
     @staticmethod
-    def smin_invocations(count: int) -> int:
-        """Number of SMIN calls needed for ``count`` inputs (both topologies)."""
-        return max(count - 1, 0)
-
-    @staticmethod
     def tree_depth(count: int) -> int:
         """Depth of the tournament tree, i.e. ``ceil(log2 n)``."""
         if count <= 1:

@@ -48,6 +48,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, Callable
 
+from repro.analysis.cost_model import pool_targets
 from repro.core.cloud import CloudC1, CloudC2, FederatedCloud
 from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_base import SkNNProtocol, SkNNRunReport
@@ -780,13 +781,25 @@ class PartyDaemon:
         with self._rng_lock:
             return Random(self.rng.getrandbits(63))
 
-    def _build_engine(self, key: Any, config: PrecomputeConfig | None) -> int:
+    def _build_engine(self, key: Any, precompute: dict[str, Any] | None,
+                      party: int) -> int:
         """Build/warm this party's engine on its own ``key`` (C2's private
-        key, so its refills take CRT); reload the pool cache first."""
-        if config is None:
+        key, so its refills take CRT); reload the pool cache first.
+
+        ``precompute`` is the provisioned load; the pool covers this
+        party's (``party`` 0 for C1, 1 for C2) encryptions of that many
+        queries in the cost model (:func:`~repro.analysis.cost_model.
+        pool_targets`).
+        """
+        if not precompute:
             return 0
-        self.engine = PrecomputeEngine(key, rng=self._derive_rng(),
-                                       config=config)
+        target = pool_targets(
+            precompute["n_records"], precompute["dimensions"],
+            precompute["k"], precompute["queries"],
+            bit_length=precompute.get("sbd_bit_length"))[party]
+        self.engine = PrecomputeEngine(
+            key, rng=self._derive_rng(),
+            config=PrecomputeConfig(obfuscators=target))
         loaded = 0
         if self.pool_cache is not None and self.pool_cache.exists():
             try:
@@ -990,11 +1003,8 @@ class C2Daemon(PartyDaemon):
         self.codec.public_key = self._private_key.public_key
         if not from_recovery:
             self.mailbox.clear()  # new provisioning epoch: drop stale shares
-        precompute = payload.get("precompute")
-        loaded = self._build_engine(
-            self._private_key,
-            PrecomputeConfig.for_decryptor_load(**precompute)
-            if precompute else None)
+        loaded = self._build_engine(self._private_key,
+                                    payload.get("precompute"), party=1)
         logger.info("C2 provisioned (key %d bits, l=%s)",
                     self.codec.public_key.key_size, self.distance_bits)
         return {"role": "c2", "pool_items_loaded": loaded}
@@ -1338,11 +1348,8 @@ class C1Daemon(PartyDaemon):
             pool, self._peer_pool = self._peer_pool, None
         if pool is not None:
             pool.close()  # new provisioning epoch: drop the old peer links
-        precompute = payload.get("precompute")
-        loaded = self._build_engine(
-            self.codec.public_key,
-            PrecomputeConfig.for_query_load(**precompute)
-            if precompute else None)
+        loaded = self._build_engine(self.codec.public_key,
+                                    payload.get("precompute"), party=0)
         if not from_recovery:
             self._ensure_pool().ensure()
         logger.info("C1%s provisioned (%d records, %d dims, peer %s:%d%s%s)",

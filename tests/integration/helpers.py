@@ -7,6 +7,7 @@ from typing import Sequence
 
 from repro.db.knn import LinearScanKNN, squared_euclidean
 from repro.db.table import Table
+from repro.protocols.base import TwoPartyProtocol
 
 
 def oracle_answer(table: Table, query: Sequence[int], k: int) -> list[tuple[int, ...]]:
@@ -56,3 +57,18 @@ def assert_stats_are_row_sums(report) -> None:
             c1["homomorphic_additions"]) == (
         stats.c1_encryptions, 0, stats.c1_exponentiations,
         stats.c1_homomorphic_additions)
+
+
+def record_sbd_masks(monkeypatch) -> list[int]:
+    """Every SBD mask drawn from now on (their parities decide SBD's cost)."""
+    drawn: list[int] = []
+    original = TwoPartyProtocol.take_masks
+
+    def recording(self, count, kind="zn", sbd_upper=None):
+        tuples = original(self, count, kind, sbd_upper)
+        if kind == "sbd":
+            drawn.extend(r for r, _ in tuples)
+        return tuples
+
+    monkeypatch.setattr(TwoPartyProtocol, "take_masks", recording)
+    return drawn

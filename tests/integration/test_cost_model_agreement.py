@@ -1,11 +1,16 @@
-"""Cross-validation of the analytic cost model against measured counters.
+"""The cost model, call for call: one agreement harness.
 
-The calibrated projections used by the benchmark harness are only trustworthy
-if the operation-count formulas match what the implementation actually does.
-These tests run the real protocols with instrumented counters and compare
-against :mod:`repro.analysis.cost_model` — exactly for the deterministic
-protocols (SM, SSED), within a small tolerance for the randomized ones (SBD's
-mask parity, SkNN_m's per-iteration branches).
+:mod:`repro.analysis.cost_model` states each protocol's cost once: per call
+shape, what C1 pays, what C2 pays, the peer messages and the ciphertexts
+each party sends.  Every case here runs one call — SM, the SSED scan, SBD,
+SBOR, SMIN, SMIN_n, SkNN_b, SkNN_m — at shapes below and at or above
+``PIPELINE_MIN_ITEMS``, on every bigint backend, with pools off and warm,
+and asserts the measured call equal to its entry: both parties' counters
+(a cost ledger's per-party rows), the channel's messages and each sender's
+ciphertexts.  SBD and SkNN_m are held to the entry at the run's recorded
+number of odd SBD masks.  With pools warm each party's engine serves
+exactly that party's encryptions and misses none: the offline work is the
+entry's ``encryptions``.
 """
 
 from __future__ import annotations
@@ -15,271 +20,257 @@ from random import Random
 import pytest
 
 from repro.analysis.cost_model import (
-    OfflineOnlineCounts,
-    sbd_counts,
-    sknn_basic_counts,
-    sknn_basic_split_counts,
-    sknn_secure_counts,
-    smin_counts,
-    sm_counts,
-    ssed_scan_counts,
-    ssed_scan_split_counts,
+    OperationCounts,
+    ProtocolCost,
+    sbd_cost,
+    sbor_cost,
+    sknn_basic_cost,
+    sknn_secure_phases,
+    sm_cost,
+    smin_cost,
+    sminn_cost,
+    ssed_scan_cost,
 )
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_secure import SkNNSecure
+from repro.core.system import SkNNSystem
+from repro.crypto.backend import available_backends, set_backend
+from repro.crypto.paillier import (
+    PaillierKeyPair,
+    PaillierPrivateKey,
+    PaillierPublicKey,
+)
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.db.datasets import synthetic_uniform
-from repro.protocols.base import PIPELINE_MIN_ITEMS
+from repro.network.party import TwoPartySetting
+from repro.network.stats import ProtocolRunStats
 from repro.protocols.encoding import encrypt_bits
 from repro.protocols.sbd import SecureBitDecomposition
-from repro.protocols.smin import SecureMinimum
+from repro.protocols.sbor import SecureBitOr
 from repro.protocols.sm import SecureMultiplication
+from repro.protocols.smin import SecureMinimum
+from repro.protocols.sminn import SecureMinimumOfN
 from repro.protocols.ssed import SecureSquaredEuclideanDistance
+from repro.telemetry.profiling import CostLedger
+from tests.integration.helpers import record_sbd_masks
+
+#: secure_dist_k512's query shape (K=512 there, 128 bits here)
+SECURE_DIST_K512 = dict(n_records=8, dimensions=3, k=2, bit_length=6)
 
 
-def totals(stats):
-    """(encryptions, decryptions, exponentiations) from run statistics."""
-    return (stats.total_encryptions, stats.total_decryptions,
-            stats.total_exponentiations)
+def two_party(keypair, seed: int) -> TwoPartySetting:
+    return TwoPartySetting.create(keypair, rng=Random(seed))
 
 
-class TestSubProtocolCounts:
-    def test_sm_exact(self, setting):
-        protocol = SecureMultiplication(setting)
-        result = protocol.run_instrumented(setting.public_key.encrypt(5),
-                                           setting.public_key.encrypt(6))
-        expected = sm_counts()
-        assert totals(result.stats) == (expected.encryptions,
-                                        expected.decryptions,
-                                        expected.exponentiations)
-
-    @pytest.mark.parametrize("dimensions", [1, 3, 6])
-    def test_ssed_exact(self, setting, dimensions):
-        protocol = SecureSquaredEuclideanDistance(setting)
-        x = list(range(dimensions))
-        y = list(range(1, dimensions + 1))
-        result = protocol.run_instrumented(setting.public_key.encrypt_vector(x),
-                                           setting.public_key.encrypt_vector(y))
-        # run() is the single-record scan, not the textbook m-SM formula.
-        expected = ssed_scan_counts(1, dimensions)
-        assert totals(result.stats) == (expected.encryptions,
-                                        expected.decryptions,
-                                        expected.exponentiations)
-
-    @pytest.mark.parametrize("dimensions,records", [(1, 4), (3, 5)])
-    def test_ssed_scan_exact(self, setting, dimensions, records):
-        """The batched scan must match its own model exactly (Section 4.4)."""
-        protocol = SecureSquaredEuclideanDistance(setting)
-        pk = setting.public_key
-        query = pk.encrypt_vector(list(range(dimensions)))
-        table = [pk.encrypt_vector([i + j for j in range(dimensions)])
-                 for i in range(records)]
-        setting.reset_counters()
-        protocol.run_many(query, table)
-        expected = ssed_scan_counts(records, dimensions)
-        assert pk.counter.encryptions == expected.encryptions
-        assert setting.decryptor.private_key.counter.decryptions == \
-            expected.decryptions
-        assert pk.counter.exponentiations == expected.exponentiations
-        # One round, two half-scans in flight (both cases have at least
-        # PIPELINE_MIN_ITEMS records): n rows of m masked differences out
-        # and n square sums back, each direction in two frames.
-        traffic = setting.channel.total_traffic()
-        assert records >= PIPELINE_MIN_ITEMS and traffic.messages == 4
-        assert traffic.ciphertexts == records * dimensions + records
-
-    @pytest.mark.parametrize("bit_length", [4, 8])
-    def test_sbd_within_tolerance(self, setting, bit_length):
-        """SBD's cost depends on random mask parities: expected +- l/2."""
-        protocol = SecureBitDecomposition(setting, bit_length)
-        result = protocol.run_instrumented(setting.public_key.encrypt(3))
-        expected = sbd_counts(bit_length)
-        measured_enc, measured_dec, measured_exp = totals(result.stats)
-        assert measured_dec == expected.decryptions
-        assert abs(measured_enc - expected.encryptions) <= bit_length / 2 + 1
-        assert abs(measured_exp - expected.exponentiations) <= bit_length / 2 + 1
-
-    @pytest.mark.parametrize("bit_length", [4, 6])
-    def test_smin_exact(self, setting, bit_length):
-        protocol = SecureMinimum(setting)
-        result = protocol.run_instrumented(
-            encrypt_bits(setting.public_key, 3, bit_length),
-            encrypt_bits(setting.public_key, 5, bit_length),
-        )
-        expected = smin_counts(bit_length)
-        assert totals(result.stats) == (expected.encryptions,
-                                        expected.decryptions,
-                                        expected.exponentiations)
+def deployed(keypair, seed: int, n_records: int, dimensions: int,
+             bit_length: int = 8):
+    """A cloud hosting a fresh table, and Bob's encryption of a query."""
+    table = synthetic_uniform(n_records=n_records, dimensions=dimensions,
+                              distance_bits=bit_length, seed=seed)
+    owner = DataOwner(table, keypair=keypair, rng=Random(seed + 1))
+    cloud = FederatedCloud.deploy(keypair, rng=Random(seed + 2))
+    cloud.c1.host_database(owner.encrypt_database())
+    client = QueryClient(keypair.public_key, dimensions, rng=Random(seed + 3))
+    return cloud, client.encrypt_query(list(table.records[0].values))
 
 
-class TestQueryProtocolCounts:
-    def deploy(self, table, keypair, seed):
-        owner = DataOwner(table, keypair=keypair, rng=Random(seed))
-        cloud = FederatedCloud.deploy(keypair, rng=Random(seed + 1))
-        cloud.c1.host_database(owner.encrypt_database())
-        client = QueryClient(keypair.public_key, table.dimensions,
-                             rng=Random(seed + 2))
-        return cloud, client
+# Each case builds its inputs and returns (setting, call, entry, sbd_masks):
+# the call to measure, its model entry as a function of the number of odd
+# SBD masks, and how many SBD masks the call draws.
 
-    def test_sknn_basic_counts_match_model(self, small_keypair):
-        table = synthetic_uniform(n_records=10, dimensions=3, distance_bits=8,
-                                  seed=5)
-        cloud, client = self.deploy(table, small_keypair, seed=400)
-        protocol = SkNNBasic(cloud)
-        protocol.run_with_report(client.encrypt_query([1, 2, 3]), 2)
-        stats = protocol.last_report.stats
-        # The implementation runs the vectorized distance scan (query
-        # negation hoisted across records), modeled by batched=True.
-        expected = sknn_basic_counts(10, 3, 2, batched=True)
-        assert stats.total_encryptions == expected.encryptions
-        assert stats.total_decryptions == expected.decryptions
-        assert stats.total_exponentiations == expected.exponentiations
+def sm_case(keypair, pairs):
+    setting = two_party(keypair, 11)
+    public = setting.public_key
+    operands = [(public.encrypt(a), public.encrypt(7 - a))
+                for a in range(pairs)]
+    return (setting, lambda: SecureMultiplication(setting).run_batch(operands),
+            lambda odd: sm_cost(pairs), 0)
 
-    def test_sknn_basic_precomputed_counts_match_split_model(
-            self, small_keypair):
-        """Warm-pool SkNN_b: online counters match the split's online side
-        and the engines' pooled takes match its offline side exactly."""
-        n, m, k = 10, 3, 2
-        table = synthetic_uniform(n_records=n, dimensions=m, distance_bits=8,
-                                  seed=5)
-        cloud, client = self.deploy(table, small_keypair, seed=402)
-        # One engine per cloud, each with its own randomness (the model's
-        # non-colluding split): C1's pays for the mask encryptions, C2's for
-        # the square-sum re-encryptions.
-        c1_engine = PrecomputeEngine(
-            small_keypair.public_key, rng=Random(403),
-            config=PrecomputeConfig.for_query_load(n, m, k, queries=1))
-        c2_engine = PrecomputeEngine(
-            small_keypair.private_key, rng=Random(408),
-            config=PrecomputeConfig.for_decryptor_load(n, m, k, queries=1))
-        c1_engine.warm()
-        c2_engine.warm()
-        cloud.attach_engine(c1_engine, c2_engine)
-        try:
-            encrypted_query = client.encrypt_query([1, 2, 3])
-            protocol = SkNNBasic(cloud)
-            protocol.run_with_report(encrypted_query, k)
-            stats = protocol.last_report.stats
-        finally:
-            cloud.attach_engine(None)
 
-        split = sknn_basic_split_counts(n, m, k)
-        # Counter parity: every pooled take still counts as one logical
-        # encryption, so total encryptions equal the offline-side model...
-        assert stats.total_encryptions == split.offline.encryptions
-        # ...while decryptions and exponentiations are the online residue.
-        assert stats.total_decryptions == split.online.decryptions
-        assert stats.total_exponentiations == split.online.exponentiations
-        # The pools served every precomputable operation (no misses): the
-        # two engines' offline ledgers cover all pooled takes of the query.
-        pooled = c1_engine.pool_hit_total() + c2_engine.pool_hit_total()
-        assert pooled == split.offline.encryptions
-        assert c1_engine.misses == 0
-        assert c2_engine.misses == 0
-        # ...which is what the measured split reports from the same stats.
-        measured = OfflineOnlineCounts.from_measurements(
-            stats, c1_engine.stats(), c2_engine.stats())
-        assert measured.online.encryptions == 0
-        assert measured.online.decryptions == split.online.decryptions
-        # The split model is self-consistent with the precomputed pipeline.
-        combined = split.offline + split.online
-        expected = sknn_basic_counts(n, m, k, batched=True)
-        assert combined == expected
+def ssed_case(keypair, n_records, dimensions):
+    setting = two_party(keypair, 12)
+    public = setting.public_key
+    query = public.encrypt_vector(list(range(dimensions)))
+    records = [public.encrypt_vector([i + j for j in range(dimensions)])
+               for i in range(n_records)]
+    return (setting,
+            lambda: SecureSquaredEuclideanDistance(setting).run_many(
+                query, records),
+            lambda odd: ssed_scan_cost(n_records, dimensions), 0)
 
-    def test_ssed_scan_precomputed_split_exact(self, small_keypair):
-        """The scan under warm pools matches its own split model."""
-        records, dimensions = 5, 3
-        cloud, _ = self.deploy(
-            synthetic_uniform(n_records=records, dimensions=dimensions,
-                              distance_bits=8, seed=7),
-            small_keypair, seed=404)
-        pk = small_keypair.public_key
-        engine = PrecomputeEngine(
-            pk, rng=Random(405),
-            config=PrecomputeConfig(obfuscators=128))
-        engine.warm()
-        cloud.attach_engine(engine)
-        try:
-            protocol = SecureSquaredEuclideanDistance(cloud.setting)
-            query = pk.encrypt_vector(list(range(dimensions)))
-            table = [pk.encrypt_vector([i + j for j in range(dimensions)])
-                     for i in range(records)]
-            cloud.setting.reset_counters()
-            protocol.run_many(query, table)
-        finally:
-            cloud.attach_engine(None)
-        split = ssed_scan_split_counts(records, dimensions)
-        assert pk.counter.encryptions == split.offline.encryptions
-        assert cloud.c2.private_key.counter.decryptions == \
-            split.online.decryptions
-        assert pk.counter.exponentiations == split.online.exponentiations
-        # Same messages as the cold scan (two half-scans in flight): pools
-        # never change the protocol.
-        traffic = cloud.channel.total_traffic()
-        assert records >= PIPELINE_MIN_ITEMS and traffic.messages == 4
-        assert traffic.ciphertexts == records * dimensions + records
 
-    def test_smin_engine_parity(self, small_keypair):
-        """SMIN with pooled material keeps the exact Section 4.4 counts."""
-        from repro.network.party import TwoPartySetting
+def sbd_case(keypair, bit_length, values):
+    setting = two_party(keypair, 13)
+    encrypted = setting.public_key.encrypt_batch(
+        [(5 * i + 3) % (1 << bit_length) for i in range(values)])
+    return (setting,
+            lambda: SecureBitDecomposition(setting, bit_length).run_batch(
+                encrypted),
+            lambda odd: sbd_cost(bit_length, values, odd), bit_length * values)
 
-        setting = TwoPartySetting.create(small_keypair, rng=Random(406))
-        bit_length = 4
-        engine = PrecomputeEngine(
-            small_keypair.public_key, rng=Random(407),
-            config=PrecomputeConfig(obfuscators=128))
-        engine.warm()
-        setting.attach_engine(engine)
-        try:
-            protocol = SecureMinimum(setting)
-            result = protocol.run_instrumented(
-                encrypt_bits(setting.public_key, 3, bit_length),
-                encrypt_bits(setting.public_key, 5, bit_length),
-            )
-        finally:
-            setting.attach_engine(None)
-        expected = smin_counts(bit_length)
-        assert totals(result.stats) == (expected.encryptions,
-                                        expected.decryptions,
-                                        expected.exponentiations)
 
-    def test_sized_pools_cover_a_secure_query(self, small_keypair):
-        """The pool formulas cover every encryption of a SkNN_m query on
-        both parties: no obfuscator misses."""
-        n, m, k, bits = 6, 2, 2, 7
-        table = synthetic_uniform(n_records=n, dimensions=m,
-                                  distance_bits=bits, seed=6)
-        cloud, client = self.deploy(table, small_keypair, seed=409)
-        engines = [
-            PrecomputeEngine(small_keypair.public_key, rng=Random(410),
-                             config=PrecomputeConfig.for_query_load(
-                                 n, m, k, sbd_bit_length=bits)),
-            PrecomputeEngine(small_keypair.private_key, rng=Random(411),
-                             config=PrecomputeConfig.for_decryptor_load(
-                                 n, m, k, sbd_bit_length=bits))]
-        for engine in engines:
-            engine.warm()
-        cloud.attach_engine(*engines)
-        try:
-            SkNNSecure(cloud, distance_bits=bits).run(
-                client.encrypt_query([1, 2]), k)
-        finally:
-            cloud.attach_engine(None)
-        assert [engine.misses for engine in engines] == [0, 0]
-        assert all(engine.pool_hit_total() > 0 for engine in engines)
+def sbor_case(keypair, pairs):
+    setting = two_party(keypair, 14)
+    public = setting.public_key
+    bits = [(public.encrypt(i % 2), public.encrypt(i // 2 % 2))
+            for i in range(pairs)]
+    return (setting, lambda: SecureBitOr(setting).run_batch(bits),
+            lambda odd: sbor_cost(pairs), 0)
 
-    def test_sknn_secure_counts_close_to_model(self, small_keypair):
-        """SkNN_m has randomized branches; the model must agree within 15%."""
-        table = synthetic_uniform(n_records=6, dimensions=2, distance_bits=7,
-                                  seed=6)
-        cloud, client = self.deploy(table, small_keypair, seed=401)
-        protocol = SkNNSecure(cloud, distance_bits=7)
-        protocol.run_with_report(client.encrypt_query([1, 2]), 2,
-                                 distance_bits=7)
-        stats = protocol.last_report.stats
-        expected = sknn_secure_counts(6, 2, 2, 7)
-        measured_total = (stats.total_encryptions + stats.total_decryptions
-                          + stats.total_exponentiations)
-        assert measured_total == pytest.approx(expected.total, rel=0.15)
+
+def smin_case(keypair, bit_length, pairs):
+    setting = two_party(keypair, 15)
+    public = setting.public_key
+    top = 1 << bit_length
+    operands = [(encrypt_bits(public, (7 * i + 2) % top, bit_length),
+                 encrypt_bits(public, (3 * i + 5) % top, bit_length))
+                for i in range(pairs)]
+    return (setting, lambda: SecureMinimum(setting).run_batch(operands),
+            lambda odd: smin_cost(bit_length, pairs), 0)
+
+
+def sminn_case(keypair, count, bit_length):
+    setting = two_party(keypair, 16)
+    values = [encrypt_bits(setting.public_key, (5 * i + 1) % (1 << bit_length),
+                           bit_length) for i in range(count)]
+    return (setting, lambda: SecureMinimumOfN(setting).run(values),
+            lambda odd: sminn_cost(count, bit_length), 0)
+
+
+def sknn_basic_case(keypair, n_records, dimensions, k):
+    cloud, query = deployed(keypair, 17, n_records, dimensions)
+    return (cloud.setting, lambda: SkNNBasic(cloud).run(query, k),
+            lambda odd: sknn_basic_cost(n_records, dimensions, k), 0)
+
+
+def sknn_secure_case(keypair, n_records, dimensions, k, bit_length):
+    cloud, query = deployed(keypair, 18, n_records, dimensions, bit_length)
+    protocol = SkNNSecure(cloud, distance_bits=bit_length)
+    return (cloud.setting, lambda: protocol.run(query, k),
+            lambda odd: sknn_secure_phases(n_records, dimensions, k,
+                                           bit_length, odd)["total"],
+            n_records * bit_length)
+
+
+CASES = {
+    "SM": (sm_case, [dict(pairs=1), dict(pairs=5)]),
+    "SSED": (ssed_case, [dict(n_records=1, dimensions=1),
+                         dict(n_records=1, dimensions=3),
+                         dict(n_records=1, dimensions=5),
+                         dict(n_records=1, dimensions=6),
+                         dict(n_records=4, dimensions=1),
+                         dict(n_records=5, dimensions=3)]),
+    "SBD": (sbd_case, [dict(bit_length=4, values=1),
+                       dict(bit_length=6, values=1),
+                       dict(bit_length=8, values=1),
+                       dict(bit_length=6, values=3),
+                       dict(bit_length=4, values=4)]),
+    "SBOR": (sbor_case, [dict(pairs=1), dict(pairs=4)]),
+    "SMIN": (smin_case, [dict(bit_length=4, pairs=1),
+                         dict(bit_length=6, pairs=1),
+                         dict(bit_length=5, pairs=1),
+                         dict(bit_length=5, pairs=3),
+                         dict(bit_length=4, pairs=5)]),
+    "SMIN_n": (sminn_case, [dict(count=3, bit_length=4),
+                            dict(count=9, bit_length=3)]),
+    "SkNN_b": (sknn_basic_case, [dict(n_records=3, dimensions=2, k=2),
+                                 dict(n_records=10, dimensions=3, k=2)]),
+    "SkNN_m": (sknn_secure_case, [
+        dict(n_records=3, dimensions=2, k=2, bit_length=4),
+        dict(n_records=4, dimensions=2, k=2, bit_length=4),
+        dict(n_records=6, dimensions=2, k=2, bit_length=7),
+        SECURE_DIST_K512]),
+}
+
+
+def fresh_keypair(keypair) -> PaillierKeyPair:
+    """Key objects of their own, built on the active backend."""
+    public = PaillierPublicKey(keypair.public_key.n)
+    return PaillierKeyPair(public, PaillierPrivateKey(
+        public, keypair.private_key.p, keypair.private_key.q))
+
+
+def measure(setting: TwoPartySetting, call) -> ProtocolCost:
+    """``call`` as a :class:`ProtocolCost`: both parties' counters under a
+    cost ledger, the channel's frames and each sender's ciphertexts."""
+    setting.reset_counters()
+    ledger = CostLedger.for_setting(setting)
+    with ledger.activate():
+        call()
+    stats = ProtocolRunStats()
+    stats.add_cost_rows(ledger.finish())
+    traffic = setting.channel.traffic
+    return ProtocolCost(
+        c1=OperationCounts(encryptions=stats.c1_encryptions,
+                           exponentiations=stats.c1_exponentiations),
+        c2=OperationCounts(stats.c2_encryptions, stats.c2_decryptions,
+                           stats.c2_exponentiations),
+        messages=setting.channel.total_traffic().messages,
+        c1_ciphertexts=traffic["C1"].ciphertexts,
+        c2_ciphertexts=traffic["C2"].ciphertexts)
+
+
+@pytest.mark.parametrize("pools", ["off", "warm"])
+@pytest.mark.parametrize("backend_name", available_backends())
+@pytest.mark.parametrize("protocol, shape", [
+    pytest.param(protocol, shape,
+                 id=protocol + "-" + "-".join(map(str, shape.values())))
+    for protocol, (_, shapes) in CASES.items() for shape in shapes])
+def test_the_model_entry_is_the_call(protocol, shape, backend_name, pools,
+                                     small_keypair, monkeypatch):
+    masks = record_sbd_masks(monkeypatch)
+    set_backend(backend_name)
+    try:
+        keypair = fresh_keypair(small_keypair)
+        setting, call, entry, sbd_masks = CASES[protocol][0](keypair, **shape)
+        engines = ()
+        if pools == "warm":
+            # sized at SBD's all-odd bound
+            bound = entry(sbd_masks)
+            engines = tuple(
+                PrecomputeEngine(key, rng=Random(seed), config=PrecomputeConfig(
+                    obfuscators=int(party.encryptions)))
+                for key, party, seed in (
+                    (keypair.public_key, bound.c1, 21),
+                    (keypair.private_key, bound.c2, 22)))
+            for engine in engines:
+                engine.warm()
+            setting.attach_engine(*engines)
+        measured = measure(setting, call)
+    finally:
+        set_backend(None)
+    assert len(masks) == sbd_masks
+    expected = entry(sum(r % 2 for r in masks))
+    assert measured == expected
+    for engine, party in zip(engines, (expected.c1, expected.c2)):
+        assert (engine.hits, engine.misses) == (party.encryptions, 0)
+    if shape == SECURE_DIST_K512:
+        # the workload's peer_messages_per_query and ciphertexts per
+        # direction, which the daemons carry (test_distributed)
+        assert (measured.messages, measured.c1_ciphertexts,
+                measured.c2_ciphertexts) == (49, 324, 183)
+
+
+@pytest.mark.parametrize("mode", ["basic", "parallel", "sharded", "secure"])
+def test_setup_pools_strand_nothing(mode, monkeypatch):
+    """``setup(precompute=q)`` then exactly ``q`` queries: no engine misses,
+    and every factor warmed was drawn — but for SkNN_m's C1 pool, sized at
+    SBD's all-odd bound, which keeps exactly one factor per even mask."""
+    queries, k = 2, 2
+    masks = record_sbd_masks(monkeypatch)
+    table = synthetic_uniform(n_records=6, dimensions=2, distance_bits=6,
+                              seed=31)
+    with SkNNSystem.setup(table, key_size=128, mode=mode, k_default=k,
+                          rng=Random(32), precompute=queries, workers=2,
+                          parallel_backend="serial") as system:
+        for index in range(queries):
+            system.query(list(table.records[index].values))
+        engines = (system.precompute_engine,
+                   system.decryptor_precompute_engine)
+    unflipped = sum(1 - r % 2 for r in masks)
+    for engine, stranded in zip(engines, (unflipped, 0)):
+        assert engine.misses == 0
+        assert engine.offline_encryptions - engine.hits == stranded
+    assert (len(masks) > 0) == (mode == "secure")

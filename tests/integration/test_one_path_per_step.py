@@ -2,8 +2,8 @@
 
 The scalar entry points of SM / SBD / SMIN are the one-item batch, so one
 scalar call is one batched round on the wire (two half-batches in flight
-once a round has ``PIPELINE_MIN_ITEMS`` items) with exactly the modelled
-operation counts; and the in-process scan's chunk worker runs
+once a round has ``PIPELINE_MIN_ITEMS`` items; the cost-model harness holds
+every call to its counts); and the in-process scan's chunk worker runs
 ``SSED.run_many`` on a worker-local two-party setting, so what its decryptor
 sees is masked, a resubmitted task reproduces its distances, and the
 driver's own counters never see the scan.
@@ -15,7 +15,6 @@ from random import Random
 
 import pytest
 
-from repro.analysis.cost_model import sbd_counts, sm_counts, smin_counts
 from repro.core.parallel import (
     ParallelSkNNBasic,
     ShardedCloud,
@@ -35,47 +34,26 @@ from tests.integration.helpers import assert_stats_are_row_sums
 BITS = 6
 
 
-def op_deltas(setting) -> dict[str, int]:
-    """Both parties' crypto-op totals since ``setting.reset_counters()``."""
-    public = setting.public_key.counter.snapshot()
-    private = setting.decryptor.private_key.counter.snapshot()
-    return {"encryptions": public["encryptions"],
-            "decryptions": private["decryptions"],
-            "exponentiations": public["exponentiations"]}
-
-
 class TestOneScalarCallIsOneRound:
-    def test_sm_run_is_two_messages_at_sm_counts(self, setting):
+    def test_sm_run_is_two_messages(self, setting):
         public = setting.public_key
         enc_a, enc_b = public.encrypt(-12), public.encrypt(11)
         setting.reset_counters()
         product = SecureMultiplication(setting).run(enc_a, enc_b)
         assert [m.tag for m in setting.channel.transcript] == [
             "SM.batch_masked_operands", "SM.batch_masked_products"]
-        assert op_deltas(setting) == sm_counts().as_dict()
         assert setting.decryptor.decrypt_signed(product) == -132
 
-    def test_sbd_run_is_two_messages_per_bit_at_sbd_counts(self, setting):
+    def test_sbd_run_is_two_messages_per_bit(self, setting):
         enc_z = setting.public_key.encrypt(45)
         setting.reset_counters()
         bits = SecureBitDecomposition(setting, BITS).run(enc_z)
         assert [m.tag for m in setting.channel.transcript] == [
             "SBD.batch_masked_values", "SBD.batch_masked_parities"] * BITS
-        deltas = op_deltas(setting)
-        # One E(1) and one negation per odd mask: sbd_counts carries their
-        # expectation, half a bit's worth each.
-        odd_masks = deltas["encryptions"] - 2 * BITS
-        assert 0 <= odd_masks <= BITS
-        assert deltas == {"encryptions": 2 * BITS + odd_masks,
-                          "decryptions": BITS,
-                          "exponentiations": 2 * BITS + odd_masks}
-        assert sbd_counts(BITS).as_dict() == {
-            "encryptions": 2.5 * BITS, "decryptions": BITS,
-            "exponentiations": 2.5 * BITS}
         decrypt = setting.decryptor.decrypt_signed
         assert bits_to_int([decrypt(bit) for bit in bits]) == 45
 
-    def test_smin_run_is_one_round_at_smin_counts(self, setting):
+    def test_smin_run_is_one_round(self, setting):
         """One Gamma/L round over the single pair, which is below the
         split: no secure multiplication runs before it."""
         public = setting.public_key
@@ -88,7 +66,6 @@ class TestOneScalarCallIsOneRound:
             "SMIN.batch_gamma_and_l", "SMIN.batch_masked_minimums"]
         [[gamma, entries]] = setting.channel.transcript[0].payload
         assert (len(gamma), len(entries)) == (BITS, BITS)
-        assert op_deltas(setting) == smin_counts(BITS).as_dict()
         decrypt = setting.decryptor.decrypt_signed
         assert bits_to_int([decrypt(bit) for bit in minimum]) == 22
 

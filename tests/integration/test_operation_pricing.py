@@ -12,7 +12,8 @@ so these tests watch the bigint backend itself: whatever path a protocol
 takes, no full-width ``powmod`` with exponent ``N-1`` or ``N`` may reach it.
 
 Counts are unchanged by the pricing (an inverse is still *counted* as the
-exponentiation it replaces), which the cost-model section checks exactly.
+exponentiation it replaces), which the cost-model harness
+(``test_cost_model_agreement``) checks exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from random import Random
 
 import pytest
 
-from repro.analysis.cost_model import sbd_counts, sknn_secure_counts, smin_counts
+from repro.analysis.cost_model import smin_counts
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_basic import SkNNBasic
@@ -46,7 +47,8 @@ from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.sbor import SecureBitOr
 from repro.protocols.smin import SecureMinimum
 
-from tests.integration.helpers import assert_valid_knn_answer
+from tests.integration.helpers import (assert_valid_knn_answer,
+                                       record_sbd_masks)
 
 on_every_backend = pytest.mark.parametrize("backend_name",
                                            available_backends())
@@ -139,21 +141,6 @@ def as_counts(model, scale: int = 1) -> dict[str, float]:
     return {"encryptions": model.encryptions * scale,
             "exponentiations": model.exponentiations * scale,
             "decryptions": model.decryptions * scale}
-
-
-def record_sbd_masks(monkeypatch) -> list[int]:
-    """Every SBD mask drawn from now on (their parities decide SBD's cost)."""
-    drawn: list[int] = []
-    original = TwoPartyProtocol.take_masks
-
-    def recording(self, count, kind="zn", sbd_upper=None):
-        tuples = original(self, count, kind, sbd_upper)
-        if kind == "sbd":
-            drawn.extend(r for r, _ in tuples)
-        return tuples
-
-    monkeypatch.setattr(TwoPartyProtocol, "take_masks", recording)
-    return drawn
 
 
 def deploy_secure(keypair, n_records: int, bit_length: int, seed: int):
@@ -348,60 +335,6 @@ class TestCloudPartyEncryption:
             setting.attach_engine(None)
         assert setting.decryptor.decrypt_signed(cipher) == 9
         assert engine.remaining() == {"obfuscators": 1}
-
-
-# -- counts: an inverse is still one exponentiation ---------------------------
-
-class TestCountsUnchanged:
-    @pytest.mark.parametrize("pairs", [1, 3])
-    def test_smin_run_and_run_batch_match_the_model(self, setting, pairs):
-        public = setting.public_key
-        bit_length = 5
-        inputs = [(encrypt_bits(public, 7 + i, bit_length),
-                   encrypt_bits(public, 20 - i, bit_length))
-                  for i in range(pairs)]
-        protocol = SecureMinimum(setting)
-        setting.reset_counters()
-        protocol.run_batch(inputs)
-        assert counted(setting) == as_counts(smin_counts(bit_length), pairs)
-        setting.reset_counters()
-        protocol.run(*inputs[0])
-        assert counted(setting) == as_counts(smin_counts(bit_length))
-
-    def test_sbd_run_batch_matches_the_model_given_its_parities(
-            self, setting, monkeypatch):
-        public = setting.public_key
-        bit_length, values = 6, [0, 5, 63]
-        masks = record_sbd_masks(monkeypatch)
-        protocol = SecureBitDecomposition(setting, bit_length)
-        encrypted = public.encrypt_batch(values)
-        setting.reset_counters()
-        protocol.run_batch(encrypted)
-        assert len(masks) == bit_length * len(values)
-        # the model charges half an un-flip (one encryption, one counted
-        # exponentiation) per bit; the run pays one per odd mask
-        surplus = sum(r % 2 for r in masks) - len(masks) / 2
-        expected = as_counts(sbd_counts(bit_length), len(values))
-        expected["encryptions"] += surplus
-        expected["exponentiations"] += surplus
-        assert counted(setting) == expected
-
-    def test_sknn_m_query_total_matches_the_model_given_its_parities(
-            self, small_keypair, monkeypatch):
-        n_records, k, bit_length = 4, 2, 4
-        _, cloud, client = deploy_secure(small_keypair, n_records,
-                                         bit_length, seed=520)
-        masks = record_sbd_masks(monkeypatch)
-        protocol = SkNNSecure(cloud, distance_bits=bit_length)
-        protocol.run_with_report(client.encrypt_query([3, 1]), k,
-                                 distance_bits=bit_length)
-        stats = protocol.last_report.stats
-        surplus = sum(r % 2 for r in masks) - len(masks) / 2
-        model = sknn_secure_counts(n_records, 2, k, bit_length)
-        assert (stats.total_encryptions, stats.total_decryptions,
-                stats.total_exponentiations) == (
-            model.encryptions + surplus, model.decryptions,
-            model.exponentiations + surplus)
 
 
 # -- the backend changes the price of an operation, never the operations -------

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from repro.analysis.cost_model import pool_targets
 from repro.core.cloud import FederatedCloud
 from repro.core.parallel import ParallelSkNNBasic
 from repro.core.roles import QueryClient
@@ -286,9 +287,9 @@ class TestQueryServer:
         cloud = _deploy(small_keypair, service_table, 1100)
         engine = PrecomputeEngine(
             small_keypair.public_key, rng=Random(16),
-            config=PrecomputeConfig.for_query_load(
+            config=PrecomputeConfig(obfuscators=pool_targets(
                 len(service_table), service_table.dimensions, k=3,
-                worker_scan=True))
+                queries=1, worker_scan=True)[0]))
         engine.warm()
         sharded = ShardedCloud(cloud, shards=2, workers=1, backend="serial",
                                precompute=engine)
@@ -317,8 +318,9 @@ class TestQueryServer:
         cloud = _deploy(small_keypair, service_table, 1150)
         engine = PrecomputeEngine(
             small_keypair.public_key, rng=Random(18),
-            config=PrecomputeConfig.for_query_load(
-                len(service_table), service_table.dimensions, k=3, queries=2))
+            config=PrecomputeConfig(obfuscators=pool_targets(
+                len(service_table), service_table.dimensions, k=3,
+                queries=2, worker_scan=True)[0]))
         engine.warm()
         sharded = ShardedCloud(cloud, shards=2, workers=1, backend="serial",
                                precompute=engine)

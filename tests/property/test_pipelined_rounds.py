@@ -24,6 +24,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis.cost_model import (sbd_cost, sm_cost, smin_cost,
+                                       ssed_scan_cost)
 from repro.crypto.backend import available_backends, set_backend
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.network.party import TwoPartySetting
@@ -38,24 +40,20 @@ from tests.property.conftest import cached_keypair
 BITS = 5          # SBD / SMIN bit length
 
 
-def round_messages(items: int) -> int:
-    """Frames of one batched round: out and back, once or twice."""
-    return 4 if items >= base.PIPELINE_MIN_ITEMS else 2
-
-
 def sm_case(setting, values):
     pairs = [(value, value + 3) for value in values]
     public = setting.public_key
     outputs = SecureMultiplication(setting).run_batch(
         [(public.encrypt(a), public.encrypt(b)) for a, b in pairs])
-    return outputs, [a * b for a, b in pairs], round_messages(len(values))
+    return outputs, [a * b for a, b in pairs], sm_cost(len(values)).messages
 
 
 def sm_square_case(setting, values):
     outputs = SecureMultiplication(setting).run_square_batch(
         setting.public_key.encrypt_vector(values))
+    # the squaring round has SM's frames
     return (outputs, [value * value for value in values],
-            round_messages(len(values)))
+            sm_cost(len(values)).messages)
 
 
 def ssed_case(setting, values):
@@ -68,7 +66,7 @@ def ssed_case(setting, values):
     return (outputs,
             [sum((a - b) ** 2 for a, b in zip(record, query))
              for record in records],
-            round_messages(len(values)))
+            ssed_scan_cost(len(values), len(query)).messages)
 
 
 def sbd_case(setting, values):
@@ -77,7 +75,7 @@ def sbd_case(setting, values):
     return ([bit for bits in bit_vectors for bit in bits],
             [int(bit) for value in values
              for bit in format(value, f"0{BITS}b")],
-            BITS * round_messages(len(values)))
+            sbd_cost(BITS, len(values)).messages)
 
 
 def smin_case(setting, values):
@@ -86,11 +84,10 @@ def smin_case(setting, values):
     minimums = SecureMinimum(setting).run_batch(
         [(encrypt_bits(public, u, BITS), encrypt_bits(public, v, BITS))
          for u, v in pairs])
-    # one Gamma/L round over the pairs
     return ([bit for bits in minimums for bit in bits],
             [int(bit) for u, v in pairs
              for bit in format(min(u, v), f"0{BITS}b")],
-            round_messages(len(values)))
+            smin_cost(BITS, len(values)).messages)
 
 
 CASES = {"SM": sm_case, "SM-square": sm_square_case, "SSED": ssed_case,
@@ -141,8 +138,8 @@ def test_a_split_round_is_the_one_chunk_round(backend_name, case, size, seed):
             whole = observe(CASES[case], values, seed)
     finally:
         set_backend(None)
-    # round_messages reads the constant, so each run is held to its own
-    # model: 2 or 4 frames per round when split, 2 when not.
+    # the cost model reads the constant, so each run is held to its own
+    # entry: 2 or 4 frames per round when split, 2 when not.
     for run in (split, whole):
         sent, modelled = run.pop("messages")
         assert sent == modelled

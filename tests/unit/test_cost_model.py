@@ -6,20 +6,24 @@ import pytest
 
 from repro.analysis.calibration import Calibrator, PaillierTimings
 from repro.analysis.cost_model import (
-    OfflineOnlineCounts,
     OperationCounts,
+    ProtocolCost,
+    pool_targets,
+    sbd_cost,
     sbd_counts,
     sbor_counts,
+    sknn_basic_cost,
     sknn_basic_counts,
-    sknn_basic_split_counts,
     sknn_secure_breakdown,
     sknn_secure_counts,
+    sknn_secure_phases,
     sm_counts,
+    smin_cost,
     smin_counts,
+    sminn_cost,
     sminn_counts,
     ssed_counts,
     ssed_scan_counts,
-    ssed_scan_split_counts,
 )
 from repro.exceptions import ConfigurationError
 
@@ -177,60 +181,60 @@ class TestQueryProtocolFormulas:
             sknn_secure_counts(10, 6, 5, 0)
 
 
-class TestOfflineOnlineSplit:
-    def test_precomputed_scan_counts(self):
+class TestPerPartyEntries:
+    def test_scan_counts(self):
         """m masks + 1 square-sum re-encryption, m dec and m exp per record,
-        plus the hoisted negations — the same scan cold and warm."""
-        counts = ssed_scan_counts(10, 3)
-        assert counts == OperationCounts(encryptions=40, decryptions=30,
-                                         exponentiations=33)
+        plus the hoisted negations."""
+        assert ssed_scan_counts(10, 3) == OperationCounts(
+            encryptions=40, decryptions=30, exponentiations=33)
 
-    def test_precomputed_scan_cheaper_online_than_generic(self):
-        """Pools change where encryptions are paid, not which ones run: the
-        warm scan's online side is the cold scan minus its encryptions."""
-        generic = ssed_scan_counts(50, 6)
-        online = ssed_scan_split_counts(50, 6).online
-        assert online.decryptions == generic.decryptions
-        assert online.exponentiations == generic.exponentiations
-        assert online.total == generic.total - generic.encryptions
+    def test_smin_per_party(self):
+        """C1: l rhat masks and Z, four counted powers per bit; C2: alpha
+        and l zeros, l decryptions and l powers.  Gamma and L out, M' and
+        E(alpha) back."""
+        assert smin_cost(6, pairs=3) == ProtocolCost(
+            c1=OperationCounts(encryptions=21, exponentiations=72),
+            c2=OperationCounts(encryptions=21, decryptions=18,
+                               exponentiations=18),
+            messages=2, c1_ciphertexts=36, c2_ciphertexts=21)
+        assert smin_cost(6, pairs=4).messages == 4
 
-    def test_scan_split_sums_to_precomputed_counts(self):
-        split = ssed_scan_split_counts(20, 4)
-        combined = split.offline + split.online
-        assert combined == ssed_scan_counts(20, 4)
+    def test_sbd_odd_masks_are_c1s_only_random_term(self):
+        assert sbd_cost(6, values=2, odd_masks=5) == ProtocolCost(
+            c1=OperationCounts(encryptions=17, exponentiations=29),
+            c2=OperationCounts(encryptions=12, decryptions=12),
+            messages=12, c1_ciphertexts=12, c2_ciphertexts=12)
+        assert sbd_cost(6, values=2).total == sbd_counts(6) * 2
+        assert sbd_counts(6) == OperationCounts(15, 6, 15)
 
-    def test_scan_split_offline_is_encryptions_only(self):
-        split = ssed_scan_split_counts(20, 4)
-        assert split.offline.decryptions == 0
-        assert split.offline.exponentiations == 0
-        assert split.online.encryptions == 0
+    def test_sminn_is_one_round_per_tournament_level(self):
+        assert sminn_cost(8, 6).messages == 4 + 2 + 2
+        assert sminn_cost(1, 6) == ProtocolCost()
 
-    def test_sknnb_split_sums_to_precomputed_counts(self):
-        split = sknn_basic_split_counts(30, 5, 3)
-        combined = split.offline + split.online
-        assert combined == sknn_basic_counts(30, 5, 3, batched=True)
+    def test_sknn_basic_per_party(self):
+        n, m, k = 10, 3, 2
+        assert sknn_basic_cost(n, m, k) == ProtocolCost(
+            c1=OperationCounts(encryptions=n * m + k * m,
+                               exponentiations=n * m + m),
+            c2=OperationCounts(encryptions=n, decryptions=n * m + n + k * m),
+            messages=4 + 2 + 1, c1_ciphertexts=n * m + n + k * m,
+            c2_ciphertexts=n)
 
-    def test_sknnb_split_shape(self):
-        n, m, k = 30, 5, 3
-        split = sknn_basic_split_counts(n, m, k)
-        assert split.offline.encryptions == n * m + n + k * m
-        assert split.online.decryptions == n * m + n + k * m
-        assert split.online.exponentiations == n * m + m
+    def test_secure_dist_k512_shape(self):
+        """secure_dist_k512's query: 49 peer messages, 324 ciphertexts
+        C1 -> C2 and 183 back; C1 encrypts 231 plus one per odd SBD mask."""
+        total = sknn_secure_phases(8, 3, 2, 6, odd_masks=0)["total"]
+        assert (total.messages, total.c1_ciphertexts,
+                total.c2_ciphertexts) == (49, 324, 183)
+        assert (total.c1.encryptions, total.c2.encryptions) == (231, 183)
 
-    def test_split_total_and_dict(self):
-        split = OfflineOnlineCounts(
-            offline=OperationCounts(encryptions=2),
-            online=OperationCounts(decryptions=1, exponentiations=3))
-        assert split.total == 6
-        assert split.as_dict()["offline"]["encryptions"] == 2
-        assert split.as_dict()["online"]["exponentiations"] == 3
-
-    def test_warm_online_work_is_less_than_inline(self):
-        """The point of the engine: every encryption leaves the online path."""
-        inline = sknn_basic_counts(100, 6, 5, batched=True)
-        split = sknn_basic_split_counts(100, 6, 5)
-        assert split.online.total == inline.total - inline.encryptions
-        assert split.online.total < 0.65 * inline.total
+    def test_pool_targets(self):
+        # basic_warm_k1024: n=16, m=3, k=2, 11 queries
+        assert pool_targets(16, 3, 2, queries=11) == (594, 176)
+        # SkNN_m at SBD's all-odd bound: 231 + 48
+        assert pool_targets(8, 3, 2, queries=1, bit_length=6) == (279, 183)
+        # chunk workers encrypt the scan with C1's slices
+        assert pool_targets(10, 3, 2, queries=2, worker_scan=True) == (92, 0)
 
 
 class TestCalibrator:

@@ -194,52 +194,6 @@ class TestProducerThread:
         engine.stop_producer()
 
 
-class TestSizing:
-    """The sizing entry points pay the factors the typed pools used to."""
-
-    def test_config_for_query_load_covers_one_query(self):
-        config = PrecomputeConfig.for_query_load(n_records=10, dimensions=3,
-                                                 k=2, queries=1)
-        # One factor per scan attribute and delivery attribute mask, 2m
-        # spare and the flat 32 (16 obfuscators + 8 zeros + 8 ones before).
-        assert config.obfuscators == (10 * 3 + 2 * 3) + 2 * 3 + 32
-
-    def test_worker_scan_sizes_for_what_the_workers_draw(self):
-        config = PrecomputeConfig.for_query_load(
-            n_records=10, dimensions=3, k=2, queries=4, worker_scan=True)
-        # the workers' mask per (record, attribute) and square sum per
-        # record, then delivery masks and spare as without workers
-        assert config.obfuscators == (10 * (3 + 1) + 2 * 3 + 2 * 3) * 4 + 32
-
-    def test_secure_query_load_adds_sbd_smin_and_extraction_material(self):
-        n, m, k, bits, queries = 6, 2, 2, 7, 3
-        config = PrecomputeConfig.for_query_load(
-            n, m, k, queries=queries, sbd_bit_length=bits)
-        zn, spare = (n * m + k * m) * queries, 2 * m * queries + 16
-        ones = bits * n * queries // 2 + 8
-        sbd = bits * n * queries
-        # per iteration: n pairs' l + 1 rhat masks and Z, n * m extraction
-        smin = k * n * (bits + 2) * queries
-        extraction = k * n * m * queries
-        assert config.obfuscators == \
-            spare + 8 + ones + zn + sbd + smin + extraction
-
-    def test_config_for_decryptor_load_covers_reencryptions(self):
-        config = PrecomputeConfig.for_decryptor_load(
-            n_records=10, dimensions=3, k=2, queries=1)
-        # P2 re-encrypts one square sum per scanned record, plus 16 + 16.
-        assert config.obfuscators == 10 + 32
-
-    def test_secure_decryptor_load(self):
-        n, m, k, bits, queries = 6, 2, 2, 7, 3
-        config = PrecomputeConfig.for_decryptor_load(
-            n, m, k, queries=queries, sbd_bit_length=bits)
-        # square sums and SBD parities; per iteration n indicator bits, m
-        # forwarded-record zeros, n pairs' alpha and l + 1 M' zeros
-        per_query = n + bits * n + k * (n + m + n * (1 + bits + 1))
-        assert config.obfuscators == per_query * queries + 32
-
-
 class TestPerPartySeparation:
     """Engines are per-party: P2 never draws from P1's pool (trust model)."""
 

@@ -61,17 +61,6 @@ class TestSecureMultiplication:
         assert result.value != enc_a.value
         assert result.value != enc_b.value
 
-    def test_operation_counts_match_model(self, setting):
-        """SM costs exactly 3 encryptions, 2 decryptions, 2 exponentiations."""
-        protocol = SecureMultiplication(setting)
-        result = protocol.run_instrumented(setting.public_key.encrypt(3),
-                                           setting.public_key.encrypt(4))
-        stats = result.stats
-        assert stats.total_encryptions == 3
-        assert stats.total_decryptions == 2
-        assert stats.total_exponentiations == 2
-        assert stats.messages == 2
-
     def test_p2_only_sees_masked_values(self, setting, private_key):
         """Everything C1 sends during SM decrypts to a masked (random) value.
 
@@ -153,24 +142,6 @@ class TestSecureSquaredEuclideanDistance:
         with pytest.raises(ProtocolError,
                            match="SSED: vectors must have at least one"):
             protocol.run([], [])
-
-    def test_operation_counts_scale_with_dimensions(self, setting):
-        protocol = SecureSquaredEuclideanDistance(setting)
-        dims = 5
-        x = list(range(dims))
-        y = list(range(dims, 2 * dims))
-        result = protocol.run_instrumented(setting.public_key.encrypt_vector(x),
-                                           setting.public_key.encrypt_vector(y))
-        stats = result.stats
-        # One fused round: m mask encryptions + 1 square-sum re-encryption,
-        # m decryptions, 2m exponentiations (m query negations + m unmaskings),
-        # two messages carrying m + 1 ciphertexts.
-        assert stats.total_encryptions == dims + 1
-        assert stats.total_decryptions == dims
-        assert stats.total_exponentiations == 2 * dims
-        assert stats.messages == 2
-        assert stats.ciphertexts_exchanged == dims + 1
-
 
 class TestFusedScanRound:
     """The one-round scan: hostile-input edges and conformance."""

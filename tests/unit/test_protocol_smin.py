@@ -188,9 +188,7 @@ class TestSecureMinimumOfN:
         with pytest.raises(ValueError):
             SecureMinimumOfN(setting, topology="ring")
 
-    def test_invocation_and_depth_helpers(self):
-        assert SecureMinimumOfN.smin_invocations(1) == 0
-        assert SecureMinimumOfN.smin_invocations(6) == 5
+    def test_depth_helper(self):
         assert SecureMinimumOfN.tree_depth(1) == 0
         assert SecureMinimumOfN.tree_depth(2) == 1
         assert SecureMinimumOfN.tree_depth(6) == 3
