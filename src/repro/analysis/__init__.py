@@ -14,7 +14,6 @@ from repro.analysis.projections import (
 from repro.analysis.reporting import (
     ExperimentSeries,
     ascii_plot,
-    format_markdown_table,
     format_table,
 )
 
@@ -24,7 +23,6 @@ __all__ = [
     "PaillierTimings",
     "ExperimentSeries",
     "format_table",
-    "format_markdown_table",
     "ascii_plot",
     "figure_2a_series",
     "figure_2c_series",

@@ -43,10 +43,7 @@ __all__ = [
     "pool_targets",
     "sm_counts",
     "ssed_counts",
-    "ssed_scan_counts",
     "sbd_counts",
-    "smin_counts",
-    "sminn_counts",
     "sbor_counts",
     "sknn_basic_counts",
     "sknn_secure_counts",
@@ -355,25 +352,9 @@ def ssed_counts(dimensions: int) -> OperationCounts:
     return per_attribute * dimensions
 
 
-def ssed_scan_counts(n_records: int, dimensions: int) -> OperationCounts:
-    """The implemented SSED scan's total: ``n*m + n`` encryptions, ``n*m``
-    decryptions and ``n*m + m`` exponentiations."""
-    return ssed_scan_cost(n_records, dimensions).total
-
-
 def sbd_counts(bit_length: int) -> OperationCounts:
     """Secure Bit Decomposition of one ``l``-bit value, half its masks odd."""
     return sbd_cost(bit_length).total
-
-
-def smin_counts(bit_length: int) -> OperationCounts:
-    """Secure Minimum of two ``l``-bit values, ``8l + 2`` operations."""
-    return smin_cost(bit_length).total
-
-
-def sminn_counts(count: int, bit_length: int) -> OperationCounts:
-    """Secure Minimum of ``n`` values: ``n - 1`` SMIN invocations."""
-    return sminn_cost(count, bit_length).total
 
 
 def sbor_counts() -> OperationCounts:

@@ -1,9 +1,9 @@
-"""Reporting helpers: experiment series, plain-text tables, Markdown export.
+"""Reporting helpers: experiment series and plain-text tables.
 
 The benchmark harness regenerates every figure of the paper as a *data
 series* (x values, one or more named y series).  Matplotlib is deliberately
 not a dependency — the harness prints aligned text tables (the same rows one
-would plot) and can emit Markdown for inclusion in EXPERIMENTS.md.
+would plot).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["ExperimentSeries", "format_table", "format_markdown_table",
+__all__ = ["ExperimentSeries", "format_table",
            "ascii_plot", "trace_timeline"]
 
 
@@ -59,11 +59,6 @@ class ExperimentSeries:
         header = f"== {self.title} ==\n"
         return header + format_table(self.rows())
 
-    def to_markdown(self) -> str:
-        """Markdown rendering for EXPERIMENTS.md."""
-        header = f"### {self.title}\n\n"
-        return header + format_markdown_table(self.rows())
-
 
 def _format_value(value: object) -> str:
     """Human-friendly formatting for table cells."""
@@ -96,24 +91,6 @@ def format_table(rows: Iterable[dict[str, object]]) -> str:
     ]
     for line in rendered:
         lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(line)))
-    return "\n".join(lines) + "\n"
-
-
-def format_markdown_table(rows: Iterable[dict[str, object]]) -> str:
-    """Render rows (list of dicts) as a Markdown table."""
-    rows = list(rows)
-    if not rows:
-        return "(no data)\n"
-    columns = list(rows[0].keys())
-    lines = [
-        "| " + " | ".join(columns) + " |",
-        "| " + " | ".join("---" for _ in columns) + " |",
-    ]
-    for row in rows:
-        lines.append(
-            "| " + " | ".join(_format_value(row.get(column, "")) for column in columns)
-            + " |"
-        )
     return "\n".join(lines) + "\n"
 
 

@@ -55,11 +55,6 @@ class CloudC1(EvaluatorParty):
             raise ConfigurationError("C1 is not hosting an encrypted database yet")
         return self._encrypted_table
 
-    @property
-    def record_count(self) -> int:
-        """Number of hosted encrypted records (``n``)."""
-        return len(self.encrypted_table)
-
 
 class CloudC2(DecryptorParty):
     """Cloud server C2: holds the secret key and assists C1 obliviously."""

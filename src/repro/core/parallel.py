@@ -391,10 +391,6 @@ class TableShard:
     def __len__(self) -> int:
         return len(self.records)
 
-    def global_indices(self) -> range:
-        """The global record indices this shard covers."""
-        return range(self.start, self.start + len(self.records))
-
 
 class ShardedCloud(SkNNProtocol):
     """The encrypted table partitioned across N C1 shards, queried in batches.
@@ -511,11 +507,6 @@ class ShardedCloud(SkNNProtocol):
         self._validate_query(encrypted_query, k)
 
     # -- introspection ------------------------------------------------------
-    @property
-    def shard_sizes(self) -> list[int]:
-        """Record count of every shard, in shard order."""
-        return [len(shard) for shard in self.shards]
-
     # -- scatter-gather query plan ------------------------------------------
     def _build_tasks(
         self, encrypted_queries: Sequence[Sequence[Ciphertext]]

@@ -73,11 +73,6 @@ class ResultShares:
             if len(masks) != len(masked):
                 raise QueryError("result shares have mismatching attribute counts")
 
-    @property
-    def neighbor_count(self) -> int:
-        """Number of neighbors contained in the shares (the query's ``k``)."""
-        return len(self.masks_from_c1)
-
 
 @dataclass
 class ClientCostReport:
@@ -90,11 +85,6 @@ class ClientCostReport:
 
     encrypt_query_seconds: float = 0.0
     reconstruct_seconds: float = 0.0
-
-    @property
-    def total_seconds(self) -> float:
-        """Total client-side time."""
-        return self.encrypt_query_seconds + self.reconstruct_seconds
 
 
 class DataOwner:

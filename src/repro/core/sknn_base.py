@@ -82,21 +82,6 @@ class SkNNRunReport:
     #: ``{"trace_id": ..., "spans": [...]}``, spans of every process merged
     trace: dict[str, Any] | None = None
 
-    def as_row(self) -> dict[str, float]:
-        """Flatten into a dictionary suitable for tabular reporting."""
-        row = {
-            "protocol": self.protocol,
-            "n": self.n_records,
-            "m": self.dimensions,
-            "k": self.k,
-            "key_size": self.key_size,
-            "l": self.distance_bits if self.distance_bits is not None else 0,
-            "wall_time_seconds": self.wall_time_seconds,
-        }
-        row.update({f"phase_{name}": value for name, value in self.phase_seconds.items()})
-        row.update(self.stats.as_row())
-        return row
-
     def as_payload(self) -> dict[str, Any]:
         """Lossless wire form — a C1 daemon ships its report to the client."""
         return dataclasses.asdict(self)
@@ -241,7 +226,7 @@ class SkNNProtocol(P2StepDispatcher):
         SecureSquaredEuclideanDistance.run_many`, which negates the shared
         query once per attribute and runs all ``n * m`` squarings as one fused
         round that returns one ciphertext per record (see its docstring for
-        the operation counts, modeled by ``ssed_scan_counts`` in the analysis
+        the operation counts, modeled by ``ssed_scan_cost`` in the analysis
         layer).
 
         Only the leading ``len(encrypted_query)`` attributes of each record

@@ -73,7 +73,6 @@ class SkNNSecure(SkNNProtocol):
                     **{"SkNNm.randomized_differences": "_p2_locate_minimum"})
 
     def __init__(self, cloud: FederatedCloud, distance_bits: int,
-                 sminn_topology: str = "tournament",
                  feature_dimensions: int | None = None) -> None:
         """Create an SkNN_m instance.
 
@@ -82,8 +81,6 @@ class SkNNSecure(SkNNProtocol):
             distance_bits: the domain parameter ``l`` — every squared distance
                 must lie in ``[0, 2**l)``.  Derive it from the schema with
                 :meth:`repro.db.schema.Schema.distance_bit_length`.
-            sminn_topology: ``"tournament"`` (the paper's binary tree) or
-                ``"chain"`` (ablation).
         """
         super().__init__(cloud, feature_dimensions=feature_dimensions)
         if distance_bits <= 0:
@@ -91,7 +88,7 @@ class SkNNSecure(SkNNProtocol):
         self.distance_bits = distance_bits
         setting = cloud.setting
         self._sbd = SecureBitDecomposition(setting, distance_bits)
-        self._sminn = SecureMinimumOfN(setting, topology=sminn_topology)
+        self._sminn = SecureMinimumOfN(setting)
 
     # -- protocol ------------------------------------------------------------------
     def run(self, encrypted_query: Sequence[Ciphertext], k: int) -> ResultShares:

@@ -11,8 +11,8 @@ implemented here from scratch on top of Python's arbitrary-precision integers
   sets for small inputs),
 * random prime generation,
 * modular inverse via the extended Euclidean algorithm,
-* least common multiple, integer square root, and
-* cryptographically secure random sampling from ``Z_N`` and ``Z_N^*``.
+* least common multiple, and
+* cryptographically secure random sampling from ``Z_N^*``.
 
 All functions operate on plain ``int`` values and are deterministic given an
 explicitly supplied random generator, which keeps the higher-level protocol
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import secrets
 from random import Random
-from typing import Iterable
 
 from repro.crypto.backend import get_backend
 from repro.exceptions import CryptoError
@@ -36,12 +35,8 @@ __all__ = [
     "egcd",
     "modinv",
     "lcm",
-    "isqrt",
     "random_below",
-    "random_in_zn",
     "random_in_zn_star",
-    "crt_combine",
-    "bit_length_of_product",
 ]
 
 # Deterministic Miller-Rabin witness set: testing against these bases is
@@ -225,25 +220,6 @@ def lcm(a: int, b: int) -> int:
     return abs(a // g * b)
 
 
-def isqrt(n: int) -> int:
-    """Integer square root (floor) of a non-negative integer."""
-    if n < 0:
-        raise CryptoError("isqrt of a negative number is undefined")
-    if n < 2:
-        return n
-    x = 1 << ((n.bit_length() + 1) // 2)
-    while True:
-        y = (x + n // x) // 2
-        if y >= x:
-            return x
-        x = y
-
-
-def random_in_zn(n: int, rng: Random | None = None) -> int:
-    """Sample a uniform element of ``Z_N`` (i.e. ``[0, N)``)."""
-    return random_below(n, rng)
-
-
 def random_in_zn_star(n: int, rng: Random | None = None, max_attempts: int = 1000) -> int:
     """Sample a uniform element of ``Z_N^*`` (units modulo ``N``).
 
@@ -258,40 +234,3 @@ def random_in_zn_star(n: int, rng: Random | None = None, max_attempts: int = 100
         if math.gcd(candidate, n) == 1:
             return candidate
     raise CryptoError(f"could not sample an invertible element modulo {n}")
-
-
-def crt_combine(residues: Iterable[int], moduli: Iterable[int]) -> int:
-    """Combine residues with the Chinese Remainder Theorem.
-
-    Args:
-        residues: remainders ``r_i``.
-        moduli: pairwise coprime moduli ``m_i``.
-
-    Returns:
-        The unique ``x`` modulo ``prod(m_i)`` with ``x == r_i (mod m_i)``.
-    """
-    residues = list(residues)
-    moduli = list(moduli)
-    if len(residues) != len(moduli) or not residues:
-        raise CryptoError("crt_combine requires equally sized, non-empty inputs")
-    x, m = residues[0] % moduli[0], moduli[0]
-    for r_i, m_i in zip(residues[1:], moduli[1:]):
-        g, p, _ = egcd(m, m_i)
-        if g != 1:
-            raise CryptoError("crt_combine requires pairwise coprime moduli")
-        diff = (r_i - x) % m_i
-        x = (x + m * ((diff * p) % m_i)) % (m * m_i)
-        m *= m_i
-    return x
-
-
-def bit_length_of_product(*factors: int) -> int:
-    """Bit length of the product of the given positive integers.
-
-    A convenience used when validating that protocol domains (``2**l``) fit in
-    the plaintext space ``Z_N`` with room for the random masks.
-    """
-    product = 1
-    for f in factors:
-        product *= f
-    return product.bit_length()

@@ -30,7 +30,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from random import Random
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import used for annotations only
     from repro.crypto.precompute import PrecomputeEngine
@@ -258,10 +258,6 @@ class PaillierPublicKey:
         """
         return self.encrypt_batch(list(values), rng=rng)
 
-    def encrypt_zero(self, rng: Random | None = None) -> "Ciphertext":
-        """Fresh probabilistic encryption of zero (used for re-randomization)."""
-        return self.encrypt(0, rng=rng)
-
     # -- ciphertext-space helpers -------------------------------------------
     def raw_add(self, c1: int, c2: int) -> int:
         """Homomorphic addition of two raw ciphertexts."""
@@ -305,10 +301,6 @@ class PaillierPublicKey:
         self.counter.exponentiations += 1
         return raw
 
-    def raw_negate(self, c: int) -> int:
-        """Homomorphic negation ``E(-a)``: :meth:`raw_scalar_mul` by ``-1``."""
-        return self.raw_scalar_mul(c, -1)
-
     # -- batched kernel ------------------------------------------------------
     def _check_batch_key(self, ciphertexts: Sequence["Ciphertext"]) -> None:
         """Reject ciphertexts produced under a different key, loudly."""
@@ -320,8 +312,12 @@ class PaillierPublicKey:
     def obfuscator_base(self, rng: Random | None = None) -> int:
         """The key's obfuscator base ``h = y**N mod N**2``, drawn once.
 
-        ``y`` is uniform in ``Z_N^*`` (lazily, thread-safely, from ``rng``
-        on first use).  A fresh obfuscator is ``h**s = (y**s)**N`` for a
+        ``y`` is uniform in ``Z_N^*``, drawn lazily and thread-safely on
+        first use from a private generator seeded with ``rng``'s state (the
+        system's CSPRNG when ``rng`` is None).  ``rng`` itself does not
+        advance, so a party's random stream is the same whether or not the
+        key was used before; twin keys asked with equal states still get
+        equal bases.  A fresh obfuscator is ``h**s = (y**s)**N`` for a
         random ``s``, i.e. an ordinary obfuscation factor with nonce ``r =
         y**s``, at a fraction of a textbook ``r**N`` with a fresh ``r``.
         Nonces are drawn from the cyclic group generated by ``y`` rather
@@ -332,7 +328,9 @@ class PaillierPublicKey:
         if self._obfuscator_base is None:
             with self._obfuscator_lock:
                 if self._obfuscator_base is None:
-                    y = nt.random_in_zn_star(self.n, rng)
+                    private = None if rng is None \
+                        else Random(str(rng.getstate()))
+                    y = nt.random_in_zn_star(self.n, private)
                     self._obfuscator_base = get_backend().powmod(
                         y, self.n, self.nsquare)
         return self._obfuscator_base
@@ -641,10 +639,6 @@ class PaillierPrivateKey:
             raise KeyMismatchError("ciphertext was produced under a different key")
         return self.raw_decrypt(ciphertext.value)
 
-    def decrypt_vector(self, ciphertexts: Iterable["Ciphertext"]) -> list[int]:
-        """Decrypt a sequence of ciphertexts (signed decoding applied)."""
-        return [self.decrypt(c) for c in ciphertexts]
-
     # -- batched kernel ------------------------------------------------------
     def _raw_decrypt_batch(self, raw_values: Sequence[int]) -> list[int]:
         """CRT decryption of raw ciphertexts with hoisted per-key constants.
@@ -839,16 +833,6 @@ class Ciphertext:
         )
 
     __rmul__ = __mul__
-
-    def randomize(self, rng: Random | None = None) -> "Ciphertext":
-        """Return a re-randomized encryption of the same plaintext.
-
-        Multiplying by a fresh encryption of zero changes the ciphertext
-        representation without changing the plaintext; protocol steps use this
-        so that forwarded ciphertexts cannot be linked to earlier ones.
-        """
-        zero = self.public_key.encrypt_zero(rng)
-        return self + zero
 
 
 def generate_keypair(key_size: int = DEFAULT_KEY_SIZE,

@@ -34,9 +34,7 @@ the pool topped up.
 
 from __future__ import annotations
 
-import json
 import threading
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,15 +46,13 @@ from repro.crypto.paillier import (
     PaillierPrivateKey,
     PaillierPublicKey,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, CorruptStateError
 
 __all__ = ["PrecomputeConfig", "PrecomputeEngine", "MASK_ZN", "MASK_NONZERO",
            "MASK_SBD", "mask_range"]
 
-#: version of the on-disk pool cache format (see
-#: :meth:`PrecomputeEngine.save_pools`); format 1 also stored typed constant
-#: and mask-tuple pools and is rejected.
-_POOL_CACHE_VERSION = 2
+#: snapshot kind of the on-disk pool cache (see
+#: :meth:`PrecomputeEngine.save_pools`)
 _POOL_CACHE_KIND = "precompute-pool-cache"
 
 #: Additive-mask kinds (the sampling range each protocol requires).
@@ -66,12 +62,6 @@ MASK_SBD = "sbd"          # r uniform in [0, sbd_upper) — SBD round masks
 
 #: process-wide fallback randomness for engines without an explicit rng
 _MODULE_RNG = Random()
-
-
-def _cache_crc(data: dict) -> str:
-    """CRC-32 (hex) of a pool-cache document's canonical JSON form."""
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return format(zlib.crc32(canonical.encode("utf-8")), "08x")
 
 
 def mask_range(kind: str, n: int,
@@ -263,33 +253,28 @@ class PrecomputeEngine:
     def save_pools(self, path: "str | Path") -> int:
         """Persist the warmed pool to ``path``; returns the factors saved.
 
-        The file is a versioned, CRC-stamped JSON document ``{kind, format,
-        n, obfuscators, crc}`` binding the factors to the public key's
-        modulus (a cache for a different key is rejected at load).  The pool
-        is *drained* into the file, so a factor is either in memory or on
+        The file is a :func:`~repro.resilience.durability.write_snapshot`
+        document (versioned, CRC-checked, written atomically) whose payload
+        ``{n, obfuscators}`` binds the factors to the public key's modulus
+        (a cache for a different key is rejected at load).  The pool is
+        *drained* into the file, so a factor is either in memory or on
         disk, never both — the single-use guarantee survives the round trip.
-        The write is atomic (tmp + fsync + rename), so a crash mid-save
-        leaves either the previous cache or the complete new one, never a
-        torn file.  Meant to run at daemon shutdown (``--pool-cache``) so a
-        restarted party starts hot.
+        Meant to run at daemon shutdown (``--pool-cache``) so a restarted
+        party starts hot.
         """
         # Function-level import: crypto is a lower layer than resilience
         # (resilience's chaos module imports transport framing, which
         # imports crypto serialization).
-        from repro.resilience.durability import atomic_write_bytes
+        from repro.resilience.durability import write_snapshot
 
         # Drained, not copied: a factor is in memory or on disk, never both.
         with self._lock:
             factors = list(self._factors)
             self._factors.clear()
-        data = {
-            "format": _POOL_CACHE_VERSION,
-            "kind": _POOL_CACHE_KIND,
+        write_snapshot(path, _POOL_CACHE_KIND, {
             "n": format(self.public_key.n, "x"),
             "obfuscators": [format(factor, "x") for factor in factors],
-        }
-        data["crc"] = _cache_crc(data)
-        atomic_write_bytes(Path(path), json.dumps(data).encode("utf-8"))
+        })
         return len(factors)
 
     def load_pools(self, path: "str | Path") -> int:
@@ -299,32 +284,26 @@ class PrecomputeEngine:
         randomness is single-use, and removing the file guarantees a crashed
         (or concurrently started) party can never replay it.  Loading fails
         closed with :class:`~repro.exceptions.ConfigurationError` — file left
-        in place, nothing adopted — on an unreadable file, another format
-        version, a missing or wrong CRC, or a different modulus: bad
-        randomness here would silently weaken every masking step.
+        in place, nothing adopted — on a missing, unreadable or torn file,
+        another snapshot kind or format, a wrong CRC, or a different
+        modulus: bad randomness here would silently weaken every masking
+        step.
         """
-        target = Path(path)
+        from repro.resilience.durability import read_snapshot
+
         try:
-            data = json.loads(target.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"unreadable pool cache {path}: {exc}")
-        if (not isinstance(data, dict)
-                or data.get("kind") != _POOL_CACHE_KIND
-                or data.get("format") != _POOL_CACHE_VERSION):
+            data = read_snapshot(path, _POOL_CACHE_KIND)
+        except CorruptStateError as exc:
             raise ConfigurationError(
-                f"{path} is not a version-{_POOL_CACHE_VERSION} pool cache")
-        stored_crc = data.pop("crc", None)
-        computed = _cache_crc(data)
-        if stored_crc != computed:
-            raise ConfigurationError(
-                f"pool cache {path} failed its CRC check "
-                f"(stored {stored_crc}, computed {computed})")
+                f"unreadable pool cache {path}: {exc}") from exc
+        if data is None:
+            raise ConfigurationError(f"unreadable pool cache {path}: missing")
         if data.get("n") != format(self.public_key.n, "x"):
             raise ConfigurationError(
                 f"pool cache {path} was produced under a different key")
         adopted = self.adopt(
             [int(factor, 16) for factor in data.get("obfuscators", [])])
-        target.unlink()
+        Path(path).unlink()
         return adopted
 
     # -- introspection ---------------------------------------------------------

@@ -21,7 +21,6 @@ from typing import Any
 
 from repro.crypto.paillier import (
     Ciphertext,
-    PaillierKeyPair,
     PaillierPrivateKey,
     PaillierPublicKey,
 )
@@ -32,8 +31,6 @@ __all__ = [
     "public_key_from_dict",
     "private_key_to_dict",
     "private_key_from_dict",
-    "keypair_to_dict",
-    "keypair_from_dict",
     "ciphertext_to_dict",
     "ciphertext_from_dict",
     "payload_to_jsonable",
@@ -99,23 +96,6 @@ def private_key_from_dict(data: dict[str, Any]) -> PaillierPrivateKey:
     _validate_kind(data, "paillier-private-key")
     public = PaillierPublicKey(_hex_to_int(data["n"]))
     return PaillierPrivateKey(public, _hex_to_int(data["p"]), _hex_to_int(data["q"]))
-
-
-def keypair_to_dict(keypair: PaillierKeyPair) -> dict[str, Any]:
-    """Serialize a full key pair."""
-    return {
-        "format": _FORMAT_VERSION,
-        "kind": "paillier-keypair",
-        "public": public_key_to_dict(keypair.public_key),
-        "private": private_key_to_dict(keypair.private_key),
-    }
-
-
-def keypair_from_dict(data: dict[str, Any]) -> PaillierKeyPair:
-    """Reconstruct a key pair from :func:`keypair_to_dict` output."""
-    _validate_kind(data, "paillier-keypair")
-    private = private_key_from_dict(data["private"])
-    return PaillierKeyPair(private.public_key, private)
 
 
 def ciphertext_to_dict(ciphertext: Ciphertext) -> dict[str, Any]:

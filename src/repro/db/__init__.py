@@ -5,7 +5,6 @@ from repro.db.datasets import (
     heart_disease_schema,
     heart_disease_table,
     synthetic_clustered,
-    synthetic_schema,
     synthetic_uniform,
 )
 from repro.db.encrypted_table import EncryptedRecord, EncryptedTable
@@ -29,5 +28,4 @@ __all__ = [
     "heart_disease_example_query",
     "synthetic_uniform",
     "synthetic_clustered",
-    "synthetic_schema",
 ]

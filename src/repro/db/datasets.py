@@ -28,7 +28,6 @@ __all__ = [
     "heart_disease_table",
     "heart_disease_example_query",
     "synthetic_uniform",
-    "synthetic_schema",
     "synthetic_clustered",
     "max_attribute_value_for_distance_bits",
 ]
@@ -84,18 +83,6 @@ def heart_disease_table(include_diagnosis: bool = True) -> Table:
 def heart_disease_example_query() -> tuple[int, ...]:
     """The Example 1 query record ``Q = <58, 1, 4, 133, 196, 1, 2, 1, 6>``."""
     return _HEART_DISEASE_QUERY
-
-
-def synthetic_schema(dimensions: int, value_bits: int = 4) -> Schema:
-    """Schema for the Section 5 synthetic workloads.
-
-    Args:
-        dimensions: number of attributes ``m``.
-        value_bits: bit width of each attribute value; chosen so the squared
-            distance fits the experiment's ``l`` (see
-            :func:`max_attribute_value_for_distance_bits`).
-    """
-    return Schema.uniform(dimensions, maximum=(1 << value_bits) - 1)
 
 
 def max_attribute_value_for_distance_bits(dimensions: int, distance_bits: int) -> int:

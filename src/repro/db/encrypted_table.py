@@ -104,19 +104,6 @@ class EncryptedTable:
         return self._records[index]
 
     # -- operations used by the protocols -------------------------------------------
-    def rerandomized(self, rng: Random | None = None) -> "EncryptedTable":
-        """A copy where every ciphertext is freshly re-randomized.
-
-        The plaintexts are unchanged but the ciphertext values are all new, so
-        the copy cannot be linked to the original by comparing ciphertexts.
-        """
-        fresh = [
-            EncryptedRecord(record.record_id,
-                            [c.randomize(rng) for c in record.ciphertexts])
-            for record in self._records
-        ]
-        return EncryptedTable(self.schema, self.public_key, fresh)
-
     def decrypt(self, private_key: PaillierPrivateKey) -> Table:
         """Decrypt the whole table (only possible for the key holder; testing aid)."""
         table = Table(self.schema)

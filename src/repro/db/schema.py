@@ -54,11 +54,6 @@ class Attribute:
                 "the SkNN protocols (shift the domain before encrypting)"
             )
 
-    @property
-    def range_width(self) -> int:
-        """Number of representable values."""
-        return self.maximum - self.minimum + 1
-
     def validate(self, value: int) -> None:
         """Raise :class:`SchemaError` if ``value`` is outside the range."""
         if not isinstance(value, int) or isinstance(value, bool):
@@ -119,13 +114,6 @@ class Schema:
 
     def __iter__(self) -> Iterable[Attribute]:
         return iter(self.attributes)
-
-    def attribute(self, name: str) -> Attribute:
-        """Look up an attribute by name."""
-        for candidate in self.attributes:
-            if candidate.name == name:
-                return candidate
-        raise SchemaError(f"unknown attribute {name!r}")
 
     def index_of(self, name: str) -> int:
         """Position of an attribute within a record vector."""

@@ -71,14 +71,6 @@ class Table:
         self._index[record.record_id] = len(self._records)
         self._records.append(record)
 
-    def insert_row(self, values: Sequence[int], record_id: str | None = None) -> Record:
-        """Insert a raw value row, auto-generating an id when omitted."""
-        if record_id is None:
-            record_id = f"t{len(self._records) + 1}"
-        record = Record(record_id, tuple(values))
-        self.insert(record)
-        return record
-
     # -- accessors ---------------------------------------------------------------
     @property
     def records(self) -> tuple[Record, ...]:

@@ -41,10 +41,6 @@ class ProtocolError(ReproError):
     """Base class for secure two-party protocol failures."""
 
 
-class ProtocolAbortError(ProtocolError):
-    """Raised when a party aborts a protocol because of malformed input."""
-
-
 class DomainError(ProtocolError):
     """Raised when a value falls outside the declared domain ``[0, 2**l)``."""
 

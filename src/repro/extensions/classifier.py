@@ -21,7 +21,8 @@ Usage::
 
     classifier = SecureKNNClassifier(heart_disease_table(), label_column="num",
                                      key_size=256, mode="basic")
-    predicted = classifier.classify([58, 1, 4, 133, 196, 1, 2, 1, 6], k=3)
+    predicted = classifier.classify_with_details(
+        [58, 1, 4, 133, 196, 1, 2, 1, 6], k=3).label
 """
 
 from __future__ import annotations
@@ -115,10 +116,6 @@ class SecureKNNClassifier:
                                         feature_dimensions=self.feature_count)
 
     # -- queries ------------------------------------------------------------------
-    def classify(self, features: Sequence[int], k: int) -> int:
-        """Return the majority label among the k nearest training records."""
-        return self.classify_with_details(features, k).label
-
     def classify_with_details(self, features: Sequence[int],
                               k: int) -> ClassificationResult:
         """Classify and also return the vote counts and neighbor records."""

@@ -7,7 +7,6 @@ transcript while remaining testable inside one process.
 
 from repro.network.channel import DuplexChannel, Message, message_wire_size
 from repro.network.latency import (
-    BandwidthLatency,
     FixedLatency,
     LatencyModel,
     ZeroLatency,
@@ -27,7 +26,6 @@ __all__ = [
     "LatencyModel",
     "ZeroLatency",
     "FixedLatency",
-    "BandwidthLatency",
     "Party",
     "EvaluatorParty",
     "DecryptorParty",

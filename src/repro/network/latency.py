@@ -41,18 +41,3 @@ class FixedLatency(LatencyModel):
 
     def delay_for_message(self, payload_bytes: int) -> float:
         return self.seconds_per_message
-
-
-@dataclass(frozen=True)
-class BandwidthLatency(LatencyModel):
-    """Delay composed of a fixed per-message cost plus a bandwidth term.
-
-    ``delay = latency + payload_bytes / bandwidth``; the defaults model a
-    1 ms one-way delay on a 1 Gbit/s link between two cloud datacenters.
-    """
-
-    latency_seconds: float = 0.001
-    bandwidth_bytes_per_second: float = 125_000_000.0
-
-    def delay_for_message(self, payload_bytes: int) -> float:
-        return self.latency_seconds + payload_bytes / self.bandwidth_bytes_per_second

@@ -81,10 +81,6 @@ class Party:
         """
         return self.rng.randrange(1, self.public_key.n)
 
-    def random_in_zn(self) -> int:
-        """Uniform random value in ``[0, N)``."""
-        return self.rng.randrange(self.public_key.n)
-
     def encrypt(self, value: int) -> Ciphertext:
         """Encrypt a signed integer under the shared public key."""
         return self.encrypt_batch([value])[0]

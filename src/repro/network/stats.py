@@ -189,21 +189,6 @@ class ProtocolRunStats:
         for key, value in other.extra.items():
             self.extra[key] = self.extra.get(key, 0) + value
 
-    def as_row(self) -> dict[str, float]:
-        """Flatten into a single dictionary suitable for tabular reporting."""
-        row: dict[str, float] = {
-            "protocol": self.protocol,
-            "wall_time_seconds": self.wall_time_seconds,
-            "encryptions": self.total_encryptions,
-            "decryptions": self.total_decryptions,
-            "exponentiations": self.total_exponentiations,
-            "messages": self.messages,
-            "ciphertexts_exchanged": self.ciphertexts_exchanged,
-            "bytes_transferred": self.bytes_transferred,
-        }
-        row.update(self.extra)
-        return row
-
     def as_payload(self) -> dict[str, object]:
         """Lossless field-by-field dictionary (the wire form of the stats)."""
         return dataclasses.asdict(self)

@@ -8,10 +8,10 @@ key) and the decryptor P2 (cloud C2, holds the Paillier secret key):
 * :class:`SecureBitDecomposition` (SBD) — ``Epk(z) -> [z]``
 * :class:`SecureMinimum` (SMIN) — ``[u], [v] -> [min(u, v)]``
 * :class:`SecureMinimumOfN` (SMIN_n) — ``[d_1..d_n] -> [min]``
-* :class:`SecureBitOr` (SBOR) / :class:`SecureBitXor` (SBXOR)
+* :class:`SecureBitOr` (SBOR)
 """
 
-from repro.protocols.base import ProtocolResult, TwoPartyProtocol
+from repro.protocols.base import TwoPartyProtocol
 from repro.protocols.encoding import (
     bits_to_int,
     decrypt_bits,
@@ -20,7 +20,7 @@ from repro.protocols.encoding import (
     recompose_from_encrypted_bits,
 )
 from repro.protocols.sbd import SecureBitDecomposition
-from repro.protocols.sbor import SecureBitOr, SecureBitXor
+from repro.protocols.sbor import SecureBitOr
 from repro.protocols.sm import SecureMultiplication
 from repro.protocols.smin import SecureMinimum
 from repro.protocols.sminn import SecureMinimumOfN
@@ -28,14 +28,12 @@ from repro.protocols.ssed import SecureSquaredEuclideanDistance
 
 __all__ = [
     "TwoPartyProtocol",
-    "ProtocolResult",
     "SecureMultiplication",
     "SecureSquaredEuclideanDistance",
     "SecureBitDecomposition",
     "SecureMinimum",
     "SecureMinimumOfN",
     "SecureBitOr",
-    "SecureBitXor",
     "int_to_bits",
     "bits_to_int",
     "encrypt_bits",

@@ -20,20 +20,17 @@ instead of taking turns.
 from __future__ import annotations
 
 import functools
-import time
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.crypto.precompute import mask_range
 from repro.exceptions import ProtocolError
 from repro.network.party import DecryptorParty, EvaluatorParty, TwoPartySetting
-from repro.network.stats import ProtocolRunStats
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import profiling as _profiling
 from repro.telemetry import tracing as _tracing
 
-__all__ = ["P2StepDispatcher", "TwoPartyProtocol", "ProtocolResult",
+__all__ = ["P2StepDispatcher", "TwoPartyProtocol",
            "PIPELINE_MIN_ITEMS", "record_round", "traced_round"]
 
 #: A batched round of this many items or more travels as two half-batches
@@ -191,19 +188,6 @@ class P2StepDispatcher:
         return width
 
 
-@dataclass
-class ProtocolResult:
-    """Return value of an instrumented protocol execution.
-
-    Attributes:
-        output: the protocol's functional output (known only to P1).
-        stats: operation and traffic statistics gathered during the run.
-    """
-
-    output: Any
-    stats: ProtocolRunStats
-
-
 class TwoPartyProtocol(P2StepDispatcher):
     """Base class for all of the paper's two-party sub-protocols.
 
@@ -260,14 +244,6 @@ class TwoPartyProtocol(P2StepDispatcher):
         return list(zip(masks, self.p1.encrypt_batch(masks)))
 
     # -- ciphertext helpers -----------------------------------------------------
-    def sub(self, left: Ciphertext, right: Ciphertext) -> Ciphertext:
-        """Homomorphic subtraction ``E(a - b) = E(a) * E(b)^{-1}``."""
-        return left - right
-
-    def scale(self, ciphertext: Ciphertext, scalar: int) -> Ciphertext:
-        """Homomorphic scalar multiplication ``E(a * s) = E(a)^s``."""
-        return ciphertext * (scalar % self.pk.n)
-
     def add_plain(self, ciphertext: Ciphertext, value: int) -> Ciphertext:
         """Homomorphic addition of a plaintext constant (mod N)."""
         return ciphertext + (value % self.pk.n)
@@ -338,28 +314,6 @@ class TwoPartyProtocol(P2StepDispatcher):
         record_round(self.name, operation)
         span = _tracing.span(f"{self.name}.{operation}", **attributes)
         return _profiling.wrap_span(span, self.name)
-
-    def run_instrumented(self, *args: Any, **kwargs: Any) -> ProtocolResult:
-        """Run the protocol and collect operation/traffic statistics.
-
-        The run is measured like a query is: a cost ledger over the
-        setting's counters, projected per party by
-        :meth:`~repro.network.stats.ProtocolRunStats.from_cost_rows` (P2's
-        steps run under ``party="C2"`` scopes, see :meth:`dispatch_p2`).
-        Nested usage (e.g. SSED calling SM) attributes all work to the
-        outermost instrumented call.
-        """
-        channel = self.setting.channel
-        ledger = _profiling.CostLedger.for_setting(self.setting)
-        traffic_before = channel.total_traffic().snapshot()
-        started = time.perf_counter()
-        with ledger.activate():
-            output = self.run(*args, **kwargs)
-        elapsed = time.perf_counter() - started
-        stats = ProtocolRunStats.from_cost_rows(
-            self.name, elapsed, ledger.finish(), traffic_before,
-            channel.total_traffic().snapshot())
-        return ProtocolResult(output=output, stats=stats)
 
     def run(self, *args: Any, **kwargs: Any) -> Any:
         """Execute the protocol; implemented by subclasses."""

@@ -21,7 +21,6 @@ __all__ = [
     "encrypt_bits",
     "decrypt_bits",
     "recompose_from_encrypted_bits",
-    "max_value_bits",
 ]
 
 
@@ -52,13 +51,6 @@ def bits_to_int(bits: Sequence[int]) -> int:
             raise DomainError(f"bit vector contains a non-bit value: {bit}")
         value = (value << 1) | bit
     return value
-
-
-def max_value_bits(bit_length: int) -> list[int]:
-    """The all-ones bit vector, i.e. ``2**l - 1`` (the paper's "maximum value")."""
-    if bit_length <= 0:
-        raise DomainError(f"bit length must be positive, got {bit_length}")
-    return [1] * bit_length
 
 
 def encrypt_bits(public_key: PaillierPublicKey, value: int, bit_length: int,

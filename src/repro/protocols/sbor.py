@@ -1,15 +1,9 @@
-"""Secure Bit-OR (SBOR) and Secure Bit-XOR (SBXOR) protocols.
+"""Secure Bit-OR (SBOR) protocol.
 
 SBOR (Section 3 of the paper): P1 holds encryptions of two bits ``o_1`` and
 ``o_2``; with the help of P2 it computes ``Epk(o_1 OR o_2)`` using the
 identity ``o_1 OR o_2 = o_1 + o_2 - o_1 AND o_2``, where the AND of two bits
 is their product and is computed with one Secure Multiplication.
-
-SBXOR is not named as a separate primitive in Section 3, but the identity
-``o_1 XOR o_2 = o_1 + o_2 - 2 * (o_1 AND o_2)`` is used inside the printed
-SMIN (the ``G_i`` vector of Algorithm 3; this repository's SMIN marks the
-first differing bit without it); it is exposed here as a reusable protocol
-for symmetry and for testing.
 """
 
 from __future__ import annotations
@@ -20,7 +14,7 @@ from repro.crypto.paillier import Ciphertext
 from repro.protocols.base import TwoPartyProtocol, traced_round
 from repro.protocols.sm import SecureMultiplication
 
-__all__ = ["SecureBitOr", "SecureBitXor"]
+__all__ = ["SecureBitOr"]
 
 
 class SecureBitOr(TwoPartyProtocol):
@@ -58,29 +52,3 @@ class SecureBitOr(TwoPartyProtocol):
         # E(o1 + o2) * E(o1*o2)^{N-1}  ==  E(o1 + o2 - o1*o2)
         sums = self.pk.add_batch([a for a, _ in pairs], [b for _, b in pairs])
         return self.pk.add_batch(sums, self.neg_batch(enc_ands))
-
-
-class SecureBitXor(TwoPartyProtocol):
-    """Two-party secure XOR of two encrypted bits (the printed SMIN's G_i)."""
-
-    name = "SBXOR"
-
-    def __init__(self, setting) -> None:
-        super().__init__(setting)
-        self._sm = SecureMultiplication(setting)
-
-    @traced_round("run")
-    def run(self, enc_bit_a: Ciphertext, enc_bit_b: Ciphertext) -> Ciphertext:
-        """Compute ``Epk(o_1 XOR o_2)`` from ``Epk(o_1)`` and ``Epk(o_2)``."""
-        enc_and = self._sm.run(enc_bit_a, enc_bit_b)
-        return self.xor_from_product(enc_bit_a, enc_bit_b, enc_and)
-
-    def xor_from_product(self, enc_bit_a: Ciphertext, enc_bit_b: Ciphertext,
-                         enc_product: Ciphertext) -> Ciphertext:
-        """XOR given an already-computed encrypted product of the two bits.
-
-        The printed SMIN computes ``Epk(u_i * v_i)`` once and reuses it for
-        both its ``W_i`` and ``G_i`` vectors; this helper performs only the
-        local (non-interactive) part: ``E(a + b - 2ab)``.
-        """
-        return self.sub(enc_bit_a + enc_bit_b, enc_product * 2)

@@ -95,7 +95,7 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
         per attribute instead of once per (record, attribute) pair — valid
         because ``(x - y)^2 == (y - x)^2`` — so the scan costs ``n*m + m``
         exponentiations, ``n*m + n`` encryptions and ``n*m`` decryptions
-        (``ssed_scan_counts`` in the analysis layer).
+        (``ssed_scan_cost`` in the analysis layer).
 
         Args:
             enc_x: the shared m-dimensional encrypted vector (the query).

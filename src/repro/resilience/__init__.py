@@ -21,9 +21,8 @@ from the deployed system:
 * :mod:`repro.resilience.health` — control-plane liveness probes gating
   supervisor restarts.
 * :mod:`repro.resilience.chaos` — the deterministic fault-injection
-  harness (:class:`ChaosSchedule`, :class:`ChaosChannel`,
-  :class:`ChaosProxy`) behind ``tests/integration/test_chaos.py`` and the
-  CI ``chaos-smoke`` step.
+  harness (:class:`ChaosSchedule`, :class:`ChaosProxy`) behind
+  ``tests/integration/test_chaos.py`` and the CI ``chaos-smoke`` step.
 
 Every resilience event — retries, reconnects, deadline hits, restarts,
 rejected queries, injected faults — is counted in the
@@ -33,7 +32,7 @@ rejected queries, injected faults — is counted in the
 ``repro_chaos_faults_total``) and surfaced by ``repro stats``.
 """
 
-from repro.resilience.chaos import ChaosChannel, ChaosProxy, ChaosSchedule
+from repro.resilience.chaos import ChaosProxy, ChaosSchedule
 from repro.resilience.durability import (
     CrashPointFired,
     DurableReplyCache,
@@ -49,7 +48,6 @@ from repro.resilience.idempotency import ReplyCache
 from repro.resilience.policy import Deadline, RetryPolicy, is_retriable, retry_call
 
 __all__ = [
-    "ChaosChannel",
     "ChaosProxy",
     "ChaosSchedule",
     "CrashPointFired",

@@ -1,15 +1,12 @@
 """Deterministic fault injection for the distributed runtime.
 
-Three tools, all driven by a seeded :class:`ChaosSchedule` so every failure
+Two tools, both driven by a seeded :class:`ChaosSchedule` so every failure
 scenario is bit-reproducible:
 
 * :class:`ChaosSchedule` — maps a frame index to a fault action (``drop``,
   ``delay``, ``duplicate``, ``truncate``, ``corrupt``, ``reset``).  Faults
   are confined to a finite window of frame indices, so a retrying client is
   guaranteed to eventually see a clean run — chaos tests terminate.
-* :class:`ChaosChannel` — wraps any in-process channel implementing the
-  ``DuplexChannel`` send/receive surface and applies the schedule to sent
-  messages.  Used by unit/property tests of the retry and dedup layers.
 * :class:`ChaosProxy` — a real TCP proxy that sits between two daemons (or
   between Bob and a daemon), parses the length-prefixed frame stream, and
   applies the schedule to individual frames: dropping them on the floor,
@@ -32,7 +29,6 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any
 
-from repro.exceptions import ChannelError
 from repro.telemetry import metrics as _metrics
 from repro.transport.framing import (
     recv_frame,
@@ -40,7 +36,7 @@ from repro.transport.framing import (
     setup_stream_socket,
 )
 
-__all__ = ["ChaosSchedule", "ChaosChannel", "ChaosProxy"]
+__all__ = ["ChaosSchedule", "ChaosProxy"]
 
 #: fault actions a schedule may assign to a frame index
 ACTIONS = ("drop", "delay", "duplicate", "truncate", "corrupt", "reset")
@@ -107,64 +103,12 @@ class ChaosSchedule:
             return "reset"
         return None
 
-    def fault_count(self) -> int:
-        return (len(self.drops) + len(self.delays) + len(self.duplicates)
-                + len(self.truncates) + len(self.corrupts) + len(self.resets))
-
 
 def _count_fault(action: str, where: str) -> None:
     _metrics.get_registry().counter(
         "repro_chaos_faults_total",
         "Faults injected by the chaos harness.", ("action", "where")).inc(
             action=action, where=where)
-
-
-class ChaosChannel:
-    """Fault-injecting wrapper over an in-process channel.
-
-    Applies the schedule to :meth:`send` calls (the unit under test is the
-    receiving side's resilience).  Every other attribute — ``receive``,
-    ``pending``, traffic accounting — delegates to the wrapped channel.
-    ``corrupt`` perturbs integer payloads (recursively in lists/tuples) the
-    way bit flips on the wire would.
-    """
-
-    def __init__(self, inner: Any, schedule: ChaosSchedule,
-                 label: str = "channel") -> None:
-        self.inner = inner
-        self.schedule = schedule
-        self.label = label
-        self.events: list[tuple[int, str, str]] = []
-        self._frame_index = 0
-        self._lock = threading.Lock()
-
-    @property
-    def runs_both_parties(self) -> bool:
-        return self.inner.runs_both_parties
-
-    def send(self, sender: str, payload: Any, tag: str = "") -> None:
-        with self._lock:
-            index = self._frame_index
-            self._frame_index += 1
-        action = self.schedule.action_for(index)
-        if action is not None:
-            self.events.append((index, action, tag))
-            _count_fault(action, self.label)
-        if action == "drop":
-            return
-        if action == "delay":
-            time.sleep(self.schedule.delay_seconds)
-        elif action == "duplicate":
-            self.inner.send(sender, payload, tag=tag)
-        elif action in ("corrupt", "truncate"):
-            payload = _corrupt_payload(payload, truncate=(action == "truncate"))
-        elif action == "reset":
-            raise ChannelError(
-                f"chaos: connection reset at frame {index} ({tag!r})")
-        self.inner.send(sender, payload, tag=tag)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.inner, name)
 
 
 def _corrupt_payload(payload: Any, truncate: bool = False) -> Any:

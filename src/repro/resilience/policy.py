@@ -43,8 +43,8 @@ def is_retriable(error: BaseException) -> bool:
 class Deadline:
     """An absolute point in monotonic time shared by a multi-step operation.
 
-    ``Deadline(None)`` (or :meth:`unbounded`) never expires, so call sites
-    can thread one object through unconditionally.
+    ``Deadline(None)`` never expires, so call sites can thread one object
+    through unconditionally.
     """
 
     __slots__ = ("_expires_at", "seconds")
@@ -53,15 +53,6 @@ class Deadline:
         self.seconds = seconds
         self._expires_at = (None if seconds is None
                             else time.monotonic() + seconds)
-
-    @classmethod
-    def after(cls, seconds: float | None) -> "Deadline":
-        """Alias of the constructor, reading naturally at call sites."""
-        return cls(seconds)
-
-    @classmethod
-    def unbounded(cls) -> "Deadline":
-        return cls(None)
 
     @property
     def expires_at(self) -> float | None:

@@ -200,12 +200,6 @@ class ServerStats:
             return 0.0
         return self.queries_served / self.batches_served
 
-    def queries_per_second(self) -> float:
-        """Serving throughput over the server's busy time."""
-        if self.busy_seconds == 0.0:
-            return 0.0
-        return self.queries_served / self.busy_seconds
-
 
 class QueryServer:
     """Accepts concurrent Bob sessions and serves them in scheduled batches.

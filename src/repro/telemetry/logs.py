@@ -107,11 +107,6 @@ class SlowQueryLog:
                              protocol, extra={"slow_query": entry})
         return True
 
-    def entries(self) -> list[dict]:
-        """Most recent slow queries, oldest first."""
-        with self._lock:
-            return list(self._entries)
-
     def snapshot(self) -> dict:
         with self._lock:
             return {

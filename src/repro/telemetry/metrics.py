@@ -172,10 +172,6 @@ class _GaugeChild:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> float:
         with self._lock:

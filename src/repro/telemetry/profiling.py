@@ -119,8 +119,7 @@ class _Activation:
 class _SpanWithCost:
     """A tracing span and a cost scope entered/exited as one unit.
 
-    Forwards the span surface (``set_attribute``, ids) so call sites built
-    for plain spans keep working.
+    Forwards the span ids so call sites built for plain spans keep working.
     """
 
     __slots__ = ("_span", "_scope")
@@ -139,9 +138,6 @@ class _SpanWithCost:
             self._span.__exit__(*exc_info)
         finally:
             self._scope.__exit__(*exc_info)
-
-    def set_attribute(self, name: str, value: Any) -> None:
-        self._span.set_attribute(name, value)
 
     @property
     def span_id(self) -> str:
@@ -340,19 +336,6 @@ class CostLedger:
         rows = [
             {"phase": phase, "party": party, "seconds": seconds, "ops": ops}
             for (phase, party), (seconds, ops) in merged.items()
-            if seconds > 1e-9 or any(ops.values())
-        ]
-        rows.sort(key=lambda row: -row["seconds"])
-        return rows
-
-    def detail(self) -> list[dict[str, Any]]:
-        """Un-rolled rows, one per full nested scope path."""
-        with self._lock:
-            items = [(key, bucket[0], dict(bucket[1]))
-                     for key, bucket in self._buckets.items()]
-        rows = [
-            {"phase": path, "party": party, "seconds": seconds, "ops": ops}
-            for (path, party), seconds, ops in items
             if seconds > 1e-9 or any(ops.values())
         ]
         rows.sort(key=lambda row: -row["seconds"])

@@ -131,9 +131,6 @@ class _NoopSpan:
     def __exit__(self, *exc_info: Any) -> None:
         return None
 
-    def set_attribute(self, name: str, value: Any) -> None:
-        return None
-
     span_id = ""
     trace_id = ""
 
@@ -167,9 +164,6 @@ class _ActiveSpan:
     @property
     def trace_id(self) -> str:
         return self._span.trace_id
-
-    def set_attribute(self, name: str, value: Any) -> None:
-        self._span.attributes[name] = value
 
     def __enter__(self) -> "_ActiveSpan":
         self._token = _CURRENT.set(_Context(

@@ -257,7 +257,7 @@ class RemoteCloud:
                                     request_deadline=request_deadline,
                                     rng=self._rng)
                        for address in (self.shard_addresses or [])]
-        #: populated by :meth:`provision` (or :meth:`adopt_public_key`)
+        #: populated by :meth:`provision`
         self.table_size: int | None = None
         self.dimensions: int | None = None
         self.distance_bits: int | None = None
@@ -369,10 +369,6 @@ class RemoteCloud:
         if not self.c1.request("transport.ping", None).get("provisioned"):
             self.c1.request("transport.provision",
                             self._provision_payloads["c1"])
-
-    def adopt_public_key(self, public_key) -> None:
-        """Attach the key for ciphertext traffic to already-provisioned daemons."""
-        self.codec.public_key = public_key
 
     def clone(self) -> "RemoteCloud":
         """A second, independent connection pair to the same daemons.

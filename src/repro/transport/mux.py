@@ -582,11 +582,6 @@ class PeerPool:
         with self._lock:
             return list(self._connections)
 
-    def inflight(self) -> int:
-        """Total active contexts across the pool."""
-        return sum(connection.active_contexts()
-                   for connection in self.connections())
-
     def close(self) -> None:
         """Close every connection and refuse further leases."""
         with self._lock:

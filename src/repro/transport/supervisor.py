@@ -18,9 +18,8 @@ Resilience duties on top of process management:
   previous port** (``SO_REUSEADDR`` makes the rebind immediate), so peer
   daemons and clients reconnect to the address they already hold;
 * a restarted daemon reloads its ``--pool-cache``, so the warm precompute
-  pools survive the crash;
-* an optional monitor thread (:meth:`start_monitor`) auto-restarts daemons
-  that die, counting ``repro_daemon_restarts_total`` either way.
+  pools survive the crash; every restart counts
+  ``repro_daemon_restarts_total``.
 """
 
 from __future__ import annotations
@@ -103,8 +102,6 @@ class LocalSupervisor:
         self._processes: dict[str, subprocess.Popen] = {}
         self.addresses: dict[str, tuple[str, int]] = {}
         self._remote: RemoteCloud | None = None
-        self._monitor_thread: threading.Thread | None = None
-        self._monitor_stop = threading.Event()
         self._restart_lock = threading.Lock()
         self.restarts: dict[str, int] = {name: 0
                                          for name in self.role_names()}
@@ -296,41 +293,6 @@ class LocalSupervisor:
                 ("role",)).inc(role=role)
             return self.addresses[role]
 
-    # -- liveness monitor ------------------------------------------------------
-    def start_monitor(self, interval: float = 0.5) -> None:
-        """Watch both processes; auto-restart any that die.
-
-        The monitor only handles *process death* (crash, OOM-kill); a hung
-        daemon is the deadline layer's problem.  Idempotent.
-        """
-        if self._monitor_thread is not None:
-            return
-        self._monitor_stop.clear()
-
-        def watch() -> None:
-            while not self._monitor_stop.wait(interval):
-                for role in list(self._processes):
-                    process = self._processes.get(role)
-                    if process is None or process.poll() is None:
-                        continue
-                    if self._monitor_stop.is_set():
-                        return
-                    try:
-                        self.restart_role(role)
-                    except ConfigurationError:
-                        return  # unrecoverable; leave evidence in the log
-
-        self._monitor_thread = threading.Thread(
-            target=watch, name="sknn-supervisor-monitor", daemon=True)
-        self._monitor_thread.start()
-
-    def stop_monitor(self) -> None:
-        """Stop the liveness monitor (idempotent)."""
-        self._monitor_stop.set()
-        if self._monitor_thread is not None:
-            self._monitor_thread.join(timeout=5.0)
-            self._monitor_thread = None
-
     # -- provisioning / clients ------------------------------------------------
     def connect(self, **client_options: Any) -> RemoteCloud:
         """Open a fresh client connection set to the daemons.
@@ -369,7 +331,6 @@ class LocalSupervisor:
     # -- shutdown --------------------------------------------------------------
     def shutdown(self, timeout: float = 10.0) -> None:
         """Stop both daemons: graceful request, SIGTERM, then SIGKILL."""
-        self.stop_monitor()
         if self._remote is not None:
             self._remote.shutdown_daemons()
             self._remote.close()

@@ -173,24 +173,6 @@ class TestDaemonCrashRecovery:
             assert sup.restarts["c2"] == 1
             assert counter_total("repro_daemon_restarts_total") >= 1
 
-    def test_monitor_auto_restarts_a_crashed_daemon(self, owner, dataset):
-        expected = serial_answers(owner, dataset, "basic")
-        with LocalSupervisor(io_deadline=IO_DEADLINE) as sup:
-            remote = sup.provision_from_owner(
-                owner, seed=11, retry=RETRY,
-                request_deadline=REQUEST_DEADLINE, rng=Random(79))
-            sup.start_monitor(interval=0.1)
-            sup.kill("c2")
-            deadline = time.monotonic() + 30.0
-            while sup.restarts["c2"] == 0 and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert sup.restarts["c2"] == 1, "monitor never restarted C2"
-            client = QueryClient(owner.public_key, dataset.dimensions,
-                                 rng=Random(35))
-            shares, _ = remote.query(client.encrypt_query(QUERIES[0]), K,
-                                     mode="basic")
-            assert client.reconstruct(shares) == expected[0]
-
 
 class TestBobConnectionReset:
     """(c) Bob's control link to C1 is reset mid-query; he reconnects."""

@@ -43,8 +43,8 @@ class TestSecureKNNClassifierBasicMode:
         classifier = SecureKNNClassifier(table, label_column="label",
                                          key_size=128, mode="basic",
                                          rng=Random(1))
-        assert classifier.classify([2, 2], k=3) == 0
-        assert classifier.classify([20, 21], k=3) == 1
+        assert classifier.classify_with_details([2, 2], k=3).label == 0
+        assert classifier.classify_with_details([20, 21], k=3).label == 1
 
     def test_matches_plaintext_vote(self):
         table = make_labeled_table()
@@ -53,7 +53,8 @@ class TestSecureKNNClassifierBasicMode:
                                          rng=Random(2))
         for features in ([5, 5], [15, 15], [1, 30]):
             expected = plaintext_knn_vote(table, 2, features, 3)
-            assert classifier.classify(features, k=3) == expected
+            assert classifier.classify_with_details(
+                features, k=3).label == expected
 
     def test_details_contain_votes_and_confidence(self):
         table = make_labeled_table()
@@ -74,8 +75,8 @@ class TestSecureKNNClassifierBasicMode:
         classifier = SecureKNNClassifier(table, label_column="label",
                                          key_size=128, mode="basic",
                                          rng=Random(4))
-        assert classifier.classify([1, 2], k=3) == 0
-        assert classifier.classify([20, 20], k=3) == 1
+        assert classifier.classify_with_details([1, 2], k=3).label == 0
+        assert classifier.classify_with_details([20, 20], k=3).label == 1
 
     def test_heart_disease_example_classification(self):
         """Classify the Example 1 patient by the diagnosis of its neighbors."""
@@ -98,7 +99,8 @@ class TestSecureKNNClassifierSecureMode:
         secure = SecureKNNClassifier(table, label_column="label", key_size=128,
                                      mode="secure", rng=Random(7))
         for features in ([2, 2], [21, 20]):
-            assert basic.classify(features, k=3) == secure.classify(features, k=3)
+            assert basic.classify_with_details(features, k=3).label \
+                == secure.classify_with_details(features, k=3).label
 
 
 class TestClassifierValidation:
@@ -122,4 +124,4 @@ class TestClassifierValidation:
                                          label_column="label", key_size=128,
                                          rng=Random(8))
         with pytest.raises(QueryError):
-            classifier.classify([1, 2, 3], k=2)
+            classifier.classify_with_details([1, 2, 3], k=2)

@@ -282,7 +282,7 @@ class TestSystemIntegration:
 
         oracle = LinearScanKNN(dataset)
         remote = supervisor.connect()
-        remote.adopt_public_key(owner.public_key)
+        remote.codec.public_key = owner.public_key
         remote.table_size = len(dataset)
         remote.dimensions = dataset.dimensions
         store = RemoteStore(remote, mode="basic")

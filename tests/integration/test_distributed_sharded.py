@@ -19,7 +19,7 @@ from random import Random
 
 import pytest
 
-from repro.analysis.cost_model import ssed_scan_counts, sknn_basic_counts
+from repro.analysis.cost_model import sknn_basic_counts, ssed_scan_cost
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_shard import shard_bounds
 from repro.db.datasets import synthetic_uniform
@@ -171,13 +171,13 @@ def assert_exact_sharded_totals(stats, queries):
     """``stats`` == ``queries`` x (each shard's scan + selection + delivery).
 
     Every shard negates the query itself, so the scan is the sum of the
-    per-slice ``ssed_scan_counts``; what is left of ``sknn_basic_counts``
+    per-slice ``ssed_scan_cost``; what is left of ``sknn_basic_counts``
     (C2 decrypting the n distances, the k*m delivery) happens once.
     """
-    scans = [ssed_scan_counts(stop - start, DIMENSIONS)
+    scans = [ssed_scan_cost(stop - start, DIMENSIONS).total
              for start, stop in shard_bounds(N_RECORDS, SHARDS)]
     whole = sknn_basic_counts(N_RECORDS, DIMENSIONS, K, batched=True)
-    unsharded = ssed_scan_counts(N_RECORDS, DIMENSIONS)
+    unsharded = ssed_scan_cost(N_RECORDS, DIMENSIONS).total
     for measured, op in ((stats.total_encryptions, "encryptions"),
                          (stats.total_decryptions, "decryptions"),
                          (stats.total_exponentiations, "exponentiations")):

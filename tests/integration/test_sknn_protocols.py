@@ -117,21 +117,6 @@ class TestSkNNSecureCorrectness:
         neighbors = client.reconstruct(shares)
         assert neighbors[0] == small_table.records[0].values
 
-    def test_chain_topology_matches_tournament(self, small_table, oracle,
-                                               small_keypair):
-        query = [2, 2, 2]
-
-        cloud, client = build_deployment(small_table, small_keypair, seed=82)
-        tournament = SkNNSecure(cloud, distance_bits=8,
-                                sminn_topology="tournament")
-        assert_valid_knn_answer(small_table, query, 2, client.reconstruct(
-            tournament.run(client.encrypt_query(query), 2)))
-
-        cloud, client = build_deployment(small_table, small_keypair, seed=83)
-        chain = SkNNSecure(cloud, distance_bits=8, sminn_topology="chain")
-        assert_valid_knn_answer(small_table, query, 2, client.reconstruct(
-            chain.run(client.encrypt_query(query), 2)))
-
     def test_rejects_nonpositive_distance_bits(self, small_table, small_keypair):
         cloud, _ = build_deployment(small_table, small_keypair, seed=84)
         from repro.exceptions import ProtocolError

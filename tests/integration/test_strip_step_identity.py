@@ -7,7 +7,7 @@ to run ``scalar_mul_batch`` + ``add_batch`` (one ``pow`` per term).  Each test r
 twin deployments — equal keys, equal rng streams — once as shipped and once
 with the product swapped back to that pre-change formula, and requires
 raw-identical outputs and identical per-party ``OperationCounter`` deltas,
-which in turn equal the pre-change totals (``ssed_scan_counts`` /
+which in turn equal the pre-change totals (``ssed_scan_cost`` /
 ``sm_counts`` plus the homomorphic additions the cost model does not carry).
 """
 
@@ -17,7 +17,7 @@ from random import Random
 
 import pytest
 
-from repro.analysis.cost_model import sm_counts, ssed_scan_counts
+from repro.analysis.cost_model import sm_counts, ssed_scan_cost
 from repro.crypto.paillier import (
     PaillierKeyPair,
     PaillierPrivateKey,
@@ -88,7 +88,7 @@ def test_ssed_run_many_raw_identical_and_counts_unchanged(
 
     assert outputs[0] == outputs[1]
     assert counts(shipped) == counts(reference)
-    model = ssed_scan_counts(records, dimensions)
+    model = ssed_scan_cost(records, dimensions).total
     pairs = records * dimensions
     assert counts(shipped) == {
         "encryptions": model.encryptions,

@@ -48,15 +48,6 @@ def test_homomorphic_subtraction(a, b):
     assert private.decrypt(result) == a - b
 
 
-@given(value=plaintexts)
-def test_rerandomization_preserves_plaintext(value):
-    keypair = cached_keypair()
-    original = keypair.public_key.encrypt(value)
-    refreshed = original.randomize()
-    assert refreshed.value != original.value
-    assert keypair.private_key.decrypt(refreshed) == value
-
-
 @given(value=signed_plaintexts)
 def test_signed_encoding_round_trip(value):
     public = cached_keypair().public_key
@@ -78,3 +69,12 @@ def test_addition_is_associative_under_decryption(a, b, c):
     left = (public.encrypt(a) + public.encrypt(b)) + public.encrypt(c)
     right = public.encrypt(a) + (public.encrypt(b) + public.encrypt(c))
     assert private.decrypt(left) == private.decrypt(right) == a + b + c
+
+
+@given(value=plaintexts)
+def test_rerandomization_preserves_plaintext(value):
+    keypair = cached_keypair()
+    original = keypair.public_key.encrypt(value)
+    refreshed = original + keypair.public_key.encrypt(0)
+    assert refreshed.value != original.value
+    assert keypair.private_key.decrypt(refreshed) == value

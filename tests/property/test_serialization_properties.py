@@ -22,6 +22,14 @@ def test_ciphertext_json_round_trip(value):
     assert keypair.private_key.decrypt(restored) == value
 
 
+
+@given(value=plaintexts)
+def test_keypair_round_trip_preserves_decryption(value):
+    keypair = cached_keypair()
+    private = ser.private_key_from_dict(ser.loads(ser.dumps(
+        ser.private_key_to_dict(keypair.private_key))))
+    assert private.decrypt(keypair.public_key.encrypt(value)) == value
+
 @given(rows=st.lists(
     st.lists(st.integers(min_value=0, max_value=255), min_size=2, max_size=2),
     min_size=1, max_size=6))
@@ -36,10 +44,3 @@ def test_encrypted_table_round_trip(rows):
 @given(value=st.integers(min_value=0, max_value=2**256))
 def test_hex_integer_round_trip(value):
     assert ser._hex_to_int(ser._int_to_hex(value)) == value
-
-
-def test_keypair_round_trip_preserves_decryption():
-    keypair = cached_keypair()
-    restored = ser.keypair_from_dict(ser.loads(ser.dumps(ser.keypair_to_dict(keypair))))
-    cipher = keypair.public_key.encrypt(777)
-    assert restored.private_key.decrypt(cipher) == 777

@@ -7,11 +7,10 @@ from random import Random
 import pytest
 
 from repro.core.cloud import CloudC1, CloudC2, FederatedCloud
-from repro.core.roles import ClientCostReport, DataOwner, QueryClient, ResultShares
+from repro.core.roles import DataOwner, QueryClient, ResultShares
 from repro.core.sknn_base import SkNNRunReport, top_k
 from repro.core.system import SkNNSystem
 from repro.db.datasets import heart_disease_table, synthetic_uniform
-from repro.db.encrypted_table import EncryptedTable
 from repro.exceptions import ConfigurationError, QueryError
 from repro.network.channel import DuplexChannel
 from repro.network.latency import FixedLatency
@@ -67,10 +66,13 @@ class TestQueryClient:
                               modulus=public.n)
         assert client.reconstruct(shares) == [true_record]
 
-    def test_client_cost_report_totals(self):
-        report = ClientCostReport(encrypt_query_seconds=0.5,
-                                  reconstruct_seconds=0.25)
-        assert report.total_seconds == 0.75
+    def test_reconstruct_records_cost(self, small_keypair):
+        client = QueryClient(small_keypair.public_key, dimensions=1,
+                             rng=Random(12))
+        shares = ResultShares(masks_from_c1=[[1]], masked_values_from_c2=[[3]],
+                              modulus=small_keypair.public_key.n)
+        assert client.reconstruct(shares) == [(2,)]
+        assert client.last_cost.reconstruct_seconds > 0
 
 
 class TestFederatedCloud:
@@ -85,11 +87,13 @@ class TestFederatedCloud:
         with pytest.raises(ConfigurationError):
             _ = cloud.c1.encrypted_table
 
-    def test_record_count_after_hosting(self, small_keypair, tiny_table):
+    def test_hosted_table_is_served(self, small_keypair, tiny_table):
         cloud = FederatedCloud.deploy(small_keypair, rng=Random(9))
-        cloud.c1.host_database(EncryptedTable.encrypt_table(
-            tiny_table, small_keypair.public_key))
-        assert cloud.c1.record_count == len(tiny_table)
+        table = DataOwner(tiny_table, keypair=small_keypair,
+                          rng=Random(13)).encrypt_database()
+        cloud.c1.host_database(table)
+        assert cloud.c1.encrypted_table is table
+        assert len(cloud.c1.encrypted_table) == len(tiny_table)
 
     def test_setting_view_shares_channel(self, small_keypair):
         cloud = FederatedCloud.deploy(small_keypair, rng=Random(10))
@@ -129,20 +133,6 @@ class TestCloudServers:
 
 
 class TestRunReports:
-    def test_report_row_contains_parameters(self):
-        stats = ProtocolRunStats(protocol="SkNNb", c1_encryptions=10,
-                                 c2_decryptions=4, messages=3)
-        report = SkNNRunReport(protocol="SkNNb", n_records=100, dimensions=6,
-                               k=5, key_size=512, distance_bits=None,
-                               wall_time_seconds=1.5, stats=stats,
-                               phase_seconds={"distance": 1.0})
-        row = report.as_row()
-        assert row["n"] == 100
-        assert row["k"] == 5
-        assert row["l"] == 0
-        assert row["phase_distance"] == 1.0
-        assert row["encryptions"] == 10
-
     def test_synthetic_workload_sizes_match_parameters(self):
         table = synthetic_uniform(n_records=17, dimensions=5, distance_bits=10,
                                   seed=1)

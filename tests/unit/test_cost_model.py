@@ -19,11 +19,9 @@ from repro.analysis.cost_model import (
     sknn_secure_phases,
     sm_counts,
     smin_cost,
-    smin_counts,
     sminn_cost,
-    sminn_counts,
     ssed_counts,
-    ssed_scan_counts,
+    ssed_scan_cost,
 )
 from repro.exceptions import ConfigurationError
 
@@ -54,20 +52,20 @@ class TestSubProtocolFormulas:
 
     def test_smin_dominated_by_linear_term(self):
         # Linear in l up to the constant term: equal increments per extra bit.
-        per_bit = smin_counts(7).total - smin_counts(6).total
-        assert smin_counts(12).total - smin_counts(6).total == pytest.approx(
+        per_bit = smin_cost(7).total.total - smin_cost(6).total.total
+        assert smin_cost(12).total.total - smin_cost(6).total.total == pytest.approx(
             6 * per_bit)
 
     def test_smin_counts_per_bit(self):
         """2 encryptions, 1 decryption, 5 exponentiations per bit, plus Z
         and E(alpha): no secure multiplication and one L entry per bit."""
         for bit_length in (1, 6, 7):
-            assert smin_counts(bit_length) == OperationCounts(
+            assert smin_cost(bit_length).total == OperationCounts(
                 2 * bit_length + 2, bit_length, 5 * bit_length)
-        assert smin_counts(6).total == 8 * 6 + 2
+        assert smin_cost(6).total.total == 8 * 6 + 2
 
     def test_sminn_is_n_minus_one_smins(self):
-        assert sminn_counts(10, 6).total == pytest.approx(9 * smin_counts(6).total)
+        assert sminn_cost(10, 6).total.total == pytest.approx(9 * smin_cost(6).total.total)
 
     def test_sbor_is_sm_plus_one_exponentiation(self):
         assert sbor_counts().exponentiations == sm_counts().exponentiations + 1
@@ -78,9 +76,9 @@ class TestSubProtocolFormulas:
         with pytest.raises(ConfigurationError):
             sbd_counts(-1)
         with pytest.raises(ConfigurationError):
-            smin_counts(0)
+            smin_cost(0)
         with pytest.raises(ConfigurationError):
-            sminn_counts(0, 4)
+            sminn_cost(0, 4)
 
 
 class TestQueryProtocolFormulas:
@@ -154,7 +152,7 @@ class TestQueryProtocolFormulas:
         no round); iterations 2..k select over l + 1 bits."""
         breakdown = sknn_secure_breakdown(8, 3, 2, 6)
         assert breakdown["elimination"] == OperationCounts()
-        assert breakdown["sminn"] == sminn_counts(8, 6) + sminn_counts(8, 7)
+        assert breakdown["sminn"] == sminn_cost(8, 6).total + sminn_cost(8, 7).total
         # recompose l, then l + 1 bits; 2n per iteration; n flag scalings
         assert breakdown["localisation"] == OperationCounts(
             encryptions=16, decryptions=16, exponentiations=32 + 6 + 7 + 8)
@@ -185,7 +183,7 @@ class TestPerPartyEntries:
     def test_scan_counts(self):
         """m masks + 1 square-sum re-encryption, m dec and m exp per record,
         plus the hoisted negations."""
-        assert ssed_scan_counts(10, 3) == OperationCounts(
+        assert ssed_scan_cost(10, 3).total == OperationCounts(
             encryptions=40, decryptions=30, exponentiations=33)
 
     def test_smin_per_party(self):

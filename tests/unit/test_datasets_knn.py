@@ -12,7 +12,6 @@ from repro.db.datasets import (
     heart_disease_table,
     max_attribute_value_for_distance_bits,
     synthetic_clustered,
-    synthetic_schema,
     synthetic_uniform,
 )
 from repro.db.knn import KDTreeKNN, LinearScanKNN, squared_euclidean
@@ -30,7 +29,7 @@ class TestHeartDiseaseDataset:
         schema = heart_disease_schema()
         assert schema.names == ("age", "sex", "cp", "trestbps", "chol", "fbs",
                                 "slope", "ca", "thal", "num")
-        assert schema.attribute("sex").maximum == 1
+        assert schema.attributes[schema.index_of("sex")].maximum == 1
 
     def test_query_has_nine_attributes(self):
         assert len(heart_disease_example_query()) == 9
@@ -83,16 +82,19 @@ class TestSyntheticDatasets:
         with pytest.raises(DatabaseError):
             max_attribute_value_for_distance_bits(3, 0)
 
+    def test_synthetic_schema(self):
+        table = synthetic_uniform(20, 6, distance_bits=10, seed=3)
+        bound = max_attribute_value_for_distance_bits(6, 10)
+        assert table.schema.dimensions == 6
+        assert all(attribute.minimum == 0 and attribute.maximum == bound
+                   for attribute in table.schema.attributes)
+        assert table.schema.distance_bit_length() <= 10
+
     def test_max_attribute_value_bound(self):
         for dimensions in (1, 3, 10):
             for bits in (4, 8, 16):
                 value = max_attribute_value_for_distance_bits(dimensions, bits)
                 assert dimensions * value * value < (1 << bits) or value == 1
-
-    def test_synthetic_schema(self):
-        schema = synthetic_schema(6, value_bits=5)
-        assert schema.dimensions == 6
-        assert schema.attribute("attr0").maximum == 31
 
     def test_clustered_dataset(self):
         table = synthetic_clustered(40, 3, 12, clusters=3, seed=5)

@@ -10,7 +10,6 @@ from repro.protocols.encoding import (
     decrypt_bits,
     encrypt_bits,
     int_to_bits,
-    max_value_bits,
     recompose_from_encrypted_bits,
 )
 
@@ -42,11 +41,6 @@ class TestIntToBits:
     def test_bits_to_int_rejects_non_bits(self):
         with pytest.raises(DomainError):
             bits_to_int([0, 2, 1])
-
-    def test_max_value_bits(self):
-        assert bits_to_int(max_value_bits(6)) == 63
-        with pytest.raises(DomainError):
-            max_value_bits(0)
 
 
 class TestEncryptedBitVectors:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from random import Random
-
 import pytest
 
 from repro.db.encrypted_table import EncryptedRecord, EncryptedTable
@@ -52,20 +50,6 @@ class TestEncryptTable:
         assert values == [4, 5, 6]
 
 
-class TestRerandomization:
-    def test_rerandomized_changes_ciphertexts_not_plaintexts(self, plain_table,
-                                                             small_keypair):
-        encrypted = EncryptedTable.encrypt_table(plain_table,
-                                                 small_keypair.public_key,
-                                                 rng=Random(1))
-        refreshed = encrypted.rerandomized(rng=Random(2))
-        original_values = [c.value for record in encrypted for c in record]
-        refreshed_values = [c.value for record in refreshed for c in record]
-        assert all(a != b for a, b in zip(original_values, refreshed_values))
-        assert refreshed.decrypt(small_keypair.private_key).row_values() == \
-            plain_table.row_values()
-
-
 class TestEncryptedTableSerialization:
     def test_dict_round_trip(self, plain_table, small_keypair):
         encrypted = EncryptedTable.encrypt_table(plain_table,
@@ -84,4 +68,5 @@ class TestEncryptedTableSerialization:
         encrypted = EncryptedTable.encrypt_table(plain_table,
                                                  small_keypair.public_key)
         restored = EncryptedTable.from_dict(encrypted.to_dict())
-        assert restored.schema.attribute("x").maximum == 50
+        assert restored.schema.attributes[
+            restored.schema.index_of("x")].maximum == 50

@@ -98,27 +98,11 @@ class TestEgcdAndModinv:
         assert (-3 * inverse) % 7 == 1
 
 
-class TestLcmIsqrt:
+class TestLcm:
     def test_lcm_basic(self):
         assert nt.lcm(4, 6) == 12
         assert nt.lcm(7, 13) == 91
         assert nt.lcm(0, 5) == 0
-
-    def test_isqrt_exact_squares(self):
-        for value in (0, 1, 4, 9, 10**18):
-            assert nt.isqrt(value) ** 2 <= value
-            assert (nt.isqrt(value) + 1) ** 2 > value
-
-    def test_isqrt_matches_floor(self):
-        rng = Random(11)
-        for _ in range(100):
-            value = rng.randrange(0, 10**12)
-            root = nt.isqrt(value)
-            assert root * root <= value < (root + 1) * (root + 1)
-
-    def test_isqrt_rejects_negative(self):
-        with pytest.raises(CryptoError):
-            nt.isqrt(-1)
 
 
 class TestRandomSampling:
@@ -163,28 +147,3 @@ class TestRandomSampling:
     def test_secure_random_without_rng(self):
         value = nt.random_below(1 << 64)
         assert 0 <= value < 1 << 64
-
-
-class TestCrtCombine:
-    def test_crt_two_moduli(self):
-        value = nt.crt_combine([2, 3], [3, 5])
-        assert value % 3 == 2
-        assert value % 5 == 3
-
-    def test_crt_three_moduli(self):
-        value = nt.crt_combine([1, 2, 3], [5, 7, 11])
-        assert value % 5 == 1
-        assert value % 7 == 2
-        assert value % 11 == 3
-
-    def test_crt_rejects_mismatched_lengths(self):
-        with pytest.raises(CryptoError):
-            nt.crt_combine([1, 2], [3])
-
-    def test_crt_rejects_non_coprime(self):
-        with pytest.raises(CryptoError):
-            nt.crt_combine([1, 2], [4, 6])
-
-    def test_bit_length_of_product(self):
-        assert nt.bit_length_of_product(2, 2) == 3
-        assert nt.bit_length_of_product(1 << 10, 1 << 10) == 21

@@ -102,7 +102,7 @@ class TestEncryptDecrypt:
     def test_vector_round_trip(self, public_key, private_key):
         values = [1, 2, 3, 500, 0]
         ciphertexts = public_key.encrypt_vector(values)
-        assert private_key.decrypt_vector(ciphertexts) == values
+        assert [private_key.decrypt(c) for c in ciphertexts] == values
 
 
 class TestHomomorphicProperties:
@@ -130,6 +130,18 @@ class TestHomomorphicProperties:
                                                            private_key):
         assert private_key.decrypt(3 * public_key.encrypt(7)) == 21
 
+    def test_scalar_multiplication_reduces_scalar_mod_n(self, public_key,
+                                                        private_key):
+        result = public_key.encrypt(7) * (public_key.n + 2)
+        assert private_key.decrypt(result) == 14
+
+    def test_adding_an_encryption_of_zero_rerandomizes(self, public_key,
+                                                       private_key):
+        original = public_key.encrypt(321)
+        refreshed = original + public_key.encrypt(0)
+        assert refreshed.value != original.value
+        assert private_key.decrypt(refreshed) == 321
+
     def test_subtraction(self, public_key, private_key):
         result = public_key.encrypt(59) - public_key.encrypt(58)
         assert private_key.decrypt(result) == 1
@@ -153,13 +165,6 @@ class TestHomomorphicProperties:
         expression = (public_key.encrypt(a) * 2 + public_key.encrypt(b) * 3
                       - public_key.encrypt(c))
         assert private_key.decrypt(expression) == 2 * a + 3 * b - c
-
-    def test_randomize_preserves_plaintext_changes_ciphertext(self, public_key,
-                                                              private_key):
-        original = public_key.encrypt(321)
-        refreshed = original.randomize()
-        assert refreshed.value != original.value
-        assert private_key.decrypt(refreshed) == 321
 
     def test_cannot_combine_ciphertexts_from_different_keys(self, public_key):
         other = generate_keypair(128, Random(31))
@@ -193,6 +198,50 @@ class TestCiphertextObject:
 
     def test_not_equal_to_other_types(self, public_key):
         assert public_key.encrypt(9) != 9
+
+
+class TestObfuscatorBase:
+    """``h = y**N`` is drawn once per key, from a generator seeded with the
+    caller's rng state, without advancing the caller's rng."""
+
+    @staticmethod
+    def twin_keypairs():
+        return generate_keypair(128, Random(57)), generate_keypair(128, Random(57))
+
+    def test_drawing_the_base_leaves_the_callers_rng_unmoved(self):
+        public = generate_keypair(128, Random(58)).public_key
+        rng = Random(1)
+        state = rng.getstate()
+        public.obfuscator_base(rng)
+        assert rng.getstate() == state
+
+    def test_crt_obfuscators_leave_the_callers_rng_unmoved(self):
+        private = generate_keypair(128, Random(59)).private_key
+        rng = Random(2)
+        state = rng.getstate()
+        private.crt_obfuscators(rng)
+        assert rng.getstate() == state
+
+    def test_twin_keys_with_equal_rng_states_share_the_base(self):
+        first, second = self.twin_keypairs()
+        assert first.public_key.obfuscator_base(Random(3)) \
+            == second.public_key.obfuscator_base(Random(3))
+
+    def test_different_rng_states_draw_different_bases(self):
+        first, second = self.twin_keypairs()
+        assert first.public_key.obfuscator_base(Random(3)) \
+            != second.public_key.obfuscator_base(Random(4))
+
+    def test_the_base_is_drawn_once(self):
+        public = generate_keypair(128, Random(60)).public_key
+        base = public.obfuscator_base(Random(3))
+        assert public.obfuscator_base(Random(4)) == base
+        assert public.obfuscator_base() == base
+
+    def test_key_holder_obfuscators_match_the_public_ones(self):
+        first, second = self.twin_keypairs()
+        assert first.public_key.obfuscators(4, Random(8)) \
+            == second.private_key.obfuscators(4, Random(8))
 
 
 class TestOperationCounter:

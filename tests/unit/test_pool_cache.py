@@ -1,10 +1,12 @@
 """Pool persistence: a warmed precompute pool survives a daemon restart.
 
-The cache file is versioned, CRC-stamped, bound to the key's modulus, and
-strictly single-use: saving *drains* the in-memory pool and loading *deletes*
-the file, so an obfuscation factor can never be consumed twice across process
-lifetimes.  Loading fails closed: anything but a complete format-2 cache for
-this key is rejected, left on disk and never half-adopted.
+The cache file is a versioned, CRC-checked snapshot
+(``repro.resilience.durability.write_snapshot``) bound to the key's modulus,
+and strictly single-use: saving *drains* the in-memory pool and loading
+*deletes* the file, so an obfuscation factor can never be consumed twice
+across process lifetimes.  Loading fails closed: anything but a complete
+pool-cache snapshot for this key is rejected, left on disk and never
+half-adopted.
 """
 
 from __future__ import annotations
@@ -94,20 +96,25 @@ class TestCacheValidation:
         with pytest.raises(ConfigurationError, match="pool cache"):
             engine.load_pools(cache)
 
-    def test_format_1_cache_rejected(self, warm_engine, public_key, tmp_path):
-        """The typed-pool format is not read, whatever its CRC says."""
+    @pytest.mark.parametrize("layout", [
+        dict(format=1, sbd_bit_length=None, constants={}, masks={}),
+        dict(format=2)])
+    def test_hand_rolled_caches_rejected(self, warm_engine, public_key,
+                                         tmp_path, layout):
+        """The earlier layouts (format 1 with typed pools, format 2 with a
+        bare factor list, both with a top-level CRC) are not read, whatever
+        their CRC says."""
         import zlib
 
         cache = tmp_path / "pools.json"
         warm_engine.save_pools(cache)
-        data = json.loads(cache.read_text())
-        del data["crc"]
-        data.update(format=1, sbd_bit_length=None, constants={}, masks={})
+        payload = json.loads(json.loads(cache.read_text())["payload"])
+        data = dict(payload, kind="precompute-pool-cache", **layout)
         data["crc"] = format(zlib.crc32(json.dumps(
             data, sort_keys=True, separators=(",", ":")).encode()), "08x")
         cache.write_text(json.dumps(data))
         engine = PrecomputeEngine(public_key, config=small_config())
-        with pytest.raises(ConfigurationError, match="version-2 pool cache"):
+        with pytest.raises(ConfigurationError, match="pool cache"):
             engine.load_pools(cache)
         assert cache.exists()
         assert engine.remaining() == {"obfuscators": 0}
@@ -119,14 +126,34 @@ class TestCacheValidation:
         with pytest.raises(ConfigurationError, match="unreadable"):
             engine.load_pools(cache)
 
+    def test_missing_cache_rejected(self, public_key, tmp_path):
+        engine = PrecomputeEngine(public_key, config=small_config())
+        with pytest.raises(ConfigurationError, match="missing"):
+            engine.load_pools(tmp_path / "absent.json")
+        assert engine.remaining() == {"obfuscators": 0}
+
+    def test_torn_cache_rejected(self, warm_engine, public_key, tmp_path):
+        cache = tmp_path / "pools.json"
+        warm_engine.save_pools(cache)
+        text = cache.read_text()
+        cache.write_text(text[:len(text) // 2])  # a write cut short
+        engine = PrecomputeEngine(public_key, config=small_config())
+        with pytest.raises(ConfigurationError, match="unreadable"):
+            engine.load_pools(cache)
+        assert cache.exists()
+        assert engine.remaining() == {"obfuscators": 0}
+
     def test_bit_flipped_cache_fails_the_crc(self, warm_engine, public_key,
                                              tmp_path):
         cache = tmp_path / "pools.json"
         warm_engine.save_pools(cache)
         data = json.loads(cache.read_text())
+        payload = json.loads(data["payload"])
         # flip one nibble of one stored obfuscation factor
-        factor = data["obfuscators"][0]
-        data["obfuscators"][0] = ("0" if factor[0] != "0" else "1") + factor[1:]
+        factor = payload["obfuscators"][0]
+        payload["obfuscators"][0] = ("0" if factor[0] != "0" else "1") \
+            + factor[1:]
+        data["payload"] = json.dumps(payload)
         cache.write_text(json.dumps(data))
         engine = PrecomputeEngine(public_key, rng=Random(9),
                                   config=small_config())
@@ -155,10 +182,15 @@ class TestCacheValidation:
         warm_engine.save_pools(cache)
         assert [p.name for p in tmp_path.iterdir()] == ["pools.json"]
 
-    def test_cache_document_is_exactly_format_2(self, warm_engine, tmp_path):
+    def test_cache_document_is_a_snapshot(self, warm_engine, public_key,
+                                          tmp_path):
+        from repro.resilience.durability import read_snapshot
+
         cache = tmp_path / "pools.json"
         warm_engine.save_pools(cache)
         data = json.loads(cache.read_text())
-        assert sorted(data) == ["crc", "format", "kind", "n", "obfuscators"]
-        assert data["format"] == 2
-        assert len(data["obfuscators"]) == 20
+        assert sorted(data) == ["crc", "format", "kind", "payload"]
+        payload = read_snapshot(cache, "precompute-pool-cache")
+        assert sorted(payload) == ["n", "obfuscators"]
+        assert payload["n"] == format(public_key.n, "x")
+        assert len(payload["obfuscators"]) == 20

@@ -240,6 +240,22 @@ class TestPerPartySeparation:
         assert setting.evaluator.engine is None
         assert setting.decryptor.engine is None
 
+    def test_masks_do_not_depend_on_the_keys_history(self):
+        """Drawing a key's obfuscator base leaves the caller's rng where it
+        was: an engine warmed on a fresh key and one on a key that already
+        encrypted hand out the same masks."""
+        from repro.crypto.paillier import generate_keypair
+
+        fresh, used = (generate_keypair(128, Random(46)).public_key
+                       for _ in range(2))
+        used.encrypt_vector([5], rng=Random(47))
+        masks = []
+        for key in (fresh, used):
+            engine = make_engine(key, seed=48)
+            engine.warm()
+            masks.append([r for r, _ in engine.take_masks(8)])
+        assert masks[0] == masks[1]
+
 
 class TestStore:
     """Single use, hit/miss accounting and the batch kernel's first tier."""

@@ -76,7 +76,7 @@ class TestCostLedger:
         assert rows[("select", "C1")]["seconds"] == pytest.approx(1.0)
         assert rows[("select", "C1")]["ops"] == {"decryptions": 3}
 
-    def test_nested_scopes_charge_innermost_and_roll_up(self):
+    def test_nested_scopes_roll_up(self):
         clock, counter = FakeClock(), FakeCounter()
         ledger = CostLedger([counter], clock=clock)
         with ledger.activate():
@@ -86,10 +86,6 @@ class TestCostLedger:
                 with cost_scope("SM"):       # nested: scan/SM
                     clock.advance(3.0)
                     counter.bump("exponentiations", 7)
-        detail = {row["phase"]: row for row in ledger.detail()}
-        assert detail["scan"]["seconds"] == pytest.approx(1.0)
-        assert detail["scan/SM"]["seconds"] == pytest.approx(3.0)
-        assert detail["scan/SM"]["ops"] == {"exponentiations": 7}
         # The rollup merges nested paths into the outermost phase.
         rows = rows_by_key(ledger.breakdown())
         assert rows[("scan", "C1")]["seconds"] == pytest.approx(4.0)
@@ -171,7 +167,6 @@ class TestCostLedger:
     def test_wrap_span_passthrough_and_pairing(self):
         class Span:
             def __init__(self):
-                self.attrs = {}
                 self.span_id = "s1"
                 self.trace_id = "t1"
 
@@ -180,9 +175,6 @@ class TestCostLedger:
 
             def __exit__(self, *exc):
                 return None
-
-            def set_attribute(self, name, value):
-                self.attrs[name] = value
 
         span = Span()
         assert wrap_span(span, "SM") is span  # no ledger armed
@@ -193,9 +185,7 @@ class TestCostLedger:
             assert wrapped is not span
             with wrapped:
                 clock.advance(2.0)
-                wrapped.set_attribute("k", 1)
             assert wrapped.span_id == "s1" and wrapped.trace_id == "t1"
-        assert span.attrs == {"k": 1}
         rows = rows_by_key(ledger.finish())
         assert rows[("SM", "C1")]["seconds"] == pytest.approx(2.0)
 

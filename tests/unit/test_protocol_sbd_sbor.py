@@ -1,4 +1,4 @@
-"""Unit tests for the SBD, SBOR and SBXOR sub-protocols."""
+"""Unit tests for the SBD and SBOR sub-protocols."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from repro.exceptions import ProtocolError
 from repro.protocols.encoding import decrypt_bits
 from repro.protocols.sbd import SecureBitDecomposition
-from repro.protocols.sbor import SecureBitOr, SecureBitXor
+from repro.protocols.sbor import SecureBitOr
 
 
 class TestSecureBitDecomposition:
@@ -98,21 +98,3 @@ class TestSecureBitOr:
             result = protocol.run(setting.public_key.encrypt(0),
                                   setting.public_key.encrypt(bit))
             assert private_key.decrypt(result) == bit
-
-
-class TestSecureBitXor:
-    def test_truth_table(self, setting, private_key):
-        protocol = SecureBitXor(setting)
-        for a in (0, 1):
-            for b in (0, 1):
-                result = protocol.run(setting.public_key.encrypt(a),
-                                      setting.public_key.encrypt(b))
-                assert private_key.decrypt(result) == (a ^ b)
-
-    def test_xor_from_precomputed_product(self, setting, private_key):
-        protocol = SecureBitXor(setting)
-        enc_a = setting.public_key.encrypt(1)
-        enc_b = setting.public_key.encrypt(1)
-        enc_product = setting.public_key.encrypt(1)  # 1 AND 1
-        result = protocol.xor_from_product(enc_a, enc_b, enc_product)
-        assert private_key.decrypt(result) == 0

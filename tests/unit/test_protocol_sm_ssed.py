@@ -234,7 +234,7 @@ class TestFusedScanRound:
             for enc_y in enc_records:
                 total = None
                 for enc_xj, enc_yj in zip(enc_x, enc_y):
-                    diff = sm.sub(enc_xj, enc_yj)
+                    diff = enc_xj - enc_yj
                     square = sm.run(diff, diff)
                     total = square if total is None else total + square
                 composed.append(sk.decrypt_raw_residue(total))

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.reporting import (
     ExperimentSeries,
     ascii_plot,
-    format_markdown_table,
     format_table,
 )
 from repro.exceptions import ConfigurationError
@@ -37,11 +36,6 @@ class TestExperimentSeries:
         assert "m=6" in text
         assert "30" in text
 
-    def test_to_markdown_is_pipe_table(self):
-        markdown = self.make_series().to_markdown()
-        assert markdown.startswith("### Figure X")
-        assert "| n | m=6 | m=12 |" in markdown
-
 
 class TestFormatters:
     def test_format_table_empty(self):
@@ -57,14 +51,6 @@ class TestFormatters:
         text = format_table([{"v": 123456.789}, {"v": 0.000123}])
         assert "123,456.8" in text
         assert "0.000123" in text
-
-    def test_format_markdown_table_empty(self):
-        assert "(no data)" in format_markdown_table([])
-
-    def test_format_markdown_table_rows(self):
-        markdown = format_markdown_table([{"x": 1, "y": True}])
-        assert "| x | y |" in markdown
-        assert "| 1 | True |" in markdown
 
 
 class TestAsciiPlot:

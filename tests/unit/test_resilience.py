@@ -17,9 +17,7 @@ from repro.exceptions import (
     QueryError,
     ServiceUnavailable,
 )
-from repro.network.channel import DuplexChannel, Message
 from repro.resilience import (
-    ChaosChannel,
     ChaosProxy,
     ChaosSchedule,
     Deadline,
@@ -72,7 +70,7 @@ class TestErrorTaxonomy:
 
 class TestDeadline:
     def test_unbounded_never_expires(self):
-        deadline = Deadline.unbounded()
+        deadline = Deadline(None)
         assert deadline.remaining() is None
         assert not deadline.expired()
         assert deadline.require("op") is None
@@ -507,7 +505,7 @@ class TestHealth:
 
 
 # ---------------------------------------------------------------------------
-# Chaos schedule + channel + proxy
+# Chaos schedule + proxy
 # ---------------------------------------------------------------------------
 
 class TestChaosSchedule:
@@ -515,7 +513,7 @@ class TestChaosSchedule:
         a = ChaosSchedule.from_seed(7, window=32, drops=2, corrupts=1)
         b = ChaosSchedule.from_seed(7, window=32, drops=2, corrupts=1)
         assert a == b
-        assert a.fault_count() == 3
+        assert len(a.drops) + len(a.corrupts) == 3
 
     def test_fault_indices_stay_in_window(self):
         schedule = ChaosSchedule.from_seed(3, window=16, drops=4, resets=2,
@@ -530,35 +528,6 @@ class TestChaosSchedule:
     def test_clean_schedule_never_fires(self):
         schedule = ChaosSchedule.clean()
         assert all(schedule.action_for(i) is None for i in range(100))
-
-
-class TestChaosChannel:
-    def test_drop_swallows_the_frame(self):
-        inner = DuplexChannel("C1", "C2")
-        chaos = ChaosChannel(inner, ChaosSchedule(drops=frozenset({0})))
-        chaos.send("C1", "lost", tag="a")
-        chaos.send("C1", "kept", tag="b")
-        assert inner.pending("C2") == 1
-        assert inner.receive("C2") == "kept"
-        assert chaos.events == [(0, "drop", "a")]
-
-    def test_duplicate_sends_twice(self):
-        inner = DuplexChannel("C1", "C2")
-        chaos = ChaosChannel(inner, ChaosSchedule(duplicates=frozenset({0})))
-        chaos.send("C1", "twice", tag="a")
-        assert inner.pending("C2") == 2
-
-    def test_corrupt_damages_integers(self):
-        inner = DuplexChannel("C1", "C2")
-        chaos = ChaosChannel(inner, ChaosSchedule(corrupts=frozenset({0})))
-        chaos.send("C1", [10, 20], tag="a")
-        assert inner.receive("C2") != [10, 20]
-
-    def test_reset_raises(self):
-        inner = DuplexChannel("C1", "C2")
-        chaos = ChaosChannel(inner, ChaosSchedule(resets=frozenset({0})))
-        with pytest.raises(ChannelError, match="chaos: connection reset"):
-            chaos.send("C1", "x", tag="a")
 
 
 class _EchoServer:
