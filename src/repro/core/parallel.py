@@ -65,12 +65,11 @@ from concurrent.futures import (
     Executor,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
-    TimeoutError as FuturesTimeoutError,
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING, Callable, Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import ResultShares
@@ -85,14 +84,11 @@ from repro.crypto.paillier import (
 )
 from repro.crypto.precompute import PrecomputeEngine
 from repro.db.encrypted_table import EncryptedRecord
-from repro.exceptions import ConfigurationError, DeadlineExceeded, ServiceUnavailable
+from repro.exceptions import ConfigurationError, ServiceUnavailable
 from repro.network.party import TwoPartySetting
 from repro.protocols.ssed import SecureSquaredEuclideanDistance
 from repro.telemetry import profiling as _profiling
 from repro.telemetry import tracing as _tracing
-
-if TYPE_CHECKING:  # pragma: no cover - imports used for annotations only
-    from repro.resilience.policy import Deadline
 
 __all__ = [
     "ShardedCloud",
@@ -232,7 +228,7 @@ class PersistentWorkerPool:
     submitted individually, and when a worker crash breaks the pool
     (:class:`BrokenProcessPool`) the executor is discarded, a fresh one is
     spawned, and **only the lost tasks** are resubmitted — up to
-    ``task_retries`` respawn rounds, bounded by the caller's deadline.
+    ``task_retries`` respawn rounds.
     Tasks must therefore be idempotent and self-contained (the SSED chunk
     tasks are: each carries its own RNG seed, so a resubmitted chunk
     reproduces bit-identical distances).  When retries are exhausted the
@@ -243,8 +239,8 @@ class PersistentWorkerPool:
     Args:
         workers: number of parallel workers.
         backend: ``"process"``, ``"thread"`` or ``"serial"`` (no pool).
-        task_retries: default respawn-and-resubmit rounds per :meth:`map`
-            call on the process backend (``0`` disables recovery).
+        task_retries: respawn-and-resubmit rounds per :meth:`map` call on
+            the process backend (``0`` disables recovery).
     """
 
     def __init__(self, workers: int = 6, backend: Backend = "process",
@@ -305,33 +301,21 @@ class PersistentWorkerPool:
             self.respawns += 1
 
     # -- execution ----------------------------------------------------------
-    def map(self, fn: Callable, tasks: Sequence,
-            task_retries: int | None = None, deadline=None) -> list:
-        """Apply ``fn`` to every task on the pool's workers (order preserved).
-
-        Args:
-            fn: picklable task function.
-            tasks: idempotent, self-contained task tuples.
-            task_retries: override the pool's respawn-round budget for this
-                call (process backend only).
-            deadline: optional :class:`~repro.resilience.policy.Deadline`
-                bounding the whole map — including any respawn rounds; on
-                expiry :class:`~repro.exceptions.DeadlineExceeded` is raised.
-        """
+    def map(self, fn: Callable, tasks: Sequence) -> list:
+        """Apply ``fn`` (picklable) to every task on the pool's workers,
+        order preserved; tasks must be idempotent and self-contained."""
         executor = self._ensure_executor()
         if executor is None:
             return [fn(task) for task in tasks]
         if self.backend != "process":
             return list(executor.map(fn, tasks))
-        retries = self.task_retries if task_retries is None else task_retries
-        return self._map_process(fn, list(tasks), retries, deadline)
+        return self._map_process(fn, list(tasks))
 
-    def _map_process(self, fn: Callable, tasks: list, task_retries: int,
-                     deadline) -> list:
+    def _map_process(self, fn: Callable, tasks: list) -> list:
         """Per-task submission with respawn + targeted resubmission."""
         results: list = [None] * len(tasks)
         pending = list(range(len(tasks)))
-        for round_index in range(task_retries + 1):
+        for round_index in range(self.task_retries + 1):
             executor = self._ensure_executor()
             assert executor is not None
             futures = {index: executor.submit(fn, tasks[index])
@@ -339,16 +323,10 @@ class PersistentWorkerPool:
             lost: list[int] = []
             try:
                 for index, future in futures.items():
-                    timeout = (None if deadline is None
-                               else deadline.require(f"chunk task {index}"))
                     try:
-                        results[index] = future.result(timeout=timeout)
+                        results[index] = future.result()
                     except BrokenProcessPool:
                         lost.append(index)
-                    except FuturesTimeoutError:
-                        raise DeadlineExceeded(
-                            f"chunk task {index} still running at the "
-                            "request deadline") from None
             finally:
                 for future in futures.values():
                     future.cancel()
@@ -357,13 +335,13 @@ class PersistentWorkerPool:
             # A worker died mid-scatter.  Completed chunks keep their
             # results; only the lost ones go back out, on a fresh pool.
             self._discard_executor()
-            if round_index >= task_retries:
+            if round_index >= self.task_retries:
                 break
             self._count_chunk_retries(len(lost))
             pending = lost
         raise ServiceUnavailable(
             f"worker pool lost {len(pending)} chunk task(s) even after "
-            f"{task_retries} respawn round(s)", retry_after_seconds=1.0)
+            f"{self.task_retries} respawn round(s)", retry_after_seconds=1.0)
 
     @staticmethod
     def _count_chunk_retries(amount: int) -> None:
@@ -485,12 +463,7 @@ class ShardedCloud(SkNNProtocol):
             return 0
         return self.precompute.refill(budget)
 
-    # -- the query-store contract (shared with transport.client.RemoteStore) --
-    @property
-    def table_size(self) -> int:
-        """Number of records in the hosted encrypted table."""
-        return len(self.encrypted_table)
-
+    # -- what the serving layer reads of its store ---------------------------
     @property
     def dimensions(self) -> int:
         """Attribute count of the hosted encrypted table."""
@@ -554,7 +527,6 @@ class ShardedCloud(SkNNProtocol):
 
     def scatter_distances(
         self, encrypted_queries: Sequence[Sequence[Ciphertext]],
-        deadline: "Deadline | None" = None,
     ) -> list[list[int]]:
         """Distance phase for a whole batch in one scan pass over all shards.
 
@@ -562,8 +534,7 @@ class ShardedCloud(SkNNProtocol):
         seed drawn from C1's stream — and the *same* task list is what the
         pool resubmits if a worker dies mid-scatter, so a retried chunk
         reproduces bit-identical distances (see
-        :meth:`PersistentWorkerPool.map`).  ``deadline`` bounds the scatter
-        including any respawn rounds.
+        :meth:`PersistentWorkerPool.map`).
 
         Returns ``distances[query][global_record_index]`` — the plaintext
         squared distances SkNN_b reveals to the C2 role.
@@ -573,8 +544,7 @@ class ShardedCloud(SkNNProtocol):
                 _tracing.span(f"{self.name}.distance_scan",
                               records=n_records):
             tasks = self._build_tasks(encrypted_queries)
-            results = self.pool.map(ssed_chunk_worker, tasks,
-                                    deadline=deadline)
+            results = self.pool.map(ssed_chunk_worker, tasks)
             distances = [[0] * n_records for _ in encrypted_queries]
             for start_index, chunk_distances in results:
                 for offset, per_query in enumerate(chunk_distances):
@@ -584,15 +554,12 @@ class ShardedCloud(SkNNProtocol):
 
     # -- answering ----------------------------------------------------------
     def answer_batch(self, encrypted_queries: Sequence[Sequence[Ciphertext]],
-                     ks: Sequence[int],
-                     deadline: "Deadline | None" = None) -> list[ResultShares]:
+                     ks: Sequence[int]) -> list[ResultShares]:
         """Answer a batch of queries sharing one scan pass over the shards.
 
         Args:
             encrypted_queries: one attribute-wise encrypted query per entry.
             ks: the requested ``k`` for each query (same length as the batch).
-            deadline: optional request deadline bounding the scatter phase,
-                including any worker-crash respawn rounds.
 
         Returns:
             One :class:`~repro.core.roles.ResultShares` per query, in order.
@@ -604,8 +571,7 @@ class ShardedCloud(SkNNProtocol):
         for query, k in zip(encrypted_queries, ks):
             self._validate_query(query, k)
 
-        distances = self.scatter_distances(encrypted_queries,
-                                           deadline=deadline)
+        distances = self.scatter_distances(encrypted_queries)
         # Gather: the distances of every slice already sit in this process,
         # so the global selection is one top_k per query.
         with _profiling.cost_scope("select"):

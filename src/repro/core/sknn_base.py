@@ -311,9 +311,18 @@ class SkNNProtocol(P2StepDispatcher):
         )
 
     def _p2_decrypt_delivery(self) -> None:
-        """C2's half of the delivery phase: decrypt and file the share."""
+        """C2's half of the delivery phase: decrypt and file the share.
+
+        The frame is ``[delivery_id, rows]`` with an ``int`` id and equally
+        wide rows of ciphertexts, checked before anything is decrypted or
+        filed (a durable mailbox journals the id it files).
+        """
         c2 = self.cloud.c2
-        delivery_id, received = c2.receive(expected_tag="SkNN.masked_results")
+        frame = c2.receive(expected_tag="SkNN.masked_results")
+        self.require(isinstance(frame, list) and len(frame) == 2
+                     and isinstance(frame[0], int), "malformed delivery")
+        delivery_id, received = frame
+        self.require_cipher_rows(received, "delivery")
         masked_values = [
             c2.decrypt_residue_batch(record) for record in received
         ]

@@ -64,8 +64,16 @@ class SkNNBasic(SkNNProtocol):
             # Step 3: C2 decrypts all distances, returns the top-k index list.
             self.p2_step("SkNNb.encrypted_distances")
 
-            # Step 4: C1 selects the encrypted records named by the index list.
+            # Step 4: C1 selects the encrypted records named by the index
+            # list — k distinct positions of the table, checked first.
             delta = c1.receive(expected_tag="SkNNb.topk_indices")
+            n = len(self.encrypted_table)
+            self.require(
+                isinstance(delta, list) and len(delta) == k
+                and all(isinstance(index, int) and 0 <= index < n
+                        for index in delta)
+                and len(set(delta)) == k,
+                "malformed top-k index list")
             selected_records = [
                 list(self.encrypted_table.record_at(index).ciphertexts)
                 for index in delta

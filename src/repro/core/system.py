@@ -249,7 +249,6 @@ class SkNNSystem:
             # Local import: repro.transport sits on top of repro.core.
             from repro.transport.client import RemoteStore
             return RemoteStore(self.remote, mode="secure",
-                               public_key=self.owner.public_key,
                                supervisor=self.supervisor)
         if self.mode == "basic":
             return SkNNBasic(self.cloud)
@@ -317,7 +316,9 @@ class SkNNSystem:
 
         The server answers queries through a sharded scatter-gather plan over
         this system's encrypted table (independent of the system's own query
-        ``mode``).  Use it as a context manager to start the background
+        ``mode``; a ``"distributed"`` system holds no in-process cloud and
+        raises :class:`~repro.exceptions.ConfigurationError`).  Use it as a
+        context manager to start the background
         serving thread and release the worker pool afterwards::
 
             with system.serve(shards=3, batch_size=4) as server:
@@ -341,18 +342,11 @@ class SkNNSystem:
         # Local import: repro.service sits on top of repro.core.
         from repro.service.scheduler import QueryServer
 
+        if self.cloud is None:
+            raise ConfigurationError(
+                "serve() needs the in-process cloud; a distributed system "
+                "answers queries through its daemons")
         server_rng = self._derived_rng()
-        if self.mode == "distributed":
-            # The scheduler's sessions/batching run locally; every batch is
-            # dispatched over the remote channel to the C1 daemon.
-            from repro.transport.client import RemoteStore
-
-            # The store owns a cloned connection pair, so closing the server
-            # never severs this system's own daemon connections.
-            store = RemoteStore(self.remote.clone(), mode="basic",
-                                public_key=self.owner.public_key)
-            return QueryServer(store, batch_size=batch_size, rng=server_rng,
-                               session_pool_size=session_pool_size)
         engine = None
         if precompute > 0:
             # Reuse an engine already attached at setup time (its warmed

@@ -74,12 +74,12 @@ class PeerUnavailable(ChannelError):
 
 
 class ServiceUnavailable(ReproError):
-    """Raised when a serving layer rejects work instead of queueing it.
+    """Raised when a serving layer cannot answer and a retry may succeed.
 
-    The typed backpressure signal: the :class:`~repro.service.scheduler.
-    QueryServer` raises it at submit time while its store is known to be
-    unreachable, so clients fail fast (and may retry after
-    :attr:`retry_after_seconds`) instead of wedging a scheduler slot.
+    The worker pool (:class:`~repro.core.parallel.PersistentWorkerPool`)
+    raises it when worker crashes outlast its respawn rounds, so the query
+    fails typed (retry after :attr:`retry_after_seconds`) instead of
+    returning a partial top-k.
     """
 
     retriable = True

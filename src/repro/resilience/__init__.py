@@ -25,10 +25,9 @@ from the deployed system:
   ``tests/integration/test_chaos.py`` and the CI ``chaos-smoke`` step.
 
 Every resilience event — retries, reconnects, deadline hits, restarts,
-rejected queries, injected faults — is counted in the
-:mod:`repro.telemetry` registry (``repro_retries_total``,
-``repro_reconnects_total``, ``repro_deadline_hits_total``,
-``repro_daemon_restarts_total``, ``repro_rejected_queries_total``,
+injected faults — is counted in the :mod:`repro.telemetry` registry
+(``repro_retries_total``, ``repro_reconnects_total``,
+``repro_deadline_hits_total``, ``repro_daemon_restarts_total``,
 ``repro_chaos_faults_total``) and surfaced by ``repro stats``.
 """
 

@@ -38,18 +38,24 @@ from repro.core.roles import QueryClient
 from repro.core.system import QueryAnswer
 from repro.crypto.paillier import Ciphertext
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
-from repro.exceptions import (
-    ConfigurationError,
-    DeadlineExceeded,
-    PeerUnavailable,
-    ServiceUnavailable,
-)
+from repro.exceptions import ConfigurationError
 from repro.service.sharding import ShardedCloud
 from repro.telemetry import SlowQueryLog
 from repro.telemetry import metrics as _metrics
 
 __all__ = ["PendingQuery", "ServiceSession", "QueryScheduler", "QueryServer",
            "ServerStats"]
+
+#: how long the background serving thread waits for a batch to fill before
+#: executing a partial one
+BATCH_WINDOW_SECONDS = 0.01
+#: cap on the pool items the serving thread precomputes per idle scheduler
+#: slot (only relevant when the sharded store carries a
+#: :class:`~repro.crypto.precompute.PrecomputeEngine`); keeps each refill
+#: burst short so a freshly enqueued query is picked up promptly
+PRECOMPUTE_IDLE_BUDGET = 32
+#: wall-time threshold of a batch for the slow-query log
+SLOW_QUERY_SECONDS = 1.0
 
 
 @dataclass
@@ -205,55 +211,26 @@ class QueryServer:
     """Accepts concurrent Bob sessions and serves them in scheduled batches.
 
     Args:
-        store: the query store answering the batches.  Usually a
-            :class:`~repro.service.sharding.ShardedCloud` (in-process
-            scatter-gather over the worker pool); a
-            :class:`~repro.transport.client.RemoteStore` plugs the same
-            scheduler into the distributed runtime, dispatching every batch
-            over the remote channel to the C1 daemon.  Any object with the
-            nine-member store contract works: ``validate_query``, the
-            instrumented runner ``answer_batch_with_report`` and the
-            ``last_report`` it leaves, ``refill_precompute``, ``close``,
-            and ``public_key``/``table_size``/``dimensions``/``name``.
+        store: the :class:`~repro.service.sharding.ShardedCloud` answering
+            the batches (in-process scatter-gather over the worker pool).
         batch_size: maximum queries grouped into one scan pass.
-        batch_window_seconds: how long the background serving thread waits
-            for a batch to fill before executing a partial one.
         rng: optional deterministic randomness source; per-session client
             RNGs are derived from it so test runs are reproducible.
         session_pool_size: when positive, every session gets its own
             :class:`~repro.crypto.precompute.PrecomputeEngine` of this size,
             on the session's rng, so Bob-side query encryption is a cheap
             multiply too.
-        precompute_idle_budget: cap on the number of pool items the serving
-            thread precomputes per idle scheduler slot (only relevant when
-            the sharded store carries a
-            :class:`~repro.crypto.precompute.PrecomputeEngine`); keeps each
-            refill burst short so a freshly enqueued query is picked up
-            promptly.
     """
 
     def __init__(self, store: ShardedCloud, batch_size: int = 4,
-                 batch_window_seconds: float = 0.01,
                  rng: Random | None = None,
-                 session_pool_size: int = 0,
-                 precompute_idle_budget: int = 32,
-                 slow_query_seconds: float | None = 1.0,
-                 degraded_cooldown_seconds: float = 5.0) -> None:
+                 session_pool_size: int = 0) -> None:
         self.store = store
-        # Graceful degradation: when a batch dies on an unreachable/dead
-        # backend (distributed C1/C2), submissions are rejected fast with a
-        # typed, retriable error for this long instead of piling queries
-        # onto a store that cannot answer them.
-        self.degraded_cooldown_seconds = degraded_cooldown_seconds
-        self._degraded_until = 0.0
-        self._degraded_reason: str | None = None
         self.scheduler = QueryScheduler(batch_size)
-        self.batch_window_seconds = batch_window_seconds
         self.rng = rng
         self.session_pool_size = session_pool_size
-        self.precompute_idle_budget = precompute_idle_budget
         self.stats = ServerStats()
-        self.slow_log = SlowQueryLog(threshold_seconds=slow_query_seconds)
+        self.slow_log = SlowQueryLog(threshold_seconds=SLOW_QUERY_SECONDS)
         self.sessions: dict[str, ServiceSession] = {}
         self._request_ids = itertools.count(1)
         self._session_ids = itertools.count(1)
@@ -271,10 +248,6 @@ class QueryServer:
         registry.gauge(
             "repro_scheduler_sessions",
             "Open query sessions.").set(len(self.sessions))
-        registry.gauge(
-            "repro_scheduler_degraded",
-            "Whether the server is shedding load (1 = backpressure).").set(
-                1.0 if time.monotonic() < self._degraded_until else 0.0)
         for name, value in self.stats.snapshot().items():
             registry.gauge(
                 "repro_scheduler_serving",
@@ -307,20 +280,8 @@ class QueryServer:
 
         Malformed queries (wrong arity, bad ``k``) raise immediately at the
         submitting caller instead of being enqueued, so they can never poison
-        a batch shared with other sessions' queries.  While the backend is
-        known-unreachable the server is *degraded*: submissions fail fast
-        with a typed, retriable :class:`ServiceUnavailable` (backpressure)
-        instead of queueing onto a store that cannot answer.
+        a batch shared with other sessions' queries.
         """
-        remaining = self._degraded_until - time.monotonic()
-        if remaining > 0:
-            _metrics.get_registry().counter(
-                "repro_rejected_queries_total",
-                "Queries rejected before enqueueing, by reason.",
-                ("reason",)).inc(reason="backpressure")
-            raise ServiceUnavailable(
-                f"query service is degraded ({self._degraded_reason}); "
-                f"retry in {remaining:.1f}s", retry_after_seconds=remaining)
         started = time.perf_counter()
         encrypted_query = session.client.encrypt_query(query_record)
         encrypt_elapsed = time.perf_counter() - started
@@ -368,22 +329,12 @@ class QueryServer:
                     [request.k for request in batch],
                 )
             except BaseException as error:  # resolve waiters, then re-raise
-                if isinstance(error, (PeerUnavailable, DeadlineExceeded)):
-                    # The backend is unreachable, not merely erroring on one
-                    # query: shed load for a cooldown instead of feeding it
-                    # batches that will all blow their deadlines.
-                    self._degraded_until = (time.monotonic()
-                                            + self.degraded_cooldown_seconds)
-                    self._degraded_reason = str(error)
                 for request in batch:
                     request.error = error
                     request.done.set()
                 raise
             elapsed = time.perf_counter() - started
             batch_report = self.store.last_report
-            # A served batch proves the backend is back: lift backpressure.
-            self._degraded_until = 0.0
-            self._degraded_reason = None
             self.stats.record_batch(len(batch), elapsed)
             registry = _metrics.get_registry()
             registry.counter(
@@ -467,13 +418,11 @@ class QueryServer:
             if self.scheduler.pending == 0:
                 # Idle slot: spend it refilling the precomputation pools so
                 # the next query's obfuscators/masks are already paid for.
-                if self.precompute_idle_budget > 0:
-                    self.store.refill_precompute(self.precompute_idle_budget)
+                self.store.refill_precompute(PRECOMPUTE_IDLE_BUDGET)
                 continue
             # Give the batch a short window to fill before executing it.
-            if (self.scheduler.pending < self.scheduler.batch_size
-                    and self.batch_window_seconds > 0):
-                time.sleep(self.batch_window_seconds)
+            if self.scheduler.pending < self.scheduler.batch_size:
+                time.sleep(BATCH_WINDOW_SECONDS)
             batch = self.scheduler.next_batch()
             if not batch:
                 continue

@@ -17,8 +17,7 @@ package provides the real thing:
   subprocesses (tests, examples, ``SkNNSystem`` ``mode="distributed"``);
 * :mod:`repro.transport.client` — Bob's client: provisioning, remote
   queries, share fetching, and the ``RemoteStore`` adapter behind
-  ``SkNNSystem`` ``mode="distributed"`` and a distributed
-  :class:`~repro.service.scheduler.QueryServer`.
+  ``SkNNSystem`` ``mode="distributed"``.
 """
 
 from repro.transport.client import RemoteCloud, RemoteStore

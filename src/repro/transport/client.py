@@ -9,9 +9,9 @@ Three layers, bottom-up:
   C2's share half over the *separate* C2 connection, assemble
   :class:`~repro.core.roles.ResultShares`.  C1 never sees C2's share — the
   delivery trust boundary of the paper survives the network split.
-* :class:`RemoteStore` — the adapter that plugs a :class:`RemoteCloud`
-  into the existing serving surfaces: ``SkNNSystem`` ``mode="distributed"``
-  and the batched :class:`~repro.service.scheduler.QueryServer` scheduler.
+* :class:`RemoteStore` — the adapter that lets ``SkNNSystem``
+  ``mode="distributed"`` drive a :class:`RemoteCloud` like an in-process
+  protocol object.
 """
 
 from __future__ import annotations
@@ -257,10 +257,6 @@ class RemoteCloud:
                                     request_deadline=request_deadline,
                                     rng=self._rng)
                        for address in (self.shard_addresses or [])]
-        #: populated by :meth:`provision`
-        self.table_size: int | None = None
-        self.dimensions: int | None = None
-        self.distance_bits: int | None = None
         # Provision payloads kept verbatim so a restarted daemon can be
         # re-provisioned transparently between retry attempts.
         self._provision_payloads: dict[str, dict[str, Any]] | None = None
@@ -295,9 +291,6 @@ class RemoteCloud:
         if encrypted_table.public_key != keypair.public_key:
             raise ConfigurationError(
                 "encrypted table was produced under a different key pair")
-        self.table_size = len(encrypted_table)
-        self.dimensions = encrypted_table.dimensions
-        self.distance_bits = distance_bits
         load = dict(n_records=len(encrypted_table),
                     dimensions=encrypted_table.dimensions,
                     k=k_default, queries=precompute_queries)
@@ -373,7 +366,7 @@ class RemoteCloud:
     def clone(self) -> "RemoteCloud":
         """A second, independent connection pair to the same daemons.
 
-        The clone shares the key and table metadata but owns its own
+        The clone shares the key and provision payloads but owns its own
         sockets, so closing it (e.g. when a serving layer built on top shuts
         down) never severs the original connections.
         """
@@ -383,9 +376,6 @@ class RemoteCloud:
                             request_deadline=self.request_deadline,
                             shard_addresses=self.shard_addresses)
         other.codec.public_key = self.codec.public_key
-        other.table_size = self.table_size
-        other.dimensions = self.dimensions
-        other.distance_bits = self.distance_bits
         other._provision_payloads = self._provision_payloads
         return other
 
@@ -440,40 +430,6 @@ class RemoteCloud:
 
         return retry_call(run_once, self.retry, op="query", rng=self._rng,
                           on_retry=self._recover)
-
-    def query_batch(self, encrypted_queries: Sequence[Sequence[Ciphertext]],
-                    ks: Sequence[int], mode: str = "basic"
-                    ) -> tuple[list[ResultShares], SkNNRunReport]:
-        """Run a scheduler batch; returns its shares and the one report
-        C1 built for the whole batch.
-
-        Retried under the same idempotency scheme as :meth:`query` (one
-        batch id covers the batch reply and every share fetch in it).
-        """
-        state = {"batch_id": self._next_query_id()}
-
-        def run_once() -> tuple[list[ResultShares], SkNNRunReport]:
-            reply = self.c1.request("transport.query_batch", {
-                "mode": mode,
-                "ks": list(ks),
-                "queries": [list(query) for query in encrypted_queries],
-                "batch_id": state["batch_id"],
-            })
-            modulus = reply["modulus"]
-            try:
-                shares = [
-                    self._complete_shares(result["masks"], modulus,
-                                          result["delivery_id"],
-                                          attempt=state["batch_id"])
-                    for result in reply["results"]
-                ]
-            except ReproError:
-                state["batch_id"] = self._next_query_id()
-                raise
-            return shares, SkNNRunReport.from_payload(reply["report"])
-
-        return retry_call(run_once, self.retry, op="query_batch",
-                          rng=self._rng, on_retry=self._recover)
 
     def _complete_shares(self, masks: list[list[int]], modulus: int,
                          delivery_id: int,
@@ -556,58 +512,21 @@ class RemoteStore:
     """The one client adapter over a :class:`RemoteCloud`.
 
     Gives a daemon pair the instrumented-runner surface of the in-process
-    protocol classes (``run_with_report`` / ``answer_batch_with_report``,
-    each leaving the report the C1 daemon built in ``last_report``), so
-    ``SkNNSystem`` ``mode="distributed"`` drives it like any protocol
-    object, and the rest of the store contract of
-    :class:`~repro.service.scheduler.QueryServer` (validate, precompute
-    refill, table metadata), so the batching/session logic of the serving
-    layer is reused verbatim on top of networked parties.  C2's share half
-    is fetched over the cloud's own C2 connection either way.
+    protocol classes (``run_with_report``, leaving the report the C1 daemon
+    built in ``last_report``), so ``SkNNSystem`` ``mode="distributed"``
+    drives it like any protocol object.  C2's share half is fetched over
+    the cloud's own C2 connection.
 
     ``supervisor``, when given, is shut down by :meth:`close` (the system
     owns the daemon processes it spawned).
     """
 
-    #: protocol label stamped on served reports produced through this store
-    name = "SkNNb-distributed"
-
     def __init__(self, remote: RemoteCloud, mode: str = "basic",
-                 public_key=None, supervisor: Any = None) -> None:
-        if remote.table_size is None or remote.dimensions is None:
-            raise ConfigurationError(
-                "RemoteStore needs a provisioned RemoteCloud (table "
-                "metadata unknown)")
+                 supervisor: Any = None) -> None:
         self.remote = remote
         self.mode = mode
         self.supervisor = supervisor
-        self.public_key = (public_key if public_key is not None
-                           else remote.codec.public_key)
-        if self.public_key is None:
-            raise ConfigurationError(
-                "RemoteStore needs the deployment's public key")
         self.last_report: SkNNRunReport | None = None
-
-    # -- store contract -------------------------------------------------------
-    @property
-    def table_size(self) -> int:
-        return self.remote.table_size  # type: ignore[return-value]
-
-    @property
-    def dimensions(self) -> int:
-        return self.remote.dimensions  # type: ignore[return-value]
-
-    def validate_query(self, encrypted_query: Sequence[Ciphertext],
-                       k: int) -> None:
-        if len(encrypted_query) != self.dimensions:
-            raise QueryError(
-                f"encrypted query has {len(encrypted_query)} attributes, "
-                f"expected {self.dimensions}")
-        if not isinstance(k, int) or k < 1:
-            raise QueryError(f"k must be a positive integer, got {k!r}")
-        if k > self.table_size:
-            raise QueryError(
-                f"k={k} exceeds the database size {self.table_size}")
 
     def run_with_report(self, encrypted_query: Sequence[Ciphertext], k: int,
                         distance_bits: int | None = None) -> ResultShares:
@@ -615,18 +534,6 @@ class RemoteStore:
         shares, self.last_report = self.remote.query(encrypted_query, k,
                                                      mode=self.mode)
         return shares
-
-    def answer_batch_with_report(
-            self, encrypted_queries: Sequence[Sequence[Ciphertext]],
-            ks: Sequence[int]) -> list[ResultShares]:
-        """One scheduler batch, run back to back on one C1 context."""
-        shares, self.last_report = self.remote.query_batch(
-            encrypted_queries, ks, mode=self.mode)
-        return shares
-
-    def refill_precompute(self, budget: int | None = None) -> int:
-        """No-op: each daemon refills its own party-local pools."""
-        return 0
 
     def close(self) -> None:
         if self.supervisor is not None:

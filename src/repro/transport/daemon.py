@@ -16,7 +16,7 @@ Three classes, split along the paper's separation of state:
   windows.
 * :class:`C1Daemon` — holds ``Epk(T)`` and only ``pk``.  Owns the peer
   connection pool, the reply cache and the one *leased-peer runner* every
-  C1-side run goes through (a query, a scheduler batch, a shard's scan),
+  C1-side run goes through (a query or a shard's scan),
   which merges what C2 and the shard daemons measured into the run's report
   (:meth:`~repro.core.sknn_base.SkNNRunReport.merge_remote`).  Shard
   daemons and the shard coordinator are configurations of this class: a
@@ -365,26 +365,6 @@ def _close_socket(sock: socket.socket) -> None:
         sock.close()
     except OSError:
         pass
-
-
-def _replayed(id_key: str):
-    """Serve a C1 control step through the daemon's replay memo.
-
-    ``payload[id_key]`` is the request's idempotency id: a retried request
-    whose reply was lost re-reads the completed answer, and a duplicate of
-    an in-flight one waits for the original run instead of double-consuming
-    pool entries and mailbox shares.  ``transport.scan`` is not memoised:
-    a scan leaves no share or delivery id behind, the coordinator asks each
-    shard exactly once per query, and a memo would hold ``n / shards``
-    ciphertexts per entry.
-    """
-    def decorate(step):
-        def replayed(self: "C1Daemon", payload: dict[str, Any]) -> Any:
-            return self._reply_cache.run(payload.get(id_key),
-                                         lambda: step(self, payload),
-                                         timeout=self.io_deadline)
-        return replayed
-    return decorate
 
 
 class PartyDaemon:
@@ -929,7 +909,6 @@ class PartyDaemon:
         families = ("repro_retries_total", "repro_deadline_hits_total",
                     "repro_reconnects_total", "repro_replayed_replies_total",
                     "repro_daemon_restarts_total",
-                    "repro_rejected_queries_total",
                     "repro_chaos_faults_total",
                     "repro_journal_records_total",
                     "repro_recovered_deliveries_total",
@@ -1261,7 +1240,6 @@ class C1Daemon(PartyDaemon):
 
     CONTROL_STEPS = dict(PartyDaemon.CONTROL_STEPS, **{
         "transport.query": "_handle_query",
-        "transport.query_batch": "_handle_query_batch",
         "transport.scan": "_handle_scan",
     })
 
@@ -1286,8 +1264,8 @@ class C1Daemon(PartyDaemon):
         #: delivery ids, so they carry no epoch and their hellos leave the
         #: coordinator's mailbox alone.
         self.epoch = uuid.uuid4().hex if shard_index is None else None
-        # Idempotent replay of completed query/query_batch replies,
-        # keyed by the request's id (see _replayed).  With a state
+        # Idempotent replay of completed query replies,
+        # keyed by the request's id (see _handle_query).  With a state
         # dir, completed replies are journaled and survive a crash: a
         # retried id after a restart replays from disk.
         if self.state_dir is not None:
@@ -1504,7 +1482,6 @@ class C1Daemon(PartyDaemon):
             f"mode {mode!r} is unavailable on this daemon")
 
     def _run_leased(self, mode: str, execute: Callable[[SkNNProtocol], Any],
-                    root: str = "query",
                     **fields: Any) -> tuple[Any, SkNNRunReport]:
         """The one way a run happens on C1: lease, trace, window, merge.
 
@@ -1534,7 +1511,7 @@ class C1Daemon(PartyDaemon):
                     if self._shard_addresses is not None:
                         protocol.scan = scatter
                     with telemetry_tracing.trace(
-                            f"{root}.{protocol.name}", party=protocol.party,
+                            f"query.{protocol.name}", party=protocol.party,
                             **fields) as span:
                         trace_id = span.trace_id
                         # Opens C2's counter window *before* the runner
@@ -1649,50 +1626,35 @@ class C1Daemon(PartyDaemon):
                 query, 0, distance_bits=self.distance_bits))
         return {"distances": distances, "report": report.as_payload()}
 
-    @_replayed("query_id")
     def _handle_query(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Run one query and ship C1's share half plus the merged report."""
+        """Run one query and ship C1's share half plus the merged report.
+
+        Served through the replay memo: ``payload["query_id"]`` is the
+        request's idempotency id, so a retried request whose reply was lost
+        re-reads the completed answer, and a duplicate of an in-flight one
+        waits for the original run instead of double-consuming pool entries
+        and mailbox shares.  ``transport.scan`` is not memoised: a scan
+        leaves no share or delivery id behind, the coordinator asks each
+        shard exactly once per query, and a memo would hold ``n / shards``
+        ciphertexts per entry.
+        """
         if self.shard_index is not None:
             raise ConfigurationError(
                 "shard daemons serve transport.scan only; send queries to "
                 "the coordinator C1")
         query, k = payload["query"], payload["k"]
-        shares, report = self._run_leased(
-            payload.get("mode", "basic"),
-            lambda protocol: protocol.run_with_report(
-                query, k, distance_bits=self.distance_bits), k=k)
-        return {
-            "masks": shares.masks_from_c1,
-            "modulus": shares.modulus,
-            "delivery_id": shares.delivery_id,
-            "report": report.as_payload(),
-        }
 
-    @_replayed("batch_id")
-    def _handle_query_batch(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Serve a scheduler batch over one leased context.
+        def answer() -> dict[str, Any]:
+            shares, report = self._run_leased(
+                payload.get("mode", "basic"),
+                lambda protocol: protocol.run_with_report(
+                    query, k, distance_bits=self.distance_bits), k=k)
+            return {
+                "masks": shares.masks_from_c1,
+                "modulus": shares.modulus,
+                "delivery_id": shares.delivery_id,
+                "report": report.as_payload(),
+            }
 
-        The batch's queries run back-to-back on a single context — the
-        batch semantics a distributed
-        :class:`~repro.service.scheduler.QueryServer` expects — while
-        other pipelined queries keep flowing on sibling contexts.  One
-        report covers the batch (``k`` is its largest), merged like any
-        other run's.
-        """
-        if self.shard_index is not None:
-            raise ConfigurationError(
-                "shard daemons serve transport.scan only; send batches to "
-                "the coordinator C1")
-        queries, ks = payload["queries"], payload["ks"]
-        all_shares, report = self._run_leased(
-            payload.get("mode", "basic"),
-            lambda protocol: protocol.answer_batch_with_report(
-                queries, ks, distance_bits=self.distance_bits),
-            root="batch", queries=len(queries))
-        return {
-            "results": [{"masks": shares.masks_from_c1,
-                         "delivery_id": shares.delivery_id}
-                        for shares in all_shares],
-            "modulus": self.codec.public_key.n,
-            "report": report.as_payload(),
-        }
+        return self._reply_cache.run(payload.get("query_id"), answer,
+                                     timeout=self.io_deadline)

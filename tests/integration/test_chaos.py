@@ -26,11 +26,7 @@ import pytest
 from repro.core.roles import DataOwner, QueryClient
 from repro.db.datasets import synthetic_uniform
 from repro.db.knn import LinearScanKNN
-from repro.exceptions import (
-    DeadlineExceeded,
-    PeerUnavailable,
-    ServiceUnavailable,
-)
+from repro.exceptions import DeadlineExceeded, PeerUnavailable
 from repro.resilience import ChaosProxy, ChaosSchedule, RetryPolicy, is_retriable
 from repro.telemetry import metrics as telemetry_metrics
 from repro.transport.client import RemoteCloud
@@ -229,34 +225,3 @@ class TestFailFast:
             assert is_retriable(info.value), (
                 "the caller must be told a retry could help")
             remote.close()
-
-    def test_degraded_query_server_rejects_with_backpressure(self, owner,
-                                                             dataset):
-        from repro.service.scheduler import QueryServer
-        from repro.transport.client import RemoteStore
-
-        with LocalSupervisor(io_deadline=IO_DEADLINE) as sup:
-            remote = sup.provision_from_owner(
-                owner, seed=11, retry=RetryPolicy.none(),
-                request_deadline=15.0, rng=Random(82))
-            store = RemoteStore(remote, mode="basic")
-            server = QueryServer(store, batch_size=1, rng=Random(44),
-                                 degraded_cooldown_seconds=30.0)
-            try:
-                session = server.open_session("bob-chaos")
-                sup.kill("c2")
-                pending = session.submit(list(QUERIES[0]), K)
-                with pytest.raises((PeerUnavailable, DeadlineExceeded)):
-                    pending.result(timeout=60)
-                # The server is now degraded: fresh submissions are
-                # rejected immediately with typed backpressure, instead of
-                # queueing work destined to time out.
-                started = time.monotonic()
-                with pytest.raises(ServiceUnavailable) as info:
-                    session.submit(list(QUERIES[1]), K)
-                assert time.monotonic() - started < 1.0
-                assert info.value.retry_after_seconds > 0
-                assert counter_total("repro_rejected_queries_total") >= 1
-            finally:
-                server.stop()
-                remote.close()

@@ -274,34 +274,6 @@ class TestSystemIntegration:
         # Context exit shut the daemons down; nothing may leak.
         assert not supervisor.running
 
-    def test_query_server_over_remote_store(self, owner, dataset, supervisor):
-        """The scheduler batches concurrent sessions and dispatches each
-        batch over the remote channel to the C1 daemon."""
-        from repro.service.scheduler import QueryServer
-        from repro.transport.client import RemoteStore
-
-        oracle = LinearScanKNN(dataset)
-        remote = supervisor.connect()
-        remote.codec.public_key = owner.public_key
-        remote.table_size = len(dataset)
-        remote.dimensions = dataset.dimensions
-        store = RemoteStore(remote, mode="basic")
-        server = QueryServer(store, batch_size=2, rng=Random(44))
-        try:
-            alice_bob = server.open_session("bob-1")
-            carol = server.open_session("bob-2")
-            pending = [alice_bob.submit(list(QUERIES[0]), K),
-                       carol.submit(list(QUERIES[1]), K)]
-            answers = [p.result(timeout=120) for p in pending]
-            for query, answer in zip(QUERIES, answers):
-                assert answer.neighbors == [
-                    r.record.values for r in oracle.query(query, K)]
-                assert answer.report.protocol == "SkNNb-distributed"
-            assert server.stats.queries_served == 2
-        finally:
-            server.stop()
-            remote.close()
-
 
 class TestConcurrentPipelinedQueries:
     """N in-flight queries overlap on the multiplexed peer link.

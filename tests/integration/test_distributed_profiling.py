@@ -60,26 +60,18 @@ def client(owner, dataset):
     return QueryClient(owner.public_key, dataset.dimensions, rng=Random(18))
 
 
-def run_query(remote, client, mode="secure", batch=1):
-    """The report of one ``transport.query`` — or, with ``batch`` > 1, of
-    one ``transport.query_batch`` of that many queries."""
+def run_query(remote, client, mode="secure"):
+    """The report of one ``transport.query``."""
     store = RemoteStore(remote, mode=mode)
-    query = client.encrypt_query([3, 4])
-    if batch == 1:
-        all_shares = [store.run_with_report(query, K)]
-    else:
-        all_shares = store.answer_batch_with_report([query] * batch,
-                                                    [K] * batch)
-    for shares in all_shares:
-        assert len(client.reconstruct(shares)) == K
+    shares = store.run_with_report(client.encrypt_query([3, 4]), K)
+    assert len(client.reconstruct(shares)) == K
     assert store.last_report is not None
     return store.last_report
 
 
-@pytest.mark.parametrize("batch", [1, 2], ids=["query", "query_batch"])
 class TestDistributedCostAttribution:
-    def test_c1_rows_sum_to_wall_time(self, remote, client, batch):
-        report = run_query(remote, client, batch=batch)
+    def test_c1_rows_sum_to_wall_time(self, remote, client):
+        report = run_query(remote, client)
         rows = report.cost_breakdown
         assert rows, "distributed report carries no cost rows"
         # In distributed mode only C1's rows partition the wall clock —
@@ -91,8 +83,8 @@ class TestDistributedCostAttribution:
             f"C1 phase seconds {c1_seconds} vs wall "
             f"{report.wall_time_seconds}")
 
-    def test_c2_rows_match_stitched_stats_exactly(self, remote, client, batch):
-        report = run_query(remote, client, batch=batch)
+    def test_c2_rows_match_stitched_stats_exactly(self, remote, client):
+        report = run_query(remote, client)
         c2_rows = [row for row in report.cost_breakdown
                    if row["party"] == "C2"]
         assert c2_rows, "no C2-attributed phases in distributed mode"
@@ -108,15 +100,15 @@ class TestDistributedCostAttribution:
         assert totals.get("exponentiations", 0) == stats.c2_exponentiations
         assert_stats_are_row_sums(report)  # ... and C1's side likewise
 
-    def test_phases_cover_the_secure_protocol(self, remote, client, batch):
-        report = run_query(remote, client, batch=batch)
+    def test_phases_cover_the_secure_protocol(self, remote, client):
+        report = run_query(remote, client)
         c1_phases = {row["phase"] for row in report.cost_breakdown
                      if row["party"] == "C1"}
         assert {"scan", "decompose", "select"} <= c1_phases
         assert set(report.phase_seconds) >= c1_phases
 
-    def test_basic_mode_also_attributes(self, remote, client, batch):
-        report = run_query(remote, client, mode="basic", batch=batch)
+    def test_basic_mode_also_attributes(self, remote, client):
+        report = run_query(remote, client, mode="basic")
         parties = {row["party"] for row in report.cost_breakdown}
         assert parties == {"C1", "C2"}
 

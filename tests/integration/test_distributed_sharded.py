@@ -30,7 +30,6 @@ from repro.exceptions import (
     PeerUnavailable,
 )
 from repro.resilience.policy import RetryPolicy
-from repro.transport.client import RemoteStore
 from repro.transport.supervisor import LocalSupervisor
 from tests.integration.helpers import (
     assert_stats_are_row_sums,
@@ -212,22 +211,6 @@ class TestShardedObservability:
         assert scanned == N_RECORDS
         assert_exact_sharded_totals(report.stats, queries=1)
         assert_stats_are_row_sums(report)
-
-    def test_batch_stats_are_the_exact_sharded_totals(self, remote, client,
-                                                      dataset):
-        """The ``transport.query_batch`` path merges shard and C2 counters
-        with the same call as the single-query path."""
-        store = RemoteStore(remote)
-        shares = store.answer_batch_with_report(
-            [client.encrypt_query(list(query)) for query in QUERIES],
-            [K] * len(QUERIES))
-        oracle = LinearScanKNN(dataset)
-        for query, share in zip(QUERIES, shares):
-            assert client.reconstruct(share) == [
-                r.record.values for r in oracle.query(list(query), K)]
-        assert_exact_sharded_totals(store.last_report.stats,
-                                    queries=len(QUERIES))
-        assert_stats_are_row_sums(store.last_report)
 
 
 class TestShardFailureDomain:

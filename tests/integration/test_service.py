@@ -10,7 +10,7 @@ import pytest
 from repro.analysis.cost_model import pool_targets
 from repro.core.cloud import FederatedCloud
 from repro.core.parallel import ParallelSkNNBasic
-from repro.core.roles import QueryClient
+from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_shard import shard_bounds
 from repro.core.system import SkNNSystem
@@ -466,3 +466,25 @@ class TestSystemIntegration:
         expected = [r.record.values for r in service_oracle.query([2, 7, 3], 2)]
         assert answer.neighbors == expected
         system.close()
+
+    def test_serve_needs_the_in_process_cloud(self, small_keypair,
+                                              service_table):
+        """A distributed system answers through its daemons only: ``serve``
+        refuses it typed, and refusing leaves its remote untouched."""
+
+        class StubRemote:
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        remote = StubRemote()
+        owner = DataOwner(service_table, keypair=small_keypair)
+        client = QueryClient(small_keypair.public_key,
+                             service_table.dimensions, rng=Random(24))
+        with SkNNSystem(owner, None, client, mode="distributed",
+                        remote=remote) as system:
+            with pytest.raises(ConfigurationError, match="in-process cloud"):
+                system.serve()
+            assert not remote.closed
+        assert remote.closed

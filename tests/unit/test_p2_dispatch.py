@@ -127,6 +127,62 @@ class TestHardenedHandlers:
         assert setting.channel.pending("C1") == 0  # and nothing was replied
 
 
+class TestDeliveryFrameChecks:
+    """C2's delivery step checks ``[delivery_id, rows]`` before decrypting
+    or filing anything — a filed non-``int`` id would be journaled and then
+    break the durable mailbox's replay."""
+
+    @pytest.mark.parametrize("payload", [
+        lambda c: 7,                            # not a list
+        lambda c: [1, [[c, 7]]],                # an int among ciphertexts
+        lambda c: ["1", [[c, c]]],              # a non-int delivery id
+        lambda c: [1, [[c, c], [c]]],           # ragged rows
+        lambda c: [1, []],                      # no rows
+    ], ids=["not-a-list", "non-cipher", "str-id", "ragged", "empty"])
+    def test_malformed_delivery_files_nothing(self, deployed_cloud, payload):
+        protocol = SkNNBasic(deployed_cloud)
+        mailbox = ShareMailbox()
+        deployed_cloud.c2.share_sink = mailbox.put
+        deployed_cloud.reset_counters()
+        deployed_cloud.c1.send(
+            payload(deployed_cloud.c1.public_key.encrypt(1)),
+            tag="SkNN.masked_results")
+        with pytest.raises(ProtocolError, match="SkNNb: malformed"):
+            protocol.dispatch_p2("SkNN.masked_results")
+        assert len(mailbox) == 0
+        assert deployed_cloud.c2.private_key.counter.decryptions == 0
+
+
+class _AnsweringC2(SkNNBasic):
+    """SkNN_b whose inline C2 answers the top-k step with a fixed reply."""
+
+    reply: object = None
+
+    def _p2_select_top_k(self) -> None:
+        self.cloud.c2.receive(expected_tag="SkNNb.encrypted_distances")
+        self.cloud.c2.send(self.reply, tag="SkNNb.topk_indices")
+
+
+class TestTopKReplyChecks:
+    """C1 checks C2's top-k index list before selecting any record: a plain
+    list index would turn ``-1`` into the last record, a repeat into a
+    duplicate neighbour and a short list into fewer than ``k``."""
+
+    @pytest.mark.parametrize("k, reply", [
+        (1, [-1]),
+        (2, [0, 0]),
+        (2, [0]),
+    ], ids=["negative", "repeated", "short"])
+    def test_bad_index_list_fails_typed(self, deployed_cloud, k, reply):
+        protocol = _AnsweringC2(deployed_cloud)
+        protocol.reply = reply
+        public_key = deployed_cloud.c1.public_key
+        query = [public_key.encrypt(value) for value in (1, 2, 3)]
+        with pytest.raises(ProtocolError,
+                           match="SkNNb: malformed top-k index list"):
+            protocol.run(query, k)
+
+
 class TestShareMailbox:
     def test_put_then_fetch_pops(self):
         mailbox = ShareMailbox()

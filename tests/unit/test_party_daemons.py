@@ -99,7 +99,7 @@ class TestRoleState:
 
 class TestRoleRefusals:
     @pytest.mark.parametrize(
-        "tag", ["transport.query", "transport.query_batch", "transport.scan"])
+        "tag", ["transport.query", "transport.scan"])
     def test_c2_refuses_c1_tags(self, serve, tag):
         assert_refused_but_connected(
             serve(C2Daemon()), tag, {"k": 1, "query": []},
@@ -119,14 +119,22 @@ class TestRoleRefusals:
                 payload={"peer": "cloud", "epoch": "e"})))
             assert recv_frame(sock) is None  # closed without a hello_ok
 
-    @pytest.mark.parametrize("tag, payload", [
-        ("transport.query", {"query_id": "q", "k": 1, "query": []}),
-        ("transport.query_batch", {"batch_id": "b", "ks": [], "queries": []}),
-    ])
-    def test_shard_daemon_refuses_queries(self, serve, tag, payload):
+    def test_shard_daemon_refuses_queries(self, serve):
         assert_refused_but_connected(
-            serve(C1Daemon(shard_index=0, shard_count=2)), tag, payload,
+            serve(C1Daemon(shard_index=0, shard_count=2)), "transport.query",
+            {"query_id": "q", "k": 1, "query": []},
             ConfigurationError, "shard daemons serve transport.scan only")
+
+    @pytest.mark.parametrize("daemon", [
+        C1Daemon, lambda: C1Daemon(shard_index=0, shard_count=2), C2Daemon,
+    ], ids=["c1", "shard", "c2"])
+    def test_no_daemon_serves_query_batch(self, serve, daemon):
+        """One query request shape: a batch is refused like any unknown
+        tag, and the connection stays usable."""
+        assert_refused_but_connected(
+            serve(daemon()), "transport.query_batch",
+            {"batch_id": "b", "ks": [1], "queries": [[]]},
+            ChannelError, "unsupported control tag")
 
     def test_plain_c1_refuses_scans(self, serve):
         assert_refused_but_connected(
@@ -227,8 +235,12 @@ class TestMalformedPeerFrames:
          "SkNNb: malformed encrypted-distance list"),
         ("SkNNb.encrypted_distances", lambda c: [1, [(0, c), (0, c)]],
          "SkNNb: malformed encrypted-distance list"),
-        # unhardened handlers: the dispatch loop's catch answers for them
-        ("SkNN.masked_results", lambda c: 7, "TypeError"),
+        # the delivery step: [int delivery id, equally wide cipher rows]
+        ("SkNN.masked_results", lambda c: 7, "malformed delivery"),
+        ("SkNN.masked_results", lambda c: ["1", [[c]]],
+         "malformed delivery"),
+        ("SkNN.masked_results", lambda c: [1, [[c, c], [c]]],
+         "malformed delivery"),
     ])
     def test_a_malformed_frame_is_refused_typed_and_the_context_lives_on(
             self, peer, small_keypair, tag, build, refusal):
