@@ -16,7 +16,6 @@ import pytest
 from benchmarks.conftest import MEASURED_KEY_BITS
 from repro.crypto.paillier import generate_keypair
 from repro.network.party import TwoPartySetting
-from repro.protocols.encoding import encrypt_bits
 from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.smin import SecureMinimum
 from repro.protocols.sm import SecureMultiplication
@@ -98,11 +97,13 @@ def test_protocol_sbd(benchmark, primitive_setting, bit_length):
 
 @pytest.mark.parametrize("bit_length", [6, 12])
 def test_protocol_smin(benchmark, primitive_setting, bit_length):
-    """One SMIN invocation at the paper's l values."""
+    """One SMIN invocation (two rounds on encrypted integers) at the
+    paper's l values."""
     public = primitive_setting.public_key
-    enc_u = encrypt_bits(public, 21 % (1 << bit_length), bit_length)
-    enc_v = encrypt_bits(public, 42 % (1 << bit_length), bit_length)
+    enc_u = public.encrypt(21 % (1 << bit_length))
+    enc_v = public.encrypt(42 % (1 << bit_length))
     protocol = SecureMinimum(primitive_setting)
     benchmark.extra_info.update({"primitive": "SMIN", "l": bit_length,
                                  "key_size": MEASURED_KEY_BITS})
-    benchmark.pedantic(lambda: protocol.run(enc_u, enc_v), rounds=3, iterations=1)
+    benchmark.pedantic(lambda: protocol.run(enc_u, enc_v, bit_length),
+                       rounds=3, iterations=1)

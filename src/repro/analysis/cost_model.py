@@ -203,33 +203,37 @@ def sbor_cost(pairs: int = 1) -> ProtocolCost:
 
 
 def smin_cost(bit_length: int, pairs: int = 1) -> ProtocolCost:
-    """Secure Minimum (Algorithm 3) of ``pairs`` pairs of ``l``-bit values.
+    """Secure Minimum of ``pairs`` pairs of ``L``-bit integers: two rounds.
 
-    One round, ``8l + 2`` operations per pair.  C1 encrypts the ``l``
-    ``Gamma`` masks and the marker's ``Z = E(0)``, and counts four
-    exponentiations per bit: the negation of ``max_i``, the marker's cube,
-    the power of the one ``L`` entry and the strip of ``Gamma``'s mask.  C2
-    decrypts the ``l`` ``L`` entries, raises each ``Gamma'_i`` to ``alpha``
-    and encrypts ``E(alpha)`` and the ``l`` fresh ``E(0)`` of ``M'``.  Two
-    of C1's four are cheap in the implementation and counted like the
-    operations they stand for: the negations of a chunk share one modular
-    inverse, and the cube is two multiplications.  ``Gamma`` and ``L`` go
-    out, ``M'`` and ``E(alpha)`` come back.
+    ``5L + 11`` operations per pair.  Round 1: C1 negates ``y`` and
+    encrypts the mask of ``E(z)``; C2 decrypts ``z`` and encrypts its
+    ``L + 1`` low bits.  Round 2: C1 encrypts ``L + 1`` fresh zeros and the
+    two selection masks, and counts ``L - 1`` cubes of the marker (two
+    multiplications each), the ``L`` entry powers and the ``+-1`` of the
+    top bit; C2 decrypts the ``L`` entries and the top bit and encrypts
+    ``E(t)`` and the selected candidate's fresh ``E(0)``.  C1's strip of the
+    selection mask is one more power.  Out go ``E(z)``, then the entries,
+    the top bit and the two candidates; back come the bits, then the
+    candidate and ``E(t)``.
     """
     _require_positive(bit_length, "bit_length")
     _require_positive(pairs, "pairs")
-    return _batched_round(
+    masked_difference = _batched_round(
+        pairs, OperationCounts(encryptions=1, exponentiations=1),
+        OperationCounts(encryptions=bit_length + 1, decryptions=1),
+        sent=1, returned=bit_length + 1)
+    comparison = _batched_round(
         pairs,
-        OperationCounts(encryptions=bit_length + 1,
-                        exponentiations=4 * bit_length),
-        OperationCounts(encryptions=bit_length + 1, decryptions=bit_length,
-                        exponentiations=bit_length),
-        sent=2 * bit_length, returned=bit_length + 1)
+        OperationCounts(encryptions=bit_length + 3,
+                        exponentiations=2 * bit_length + 1),
+        OperationCounts(encryptions=2, decryptions=bit_length + 1),
+        sent=bit_length + 3, returned=2)
+    return masked_difference + comparison
 
 
 def sminn_cost(count: int, bit_length: int) -> ProtocolCost:
     """Secure Minimum of ``count`` values (Algorithm 4) over the tournament:
-    one batched SMIN round per level, ``count - 1`` pairs in all."""
+    one batched SMIN call per level, ``count - 1`` pairs in all."""
     _require_positive(count, "count")
     cost = ProtocolCost()
     while count > 1:
@@ -262,21 +266,20 @@ def sknn_basic_cost(n_records: int, dimensions: int, k: int) -> ProtocolCost:
 
 
 def sknn_secure_phases(n_records: int, dimensions: int, k: int,
-                       bit_length: int, odd_masks: float | None = None
-                       ) -> dict[str, ProtocolCost]:
+                       bit_length: int) -> dict[str, ProtocolCost]:
     """SkNN_m (Algorithm 6) as implemented, phase by phase, plus ``"total"``.
 
-    ``odd_masks`` is SBD's (see :func:`sbd_cost`).  Iteration 1 selects over
-    the ``l`` distance bits, every later one over ``l + 1``, the
-    elimination flag prepended.  Each iteration's zero search is one round:
-    C1 sends the ``n`` randomized differences (localisation) with every
-    record under fresh masks (extraction); C2 decrypts the differences,
-    encrypts ``n`` indicator bits and forwards the chosen row under ``m``
-    fresh zeros.  C1 recomposes ``E(d_min)`` (``l`` powers, then ``l + 1``),
-    negates and randomizes the ``n`` differences, scales each flag by
-    ``2**l`` from iteration 2 on, and strips the forwarded row with ``n * m``
-    powers.  Elimination is ``n`` homomorphic additions: no counted
-    operation and no round.
+    Iteration 1 selects over the ``l``-bit distances, every later one over
+    ``l + 1`` bits, the elimination flag added at weight ``2**l``.  Each
+    iteration's zero search is one round: C1 sends the ``n`` randomized
+    differences (localisation) with every record under fresh masks
+    (extraction); C2 decrypts the differences, encrypts ``n`` indicator
+    bits and forwards the chosen row under ``m`` fresh zeros.  C1 negates
+    and randomizes the ``n`` differences, multiplies each by a fresh
+    ``E(0)`` (``n`` encryptions), scales each flag by ``2**l`` from
+    iteration 2 on, and strips the forwarded row with ``n * m`` powers.
+    Elimination is ``n`` homomorphic additions: no counted operation and no
+    round.
     """
     _require_positive(n_records, "n_records")
     _require_positive(dimensions, "dimensions")
@@ -284,8 +287,9 @@ def sknn_secure_phases(n_records: int, dimensions: int, k: int,
     _require_positive(bit_length, "bit_length")
     later = k - 1
     localisation = ProtocolCost(
-        c1=OperationCounts(exponentiations=2 * n_records * k + bit_length
-                           + (bit_length + 1 + n_records) * later),
+        c1=OperationCounts(encryptions=n_records * k,
+                           exponentiations=2 * n_records * k
+                           + n_records * later),
         c2=OperationCounts(encryptions=n_records,
                            decryptions=n_records) * k,
         messages=2 * k, c1_ciphertexts=n_records * k,
@@ -298,7 +302,6 @@ def sknn_secure_phases(n_records: int, dimensions: int, k: int,
         c2_ciphertexts=dimensions * k)
     return _with_total({
         "ssed": ssed_scan_cost(n_records, dimensions),
-        "sbd": sbd_cost(bit_length, n_records, odd_masks),
         "sminn": (sminn_cost(n_records, bit_length)
                   + sminn_cost(n_records, bit_length + 1) * later),
         "localisation": localisation,
@@ -314,14 +317,14 @@ def pool_targets(n_records: int, dimensions: int, k: int, queries: int,
     """C1's and C2's warm-pool targets covering ``queries`` queries.
 
     Each party's target is its encryptions per query: SkNN_m's when
-    ``bit_length`` is given, with every SBD mask odd (the bound), else
-    SkNN_b's.  With ``worker_scan`` (the in-process plan's chunk workers)
-    the workers encrypt both parties' scan material with C1's slices, so
-    C1 covers every encryption of the query and C2 none.
+    ``bit_length`` is given, else SkNN_b's.  With ``worker_scan`` (the
+    in-process plan's chunk workers) the workers encrypt both parties' scan
+    material with C1's slices, so C1 covers every encryption of the query
+    and C2 none.
     """
     if bit_length:
-        cost = sknn_secure_phases(n_records, dimensions, k, bit_length,
-                                  odd_masks=n_records * bit_length)["total"]
+        cost = sknn_secure_phases(n_records, dimensions, k,
+                                  bit_length)["total"]
     else:
         cost = sknn_basic_cost(n_records, dimensions, k)
     c1, c2 = int(cost.c1.encryptions), int(cost.c2.encryptions)
@@ -428,12 +431,12 @@ def sknn_secure_breakdown(n_records: int, dimensions: int, k: int,
     Args:
         n_records, dimensions, k, bit_length: the query's shape.
         textbook: ``False`` (default) totals this repository's
-            implementation, :func:`sknn_secure_phases` with half of SBD's
-            masks odd; ``True`` models the printed protocol — SSED per
-            record, the printed SMIN (one SM per bit), extraction by ``n*m``
-            SMs and elimination by ``n*l`` SBORs per iteration after the
-            first — the counterpart of ``sknn_basic_counts(batched=False)``,
-            against which Figure 2(f) compares it.
+            implementation, :func:`sknn_secure_phases`; ``True`` models the
+            printed protocol — SSED per record, SBD of every distance, the
+            printed SMIN (one SM per bit), extraction by ``n*m`` SMs and
+            elimination by ``n*l`` SBORs per iteration after the first — the
+            counterpart of ``sknn_basic_counts(batched=False)``, against
+            which Figure 2(f) compares it.
     """
     # built either way: it checks the shape for the textbook model too
     phases = sknn_secure_phases(n_records, dimensions, k, bit_length)

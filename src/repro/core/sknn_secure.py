@@ -5,32 +5,37 @@ both clouds.  After the common SSED phase it proceeds in ``k`` iterations; in
 iteration ``s`` the clouds jointly and obliviously extract the encrypted
 record with the ``s``-th smallest distance:
 
-1. **SBD** — the encrypted distance of every record is bit-decomposed once up
-   front, because the minimum-selection works on encrypted bit vectors.
-2. **SMIN_n** — C1 and C2 compute ``[d_min]``, the encrypted bit vector of the
-   current global minimum distance.  Neither cloud learns which record attains
-   it.
-3. **Oblivious localisation** — C1 recomposes ``E(d_min)`` from the minimum's
-   bit vector, forms ``E(r_i * (d_min - d_i))`` with fresh random ``r_i``,
-   permutes the vector and sends it to C2.  C2 decrypts: exactly the
-   position(s) holding the minimum decrypt to zero, every other entry is
-   uniformly random.  C2 returns an encrypted indicator vector ``U`` (a one at
-   the zero position, zeros elsewhere); C1 undoes the permutation to get
-   ``V``.  Because ``V`` is encrypted, C1 still does not know which record was
-   selected.
-4. **Oblivious extraction** — in the same round: next to the differences C1
+1. **SMIN_n** — C1 and C2 compute ``E(d_min)``, the encryption of the
+   current global minimum distance, by a tournament of integer comparisons
+   over the ``E(d_i)`` the scan produced.  Neither cloud learns which record
+   attains it.
+2. **Oblivious localisation** — C1 forms ``E(r_i * (d_min - d_i))`` with
+   fresh random ``r_i``, each times a fresh ``E(0)``, permutes the vector
+   and sends it to C2.  C2 decrypts: exactly the position(s) holding the
+   minimum decrypt to zero, every other entry is uniformly random.  C2
+   returns an encrypted indicator vector ``U`` (a one at the zero position,
+   zeros elsewhere); C1 undoes the permutation to get ``V``.  Because ``V``
+   is encrypted, C1 still does not know which record was selected.
+3. **Oblivious extraction** — in the same round: next to the differences C1
    sends every record ``E(t_{i,a} + r_{i,a})`` under fresh masks, in the
    same permuted order, and C2 forwards the row at the position it chose,
    each ciphertext times a fresh ``E(0)``, with ``U``.  C1 strips the mask
    obliviously, ``E(t'_{s,a}) = row'_a * prod_i V_i^{N - r_{i,a}}``.
-5. **Oblivious elimination** — C1 keeps one encrypted flag bit per record,
+4. **Oblivious elimination** — C1 keeps one encrypted flag bit per record,
    ``E(f_i) <- E(f_i) * E(V_i)`` (a homomorphic addition, no interaction),
-   and every later iteration compares ``f_i`` prepended to ``[d_i]`` as the
-   most significant bit: ``l + 1`` bits, i.e. the value ``d_i + 2**l * f_i``,
-   which puts every selected record above every live one.
+   and every later iteration compares ``d_i + 2**l * f_i`` over ``l + 1``
+   bits, which puts every selected record above every live one.
 
 Where this departs from the printed algorithm:
 
+* The printed algorithm bit-decomposes every distance (SBD) so that SMIN
+  can compare bit vectors, and recomposes ``E(d_min)`` from the minimum's
+  bits.  SMIN here compares the encrypted integers, so neither runs: SMIN_n
+  returns ``E(d_min)`` itself.
+* The printed ``tau_i = E(d_min - d_i)^(r_i)`` has the randomness
+  ``(rho(d_min) / rho(d_i))^(r_i)``, and C2 — which holds ``p, q`` and so
+  reads the randomness of what it decrypts — could test guesses of
+  ``d_min - d_i`` against it; every ``tau_i`` carries a fresh ``E(0)``.
 * The printed step 3(d) extracts by ``prod_i SM(V_i, E(t_{i,a}))``: ``n * m``
   secure multiplications and a round per iteration.  C2 already knows
   which position it marked, so it can forward that record itself; the masks
@@ -55,9 +60,8 @@ from repro.core.cloud import FederatedCloud
 from repro.core.roles import ResultShares
 from repro.core.sknn_base import SkNNProtocol
 from repro.crypto.paillier import Ciphertext
+from repro.db.schema import Schema
 from repro.exceptions import ProtocolError
-from repro.protocols.encoding import recompose_from_encrypted_bits
-from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.sminn import SecureMinimumOfN
 from repro.telemetry import profiling as _profiling
 
@@ -87,7 +91,6 @@ class SkNNSecure(SkNNProtocol):
             raise ProtocolError("distance_bits must be positive")
         self.distance_bits = distance_bits
         setting = cloud.setting
-        self._sbd = SecureBitDecomposition(setting, distance_bits)
         self._sminn = SecureMinimumOfN(setting)
 
     # -- protocol ------------------------------------------------------------------
@@ -104,12 +107,19 @@ class SkNNSecure(SkNNProtocol):
         self._validate_query(encrypted_query, k)
         c1 = self.cloud.c1
         n = len(self.encrypted_table)
+        # SMIN compares l-bit integers: a larger distance would be compared
+        # modulo 2^(l+1) and select a wrong minimum without a trace.
+        schema = self.encrypted_table.schema
+        required = Schema(schema.attributes[:self.feature_dimensions
+                                            or schema.dimensions]
+                          ).distance_bit_length()
+        self.require(required <= self.distance_bits,
+                     f"distance_bits={self.distance_bits} cannot hold the "
+                     f"squared distances of this schema, which need "
+                     f"{required} bits")
 
-        # Step 2: E(d_i) via one batched SSED scan, then [d_i] via one batched
-        # SBD pass over every record's distance.
+        # Step 2: E(d_i) via one batched SSED scan.
         encrypted_distances = self._compute_encrypted_distances(encrypted_query)
-        with _profiling.cost_scope("decompose"):
-            distance_bits = self._sbd.run_batch(encrypted_distances)
 
         pk = self.public_key
         flag_weight = 1 << self.distance_bits
@@ -117,28 +127,27 @@ class SkNNSecure(SkNNProtocol):
         encrypted_results: list[list[Ciphertext]] = []
         for iteration in range(k):
             with _profiling.cost_scope("select"):
-                # Step 3(a): [d_min] of the live records — after the first
-                # iteration over [f_i] + [d_i], so selected ones lose.
-                min_bits = self._sminn.run(
-                    [[flag] + bits for flag, bits in zip(flags, distance_bits)]
-                    if flags else distance_bits)
-
-                # Step 3(b): C1 recomposes E(d_min) and forms each
-                # E(d_i + 2^l f_i) from SSED's E(d_i) and the flag — one
-                # short power per record, where the printed algorithm
-                # re-expands all n * l bits.
-                enc_dmin = recompose_from_encrypted_bits(min_bits)
+                # Step 3(a): E(d_min) of the live records — after the first
+                # iteration over E(d_i + 2^l f_i), one short power per
+                # record, so selected ones lose.
                 current_distances = (
                     pk.add_batch(encrypted_distances,
                                  pk.scalar_mul_batch(flags, flag_weight))
                     if flags else encrypted_distances)
+                enc_dmin = self._sminn.run(
+                    current_distances,
+                    self.distance_bits + 1 if flags else self.distance_bits)
 
-                # tau_i = E(r_i * (d_min - d_i)), permuted before leaving C1.
+                # tau_i = E(r_i * (d_min - d_i)) * E(0), permuted before
+                # leaving C1.
                 differences = pk.add_batch(
                     [enc_dmin] * n,
                     pk.scalar_mul_batch(current_distances, -1))
-                randomized = pk.scalar_mul_batch(
-                    differences, [c1.random_nonzero() for _ in range(n)])
+                randomized = pk.add_batch(
+                    pk.scalar_mul_batch(
+                        differences,
+                        [c1.random_nonzero() for _ in range(n)]),
+                    c1.encrypt_batch([0] * n))
                 permutation = list(range(n))
                 c1.rng.shuffle(permutation)
                 beta = [randomized[j] for j in permutation]

@@ -53,10 +53,10 @@ Mode = Literal["basic", "secure", "parallel", "sharded", "distributed"]
 def _checked_distance_bits(owner: DataOwner, distance_bits: int | None) -> int:
     """Resolve the domain parameter ``l``, refusing one too small for the schema.
 
-    SBD decomposes every squared distance into ``l`` bits; an ``l`` below
-    what the schema's value ranges need truncates distances and the secure
-    protocol returns a silently wrong neighbour.  A larger ``l`` only costs
-    time (the classifier extension relies on that).
+    SMIN compares squared distances as ``l``-bit integers; an ``l`` below
+    what the schema's value ranges need compares them modulo ``2**(l+1)``
+    and the secure protocol would return a wrong neighbour.  A larger
+    ``l`` only costs time (the classifier extension relies on that).
     """
     required = owner.distance_bit_length()
     if distance_bits is None:
@@ -207,7 +207,8 @@ class SkNNSystem:
         table = self.owner.table
         targets = pool_targets(
             len(table), table.dimensions, self.k_default or 1, queries,
-            # SkNN_m's SBD/SMIN material, never drawn by a worker scan
+            # SkNN_m's SMIN and zero-search material, never drawn by a
+            # worker scan
             bit_length=(self.distance_bits
                         if self.mode == "secure" and not worker_scan
                         else None),

@@ -27,7 +27,6 @@ from repro.crypto.paillier import (
     generate_keypair,
 )
 from repro.crypto.precompute import (
-    MASK_NONZERO,
     MASK_SBD,
     MASK_ZN,
     PrecomputeConfig,
@@ -40,7 +39,6 @@ __all__ = [
     "DEFAULT_KEY_SIZE",
     "Ciphertext",
     "FixedBaseExp",
-    "MASK_NONZERO",
     "MASK_SBD",
     "MASK_ZN",
     "OpenSSLBackend",

@@ -276,7 +276,7 @@ class PaillierPublicKey:
         as the one exponentiation it replaces in the paper's accounting
         (Section 4.4).  A non-unit (``0``, a multiple of a prime factor —
         never a valid ciphertext) has no inverse and raises
-        :class:`CryptoError`.  Exponents 0 to 3 — SMIN's ``Gamma'**alpha``
+        :class:`CryptoError`.  Exponents 0 to 3 — SMIN's ``E(z_L)**1``
         and the cube of its marker — are answered here (``1``, ``c``, one or
         two multiplications), not by a backend call.
         """

@@ -48,17 +48,18 @@ from repro.crypto.paillier import (
 )
 from repro.exceptions import ConfigurationError, CorruptStateError
 
-__all__ = ["PrecomputeConfig", "PrecomputeEngine", "MASK_ZN", "MASK_NONZERO",
-           "MASK_SBD", "mask_range"]
+__all__ = ["PrecomputeConfig", "PrecomputeEngine", "MASK_ZN", "MASK_SBD",
+           "mask_range"]
 
 #: snapshot kind of the on-disk pool cache (see
 #: :meth:`PrecomputeEngine.save_pools`)
 _POOL_CACHE_KIND = "precompute-pool-cache"
 
 #: Additive-mask kinds (the sampling range each protocol requires).
-MASK_ZN = "zn"            # r uniform in [0, N)         — SM, SSED, delivery
-MASK_NONZERO = "nonzero"  # r uniform in [1, N)         — SMIN's rhat
-MASK_SBD = "sbd"          # r uniform in [0, sbd_upper) — SBD round masks
+MASK_ZN = "zn"            # r uniform in [0, N)         — SM, SSED, SMIN's
+                          #                               selection, delivery
+MASK_SBD = "sbd"          # r uniform in [0, sbd_upper) — SBD round masks,
+                          #                               SMIN's masked difference
 
 #: process-wide fallback randomness for engines without an explicit rng
 _MODULE_RNG = Random()
@@ -70,13 +71,11 @@ def mask_range(kind: str, n: int,
 
     The one rule for both mask sources (:meth:`PrecomputeEngine.take_masks`
     and the engine-less :meth:`~repro.protocols.base.TwoPartyProtocol.
-    take_masks`); ``sbd_upper`` is SBD's ``N - 2^l`` and required for that
-    kind.
+    take_masks`); ``sbd_upper`` is SBD's ``N - 2^l`` or SMIN's ``N -
+    2^(L+1)`` and required for that kind.
     """
     if kind == MASK_ZN:
         return 0, n
-    if kind == MASK_NONZERO:
-        return 1, n
     if kind == MASK_SBD:
         if sbd_upper is None:
             raise ConfigurationError("SBD masks require sbd_upper")

@@ -227,7 +227,7 @@ class TwoPartySetting:
 
         ``engine`` becomes the source of the evaluator's (P1's) obfuscators
         (masks, SMIN/SBD constants); ``decryptor_engine`` (optional) that of
-        the decryptor's (P2's) re-encryptions and parity/alpha/indicator
+        the decryptor's (P2's) re-encryptions and parity/comparison/indicator
         bits.  The two are kept separate on purpose: each party's pool holds
         that party's own randomness, matching the paper's non-colluding model —
         a missing decryptor engine simply means P2 encrypts inline.  Pass

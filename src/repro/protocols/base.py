@@ -228,8 +228,8 @@ class TwoPartyProtocol(P2StepDispatcher):
         """``count`` P1 additive masks ``(r, E(r))``, drawn as one batch.
 
         The sub-protocols' only mask source.  ``kind`` is ``"zn"`` (uniform
-        in ``[0, N)``), ``"nonzero"`` (``[1, N)``) or ``"sbd"`` (``[0,
-        sbd_upper)``) — see :func:`~repro.crypto.precompute.mask_range`.
+        in ``[0, N)``) or ``"sbd"`` (``[0, sbd_upper)``) — see
+        :func:`~repro.crypto.precompute.mask_range`.
         P1's engine samples and encrypts them when it owns one; otherwise
         they are sampled with P1's rng and encrypted in one batch-kernel
         call.  One encryption per mask either way.  The engine is resolved
@@ -260,7 +260,8 @@ class TwoPartyProtocol(P2StepDispatcher):
     # -- batched rounds ----------------------------------------------------------
     def run_pipelined(self, items: Sequence[Any], tag: str, reply_tag: str,
                       prepare: Callable[[Sequence[Any]], "tuple[Any, Any]"],
-                      finish: Callable[[Sequence[Any], Any, Any], "list[Any]"]
+                      finish: Callable[[Sequence[Any], Any, Any], "list[Any]"],
+                      meanwhile: Callable[[], None] | None = None
                       ) -> "list[Any]":
         """Run one batched round with two half-batches in flight.
 
@@ -281,7 +282,10 @@ class TwoPartyProtocol(P2StepDispatcher):
         right after its send and the replies queue in order; over a mux
         context C2's worker answers frames in arrival order while P1's
         reader thread keeps draining the socket, so a reply never waits on
-        P1's second send.
+        P1's second send.  ``meanwhile()``, when given, is P1's work that
+        needs nothing from this round's replies (the next round's fresh
+        encryptions): it runs after the last send and before the first
+        receive, while C2 answers.
         """
         if not items:
             return []
@@ -294,6 +298,8 @@ class TwoPartyProtocol(P2StepDispatcher):
             self.p1.send(payload, tag=tag)
             self.p2_step(tag)
             in_flight.append((chunk, state))
+        if meanwhile is not None:
+            meanwhile()
         results: list[Any] = []
         for chunk, state in in_flight:
             results.extend(

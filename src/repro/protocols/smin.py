@@ -1,74 +1,74 @@
-"""Secure Minimum (SMIN) protocol — Algorithm 3 of the paper.
+"""Secure Minimum (SMIN) — Algorithm 3's functionality, on encrypted integers.
 
-P1 holds two encrypted bit vectors ``[u]`` and ``[v]`` (most significant bit
-first, ``0 <= u, v < 2**l``); P2 holds the secret key.  The protocol outputs
-``[min(u, v)]`` to P1 while hiding ``u``, ``v`` *and which of the two is the
-minimum* from both parties.
+P1 holds ``E(a)`` and ``E(b)`` with ``0 <= a, b < 2**L``; P2 holds the secret
+key.  The protocol outputs ``E(min(a, b))`` to P1 while hiding ``a``, ``b``
+*and which of the two is the minimum* from both parties.
 
-The trick that hides the comparison outcome is that P1 secretly flips a coin
-to choose the functionality ``F`` — either "is u > v?" or "is v > u?" — and
-runs an oblivious comparison whose one-bit outcome ``alpha`` is learned only
-by P2 in terms of the *randomly chosen* F.  Since P2 does not know F, alpha
-tells it nothing; since P1 never sees alpha in the clear (only ``Epk(alpha)``)
-it also learns nothing.  P1 then combines ``Epk(alpha)`` with the masked
-differences ``Gamma_i`` so that the final encrypted bits satisfy::
+The printed Algorithm 3 compares *bit vectors*, so SkNN_m had to
+bit-decompose every distance (SBD, ``l`` rounds) before it could select one.
+This implementation compares the integers themselves: the two-party DGK
+comparison as improved by Veugen ["Improving the DGK comparison protocol",
+IEEE WIFS 2012], followed by the masked compare-and-select of Bost, Popa, Tu
+and Goldwasser ["Machine learning classification over encrypted data", NDSS
+2015].  Algorithm 3's random functionality stays: P1's secret coin ``F``
+orders each pair as ``(x, y)``, so the comparison bit P2 learns is uniform.
+Per pair, in two rounds:
 
-    F: u > v   ->   min_i = u_i + alpha * (v_i - u_i)
-    F: v > u   ->   min_i = v_i + alpha * (u_i - v_i)
+1. P1 sends ``E(z) = E(x) * E(y)^-1 * E(2**L + r)`` with ``r`` uniform in
+   ``[0, N - 2**(L+1))``, so ``z`` never wraps.  P2 decrypts ``z`` and
+   returns fresh encryptions of its bits ``z_L, ..., z_0`` (MSB first).
+   Since ``x - y + 2**L`` lies in ``[1, 2**(L+1))``, its bit ``L`` is
+   ``[x >= y]``, and with ``zhat = z mod 2**L``, ``rhat = r mod 2**L``::
 
-Per pair, with ``max`` the potential maximum under F and ``other`` the
-other value:
+       [x >= y] = z_L xor r_L xor [zhat < rhat]
 
-* ``d_i = other_i - max_i`` in ``{-1, 0, 1}``, ``E(d_i) = E(other_i) *
-  E(max_i)^-1``;
-* ``Gamma_i`` encrypts ``d_i + rhat_i`` (the randomized bit difference);
-* the marker ``P_0 = Z`` (the pair's fresh ``E(0)``), ``P_{i+1} = P_i^3 *
-  E(d_i)`` encrypts ``sum_{j<=i} d_j 3^(i-j)``, a balanced-ternary number:
-  0 while no bit has differed, ``d_t = -1`` or ``+1`` at the first
-  difference ``t``, and of absolute value at least 2 after it;
-* ``L`` holds ``l`` entries ``1 + r'_i (P_{i+1} + 1)``: the entry at ``t``
-  is 1 when ``max_t = 1`` (F true); every other entry is uniform apart
-  from the excluded point 1.
+2. P1 compares ``zhat`` (bit by bit, encrypted) with its own ``rhat`` by the
+   weighted zero test of Damgard, Geisler and Kroigaard ["Efficient and
+   secure comparison for on-line auctions", ACISP 2007] with weight 3: the
+   marker ``P_1 = z_{L-1} - rhat_{L-1}``, ``P_{i+1} = 3 P_i + (z_i -
+   rhat_i)`` (MSB first, plain additions and a cube) is 0 before the first
+   bit ``t`` where the two differ, ``z_t - rhat_t = +-1`` at it and of
+   absolute value at least 2 after it.  P1 draws a coin ``s`` in ``{+1,
+   -1}`` and sends, per pair,
 
-P2 decrypts the permuted ``L`` vector: ``alpha = 1`` when an entry decrypts
-to 1 — the outcome of F — and 0 otherwise; F false and ``u = v`` look the
-same from ``L``, no entry is 1.  It returns ``M'_i = Gamma'_i^alpha``, each
-times a fresh ``E(0)``.
+   * the ``L`` entries ``E(1 + r'_i (P_{i+1} + s))``, permuted: 1 exactly
+     at ``t`` when ``z_t - rhat_t = -s``, uniform apart from 1 elsewhere;
+   * ``E(z_L xor c)`` with ``c = r_L xor [s = -1]``: ``E(z_L)^(+-1)`` plus
+     a plain ``c``;
+   * ``E(x + rho_x)`` and ``E(y + rho_y)`` under fresh uniform masks.
 
-Where this departs from the printed algorithm:
+   P2 sets ``delta' = [some entry decrypts to 1]`` and ``t = (z_L xor c)
+   xor delta'``.  For ``x != y`` that is ``[x >= y]`` whatever ``s`` was
+   (``s = -1`` tests ``zhat > rhat``, the complement, and ``c`` flips it
+   back); on a tie no entry is 1 and ``t = [s = +1]``, either candidate
+   being the minimum.  P2 returns the candidate ``t`` selects (``y`` for
+   ``t = 1``) times a fresh ``E(0)``, and ``E(t)``.
+3. P1 strips the selected mask: ``E(min) = E(v) * E(-rho_x) *
+   E(t)^(rho_x - rho_y)``, one full power.
 
-* The printed ``W_i = E(max_i (1 - other_i))`` and ``G_i = E(u_i XOR v_i)``
-  need the product ``u_i v_i`` — one secure multiplication per bit and a
-  round of its own per call.  The marker here needs only ``d_i``: it is the
-  weighted zero test of Damgard, Geisler and Kroigaard ["Efficient and
-  secure comparison for on-line auctions", ACISP 2007] with weight 3, so
-  the sign of ``d_t`` itself says which way F went.  One round per call.
-  Their random sign ``s``, which picks the one-sided test to run, is F's
-  coin here, so ``L`` carries the one test ``d_t = -1`` (``max_t = 1``):
-  one entry per bit.  A second entry ``r''_i (P_{i+1} - 1)`` per bit could
-  decrypt to 1 only with probability ``1/N``, so it never set alpha.
-* The printed ``M'_i = Gamma'_i^alpha`` is ``1`` for ``alpha = 0`` and the
-  very ``Gamma'_i`` P1 sent for ``alpha = 1`` — P1 read alpha off the wire.
-  The fresh ``E(0)`` makes every ``M'_i`` a new ciphertext.
-* ``Gamma_i`` stays masked by a uniform ``rhat_i`` in ``[1, N)`` although
-  P2 only raises it to alpha: P2 holds the secret key, and an unmasked
-  ``E(d_i)`` would show it every ``d_i`` — which bits of ``u`` and ``v``
-  differ, ``|u - v|`` and every tie.  P1 strips the mask from ``M'_i`` with
-  ``E(alpha)^(N - rhat_i)``, one full power per bit.
-* A non-zero ``P_{i+1} + 1`` must be a unit for its entry to be uniform:
-  the protocol requires ``3^(l+1) < 2^(K/2 - 1)``, below either prime of
-  ``N`` (``l <= 38`` at K=128, ``l <= 159`` at K=512).
+What each party sees.  P2 sees ``z``, statistically uniform exactly as SBD's
+masked values are; ``z_L xor c``, uniform through ``r_L`` and ``s``; and
+``delta'`` and ``t``, uniform for distinct values through ``s`` and ``F``.
+On a tie ``delta' = 0`` — the same tie leak as the bit-level ``alpha``.  P1
+sees only ciphertexts.  P2 also holds ``p`` and ``q``, so it can read the
+Paillier randomness ``(c mod N)^(N^-1 mod phi(N))`` of any ciphertext it
+decrypts; the entries' randomness would be ``rho(P_{i+1})^(r'_i)``, built
+from P2's own bit encryptions, and would let it test guesses of ``rhat``.
+So every ciphertext P2 decrypts carries its own fresh P1 factor: the mask's
+encryption in ``E(z)``, one ``E(0)`` per entry and one on ``E(z_L xor
+c)``.
 
-P1 draws the difference masks ``(rhat_i, E(rhat_i))`` per round, not per
-bit: ``pairs * l`` (and ``pairs`` ``Z = E(0)`` constants) for a
-:meth:`SecureMinimum.run_batch` level, as one ``take_masks`` batch.
+The marker's non-zero ``P_{i+1} + s`` must be units for the entries to be
+uniform: the protocol requires ``3**(L+1) < 2**(K/2 - 1)``, below either
+prime of ``N`` (``L <= 38`` at K=128, ``L <= 159`` at K=512).
 
-Of the three exponentiations P1 counts per bit in step 1, one is the
-negation of ``max_i`` (the chunk's negations share one modular inversion)
-and one is the marker's cube, a product of two multiplications; only the
-power of ``P_{i+1}`` in the ``L`` entry is a full power, one
-``scalar_mul_batch`` per chunk.  The strip in step 3 is P1's other full
-power per bit.
+Per pair P1 pays ``L + 4`` encryptions — the mask (one ``take_masks``
+batch per chunk of round 1), ``L + 1`` zeros and the two selection masks
+(one ``encrypt_batch`` and one ``take_masks`` batch per call, drawn while
+P2 answers round 1) — and ``2L + 2`` exponentiations: the negation of
+``y``, ``L - 1`` cubes (two multiplications each), the ``L`` entry powers,
+the ``+-1`` and the final strip, ``L + 1`` of them full powers.  P2 pays
+``L + 2`` decryptions and ``L + 3`` encryptions.
 """
 
 from __future__ import annotations
@@ -77,203 +77,251 @@ from typing import Sequence
 
 from repro.crypto.paillier import Ciphertext
 from repro.protocols.base import TwoPartyProtocol, traced_round
+from repro.protocols.encoding import recompose_from_encrypted_bits
 
 __all__ = ["SecureMinimum"]
 
 
 class SecureMinimum(TwoPartyProtocol):
-    """Two-party secure minimum of two encrypted bit-decomposed values."""
+    """Two-party secure minimum of two encrypted integers."""
 
     name = "SMIN"
 
     P2_STEPS = {
-        "SMIN.batch_gamma_and_l": "_p2_decide_alpha_batch",
+        "SMIN.batch_masked_differences": "_p2_bits_of_masked_differences",
+        "SMIN.batch_comparisons": "_p2_select_minimums",
     }
 
     @traced_round("run")
-    def run(self, enc_u_bits: Sequence[Ciphertext],
-            enc_v_bits: Sequence[Ciphertext]) -> list[Ciphertext]:
-        """Compute ``[min(u, v)]`` from ``[u]`` and ``[v]``.
-
-        The one-pair case of :meth:`run_batch`.
+    def run(self, enc_u: Ciphertext | Sequence[Ciphertext],
+            enc_v: Ciphertext | Sequence[Ciphertext],
+            bit_length: int | None = None) -> Ciphertext:
+        """Compute ``E(min(u, v))`` — the one-pair case of :meth:`run_batch`.
 
         Args:
-            enc_u_bits: encrypted bits of ``u`` (MSB first).
-            enc_v_bits: encrypted bits of ``v`` (MSB first).
-
-        Returns:
-            Encrypted bits of ``min(u, v)`` (MSB first), known only to P1.
+            enc_u, enc_v: ``E(u)`` and ``E(v)``, or their encrypted bit
+                vectors (see :meth:`encrypted_integers`).
+            bit_length: ``L`` with ``u, v < 2**L``; implied by bit vectors.
         """
-        self.require(len(enc_u_bits) == len(enc_v_bits),
-                     "bit vectors must have equal length")
-        self.require(len(enc_u_bits) > 0, "bit vectors must be non-empty")
-        return self.run_batch([(enc_u_bits, enc_v_bits)])[0]
+        return self.run_batch([(enc_u, enc_v)], bit_length)[0]
 
-    # -- batched execution -----------------------------------------------------
+    def encrypted_integers(self,
+                           operands: Sequence[Ciphertext | Sequence[Ciphertext]],
+                           bit_length: int | None = None
+                           ) -> tuple[list[Ciphertext], int]:
+        """``E(value)`` for every operand, and the operands' bit length ``L``.
+
+        An operand is either ``E(value)`` — then ``bit_length`` must give
+        ``L`` — or an encrypted bit vector (MSB first), which is recomposed
+        here with ``L`` its length, so bit vectors and integers run the one
+        comparison.
+        """
+        vectors = [operand for operand in operands
+                   if not isinstance(operand, Ciphertext)]
+        if not vectors:
+            self.require(bit_length is not None and bit_length > 0,
+                         "integer operands need a positive bit length")
+            return list(operands), bit_length
+        lengths = {len(bits) for bits in vectors}
+        self.require(len(vectors) == len(operands) and len(lengths) == 1,
+                     "all bit vectors must share one length")
+        length = lengths.pop()
+        self.require(length > 0, "bit vectors must be non-empty")
+        self.require(bit_length in (None, length),
+                     "bit length disagrees with the bit vectors")
+        return [recompose_from_encrypted_bits(bits) for bits in operands], length
+
     @traced_round("run_batch", sized=True)
-    def run_batch(
-        self, pairs: Sequence[tuple[Sequence[Ciphertext], Sequence[Ciphertext]]]
-    ) -> list[list[Ciphertext]]:
-        """Compute ``[min(u_i, v_i)]`` for a whole vector of bit-vector pairs.
+    def run_batch(self, pairs: Sequence[tuple[Ciphertext | Sequence[Ciphertext],
+                                              Ciphertext | Sequence[Ciphertext]]],
+                  bit_length: int | None = None) -> list[Ciphertext]:
+        """Compute ``E(min(u_i, v_i))`` for a whole vector of pairs.
 
         The protocol's one implementation (:meth:`run` is the one-pair
-        batch; per-pair operation counts do not depend on the batch size),
-        executed as one Gamma/L round in which P2 decrypts all permuted L
-        vectors with the vectorized CRT kernel.  The round is four messages
-        — two half-batches of pairs in flight — once it has
-        :data:`~repro.protocols.base.PIPELINE_MIN_ITEMS` pairs, two below
-        that.  Each pair keeps its own oblivious-functionality coin and
-        permutations so the security argument is unchanged.  SMIN_n's
-        tournament rounds call this with all pairs of a level.
+        batch; per-pair operation counts do not depend on the batch size):
+        two rounds, each through
+        :meth:`~repro.protocols.base.TwoPartyProtocol.run_pipelined`, so
+        four messages per round once the batch has
+        :data:`~repro.protocols.base.PIPELINE_MIN_ITEMS` pairs, two below.
+        Each pair keeps its own coins, masks and permutation.  SMIN_n's
+        tournament levels call this with all pairs of a level.
 
         Args:
-            pairs: ``(u_bits, v_bits)`` tuples; every bit vector across all
-                pairs must share one length (MSB first).
+            pairs: ``(u, v)`` operands, all of one bit length ``L``.
+            bit_length: ``L``; implied when the operands are bit vectors.
 
         Returns:
-            The encrypted minimum bit vector of each pair, in input order.
+            ``E(min(u_i, v_i))`` per pair, in input order.
         """
         if not pairs:
             return []
-        lengths = {len(bits) for pair in pairs for bits in pair}
-        self.require(len(lengths) == 1,
-                     "all bit vectors in a batch must share one length")
-        bit_length = lengths.pop()
-        self.require(bit_length > 0, "bit vectors must be non-empty")
+        values, bit_length = self.encrypted_integers(
+            [operand for pair in pairs for operand in pair], bit_length)
         self.require(3 ** (bit_length + 1) < 1 << (self.pk.key_size // 2 - 1),
-                     f"{bit_length}-bit values need 3^(l+1) < 2^(K/2-1) "
+                     f"{bit_length}-bit values need 3^(L+1) < 2^(K/2-1) "
                      f"for the marker, K={self.pk.key_size}")
         n = self.pk.n
+        top = 1 << bit_length
 
-        # ---- P1: every pair's coin F orders it as (max, other) ---------------
-        tasks = [(enc_u_bits, enc_v_bits) if self.p1.rng.getrandbits(1)
-                 else (enc_v_bits, enc_u_bits)
-                 for enc_u_bits, enc_v_bits in pairs]
+        # ---- P1: every pair's coin F orders it as (x, y) ---------------------
+        tasks = [(values[2 * index], values[2 * index + 1])
+                 if self.p1.rng.getrandbits(1)
+                 else (values[2 * index + 1], values[2 * index])
+                 for index in range(len(pairs))]
 
-        def build_gamma_and_l(chunk):
-            # ---- P1: step 1 for every pair of the chunk ---------------------
-            rhat_tuples = self.take_masks(len(chunk) * bit_length, "nonzero")
-            enc_zeros = self.p1.encrypt_batch([0] * len(chunk))
-            # E(d_i) = E(other_i - max_i), the chunk's negations sharing one
-            # inversion; Gamma_i = E(d_i + rhat_i)
+        def mask_differences(chunk):
+            # ---- P1, round 1: E(z) = E(x - y + 2^L + r) -----------------------
+            masks = self.take_masks(len(chunk), "sbd", sbd_upper=n - 2 * top)
             differences = self.pk.add_batch(
-                [bit for _, other_bits in chunk for bit in other_bits],
-                self.neg_batch([bit for maximum_bits, _ in chunk
-                                for bit in maximum_bits]))
-            gammas = self.pk.add_batch(
-                differences, [enc_rhat for _, enc_rhat in rhat_tuples])
-            markers, exponents = [], []
-            permutations = []
-            for index in range(len(chunk)):
-                bits = slice(index * bit_length, (index + 1) * bit_length)
-                # P_{i+1} = P_i^3 * E(d_i) from P_0 = Z: 0 before the first
-                # differing bit t, d_t at it, outside {-1, 0, 1} after it
-                marker = enc_zeros[index]
-                for enc_difference in differences[bits]:
-                    marker = marker * 3 + enc_difference
-                    markers.append(marker)
-                # the pair's draws in one order, however the round is split
-                exponents.extend(self.p1.random_nonzero()
-                                 for _ in range(bit_length))
-                permutation_gamma = list(range(bit_length))
-                permutation_l = list(range(bit_length))
-                self.p1.rng.shuffle(permutation_gamma)
-                self.p1.rng.shuffle(permutation_l)
-                permutations.append((permutation_gamma, permutation_l))
-            # 1 + r'(P + 1) = r'P + (r' + 1)
-            l_vector = [
-                self.add_plain(cipher, r + 1) for cipher, r in zip(
-                    self.pk.scalar_mul_batch(markers, exponents), exponents)]
-            payload, states = [], []
-            for index, (permutation_gamma, permutation_l) in enumerate(
-                    permutations):
-                gamma_vector = gammas[index * bit_length:
-                                      (index + 1) * bit_length]
-                entries = l_vector[index * bit_length:
-                                   (index + 1) * bit_length]
-                payload.append([[gamma_vector[j] for j in permutation_gamma],
-                                [entries[j] for j in permutation_l]])
-                states.append((
-                    [rhat for rhat, _ in rhat_tuples[index * bit_length:
-                                                     (index + 1) * bit_length]],
-                    permutation_gamma))
-            return payload, states
+                [x for x, _ in chunk], self.neg_batch([y for _, y in chunk]))
+            masked = self.pk.add_batch(differences, [c for _, c in masks])
+            return ([bit_length, [self.add_plain(cipher, top)
+                                  for cipher in masked]],
+                    [r for r, _ in masks])
 
-        def select_minimums(chunk, states, reply):
-            # ---- P1: step 3 for every pair of the chunk ---------------------
-            self.require(isinstance(reply, list) and len(reply) == 2,
-                         "malformed masked-minimum reply")
-            received_m, received_alphas = reply
+        def collect_bits(chunk, masks, reply):
             self.require(
-                self.require_cipher_rows(received_m, "masked-minimum reply",
-                                         len(chunk)) == bit_length,
-                "malformed masked-minimum reply")
-            self.require_cipher_list(received_alphas, len(chunk),
-                                     "masked-minimum reply")
-            results: list[list[Ciphertext]] = []
-            for index, (maximum_bits, _) in enumerate(chunk):
-                gamma_masks, permutation_gamma = states[index]
-                unpermuted: list[Ciphertext | None] = [None] * bit_length
-                for position, original_index in enumerate(permutation_gamma):
-                    unpermuted[original_index] = received_m[index][position]
-                # lambda_i = M~_i * E(alpha)^{N - rhat_i} = E(alpha * d_i)
-                lambdas = self.pk.add_batch(
-                    unpermuted,
-                    self.pk.scalar_mul_batch(
-                        [received_alphas[index]] * bit_length,
-                        [n - mask for mask in gamma_masks]),
-                )
-                results.append(self.pk.add_batch(list(maximum_bits), lambdas))
-            return results
+                self.require_cipher_rows(reply, "difference-bits reply",
+                                         len(chunk)) == bit_length + 1,
+                "malformed difference-bits reply")
+            return list(zip(masks, reply))
 
-        # ---- P2: step 2 runs between the two, once per chunk of pairs -------
+        fresh = []
+
+        def draw_fresh_material():
+            # ---- P1, while C2 answers round 1: what round 2 encrypts needs
+            # nothing from it — L + 1 zeros per pair, the selection masks and
+            # the masked candidates E(x + rho_x), E(y + rho_y).
+            width = bit_length + 1
+            zeros = self.p1.encrypt_batch([0] * (len(tasks) * width))
+            selection_masks = self.take_masks(2 * len(tasks))
+            candidates = self.pk.add_batch(
+                [operand for pair in tasks for operand in pair],
+                [c for _, c in selection_masks])
+            fresh.extend(
+                (zeros[index * width:(index + 1) * width],
+                 (selection_masks[2 * index][0],
+                  selection_masks[2 * index + 1][0]),
+                 candidates[2 * index:2 * index + 2])
+                for index in range(len(tasks)))
+
+        def build_comparisons(chunk):
+            # ---- P1, round 2: entries and E(z_L xor c) ----------------------
+            markers, exponents, offsets, flips = [], [], [], []
+            permutations = []
+            for mask, bits, _, _, _ in chunk:
+                sign = 1 if self.p1.rng.getrandbits(1) else -1
+                marker = None
+                for position, enc_bit in enumerate(bits[1:]):
+                    # P_{i+1} = 3 P_i + (z_i - rhat_i), MSB first
+                    if mask >> (bit_length - 1 - position) & 1:
+                        enc_bit = enc_bit + (-1)
+                    marker = enc_bit if marker is None else marker * 3 + enc_bit
+                    markers.append(marker)
+                    exponent = self.p1.random_nonzero()
+                    exponents.append(exponent)
+                    # 1 + r'(P + s) = r'P + (r's + 1)
+                    offsets.append(exponent * sign + 1)
+                permutation = list(range(bit_length))
+                self.p1.rng.shuffle(permutation)
+                permutations.append(permutation)
+                flips.append((mask >> bit_length & 1) ^ (sign < 0))
+            # every entry and every top bit under a fresh E(0) of its own
+            entries = self.pk.add_batch(
+                [self.add_plain(cipher, offset) for cipher, offset in zip(
+                    self.pk.scalar_mul_batch(markers, exponents), offsets)],
+                [zero for _, _, zeros, _, _ in chunk
+                 for zero in zeros[:bit_length]])
+            # E(z_L xor c) = E(z_L)^(1 - 2c) + c
+            top_bits = self.pk.add_batch(
+                [self.add_plain(cipher, flip) for cipher, flip in zip(
+                    self.pk.scalar_mul_batch([bits[0] for _, bits, _, _, _
+                                              in chunk],
+                                             [1 - 2 * flip for flip in flips]),
+                    flips)],
+                [zeros[bit_length] for _, _, zeros, _, _ in chunk])
+            payload = []
+            for index, ((_, _, _, _, candidates), permutation) in enumerate(
+                    zip(chunk, permutations)):
+                row = entries[index * bit_length:(index + 1) * bit_length]
+                payload.append([row[j] for j in permutation]
+                               + [top_bits[index]] + candidates)
+            return payload, [rhos for _, _, _, rhos, _ in chunk]
+
+        def strip_selections(chunk, selection_masks, reply):
+            # ---- P1, step 3: E(min) = E(v) E(-rho_x) E(t)^(rho_x - rho_y) ----
+            self.require(
+                self.require_cipher_rows(reply, "selected-minimum reply",
+                                         len(chunk)) == 2,
+                "malformed selected-minimum reply")
+            corrections = self.pk.scalar_mul_batch(
+                [enc_t for _, enc_t in reply],
+                [(rho_x - rho_y) % n for rho_x, rho_y in selection_masks])
+            return [self.add_plain(cipher, -rho_x) for cipher, (rho_x, _)
+                    in zip(self.pk.add_batch([v for v, _ in reply],
+                                             corrections), selection_masks)]
+
+        # ---- P2 answers each round between the two, once per chunk ----------
+        compared = self.run_pipelined(
+            tasks, "SMIN.batch_masked_differences",
+            "SMIN.batch_difference_bits", mask_differences, collect_bits,
+            draw_fresh_material)
         return self.run_pipelined(
-            tasks, "SMIN.batch_gamma_and_l", "SMIN.batch_masked_minimums",
-            build_gamma_and_l, select_minimums)
+            [pair + material for pair, material in zip(compared, fresh)],
+            "SMIN.batch_comparisons", "SMIN.batch_selected_minimums",
+            build_comparisons, strip_selections)
 
     # -- P2 side -------------------------------------------------------------
-    def _p2_decide_alpha_batch(self) -> None:
-        """Step 2: P2 decrypts each pair's permuted L vector and forms
-        ``alpha`` and ``M'``.
+    def _p2_bits_of_masked_differences(self) -> None:
+        """Round 1: decrypt each masked difference ``z`` and return fresh
+        encryptions of its ``L + 1`` low bits, MSB first.
 
-        ``alpha = 1`` when some entry of a pair's decrypted L vector equals 1
-        (the outcome of P1's secretly chosen functionality F is true),
-        otherwise 0.  ``M'_i = Gamma'_i ^ alpha * E(0)`` so that P1 later
-        recovers ``alpha * (d_i + rhat_i)`` without learning alpha — the
-        fresh ``E(0)`` (one batch with the ``E(alpha)``) keeps ``M'_i`` from
-        being ``1`` or the ``Gamma'_i`` P1 sent.  The payload's shape —
-        ``[Gamma', L']`` per pair, every ``Gamma'`` and every ``L'`` of one
-        bit length ``l`` — is checked first, so the per-pair
-        windows of the flat decryption align.
+        The frame is ``[L, [E(z), ...]]``; ``L`` is checked against the key
+        (``z`` must fit below ``N`` with room for the mask) before anything is
+        decrypted.
         """
-        received_payload = self.p2.receive(expected_tag="SMIN.batch_gamma_and_l")
-        self.require(
-            isinstance(received_payload, list)
-            and all(isinstance(pair, list) and len(pair) == 2
-                    for pair in received_payload),
-            "malformed gamma-and-L batch")
-        bit_length = self.require_cipher_rows(
-            [permuted_gamma for permuted_gamma, _ in received_payload],
-            "gamma-and-L batch")
-        width = self.require_cipher_rows(
-            [permuted_l for _, permuted_l in received_payload],
-            "gamma-and-L batch")
-        self.require(width == bit_length, "malformed gamma-and-L batch")
-        decrypted_l = self.p2.decrypt_residue_batch(
-            [cipher for _, permuted_l in received_payload
-             for cipher in permuted_l])
-        alphas = [
-            1 if any(value == 1
-                     for value in decrypted_l[index * width:
-                                              (index + 1) * width]) else 0
-            for index in range(len(received_payload))]
-        fresh = self.p2.encrypt_batch(
-            alphas + [0] * (len(received_payload) * bit_length))
-        enc_alphas, enc_zeros = fresh[:len(alphas)], fresh[len(alphas):]
-        m_primes = [
-            self.pk.add_batch(
-                self.pk.scalar_mul_batch(permuted_gamma, alpha),
-                enc_zeros[index * bit_length:(index + 1) * bit_length])
-            for index, ((permuted_gamma, _), alpha)
-            in enumerate(zip(received_payload, alphas))]
-        self.p2.send([m_primes, enc_alphas], tag="SMIN.batch_masked_minimums")
+        frame = self.p2.receive(expected_tag="SMIN.batch_masked_differences")
+        self.require(isinstance(frame, list) and len(frame) == 2
+                     and type(frame[0]) is int
+                     and 0 < frame[0] < self.pk.n.bit_length() - 2
+                     and isinstance(frame[1], list) and frame[1],
+                     "malformed masked-difference batch")
+        bit_length, masked = frame
+        self.require_cipher_list(masked, len(masked),
+                                 "masked-difference batch")
+        values = self.p2.decrypt_residue_batch(masked)
+        bits = self.p2.encrypt_batch(
+            [value >> shift & 1 for value in values
+             for shift in range(bit_length, -1, -1)])
+        width = bit_length + 1
+        self.p2.send([bits[start:start + width]
+                      for start in range(0, len(bits), width)],
+                     tag="SMIN.batch_difference_bits")
+
+    def _p2_select_minimums(self) -> None:
+        """Round 2: decide each pair's ``t`` and return the candidate it
+        selects, times a fresh ``E(0)``, with ``E(t)``.
+
+        A row is the ``L`` permuted entries, ``E(z_L xor c)`` and the two
+        masked candidates; every row of the batch has one width, checked
+        before anything is decrypted.  The entries and the top bit are
+        decrypted in one batch; the candidates never are.
+        """
+        rows = self.p2.receive(expected_tag="SMIN.batch_comparisons")
+        width = self.require_cipher_rows(rows, "comparison batch")
+        self.require(width >= 4, "malformed comparison batch")
+        tested = width - 2
+        decrypted = self.p2.decrypt_residue_batch(
+            [cipher for row in rows for cipher in row[:tested]])
+        choices = []
+        for index in range(len(rows)):
+            values = decrypted[index * tested:(index + 1) * tested]
+            self.require(values[-1] in (0, 1), "malformed comparison batch")
+            choices.append(values[-1] ^ int(1 in values[:-1]))
+        fresh = self.p2.encrypt_batch(choices + [0] * len(rows))
+        selected = self.pk.add_batch(
+            [row[tested + choice] for row, choice in zip(rows, choices)],
+            fresh[len(rows):])
+        self.p2.send([[cipher, enc_t] for cipher, enc_t
+                      in zip(selected, fresh[:len(rows)])],
+                     tag="SMIN.batch_selected_minimums")

@@ -1,16 +1,19 @@
 """Secure Minimum out of n numbers (SMIN_n) — Algorithm 4 of the paper.
 
-P1 holds ``n`` encrypted bit vectors ``[d_1], ..., [d_n]``; P2 holds the
-secret key.  The protocol outputs ``[min(d_1, ..., d_n)]`` to P1 without
-revealing any ``d_i`` (or which index attains the minimum) to either party.
+P1 holds ``n`` encryptions ``E(d_1), ..., E(d_n)`` of ``L``-bit values; P2
+holds the secret key.  The protocol outputs ``E(min(d_1, ..., d_n))`` to P1
+without revealing any ``d_i`` (or which index attains the minimum) to either
+party.
 
 The paper computes the result with a binary tournament (a balanced execution
 tree processed bottom-up, Figure 1): in every round surviving values are
 paired and each pair is reduced with one SMIN invocation, so the tree has
-``ceil(log2 n)`` levels and ``n - 1`` SMIN calls in total.  An alternative
-"sequential chain" topology (fold the list left to right) performs the same
-``n - 1`` SMIN calls but cannot be parallelized; it is provided for the
-ablation benchmark that motivates the paper's choice.
+``ceil(log2 n)`` levels and ``n - 1`` SMIN calls in total.  SMIN compares the
+encrypted integers (see :mod:`repro.protocols.smin`), so no value is
+bit-decomposed; encrypted bit vectors are still accepted and recomposed
+first.  An alternative "sequential chain" topology (fold the list left to
+right) performs the same ``n - 1`` SMIN calls but cannot be parallelized; it
+is provided for the ablation benchmark that motivates the paper's choice.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ Topology = Literal["tournament", "chain"]
 
 
 class SecureMinimumOfN(TwoPartyProtocol):
-    """Two-party secure minimum of ``n`` encrypted bit-decomposed values."""
+    """Two-party secure minimum of ``n`` encrypted integers."""
 
     name = "SMINn"
 
@@ -47,55 +50,57 @@ class SecureMinimumOfN(TwoPartyProtocol):
         self._smin = SecureMinimum(setting)
 
     @traced_round("run", sized=True)
-    def run(self, encrypted_values: Sequence[Sequence[Ciphertext]]
-            ) -> list[Ciphertext]:
-        """Compute ``[min(d_1, ..., d_n)]`` from the encrypted bit vectors.
+    def run(self, encrypted_values: Sequence[Ciphertext | Sequence[Ciphertext]],
+            bit_length: int | None = None) -> Ciphertext:
+        """Compute ``E(min(d_1, ..., d_n))``.
 
         Args:
-            encrypted_values: sequence of ``n`` encrypted bit vectors, each of
-                the same length ``l`` (MSB first).
+            encrypted_values: ``n`` operands of one bit length ``L``:
+                ``E(d_i)``, or encrypted bit vectors (MSB first), see
+                :meth:`SecureMinimum.encrypted_integers`.
+            bit_length: ``L`` with every ``d_i < 2**L``; implied by bit
+                vectors.
 
         Returns:
-            The encrypted bit vector of the global minimum, known only to P1.
+            ``E`` of the global minimum, known only to P1.
         """
         self.require(len(encrypted_values) > 0, "need at least one value")
-        lengths = {len(bits) for bits in encrypted_values}
-        self.require(len(lengths) == 1, "all bit vectors must share one length")
-
+        values, bit_length = self._smin.encrypted_integers(encrypted_values,
+                                                           bit_length)
         if self.topology == "chain":
-            return self._run_chain(encrypted_values)
-        return self._run_tournament(encrypted_values)
+            return self._run_chain(values, bit_length)
+        return self._run_tournament(values, bit_length)
 
     # -- topologies ------------------------------------------------------------
-    def _run_tournament(self, encrypted_values: Sequence[Sequence[Ciphertext]]
-                        ) -> list[Ciphertext]:
+    def _run_tournament(self, values: list[Ciphertext],
+                        bit_length: int) -> Ciphertext:
         """The paper's bottom-up binary execution tree (Figure 1).
 
         All pairs of a tree level are independent, so each level executes as
-        one batched SMIN round (:meth:`SecureMinimum.run_batch`): the same
+        one batched SMIN call (:meth:`SecureMinimum.run_batch`): the same
         ``n - 1`` SMIN invocations overall, grouped into ``ceil(log2 n)``
-        vectorized message exchanges instead of ``n - 1`` sequential ones.
-        When a precomputation engine is attached to the setting, every level
-        encrypts its ``rhat``/``Z``/``alpha`` material off the owning
-        party's pool through the shared SMIN instance.
+        levels of two vectorized rounds each instead of ``n - 1`` sequential
+        calls.  When a precomputation engine is attached to the setting,
+        every level draws its masks and zeros off the owning party's pool
+        through the shared SMIN instance.
         """
-        survivors: list[list[Ciphertext]] = [list(bits) for bits in encrypted_values]
+        survivors = list(values)
         while len(survivors) > 1:
             # Pair adjacent survivors; an odd one out advances unchanged.
             pairs = [(survivors[j], survivors[j + 1])
                      for j in range(0, len(survivors) - 1, 2)]
-            next_round = self._smin.run_batch(pairs)
+            next_round = self._smin.run_batch(pairs, bit_length)
             if len(survivors) % 2 == 1:
                 next_round.append(survivors[-1])
             survivors = next_round
         return survivors[0]
 
-    def _run_chain(self, encrypted_values: Sequence[Sequence[Ciphertext]]
-                   ) -> list[Ciphertext]:
+    def _run_chain(self, values: list[Ciphertext],
+                   bit_length: int) -> Ciphertext:
         """Sequential left fold — same work, maximal depth (ablation only)."""
-        current = list(encrypted_values[0])
-        for bits in encrypted_values[1:]:
-            current = self._smin.run(current, list(bits))
+        current = values[0]
+        for value in values[1:]:
+            current = self._smin.run(current, value, bit_length)
         return current
 
     # -- analytics ---------------------------------------------------------------

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any
 
+from repro.exceptions import ChannelError
 from repro.telemetry import metrics as _metrics
 from repro.transport.framing import (
     recv_frame,

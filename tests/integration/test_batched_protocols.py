@@ -80,12 +80,13 @@ class TestBatchedSubProtocols:
         protocol = SecureMinimum(setting)
         public = setting.public_key
         cases = [(5, 9), (9, 5), (7, 7), (0, 31), (16, 15), (31, 0)]
-        pairs = [(encrypt_bits(public, u, 5), encrypt_bits(public, v, 5))
-                 for u, v in cases]
-        batch = protocol.run_batch(pairs)
+        pairs = [(public.encrypt(u), public.encrypt(v)) for u, v in cases]
+        batch = protocol.run_batch(pairs, 5)
         decrypt = setting.decryptor.decrypt_signed
-        for (u, v), enc_bits in zip(cases, batch):
-            assert bits_to_int([decrypt(b) for b in enc_bits]) == min(u, v)
+        for (u, v), enc_min in zip(cases, batch):
+            assert decrypt(enc_min) == min(u, v)
+            assert decrypt(protocol.run(public.encrypt(u), public.encrypt(v),
+                                        5)) == min(u, v)
 
     def test_smin_batch_rejects_mixed_lengths(self, setting):
         protocol = SecureMinimum(setting)

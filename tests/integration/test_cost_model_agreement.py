@@ -7,8 +7,8 @@ SBOR, SMIN, SMIN_n, SkNN_b, SkNN_m — at shapes below and at or above
 ``PIPELINE_MIN_ITEMS``, on every bigint backend, with pools off and warm,
 and asserts the measured call equal to its entry: both parties' counters
 (a cost ledger's per-party rows), the channel's messages and each sender's
-ciphertexts.  SBD and SkNN_m are held to the entry at the run's recorded
-number of odd SBD masks.  With pools warm each party's engine serves
+ciphertexts.  SBD is held to the entry at the run's recorded number of odd
+masks.  With pools warm each party's engine serves
 exactly that party's encryptions and misses none: the offline work is the
 entry's ``encryptions``.
 """
@@ -46,7 +46,6 @@ from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.db.datasets import synthetic_uniform
 from repro.network.party import TwoPartySetting
 from repro.network.stats import ProtocolRunStats
-from repro.protocols.encoding import encrypt_bits
 from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.sbor import SecureBitOr
 from repro.protocols.sm import SecureMultiplication
@@ -78,7 +77,8 @@ def deployed(keypair, seed: int, n_records: int, dimensions: int,
 
 # Each case builds its inputs and returns (setting, call, entry, sbd_masks):
 # the call to measure, its model entry as a function of the number of odd
-# SBD masks, and how many SBD masks the call draws.
+# SBD masks, and how many masks of SBD's range the call draws (SBD's, and
+# one per SMIN pair for its masked difference).
 
 def sm_case(keypair, pairs):
     setting = two_party(keypair, 11)
@@ -124,19 +124,20 @@ def smin_case(keypair, bit_length, pairs):
     setting = two_party(keypair, 15)
     public = setting.public_key
     top = 1 << bit_length
-    operands = [(encrypt_bits(public, (7 * i + 2) % top, bit_length),
-                 encrypt_bits(public, (3 * i + 5) % top, bit_length))
-                for i in range(pairs)]
-    return (setting, lambda: SecureMinimum(setting).run_batch(operands),
-            lambda odd: smin_cost(bit_length, pairs), 0)
+    operands = [(public.encrypt((7 * i + 2) % top),
+                 public.encrypt((3 * i + 5) % top)) for i in range(pairs)]
+    return (setting,
+            lambda: SecureMinimum(setting).run_batch(operands, bit_length),
+            lambda odd: smin_cost(bit_length, pairs), pairs)
 
 
 def sminn_case(keypair, count, bit_length):
     setting = two_party(keypair, 16)
-    values = [encrypt_bits(setting.public_key, (5 * i + 1) % (1 << bit_length),
-                           bit_length) for i in range(count)]
-    return (setting, lambda: SecureMinimumOfN(setting).run(values),
-            lambda odd: sminn_cost(count, bit_length), 0)
+    values = setting.public_key.encrypt_batch(
+        [(5 * i + 1) % (1 << bit_length) for i in range(count)])
+    return (setting,
+            lambda: SecureMinimumOfN(setting).run(values, bit_length),
+            lambda odd: sminn_cost(count, bit_length), count - 1)
 
 
 def sknn_basic_case(keypair, n_records, dimensions, k):
@@ -150,8 +151,8 @@ def sknn_secure_case(keypair, n_records, dimensions, k, bit_length):
     protocol = SkNNSecure(cloud, distance_bits=bit_length)
     return (cloud.setting, lambda: protocol.run(query, k),
             lambda odd: sknn_secure_phases(n_records, dimensions, k,
-                                           bit_length, odd)["total"],
-            n_records * bit_length)
+                                           bit_length)["total"],
+            (n_records - 1) * k)
 
 
 CASES = {
@@ -250,16 +251,14 @@ def test_the_model_entry_is_the_call(protocol, shape, backend_name, pools,
         # the workload's peer_messages_per_query and ciphertexts per
         # direction, which the daemons carry (test_distributed)
         assert (measured.messages, measured.c1_ciphertexts,
-                measured.c2_ciphertexts) == (49, 324, 183)
+                measured.c2_ciphertexts) == (41, 241, 163)
 
 
 @pytest.mark.parametrize("mode", ["basic", "parallel", "sharded", "secure"])
-def test_setup_pools_strand_nothing(mode, monkeypatch):
+def test_setup_pools_strand_nothing(mode):
     """``setup(precompute=q)`` then exactly ``q`` queries: no engine misses,
-    and every factor warmed was drawn — but for SkNN_m's C1 pool, sized at
-    SBD's all-odd bound, which keeps exactly one factor per even mask."""
+    and every factor warmed was drawn."""
     queries, k = 2, 2
-    masks = record_sbd_masks(monkeypatch)
     table = synthetic_uniform(n_records=6, dimensions=2, distance_bits=6,
                               seed=31)
     with SkNNSystem.setup(table, key_size=128, mode=mode, k_default=k,
@@ -269,8 +268,6 @@ def test_setup_pools_strand_nothing(mode, monkeypatch):
             system.query(list(table.records[index].values))
         engines = (system.precompute_engine,
                    system.decryptor_precompute_engine)
-    unflipped = sum(1 - r % 2 for r in masks)
-    for engine, stranded in zip(engines, (unflipped, 0)):
+    for engine in engines:
         assert engine.misses == 0
-        assert engine.offline_encryptions - engine.hits == stranded
-    assert (len(masks) > 0) == (mode == "secure")
+        assert engine.offline_encryptions == engine.hits

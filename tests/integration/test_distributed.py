@@ -209,7 +209,6 @@ class TestTelemetryStitching:
                                  mode="secure")
         assert report.stats.c2_encryptions > 0
         assert report.stats.c2_decryptions > 0
-        assert report.stats.c2_exponentiations > 0
 
         cloud = FederatedCloud.deploy(owner.keypair, rng=Random(38))
         cloud.c1.host_database(owner.encrypt_database())
@@ -221,26 +220,19 @@ class TestTelemetryStitching:
         serial = protocol.last_report.stats
 
         distributed = report.stats
-        # Decryptions and the wire transcript are rng-invariant: exact.
-        assert distributed.total_decryptions == serial.total_decryptions
+        # Every count and the wire transcript are rng-invariant (no SBD,
+        # whose odd masks made C1's counts wiggle): exact, party by party —
+        # both runtimes project ``stats`` from ledger rows attributed the
+        # same way.  C2 raises nothing to a power in SkNN_m.
         assert distributed.messages == serial.messages
         assert distributed.ciphertexts_exchanged == \
             serial.ciphertexts_exchanged
-        # Encryption/exponentiation counts wiggle by a handful of ops with
-        # the protocol's coin flips (SMIN's random functionality choice),
-        # so the parity bar is a tight relative tolerance, not equality.
-        assert distributed.total_encryptions == pytest.approx(
-            serial.total_encryptions, rel=0.02)
-        assert distributed.total_exponentiations == pytest.approx(
-            serial.total_exponentiations, rel=0.02)
-        # Party by party too — both runtimes project ``stats`` from ledger
-        # rows attributed the same way, and the wiggle is all C1's (SBD).
-        assert (distributed.c2_encryptions, distributed.c2_exponentiations) \
-            == (serial.c2_encryptions, serial.c2_exponentiations)
-        assert distributed.c1_encryptions == pytest.approx(
-            serial.c1_encryptions, rel=0.02)
-        assert distributed.c1_exponentiations == pytest.approx(
-            serial.c1_exponentiations, rel=0.02)
+        for party in ("c1", "c2"):
+            for operation in ("encryptions", "exponentiations"):
+                field = f"{party}_{operation}"
+                assert getattr(distributed, field) == getattr(serial, field)
+        assert distributed.total_decryptions == serial.total_decryptions
+        assert distributed.c2_exponentiations == 0
 
     def test_metrics_control_tag_exposes_both_daemons(self, owner, dataset,
                                                       remote):

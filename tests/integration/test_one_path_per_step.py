@@ -1,7 +1,7 @@
 """One implementation per protocol step.
 
 The scalar entry points of SM / SBD / SMIN are the one-item batch, so one
-scalar call is one batched round on the wire (two half-batches in flight
+scalar call is its batched rounds on the wire (two half-batches in flight
 once a round has ``PIPELINE_MIN_ITEMS`` items; the cost-model harness holds
 every call to its counts); and the in-process scan's chunk worker runs
 ``SSED.run_many`` on a worker-local two-party setting, so what its decryptor
@@ -25,7 +25,7 @@ from repro.crypto.backend import get_backend
 from repro.crypto.paillier import PaillierPrivateKey
 from repro.db.knn import LinearScanKNN
 from repro.protocols.base import PIPELINE_MIN_ITEMS
-from repro.protocols.encoding import bits_to_int, encrypt_bits
+from repro.protocols.encoding import bits_to_int
 from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.sm import SecureMultiplication
 from repro.protocols.smin import SecureMinimum
@@ -53,21 +53,23 @@ class TestOneScalarCallIsOneRound:
         decrypt = setting.decryptor.decrypt_signed
         assert bits_to_int([decrypt(bit) for bit in bits]) == 45
 
-    def test_smin_run_is_one_round(self, setting):
-        """One Gamma/L round over the single pair, which is below the
-        split: no secure multiplication runs before it."""
+    def test_smin_run_is_two_rounds(self, setting):
+        """The masked-difference round, then the comparison round, over the
+        single pair, which is below the split: no bit decomposition runs
+        before them."""
         public = setting.public_key
-        enc_u = encrypt_bits(public, 37, BITS)
-        enc_v = encrypt_bits(public, 22, BITS)
+        enc_u, enc_v = public.encrypt(37), public.encrypt(22)
         setting.reset_counters()
-        minimum = SecureMinimum(setting).run(enc_u, enc_v)
+        minimum = SecureMinimum(setting).run(enc_u, enc_v, BITS)
         assert PIPELINE_MIN_ITEMS > 1
         assert [m.tag for m in setting.channel.transcript] == [
-            "SMIN.batch_gamma_and_l", "SMIN.batch_masked_minimums"]
-        [[gamma, entries]] = setting.channel.transcript[0].payload
-        assert (len(gamma), len(entries)) == (BITS, BITS)
-        decrypt = setting.decryptor.decrypt_signed
-        assert bits_to_int([decrypt(bit) for bit in minimum]) == 22
+            "SMIN.batch_masked_differences", "SMIN.batch_difference_bits",
+            "SMIN.batch_comparisons", "SMIN.batch_selected_minimums"]
+        assert setting.channel.transcript[0].payload[0] == BITS
+        [bits] = setting.channel.transcript[1].payload
+        [row] = setting.channel.transcript[2].payload
+        assert (len(bits), len(row)) == (BITS + 1, BITS + 3)
+        assert setting.decryptor.decrypt_signed(minimum) == 22
 
 
 class TestChunkWorkerRunsTheProtocol:

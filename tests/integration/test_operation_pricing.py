@@ -42,7 +42,6 @@ from repro.db.datasets import synthetic_uniform
 from repro.exceptions import CryptoError
 from repro.network.party import TwoPartySetting
 from repro.protocols.base import TwoPartyProtocol
-from repro.protocols.encoding import encrypt_bits
 from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.sbor import SecureBitOr
 from repro.protocols.smin import SecureMinimum
@@ -159,24 +158,22 @@ def deploy_secure(keypair, n_records: int, bit_length: int, seed: int):
 class TestNoTextbookPowersFromTheClouds:
     BITS = 4
 
-    def test_smin_negates_by_one_inversion_per_chunk(self, setting):
+    def test_smin_negates_by_one_inversion_per_round(self, setting):
         public = setting.public_key
-        u_bits = encrypt_bits(public, 9, self.BITS)
-        v_bits = encrypt_bits(public, 6, self.BITS)
+        enc_u, enc_v = public.encrypt(9), public.encrypt(6)
         protocol = SecureMinimum(setting)
         with spying(public, setting.decryptor.private_key) as spy:
             setting.reset_counters()
-            minimum = protocol.run(u_bits, v_bits)
+            minimum = protocol.run(enc_u, enc_v, self.BITS)
         assert spy.textbook(public) == []
-        # every bit negates max_i once (d_i and Gamma_i share it), all in
-        # the one inversion; the marker's cubes never reach the backend.
-        assert spy.inverts == [public.nsquare]
-        assert spy.batch_sizes == [self.BITS]
+        # round 1 negates y; round 2 inverts the top bit when c = 1; the
+        # marker's cubes never reach the backend.
+        assert spy.inverts == [public.nsquare] * len(spy.batch_sizes)
+        assert spy.batch_sizes[0] == 1 and spy.batch_sizes[1:] in ([], [1])
         assert 3 not in [exponent for exponent, _ in spy.powmods]
-        # ... and the negation is still counted
+        # ... and the negations are counted
         assert counted(setting) == as_counts(smin_cost(self.BITS).total)
-        assert [setting.decryptor.decrypt_signed(bit) for bit in minimum] \
-            == [0, 1, 1, 0]
+        assert setting.decryptor.decrypt_signed(minimum) == 6
 
     @pytest.mark.parametrize("values, chunks", [
         (((9, 6), (3, 3), (0, 15)), [3]),
@@ -185,14 +182,16 @@ class TestNoTextbookPowersFromTheClouds:
     def test_smin_batch_inverts_once_per_chunk_of_pairs(self, setting,
                                                         values, chunks):
         public = setting.public_key
-        pairs = [(encrypt_bits(public, u, self.BITS),
-                  encrypt_bits(public, v, self.BITS)) for u, v in values]
+        pairs = [(public.encrypt(u), public.encrypt(v)) for u, v in values]
         with spying(public, setting.decryptor.private_key) as spy:
             setting.reset_counters()
-            SecureMinimum(setting).run_batch(pairs)
+            SecureMinimum(setting).run_batch(pairs, self.BITS)
         assert spy.textbook(public) == []
-        assert spy.inverts == [public.nsquare] * len(chunks)
-        assert spy.batch_sizes == [self.BITS * size for size in chunks]
+        assert spy.inverts == [public.nsquare] * len(spy.batch_sizes)
+        # round 1: every y of a chunk in one inversion; round 2: at most
+        # one more per chunk, for the flipped top bits
+        assert spy.batch_sizes[:len(chunks)] == chunks
+        assert len(spy.batch_sizes) <= 2 * len(chunks)
         assert counted(setting) == as_counts(smin_cost(self.BITS).total,
                                              len(pairs))
 
@@ -227,9 +226,9 @@ class TestNoTextbookPowersFromTheClouds:
         assert spy.textbook(small_keypair.public_key) == []
         # no negation of a query is on its own: one inversion per batch
         assert len(spy.inverts) == len(spy.batch_sizes)
-        # at least SMIN_n's share: k tournaments of n - 1 pairs, each bit
-        # negating its max_i once
-        assert sum(spy.batch_sizes) >= k * (n_records - 1) * self.BITS
+        # at least SMIN_n's share: k tournaments of n - 1 pairs, each
+        # negating its y once
+        assert sum(spy.batch_sizes) >= k * (n_records - 1)
         assert_valid_knn_answer(table, query, k, client.reconstruct(shares))
 
 

@@ -89,7 +89,8 @@ class TestBasicProtocolLeakage:
 class TestSecureProtocolHiding:
     def test_no_plaintext_distance_ever_on_the_wire(self, security_table,
                                                     small_keypair):
-        """In SkNN_m every payload is ciphertexts (no plaintext index lists)."""
+        """In SkNN_m every payload is ciphertexts (no plaintext index lists)
+        but for public metadata: the delivery id and SMIN's bit length."""
         cloud, client = deploy(security_table, small_keypair, seed=310)
         protocol = SkNNSecure(cloud, distance_bits=7)
         protocol.run(client.encrypt_query([2, 5]), 2)
@@ -112,6 +113,13 @@ class TestSecureProtocolHiding:
                 # record contents must still be ciphertexts only.
                 delivery_id, payload = payload
                 assert isinstance(delivery_id, int)
+            if message.tag == "SMIN.batch_masked_differences":
+                # [L, masked differences]: L is the comparison's public bit
+                # length — l in the first iteration, l + 1 after it — which
+                # C2 needs to return z's low bits; the values are
+                # ciphertexts only.
+                bit_length, payload = payload
+                assert bit_length in (7, 8)
             assert not contains_plain_int(payload)
 
     def test_c2_minimum_localisation_values_look_random(self, security_table,

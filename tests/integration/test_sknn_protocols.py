@@ -10,6 +10,7 @@ from repro.core.cloud import FederatedCloud
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_secure import SkNNSecure
+from repro.core.system import SkNNSystem
 from repro.crypto.backend import available_backends, set_backend
 from repro.db.datasets import synthetic_uniform
 from repro.db.knn import LinearScanKNN
@@ -156,6 +157,28 @@ class TestSkNNSecureCorrectness:
                 protocol.run(client.encrypt_query(query), len(rows)))
             assert neighbors == [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)]
             assert_valid_knn_answer(table, query, len(rows), neighbors)
+
+    @pytest.mark.parametrize("pools", ["off", "warm"])
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_one_attribute_odd_n_ties_at_both_ends_of_the_domain(
+            self, backend_name, pools):
+        """m = 1, odd n, duplicates tied at distance 0 and at 2**l - 1 = 1:
+        SMIN compares 1-bit values, then 2-bit ones with the flag; k = 1
+        and k = n, pools off and warm."""
+        rows = [[0], [1], [1], [0], [1]]
+        table = Table.from_rows(Schema.uniform(1, 1), rows)
+        set_backend(backend_name)
+        try:
+            with SkNNSystem.setup(
+                    table, key_size=128, mode="secure", k_default=len(rows),
+                    rng=Random(7),
+                    precompute=2 if pools == "warm" else 0) as system:
+                assert system.distance_bits == 1
+                for k in (1, len(rows)):
+                    neighbors = system.query([0], k)
+                    assert_valid_knn_answer(table, [0], k, neighbors)
+        finally:
+            set_backend(None)
 
     def test_report_and_counters(self, small_table, small_keypair):
         cloud, client = build_deployment(small_table, small_keypair, seed=85)

@@ -30,7 +30,6 @@ from repro.crypto.backend import available_backends, set_backend
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.network.party import TwoPartySetting
 from repro.protocols import base
-from repro.protocols.encoding import encrypt_bits
 from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.sm import SecureMultiplication
 from repro.protocols.smin import SecureMinimum
@@ -82,11 +81,8 @@ def smin_case(setting, values):
     public = setting.public_key
     pairs = [(value, (value * 7 + 3) % (1 << BITS)) for value in values]
     minimums = SecureMinimum(setting).run_batch(
-        [(encrypt_bits(public, u, BITS), encrypt_bits(public, v, BITS))
-         for u, v in pairs])
-    return ([bit for bits in minimums for bit in bits],
-            [int(bit) for u, v in pairs
-             for bit in format(min(u, v), f"0{BITS}b")],
+        [(public.encrypt(u), public.encrypt(v)) for u, v in pairs], BITS)
+    return (minimums, [min(u, v) for u, v in pairs],
             smin_cost(BITS, len(values)).messages)
 
 

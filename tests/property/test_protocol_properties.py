@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.protocols.encoding import decrypt_bits, encrypt_bits
+from repro.protocols.encoding import decrypt_bits
 from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.sbor import SecureBitOr
 from repro.protocols.smin import SecureMinimum
@@ -64,9 +64,9 @@ def test_smin_selects_minimum(u, v):
     setting = cached_setting()
     keypair = cached_keypair()
     result = SecureMinimum(setting).run(
-        encrypt_bits(setting.public_key, u, BIT_LENGTH),
-        encrypt_bits(setting.public_key, v, BIT_LENGTH))
-    assert decrypt_bits(keypair.private_key, result) == min(u, v)
+        setting.public_key.encrypt(u), setting.public_key.encrypt(v),
+        BIT_LENGTH)
+    assert keypair.private_key.decrypt(result) == min(u, v)
 
 
 @settings(max_examples=8)
@@ -75,8 +75,8 @@ def test_sminn_selects_global_minimum(values):
     setting = cached_setting()
     keypair = cached_keypair()
     result = SecureMinimumOfN(setting).run(
-        [encrypt_bits(setting.public_key, v, BIT_LENGTH) for v in values])
-    assert decrypt_bits(keypair.private_key, result) == min(values)
+        setting.public_key.encrypt_batch(values), BIT_LENGTH)
+    assert keypair.private_key.decrypt(result) == min(values)
 
 
 @given(a=st.integers(min_value=0, max_value=1),
@@ -96,10 +96,9 @@ def test_smin_is_commutative(u, v):
     setting = cached_setting()
     keypair = cached_keypair()
     protocol = SecureMinimum(setting)
-    first = decrypt_bits(keypair.private_key, protocol.run(
-        encrypt_bits(setting.public_key, u, BIT_LENGTH),
-        encrypt_bits(setting.public_key, v, BIT_LENGTH)))
-    second = decrypt_bits(keypair.private_key, protocol.run(
-        encrypt_bits(setting.public_key, v, BIT_LENGTH),
-        encrypt_bits(setting.public_key, u, BIT_LENGTH)))
+    public = setting.public_key
+    first = keypair.private_key.decrypt(protocol.run(
+        public.encrypt(u), public.encrypt(v), BIT_LENGTH))
+    second = keypair.private_key.decrypt(protocol.run(
+        public.encrypt(v), public.encrypt(u), BIT_LENGTH))
     assert first == second == min(u, v)

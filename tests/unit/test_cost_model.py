@@ -57,12 +57,13 @@ class TestSubProtocolFormulas:
             6 * per_bit)
 
     def test_smin_counts_per_bit(self):
-        """2 encryptions, 1 decryption, 5 exponentiations per bit, plus Z
-        and E(alpha): no secure multiplication and one L entry per bit."""
+        """2 encryptions, 1 decryption, 2 exponentiations per bit, plus 7
+        encryptions, 2 decryptions and 2 exponentiations: no secure
+        multiplication, no bit decomposition and one entry per bit."""
         for bit_length in (1, 6, 7):
             assert smin_cost(bit_length).total == OperationCounts(
-                2 * bit_length + 2, bit_length, 5 * bit_length)
-        assert smin_cost(6).total.total == 8 * 6 + 2
+                2 * bit_length + 7, bit_length + 2, 2 * bit_length + 2)
+        assert smin_cost(6).total.total == 5 * 6 + 11
 
     def test_sminn_is_n_minus_one_smins(self):
         assert sminn_cost(10, 6).total.total == pytest.approx(9 * smin_cost(6).total.total)
@@ -120,14 +121,14 @@ class TestQueryProtocolFormulas:
         secure = sknn_secure_counts(2000, 6, 5, 6, textbook=True).total
         assert secure / basic > 10
 
-    def test_implemented_sknnm_is_about_nine_times_textbook_sknnb(self):
-        """Without its secure multiplications and SMIN's second L entry per
-        bit the implemented SkNN_m is about 8.6x the textbook SkNN_b at
-        Figure 2(f)'s k = 5."""
+    def test_implemented_sknnm_is_about_seven_times_textbook_sknnb(self):
+        """Without its secure multiplications and bit decompositions the
+        implemented SkNN_m is about 6.8x the textbook SkNN_b at Figure
+        2(f)'s k = 5."""
         basic = sknn_basic_counts(2000, 6, 5).total
         secure = sknn_secure_counts(2000, 6, 5, 6).total
-        assert secure == 841848
-        assert secure / basic == pytest.approx(8.59, abs=0.01)
+        assert secure == 665871
+        assert secure / basic == pytest.approx(6.79, abs=0.01)
 
     def test_textbook_sknnm_prices_the_printed_protocol(self):
         """SSED per record, the printed SMIN (17l + 2), extraction by n*m
@@ -153,15 +154,16 @@ class TestQueryProtocolFormulas:
         breakdown = sknn_secure_breakdown(8, 3, 2, 6)
         assert breakdown["elimination"] == OperationCounts()
         assert breakdown["sminn"] == sminn_cost(8, 6).total + sminn_cost(8, 7).total
-        # recompose l, then l + 1 bits; 2n per iteration; n flag scalings
+        # n fresh zeros and n indicator bits, 2n powers per iteration; n
+        # flag scalings
         assert breakdown["localisation"] == OperationCounts(
-            encryptions=16, decryptions=16, exponentiations=32 + 6 + 7 + 8)
+            encryptions=16 + 16, decryptions=16, exponentiations=32 + 8)
         # extraction: n*m C1 masks and strips, m C2 zeros per iteration
         assert breakdown["extraction"] == OperationCounts(
             encryptions=2 * (24 + 3), exponentiations=2 * 24)
         # secure_dist_k512's shape
-        assert breakdown["total"] == OperationCounts(438, 185, 703)
-        assert breakdown["total"].total == 1326
+        assert breakdown["total"] == OperationCounts(404, 165, 325)
+        assert breakdown["total"].total == 894
 
     def test_sminn_share_increases_with_k(self):
         """Section 5.2: the SMIN_n share of SkNN_m grows as k grows."""
@@ -187,15 +189,15 @@ class TestPerPartyEntries:
             encryptions=40, decryptions=30, exponentiations=33)
 
     def test_smin_per_party(self):
-        """C1: l rhat masks and Z, four counted powers per bit; C2: alpha
-        and l zeros, l decryptions and l powers.  Gamma and L out, M' and
-        E(alpha) back."""
+        """C1: the mask, L + 1 zeros and two selection masks, 2L + 2
+        counted powers per pair; C2: L + 1 bits, E(t) and a zero, L + 2
+        decryptions.  E(z) out, the bits back; the entries, top bit and
+        candidates out, the selection and E(t) back."""
         assert smin_cost(6, pairs=3) == ProtocolCost(
-            c1=OperationCounts(encryptions=21, exponentiations=72),
-            c2=OperationCounts(encryptions=21, decryptions=18,
-                               exponentiations=18),
-            messages=2, c1_ciphertexts=36, c2_ciphertexts=21)
-        assert smin_cost(6, pairs=4).messages == 4
+            c1=OperationCounts(encryptions=30, exponentiations=42),
+            c2=OperationCounts(encryptions=27, decryptions=24),
+            messages=4, c1_ciphertexts=30, c2_ciphertexts=27)
+        assert smin_cost(6, pairs=4).messages == 8
 
     def test_sbd_odd_masks_are_c1s_only_random_term(self):
         assert sbd_cost(6, values=2, odd_masks=5) == ProtocolCost(
@@ -205,8 +207,8 @@ class TestPerPartyEntries:
         assert sbd_cost(6, values=2).total == sbd_counts(6) * 2
         assert sbd_counts(6) == OperationCounts(15, 6, 15)
 
-    def test_sminn_is_one_round_per_tournament_level(self):
-        assert sminn_cost(8, 6).messages == 4 + 2 + 2
+    def test_sminn_is_two_rounds_per_tournament_level(self):
+        assert sminn_cost(8, 6).messages == 2 * (4 + 2 + 2)
         assert sminn_cost(1, 6) == ProtocolCost()
 
     def test_sknn_basic_per_party(self):
@@ -219,18 +221,20 @@ class TestPerPartyEntries:
             c2_ciphertexts=n)
 
     def test_secure_dist_k512_shape(self):
-        """secure_dist_k512's query: 49 peer messages, 324 ciphertexts
-        C1 -> C2 and 183 back; C1 encrypts 231 plus one per odd SBD mask."""
-        total = sknn_secure_phases(8, 3, 2, 6, odd_masks=0)["total"]
+        """secure_dist_k512's query: 41 peer messages, 241 ciphertexts
+        C1 -> C2 and 163 back; C1 encrypts 241, C2 163.  No SBD phase."""
+        phases = sknn_secure_phases(8, 3, 2, 6)
+        assert "sbd" not in phases
+        total = phases["total"]
         assert (total.messages, total.c1_ciphertexts,
-                total.c2_ciphertexts) == (49, 324, 183)
-        assert (total.c1.encryptions, total.c2.encryptions) == (231, 183)
+                total.c2_ciphertexts) == (41, 241, 163)
+        assert (total.c1.encryptions, total.c2.encryptions) == (241, 163)
 
     def test_pool_targets(self):
         # basic_warm_k1024: n=16, m=3, k=2, 11 queries
         assert pool_targets(16, 3, 2, queries=11) == (594, 176)
-        # SkNN_m at SBD's all-odd bound: 231 + 48
-        assert pool_targets(8, 3, 2, queries=1, bit_length=6) == (279, 183)
+        # SkNN_m: its encryptions, no random term
+        assert pool_targets(8, 3, 2, queries=1, bit_length=6) == (241, 163)
         # chunk workers encrypt the scan with C1's slices
         assert pool_targets(10, 3, 2, queries=2, worker_scan=True) == (92, 0)
 

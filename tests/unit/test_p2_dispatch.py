@@ -21,12 +21,12 @@ from repro.protocols.sm import SecureMultiplication
 from repro.protocols.smin import SecureMinimum
 from repro.transport.daemon import ShareMailbox
 
-#: every tag the SM/SSED/SBD/SMIN/SMIN_n/SkNN drivers send toward C2 —
+#: every tag the SSED/SMIN/SMIN_n/SkNN drivers send toward C2 —
 #: each MUST resolve to a handler on the C2 daemon or the driver deadlocks.
 EXPECTED_SECURE_TAGS = {
     "SSED.masked_differences",
-    "SBD.batch_masked_values",
-    "SMIN.batch_gamma_and_l",
+    "SMIN.batch_masked_differences",
+    "SMIN.batch_comparisons",
     "SkNNm.randomized_differences",
     "SkNN.masked_results",
 }
@@ -105,12 +105,19 @@ class TestHardenedHandlers:
         (lambda setting: SecureBitDecomposition(setting, 6),
          "SBD.batch_masked_values", [
             lambda c: {"values": [c]}, lambda c: [[c]], lambda c: []]),
-        (SecureMinimum, "SMIN.batch_gamma_and_l", [
-            lambda c: [[1, 2]],                 # ints, not vectors
-            lambda c: [[[c, c]]],               # a pair of one
-            lambda c: [[[c, c], [c]]],          # L narrower than Gamma
-            lambda c: [[[c, c], [c, c, c, c]]],  # L wider than Gamma
-            lambda c: [[[c, c], [c, c]], [[c], [c]]],  # ragged across pairs
+        (SecureMinimum, "SMIN.batch_masked_differences", [
+            lambda c: [c],                      # no bit length
+            lambda c: [0, [c]],                 # L = 0
+            lambda c: [True, [c]],              # a bool for L
+            lambda c: ["3", [c]],               # a str for L
+            lambda c: [4096, [c]],              # z could not fit below N
+            lambda c: [3, [c, 7]],              # an int among ciphertexts
+            lambda c: [3, []]]),
+        (SecureMinimum, "SMIN.batch_comparisons", [
+            lambda c: [[c, c, c]],              # no entry: L = 0
+            lambda c: [[c, c, c, c], [c, c, c]],  # ragged across pairs
+            lambda c: [[c, c, c, 7]],           # an int among ciphertexts
+            lambda c: [c, c, c, c],             # not rows
             lambda c: []]),
     ])
     def test_malformed_batch_fails_typed_before_any_decryption(

@@ -200,16 +200,21 @@ class TestMalformedPeerFrames:
 
     @pytest.mark.parametrize("tag, build, refusal", [
         # the hardened sub-protocol handlers: refused before decryption
-        ("SBD.batch_masked_values", lambda c: "parities, please",
-         "SBD: malformed masked-value batch"),
-        ("SMIN.batch_gamma_and_l", lambda c: [[1, 2]],
-         "SMIN: malformed gamma-and-L batch"),
-        ("SMIN.batch_gamma_and_l",
-         lambda c: [[[c], [c, c]], [[c, c], [c, c, c, c]]],
-         "SMIN: malformed gamma-and-L batch"),
-        # L must be exactly Gamma's width
-        ("SMIN.batch_gamma_and_l", lambda c: [[[c, c], [c, c, c, c]]],
-         "SMIN: malformed gamma-and-L batch"),
+        ("SMIN.batch_masked_differences", lambda c: "bits, please",
+         "SMIN: malformed masked-difference batch"),
+        # [L, masked differences], L an int the key has room for
+        ("SMIN.batch_masked_differences", lambda c: ["6", [c]],
+         "SMIN: malformed masked-difference batch"),
+        ("SMIN.batch_masked_differences", lambda c: [6, [c, 7]],
+         "SMIN: malformed masked-difference batch"),
+        # rows of L entries, the top bit and two candidates, one width
+        ("SMIN.batch_comparisons", lambda c: [[1, 2]],
+         "SMIN: malformed comparison batch"),
+        ("SMIN.batch_comparisons",
+         lambda c: [[c, c, c, c], [c, c, c, c, c]],
+         "SMIN: malformed comparison batch"),
+        ("SMIN.batch_comparisons", lambda c: [[c, c, c]],
+         "SMIN: malformed comparison batch"),
         # SkNN_m's zero search: [beta of n, n rows of m ciphertexts]
         ("SkNNm.randomized_differences", lambda c: {"beta": c},
          "SkNNm: malformed randomized-difference batch"),

@@ -9,7 +9,6 @@ from random import Random
 import pytest
 
 from repro.crypto.precompute import (
-    MASK_NONZERO,
     MASK_SBD,
     MASK_ZN,
     PrecomputeConfig,
@@ -77,7 +76,7 @@ class TestPooledDraws:
     def test_mask_tuples_decrypt_to_their_value(self, public_key, private_key):
         engine = make_engine(public_key)
         engine.warm()
-        for kind in (MASK_ZN, MASK_NONZERO, MASK_SBD):
+        for kind in (MASK_ZN, MASK_SBD):
             [(r, enc_r)] = engine.take_masks(1, kind,
                                              sbd_upper=sbd_upper(public_key))
             assert private_key.raw_decrypt(enc_r.value) == r
@@ -90,7 +89,6 @@ class TestPooledDraws:
         engine.refill(budget=warmed)
         upper = sbd_upper(public_key)
         for kind, (low, high) in {MASK_ZN: (0, public_key.n),
-                                  MASK_NONZERO: (1, public_key.n),
                                   MASK_SBD: (0, upper)}.items():
             assert mask_range(kind, public_key.n, upper) == (low, high)
             for r, _ in engine.take_masks(4, kind, sbd_upper=upper):

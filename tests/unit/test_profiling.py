@@ -409,7 +409,7 @@ def test_sknn_secure_cost_breakdown(serial_system):
                              distance_bits=7)
     assert_cost_invariants(
         protocol.last_report,
-        {"scan", "decompose", "select", "extract", "eliminate", "deliver"})
+        {"scan", "select", "extract", "eliminate", "deliver"})
     reset_registry()
 
 

@@ -92,7 +92,8 @@ class TestPipelinedRound:
         return replies
 
     @pytest.mark.parametrize("case", ["SM", "SM-square", "SSED", "SBD",
-                                      "SMIN-alpha", "SMIN-row", "SMIN-bit"])
+                                      "SMIN-bits", "SMIN-bit",
+                                      "SMIN-selection", "SMIN-t"])
     def test_a_short_second_reply_fails_typed_in_its_own_chunk(
             self, setting, case):
         """With two replies in flight a dropped ciphertext must not
@@ -120,16 +121,16 @@ class TestPipelinedRound:
             "SBD": (lambda s: SecureBitDecomposition(s, 3),
                     "SBD.batch_masked_parities", drop_last,
                     lambda p: p.run_batch(values)),
-            "SMIN-alpha": (SecureMinimum, "SMIN.batch_masked_minimums",
-                           lambda reply: [reply[0], reply[1][:-1]],
-                           lambda p: p.run_batch(pairs)),
-            "SMIN-row": (SecureMinimum, "SMIN.batch_masked_minimums",
-                         lambda reply: [reply[0][:-1], reply[1]],
+            "SMIN-bits": (SecureMinimum, "SMIN.batch_difference_bits",
+                          drop_last, lambda p: p.run_batch(pairs)),
+            "SMIN-bit": (SecureMinimum, "SMIN.batch_difference_bits",
+                         lambda reply: [row[:-1] for row in reply],
                          lambda p: p.run_batch(pairs)),
-            "SMIN-bit": (SecureMinimum, "SMIN.batch_masked_minimums",
-                         lambda reply: [[row[:-1] for row in reply[0]],
-                                        reply[1]],
-                         lambda p: p.run_batch(pairs)),
+            "SMIN-selection": (SecureMinimum, "SMIN.batch_selected_minimums",
+                               drop_last, lambda p: p.run_batch(pairs)),
+            "SMIN-t": (SecureMinimum, "SMIN.batch_selected_minimums",
+                       lambda reply: [row[:-1] for row in reply],
+                       lambda p: p.run_batch(pairs)),
         }[case]
         replies = self.short_second_reply(setting, reply_tag, shorten)
         instance = protocol(setting)

@@ -28,6 +28,7 @@ from repro.resilience import (
     retry_call,
     wait_until_healthy,
 )
+from repro.resilience.chaos import _ProxyLink
 from repro.telemetry import metrics as telemetry_metrics
 from repro.transport.daemon import C2Daemon, ShareMailbox
 from repro.transport.framing import deadline_at, recv_frame, send_frame
@@ -617,6 +618,19 @@ class TestChaosProxy:
                                   deadline=deadline_at(5.0)) == b"again"
             finally:
                 retry.close()
+        server.close()
+
+    def test_a_pump_whose_socket_died_ends_quietly(self):
+        """A severed link makes the pump's read fail; the pump catches it
+        and closes its link instead of dying on a ``NameError`` raised by
+        its own ``except`` clause."""
+        server = _EchoServer()
+        with ChaosProxy(server.address) as proxy:
+            source, destination = socket.socketpair()
+            source.close()
+            proxy._pump(_ProxyLink(source, destination), "forward", source,
+                        destination)
+            assert destination.fileno() == -1
         server.close()
 
     def test_corrupt_flips_bytes(self):

@@ -69,10 +69,15 @@ class TestProtocolPayloadShapes:
                              public_key)
         self.assert_identity([], public_key)
 
-    def test_smin_gamma_and_l(self, public_key):
-        # SMIN.batch_gamma_and_l: [[gamma_vec, l_vec], ...] nesting
-        vec = [public_key.encrypt(v) for v in (1, 0)]
-        self.assert_identity([[vec, vec], [vec, vec]], public_key)
+    def test_smin_masked_differences(self, public_key):
+        # SMIN.batch_masked_differences: [L, [ct, ...]]
+        self.assert_identity([6, [public_key.encrypt(v) for v in (1, 0)]],
+                             public_key)
+
+    def test_smin_comparisons(self, public_key):
+        # SMIN.batch_comparisons: one row of L + 3 ciphertexts per pair
+        row = [public_key.encrypt(v) for v in (1, 0, 1, 0)]
+        self.assert_identity([row, row], public_key)
 
     def test_sknnb_distances(self, public_key):
         # SkNNb.encrypted_distances: [k, [(index, ct), ...]] with tuples
