@@ -350,11 +350,14 @@ def _run_query(args: argparse.Namespace) -> int:
 def _run_query_connected(args: argparse.Namespace, table, query) -> int:
     """Provision a running daemon pair and answer one query over TCP."""
     from repro.core.roles import DataOwner, QueryClient
+    from repro.core.sknn_secure import check_query_domain
     from repro.resilience import RetryPolicy
     from repro.transport.client import RemoteCloud
     from repro.transport.daemon import parse_address
 
     protocol_mode = args.mode if args.mode in ("basic", "secure") else "secure"
+    if protocol_mode == "secure":
+        check_query_domain(table.schema, query)
     owner = DataOwner(table, key_size=args.key_size, rng=Random(args.seed + 2))
     client = QueryClient(owner.public_key, table.dimensions,
                          rng=Random(args.seed + 3))

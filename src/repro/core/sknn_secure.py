@@ -61,11 +61,31 @@ from repro.core.roles import ResultShares
 from repro.core.sknn_base import SkNNProtocol
 from repro.crypto.paillier import Ciphertext
 from repro.db.schema import Schema
-from repro.exceptions import ProtocolError
+from repro.exceptions import (ConfigurationError, ProtocolError, QueryError,
+                               SchemaError)
+from repro.protocols.smin import SecureMinimum
 from repro.protocols.sminn import SecureMinimumOfN
 from repro.telemetry import profiling as _profiling
 
-__all__ = ["SkNNSecure"]
+__all__ = ["SkNNSecure", "check_query_domain"]
+
+
+def check_query_domain(schema: Schema, query: Sequence[int]) -> None:
+    """Refuse a plaintext query outside ``schema``'s value ranges.
+
+    SkNN_m sizes ``l`` from the schema and compares squared distances as
+    ``l``-bit integers; a query attribute beyond its range can put a
+    distance at ``2**l`` or above, where the comparison is wrong and a wrong
+    neighbour comes back with no error.  Only Bob holds the plaintext query,
+    so it is checked on Bob's side, before it is encrypted.
+
+    Raises:
+        QueryError: the query has the wrong arity or a value out of range.
+    """
+    try:
+        schema.validate_record(query)
+    except SchemaError as error:
+        raise QueryError(f"query outside the schema: {error}") from error
 
 
 class SkNNSecure(SkNNProtocol):
@@ -89,6 +109,12 @@ class SkNNSecure(SkNNProtocol):
         super().__init__(cloud, feature_dimensions=feature_dimensions)
         if distance_bits <= 0:
             raise ProtocolError("distance_bits must be positive")
+        key_size = cloud.setting.public_key.key_size
+        if not SecureMinimum.marker_fits(distance_bits + 1, key_size):
+            raise ConfigurationError(
+                f"distance_bits={distance_bits} is too wide for a {key_size}-"
+                f"bit key: SMIN compares l + 1 = {distance_bits + 1} bits, "
+                f"which needs 3^(l+2) < 2^(K/2-1)")
         self.distance_bits = distance_bits
         setting = cloud.setting
         self._sminn = SecureMinimumOfN(setting)
@@ -108,11 +134,9 @@ class SkNNSecure(SkNNProtocol):
         c1 = self.cloud.c1
         n = len(self.encrypted_table)
         # SMIN compares l-bit integers: a larger distance would be compared
-        # modulo 2^(l+1) and select a wrong minimum without a trace.
-        schema = self.encrypted_table.schema
-        required = Schema(schema.attributes[:self.feature_dimensions
-                                            or schema.dimensions]
-                          ).distance_bit_length()
+        # wrongly and select a wrong minimum without a trace.
+        required = self.encrypted_table.schema.distance_bit_length(
+            self.feature_dimensions)
         self.require(required <= self.distance_bits,
                      f"distance_bits={self.distance_bits} cannot hold the "
                      f"squared distances of this schema, which need "

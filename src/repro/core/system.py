@@ -39,7 +39,7 @@ from repro.core.parallel import ParallelSkNNBasic, ShardedCloud
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_base import SkNNRunReport
 from repro.core.sknn_basic import SkNNBasic
-from repro.core.sknn_secure import SkNNSecure
+from repro.core.sknn_secure import SkNNSecure, check_query_domain
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.db.table import Table
 from repro.exceptions import ConfigurationError, QueryError
@@ -292,6 +292,9 @@ class SkNNSystem:
         mode, built by the protocol's one instrumented runner.
         """
         k = self._resolve_k(k)
+        if self.mode in ("secure", "distributed"):
+            # SkNN_m's l holds the schema's distances, not a query's beyond it
+            check_query_domain(self.owner.table.schema, query_record)
         encrypted_query = self.client.encrypt_query(query_record)
 
         shares = self._protocol.run_with_report(

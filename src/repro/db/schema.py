@@ -133,15 +133,17 @@ class Schema:
         for attribute, value in zip(self.attributes, values):
             attribute.validate(value)
 
-    def max_squared_distance(self) -> int:
-        """Largest possible squared Euclidean distance between two records."""
+    def max_squared_distance(self, dimensions: int | None = None) -> int:
+        """Largest possible squared Euclidean distance between two records,
+        over the leading ``dimensions`` attributes (all by default)."""
         return sum((attribute.maximum - attribute.minimum) ** 2
-                   for attribute in self.attributes)
+                   for attribute in self.attributes[:dimensions])
 
-    def distance_bit_length(self) -> int:
+    def distance_bit_length(self, dimensions: int | None = None) -> int:
         """The paper's parameter ``l``: bits needed for any squared distance.
 
         Chosen as the bit length of the maximum squared distance so every
-        distance fits in ``[0, 2**l)``.
+        distance fits in ``[0, 2**l)`` — over the leading ``dimensions``
+        attributes when given (the distance skips trailing label columns).
         """
-        return max(self.max_squared_distance().bit_length(), 1)
+        return max(self.max_squared_distance(dimensions).bit_length(), 1)

@@ -35,7 +35,7 @@ from typing import Literal, Sequence
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_basic import SkNNBasic
-from repro.core.sknn_secure import SkNNSecure
+from repro.core.sknn_secure import SkNNSecure, check_query_domain
 from repro.db.schema import Schema
 from repro.db.table import Record, Table
 from repro.exceptions import ConfigurationError, QueryError
@@ -98,9 +98,9 @@ class SecureKNNClassifier:
         self._reordered = _move_label_last(table, label_column)
         self.feature_count = self._reordered.dimensions - 1
 
-        feature_schema = Schema(self._reordered.schema.attributes[:-1])
+        self._feature_schema = Schema(self._reordered.schema.attributes[:-1])
         self.distance_bits = (distance_bits if distance_bits is not None
-                              else feature_schema.distance_bit_length())
+                              else self._feature_schema.distance_bit_length())
 
         owner = DataOwner(self._reordered, key_size=key_size, rng=rng)
         self._cloud: FederatedCloud = FederatedCloud.deploy(owner.keypair, rng=rng)
@@ -124,6 +124,8 @@ class SecureKNNClassifier:
                 f"query has {len(features)} features, classifier expects "
                 f"{self.feature_count}"
             )
+        if self.mode == "secure":
+            check_query_domain(self._feature_schema, features)
         encrypted_query = self._client.encrypt_query(list(features))
         shares = self._protocol.run(encrypted_query, k)
         neighbors = self._client.reconstruct(shares)

@@ -285,7 +285,8 @@ class TwoPartyProtocol(P2StepDispatcher):
         P1's second send.  ``meanwhile()``, when given, is P1's work that
         needs nothing from this round's replies (the next round's fresh
         encryptions): it runs after the last send and before the first
-        receive, while C2 answers.
+        receive, so over sockets it overlaps C2's answer; over the
+        in-memory channel C2 has already answered and it overlaps nothing.
         """
         if not items:
             return []

@@ -60,7 +60,8 @@ c)``.
 
 The marker's non-zero ``P_{i+1} + s`` must be units for the entries to be
 uniform: the protocol requires ``3**(L+1) < 2**(K/2 - 1)``, below either
-prime of ``N`` (``L <= 38`` at K=128, ``L <= 159`` at K=512).
+prime of ``N`` (``L <= 38`` at K=128, ``L <= 79`` at K=256, ``L <= 159`` at
+K=512; :meth:`SecureMinimum.marker_fits`).
 
 Per pair P1 pays ``L + 4`` encryptions — the mask (one ``take_masks``
 batch per chunk of round 1), ``L + 1`` zeros and the two selection masks
@@ -91,6 +92,13 @@ class SecureMinimum(TwoPartyProtocol):
         "SMIN.batch_masked_differences": "_p2_bits_of_masked_differences",
         "SMIN.batch_comparisons": "_p2_select_minimums",
     }
+
+    @staticmethod
+    def marker_fits(bit_length: int, key_size: int) -> bool:
+        """Whether ``L``-bit values can be compared under a ``K``-bit key:
+        ``3**(L+1) < 2**(K/2 - 1)``, so every non-zero ``P_{i+1} + s`` is a
+        unit."""
+        return 3 ** (bit_length + 1) < 1 << (key_size // 2 - 1)
 
     @traced_round("run")
     def run(self, enc_u: Ciphertext | Sequence[Ciphertext],
@@ -157,7 +165,7 @@ class SecureMinimum(TwoPartyProtocol):
             return []
         values, bit_length = self.encrypted_integers(
             [operand for pair in pairs for operand in pair], bit_length)
-        self.require(3 ** (bit_length + 1) < 1 << (self.pk.key_size // 2 - 1),
+        self.require(self.marker_fits(bit_length, self.pk.key_size),
                      f"{bit_length}-bit values need 3^(L+1) < 2^(K/2-1) "
                      f"for the marker, K={self.pk.key_size}")
         n = self.pk.n

@@ -180,6 +180,24 @@ class TestSkNNSecureCorrectness:
         finally:
             set_backend(None)
 
+    @pytest.mark.parametrize("mode", ["secure", "basic"])
+    def test_a_query_beyond_the_schema_is_refused_by_sknn_m(self, mode):
+        """``l = 4`` holds every distance of the schema, not the query
+        ``[5]``'s 25 and 4: bit 4 of ``25 - 4 + 2**4`` is clear, so SMIN
+        would call 25 the smaller and answer ``(0,)``.  SkNN_m refuses the
+        query, SkNN_b (it decrypts the distances) answers it.  A query at
+        the maximum is answered by both."""
+        table = Table.from_rows(Schema.uniform(1, 3), [[0], [3]])
+        with SkNNSystem.setup(table, key_size=128, mode=mode,
+                              rng=Random(11)) as system:
+            assert system.distance_bits == 4
+            if mode == "secure":
+                with pytest.raises(QueryError, match="outside the schema"):
+                    system.query([5], 1)
+            else:
+                assert system.query([5], 1) == [(3,)]
+            assert system.query([3], 1) == [(3,)]
+
     def test_report_and_counters(self, small_table, small_keypair):
         cloud, client = build_deployment(small_table, small_keypair, seed=85)
         protocol = SkNNSecure(cloud, distance_bits=8)

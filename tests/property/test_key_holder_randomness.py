@@ -7,22 +7,17 @@ ciphertexts has the same combination of their randomness (a plain constant
 has randomness 1), so C2 can check a guess about what C1 combined: the guess
 is *verified* when the randomness it predicts from C2's catalogue equals the
 randomness C2 reads.  The catalogue is the randomness of the inputs whose
-origin C2 knows — its own encryptions (SBD's parity bits, the comparison's
-``z`` bits, the indicator ``U``) and, conservatively, every other input of
-the combination.  Only a fresh factor of C1's own on each ciphertext C2
+origin C2 knows — its own encryptions (the comparison's ``z`` bits, the
+indicator ``U``) and, conservatively, every other input of the
+combination.  Only a fresh factor of C1's own on each ciphertext C2
 decrypts keeps every guess unverifiable.
 
-Three targets:
+Two targets:
 
-* the bit-level SMIN's ``L`` entries, the construction SkNN_m ran before it
-  compared integers — ``1 + r'_i (P_{i+1} + 1)`` with ``P_{i+1} = P_i^3 *
-  E(d_i)`` from one fresh ``Z = E(0)`` per pair and no factor per entry —
-  guessing the ternary prefix of ``d``: the adversary recovers ``d`` and
-  ``F``;
 * the integer comparison's entries, guessing ``r mod 2^L`` and ``s``;
 * SkNN_m's ``tau_i``, guessing ``d_min - d_i``.
 
-The last two verify the true guess when C1's zeros are made trivial (the
+Each verifies the true guess when C1's zeros are made trivial (the
 control: the adversary would work) and no guess with the zeros C1 draws.
 The structural companion checks the same property without an adversary:
 for every ciphertext C2 decrypts in a query, some obfuscator C1 drew enters
@@ -31,7 +26,6 @@ it and no other decrypted ciphertext.
 
 from __future__ import annotations
 
-import itertools
 from random import Random
 
 import pytest
@@ -47,7 +41,7 @@ from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.network.party import TwoPartySetting
 from repro.protocols.base import P2StepDispatcher
-from repro.protocols.encoding import encrypt_bits, int_to_bits
+from repro.protocols.encoding import int_to_bits
 from repro.protocols.smin import SecureMinimum
 from tests.integration.helpers import record_sbd_masks
 from tests.property.conftest import cached_keypair
@@ -88,85 +82,6 @@ def trivial_zeros(party) -> None:
                 for value, cipher in zip(values, fresh)]
 
     party.encrypt_batch = encrypt
-
-
-# -- the bit-level SMIN entries --------------------------------------------------
-def bit_level_l_entries(public, u_bits, v_bits, f_is_u_greater, rng):
-    """The bit-level SMIN's ``L`` vector of one pair, unpermuted: ``P_0 = Z``
-    (a fresh ``E(0)``), ``P_{i+1} = P_i^3 * E(other_i - max_i)``, entry
-    ``r'_i P_{i+1} + (r'_i + 1)`` — no factor of the entry's own."""
-    maximum, other = (u_bits, v_bits) if f_is_u_greater else (v_bits, u_bits)
-    marker = public.encrypt(0, rng=rng)
-    entries = []
-    for enc_max, enc_other in zip(maximum, other):
-        marker = marker * 3 + (enc_other - enc_max)
-        exponent = rng.randrange(1, public.n)
-        entries.append(marker * exponent + (exponent + 1))
-    return entries
-
-
-def recover_bit_level_difference(holder, entries, u_bits, v_bits):
-    """Every ``(F, d)`` the entries' randomness verifies.
-
-    ``d_i = other_i - max_i`` makes ``P_{i+1} = sum_{j<=i} d_j 3^(i-j)``
-    and ``r'_i = (e_i - 1) / (P_{i+1} + 1)``; with ``D_i = rho(other_i) /
-    rho(max_i)`` from the catalogue, consecutive entries satisfy
-    ``R_{i+1}^(r_i) = R_i^(3 r_{i+1}) * D_{i+1}^(r_i r_{i+1})`` — the unknown
-    ``rho(Z)`` cancels.
-    """
-    n = holder.n
-    values = [holder.residue(entry) for entry in entries]
-    readings = [holder.randomness(entry) for entry in entries]
-    u_rho = [holder.randomness(bit) for bit in u_bits]
-    v_rho = [holder.randomness(bit) for bit in v_bits]
-    verified = []
-    for f_is_u_greater in (True, False):
-        max_rho, other_rho = ((u_rho, v_rho) if f_is_u_greater
-                              else (v_rho, u_rho))
-        ratios = [o * nt.modinv(m, n) % n for m, o in zip(max_rho, other_rho)]
-        for guess in itertools.product((-1, 0, 1), repeat=len(entries)):
-            prefix, exponents = 0, []
-            for difference, value in zip(guess, values):
-                prefix = 3 * prefix + difference
-                exponent = holder.ratio_exponent(value - 1, prefix + 1)
-                if exponent is None and value != 1 or exponent == 0:
-                    break
-                exponents.append(exponent)
-            else:
-                checks = [
-                    pow(readings[i + 1], exponents[i], n)
-                    == pow(readings[i], 3 * exponents[i + 1], n)
-                    * pow(ratios[i + 1], exponents[i] * exponents[i + 1], n)
-                    % n
-                    for i in range(len(entries) - 1)
-                    if exponents[i] is not None
-                    and exponents[i + 1] is not None]
-                if checks and all(checks):
-                    verified.append((f_is_u_greater, guess))
-    return verified
-
-
-@pytest.mark.parametrize("u,v,f_is_u_greater", [
-    (0b001011, 0b000110, True), (0b110010, 0b110101, False),
-    (0b101, 0b101, True)])
-def test_bit_level_entries_give_c2_the_difference_vector(u, v,
-                                                         f_is_u_greater):
-    """The construction SkNN_m ran before it compared integers: C2 reads
-    ``F`` and ``d`` off the entries' randomness, ties included."""
-    keypair = cached_keypair()
-    public = keypair.public_key
-    rng = Random(u * 131 + v)
-    bit_length = max(u.bit_length(), v.bit_length(), 3)
-    u_bits = encrypt_bits(public, u, bit_length, rng=rng)
-    v_bits = encrypt_bits(public, v, bit_length, rng=rng)
-    entries = bit_level_l_entries(public, u_bits, v_bits, f_is_u_greater,
-                                  rng)
-    maximum, other = (u, v) if f_is_u_greater else (v, u)
-    truth = tuple(o - m for m, o in zip(int_to_bits(maximum, bit_length),
-                                         int_to_bits(other, bit_length)))
-    assert recover_bit_level_difference(KeyHolder(keypair.private_key),
-                                        entries, u_bits, v_bits) \
-        == [(f_is_u_greater, truth)]
 
 
 # -- the integer comparison's entries -------------------------------------------

@@ -245,6 +245,21 @@ class TestDistanceBitsOverride:
             SkNNSystem(owner, cloud, client, mode="basic",
                        distance_bits=required - 1)
 
+    def test_an_override_too_wide_for_the_key_is_refused_at_setup(
+            self, tiny_table):
+        """SMIN compares ``l + 1`` bits once records carry their flag, and
+        its marker needs ``3^(l+2) < 2^(K/2-1)``: ``l <= 37`` at K=128.
+        SkNN_b compares nothing and keeps any ``l``."""
+        with pytest.raises(ConfigurationError, match="too wide"):
+            SkNNSystem.setup(tiny_table, key_size=128, mode="secure",
+                             distance_bits=38, rng=Random(5))
+        assert SkNNSystem.setup(tiny_table, key_size=128, mode="secure",
+                                distance_bits=37,
+                                rng=Random(5)).distance_bits == 37
+        assert SkNNSystem.setup(tiny_table, key_size=128, mode="basic",
+                                distance_bits=38,
+                                rng=Random(5)).distance_bits == 38
+
     @pytest.mark.parametrize("extra", [0, 3])
     def test_equal_or_larger_override_is_kept(self, tiny_table, extra):
         required = tiny_table.schema.distance_bit_length()
