@@ -385,8 +385,11 @@ def _run_query_connected(args: argparse.Namespace, table, query) -> int:
     for rank, record in enumerate(neighbors, start=1):
         print(f"  neighbor {rank}: {record}")
     if report is not None:
+        ready = report.stats.extra.get("factors_ready")
         print(f"cloud wall time: {report.wall_time_seconds:.2f} s, "
-              f"bytes on the wire: {report.stats.bytes_transferred}")
+              f"bytes on the wire: {report.stats.bytes_transferred}"
+              + ("" if ready is None else
+                 f", C1 factors ready when drawn: {int(ready)}"))
     expected = [r.record.values
                 for r in LinearScanKNN(table).query(query, args.k)]
     matches = neighbors == expected

@@ -30,6 +30,10 @@ Producers: call :meth:`PrecomputeEngine.refill` from any idle-time hook (the
 serving layer's scheduler does this between batches), or
 :meth:`PrecomputeEngine.start_producer` for a background thread that keeps
 the pool topped up.
+
+:class:`QueryLookahead` is the engine of one query, not a pool: a cloud
+daemon without a provisioned engine builds one per query, empty, and its
+party computes the query's next factors in it while it waits on the peer.
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ from repro.crypto.paillier import (
 )
 from repro.exceptions import ConfigurationError, CorruptStateError
 
-__all__ = ["PrecomputeConfig", "PrecomputeEngine", "MASK_ZN", "MASK_SBD",
-           "mask_range"]
+__all__ = ["PrecomputeConfig", "PrecomputeEngine", "QueryLookahead",
+           "MASK_ZN", "MASK_SBD", "mask_range"]
 
 #: snapshot kind of the on-disk pool cache (see
 #: :meth:`PrecomputeEngine.save_pools`)
@@ -212,6 +216,12 @@ class PrecomputeEngine:
         self._producer.join()
         self._producer = None
 
+    def prefetch(self) -> bool:
+        """Compute one factor while the owning party waits on its peer;
+        returns whether it did.  A provisioned engine never does: its
+        refills run off the query path."""
+        return False
+
     # -- online consumers ------------------------------------------------------
     def take_available(self, count: int) -> "list[int]":
         """Pop up to ``count`` factors *without* computing missing ones.
@@ -339,3 +349,49 @@ class PrecomputeEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"PrecomputeEngine(remaining={len(self._factors)}, "
                 f"offline={self.offline_encryptions})")
+
+
+class QueryLookahead(PrecomputeEngine):
+    """One query's fresh obfuscators, computed while its party waits.
+
+    Built empty for one query and dropped when it ends: a store of the
+    factors this query is about to draw, not a pool.  :meth:`~repro.
+    network.party.Party.receive` calls :meth:`prefetch` while the peer's
+    reply is not yet queued — over the in-memory channel it always is, so
+    nothing is computed there — and ``budget``, the party's encryptions for
+    this query in the cost model, bounds what is computed: no factor before
+    the query's first send, none left after its last receive.
+
+    The factors come from a ``stream`` of their own, apart from ``rng``
+    (the party's, which samples the masks), in FIFO order: a factor not
+    computed ahead is computed from the stream at its draw, so the query's
+    ``i``-th factor is the stream's ``i``-th however long the peer took,
+    and a seeded query draws the same values either way.  ``hits`` counts
+    the factors that were ready when drawn, ``misses`` those computed at
+    the draw, ``offline_encryptions`` those computed ahead.
+    """
+
+    def __init__(self, key: "PaillierPublicKey | PaillierPrivateKey",
+                 rng: Random, stream: Random | None, budget: int) -> None:
+        super().__init__(key, rng=rng,
+                         config=PrecomputeConfig(obfuscators=budget))
+        self.stream = stream
+
+    def prefetch(self) -> bool:
+        """Compute the query's next factor; False once its budget is spent."""
+        with self._lock:
+            if (self.offline_encryptions + self.misses
+                    >= self.config.obfuscators):
+                return False
+            self.offline_encryptions += 1
+        factors = self.key.obfuscators(1, self.stream)
+        with self._lock:
+            self._factors.extend(factors)
+        return True
+
+    def take_available(self, count: int) -> "list[int]":
+        """``count`` factors: those computed ahead, then the rest from the
+        stream — a lookahead never falls short."""
+        taken = super().take_available(count)
+        taken.extend(self.key.obfuscators(count - len(taken), self.stream))
+        return taken

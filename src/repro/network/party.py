@@ -48,10 +48,12 @@ class Party:
         self.rng = rng if rng is not None else Random()
         #: optional precomputation engine owned by *this* party (set through
         #: :meth:`TwoPartySetting.attach_engine`), where :meth:`encrypt_batch`
-        #: draws precomputed factors before the key's own kernel.  Engines
-        #: are filled with the owning party's randomness, so they are never
-        #: shared across the trust boundary: protocols source P1 material
-        #: from the evaluator's engine and P2 material from the decryptor's.
+        #: draws precomputed factors before the key's own kernel (and which
+        #: :meth:`receive` fills while it waits, when it is a query's
+        #: lookahead).  Engines are filled with the owning party's
+        #: randomness, so they are never shared across the trust boundary:
+        #: protocols source P1 material from the evaluator's engine and P2
+        #: material from the decryptor's.
         self.engine: "PrecomputeEngine | None" = None
         if name not in (channel.endpoint_a, channel.endpoint_b):
             raise ConfigurationError(
@@ -64,7 +66,16 @@ class Party:
         self.channel.send(self.name, payload, tag)
 
     def receive(self, expected_tag: str | None = None) -> object:
-        """Receive the next message addressed to this party."""
+        """Receive the next message addressed to this party.
+
+        Until it is queued, this party's engine computes the factors its
+        query draws next (:meth:`~repro.crypto.precompute.QueryLookahead.
+        prefetch`), one at a time, so the message waits at most one factor.
+        """
+        engine = self.engine
+        if engine is not None:
+            while not self.channel.pending(self.name) and engine.prefetch():
+                pass
         return self.channel.receive(self.name, expected_tag)
 
     # -- crypto helpers -------------------------------------------------------

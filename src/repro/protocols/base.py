@@ -260,8 +260,7 @@ class TwoPartyProtocol(P2StepDispatcher):
     # -- batched rounds ----------------------------------------------------------
     def run_pipelined(self, items: Sequence[Any], tag: str, reply_tag: str,
                       prepare: Callable[[Sequence[Any]], "tuple[Any, Any]"],
-                      finish: Callable[[Sequence[Any], Any, Any], "list[Any]"],
-                      meanwhile: Callable[[], None] | None = None
+                      finish: Callable[[Sequence[Any], Any, Any], "list[Any]"]
                       ) -> "list[Any]":
         """Run one batched round with two half-batches in flight.
 
@@ -282,11 +281,9 @@ class TwoPartyProtocol(P2StepDispatcher):
         right after its send and the replies queue in order; over a mux
         context C2's worker answers frames in arrival order while P1's
         reader thread keeps draining the socket, so a reply never waits on
-        P1's second send.  ``meanwhile()``, when given, is P1's work that
-        needs nothing from this round's replies (the next round's fresh
-        encryptions): it runs after the last send and before the first
-        receive, so over sockets it overlaps C2's answer; over the
-        in-memory channel C2 has already answered and it overlaps nothing.
+        P1's second send.  While a reply has not arrived P1 computes the
+        factors of its next encryptions (:meth:`~repro.network.party.
+        Party.receive`).
         """
         if not items:
             return []
@@ -299,8 +296,6 @@ class TwoPartyProtocol(P2StepDispatcher):
             self.p1.send(payload, tag=tag)
             self.p2_step(tag)
             in_flight.append((chunk, state))
-        if meanwhile is not None:
-            meanwhile()
         results: list[Any] = []
         for chunk, state in in_flight:
             results.extend(

@@ -65,11 +65,13 @@ K=512; :meth:`SecureMinimum.marker_fits`).
 
 Per pair P1 pays ``L + 4`` encryptions — the mask (one ``take_masks``
 batch per chunk of round 1), ``L + 1`` zeros and the two selection masks
-(one ``encrypt_batch`` and one ``take_masks`` batch per call, drawn while
-P2 answers round 1) — and ``2L + 2`` exponentiations: the negation of
-``y``, ``L - 1`` cubes (two multiplications each), the ``L`` entry powers,
-the ``+-1`` and the final strip, ``L + 1`` of them full powers.  P2 pays
-``L + 2`` decryptions and ``L + 3`` encryptions.
+(one ``encrypt_batch`` and one ``take_masks`` batch per chunk of round 2;
+on a daemon their factors are computed while P1 waits on P2, see
+:class:`~repro.crypto.precompute.QueryLookahead`) — and ``2L + 2``
+exponentiations: the negation of ``y``, ``L - 1`` cubes (two
+multiplications each), the ``L`` entry powers, the ``+-1`` and the final
+strip, ``L + 1`` of them full powers.  P2 pays ``L + 2`` decryptions and
+``L + 3`` encryptions.
 """
 
 from __future__ import annotations
@@ -194,30 +196,17 @@ class SecureMinimum(TwoPartyProtocol):
                 "malformed difference-bits reply")
             return list(zip(masks, reply))
 
-        fresh = []
-
-        def draw_fresh_material():
-            # ---- P1, while C2 answers round 1: what round 2 encrypts needs
-            # nothing from it — L + 1 zeros per pair, the selection masks and
-            # the masked candidates E(x + rho_x), E(y + rho_y).
-            width = bit_length + 1
-            zeros = self.p1.encrypt_batch([0] * (len(tasks) * width))
-            selection_masks = self.take_masks(2 * len(tasks))
-            candidates = self.pk.add_batch(
-                [operand for pair in tasks for operand in pair],
-                [c for _, c in selection_masks])
-            fresh.extend(
-                (zeros[index * width:(index + 1) * width],
-                 (selection_masks[2 * index][0],
-                  selection_masks[2 * index + 1][0]),
-                 candidates[2 * index:2 * index + 2])
-                for index in range(len(tasks)))
-
         def build_comparisons(chunk):
             # ---- P1, round 2: entries and E(z_L xor c) ----------------------
+            width = bit_length + 1
+            zeros = self.p1.encrypt_batch([0] * (len(chunk) * width))
+            selection_masks = self.take_masks(2 * len(chunk))
+            candidates = self.pk.add_batch(
+                [operand for _, _, x, y in chunk for operand in (x, y)],
+                [c for _, c in selection_masks])
             markers, exponents, offsets, flips = [], [], [], []
             permutations = []
-            for mask, bits, _, _, _ in chunk:
+            for mask, bits, _, _ in chunk:
                 sign = 1 if self.p1.rng.getrandbits(1) else -1
                 marker = None
                 for position, enc_bit in enumerate(bits[1:]):
@@ -238,23 +227,24 @@ class SecureMinimum(TwoPartyProtocol):
             entries = self.pk.add_batch(
                 [self.add_plain(cipher, offset) for cipher, offset in zip(
                     self.pk.scalar_mul_batch(markers, exponents), offsets)],
-                [zero for _, _, zeros, _, _ in chunk
-                 for zero in zeros[:bit_length]])
+                [zero for index, zero in enumerate(zeros)
+                 if index % width < bit_length])
             # E(z_L xor c) = E(z_L)^(1 - 2c) + c
             top_bits = self.pk.add_batch(
                 [self.add_plain(cipher, flip) for cipher, flip in zip(
-                    self.pk.scalar_mul_batch([bits[0] for _, bits, _, _, _
+                    self.pk.scalar_mul_batch([bits[0] for _, bits, _, _
                                               in chunk],
                                              [1 - 2 * flip for flip in flips]),
                     flips)],
-                [zeros[bit_length] for _, _, zeros, _, _ in chunk])
+                zeros[bit_length::width])
             payload = []
-            for index, ((_, _, _, _, candidates), permutation) in enumerate(
-                    zip(chunk, permutations)):
+            for index, permutation in enumerate(permutations):
                 row = entries[index * bit_length:(index + 1) * bit_length]
                 payload.append([row[j] for j in permutation]
-                               + [top_bits[index]] + candidates)
-            return payload, [rhos for _, _, _, rhos, _ in chunk]
+                               + [top_bits[index]]
+                               + candidates[2 * index:2 * index + 2])
+            rhos = [rho for rho, _ in selection_masks]
+            return payload, list(zip(rhos[::2], rhos[1::2]))
 
         def strip_selections(chunk, selection_masks, reply):
             # ---- P1, step 3: E(min) = E(v) E(-rho_x) E(t)^(rho_x - rho_y) ----
@@ -272,10 +262,9 @@ class SecureMinimum(TwoPartyProtocol):
         # ---- P2 answers each round between the two, once per chunk ----------
         compared = self.run_pipelined(
             tasks, "SMIN.batch_masked_differences",
-            "SMIN.batch_difference_bits", mask_differences, collect_bits,
-            draw_fresh_material)
+            "SMIN.batch_difference_bits", mask_differences, collect_bits)
         return self.run_pipelined(
-            [pair + material for pair, material in zip(compared, fresh)],
+            [pair + task for pair, task in zip(compared, tasks)],
             "SMIN.batch_comparisons", "SMIN.batch_selected_minimums",
             build_comparisons, strip_selections)
 

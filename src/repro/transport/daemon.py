@@ -48,7 +48,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, Callable
 
-from repro.analysis.cost_model import pool_targets
+from repro.analysis.cost_model import pool_targets, ssed_scan_cost
 from repro.core.cloud import CloudC1, CloudC2, FederatedCloud
 from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_base import SkNNProtocol, SkNNRunReport
@@ -59,11 +59,16 @@ from repro.crypto.paillier import (
     OperationCounter,
     counting_scope,
 )
-from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
+from repro.crypto.precompute import (
+    PrecomputeConfig,
+    PrecomputeEngine,
+    QueryLookahead,
+)
 from repro.crypto.serialization import (
     payload_from_jsonable,
     payload_to_jsonable,
     private_key_from_dict,
+    public_key_from_dict,
 )
 from repro.db.encrypted_table import EncryptedTable
 from repro.exceptions import (
@@ -76,6 +81,7 @@ from repro.exceptions import (
 )
 from repro.network.channel import Message
 from repro.network.party import DecryptorParty
+from repro.protocols.smin import SecureMinimum
 from repro.resilience import durability
 from repro.resilience.durability import DurableReplyCache
 from repro.resilience.idempotency import ReplyCache
@@ -373,8 +379,10 @@ class PartyDaemon:
     Never instantiated itself — ``repro party --role`` picks
     :class:`C1Daemon` or :class:`C2Daemon`, which add their party's state
     and nothing of the other's, and supply ``_provisioned()``,
-    ``_provision(payload, from_recovery)``, ``_peer_links()`` (the live
-    multiplexed peer connections) and ``_close_role()``.
+    ``_provisioned_key_size(payload)`` (the ``K`` of the key a provision
+    payload carries), ``_provision(payload, from_recovery)``,
+    ``_peer_links()`` (the live multiplexed peer connections) and
+    ``_close_role()``.
 
     Args:
         host: interface to listen on.
@@ -936,9 +944,20 @@ class PartyDaemon:
         """
         if not isinstance(payload, dict):
             raise ConfigurationError("malformed provision payload")
+        distance_bits = payload.get("distance_bits")
+        key_size = self._provisioned_key_size(payload)
+        if distance_bits is not None and not (
+                type(distance_bits) is int and distance_bits > 0
+                and SecureMinimum.marker_fits(distance_bits + 1, key_size)):
+            # C2 builds SkNN_m for every peer context from l, so a too-wide
+            # l must be refused here, not on the first query's worker.
+            raise ConfigurationError(
+                f"distance_bits={distance_bits!r} is not a positive l that "
+                f"SMIN can compare under a {key_size}-bit key "
+                f"(3^(l+2) < 2^(K/2-1))")
         seed = payload.get("seed")
         self.rng = Random(seed) if seed is not None else None
-        self.distance_bits = payload.get("distance_bits")
+        self.distance_bits = distance_bits
         reply = self._provision(payload, from_recovery)
         if not from_recovery:
             self._persist_manifest(payload)
@@ -975,6 +994,10 @@ class C2Daemon(PartyDaemon):
 
     def _provisioned(self) -> bool:
         return self._private_key is not None
+
+    def _provisioned_key_size(self, payload: dict[str, Any]) -> int:
+        return private_key_from_dict(
+            payload["private_key"]).public_key.key_size
 
     def _provision(self, payload: dict[str, Any],
                    from_recovery: bool) -> dict[str, Any]:
@@ -1293,6 +1316,10 @@ class C1Daemon(PartyDaemon):
         # between queries (it is re-dialled on demand by _ensure_pool).
         return self._table is not None
 
+    def _provisioned_key_size(self, payload: dict[str, Any]) -> int:
+        return public_key_from_dict(
+            payload["encrypted_table"]["public_key"]).key_size
+
     def _provision(self, payload: dict[str, Any],
                    from_recovery: bool) -> dict[str, Any]:
         if not from_recovery:
@@ -1448,8 +1475,8 @@ class C1Daemon(PartyDaemon):
         return PeerUnavailable(f"peer link to C2 failed mid-query: {exc}")
 
     # -- query execution ---------------------------------------------------------
-    def _build_query_protocol(self, channel: MuxChannel,
-                              mode: str) -> SkNNProtocol:
+    def _build_query_protocol(self, channel: MuxChannel, mode: str,
+                              k: int = 0) -> SkNNProtocol:
         """A fresh protocol stack for one run over a leased context.
 
         The heavyweight state (encrypted table, precompute engine, warm
@@ -1457,6 +1484,9 @@ class C1Daemon(PartyDaemon):
         (cloud pair, protocol driver) are built per run, so concurrent
         queries never share mutable protocol state.  A coordinator builds
         what a plain C1 builds; the caller points its scan at the shards.
+        Without a provisioned engine C1 gets the run's own
+        :class:`~repro.crypto.precompute.QueryLookahead`, sized by
+        :meth:`_lookahead_budget`.
         """
         assert self._table is not None
         table = self._table
@@ -1466,8 +1496,10 @@ class C1Daemon(PartyDaemon):
             "C2", RemotePrivateKey(table.public_key), channel,
             rng=self._derive_rng())
         cloud = FederatedCloud(c1=c1, c2=c2_stub, channel=channel)
-        if self.engine is not None:
-            cloud.attach_engine(self.engine, None)
+        cloud.attach_engine(
+            self.engine if self.engine is not None else QueryLookahead(
+                table.public_key, c1.rng, self._derive_rng(),
+                self._lookahead_budget(mode, k)), None)
         if self.shard_index is not None:
             return ShardScanProtocol(cloud,
                                      party=f"C1-shard{self.shard_index}")
@@ -1481,6 +1513,23 @@ class C1Daemon(PartyDaemon):
         raise ConfigurationError(
             f"mode {mode!r} is unavailable on this daemon")
 
+    def _lookahead_budget(self, mode: str, k: int) -> int:
+        """C1's encryptions in one run of ``mode`` in the cost model: a
+        shard's are its slice's scan, a coordinator's leave out the scan
+        it scatters.  A ``k`` the protocol refuses draws nothing."""
+        assert self._table is not None
+        records, dimensions = len(self._table), self._table.dimensions
+        scan = (int(ssed_scan_cost(records, dimensions).c1.encryptions)
+                if records else 0)
+        if self.shard_index is not None:
+            return scan
+        if type(k) is not int or not 1 <= k <= records:
+            return 0
+        total = pool_targets(
+            records, dimensions, k, 1,
+            bit_length=self.distance_bits if mode == "secure" else None)[0]
+        return total - scan if self._shard_addresses is not None else total
+
     def _run_leased(self, mode: str, execute: Callable[[SkNNProtocol], Any],
                     **fields: Any) -> tuple[Any, SkNNRunReport]:
         """The one way a run happens on C1: lease, trace, window, merge.
@@ -1492,7 +1541,9 @@ class C1Daemon(PartyDaemon):
         to exactly this run.  The trace is rooted here so what C2 — and, on
         a coordinator, the shard daemons — measured can be merged into the
         report ``execute(protocol)`` leaves in ``protocol.last_report``.
-        ``fields`` label the root span and the slow-query log.
+        ``fields`` label the root span and the slow-query log.  A run with
+        its own lookahead records in ``report.stats.extra`` how many of its
+        fresh factors were ready when drawn (``factors_ready``).
         """
         shard_reports: list[SkNNRunReport] = []
 
@@ -1507,7 +1558,8 @@ class C1Daemon(PartyDaemon):
             with counting_scope(OperationCounter()):
                 channel = self._ensure_pool().lease()
                 try:
-                    protocol = self._build_query_protocol(channel, mode)
+                    protocol = self._build_query_protocol(
+                        channel, mode, fields.get("k", 0))
                     if self._shard_addresses is not None:
                         protocol.scan = scatter
                     with telemetry_tracing.trace(
@@ -1531,12 +1583,16 @@ class C1Daemon(PartyDaemon):
             with self._inflight_lock:
                 self._inflight -= 1
         report = protocol.last_report
+        engine = protocol.cloud.engine
+        ready = ({"factors_ready": engine.hits}
+                 if isinstance(engine, QueryLookahead) else {})
+        report.stats.extra.update(ready)
         report.merge_remote(
             trace_id, telemetry_tracing.get_tracer().take(trace_id),
             window if isinstance(window, dict) else None, shard_reports)
         self.slow_log.observe(report.wall_time_seconds,
                               protocol=report.protocol, trace_id=trace_id,
-                              **fields)
+                              **fields, **ready)
         return result, report
 
     @staticmethod

@@ -1,4 +1,6 @@
-"""Role and kind boundaries of the party daemons, on in-process daemons.
+"""Role and kind boundaries of the party daemons, what they accept at
+provisioning, and what C1 computes while it waits on C2 — on in-process
+daemons.
 
 No subprocess is spawned, so this module runs in CI's tier-1 step: each
 test starts a :class:`C1Daemon`/:class:`C2Daemon` on an ephemeral port in
@@ -8,6 +10,7 @@ this process and talks to it over a real control connection.
 from __future__ import annotations
 
 import gc
+import itertools
 import socket
 import threading
 import time
@@ -16,11 +19,17 @@ from random import Random
 import pytest
 
 from repro import cli
-from repro.core.roles import DataOwner
+from repro.core import sknn_base
+from repro.core.cloud import FederatedCloud
+from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_base import SkNNRunReport
+from repro.core.sknn_basic import SkNNBasic
+from repro.core.sknn_secure import SkNNSecure
 from repro.core.sknn_shard import shard_table
+from repro.crypto.precompute import QueryLookahead
 from repro.crypto.serialization import private_key_to_dict
 from repro.db.datasets import synthetic_uniform
+from repro.db.knn import LinearScanKNN
 from repro.exceptions import (
     ChannelError,
     ConfigurationError,
@@ -28,10 +37,10 @@ from repro.exceptions import (
 )
 from repro.network.channel import Message
 from repro.network.stats import ProtocolRunStats
-from repro.transport.client import DaemonClient
+from repro.transport.client import DaemonClient, RemoteCloud
 from repro.transport.daemon import C1Daemon, C2Daemon
 from repro.transport.framing import recv_frame, send_frame
-from repro.transport.mux import MuxConnection
+from repro.transport.mux import MuxChannel, MuxConnection
 from repro.transport.wire import WireCodec
 from tests.conftest import SMALL_KEY_BITS
 
@@ -388,3 +397,259 @@ class TestShardReplies:
             coordinator._shard_addresses.append(placeholder.getsockname())
             with pytest.raises(PeerUnavailable):
                 coordinator._scatter_to_shards([])
+
+
+class TestProvisionedDistanceBits:
+    """``l`` is checked against the key at provisioning, on both roles:
+    SMIN compares ``l + 1`` bits, so ``3^(l+2) < 2^(K/2-1)`` (``l <= 37``
+    at K=128).  C2 builds SkNN_m for every peer context from ``l``, so an
+    ``l`` it cannot compare used to fail there and hang a basic query."""
+
+    def payloads(self, small_keypair, c2_address, distance_bits):
+        owner = DataOwner(
+            synthetic_uniform(n_records=4, dimensions=2, distance_bits=5,
+                              seed=1),
+            keypair=small_keypair, rng=Random(5))
+        return {
+            "c2": {"private_key": private_key_to_dict(
+                small_keypair.private_key), "distance_bits": distance_bits},
+            "c1": {"encrypted_table": owner.encrypt_database().to_dict(),
+                   "c2_address": list(c2_address),
+                   "distance_bits": distance_bits},
+        }
+
+    @pytest.mark.parametrize("distance_bits", [38, 60, 0, -1, "6", 6.0,
+                                               True])
+    def test_both_roles_refuse_an_l_smin_cannot_compare(
+            self, serve, small_keypair, distance_bits):
+        c2 = serve(C2Daemon())
+        c1 = serve(C1Daemon())
+        payloads = self.payloads(small_keypair, c2.address, distance_bits)
+        for client in (c2, c1):
+            role = client.request("transport.ping", None)["role"]
+            assert_refused_but_connected(
+                client, "transport.provision", payloads[role],
+                ConfigurationError, "is not a positive l")
+            assert not client.request("transport.ping", None)["provisioned"]
+
+    @pytest.mark.parametrize("distance_bits", [None, 1, 37])
+    def test_a_valid_l_provisions_as_before(self, serve, small_keypair,
+                                            distance_bits):
+        c2 = serve(C2Daemon())
+        c1 = serve(C1Daemon())
+        payloads = self.payloads(small_keypair, c2.address, distance_bits)
+        assert c2.request("transport.provision",
+                          payloads["c2"])["role"] == "c2"
+        assert c1.request("transport.provision",
+                          payloads["c1"])["role"] == "c1"
+        for client in (c2, c1):
+            assert client.request("transport.ping", None)["provisioned"]
+
+
+class Lookaheads:
+    """Seeded queries on in-process daemons, recording every C1 run's
+    :class:`QueryLookahead`.
+
+    ``delay`` makes C2 answer each step that many seconds late; ``instant``
+    makes C1 see every reply as already queued, as if C2 answered at once.
+    Every query runs on freshly provisioned daemons with delivery ids from
+    1, so two runs of one query are comparable frame for frame.
+    """
+
+    QUERY = [1, 2, 3]
+    K = 2
+
+    def __init__(self, serve, keypair, monkeypatch, sharded: bool) -> None:
+        self.monkeypatch = monkeypatch
+        self.table = synthetic_uniform(n_records=8, dimensions=3,
+                                       distance_bits=6, seed=1)
+        owner = DataOwner(self.table, keypair=keypair, rng=Random(5))
+        self.keypair = keypair
+        self.database = owner.encrypt_database()
+        self.client = QueryClient(owner.public_key, 3, rng=Random(9))
+        self.encrypted_query = self.client.encrypt_query(self.QUERY)
+        self.delay = 0.0
+        self.runs: list[dict] = []
+        build = C1Daemon._build_query_protocol
+        registry = C2Daemon._build_p2_registry
+
+        def recording(daemon, channel, mode, k=0):
+            protocol = build(daemon, channel, mode, k)
+            run = {"shard": daemon.shard_index,
+                   "lookahead": protocol.cloud.engine, "early": 0}
+            prefetch = run["lookahead"].prefetch
+
+            def checked():
+                # C1 has sent only the trace window's opening frame
+                if all(tag.startswith("telemetry.")
+                       for tag in channel.traffic["C1"].tag_messages):
+                    run["early"] += 1
+                return prefetch()
+
+            run["lookahead"].prefetch = checked
+            self.runs.append(run)
+            return protocol
+
+        def delayed(daemon, channel):
+            def late(handler):
+                def answer():
+                    time.sleep(self.delay)
+                    return handler()
+                return answer
+            return {tag: late(handler) for tag, handler
+                    in registry(daemon, channel).items()}
+
+        monkeypatch.setattr(C1Daemon, "_build_query_protocol", recording)
+        monkeypatch.setattr(C2Daemon, "_build_p2_registry", delayed)
+        c2 = serve(C2Daemon(io_deadline=10.0))
+        shards = ([serve(C1Daemon(shard_index=index, shard_count=2,
+                                  io_deadline=10.0)).address
+                   for index in range(2)] if sharded else None)
+        self.c1 = C1Daemon(io_deadline=10.0, slow_query_seconds=0.0)
+        c1 = serve(self.c1)
+        self.remote = RemoteCloud(c1.address, c2.address,
+                                  request_deadline=30.0,
+                                  shard_addresses=shards)
+
+    def query(self, mode: str, delay: float = 0.0, instant: bool = False):
+        self.delay = delay
+        self.runs.clear()
+        with self.monkeypatch.context() as patch:
+            patch.setattr(sknn_base, "_DELIVERY_IDS", itertools.count(1))
+            if instant:
+                patch.setattr(MuxChannel, "pending",
+                              lambda channel, recipient: 1)
+            self.remote.provision(self.keypair, self.database,
+                                  distance_bits=6, seed=3)
+            shares, report = self.remote.query(self.encrypted_query, self.K,
+                                               mode=mode)
+        assert self.client.reconstruct(shares) == [
+            result.record.values
+            for result in LinearScanKNN(self.table).query(self.QUERY,
+                                                          self.K)]
+        return shares, report
+
+    def close(self) -> None:
+        self.remote.close()
+
+
+@pytest.fixture
+def lookaheads(serve, small_keypair, monkeypatch):
+    deployments: list[Lookaheads] = []
+
+    def deploy(sharded: bool = False) -> Lookaheads:
+        deployments.append(
+            Lookaheads(serve, small_keypair, monkeypatch, sharded))
+        return deployments[-1]
+
+    yield deploy
+    for deployment in deployments:
+        deployment.close()
+
+
+class TestQueryLookahead:
+    """A C1 without a provisioned engine computes its query's fresh
+    factors while it waits on C2 — over real mux links, on a plain C1 and
+    on a coordinator with its two shards."""
+
+    @pytest.mark.parametrize("mode", ["basic", "secure"])
+    def test_a_plain_c1_computes_in_its_waits_what_its_query_draws(
+            self, lookaheads, mode):
+        deployment = lookaheads()
+        _, report = deployment.query(mode, delay=0.01)
+        [run] = deployment.runs
+        lookahead = run["lookahead"]
+        assert isinstance(lookahead, QueryLookahead)
+        assert run["early"] == 0
+        assert lookahead.offline_encryptions == lookahead.hits > 0
+        assert lookahead.remaining() == {"obfuscators": 0}
+        # the budget is exactly what the query drew
+        assert (lookahead.hits + lookahead.misses
+                == lookahead.config.obfuscators
+                == report.stats.c1_encryptions)
+        assert report.stats.extra["factors_ready"] == lookahead.hits
+        [logged] = deployment.c1.slow_log.snapshot()["recent"]
+        assert logged["factors_ready"] == lookahead.hits
+
+    @pytest.mark.parametrize("mode", ["basic", "secure"])
+    def test_a_coordinator_computes_past_its_scan_and_a_shard_nothing(
+            self, lookaheads, mode):
+        deployment = lookaheads(sharded=True)
+        _, report = deployment.query(mode, delay=0.01)
+        shards = [run for run in deployment.runs if run["shard"] is not None]
+        [coordinator] = [run for run in deployment.runs
+                         if run["shard"] is None]
+        assert sorted(run["shard"] for run in shards) == [0, 1]
+        for run in deployment.runs:
+            lookahead = run["lookahead"]
+            assert run["early"] == 0
+            assert lookahead.offline_encryptions == lookahead.hits
+            assert lookahead.remaining() == {"obfuscators": 0}
+            assert (lookahead.hits + lookahead.misses
+                    == lookahead.config.obfuscators)
+        # a shard's one wait comes after its last draw
+        assert all(run["lookahead"].offline_encryptions == 0
+                   for run in shards)
+        assert coordinator["lookahead"].hits > 0
+        assert report.stats.extra["factors_ready"] == (
+            coordinator["lookahead"].hits)
+        assert report.stats.c1_encryptions == sum(
+            run["lookahead"].config.obfuscators for run in deployment.runs)
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    @pytest.mark.parametrize("mode", ["basic", "secure"])
+    def test_the_lookahead_changes_no_value_count_or_byte(
+            self, lookaheads, mode, sharded):
+        """C2 late, on time, and as if instant: the same masks for Bob,
+        the same counts, the same bytes — factors come from a stream of
+        their own, so how many were computed ahead moves no mask.
+
+        With shards, C2 seeds each context's rng in the order the contexts
+        reach it, and the two shards' scans reach it together, so the
+        ciphertexts — and their hex lengths — of a sharded run are not
+        fixed by the seed; there the count of ciphertexts stands in for
+        the bytes."""
+        deployment = lookaheads(sharded)
+        runs = []
+        for options in ({"delay": 0.01}, {}, {"instant": True}):
+            shares, report = deployment.query(mode, **options)
+            stats = report.stats
+            runs.append((shares.masks_from_c1, stats.c1_encryptions,
+                         stats.c1_exponentiations, stats.c2_encryptions,
+                         stats.c2_decryptions, stats.messages,
+                         stats.ciphertexts_exchanged,
+                         None if sharded else stats.bytes_transferred))
+            ready = sum(run["lookahead"].hits for run in deployment.runs)
+            assert ready > 0 if "delay" in options else True
+            assert ready == 0 if "instant" in options else True
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_repro_query_connect_reports_the_ready_factors(self, serve,
+                                                          capsys):
+        c2 = serve(C2Daemon(io_deadline=10.0))
+        c1 = serve(C1Daemon(io_deadline=10.0))
+        assert cli.main([
+            "query", "--n", "8", "--m", "3", "--k", "2", "--l", "6",
+            "--key-size", str(SMALL_KEY_BITS), "--mode", "secure",
+            "--connect-c1", "%s:%d" % c1.address,
+            "--connect-c2", "%s:%d" % c2.address]) == 0
+        assert "C1 factors ready when drawn: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("protocol", [SkNNBasic, SkNNSecure])
+    def test_over_the_in_memory_channel_nothing_is_computed(
+            self, small_keypair, protocol):
+        """``p2_step`` has queued every reply before C1 reads it."""
+        table = synthetic_uniform(n_records=8, dimensions=3,
+                                  distance_bits=6, seed=1)
+        owner = DataOwner(table, keypair=small_keypair, rng=Random(5))
+        cloud = FederatedCloud.deploy(small_keypair, rng=Random(6))
+        cloud.c1.host_database(owner.encrypt_database())
+        lookahead = QueryLookahead(small_keypair.public_key, cloud.c1.rng,
+                                   Random(7), budget=10 ** 6)
+        cloud.attach_engine(lookahead, None)
+        query = QueryClient(owner.public_key, 3,
+                            rng=Random(9)).encrypt_query([1, 2, 3])
+        arguments = {"distance_bits": 6} if protocol is SkNNSecure else {}
+        protocol(cloud, **arguments).run(query, 2)
+        assert lookahead.offline_encryptions == lookahead.hits == 0
+        assert lookahead.misses > 0
