@@ -95,10 +95,13 @@ class ProtocolCost:
     """One protocol call at one shape: who pays what, and what crosses.
 
     ``c1`` and ``c2`` are the evaluator's and the key holder's counted
-    operations (C1 never decrypts), ``messages`` the peer frames in both
-    directions, ``c1_ciphertexts`` / ``c2_ciphertexts`` the ciphertexts each
-    party sends.  ``+`` runs two calls one after the other, ``* t`` runs
-    ``t`` in a row.
+    operations (C1 never decrypts), Paillier and DGK together as the
+    counters count them; ``c1_dgk`` and ``c2_dgk`` are the DGK share of
+    each (SMIN's bitwise part, :mod:`repro.crypto.dgk`).  ``messages`` are
+    the peer frames in both directions, ``c1_ciphertexts`` /
+    ``c2_ciphertexts`` the Paillier ciphertexts each party sends (DGK
+    values travel as ints).  ``+`` runs two calls one after the other,
+    ``* t`` runs ``t`` in a row.
     """
 
     c1: OperationCounts = OperationCounts()
@@ -106,18 +109,23 @@ class ProtocolCost:
     messages: int = 0
     c1_ciphertexts: int = 0
     c2_ciphertexts: int = 0
+    c1_dgk: OperationCounts = OperationCounts()
+    c2_dgk: OperationCounts = OperationCounts()
 
     def __add__(self, other: "ProtocolCost") -> "ProtocolCost":
         return ProtocolCost(self.c1 + other.c1, self.c2 + other.c2,
                             self.messages + other.messages,
                             self.c1_ciphertexts + other.c1_ciphertexts,
-                            self.c2_ciphertexts + other.c2_ciphertexts)
+                            self.c2_ciphertexts + other.c2_ciphertexts,
+                            self.c1_dgk + other.c1_dgk,
+                            self.c2_dgk + other.c2_dgk)
 
     def __mul__(self, times: int) -> "ProtocolCost":
         return ProtocolCost(self.c1 * times, self.c2 * times,
                             self.messages * times,
                             self.c1_ciphertexts * times,
-                            self.c2_ciphertexts * times)
+                            self.c2_ciphertexts * times,
+                            self.c1_dgk * times, self.c2_dgk * times)
 
     @property
     def total(self) -> OperationCounts:
@@ -126,7 +134,10 @@ class ProtocolCost:
 
 
 def _batched_round(items: int, c1: OperationCounts, c2: OperationCounts,
-                   sent: int, returned: int) -> ProtocolCost:
+                   sent: int, returned: int,
+                   c1_dgk: OperationCounts = OperationCounts(),
+                   c2_dgk: OperationCounts = OperationCounts()
+                   ) -> ProtocolCost:
     """One :meth:`~repro.protocols.base.TwoPartyProtocol.run_pipelined`
     round over ``items`` items, priced per item: ``sent`` ciphertexts out
     and ``returned`` back per item, in two frames below ``PIPELINE_MIN_ITEMS``
@@ -134,7 +145,7 @@ def _batched_round(items: int, c1: OperationCounts, c2: OperationCounts,
     return ProtocolCost(
         c1 * items, c2 * items,
         4 if items >= _protocol_base.PIPELINE_MIN_ITEMS else 2,
-        sent * items, returned * items)
+        sent * items, returned * items, c1_dgk * items, c2_dgk * items)
 
 
 # ---------------------------------------------------------------------------
@@ -205,29 +216,32 @@ def sbor_cost(pairs: int = 1) -> ProtocolCost:
 def smin_cost(bit_length: int, pairs: int = 1) -> ProtocolCost:
     """Secure Minimum of ``pairs`` pairs of ``L``-bit integers: two rounds.
 
-    ``5L + 11`` operations per pair.  Round 1: C1 negates ``y`` and
-    encrypts the mask of ``E(z)``; C2 decrypts ``z`` and encrypts its
-    ``L + 1`` low bits.  Round 2: C1 encrypts ``L + 1`` fresh zeros and the
-    two selection masks, and counts ``L - 1`` cubes of the marker (two
-    multiplications each), the ``L`` entry powers and the ``+-1`` of the
-    top bit; C2 decrypts the ``L`` entries and the top bit and encrypts
-    ``E(t)`` and the selected candidate's fresh ``E(0)``.  C1's strip of the
-    selection mask is one more power.  Out go ``E(z)``, then the entries,
-    the top bit and the two candidates; back come the bits, then the
-    candidate and ``E(t)``.
+    ``5L + 11`` operations per pair, ``4L + 4`` of them DGK.  Round 1: C1
+    negates ``y`` and encrypts the mask of ``E(z)``; C2 decrypts ``z`` and
+    DGK-encrypts its ``L + 1`` low bits.  Round 2: C1 DGK-encrypts ``L +
+    1`` re-randomizers and encrypts the two selection masks, and raises
+    ``L - 1`` bits to ``+-3`` (the marker's weights), the ``L`` entries to
+    their ``r'`` and the top bit to ``+-1`` (DGK exponents below ``u``); C2
+    zero-tests the ``L`` entries, decrypts the top bit and encrypts ``E(t)``
+    and the selected candidate's fresh ``E(0)``.  C1's strip of the
+    selection mask is one more power.  Out go ``E(z)``, then the two
+    candidates (and the entries and top bit as DGK values); back come the
+    candidate and ``E(t)`` (and, before, the bits as DGK values).
     """
     _require_positive(bit_length, "bit_length")
     _require_positive(pairs, "pairs")
+    bits = OperationCounts(encryptions=bit_length + 1)
     masked_difference = _batched_round(
         pairs, OperationCounts(encryptions=1, exponentiations=1),
-        OperationCounts(encryptions=bit_length + 1, decryptions=1),
-        sent=1, returned=bit_length + 1)
+        bits + OperationCounts(decryptions=1),
+        sent=1, returned=0, c2_dgk=bits)
+    entries = OperationCounts(encryptions=bit_length + 1,
+                              exponentiations=2 * bit_length)
+    tests = OperationCounts(decryptions=bit_length + 1)
     comparison = _batched_round(
-        pairs,
-        OperationCounts(encryptions=bit_length + 3,
-                        exponentiations=2 * bit_length + 1),
-        OperationCounts(encryptions=2, decryptions=bit_length + 1),
-        sent=bit_length + 3, returned=2)
+        pairs, entries + OperationCounts(encryptions=2, exponentiations=1),
+        tests + OperationCounts(encryptions=2),
+        sent=2, returned=2, c1_dgk=entries, c2_dgk=tests)
     return masked_difference + comparison
 
 
@@ -313,21 +327,27 @@ def sknn_secure_phases(n_records: int, dimensions: int, k: int,
 
 def pool_targets(n_records: int, dimensions: int, k: int, queries: int,
                  bit_length: int | None = None,
-                 worker_scan: bool = False) -> tuple[int, int]:
+                 worker_scan: bool = False,
+                 dgk: bool = False) -> tuple[int, int]:
     """C1's and C2's warm-pool targets covering ``queries`` queries.
 
-    Each party's target is its encryptions per query: SkNN_m's when
-    ``bit_length`` is given, else SkNN_b's.  With ``worker_scan`` (the
-    in-process plan's chunk workers) the workers encrypt both parties' scan
-    material with C1's slices, so C1 covers every encryption of the query
-    and C2 none.
+    Each party's target is its Paillier encryptions per query — with
+    ``dgk``, its DGK encryptions (re-randomizers) instead: SkNN_m's when
+    ``bit_length`` is given, else SkNN_b's (which has none of DGK).  With
+    ``worker_scan`` (the in-process plan's chunk workers) the workers
+    encrypt both parties' scan material with C1's slices, so C1 covers
+    every encryption of the query and C2 none.
     """
     if bit_length:
         cost = sknn_secure_phases(n_records, dimensions, k,
                                   bit_length)["total"]
     else:
         cost = sknn_basic_cost(n_records, dimensions, k)
-    c1, c2 = int(cost.c1.encryptions), int(cost.c2.encryptions)
+    c1_dgk, c2_dgk = int(cost.c1_dgk.encryptions), int(cost.c2_dgk.encryptions)
+    if dgk:
+        return c1_dgk * queries, c2_dgk * queries
+    c1 = int(cost.c1.encryptions) - c1_dgk
+    c2 = int(cost.c2.encryptions) - c2_dgk
     if worker_scan:
         c1, c2 = c1 + c2, 0
     return c1 * queries, c2 * queries

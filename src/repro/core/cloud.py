@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import used for annotations only
+    from repro.crypto.dgk import DGKPublicKey
     from repro.crypto.precompute import PrecomputeEngine
 
 from repro.crypto.paillier import PaillierKeyPair, PaillierPrivateKey, PaillierPublicKey
@@ -36,8 +37,10 @@ class CloudC1(EvaluatorParty):
     """Cloud server C1: stores ``Epk(T)`` and evaluates over ciphertexts."""
 
     def __init__(self, public_key: PaillierPublicKey, channel: DuplexChannel,
-                 rng: Random | None = None, name: str = "C1") -> None:
-        super().__init__(name, public_key, channel, rng)
+                 rng: Random | None = None, name: str = "C1",
+                 dgk_key: "DGKPublicKey | Callable[[], DGKPublicKey] | None"
+                 = None) -> None:
+        super().__init__(name, public_key, channel, rng, dgk_key=dgk_key)
         self._encrypted_table: EncryptedTable | None = None
 
     def host_database(self, encrypted_table: EncryptedTable) -> None:
@@ -78,12 +81,14 @@ class FederatedCloud:
         """Stand up a federated cloud for the given key pair.
 
         The public key goes to both clouds; the private key goes only to C2
-        (mirroring Alice's key distribution in the paper).
+        (mirroring Alice's key distribution in the paper), and C1 gets the
+        public half of the DGK key derived from it, on first use.
         """
         channel = DuplexChannel("C1", "C2", latency_model)
         c1_rng = rng
         c2_rng = Random(rng.random()) if rng is not None else None
-        c1 = CloudC1(keypair.public_key, channel, c1_rng)
+        c1 = CloudC1(keypair.public_key, channel, c1_rng,
+                     dgk_key=keypair.private_key.dgk_public_key)
         c2 = CloudC2(keypair.private_key, channel, c2_rng)
         return cls(c1=c1, c2=c2, channel=channel)
 
@@ -99,17 +104,18 @@ class FederatedCloud:
         return self.c1.engine
 
     def attach_engine(self, engine: "PrecomputeEngine | None",
-                      decryptor_engine: "PrecomputeEngine | None" = None
-                      ) -> None:
+                      decryptor_engine: "PrecomputeEngine | None" = None,
+                      dgk_engine: "PrecomputeEngine | None" = None) -> None:
         """Attach per-cloud :class:`~repro.crypto.precompute.PrecomputeEngine`s.
 
         ``engine`` serves C1's masks/constants, ``decryptor_engine`` C2's
-        re-encryptions and 0/1 constants — one engine per cloud, each filled
+        re-encryptions and 0/1 constants, ``dgk_engine`` C1's DGK
+        re-randomizers — each cloud's engines filled
         with its own randomness, mirroring the non-colluding model.
         Protocols constructed over this cloud (before or after the call —
         resolution is dynamic) pick them up automatically.
         """
-        self.setting.attach_engine(engine, decryptor_engine)
+        self.setting.attach_engine(engine, decryptor_engine, dgk_engine)
 
     def reset_counters(self) -> None:
         """Reset crypto-operation counters and channel accounting."""

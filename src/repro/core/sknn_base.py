@@ -83,8 +83,20 @@ class SkNNRunReport:
     trace: dict[str, Any] | None = None
 
     def as_payload(self) -> dict[str, Any]:
-        """Lossless wire form — a C1 daemon ships its report to the client."""
-        return dataclasses.asdict(self)
+        """Lossless wire form — a C1 daemon ships its report to the client.
+
+        Built field by field with one-level copies of the containers (the
+        report's own lists and dicts are not the payload's); the cost rows
+        and spans inside them are shared, not deep-copied.
+        """
+        payload = {each.name: getattr(self, each.name)
+                   for each in dataclasses.fields(self)}
+        payload["stats"] = self.stats.as_payload()
+        payload["phase_seconds"] = dict(self.phase_seconds)
+        payload["cost_breakdown"] = list(self.cost_breakdown)
+        if self.trace is not None:
+            payload["trace"] = dict(self.trace)
+        return payload
 
     @classmethod
     def from_payload(cls, data: dict[str, Any]) -> "SkNNRunReport":

@@ -63,7 +63,7 @@ from repro.crypto.paillier import Ciphertext
 from repro.db.schema import Schema
 from repro.exceptions import (ConfigurationError, ProtocolError, QueryError,
                                SchemaError)
-from repro.protocols.smin import SecureMinimum
+from repro.protocols.smin import STATISTICAL_SECURITY, SecureMinimum
 from repro.protocols.sminn import SecureMinimumOfN
 from repro.telemetry import profiling as _profiling
 
@@ -110,11 +110,11 @@ class SkNNSecure(SkNNProtocol):
         if distance_bits <= 0:
             raise ProtocolError("distance_bits must be positive")
         key_size = cloud.setting.public_key.key_size
-        if not SecureMinimum.marker_fits(distance_bits + 1, key_size):
+        if not SecureMinimum.domain_fits(distance_bits + 1, key_size):
             raise ConfigurationError(
                 f"distance_bits={distance_bits} is too wide for a {key_size}-"
                 f"bit key: SMIN compares l + 1 = {distance_bits + 1} bits, "
-                f"which needs 3^(l+2) < 2^(K/2-1)")
+                f"which needs 2^(l+2+{STATISTICAL_SECURITY}) <= N")
         self.distance_bits = distance_bits
         setting = cloud.setting
         self._sminn = SecureMinimumOfN(setting)

@@ -230,9 +230,21 @@ class SkNNSystem:
         return Random(self.owner.rng.getrandbits(63))
 
     def _attach_precompute(self, queries: int) -> None:
-        """Build, warm and attach per-cloud precomputation engines."""
-        self.cloud.attach_engine(*self._warm_engines(
-            queries, worker_scan=self.mode in ("parallel", "sharded")))
+        """Build, warm and attach per-cloud precomputation engines — in
+        secure mode also C1's engine of DGK re-randomizers, sized like the
+        others (``pool_targets(..., dgk=True)``)."""
+        engines = self._warm_engines(
+            queries, worker_scan=self.mode in ("parallel", "sharded"))
+        dgk_engine = None
+        if self.mode == "secure":
+            table = self.owner.table
+            dgk_engine = PrecomputeEngine(
+                self.cloud.c1.dgk_key, rng=self._derived_rng(),
+                config=PrecomputeConfig(obfuscators=pool_targets(
+                    len(table), table.dimensions, self.k_default or 1,
+                    queries, bit_length=self.distance_bits, dgk=True)[0]))
+            dgk_engine.warm()
+        self.cloud.attach_engine(*engines, dgk_engine)
 
     @property
     def precompute_engine(self):

@@ -33,6 +33,7 @@ from random import Random
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import used for annotations only
+    from repro.crypto.dgk import DGKPrivateKey, DGKPublicKey
     from repro.crypto.precompute import PrecomputeEngine
 
 from repro.crypto import numtheory as nt
@@ -60,10 +61,6 @@ __all__ = [
 #: tests use smaller keys for speed and benchmarks choose explicitly.
 DEFAULT_KEY_SIZE = 512
 
-#: the four counted operation kinds, in report order
-_COUNTED_OPS = ("encryptions", "decryptions", "exponentiations",
-                "homomorphic_additions")
-
 # Thread-local counting scope: while a scope is active on a thread, every
 # counter *increment* performed on that thread (through any key object) is
 # additionally teed into the scope's counter.  This is how a daemon serving
@@ -73,6 +70,10 @@ _COUNTED_OPS = ("encryptions", "decryptions", "exponentiations",
 # including pool consumption, which is charged to the root key at consume
 # time deep inside the precompute engine.
 _COUNTING_SCOPE = threading.local()
+
+# One lock for every increment: a shared root counter is raised by several
+# threads at once, and ``x += n`` on it is a read-modify-write.
+_COUNT_LOCK = threading.Lock()
 
 
 def active_counting_scope() -> "OperationCounter | None":
@@ -85,9 +86,9 @@ def counting_scope(counter: "OperationCounter") -> Iterator["OperationCounter"]:
     """Tee this thread's crypto-operation increments into ``counter``.
 
     Scopes nest by shadowing: the innermost scope on a thread receives the
-    deltas (exactly once — there is no cascading), and the previous scope is
-    restored on exit.  Only positive deltas are teed, so a ``reset()`` on a
-    root counter never subtracts from a scope.
+    increments (exactly once — there is no cascading), and the previous
+    scope is restored on exit.  Only :meth:`OperationCounter.add` tees, so
+    a ``reset()`` on a root counter never subtracts from a scope.
     """
     previous = getattr(_COUNTING_SCOPE, "counter", None)
     _COUNTING_SCOPE.counter = counter
@@ -104,8 +105,9 @@ class OperationCounter:
     The paper reports protocol complexity in terms of *encryptions*,
     *decryptions* and *exponentiations* (Section 4.4).  A counter instance is
     attached to each key object, and protocol-level statistics aggregate them.
-    Increments additionally land in the thread's active
-    :func:`counting_scope`, which is how per-query statistics stay exact when
+    Increments go through :meth:`add`, which also raises ``parent`` (a DGK
+    key's counter raises its Paillier key's) and lands once in the thread's
+    active :func:`counting_scope` — how per-query statistics stay exact when
     several queries share one key on different threads.
     """
 
@@ -113,19 +115,20 @@ class OperationCounter:
     decryptions: int = 0
     exponentiations: int = 0
     homomorphic_additions: int = 0
+    parent: "OperationCounter | None" = field(default=None, repr=False,
+                                              compare=False)
 
-    def __setattr__(self, name: str, value: int) -> None:
-        # Tee positive deltas of established count fields into the active
-        # thread scope.  First assignment (during __init__) has no previous
-        # value in __dict__ and is deliberately not teed, so constructing a
-        # merged/snapshot counter inside a scope does not double-count.
-        if name in self.__dict__:
-            scope = getattr(_COUNTING_SCOPE, "counter", None)
+    def add(self, name: str, count: int) -> None:
+        """Raise ``name`` by ``count`` here, on every parent, and once in
+        this thread's scope — atomically with respect to other threads."""
+        scope = getattr(_COUNTING_SCOPE, "counter", None)
+        with _COUNT_LOCK:
+            counter = self
+            while counter is not None:
+                setattr(counter, name, getattr(counter, name) + count)
+                counter = counter.parent
             if scope is not None and scope is not self:
-                delta = value - self.__dict__[name]
-                if delta > 0:
-                    scope.__dict__[name] = scope.__dict__.get(name, 0) + delta
-        self.__dict__[name] = value
+                setattr(scope, name, getattr(scope, name) + count)
 
     def reset(self) -> None:
         """Zero all counters."""
@@ -239,7 +242,7 @@ class PaillierPublicKey:
         if r_value is None:
             r_value = nt.random_in_zn_star(self.n, rng)
         obfuscator = backend.powmod(r_value, self.n, self.nsquare)
-        self.counter.encryptions += 1
+        self.counter.add("encryptions", 1)
         return backend.mulmod(nude, obfuscator, self.nsquare)
 
     def encrypt(self, value: int, r_value: int | None = None,
@@ -261,7 +264,7 @@ class PaillierPublicKey:
     # -- ciphertext-space helpers -------------------------------------------
     def raw_add(self, c1: int, c2: int) -> int:
         """Homomorphic addition of two raw ciphertexts."""
-        self.counter.homomorphic_additions += 1
+        self.counter.add("homomorphic_additions", 1)
         return get_backend().mulmod(c1, c2, self.nsquare)
 
     def _raw_power(self, c: int, exponent: int) -> int:
@@ -298,7 +301,7 @@ class PaillierPublicKey:
         (:meth:`_raw_power`) — for every :class:`Ciphertext` operator.
         """
         raw = self._raw_power(c, scalar % self.n)
-        self.counter.exponentiations += 1
+        self.counter.add("exponentiations", 1)
         return raw
 
     # -- batched kernel ------------------------------------------------------
@@ -372,7 +375,7 @@ class PaillierPublicKey:
         n = self.n
         nsquare = self.nsquare
         mulmod = get_backend().mulmod
-        self.counter.encryptions += len(encoded)
+        self.counter.add("encryptions", len(encoded))
         return [
             Ciphertext(self, mulmod((1 + m * n) % nsquare, factor, nsquare))
             for m, factor in zip(encoded, factors)
@@ -448,7 +451,7 @@ class PaillierPublicKey:
         out = [Ciphertext(self, next(inverses) if exponent == n - 1
                           else raw_power(ciphertext.value, exponent))
                for ciphertext, exponent in zip(ciphertexts, exponents)]
-        self.counter.exponentiations += len(out)
+        self.counter.add("exponentiations", len(out))
         return out
 
     def add_batch(self, left: Sequence["Ciphertext"],
@@ -462,7 +465,7 @@ class PaillierPublicKey:
         mulmod = get_backend().mulmod
         out = [Ciphertext(self, mulmod(a.value, b.value, nsquare))
                for a, b in zip(left, right)]
-        self.counter.homomorphic_additions += len(out)
+        self.counter.add("homomorphic_additions", len(out))
         return out
 
     def weighted_sum_batch(self, rows: Sequence[Sequence["Ciphertext"]],
@@ -503,8 +506,8 @@ class PaillierPublicKey:
                 [ciphertext.value for ciphertext in row],
                 [scalar % n for scalar in scalars], nsquare)))
             terms += len(row)
-        self.counter.exponentiations += terms
-        self.counter.homomorphic_additions += terms - len(out)
+        self.counter.add("exponentiations", terms)
+        self.counter.add("homomorphic_additions", terms - len(out))
         return out
 
 
@@ -536,9 +539,28 @@ class PaillierPrivateKey:
         # CRT form of the obfuscator power, made lazily by obfuscators()
         self._crt_obfuscators = None
         self._crt_obfuscators_lock = threading.Lock()
+        # SMIN's DGK key, derived lazily by dgk()
+        self._dgk = None
+        self._dgk_lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"PaillierPrivateKey(bits={self.public_key.key_size})"
+
+    def dgk(self) -> "DGKPrivateKey":
+        """SMIN's DGK key pair, derived from ``p`` and ``q``
+        (:func:`repro.crypto.dgk.derive_key`) once per key object, on first
+        use and thread-safely: deployments that never compare never pay."""
+        if self._dgk is None:
+            with self._dgk_lock:
+                if self._dgk is None:
+                    # dgk.py builds on this module
+                    from repro.crypto.dgk import derive_key
+                    self._dgk = derive_key(self)
+        return self._dgk
+
+    def dgk_public_key(self) -> "DGKPublicKey":
+        """The public half of :meth:`dgk`: what the key holder hands C1."""
+        return self.dgk().public_key
 
     # -- encryption -----------------------------------------------------------
     def crt_obfuscators(self, rng: Random | None = None
@@ -606,7 +628,7 @@ class PaillierPrivateKey:
         if not 0 < ciphertext < self.public_key.nsquare:
             raise DecryptionError("ciphertext out of range for this key")
         backend = get_backend()
-        self.counter.decryptions += 1
+        self.counter.add("decryptions", 1)
         if use_crt:
             mp = (
                 (backend.powmod(ciphertext, self.p - 1, self.psquare) - 1)
@@ -663,7 +685,7 @@ class PaillierPrivateKey:
             mq = (powmod(raw, qm1, qsquare) - 1) // q * hq % q
             u = (mq - mp) * p_inv_q % q
             out.append((mp + u * p) % n)
-        self.counter.decryptions += len(out)
+        self.counter.add("decryptions", len(out))
         return out
 
     def _check_batch_keys(self, ciphertexts: Sequence["Ciphertext"]) -> None:

@@ -34,6 +34,10 @@ the pool topped up.
 :class:`QueryLookahead` is the engine of one query, not a pool: a cloud
 daemon without a provisioned engine builds one per query, empty, and its
 party computes the query's next factors in it while it waits on the peer.
+
+Either class works over any key with an ``obfuscators(count, rng)``
+source: over a DGK key (:mod:`repro.crypto.dgk`) its factors are SMIN's
+re-randomizers ``h^r``, drawn through the party's ``dgk_engine``.
 """
 
 from __future__ import annotations

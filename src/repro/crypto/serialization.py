@@ -19,8 +19,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro.crypto.dgk import DGKPublicKey
 from repro.crypto.paillier import (
     Ciphertext,
+    OperationCounter,
     PaillierPrivateKey,
     PaillierPublicKey,
 )
@@ -31,6 +33,8 @@ __all__ = [
     "public_key_from_dict",
     "private_key_to_dict",
     "private_key_from_dict",
+    "dgk_public_key_to_dict",
+    "dgk_public_key_from_dict",
     "ciphertext_to_dict",
     "ciphertext_from_dict",
     "payload_to_jsonable",
@@ -96,6 +100,32 @@ def private_key_from_dict(data: dict[str, Any]) -> PaillierPrivateKey:
     _validate_kind(data, "paillier-private-key")
     public = PaillierPublicKey(_hex_to_int(data["n"]))
     return PaillierPrivateKey(public, _hex_to_int(data["p"]), _hex_to_int(data["q"]))
+
+
+def dgk_public_key_to_dict(public_key: DGKPublicKey) -> dict[str, Any]:
+    """Serialize SMIN's DGK public key (what the key holder hands C1)."""
+    return {
+        "format": _FORMAT_VERSION,
+        "kind": "dgk-public-key",
+        **{name: _int_to_hex(getattr(public_key, name))
+           for name in ("n", "g", "h", "u", "t")},
+    }
+
+
+def dgk_public_key_from_dict(data: dict[str, Any],
+                             parent: OperationCounter | None = None
+                             ) -> DGKPublicKey:
+    """Reconstruct a DGK public key from :func:`dgk_public_key_to_dict`
+    output; ``parent`` is the counter its operations also land on."""
+    _validate_kind(data, "dgk-public-key")
+    try:
+        n, g, h, u, t = (_hex_to_int(data[name])
+                         for name in ("n", "g", "h", "u", "t"))
+    except (KeyError, TypeError) as exc:
+        raise SerializationError(f"malformed DGK public key: {exc}") from exc
+    if not (0 < g < n and 0 < h < n and 2 < u and 0 < t):
+        raise SerializationError("malformed DGK public key")
+    return DGKPublicKey(n, g, h, u, t, parent=parent)
 
 
 def ciphertext_to_dict(ciphertext: Ciphertext) -> dict[str, Any]:

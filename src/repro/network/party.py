@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import used for annotations only
+    from repro.crypto.dgk import DGKPrivateKey, DGKPublicKey
     from repro.crypto.precompute import PrecomputeEngine
 
 from repro.crypto.paillier import (
@@ -55,6 +56,9 @@ class Party:
         #: protocols source P1 material from the evaluator's engine and P2
         #: material from the decryptor's.
         self.engine: "PrecomputeEngine | None" = None
+        #: the same for this party's DGK re-randomizers (SMIN's bitwise
+        #: part), drawn by :meth:`dgk_encrypt_batch`.
+        self.dgk_engine: "PrecomputeEngine | None" = None
         if name not in (channel.endpoint_a, channel.endpoint_b):
             raise ConfigurationError(
                 f"party {name!r} is not an endpoint of the supplied channel"
@@ -68,14 +72,17 @@ class Party:
     def receive(self, expected_tag: str | None = None) -> object:
         """Receive the next message addressed to this party.
 
-        Until it is queued, this party's engine computes the factors its
+        Until it is queued, this party's engines compute the factors its
         query draws next (:meth:`~repro.crypto.precompute.QueryLookahead.
-        prefetch`), one at a time, so the message waits at most one factor.
+        prefetch`), one at a time and taking turns, so the message waits at
+        most one factor.
         """
-        engine = self.engine
-        if engine is not None:
-            while not self.channel.pending(self.name) and engine.prefetch():
-                pass
+        engines = [engine for engine in (self.engine, self.dgk_engine)
+                   if engine is not None]
+        while engines and not self.channel.pending(self.name):
+            engine = engines.pop(0)
+            if engine.prefetch():
+                engines.append(engine)
         return self.channel.receive(self.name, expected_tag)
 
     # -- crypto helpers -------------------------------------------------------
@@ -113,7 +120,38 @@ class Party:
 
 
 class EvaluatorParty(Party):
-    """The party that evaluates over ciphertexts but cannot decrypt (C1/P1)."""
+    """The party that evaluates over ciphertexts but cannot decrypt (C1/P1).
+
+    ``dgk_key`` is the DGK public key SMIN's comparison runs under, handed
+    over by the holder of the key pair: the key itself, or a callable that
+    derives it on first use (so a deployment that never compares never
+    derives one), or ``None`` where no comparison is provisioned.
+    """
+
+    def __init__(self, name: str, public_key: PaillierPublicKey,
+                 channel: DuplexChannel, rng: Random | None = None,
+                 dgk_key: "DGKPublicKey | Callable[[], DGKPublicKey] | None"
+                 = None) -> None:
+        super().__init__(name, public_key, channel, rng)
+        self._dgk_key = dgk_key
+
+    @property
+    def dgk_key(self) -> "DGKPublicKey":
+        """The DGK public key (derived now if it was handed over lazily)."""
+        key = self._dgk_key
+        if callable(key):
+            key = self._dgk_key = key()
+        if key is None:
+            raise ConfigurationError(
+                f"{self.name} holds no DGK public key: SMIN's comparison "
+                f"needs one (provision with distance_bits)")
+        return key
+
+    def dgk_encrypt_batch(self, values: "list[int]") -> "list[int]":
+        """DGK encryptions with this party's randomness, re-randomizers from
+        :attr:`dgk_engine` first (:meth:`encrypt_batch`'s rule)."""
+        return self.dgk_key.encrypt_batch(values, rng=self.rng,
+                                          pool=self.dgk_engine)
 
 
 class DecryptorParty(Party):
@@ -165,6 +203,18 @@ class DecryptorParty(Party):
                 f"no result share stored under delivery id {delivery_id}"
             ) from None
 
+    @property
+    def dgk_private_key(self) -> "DGKPrivateKey":
+        """The DGK key pair derived from this party's Paillier secret key
+        (on first use; see :meth:`~repro.crypto.paillier.
+        PaillierPrivateKey.dgk`)."""
+        return self.private_key.dgk()
+
+    def dgk_encrypt_batch(self, values: "list[int]") -> "list[int]":
+        """The key holder's DGK encryptions (CRT re-randomizers)."""
+        return self.dgk_private_key.encrypt_batch(values, rng=self.rng,
+                                                  pool=self.dgk_engine)
+
     def decrypt_signed(self, ciphertext: Ciphertext) -> int:
         """Decrypt with signed decoding (values above N/2 read as negative)."""
         return self.private_key.decrypt(ciphertext)
@@ -200,7 +250,9 @@ class TwoPartySetting:
 
         Args:
             keypair: the key pair; the public part goes to both parties, the
-                private part only to the decryptor.
+                private part only to the decryptor, and the evaluator gets
+                the public half of the DGK key derived from it, on first
+                use.
             rng: optional deterministic randomness source shared by both
                 parties' protocol masks (tests only).
             evaluator_name: channel endpoint name for C1.
@@ -211,7 +263,8 @@ class TwoPartySetting:
         evaluator_rng = rng
         decryptor_rng = Random(rng.random()) if rng is not None else None
         evaluator = EvaluatorParty(evaluator_name, keypair.public_key, channel,
-                                   evaluator_rng)
+                                   evaluator_rng,
+                                   dgk_key=keypair.private_key.dgk_public_key)
         decryptor = DecryptorParty(decryptor_name, keypair.private_key, channel,
                                    decryptor_rng)
         return cls(evaluator=evaluator, decryptor=decryptor, channel=channel)
@@ -232,8 +285,8 @@ class TwoPartySetting:
         return self.evaluator.engine
 
     def attach_engine(self, engine: "PrecomputeEngine | None",
-                      decryptor_engine: "PrecomputeEngine | None" = None
-                      ) -> None:
+                      decryptor_engine: "PrecomputeEngine | None" = None,
+                      dgk_engine: "PrecomputeEngine | None" = None) -> None:
         """Attach per-party precomputation engines to this deployment.
 
         ``engine`` becomes the source of the evaluator's (P1's) obfuscators
@@ -241,11 +294,13 @@ class TwoPartySetting:
         the decryptor's (P2's) re-encryptions and parity/comparison/indicator
         bits.  The two are kept separate on purpose: each party's pool holds
         that party's own randomness, matching the paper's non-colluding model —
-        a missing decryptor engine simply means P2 encrypts inline.  Pass
-        ``None`` (twice) to detach.
+        a missing decryptor engine simply means P2 encrypts inline.
+        ``dgk_engine`` serves the evaluator's DGK re-randomizers.  Pass
+        ``None`` to detach.
         """
         self.evaluator.engine = engine
         self.decryptor.engine = decryptor_engine
+        self.evaluator.dgk_engine = dgk_engine
 
     def reset_counters(self) -> None:
         """Reset crypto-operation counters and channel accounting."""

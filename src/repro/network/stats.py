@@ -190,8 +190,12 @@ class ProtocolRunStats:
             self.extra[key] = self.extra.get(key, 0) + value
 
     def as_payload(self) -> dict[str, object]:
-        """Lossless field-by-field dictionary (the wire form of the stats)."""
-        return dataclasses.asdict(self)
+        """Lossless field-by-field dictionary (the wire form of the stats),
+        ``extra`` copied."""
+        payload = {each.name: getattr(self, each.name)
+                   for each in dataclasses.fields(self)}
+        payload["extra"] = dict(self.extra)
+        return payload
 
     @classmethod
     def from_payload(cls, data: dict[str, object]) -> "ProtocolRunStats":

@@ -12,77 +12,91 @@ IEEE WIFS 2012], followed by the masked compare-and-select of Bost, Popa, Tu
 and Goldwasser ["Machine learning classification over encrypted data", NDSS
 2015].  Algorithm 3's random functionality stays: P1's secret coin ``F``
 orders each pair as ``(x, y)``, so the comparison bit P2 learns is uniform.
-Per pair, in two rounds:
+The values, the candidates and ``E(t)`` are Paillier ciphertexts; the
+bitwise part — P2's bits of ``z``, P1's entries and the top bit — runs under
+the DGK key pair derived from the Paillier one (:mod:`repro.crypto.dgk`),
+whose plaintexts live mod a small prime ``u`` and travel as plain ints,
+written ``[m]`` below.  Per pair, in two rounds:
 
 1. P1 sends ``E(z) = E(x) * E(y)^-1 * E(2**L + r)`` with ``r`` uniform in
    ``[0, N - 2**(L+1))``, so ``z`` never wraps.  P2 decrypts ``z`` and
-   returns fresh encryptions of its bits ``z_L, ..., z_0`` (MSB first).
-   Since ``x - y + 2**L`` lies in ``[1, 2**(L+1))``, its bit ``L`` is
-   ``[x >= y]``, and with ``zhat = z mod 2**L``, ``rhat = r mod 2**L``::
+   returns fresh DGK encryptions ``[z_L], ..., [z_0]`` of its low bits (MSB
+   first).  Since ``x - y + 2**L`` lies in ``[1, 2**(L+1))``, its bit ``L``
+   is ``[x >= y]``, and with ``zhat = z mod 2**L``, ``rhat = r mod 2**L``::
 
        [x >= y] = z_L xor r_L xor [zhat < rhat]
 
-2. P1 compares ``zhat`` (bit by bit, encrypted) with its own ``rhat`` by the
-   weighted zero test of Damgard, Geisler and Kroigaard ["Efficient and
-   secure comparison for on-line auctions", ACISP 2007] with weight 3: the
-   marker ``P_1 = z_{L-1} - rhat_{L-1}``, ``P_{i+1} = 3 P_i + (z_i -
-   rhat_i)`` (MSB first, plain additions and a cube) is 0 before the first
-   bit ``t`` where the two differ, ``z_t - rhat_t = +-1`` at it and of
-   absolute value at least 2 after it.  P1 draws a coin ``s`` in ``{+1,
-   -1}`` and sends, per pair,
+2. P1 compares ``zhat`` (bit by bit, encrypted) with its own ``rhat`` by
+   DGK's additive marker: P1 draws a coin ``s`` in ``{+1, -1}`` and forms,
+   for every bit ``i`` (MSB first),
 
-   * the ``L`` entries ``E(1 + r'_i (P_{i+1} + s))``, permuted: 1 exactly
-     at ``t`` when ``z_t - rhat_t = -s``, uniform apart from 1 elsewhere;
-   * ``E(z_L xor c)`` with ``c = r_L xor [s = -1]``: ``E(z_L)^(+-1)`` plus
-     a plain ``c``;
+       c_i = s + zhat_i - rhat_i + 3 * sum_{j above i} (zhat_j xor rhat_j)
+
+   (``[zhat_j xor rhat_j]`` is ``[zhat_j]`` or ``[1 - zhat_j]`` as
+   ``rhat_j`` says: ``[zhat_j]^(+-3) * g^(3 rhat_j)`` carries the weight).
+   ``c_i`` is 0 exactly at the first bit ``t`` where the two differ when
+   ``zhat_t - rhat_t = -s``, and of absolute value at most ``3L + 2 < u``
+   — never 0 mod ``u`` — everywhere else.  P1 sends, per pair,
+
+   * the ``L`` entries ``[c_i]^(r'_i) * h^(rho_i)``, ``r'_i`` uniform in
+     ``[1, u)``, permuted: 0 at ``t`` when ``zhat_t - rhat_t = -s``,
+     uniform in ``Z_u*`` elsewhere;
+   * ``[z_L xor c]`` with ``c = r_L xor [s = -1]``: ``[z_L]^(+-1)`` times
+     ``g^c``, under its own ``h^rho``;
    * ``E(x + rho_x)`` and ``E(y + rho_y)`` under fresh uniform masks.
 
-   P2 sets ``delta' = [some entry decrypts to 1]`` and ``t = (z_L xor c)
-   xor delta'``.  For ``x != y`` that is ``[x >= y]`` whatever ``s`` was
+   P2 zero-tests every entry (one half-size power each), sets ``delta' =
+   [some entry is 0]``, reads the top bit and sets ``t = (z_L xor c) xor
+   delta'``.  For ``x != y`` that is ``[x >= y]`` whatever ``s`` was
    (``s = -1`` tests ``zhat > rhat``, the complement, and ``c`` flips it
-   back); on a tie no entry is 1 and ``t = [s = +1]``, either candidate
+   back); on a tie no entry is 0 and ``t = [s = +1]``, either candidate
    being the minimum.  P2 returns the candidate ``t`` selects (``y`` for
    ``t = 1``) times a fresh ``E(0)``, and ``E(t)``.
 3. P1 strips the selected mask: ``E(min) = E(v) * E(-rho_x) *
    E(t)^(rho_x - rho_y)``, one full power.
 
-What each party sees.  P2 sees ``z``, statistically uniform exactly as SBD's
-masked values are; ``z_L xor c``, uniform through ``r_L`` and ``s``; and
-``delta'`` and ``t``, uniform for distinct values through ``s`` and ``F``.
-On a tie ``delta' = 0`` — the same tie leak as the bit-level ``alpha``.  P1
-sees only ciphertexts.  P2 also holds ``p`` and ``q``, so it can read the
-Paillier randomness ``(c mod N)^(N^-1 mod phi(N))`` of any ciphertext it
-decrypts; the entries' randomness would be ``rho(P_{i+1})^(r'_i)``, built
-from P2's own bit encryptions, and would let it test guesses of ``rhat``.
-So every ciphertext P2 decrypts carries its own fresh P1 factor: the mask's
-encryption in ``E(z)``, one ``E(0)`` per entry and one on ``E(z_L xor
-c)``.
+What each party sees.  P2 sees ``z``, statistically uniform (below);
+``z_L xor c``, uniform through ``r_L`` and ``s``; and ``delta'`` and ``t``,
+uniform for distinct values through ``s`` and ``F``.  On a tie ``delta' =
+0`` — the same tie leak as the bit-level ``alpha``.  P1 sees only
+ciphertexts: Paillier ones and DGK ones (semantically secure under DGK's
+subgroup assumption).  P2 also holds the factorizations, so it can read
+``c * g^(-m) mod n`` — the ``<h>`` part — of every DGK value it tests; an
+entry built only from P2's own bit encryptions would let it test guesses of
+``rhat``.  So every ciphertext P2 decrypts or zero-tests carries its own
+fresh P1 factor: the mask's encryption in ``E(z)`` and one DGK
+re-randomizer ``h^rho`` per entry and on the top bit.
 
-The marker's non-zero ``P_{i+1} + s`` must be units for the entries to be
-uniform: the protocol requires ``3**(L+1) < 2**(K/2 - 1)``, below either
-prime of ``N`` (``L <= 38`` at K=128, ``L <= 79`` at K=256, ``L <= 159`` at
-K=512; :meth:`SecureMinimum.marker_fits`).
+Domain.  The mask on ``E(z)`` hides ``L + 1`` bits statistically: ``2**(L
++ 1 + sigma) <= N`` with ``sigma = 40`` (``L <= 86`` at K=128, ``L <= 470``
+at K=512; :meth:`SecureMinimum.domain_fits`).  DGK's ``3L + 2 < u`` holds
+by construction (``u > 3K``).
 
 Per pair P1 pays ``L + 4`` encryptions — the mask (one ``take_masks``
-batch per chunk of round 1), ``L + 1`` zeros and the two selection masks
-(one ``encrypt_batch`` and one ``take_masks`` batch per chunk of round 2;
-on a daemon their factors are computed while P1 waits on P2, see
+batch per chunk of round 1), ``L + 1`` DGK re-randomizers and the two
+selection masks (one batch of each per chunk of round 2; on a daemon their
+factors are computed while P1 waits on P2, see
 :class:`~repro.crypto.precompute.QueryLookahead`) — and ``2L + 2``
-exponentiations: the negation of ``y``, ``L - 1`` cubes (two
-multiplications each), the ``L`` entry powers, the ``+-1`` and the final
-strip, ``L + 1`` of them full powers.  P2 pays ``L + 2`` decryptions and
-``L + 3`` encryptions.
+exponentiations: the negation of ``y``, the ``L - 1`` weights ``+-3``, the
+``L`` entry powers and the ``+-1`` (all DGK, exponents below ``u``), and
+the final strip, the one full power.  P2 pays one decryption, ``L`` zero
+tests and one bit decryption (``L + 2`` decryptions), and ``L + 1`` DGK and
+two Paillier encryptions.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
+from repro.crypto.dgk import DGKPublicKey
 from repro.crypto.paillier import Ciphertext
 from repro.protocols.base import TwoPartyProtocol, traced_round
 from repro.protocols.encoding import recompose_from_encrypted_bits
 
-__all__ = ["SecureMinimum"]
+__all__ = ["SecureMinimum", "STATISTICAL_SECURITY"]
+
+#: ``sigma``: the mask on ``E(z)`` hides ``L + 1`` bits up to ``2**-sigma``.
+STATISTICAL_SECURITY = 40
 
 
 class SecureMinimum(TwoPartyProtocol):
@@ -96,11 +110,12 @@ class SecureMinimum(TwoPartyProtocol):
     }
 
     @staticmethod
-    def marker_fits(bit_length: int, key_size: int) -> bool:
+    def domain_fits(bit_length: int, key_size: int) -> bool:
         """Whether ``L``-bit values can be compared under a ``K``-bit key:
-        ``3**(L+1) < 2**(K/2 - 1)``, so every non-zero ``P_{i+1} + s`` is a
-        unit."""
-        return 3 ** (bit_length + 1) < 1 << (key_size // 2 - 1)
+        ``2**(L + 1 + sigma) <= N`` for every ``K``-bit ``N``, i.e. ``L +
+        sigma + 2 <= K``.  DGK's ``3L + 2 < u`` then holds by construction
+        (``u > 3K``)."""
+        return bit_length + STATISTICAL_SECURITY + 2 <= key_size
 
     @traced_round("run")
     def run(self, enc_u: Ciphertext | Sequence[Ciphertext],
@@ -141,6 +156,25 @@ class SecureMinimum(TwoPartyProtocol):
                      "bit length disagrees with the bit vectors")
         return [recompose_from_encrypted_bits(bits) for bits in operands], length
 
+    def require_rows(self, rows: Any, what: str, dgk_key: DGKPublicKey,
+                     dgk_width: int, ciphertexts: int = 0,
+                     rows_expected: int | None = None) -> None:
+        """Shape check of a batch from the peer: a non-empty list (of
+        ``rows_expected`` rows when given) of rows of ``dgk_width`` values
+        in ``dgk_key``'s range, then ``ciphertexts`` Paillier ciphertexts —
+        before anything in it is tested or used."""
+        valid = dgk_key.valid
+        self.require(
+            isinstance(rows, list) and rows
+            and rows_expected in (None, len(rows))
+            and all(isinstance(row, list)
+                    and len(row) == dgk_width + ciphertexts
+                    and all(valid(value) for value in row[:dgk_width])
+                    and all(isinstance(cipher, Ciphertext)
+                            for cipher in row[dgk_width:])
+                    for row in rows),
+            f"malformed {what}")
+
     @traced_round("run_batch", sized=True)
     def run_batch(self, pairs: Sequence[tuple[Ciphertext | Sequence[Ciphertext],
                                               Ciphertext | Sequence[Ciphertext]]],
@@ -167,11 +201,12 @@ class SecureMinimum(TwoPartyProtocol):
             return []
         values, bit_length = self.encrypted_integers(
             [operand for pair in pairs for operand in pair], bit_length)
-        self.require(self.marker_fits(bit_length, self.pk.key_size),
-                     f"{bit_length}-bit values need 3^(L+1) < 2^(K/2-1) "
-                     f"for the marker, K={self.pk.key_size}")
+        self.require(self.domain_fits(bit_length, self.pk.key_size),
+                     f"{bit_length}-bit values need 2^(L+1+{STATISTICAL_SECURITY})"
+                     f" <= N for the mask, K={self.pk.key_size}")
         n = self.pk.n
         top = 1 << bit_length
+        dgk = self.p1.dgk_key
 
         # ---- P1: every pair's coin F orders it as (x, y) ---------------------
         tasks = [(values[2 * index], values[2 * index + 1])
@@ -190,52 +225,52 @@ class SecureMinimum(TwoPartyProtocol):
                     [r for r, _ in masks])
 
         def collect_bits(chunk, masks, reply):
-            self.require(
-                self.require_cipher_rows(reply, "difference-bits reply",
-                                         len(chunk)) == bit_length + 1,
-                "malformed difference-bits reply")
+            self.require_rows(reply, "difference-bits reply", dgk,
+                              bit_length + 1, rows_expected=len(chunk))
             return list(zip(masks, reply))
 
         def build_comparisons(chunk):
-            # ---- P1, round 2: entries and E(z_L xor c) ----------------------
+            # ---- P1, round 2: entries and [z_L xor c] ------------------------
             width = bit_length + 1
-            zeros = self.p1.encrypt_batch([0] * (len(chunk) * width))
+            zeros = self.p1.dgk_encrypt_batch([0] * (len(chunk) * width))
             selection_masks = self.take_masks(2 * len(chunk))
             candidates = self.pk.add_batch(
                 [operand for _, _, x, y in chunk for operand in (x, y)],
                 [c for _, c in selection_masks])
-            markers, exponents, offsets, flips = [], [], [], []
+            markers, offsets, exponents, flips = [], [], [], []
             permutations = []
             for mask, bits, _, _ in chunk:
                 sign = 1 if self.p1.rng.getrandbits(1) else -1
-                marker = None
-                for position, enc_bit in enumerate(bits[1:]):
-                    # P_{i+1} = 3 P_i + (z_i - rhat_i), MSB first
-                    if mask >> (bit_length - 1 - position) & 1:
-                        enc_bit = enc_bit + (-1)
-                    marker = enc_bit if marker is None else marker * 3 + enc_bit
-                    markers.append(marker)
-                    exponent = self.p1.random_nonzero()
-                    exponents.append(exponent)
-                    # 1 + r'(P + s) = r'P + (r's + 1)
-                    offsets.append(exponent * sign + 1)
+                rhat = [mask >> (bit_length - 1 - position) & 1
+                        for position in range(bit_length)]
+                # [3 (zhat_j xor rhat_j)] = [zhat_j]^(+-3) g^(3 rhat_j) for
+                # every bit above the last, and their sums above each bit
+                weights = dgk.add_plain_batch(
+                    dgk.scalar_mul_batch(bits[1:bit_length],
+                                         [3 - 6 * r for r in rhat[:-1]]),
+                    [3 * r for r in rhat[:-1]])
+                markers.extend(dgk.add_batch(bits[1:],
+                                             dgk.prefix_sums(weights)))
+                # c_i = s + zhat_i - rhat_i + 3 sum_{j above i} (...)
+                offsets.extend(sign - r for r in rhat)
+                exponents.extend(self.p1.rng.randrange(1, dgk.u)
+                                 for _ in range(bit_length))
                 permutation = list(range(bit_length))
                 self.p1.rng.shuffle(permutation)
                 permutations.append(permutation)
                 flips.append((mask >> bit_length & 1) ^ (sign < 0))
-            # every entry and every top bit under a fresh E(0) of its own
-            entries = self.pk.add_batch(
-                [self.add_plain(cipher, offset) for cipher, offset in zip(
-                    self.pk.scalar_mul_batch(markers, exponents), offsets)],
+            # every entry and every top bit under a re-randomizer of its own
+            entries = dgk.add_batch(
+                dgk.scalar_mul_batch(dgk.add_plain_batch(markers, offsets),
+                                     exponents),
                 [zero for index, zero in enumerate(zeros)
                  if index % width < bit_length])
-            # E(z_L xor c) = E(z_L)^(1 - 2c) + c
-            top_bits = self.pk.add_batch(
-                [self.add_plain(cipher, flip) for cipher, flip in zip(
-                    self.pk.scalar_mul_batch([bits[0] for _, bits, _, _
-                                              in chunk],
-                                             [1 - 2 * flip for flip in flips]),
-                    flips)],
+            # [z_L xor c] = [z_L]^(1 - 2c) g^c
+            top_bits = dgk.add_batch(
+                dgk.add_plain_batch(
+                    dgk.scalar_mul_batch([bits[0] for _, bits, _, _ in chunk],
+                                         [1 - 2 * flip for flip in flips]),
+                    flips),
                 zeros[bit_length::width])
             payload = []
             for index, permutation in enumerate(permutations):
@@ -270,24 +305,26 @@ class SecureMinimum(TwoPartyProtocol):
 
     # -- P2 side -------------------------------------------------------------
     def _p2_bits_of_masked_differences(self) -> None:
-        """Round 1: decrypt each masked difference ``z`` and return fresh
+        """Round 1: decrypt each masked difference ``z`` and return fresh DGK
         encryptions of its ``L + 1`` low bits, MSB first.
 
         The frame is ``[L, [E(z), ...]]``; ``L`` is checked against the key
-        (``z`` must fit below ``N`` with room for the mask) before anything is
+        (:meth:`domain_fits`, and ``3L + 2 < u``) before anything is
         decrypted.
         """
         frame = self.p2.receive(expected_tag="SMIN.batch_masked_differences")
+        dgk = self.p2.dgk_private_key
         self.require(isinstance(frame, list) and len(frame) == 2
-                     and type(frame[0]) is int
-                     and 0 < frame[0] < self.pk.n.bit_length() - 2
+                     and type(frame[0]) is int and frame[0] > 0
+                     and self.domain_fits(frame[0], self.pk.key_size)
+                     and 3 * frame[0] + 2 < dgk.public_key.u
                      and isinstance(frame[1], list) and frame[1],
                      "malformed masked-difference batch")
         bit_length, masked = frame
         self.require_cipher_list(masked, len(masked),
                                  "masked-difference batch")
         values = self.p2.decrypt_residue_batch(masked)
-        bits = self.p2.encrypt_batch(
+        bits = self.p2.dgk_encrypt_batch(
             [value >> shift & 1 for value in values
              for shift in range(bit_length, -1, -1)])
         width = bit_length + 1
@@ -299,22 +336,29 @@ class SecureMinimum(TwoPartyProtocol):
         """Round 2: decide each pair's ``t`` and return the candidate it
         selects, times a fresh ``E(0)``, with ``E(t)``.
 
-        A row is the ``L`` permuted entries, ``E(z_L xor c)`` and the two
-        masked candidates; every row of the batch has one width, checked
-        before anything is decrypted.  The entries and the top bit are
-        decrypted in one batch; the candidates never are.
+        A row is the ``L`` permuted entries and ``[z_L xor c]`` (DGK values)
+        and the two masked candidates; every row of the batch has one width
+        and every DGK value is range-checked before anything is tested.  The
+        entries are zero-tested, the top bit decrypted; the candidates never
+        are.
         """
         rows = self.p2.receive(expected_tag="SMIN.batch_comparisons")
-        width = self.require_cipher_rows(rows, "comparison batch")
-        self.require(width >= 4, "malformed comparison batch")
+        dgk = self.p2.dgk_private_key
+        width = (len(rows[0]) if isinstance(rows, list) and rows
+                 and isinstance(rows[0], list) else 0)
         tested = width - 2
-        decrypted = self.p2.decrypt_residue_batch(
-            [cipher for row in rows for cipher in row[:tested]])
+        self.require(tested >= 2 and 3 * (tested - 1) + 2 < dgk.public_key.u,
+                     "malformed comparison batch")
+        self.require_rows(rows, "comparison batch", dgk.public_key, tested,
+                          ciphertexts=2)
+        zeros = dgk.is_zero_batch(
+            [value for row in rows for value in row[:tested - 1]])
+        tops = dgk.decrypt_batch([row[tested - 1] for row in rows])
         choices = []
-        for index in range(len(rows)):
-            values = decrypted[index * tested:(index + 1) * tested]
-            self.require(values[-1] in (0, 1), "malformed comparison batch")
-            choices.append(values[-1] ^ int(1 in values[:-1]))
+        for index, top in enumerate(tops):
+            self.require(top in (0, 1), "malformed comparison batch")
+            choices.append(top ^ int(any(
+                zeros[index * (tested - 1):(index + 1) * (tested - 1)])))
         fresh = self.p2.encrypt_batch(choices + [0] * len(rows))
         selected = self.pk.add_batch(
             [row[tested + choice] for row, choice in zip(rows, choices)],

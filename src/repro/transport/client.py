@@ -28,7 +28,10 @@ from repro.core.roles import ResultShares
 from repro.core.sknn_base import SkNNRunReport
 from repro.core.sknn_shard import shard_table
 from repro.crypto.paillier import Ciphertext, PaillierKeyPair
-from repro.crypto.serialization import private_key_to_dict
+from repro.crypto.serialization import (
+    dgk_public_key_to_dict,
+    private_key_to_dict,
+)
 from repro.db.encrypted_table import EncryptedTable
 from repro.exceptions import (
     ChannelError,
@@ -275,8 +278,10 @@ class RemoteCloud:
                   k_default: int = 1) -> dict[str, Any]:
         """Ship the secret key to C2 and the encrypted table to C1.
 
-        C2 is provisioned first so that C1's peer dial finds a party that
-        can speak the protocol.  When ``precompute_queries`` is positive,
+        With ``distance_bits`` (SkNN_m) C1 also gets the public half of the
+        DGK key derived from the secret key, which SMIN's comparison runs
+        under; C2 re-derives the key pair itself.  C2 is provisioned first
+        so that C1's peer dial finds a party that can speak the protocol.  When ``precompute_queries`` is positive,
         each daemon builds and warms its own party-local
         :class:`~repro.crypto.precompute.PrecomputeEngine` sized for that
         many queries (C1 evaluator pools, C2 decryptor pools) — the offline
@@ -309,6 +314,11 @@ class RemoteCloud:
             "precompute": (dict(load, sbd_bit_length=distance_bits)
                            if precompute_queries > 0 else None),
         }
+        if distance_bits is not None:
+            # SkNN_m's comparison runs under the DGK key derived from the
+            # secret key: C1 gets its public half from the key's holder
+            c1_payload["dgk_public_key"] = dgk_public_key_to_dict(
+                keypair.private_key.dgk_public_key())
         shard_payloads: list[dict[str, Any]] = []
         if self.shard_addresses:
             c1_payload["shards"] = [[host, port]

@@ -54,6 +54,7 @@ from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_base import SkNNProtocol, SkNNRunReport
 from repro.core.sknn_secure import SkNNSecure
 from repro.core.sknn_shard import ShardScanProtocol, shard_bounds
+from repro.crypto.dgk import DGKPublicKey
 from repro.crypto.paillier import (
     Ciphertext,
     OperationCounter,
@@ -65,6 +66,7 @@ from repro.crypto.precompute import (
     QueryLookahead,
 )
 from repro.crypto.serialization import (
+    dgk_public_key_from_dict,
     payload_from_jsonable,
     payload_to_jsonable,
     private_key_from_dict,
@@ -78,10 +80,11 @@ from repro.exceptions import (
     DeadlineExceeded,
     PeerUnavailable,
     ReproError,
+    SerializationError,
 )
 from repro.network.channel import Message
 from repro.network.party import DecryptorParty
-from repro.protocols.smin import SecureMinimum
+from repro.protocols.smin import STATISTICAL_SECURITY, SecureMinimum
 from repro.resilience import durability
 from repro.resilience.durability import DurableReplyCache
 from repro.resilience.idempotency import ReplyCache
@@ -948,13 +951,13 @@ class PartyDaemon:
         key_size = self._provisioned_key_size(payload)
         if distance_bits is not None and not (
                 type(distance_bits) is int and distance_bits > 0
-                and SecureMinimum.marker_fits(distance_bits + 1, key_size)):
+                and SecureMinimum.domain_fits(distance_bits + 1, key_size)):
             # C2 builds SkNN_m for every peer context from l, so a too-wide
             # l must be refused here, not on the first query's worker.
             raise ConfigurationError(
                 f"distance_bits={distance_bits!r} is not a positive l that "
                 f"SMIN can compare under a {key_size}-bit key "
-                f"(3^(l+2) < 2^(K/2-1))")
+                f"(2^(l+2+{STATISTICAL_SECURITY}) <= N)")
         seed = payload.get("seed")
         self.rng = Random(seed) if seed is not None else None
         self.distance_bits = distance_bits
@@ -1303,6 +1306,10 @@ class C1Daemon(PartyDaemon):
         # Provisioned inputs kept so a failed peer link can be re-dialled
         # and the protocol stack rebuilt without a client re-provision.
         self._table: EncryptedTable | None = None
+        #: SMIN's DGK public key, handed over at provisioning (SkNN_m only)
+        self._dgk_key: DGKPublicKey | None = None
+        #: a provisioned engine's DGK counterpart (warm re-randomizers)
+        self.dgk_engine: PrecomputeEngine | None = None
         self._c2_address: tuple[str, int] | None = None
         #: coordinator mode: addresses of the C1 shard daemons to scatter to
         self._shard_addresses: list[tuple[str, int]] | None = None
@@ -1341,8 +1348,17 @@ class C1Daemon(PartyDaemon):
             raise ConfigurationError(
                 "shard provision sent to a C1 daemon started without "
                 "--shard-index/--shard-count")
+        dgk_key = payload.get("dgk_public_key")
+        if dgk_key is not None:
+            try:
+                dgk_key = dgk_public_key_from_dict(
+                    dgk_key, parent=table.public_key.counter)
+            except SerializationError as exc:
+                raise ConfigurationError(
+                    f"malformed dgk_public_key: {exc}") from exc
         self.codec.public_key = table.public_key
         self._table = table
+        self._dgk_key = dgk_key
         self._c2_address = (host, int(port))
         self._start_index = int(payload.get("start_index", 0))
         shards = payload.get("shards")
@@ -1355,6 +1371,9 @@ class C1Daemon(PartyDaemon):
             pool.close()  # new provisioning epoch: drop the old peer links
         loaded = self._build_engine(self.codec.public_key,
                                     payload.get("precompute"), party=0)
+        self.dgk_engine = (
+            self._warm_dgk_engine(dgk_key, payload.get("precompute"))
+            if dgk_key is not None else None)
         if not from_recovery:
             self._ensure_pool().ensure()
         logger.info("C1%s provisioned (%d records, %d dims, peer %s:%d%s%s)",
@@ -1370,6 +1389,23 @@ class C1Daemon(PartyDaemon):
         if self._shard_addresses is not None:
             reply["shards"] = len(self._shard_addresses)
         return reply
+
+    def _warm_dgk_engine(self, dgk_key: DGKPublicKey,
+                         precompute: dict[str, Any] | None
+                         ) -> PrecomputeEngine | None:
+        """A warmed engine of C1's DGK re-randomizers beside the provisioned
+        Paillier one: SkNN_m's per query in the cost model, times the
+        provisioned queries (``pool_targets(..., dgk=True)``)."""
+        if not precompute or not precompute.get("sbd_bit_length"):
+            return None
+        target = pool_targets(
+            precompute["n_records"], precompute["dimensions"],
+            precompute["k"], precompute["queries"],
+            bit_length=precompute["sbd_bit_length"], dgk=True)[0]
+        engine = PrecomputeEngine(dgk_key, rng=self._derive_rng(),
+                                  config=PrecomputeConfig(obfuscators=target))
+        engine.warm()
+        return engine
 
     def _peer_links(self) -> list[MuxConnection]:
         pool = self._peer_pool
@@ -1485,21 +1521,28 @@ class C1Daemon(PartyDaemon):
         queries never share mutable protocol state.  A coordinator builds
         what a plain C1 builds; the caller points its scan at the shards.
         Without a provisioned engine C1 gets the run's own
-        :class:`~repro.crypto.precompute.QueryLookahead`, sized by
+        :class:`~repro.crypto.precompute.QueryLookahead`, and a secure run
+        a second one of DGK re-randomizers, sized by
         :meth:`_lookahead_budget`.
         """
         assert self._table is not None
         table = self._table
-        c1 = CloudC1(table.public_key, channel, rng=self._derive_rng())
+        c1 = CloudC1(table.public_key, channel, rng=self._derive_rng(),
+                     dgk_key=self._dgk_key)
         c1.host_database(table)
         c2_stub = DecryptorParty(
             "C2", RemotePrivateKey(table.public_key), channel,
             rng=self._derive_rng())
         cloud = FederatedCloud(c1=c1, c2=c2_stub, channel=channel)
-        cloud.attach_engine(
-            self.engine if self.engine is not None else QueryLookahead(
-                table.public_key, c1.rng, self._derive_rng(),
-                self._lookahead_budget(mode, k)), None)
+        if self.engine is not None:
+            cloud.attach_engine(self.engine, None, self.dgk_engine)
+        else:
+            paillier, dgk = self._lookahead_budget(mode, k)
+            cloud.attach_engine(
+                QueryLookahead(table.public_key, c1.rng, self._derive_rng(),
+                               paillier), None,
+                QueryLookahead(self._dgk_key, c1.rng, self._derive_rng(),
+                               dgk) if dgk and self._dgk_key else None)
         if self.shard_index is not None:
             return ShardScanProtocol(cloud,
                                      party=f"C1-shard{self.shard_index}")
@@ -1513,22 +1556,26 @@ class C1Daemon(PartyDaemon):
         raise ConfigurationError(
             f"mode {mode!r} is unavailable on this daemon")
 
-    def _lookahead_budget(self, mode: str, k: int) -> int:
-        """C1's encryptions in one run of ``mode`` in the cost model: a
-        shard's are its slice's scan, a coordinator's leave out the scan
-        it scatters.  A ``k`` the protocol refuses draws nothing."""
+    def _lookahead_budget(self, mode: str, k: int) -> tuple[int, int]:
+        """C1's Paillier and DGK encryptions in one run of ``mode`` in the
+        cost model: a shard's are its slice's scan, a coordinator's leave
+        out the scan it scatters, and only a secure run draws DGK
+        re-randomizers.  A ``k`` the protocol refuses draws nothing."""
         assert self._table is not None
         records, dimensions = len(self._table), self._table.dimensions
         scan = (int(ssed_scan_cost(records, dimensions).c1.encryptions)
                 if records else 0)
         if self.shard_index is not None:
-            return scan
+            return scan, 0
         if type(k) is not int or not 1 <= k <= records:
-            return 0
-        total = pool_targets(
-            records, dimensions, k, 1,
-            bit_length=self.distance_bits if mode == "secure" else None)[0]
-        return total - scan if self._shard_addresses is not None else total
+            return 0, 0
+        bit_length = self.distance_bits if mode == "secure" else None
+        total = pool_targets(records, dimensions, k, 1,
+                             bit_length=bit_length)[0]
+        dgk = pool_targets(records, dimensions, k, 1, bit_length=bit_length,
+                           dgk=True)[0]
+        return (total - scan if self._shard_addresses is not None
+                else total), dgk
 
     def _run_leased(self, mode: str, execute: Callable[[SkNNProtocol], Any],
                     **fields: Any) -> tuple[Any, SkNNRunReport]:
@@ -1584,7 +1631,10 @@ class C1Daemon(PartyDaemon):
                 self._inflight -= 1
         report = protocol.last_report
         engine = protocol.cloud.engine
-        ready = ({"factors_ready": engine.hits}
+        ready = ({"factors_ready": sum(
+                      lookahead.hits for lookahead in (
+                          engine, protocol.cloud.c1.dgk_engine)
+                      if lookahead is not None)}
                  if isinstance(engine, QueryLookahead) else {})
         report.stats.extra.update(ready)
         report.merge_remote(

@@ -6,11 +6,12 @@ each party sends.  Every case here runs one call — SM, the SSED scan, SBD,
 SBOR, SMIN, SMIN_n, SkNN_b, SkNN_m — at shapes below and at or above
 ``PIPELINE_MIN_ITEMS``, on every bigint backend, with pools off and warm,
 and asserts the measured call equal to its entry: both parties' counters
-(a cost ledger's per-party rows), the channel's messages and each sender's
+(a cost ledger's per-party rows), the DGK share of them (the DGK keys'
+own counters), the channel's messages and each sender's Paillier
 ciphertexts.  SBD is held to the entry at the run's recorded number of odd
-masks.  With pools warm each party's engine serves
-exactly that party's encryptions and misses none: the offline work is the
-entry's ``encryptions``.
+masks.  With pools warm each party's Paillier engine and DGK engine serve
+exactly that party's encryptions of their kind and miss none: the offline
+work is the entry's ``encryptions``, split as ``pool_targets`` splits it.
 """
 
 from __future__ import annotations
@@ -193,16 +194,29 @@ def fresh_keypair(keypair) -> PaillierKeyPair:
         public, keypair.private_key.p, keypair.private_key.q))
 
 
+def dgk_counters(setting: TwoPartySetting):
+    """Both parties' DGK key counters: the DGK share of their operations."""
+    return (setting.evaluator.dgk_key.counter,
+            setting.decryptor.dgk_private_key.counter)
+
+
 def measure(setting: TwoPartySetting, call) -> ProtocolCost:
     """``call`` as a :class:`ProtocolCost`: both parties' counters under a
-    cost ledger, the channel's frames and each sender's ciphertexts."""
+    cost ledger, the DGK share read off the DGK keys' own counters, the
+    channel's frames and each sender's Paillier ciphertexts."""
     setting.reset_counters()
+    before = [counter.snapshot() for counter in dgk_counters(setting)]
     ledger = CostLedger.for_setting(setting)
     with ledger.activate():
         call()
     stats = ProtocolRunStats()
     stats.add_cost_rows(ledger.finish())
     traffic = setting.channel.traffic
+    c1_dgk, c2_dgk = (
+        OperationCounts(*(counter.snapshot()[op] - start[op]
+                          for op in ("encryptions", "decryptions",
+                                     "exponentiations")))
+        for counter, start in zip(dgk_counters(setting), before))
     return ProtocolCost(
         c1=OperationCounts(encryptions=stats.c1_encryptions,
                            exponentiations=stats.c1_exponentiations),
@@ -210,7 +224,8 @@ def measure(setting: TwoPartySetting, call) -> ProtocolCost:
                            stats.c2_exponentiations),
         messages=setting.channel.total_traffic().messages,
         c1_ciphertexts=traffic["C1"].ciphertexts,
-        c2_ciphertexts=traffic["C2"].ciphertexts)
+        c2_ciphertexts=traffic["C2"].ciphertexts,
+        c1_dgk=c1_dgk, c2_dgk=c2_dgk)
 
 
 @pytest.mark.parametrize("pools", ["off", "warm"])
@@ -228,30 +243,44 @@ def test_the_model_entry_is_the_call(protocol, shape, backend_name, pools,
         setting, call, entry, sbd_masks = CASES[protocol][0](keypair, **shape)
         engines = ()
         if pools == "warm":
-            # sized at SBD's all-odd bound
+            # sized at SBD's all-odd bound: each party's Paillier factors,
+            # and the DGK ones in engines of their own
             bound = entry(sbd_masks)
+            dgk_public = setting.evaluator.dgk_key
+            dgk_private = setting.decryptor.dgk_private_key
             engines = tuple(
                 PrecomputeEngine(key, rng=Random(seed), config=PrecomputeConfig(
-                    obfuscators=int(party.encryptions)))
-                for key, party, seed in (
-                    (keypair.public_key, bound.c1, 21),
-                    (keypair.private_key, bound.c2, 22)))
+                    obfuscators=int(count)))
+                for key, count, seed in (
+                    (keypair.public_key,
+                     bound.c1.encryptions - bound.c1_dgk.encryptions, 21),
+                    (keypair.private_key,
+                     bound.c2.encryptions - bound.c2_dgk.encryptions, 22),
+                    (dgk_public, bound.c1_dgk.encryptions, 23),
+                    (dgk_private, bound.c2_dgk.encryptions, 24)))
             for engine in engines:
                 engine.warm()
-            setting.attach_engine(*engines)
+            setting.attach_engine(*engines[:3])
+            setting.decryptor.dgk_engine = engines[3]
         measured = measure(setting, call)
     finally:
         set_backend(None)
     assert len(masks) == sbd_masks
     expected = entry(sum(r % 2 for r in masks))
     assert measured == expected
-    for engine, party in zip(engines, (expected.c1, expected.c2)):
-        assert (engine.hits, engine.misses) == (party.encryptions, 0)
+    for engine, encryptions in zip(engines, (
+            expected.c1.encryptions - expected.c1_dgk.encryptions,
+            expected.c2.encryptions - expected.c2_dgk.encryptions,
+            expected.c1_dgk.encryptions, expected.c2_dgk.encryptions)):
+        assert (engine.hits, engine.misses) == (encryptions, 0)
     if shape == SECURE_DIST_K512:
-        # the workload's peer_messages_per_query and ciphertexts per
-        # direction, which the daemons carry (test_distributed)
+        # the workload's peer_messages_per_query and Paillier ciphertexts
+        # per direction, which the daemons carry (test_distributed), and
+        # C1's and C2's DGK re-randomizers and C2's zero tests
         assert (measured.messages, measured.c1_ciphertexts,
-                measured.c2_ciphertexts) == (41, 241, 163)
+                measured.c2_ciphertexts) == (41, 136, 58)
+        assert (measured.c1_dgk.encryptions, measured.c2_dgk.encryptions,
+                measured.c2_dgk.decryptions) == (105, 105, 105)
 
 
 @pytest.mark.parametrize("mode", ["basic", "parallel", "sharded", "secure"])

@@ -94,6 +94,7 @@ def spying(public_key, private_key=None):
     public_key.encrypt_batch([0])
     if private_key is not None:
         private_key.crt_obfuscators()
+        private_key.dgk()  # derived on first use, not a protocol's power
     spy = Spy()
     set_backend(spy)
     try:
@@ -127,13 +128,14 @@ def fresh_keys(keypair) -> tuple[PaillierPublicKey, PaillierPrivateKey]:
 
 
 def counted(setting) -> dict[str, int]:
-    """Encryptions/exponentiations (both parties share the public key's
-    counter in-process) and C2's decryptions."""
+    """Encryptions/exponentiations (both parties' Paillier work shares the
+    public key's counter in-process; C2's DGK encryptions land on its
+    private key's) and C2's decryptions."""
     public = setting.public_key.counter.snapshot()
-    return {"encryptions": public["encryptions"],
+    private = setting.decryptor.private_key.counter
+    return {"encryptions": public["encryptions"] + private.encryptions,
             "exponentiations": public["exponentiations"],
-            "decryptions":
-                setting.decryptor.private_key.counter.decryptions}
+            "decryptions": private.decryptions}
 
 
 def as_counts(model, scale: int = 1) -> dict[str, float]:
@@ -166,10 +168,10 @@ class TestNoTextbookPowersFromTheClouds:
             setting.reset_counters()
             minimum = protocol.run(enc_u, enc_v, self.BITS)
         assert spy.textbook(public) == []
-        # round 1 negates y; round 2 inverts the top bit when c = 1; the
-        # marker's cubes never reach the backend.
-        assert spy.inverts == [public.nsquare] * len(spy.batch_sizes)
-        assert spy.batch_sizes[0] == 1 and spy.batch_sizes[1:] in ([], [1])
+        # round 1 negates y; round 2 is DGK's, whose flip of the top bit is
+        # an exponent below u, and whose weights' cubes never reach the
+        # backend.
+        assert spy.inverts == [public.nsquare] and spy.batch_sizes == [1]
         assert 3 not in [exponent for exponent, _ in spy.powmods]
         # ... and the negations are counted
         assert counted(setting) == as_counts(smin_cost(self.BITS).total)
@@ -188,10 +190,9 @@ class TestNoTextbookPowersFromTheClouds:
             SecureMinimum(setting).run_batch(pairs, self.BITS)
         assert spy.textbook(public) == []
         assert spy.inverts == [public.nsquare] * len(spy.batch_sizes)
-        # round 1: every y of a chunk in one inversion; round 2: at most
-        # one more per chunk, for the flipped top bits
-        assert spy.batch_sizes[:len(chunks)] == chunks
-        assert len(spy.batch_sizes) <= 2 * len(chunks)
+        # round 1: every y of a chunk in one inversion; round 2 (DGK's)
+        # none
+        assert spy.batch_sizes == chunks
         assert counted(setting) == as_counts(smin_cost(self.BITS).total,
                                              len(pairs))
 

@@ -90,10 +90,13 @@ class TestSecureProtocolHiding:
     def test_no_plaintext_distance_ever_on_the_wire(self, security_table,
                                                     small_keypair):
         """In SkNN_m every payload is ciphertexts (no plaintext index lists)
-        but for public metadata: the delivery id and SMIN's bit length."""
+        but for public metadata: the delivery id and SMIN's bit length.
+        SMIN's DGK ciphertexts travel as ints: every one is a full-size
+        residue below the DGK modulus, never a small plaintext."""
         cloud, client = deploy(security_table, small_keypair, seed=310)
         protocol = SkNNSecure(cloud, distance_bits=7)
         protocol.run(client.encrypt_query([2, 5]), 2)
+        dgk = cloud.c1.dgk_key
 
         def contains_plain_int(payload) -> bool:
             if isinstance(payload, Ciphertext):
@@ -120,6 +123,16 @@ class TestSecureProtocolHiding:
                 # ciphertexts only.
                 bit_length, payload = payload
                 assert bit_length in (7, 8)
+            if message.tag in ("SMIN.batch_difference_bits",
+                               "SMIN.batch_comparisons"):
+                values = [value for row in payload for value in row
+                          if not isinstance(value, Ciphertext)]
+                assert values and all(
+                    dgk.valid(value) and value >> (dgk.key_size // 2)
+                    for value in values)
+                payload = [[value for value in row
+                            if isinstance(value, Ciphertext)]
+                           for row in payload]
             assert not contains_plain_int(payload)
 
     def test_c2_minimum_localisation_values_look_random(self, security_table,

@@ -14,14 +14,18 @@ decrypts keeps every guess unverifiable.
 
 Two targets:
 
-* the integer comparison's entries, guessing ``r mod 2^L`` and ``s``;
+* the integer comparison's DGK entries, guessing ``r mod 2^L`` and ``s``.
+  C2 holds the DGK factorization too: it decrypts an entry's ``m mod u``
+  and reads ``c * g^(-m) mod n`` as a group element, which an entry built
+  only from C2's own bit encryptions would let it predict;
 * SkNN_m's ``tau_i``, guessing ``d_min - d_i``.
 
-Each verifies the true guess when C1's zeros are made trivial (the
-control: the adversary would work) and no guess with the zeros C1 draws.
-The structural companion checks the same property without an adversary:
-for every ciphertext C2 decrypts in a query, some obfuscator C1 drew enters
-it and no other decrypted ciphertext.
+Each verifies the true guess when C1's zeros (its DGK re-randomizers, for
+the entries) are made trivial (the control: the adversary would work) and
+no guess with the ones C1 draws.  The structural companion checks the same
+property without an adversary: for every ciphertext C2 decrypts or
+zero-tests in a query, some factor C1 drew — an obfuscator or a DGK
+re-randomizer — enters it and no other one.
 """
 
 from __future__ import annotations
@@ -71,6 +75,24 @@ class KeyHolder:
         return value * nt.modinv(unit, self.n) % self.n if unit else None
 
 
+class DGKKeyHolder:
+    """C2's reading of DGK values: plaintext mod ``u`` and the group
+    element ``c * g^(-m) mod n``."""
+
+    def __init__(self, private_key) -> None:
+        self.key = private_key.dgk()
+        self.public = self.key.public_key
+
+    def plaintext(self, value: int) -> int:
+        return self.key.decrypt_batch([value])[0]
+
+    def reading(self, value: int, plaintext: int | None = None) -> int:
+        if plaintext is None:
+            plaintext = self.plaintext(value)
+        n = self.public.n
+        return value * pow(self.public.g_power(plaintext), -1, n) % n
+
+
 def trivial_zeros(party) -> None:
     """Make every ``E(0)`` ``party`` encrypts the randomness-1 ciphertext."""
     encrypt_batch = party.encrypt_batch
@@ -84,11 +106,23 @@ def trivial_zeros(party) -> None:
     party.encrypt_batch = encrypt
 
 
+def trivial_dgk_zeros(party) -> None:
+    """Make every DGK ``[0]`` ``party`` encrypts the re-randomizer-free 1."""
+    encrypt_batch = party.dgk_encrypt_batch
+
+    def encrypt(values):
+        fresh = encrypt_batch(list(values))
+        return [1 if value == 0 else cipher
+                for value, cipher in zip(values, fresh)]
+
+    party.dgk_encrypt_batch = encrypt
+
+
 # -- the integer comparison's entries -------------------------------------------
 def comparison_transcript(setting, pairs, bit_length):
     """Run SMIN on ``pairs`` and return the minimums and, per pair, C2's
-    ``z`` bit ciphertexts (its own encryptions, MSB first) and the ``L``
-    entries it decrypted."""
+    ``z`` bit encryptions (its own DGK values, MSB first) and the ``L``
+    entries it zero-tested."""
     public = setting.public_key
     minimums = SecureMinimum(setting).run_batch(
         [(public.encrypt(u), public.encrypt(v)) for u, v in pairs],
@@ -104,41 +138,37 @@ def comparison_transcript(setting, pairs, bit_length):
 
 
 def verified_mask_guesses(holder, bits, entries, bit_length):
-    """Every ``(rhat, s)`` the entries' randomness verifies.
+    """Every ``(rhat, s)`` the entries' readings verify.
 
-    C2 knows its ``z`` bits and their randomness; a guess gives each
-    marker ``P_{i+1}``, hence ``r'_i = (e - 1) / (P_{i+1} + s)`` for an
-    entry ``e``, and the entry's randomness ``rho(P_{i+1})^(r'_i)`` with
-    ``rho(P_{i+1}) = rho(P_i)^3 rho(z_i)``.  The entries are permuted, so an
-    entry may sit at any position.
+    A guess gives each marker ``[c_i]`` as a public function of C2's own
+    bit encryptions — ``[z_i] * g^(s - rhat_i)`` times the weights
+    ``[z_j]^(+-3) * g^(3 rhat_j)`` of the bits above — hence ``r'_i = m /
+    c_i mod u`` for an entry of plaintext ``m`` and the reading
+    ``[c_i]^(r'_i) * g^(-m)`` it predicts.  The entries are permuted, so
+    an entry may sit at any position; a zero entry predicts nothing.
     """
-    n = holder.n
-    z_bits = [holder.residue(bit) for bit in bits[1:]]
-    marker_rho, rho = [], None
-    for bit in bits[1:]:
-        reading = holder.randomness(bit)
-        rho = reading if rho is None else pow(rho, 3, n) * reading % n
-        marker_rho.append(rho)
-    received = [(holder.residue(entry), holder.randomness(entry))
-                for entry in entries]
+    public = holder.public
+    n, u = public.n, public.u
+    received = [(value, holder.plaintext(value)) for value in entries]
     verified = []
     for rhat in range(1 << bit_length):
+        r_bits = int_to_bits(rhat, bit_length)
         for sign in (1, -1):
-            markers, marker = [], None
-            for z_bit, r_bit in zip(z_bits, int_to_bits(rhat, bit_length)):
-                marker = (z_bit - r_bit if marker is None
-                          else 3 * marker + z_bit - r_bit)
-                markers.append(marker)
-            if sum(marker == -sign for marker in markers) != sum(
-                    value == 1 for value, _ in received):
+            markers, above = [], 1
+            for z_bit, r_bit in zip(bits[1:], r_bits):
+                markers.append(z_bit * above * public.g_power(sign - r_bit)
+                               % n)
+                above = above * pow(z_bit, (3 - 6 * r_bit) % u, n) \
+                    * public.g_power(3 * r_bit) % n
+            plain = [holder.plaintext(marker) for marker in markers]
+            if plain.count(0) != sum(m == 0 for _, m in received):
                 continue
-            if all(value == 1 or any(
-                    exponent and pow(base, exponent, n) == reading
-                    for base, exponent in (
-                        (marker_rho[i],
-                         holder.ratio_exponent(value - 1, markers[i] + sign))
-                        for i in range(bit_length)))
-                   for value, reading in received):
+            if all(m == 0 or any(
+                    c and holder.reading(pow(marker, m * pow(c, -1, u) % u,
+                                             n), m)
+                    == holder.reading(value, m)
+                    for marker, c in zip(markers, plain))
+                   for value, m in received):
                 verified.append((rhat, sign))
     return verified
 
@@ -148,18 +178,18 @@ def verified_mask_guesses(holder, bits, entries, bit_length):
                          ids=["zeros-trivial", "zeros-drawn"])
 def test_comparison_entries_hide_the_mask(backend_name, trivial,
                                           monkeypatch):
-    """With trivial zeros C2 recovers each pair's ``rhat``; with the zeros
-    C1 draws, no guess verifies — not even the true one."""
+    """With trivial re-randomizers C2 recovers each pair's ``rhat``; with
+    the ones C1 draws, no guess verifies — not even the true one."""
     masks = record_sbd_masks(monkeypatch)
     keypair = cached_keypair()
-    holder = KeyHolder(keypair.private_key)
+    holder = DGKKeyHolder(keypair.private_key)
     bit_length = 4
     pairs = [(5, 12), (9, 9), (15, 0), (6, 7)]
     set_backend(backend_name)
     try:
         setting = TwoPartySetting.create(keypair, rng=Random(23))
         if trivial:
-            trivial_zeros(setting.evaluator)
+            trivial_dgk_zeros(setting.evaluator)
         minimums, rows = comparison_transcript(setting, pairs, bit_length)
         assert [keypair.private_key.decrypt(cipher) for cipher in minimums] \
             == [min(u, v) for u, v in pairs]
@@ -246,22 +276,25 @@ def test_zero_search_hides_the_differences(backend_name, trivial):
 
 # -- the structural companion ---------------------------------------------------
 class ScriptedObfuscators:
-    """C1's engine for the companion: obfuscator ``j`` is 1 (randomness 1)
-    except the one ``perturbed`` index, which is a fresh ``rho^N``."""
+    """C1's engines for the companion: factor ``j`` (counted across the
+    Paillier and the DGK engine, in draw order) is 1 except the one
+    ``perturbed`` index, which is a fresh ``rho^N`` or ``h^rho``."""
 
-    def __init__(self, public, perturbed: int | None) -> None:
+    def __init__(self, public, perturbed: int | None, drawn: list[int],
+                 fresh) -> None:
         self.key = self.public_key = public
         self.rng = Random(41)
         self.perturbed = perturbed
-        self.drawn = 0
+        self.drawn = drawn
+        self.fresh = fresh
 
     def take_available(self, count: int) -> list[int]:
         factors = []
         for _ in range(count):
-            factors.append(
-                pow(Random(self.drawn).randrange(2, self.key.n), self.key.n,
-                    self.key.nsquare) if self.drawn == self.perturbed else 1)
-            self.drawn += 1
+            index = self.drawn[0]
+            factors.append(self.fresh(Random(index))
+                           if index == self.perturbed else 1)
+            self.drawn[0] += 1
         return factors
 
     def take_masks(self, count, kind="zn", sbd_upper=None):
@@ -271,19 +304,32 @@ class ScriptedObfuscators:
 
 
 def decrypted_readings(keypair, perturbed, monkeypatch):
-    """One small SkNN_m query with scripted C1 obfuscators; returns the
-    ``(tag, randomness)`` of every ciphertext C2 decrypted, in order, and
-    the number of obfuscators C1 drew."""
+    """One small SkNN_m query with scripted C1 factors; returns the
+    ``(tag, reading)`` of every ciphertext C2 decrypted (its randomness) or
+    DGK value it tested or decrypted (``c * g^(-m)``), in order, and the
+    number of factors C1 drew."""
     holder = KeyHolder(keypair.private_key)
+    dgk_holder = DGKKeyHolder(keypair.private_key)
     cloud = FederatedCloud.deploy(keypair, rng=Random(51))
-    engine = ScriptedObfuscators(keypair.public_key, perturbed)
-    cloud.c1.engine = engine
+    public, dgk = keypair.public_key, cloud.c1.dgk_key
+    drawn = [0]
+    cloud.c1.engine = ScriptedObfuscators(
+        public, perturbed, drawn,
+        lambda rng: pow(rng.randrange(2, public.n), public.n,
+                        public.nsquare))
+    cloud.c1.dgk_engine = ScriptedObfuscators(
+        dgk, perturbed, drawn,
+        lambda rng: pow(dgk.h, rng.randrange(1, dgk.u), dgk.n))
     table = Table.from_rows(Schema.uniform(1, 3), [[3], [1], [2], [1]])
     cloud.c1.host_database(EncryptedTable.encrypt_table(
         table, keypair.public_key, rng=Random(52)))
     readings, current = [], []
     decrypt = cloud.c2.decrypt_residue_batch
     dispatch = P2StepDispatcher.dispatch_p2
+    dgk_key = dgk_holder.key
+    # the class's methods: the key object is shared with earlier runs
+    dgk_tests = {name: getattr(type(dgk_key), name).__get__(dgk_key)
+                 for name in ("is_zero_batch", "decrypt_batch")}
 
     def tagged(self, tag):
         current.append(tag)
@@ -294,17 +340,28 @@ def decrypted_readings(keypair, perturbed, monkeypatch):
                         for cipher in ciphertexts)
         return decrypt(ciphertexts)
 
+    def dgk_reading(name):
+        def read(values):
+            readings.extend(
+                (current[-1], dgk_holder.reading(value, plaintext))
+                for value, plaintext in zip(
+                    values, dgk_tests["decrypt_batch"](values)))
+            return dgk_tests[name](values)
+        return read
+
     monkeypatch.setattr(P2StepDispatcher, "dispatch_p2", tagged)
+    for name in dgk_tests:
+        monkeypatch.setattr(dgk_key, name, dgk_reading(name))
     cloud.c2.decrypt_residue_batch = reading
     SkNNSecure(cloud, table.schema.distance_bit_length()).run(
         keypair.public_key.encrypt_vector([2], rng=Random(53)), 2)
-    return readings, engine.drawn
+    return readings, drawn[0]
 
 
-def test_every_decrypted_ciphertext_has_an_obfuscator_of_its_own(monkeypatch):
-    """Perturb C1's obfuscators one at a time: each ciphertext C2 decrypts,
-    in every round of the query, must change with some obfuscator that
-    changes no other decrypted ciphertext."""
+def test_every_tested_ciphertext_has_a_factor_of_its_own(monkeypatch):
+    """Perturb C1's obfuscators and DGK re-randomizers one at a time: each
+    ciphertext C2 decrypts or zero-tests, in every round of the query, must
+    change with some factor that changes no other one."""
     keypair = cached_keypair()
     baseline, drawn = decrypted_readings(keypair, None, monkeypatch)
     tags = {tag for tag, _ in baseline}

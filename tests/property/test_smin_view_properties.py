@@ -2,13 +2,14 @@
 
 Per pair ``(x, y)`` — P1's coin ``F`` orders the operands — C2 decrypts
 ``z = x - y + 2^L + r``, statistically uniform exactly as SBD's masked
-values are, then the ``L`` entries and ``E(z_L xor c)``.  The simulation
-argument needs one pattern in the entries: with ``zhat = z mod 2^L`` and
-``rhat = r mod 2^L``, exactly one entry decrypts to 1 — the entry of the
-first bit where the two differ — when that bit's ``z_t - rhat_t`` is ``-s``,
-and none otherwise; no entry is ever 0.  C2's ``t`` is then ``[x >= y]``
-for distinct values (uniform to C2 through ``F``) and ``[s = +1]`` on a
-tie, where ``delta' = 0`` — the tie leak of ROADMAP item 2(b).
+values are, then zero-tests the ``L`` DGK entries and decrypts the DGK
+``[z_L xor c]``.  The simulation argument needs one pattern in the
+entries: with ``zhat = z mod 2^L`` and ``rhat = r mod 2^L``, exactly one
+entry decrypts to 0 mod ``u`` — the entry of the first bit where the two
+differ — when that bit's ``z_t - rhat_t`` is ``-s``, and none otherwise.
+C2's ``t`` is then ``[x >= y]`` for distinct values (uniform to C2 through
+``F``) and ``[s = +1]`` on a tie, where ``delta' = 0`` — the tie leak of
+ROADMAP item 2(b).
 
 C2 never decrypts the candidates, and they are masked: neither decrypts to
 ``x`` or ``y``.  C1 sees what C2 sends back: the selected candidate must be
@@ -43,7 +44,7 @@ def smin_with_coins(pairs, bit_length: int, f_coins: list[bool],
     ``f_coins[i]`` keeps pair ``i`` as ``(x, y) = (u, v)`` (else swaps it),
     ``s_coins[i]`` makes its ``s = +1``.  Returns per pair a dict of the
     run's values: the ordered operands, P1's mask ``r``, C2's decrypted
-    ``z``, entries, top bit and candidates, ``t``, the ciphertext values of
+    ``z``, entries and top bit (DGK plaintexts mod ``u``) and candidates, ``t``, the ciphertext values of
     the candidates sent and of the one returned, and the minimum.
     """
     keypair = cached_keypair()
@@ -90,9 +91,10 @@ def smin_with_coins(pairs, bit_length: int, f_coins: list[bool],
     selections = [row for rows in payloads("SMIN.batch_selected_minimums")
                   for row in rows]
     runs = []
+    dgk = private.dgk()
     for index, ((u, v), keep) in enumerate(zip(pairs, f_coins)):
         row = comparisons[index]
-        decrypted = [private.decrypt_raw_residue(cipher) for cipher in row]
+        decrypted = dgk.decrypt_batch(row[:bit_length + 1])
         selected, enc_t = selections[index]
         runs.append({
             "x": u if keep else v, "y": v if keep else u,
@@ -100,7 +102,8 @@ def smin_with_coins(pairs, bit_length: int, f_coins: list[bool],
             "z": private.decrypt_raw_residue(differences[index]),
             "entries": decrypted[:bit_length],
             "top": decrypted[bit_length],
-            "candidates": decrypted[bit_length + 1:],
+            "candidates": [private.decrypt_raw_residue(cipher)
+                           for cipher in row[bit_length + 1:]],
             "t": private.decrypt(enc_t),
             "sent": {cipher.value for cipher in row[bit_length + 1:]},
             "returned": selected.value,
@@ -139,12 +142,13 @@ def test_c2_sees_the_first_difference_and_noise_elsewhere(backend_name,
         first = next((index for index in range(bit_length)
                       if z_bits[index] != r_bits[index]), None)
         sign = 1 if positive else -1
-        expected_one = (first if first is not None
-                        and z_bits[first] - r_bits[first] == -sign else None)
+        expected_zero = (first if first is not None
+                         and z_bits[first] - r_bits[first] == -sign
+                         else None)
         assert [index for index, entry in enumerate(run["entries"])
-                if entry in (0, 1)] == ([] if expected_one is None
-                                        else [expected_one])
-        delta = int(expected_one is not None)
+                if entry == 0] == ([] if expected_zero is None
+                                   else [expected_zero])
+        delta = int(expected_zero is not None)
         assert run["top"] in (0, 1)
         assert run["t"] == run["top"] ^ delta
         if x == y:

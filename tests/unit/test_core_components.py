@@ -207,6 +207,27 @@ class TestReportMerge:
             1.0, 2.0, 3.0, 4.0, 5.0]
         assert SkNNRunReport.from_payload(own.as_payload()) == own
 
+    def test_the_payload_keeps_its_own_containers(self):
+        """``as_payload`` copies the report's top-level lists and dicts:
+        mutating them afterwards leaves the payload as it was."""
+        own = self.report("C1", 4, base=7, wall=0.3, span_starts=(1.0,))
+        own.merge_remote("t", [{"name": "a", "start": 2.0}])
+        own.phase_seconds["scan"] = 0.25
+        own.stats.extra["factors_ready"] = 3
+        payload = own.as_payload()
+        expected = SkNNRunReport.from_payload(payload)
+        assert expected == own
+        own.phase_seconds["scan"] = 9.0
+        own.phase_seconds["other"] = 1.0
+        own.cost_breakdown.append({"phase": "x", "party": "C1",
+                                   "seconds": 1.0, "ops": {}})
+        own.stats.extra["factors_ready"] = 99
+        own.trace["trace_id"] = "changed"
+        assert SkNNRunReport.from_payload(payload) == expected
+        assert payload["phase_seconds"] == {"scan": 0.25}
+        assert payload["stats"]["extra"]["factors_ready"] == 3
+        assert payload["trace"]["trace_id"] == "t"
+
     def test_without_remote_parties_only_the_trace_is_set(self):
         own = self.report("C1", 4, base=7, wall=0.3, span_starts=())
         before = own.stats.as_payload()
@@ -247,18 +268,21 @@ class TestDistanceBitsOverride:
 
     def test_an_override_too_wide_for_the_key_is_refused_at_setup(
             self, tiny_table):
-        """SMIN compares ``l + 1`` bits once records carry their flag, and
-        its marker needs ``3^(l+2) < 2^(K/2-1)``: ``l <= 37`` at K=128.
-        SkNN_b compares nothing and keeps any ``l``."""
+        """SMIN compares ``l + 1`` bits once records carry their flag,
+        under a mask that hides ``l + 2`` bits statistically: ``2^(l+2+40)
+        <= N``, ``l <= K - 43`` for a ``K``-bit ``N``.  SkNN_b compares
+        nothing and keeps any ``l``."""
+        basic = SkNNSystem.setup(tiny_table, key_size=128, mode="basic",
+                                 distance_bits=128, rng=Random(5))
+        assert basic.distance_bits == 128
+        widest = basic.owner.public_key.key_size - 43
         with pytest.raises(ConfigurationError, match="too wide"):
             SkNNSystem.setup(tiny_table, key_size=128, mode="secure",
-                             distance_bits=38, rng=Random(5))
-        assert SkNNSystem.setup(tiny_table, key_size=128, mode="secure",
-                                distance_bits=37,
-                                rng=Random(5)).distance_bits == 37
-        assert SkNNSystem.setup(tiny_table, key_size=128, mode="basic",
-                                distance_bits=38,
-                                rng=Random(5)).distance_bits == 38
+                             distance_bits=widest + 1, rng=Random(5))
+        secure = SkNNSystem.setup(tiny_table, key_size=128, mode="secure",
+                                  distance_bits=widest, rng=Random(5))
+        assert secure.distance_bits == widest
+        assert secure.owner.public_key == basic.owner.public_key
 
     @pytest.mark.parametrize("extra", [0, 3])
     def test_equal_or_larger_override_is_kept(self, tiny_table, extra):

@@ -189,14 +189,18 @@ class TestPerPartyEntries:
             encryptions=40, decryptions=30, exponentiations=33)
 
     def test_smin_per_party(self):
-        """C1: the mask, L + 1 zeros and two selection masks, 2L + 2
-        counted powers per pair; C2: L + 1 bits, E(t) and a zero, L + 2
-        decryptions.  E(z) out, the bits back; the entries, top bit and
-        candidates out, the selection and E(t) back."""
+        """C1: the mask, L + 1 DGK re-randomizers and two selection masks,
+        2L + 2 counted powers per pair (2L of them DGK's); C2: L + 1 DGK
+        bits, E(t) and a zero, one decryption and L + 1 DGK tests.  E(z)
+        out, then the candidates; the selection and E(t) back.  The bits,
+        entries and top bit travel as DGK values, not Paillier
+        ciphertexts."""
         assert smin_cost(6, pairs=3) == ProtocolCost(
             c1=OperationCounts(encryptions=30, exponentiations=42),
             c2=OperationCounts(encryptions=27, decryptions=24),
-            messages=4, c1_ciphertexts=30, c2_ciphertexts=27)
+            messages=4, c1_ciphertexts=9, c2_ciphertexts=6,
+            c1_dgk=OperationCounts(encryptions=21, exponentiations=36),
+            c2_dgk=OperationCounts(encryptions=21, decryptions=21))
         assert smin_cost(6, pairs=4).messages == 8
 
     def test_sbd_odd_masks_are_c1s_only_random_term(self):
@@ -221,20 +225,28 @@ class TestPerPartyEntries:
             c2_ciphertexts=n)
 
     def test_secure_dist_k512_shape(self):
-        """secure_dist_k512's query: 41 peer messages, 241 ciphertexts
-        C1 -> C2 and 163 back; C1 encrypts 241, C2 163.  No SBD phase."""
+        """secure_dist_k512's query: 41 peer messages, 136 Paillier
+        ciphertexts C1 -> C2 and 58 back; C1 encrypts 241, C2 163, 105 of
+        each under DGK (SMIN's bits and re-randomizers).  No SBD phase."""
         phases = sknn_secure_phases(8, 3, 2, 6)
         assert "sbd" not in phases
         total = phases["total"]
         assert (total.messages, total.c1_ciphertexts,
-                total.c2_ciphertexts) == (41, 241, 163)
+                total.c2_ciphertexts) == (41, 136, 58)
         assert (total.c1.encryptions, total.c2.encryptions) == (241, 163)
+        assert (total.c1_dgk.encryptions, total.c2_dgk.encryptions) \
+            == (105, 105)
+        assert total.total.total == 894
 
     def test_pool_targets(self):
         # basic_warm_k1024: n=16, m=3, k=2, 11 queries
         assert pool_targets(16, 3, 2, queries=11) == (594, 176)
-        # SkNN_m: its encryptions, no random term
-        assert pool_targets(8, 3, 2, queries=1, bit_length=6) == (241, 163)
+        # SkNN_m: its Paillier encryptions, no random term; the DGK ones
+        # apart
+        assert pool_targets(8, 3, 2, queries=1, bit_length=6) == (136, 58)
+        assert pool_targets(8, 3, 2, queries=2, bit_length=6,
+                            dgk=True) == (210, 210)
+        assert pool_targets(16, 3, 2, queries=11, dgk=True) == (0, 0)
         # chunk workers encrypt the scan with C1's slices
         assert pool_targets(10, 3, 2, queries=2, worker_scan=True) == (92, 0)
 

@@ -116,7 +116,7 @@ class TestHardenedHandlers:
         (SecureMinimum, "SMIN.batch_comparisons", [
             lambda c: [[c, c, c]],              # no entry: L = 0
             lambda c: [[c, c, c, c], [c, c, c]],  # ragged across pairs
-            lambda c: [[c, c, c, 7]],           # an int among ciphertexts
+            lambda c: [[c, c, c, 7]],           # ciphertexts for DGK values
             lambda c: [c, c, c, c],             # not rows
             lambda c: []]),
     ])
@@ -132,6 +132,58 @@ class TestHardenedHandlers:
                 protocol.dispatch_p2(tag)
         assert setting.decryptor.private_key.counter.decryptions == 0
         assert setting.channel.pending("C1") == 0  # and nothing was replied
+
+
+class TestSminDgkValueChecks:
+    """SMIN's DGK values travel as ints: C2 range-checks every one before
+    it zero-tests anything, and C1 checks C2's bit rows before it builds a
+    marker on them."""
+
+    @pytest.mark.parametrize("row", [
+        lambda c, d, n: [0, d, c, c],           # a DGK value of 0
+        lambda c, d, n: [n, d, c, c],           # one at the DGK modulus
+        lambda c, d, n: [-d, d, c, c],          # a negative one
+        lambda c, d, n: [True, d, c, c],        # a bool
+        lambda c, d, n: [d, c, c, c],           # a ciphertext for the top bit
+        lambda c, d, n: [d, d, c, 7],           # an int for a candidate
+    ], ids=["zero", "modulus", "negative", "bool", "cipher", "int-candidate"])
+    def test_c2_tests_nothing_of_a_batch_with_a_bad_value(self, setting, row):
+        protocol = SecureMinimum(setting)
+        dgk = setting.decryptor.dgk_private_key.public_key
+        [value] = dgk.encrypt_batch([1])
+        cipher = setting.public_key.encrypt(1)
+        setting.reset_counters()
+        setting.evaluator.send([row(cipher, value, dgk.n)],
+                               tag="SMIN.batch_comparisons")
+        with pytest.raises(ProtocolError,
+                           match="SMIN: malformed comparison batch"):
+            protocol.dispatch_p2("SMIN.batch_comparisons")
+        # DGK tests count on the key holder's counter too: none ran
+        assert setting.decryptor.private_key.counter.decryptions == 0
+        assert setting.channel.pending("C1") == 0
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda rows, n: [row[:-1] for row in rows],        # a bit short
+        lambda rows, n: rows + rows,                       # a row too many
+        lambda rows, n: [[n] + row[1:] for row in rows],   # out of range
+        lambda rows, n: [[str(v) for v in row] for row in rows],
+    ], ids=["short-row", "extra-row", "out-of-range", "str"])
+    def test_c1_refuses_a_malformed_bit_reply(self, setting, corrupt):
+        protocol = SecureMinimum(setting)
+        n = setting.evaluator.dgk_key.n
+        answer = protocol._p2_bits_of_masked_differences
+
+        def corrupted() -> None:
+            answer()
+            rows = setting.channel.receive("C1", "SMIN.batch_difference_bits")
+            setting.decryptor.send(corrupt(rows, n),
+                                   tag="SMIN.batch_difference_bits")
+
+        protocol._p2_bits_of_masked_differences = corrupted
+        public = setting.public_key
+        with pytest.raises(ProtocolError,
+                           match="SMIN: malformed difference-bits reply"):
+            protocol.run(public.encrypt(3), public.encrypt(5), 4)
 
 
 class TestDeliveryFrameChecks:

@@ -401,8 +401,9 @@ class TestShardReplies:
 
 class TestProvisionedDistanceBits:
     """``l`` is checked against the key at provisioning, on both roles:
-    SMIN compares ``l + 1`` bits, so ``3^(l+2) < 2^(K/2-1)`` (``l <= 37``
-    at K=128).  C2 builds SkNN_m for every peer context from ``l``, so an
+    SMIN compares ``l + 1`` bits under a mask that hides ``l + 2`` bits
+    statistically, ``2^(l+2+40) <= N`` (``l <= 84`` for the 127-bit test
+    modulus).  C2 builds SkNN_m for every peer context from ``l``, so an
     ``l`` it cannot compare used to fail there and hang a basic query."""
 
     def payloads(self, small_keypair, c2_address, distance_bits):
@@ -418,7 +419,7 @@ class TestProvisionedDistanceBits:
                    "distance_bits": distance_bits},
         }
 
-    @pytest.mark.parametrize("distance_bits", [38, 60, 0, -1, "6", 6.0,
+    @pytest.mark.parametrize("distance_bits", [85, 127, 0, -1, "6", 6.0,
                                                True])
     def test_both_roles_refuse_an_l_smin_cannot_compare(
             self, serve, small_keypair, distance_bits):
@@ -432,7 +433,7 @@ class TestProvisionedDistanceBits:
                 ConfigurationError, "is not a positive l")
             assert not client.request("transport.ping", None)["provisioned"]
 
-    @pytest.mark.parametrize("distance_bits", [None, 1, 37])
+    @pytest.mark.parametrize("distance_bits", [None, 1, 84])
     def test_a_valid_l_provisions_as_before(self, serve, small_keypair,
                                             distance_bits):
         c2 = serve(C2Daemon())
@@ -448,7 +449,8 @@ class TestProvisionedDistanceBits:
 
 class Lookaheads:
     """Seeded queries on in-process daemons, recording every C1 run's
-    :class:`QueryLookahead`.
+    :class:`QueryLookahead` s (a secure run's second one holds its DGK
+    re-randomizers).
 
     ``delay`` makes C2 answer each step that many seconds late; ``instant``
     makes C1 see every reply as already queued, as if C2 answered at once.
@@ -475,18 +477,22 @@ class Lookaheads:
 
         def recording(daemon, channel, mode, k=0):
             protocol = build(daemon, channel, mode, k)
-            run = {"shard": daemon.shard_index,
-                   "lookahead": protocol.cloud.engine, "early": 0}
-            prefetch = run["lookahead"].prefetch
+            run = {"shard": daemon.shard_index, "early": 0,
+                   "lookaheads": [engine for engine in (
+                       protocol.cloud.engine, protocol.cloud.c1.dgk_engine)
+                       if engine is not None]}
 
-            def checked():
-                # C1 has sent only the trace window's opening frame
-                if all(tag.startswith("telemetry.")
-                       for tag in channel.traffic["C1"].tag_messages):
-                    run["early"] += 1
-                return prefetch()
+            def checked(prefetch):
+                def check():
+                    # C1 has sent only the trace window's opening frame
+                    if all(tag.startswith("telemetry.")
+                           for tag in channel.traffic["C1"].tag_messages):
+                        run["early"] += 1
+                    return prefetch()
+                return check
 
-            run["lookahead"].prefetch = checked
+            for lookahead in run["lookaheads"]:
+                lookahead.prefetch = checked(lookahead.prefetch)
             self.runs.append(run)
             return protocol
 
@@ -558,18 +564,22 @@ class TestQueryLookahead:
         deployment = lookaheads()
         _, report = deployment.query(mode, delay=0.01)
         [run] = deployment.runs
-        lookahead = run["lookahead"]
-        assert isinstance(lookahead, QueryLookahead)
+        assert len(run["lookaheads"]) == (2 if mode == "secure" else 1)
         assert run["early"] == 0
-        assert lookahead.offline_encryptions == lookahead.hits > 0
-        assert lookahead.remaining() == {"obfuscators": 0}
-        # the budget is exactly what the query drew
-        assert (lookahead.hits + lookahead.misses
-                == lookahead.config.obfuscators
-                == report.stats.c1_encryptions)
-        assert report.stats.extra["factors_ready"] == lookahead.hits
+        for lookahead in run["lookaheads"]:
+            assert isinstance(lookahead, QueryLookahead)
+            assert lookahead.offline_encryptions == lookahead.hits > 0
+            assert lookahead.remaining() == {"obfuscators": 0}
+            # the budget is exactly what the query drew
+            assert (lookahead.hits + lookahead.misses
+                    == lookahead.config.obfuscators)
+        assert sum(lookahead.config.obfuscators
+                   for lookahead in run["lookaheads"]) \
+            == report.stats.c1_encryptions
+        ready = sum(lookahead.hits for lookahead in run["lookaheads"])
+        assert report.stats.extra["factors_ready"] == ready
         [logged] = deployment.c1.slow_log.snapshot()["recent"]
-        assert logged["factors_ready"] == lookahead.hits
+        assert logged["factors_ready"] == ready
 
     @pytest.mark.parametrize("mode", ["basic", "secure"])
     def test_a_coordinator_computes_past_its_scan_and_a_shard_nothing(
@@ -581,20 +591,26 @@ class TestQueryLookahead:
                          if run["shard"] is None]
         assert sorted(run["shard"] for run in shards) == [0, 1]
         for run in deployment.runs:
-            lookahead = run["lookahead"]
             assert run["early"] == 0
-            assert lookahead.offline_encryptions == lookahead.hits
-            assert lookahead.remaining() == {"obfuscators": 0}
-            assert (lookahead.hits + lookahead.misses
-                    == lookahead.config.obfuscators)
-        # a shard's one wait comes after its last draw
-        assert all(run["lookahead"].offline_encryptions == 0
+            for lookahead in run["lookaheads"]:
+                assert lookahead.offline_encryptions == lookahead.hits
+                assert lookahead.remaining() == {"obfuscators": 0}
+                assert (lookahead.hits + lookahead.misses
+                        == lookahead.config.obfuscators)
+        # a shard's one wait comes after its last draw, and it compares
+        # nothing
+        assert all(len(run["lookaheads"]) == 1
+                   and run["lookaheads"][0].offline_encryptions == 0
                    for run in shards)
-        assert coordinator["lookahead"].hits > 0
-        assert report.stats.extra["factors_ready"] == (
-            coordinator["lookahead"].hits)
+        assert len(coordinator["lookaheads"]) == (
+            2 if mode == "secure" else 1)
+        assert all(lookahead.hits > 0
+                   for lookahead in coordinator["lookaheads"])
+        assert report.stats.extra["factors_ready"] == sum(
+            lookahead.hits for lookahead in coordinator["lookaheads"])
         assert report.stats.c1_encryptions == sum(
-            run["lookahead"].config.obfuscators for run in deployment.runs)
+            lookahead.config.obfuscators for run in deployment.runs
+            for lookahead in run["lookaheads"])
 
     @pytest.mark.parametrize("sharded", [False, True])
     @pytest.mark.parametrize("mode", ["basic", "secure"])
@@ -619,7 +635,8 @@ class TestQueryLookahead:
                          stats.c2_decryptions, stats.messages,
                          stats.ciphertexts_exchanged,
                          None if sharded else stats.bytes_transferred))
-            ready = sum(run["lookahead"].hits for run in deployment.runs)
+            ready = sum(lookahead.hits for run in deployment.runs
+                        for lookahead in run["lookaheads"])
             assert ready > 0 if "delay" in options else True
             assert ready == 0 if "instant" in options else True
         assert runs[0] == runs[1] == runs[2]

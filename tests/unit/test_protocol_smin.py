@@ -8,7 +8,7 @@ import pytest
 
 from repro.exceptions import ProtocolError
 from repro.protocols.encoding import encrypt_bits
-from repro.protocols.smin import SecureMinimum
+from repro.protocols.smin import STATISTICAL_SECURITY, SecureMinimum
 from repro.protocols.sminn import SecureMinimumOfN
 
 
@@ -85,17 +85,18 @@ class TestSecureMinimum:
         with pytest.raises(ProtocolError):
             protocol.run([], [])
 
-    def test_marker_bound_admits_its_largest_length_and_no_more(
+    def test_domain_bound_admits_its_largest_length_and_no_more(
             self, setting, private_key):
-        """``3^(L+1) < 2^(K/2-1)``: every non-zero ``P +- 1`` of the
-        balanced-ternary marker is a unit.  The largest admitted ``L`` runs
-        at the marker's extremes; one bit more is refused."""
+        """``2^(L+1+sigma) <= N``: the mask on ``E(z)`` hides ``L + 1``
+        bits.  The largest admitted ``L`` runs at the marker's extremes
+        (DGK's ``3L + 2 < u`` holds there); one bit more is refused."""
         key_size = setting.public_key.key_size
-        bit_length = 1
-        while 3 ** (bit_length + 2) < 1 << (key_size // 2 - 1):
-            bit_length += 1
-        assert 3 ** (bit_length + 1) < 1 << (key_size // 2 - 1) \
-            <= 3 ** (bit_length + 2)
+        bit_length = key_size - STATISTICAL_SECURITY - 2
+        assert SecureMinimum.domain_fits(bit_length, key_size)
+        assert not SecureMinimum.domain_fits(bit_length + 1, key_size)
+        assert 1 << (bit_length + 1 + STATISTICAL_SECURITY) \
+            <= setting.public_key.n
+        assert 3 * bit_length + 2 < setting.evaluator.dgk_key.u
         protocol = SecureMinimum(setting)
         public = setting.public_key
         top = (1 << bit_length) - 1
@@ -104,7 +105,7 @@ class TestSecureMinimum:
             minimum = protocol.run(public.encrypt(u), public.encrypt(v),
                                    bit_length)
             assert private_key.decrypt(minimum) == min(u, v)
-        with pytest.raises(ProtocolError, match=r"3\^\(L\+1\)"):
+        with pytest.raises(ProtocolError, match=r"2\^\(L\+1\+40\)"):
             protocol.run(public.encrypt(1), public.encrypt(2),
                          bit_length + 1)
 

@@ -10,9 +10,11 @@ batch's query count without its busy time, or hits that outrun the refills.
 
 from __future__ import annotations
 
+import sys
 import threading
 from random import Random
 
+from repro.crypto.paillier import OperationCounter, counting_scope
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.service.scheduler import ServerStats
 
@@ -146,3 +148,49 @@ class TestPrecomputeEngine:
         snap = engine.stats()
         assert snap["obfuscator_hits"] == 4
         assert engine.pool_hit_total() == snap["obfuscator_hits"]
+
+
+class TestOperationCounter:
+    def test_scoped_increments_are_exact_under_two_threads(self):
+        """Two threads each raise a shared root counter 200,000 times, each
+        inside a counting scope of its own, with the interpreter switching
+        threads every microsecond: the root reads 400,000 and each scope
+        exactly its own thread's 200,000 — no lost update, no increment
+        teed into a scope twice or into the other thread's."""
+        increments = 200_000
+        root = OperationCounter()
+        scopes = [OperationCounter(), OperationCounter()]
+        start = threading.Barrier(len(scopes))
+
+        def count(scope: OperationCounter) -> None:
+            with counting_scope(scope):
+                start.wait()
+                for _ in range(increments):
+                    root.add("encryptions", 1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=count, args=(scope,))
+                       for scope in scopes]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert root.encryptions == increments * len(scopes)
+        assert [scope.encryptions for scope in scopes] \
+            == [increments] * len(scopes)
+
+    def test_an_increment_raises_every_parent_and_the_scope_once(self):
+        """A DGK key's counter raises its Paillier key's counter too, and
+        the thread's scope sees the increment once."""
+        paillier = OperationCounter()
+        dgk = OperationCounter(parent=paillier)
+        scope = OperationCounter()
+        with counting_scope(scope):
+            dgk.add("decryptions", 3)
+        assert (dgk.decryptions, paillier.decryptions, scope.decryptions) \
+            == (3, 3, 3)
