@@ -23,7 +23,7 @@ from benchmarks.conftest import (
     write_result,
 )
 from benchmarks.projections import figure_2d_series
-from repro.analysis.cost_model import sknn_secure_counts
+from repro.analysis.cost_model import sknn_secure_phases
 from repro.analysis.reporting import ascii_plot, format_table
 from repro.core.sknn_secure import SkNNSecure
 from repro.crypto.paillier import generate_keypair
@@ -60,9 +60,9 @@ def test_fig2e_projected_paper_scale(benchmark, calibrator, results_dir):
     series = benchmark.pedantic(build, rounds=1, iterations=1)
 
     # Paper's spot check: k=10, l=6 at K=512 vs K=1024 (22.85 vs 157.17 min).
-    counts = sknn_secure_counts(2000, 6, 10, 6)
-    minutes_512 = calibrator.predict_seconds(counts, 512) / 60.0
-    minutes_1024 = calibrator.predict_seconds(counts, 1024) / 60.0
+    cost = sknn_secure_phases(2000, 6, 10, 6)["total"]
+    minutes_512 = calibrator.predict_seconds(cost, 512) / 60.0
+    minutes_1024 = calibrator.predict_seconds(cost, 1024) / 60.0
     comparison = format_table([{
         "config": "n=2000, m=6, k=10, l=6",
         "projected K=512 (min)": minutes_512,

@@ -9,7 +9,9 @@ benchmark harness combines two sources of numbers:
    validate correctness and the constant factors, and
 2. *Projected* runs at the paper's scale, obtained by multiplying the exact
    operation counts of :mod:`repro.analysis.cost_model` by per-operation
-   timings measured on this machine at the requested key size.
+   timings measured on this machine at the requested key size — Paillier's
+   for most operations, the derived DGK key's (:mod:`repro.crypto.dgk`) for
+   the DGK share a :class:`~repro.analysis.cost_model.ProtocolCost` names.
 
 The projection preserves exactly what the paper's figures are about — how the
 cost *scales* with ``n``, ``m``, ``k``, ``l`` and ``K`` — because those curves
@@ -22,8 +24,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from random import Random
+from typing import Any, Callable, Iterable
 
-from repro.analysis.cost_model import OperationCounts
+from repro.analysis.cost_model import OperationCounts, ProtocolCost
 from repro.crypto.paillier import PaillierKeyPair, generate_keypair
 from repro.exceptions import ConfigurationError
 
@@ -32,15 +35,38 @@ __all__ = ["PaillierTimings", "Calibrator"]
 
 @dataclass(frozen=True)
 class PaillierTimings:
-    """Measured per-operation wall-clock costs at one key size (seconds)."""
+    """Measured per-operation wall-clock costs at one key size (seconds).
+
+    The ``dgk_`` fields time the DGK key derived from the Paillier one, in
+    the columns the counters file DGK operations under: a re-randomized
+    encryption, a zero test (a decryption) and a power with an exponent
+    below ``u`` (an exponentiation).
+    """
 
     key_size: int
     encryption_seconds: float
     decryption_seconds: float
     exponentiation_seconds: float
+    dgk_encryption_seconds: float
+    dgk_decryption_seconds: float
+    dgk_exponentiation_seconds: float
 
-    def predict_seconds(self, counts: OperationCounts) -> float:
-        """Predicted runtime for a protocol with the given operation counts."""
+    def predict_seconds(self, cost: OperationCounts | ProtocolCost) -> float:
+        """Predicted runtime for a protocol's operations.
+
+        A :class:`ProtocolCost`'s DGK share (``c1_dgk + c2_dgk``) is priced
+        at the DGK costs and the rest of its total at Paillier's; plain
+        :class:`OperationCounts` are all priced at Paillier's.
+        """
+        if not isinstance(cost, ProtocolCost):
+            return self._paillier_seconds(cost)
+        dgk = cost.c1_dgk + cost.c2_dgk
+        return (self._paillier_seconds(cost.total + dgk * -1)
+                + dgk.encryptions * self.dgk_encryption_seconds
+                + dgk.decryptions * self.dgk_decryption_seconds
+                + dgk.exponentiations * self.dgk_exponentiation_seconds)
+
+    def _paillier_seconds(self, counts: OperationCounts) -> float:
         return (
             counts.encryptions * self.encryption_seconds
             + counts.decryptions * self.decryption_seconds
@@ -54,11 +80,15 @@ class PaillierTimings:
             "encryption_seconds": self.encryption_seconds,
             "decryption_seconds": self.decryption_seconds,
             "exponentiation_seconds": self.exponentiation_seconds,
+            "dgk_encryption_seconds": self.dgk_encryption_seconds,
+            "dgk_decryption_seconds": self.dgk_decryption_seconds,
+            "dgk_exponentiation_seconds": self.dgk_exponentiation_seconds,
         }
 
 
 class Calibrator:
-    """Measures Paillier per-operation costs and caches them per key size."""
+    """Measures Paillier and DGK per-operation costs and caches them per key
+    size."""
 
     def __init__(self, samples: int = 20, rng_seed: int = 2014) -> None:
         """Create a calibrator.
@@ -95,39 +125,45 @@ class Calibrator:
         rng = Random(self.rng_seed)
         plaintexts = [rng.randrange(1, 2**32) for _ in range(self.samples)]
 
-        encryption_times = []
-        ciphertexts = []
-        for value in plaintexts:
-            started = time.perf_counter()
-            ciphertexts.append(public_key.encrypt(value))
-            encryption_times.append(time.perf_counter() - started)
+        encryption, ciphertexts = _timed(public_key.encrypt, plaintexts)
+        decryption, _ = _timed(private_key.decrypt, ciphertexts)
+        exponents = [rng.randrange(1, public_key.n) for _ in ciphertexts]
+        exponentiation, _ = _timed(lambda pair: pair[0] * pair[1],
+                                   zip(ciphertexts, exponents))
 
-        decryption_times = []
-        for ciphertext in ciphertexts:
-            started = time.perf_counter()
-            private_key.decrypt(ciphertext)
-            decryption_times.append(time.perf_counter() - started)
-
-        exponentiation_times = []
-        for ciphertext in ciphertexts:
-            exponent = rng.randrange(1, public_key.n)
-            started = time.perf_counter()
-            _ = ciphertext * exponent
-            exponentiation_times.append(time.perf_counter() - started)
+        dgk = private_key.dgk()
+        dgk_public = dgk.public_key
+        dgk_public.obfuscators(1, rng)  # builds the fixed-base table once
+        dgk_encryption, dgk_ciphertexts = _timed(
+            lambda value: dgk_public.encrypt_batch([value], rng)[0],
+            plaintexts)
+        dgk_zero_test, _ = _timed(lambda c: dgk.is_zero_batch([c]),
+                                  dgk_ciphertexts)
+        # below 4 the scheme skips the backend call; SMIN's are above
+        dgk_exponents = [rng.randrange(4, dgk_public.u)
+                         for _ in dgk_ciphertexts]
+        dgk_exponentiation, _ = _timed(
+            lambda pair: dgk_public.scalar_mul_batch([pair[0]], [pair[1]]),
+            zip(dgk_ciphertexts, dgk_exponents))
 
         timings = PaillierTimings(
             key_size=key_size,
-            encryption_seconds=_median(encryption_times),
-            decryption_seconds=_median(decryption_times),
-            exponentiation_seconds=_median(exponentiation_times),
+            encryption_seconds=encryption,
+            decryption_seconds=decryption,
+            exponentiation_seconds=exponentiation,
+            dgk_encryption_seconds=dgk_encryption,
+            dgk_decryption_seconds=dgk_zero_test,
+            dgk_exponentiation_seconds=dgk_exponentiation,
         )
         self._cache[key_size] = timings
         return timings
 
     # -- prediction ------------------------------------------------------------------
-    def predict_seconds(self, counts: OperationCounts, key_size: int) -> float:
-        """Project the runtime of a protocol at the given key size."""
-        return self.timings_for(key_size).predict_seconds(counts)
+    def predict_seconds(self, cost: OperationCounts | ProtocolCost,
+                        key_size: int) -> float:
+        """Project the runtime of a protocol at the given key size (see
+        :meth:`PaillierTimings.predict_seconds`)."""
+        return self.timings_for(key_size).predict_seconds(cost)
 
     def key_size_slowdown(self, small: int = 512, large: int = 1024) -> float:
         """Measured cost ratio between two key sizes (the paper reports ~7x)."""
@@ -146,6 +182,18 @@ class Calibrator:
         if small_total == 0:
             raise ConfigurationError("calibration produced zero timings")
         return large_total / small_total
+
+
+def _timed(operation: Callable[[Any], Any],
+           inputs: Iterable[Any]) -> tuple[float, list[Any]]:
+    """Median wall time of ``operation`` over ``inputs``, one call each,
+    and its results in order."""
+    times, results = [], []
+    for value in inputs:
+        started = time.perf_counter()
+        results.append(operation(value))
+        times.append(time.perf_counter() - started)
+    return _median(times), results
 
 
 def _median(values: list[float]) -> float:

@@ -13,6 +13,7 @@ from repro.analysis.cost_model import (
     sknn_basic_counts,
     sknn_secure_breakdown,
     sknn_secure_counts,
+    sknn_secure_phases,
 )
 from repro.analysis.reporting import ExperimentSeries
 
@@ -66,7 +67,8 @@ def figure_2c_series(calibrator: Calibrator, key_sizes: list[int],
 def figure_2d_series(calibrator: Calibrator, key_size: int, k_values: list[int],
                      l_values: list[int], n: int = 2000,
                      dimensions: int = 6) -> ExperimentSeries:
-    """Figures 2(d)/2(e): SkNN_m time vs. k for several l (n=2000, m=6)."""
+    """Figures 2(d)/2(e): SkNN_m time vs. k for several l (n=2000, m=6),
+    SMIN's DGK operations priced at the DGK key's costs."""
     series = ExperimentSeries(
         title=f"SkNNm: time vs k (n={n}, m={dimensions}, K={key_size})",
         x_label="k",
@@ -76,7 +78,8 @@ def figure_2d_series(calibrator: Calibrator, key_size: int, k_values: list[int],
     for bit_length in l_values:
         times = [
             calibrator.predict_seconds(
-                sknn_secure_counts(n, dimensions, k, bit_length), key_size) / 60.0
+                sknn_secure_phases(n, dimensions, k, bit_length)["total"],
+                key_size) / 60.0
             for k in k_values
         ]
         series.add_series(f"l={bit_length}", times)

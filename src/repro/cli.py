@@ -592,6 +592,9 @@ def _run_calibrate(args: argparse.Namespace) -> int:
             "encrypt (ms)": timings.encryption_seconds * 1000,
             "decrypt (ms)": timings.decryption_seconds * 1000,
             "exponentiation (ms)": timings.exponentiation_seconds * 1000,
+            "DGK encrypt (ms)": timings.dgk_encryption_seconds * 1000,
+            "DGK zero test (ms)": timings.dgk_decryption_seconds * 1000,
+            "DGK power (ms)": timings.dgk_exponentiation_seconds * 1000,
         })
     print(format_table(rows), end="")
     if len(key_sizes) >= 2:

@@ -367,7 +367,8 @@ def derive_key(private_key: "PaillierPrivateKey") -> DGKPrivateKey:
             bits.
     """
     public = private_key.public_key
-    # K: a "K-bit" Paillier modulus may have K - 1 bits
+    # K: generate_keypair's moduli have exactly K bits, but a key built
+    # from its own p and q may have an odd bit length
     key_size = public.key_size + (public.key_size & 1)
     if key_size < MIN_KEY_SIZE:
         raise KeyGenerationError(

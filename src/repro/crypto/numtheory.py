@@ -159,9 +159,10 @@ def generate_prime_pair(
 ) -> tuple[int, int]:
     """Generate two distinct primes ``p != q`` each of ``bits // 2`` bits.
 
-    Used by Paillier key generation where ``N = p * q`` should have roughly
-    ``bits`` bits.  The pair is rejected and regenerated when ``p == q`` or
-    when ``gcd(p*q, (p-1)*(q-1)) != 1`` (which Paillier requires).
+    Used by Paillier key generation, where ``N = p * q`` must have exactly
+    ``bits`` bits.  The pair is rejected and regenerated when ``p == q``,
+    when ``p * q`` has only ``bits - 1`` bits, or when
+    ``gcd(p*q, (p-1)*(q-1)) != 1`` (which Paillier requires).
 
     Args:
         bits: target modulus size in bits (must be even and >= 16).
@@ -176,6 +177,8 @@ def generate_prime_pair(
         if p == q:
             continue
         n = p * q
+        if n.bit_length() < bits:
+            continue
         if egcd(n, (p - 1) * (q - 1))[0] != 1:
             continue
         return p, q

@@ -46,8 +46,9 @@ from repro.telemetry import metrics as _metrics
 __all__ = ["PendingQuery", "ServiceSession", "QueryScheduler", "QueryServer",
            "ServerStats"]
 
-#: how long the background serving thread waits for a batch to fill before
-#: executing a partial one
+#: the longest the background serving thread holds a partial batch open:
+#: it dispatches as soon as ``min(batch_size, open sessions)`` queries are
+#: queued or the server is stopping, and after this long at the latest
 BATCH_WINDOW_SECONDS = 0.01
 #: cap on the pool items the serving thread precomputes per idle scheduler
 #: slot (only relevant when the sharded store carries a
@@ -410,6 +411,23 @@ class QueryServer:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    def _wait_for_batch(self) -> None:
+        """Hold a partial batch open until it can fill, the server stops,
+        or ``BATCH_WINDOW_SECONDS`` pass, whichever comes first.
+
+        A batch can fill once every open session has a query queued (or
+        ``batch_size`` are), so a lone session's query is dispatched at once.
+        """
+        scheduler = self.scheduler
+
+        def can_dispatch() -> bool:
+            target = min(scheduler.batch_size, len(self.sessions))
+            return self._stop.is_set() or scheduler.pending >= target
+
+        with scheduler.not_empty:
+            scheduler.not_empty.wait_for(can_dispatch,
+                                         timeout=BATCH_WINDOW_SECONDS)
+
     def _serve_loop(self) -> None:
         while not self._stop.is_set():
             with self.scheduler.not_empty:
@@ -420,9 +438,7 @@ class QueryServer:
                 # the next query's obfuscators/masks are already paid for.
                 self.store.refill_precompute(PRECOMPUTE_IDLE_BUDGET)
                 continue
-            # Give the batch a short window to fill before executing it.
-            if self.scheduler.pending < self.scheduler.batch_size:
-                time.sleep(BATCH_WINDOW_SECONDS)
+            self._wait_for_batch()
             batch = self.scheduler.next_batch()
             if not batch:
                 continue

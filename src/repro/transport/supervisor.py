@@ -13,7 +13,9 @@ Resilience duties on top of process management:
 
 * every (re)start is **health-gated** — ports being bound is not enough;
   :func:`~repro.resilience.health.wait_until_healthy` proves the daemon
-  answers its control plane before anyone is handed its address;
+  answers its control plane before anyone is handed its address; the roles
+  boot concurrently, and a start that fails for any role reaps every
+  daemon it spawned;
 * :meth:`restart_role` respawns a single crashed/killed daemon **on its
   previous port** (``SO_REUSEADDR`` makes the rebind immediate), so peer
   daemons and clients reconnect to the address they already hold;
@@ -42,6 +44,8 @@ from repro.transport.client import RemoteCloud
 __all__ = ["LocalSupervisor"]
 
 _START_TIMEOUT = 30.0
+#: how long a failed start lets its daemons exit on SIGTERM before SIGKILL
+_ABORT_GRACE = 2.0
 
 
 class LocalSupervisor:
@@ -107,11 +111,13 @@ class LocalSupervisor:
                                          for name in self.role_names()}
 
     def role_names(self) -> list[str]:
-        """Every logical daemon this supervisor owns, in start order.
+        """Every logical daemon this supervisor owns: C2, the shard daemons,
+        then the coordinator C1.
 
-        C2 first (the party C1 peers dial), then the shard daemons, then
-        the coordinator C1.  Logical names key ``addresses``, ``restarts``,
-        port/log/state files and :meth:`restart_role`.
+        The roles boot concurrently and the order carries nothing (C1 learns
+        its peers' addresses at provisioning); logical names key
+        ``addresses``, ``restarts``, port/log/state files and
+        :meth:`restart_role`.
         """
         return (["c2"]
                 + [f"c1-shard{index}" for index in range(self.shard_count)]
@@ -184,19 +190,53 @@ class LocalSupervisor:
         self._processes[role] = process
 
     def start(self) -> "LocalSupervisor":
-        """Spawn every daemon and wait until each is accepting connections
-        *and* answering its control plane (hello + ping)."""
+        """Spawn every daemon, then wait until each is accepting connections
+        *and* answering its control plane (hello + ping).
+
+        All roles boot at once, so the set is up after its slowest daemon,
+        not after the sum of them.  If any role fails to come up, every
+        spawned daemon is signalled and reaped and the scratch directory
+        removed before the error propagates: a failed start leaves nothing
+        running (``__exit__`` never runs when ``__enter__`` raises).
+        """
         if self._processes:
             return self
         if self._tempdir is None:
             self._tempdir = tempfile.TemporaryDirectory(
                 prefix="repro-transport-")
-        for role in self.role_names():
-            self._spawn(role, "127.0.0.1:0")
-            self.addresses[role] = self._wait_for_port(
-                role, self._scratch() / f"{role}.port")
-            wait_until_healthy(self.addresses[role], timeout=_START_TIMEOUT)
+        try:
+            for role in self.role_names():
+                self._spawn(role, "127.0.0.1:0")
+            for role in self.role_names():
+                self.addresses[role] = self._wait_for_port(
+                    role, self._scratch() / f"{role}.port")
+                wait_until_healthy(self.addresses[role],
+                                   timeout=_START_TIMEOUT)
+        except BaseException:
+            self._abort_start()
+            raise
         return self
+
+    def _abort_start(self) -> None:
+        """Undo a failed :meth:`start`: SIGTERM every spawned daemon, reap
+        it within ``_ABORT_GRACE`` seconds or SIGKILL it, drop the scratch
+        directory.  Not :meth:`shutdown`: its graceful request cannot reach
+        a half-started set, and it would wait out its timeout per daemon."""
+        for process in self._processes.values():
+            if process.poll() is None:
+                process.terminate()
+        deadline = time.monotonic() + _ABORT_GRACE
+        for process in self._processes.values():
+            try:
+                process.wait(timeout=max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
+        self._processes = {}
+        self.addresses = {}
+        if self._tempdir is not None:
+            self._tempdir.cleanup()
+            self._tempdir = None
 
     def _wait_for_port(self, role: str, port_file: Path) -> tuple[str, int]:
         deadline = time.monotonic() + _START_TIMEOUT

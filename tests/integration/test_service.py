@@ -21,6 +21,7 @@ from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.exceptions import ConfigurationError, QueryError
 from repro.core.sknn_base import SkNNRunReport
+from repro.service import scheduler as scheduler_module
 from repro.service.scheduler import QueryServer
 from repro.service.sharding import ShardedCloud
 from tests.integration.helpers import assert_stats_are_row_sums
@@ -424,6 +425,88 @@ class TestQueryServer:
             assert server.running
         expected = [r.record.values for r in service_oracle.query([4, 4, 4], 2)]
         assert answer.neighbors == expected
+
+
+class _FillWaitRecorder(threading.Condition):
+    """The scheduler's ``not_empty`` condition, noting when the serving
+    thread waits while a query is queued: it holds a partial batch open."""
+
+    def __init__(self, scheduler) -> None:
+        super().__init__(scheduler._lock)
+        self._scheduler = scheduler
+        self.filling = threading.Event()
+
+    def wait(self, timeout=None):
+        if self._scheduler.pending:
+            self.filling.set()
+        return super().wait(timeout)
+
+
+class TestBatchDispatch:
+    """The serving thread dispatches a batch as soon as it can fill —
+    ``min(batch_size, open sessions)`` queries queued — or the server
+    stops.  ``BATCH_WINDOW_SECONDS`` is patched to an hour, so a server
+    that waited out the window would never answer; the timeouts below only
+    bound a hang."""
+
+    @pytest.fixture()
+    def served(self, small_keypair, service_table, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "BATCH_WINDOW_SECONDS", 3600.0)
+        cloud = _deploy(small_keypair, service_table, 1500)
+        server = QueryServer(
+            ShardedCloud(cloud, shards=2, workers=1, backend="serial"),
+            batch_size=4, rng=Random(27))
+        recorder = _FillWaitRecorder(server.scheduler)
+        server.scheduler.not_empty = recorder
+        yield server, recorder
+        server.close()
+
+    @staticmethod
+    def expected(service_oracle, query):
+        return [r.record.values for r in service_oracle.query(query, 2)]
+
+    def test_two_sessions_fill_one_batch_without_waiting_out_the_window(
+            self, served, service_oracle):
+        server, recorder = served
+        alice, bob = server.open_session("alice"), server.open_session("bob")
+        server.start()
+        first = alice.submit([1, 2, 3], 2)
+        assert recorder.filling.wait(timeout=60)
+        assert not first.done()  # held open: bob may still join the batch
+        second = bob.submit([4, 5, 6], 2)
+        assert first.result(timeout=60).neighbors == self.expected(
+            service_oracle, [1, 2, 3])
+        assert second.result(timeout=60).neighbors == self.expected(
+            service_oracle, [4, 5, 6])
+        stats = server.stats.snapshot()
+        assert (stats["batches_served"], stats["queries_served"]) == (1, 2)
+
+    def test_a_lone_session_is_dispatched_without_a_wait(self, served,
+                                                         service_oracle):
+        server, recorder = served
+        session = server.open_session("alice")
+        server.start()
+        for query in ([1, 2, 3], [7, 0, 2]):
+            answer = session.query(query, 2, timeout=60)
+            assert answer.neighbors == self.expected(service_oracle, query)
+        assert not recorder.filling.is_set()
+        assert server.stats.snapshot()["batches_served"] == 2
+
+    def test_stop_during_a_fill_wait_returns_and_drains(self, served,
+                                                         service_oracle):
+        server, recorder = served
+        alice = server.open_session("alice")
+        server.open_session("bob")  # never asks: the batch cannot fill
+        server.start()
+        pending = alice.submit([2, 2, 2], 2)
+        assert recorder.filling.wait(timeout=60)
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        stopper.join(timeout=60)
+        assert not stopper.is_alive() and not server.running
+        assert pending.done() and server.scheduler.pending == 0
+        assert pending.result().neighbors == self.expected(service_oracle,
+                                                           [2, 2, 2])
 
 
 class TestSystemIntegration:

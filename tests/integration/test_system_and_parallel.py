@@ -76,7 +76,7 @@ class TestSkNNSystem:
     def test_key_size_exposed(self, system_table):
         system = SkNNSystem.setup(system_table, key_size=128, mode="basic",
                                   rng=Random(8))
-        assert system.key_size in (127, 128)
+        assert system.key_size == 128
 
     def test_parallel_mode_report_is_populated(self, system_table):
         """Unified reporting: parallel answers carry a real report too."""

@@ -284,6 +284,44 @@ class TestCalibrator:
     def test_timings_dataclass_prediction(self):
         timings = PaillierTimings(key_size=128, encryption_seconds=1.0,
                                   decryption_seconds=2.0,
-                                  exponentiation_seconds=3.0)
+                                  exponentiation_seconds=3.0,
+                                  dgk_encryption_seconds=0.1,
+                                  dgk_decryption_seconds=0.2,
+                                  dgk_exponentiation_seconds=0.3)
         assert timings.predict_seconds(OperationCounts(1, 1, 1)) == 6.0
         assert timings.as_dict()["key_size"] == 128
+        assert timings.as_dict()["dgk_decryption_seconds"] == 0.2
+
+    def test_dgk_share_is_priced_at_dgk_costs(self):
+        timings = PaillierTimings(key_size=128, encryption_seconds=1.0,
+                                  decryption_seconds=2.0,
+                                  exponentiation_seconds=3.0,
+                                  dgk_encryption_seconds=0.1,
+                                  dgk_decryption_seconds=0.2,
+                                  dgk_exponentiation_seconds=0.3)
+        c1, c2 = OperationCounts(1, 0, 2), OperationCounts(3, 4, 0)
+        all_dgk = ProtocolCost(c1=c1, c2=c2, c1_dgk=c1, c2_dgk=c2)
+        assert timings.predict_seconds(all_dgk) == pytest.approx(
+            4 * 0.1 + 4 * 0.2 + 2 * 0.3)
+        no_dgk = ProtocolCost(c1=c1, c2=c2)
+        assert timings.predict_seconds(no_dgk) == pytest.approx(
+            timings.predict_seconds(c1 + c2))
+        # half of C1's powers are DGK ones: one Paillier, one DGK
+        mixed = ProtocolCost(c1=c1, c2=c2,
+                             c1_dgk=OperationCounts(exponentiations=1))
+        assert timings.predict_seconds(mixed) == pytest.approx(
+            timings.predict_seconds(c1 + c2) - 3.0 + 0.3)
+
+    def test_measured_dgk_costs_split_sknn_secure_below_all_paillier(self):
+        """Calibrated at 512 bits, SkNN_m at (8, 3, 2, 6) with SMIN's DGK
+        share at the DGK key's costs is cheaper than all of it at
+        Paillier's (each DGK column is 3-13x cheaper at this size)."""
+        calibrator = Calibrator(samples=5)
+        timings = calibrator.timings_for(512)
+        assert timings.dgk_encryption_seconds > 0
+        assert timings.dgk_decryption_seconds > 0
+        assert timings.dgk_exponentiation_seconds > 0
+        cost = sknn_secure_phases(8, 3, 2, 6)["total"]
+        assert cost.c1_dgk.total + cost.c2_dgk.total > 0
+        split = calibrator.predict_seconds(cost, 512)
+        assert 0 < split < calibrator.predict_seconds(cost.total, 512)

@@ -60,7 +60,23 @@ class TestGeneratePrime:
     def test_prime_pair_distinct_and_sized(self):
         p, q = nt.generate_prime_pair(128, Random(3))
         assert p != q
-        assert (p * q).bit_length() in (127, 128)
+        assert (p * q).bit_length() == 128
+
+    @pytest.mark.parametrize("bits", [64, 128, 256, 512])
+    def test_prime_pair_keeps_a_first_draw_of_full_length(self, bits):
+        """A short product is redrawn; a full-length first draw is returned
+        as drawn, so keys that were already K bits stay bit-identical."""
+        kept = 0
+        for seed in range(12):
+            rng = Random(seed)
+            p = nt.generate_prime(bits // 2, rng)
+            q = nt.generate_prime(bits // 2, rng)
+            pair = nt.generate_prime_pair(bits, Random(seed))
+            assert (pair[0] * pair[1]).bit_length() == bits
+            if (p * q).bit_length() == bits and p != q:
+                assert pair == (p, q)
+                kept += 1
+        assert 0 < kept < 12
 
     def test_prime_pair_rejects_odd_bit_count(self):
         with pytest.raises(CryptoError):

@@ -22,8 +22,14 @@ from repro.exceptions import (
 
 
 class TestKeyGeneration:
-    def test_key_size_roughly_matches_request(self, small_keypair):
-        assert small_keypair.key_size in (127, 128)
+    def test_key_size_matches_request(self, small_keypair):
+        assert small_keypair.key_size == 128
+
+    @pytest.mark.parametrize("key_size", [64, 128, 256, 512])
+    def test_modulus_has_exactly_the_requested_bits(self, key_size):
+        for seed in range(12):
+            keypair = generate_keypair(key_size, Random(seed))
+            assert keypair.public_key.key_size == key_size, seed
 
     def test_distinct_primes(self, small_keypair):
         private = small_keypair.private_key

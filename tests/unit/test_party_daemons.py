@@ -402,7 +402,7 @@ class TestShardReplies:
 class TestProvisionedDistanceBits:
     """``l`` is checked against the key at provisioning, on both roles:
     SMIN compares ``l + 1`` bits under a mask that hides ``l + 2`` bits
-    statistically, ``2^(l+2+40) <= N`` (``l <= 84`` for the 127-bit test
+    statistically, ``2^(l+2+40) <= N`` (``l <= 85`` for the 128-bit test
     modulus).  C2 builds SkNN_m for every peer context from ``l``, so an
     ``l`` it cannot compare used to fail there and hang a basic query."""
 
@@ -419,7 +419,7 @@ class TestProvisionedDistanceBits:
                    "distance_bits": distance_bits},
         }
 
-    @pytest.mark.parametrize("distance_bits", [85, 127, 0, -1, "6", 6.0,
+    @pytest.mark.parametrize("distance_bits", [86, 127, 0, -1, "6", 6.0,
                                                True])
     def test_both_roles_refuse_an_l_smin_cannot_compare(
             self, serve, small_keypair, distance_bits):
@@ -433,7 +433,7 @@ class TestProvisionedDistanceBits:
                 ConfigurationError, "is not a positive l")
             assert not client.request("transport.ping", None)["provisioned"]
 
-    @pytest.mark.parametrize("distance_bits", [None, 1, 84])
+    @pytest.mark.parametrize("distance_bits", [None, 1, 85])
     def test_a_valid_l_provisions_as_before(self, serve, small_keypair,
                                             distance_bits):
         c2 = serve(C2Daemon())

@@ -18,8 +18,9 @@ from repro.analysis.projections import (
 class _FixedCalibrator(Calibrator):
     """Calibrator stub returning unit per-operation costs (no measurement).
 
-    Projection shapes are ratios of operation counts, so unit timings are
-    enough to test them and keep this module free of real key generation.
+    Projection shapes are ratios of operation counts, so unit timings (DGK
+    operations a tenth of Paillier's) are enough to test them and keep this
+    module free of real key generation.
     """
 
     def __init__(self) -> None:
@@ -30,7 +31,10 @@ class _FixedCalibrator(Calibrator):
         return PaillierTimings(key_size=key_size,
                                encryption_seconds=1e-3 * scale,
                                decryption_seconds=1e-3 * scale,
-                               exponentiation_seconds=1e-3 * scale)
+                               exponentiation_seconds=1e-3 * scale,
+                               dgk_encryption_seconds=1e-4 * scale,
+                               dgk_decryption_seconds=1e-4 * scale,
+                               dgk_exponentiation_seconds=1e-4 * scale)
 
 
 @pytest.fixture(scope="module")
