@@ -63,8 +63,8 @@ from repro.crypto.paillier import generate_keypair
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.db.datasets import synthetic_uniform
 from repro.db.knn import LinearScanKNN
-from repro.resilience import (Deadline, DurableReplyCache, ReplyCache,
-                              RetryPolicy, retry_call)
+from repro.resilience import (Deadline, Journal, ReplyCache, RetryPolicy,
+                              retry_call)
 
 ONLINE_KEY_BITS = int(os.environ.get("REPRO_BENCH_ONLINE_BITS", "512"))
 ONLINE_N = int(os.environ.get("REPRO_BENCH_ONLINE_N", "16"))
@@ -81,8 +81,8 @@ TELEMETRY_OVERHEAD_GATE = 0.05
 #: arming the resilience stack (shared deadline, retry wrapper, idempotent
 #: reply memo) on the happy path must also cost <= 5% wall clock.
 RESILIENCE_OVERHEAD_GATE = 0.05
-#: swapping the reply memo for its durable variant (one CRC-framed,
-#: fsync-ed journal append per completed query) must also cost <= 5%.
+#: giving the reply memo a journal (one CRC-framed, fsync-ed append per
+#: completed query) must also cost <= 5%.
 DURABILITY_OVERHEAD_GATE = 0.05
 #: arming the ~100 Hz sampling profiler plus the per-query cost ledger on
 #: the warm online path must also cost <= 5% wall clock.
@@ -208,13 +208,14 @@ def test_online_latency_warm_pools_vs_inline(benchmark, python_backend,
                     deadline=Deadline(60.0))
 
             # Durability overhead: the same armed stack, but the reply memo
-            # is the durable variant — every completed query appends one
+            # has a journal — every completed query appends one
             # CRC-framed record to an fsync-ed journal before the reply
             # becomes visible (the crash-recovery write path, on a run
             # where nothing crashes).
-            durable_cache = DurableReplyCache(
-                tmp_path / "bench-replies.journal", capacity=8,
-                name="bench-durable")
+            durable_cache = ReplyCache(
+                capacity=8, name="bench-durable",
+                journal=Journal(tmp_path / "bench-replies.journal",
+                                name="bench-durable"))
 
             def durable_wire_reply():
                 # The daemon journals the wire-shaped reply payload (plain

@@ -7,7 +7,7 @@ ICDE 2014).  The package contains:
 * :mod:`repro.crypto` — Paillier cryptosystem and number theory;
 * :mod:`repro.network` — the simulated federated cloud (channels, parties);
 * :mod:`repro.protocols` — the secure sub-protocols SM, SSED, SBD, SMIN,
-  SMIN_n, SBOR of Section 3;
+  SMIN_n of Section 3;
 * :mod:`repro.db` — schemas, tables, encrypted tables, datasets, plaintext kNN;
 * :mod:`repro.core` — the SkNN_b and SkNN_m query protocols and the
   end-to-end :class:`SkNNSystem`;

@@ -166,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="size the sharded store's precomputation engine "
                             "for this many queries (0 disables); the server "
                             "refills it in idle scheduler slots")
-    serve.add_argument("--precompute-producer", action="store_true",
-                       help="also run the engine's background producer thread")
     serve.add_argument("--seed", type=int, default=0, help="workload seed")
 
     party = subparsers.add_parser(
@@ -191,15 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "killed-and-restarted party replays pending "
                             "deliveries and serves retried fetches without "
                             "re-provisioning (disabled by default)")
-    party.add_argument("--journal-compact-every", type=int, default=512,
-                       metavar="N",
-                       help="rewrite a state journal once it exceeds N "
-                            "records (default: 512)")
-    party.add_argument("--no-state-fsync", action="store_true",
-                       help="skip fsync on state-journal appends and "
-                            "snapshot writes (faster, but a power loss may "
-                            "drop the latest records; process crashes are "
-                            "still covered)")
     party.add_argument("--log-level", default="info",
                        choices=["debug", "info", "warning", "error"],
                        help="daemon log verbosity (default: info)")
@@ -417,10 +406,7 @@ def _build_party(args: argparse.Namespace):
                    pool_cache=args.pool_cache,
                    metrics_listen=args.metrics_listen,
                    slow_query_seconds=slow, io_deadline=io_deadline,
-                   state_dir=args.state_dir,
-                   state_fsync=not args.no_state_fsync,
-                   journal_compact_every=args.journal_compact_every,
-                   profile=args.profile)
+                   state_dir=args.state_dir, profile=args.profile)
     if args.role == "c1":
         options.update(peer_connections=args.peer_connections,
                        shard_index=args.shard_index,
@@ -655,8 +641,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                               rng=Random(args.seed + 2))
     server = system.serve(batch_size=args.batch_size,
                           session_pool_size=min(args.pool_size, 4 * args.m),
-                          precompute=args.precompute,
-                          precompute_producer=args.precompute_producer)
+                          precompute=args.precompute)
 
     answers: dict[int, object] = {}
 

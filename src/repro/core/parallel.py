@@ -441,8 +441,6 @@ class ShardedCloud(SkNNProtocol):
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
         """Release the worker pool (no-op for a shared pool)."""
-        if self.precompute is not None:
-            self.precompute.stop_producer()
         if self._owns_pool:
             self.pool.close()
 

@@ -326,8 +326,7 @@ class SkNNSystem:
     def serve(self, shards: int | None = None, workers: int | None = None,
               backend: str | None = None, batch_size: int = 4,
               session_pool_size: int = 0,
-              precompute: int = 0,
-              precompute_producer: bool = False) -> "QueryServer":
+              precompute: int = 0) -> "QueryServer":
         """Stand up a multi-session :class:`~repro.service.scheduler.QueryServer`.
 
         The server answers queries through a sharded scatter-gather plan over
@@ -352,8 +351,6 @@ class SkNNSystem:
                 :class:`~repro.crypto.precompute.PrecomputeEngine` holding
                 the encryptions of this many queries, chunk workers' slices
                 included; the server refills it in idle scheduler slots.
-            precompute_producer: additionally start the engine's background
-                producer thread, so pools refill even while batches execute.
         """
         # Local import: repro.service sits on top of repro.core.
         from repro.service.scheduler import QueryServer
@@ -378,8 +375,6 @@ class SkNNSystem:
             backend=backend if backend is not None else self.parallel_backend,
             precompute=engine,
         )
-        if engine is not None and precompute_producer:
-            engine.start_producer()
         return QueryServer(sharded, batch_size=batch_size, rng=server_rng,
                            session_pool_size=session_pool_size)
 

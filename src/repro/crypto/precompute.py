@@ -9,8 +9,8 @@ pooled encryption is one multiplication whatever it encrypts (a protocol
 constant, an additive mask, a re-encrypted square sum).
 
 :class:`PrecomputeEngine` is that producer/consumer boundary: **one** store
-of single-use factors per party plus its lifecycle — refill to a target, a
-background producer, save/load across restarts — and one set of hit, miss
+of single-use factors per party plus its lifecycle — refill to a target,
+save/load across restarts — and one set of hit, miss
 and offline counts.  The store is filled by its key's one obfuscator source
 (:meth:`~repro.crypto.paillier.PaillierPublicKey.obfuscators`, the
 fixed-base ``h**s``; the private key's CRT form of the same power for the
@@ -27,9 +27,7 @@ logical encryptions were actually paid offline, and its offline count the
 precomputation work (one obfuscator per factor).
 
 Producers: call :meth:`PrecomputeEngine.refill` from any idle-time hook (the
-serving layer's scheduler does this between batches), or
-:meth:`PrecomputeEngine.start_producer` for a background thread that keeps
-the pool topped up.
+serving layer's scheduler does this between batches).
 
 :class:`QueryLookahead` is the engine of one query, not a pool: a cloud
 daemon without a provisioned engine builds one per query, empty, and its
@@ -146,8 +144,6 @@ class PrecomputeEngine:
         self.hits = 0
         self.misses = 0
         self.offline_encryptions = 0
-        self._producer: threading.Thread | None = None
-        self._producer_stop = threading.Event()
 
     # -- offline production ---------------------------------------------------
     def deficit(self) -> int:
@@ -160,8 +156,8 @@ class PrecomputeEngine:
 
         This is the producer step (one :meth:`~repro.crypto.paillier.
         PaillierPublicKey.obfuscators` factor each) and is meant to run off
-        the query critical path — from an idle scheduler slot, the
-        background producer thread, or setup code.  ``budget`` caps the
+        the query critical path — from an idle scheduler slot or setup
+        code.  ``budget`` caps the
         number of factors computed in this call (``None`` = fill to
         target); they are computed ``refill_batch`` at a time and *outside*
         the store lock, so concurrent online takers never wait on a refill.
@@ -195,30 +191,6 @@ class PrecomputeEngine:
         with self._lock:
             self._factors.extend(factors)
         return len(factors)
-
-    # -- background producer ---------------------------------------------------
-    def start_producer(self, interval_seconds: float = 0.02) -> None:
-        """Start a daemon thread that keeps the pool topped up (idempotent)."""
-        if self._producer is not None and self._producer.is_alive():
-            return
-        self._producer_stop.clear()
-
-        def _loop() -> None:
-            while not self._producer_stop.is_set():
-                if self.refill(self.config.refill_batch) == 0:
-                    self._producer_stop.wait(interval_seconds)
-
-        self._producer = threading.Thread(
-            target=_loop, name="sknn-precompute-producer", daemon=True)
-        self._producer.start()
-
-    def stop_producer(self) -> None:
-        """Stop the background producer thread (no-op when not running)."""
-        if self._producer is None:
-            return
-        self._producer_stop.set()
-        self._producer.join()
-        self._producer = None
 
     def prefetch(self) -> bool:
         """Compute one factor while the owning party waits on its peer;

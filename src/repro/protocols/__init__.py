@@ -8,7 +8,9 @@ key) and the decryptor P2 (cloud C2, holds the Paillier secret key):
 * :class:`SecureBitDecomposition` (SBD) — ``Epk(z) -> [z]``
 * :class:`SecureMinimum` (SMIN) — ``[u], [v] -> [min(u, v)]``
 * :class:`SecureMinimumOfN` (SMIN_n) — ``[d_1..d_n] -> [min]``
-* :class:`SecureBitOr` (SBOR)
+
+The paper's Secure Bit-OR (SBOR) has no class: SkNN_m eliminates the
+selected record with a flag bit instead (see :mod:`repro.core.sknn_secure`).
 """
 
 from repro.protocols.base import TwoPartyProtocol
@@ -20,7 +22,6 @@ from repro.protocols.encoding import (
     recompose_from_encrypted_bits,
 )
 from repro.protocols.sbd import SecureBitDecomposition
-from repro.protocols.sbor import SecureBitOr
 from repro.protocols.sm import SecureMultiplication
 from repro.protocols.smin import SecureMinimum
 from repro.protocols.sminn import SecureMinimumOfN
@@ -33,7 +34,6 @@ __all__ = [
     "SecureBitDecomposition",
     "SecureMinimum",
     "SecureMinimumOfN",
-    "SecureBitOr",
     "int_to_bits",
     "bits_to_int",
     "encrypt_bits",

@@ -1,6 +1,6 @@
 """Shared machinery for the two-party secure sub-protocols of Section 3.
 
-Every sub-protocol (SM, SSED, SBD, SMIN, SMIN_n, SBOR) runs between the same
+Every sub-protocol (SM, SSED, SBD, SMIN, SMIN_n) runs between the same
 two parties:
 
 * ``P1`` — the evaluator (cloud C1): holds ciphertexts and the public key;

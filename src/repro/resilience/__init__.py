@@ -12,10 +12,11 @@ from the deployed system:
   memo that makes retried ``transport.query``/``transport.fetch_share``
   requests safe: a duplicate never re-consumes single-use pool entries or
   mailbox shares, and a duplicate of an in-flight request re-attaches to it.
+  Given a :class:`Journal`, its completed replies survive a restart.
 * :mod:`repro.resilience.durability` — crash-consistent persistence:
   atomic CRC-checked snapshots (tmp + fsync + rename), the append-only
-  :class:`Journal` with replay-on-open and torn-tail repair,
-  :class:`DurableReplyCache`, and the crash-point injection harness
+  :class:`Journal` with replay-on-open and torn-tail repair, and the
+  crash-point injection harness
   (:func:`arm_crash_point` / ``REPRO_CRASH_POINT``) that proves the
   atomicity guarantees under SIGKILL at every boundary.
 * :mod:`repro.resilience.health` — control-plane liveness probes gating
@@ -34,7 +35,6 @@ injected faults — is counted in the :mod:`repro.telemetry` registry
 from repro.resilience.chaos import ChaosProxy, ChaosSchedule
 from repro.resilience.durability import (
     CrashPointFired,
-    DurableReplyCache,
     Journal,
     arm_crash_point,
     crash_point,
@@ -51,7 +51,6 @@ __all__ = [
     "ChaosSchedule",
     "CrashPointFired",
     "Deadline",
-    "DurableReplyCache",
     "Journal",
     "ReplyCache",
     "RetryPolicy",

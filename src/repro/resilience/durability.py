@@ -13,13 +13,11 @@ injection machinery that proves their atomicity:
   replays every intact record and truncates a torn tail (the one record a
   crash between ``write`` and ``fsync`` may leave half-written), so replay
   after SIGKILL recovers exactly the prefix that was made durable.  Used
-  for write-often state: mailbox deliveries and completed query replies.
-
-:class:`DurableReplyCache` extends the resilience layer's
-:class:`~repro.resilience.idempotency.ReplyCache` with a journal: a
-completed reply is made durable *before* it becomes visible to waiters, so
-a daemon restart replays it and a retried query id is served from disk
-instead of re-executed.
+  for write-often state: C2's share mailbox
+  (:class:`~repro.transport.daemon.ShareMailbox`) and C1's reply cache
+  (:class:`~repro.resilience.idempotency.ReplyCache`) each take an optional
+  journal, journal every transition before it becomes visible, and replay
+  it when they are built.
 
 **Crash points** let tests kill the process (or raise) at the exact
 boundaries that distinguish a correct implementation from a lucky one:
@@ -40,7 +38,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.exceptions import CorruptStateError
-from repro.resilience.idempotency import ReplyCache
 from repro.telemetry import metrics as _metrics
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "write_snapshot",
     "read_snapshot",
     "Journal",
-    "DurableReplyCache",
 ]
 
 #: snapshot/journal format version, bumped on incompatible layout changes
@@ -67,6 +63,10 @@ CRASH_POINTS = (
     "journal.pre_fsync",
     "journal.post_fsync",
 )
+
+#: a journal is rewritten to its store's live state once it holds more
+#: records than this, bounding disk usage by live state, not query count
+COMPACT_EVERY = 512
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +157,7 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: str | Path, data: bytes,
-                       fsync: bool = True) -> None:
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` atomically (tmp + fsync + rename).
 
     A crash at any boundary leaves either the old file or the new one —
@@ -173,17 +172,14 @@ def atomic_write_bytes(path: str | Path, data: bytes,
         handle.write(data)
         handle.flush()
         crash_point("snapshot.pre_fsync")
-        if fsync:
-            os.fsync(handle.fileno())
+        os.fsync(handle.fileno())
     crash_point("snapshot.post_fsync")
     crash_point("snapshot.pre_rename")
     os.replace(temporary, target)
-    if fsync:
-        _fsync_directory(target.parent)
+    _fsync_directory(target.parent)
 
 
-def write_snapshot(path: str | Path, kind: str, payload: Any,
-                   fsync: bool = True) -> None:
+def write_snapshot(path: str | Path, kind: str, payload: Any) -> None:
     """Atomically persist one versioned, CRC-checked JSON document."""
     body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
     document = {
@@ -192,8 +188,7 @@ def write_snapshot(path: str | Path, kind: str, payload: Any,
         "crc": _crc(body.encode("utf-8")),
         "payload": body,
     }
-    atomic_write_bytes(path, json.dumps(document).encode("utf-8"),
-                       fsync=fsync)
+    atomic_write_bytes(path, json.dumps(document).encode("utf-8"))
 
 
 def read_snapshot(path: str | Path, kind: str) -> Any | None:
@@ -241,21 +236,17 @@ class Journal:
     """Append-only operation log with CRC-framed records and torn-tail repair.
 
     Each record is one line, ``<crc32-hex> <compact-json>\\n``, fsynced per
-    append (``fsync=False`` trades the durability guarantee for speed —
-    useful for benchmarks, never for the daemons' real state).  ``open()``
-    replays the longest intact prefix: the first record with a bad CRC,
-    unparsable JSON or a missing newline terminates replay and everything
-    from there on is truncated away, because a single crash can only tear
-    the *last* append.  Anything else (a bad record followed by good ones)
-    is not a crash artifact but corruption, and raises
+    append.  ``open()`` replays the longest intact prefix: the first record
+    with a bad CRC, unparsable JSON or a missing newline terminates replay
+    and everything from there on is truncated away, because a single crash
+    can only tear the *last* append.  Anything else (a bad record followed
+    by good ones) is not a crash artifact but corruption, and raises
     :class:`~repro.exceptions.CorruptStateError`.
     """
 
-    def __init__(self, path: str | Path, name: str = "journal",
-                 fsync: bool = True) -> None:
+    def __init__(self, path: str | Path, name: str = "journal") -> None:
         self.path = Path(path)
         self.name = name
-        self.fsync = fsync
         self.records = 0  # records currently in the file
         self._handle = None
         self._lock = threading.Lock()
@@ -270,8 +261,7 @@ class Journal:
             with open(self.path, "r+b") as handle:
                 handle.truncate(good_bytes)
                 handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
+                os.fsync(handle.fileno())
         if records:
             _journal_records_counter().inc(len(records), journal=self.name,
                                            event="replayed")
@@ -328,8 +318,7 @@ class Journal:
             self._handle.write(line)
             self._handle.flush()
             crash_point("journal.pre_fsync")
-            if self.fsync:
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
             crash_point("journal.post_fsync")
             self.records += 1
         _journal_records_counter().inc(journal=self.name, event="appended")
@@ -344,9 +333,18 @@ class Journal:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
-            atomic_write_bytes(self.path, bytes(lines), fsync=self.fsync)
+            atomic_write_bytes(self.path, bytes(lines))
             self._handle = open(self.path, "ab")
             self.records = len(records)
+
+    def compact(self, live: Callable[[], list[Any]]) -> None:
+        """Rewrite to ``live()`` once the file outgrows :data:`COMPACT_EVERY`.
+
+        A store calls this after applying a transition, so ``live()``
+        already includes the record that pushed the journal over the bound.
+        """
+        if self.records > COMPACT_EVERY:
+            self.rewrite(live())
 
     def close(self) -> None:
         """Release the append handle (idempotent)."""
@@ -354,77 +352,3 @@ class Journal:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
-
-
-# ---------------------------------------------------------------------------
-# Durable reply cache
-# ---------------------------------------------------------------------------
-
-class DurableReplyCache(ReplyCache):
-    """A :class:`ReplyCache` whose completed replies survive a restart.
-
-    Every completed reply is appended to a journal *before* it becomes
-    visible to waiters (inside the cache's completion critical section), so
-    a reply a client may have observed is always recoverable: after a
-    SIGKILL + restart, the same query id replays the recorded answer with
-    zero re-execution.  ``clear()`` (a new provisioning epoch) is journaled
-    too, so replay never resurrects replies from a previous table/key.
-
-    The journal grows with every completion; once it exceeds
-    ``compact_every`` records it is rewritten (atomic snapshot semantics)
-    to just the entries still cached, keeping disk usage proportional to
-    the cache capacity rather than the query count.
-    """
-
-    def __init__(self, path: str | Path, capacity: int = 64,
-                 name: str = "replies", fsync: bool = True,
-                 compact_every: int = 256) -> None:
-        super().__init__(capacity=capacity, name=name)
-        self._journal = Journal(path, name=name, fsync=fsync)
-        self._compact_every = max(int(compact_every), 1)
-        self.recovered = 0
-        for record in self._journal.open():
-            if not isinstance(record, dict):
-                continue
-            operation = record.get("op")
-            if operation == "clear":
-                self._entries.clear()
-            elif operation == "reply":
-                self._adopt(record.get("key"), record.get("value"))
-        self.recovered = len(self._entries)
-
-    def _adopt(self, key: Any, value: Any) -> None:
-        if not isinstance(key, str):
-            return
-        entry = self._entries.get(key)
-        if entry is None:
-            from repro.resilience.idempotency import _Entry
-
-            entry = _Entry()
-            self._entries[key] = entry
-        entry.done = True
-        entry.value = value
-        self._evict_completed()
-
-    # -- persistence hooks (called under the cache lock) -------------------
-    def _record_completed(self, key: str, value: Any) -> None:
-        self._journal.append({"op": "reply", "key": key, "value": value})
-        if self._journal.records > self._compact_every:
-            self._compact()
-
-    def _record_cleared(self) -> None:
-        self._journal.append({"op": "clear"})
-
-    def _compact(self) -> None:
-        live = [{"op": "reply", "key": key, "value": entry.value}
-                for key, entry in self._entries.items() if entry.done]
-        self._journal.rewrite(live)
-
-    def close(self) -> None:
-        """Close the journal handle (entries stay on disk for replay)."""
-        self._journal.close()
-
-    @property
-    def journal_records(self) -> int:
-        """Records currently in the journal file (introspection)."""
-        return self._journal.records

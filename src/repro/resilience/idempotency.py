@@ -28,6 +28,7 @@ from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.exceptions import DeadlineExceeded
+from repro.resilience.durability import Journal
 from repro.telemetry import metrics as _metrics
 
 __all__ = ["ReplyCache"]
@@ -42,9 +43,17 @@ class _Entry:
 
 
 class ReplyCache:
-    """Bounded memo of request replies keyed by client idempotency ids."""
+    """Bounded memo of request replies keyed by client idempotency ids.
 
-    def __init__(self, capacity: int = 64, name: str = "replies") -> None:
+    With a :class:`~repro.resilience.durability.Journal`, completed replies
+    survive a restart: the journal is replayed when the cache is built,
+    every completion and ``clear()`` (a new provisioning epoch) is journaled
+    before it becomes visible to waiters, and after a SIGKILL the same query
+    id replays the recorded answer with zero re-execution.
+    """
+
+    def __init__(self, capacity: int = 64, name: str = "replies",
+                 journal: Journal | None = None) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -52,6 +61,12 @@ class ReplyCache:
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._condition = threading.Condition()
         self.replays = 0  # duplicates served from the cache (incl. joins)
+        self._journal = journal
+        for record in journal.open() if journal is not None else ():
+            if isinstance(record, dict):
+                self._apply(record)
+        #: completed replies brought back by journal replay
+        self.recovered = len(self._entries)
 
     def run(self, key: str | None, compute: Callable[[], Any],
             timeout: float | None = None) -> Any:
@@ -89,29 +104,43 @@ class ReplyCache:
         try:
             value = compute()
             with self._condition:
-                # Persistence hook first: a durable subclass must make the
-                # reply recoverable *before* any waiter can observe it.
-                self._record_completed(key, value)
-                entry.done = True
-                entry.value = value
-                self._evict_completed()
+                if self._entries.get(key) is entry:  # not wiped by clear()
+                    self._transition({"op": "reply", "key": key,
+                                      "value": value})
                 self._condition.notify_all()
         except BaseException:
             # Failures are not memoized: a retry must re-run the handler.
-            # (A failed persistence hook counts as a failure too — a reply
+            # (A failed journal append counts as a failure too — a reply
             # that could not be made durable is never served from memory.)
             with self._condition:
-                self._entries.pop(key, None)
+                if self._entries.get(key) is entry:
+                    del self._entries[key]
                 self._condition.notify_all()
             raise
         return value
 
-    # -- persistence hooks (no-ops here; see resilience.durability) ---------
-    def _record_completed(self, key: str, value: Any) -> None:
-        """Called under the lock, before a completed reply becomes visible."""
+    # -- transitions (caller locks; journal replay shares _apply) -----------
+    def _transition(self, record: dict[str, Any]) -> None:
+        """Journal ``record``, apply it, then compact from the new state."""
+        if self._journal is not None:
+            self._journal.append(record)
+        self._apply(record)
+        if self._journal is not None:
+            self._journal.compact(self._live_records)
 
-    def _record_cleared(self) -> None:
-        """Called under the lock when the cache is wiped (new epoch)."""
+    def _apply(self, record: dict[str, Any]) -> None:
+        operation = record.get("op")
+        if operation == "clear":
+            self._entries.clear()
+        elif operation == "reply" and isinstance(record.get("key"), str):
+            entry = self._entries.setdefault(record["key"], _Entry())
+            entry.done = True
+            entry.value = record.get("value")
+            self._evict_completed()
+
+    def _live_records(self) -> list[dict[str, Any]]:
+        return [{"op": "reply", "key": key, "value": entry.value}
+                for key, entry in self._entries.items() if entry.done]
 
     def _count_replay(self) -> None:
         _metrics.get_registry().counter(
@@ -133,9 +162,18 @@ class ReplyCache:
     def clear(self) -> None:
         """Forget everything (a new provisioning epoch began)."""
         with self._condition:
-            self._record_cleared()
-            self._entries.clear()
+            self._transition({"op": "clear"})
             self._condition.notify_all()
+
+    def close(self) -> None:
+        """Close the journal handle (entries stay on disk for replay)."""
+        if self._journal is not None:
+            self._journal.close()
+
+    @property
+    def journal_records(self) -> int:
+        """Records currently in the journal file (0 without a journal)."""
+        return self._journal.records if self._journal is not None else 0
 
     def __len__(self) -> int:
         with self._condition:

@@ -49,7 +49,7 @@ OP_NAMES = ("encryptions", "decryptions", "exponentiations",
             "homomorphic_additions")
 
 #: bucket for work observed inside the ledger window but outside any scope
-#: (setup, result assembly, background producer encryptions on a daemon).
+#: (setup, result assembly).
 OTHER_PHASE = "other"
 
 

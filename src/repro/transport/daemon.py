@@ -28,9 +28,9 @@ until the query client fetches them over its *own* connection — C1 never
 relays them, mirroring the paper's delivery step.
 
 Shutdown is hardened for CI: ``serve_forever`` installs SIGTERM/SIGINT
-handlers and an ``atexit`` hook that close the listening socket, stop the
-precompute producer thread, persist the ``--pool-cache`` and join every
-connection thread, so a test harness never leaks processes or threads.
+handlers and an ``atexit`` hook that close the listening socket, persist
+the ``--pool-cache`` and join every connection thread, so a test harness
+never leaks processes or threads.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ from repro.network.channel import Message
 from repro.network.party import DecryptorParty
 from repro.protocols.smin import STATISTICAL_SECURITY, SecureMinimum
 from repro.resilience import durability
-from repro.resilience.durability import DurableReplyCache
 from repro.resilience.idempotency import ReplyCache
 from repro.resilience.policy import is_retriable
 from repro.telemetry import MetricsHTTPServer, SlowQueryLog
@@ -103,7 +102,7 @@ from repro.transport.mux import MuxChannel, MuxConnection, PeerPool
 from repro.transport.wire import WireCodec
 
 __all__ = ["PartyDaemon", "C1Daemon", "C2Daemon", "ShareMailbox",
-           "DurableShareMailbox", "parse_address", "RemotePrivateKey"]
+           "parse_address", "RemotePrivateKey"]
 
 logger = logging.getLogger("repro.transport")
 
@@ -138,25 +137,39 @@ class ShareMailbox:
     token replays it (the client's reply was lost on the wire, not the
     share).  A fetch without a token, or with a different token, is a
     genuine second consumer and is still refused.
+
+    With a :class:`~repro.resilience.durability.Journal` the contents
+    survive a daemon crash: every transition — a share filed, a share
+    consumed (with its attempt-token memo), an epoch change, a wipe — is
+    journaled before it becomes visible, and the journal is replayed when
+    the mailbox is built.  A C2 SIGKILLed between delivering a share and
+    the client's fetch comes back with the share still pending, so the
+    retried fetch (same attempt token) returns the bit-identical value.
     """
 
     #: replay memo bound — ample for one client's retry window without
     #: letting a long-lived daemon accumulate decrypted shares.
     DELIVERED_MEMO = 32
 
-    def __init__(self) -> None:
+    def __init__(self, journal: durability.Journal | None = None) -> None:
         self._shares: dict[int, list[list[int]]] = {}
         self._delivered: OrderedDict[tuple[int, str], list[list[int]]] = (
             OrderedDict())
         self._condition = threading.Condition()
         #: the C1 epoch whose delivery ids currently populate the mailbox
         self._epoch: str | None = None
+        self._journal = journal
+        for record in journal.open() if journal is not None else ():
+            if isinstance(record, dict):
+                self._apply(record)
+        #: pending shares + delivered memos brought back by journal replay
+        self.recovered = len(self._shares) + len(self._delivered)
 
     def put(self, delivery_id: int, masked_values: list[list[int]]) -> None:
         """File one share and wake anyone waiting for it."""
         with self._condition:
-            self._record_put(delivery_id, masked_values)
-            self._shares[delivery_id] = masked_values
+            self._transition(
+                {"op": "put", "id": delivery_id, "share": masked_values})
             self._condition.notify_all()
 
     def fetch(self, delivery_id: int,
@@ -189,14 +202,9 @@ class ShareMailbox:
                 # share may have been filed between the timeout firing and
                 # the lock being reacquired.
                 self._condition.wait(remaining)
-            # Persist the consumption *before* handing the share out: after
-            # a crash, replay must agree with what any client observed.
-            self._record_take(delivery_id, attempt)
-            share = self._shares.pop(delivery_id)
-            if attempt is not None:
-                self._delivered[(delivery_id, attempt)] = share
-                while len(self._delivered) > self.DELIVERED_MEMO:
-                    self._delivered.popitem(last=False)
+            share = self._shares[delivery_id]
+            self._transition(
+                {"op": "take", "id": delivery_id, "attempt": attempt})
             return share
 
     def adopt_epoch(self, epoch: str | None) -> bool:
@@ -212,129 +220,68 @@ class ShareMailbox:
         with self._condition:
             if epoch is not None and epoch == self._epoch:
                 return True
-            self._record_epoch(epoch)
-            self._epoch = epoch
-            self._shares.clear()
-            self._delivered.clear()
+            self._transition({"op": "epoch", "epoch": epoch})
             self._condition.notify_all()
             return False
 
     def clear(self) -> None:
         """Drop every stored share (a new provisioning/C1 epoch began)."""
         with self._condition:
-            self._record_clear()
-            self._epoch = None
-            self._shares.clear()
-            self._delivered.clear()
+            self._transition({"op": "clear"})
             self._condition.notify_all()
 
-    # -- persistence hooks (no-ops here; see DurableShareMailbox) -----------
-    def _record_put(self, delivery_id: int,
-                    masked_values: list[list[int]]) -> None:
-        """Called under the lock before a share becomes fetchable."""
+    # -- transitions (caller locks; journal replay shares _apply) -----------
+    def _transition(self, record: dict[str, Any]) -> None:
+        """Journal ``record``, apply it, then compact from the new state."""
+        if self._journal is not None:
+            self._journal.append(record)
+        self._apply(record)
+        if self._journal is not None:
+            self._journal.compact(self._live_records)
 
-    def _record_take(self, delivery_id: int, attempt: str | None) -> None:
-        """Called under the lock before a share is popped/memoized."""
+    def _apply(self, record: dict[str, Any]) -> None:
+        operation = record.get("op")
+        if operation == "put":
+            self._shares[int(record["id"])] = record["share"]
+        elif operation == "take":
+            delivery_id, attempt = int(record["id"]), record.get("attempt")
+            share = self._shares.pop(delivery_id, None)
+            if share is not None and attempt is not None:
+                self._delivered[(delivery_id, attempt)] = share
+                while len(self._delivered) > self.DELIVERED_MEMO:
+                    self._delivered.popitem(last=False)
+        elif operation in ("epoch", "clear"):
+            self._epoch = record.get("epoch")  # a clear carries none
+            self._shares.clear()
+            self._delivered.clear()
 
-    def _record_epoch(self, epoch: str | None) -> None:
-        """Called under the lock when a new C1 epoch wipes the mailbox."""
-
-    def _record_clear(self) -> None:
-        """Called under the lock when the mailbox is wiped outright."""
-
-    def close(self) -> None:
-        """Release any persistence resources (no-op for the in-memory box)."""
-
-    def __len__(self) -> int:
-        with self._condition:
-            return len(self._shares)
-
-
-class DurableShareMailbox(ShareMailbox):
-    """A :class:`ShareMailbox` whose contents survive a daemon crash.
-
-    Every state transition — a share filed, a share consumed (with its
-    attempt-token memo), an epoch change, a wipe — is appended to a
-    crash-consistent :class:`~repro.resilience.durability.Journal` before
-    it takes effect in memory.  On construction the journal is replayed,
-    so a C2 daemon SIGKILLed between delivering a share and the client's
-    fetch comes back with the share still pending: the retried
-    ``fetch_share`` (same attempt token) returns the bit-identical value
-    and the query is never re-executed.
-
-    The journal is compacted (atomic rewrite of just the live state) once
-    it outgrows ``compact_every`` records, bounding disk usage by the
-    mailbox size rather than the daemon's query count.
-    """
-
-    def __init__(self, path: str | Path, fsync: bool = True,
-                 compact_every: int = 512) -> None:
-        super().__init__()
-        self._journal = durability.Journal(path, name="mailbox", fsync=fsync)
-        self._compact_every = max(int(compact_every), 1)
-        for record in self._journal.open():
-            if not isinstance(record, dict):
-                continue
-            operation = record.get("op")
-            if operation == "put":
-                self._shares[int(record["id"])] = record["share"]
-            elif operation == "take":
-                share = self._shares.pop(int(record["id"]), None)
-                attempt = record.get("attempt")
-                if share is not None and attempt is not None:
-                    self._delivered[(int(record["id"]), attempt)] = share
-                    while len(self._delivered) > self.DELIVERED_MEMO:
-                        self._delivered.popitem(last=False)
-            elif operation == "epoch":
-                self._epoch = record.get("epoch")
-                self._shares.clear()
-                self._delivered.clear()
-            elif operation == "clear":
-                self._epoch = None
-                self._shares.clear()
-                self._delivered.clear()
-        #: pending shares + delivered memos brought back by journal replay
-        self.recovered = len(self._shares) + len(self._delivered)
-
-    # -- persistence hooks (called under the condition lock) ----------------
-    def _record_put(self, delivery_id: int,
-                    masked_values: list[list[int]]) -> None:
-        self._journal.append(
-            {"op": "put", "id": delivery_id, "share": masked_values})
-        self._maybe_compact()
-
-    def _record_take(self, delivery_id: int, attempt: str | None) -> None:
-        self._journal.append(
-            {"op": "take", "id": delivery_id, "attempt": attempt})
-        self._maybe_compact()
-
-    def _record_epoch(self, epoch: str | None) -> None:
-        self._journal.append({"op": "epoch", "epoch": epoch})
-
-    def _record_clear(self) -> None:
-        self._journal.append({"op": "clear"})
-
-    def _maybe_compact(self) -> None:
-        if self._journal.records <= self._compact_every:
-            return
+    def _live_records(self) -> list[dict[str, Any]]:
+        # Memos first: a put of a pending share must land after any memo
+        # of an earlier share under the same id, or its take would pop it.
         records: list[dict[str, Any]] = []
         if self._epoch is not None:
             records.append({"op": "epoch", "epoch": self._epoch})
-        records.extend({"op": "put", "id": delivery_id, "share": share}
-                       for delivery_id, share in self._shares.items())
         for (delivery_id, attempt), share in self._delivered.items():
             records.append({"op": "put", "id": delivery_id, "share": share})
             records.append(
                 {"op": "take", "id": delivery_id, "attempt": attempt})
-        self._journal.rewrite(records)
+        records.extend({"op": "put", "id": delivery_id, "share": share}
+                       for delivery_id, share in self._shares.items())
+        return records
 
     def close(self) -> None:
-        self._journal.close()
+        """Close the journal handle (the state stays on disk for replay)."""
+        if self._journal is not None:
+            self._journal.close()
 
     @property
     def journal_records(self) -> int:
-        """Records currently in the journal file (introspection)."""
-        return self._journal.records
+        """Records currently in the journal file (0 without a journal)."""
+        return self._journal.records if self._journal is not None else 0
+
+    def __len__(self) -> int:
+        with self._condition:
+            return len(self._shares)
 
 
 class RemotePrivateKey:
@@ -411,11 +358,6 @@ class PartyDaemon:
             lets a restarted daemon serve fetch/replay traffic without
             being re-provisioned.  ``None`` (the default) keeps all state
             in memory.
-        state_fsync: fsync journal appends and snapshot writes (the
-            durability guarantee; disable only for benchmarks).
-        journal_compact_every: rewrite a journal once it exceeds this many
-            records, bounding disk usage by live state rather than query
-            count.
         profile: arm the always-on sampling profiler.
     """
 
@@ -442,8 +384,6 @@ class PartyDaemon:
                  slow_query_seconds: float | None = 1.0,
                  io_deadline: float | None = DEFAULT_IO_DEADLINE,
                  state_dir: str | Path | None = None,
-                 state_fsync: bool = True,
-                 journal_compact_every: int = 512,
                  profile: bool = False) -> None:
         self.party_name = self.role.upper()
         self.host = host
@@ -453,8 +393,6 @@ class PartyDaemon:
         self.metrics_listen = metrics_listen
         self.io_deadline = io_deadline
         self.state_dir = Path(state_dir) if state_dir is not None else None
-        self.state_fsync = state_fsync
-        self.journal_compact_every = journal_compact_every
         self._started_at = time.monotonic()
         self._manifest: Path | None = None
         if self.state_dir is not None:
@@ -484,6 +422,12 @@ class PartyDaemon:
         """Serve a non-client connection; only C2 accepts one (the cloud)."""
         raise ChannelError(f"unsupported peer kind {peer_kind!r}")
 
+    def _journal(self, filename: str, name: str) -> durability.Journal | None:
+        """The journal a store replays and appends to, under ``state_dir``."""
+        if self.state_dir is None:
+            return None
+        return durability.Journal(self.state_dir / filename, name=name)
+
     def _count_recovered(self, kind: str, count: int) -> None:
         """Publish how much journaled state the restart brought back."""
         if not count:
@@ -504,8 +448,7 @@ class PartyDaemon:
             return
         document = {"role": self.role,
                     "payload": payload_to_jsonable(payload)}
-        durability.write_snapshot(path, self.MANIFEST_KIND, document,
-                                  fsync=self.state_fsync)
+        durability.write_snapshot(path, self.MANIFEST_KIND, document)
         logger.info("%s persisted its provision manifest to %s",
                     self.party_name, path)
 
@@ -639,8 +582,7 @@ class PartyDaemon:
 
         Installs the hardening hooks: signal handlers and an ``atexit``
         fallback both route into :meth:`close`, so the listening socket is
-        released, the precompute producer joined and the pool cache saved no
-        matter how the process exits.
+        released and the pool cache saved no matter how the process exits.
         """
         def _terminate(signum, frame):  # pragma: no cover - signal path
             logger.info("%s daemon received signal %d, shutting down",
@@ -672,15 +614,13 @@ class PartyDaemon:
             self._metrics_server = None
         if self._listener is not None:
             _close_socket(self._listener)
-        if self.engine is not None:
-            self.engine.stop_producer()
-            if self.pool_cache is not None:
-                try:
-                    saved = self.engine.save_pools(self.pool_cache)
-                    logger.info("%s daemon saved %d pool items to %s",
-                                self.party_name, saved, self.pool_cache)
-                except OSError as exc:  # pragma: no cover - disk trouble
-                    logger.warning("could not save pool cache: %s", exc)
+        if self.engine is not None and self.pool_cache is not None:
+            try:
+                saved = self.engine.save_pools(self.pool_cache)
+                logger.info("%s daemon saved %d pool items to %s",
+                            self.party_name, saved, self.pool_cache)
+            except OSError as exc:  # pragma: no cover - disk trouble
+                logger.warning("could not save pool cache: %s", exc)
         self._close_role()
         with self._state_lock:
             connections = list(self._connections)
@@ -883,7 +823,6 @@ class PartyDaemon:
         if self.state_dir is not None:
             stats["durability"] = {
                 "state_dir": str(self.state_dir),
-                "fsync": self.state_fsync,
                 "mailbox_journal_records": 0,
                 "reply_journal_records": 0,
                 "recovered_shares": 0,
@@ -985,13 +924,9 @@ class C2Daemon(PartyDaemon):
     def __init__(self, **options: Any) -> None:
         super().__init__(**options)
         self._private_key = None
-        if self.state_dir is not None:
-            self.mailbox: ShareMailbox = DurableShareMailbox(
-                self.state_dir / "mailbox.journal", fsync=self.state_fsync,
-                compact_every=self.journal_compact_every)
-            self._count_recovered("share", self.mailbox.recovered)
-        else:
-            self.mailbox = ShareMailbox()
+        self.mailbox = ShareMailbox(self._journal("mailbox.journal",
+                                                  "mailbox"))
+        self._count_recovered("share", self.mailbox.recovered)
         #: accepted cloud-peer connections, for stats and shutdown
         self._links: list[MuxConnection] = []
 
@@ -1294,14 +1229,10 @@ class C1Daemon(PartyDaemon):
         # keyed by the request's id (see _handle_query).  With a state
         # dir, completed replies are journaled and survive a crash: a
         # retried id after a restart replays from disk.
-        if self.state_dir is not None:
-            self._reply_cache: ReplyCache = DurableReplyCache(
-                self.state_dir / "replies.journal", name="c1-query",
-                fsync=self.state_fsync,
-                compact_every=self.journal_compact_every)
-            self._count_recovered("reply", self._reply_cache.recovered)
-        else:
-            self._reply_cache = ReplyCache(name="c1-query")
+        self._reply_cache = ReplyCache(
+            name="c1-query", journal=self._journal("replies.journal",
+                                                   "c1-query"))
+        self._count_recovered("reply", self._reply_cache.recovered)
         self._peer_pool: PeerPool | None = None
         # Provisioned inputs kept so a failed peer link can be re-dialled
         # and the protocol stack rebuilt without a client re-provision.
@@ -1443,8 +1374,7 @@ class C1Daemon(PartyDaemon):
     def _close_role(self) -> None:
         if self._peer_pool is not None:
             self._peer_pool.close()
-        if isinstance(self._reply_cache, DurableReplyCache):
-            self._reply_cache.close()
+        self._reply_cache.close()
 
     # -- peer link management ---------------------------------------------------
     def _dial_peer_connection(self) -> MuxConnection:

@@ -3,7 +3,7 @@
 :mod:`repro.analysis.cost_model` states each protocol's cost once: per call
 shape, what C1 pays, what C2 pays, the peer messages and the ciphertexts
 each party sends.  Every case here runs one call — SM, the SSED scan, SBD,
-SBOR, SMIN, SMIN_n, SkNN_b, SkNN_m — at shapes below and at or above
+SMIN, SMIN_n, SkNN_b, SkNN_m — at shapes below and at or above
 ``PIPELINE_MIN_ITEMS``, on every bigint backend, with pools off and warm,
 and asserts the measured call equal to its entry: both parties' counters
 (a cost ledger's per-party rows), the DGK share of them (the DGK keys'
@@ -24,7 +24,6 @@ from repro.analysis.cost_model import (
     OperationCounts,
     ProtocolCost,
     sbd_cost,
-    sbor_cost,
     sknn_basic_cost,
     sknn_secure_phases,
     sm_cost,
@@ -48,7 +47,6 @@ from repro.db.datasets import synthetic_uniform
 from repro.network.party import TwoPartySetting
 from repro.network.stats import ProtocolRunStats
 from repro.protocols.sbd import SecureBitDecomposition
-from repro.protocols.sbor import SecureBitOr
 from repro.protocols.sm import SecureMultiplication
 from repro.protocols.smin import SecureMinimum
 from repro.protocols.sminn import SecureMinimumOfN
@@ -112,15 +110,6 @@ def sbd_case(keypair, bit_length, values):
             lambda odd: sbd_cost(bit_length, values, odd), bit_length * values)
 
 
-def sbor_case(keypair, pairs):
-    setting = two_party(keypair, 14)
-    public = setting.public_key
-    bits = [(public.encrypt(i % 2), public.encrypt(i // 2 % 2))
-            for i in range(pairs)]
-    return (setting, lambda: SecureBitOr(setting).run_batch(bits),
-            lambda odd: sbor_cost(pairs), 0)
-
-
 def smin_case(keypair, bit_length, pairs):
     setting = two_party(keypair, 15)
     public = setting.public_key
@@ -169,7 +158,6 @@ CASES = {
                        dict(bit_length=8, values=1),
                        dict(bit_length=6, values=3),
                        dict(bit_length=4, values=4)]),
-    "SBOR": (sbor_case, [dict(pairs=1), dict(pairs=4)]),
     "SMIN": (smin_case, [dict(bit_length=4, pairs=1),
                          dict(bit_length=6, pairs=1),
                          dict(bit_length=5, pairs=1),

@@ -43,7 +43,6 @@ from repro.exceptions import CryptoError
 from repro.network.party import TwoPartySetting
 from repro.protocols.base import TwoPartyProtocol
 from repro.protocols.sbd import SecureBitDecomposition
-from repro.protocols.sbor import SecureBitOr
 from repro.protocols.smin import SecureMinimum
 
 from tests.integration.helpers import (assert_valid_knn_answer,
@@ -196,23 +195,19 @@ class TestNoTextbookPowersFromTheClouds:
         assert counted(setting) == as_counts(smin_cost(self.BITS).total,
                                              len(pairs))
 
-    def test_sbd_and_sbor(self, setting, monkeypatch):
+    def test_sbd(self, setting, monkeypatch):
         public = setting.public_key
         masks = record_sbd_masks(monkeypatch)
         enc_z = public.encrypt(11)
         decomposition = SecureBitDecomposition(setting, self.BITS)
         with spying(public) as spy:
             bits = decomposition.run(enc_z)
-            sbd_inverts = len(spy.inverts)
-            enc_or = SecureBitOr(setting).run(bits[0], bits[1])
         assert spy.textbook(public) == []
         # one subtraction of the extracted bit per round, one more to
-        # un-flip the parity under every odd mask; SBOR subtracts once
-        assert sbd_inverts == self.BITS + sum(r % 2 for r in masks)
-        assert len(spy.inverts) == sbd_inverts + 1
+        # un-flip the parity under every odd mask
+        assert len(spy.inverts) == self.BITS + sum(r % 2 for r in masks)
         decrypt = setting.decryptor.decrypt_signed
         assert [decrypt(bit) for bit in bits] == [1, 0, 1, 1]
-        assert decrypt(enc_or) == 1
 
     def test_a_whole_sknn_m_query(self, small_keypair):
         n_records, k = 4, 2
@@ -493,10 +488,3 @@ class TestNonUnitsFailTyped:
             assert public.counter.snapshot() == before
         finally:
             set_backend(None)
-
-    def test_a_protocol_negating_a_non_unit_aborts(self, small_keypair):
-        setting = TwoPartySetting.create(small_keypair, rng=Random(3))
-        public = setting.public_key
-        hostile = Ciphertext(public, small_keypair.private_key.p)
-        with pytest.raises(CryptoError, match="no inverse"):
-            SecureBitOr(setting).run(public.encrypt(1), hostile)

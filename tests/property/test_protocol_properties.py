@@ -2,8 +2,8 @@
 
 These exercise the protocol invariants on arbitrary inputs from the declared
 domains: SM multiplies, SSED computes the squared distance, SBD decomposes,
-SMIN/SMIN_n select the true minimum, SBOR computes OR — always under
-encryption, always checked against the plaintext ground truth.
+SMIN/SMIN_n select the true minimum — always under encryption, always
+checked against the plaintext ground truth.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.protocols.encoding import decrypt_bits
 from repro.protocols.sbd import SecureBitDecomposition
-from repro.protocols.sbor import SecureBitOr
 from repro.protocols.smin import SecureMinimum
 from repro.protocols.sminn import SecureMinimumOfN
 from repro.protocols.sm import SecureMultiplication
@@ -77,16 +76,6 @@ def test_sminn_selects_global_minimum(values):
     result = SecureMinimumOfN(setting).run(
         setting.public_key.encrypt_batch(values), BIT_LENGTH)
     assert keypair.private_key.decrypt(result) == min(values)
-
-
-@given(a=st.integers(min_value=0, max_value=1),
-       b=st.integers(min_value=0, max_value=1))
-def test_sbor_is_logical_or(a, b):
-    setting = cached_setting()
-    keypair = cached_keypair()
-    result = SecureBitOr(setting).run(
-        setting.public_key.encrypt(a), setting.public_key.encrypt(b))
-    assert keypair.private_key.decrypt(result) == (a | b)
 
 
 @settings(max_examples=10)

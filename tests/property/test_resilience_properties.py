@@ -10,14 +10,18 @@ invent.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
 from random import Random
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tests.property.conftest import cached_keypair
 from repro.exceptions import ChannelError, DeadlineExceeded, PeerUnavailable
-from repro.resilience import ReplyCache, RetryPolicy, retry_call
+from repro.resilience import ReplyCache, RetryPolicy, durability, retry_call
+from repro.resilience.durability import Journal
 from repro.transport.daemon import ShareMailbox
 
 # A "schedule" is the order the client replays request keys in, duplicates
@@ -197,3 +201,108 @@ def test_retried_fetch_after_timeout_still_single_use():
     assert mailbox.fetch(3, timeout=0.1, attempt="q-late") == [[9]]
     assert mailbox.fetch(3, timeout=0.1, attempt="q-late") == [[9]]
     assert len(mailbox) == 0
+
+
+# -- the journaled stores agree with their in-memory selves ------------------
+# Each journaled store is closed and rebuilt from its journal at random
+# points, with the compaction bound patched low so rewrites happen often; the
+# state it recovers must equal that of the same class built without a
+# journal that saw the same operations.
+
+delivery_ids = st.integers(min_value=0, max_value=2)
+mailbox_operations = st.lists(st.one_of(
+    st.tuples(st.just("put"), delivery_ids, st.integers(0, 99)),
+    st.tuples(st.just("fetch"), delivery_ids,
+              st.sampled_from([None, "t-1", "t-2"])),
+    st.tuples(st.just("adopt_epoch"), st.sampled_from([None, "e-1", "e-2"])),
+    st.just(("clear",)),
+    st.just(("reopen",)),
+), max_size=40)
+
+
+def mailbox_state(mailbox):
+    return (dict(mailbox._shares), list(mailbox._delivered.items()),
+            mailbox._epoch)
+
+
+def fetch_outcome(mailbox, delivery_id, attempt):
+    try:
+        return mailbox.fetch(delivery_id, timeout=0, attempt=attempt)
+    except DeadlineExceeded:
+        return "refused"
+
+
+@settings(max_examples=150)
+@given(operations=mailbox_operations,
+       compact_every=st.integers(min_value=2, max_value=4))
+def test_journaled_mailbox_agrees_with_the_in_memory_one(operations,
+                                                         compact_every):
+    with tempfile.TemporaryDirectory() as directory, \
+            mock.patch.object(durability, "COMPACT_EVERY", compact_every), \
+            mock.patch.object(ShareMailbox, "DELIVERED_MEMO", 3):
+        path = Path(directory) / "mailbox.journal"
+        memory = ShareMailbox()
+        journaled = ShareMailbox(Journal(path, name="mailbox"))
+        for operation, *arguments in operations + [("reopen",)]:
+            if operation == "reopen":
+                journaled.close()
+                journaled = ShareMailbox(Journal(path, name="mailbox"))
+                assert mailbox_state(journaled) == mailbox_state(memory)
+            elif operation == "put":
+                delivery_id, value = arguments
+                for mailbox in (memory, journaled):
+                    mailbox.put(delivery_id, [[value]])
+            elif operation == "fetch":
+                assert (fetch_outcome(journaled, *arguments)
+                        == fetch_outcome(memory, *arguments))
+            elif operation == "adopt_epoch":
+                assert (journaled.adopt_epoch(*arguments)
+                        == memory.adopt_epoch(*arguments))
+            else:
+                memory.clear()
+                journaled.clear()
+        journaled.close()
+
+
+cache_operations = st.lists(st.one_of(
+    st.tuples(st.just("run"), st.sampled_from(["q-a", "q-b", "q-c", "q-d"]),
+              st.integers(0, 99)),
+    st.just(("clear",)),
+    st.just(("reopen",)),
+), max_size=40)
+
+
+def completed_replies(cache):
+    return [(key, entry.value) for key, entry in cache._entries.items()
+            if entry.done]
+
+
+@settings(max_examples=150)
+@given(operations=cache_operations,
+       compact_every=st.integers(min_value=2, max_value=4))
+def test_journaled_reply_cache_agrees_with_the_in_memory_one(operations,
+                                                             compact_every):
+    with tempfile.TemporaryDirectory() as directory, \
+            mock.patch.object(durability, "COMPACT_EVERY", compact_every):
+        path = Path(directory) / "replies.journal"
+
+        def journaled_cache():
+            return ReplyCache(capacity=3, name="prop-journal",
+                              journal=Journal(path, name="prop-journal"))
+
+        memory = ReplyCache(capacity=3, name="prop-memory")
+        journaled = journaled_cache()
+        for operation, *arguments in operations + [("reopen",)]:
+            if operation == "reopen":
+                journaled.close()
+                journaled = journaled_cache()
+                assert completed_replies(journaled) == completed_replies(
+                    memory)
+            elif operation == "run":
+                key, value = arguments
+                assert (journaled.run(key, lambda: value)
+                        == memory.run(key, lambda: value))
+            else:
+                memory.clear()
+                journaled.clear()
+        journaled.close()

@@ -44,10 +44,8 @@ class TestParser:
     def test_precompute_knobs(self):
         args = build_parser().parse_args(["query", "--precompute", "3"])
         assert args.precompute == 3
-        args = build_parser().parse_args(
-            ["serve", "--precompute", "2", "--precompute-producer"])
+        args = build_parser().parse_args(["serve", "--precompute", "2"])
         assert args.precompute == 2
-        assert args.precompute_producer is True
 
     def test_party_arguments(self):
         args = build_parser().parse_args(

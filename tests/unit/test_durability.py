@@ -2,24 +2,25 @@
 
 Covers the two primitives — atomic CRC-checked snapshots and the
 append-only journal with torn-tail repair — plus their daemon-state
-consumers :class:`DurableReplyCache` and
-:class:`~repro.transport.daemon.DurableShareMailbox`, and the in-process
-(``raise`` mode) half of the crash-point harness.  The subprocess SIGKILL
+consumers, a :class:`~repro.resilience.idempotency.ReplyCache` and a
+:class:`~repro.transport.daemon.ShareMailbox` built with a journal, and the
+in-process (``raise`` mode) half of the crash-point harness.  The subprocess SIGKILL
 half lives in ``tests/integration/test_crash_points.py``.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import zlib
 
 import pytest
 
-from repro.exceptions import CorruptStateError
+from repro.exceptions import CorruptStateError, DeadlineExceeded
+from repro.resilience import durability
 from repro.resilience.durability import (
     CRASH_POINTS,
     CrashPointFired,
-    DurableReplyCache,
     Journal,
     arm_crash_point,
     atomic_write_bytes,
@@ -28,7 +29,17 @@ from repro.resilience.durability import (
     read_snapshot,
     write_snapshot,
 )
-from repro.transport.daemon import DurableShareMailbox
+from repro.resilience.idempotency import ReplyCache
+from repro.transport.daemon import ShareMailbox
+
+
+def journaled_cache(path, capacity=64, name="replies"):
+    return ReplyCache(capacity=capacity, name=name,
+                      journal=Journal(path, name=name))
+
+
+def journaled_mailbox(path):
+    return ShareMailbox(Journal(path, name="mailbox"))
 
 
 @pytest.fixture(autouse=True)
@@ -246,17 +257,17 @@ class TestJournal:
 
 
 # ---------------------------------------------------------------------------
-# DurableReplyCache
+# ReplyCache with a journal
 # ---------------------------------------------------------------------------
 
 class TestDurableReplyCache:
     def test_completed_reply_survives_reopen(self, tmp_path):
         path = tmp_path / "replies.journal"
-        cache = DurableReplyCache(path, name="unit")
+        cache = journaled_cache(path, name="unit")
         assert cache.run("q-1", lambda: {"answer": 7}) == {"answer": 7}
         cache.close()
 
-        revived = DurableReplyCache(path, name="unit")
+        revived = journaled_cache(path, name="unit")
         assert revived.recovered == 1
         ran = []
         assert revived.run("q-1", lambda: ran.append(1)) == {"answer": 7}
@@ -265,24 +276,24 @@ class TestDurableReplyCache:
 
     def test_clear_is_journaled(self, tmp_path):
         path = tmp_path / "replies.journal"
-        cache = DurableReplyCache(path, name="unit")
+        cache = journaled_cache(path, name="unit")
         cache.run("q-1", lambda: "old epoch")
         cache.clear()
         cache.close()
-        revived = DurableReplyCache(path, name="unit")
+        revived = journaled_cache(path, name="unit")
         assert revived.recovered == 0
         assert revived.run("q-1", lambda: "new epoch") == "new epoch"
         revived.close()
 
-    def test_journal_compacts_to_live_entries(self, tmp_path):
+    def test_journal_compacts_to_live_entries(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(durability, "COMPACT_EVERY", 8)
         path = tmp_path / "replies.journal"
-        cache = DurableReplyCache(path, name="unit", capacity=4,
-                                  compact_every=8)
+        cache = journaled_cache(path, name="unit", capacity=4)
         for index in range(20):
             cache.run(f"q-{index}", lambda index=index: index)
         assert cache.journal_records <= 9  # bounded by compaction, not 20
         cache.close()
-        revived = DurableReplyCache(path, name="unit", capacity=4)
+        revived = journaled_cache(path, name="unit", capacity=4)
         assert revived.recovered <= 4
         assert revived.run("q-19", lambda: "recomputed") == 19
         revived.close()
@@ -291,50 +302,90 @@ class TestDurableReplyCache:
         # A reply that could not be made durable must not be served from
         # memory: the attempt fails and a retry re-runs the computation.
         path = tmp_path / "replies.journal"
-        cache = DurableReplyCache(path, name="unit")
+        cache = journaled_cache(path, name="unit")
         arm_crash_point("journal.pre_fsync")
         with pytest.raises(CrashPointFired):
             cache.run("q-1", lambda: "value")
         assert cache.run("q-1", lambda: "retried") == "retried"
         cache.close()
 
+    def test_reply_finishing_after_clear_is_not_journaled(self, tmp_path):
+        # A query in flight across a new provisioning epoch must not put
+        # its old-epoch reply back into the cache, in memory or on disk.
+        path = tmp_path / "replies.journal"
+        cache = journaled_cache(path, name="unit")
+        started, release = threading.Event(), threading.Event()
+
+        def slow():
+            started.set()
+            assert release.wait(5)
+            return "old epoch"
+
+        worker = threading.Thread(target=cache.run, args=("q-1", slow))
+        worker.start()
+        assert started.wait(5)
+        cache.clear()
+        release.set()
+        worker.join(5)
+        assert not worker.is_alive()
+        assert "q-1" not in cache
+        cache.close()
+        revived = journaled_cache(path, name="unit")
+        assert revived.recovered == 0
+        revived.close()
+
+    def test_reply_that_triggers_compaction_survives_reopen(
+            self, tmp_path, monkeypatch):
+        # The 5th completion pushes the journal over the bound; the
+        # rewrite must already hold that reply.
+        monkeypatch.setattr(durability, "COMPACT_EVERY", 4)
+        path = tmp_path / "replies.journal"
+        cache = journaled_cache(path, name="unit")
+        for index in range(5):
+            cache.run(f"q-{index}", lambda index=index: index)
+        cache.close()
+        revived = journaled_cache(path, name="unit")
+        assert revived.recovered == 5
+        assert revived.run("q-4", lambda: "recomputed") == 4
+        revived.close()
+
 
 # ---------------------------------------------------------------------------
-# DurableShareMailbox
+# ShareMailbox with a journal
 # ---------------------------------------------------------------------------
 
 class TestDurableShareMailbox:
     def test_pending_delivery_survives_reopen(self, tmp_path):
         path = tmp_path / "mailbox.journal"
-        mailbox = DurableShareMailbox(path)
+        mailbox = journaled_mailbox(path)
         mailbox.put(3, [[10, 11]])
         mailbox.close()
 
-        revived = DurableShareMailbox(path)
+        revived = journaled_mailbox(path)
         assert revived.recovered == 1
         assert revived.fetch(3, timeout=0.5, attempt="t-1") == [[10, 11]]
         revived.close()
 
     def test_attempt_memo_survives_reopen(self, tmp_path):
         path = tmp_path / "mailbox.journal"
-        mailbox = DurableShareMailbox(path)
+        mailbox = journaled_mailbox(path)
         mailbox.put(3, [[10, 11]])
         first = mailbox.fetch(3, timeout=0.5, attempt="t-1")
         mailbox.close()
 
-        revived = DurableShareMailbox(path)
+        revived = journaled_mailbox(path)
         # the retried fetch (same attempt token) replays bit-identically
         assert revived.fetch(3, timeout=0.5, attempt="t-1") == first
         revived.close()
 
     def test_epoch_adoption_is_journaled(self, tmp_path):
         path = tmp_path / "mailbox.journal"
-        mailbox = DurableShareMailbox(path)
+        mailbox = journaled_mailbox(path)
         assert mailbox.adopt_epoch("epoch-a") is False  # first hello: wipe
         mailbox.put(1, [[5]])
         mailbox.close()
 
-        revived = DurableShareMailbox(path)
+        revived = journaled_mailbox(path)
         # same C1 process re-dials after a C2 restart: state is kept
         assert revived.adopt_epoch("epoch-a") is True
         assert revived.fetch(1, timeout=0.5, attempt="t") == [[5]]
@@ -346,24 +397,84 @@ class TestDurableShareMailbox:
 
     def test_clear_wipes_disk_state_too(self, tmp_path):
         path = tmp_path / "mailbox.journal"
-        mailbox = DurableShareMailbox(path)
+        mailbox = journaled_mailbox(path)
         mailbox.put(1, [[5]])
         mailbox.clear()
         mailbox.close()
-        revived = DurableShareMailbox(path)
+        revived = journaled_mailbox(path)
         assert revived.recovered == 0
         revived.close()
 
-    def test_journal_compacts(self, tmp_path):
+    def test_journal_compacts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(durability, "COMPACT_EVERY", 6)
         path = tmp_path / "mailbox.journal"
-        mailbox = DurableShareMailbox(path, compact_every=6)
+        mailbox = journaled_mailbox(path)
         for delivery_id in range(12):
             mailbox.put(delivery_id, [[delivery_id]])
             mailbox.fetch(delivery_id, timeout=0.5,
                           attempt=f"t-{delivery_id}")
         assert mailbox.journal_records <= 2 * mailbox.DELIVERED_MEMO + 8
         mailbox.close()
-        revived = DurableShareMailbox(path, compact_every=6)
+        revived = journaled_mailbox(path)
         # the newest memos still replay after compaction + reopen
         assert revived.fetch(11, timeout=0.5, attempt="t-11") == [[11]]
+        revived.close()
+
+    def test_share_that_triggers_compaction_survives_reopen(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(durability, "COMPACT_EVERY", 4)
+        path = tmp_path / "mailbox.journal"
+        mailbox = journaled_mailbox(path)
+        for delivery_id in range(5):
+            mailbox.put(delivery_id, [[delivery_id]])
+        mailbox.close()
+        revived = journaled_mailbox(path)
+        assert len(revived) == 5
+        assert revived.fetch(4, timeout=0) == [[4]]
+        revived.close()
+
+    def test_share_past_the_default_bound_survives_reopen(self, tmp_path):
+        path = tmp_path / "mailbox.journal"
+        mailbox = journaled_mailbox(path)
+        last = durability.COMPACT_EVERY
+        for delivery_id in range(last + 1):
+            mailbox.put(delivery_id, [[delivery_id]])
+        mailbox.close()
+        revived = journaled_mailbox(path)
+        assert len(revived) == last + 1
+        assert revived.fetch(last, timeout=0) == [[last]]
+        revived.close()
+
+    def test_share_taken_at_compaction_stays_taken(self, tmp_path,
+                                                   monkeypatch):
+        # Four puts fill the journal to the bound; the take is the record
+        # that triggers the rewrite, which must already show it consumed.
+        monkeypatch.setattr(durability, "COMPACT_EVERY", 4)
+        path = tmp_path / "mailbox.journal"
+        mailbox = journaled_mailbox(path)
+        for delivery_id in range(4):
+            mailbox.put(delivery_id, [[delivery_id]])
+        assert mailbox.fetch(0, timeout=0, attempt="t-0") == [[0]]
+        mailbox.close()
+        revived = journaled_mailbox(path)
+        assert len(revived) == 3
+        assert revived.fetch(0, timeout=0, attempt="t-0") == [[0]]
+        with pytest.raises(DeadlineExceeded):
+            revived.fetch(0, timeout=0, attempt="t-other")
+        revived.close()
+
+    def test_compaction_keeps_a_memo_and_a_pending_share_of_one_id(
+            self, tmp_path, monkeypatch):
+        # A memo replays as put + take; written after a pending share of
+        # the same id, that take would consume the pending share.
+        monkeypatch.setattr(durability, "COMPACT_EVERY", 2)
+        path = tmp_path / "mailbox.journal"
+        mailbox = journaled_mailbox(path)
+        mailbox.put(7, [[1]])
+        mailbox.fetch(7, timeout=0, attempt="t-1")
+        mailbox.put(7, [[2]])
+        mailbox.close()
+        revived = journaled_mailbox(path)
+        assert revived.fetch(7, timeout=0, attempt="t-1") == [[1]]
+        assert revived.fetch(7, timeout=0) == [[2]]
         revived.close()

@@ -171,27 +171,6 @@ class TestExhaustionAndSingleUse:
         assert len(set(taken)) == 48  # single-use under concurrency
 
 
-class TestProducerThread:
-    def test_background_producer_fills_the_pool(self, public_key):
-        engine = make_engine(public_key, obfuscators=16)
-        engine.start_producer(interval_seconds=0.001)
-        try:
-            for _ in range(200):
-                if not engine.deficit():
-                    break
-                threading.Event().wait(0.01)
-        finally:
-            engine.stop_producer()
-        assert engine.deficit() == 0
-
-    def test_stop_producer_is_idempotent(self, public_key):
-        engine = make_engine(public_key)
-        engine.stop_producer()
-        engine.start_producer()
-        engine.stop_producer()
-        engine.stop_producer()
-
-
 class TestPerPartySeparation:
     """Engines are per-party: P2 never draws from P1's pool (trust model)."""
 

@@ -1,4 +1,4 @@
-"""Unit tests for the SBD and SBOR sub-protocols."""
+"""Unit tests for the SBD sub-protocol."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import ProtocolError
 from repro.protocols.encoding import decrypt_bits
 from repro.protocols.sbd import SecureBitDecomposition
-from repro.protocols.sbor import SecureBitOr
 
 
 class TestSecureBitDecomposition:
@@ -74,27 +73,3 @@ class TestSecureBitDecomposition:
             # mask was not applied.
             assert decrypted != value
 
-
-class TestSecureBitOr:
-    def test_truth_table(self, setting, private_key):
-        protocol = SecureBitOr(setting)
-        for a in (0, 1):
-            for b in (0, 1):
-                result = protocol.run(setting.public_key.encrypt(a),
-                                      setting.public_key.encrypt(b))
-                assert private_key.decrypt(result) == (a | b)
-
-    def test_or_with_one_saturates(self, setting, private_key):
-        """OR with 1 always yields 1 — the property SkNN_m's step 3(e) uses."""
-        protocol = SecureBitOr(setting)
-        for bit in (0, 1):
-            result = protocol.run(setting.public_key.encrypt(1),
-                                  setting.public_key.encrypt(bit))
-            assert private_key.decrypt(result) == 1
-
-    def test_or_with_zero_is_identity(self, setting, private_key):
-        protocol = SecureBitOr(setting)
-        for bit in (0, 1):
-            result = protocol.run(setting.public_key.encrypt(0),
-                                  setting.public_key.encrypt(bit))
-            assert private_key.decrypt(result) == bit
