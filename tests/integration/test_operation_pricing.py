@@ -488,3 +488,11 @@ class TestNonUnitsFailTyped:
             assert public.counter.snapshot() == before
         finally:
             set_backend(None)
+
+    def test_a_protocol_negating_a_non_unit_aborts(self, small_keypair):
+        # SMIN's first round negates its second operand
+        setting = TwoPartySetting.create(small_keypair, rng=Random(3))
+        public = setting.public_key
+        hostile = Ciphertext(public, small_keypair.private_key.p)
+        with pytest.raises(CryptoError, match="no inverse"):
+            SecureMinimum(setting).run(public.encrypt(1), hostile, 4)

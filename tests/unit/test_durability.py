@@ -96,6 +96,15 @@ class TestSnapshots:
         write_snapshot(path, "manifest", {"v": 1})
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
+    def test_write_fsyncs_the_file_and_its_directory(self, tmp_path,
+                                                     monkeypatch):
+        synced = []
+        real_fsync = durability.os.fsync
+        monkeypatch.setattr(durability.os, "fsync",
+                            lambda fd: synced.append(fd) or real_fsync(fd))
+        write_snapshot(tmp_path / "state.json", "manifest", {"v": 1})
+        assert len(synced) == 2  # the temp file's data, then the rename
+
 
 # ---------------------------------------------------------------------------
 # Crash points (raise mode; kill mode is exercised via subprocesses)
@@ -164,6 +173,17 @@ class TestJournal:
                            {"op": "take", "id": 1, "attempt": "t-1"}]
         assert reopened.records == 2
         reopened.close()
+
+    def test_every_append_is_fsynced(self, tmp_path, monkeypatch):
+        journal, _ = open_journal(tmp_path / "ops.journal")
+        synced = []
+        real_fsync = durability.os.fsync
+        monkeypatch.setattr(durability.os, "fsync",
+                            lambda fd: synced.append(fd) or real_fsync(fd))
+        for index in range(3):
+            journal.append({"op": "put", "id": index})
+            assert len(synced) == index + 1
+        journal.close()
 
     def test_append_after_replay_continues_the_log(self, tmp_path):
         path = tmp_path / "ops.journal"
@@ -309,6 +329,22 @@ class TestDurableReplyCache:
         assert cache.run("q-1", lambda: "retried") == "retried"
         cache.close()
 
+    def test_failed_reply_leaves_nothing_to_replay(self, tmp_path):
+        path = tmp_path / "replies.journal"
+        cache = journaled_cache(path, name="unit")
+
+        def broken():
+            raise ValueError("handler failed")
+
+        with pytest.raises(ValueError):
+            cache.run("q-1", broken)
+        assert cache.journal_records == 0
+        cache.close()
+        revived = journaled_cache(path, name="unit")
+        assert revived.recovered == 0
+        assert revived.run("q-1", lambda: "retried") == "retried"
+        revived.close()
+
     def test_reply_finishing_after_clear_is_not_journaled(self, tmp_path):
         # A query in flight across a new provisioning epoch must not put
         # its old-epoch reply back into the cache, in memory or on disk.
@@ -404,6 +440,29 @@ class TestDurableShareMailbox:
         revived = journaled_mailbox(path)
         assert revived.recovered == 0
         revived.close()
+
+    def test_failed_journal_append_files_no_share(self, tmp_path):
+        # A share that could not be made durable is never handed out.
+        mailbox = journaled_mailbox(tmp_path / "mailbox.journal")
+        arm_crash_point("journal.pre_fsync")
+        with pytest.raises(CrashPointFired):
+            mailbox.put(1, [[5]])
+        assert len(mailbox) == 0
+        with pytest.raises(DeadlineExceeded):
+            mailbox.fetch(1, timeout=0)
+        mailbox.close()
+
+    def test_failed_journal_append_on_take_keeps_the_share(self, tmp_path):
+        # A take that could not be made durable consumes nothing: the
+        # share stays pending for the retried fetch.
+        mailbox = journaled_mailbox(tmp_path / "mailbox.journal")
+        mailbox.put(1, [[5]])
+        arm_crash_point("journal.pre_fsync")
+        with pytest.raises(CrashPointFired):
+            mailbox.fetch(1, timeout=0, attempt="t-1")
+        assert len(mailbox) == 1
+        assert mailbox.fetch(1, timeout=0, attempt="t-1") == [[5]]
+        mailbox.close()
 
     def test_journal_compacts(self, tmp_path, monkeypatch):
         monkeypatch.setattr(durability, "COMPACT_EVERY", 6)

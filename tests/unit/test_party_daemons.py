@@ -105,6 +105,34 @@ class TestRoleState:
             assert not hasattr(c2, name), name
         assert (c1.role, c2.role) == ("c1", "c2")
 
+    def test_c2_mailbox_is_journaled_exactly_with_a_state_dir(self,
+                                                              tmp_path):
+        plain = C2Daemon()
+        plain.mailbox.put(1, [[5]])
+        assert plain.mailbox.journal_records == 0
+        plain.close()
+        daemon = C2Daemon(state_dir=tmp_path)
+        daemon.mailbox.put(1, [[5]])
+        assert daemon.mailbox.journal_records == 1
+        daemon.close()
+        revived = C2Daemon(state_dir=tmp_path)
+        assert revived.mailbox.recovered == 1
+        revived.close()
+
+    def test_c1_reply_cache_is_journaled_exactly_with_a_state_dir(
+            self, tmp_path):
+        plain = C1Daemon()
+        plain._reply_cache.run("q-1", lambda: {"answer": 7})
+        assert plain._reply_cache.journal_records == 0
+        plain.close()
+        daemon = C1Daemon(state_dir=tmp_path)
+        daemon._reply_cache.run("q-1", lambda: {"answer": 7})
+        assert daemon._reply_cache.journal_records == 1
+        daemon.close()
+        revived = C1Daemon(state_dir=tmp_path)
+        assert revived._reply_cache.recovered == 1
+        revived.close()
+
 
 class TestRoleRefusals:
     @pytest.mark.parametrize(
