@@ -21,14 +21,16 @@ tests that gate them pin the python backend; on the libcrypto backend a
 native power costs less than the comb's multiplications and the paths tie.
 
 A second test is the native-vs-python direction gate: the unit operations
-(``powmod``, ``multi_powmod`` for m = 2/3/4, ``invert``, one batched
-encryption, one CRT decryption) timed under every available backend, one
+(``powmod``, ``multi_powmod`` for m = 2/3/4, and for m = 3 with SSED's short
+strip exponents, ``invert``, one batched encryption, one CRT decryption)
+timed under every available backend, one
 ``paillier_kernel`` history row per backend with the python/openssl ratio
 per operation, and the libcrypto backend must win the powers and the
 combined batch workload — and its two-base ``multi_powmod`` (one
 ``BN_mod_exp2_mont``) must beat two ``powmod`` calls, and from K=512 its
 fixed-base power (the same two-base call on the exponent's halves) must beat
-one ``powmod`` of the same exponent.
+one ``powmod`` of the same exponent, and its short three-base strip must
+cost under half of the full-width one (three quarters below K=512).
 
 A third test gates the strip-step kernel: rows of 4 ciphertexts raised to
 uniform ``Z_N`` scalars and multiplied together, as one shared-squaring
@@ -74,6 +76,7 @@ from repro.crypto.paillier import (
     PaillierPublicKey,
     generate_keypair,
 )
+from repro.crypto.precompute import STATISTICAL_SECURITY
 from repro.db.datasets import synthetic_uniform
 from repro.network.party import TwoPartySetting
 from repro.protocols.base import TwoPartyProtocol
@@ -121,6 +124,17 @@ MIN_FIXED_BASE_SPEEDUP = 1.2 if KERNEL_KEY_BITS >= 512 else None
 
 #: bases per ``multi_powmod`` call in the per-backend unit-cost table
 MULTI_POW_WIDTHS = (2, 3, 4)
+
+#: bits of SSED's strip exponents ``2s`` over the default schema's 31-bit
+#: attributes: ``s`` masks ``a + 1 = 32``-bit differences at ``sigma``, one
+#: more for the doubling — the widest strip of the repo's workloads
+SHORT_EXPONENT_BITS = 31 + 1 + STATISTICAL_SECURITY + 1
+#: a three-base strip with those exponents must cost under this share of one
+#: with full-width exponents (openssl: the squaring chain is 73 bits instead
+#: of K).  Measured on the development box: 0.10 at K=1024, 0.24 at K=512,
+#: and 0.49 at K=256, where each call's fixed Montgomery set-up is half the
+#: cost — so the smoke's K=256 gate is three quarters.
+MAX_SHORT_STRIP_SHARE = 0.5 if KERNEL_KEY_BITS >= 512 else 0.75
 
 E2E_N = 24
 E2E_M = 3
@@ -296,6 +310,13 @@ def _unit_costs(keypair: PaillierKeyPair, rng: Random) -> dict[str, float]:
                                           scalars[start:start + width],
                                           nsquare) for start in starts],
             len(starts))
+    short = [rng.randrange(1 << SHORT_EXPONENT_BITS) for _ in range(KERNEL_OPS)]
+    starts = range(0, KERNEL_OPS - KERNEL_OPS % 3, 3)
+    costs["multi_powmod_m3_short_us"] = per_op(
+        lambda: [backend.multi_powmod(raw[start:start + 3],
+                                      short[start:start + 3], nsquare)
+                 for start in starts],
+        len(starts))
     return costs
 
 
@@ -360,6 +381,12 @@ def test_kernel_native_backend(kernel_primes, results_dir):
     assert two_base_speedup >= MIN_TWO_BASE_SPEEDUP, (
         f"a native two-base multi_powmod must be >= {MIN_TWO_BASE_SPEEDUP}x "
         f"faster than two powmod calls; got {two_base_speedup:.2f}x")
+    short_share = (costs["openssl"]["multi_powmod_m3_short_us"]
+                   / costs["openssl"]["multi_powmod_m3_us"])
+    assert short_share < MAX_SHORT_STRIP_SHARE, (
+        f"a three-base strip with {SHORT_EXPONENT_BITS}-bit exponents must "
+        f"cost < {MAX_SHORT_STRIP_SHARE} of a full-width one; got "
+        f"{short_share:.2f}")
     if MIN_FIXED_BASE_SPEEDUP is not None:
         fixed_base_speedup = (costs["openssl"]["powmod_us"]
                               / costs["openssl"]["fixed_base_pow_us"])

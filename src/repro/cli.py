@@ -345,8 +345,7 @@ def _run_query_connected(args: argparse.Namespace, table, query) -> int:
     from repro.transport.daemon import parse_address
 
     protocol_mode = args.mode if args.mode in ("basic", "secure") else "secure"
-    if protocol_mode == "secure":
-        check_query_domain(table.schema, query)
+    check_query_domain(table.schema, query)
     owner = DataOwner(table, key_size=args.key_size, rng=Random(args.seed + 2))
     client = QueryClient(owner.public_key, table.dimensions,
                          rng=Random(args.seed + 3))

@@ -103,8 +103,8 @@ Backend = Literal["thread", "process", "serial"]
 
 #: Chunked worker task: (chunk start index, several records' ciphertext ints,
 #: several queries' ciphertext ints, modulus N, prime p, prime q, RNG seed,
-#: bigint backend name, pool slice).  One task ships a whole contiguous
-#: slice of the table through one SSED round per query — key
+#: bigint backend name, pool slice, attribute width).  One task ships a
+#: whole contiguous slice of the table through one SSED round per query — key
 #: reconstruction, obfuscator-table reuse and batched CRT decryption are
 #: amortized over every (record, query) pair of the chunk.  The backend name
 #: travels with the task because spawned worker processes do not inherit a
@@ -112,10 +112,12 @@ Backend = Literal["thread", "process", "serial"]
 #: The *pool slice* is a list of single-use precomputed obfuscation factors
 #: drained from the driver's precomputation engine (``None`` without one):
 #: the worker's engine, so the mask and square-sum encryptions are hot-path
-#: multiplications while it lasts.
+#: multiplications while it lasts.  The *attribute width* is SSED's
+#: ``attribute_bits`` (:meth:`~repro.protocols.ssed.
+#: SecureSquaredEuclideanDistance.run_many`; ``None``: uniform masks).
 ChunkWorkerTask = tuple[
     int, list[list[int]], list[list[int]], int, int, int, int, str,
-    "list[int] | None"]
+    "list[int] | None", "int | None"]
 
 #: chunks each worker gets per slice: enough that the pool keeps every worker
 #: busy, few enough that per-task fixed costs amortize over many records
@@ -183,7 +185,7 @@ def ssed_chunk_worker(task: ChunkWorkerTask) -> tuple[int, list[list[int]]]:
             os._exit(1)
 
     (start_index, record_rows, queries, n, p, q, seed, backend_name,
-     pool_slice) = task
+     pool_slice, attribute_bits) = task
     set_backend(backend_name)
     setting = TwoPartySetting.create(_worker_keys(n, p, q), rng=Random(seed))
     public_key = setting.public_key
@@ -195,7 +197,8 @@ def ssed_chunk_worker(task: ChunkWorkerTask) -> tuple[int, list[list[int]]]:
                for row in record_rows]
     per_query = [
         setting.decryptor.decrypt_residue_batch(ssed.run_many(
-            [Ciphertext(public_key, value) for value in query], records))
+            [Ciphertext(public_key, value) for value in query], records,
+            attribute_bits))
         for query in queries
     ]
     return start_index, [list(row) for row in zip(*per_query)]
@@ -496,6 +499,7 @@ class ShardedCloud(SkNNProtocol):
                         for query in encrypted_queries]
         workers_per_shard = max(1, self.pool.workers // len(self.shards))
         dimensions = len(query_values[0]) if query_values else 0
+        attribute_bits = self.encrypted_table.schema.attribute_bit_length()
         tasks: list[ChunkWorkerTask] = []
         for shard in self.shards:
             for start, stop in chunk_records(len(shard), workers_per_shard):
@@ -520,6 +524,7 @@ class ShardedCloud(SkNNProtocol):
                     seed,
                     backend_name,
                     pool_slice,
+                    attribute_bits,
                 ))
         return tasks
 

@@ -248,6 +248,9 @@ class SkNNProtocol(P2StepDispatcher):
 
         With :attr:`scan` set the same step is a scattered one: the callable
         returns the distances other daemons computed for their slices.
+
+        SSED masks the differences short for the schema's attribute
+        width.
         """
         width = len(encrypted_query)
         with _profiling.cost_scope("scan"), \
@@ -264,6 +267,7 @@ class SkNNProtocol(P2StepDispatcher):
                 list(encrypted_query),
                 [list(record.ciphertexts[:width])
                  for record in self.encrypted_table],
+                self.encrypted_table.schema.attribute_bit_length(),
             )
 
     def _deliver_records(

@@ -20,7 +20,11 @@ record with the ``s``-th smallest distance:
    sends every record ``E(t_{i,a} + r_{i,a})`` under fresh masks, in the
    same permuted order, and C2 forwards the row at the position it chose,
    each ciphertext times a fresh ``E(0)``, with ``U``.  C1 strips the mask
-   obliviously, ``E(t'_{s,a}) = row'_a * prod_i V_i^{N - r_{i,a}}``.
+   obliviously, ``E(t'_{s,a}) = row'_a * prod_i V_i^{N - r_{i,a}}``.  The
+   masks are short, ``r_{i,a} = N - s_{i,a}`` with ``s_{i,a}`` of ``a +
+   sigma`` bits for the schema's ``a``-bit values, so the strip exponents
+   ``N - r_{i,a} = s_{i,a}`` are too; C2 decrypts no row, and one it did
+   decrypt would be hidden to ``2**-sigma``.
 4. **Oblivious elimination** — C1 keeps one encrypted flag bit per record,
    ``E(f_i) <- E(f_i) * E(V_i)`` (a homomorphic addition, no interaction),
    and every later iteration compares ``d_i + 2**l * f_i`` over ``l + 1``
@@ -60,10 +64,11 @@ from repro.core.cloud import FederatedCloud
 from repro.core.roles import ResultShares
 from repro.core.sknn_base import SkNNProtocol
 from repro.crypto.paillier import Ciphertext
+from repro.crypto.precompute import MASK_SHORT, STATISTICAL_SECURITY
 from repro.db.schema import Schema
 from repro.exceptions import (ConfigurationError, ProtocolError, QueryError,
                                SchemaError)
-from repro.protocols.smin import STATISTICAL_SECURITY, SecureMinimum
+from repro.protocols.smin import SecureMinimum
 from repro.protocols.sminn import SecureMinimumOfN
 from repro.telemetry import profiling as _profiling
 
@@ -76,8 +81,11 @@ def check_query_domain(schema: Schema, query: Sequence[int]) -> None:
     SkNN_m sizes ``l`` from the schema and compares squared distances as
     ``l``-bit integers; a query attribute beyond its range can put a
     distance at ``2**l`` or above, where the comparison is wrong and a wrong
-    neighbour comes back with no error.  Only Bob holds the plaintext query,
-    so it is checked on Bob's side, before it is encrypted.
+    neighbour comes back with no error.  Both protocols' SSED masks the
+    query's differences for the schema's attribute width, so a wider one
+    would be hidden less from C2 (Bob's own query only).  Only Bob holds
+    the plaintext query, so it is checked on Bob's side, before it is
+    encrypted, in every mode.
 
     Raises:
         QueryError: the query has the wrong arity or a value out of range.
@@ -199,7 +207,8 @@ class SkNNSecure(SkNNProtocol):
                     indicator_v[original_index] = received_u[position]
             with _profiling.cost_scope("extract"):
                 # Step 3(d), C1's strip: E(t'_a) = row'_a * prod_i
-                # V_i^(N - r_{i,a}), one multi-exponentiation per attribute.
+                # V_i^(N - r_{i,a}), one multi-exponentiation per attribute
+                # with the masks' short exponents.
                 encrypted_results.append(pk.add_batch(
                     received_row,
                     pk.weighted_sum_batch(
@@ -223,11 +232,14 @@ class SkNNSecure(SkNNProtocol):
 
         Returns the masks ``r_{i,a}`` by record and the rows ``E(t_{i,a} +
         r_{i,a})`` in ``permutation``'s order; the masks are one
-        :meth:`~repro.protocols.base.TwoPartyProtocol.take_masks` batch.
+        :meth:`~repro.protocols.base.TwoPartyProtocol.take_masks` batch,
+        short for the schema's attribute width.
         """
         table = self.encrypted_table
         dimensions = table.dimensions
-        tuples = self._ssed.take_masks(len(table) * dimensions)
+        tuples = self._ssed.take_masks(
+            len(table) * dimensions, MASK_SHORT,
+            bits=table.schema.attribute_bit_length())
         per_record = [tuples[index * dimensions:(index + 1) * dimensions]
                       for index in range(len(table))]
         rows = [self.public_key.add_batch(

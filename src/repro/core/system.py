@@ -304,9 +304,8 @@ class SkNNSystem:
         mode, built by the protocol's one instrumented runner.
         """
         k = self._resolve_k(k)
-        if self.mode in ("secure", "distributed"):
-            # SkNN_m's l holds the schema's distances, not a query's beyond it
-            check_query_domain(self.owner.table.schema, query_record)
+        # SkNN_m's l and both modes' SSED masks are sized for the schema
+        check_query_domain(self.owner.table.schema, query_record)
         encrypted_query = self.client.encrypt_query(query_record)
 
         shares = self._protocol.run_with_report(

@@ -482,7 +482,9 @@ class PaillierPublicKey:
         product was evaluated.  Scalars congruent to ``-1 mod N`` are plain
         exponents here (for them alone the raw value differs from
         ``scalar_mul_batch``'s): the inverse belongs to negation, not to
-        a strip step whose scalars are uniform in ``Z_N``.
+        a strip step, whose scalars are masks — short ones
+        (:data:`~repro.crypto.precompute.MASK_SHORT`) reduce to short
+        exponents here.
 
         Args:
             rows: non-empty rows of ciphertexts (rows may differ in length).

@@ -55,30 +55,48 @@ from repro.crypto.paillier import (
 from repro.exceptions import ConfigurationError, CorruptStateError
 
 __all__ = ["PrecomputeConfig", "PrecomputeEngine", "QueryLookahead",
-           "MASK_ZN", "MASK_SBD", "mask_range"]
+           "MASK_ZN", "MASK_SBD", "MASK_SHORT", "STATISTICAL_SECURITY",
+           "mask_range"]
 
 #: snapshot kind of the on-disk pool cache (see
 #: :meth:`PrecomputeEngine.save_pools`)
 _POOL_CACHE_KIND = "precompute-pool-cache"
 
+#: ``sigma``: a mask of ``bits + sigma`` bits hides a ``bits``-bit value
+#: from the key holder up to statistical distance ``2**-sigma`` — the width
+#: of :data:`MASK_SHORT` and of SMIN's domain
+#: (:meth:`~repro.protocols.smin.SecureMinimum.domain_fits`).
+STATISTICAL_SECURITY = 40
+
 #: Additive-mask kinds (the sampling range each protocol requires).
-MASK_ZN = "zn"            # r uniform in [0, N)         — SM, SSED, SMIN's
-                          #                               selection, delivery
+MASK_ZN = "zn"            # r uniform in [0, N)         — SM, delivery (Bob's
+                          #                               shares: no C1 power
+                          #                               strips them)
 MASK_SBD = "sbd"          # r uniform in [0, sbd_upper) — SBD round masks,
                           #                               SMIN's masked difference
+MASK_SHORT = "short"      # N - r, r uniform in [1, 2^(bits+sigma)] — every
+                          #   value C2 may decrypt and C1 strips with a power:
+                          #   SSED's differences, SMIN's selection, extraction
 
 #: process-wide fallback randomness for engines without an explicit rng
 _MODULE_RNG = Random()
 
 
-def mask_range(kind: str, n: int,
-               sbd_upper: int | None = None) -> tuple[int, int]:
+def mask_range(kind: str, n: int, sbd_upper: int | None = None,
+               bits: int | None = None) -> tuple[int, int]:
     """The half-open range ``[lower, upper)`` a mask of ``kind`` is drawn from.
 
     The one rule for both mask sources (:meth:`PrecomputeEngine.take_masks`
     and the engine-less :meth:`~repro.protocols.base.TwoPartyProtocol.
     take_masks`); ``sbd_upper`` is SBD's ``N - 2^l`` or SMIN's ``N -
     2^(L+1)`` and required for that kind.
+
+    A :data:`MASK_SHORT` mask ``m = N - r`` hides a ``bits``-bit value
+    ``v``: ``v + m = v - r mod N`` with ``r`` uniform in ``[1,
+    2**(bits + sigma)]`` is within ``2**-sigma`` of a distribution that does
+    not depend on ``v``, and whoever strips ``m`` with a power does so with
+    the short exponent ``r`` (``N - m``, or ``-m mod N``).  The span is
+    capped at ``N``, where the kind is uniform mod ``N``, so toy keys work.
     """
     if kind == MASK_ZN:
         return 0, n
@@ -86,6 +104,10 @@ def mask_range(kind: str, n: int,
         if sbd_upper is None:
             raise ConfigurationError("SBD masks require sbd_upper")
         return 0, sbd_upper
+    if kind == MASK_SHORT:
+        if bits is None or bits < 1:
+            raise ConfigurationError("short masks require a positive bits")
+        return n - min(1 << (bits + STATISTICAL_SECURITY), n), n
     raise ConfigurationError(f"unknown mask kind {kind!r}")
 
 
@@ -220,16 +242,17 @@ class PrecomputeEngine:
         return self.key.encrypt_batch(list(values), rng=self.rng, pool=self)
 
     def take_masks(self, count: int, kind: str = MASK_ZN,
-                   sbd_upper: int | None = None
+                   sbd_upper: int | None = None, bits: int | None = None
                    ) -> list[tuple[int, Ciphertext]]:
         """``count`` fresh additive masks ``(r, E(r))`` of one kind.
 
-        Sampled in the kind's :func:`mask_range` and encrypted in one
+        Sampled in the kind's :func:`mask_range` (``bits`` is the masked
+        values' width, for :data:`MASK_SHORT`) and encrypted in one
         batch-kernel call: one pooled factor and one multiplication per mask
         while the store lasts, the key's own kernel past it — never a reused
         factor.
         """
-        lower, upper = mask_range(kind, self.public_key.n, sbd_upper)
+        lower, upper = mask_range(kind, self.public_key.n, sbd_upper, bits)
         rng = self.rng if self.rng is not None else _MODULE_RNG
         masks = [rng.randrange(lower, upper) for _ in range(count)]
         return list(zip(masks, self.encrypt_batch(masks)))

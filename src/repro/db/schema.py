@@ -133,6 +133,15 @@ class Schema:
         for attribute, value in zip(self.attributes, values):
             attribute.validate(value)
 
+    def attribute_bit_length(self) -> int:
+        """``a``: bits that hold every attribute value, ``[0, 2**a)``.
+
+        The width C1's masks are sized from: SkNN_m's extracted record
+        values are ``a``-bit, SSED's differences ``a + 1``-bit (signed).
+        """
+        return max(max(attribute.maximum.bit_length()
+                       for attribute in self.attributes), 1)
+
     def max_squared_distance(self, dimensions: int | None = None) -> int:
         """Largest possible squared Euclidean distance between two records,
         over the leading ``dimensions`` attributes (all by default)."""

@@ -124,8 +124,7 @@ class SecureKNNClassifier:
                 f"query has {len(features)} features, classifier expects "
                 f"{self.feature_count}"
             )
-        if self.mode == "secure":
-            check_query_domain(self._feature_schema, features)
+        check_query_domain(self._feature_schema, features)
         encrypted_query = self._client.encrypt_query(list(features))
         shares = self._protocol.run(encrypted_query, k)
         neighbors = self._client.reconstruct(shares)

@@ -10,8 +10,8 @@ Protocol classes derive from :class:`TwoPartyProtocol`, which stores the
 :class:`~repro.network.party.TwoPartySetting` and exposes the small set of
 ciphertext manipulations that appear over and over in the paper's algorithms
 (homomorphic subtraction, multiplication by ``N - r`` to realize ``-r``, and
-fresh randomization), :meth:`TwoPartyProtocol.take_masks`, the one source
-of P1's additive masks, drawn a chunk of a round at a time, and
+fresh randomization), :meth:`TwoPartyProtocol.take_masks`, the source of
+P1's independent additive masks, drawn a chunk of a round at a time, and
 :meth:`TwoPartyProtocol.run_pipelined`, the one shape of a batched round:
 two half-batches in flight, so the two clouds compute at the same time
 instead of taking turns.
@@ -223,13 +223,15 @@ class TwoPartyProtocol(P2StepDispatcher):
 
     # -- P1's additive masks ---------------------------------------------------
     def take_masks(self, count: int, kind: str = "zn",
-                   sbd_upper: int | None = None
+                   sbd_upper: int | None = None, bits: int | None = None
                    ) -> "list[tuple[int, Ciphertext]]":
         """``count`` P1 additive masks ``(r, E(r))``, drawn as one batch.
 
-        The sub-protocols' only mask source.  ``kind`` is ``"zn"`` (uniform
-        in ``[0, N)``) or ``"sbd"`` (``[0, sbd_upper)``) — see
-        :func:`~repro.crypto.precompute.mask_range`.
+        The sub-protocols' source of independent masks; SMIN's selection
+        pair, two correlated masks, is drawn in place by the same rule.
+        ``kind`` is ``"zn"`` (uniform in ``[0, N)``), ``"sbd"`` (``[0,
+        sbd_upper)``) or ``"short"`` (``N - r`` hiding ``bits``-bit values
+        at ``sigma``) — see :func:`~repro.crypto.precompute.mask_range`.
         P1's engine samples and encrypts them when it owns one; otherwise
         they are sampled with P1's rng and encrypted in one batch-kernel
         call.  One encryption per mask either way.  The engine is resolved
@@ -238,8 +240,9 @@ class TwoPartyProtocol(P2StepDispatcher):
         """
         engine = self.p1.engine
         if engine is not None:
-            return engine.take_masks(count, kind, sbd_upper=sbd_upper)
-        lower, upper = mask_range(kind, self.pk.n, sbd_upper)
+            return engine.take_masks(count, kind, sbd_upper=sbd_upper,
+                                     bits=bits)
+        lower, upper = mask_range(kind, self.pk.n, sbd_upper, bits)
         masks = [self.p1.rng.randrange(lower, upper) for _ in range(count)]
         return list(zip(masks, self.p1.encrypt_batch(masks)))
 

@@ -43,7 +43,10 @@ written ``[m]`` below.  Per pair, in two rounds:
      uniform in ``Z_u*`` elsewhere;
    * ``[z_L xor c]`` with ``c = r_L xor [s = -1]``: ``[z_L]^(+-1)`` times
      ``g^c``, under its own ``h^rho``;
-   * ``E(x + rho_x)`` and ``E(y + rho_y)`` under fresh uniform masks.
+   * ``E(x + rho_x)`` and ``E(y + rho_y)`` under fresh masks: ``rho_y =
+     N - s`` with ``s`` uniform in ``[1, 2**(L + sigma)]`` and ``rho_x =
+     rho_y + delta`` with ``delta`` uniform in ``[0, 2**(L + 1 +
+     sigma))``, two encryptions.
 
    P2 zero-tests every entry (one half-size power each), sets ``delta' =
    [some entry is 0]``, reads the top bit and sets ``t = (z_L xor c) xor
@@ -53,12 +56,15 @@ written ``[m]`` below.  Per pair, in two rounds:
    being the minimum.  P2 returns the candidate ``t`` selects (``y`` for
    ``t = 1``) times a fresh ``E(0)``, and ``E(t)``.
 3. P1 strips the selected mask: ``E(min) = E(v) * E(-rho_x) *
-   E(t)^(rho_x - rho_y)``, one full power.
+   E(t)^(rho_x - rho_y)``, one power with the short exponent ``delta``.
 
 What each party sees.  P2 sees ``z``, statistically uniform (below);
 ``z_L xor c``, uniform through ``r_L`` and ``s``; and ``delta'`` and ``t``,
 uniform for distinct values through ``s`` and ``F``.  On a tie ``delta' =
-0`` — the same tie leak as the bit-level ``alpha``.  P1 sees only
+0`` — the same tie leak as the bit-level ``alpha``.  P2 decrypts neither
+candidate, but could: ``y - s`` and ``(x - y) + delta`` (their
+difference) are each within ``2**-sigma`` of a distribution that depends
+on neither value, as every mask C1 later strips with a power.  P1 sees only
 ciphertexts: Paillier ones and DGK ones (semantically secure under DGK's
 subgroup assumption).  P2 also holds the factorizations, so it can read
 ``c * g^(-m) mod n`` — the ``<h>`` part — of every DGK value it tests; an
@@ -69,8 +75,9 @@ re-randomizer ``h^rho`` per entry and on the top bit.
 
 Domain.  The mask on ``E(z)`` hides ``L + 1`` bits statistically: ``2**(L
 + 1 + sigma) <= N`` with ``sigma = 40`` (``L <= 86`` at K=128, ``L <= 470``
-at K=512; :meth:`SecureMinimum.domain_fits`).  DGK's ``3L + 2 < u`` holds
-by construction (``u > 3K``).
+at K=512; :meth:`SecureMinimum.domain_fits`; ``sigma`` is
+:data:`~repro.crypto.precompute.STATISTICAL_SECURITY`, the width of every
+short mask).  DGK's ``3L + 2 < u`` holds by construction (``u > 3K``).
 
 Per pair P1 pays ``L + 4`` encryptions — the mask (one ``take_masks``
 batch per chunk of round 1), ``L + 1`` DGK re-randomizers and the two
@@ -79,7 +86,7 @@ factors are computed while P1 waits on P2, see
 :class:`~repro.crypto.precompute.QueryLookahead`) — and ``2L + 2``
 exponentiations: the negation of ``y``, the ``L - 1`` weights ``+-3``, the
 ``L`` entry powers and the ``+-1`` (all DGK, exponents below ``u``), and
-the final strip, the one full power.  P2 pays one decryption, ``L`` zero
+the final strip, of ``L + 1 + sigma`` bits.  P2 pays one decryption, ``L`` zero
 tests and one bit decryption (``L + 2`` decryptions), and ``L + 1`` DGK and
 two Paillier encryptions.
 """
@@ -90,13 +97,12 @@ from typing import Any, Sequence
 
 from repro.crypto.dgk import DGKPublicKey
 from repro.crypto.paillier import Ciphertext
+from repro.crypto.precompute import (MASK_SHORT, STATISTICAL_SECURITY,
+                                     mask_range)
 from repro.protocols.base import TwoPartyProtocol, traced_round
 from repro.protocols.encoding import recompose_from_encrypted_bits
 
 __all__ = ["SecureMinimum", "STATISTICAL_SECURITY"]
-
-#: ``sigma``: the mask on ``E(z)`` hides ``L + 1`` bits up to ``2**-sigma``.
-STATISTICAL_SECURITY = 40
 
 
 class SecureMinimum(TwoPartyProtocol):
@@ -206,6 +212,7 @@ class SecureMinimum(TwoPartyProtocol):
                      f" <= N for the mask, K={self.pk.key_size}")
         n = self.pk.n
         top = 1 << bit_length
+        spread = min(1 << (bit_length + 1 + STATISTICAL_SECURITY), n)
         dgk = self.p1.dgk_key
 
         # ---- P1: every pair's coin F orders it as (x, y) ---------------------
@@ -233,10 +240,16 @@ class SecureMinimum(TwoPartyProtocol):
             # ---- P1, round 2: entries and [z_L xor c] ------------------------
             width = bit_length + 1
             zeros = self.p1.dgk_encrypt_batch([0] * (len(chunk) * width))
-            selection_masks = self.take_masks(2 * len(chunk))
+            # rho_y short, rho_x = rho_y + delta: the strip's rho_x - rho_y
+            # is the short delta (L + 1 + sigma bits)
+            lower, upper = mask_range(MASK_SHORT, n, bits=bit_length)
+            rhos = []
+            for _ in chunk:
+                rho_y = self.p1.rng.randrange(lower, upper)
+                rhos += [(rho_y + self.p1.rng.randrange(spread)) % n, rho_y]
             candidates = self.pk.add_batch(
                 [operand for _, _, x, y in chunk for operand in (x, y)],
-                [c for _, c in selection_masks])
+                self.p1.encrypt_batch(rhos))
             markers, offsets, exponents, flips = [], [], [], []
             permutations = []
             for mask, bits, _, _ in chunk:
@@ -278,7 +291,6 @@ class SecureMinimum(TwoPartyProtocol):
                 payload.append([row[j] for j in permutation]
                                + [top_bits[index]]
                                + candidates[2 * index:2 * index + 2])
-            rhos = [rho for rho, _ in selection_masks]
             return payload, list(zip(rhos[::2], rhos[1::2]))
 
         def strip_selections(chunk, selection_masks, reply):

@@ -15,8 +15,12 @@ record as **one fused round** with the same masking identity SM is built on
 
     d^2 = (d + r)^2 - 2*r*d - r^2                              (mod N)
 
-1. P1 computes ``E(d_j) = E(y_j) * E(-x_j)`` locally, draws one fresh uniform
-   mask ``r_j`` in ``Z_N`` per attribute and sends ``E(d_j + r_j)``.
+1. P1 computes ``E(d_j) = E(y_j) * E(-x_j)`` locally, draws one fresh mask
+   ``r_j`` per attribute and sends ``E(d_j + r_j)``.  Given the attributes'
+   width ``a``, the differences are ``a + 1``-bit (``|d_j| < 2**a``) and the
+   mask is short, ``r_j = N - s_j`` with ``s_j`` uniform in ``[1,
+   2**(a+1+sigma)]`` (:data:`~repro.crypto.precompute.MASK_SHORT`);
+   without it, uniform in ``Z_N``.
 2. P2 decrypts the residues ``h_j = d_j + r_j mod N``, computes
    ``H = sum_j h_j^2 mod N`` in the clear and returns the single ciphertext
    ``E(H)``.
@@ -25,7 +29,9 @@ record as **one fused round** with the same masking identity SM is built on
    The product is **one multi-exponentiation per record**
    (:meth:`~repro.crypto.paillier.PaillierPublicKey.weighted_sum_batch`):
    the ``m`` powers share a single squaring chain instead of repeating it
-   ``m`` times, and are still counted as ``m`` exponentiations.
+   ``m`` times, and are still counted as ``m`` exponentiations.  The kernel
+   reduces each exponent mod ``N``, so a short mask's ``N - 2*r_j`` is the
+   short ``2*s_j``: ``a + 2 + sigma`` bits instead of ``K``.
 
 Per record that is ``m`` P1 encryptions, ``m`` P2 decryptions, one P2
 encryption and ``m`` exponentiations (plus the query negation, hoisted across
@@ -36,8 +42,12 @@ exponentiation was paid, never which messages are exchanged.
 
 What each party sees
 --------------------
-* P2 sees ``d_j + r_j mod N`` for independent uniform ``r_j`` in ``Z_N`` —
-  uniformly random values, exactly its view of a squared operand in SM.
+* P2 sees ``d_j - s_j mod N`` for independent short ``s_j``: within
+  ``2**-sigma`` (``sigma = 40``) of a distribution that does not depend on
+  ``d_j``, the statistical hiding of the standard comparison protocols
+  (and uniform in ``Z_N`` without a width).  A difference wider than the
+  width — only a query outside the schema's ranges makes one, and Bob
+  refuses those — is hidden less, which costs Bob's own query alone.
   Summing in the clear adds nothing: ``H`` is a function of values P2 already
   holds.  All arithmetic is mod ``N``, so negative differences (``N - |d|``)
   and masks that wrap past ``N`` cancel exactly in step 3.
@@ -49,6 +59,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.crypto.paillier import Ciphertext
+from repro.crypto.precompute import MASK_SHORT, MASK_ZN
 from repro.protocols.base import TwoPartyProtocol, traced_round
 
 __all__ = ["SecureSquaredEuclideanDistance"]
@@ -65,7 +76,8 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
 
     @traced_round("run")
     def run(self, enc_x: Sequence[Ciphertext],
-            enc_y: Sequence[Ciphertext]) -> Ciphertext:
+            enc_y: Sequence[Ciphertext],
+            attribute_bits: int | None = None) -> Ciphertext:
         """Compute ``Epk(|X - Y|^2)`` from ``Epk(X)`` and ``Epk(Y)``.
 
         The single-record case of :meth:`run_many`.
@@ -73,18 +85,19 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
         Args:
             enc_x: attribute-wise encryption of the m-dimensional vector X.
             enc_y: attribute-wise encryption of the m-dimensional vector Y.
+            attribute_bits: the attributes' width (see :meth:`run_many`).
 
         Returns:
             ``Epk(sum_j (x_j - y_j)^2)``, known only to P1.
         """
         self.require(len(enc_x) == len(enc_y),
                      f"dimension mismatch: {len(enc_x)} vs {len(enc_y)}")
-        return self.run_many(enc_x, [enc_y])[0]
+        return self.run_many(enc_x, [enc_y], attribute_bits)[0]
 
     @traced_round("run_many")
     def run_many(self, enc_x: Sequence[Ciphertext],
-                 enc_y_list: Sequence[Sequence[Ciphertext]]
-                 ) -> list[Ciphertext]:
+                 enc_y_list: Sequence[Sequence[Ciphertext]],
+                 attribute_bits: int | None = None) -> list[Ciphertext]:
         """Compute ``Epk(|X - Y_i|^2)`` against many vectors in one round.
 
         The distance scan of Algorithms 5 and 6 (step 2), where ``X`` is the
@@ -102,6 +115,11 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
             enc_y_list: the encrypted vectors to compute distances against;
                 entries longer than ``m`` are truncated to the leading ``m``
                 attributes (trailing label columns do not join the distance).
+            attribute_bits: ``a`` with every attribute in ``[0, 2**a)``
+                (:meth:`~repro.db.schema.Schema.attribute_bit_length`), so
+                every difference is ``a + 1``-bit signed.  The masks are
+                then short and so are the strip powers; ``None`` masks
+                uniformly in ``Z_N`` (full-size strip powers).
 
         Returns:
             ``Epk(|X - Y_i|^2)`` for every ``Y_i``, in input order.
@@ -114,6 +132,9 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
         if not enc_y_list:
             return []
         n = self.pk.n
+        # a-bit attributes differ by a + 1 bits, signed
+        kind, bits = ((MASK_ZN, None) if attribute_bits is None
+                      else (MASK_SHORT, attribute_bits + 1))
         # E(-x_j), hoisted across all records.
         neg_x = self.neg_batch(list(enc_x))
 
@@ -123,7 +144,8 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
                          for enc_y in records]
             # Step 1: one fresh mask per difference; the payload is rows of
             # ciphertexts only — no width or count travels in the clear.
-            masks, enc_masks = zip(*self.take_masks(len(records) * width))
+            masks, enc_masks = zip(*self.take_masks(
+                len(records) * width, kind, bits=bits))
             masked = self.pk.add_batch(
                 [diff for row in diff_rows for diff in row], enc_masks)
             starts = range(0, len(masked), width)
@@ -134,7 +156,7 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
         def strip(records, state, totals):
             # Step 3: strip 2*r*d and r^2 from every record's
             # E(sum (d + r)^2) — one multi-exponentiation per record for
-            # the cross terms.
+            # the cross terms, short for a short mask (N - 2r = 2s mod N).
             self.require_cipher_list(totals, len(records),
                                      "masked-square-sum reply")
             diff_rows, mask_rows = state

@@ -64,8 +64,9 @@ CRASH_POINTS = (
     "journal.post_fsync",
 )
 
-#: a journal is rewritten to its store's live state once it holds more
-#: records than this, bounding disk usage by live state, not query count
+#: a journal is rewritten to its store's live state once more records than
+#: this (and than that live state) were appended since its last rewrite,
+#: bounding disk usage by live state, not query count
 COMPACT_EVERY = 512
 
 
@@ -248,6 +249,7 @@ class Journal:
         self.path = Path(path)
         self.name = name
         self.records = 0  # records currently in the file
+        self._rewritten = 0  # of which the last rewrite wrote
         self._handle = None
         self._lock = threading.Lock()
 
@@ -267,7 +269,7 @@ class Journal:
                                            event="replayed")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "ab")
-        self.records = len(records)
+        self.records, self._rewritten = len(records), 0
         return records
 
     def _scan(self) -> tuple[list[Any], int, bool]:
@@ -335,15 +337,21 @@ class Journal:
                 self._handle = None
             atomic_write_bytes(self.path, bytes(lines))
             self._handle = open(self.path, "ab")
-            self.records = len(records)
+            self.records = self._rewritten = len(records)
 
     def compact(self, live: Callable[[], list[Any]]) -> None:
-        """Rewrite to ``live()`` once the file outgrows :data:`COMPACT_EVERY`.
+        """Rewrite to ``live()`` once more than :data:`COMPACT_EVERY` records
+        were appended since the last rewrite (or since :meth:`open`).
 
         A store calls this after applying a transition, so ``live()``
         already includes the record that pushed the journal over the bound.
+        The appends must also outnumber what the last rewrite wrote: a
+        rewrite costs its live state, so a live state above the bound (a
+        mailbox of unfetched shares) is rewritten after as many appends
+        again, never on every transition — amortized O(1) per append.
         """
-        if self.records > COMPACT_EVERY:
+        appended = self.records - self._rewritten
+        if appended > max(COMPACT_EVERY, self._rewritten):
             self.rewrite(live())
 
     def close(self) -> None:

@@ -35,6 +35,7 @@ from random import Random
 from typing import Sequence
 
 from repro.core.roles import QueryClient
+from repro.core.sknn_secure import check_query_domain
 from repro.core.system import QueryAnswer
 from repro.crypto.paillier import Ciphertext
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
@@ -279,10 +280,13 @@ class QueryServer:
                k: int) -> PendingQuery:
         """Encrypt (client-side) and enqueue one query.
 
-        Malformed queries (wrong arity, bad ``k``) raise immediately at the
-        submitting caller instead of being enqueued, so they can never poison
-        a batch shared with other sessions' queries.
+        Malformed queries (wrong arity, a value outside the schema, bad
+        ``k``) raise immediately at the submitting caller instead of being
+        enqueued, so they can never poison a batch shared with other
+        sessions' queries; the schema is checked before anything is
+        encrypted.
         """
+        check_query_domain(self.store.encrypted_table.schema, query_record)
         started = time.perf_counter()
         encrypted_query = session.client.encrypt_query(query_record)
         encrypt_elapsed = time.perf_counter() - started

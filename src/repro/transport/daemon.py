@@ -64,6 +64,7 @@ from repro.crypto.precompute import (
     PrecomputeConfig,
     PrecomputeEngine,
     QueryLookahead,
+    STATISTICAL_SECURITY,
 )
 from repro.crypto.serialization import (
     dgk_public_key_from_dict,
@@ -84,7 +85,7 @@ from repro.exceptions import (
 )
 from repro.network.channel import Message
 from repro.network.party import DecryptorParty
-from repro.protocols.smin import STATISTICAL_SECURITY, SecureMinimum
+from repro.protocols.smin import SecureMinimum
 from repro.resilience import durability
 from repro.resilience.idempotency import ReplyCache
 from repro.resilience.policy import is_retriable

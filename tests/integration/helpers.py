@@ -64,8 +64,8 @@ def record_sbd_masks(monkeypatch) -> list[int]:
     drawn: list[int] = []
     original = TwoPartyProtocol.take_masks
 
-    def recording(self, count, kind="zn", sbd_upper=None):
-        tuples = original(self, count, kind, sbd_upper)
+    def recording(self, count, kind="zn", sbd_upper=None, bits=None):
+        tuples = original(self, count, kind, sbd_upper, bits)
         if kind == "sbd":
             drawn.extend(r for r, _ in tuples)
         return tuples

@@ -150,7 +150,8 @@ class TestChunkedWorkers:
             worker_engines.clear()
             start, chunk = ssed_chunk_worker(
                 (4, enc_records, enc_queries, public.n, private.p, private.q,
-                 77, get_backend().name, pool_slice))
+                 77, get_backend().name, pool_slice,
+                 table.schema.attribute_bit_length()))
             assert start == 4
             assert chunk == expected
             [worker] = worker_engines

@@ -119,6 +119,17 @@ class TestClassifierValidation:
         with pytest.raises(ConfigurationError):
             SecureKNNClassifier(table, label_column="label", key_size=128)
 
+    @pytest.mark.parametrize("mode", ["basic", "secure"])
+    def test_out_of_schema_features_refused_before_encryption(self, mode):
+        classifier = SecureKNNClassifier(make_labeled_table(),
+                                         label_column="label", key_size=128,
+                                         mode=mode, rng=Random(9))
+        encrypted = []
+        classifier._client.encrypt_query = encrypted.append
+        with pytest.raises(QueryError, match="outside the schema"):
+            classifier.classify_with_details([1, 32], k=2)
+        assert encrypted == []
+
     def test_feature_arity_checked(self):
         classifier = SecureKNNClassifier(make_labeled_table(),
                                          label_column="label", key_size=128,

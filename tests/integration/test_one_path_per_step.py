@@ -85,7 +85,7 @@ class TestChunkWorkerRunsTheProtocol:
                 [[c.value for c in public.encrypt_vector(query, rng=rng)]
                  for query in self.QUERIES],
                 public.n, private.p, private.q, seed, get_backend().name,
-                None)
+                None, 6)  # the values are 6-bit
 
     def test_decryptor_sees_masked_values_and_a_resubmitted_task_repeats(
             self, small_keypair, monkeypatch):

@@ -285,8 +285,9 @@ class TestFusedScanMasking:
         drawn: list[int] = []
         take_masks = protocol._ssed.take_masks
 
-        def recording_take_masks(count):
-            tuples = take_masks(count)
+        def recording_take_masks(count, kind="zn", sbd_upper=None,
+                                 bits=None):
+            tuples = take_masks(count, kind, sbd_upper, bits)
             drawn.extend(r for r, _ in tuples)
             return tuples
 

@@ -409,6 +409,24 @@ class TestQueryServer:
         assert server.scheduler.pending == 0
         server.close()
 
+    def test_out_of_schema_query_rejected_before_encryption(
+            self, small_keypair, service_table):
+        """A session encrypts nothing for a value outside the schema: the
+        scan's SSED masks are sized for the schema's attribute width."""
+        cloud = _deploy(small_keypair, service_table, 1350)
+        server = QueryServer(
+            ShardedCloud(cloud, shards=2, workers=1, backend="serial"),
+            rng=Random(20))
+        session = server.open_session("bob")
+        encrypted = []
+        session.client.encrypt_query = encrypted.append
+        maximum = service_table.schema.attributes[0].maximum
+        with pytest.raises(QueryError, match="outside the schema"):
+            session.submit([maximum + 1, 0, 0], 2)
+        assert encrypted == []
+        assert server.scheduler.pending == 0
+        server.close()
+
     def test_running_server_survives_a_bad_query(self, small_keypair,
                                                  service_table,
                                                  service_oracle):

@@ -185,17 +185,15 @@ class TestSkNNSecureCorrectness:
         """``l = 4`` holds every distance of the schema, not the query
         ``[5]``'s 25 and 4: bit 4 of ``25 - 4 + 2**4`` is clear, so SMIN
         would call 25 the smaller and answer ``(0,)``.  SkNN_m refuses the
-        query, SkNN_b (it decrypts the distances) answers it.  A query at
-        the maximum is answered by both."""
+        query; so does SkNN_b, whose SSED masks are sized for the schema's
+        attribute width, before anything is encrypted.  A query at the
+        maximum is answered by both."""
         table = Table.from_rows(Schema.uniform(1, 3), [[0], [3]])
         with SkNNSystem.setup(table, key_size=128, mode=mode,
                               rng=Random(11)) as system:
             assert system.distance_bits == 4
-            if mode == "secure":
-                with pytest.raises(QueryError, match="outside the schema"):
-                    system.query([5], 1)
-            else:
-                assert system.query([5], 1) == [(3,)]
+            with pytest.raises(QueryError, match="outside the schema"):
+                system.query([5], 1)
             assert system.query([3], 1) == [(3,)]
 
     def test_report_and_counters(self, small_table, small_keypair):

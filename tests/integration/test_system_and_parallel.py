@@ -10,7 +10,7 @@ from repro.core.parallel import ParallelSkNNBasic
 from repro.core.system import SkNNSystem
 from repro.db.datasets import synthetic_uniform
 from repro.db.knn import LinearScanKNN
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, QueryError
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,23 @@ class TestSkNNSystem:
         query = [7, 1, 2]
         expected = [r.record.values for r in system_oracle.query(query, 2)]
         assert system.query(query, 2) == expected
+
+    @pytest.mark.parametrize("mode", ["basic", "parallel", "sharded"])
+    def test_out_of_schema_basic_query_is_refused_before_encryption(
+            self, system_table, mode, monkeypatch):
+        """SkNN_b's SSED masks are sized for the schema's attribute width,
+        so Bob refuses a wider query in every SkNN_b mode, as in SkNN_m,
+        before he encrypts anything."""
+        maximum = system_table.schema.attributes[0].maximum
+        with SkNNSystem.setup(system_table, key_size=128, mode=mode,
+                              workers=1, parallel_backend="serial",
+                              rng=Random(3)) as system:
+            encrypted = []
+            monkeypatch.setattr(system.client, "encrypt_query",
+                                encrypted.append)
+            with pytest.raises(QueryError, match="outside the schema"):
+                system.query([maximum + 1, 0, 0], 2)
+            assert encrypted == []
 
     def test_query_with_report_populates_statistics(self, system_table):
         system = SkNNSystem.setup(system_table, key_size=128, mode="basic",

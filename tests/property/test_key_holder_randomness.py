@@ -297,8 +297,8 @@ class ScriptedObfuscators:
             self.drawn[0] += 1
         return factors
 
-    def take_masks(self, count, kind="zn", sbd_upper=None):
-        lower, upper = mask_range(kind, self.key.n, sbd_upper)
+    def take_masks(self, count, kind="zn", sbd_upper=None, bits=None):
+        lower, upper = mask_range(kind, self.key.n, sbd_upper, bits)
         masks = [self.rng.randrange(lower, upper) for _ in range(count)]
         return list(zip(masks, self.key.encrypt_batch(masks, pool=self)))
 

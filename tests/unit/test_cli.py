@@ -68,6 +68,22 @@ class TestParser:
         assert args.connect_c1 == "127.0.0.1:9000"
         assert args.connect_c2 == "127.0.0.1:9001"
 
+    @pytest.mark.parametrize("mode", ["basic", "secure"])
+    def test_connected_query_refuses_an_out_of_schema_query(self, mode):
+        """The connected path checks Bob's query before it provisions,
+        connects or encrypts anything (the addresses are never dialled)."""
+        from repro.cli import _run_query_connected
+        from repro.db.schema import Schema
+        from repro.db.table import Table
+        from repro.exceptions import QueryError
+
+        args = build_parser().parse_args(
+            ["query", "--mode", mode, "--connect-c1", "127.0.0.1:1",
+             "--connect-c2", "127.0.0.1:2"])
+        table = Table.from_rows(Schema.uniform(2, 7), [[0, 7], [7, 0]])
+        with pytest.raises(QueryError, match="outside the schema"):
+            _run_query_connected(args, table, [8, 0])
+
     def test_connect_flags_must_come_in_pairs(self):
         exit_code = main(["query", "--connect-c1", "127.0.0.1:9000"])
         assert exit_code == 2

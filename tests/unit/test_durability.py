@@ -504,6 +504,30 @@ class TestDurableShareMailbox:
         assert revived.fetch(last, timeout=0) == [[last]]
         revived.close()
 
+    def test_live_state_over_the_bound_is_not_rewritten_per_put(
+            self, tmp_path, monkeypatch):
+        # 700 unfetched shares: past 512 the live state alone is over the
+        # bound, and rewriting it on every put would make 188 rewrites.
+        rewrites = []
+        rewrite = Journal.rewrite
+
+        def counting_rewrite(journal, records):
+            rewrites.append(len(records))
+            rewrite(journal, records)
+
+        monkeypatch.setattr(Journal, "rewrite", counting_rewrite)
+        path = tmp_path / "mailbox.journal"
+        mailbox = journaled_mailbox(path)
+        for delivery_id in range(700):
+            mailbox.put(delivery_id, [[delivery_id]])
+        assert len(rewrites) <= 2
+        assert mailbox.journal_records <= 700
+        mailbox.close()
+        revived = journaled_mailbox(path)
+        assert len(revived) == 700
+        assert revived.fetch(699, timeout=0) == [[699]]
+        revived.close()
+
     def test_share_taken_at_compaction_stays_taken(self, tmp_path,
                                                    monkeypatch):
         # Four puts fill the journal to the bound; the take is the record
