@@ -22,7 +22,8 @@ native power costs less than the comb's multiplications and the paths tie.
 
 A second test is the native-vs-python direction gate: the unit operations
 (``powmod``, ``multi_powmod`` for m = 2/3/4, and for m = 3 with SSED's short
-strip exponents, ``invert``, one batched encryption, one CRT decryption)
+strip exponents, ``invert``, one batched encryption, one CRT decryption,
+one Horner shift ``E**(2**w)`` of a packed SSED scan)
 timed under every available backend, one
 ``paillier_kernel`` history row per backend with the python/openssl ratio
 per operation, and the libcrypto backend must win the powers and the
@@ -30,7 +31,8 @@ combined batch workload — and its two-base ``multi_powmod`` (one
 ``BN_mod_exp2_mont``) must beat two ``powmod`` calls, and from K=512 its
 fixed-base power (the same two-base call on the exponent's halves) must beat
 one ``powmod`` of the same exponent, and its short three-base strip must
-cost under half of the full-width one (three quarters below K=512).
+cost under half of the full-width one (three quarters below K=512), and a
+packing shift under half of a decryption.
 
 A third test gates the strip-step kernel: rows of 4 ciphertexts raised to
 uniform ``Z_N`` scalars and multiplied together, as one shared-squaring
@@ -80,7 +82,8 @@ from repro.crypto.precompute import STATISTICAL_SECURITY
 from repro.db.datasets import synthetic_uniform
 from repro.network.party import TwoPartySetting
 from repro.protocols.base import TwoPartyProtocol
-from repro.protocols.ssed import SecureSquaredEuclideanDistance
+from repro.protocols.ssed import (SecureSquaredEuclideanDistance,
+                                  difference_width)
 
 KERNEL_KEY_BITS = int(os.environ.get("REPRO_BENCH_KERNEL_BITS", "512"))
 #: operations per primitive class (encrypt / decrypt / scalar-mul triples)
@@ -135,6 +138,14 @@ SHORT_EXPONENT_BITS = 31 + 1 + STATISTICAL_SECURITY + 1
 #: and 0.49 at K=256, where each call's fixed Montgomery set-up is half the
 #: cost — so the smoke's K=256 gate is three quarters.
 MAX_SHORT_STRIP_SHARE = 0.5 if KERNEL_KEY_BITS >= 512 else 0.75
+
+#: SSED's slot width on the end-to-end workloads' 4-bit attributes: one
+#: Horner shift of a packed scan is an ``E**(2**w)`` at this ``w`` (46 bits)
+PACK_SLOT_BITS = difference_width(KERNEL_KEY_BITS, 4)
+#: a shift must cost under this share of one CRT decryption (what packing
+#: saves per folded value).  Measured on the development box (openssl,
+#: loaded): 0.41 at K=256, 0.42 at K=512, 0.16 at K=1024.
+MAX_PACK_SHIFT_SHARE = 0.5
 
 E2E_N = 24
 E2E_M = 3
@@ -310,6 +321,9 @@ def _unit_costs(keypair: PaillierKeyPair, rng: Random) -> dict[str, float]:
                                           scalars[start:start + width],
                                           nsquare) for start in starts],
             len(starts))
+    shift = 1 << PACK_SLOT_BITS
+    costs["pack_shift_us"] = per_op(
+        lambda: [backend.powmod(c, shift, nsquare) for c in raw])
     short = [rng.randrange(1 << SHORT_EXPONENT_BITS) for _ in range(KERNEL_OPS)]
     starts = range(0, KERNEL_OPS - KERNEL_OPS % 3, 3)
     costs["multi_powmod_m3_short_us"] = per_op(
@@ -387,6 +401,11 @@ def test_kernel_native_backend(kernel_primes, results_dir):
         f"a three-base strip with {SHORT_EXPONENT_BITS}-bit exponents must "
         f"cost < {MAX_SHORT_STRIP_SHARE} of a full-width one; got "
         f"{short_share:.2f}")
+    shift_share = (costs["openssl"]["pack_shift_us"]
+                   / costs["openssl"]["decrypt_us"])
+    assert shift_share < MAX_PACK_SHIFT_SHARE, (
+        f"a {PACK_SLOT_BITS}-bit Horner shift must cost < "
+        f"{MAX_PACK_SHIFT_SHARE} of a decryption; got {shift_share:.2f}")
     if MIN_FIXED_BASE_SPEEDUP is not None:
         fixed_base_speedup = (costs["openssl"]["powmod_us"]
                               / costs["openssl"]["fixed_base_pow_us"])

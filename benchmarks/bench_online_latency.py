@@ -57,7 +57,7 @@ from repro.telemetry import tracing
 from repro.telemetry import profiling as tprofiling
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import DataOwner, QueryClient
-from repro.core.sknn_basic import SkNNBasic
+from repro.core.sknn_basic import SkNNBasic, packing_slots
 from repro.crypto.backend import get_backend
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
@@ -148,6 +148,8 @@ def test_online_latency_warm_pools_vs_inline(benchmark, python_backend,
     query = [4, 9, 2]
     encrypted_query = client.encrypt_query(query)
     protocol = SkNNBasic(cloud)
+    ssed_slots, distance_slots = packing_slots(public_key.key_size,
+                                               table.schema)
 
     def measure():
         # Warm the per-key comb table outside both measurements (the inline
@@ -159,7 +161,8 @@ def test_online_latency_warm_pools_vs_inline(benchmark, python_backend,
         inline_shares = protocol.run(encrypted_query, ONLINE_K)
 
         c1_target, c2_target = pool_targets(ONLINE_N, ONLINE_M, ONLINE_K,
-                                            queries=1)
+                                            queries=1, ssed_slots=ssed_slots,
+                                            distance_slots=distance_slots)
         c1_engine = PrecomputeEngine(
             public_key, rng=Random(781),
             config=PrecomputeConfig(obfuscators=c1_target))
@@ -335,7 +338,8 @@ def test_online_latency_warm_pools_vs_inline(benchmark, python_backend,
     assert warm_neighbors == oracle
 
     # Under warm pools the offline work is the entry's encryptions.
-    inline_model = sknn_basic_cost(ONLINE_N, ONLINE_M, ONLINE_K).total
+    inline_model = sknn_basic_cost(ONLINE_N, ONLINE_M, ONLINE_K, ssed_slots,
+                                   distance_slots).total
     split = _split(inline_model.encryptions, OperationCounts(
         decryptions=inline_model.decryptions,
         exponentiations=inline_model.exponentiations))

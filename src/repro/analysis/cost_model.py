@@ -25,9 +25,11 @@ items on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.protocols import base as _protocol_base
+from repro.protocols.ssed import scan_packs
 
 __all__ = [
     "OperationCounts",
@@ -165,23 +167,32 @@ def sm_cost(pairs: int = 1) -> ProtocolCost:
         OperationCounts(encryptions=1, decryptions=2), sent=2, returned=1)
 
 
-def ssed_scan_cost(n_records: int, dimensions: int) -> ProtocolCost:
+def ssed_scan_cost(n_records: int, dimensions: int,
+                   slots: int = 1) -> ProtocolCost:
     """The implemented SSED distance scan: one query against ``n`` records.
 
     The fused round of :meth:`~repro.protocols.ssed.
-    SecureSquaredEuclideanDistance.run_many`.  Per record C1 encrypts ``m``
-    masks and strips them with ``m`` counted exponentiations, and C2
-    decrypts the ``m`` masked differences and encrypts their square sum;
-    C1 negates the shared query once per attribute.
+    SecureSquaredEuclideanDistance.run_many`, ``slots`` masked differences
+    per packed plaintext (1: unpacked).  Per pipelined chunk of ``c``
+    records, packed into ``p`` ciphertexts (:func:`~repro.protocols.ssed.
+    scan_packs`), C1 encrypts ``p`` packed masks, pays ``c*m - p`` Horner
+    shifts and strips with ``c*m`` counted exponentiations, and C2 decrypts
+    the ``p`` packs and encrypts ``c`` square sums; ``p`` ciphertexts go out
+    and ``c`` come back.  C1 negates the shared query once per attribute.
     """
     _require_positive(n_records, "n_records")
     _require_positive(dimensions, "dimensions")
-    scan = _batched_round(
-        n_records,
-        OperationCounts(encryptions=dimensions, exponentiations=dimensions),
-        OperationCounts(encryptions=1, decryptions=dimensions),
-        sent=dimensions, returned=1)
-    return scan + ProtocolCost(c1=OperationCounts(exponentiations=dimensions))
+    _require_positive(slots, "slots")
+    cost = ProtocolCost(c1=OperationCounts(exponentiations=dimensions))
+    chunks = _protocol_base.pipeline_chunks(range(n_records))
+    for chunk, packs in zip(chunks, scan_packs(n_records, dimensions, slots)):
+        differences = len(chunk) * dimensions
+        cost = cost + ProtocolCost(
+            c1=OperationCounts(encryptions=packs,
+                               exponentiations=2 * differences - packs),
+            c2=OperationCounts(encryptions=len(chunk), decryptions=packs),
+            messages=2, c1_ciphertexts=packs, c2_ciphertexts=len(chunk))
+    return cost
 
 
 def sbd_cost(bit_length: int, values: int = 1,
@@ -268,19 +279,28 @@ def _delivery_cost(k: int, dimensions: int) -> ProtocolCost:
 # Query-protocol entries (Section 4)
 # ---------------------------------------------------------------------------
 
-def sknn_basic_cost(n_records: int, dimensions: int, k: int) -> ProtocolCost:
-    """SkNN_b (Algorithm 5) as implemented: the scan, C1 sending the ``n``
-    distances, C2 decrypting them and replying with the top-``k`` indices,
-    and the delivery."""
+def sknn_basic_cost(n_records: int, dimensions: int, k: int,
+                    ssed_slots: int = 1,
+                    distance_slots: int = 1) -> ProtocolCost:
+    """SkNN_b (Algorithm 5) as implemented: the scan, C1 packing the ``n``
+    distances ``distance_slots`` to a plaintext (``n - p`` Horner shifts for
+    ``p`` packs) and sending them, C2 decrypting the ``p`` packs and
+    replying with the top-``k`` indices, and the delivery.  The slot counts
+    are :func:`~repro.core.sknn_basic.packing_slots`' (1: unpacked)."""
     _require_positive(k, "k")
-    selection = ProtocolCost(c2=OperationCounts(decryptions=n_records),
-                             messages=2, c1_ciphertexts=n_records)
-    return (ssed_scan_cost(n_records, dimensions) + selection
+    _require_positive(distance_slots, "distance_slots")
+    packs = -(-n_records // distance_slots)
+    selection = ProtocolCost(
+        c1=OperationCounts(exponentiations=n_records - packs),
+        c2=OperationCounts(decryptions=packs),
+        messages=2, c1_ciphertexts=packs)
+    return (ssed_scan_cost(n_records, dimensions, ssed_slots) + selection
             + _delivery_cost(k, dimensions))
 
 
 def sknn_secure_phases(n_records: int, dimensions: int, k: int,
-                       bit_length: int) -> dict[str, ProtocolCost]:
+                       bit_length: int,
+                       ssed_slots: int = 1) -> dict[str, ProtocolCost]:
     """SkNN_m (Algorithm 6) as implemented, phase by phase, plus ``"total"``.
 
     Iteration 1 selects over the ``l``-bit distances, every later one over
@@ -293,7 +313,8 @@ def sknn_secure_phases(n_records: int, dimensions: int, k: int,
     ``E(0)`` (``n`` encryptions), scales each flag by ``2**l`` from
     iteration 2 on, and strips the forwarded row with ``n * m`` powers.
     Elimination is ``n`` homomorphic additions: no counted operation and no
-    round.
+    round.  The scan packs ``ssed_slots`` differences per plaintext
+    (:func:`ssed_scan_cost`).
     """
     _require_positive(n_records, "n_records")
     _require_positive(dimensions, "dimensions")
@@ -315,7 +336,7 @@ def sknn_secure_phases(n_records: int, dimensions: int, k: int,
         c1_ciphertexts=n_records * dimensions * k,
         c2_ciphertexts=dimensions * k)
     return _with_total({
-        "ssed": ssed_scan_cost(n_records, dimensions),
+        "ssed": ssed_scan_cost(n_records, dimensions, ssed_slots),
         "sminn": (sminn_cost(n_records, bit_length)
                   + sminn_cost(n_records, bit_length + 1) * later),
         "localisation": localisation,
@@ -327,29 +348,42 @@ def sknn_secure_phases(n_records: int, dimensions: int, k: int,
 
 def pool_targets(n_records: int, dimensions: int, k: int, queries: int,
                  bit_length: int | None = None,
-                 worker_scan: bool = False,
-                 dgk: bool = False) -> tuple[int, int]:
+                 dgk: bool = False,
+                 ssed_slots: int = 1,
+                 distance_slots: int = 1,
+                 worker_chunks: Sequence[int] | None = None
+                 ) -> tuple[int, int]:
     """C1's and C2's warm-pool targets covering ``queries`` queries.
 
     Each party's target is its Paillier encryptions per query — with
     ``dgk``, its DGK encryptions (re-randomizers) instead: SkNN_m's when
-    ``bit_length`` is given, else SkNN_b's (which has none of DGK).  With
-    ``worker_scan`` (the in-process plan's chunk workers) the workers
-    encrypt both parties' scan material with C1's slices, so C1 covers
-    every encryption of the query and C2 none.
+    ``bit_length`` is given, else SkNN_b's (which has none of DGK).
+    ``ssed_slots`` and ``distance_slots`` are the deployment's packing
+    (:func:`~repro.core.sknn_basic.packing_slots`).  ``worker_chunks`` are
+    the record counts of the in-process plan's chunk tasks
+    (:func:`~repro.core.parallel.scan_tasks`) when its workers scan: they
+    encrypt both parties' scan material with C1's slices, each chunk
+    packed on its own, so C1 covers every encryption of the query and C2
+    none.
     """
     if bit_length:
-        cost = sknn_secure_phases(n_records, dimensions, k,
-                                  bit_length)["total"]
+        cost = sknn_secure_phases(n_records, dimensions, k, bit_length,
+                                  ssed_slots)["total"]
     else:
-        cost = sknn_basic_cost(n_records, dimensions, k)
+        cost = sknn_basic_cost(n_records, dimensions, k, ssed_slots,
+                               distance_slots)
     c1_dgk, c2_dgk = int(cost.c1_dgk.encryptions), int(cost.c2_dgk.encryptions)
     if dgk:
         return c1_dgk * queries, c2_dgk * queries
     c1 = int(cost.c1.encryptions) - c1_dgk
     c2 = int(cost.c2.encryptions) - c2_dgk
-    if worker_scan:
-        c1, c2 = c1 + c2, 0
+    if worker_chunks is not None:
+        whole, chunked = (
+            sum(int(ssed_scan_cost(size, dimensions,
+                                   ssed_slots).total.encryptions)
+                for size in sizes)
+            for sizes in ([n_records], worker_chunks))
+        c1, c2 = c1 + c2 - whole + chunked, 0
     return c1 * queries, c2 * queries
 
 
@@ -393,7 +427,8 @@ def sknn_basic_counts(n_records: int, dimensions: int, k: int,
     paper-scale projections use: one SSED per record, C2 decrypting the
     ``n`` distances, and one encryption and one decryption per delivered
     attribute.  ``batched=True`` is this repository's implementation,
-    :func:`sknn_basic_cost`.
+    :func:`sknn_basic_cost`, unpacked (one value per plaintext; a
+    deployment's packing is :func:`sknn_basic_cost`'s slot arguments).
     """
     _require_positive(n_records, "n_records")
     _require_positive(dimensions, "dimensions")

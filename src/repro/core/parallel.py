@@ -19,7 +19,8 @@ shipped a contiguous chunk of records at a time.  A worker does not
 re-implement that computation: it builds a two-party setting of its own and
 runs :meth:`SSED.run_many <repro.protocols.ssed.
 SecureSquaredEuclideanDistance.run_many>` on it, then decrypts the distances
-(which SkNN_b reveals to C2 by design) — see :func:`ssed_chunk_worker`.
+(which SkNN_b reveals to C2 by design), packed as SkNN_b's selection packs
+them — see :func:`ssed_chunk_worker`.
 Each worker so plays both cloud roles for its records, and the values its
 decryptor sees are the masked values C2 sees in the serial protocol *by
 construction*: it is the same class, covered by the same transcript tests,
@@ -74,6 +75,7 @@ from typing import Callable, Literal, Sequence
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import ResultShares
 from repro.core.sknn_base import SkNNProtocol, top_k
+from repro.core.sknn_basic import distance_width
 from repro.core.sknn_shard import shard_bounds
 from repro.crypto.backend import get_backend, set_backend
 from repro.crypto.paillier import (
@@ -86,7 +88,8 @@ from repro.crypto.precompute import PrecomputeEngine
 from repro.db.encrypted_table import EncryptedRecord
 from repro.exceptions import ConfigurationError, ServiceUnavailable
 from repro.network.party import TwoPartySetting
-from repro.protocols.ssed import SecureSquaredEuclideanDistance
+from repro.protocols.ssed import (SecureSquaredEuclideanDistance,
+                                  difference_width, scan_packs)
 from repro.telemetry import profiling as _profiling
 from repro.telemetry import tracing as _tracing
 
@@ -97,13 +100,15 @@ __all__ = [
     "PersistentWorkerPool",
     "ssed_chunk_worker",
     "chunk_records",
+    "scan_tasks",
 ]
 
 Backend = Literal["thread", "process", "serial"]
 
 #: Chunked worker task: (chunk start index, several records' ciphertext ints,
 #: several queries' ciphertext ints, modulus N, prime p, prime q, RNG seed,
-#: bigint backend name, pool slice, attribute width).  One task ships a
+#: bigint backend name, pool slice, attribute width, distance slot width).
+#: One task ships a
 #: whole contiguous slice of the table through one SSED round per query — key
 #: reconstruction, obfuscator-table reuse and batched CRT decryption are
 #: amortized over every (record, query) pair of the chunk.  The backend name
@@ -114,10 +119,12 @@ Backend = Literal["thread", "process", "serial"]
 #: the worker's engine, so the mask and square-sum encryptions are hot-path
 #: multiplications while it lasts.  The *attribute width* is SSED's
 #: ``attribute_bits`` (:meth:`~repro.protocols.ssed.
-#: SecureSquaredEuclideanDistance.run_many`; ``None``: uniform masks).
+#: SecureSquaredEuclideanDistance.run_many`; ``None``: uniform masks), the
+#: *distance slot width* the worker packs its distances at before
+#: decrypting them (:func:`~repro.core.sknn_basic.distance_width`).
 ChunkWorkerTask = tuple[
     int, list[list[int]], list[list[int]], int, int, int, int, str,
-    "list[int] | None", "int | None"]
+    "list[int] | None", "int | None", int]
 
 #: chunks each worker gets per slice: enough that the pool keeps every worker
 #: busy, few enough that per-task fixed costs amortize over many records
@@ -159,7 +166,7 @@ def ssed_chunk_worker(task: ChunkWorkerTask) -> tuple[int, list[list[int]]]:
     process-cached key objects (never the driver's, so the driver's counters
     and traffic stay driver-side), seeded from the task, on which it runs
     :meth:`~repro.protocols.ssed.SecureSquaredEuclideanDistance.run_many`
-    per query and decrypts the distances, as C2 does in SkNN_b.  The
+    per query and decrypts the distances packed, as C2 does in SkNN_b.  The
     shipped pool slice becomes an engine on the worker's rng, attached to
     both parties, so their encryptions draw it before the key's own kernel
     (:meth:`~repro.network.party.Party.encrypt_batch`).  The setting, and
@@ -185,7 +192,7 @@ def ssed_chunk_worker(task: ChunkWorkerTask) -> tuple[int, list[list[int]]]:
             os._exit(1)
 
     (start_index, record_rows, queries, n, p, q, seed, backend_name,
-     pool_slice, attribute_bits) = task
+     pool_slice, attribute_bits, distance_slot_width) = task
     set_backend(backend_name)
     setting = TwoPartySetting.create(_worker_keys(n, p, q), rng=Random(seed))
     public_key = setting.public_key
@@ -196,12 +203,31 @@ def ssed_chunk_worker(task: ChunkWorkerTask) -> tuple[int, list[list[int]]]:
     records = [[Ciphertext(public_key, value) for value in row]
                for row in record_rows]
     per_query = [
-        setting.decryptor.decrypt_residue_batch(ssed.run_many(
-            [Ciphertext(public_key, value) for value in query], records,
-            attribute_bits))
+        public_key.unpack(
+            setting.decryptor.decrypt_residue_batch(public_key.pack(
+                ssed.run_many([Ciphertext(public_key, value)
+                               for value in query], records,
+                              attribute_bits),
+                distance_slot_width)),
+            distance_slot_width, len(records))
         for query in queries
     ]
     return start_index, [list(row) for row in zip(*per_query)]
+
+
+def scan_tasks(n_records: int, shards: int,
+               workers: int) -> list[tuple[int, int]]:
+    """The global ``(start, stop)`` of every chunk task of a scan.
+
+    Each shard's slice (:func:`~repro.core.sknn_shard.shard_bounds`) cut by
+    :func:`chunk_records` for ``workers // shards`` workers (at least one):
+    what :class:`ShardedCloud` ships, and what its warm pool is sized for
+    (:func:`~repro.analysis.cost_model.pool_targets`' ``worker_chunks``).
+    """
+    per_shard = max(1, workers // shards)
+    return [(start + low, start + high)
+            for start, stop in shard_bounds(n_records, shards)
+            for low, high in chunk_records(stop - start, per_shard)]
 
 
 def chunk_records(count: int, workers: int) -> list[tuple[int, int]]:
@@ -497,35 +523,42 @@ class ShardedCloud(SkNNProtocol):
         backend_name = get_backend().name
         query_values = [[cipher.value for cipher in query]
                         for query in encrypted_queries]
-        workers_per_shard = max(1, self.pool.workers // len(self.shards))
         dimensions = len(query_values[0]) if query_values else 0
-        attribute_bits = self.encrypted_table.schema.attribute_bit_length()
+        schema = self.encrypted_table.schema
+        attribute_bits = schema.attribute_bit_length()
+        slot_width = distance_width(
+            self.public_key.key_size, schema.distance_bit_length(dimensions))
+        ssed_slots = self.public_key.slots(
+            difference_width(self.public_key.key_size, attribute_bits))
+        records = self.encrypted_table.records
         tasks: list[ChunkWorkerTask] = []
-        for shard in self.shards:
-            for start, stop in chunk_records(len(shard), workers_per_shard):
-                seed = c1.rng.getrandbits(63)
-                # The chunk worker encrypts one mask per (record, attribute,
-                # query) and one square sum per (record, query) — drain that
-                # many factors from the engine (whatever is available) so
-                # the worker's encryptions are multiplications while warm.
-                pool_slice = None
-                if self.precompute is not None:
-                    wanted = ((stop - start) * (dimensions + 1)
-                              * len(query_values))
-                    pool_slice = self.precompute.take_available(wanted) or None
-                tasks.append((
-                    shard.start + start,
-                    [[cipher.value for cipher in record.ciphertexts]
-                     for record in shard.records[start:stop]],
-                    query_values,
-                    n,
-                    private_key.p,
-                    private_key.q,
-                    seed,
-                    backend_name,
-                    pool_slice,
-                    attribute_bits,
-                ))
+        for start, stop in scan_tasks(len(records), len(self.shards),
+                                      self.pool.workers):
+            seed = c1.rng.getrandbits(63)
+            # The chunk worker encrypts, per query, one mask per pack and
+            # one square sum per record — drain that many factors from the
+            # engine (whatever is available) so the worker's encryptions
+            # are multiplications while warm.
+            pool_slice = None
+            if self.precompute is not None:
+                wanted = ((sum(scan_packs(stop - start, dimensions,
+                                          ssed_slots))
+                           + stop - start) * len(query_values))
+                pool_slice = self.precompute.take_available(wanted) or None
+            tasks.append((
+                start,
+                [[cipher.value for cipher in record.ciphertexts]
+                 for record in records[start:stop]],
+                query_values,
+                n,
+                private_key.p,
+                private_key.q,
+                seed,
+                backend_name,
+                pool_slice,
+                attribute_bits,
+                slot_width,
+            ))
         return tasks
 
     def scatter_distances(

@@ -2,10 +2,18 @@
 
 Bob sends his attribute-wise encrypted query to C1.  C1 computes the encrypted
 squared distance to every record with SSED, then forwards *all* encrypted
-distances (paired with their record indices) to C2.  C2 — who holds the secret
-key — decrypts the distances, picks the indices of the ``k`` smallest, and
-returns that index list to C1.  C1 masks the corresponding encrypted records
-and the usual two-share delivery gives the plaintext records to Bob.
+distances to C2.  C2 — who holds the secret key — decrypts the distances,
+picks the indices of the ``k`` smallest, and returns that index list to C1.
+C1 masks the corresponding encrypted records and the usual two-share delivery
+gives the plaintext records to Bob.
+
+Per query C2 decrypts ``ceil(c*m / s)`` packed masked differences per scan
+half of ``c`` records (``s = (K-1) // (a + 2 + sigma)`` slots, see
+:mod:`repro.protocols.ssed`) and ``ceil(n / t)`` packed distances: C1 folds
+the ``n`` exact ``l``-bit distances ``t = (K-1) // l`` at a time into one
+plaintext (:meth:`~repro.crypto.paillier.PaillierPublicKey.pack`, ``n -
+ceil(n / t)`` Horner shifts), the record index being the slot's position.
+The packs reveal the ``n`` distances and nothing more.
 
 Security characteristics (Section 4.3): the query and the record contents stay
 hidden, but
@@ -13,6 +21,10 @@ hidden, but
 * C2 learns every plaintext distance ``d_i``, and
 * both clouds learn *which* records are the k nearest neighbors (the data
   access pattern).
+
+A query outside the schema's ranges could make a distance wider than ``l``
+bits and carry into its neighbour's slot — a wrong answer; every Bob path
+refuses such queries before encrypting.
 
 The paper accepts this leakage for applications where it is tolerable; the
 fully secure variant is :class:`~repro.core.sknn_secure.SkNNSecure`.
@@ -24,11 +36,13 @@ from typing import Sequence
 
 from repro.core.roles import ResultShares
 from repro.core.sknn_base import SkNNProtocol, top_k
-from repro.crypto.paillier import Ciphertext
+from repro.crypto.paillier import Ciphertext, slots
+from repro.db.schema import Schema
 from repro.exceptions import ProtocolError
+from repro.protocols.ssed import difference_width
 from repro.telemetry import profiling as _profiling
 
-__all__ = ["SkNNBasic"]
+__all__ = ["SkNNBasic", "distance_width", "packing_slots"]
 
 
 class SkNNBasic(SkNNProtocol):
@@ -57,9 +71,15 @@ class SkNNBasic(SkNNProtocol):
         encrypted_distances = self._compute_encrypted_distances(encrypted_query)
 
         with _profiling.cost_scope("select"):
-            # Step 2(c): C1 sends the (index, E(d_i), k) triple list to C2.
-            indexed = list(enumerate(encrypted_distances))
-            c1.send([k, indexed], tag="SkNNb.encrypted_distances")
+            # Step 2(c): C1 sends the n distances to C2, packed; a slot's
+            # position is its record's index.
+            width = distance_width(
+                self.public_key.key_size,
+                self.encrypted_table.schema.distance_bit_length(
+                    len(encrypted_query)))
+            c1.send([k, width, len(encrypted_distances),
+                     self.public_key.pack(encrypted_distances, width)],
+                    tag="SkNNb.encrypted_distances")
 
             # Step 3: C2 decrypts all distances, returns the top-k index list.
             self.p2_step("SkNNb.encrypted_distances")
@@ -84,31 +104,46 @@ class SkNNBasic(SkNNProtocol):
 
     # -- C2 step ---------------------------------------------------------------
     def _p2_select_top_k(self) -> None:
-        """Step 3: C2 decrypts all distances (one vectorized CRT kernel call)
-        and returns the top-k index list.
+        """Step 3: C2 decrypts the packed distances (one vectorized CRT
+        kernel call), unpacks them and returns the top-k index list.
 
-        C2's one selection entry for every SkNN_b placement, so the frame is
-        shape-checked before anything is decrypted: ``[k, rows]`` with rows
-        of ``(index, ciphertext under this key)`` pairs, distinct indices
-        and ``1 <= k <= len(rows)``.
+        C2's one selection entry for every SkNN_b placement, so the frame
+        ``[k, w, count, packs]`` is checked before anything is decrypted:
+        ``1 <= k <= count``, ``w``-bit slots that fit this key and exactly
+        ``ceil(count / slots)`` packs under this key.
         """
         c2 = self.cloud.c2
+        pk = c2.public_key
         frame = c2.receive(expected_tag="SkNNb.encrypted_distances")
-        k, received = (frame if isinstance(frame, list) and len(frame) == 2
-                       else (None, None))
-        if not (isinstance(k, int) and isinstance(received, list)
-                and 1 <= k <= len(received)
-                and all(isinstance(row, (tuple, list)) and len(row) == 2
-                        and isinstance(row[0], int)
-                        and isinstance(row[1], Ciphertext)
-                        and row[1].public_key == c2.public_key
-                        for row in received)
-                and len({index for index, _ in received}) == len(received)):
+        k, width, count, packs = (
+            frame if isinstance(frame, list) and len(frame) == 4
+            else (None, None, None, None))
+        per_pack = pk.slots(width) if isinstance(width, int) else 0
+        if not (isinstance(k, int) and isinstance(count, int)
+                and 1 <= k <= count and per_pack >= 1
+                and isinstance(packs, list)
+                and len(packs) == -(-count // per_pack)
+                and all(isinstance(pack, Ciphertext)
+                        and pack.public_key == pk for pack in packs)):
             raise ProtocolError(
                 f"{self.name}: malformed encrypted-distance list")
-        residues = c2.decrypt_residue_batch(
-            [ciphertext for _, ciphertext in received])
-        winners = top_k(
-            ((residue, index)
-             for (index, _), residue in zip(received, residues)), k)
+        distances = pk.unpack(c2.decrypt_residue_batch(packs), width, count)
+        winners = top_k(((distance, index)
+                         for index, distance in enumerate(distances)), k)
         c2.send([index for _, index in winners], tag="SkNNb.topk_indices")
+
+
+def distance_width(key_size: int, distance_bits: int) -> int:
+    """The slot width of SkNN_b's packed distances: ``l``, or ``K - 1``
+    (one distance per plaintext) when ``l`` is wider."""
+    return min(distance_bits, key_size - 1)
+
+
+def packing_slots(key_size: int, schema: Schema) -> tuple[int, int]:
+    """How many masked differences and how many distances one plaintext
+    packs in a scan of ``schema``'s table at this key — the cost model's
+    ``ssed_slots`` and ``distance_slots``."""
+    return (slots(key_size, difference_width(
+                key_size, schema.attribute_bit_length())),
+            slots(key_size, distance_width(
+                key_size, schema.distance_bit_length())))

@@ -35,10 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - imports used for annotations only
 
 from repro.analysis.cost_model import pool_targets
 from repro.core.cloud import FederatedCloud
-from repro.core.parallel import ParallelSkNNBasic, ShardedCloud
+from repro.core.parallel import ParallelSkNNBasic, ShardedCloud, scan_tasks
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_base import SkNNRunReport
-from repro.core.sknn_basic import SkNNBasic
+from repro.core.sknn_basic import SkNNBasic, packing_slots
 from repro.core.sknn_secure import SkNNSecure, check_query_domain
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.db.table import Table
@@ -190,29 +190,37 @@ class SkNNSystem:
                    workers=workers, parallel_backend=parallel_backend,
                    shards=shards, k_default=k_default, precompute=precompute)
 
-    def _warm_engines(self, queries: int, worker_scan: bool,
+    def _warm_engines(self, queries: int,
+                      scan_plan: "tuple[int, int] | None",
                       rng: Random | None = None
                       ) -> tuple[PrecomputeEngine, PrecomputeEngine]:
         """Warmed C1 and C2 engines covering ``queries`` queries.
 
         Each is sized at its party's encryptions per query in the cost
-        model (:func:`~repro.analysis.cost_model.pool_targets`).
-        ``worker_scan`` says the scan runs on the in-process plan's chunk
-        workers (``parallel``/``sharded`` modes and :meth:`serve`), which
-        encrypt with slices drained from C1's engine.  C1 and C2 each get
-        their own engine, filled with their own randomness, as the
+        model (:func:`~repro.analysis.cost_model.pool_targets`) at the
+        table's packing.  ``scan_plan`` is ``(shards, workers)`` when the
+        scan runs on the in-process plan's chunk workers
+        (``parallel``/``sharded`` modes and :meth:`serve`), which encrypt
+        with slices drained from C1's engine, one chunk task
+        (:func:`~repro.core.parallel.scan_tasks`) at a time.  C1 and C2
+        each get their own engine, filled with their own randomness, as the
         non-colluding model requires; C2's is built on the private key, so
         its refills take the CRT kernel its inline encryptions use.
         """
         table = self.owner.table
+        ssed_slots, distance_slots = packing_slots(
+            self.owner.public_key.key_size, table.schema)
         targets = pool_targets(
             len(table), table.dimensions, self.k_default or 1, queries,
             # SkNN_m's SMIN and zero-search material, never drawn by a
             # worker scan
             bit_length=(self.distance_bits
-                        if self.mode == "secure" and not worker_scan
+                        if self.mode == "secure" and scan_plan is None
                         else None),
-            worker_scan=worker_scan)
+            ssed_slots=ssed_slots, distance_slots=distance_slots,
+            worker_chunks=(None if scan_plan is None else
+                           [stop - start for start, stop
+                            in scan_tasks(len(table), *scan_plan)]))
         engines = tuple(
             PrecomputeEngine(key, rng=rng or self._derived_rng(),
                              config=PrecomputeConfig(obfuscators=target))
@@ -233,8 +241,9 @@ class SkNNSystem:
         """Build, warm and attach per-cloud precomputation engines — in
         secure mode also C1's engine of DGK re-randomizers, sized like the
         others (``pool_targets(..., dgk=True)``)."""
-        engines = self._warm_engines(
-            queries, worker_scan=self.mode in ("parallel", "sharded"))
+        engines = self._warm_engines(queries, {
+            "parallel": (1, self.workers),
+            "sharded": (self.shards, self.workers)}.get(self.mode))
         dgk_engine = None
         if self.mode == "secure":
             table = self.owner.table
@@ -359,18 +368,20 @@ class SkNNSystem:
                 "serve() needs the in-process cloud; a distributed system "
                 "answers queries through its daemons")
         server_rng = self._derived_rng()
+        shards = shards if shards is not None else self.shards
+        workers = workers if workers is not None else self.workers
         engine = None
         if precompute > 0:
             # Reuse an engine already attached at setup time (its warmed
             # pools are paid for) instead of replacing it with a cold one.
             engine = self.cloud.engine
             if engine is None:
-                engine, _ = self._warm_engines(precompute, worker_scan=True,
+                engine, _ = self._warm_engines(precompute, (shards, workers),
                                                rng=server_rng)
         sharded = ShardedCloud(
             self.cloud,
-            shards=shards if shards is not None else self.shards,
-            workers=workers if workers is not None else self.workers,
+            shards=shards,
+            workers=workers,
             backend=backend if backend is not None else self.parallel_backend,
             precompute=engine,
         )

@@ -52,6 +52,7 @@ __all__ = [
     "PaillierKeyPair",
     "Ciphertext",
     "generate_keypair",
+    "slots",
     "counting_scope",
     "active_counting_scope",
     "DEFAULT_KEY_SIZE",
@@ -511,6 +512,77 @@ class PaillierPublicKey:
         self.counter.add("exponentiations", terms)
         self.counter.add("homomorphic_additions", terms - len(out))
         return out
+
+    # -- packed plaintexts ----------------------------------------------------
+    def slots(self, width: int) -> int:
+        """How many ``width``-bit values one plaintext packs (:func:`slots`)."""
+        return slots(self.key_size, width)
+
+    def pack(self, ciphertexts: Sequence["Ciphertext"],
+             width: int) -> list["Ciphertext"]:
+        """Fold ``slots(width)`` ciphertexts at a time into one.
+
+        ``E(v_0 + v_1 * 2**w + v_2 * 2**(2w) + ...)`` by Horner's rule, the
+        first ciphertext in the lowest slot [Bianchi, Piva & Barni, IEEE
+        TIFS 2010]: each step is one ``E**(2**w)`` power mod ``N**2``,
+        counted as an exponentiation, and one homomorphic addition.  The
+        slots do not carry into one another as long as every ``v_i`` is in
+        ``[0, 2**w)`` — the caller's side of the bargain; the plaintext is
+        then below ``2**(K-1) <= N``.  Returns ``ceil(len / slots)`` packs
+        in order, the last one possibly partial.
+        """
+        per_pack = self.slots(width)
+        if per_pack < 1:
+            raise EncryptionError(
+                f"{width}-bit slots do not fit a {self.key_size}-bit key")
+        self._check_batch_key(ciphertexts)
+        nsquare = self.nsquare
+        backend = get_backend()
+        shift = 1 << width
+        out = []
+        for start in range(0, len(ciphertexts), per_pack):
+            chunk = ciphertexts[start:start + per_pack]
+            raw = chunk[-1].value
+            for ciphertext in reversed(chunk[:-1]):
+                raw = backend.mulmod(backend.powmod(raw, shift, nsquare),
+                                     ciphertext.value, nsquare)
+            out.append(Ciphertext(self, raw))
+        shifts = len(ciphertexts) - len(out)
+        self.counter.add("exponentiations", shifts)
+        self.counter.add("homomorphic_additions", shifts)
+        return out
+
+    def unpack(self, residues: Sequence[int], width: int,
+               count: int) -> list[int]:
+        """The ``count`` slot values of decrypted :meth:`pack` residues.
+
+        Inverse of :meth:`pack` for in-range slots; a pack's top slot is
+        what is left above the others, so a one-slot pack is its whole
+        residue.
+        """
+        per_pack = self.slots(width)
+        if per_pack < 1:
+            raise EncryptionError(
+                f"{width}-bit slots do not fit a {self.key_size}-bit key")
+        if len(residues) != -(-count // per_pack):
+            raise DecryptionError(
+                f"{len(residues)} packs cannot hold {count} values")
+        mask = (1 << width) - 1
+        values = []
+        for residue in residues:
+            take = min(per_pack, count - len(values))
+            for _ in range(take - 1):
+                values.append(residue & mask)
+                residue >>= width
+            values.append(residue)
+        return values
+
+
+def slots(key_size: int, width: int) -> int:
+    """``(K - 1) // w``: how many ``w``-bit values a ``K``-bit key's
+    plaintext packs without reaching ``N`` (``N >= 2**(K-1)``); 0 when not
+    even one does."""
+    return (key_size - 1) // width if width >= 1 else 0
 
 
 class PaillierPrivateKey:

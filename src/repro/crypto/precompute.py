@@ -55,7 +55,8 @@ from repro.crypto.paillier import (
 from repro.exceptions import ConfigurationError, CorruptStateError
 
 __all__ = ["PrecomputeConfig", "PrecomputeEngine", "QueryLookahead",
-           "MASK_ZN", "MASK_SBD", "MASK_SHORT", "STATISTICAL_SECURITY",
+           "MASK_ZN", "MASK_SBD", "MASK_SHORT", "MASK_SLOT",
+           "STATISTICAL_SECURITY",
            "mask_range"]
 
 #: snapshot kind of the on-disk pool cache (see
@@ -76,7 +77,10 @@ MASK_SBD = "sbd"          # r uniform in [0, sbd_upper) — SBD round masks,
                           #                               SMIN's masked difference
 MASK_SHORT = "short"      # N - r, r uniform in [1, 2^(bits+sigma)] — every
                           #   value C2 may decrypt and C1 strips with a power:
-                          #   SSED's differences, SMIN's selection, extraction
+                          #   SMIN's selection, extraction
+MASK_SLOT = "slot"        # s in [2^(bits-1), 2^(bits-1) + 2^(bits+sigma)) —
+                          #   SSED's packed slots: s - d in (0, 2^(bits+1+sigma))
+                          #   for a bits-bit signed d, no borrow between slots
 
 #: process-wide fallback randomness for engines without an explicit rng
 _MODULE_RNG = Random()
@@ -95,8 +99,12 @@ def mask_range(kind: str, n: int, sbd_upper: int | None = None,
     ``v``: ``v + m = v - r mod N`` with ``r`` uniform in ``[1,
     2**(bits + sigma)]`` is within ``2**-sigma`` of a distribution that does
     not depend on ``v``, and whoever strips ``m`` with a power does so with
-    the short exponent ``r`` (``N - m``, or ``-m mod N``).  The span is
-    capped at ``N``, where the kind is uniform mod ``N``, so toy keys work.
+    the short exponent ``r`` (``N - m``, or ``-m mod N``).  A
+    :data:`MASK_SLOT` mask ``s`` hides a ``bits``-bit signed value ``d``
+    (``|d| < 2**(bits-1)``) the same way as ``s - d``, which is positive
+    and below ``2**(bits + 1 + sigma)``: a packed slot never borrows from
+    its neighbour.  Both spans are capped at ``N``, where the kind is
+    uniform mod ``N``, so toy keys work.
     """
     if kind == MASK_ZN:
         return 0, n
@@ -108,6 +116,11 @@ def mask_range(kind: str, n: int, sbd_upper: int | None = None,
         if bits is None or bits < 1:
             raise ConfigurationError("short masks require a positive bits")
         return n - min(1 << (bits + STATISTICAL_SECURITY), n), n
+    if kind == MASK_SLOT:
+        if bits is None or bits < 1:
+            raise ConfigurationError("slot masks require a positive bits")
+        lower = 1 << (bits - 1)
+        return lower, lower + min(1 << (bits + STATISTICAL_SECURITY), n)
     raise ConfigurationError(f"unknown mask kind {kind!r}")
 
 

@@ -31,7 +31,8 @@ from repro.telemetry import profiling as _profiling
 from repro.telemetry import tracing as _tracing
 
 __all__ = ["P2StepDispatcher", "TwoPartyProtocol",
-           "PIPELINE_MIN_ITEMS", "record_round", "traced_round"]
+           "PIPELINE_MIN_ITEMS", "pipeline_chunks", "record_round",
+           "traced_round"]
 
 #: A batched round of this many items or more travels as two half-batches
 #: in flight (:meth:`TwoPartyProtocol.run_pipelined`); a smaller one as one
@@ -43,6 +44,18 @@ __all__ = ["P2StepDispatcher", "TwoPartyProtocol",
 #: while still paying a frame's ~110 B of envelope, so the smaller constant
 #: buys bytes only.
 PIPELINE_MIN_ITEMS = 4
+
+
+def pipeline_chunks(items: Sequence[Any]) -> "list[Sequence[Any]]":
+    """The chunks :meth:`TwoPartyProtocol.run_pipelined` sends ``items`` in:
+    two halves (the first one the larger) from :data:`PIPELINE_MIN_ITEMS`
+    items on, else one chunk — none for an empty batch."""
+    if not items:
+        return []
+    if len(items) < PIPELINE_MIN_ITEMS:
+        return [items]
+    half = (len(items) + 1) // 2
+    return [items[:half], items[half:]]
 
 
 def record_round(protocol: str, operation: str) -> None:
@@ -242,9 +255,17 @@ class TwoPartyProtocol(P2StepDispatcher):
         if engine is not None:
             return engine.take_masks(count, kind, sbd_upper=sbd_upper,
                                      bits=bits)
-        lower, upper = mask_range(kind, self.pk.n, sbd_upper, bits)
-        masks = [self.p1.rng.randrange(lower, upper) for _ in range(count)]
+        masks = self.sample_masks(count, kind, sbd_upper, bits)
         return list(zip(masks, self.p1.encrypt_batch(masks)))
+
+    def sample_masks(self, count: int, kind: str = "zn",
+                     sbd_upper: int | None = None,
+                     bits: int | None = None) -> "list[int]":
+        """``count`` P1 masks of ``kind`` (:func:`~repro.crypto.precompute.
+        mask_range`), drawn with P1's rng and not encrypted: a packed round
+        encrypts them packed, one ciphertext per pack."""
+        lower, upper = mask_range(kind, self.pk.n, sbd_upper, bits)
+        return [self.p1.rng.randrange(lower, upper) for _ in range(count)]
 
     # -- ciphertext helpers -----------------------------------------------------
     def add_plain(self, ciphertext: Ciphertext, value: int) -> Ciphertext:
@@ -272,7 +293,7 @@ class TwoPartyProtocol(P2StepDispatcher):
         permutations) the chunk's ``finish(chunk, state, reply)`` needs to
         turn C2's ``reply_tag`` answer into the chunk's results; the
         chunks' results are concatenated in item order (an empty batch
-        sends nothing).  Both chunks are
+        sends nothing; :func:`pipeline_chunks` is the split).  Both chunks are
         prepared and sent before the first reply is read, so over sockets
         C2 decrypts the first half while P1 still masks the second, and P1
         strips the first while C2 decrypts the second.  The split is by
@@ -288,13 +309,8 @@ class TwoPartyProtocol(P2StepDispatcher):
         factors of its next encryptions (:meth:`~repro.network.party.
         Party.receive`).
         """
-        if not items:
-            return []
-        half = (len(items) + 1) // 2
-        chunks = ([items[:half], items[half:]]
-                  if len(items) >= PIPELINE_MIN_ITEMS else [items])
         in_flight = []
-        for chunk in chunks:
+        for chunk in pipeline_chunks(items):
             payload, state = prepare(chunk)
             self.p1.send(payload, tag=tag)
             self.p2_step(tag)

@@ -50,7 +50,7 @@ from typing import Any, Callable
 
 from repro.analysis.cost_model import pool_targets, ssed_scan_cost
 from repro.core.cloud import CloudC1, CloudC2, FederatedCloud
-from repro.core.sknn_basic import SkNNBasic
+from repro.core.sknn_basic import SkNNBasic, packing_slots
 from repro.core.sknn_base import SkNNProtocol, SkNNRunReport
 from repro.core.sknn_secure import SkNNSecure
 from repro.core.sknn_shard import ShardScanProtocol, shard_bounds
@@ -146,11 +146,20 @@ class ShareMailbox:
     the mailbox is built.  A C2 SIGKILLed between delivering a share and
     the client's fetch comes back with the share still pending, so the
     retried fetch (same attempt token) returns the bit-identical value.
+
+    At most :attr:`PENDING_SHARES` shares wait: filing one more first drops
+    the oldest pending share (journaled like any transition, counted in
+    :attr:`dropped`), whose fetch then fails like that of an unknown id.
     """
 
     #: replay memo bound — ample for one client's retry window without
     #: letting a long-lived daemon accumulate decrypted shares.
     DELIVERED_MEMO = 32
+
+    #: pending-share bound — far more than the clients' queries in flight,
+    #: so only shares nobody fetches are dropped, and memory and journal
+    #: stay bounded when Bob clients never fetch.
+    PENDING_SHARES = 1024
 
     def __init__(self, journal: durability.Journal | None = None) -> None:
         self._shares: dict[int, list[list[int]]] = {}
@@ -165,10 +174,18 @@ class ShareMailbox:
                 self._apply(record)
         #: pending shares + delivered memos brought back by journal replay
         self.recovered = len(self._shares) + len(self._delivered)
+        #: pending shares dropped over :attr:`PENDING_SHARES` by this process
+        self.dropped = 0
 
     def put(self, delivery_id: int, masked_values: list[list[int]]) -> None:
-        """File one share and wake anyone waiting for it."""
+        """File one share and wake anyone waiting for it — dropping the
+        oldest pending share first when the mailbox is full."""
         with self._condition:
+            if (delivery_id not in self._shares
+                    and len(self._shares) >= self.PENDING_SHARES):
+                self._transition(
+                    {"op": "drop", "id": next(iter(self._shares))})
+                self.dropped += 1
             self._transition(
                 {"op": "put", "id": delivery_id, "share": masked_values})
             self._condition.notify_all()
@@ -251,6 +268,8 @@ class ShareMailbox:
                 self._delivered[(delivery_id, attempt)] = share
                 while len(self._delivered) > self.DELIVERED_MEMO:
                     self._delivered.popitem(last=False)
+        elif operation == "drop":
+            self._shares.pop(int(record["id"]), None)
         elif operation in ("epoch", "clear"):
             self._epoch = record.get("epoch")  # a clear carries none
             self._shares.clear()
@@ -714,21 +733,24 @@ class PartyDaemon:
             return Random(self.rng.getrandbits(63))
 
     def _build_engine(self, key: Any, precompute: dict[str, Any] | None,
-                      party: int) -> int:
+                      party: int, packing: tuple[int, int] = (1, 1)) -> int:
         """Build/warm this party's engine on its own ``key`` (C2's private
         key, so its refills take CRT); reload the pool cache first.
 
         ``precompute`` is the provisioned load; the pool covers this
         party's (``party`` 0 for C1, 1 for C2) encryptions of that many
         queries in the cost model (:func:`~repro.analysis.cost_model.
-        pool_targets`).
+        pool_targets`) at the scan's ``packing`` (:func:`~repro.core.
+        sknn_basic.packing_slots`; C2's encryptions do not depend on it).
         """
         if not precompute:
             return 0
+        ssed_slots, distance_slots = packing
         target = pool_targets(
             precompute["n_records"], precompute["dimensions"],
             precompute["k"], precompute["queries"],
-            bit_length=precompute.get("sbd_bit_length"))[party]
+            bit_length=precompute.get("sbd_bit_length"),
+            ssed_slots=ssed_slots, distance_slots=distance_slots)[party]
         self.engine = PrecomputeEngine(
             key, rng=self._derive_rng(),
             config=PrecomputeConfig(obfuscators=target))
@@ -963,6 +985,7 @@ class C2Daemon(PartyDaemon):
     def _handle_stats(self, payload: Any = None) -> dict[str, Any]:
         stats = super()._handle_stats()
         stats["pending_shares"] = len(self.mailbox)
+        stats["dropped_shares"] = self.mailbox.dropped
         if "durability" in stats:
             stats["durability"].update(
                 mailbox_journal_records=self.mailbox.journal_records,
@@ -1301,8 +1324,9 @@ class C1Daemon(PartyDaemon):
             pool, self._peer_pool = self._peer_pool, None
         if pool is not None:
             pool.close()  # new provisioning epoch: drop the old peer links
-        loaded = self._build_engine(self.codec.public_key,
-                                    payload.get("precompute"), party=0)
+        loaded = self._build_engine(
+            self.codec.public_key, payload.get("precompute"), party=0,
+            packing=packing_slots(table.public_key.key_size, table.schema))
         self.dgk_engine = (
             self._warm_dgk_engine(dgk_key, payload.get("precompute"))
             if dgk_key is not None else None)
@@ -1494,7 +1518,10 @@ class C1Daemon(PartyDaemon):
         re-randomizers.  A ``k`` the protocol refuses draws nothing."""
         assert self._table is not None
         records, dimensions = len(self._table), self._table.dimensions
-        scan = (int(ssed_scan_cost(records, dimensions).c1.encryptions)
+        ssed_slots, distance_slots = packing_slots(
+            self._table.public_key.key_size, self._table.schema)
+        scan = (int(ssed_scan_cost(records, dimensions,
+                                   ssed_slots).c1.encryptions)
                 if records else 0)
         if self.shard_index is not None:
             return scan, 0
@@ -1502,7 +1529,8 @@ class C1Daemon(PartyDaemon):
             return 0, 0
         bit_length = self.distance_bits if mode == "secure" else None
         total = pool_targets(records, dimensions, k, 1,
-                             bit_length=bit_length)[0]
+                             bit_length=bit_length, ssed_slots=ssed_slots,
+                             distance_slots=distance_slots)[0]
         dgk = pool_targets(records, dimensions, k, 1, bit_length=bit_length,
                            dgk=True)[0]
         return (total - scan if self._shard_addresses is not None

@@ -15,6 +15,8 @@ import pytest
 
 from repro.core.cloud import FederatedCloud
 from repro.core.parallel import chunk_records, ssed_chunk_worker
+from repro.core.sknn_basic import packing_slots
+from repro.protocols.ssed import scan_packs
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_secure import SkNNSecure
@@ -138,9 +140,10 @@ class TestChunkedWorkers:
             return adopt(engine, factors)
 
         monkeypatch.setattr(PrecomputeEngine, "adopt", recording_adopt)
-        # one mask per (record, attribute) and one square sum per record,
-        # per query
-        encryptions = len(table) * (3 + 1) * len(queries)
+        # one mask per pack and one square sum per record, per query
+        ssed_slots, _ = packing_slots(public.key_size, table.schema)
+        encryptions = (sum(scan_packs(len(table), 3, ssed_slots))
+                       + len(table)) * len(queries)
         for slice_size in (0, 7, encryptions + 5):
             source = PrecomputeEngine(
                 public, rng=Random(79),
@@ -151,7 +154,8 @@ class TestChunkedWorkers:
             start, chunk = ssed_chunk_worker(
                 (4, enc_records, enc_queries, public.n, private.p, private.q,
                  77, get_backend().name, pool_slice,
-                 table.schema.attribute_bit_length()))
+                 table.schema.attribute_bit_length(),
+                 table.schema.distance_bit_length()))
             assert start == 4
             assert chunk == expected
             [worker] = worker_engines

@@ -33,7 +33,7 @@ from repro.analysis.cost_model import (
 )
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import DataOwner, QueryClient
-from repro.core.sknn_basic import SkNNBasic
+from repro.core.sknn_basic import SkNNBasic, packing_slots
 from repro.core.sknn_secure import SkNNSecure
 from repro.core.system import SkNNSystem
 from repro.crypto.backend import available_backends, set_backend
@@ -50,7 +50,8 @@ from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.sm import SecureMultiplication
 from repro.protocols.smin import SecureMinimum
 from repro.protocols.sminn import SecureMinimumOfN
-from repro.protocols.ssed import SecureSquaredEuclideanDistance
+from repro.protocols.ssed import (SecureSquaredEuclideanDistance,
+                                  difference_width)
 from repro.telemetry.profiling import CostLedger
 from tests.integration.helpers import record_sbd_masks
 
@@ -88,16 +89,17 @@ def sm_case(keypair, pairs):
             lambda odd: sm_cost(pairs), 0)
 
 
-def ssed_case(keypair, n_records, dimensions):
+def ssed_case(keypair, n_records, dimensions, attribute_bits=None):
     setting = two_party(keypair, 12)
     public = setting.public_key
     query = public.encrypt_vector(list(range(dimensions)))
     records = [public.encrypt_vector([i + j for j in range(dimensions)])
                for i in range(n_records)]
+    slots = public.slots(difference_width(public.key_size, attribute_bits))
     return (setting,
             lambda: SecureSquaredEuclideanDistance(setting).run_many(
-                query, records),
-            lambda odd: ssed_scan_cost(n_records, dimensions), 0)
+                query, records, attribute_bits),
+            lambda odd: ssed_scan_cost(n_records, dimensions, slots), 0)
 
 
 def sbd_case(keypair, bit_length, values):
@@ -132,16 +134,20 @@ def sminn_case(keypair, count, bit_length):
 
 def sknn_basic_case(keypair, n_records, dimensions, k):
     cloud, query = deployed(keypair, 17, n_records, dimensions)
+    slots = packing_slots(keypair.public_key.key_size,
+                          cloud.c1.encrypted_table.schema)
     return (cloud.setting, lambda: SkNNBasic(cloud).run(query, k),
-            lambda odd: sknn_basic_cost(n_records, dimensions, k), 0)
+            lambda odd: sknn_basic_cost(n_records, dimensions, k, *slots), 0)
 
 
 def sknn_secure_case(keypair, n_records, dimensions, k, bit_length):
     cloud, query = deployed(keypair, 18, n_records, dimensions, bit_length)
     protocol = SkNNSecure(cloud, distance_bits=bit_length)
+    ssed_slots, _ = packing_slots(keypair.public_key.key_size,
+                                  cloud.c1.encrypted_table.schema)
     return (cloud.setting, lambda: protocol.run(query, k),
             lambda odd: sknn_secure_phases(n_records, dimensions, k,
-                                           bit_length)["total"],
+                                           bit_length, ssed_slots)["total"],
             (n_records - 1) * k)
 
 
@@ -152,7 +158,10 @@ CASES = {
                          dict(n_records=1, dimensions=5),
                          dict(n_records=1, dimensions=6),
                          dict(n_records=4, dimensions=1),
-                         dict(n_records=5, dimensions=3)]),
+                         dict(n_records=5, dimensions=3),
+                         dict(n_records=1, dimensions=3, attribute_bits=4),
+                         dict(n_records=5, dimensions=3, attribute_bits=4),
+                         dict(n_records=9, dimensions=2, attribute_bits=6)]),
     "SBD": (sbd_case, [dict(bit_length=4, values=1),
                        dict(bit_length=6, values=1),
                        dict(bit_length=8, values=1),
@@ -263,10 +272,12 @@ def test_the_model_entry_is_the_call(protocol, shape, backend_name, pools,
         assert (engine.hits, engine.misses) == (encryptions, 0)
     if shape == SECURE_DIST_K512:
         # the workload's peer_messages_per_query and Paillier ciphertexts
-        # per direction, which the daemons carry (test_distributed), and
-        # C1's and C2's DGK re-randomizers and C2's zero tests
+        # per direction, which the daemons carry (test_distributed) — at
+        # this key two masked differences share a plaintext (116 C1
+        # ciphertexts at K=512's eleven) — and C1's and C2's DGK
+        # re-randomizers and C2's zero tests
         assert (measured.messages, measured.c1_ciphertexts,
-                measured.c2_ciphertexts) == (41, 136, 58)
+                measured.c2_ciphertexts) == (41, 124, 58)
         assert (measured.c1_dgk.encryptions, measured.c2_dgk.encryptions,
                 measured.c2_dgk.decryptions) == (105, 105, 105)
 

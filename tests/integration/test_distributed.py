@@ -378,9 +378,11 @@ class TestRestartWithPoolCache:
 class TestHostileScanFrames:
     def test_malformed_scan_frame_is_a_typed_error_and_c2_keeps_serving(
             self, owner, dataset, supervisor, remote):
-        """A cloud peer sending a ragged ``SSED.masked_differences`` batch
-        gets C2's typed refusal on that context; the daemon's next real
-        query is answered as if nothing happened."""
+        """A cloud peer sending malformed ``SSED.masked_differences``
+        frames — ragged rows, slots too wide for the key, a count that is
+        not whole records, more values than the packs hold — gets C2's
+        typed refusal on each context; the daemon's next real query is
+        answered as if nothing happened."""
         codec = WireCodec(owner.public_key)
         sock = socket.create_connection(supervisor.addresses["c2"],
                                         timeout=10)
@@ -396,15 +398,21 @@ class TestHostileScanFrames:
             connection = MuxConnection(sock, codec, "C1", "C2",
                                        io_deadline=10.0)
             connection.start_reader()
-            channel = connection.channel("hostile-1")
             cipher = owner.public_key.encrypt(1)
-            channel.send("C1", [[cipher, cipher], [cipher]],
-                         tag="SSED.masked_differences")
-            with pytest.raises(
-                    ChannelError,
-                    match="SSED: malformed masked-difference batch"):
-                channel.receive("C1",
-                                expected_tag="SSED.masked_square_sums")
+            key_size = owner.public_key.key_size
+            slots = owner.public_key.slots(46)
+            for index, frame in enumerate([
+                    [[cipher, cipher], [cipher]],
+                    [1, key_size, 1, [cipher]],
+                    [2, 46, 3, [cipher, cipher]],
+                    [1, 46, slots + 1, [cipher]]]):
+                channel = connection.channel(f"hostile-{index}")
+                channel.send("C1", frame, tag="SSED.masked_differences")
+                with pytest.raises(
+                        ChannelError,
+                        match="SSED: malformed masked-difference batch"):
+                    channel.receive("C1",
+                                    expected_tag="SSED.masked_square_sums")
         finally:
             if connection is not None:
                 connection.close()

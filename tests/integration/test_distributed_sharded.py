@@ -19,8 +19,9 @@ from random import Random
 
 import pytest
 
-from repro.analysis.cost_model import sknn_basic_counts, ssed_scan_cost
+from repro.analysis.cost_model import sknn_basic_cost, ssed_scan_cost
 from repro.core.roles import DataOwner, QueryClient
+from repro.core.sknn_basic import packing_slots
 from repro.core.sknn_shard import shard_bounds
 from repro.db.datasets import synthetic_uniform
 from repro.db.knn import LinearScanKNN
@@ -166,17 +167,20 @@ class TestShardedBitIdentity:
                          for tag, count in serial.items()}
 
 
-def assert_exact_sharded_totals(stats, queries):
+def assert_exact_sharded_totals(stats, schema, queries):
     """``stats`` == ``queries`` x (each shard's scan + selection + delivery).
 
-    Every shard negates the query itself, so the scan is the sum of the
-    per-slice ``ssed_scan_cost``; what is left of ``sknn_basic_counts``
-    (C2 decrypting the n distances, the k*m delivery) happens once.
+    Every shard negates the query and packs its slice itself, so the scan
+    is the sum of the per-slice ``ssed_scan_cost``; what is left of
+    ``sknn_basic_cost`` (packing and decrypting the n distances, the k*m
+    delivery) happens once.
     """
-    scans = [ssed_scan_cost(stop - start, DIMENSIONS).total
+    ssed_slots, distance_slots = packing_slots(KEY_BITS, schema)
+    scans = [ssed_scan_cost(stop - start, DIMENSIONS, ssed_slots).total
              for start, stop in shard_bounds(N_RECORDS, SHARDS)]
-    whole = sknn_basic_counts(N_RECORDS, DIMENSIONS, K, batched=True)
-    unsharded = ssed_scan_cost(N_RECORDS, DIMENSIONS).total
+    whole = sknn_basic_cost(N_RECORDS, DIMENSIONS, K, ssed_slots,
+                            distance_slots).total
+    unsharded = ssed_scan_cost(N_RECORDS, DIMENSIONS, ssed_slots).total
     for measured, op in ((stats.total_encryptions, "encryptions"),
                          (stats.total_decryptions, "decryptions"),
                          (stats.total_exponentiations, "exponentiations")):
@@ -200,7 +204,7 @@ class TestShardedObservability:
         # divmod-contiguous slices: 11 records over 2 shards -> 6 + 5.
         assert starts == [0, 6]
 
-    def test_cost_rows_attribute_each_shard(self, remote, client):
+    def test_cost_rows_attribute_each_shard(self, remote, client, dataset):
         _, report = remote.query(client.encrypt_query(list(QUERIES[0])), K,
                                  mode="basic")
         parties = {row["party"] for row in report.cost_breakdown}
@@ -209,7 +213,7 @@ class TestShardedObservability:
         # The stitched scan covered every record exactly once.
         scanned = report.stats.extra.get("shard_records_scanned")
         assert scanned == N_RECORDS
-        assert_exact_sharded_totals(report.stats, queries=1)
+        assert_exact_sharded_totals(report.stats, dataset.schema, queries=1)
         assert_stats_are_row_sums(report)
 
 

@@ -85,7 +85,7 @@ class TestChunkWorkerRunsTheProtocol:
                 [[c.value for c in public.encrypt_vector(query, rng=rng)]
                  for query in self.QUERIES],
                 public.n, private.p, private.q, seed, get_backend().name,
-                None, 6)  # the values are 6-bit
+                None, 6, 15)  # 6-bit values, 15-bit distances
 
     def test_decryptor_sees_masked_values_and_a_resubmitted_task_repeats(
             self, small_keypair, monkeypatch):
@@ -110,16 +110,21 @@ class TestChunkWorkerRunsTheProtocol:
                       for query in self.QUERIES] for record in self.RECORDS]
         assert first == second == (0, distances)
         # per query: C2's SSED step on each half of the scan (the task has
-        # PIPELINE_MIN_ITEMS records), then SkNN_b's distance decryption
+        # PIPELINE_MIN_ITEMS records; 6 differences a half, two 48-bit
+        # slots a pack at K=128), then SkNN_b's packed distance decryption
+        # (8 slots of 15 bits)
+        public = small_keypair.public_key
         half = len(self.RECORDS) // 2
         assert len(self.RECORDS) == 2 * half >= PIPELINE_MIN_ITEMS
         assert len(views_one) == len(views_two) == 3 * len(self.QUERIES)
         for index, (one, two) in enumerate(zip(views_one, views_two)):
             if index % 3 < 2:
-                assert len(one) == half * 3
+                assert len(one) == half * 3 // public.slots(6 + 2 + 40)
                 assert all(a != b for a, b in zip(one, two))
             else:
-                assert one == two == [row[index // 3] for row in distances]
+                assert one == two
+                assert public.unpack(one, 15, len(self.RECORDS)) == [
+                    row[index // 3] for row in distances]
 
         assert ssed_chunk_worker(self.task(small_keypair, seed=1)) == first
 

@@ -54,26 +54,25 @@ class TestBasicProtocolLeakage:
         protocol = SkNNBasic(cloud)
         query = [3, 3]
         protocol.run(client.encrypt_query(query), 2)
-        # The first message from C1 after the SSED phase carries (i, E(d_i));
-        # decrypting them equals the true distances — this is the leak.
+        # The first message from C1 after the SSED phase carries the E(d_i),
+        # packed; decrypting and unpacking them gives the true distances in
+        # record order — this is the leak.
         oracle = LinearScanKNN(security_table)
         true_distances = {
             index: security_table.squared_distance(record.record_id, query)
             for index, record in enumerate(security_table)
         }
-        # The payload is [k, [(i, E(d_i)), ...]] — k rides along so a remote
-        # C2 can run the selection without out-of-band context.
-        indexed_messages = [
-            payload[1] for payload in cloud.channel.transcript_payloads("C1")
-            if isinstance(payload, list) and len(payload) == 2
-            and isinstance(payload[1], list) and payload[1]
-            and isinstance(payload[1][0], tuple)
-        ]
-        assert indexed_messages, "expected the distance list on the wire"
-        decrypted = {
-            index: small_keypair.private_key.decrypt_raw_residue(cipher)
-            for index, cipher in indexed_messages[0]
-        }
+        # The payload is [k, w, n, packs] — k rides along so a remote C2
+        # can run the selection without out-of-band context, w and n so it
+        # can unpack.
+        [(k, width, count, packs)] = [
+            message.payload for message in cloud.channel.transcript
+            if message.tag == "SkNNb.encrypted_distances"]
+        assert (k, count) == (2, len(security_table))
+        public = small_keypair.public_key
+        decrypted = dict(enumerate(public.unpack(
+            small_keypair.private_key.decrypt_residue_batch(packs), width,
+            count)))
         assert decrypted == true_distances
         # ... and the oracle's winners are exactly the indices C2 returns.
         index_lists = [
@@ -116,6 +115,12 @@ class TestSecureProtocolHiding:
                 # record contents must still be ciphertexts only.
                 delivery_id, payload = payload
                 assert isinstance(delivery_id, int)
+            if message.tag == "SSED.masked_differences":
+                # [m, w, count, packs]: the shape C2 needs to unpack — m
+                # and the count are the scan's, w the schema's slot width
+                dimensions, width, count, payload = payload
+                assert (dimensions, width) == (2, 3 + 2 + 40)
+                assert count % dimensions == 0
             if message.tag == "SMIN.batch_masked_differences":
                 # [L, masked differences]: L is the comparison's public bit
                 # length — l in the first iteration, l + 1 after it — which
@@ -274,25 +279,26 @@ class TestFusedScanMasking:
     QUERY = [2, 5]
 
     def scan(self, cloud, client, monkeypatch):
-        """Run one scan; return (masks C1 drew, request rows, reply sums).
+        """Run one scan; return (masks C1 drew, C2's unpacked slots, reply
+        sums).
 
         The table has 2 * PIPELINE_MIN_ITEMS records, so the scan crosses
-        as two half-scans in flight: both request frames' rows and both
+        as two half-scans in flight: both request frames' slots and both
         reply frames' sums are returned, concatenated in record order, after
         checking that each reply answers its own request.
         """
         protocol = SkNNSecure(cloud, distance_bits=7)
         drawn: list[int] = []
-        take_masks = protocol._ssed.take_masks
+        sample_masks = protocol._ssed.sample_masks
 
-        def recording_take_masks(count, kind="zn", sbd_upper=None,
-                                 bits=None):
-            tuples = take_masks(count, kind, sbd_upper, bits)
-            drawn.extend(r for r, _ in tuples)
-            return tuples
+        def recording_sample_masks(count, kind="zn", sbd_upper=None,
+                                   bits=None):
+            masks = sample_masks(count, kind, sbd_upper, bits)
+            drawn.extend(masks)
+            return masks
 
-        monkeypatch.setattr(protocol._ssed, "take_masks",
-                            recording_take_masks)
+        monkeypatch.setattr(protocol._ssed, "sample_masks",
+                            recording_sample_masks)
         cloud.channel.transcript.clear()
         protocol._compute_encrypted_distances(
             client.encrypt_query(self.QUERY))
@@ -300,47 +306,49 @@ class TestFusedScanMasking:
         assert [message.tag for message in transcript] == [
             "SSED.masked_differences", "SSED.masked_square_sums"] * 2
         requests, replies = transcript[0::2], transcript[1::2]
+        private = cloud.c2.private_key
+        public = private.public_key
+        slots = []
         for request, reply in zip(requests, replies):
-            assert len(reply.payload) == len(request.payload) > 0
-        return (drawn,
-                [row for request in requests for row in request.payload],
+            dimensions, width, count, packs = request.payload
+            assert all(isinstance(pack, Ciphertext) for pack in packs)
+            assert len(packs) < count  # several values per plaintext
+            assert len(reply.payload) * dimensions == count > 0
+            slots.extend(public.unpack(
+                [-residue % public.n
+                 for residue in private.decrypt_residue_batch(packs)],
+                width, count))
+        return (drawn, slots,
                 [total for reply in replies for total in reply.payload])
 
     def test_c2_decrypts_only_difference_plus_mask(self, security_table,
                                                    small_keypair,
                                                    monkeypatch):
+        """Each slot C2 unpacks is the mask minus the difference."""
         cloud, client = deploy(security_table, small_keypair, seed=320)
-        drawn, rows, _ = self.scan(cloud, client, monkeypatch)
-        n = small_keypair.public_key.n
-        differences = [(value - q) % n
+        drawn, seen_by_c2, _ = self.scan(cloud, client, monkeypatch)
+        differences = [value - q
                        for record in security_table
                        for value, q in zip(record.values, self.QUERY)]
-        seen_by_c2 = small_keypair.private_key.decrypt_residue_batch(
-            [cipher for row in rows for cipher in row])
         assert len(drawn) == len(differences) == len(seen_by_c2)
         assert len(set(drawn)) == len(drawn)  # one fresh mask per value
-        assert seen_by_c2 == [(d + r) % n for d, r in zip(differences, drawn)]
+        assert seen_by_c2 == [s - d for d, s in zip(differences, drawn)]
         # Never the bare difference — nor any other record's.
-        assert not set(seen_by_c2) & set(differences)
+        assert not set(seen_by_c2) & {
+            d % small_keypair.public_key.n for d in differences}
 
     def test_c2_view_differs_across_identical_scans(self, security_table,
                                                     small_keypair,
                                                     monkeypatch):
         cloud, client = deploy(security_table, small_keypair, seed=321)
-        views = []
-        for _ in range(2):
-            _, rows, _ = self.scan(cloud, client, monkeypatch)
-            views.append(small_keypair.private_key.decrypt_residue_batch(
-                [cipher for row in rows for cipher in row]))
+        views = [self.scan(cloud, client, monkeypatch)[1] for _ in range(2)]
         assert not set(views[0]) & set(views[1])
 
     def test_wire_carries_ciphertexts_only_one_per_record_back(
             self, security_table, small_keypair, monkeypatch):
         cloud, client = deploy(security_table, small_keypair, seed=322)
-        _, rows, totals = self.scan(cloud, client, monkeypatch)
-        assert len(rows) == len(security_table)
-        assert all(isinstance(cipher, Ciphertext)
-                   for row in rows for cipher in row)
+        _, slots, totals = self.scan(cloud, client, monkeypatch)
+        assert len(slots) == len(security_table) * len(self.QUERY)
         assert len(totals) == len(security_table)
         assert all(isinstance(cipher, Ciphertext) for cipher in totals)
         # The reply is a fresh encryption of a masked sum, not a distance.

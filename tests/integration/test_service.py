@@ -9,9 +9,9 @@ import pytest
 
 from repro.analysis.cost_model import pool_targets
 from repro.core.cloud import FederatedCloud
-from repro.core.parallel import ParallelSkNNBasic
+from repro.core.parallel import ParallelSkNNBasic, scan_tasks
 from repro.core.roles import DataOwner, QueryClient
-from repro.core.sknn_basic import SkNNBasic
+from repro.core.sknn_basic import SkNNBasic, packing_slots
 from repro.core.sknn_shard import shard_bounds
 from repro.core.system import SkNNSystem
 from repro.db.datasets import synthetic_uniform
@@ -19,6 +19,7 @@ from repro.db.encrypted_table import EncryptedTable
 from repro.db.knn import LinearScanKNN
 from repro.db.schema import Schema
 from repro.db.table import Table
+from repro.protocols.ssed import scan_packs
 from repro.exceptions import ConfigurationError, QueryError
 from repro.core.sknn_base import SkNNRunReport
 from repro.service import scheduler as scheduler_module
@@ -38,13 +39,25 @@ def service_oracle(service_table):
     return LinearScanKNN(service_table)
 
 
-def assert_one_engine_covered(engine, *, queries: int, n: int, m: int,
+def factors_per_query(table, k: int, key_size: int = 128, shards: int = 2,
+                      workers: int = 1) -> int:
+    """C1's encryptions in one query of the in-process plan: per chunk
+    task one packed mask per pack and one square sum per record (the
+    workers' slices), then ``k*m`` delivery masks."""
+    m = table.dimensions
+    ssed_slots, _ = packing_slots(key_size, table.schema)
+    return sum(sum(scan_packs(stop - start, m, ssed_slots)) + stop - start
+               for start, stop in scan_tasks(len(table), shards, workers)
+               ) + k * m
+
+
+def assert_one_engine_covered(engine, *, queries: int, table,
                               k: int) -> None:
     """Every factor the in-process scan and its deliveries encrypted with
     came from C1's one engine, and every one of them was its own refill."""
     stats = engine.stats()
     assert stats["obfuscator_misses"] == 0
-    assert stats["obfuscator_hits"] == queries * (n * (m + 1) + k * m)
+    assert stats["obfuscator_hits"] == queries * factors_per_query(table, k)
     assert stats["offline_encryptions"] == (
         stats["obfuscator_hits"] + stats["remaining"]["obfuscators"])
 
@@ -291,7 +304,7 @@ class TestQueryServer:
             small_keypair.public_key, rng=Random(16),
             config=PrecomputeConfig(obfuscators=pool_targets(
                 len(service_table), service_table.dimensions, k=3,
-                queries=1, worker_scan=True)[0]))
+                queries=1, worker_chunks=[len(service_table)])[0]))
         engine.warm()
         sharded = ShardedCloud(cloud, shards=2, workers=1, backend="serial",
                                precompute=engine)
@@ -322,7 +335,7 @@ class TestQueryServer:
             small_keypair.public_key, rng=Random(18),
             config=PrecomputeConfig(obfuscators=pool_targets(
                 len(service_table), service_table.dimensions, k=3,
-                queries=2, worker_scan=True)[0]))
+                queries=2, worker_chunks=[len(service_table)])[0]))
         engine.warm()
         sharded = ShardedCloud(cloud, shards=2, workers=1, backend="serial",
                                precompute=engine)
@@ -336,9 +349,8 @@ class TestQueryServer:
                         for r in service_oracle.query([3, 6, 1], 3)]
             assert answer.neighbors == expected
             # The query drained the workers' slices and the delivery masks...
-            assert engine.pool_hit_total() == (
-                len(service_table) * (service_table.dimensions + 1)
-                + 3 * service_table.dimensions)
+            assert engine.pool_hit_total() == factors_per_query(
+                service_table, 3)
             # ...and an off-path refill tops the engine back up.
             assert sharded.refill_precompute() > 0
             assert engine.deficit() == 0
@@ -349,10 +361,11 @@ class TestQueryServer:
     def test_served_batch_draws_every_factor_from_one_engine(
             self, service_table, service_oracle):
         """``serve(precompute=Q)``: C1's one engine is sized for what the
-        chunk workers draw (``n*(m+1)`` per query) plus the delivery masks,
+        chunk workers draw (their packs and square sums) plus the delivery
+        masks,
         so a batch of two finds every factor pooled, and every factor the
         workers took was a refill of that engine."""
-        n, m, k = len(service_table), service_table.dimensions, 3
+        k = 3
         system = SkNNSystem.setup(service_table, key_size=128, mode="basic",
                                   k_default=k, rng=Random(1310))
         server = system.serve(shards=2, workers=1, backend="serial",
@@ -367,13 +380,13 @@ class TestQueryServer:
                             for r in service_oracle.query(query, k)]
                 assert waiting.result(60).neighbors == expected
             assert_one_engine_covered(system.precompute_engine,
-                                      queries=2, n=n, m=m, k=k)
+                                      queries=2, table=service_table, k=k)
         finally:
             server.close()
 
     def test_sharded_mode_draws_every_factor_from_one_engine(
             self, service_table, service_oracle):
-        n, m, k = len(service_table), service_table.dimensions, 3
+        k = 3
         with SkNNSystem.setup(service_table, key_size=128, mode="sharded",
                               shards=2, workers=1, parallel_backend="serial",
                               k_default=k, rng=Random(1320),
@@ -383,7 +396,7 @@ class TestQueryServer:
                             for r in service_oracle.query(query, k)]
                 assert system.query(query) == expected
             assert_one_engine_covered(system.precompute_engine,
-                                      queries=2, n=n, m=m, k=k)
+                                      queries=2, table=service_table, k=k)
 
     def test_duplicate_session_names_rejected(self, small_keypair,
                                               service_table):

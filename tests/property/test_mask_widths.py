@@ -6,10 +6,11 @@ STATISTICAL_SECURITY`), ``bits`` the masked values' width: ``a + 1`` for
 SSED's differences of ``a``-bit attributes, ``a`` for SkNN_m's extracted
 records, SMIN's ``L`` for its selection candidates.  So
 
-* every residue C2 decrypts in ``SSED.masked_differences``, ``d - s mod
-  N``, lies within ``2**(a + 2 + sigma)`` of 0 mod ``N`` — short, yet
-  within ``2**-sigma`` of a distribution that does not depend on ``d``;
-* every strip exponent C1's kernels see — SSED's ``N - 2r``, SMIN's
+* every slot C2 unpacks in ``SSED.masked_differences``, ``s - d``, lies
+  in ``(0, 2**(a + 2 + sigma))`` — short and positive, so packed slots
+  never carry or borrow, yet within ``2**-sigma`` of a distribution that
+  does not depend on ``d``;
+* every strip exponent C1's kernels see — SSED's ``2s``, SMIN's
   ``rho_x - rho_y``, extraction's ``N - r``, each reduced mod ``N`` — is
   below ``2**(bits + sigma + 2)``;
 * answers still equal the plaintext oracle, at the domain's ends too
@@ -75,8 +76,19 @@ def record_strip_exponents(monkeypatch) -> dict[str, list[int]]:
     return seen
 
 
-def distance_to_zero(residue: int, n: int) -> int:
-    return min(residue, n - residue)
+def unpacked_slots(private_key, transcript) -> list[int]:
+    """Every masked difference C2 unpacks from the SSED frames of
+    ``transcript``: the slots of each pack's negated residue."""
+    public = private_key.public_key
+    values = []
+    for message in transcript:
+        if message.tag == "SSED.masked_differences":
+            _, width, count, packs = message.payload
+            values.extend(public.unpack(
+                [-residue % public.n
+                 for residue in private_key.decrypt_residue_batch(packs)],
+                width, count))
+    return values
 
 
 domains = st.integers(min_value=1, max_value=15).flatmap(
@@ -90,7 +102,7 @@ domains = st.integers(min_value=1, max_value=15).flatmap(
 
 def run_query(mode: str, maximum: int, rows, query, seed: int, monkeypatch):
     """One SkNN query on an in-memory cloud; returns the neighbours, the
-    strip exponents by step and C2's SSED residues."""
+    strip exponents by step and C2's unpacked SSED slots."""
     keypair = cached_keypair()
     table = Table.from_rows(Schema.uniform(2, maximum), rows)
     cloud = FederatedCloud.deploy(keypair, rng=Random(seed))
@@ -102,11 +114,8 @@ def run_query(mode: str, maximum: int, rows, query, seed: int, monkeypatch):
     exponents = record_strip_exponents(monkeypatch)
     cloud.channel.transcript.clear()
     shares = protocol.run(client.encrypt_query(query), 2)
-    residues = keypair.private_key.decrypt_residue_batch(
-        [cipher for message in cloud.channel.transcript
-         if message.tag == "SSED.masked_differences"
-         for row in message.payload for cipher in row])
-    return table, client.reconstruct(shares), exponents, residues
+    slots = unpacked_slots(keypair.private_key, cloud.channel.transcript)
+    return table, client.reconstruct(shares), exponents, slots
 
 
 @on_every_backend
@@ -118,19 +127,17 @@ def test_masks_and_strips_are_short_and_answers_exact(backend_name, mode,
     set_backend(backend_name)
     monkeypatch = pytest.MonkeyPatch()
     try:
-        table, neighbours, exponents, residues = run_query(
+        table, neighbours, exponents, slots = run_query(
             mode, maximum, rows, query, seed, monkeypatch)
     finally:
         monkeypatch.undo()
         set_backend(None)
-    n = cached_keypair().public_key.n
     a = table.schema.attribute_bit_length()
     assert a == maximum.bit_length()
 
-    # C2's view of SSED: short residues, one per (record, attribute)
-    assert len(residues) == 2 * len(rows)
-    assert all(distance_to_zero(h, n) < 1 << (a + 2 + SIGMA)
-               for h in residues)
+    # C2's view of SSED: short positive slots, one per (record, attribute)
+    assert len(slots) == 2 * len(rows)
+    assert all(0 < v < 1 << (a + 2 + SIGMA) for v in slots)
     # C1's strips: short exponents at every step the mode runs
     assert len(exponents["SSED"]) == 2 * len(rows)
     assert all(e < 1 << (a + 1 + SIGMA + 2) for e in exponents["SSED"])
@@ -151,7 +158,7 @@ def test_masks_and_strips_are_short_and_answers_exact(backend_name, mode,
 
 @on_every_backend
 def test_masks_are_short_but_not_constant(backend_name, monkeypatch):
-    """Two scans of one table: C2's residues differ everywhere (fresh masks),
+    """Two scans of one table: C2's slots differ everywhere (fresh masks),
     and they spread over many more than ``bits`` bits (not a fixed offset)."""
     set_backend(backend_name)
     try:
@@ -159,10 +166,8 @@ def test_masks_are_short_but_not_constant(backend_name, monkeypatch):
                            seed, monkeypatch)[3] for seed in (1, 2)]
     finally:
         set_backend(None)
-    n = cached_keypair().public_key.n
     assert all(a != b for a, b in zip(*views))
-    assert max(distance_to_zero(h, n) for view in views
-               for h in view) >= 1 << (3 + SIGMA - 8)
+    assert max(v for view in views for v in view) >= 1 << (3 + SIGMA - 8)
 
 
 def test_sharded_scan_masks_at_the_schema_width(monkeypatch):

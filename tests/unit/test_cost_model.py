@@ -238,6 +238,26 @@ class TestPerPartyEntries:
             == (105, 105)
         assert total.total.total == 894
 
+    def test_packed_entries_at_the_e2e_shapes(self):
+        """Packed scans at the e2e keys: basic_warm_k1024 (22 differences
+        and 127 distances a plaintext) decrypts 4 + 1 + 6 values where the
+        unpacked query decrypts 70, in 147 operations instead of 191;
+        secure_dist_k512's scan (11 a plaintext) sends 116 ciphertexts
+        C1 -> C2 instead of 136."""
+        basic = sknn_basic_cost(16, 3, 2, ssed_slots=22, distance_slots=127)
+        assert (basic.c2.decryptions, basic.c1_ciphertexts,
+                basic.c2_ciphertexts, basic.total.total) == (11, 11, 16, 147)
+        assert basic.c1.exponentiations == 3 + (24 - 2) * 2 + 48 + (16 - 1)
+        assert sknn_basic_cost(16, 3, 2).total.total == 191
+        assert pool_targets(16, 3, 2, queries=11, ssed_slots=22,
+                            distance_slots=127) == (110, 176)
+        secure = sknn_secure_phases(8, 3, 2, 6, ssed_slots=11)["total"]
+        assert (secure.messages, secure.c1_ciphertexts,
+                secure.c2_ciphertexts, secure.total.total) \
+            == (41, 116, 58, 874)
+        # one slot a plaintext is the unpacked round
+        assert ssed_scan_cost(10, 3, slots=1) == ssed_scan_cost(10, 3)
+
     def test_pool_targets(self):
         # basic_warm_k1024: n=16, m=3, k=2, 11 queries
         assert pool_targets(16, 3, 2, queries=11) == (594, 176)
@@ -248,7 +268,13 @@ class TestPerPartyEntries:
                             dgk=True) == (210, 210)
         assert pool_targets(16, 3, 2, queries=11, dgk=True) == (0, 0)
         # chunk workers encrypt the scan with C1's slices
-        assert pool_targets(10, 3, 2, queries=2, worker_scan=True) == (92, 0)
+        assert pool_targets(10, 3, 2, queries=2,
+                            worker_chunks=[10]) == (92, 0)
+        # ... each chunk task packing its own records: a chunk of five
+        # halves into 3 + 2 records, 5 + 3 packs at two slots a pack, plus
+        # 5 square sums; two chunks and the 6 delivery masks
+        assert pool_targets(10, 3, 2, queries=1, ssed_slots=2,
+                            worker_chunks=[5, 5]) == (2 * (5 + 3 + 5) + 6, 0)
 
 
 class TestCalibrator:

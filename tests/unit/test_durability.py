@@ -528,6 +528,34 @@ class TestDurableShareMailbox:
         assert revived.fetch(699, timeout=0) == [[699]]
         revived.close()
 
+    def test_pending_shares_are_bounded_and_drops_replay(self, tmp_path,
+                                                         monkeypatch):
+        # Bob clients that never fetch: past the bound each put drops the
+        # oldest pending share, journaled, so memory, journal and replay
+        # all stay at the bound.
+        monkeypatch.setattr(ShareMailbox, "PENDING_SHARES", 512)
+        path = tmp_path / "mailbox.journal"
+        mailbox = journaled_mailbox(path)
+        for delivery_id in range(700):
+            mailbox.put(delivery_id, [[delivery_id]])
+        assert len(mailbox) == 512
+        assert mailbox.dropped == 700 - 512
+        assert mailbox.journal_records <= 2 * durability.COMPACT_EVERY + 2
+        pending = list(mailbox._shares.items())
+        assert [delivery_id for delivery_id, _ in pending] \
+            == list(range(700 - 512, 700))
+        mailbox.close()
+        revived = journaled_mailbox(path)
+        assert list(revived._shares.items()) == pending
+        assert revived.dropped == 0
+        # a dropped id fails like an id that was never filed
+        with pytest.raises(DeadlineExceeded):
+            revived.fetch(0, timeout=0)
+        with pytest.raises(DeadlineExceeded):
+            revived.fetch(10_000, timeout=0)
+        assert revived.fetch(699, timeout=0) == [[699]]
+        revived.close()
+
     def test_share_taken_at_compaction_stays_taken(self, tmp_path,
                                                    monkeypatch):
         # Four puts fill the journal to the bound; the take is the record

@@ -263,20 +263,44 @@ class TestMalformedPeerFrames:
          "SkNNm: malformed randomized-difference batch"),
         ("SkNNm.randomized_differences", lambda c: [[c]],
          "SkNNm: malformed randomized-difference batch"),
-        # C2's one SkNN_b selection entry, every placement's: [k, rows] of
-        # distinct-index (index, ciphertext) pairs with 1 <= k <= len(rows)
+        # C2's one SkNN_b selection entry, every placement's: [k, w, count,
+        # packs] with 1 <= k <= count, w-bit slots the key has room for
+        # and ceil(count / slots) packs (8-bit slots: 15 at K=128)
         ("SkNNb.encrypted_distances", lambda c: 7,
          "SkNNb: malformed encrypted-distance list"),
-        ("SkNNb.encrypted_distances", lambda c: [0, [(0, c)]],
+        ("SkNNb.encrypted_distances", lambda c: [1, [(0, c)]],
          "SkNNb: malformed encrypted-distance list"),
-        ("SkNNb.encrypted_distances", lambda c: [2, [(0, c)]],
+        ("SkNNb.encrypted_distances", lambda c: [0, 8, 1, [c]],
          "SkNNb: malformed encrypted-distance list"),
-        ("SkNNb.encrypted_distances", lambda c: [1, [c]],
+        ("SkNNb.encrypted_distances", lambda c: [2, 8, 1, [c]],
          "SkNNb: malformed encrypted-distance list"),
-        ("SkNNb.encrypted_distances", lambda c: [1, [("0", c)]],
+        ("SkNNb.encrypted_distances", lambda c: [1, 128, 1, [c]],
          "SkNNb: malformed encrypted-distance list"),
-        ("SkNNb.encrypted_distances", lambda c: [1, [(0, c), (0, c)]],
+        ("SkNNb.encrypted_distances", lambda c: [1, 0, 1, [c]],
          "SkNNb: malformed encrypted-distance list"),
+        ("SkNNb.encrypted_distances", lambda c: [1, 8, 16, [c]],
+         "SkNNb: malformed encrypted-distance list"),
+        ("SkNNb.encrypted_distances", lambda c: [1, 8, 1, [c, c]],
+         "SkNNb: malformed encrypted-distance list"),
+        ("SkNNb.encrypted_distances", lambda c: [1, "8", 1, [c]],
+         "SkNNb: malformed encrypted-distance list"),
+        ("SkNNb.encrypted_distances", lambda c: [1, 8, 1, [7]],
+         "SkNNb: malformed encrypted-distance list"),
+        # SSED's packed masked differences: [m, w, count, packs] with
+        # w-bit slots the key has room for (46 bits: 2 at K=128), whole
+        # records and ceil(count / slots) packs
+        ("SSED.masked_differences", lambda c: [[c, c], [c]],
+         "SSED: malformed masked-difference batch"),
+        ("SSED.masked_differences", lambda c: [2, 128, 2, [c]],
+         "SSED: malformed masked-difference batch"),
+        ("SSED.masked_differences", lambda c: [2, 46, 3, [c, c]],
+         "SSED: malformed masked-difference batch"),
+        ("SSED.masked_differences", lambda c: [1, 46, 5, [c, c]],
+         "SSED: malformed masked-difference batch"),
+        ("SSED.masked_differences", lambda c: [1, 46, 2, [c, c]],
+         "SSED: malformed masked-difference batch"),
+        ("SSED.masked_differences", lambda c: [0, 46, 2, [c]],
+         "SSED: malformed masked-difference batch"),
         # the delivery step: [int delivery id, equally wide cipher rows]
         ("SkNN.masked_results", lambda c: 7, "malformed delivery"),
         ("SkNN.masked_results", lambda c: ["1", [[c]]],
@@ -292,9 +316,10 @@ class TestMalformedPeerFrames:
         with pytest.raises(ChannelError, match=refusal):
             channel.receive("C1")
         # The same context's worker thread answers the next, well-formed
-        # round: a two-record SkNN_b selection.
+        # round: a two-record SkNN_b selection, packed.
         channel.send("C1",
-                     [1, [(0, public.encrypt(6)), (1, public.encrypt(2))]],
+                     [1, 8, 2, public.pack([public.encrypt(6),
+                                            public.encrypt(2)], 8)],
                      tag="SkNNb.encrypted_distances")
         assert channel.receive(
             "C1", expected_tag="SkNNb.topk_indices") == [1]
@@ -307,7 +332,7 @@ class TestPeerContextWorkers:
         public = small_keypair.public_key
         for index in range(40):
             channel = peer.channel(f"run-{index}")
-            channel.send("C1", [1, [(0, public.encrypt(2))]],
+            channel.send("C1", [1, 8, 1, [public.encrypt(2)]],
                          tag="SkNNb.encrypted_distances")
             channel.receive("C1", expected_tag="SkNNb.topk_indices")
             channel.release()
