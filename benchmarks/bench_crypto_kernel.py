@@ -78,10 +78,9 @@ from repro.crypto.paillier import (
     PaillierPublicKey,
     generate_keypair,
 )
-from repro.crypto.precompute import STATISTICAL_SECURITY
 from repro.db.datasets import synthetic_uniform
 from repro.network.party import TwoPartySetting
-from repro.protocols.base import TwoPartyProtocol
+from repro.protocols.base import STATISTICAL_SECURITY, TwoPartyProtocol
 from repro.protocols.ssed import (SecureSquaredEuclideanDistance,
                                   difference_width)
 

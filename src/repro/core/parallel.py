@@ -75,7 +75,7 @@ from typing import Callable, Literal, Sequence
 from repro.core.cloud import FederatedCloud
 from repro.core.roles import ResultShares
 from repro.core.sknn_base import SkNNProtocol, top_k
-from repro.core.sknn_basic import distance_width
+from repro.core.sknn_basic import distance_width, packing_slots
 from repro.core.sknn_shard import shard_bounds
 from repro.crypto.backend import get_backend, set_backend
 from repro.crypto.paillier import (
@@ -88,8 +88,7 @@ from repro.crypto.precompute import PrecomputeEngine
 from repro.db.encrypted_table import EncryptedRecord
 from repro.exceptions import ConfigurationError, ServiceUnavailable
 from repro.network.party import TwoPartySetting
-from repro.protocols.ssed import (SecureSquaredEuclideanDistance,
-                                  difference_width, scan_packs)
+from repro.protocols.ssed import SecureSquaredEuclideanDistance, scan_packs
 from repro.telemetry import profiling as _profiling
 from repro.telemetry import tracing as _tracing
 
@@ -528,8 +527,7 @@ class ShardedCloud(SkNNProtocol):
         attribute_bits = schema.attribute_bit_length()
         slot_width = distance_width(
             self.public_key.key_size, schema.distance_bit_length(dimensions))
-        ssed_slots = self.public_key.slots(
-            difference_width(self.public_key.key_size, attribute_bits))
+        ssed_slots, _ = packing_slots(self.public_key.key_size, schema)
         records = self.encrypted_table.records
         tasks: list[ChunkWorkerTask] = []
         for start, stop in scan_tasks(len(records), len(self.shards),

@@ -38,7 +38,6 @@ from repro.core.roles import ResultShares
 from repro.core.sknn_base import SkNNProtocol, top_k
 from repro.crypto.paillier import Ciphertext, slots
 from repro.db.schema import Schema
-from repro.exceptions import ProtocolError
 from repro.protocols.ssed import difference_width
 from repro.telemetry import profiling as _profiling
 
@@ -107,26 +106,16 @@ class SkNNBasic(SkNNProtocol):
         """Step 3: C2 decrypts the packed distances (one vectorized CRT
         kernel call), unpacks them and returns the top-k index list.
 
-        C2's one selection entry for every SkNN_b placement, so the frame
-        ``[k, w, count, packs]`` is checked before anything is decrypted:
-        ``1 <= k <= count``, ``w``-bit slots that fit this key and exactly
-        ``ceil(count / slots)`` packs under this key.
+        C2's one selection entry for every SkNN_b placement, so
+        :meth:`require_packs` checks the frame ``[k, w, count, packs]``
+        before anything is decrypted, with ``1 <= k <= count``.
         """
         c2 = self.cloud.c2
         pk = c2.public_key
-        frame = c2.receive(expected_tag="SkNNb.encrypted_distances")
-        k, width, count, packs = (
-            frame if isinstance(frame, list) and len(frame) == 4
-            else (None, None, None, None))
-        per_pack = pk.slots(width) if isinstance(width, int) else 0
-        if not (isinstance(k, int) and isinstance(count, int)
-                and 1 <= k <= count and per_pack >= 1
-                and isinstance(packs, list)
-                and len(packs) == -(-count // per_pack)
-                and all(isinstance(pack, Ciphertext)
-                        and pack.public_key == pk for pack in packs)):
-            raise ProtocolError(
-                f"{self.name}: malformed encrypted-distance list")
+        k, width, count, packs = self.require_packs(
+            c2.receive(expected_tag="SkNNb.encrypted_distances"), pk,
+            "encrypted-distance list",
+            lambda k, count: type(k) is int and 1 <= k <= count)
         distances = pk.unpack(c2.decrypt_residue_batch(packs), width, count)
         winners = top_k(((distance, index)
                          for index, distance in enumerate(distances)), k)

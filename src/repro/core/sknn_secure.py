@@ -64,10 +64,10 @@ from repro.core.cloud import FederatedCloud
 from repro.core.roles import ResultShares
 from repro.core.sknn_base import SkNNProtocol
 from repro.crypto.paillier import Ciphertext
-from repro.crypto.precompute import MASK_SHORT, STATISTICAL_SECURITY
 from repro.db.schema import Schema
 from repro.exceptions import (ConfigurationError, ProtocolError, QueryError,
                                SchemaError)
+from repro.protocols.base import MASK_SHORT, STATISTICAL_SECURITY
 from repro.protocols.smin import SecureMinimum
 from repro.protocols.sminn import SecureMinimumOfN
 from repro.telemetry import profiling as _profiling

@@ -26,12 +26,7 @@ from repro.crypto.paillier import (
     PaillierPublicKey,
     generate_keypair,
 )
-from repro.crypto.precompute import (
-    MASK_SBD,
-    MASK_ZN,
-    PrecomputeConfig,
-    PrecomputeEngine,
-)
+from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -39,8 +34,6 @@ __all__ = [
     "DEFAULT_KEY_SIZE",
     "Ciphertext",
     "FixedBaseExp",
-    "MASK_SBD",
-    "MASK_ZN",
     "OpenSSLBackend",
     "OperationCounter",
     "PaillierKeyPair",

@@ -484,7 +484,7 @@ class PaillierPublicKey:
         exponents here (for them alone the raw value differs from
         ``scalar_mul_batch``'s): the inverse belongs to negation, not to
         a strip step, whose scalars are masks — short ones
-        (:data:`~repro.crypto.precompute.MASK_SHORT`) reduce to short
+        (:data:`~repro.protocols.base.MASK_SHORT`) reduce to short
         exponents here.
 
         Args:
@@ -514,13 +514,9 @@ class PaillierPublicKey:
         return out
 
     # -- packed plaintexts ----------------------------------------------------
-    def slots(self, width: int) -> int:
-        """How many ``width``-bit values one plaintext packs (:func:`slots`)."""
-        return slots(self.key_size, width)
-
     def pack(self, ciphertexts: Sequence["Ciphertext"],
              width: int) -> list["Ciphertext"]:
-        """Fold ``slots(width)`` ciphertexts at a time into one.
+        """Fold ``slots(K, width)`` ciphertexts at a time into one.
 
         ``E(v_0 + v_1 * 2**w + v_2 * 2**(2w) + ...)`` by Horner's rule, the
         first ciphertext in the lowest slot [Bianchi, Piva & Barni, IEEE
@@ -531,7 +527,7 @@ class PaillierPublicKey:
         then below ``2**(K-1) <= N``.  Returns ``ceil(len / slots)`` packs
         in order, the last one possibly partial.
         """
-        per_pack = self.slots(width)
+        per_pack = slots(self.key_size, width)
         if per_pack < 1:
             raise EncryptionError(
                 f"{width}-bit slots do not fit a {self.key_size}-bit key")
@@ -560,7 +556,7 @@ class PaillierPublicKey:
         what is left above the others, so a one-slot pack is its whole
         residue.
         """
-        per_pack = self.slots(width)
+        per_pack = slots(self.key_size, width)
         if per_pack < 1:
             raise EncryptionError(
                 f"{width}-bit slots do not fit a {self.key_size}-bit key")

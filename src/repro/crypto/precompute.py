@@ -54,75 +54,11 @@ from repro.crypto.paillier import (
 )
 from repro.exceptions import ConfigurationError, CorruptStateError
 
-__all__ = ["PrecomputeConfig", "PrecomputeEngine", "QueryLookahead",
-           "MASK_ZN", "MASK_SBD", "MASK_SHORT", "MASK_SLOT",
-           "STATISTICAL_SECURITY",
-           "mask_range"]
+__all__ = ["PrecomputeConfig", "PrecomputeEngine", "QueryLookahead"]
 
 #: snapshot kind of the on-disk pool cache (see
 #: :meth:`PrecomputeEngine.save_pools`)
 _POOL_CACHE_KIND = "precompute-pool-cache"
-
-#: ``sigma``: a mask of ``bits + sigma`` bits hides a ``bits``-bit value
-#: from the key holder up to statistical distance ``2**-sigma`` — the width
-#: of :data:`MASK_SHORT` and of SMIN's domain
-#: (:meth:`~repro.protocols.smin.SecureMinimum.domain_fits`).
-STATISTICAL_SECURITY = 40
-
-#: Additive-mask kinds (the sampling range each protocol requires).
-MASK_ZN = "zn"            # r uniform in [0, N)         — SM, delivery (Bob's
-                          #                               shares: no C1 power
-                          #                               strips them)
-MASK_SBD = "sbd"          # r uniform in [0, sbd_upper) — SBD round masks,
-                          #                               SMIN's masked difference
-MASK_SHORT = "short"      # N - r, r uniform in [1, 2^(bits+sigma)] — every
-                          #   value C2 may decrypt and C1 strips with a power:
-                          #   SMIN's selection, extraction
-MASK_SLOT = "slot"        # s in [2^(bits-1), 2^(bits-1) + 2^(bits+sigma)) —
-                          #   SSED's packed slots: s - d in (0, 2^(bits+1+sigma))
-                          #   for a bits-bit signed d, no borrow between slots
-
-#: process-wide fallback randomness for engines without an explicit rng
-_MODULE_RNG = Random()
-
-
-def mask_range(kind: str, n: int, sbd_upper: int | None = None,
-               bits: int | None = None) -> tuple[int, int]:
-    """The half-open range ``[lower, upper)`` a mask of ``kind`` is drawn from.
-
-    The one rule for both mask sources (:meth:`PrecomputeEngine.take_masks`
-    and the engine-less :meth:`~repro.protocols.base.TwoPartyProtocol.
-    take_masks`); ``sbd_upper`` is SBD's ``N - 2^l`` or SMIN's ``N -
-    2^(L+1)`` and required for that kind.
-
-    A :data:`MASK_SHORT` mask ``m = N - r`` hides a ``bits``-bit value
-    ``v``: ``v + m = v - r mod N`` with ``r`` uniform in ``[1,
-    2**(bits + sigma)]`` is within ``2**-sigma`` of a distribution that does
-    not depend on ``v``, and whoever strips ``m`` with a power does so with
-    the short exponent ``r`` (``N - m``, or ``-m mod N``).  A
-    :data:`MASK_SLOT` mask ``s`` hides a ``bits``-bit signed value ``d``
-    (``|d| < 2**(bits-1)``) the same way as ``s - d``, which is positive
-    and below ``2**(bits + 1 + sigma)``: a packed slot never borrows from
-    its neighbour.  Both spans are capped at ``N``, where the kind is
-    uniform mod ``N``, so toy keys work.
-    """
-    if kind == MASK_ZN:
-        return 0, n
-    if kind == MASK_SBD:
-        if sbd_upper is None:
-            raise ConfigurationError("SBD masks require sbd_upper")
-        return 0, sbd_upper
-    if kind == MASK_SHORT:
-        if bits is None or bits < 1:
-            raise ConfigurationError("short masks require a positive bits")
-        return n - min(1 << (bits + STATISTICAL_SECURITY), n), n
-    if kind == MASK_SLOT:
-        if bits is None or bits < 1:
-            raise ConfigurationError("slot masks require a positive bits")
-        lower = 1 << (bits - 1)
-        return lower, lower + min(1 << (bits + STATISTICAL_SECURITY), n)
-    raise ConfigurationError(f"unknown mask kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class PrecomputeConfig:
@@ -250,25 +186,18 @@ class PrecomputeEngine:
             self.misses += count - served
         return taken
 
-    def encrypt_batch(self, values: Sequence[int]) -> list[Ciphertext]:
-        """Vectorized pooled encryption (the key's kernel past the store)."""
-        return self.key.encrypt_batch(list(values), rng=self.rng, pool=self)
+    def take_masks(self, masks: Sequence[int]
+                   ) -> "list[tuple[int, Ciphertext]]":
+        """``(r, E(r))`` for masks drawn elsewhere, one pooled factor each.
 
-    def take_masks(self, count: int, kind: str = MASK_ZN,
-                   sbd_upper: int | None = None, bits: int | None = None
-                   ) -> list[tuple[int, Ciphertext]]:
-        """``count`` fresh additive masks ``(r, E(r))`` of one kind.
-
-        Sampled in the kind's :func:`mask_range` (``bits`` is the masked
-        values' width, for :data:`MASK_SHORT`) and encrypted in one
-        batch-kernel call: one pooled factor and one multiplication per mask
-        while the store lasts, the key's own kernel past it — never a reused
-        factor.
+        Samples nothing: the protocol layer draws every mask
+        (:meth:`~repro.protocols.base.TwoPartyProtocol.take_masks`) and
+        encrypts it through its party, whose engine this is.  Kept as the
+        store's own traced entry point (``benchmarks/e2e/trace.py`` wraps
+        it by name).
         """
-        lower, upper = mask_range(kind, self.public_key.n, sbd_upper, bits)
-        rng = self.rng if self.rng is not None else _MODULE_RNG
-        masks = [rng.randrange(lower, upper) for _ in range(count)]
-        return list(zip(masks, self.encrypt_batch(masks)))
+        return list(zip(masks, self.key.encrypt_batch(
+            list(masks), rng=self.rng, pool=self)))
 
     # -- persistence -----------------------------------------------------------
     def save_pools(self, path: "str | Path") -> int:
@@ -374,8 +303,8 @@ class QueryLookahead(PrecomputeEngine):
     this query in the cost model, bounds what is computed: no factor before
     the query's first send, none left after its last receive.
 
-    The factors come from a ``stream`` of their own, apart from ``rng``
-    (the party's, which samples the masks), in FIFO order: a factor not
+    The factors come from a ``stream`` of their own, apart from the
+    party's rng (which samples the masks), in FIFO order: a factor not
     computed ahead is computed from the stream at its draw, so the query's
     ``i``-th factor is the stream's ``i``-th however long the peer took,
     and a seeded query draws the same values either way.  ``hits`` counts
@@ -384,9 +313,8 @@ class QueryLookahead(PrecomputeEngine):
     """
 
     def __init__(self, key: "PaillierPublicKey | PaillierPrivateKey",
-                 rng: Random, stream: Random | None, budget: int) -> None:
-        super().__init__(key, rng=rng,
-                         config=PrecomputeConfig(obfuscators=budget))
+                 stream: Random | None, budget: int) -> None:
+        super().__init__(key, config=PrecomputeConfig(obfuscators=budget))
         self.stream = stream
 
     def prefetch(self) -> bool:

@@ -11,7 +11,8 @@ Protocol classes derive from :class:`TwoPartyProtocol`, which stores the
 ciphertext manipulations that appear over and over in the paper's algorithms
 (homomorphic subtraction, multiplication by ``N - r`` to realize ``-r``, and
 fresh randomization), :meth:`TwoPartyProtocol.take_masks`, the source of
-P1's independent additive masks, drawn a chunk of a round at a time, and
+P1's independent additive masks (:func:`mask_range` is the one masking
+rule), drawn a chunk of a round at a time, and
 :meth:`TwoPartyProtocol.run_pipelined`, the one shape of a batched round:
 two half-batches in flight, so the two clouds compute at the same time
 instead of taking turns.
@@ -22,17 +23,68 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Sequence
 
-from repro.crypto.paillier import Ciphertext, PaillierPublicKey
-from repro.crypto.precompute import mask_range
-from repro.exceptions import ProtocolError
+from repro.crypto.paillier import Ciphertext, PaillierPublicKey, slots
+from repro.exceptions import ConfigurationError, ProtocolError
 from repro.network.party import DecryptorParty, EvaluatorParty, TwoPartySetting
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import profiling as _profiling
 from repro.telemetry import tracing as _tracing
 
 __all__ = ["P2StepDispatcher", "TwoPartyProtocol",
+           "MASK_ZN", "MASK_SBD", "MASK_SHORT", "MASK_SLOT",
+           "STATISTICAL_SECURITY", "mask_range",
            "PIPELINE_MIN_ITEMS", "pipeline_chunks", "record_round",
            "traced_round"]
+
+#: ``sigma``: a mask of ``bits + sigma`` bits hides a ``bits``-bit value
+#: from the key holder up to statistical distance ``2**-sigma`` — the width
+#: of :data:`MASK_SHORT` and of SMIN's domain
+#: (:meth:`~repro.protocols.smin.SecureMinimum.domain_fits`).
+STATISTICAL_SECURITY = 40
+
+#: Additive-mask kinds (the sampling range each protocol requires).
+MASK_ZN = "zn"            # r uniform in [0, N) — delivery (Bob's shares: no
+                          #   C1 power strips them), SM
+MASK_SBD = "sbd"          # r uniform in [0, N - 2^bits): z + r never wraps —
+                          #   SMIN's round 1 (bits = L + 1), SBD (bits = l)
+MASK_SHORT = "short"      # N - r, r uniform in [1, 2^(bits+sigma)] — every
+                          #   value C2 may decrypt and C1 strips with a power:
+                          #   SMIN's selection, extraction
+MASK_SLOT = "slot"        # s in [2^(bits-1), 2^(bits-1) + 2^(bits+sigma)) —
+                          #   SSED's packed slots: s - d in (0, 2^(bits+1+sigma))
+                          #   for a bits-bit signed d, no borrow between slots
+
+
+def mask_range(kind: str, n: int, bits: int | None = None) -> tuple[int, int]:
+    """The half-open range ``[lower, upper)`` a mask of ``kind`` is drawn from.
+
+    The one masking rule (:meth:`TwoPartyProtocol.sample_masks`, SMIN's
+    in-place selection pair); every kind but :data:`MASK_ZN` needs
+    ``bits``, the masked values' width.  A :data:`MASK_SHORT` mask ``m = N -
+    r`` hides a ``bits``-bit value ``v``: ``v + m = v - r mod N`` with ``r``
+    uniform in ``[1, 2**(bits + sigma)]`` is within ``2**-sigma`` of a
+    distribution that does not depend on ``v``, and whoever strips ``m``
+    with a power does so with the short exponent ``r`` (``N - m``, or ``-m
+    mod N``).  A :data:`MASK_SLOT` mask ``s`` hides a ``bits``-bit signed
+    value ``d`` (``|d| < 2**(bits-1)``) the same way as ``s - d``, which is
+    positive and below ``2**(bits + 1 + sigma)``: a packed slot never
+    borrows from its neighbour.  Both spans are capped at ``N``, where the
+    kind is uniform mod ``N``, so toy keys work.
+    """
+    if kind == MASK_ZN:
+        return 0, n
+    if kind not in (MASK_SBD, MASK_SHORT, MASK_SLOT):
+        raise ConfigurationError(f"unknown mask kind {kind!r}")
+    if bits is None or bits < 1:
+        raise ConfigurationError(f"{kind} masks require a positive bits")
+    if kind == MASK_SBD:
+        return 0, n - (1 << bits)
+    spread = min(1 << (bits + STATISTICAL_SECURITY), n)
+    if kind == MASK_SHORT:
+        return n - spread, n
+    lower = 1 << (bits - 1)
+    return lower, lower + spread
+
 
 #: A batched round of this many items or more travels as two half-batches
 #: in flight (:meth:`TwoPartyProtocol.run_pipelined`); a smaller one as one
@@ -200,6 +252,31 @@ class P2StepDispatcher:
             f"malformed {what}")
         return width
 
+    def require_packs(self, frame: Any, pk: PaillierPublicKey, what: str,
+                      header_ok: Callable[[Any, int], bool]
+                      ) -> "tuple[Any, int, int, list[Ciphertext]]":
+        """Shape check of a packed frame ``[header, w, count, packs]``.
+
+        A P2 step calls this before it decrypts anything: ``w``-bit slots
+        that fit ``pk``, an int ``count >= 1`` in exactly ``ceil(count /
+        slots)`` packs (bools are no ints here), each a ciphertext under
+        ``pk``, and the caller's ``header_ok(header, count)``; else it fails
+        typed (``"<name>: malformed <what>"``).  Returns the frame's fields.
+        """
+        header, width, count, packs = (
+            frame if isinstance(frame, list) and len(frame) == 4
+            else (None, None, None, None))
+        per_pack = slots(pk.key_size, width) if type(width) is int else 0
+        self.require(
+            per_pack >= 1 and type(count) is int and count >= 1
+            and isinstance(packs, list)
+            and len(packs) == -(-count // per_pack)
+            and all(isinstance(pack, Ciphertext) and pack.public_key == pk
+                    for pack in packs)
+            and header_ok(header, count),
+            f"malformed {what}")
+        return header, width, count, packs
+
 
 class TwoPartyProtocol(P2StepDispatcher):
     """Base class for all of the paper's two-party sub-protocols.
@@ -235,36 +312,25 @@ class TwoPartyProtocol(P2StepDispatcher):
         return self.setting.public_key
 
     # -- P1's additive masks ---------------------------------------------------
-    def take_masks(self, count: int, kind: str = "zn",
-                   sbd_upper: int | None = None, bits: int | None = None
+    def take_masks(self, count: int, kind: str = MASK_ZN,
+                   bits: int | None = None
                    ) -> "list[tuple[int, Ciphertext]]":
         """``count`` P1 additive masks ``(r, E(r))``, drawn as one batch.
 
-        The sub-protocols' source of independent masks; SMIN's selection
-        pair, two correlated masks, is drawn in place by the same rule.
-        ``kind`` is ``"zn"`` (uniform in ``[0, N)``), ``"sbd"`` (``[0,
-        sbd_upper)``) or ``"short"`` (``N - r`` hiding ``bits``-bit values
-        at ``sigma``) — see :func:`~repro.crypto.precompute.mask_range`.
-        P1's engine samples and encrypts them when it owns one; otherwise
-        they are sampled with P1's rng and encrypted in one batch-kernel
-        call.  One encryption per mask either way.  The engine is resolved
-        per call (engines live on the party objects), so one attached after
-        protocol construction still takes effect.
+        :meth:`sample_masks` draws them and P1's ``encrypt_batch`` encrypts
+        them in one call: one encryption per mask, from P1's engine while
+        it has factors (resolved per call, so one attached after protocol
+        construction still takes effect), then the key's own kernel.
         """
-        engine = self.p1.engine
-        if engine is not None:
-            return engine.take_masks(count, kind, sbd_upper=sbd_upper,
-                                     bits=bits)
-        masks = self.sample_masks(count, kind, sbd_upper, bits)
+        masks = self.sample_masks(count, kind, bits)
         return list(zip(masks, self.p1.encrypt_batch(masks)))
 
-    def sample_masks(self, count: int, kind: str = "zn",
-                     sbd_upper: int | None = None,
+    def sample_masks(self, count: int, kind: str = MASK_ZN,
                      bits: int | None = None) -> "list[int]":
-        """``count`` P1 masks of ``kind`` (:func:`~repro.crypto.precompute.
-        mask_range`), drawn with P1's rng and not encrypted: a packed round
-        encrypts them packed, one ciphertext per pack."""
-        lower, upper = mask_range(kind, self.pk.n, sbd_upper, bits)
+        """``count`` P1 masks of ``kind`` (:data:`MASK_ZN`, :data:`MASK_SBD`,
+        :data:`MASK_SHORT` or :data:`MASK_SLOT`), drawn with P1's rng and not
+        encrypted: a packed round encrypts them packed, one per pack."""
+        lower, upper = mask_range(kind, self.pk.n, bits)
         return [self.p1.rng.randrange(lower, upper) for _ in range(count)]
 
     # -- ciphertext helpers -----------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Sequence
 
 from repro.crypto import numtheory as nt
 from repro.crypto.paillier import Ciphertext
-from repro.protocols.base import TwoPartyProtocol, traced_round
+from repro.protocols.base import MASK_SBD, TwoPartyProtocol, traced_round
 
 __all__ = ["SecureBitDecomposition"]
 
@@ -118,9 +118,8 @@ class SecureBitDecomposition(TwoPartyProtocol):
         them.
         """
         def mask(chunk):
-            mask_tuples = self.take_masks(
-                len(chunk), "sbd",
-                sbd_upper=self.pk.n - (1 << self.bit_length))
+            mask_tuples = self.take_masks(len(chunk), MASK_SBD,
+                                          bits=self.bit_length)
             return (self.pk.add_batch(chunk, [c for _, c in mask_tuples]),
                     [r for r, _ in mask_tuples])
 

@@ -76,7 +76,7 @@ re-randomizer ``h^rho`` per entry and on the top bit.
 Domain.  The mask on ``E(z)`` hides ``L + 1`` bits statistically: ``2**(L
 + 1 + sigma) <= N`` with ``sigma = 40`` (``L <= 86`` at K=128, ``L <= 470``
 at K=512; :meth:`SecureMinimum.domain_fits`; ``sigma`` is
-:data:`~repro.crypto.precompute.STATISTICAL_SECURITY`, the width of every
+:data:`~repro.protocols.base.STATISTICAL_SECURITY`, the width of every
 short mask).  DGK's ``3L + 2 < u`` holds by construction (``u > 3K``).
 
 Per pair P1 pays ``L + 4`` encryptions — the mask (one ``take_masks``
@@ -97,9 +97,8 @@ from typing import Any, Sequence
 
 from repro.crypto.dgk import DGKPublicKey
 from repro.crypto.paillier import Ciphertext
-from repro.crypto.precompute import (MASK_SHORT, STATISTICAL_SECURITY,
-                                     mask_range)
-from repro.protocols.base import TwoPartyProtocol, traced_round
+from repro.protocols.base import (MASK_SBD, MASK_SHORT, STATISTICAL_SECURITY,
+                                  TwoPartyProtocol, mask_range, traced_round)
 from repro.protocols.encoding import recompose_from_encrypted_bits
 
 __all__ = ["SecureMinimum", "STATISTICAL_SECURITY"]
@@ -223,7 +222,8 @@ class SecureMinimum(TwoPartyProtocol):
 
         def mask_differences(chunk):
             # ---- P1, round 1: E(z) = E(x - y + 2^L + r) -----------------------
-            masks = self.take_masks(len(chunk), "sbd", sbd_upper=n - 2 * top)
+            masks = self.take_masks(len(chunk), MASK_SBD,
+                                    bits=bit_length + 1)
             differences = self.pk.add_batch(
                 [x for x, _ in chunk], self.neg_batch([y for _, y in chunk]))
             masked = self.pk.add_batch(differences, [c for _, c in masks])

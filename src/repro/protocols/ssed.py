@@ -21,7 +21,7 @@ plaintext [Bianchi, Piva & Barni, IEEE TIFS 2010; Erkin et al., PETS 2009]:
 1. P1 computes ``E(d_j) = E(y_j) * E(-x_j)`` locally and draws one mask
    ``s_j`` per difference.  Given the attributes' width ``a``, ``|d_j| <
    2**a`` and ``s_j`` is uniform in ``[2**a, 2**a + 2**(a+1+sigma))``
-   (:data:`~repro.crypto.precompute.MASK_SLOT`), so ``v_j = s_j - d_j`` is
+   (:data:`~repro.protocols.base.MASK_SLOT`), so ``v_j = s_j - d_j`` is
    in ``(0, 2**w)`` with ``w = a + 2 + sigma`` (:func:`difference_width`).
    It folds ``slots = (K-1) // w`` differences at a time into one ``E(D)``
    by Horner's rule (:meth:`~repro.crypto.paillier.PaillierPublicKey.
@@ -69,9 +69,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.crypto.paillier import Ciphertext
-from repro.crypto.precompute import MASK_SLOT, MASK_ZN, STATISTICAL_SECURITY
-from repro.protocols.base import (TwoPartyProtocol, pipeline_chunks,
+from repro.crypto.paillier import Ciphertext, slots
+from repro.protocols.base import (MASK_SLOT, MASK_ZN, STATISTICAL_SECURITY,
+                                  TwoPartyProtocol, pipeline_chunks,
                                   traced_round)
 
 __all__ = ["SecureSquaredEuclideanDistance", "difference_width",
@@ -166,7 +166,7 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
         pk = self.pk
         n = pk.n
         width = difference_width(pk.key_size, attribute_bits)
-        per_pack = pk.slots(width)
+        per_pack = slots(pk.key_size, width)
         # a + 1-bit signed differences, each s - d inside its slot
         kind, bits = ((MASK_ZN, None) if attribute_bits is None
                       else (MASK_SLOT, attribute_bits + 1))
@@ -218,27 +218,16 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
         """Step 2: decrypt each pack, return E(sum v^2) per record.
 
         The frame ``[m, w, count, packs]`` arrives from outside this
-        process on a C2 daemon, so it is checked before anything is
-        decrypted: ``w``-bit slots that fit this key, a count of whole
-        records, exactly ``ceil(count / slots)`` packs, all under this key.
+        process on a C2 daemon, so :meth:`require_packs` checks it before
+        anything is decrypted, with a count of whole ``m``-attribute
+        records.
         """
         pk = self.p2.public_key
         n = pk.n
-        frame = self.p2.receive(expected_tag="SSED.masked_differences")
-        dimensions, width, count, packs = (
-            frame if isinstance(frame, list) and len(frame) == 4
-            else (None, None, None, None))
-        per_pack = (pk.slots(width) if isinstance(width, int) else 0)
-        self.require(
-            isinstance(dimensions, int) and dimensions >= 1
-            and per_pack >= 1
-            and isinstance(count, int) and count >= 1
-            and count % dimensions == 0
-            and isinstance(packs, list)
-            and len(packs) == -(-count // per_pack)
-            and all(isinstance(pack, Ciphertext) and pack.public_key == pk
-                    for pack in packs),
-            "malformed masked-difference batch")
+        dimensions, width, count, packs = self.require_packs(
+            self.p2.receive(expected_tag="SSED.masked_differences"), pk,
+            "masked-difference batch",
+            lambda m, count: type(m) is int and m >= 1 and count % m == 0)
         values = pk.unpack(
             [-residue % n for residue in self.p2.decrypt_residue_batch(packs)],
             width, count)

@@ -64,7 +64,6 @@ from repro.crypto.precompute import (
     PrecomputeConfig,
     PrecomputeEngine,
     QueryLookahead,
-    STATISTICAL_SECURITY,
 )
 from repro.crypto.serialization import (
     dgk_public_key_from_dict,
@@ -85,6 +84,7 @@ from repro.exceptions import (
 )
 from repro.network.channel import Message
 from repro.network.party import DecryptorParty
+from repro.protocols.base import STATISTICAL_SECURITY
 from repro.protocols.smin import SecureMinimum
 from repro.resilience import durability
 from repro.resilience.idempotency import ReplyCache
@@ -1494,10 +1494,10 @@ class C1Daemon(PartyDaemon):
         else:
             paillier, dgk = self._lookahead_budget(mode, k)
             cloud.attach_engine(
-                QueryLookahead(table.public_key, c1.rng, self._derive_rng(),
+                QueryLookahead(table.public_key, self._derive_rng(),
                                paillier), None,
-                QueryLookahead(self._dgk_key, c1.rng, self._derive_rng(),
-                               dgk) if dgk and self._dgk_key else None)
+                QueryLookahead(self._dgk_key, self._derive_rng(), dgk)
+                if dgk and self._dgk_key else None)
         if self.shard_index is not None:
             return ShardScanProtocol(cloud,
                                      party=f"C1-shard{self.shard_index}")

@@ -41,6 +41,7 @@ from repro.crypto.paillier import (
     PaillierKeyPair,
     PaillierPrivateKey,
     PaillierPublicKey,
+    slots,
 )
 from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 from repro.db.datasets import synthetic_uniform
@@ -95,11 +96,12 @@ def ssed_case(keypair, n_records, dimensions, attribute_bits=None):
     query = public.encrypt_vector(list(range(dimensions)))
     records = [public.encrypt_vector([i + j for j in range(dimensions)])
                for i in range(n_records)]
-    slots = public.slots(difference_width(public.key_size, attribute_bits))
+    per_pack = slots(public.key_size,
+                     difference_width(public.key_size, attribute_bits))
     return (setting,
             lambda: SecureSquaredEuclideanDistance(setting).run_many(
                 query, records, attribute_bits),
-            lambda odd: ssed_scan_cost(n_records, dimensions, slots), 0)
+            lambda odd: ssed_scan_cost(n_records, dimensions, per_pack), 0)
 
 
 def sbd_case(keypair, bit_length, values):

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.system import SkNNSystem
-from repro.crypto.paillier import Ciphertext
+from repro.crypto.paillier import Ciphertext, slots
 from repro.db.datasets import synthetic_uniform
 from repro.db.knn import LinearScanKNN
 from repro.db.schema import Schema
@@ -400,12 +400,12 @@ class TestHostileScanFrames:
             connection.start_reader()
             cipher = owner.public_key.encrypt(1)
             key_size = owner.public_key.key_size
-            slots = owner.public_key.slots(46)
+            per_pack = slots(key_size, 46)
             for index, frame in enumerate([
                     [[cipher, cipher], [cipher]],
                     [1, key_size, 1, [cipher]],
                     [2, 46, 3, [cipher, cipher]],
-                    [1, 46, slots + 1, [cipher]]]):
+                    [1, 46, per_pack + 1, [cipher]]]):
                 channel = connection.channel(f"hostile-{index}")
                 channel.send("C1", frame, tag="SSED.masked_differences")
                 with pytest.raises(

@@ -22,7 +22,7 @@ from repro.core.parallel import (
 )
 from repro.core.roles import QueryClient
 from repro.crypto.backend import get_backend
-from repro.crypto.paillier import PaillierPrivateKey
+from repro.crypto.paillier import PaillierPrivateKey, slots
 from repro.db.knn import LinearScanKNN
 from repro.protocols.base import PIPELINE_MIN_ITEMS
 from repro.protocols.encoding import bits_to_int
@@ -119,7 +119,8 @@ class TestChunkWorkerRunsTheProtocol:
         assert len(views_one) == len(views_two) == 3 * len(self.QUERIES)
         for index, (one, two) in enumerate(zip(views_one, views_two)):
             if index % 3 < 2:
-                assert len(one) == half * 3 // public.slots(6 + 2 + 40)
+                assert len(one) == half * 3 // slots(public.key_size,
+                                                     6 + 2 + 40)
                 assert all(a != b for a, b in zip(one, two))
             else:
                 assert one == two

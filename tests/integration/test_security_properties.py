@@ -291,9 +291,8 @@ class TestFusedScanMasking:
         drawn: list[int] = []
         sample_masks = protocol._ssed.sample_masks
 
-        def recording_sample_masks(count, kind="zn", sbd_upper=None,
-                                   bits=None):
-            masks = sample_masks(count, kind, sbd_upper, bits)
+        def recording_sample_masks(count, kind="zn", bits=None):
+            masks = sample_masks(count, kind, bits)
             drawn.extend(masks)
             return masks
 

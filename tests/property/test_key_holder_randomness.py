@@ -39,7 +39,6 @@ from repro.core.sknn_secure import SkNNSecure
 from repro.crypto import numtheory as nt
 from repro.crypto.backend import available_backends, set_backend
 from repro.crypto.paillier import Ciphertext
-from repro.crypto.precompute import mask_range
 from repro.db.encrypted_table import EncryptedTable
 from repro.db.schema import Schema
 from repro.db.table import Table
@@ -283,7 +282,6 @@ class ScriptedObfuscators:
     def __init__(self, public, perturbed: int | None, drawn: list[int],
                  fresh) -> None:
         self.key = self.public_key = public
-        self.rng = Random(41)
         self.perturbed = perturbed
         self.drawn = drawn
         self.fresh = fresh
@@ -296,11 +294,6 @@ class ScriptedObfuscators:
                            if index == self.perturbed else 1)
             self.drawn[0] += 1
         return factors
-
-    def take_masks(self, count, kind="zn", sbd_upper=None, bits=None):
-        lower, upper = mask_range(kind, self.key.n, sbd_upper, bits)
-        masks = [self.rng.randrange(lower, upper) for _ in range(count)]
-        return list(zip(masks, self.key.encrypt_batch(masks, pool=self)))
 
 
 def decrypted_readings(keypair, perturbed, monkeypatch):

@@ -1,7 +1,7 @@
 """Short statistical masks: what C2 can decrypt and what C1 strips.
 
 Every mask C1 later strips with a power is ``N - s`` with ``s`` of ``bits +
-sigma`` bits (``sigma`` = :data:`~repro.crypto.precompute.
+sigma`` bits (``sigma`` = :data:`~repro.protocols.base.
 STATISTICAL_SECURITY`), ``bits`` the masked values' width: ``a + 1`` for
 SSED's differences of ``a``-bit attributes, ``a`` for SkNN_m's extracted
 records, SMIN's ``L`` for its selection candidates.  So
@@ -32,11 +32,11 @@ from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_secure import SkNNSecure
 from repro.crypto.backend import available_backends, set_backend
 from repro.crypto.paillier import PaillierPublicKey
-from repro.crypto.precompute import STATISTICAL_SECURITY
 from repro.db.encrypted_table import EncryptedTable
 from repro.db.knn import LinearScanKNN, squared_euclidean
 from repro.db.schema import Schema
 from repro.db.table import Table
+from repro.protocols.base import STATISTICAL_SECURITY
 from tests.property.conftest import cached_keypair
 
 SIGMA = STATISTICAL_SECURITY

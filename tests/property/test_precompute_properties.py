@@ -7,8 +7,9 @@ protocols compute.  These properties pin down the contract:
   single-use encryptions — factors are never reused, even past exhaustion;
 * pooled encryption is plaintext-equivalent to the plain path for arbitrary
   values, and counter parity holds exactly;
-* masks always decrypt to their stated value and lie in their kind's range,
-  whatever mix of pooled and comb obfuscators a drained pool serves;
+* masks drawn by the protocol layer over an engine always decrypt to their
+  stated value and lie in their kind's range, whatever mix of pooled and
+  comb obfuscators a drained pool serves;
 * under concurrent takers, refills and a save/load round trip every factor
   that leaves the pool leaves it exactly once.
 """
@@ -21,11 +22,14 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.precompute import (
+from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
+from repro.network.party import TwoPartySetting
+from repro.protocols.base import (
     MASK_SBD,
+    MASK_SHORT,
+    MASK_SLOT,
     MASK_ZN,
-    PrecomputeConfig,
-    PrecomputeEngine,
+    TwoPartyProtocol,
     mask_range,
 )
 from tests.property.conftest import cached_keypair
@@ -45,12 +49,21 @@ def fresh_engine(obfuscators: int, seed: int = 5) -> PrecomputeEngine:
     return engine
 
 
+def masking_protocol(engine: PrecomputeEngine,
+                     seed: int = 6) -> TwoPartyProtocol:
+    """A protocol whose P1 draws masks over ``engine``."""
+    setting = TwoPartySetting.create(cached_keypair(), rng=Random(seed))
+    setting.attach_engine(engine)
+    return TwoPartyProtocol(setting)
+
+
 @given(values=values_strategy, pool_size=st.integers(min_value=1, max_value=6))
 def test_pooled_encryption_roundtrips_past_exhaustion(values, pool_size):
     """Correct plaintexts and distinct ciphertexts, warm or drained."""
     keypair = cached_keypair()
     engine = fresh_engine(pool_size)
-    ciphertexts = [c for v in values for c in engine.encrypt_batch([v])]
+    ciphertexts = [c for v in values
+                   for c in keypair.public_key.encrypt_batch([v], pool=engine)]
     assert [keypair.private_key.decrypt(c) for c in ciphertexts] == values
     assert len({c.value for c in ciphertexts}) == len(values)
 
@@ -62,7 +75,7 @@ def test_pooled_batch_counter_parity(values):
     engine = fresh_engine(obfuscators=4)
     counter = keypair.public_key.counter
     before = counter.snapshot()
-    ciphertexts = engine.encrypt_batch(values)
+    ciphertexts = keypair.public_key.encrypt_batch(values, pool=engine)
     after = counter.snapshot()
     assert after["encryptions"] - before["encryptions"] == len(values)
     assert after["exponentiations"] == before["exponentiations"]
@@ -71,16 +84,14 @@ def test_pooled_batch_counter_parity(values):
 
 @given(takes=st.integers(min_value=1, max_value=12),
        pooled=st.integers(min_value=0, max_value=6),
-       kind=st.sampled_from([MASK_ZN, MASK_SBD]))
+       kind=st.sampled_from([MASK_ZN, MASK_SBD, MASK_SHORT, MASK_SLOT]))
 def test_masks_decrypt_to_their_value_in_range(takes, pooled, kind):
     """Pool-backed and comb-backed masks are indistinguishable to the caller:
     cold (0 pooled), half-drained and warm draws all sample the kind's range."""
     keypair = cached_keypair()
-    n = keypair.public_key.n
-    sbd_upper = n - (1 << 9)
     engine = fresh_engine(obfuscators=pooled)
-    lower, upper = mask_range(kind, n, sbd_upper)
-    tuples = engine.take_masks(takes, kind, sbd_upper=sbd_upper)
+    lower, upper = mask_range(kind, keypair.public_key.n, bits=9)
+    tuples = masking_protocol(engine).take_masks(takes, kind, bits=9)
     for r, enc_r in tuples:
         assert lower <= r < upper
         assert keypair.private_key.raw_decrypt(enc_r.value) == r
@@ -100,7 +111,8 @@ def test_every_factor_leaves_the_pool_exactly_once(target, takers, per_take,
     """consumed ⊎ remaining ⊎ saved = produced, with no duplicate raw factor.
 
     ``E(0) = r^N``, so encrypting zeros exposes exactly the factors a draw
-    consumed.  Takers (``encrypt_batch`` and ``take_masks``), a refiller and
+    consumed.  Takers (``encrypt_batch(pool=engine)`` and a protocol's
+    ``take_masks`` over the engine), a refiller and
     one save -> load round trip into a second engine run concurrently; every
     factor produced must end up consumed once, still pooled, or on disk —
     and nowhere twice.
@@ -112,13 +124,15 @@ def test_every_factor_leaves_the_pool_exactly_once(target, takers, per_take,
     cache = tmp_path_factory.mktemp("pools") / "pool.json"
     consumed: list[int] = []   # raw factors seen through E(0) draws
     masks_taken: list[int] = []  # ciphertexts of take_masks draws
+    protocol = masking_protocol(engine, seed=seed + 2)
     lock = threading.Lock()
     stop = threading.Event()
 
     def taker() -> None:
         for _ in range(3):
-            zeros = engine.encrypt_batch([0] * per_take)
-            masks = engine.take_masks(per_take, MASK_ZN)
+            zeros = keypair.public_key.encrypt_batch([0] * per_take,
+                                                     pool=engine)
+            masks = protocol.take_masks(per_take, MASK_ZN)
             with lock:
                 consumed.extend(c.value for c in zeros)
                 masks_taken.extend(enc.value for _, enc in masks)

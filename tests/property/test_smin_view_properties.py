@@ -67,8 +67,8 @@ def smin_with_coins(pairs, bit_length: int, f_coins: list[bool],
     masks = []
     take_masks = protocol.take_masks
 
-    def recording(count, kind="zn", sbd_upper=None, bits=None):
-        drawn = take_masks(count, kind, sbd_upper, bits)
+    def recording(count, kind="zn", bits=None):
+        drawn = take_masks(count, kind, bits)
         if kind == "sbd":
             masks.extend(r for r, _ in drawn)
         return drawn

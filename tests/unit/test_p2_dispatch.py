@@ -242,6 +242,72 @@ class TestTopKReplyChecks:
             protocol.run(query, k)
 
 
+#: hostile packed frames ``[header, w, count, packs]``: ``c`` is a
+#: ciphertext under the key, ``o`` one under another key, ``K`` the key
+#: size (128 bits: two 46-bit slots a pack)
+MALFORMED_PACKED_FRAMES = {
+    "old rows": lambda c, o, K: [[c, c], [c]],
+    "four old rows": lambda c, o, K: [[c], [c], [c], [c]],
+    "old rows with an int": lambda c, o, K: [[c], [7]],
+    "empty rows": lambda c, o, K: [[], []],
+    "old flat list": lambda c, o, K: [c, c],
+    "empty": lambda c, o, K: [],
+    "not a list": lambda c, o, K: c,
+    "width 0": lambda c, o, K: [1, 0, 2, [c]],
+    "width K": lambda c, o, K: [1, K, 2, [c]],
+    "string width": lambda c, o, K: [1, "46", 2, [c]],
+    "bool width": lambda c, o, K: [1, True, 2, [c]],
+    "bool count": lambda c, o, K: [1, 46, True, [c]],
+    "bool header": lambda c, o, K: [True, 46, 2, [c]],
+    "count 0": lambda c, o, K: [1, 46, 0, []],
+    "count without its packs": lambda c, o, K: [1, 46, 3, [c]],
+    "too many packs": lambda c, o, K: [1, 46, 2, [c, c]],
+    "non-ciphertext pack": lambda c, o, K: [1, 46, 2, [7]],
+    "pack under another key": lambda c, o, K: [1, 46, 2, [o]],
+    "header 0": lambda c, o, K: [0, 46, 2, [c]],
+    "header above the count": lambda c, o, K: [3, 46, 2, [c]],
+}
+
+#: the two C2 steps that decrypt packed frames (SSED's scan, SkNN_b's
+#: selection), with their refusal
+PACKED_STEPS = {
+    "SSED.masked_differences": "SSED: malformed masked-difference batch",
+    "SkNNb.encrypted_distances": "SkNNb: malformed encrypted-distance list",
+}
+
+
+class TestPackedFrameChecks:
+    """Both packed C2 steps refuse the same hostile frames, typed, before
+    they decrypt anything (``P2StepDispatcher.require_packs``)."""
+
+    @staticmethod
+    def send(cloud, tag, frame):
+        handler = SkNNBasic(cloud).collect_p2_handlers()[tag]
+        cloud.c2.private_key.counter.reset()
+        cloud.c1.send(frame, tag=tag)
+        return handler
+
+    @pytest.mark.parametrize("tag", PACKED_STEPS)
+    @pytest.mark.parametrize("shape", list(MALFORMED_PACKED_FRAMES))
+    def test_a_malformed_frame_is_refused_before_any_decryption(
+            self, deployed_cloud, medium_keypair, tag, shape):
+        public = deployed_cloud.c1.public_key
+        handler = self.send(deployed_cloud, tag, MALFORMED_PACKED_FRAMES[
+            shape](public.encrypt(1), medium_keypair.public_key.encrypt(1),
+                   public.key_size))
+        with pytest.raises(ProtocolError, match=f"^{PACKED_STEPS[tag]}$"):
+            handler()
+        assert deployed_cloud.c2.private_key.counter.decryptions == 0
+        assert deployed_cloud.channel.pending("C1") == 0  # nothing replied
+
+    @pytest.mark.parametrize("tag", PACKED_STEPS)
+    def test_the_well_formed_frame_is_answered(self, deployed_cloud, tag):
+        cipher = deployed_cloud.c1.public_key.encrypt(1)
+        self.send(deployed_cloud, tag, [1, 46, 2, [cipher]])()
+        assert deployed_cloud.c2.private_key.counter.decryptions == 1
+        assert deployed_cloud.channel.pending("C1") == 1
+
+
 class TestShareMailbox:
     def test_put_then_fetch_pops(self):
         mailbox = ShareMailbox()

@@ -705,6 +705,25 @@ class TestQueryLookahead:
             "--connect-c2", "%s:%d" % c2.address]) == 0
         assert "C1 factors ready when drawn: " in capsys.readouterr().out
 
+        # A tie at the k-th distance: SkNN_m breaks it at random, and here
+        # returns other records than the oracle's, which is as right.
+        table = synthetic_uniform(n_records=12, dimensions=2,
+                                  distance_bits=4, seed=1)
+        rng = Random(2)  # the command's query for --seed 1
+        query = [rng.randint(0, max(a.maximum for a in table.schema))
+                 for _ in range(2)]
+        nearest = LinearScanKNN(table).query(query, 4)
+        assert nearest[2].squared_distance == nearest[3].squared_distance
+        c2 = serve(C2Daemon(io_deadline=10.0))
+        c1 = serve(C1Daemon(io_deadline=10.0))
+        assert cli.main([
+            "query", "--n", "12", "--m", "2", "--k", "3", "--l", "4",
+            "--seed", "1", "--key-size", str(SMALL_KEY_BITS),
+            "--mode", "secure",
+            "--connect-c1", "%s:%d" % c1.address,
+            "--connect-c2", "%s:%d" % c2.address]) == 0
+        assert "matches plaintext answer: True" in capsys.readouterr().out
+
     @pytest.mark.parametrize("protocol", [SkNNBasic, SkNNSecure])
     def test_over_the_in_memory_channel_nothing_is_computed(
             self, small_keypair, protocol):
@@ -714,8 +733,8 @@ class TestQueryLookahead:
         owner = DataOwner(table, keypair=small_keypair, rng=Random(5))
         cloud = FederatedCloud.deploy(small_keypair, rng=Random(6))
         cloud.c1.host_database(owner.encrypt_database())
-        lookahead = QueryLookahead(small_keypair.public_key, cloud.c1.rng,
-                                   Random(7), budget=10 ** 6)
+        lookahead = QueryLookahead(small_keypair.public_key, Random(7),
+                                   budget=10 ** 6)
         cloud.attach_engine(lookahead, None)
         query = QueryClient(owner.public_key, 3,
                             rng=Random(9)).encrypt_query([1, 2, 3])

@@ -58,9 +58,9 @@ class TestSaveLoadRoundTrip:
         fresh = PrecomputeEngine(public_key, rng=Random(5),
                                  config=small_config())
         fresh.load_pools(cache)
-        [(r, enc_r)] = fresh.take_masks(1, "zn")
-        assert private_key.decrypt_raw_residue(enc_r) == r
-        assert private_key.decrypt_batch(fresh.encrypt_batch([1])) == [1]
+        values = [public_key.n - 1, 1]
+        assert [private_key.decrypt_raw_residue(cipher) for cipher in
+                public_key.encrypt_batch(values, pool=fresh)] == values
         assert fresh.stats()["obfuscator_hits"] == 2
 
     def test_warm_after_load_only_tops_up(self, warm_engine, public_key,

@@ -8,25 +8,12 @@ from random import Random
 
 import pytest
 
-from repro.crypto.precompute import (
-    MASK_SBD,
-    MASK_ZN,
-    PrecomputeConfig,
-    PrecomputeEngine,
-    mask_range,
-)
-from repro.exceptions import ConfigurationError
-
-SBD_BITS = 5
+from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
 
 
 def make_engine(public_key, *, seed=1, obfuscators=32) -> PrecomputeEngine:
     return PrecomputeEngine(public_key, rng=Random(seed),
                             config=PrecomputeConfig(obfuscators=obfuscators))
-
-
-def sbd_upper(public_key) -> int:
-    return public_key.n - (1 << SBD_BITS)
 
 
 class TestRefill:
@@ -66,78 +53,52 @@ class TestRefill:
 
 
 class TestPooledDraws:
+    """``encrypt_batch(pool=engine)``; the masks it encrypts are drawn by
+    the protocol layer (``test_protocol_base.TestMaskDraws``)."""
+
     def test_constants_decrypt_correctly(self, public_key, private_key):
         engine = make_engine(public_key)
         engine.warm()
         assert private_key.decrypt_batch(
-            engine.encrypt_batch([0, 1, 4])) == [0, 1, 4]
+            public_key.encrypt_batch([0, 1, 4], pool=engine)) == [0, 1, 4]
         assert engine.stats()["obfuscator_hits"] == 3
-
-    def test_mask_tuples_decrypt_to_their_value(self, public_key, private_key):
-        engine = make_engine(public_key)
-        engine.warm()
-        for kind in (MASK_ZN, MASK_SBD):
-            [(r, enc_r)] = engine.take_masks(1, kind,
-                                             sbd_upper=sbd_upper(public_key))
-            assert private_key.raw_decrypt(enc_r.value) == r
-
-    @pytest.mark.parametrize("warmed", [0, 3, 16],
-                             ids=["cold", "half-drained", "warm"])
-    def test_masks_respect_their_range(self, public_key, warmed):
-        """Range per kind, whatever share of the draw the pool covers."""
-        engine = make_engine(public_key, obfuscators=max(warmed, 1))
-        engine.refill(budget=warmed)
-        upper = sbd_upper(public_key)
-        for kind, (low, high) in {MASK_ZN: (0, public_key.n),
-                                  MASK_SBD: (0, upper)}.items():
-            assert mask_range(kind, public_key.n, upper) == (low, high)
-            for r, _ in engine.take_masks(4, kind, sbd_upper=upper):
-                assert low <= r < high
-
-    def test_sbd_masks_need_their_upper_bound(self, public_key):
-        with pytest.raises(ConfigurationError, match="sbd_upper"):
-            make_engine(public_key).take_masks(1, MASK_SBD)
-        with pytest.raises(ConfigurationError, match="unknown mask kind"):
-            make_engine(public_key).take_masks(1, "gaussian")
 
     def test_take_counts_as_logical_encryption(self, public_key):
         engine = make_engine(public_key)
         engine.warm()
         before = public_key.counter.encryptions
-        engine.encrypt_batch([1])
-        engine.take_masks(1, MASK_ZN)
-        assert public_key.counter.encryptions == before + 2
+        public_key.encrypt_batch([1], pool=engine)
+        public_key.encrypt_batch([2, 3], pool=engine)
+        assert public_key.counter.encryptions == before + 3
+        assert engine.hits == 3
+
+    def test_masks_paired_elsewhere_decrypt_to_their_value(self, public_key,
+                                                           private_key):
+        engine = make_engine(public_key, obfuscators=2)
+        engine.warm()
+        tuples = engine.take_masks([5, 0, public_key.n - 1])
+        assert [r for r, _ in tuples] == [5, 0, public_key.n - 1]
+        for r, enc_r in tuples:
+            assert private_key.raw_decrypt(enc_r.value) == r
+        assert (engine.hits, engine.misses) == (2, 1)
 
 
 class TestExhaustionAndSingleUse:
-    def test_drained_pool_falls_back_to_fresh_randomness(self, public_key,
-                                                         private_key):
-        engine = make_engine(public_key, obfuscators=2)
-        engine.warm()
-        tuples = engine.take_masks(5, MASK_ZN)
-        # All five are valid encryptions of their mask...
-        for r, enc_r in tuples:
-            assert private_key.raw_decrypt(enc_r.value) == r
-        # ...and no ciphertext (hence no obfuscation factor) repeats.
-        assert len({enc_r.value for _, enc_r in tuples}) == 5
-        stats = engine.stats()
-        assert stats["obfuscator_hits"] == 2
-        assert stats["obfuscator_misses"] == 3
-        assert stats["hits"] == {} and stats["misses"] == {}
-
     def test_constants_are_single_use(self, public_key):
         engine = make_engine(public_key, obfuscators=3)
         engine.warm()
-        zeros = engine.encrypt_batch([0] * 6)
+        zeros = public_key.encrypt_batch([0] * 6, pool=engine)
         assert len({c.value for c in zeros}) == 6
 
     def test_refill_never_reissues_a_taken_factor(self, public_key):
         engine = make_engine(public_key, obfuscators=3)
         engine.warm()
         # E(0) = r^N: encrypting zeros exposes the raw pooled factors.
-        first = {c.value for c in engine.encrypt_batch([0] * 3)}
+        first = {c.value
+                 for c in public_key.encrypt_batch([0] * 3, pool=engine)}
         engine.warm()  # refill back to target
-        second = {c.value for c in engine.encrypt_batch([0] * 3)}
+        second = {c.value
+                  for c in public_key.encrypt_batch([0] * 3, pool=engine)}
         assert first.isdisjoint(second)
 
     def test_concurrent_take_and_refill(self, public_key):
@@ -148,7 +109,8 @@ class TestExhaustionAndSingleUse:
         stop = threading.Event()
 
         def taker():
-            local = [enc.value for _, enc in engine.take_masks(12, MASK_ZN)]
+            local = [enc.value for enc in
+                     public_key.encrypt_batch([0] * 12, pool=engine)]
             with lock:
                 taken.extend(local)
 
@@ -217,21 +179,21 @@ class TestPerPartySeparation:
         assert setting.evaluator.engine is None
         assert setting.decryptor.engine is None
 
-    def test_masks_do_not_depend_on_the_keys_history(self):
+    def test_warming_does_not_depend_on_the_keys_history(self):
         """Drawing a key's obfuscator base leaves the caller's rng where it
-        was: an engine warmed on a fresh key and one on a key that already
-        encrypted hand out the same masks."""
+        was: warming an engine on a fresh key and on a key that already
+        encrypted moves the engine's rng to the same state."""
         from repro.crypto.paillier import generate_keypair
 
         fresh, used = (generate_keypair(128, Random(46)).public_key
                        for _ in range(2))
         used.encrypt_vector([5], rng=Random(47))
-        masks = []
+        states = []
         for key in (fresh, used):
             engine = make_engine(key, seed=48)
             engine.warm()
-            masks.append([r for r, _ in engine.take_masks(8)])
-        assert masks[0] == masks[1]
+            states.append(engine.rng.getstate())
+        assert states[0] == states[1]
 
 
 class TestStore:
@@ -248,14 +210,15 @@ class TestStore:
         engine = make_engine(public_key, seed=3, obfuscators=16)
         engine.warm()
         values = [0, 1, 42, -7, public_key.n // 3]
-        assert private_key.decrypt_batch(engine.encrypt_batch(values)) == values
+        assert private_key.decrypt_batch(
+            public_key.encrypt_batch(values, pool=engine)) == values
         assert engine.hits == len(values)
 
     def test_encryptions_are_probabilistic(self, public_key):
         engine = make_engine(public_key, seed=9, obfuscators=8)
         engine.warm()
-        [first] = engine.encrypt_batch([5])
-        [second] = engine.encrypt_batch([5])
+        [first] = public_key.encrypt_batch([5], pool=engine)
+        [second] = public_key.encrypt_batch([5], pool=engine)
         assert first.value != second.value
 
     def test_factors_are_never_reused(self, public_key):
@@ -312,7 +275,8 @@ class TestStore:
         engine = make_engine(public_key, seed=30, obfuscators=4)
         engine.warm()
         before = public_key.counter.encryptions
-        ciphertexts = engine.encrypt_batch([1, 2, 3, 4, 5, 6])
+        ciphertexts = public_key.encrypt_batch([1, 2, 3, 4, 5, 6],
+                                               pool=engine)
         # Six logical encryptions, whatever the factor source: 4 pooled,
         # 2 from the key's kernel inline.
         assert public_key.counter.encryptions == before + 6
@@ -322,7 +286,7 @@ class TestStore:
     def test_drained_store_batch_never_reuses_factors(self, public_key):
         engine = make_engine(public_key, seed=32, obfuscators=2)
         engine.warm()
-        values = engine.encrypt_batch([9] * 6)
+        values = public_key.encrypt_batch([9] * 6, pool=engine)
         assert len({c.value for c in values}) == 6
         assert (engine.hits, engine.misses) == (2, 4)
 
@@ -342,8 +306,9 @@ class TestStore:
                                   config=PrecomputeConfig(obfuscators=4))
         assert engine.public_key is small_keypair.public_key
         engine.warm()
-        assert small_keypair.private_key.decrypt_batch(
-            engine.encrypt_batch([3, -4])) == [3, -4]
+        private_key = small_keypair.private_key
+        assert private_key.decrypt_batch(
+            private_key.encrypt_batch([3, -4], pool=engine)) == [3, -4]
         assert engine.hits == 2
 
     def test_encrypt_vector_routes_through_batch_kernel(self, public_key,

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
-from repro.exceptions import ProtocolError, ReproError
+from repro.crypto.precompute import PrecomputeConfig, PrecomputeEngine
+from repro.exceptions import ConfigurationError, ProtocolError, ReproError
+from repro.network.party import TwoPartySetting
 from repro.protocols.base import (
+    MASK_SBD,
+    MASK_SHORT,
+    MASK_SLOT,
+    MASK_ZN,
     PIPELINE_MIN_ITEMS,
+    STATISTICAL_SECURITY,
     TwoPartyProtocol,
+    mask_range,
 )
 from repro.protocols.encoding import encrypt_bits
 from repro.protocols.sbd import SecureBitDecomposition
@@ -56,6 +66,90 @@ class TestCiphertextHelpers:
     def test_run_is_abstract(self, setting):
         with pytest.raises(NotImplementedError):
             TwoPartyProtocol(setting).run()
+
+
+BITS = 5
+
+
+def masking_protocol(keypair, engine=None, seed=1) -> TwoPartyProtocol:
+    """A protocol whose P1 draws its masks with ``Random(seed)``."""
+    setting = TwoPartySetting.create(keypair, rng=Random(seed))
+    setting.attach_engine(engine)
+    return TwoPartyProtocol(setting)
+
+
+def warmed_engine(key, factors: int, target: int = 32) -> PrecomputeEngine:
+    engine = PrecomputeEngine(key, rng=Random(2),
+                              config=PrecomputeConfig(obfuscators=target))
+    engine.refill(budget=factors)
+    return engine
+
+
+class TestMaskDraws:
+    """The one mask draw: P1's rng samples in :func:`mask_range`, P1's
+    ``encrypt_batch`` encrypts, from its engine while it has factors."""
+
+    def test_each_kind_has_one_range(self, public_key):
+        n, spread = public_key.n, 1 << (BITS + STATISTICAL_SECURITY)
+        assert mask_range(MASK_ZN, n) == (0, n)
+        assert mask_range(MASK_SBD, n, bits=BITS) == (0, n - 2 ** BITS)
+        assert mask_range(MASK_SHORT, n, bits=BITS) == (n - spread, n)
+        assert mask_range(MASK_SLOT, n, bits=BITS) == (
+            2 ** (BITS - 1), 2 ** (BITS - 1) + spread)
+
+    @pytest.mark.parametrize("warmed", [0, 3, 16],
+                             ids=["cold", "half-drained", "warm"])
+    def test_masks_keep_their_range_and_decrypt_to_r(self, small_keypair,
+                                                     warmed):
+        """Range per kind, whatever share of the draw the pool covers."""
+        public_key = small_keypair.public_key
+        protocol = masking_protocol(
+            small_keypair, warmed_engine(public_key, warmed, max(warmed, 1)))
+        for kind in (MASK_ZN, MASK_SBD, MASK_SHORT, MASK_SLOT):
+            low, high = mask_range(kind, public_key.n, bits=BITS)
+            for r, enc_r in protocol.take_masks(4, kind, bits=BITS):
+                assert low <= r < high
+                assert small_keypair.private_key.raw_decrypt(enc_r.value) == r
+
+    def test_unknown_kinds_and_missing_bits_are_refused(self, setting):
+        protocol = TwoPartyProtocol(setting)
+        with pytest.raises(ConfigurationError, match="unknown mask kind"):
+            protocol.take_masks(1, "gaussian")
+        for kind in (MASK_SBD, MASK_SHORT, MASK_SLOT):
+            with pytest.raises(ConfigurationError, match="positive bits"):
+                protocol.take_masks(1, kind)
+
+    def test_one_counted_encryption_per_mask_and_pool_hits_by_count(
+            self, small_keypair):
+        public_key = small_keypair.public_key
+        engine = warmed_engine(public_key, 32)
+        protocol = masking_protocol(small_keypair, engine)
+        before = public_key.counter.encryptions
+        protocol.take_masks(5, MASK_ZN)
+        protocol.take_masks(3, MASK_SHORT, bits=BITS)
+        assert public_key.counter.encryptions == before + 8
+        assert (engine.hits, engine.misses) == (8, 0)
+
+    def test_a_drained_engine_falls_back_to_fresh_factors(self,
+                                                          small_keypair):
+        engine = warmed_engine(small_keypair.public_key, 2)
+        tuples = masking_protocol(small_keypair, engine).take_masks(5)
+        for r, enc_r in tuples:
+            assert small_keypair.private_key.raw_decrypt(enc_r.value) == r
+        # no ciphertext (hence no obfuscation factor) repeats
+        assert len({enc_r.value for _, enc_r in tuples}) == 5
+        assert (engine.hits, engine.misses) == (2, 3)
+
+    def test_the_engine_samples_nothing(self, small_keypair):
+        """A seeded P1 draws the same masks with no engine, a cold one and
+        a warm one."""
+        draws = [[r for r, _ in masking_protocol(small_keypair, engine,
+                                                 seed=5).take_masks(
+                      6, MASK_SHORT, bits=BITS)]
+                 for engine in (None,
+                                warmed_engine(small_keypair.public_key, 0),
+                                warmed_engine(small_keypair.public_key, 8))]
+        assert draws[0] == draws[1] == draws[2]
 
 
 class TestPipelinedRound:

@@ -148,30 +148,6 @@ class TestFusedScanRound:
 
     TAG = "SSED.masked_differences"
 
-    @pytest.mark.parametrize("shape", ["empty", "empty_rows", "ragged",
-                                       "bare_ciphertexts", "plain_int_row",
-                                       "not_a_list"])
-    def test_c2_rejects_malformed_batch_before_decrypting(self, setting,
-                                                          private_key, shape):
-        protocol = SecureSquaredEuclideanDistance(setting)
-        cipher = setting.public_key.encrypt(3)
-        payload = {
-            "empty": [],
-            "empty_rows": [[], []],
-            "ragged": [[cipher, cipher], [cipher]],
-            "bare_ciphertexts": [cipher, cipher],
-            "plain_int_row": [[cipher], [7]],
-            "not_a_list": cipher,
-        }[shape]
-        private_key.counter.reset()
-        setting.evaluator.send(payload, tag=self.TAG)
-        with pytest.raises(
-                ProtocolError,
-                match="^SSED: malformed masked-difference batch$"):
-            protocol.dispatch_p2(self.TAG)
-        assert private_key.counter.decryptions == 0
-        assert setting.channel.pending("C1") == 0  # nothing was answered
-
     def test_c1_rejects_a_reply_of_the_wrong_length(self, setting):
         class ShortReply(SecureSquaredEuclideanDistance):
             def _p2_sum_masked_squares(self):

@@ -126,8 +126,8 @@ class TestPrecomputeEngine:
         engine.warm()
 
         def worker():
-            engine.encrypt_batch([1])
-            engine.take_masks(1, "zn")
+            public_key.encrypt_batch([1], pool=engine)
+            public_key.encrypt_batch([2], pool=engine)
             engine.refill(budget=1)
 
         for snap in hammer(worker, engine.stats, threads=3):
@@ -144,7 +144,7 @@ class TestPrecomputeEngine:
             public_key, rng=Random(6),
             config=PrecomputeConfig(obfuscators=4))
         engine.warm()
-        engine.take_masks(6, "zn")
+        public_key.encrypt_batch([0] * 6, pool=engine)
         snap = engine.stats()
         assert snap["obfuscator_hits"] == 4
         assert engine.pool_hit_total() == snap["obfuscator_hits"]
